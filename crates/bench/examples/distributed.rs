@@ -18,7 +18,7 @@
 
 use cgp_core::datacutter::{
     Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RecoveryOptions, StageAssignment,
-    StageSpec, WorkerEndpoints,
+    StageSpec, WorkerEndpoints, WorkerIngress,
 };
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,8 +118,7 @@ fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
                 pipeline(n, faults, total)
                     .run_worker(WorkerEndpoints {
                         stage: spec.stage,
-                        listener,
-                        shm_ingress: None,
+                        ingress: listener.map(WorkerIngress::Tcp),
                         connect: spec.connect,
                     })
                     .expect("worker run");

@@ -16,7 +16,7 @@
 use cgp_core::apps::dialect::{iso_host_env, ZBUF_SRC};
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::grid::{simulate, GridConfig, LinkSpec, PacketWork};
-use cgp_core::{compile, run_plan_threaded, CompileOptions, PipelineEnv};
+use cgp_core::{compile, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv};
 use cgp_obs::trace;
 use cgp_obs::ChromeTraceSink;
 use std::sync::Arc;
@@ -43,8 +43,13 @@ fn main() {
     //    backpressure or starvation shows up as stall spans.
     let grid = ScalarGrid::synthetic(8, 8, 8, 21);
     let host = Arc::new(move || iso_host_env(&grid, 0.8, 16, 4));
-    let out =
-        run_plan_threaded(Arc::new(compiled.plan), host, Some(&[1, 2, 1])).expect("threaded run");
+    let (out, _) = run_plan_threaded_stats(
+        Arc::new(compiled.plan),
+        host,
+        Some(&[1, 2, 1]),
+        &ExecOptions::default(),
+    )
+    .expect("threaded run");
     println!("threaded run output: {out:?}");
 
     // 4. Replay a synthetic workload on the virtual-time simulator — its

@@ -25,7 +25,7 @@
 
 use cgp_core::datacutter::{
     shm_dir, Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, ShmIngress, StageSpec,
-    TelemetryConfig, WorkerEndpoints, DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    TelemetryConfig, WorkerEndpoints, WorkerIngress, DEFAULT_SHM_CAPACITY, SHM_PREFIX,
 };
 use cgp_obs::telemetry::TelemetrySampler;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,7 +221,7 @@ pub fn echo_paired_packets_per_sec(a: &EchoConfig, b: &EchoConfig, reps: usize) 
 /// Throughput of one bare 1→1 stream link in packets per second at
 /// per-packet granularity: a producer thread pushes `packets` pooled
 /// `payload`-byte buffers one write at a time through a
-/// [`logical_stream_with`] link and a consumer drains them. With
+/// [`logical_stream`] link and a consumer drains them. With
 /// `rings = true` the link is the lock-free SPSC ring; with `false` it
 /// is pinned to the mutex `Stream`. This isolates the link itself — the
 /// full echo pipeline's per-packet buffer machinery (alloc, memset,
@@ -231,7 +231,7 @@ pub fn echo_paired_packets_per_sec(a: &EchoConfig, b: &EchoConfig, reps: usize) 
 /// links measure at parity, while per-packet the mutex+condvar pays its
 /// full price on every message.
 ///
-/// [`logical_stream_with`]: cgp_core::datacutter::stream::logical_stream_with
+/// [`logical_stream`]: cgp_core::datacutter::logical_stream
 pub fn link_packets_per_sec(rings: bool, packets: usize, payload: usize, reps: usize) -> f64 {
     link_packets_per_sec_b(rings, packets, payload, 1, reps)
 }
@@ -244,12 +244,10 @@ pub fn link_packets_per_sec_b(
     batch: usize,
     reps: usize,
 ) -> f64 {
-    use cgp_core::datacutter::stream::logical_stream_with;
-    use cgp_core::datacutter::Distribution;
+    use cgp_core::datacutter::logical_stream;
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let (mut writers, mut readers) =
-            logical_stream_with(1, 1, 64, Distribution::RoundRobin, None, false, rings);
+        let (mut writers, mut readers) = logical_stream(1, 1, 64, None, false, rings);
         let mut writer = writers.pop().expect("one writer");
         let mut reader = readers.pop().expect("one reader");
         reader.set_batch(batch);
@@ -368,7 +366,7 @@ fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -
 pub fn run_distributed_echo(shm: bool, packets: usize, payload: usize) -> u64 {
     // Downstream endpoints are created before any producer connects,
     // mirroring the launcher's create-then-announce ordering.
-    let mut endpoints: [Option<WorkerEndpoints>; 3] = if shm {
+    let endpoints: [WorkerEndpoints; 3] = if shm {
         let unique = format!("{}-{:?}", std::process::id(), std::thread::current().id())
             .replace(['(', ')'], "");
         let base = |link: u32| {
@@ -380,37 +378,34 @@ pub fn run_distributed_echo(shm: bool, packets: usize, payload: usize) -> u64 {
         let (b1, b2) = (base(1), base(2));
         let s1 = ShmIngress::create(&b1, 1, DEFAULT_SHM_CAPACITY, None).expect("shm ingress");
         let s2 = ShmIngress::create(&b2, 1, DEFAULT_SHM_CAPACITY, None).expect("shm ingress");
-        let ep = |stage, shm_ingress, connect: Option<String>| WorkerEndpoints {
-            stage,
-            listener: None,
-            shm_ingress,
-            connect,
-        };
         [
-            Some(ep(0, None, Some(format!("{SHM_PREFIX}{b1}")))),
-            Some(ep(1, Some(s1), Some(format!("{SHM_PREFIX}{b2}")))),
-            Some(ep(2, Some(s2), None)),
+            (0, None, Some(format!("{SHM_PREFIX}{b1}"))),
+            (
+                1,
+                Some(WorkerIngress::Shm(s1)),
+                Some(format!("{SHM_PREFIX}{b2}")),
+            ),
+            (2, Some(WorkerIngress::Shm(s2)), None),
         ]
     } else {
         let l1 = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let l2 = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let a1 = l1.local_addr().expect("addr").to_string();
         let a2 = l2.local_addr().expect("addr").to_string();
-        let ep = |stage, listener, connect: Option<String>| WorkerEndpoints {
-            stage,
-            listener,
-            shm_ingress: None,
-            connect,
-        };
         [
-            Some(ep(0, None, Some(a1))),
-            Some(ep(1, Some(l1), Some(a2))),
-            Some(ep(2, Some(l2), None)),
+            (0, None, Some(a1)),
+            (1, Some(WorkerIngress::Tcp(l1)), Some(a2)),
+            (2, Some(WorkerIngress::Tcp(l2)), None),
         ]
-    };
+    }
+    .map(|(stage, ingress, connect)| WorkerEndpoints {
+        stage,
+        ingress,
+        connect,
+    });
     let bytes = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
-        for endpoints in endpoints.iter_mut().map(|e| e.take().unwrap()) {
+        for endpoints in endpoints {
             let bytes = Arc::clone(&bytes);
             scope.spawn(move || {
                 echo_worker_pipeline(packets, payload, bytes)

@@ -35,15 +35,15 @@ use cgp_core::apps::dialect::{
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::vmscope::Slide;
 use cgp_core::datacutter::{
-    decode_telemetry_payload, shm_dir, shm_supported, FaultPlan, RunControl, ShmIngress,
-    DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    decode_telemetry_payload, shm_dir, shm_supported, RunControl, ShmIngress, DEFAULT_SHM_CAPACITY,
+    SHM_PREFIX,
 };
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
     ExecOptions, NetRole, PipelineEnv, WorkerIngress,
 };
 use cgp_obs::metrics::MetricsRegistry;
-use cgp_obs::telemetry::{TelemetrySample, TelemetrySampler};
+use cgp_obs::telemetry::{TelemetrySample, TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
 use cgp_obs::trace::{self, TraceEvent};
 use cgp_obs::{ChromeTraceSink, Json, TraceSink};
 use std::collections::BTreeMap;
@@ -52,119 +52,100 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Command-line options shared by every figure binary — one parser so the
-/// binaries cannot drift apart in flag spelling or precedence. Supports
-/// both `--flag value` and `--flag=value`; unrecognized arguments are
-/// ignored (figures keep their own flags).
+/// Command-line options shared by every figure binary that are not run
+/// options (the run-option flags resolve into [`ExecOptions`] in
+/// [`Obs::init`]). Supports both `--flag value` and `--flag=value`;
+/// unrecognized arguments are ignored (figures keep their own flags).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommonOpts {
     pub explain: bool,
     pub trace_path: Option<String>,
-    pub faults_spec: Option<String>,
-    pub deadline_ms: Option<u64>,
-    /// `--recover`: mask injected faults with checkpoint/replay restarts.
-    pub recover: bool,
-    /// `--checkpoint-every <k>`: packets between checkpoint commits.
-    pub checkpoint_every: Option<u64>,
-    /// `--role <local|launcher|worker:<stage>>`: how this process
-    /// participates in a distributed run (see [`cgp_core::NetRole`]).
-    pub role: Option<String>,
-    /// `--listen <host:port>`: worker ingress bind address (port 0 picks
-    /// a free port, announced as `CGP_LISTENING <port>` on stdout).
-    pub listen: Option<String>,
-    /// `--connect <host:port>`: downstream worker's listener address.
-    pub connect: Option<String>,
-    /// `--transport <shm|tcp>`: data plane between co-located workers in
-    /// launcher mode (default: shared memory when supported, else TCP).
-    pub transport: Option<String>,
-    /// `--status-every <ms>`: sample in-flight telemetry at this cadence
-    /// (live status line on stderr, latency percentiles, calibration).
-    /// `0` disables in-flight sampling.
-    pub status_every_ms: Option<u64>,
-    /// `--telemetry-log <path>`: append telemetry samples (merged across
-    /// workers in launcher mode) as JSON lines.
-    pub telemetry_log: Option<String>,
-    /// `--checkpoint-dir <path>`: persist checkpoint commits as durable,
-    /// crash-consistent snapshot files a freshly exec'd replacement
-    /// process can restore.
-    pub checkpoint_dir: Option<String>,
-    /// `--heartbeat-ms <ms>`: heartbeat cadence on idle distributed
-    /// links, so a silently hung peer trips a liveness deadline instead
-    /// of stalling the run. `0` disables.
-    pub heartbeat_ms: Option<u64>,
-    /// `--max-worker-restarts <n>`: per-stage crash budget for the
-    /// supervised launcher; exhaustion triggers cost-model failover.
-    pub max_worker_restarts: Option<u32>,
-    /// `--autoscale <spec>`: elastic copy-width autoscaling — `on` for
-    /// defaults, or `key=value` pairs (`max`, `grow`, `shrink`,
-    /// `cooldown`, `escalate`). Rides the telemetry sampler clock.
-    pub autoscale: Option<String>,
-    /// `--max-copies <n>`: override the autoscaler's copy-count ceiling
-    /// (inert without `--autoscale`).
-    pub max_copies: Option<usize>,
 }
 
-/// Parse the shared flags out of an argument stream.
+/// Parse the shared non-run flags out of an argument stream.
 pub fn parse_common_opts(args: impl IntoIterator<Item = String>) -> CommonOpts {
     let mut o = CommonOpts::default();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--explain" => o.explain = true,
-            "--recover" => o.recover = true,
-            "--trace-out" => o.trace_path = args.next(),
-            "--faults" => o.faults_spec = args.next(),
-            "--deadline-ms" => o.deadline_ms = args.next().and_then(|v| v.parse().ok()),
-            "--checkpoint-every" => o.checkpoint_every = args.next().and_then(|v| v.parse().ok()),
-            "--role" => o.role = args.next(),
-            "--listen" => o.listen = args.next(),
-            "--connect" => o.connect = args.next(),
-            "--transport" => o.transport = args.next(),
-            "--status-every" => o.status_every_ms = args.next().and_then(|v| v.parse().ok()),
-            "--telemetry-log" => o.telemetry_log = args.next(),
-            "--checkpoint-dir" => o.checkpoint_dir = args.next(),
-            "--heartbeat-ms" => o.heartbeat_ms = args.next().and_then(|v| v.parse().ok()),
-            "--max-worker-restarts" => {
-                o.max_worker_restarts = args.next().and_then(|v| v.parse().ok())
-            }
-            "--autoscale" => o.autoscale = args.next(),
-            "--max-copies" => o.max_copies = args.next().and_then(|v| v.parse().ok()),
-            _ => {
-                if let Some(p) = a.strip_prefix("--trace-out=") {
-                    o.trace_path = Some(p.to_string());
-                } else if let Some(s) = a.strip_prefix("--faults=") {
-                    o.faults_spec = Some(s.to_string());
-                } else if let Some(d) = a.strip_prefix("--deadline-ms=") {
-                    o.deadline_ms = d.parse().ok();
-                } else if let Some(k) = a.strip_prefix("--checkpoint-every=") {
-                    o.checkpoint_every = k.parse().ok();
-                } else if let Some(r) = a.strip_prefix("--role=") {
-                    o.role = Some(r.to_string());
-                } else if let Some(l) = a.strip_prefix("--listen=") {
-                    o.listen = Some(l.to_string());
-                } else if let Some(c) = a.strip_prefix("--connect=") {
-                    o.connect = Some(c.to_string());
-                } else if let Some(t) = a.strip_prefix("--transport=") {
-                    o.transport = Some(t.to_string());
-                } else if let Some(s) = a.strip_prefix("--status-every=") {
-                    o.status_every_ms = s.parse().ok();
-                } else if let Some(t) = a.strip_prefix("--telemetry-log=") {
-                    o.telemetry_log = Some(t.to_string());
-                } else if let Some(d) = a.strip_prefix("--checkpoint-dir=") {
-                    o.checkpoint_dir = Some(d.to_string());
-                } else if let Some(h) = a.strip_prefix("--heartbeat-ms=") {
-                    o.heartbeat_ms = h.parse().ok();
-                } else if let Some(r) = a.strip_prefix("--max-worker-restarts=") {
-                    o.max_worker_restarts = r.parse().ok();
-                } else if let Some(s) = a.strip_prefix("--autoscale=") {
-                    o.autoscale = Some(s.to_string());
-                } else if let Some(n) = a.strip_prefix("--max-copies=") {
-                    o.max_copies = n.parse().ok();
-                }
-            }
+        if a == "--explain" {
+            o.explain = true;
+        } else if a == "--trace-out" {
+            o.trace_path = args.next();
+        } else if let Some(p) = a.strip_prefix("--trace-out=") {
+            o.trace_path = Some(p.to_string());
         }
     }
     o
+}
+
+/// The run-option flags every figure binary accepts, each with the
+/// `CGP_*` variable it answers for (see [`ExecOptions::from_lookup`]).
+/// `--recover` is bare and answers `CGP_RECOVER=1`; every other flag
+/// takes a value, as `--flag value` or `--flag=value`.
+const EXEC_FLAGS: [(&str, &str); 15] = [
+    ("--faults", "CGP_FAULTS"),
+    ("--deadline-ms", "CGP_DEADLINE_MS"),
+    ("--recover", "CGP_RECOVER"),
+    ("--checkpoint-every", "CGP_CHECKPOINT_EVERY"),
+    ("--role", "CGP_ROLE"),
+    ("--listen", "CGP_LISTEN"),
+    ("--connect", "CGP_CONNECT"),
+    ("--transport", "CGP_TRANSPORT"),
+    ("--status-every", STATUS_EVERY_ENV),
+    ("--telemetry-log", TELEMETRY_LOG_ENV),
+    ("--checkpoint-dir", "CGP_CHECKPOINT_DIR"),
+    ("--heartbeat-ms", "CGP_HEARTBEAT_MS"),
+    ("--max-worker-restarts", "CGP_MAX_WORKER_RESTARTS"),
+    ("--autoscale", "CGP_AUTOSCALE"),
+    ("--max-copies", "CGP_MAX_COPIES"),
+];
+
+/// The [`EXEC_FLAGS`] given in `args`, as `(variable, value)` pairs in
+/// argument order.
+fn exec_flags(args: &[String]) -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if a == "--recover" {
+            out.push(("CGP_RECOVER", "1".to_string()));
+            continue;
+        }
+        for (flag, var) in EXEC_FLAGS.into_iter().filter(|(f, _)| *f != "--recover") {
+            if a == flag {
+                out.extend(args.next().map(|v| (var, v.clone())));
+                break;
+            }
+            if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+                out.push((var, v.to_string()));
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// Resolve the run options: a flag in `args` answers its variable (the
+/// last occurrence wins), `env` answers the rest, and both go through
+/// the one parser, [`ExecOptions::from_lookup`]. An error names the
+/// option the way it was given — the flag, or the variable.
+fn resolve_exec_options(
+    args: &[String],
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<ExecOptions, String> {
+    let flags: BTreeMap<&str, String> = exec_flags(args).into_iter().collect();
+    ExecOptions::from_lookup(|var| flags.get(var).cloned().or_else(|| env(var))).map_err(|e| {
+        let msg = match e {
+            CoreError::Config(m) => m,
+            e => e.to_string(),
+        };
+        match EXEC_FLAGS
+            .iter()
+            .find(|(_, var)| flags.contains_key(var) && msg.starts_with(&format!("{var}:")))
+        {
+            Some((flag, var)) => msg.replacen(var, flag, 1),
+            None => msg,
+        }
+    })
 }
 
 /// Which dialect program matches the figure being run.
@@ -213,74 +194,21 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Parse `--trace-out`/`--explain`/`--faults`/`--deadline-ms` from the
-    /// command line and `CGP_TRACE`/`CGP_FAULTS`/`CGP_DEADLINE_MS`/
-    /// `CGP_STALL_MS`/`CGP_RETRIES` from the environment; install the
-    /// trace sink if tracing is asked for.
+    /// Parse `--trace-out`/`--explain` and the run options, and install
+    /// the trace sink if tracing is asked for. Each run option comes from
+    /// its flag (`--faults`, `--deadline-ms`, `--recover`, …) when given,
+    /// else from its `CGP_*` variable, through the one parser
+    /// [`ExecOptions::from_lookup`]. A bad value fails here, at startup,
+    /// naming the option.
     pub fn init() -> Obs {
-        let opts = parse_common_opts(std::env::args().skip(1));
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let opts = parse_common_opts(args.iter().cloned());
         let explain = opts.explain;
         let trace_path = opts
             .trace_path
             .or_else(|| std::env::var(trace::TRACE_ENV).ok());
-        let mut exec = ExecOptions::from_env()
-            .unwrap_or_else(|e| panic!("bad fault-injection environment: {e}"));
-        if let Some(spec) = &opts.faults_spec {
-            exec.faults =
-                FaultPlan::parse(spec).unwrap_or_else(|e| panic!("bad --faults spec: {e}"));
-        }
-        if let Some(ms) = opts.deadline_ms {
-            exec.deadline = Some(Duration::from_millis(ms));
-        }
-        if opts.recover {
-            exec.recover = true;
-        }
-        if opts.checkpoint_every.is_some() {
-            exec.checkpoint_every = opts.checkpoint_every;
-        }
-        if let Some(role) = &opts.role {
-            exec.role =
-                ExecOptions::parse_role(role).unwrap_or_else(|e| panic!("bad --role spec: {e}"));
-        }
-        if opts.listen.is_some() {
-            exec.listen = opts.listen;
-        }
-        if opts.connect.is_some() {
-            exec.connect = opts.connect;
-        }
-        if let Some(t) = &opts.transport {
-            if t != "shm" && t != "tcp" {
-                panic!("bad --transport value `{t}`: expected `shm` or `tcp`");
-            }
-            exec.transport = opts.transport.clone();
-        }
-        if let Some(ms) = opts.status_every_ms {
-            // `0` is an explicit off switch for in-flight sampling, not
-            // a "fastest possible" cadence.
-            exec.status_every = Some(Duration::from_millis(ms));
-        }
-        if opts.telemetry_log.is_some() {
-            exec.telemetry_log = opts.telemetry_log;
-        }
-        if opts.checkpoint_dir.is_some() {
-            exec.checkpoint_dir = opts.checkpoint_dir;
-        }
-        if let Some(ms) = opts.heartbeat_ms {
-            // `0` is an explicit off switch, mirroring `CGP_HEARTBEAT_MS`.
-            exec.heartbeat = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if opts.max_worker_restarts.is_some() {
-            exec.max_worker_restarts = opts.max_worker_restarts;
-        }
-        if let Some(spec) = &opts.autoscale {
-            // Fail at startup on a typo, not mid-run inside a worker.
-            cgp_core::datacutter::AutoscaleConfig::parse(spec)
-                .unwrap_or_else(|e| panic!("bad --autoscale spec: {e}"));
-            exec.autoscale = opts.autoscale.clone();
-        }
-        if opts.max_copies.is_some() {
-            exec.max_copies = opts.max_copies;
-        }
+        let exec = resolve_exec_options(&args, |var| std::env::var(var).ok())
+            .unwrap_or_else(|e| panic!("bad option {e}"));
         let chaos = !exec.faults.is_empty() || exec.deadline.is_some();
         // `--status-every 0` means sampling is explicitly disabled; only
         // a positive cadence (or a log sink) brings up the telemetry
@@ -1019,7 +947,7 @@ impl TelemetryAggregator {
                         );
                     }
                 };
-                let _ = cgp_core::datacutter::serve_telemetry_events(
+                let _ = cgp_core::datacutter::serve_telemetry(
                     listener,
                     workers,
                     Some(control),
@@ -1185,9 +1113,13 @@ mod tests {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    fn no_env(_: &str) -> Option<String> {
+        None
+    }
+
     #[test]
     fn parse_common_opts_space_and_equals_forms_agree() {
-        let spaced = parse_common_opts(argv(&[
+        let spaced = argv(&[
             "--explain",
             "--recover",
             "--faults",
@@ -1198,27 +1130,108 @@ mod tests {
             "/tmp/t.json",
             "--checkpoint-every",
             "16",
-        ]));
-        let equals = parse_common_opts(argv(&[
+        ]);
+        let equals = argv(&[
             "--explain",
             "--recover",
             "--faults=panic@f2[0]#3",
             "--deadline-ms=500",
             "--trace-out=/tmp/t.json",
             "--checkpoint-every=16",
-        ]));
-        assert_eq!(spaced, equals);
-        assert!(spaced.explain && spaced.recover);
-        assert_eq!(spaced.faults_spec.as_deref(), Some("panic@f2[0]#3"));
-        assert_eq!(spaced.deadline_ms, Some(500));
-        assert_eq!(spaced.checkpoint_every, Some(16));
+        ]);
+        let common = parse_common_opts(spaced.clone());
+        assert_eq!(common, parse_common_opts(equals.clone()));
+        assert!(common.explain);
+        assert_eq!(common.trace_path.as_deref(), Some("/tmp/t.json"));
+        assert_eq!(exec_flags(&spaced), exec_flags(&equals));
+        let exec = resolve_exec_options(&spaced, no_env).unwrap();
+        assert!(exec.recover);
+        assert!(!exec.faults.is_empty());
+        assert_eq!(exec.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(exec.checkpoint_every, Some(16));
     }
 
     #[test]
     fn parse_common_opts_ignores_unknown_figure_flags() {
-        let o = parse_common_opts(argv(&["--width", "4", "--recover", "positional"]));
-        assert!(o.recover);
-        assert_eq!(o.faults_spec, None);
+        let args = argv(&["--width", "4", "--recover", "positional"]);
+        assert_eq!(parse_common_opts(args.clone()), CommonOpts::default());
+        assert_eq!(exec_flags(&args), vec![("CGP_RECOVER", "1".to_string())]);
+        let exec = resolve_exec_options(&args, no_env).unwrap();
+        assert!(exec.recover);
+        assert!(exec.faults.is_empty());
+    }
+
+    #[test]
+    fn flags_win_over_their_variables() {
+        let env = |var: &str| match var {
+            "CGP_DEADLINE_MS" => Some("100".to_string()),
+            "CGP_MAX_COPIES" => Some("3".to_string()),
+            _ => None,
+        };
+        let exec = resolve_exec_options(&argv(&["--deadline-ms", "200"]), env).unwrap();
+        assert_eq!(exec.deadline, Some(Duration::from_millis(200)), "flag wins");
+        assert_eq!(exec.max_copies, Some(3), "env answers the rest");
+        // The last occurrence of a repeated flag wins.
+        let exec = resolve_exec_options(&argv(&["--deadline-ms=1", "--deadline-ms", "2"]), no_env)
+            .unwrap();
+        assert_eq!(exec.deadline, Some(Duration::from_millis(2)));
+    }
+
+    /// `CGP_KILL` arms only in worker roles, whether the role came from
+    /// `--role` or from `CGP_ROLE`.
+    #[test]
+    fn kill_spec_arms_only_in_worker_roles_from_either_source() {
+        let env_with = |role: Option<&'static str>| {
+            move |var: &str| match var {
+                "CGP_KILL" => Some("f2[0]#5".to_string()),
+                "CGP_ROLE" => role.map(str::to_string),
+                _ => None,
+            }
+        };
+        let armed = |args: &[&str], role| {
+            let exec = resolve_exec_options(&argv(args), env_with(role)).unwrap();
+            !exec.faults.is_empty()
+        };
+        assert!(armed(&["--role", "worker:1"], None), "worker by flag");
+        assert!(armed(&[], Some("worker:1")), "worker by env");
+        assert!(!armed(&["--role=launcher"], None), "launcher by flag");
+        assert!(!armed(&[], Some("launcher")), "launcher by env");
+        assert!(!armed(&[], None), "local default");
+        // A flag overrides an env role in both directions.
+        assert!(!armed(&["--role", "local"], Some("worker:1")));
+        assert!(armed(&["--role", "worker:2"], Some("launcher")));
+    }
+
+    /// Every run option validates the same way whichever source set it:
+    /// a bad value fails at startup, and the error names the option as
+    /// it was given.
+    #[test]
+    fn bad_option_values_fail_by_flag_and_by_env() {
+        let cases = [
+            ("--faults", "CGP_FAULTS", "nonsense"),
+            ("--deadline-ms", "CGP_DEADLINE_MS", "abc"),
+            ("--checkpoint-every", "CGP_CHECKPOINT_EVERY", "0"),
+            ("--role", "CGP_ROLE", "boss"),
+            ("--transport", "CGP_TRANSPORT", "udp"),
+            ("--status-every", STATUS_EVERY_ENV, "soon"),
+            ("--heartbeat-ms", "CGP_HEARTBEAT_MS", "-5"),
+            ("--max-worker-restarts", "CGP_MAX_WORKER_RESTARTS", "many"),
+            ("--autoscale", "CGP_AUTOSCALE", "nonsense"),
+            ("--max-copies", "CGP_MAX_COPIES", "0"),
+        ];
+        for (flag, var, bad) in cases {
+            for args in [argv(&[flag, bad]), argv(&[&format!("{flag}={bad}")])] {
+                let err = resolve_exec_options(&args, no_env)
+                    .err()
+                    .unwrap_or_else(|| panic!("{args:?} must be rejected"));
+                assert!(err.starts_with(&format!("{flag}:")), "{args:?}: {err}");
+            }
+            let env = |name: &str| (name == var).then(|| bad.to_string());
+            let err = resolve_exec_options(&[], env)
+                .err()
+                .unwrap_or_else(|| panic!("{var}={bad} must be rejected"));
+            assert!(err.starts_with(&format!("{var}:")), "{var}={bad}: {err}");
+        }
     }
 
     #[test]
@@ -1287,11 +1300,12 @@ mod tests {
 
     #[test]
     fn parse_common_opts_autoscale_space_and_equals_forms_agree() {
-        let spaced = parse_common_opts(argv(&["--autoscale", "max=4,grow=2", "--max-copies", "8"]));
-        let equals = parse_common_opts(argv(&["--autoscale=max=4,grow=2", "--max-copies=8"]));
-        assert_eq!(spaced, equals);
-        assert_eq!(spaced.autoscale.as_deref(), Some("max=4,grow=2"));
-        assert_eq!(spaced.max_copies, Some(8));
+        let spaced = argv(&["--autoscale", "max=4,grow=2", "--max-copies", "8"]);
+        let equals = argv(&["--autoscale=max=4,grow=2", "--max-copies=8"]);
+        assert_eq!(exec_flags(&spaced), exec_flags(&equals));
+        let exec = resolve_exec_options(&spaced, no_env).unwrap();
+        assert_eq!(exec.autoscale.as_deref(), Some("max=4,grow=2"));
+        assert_eq!(exec.max_copies, Some(8));
     }
 
     #[test]

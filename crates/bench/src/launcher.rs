@@ -196,34 +196,6 @@ pub fn strip_net_flags(args: &[String]) -> Vec<String> {
     out
 }
 
-/// Spawn one worker process per pipeline unit (`stages` of them) and
-/// return the last stage's output lines. `passthrough` is forwarded to
-/// every worker verbatim (strip the net flags first — see
-/// [`strip_net_flags`]), so fault injection, recovery, and batch flags
-/// apply inside the workers exactly as they would in-process.
-///
-/// Fails if any worker exits unsuccessfully — a mid-pipeline failure is
-/// invisible in the last stage's output (its ingress just sees
-/// end-of-work), so exit statuses are the distributed run's error
-/// surface. For crash masking, use [`launch_supervised`].
-///
-/// When `telemetry` names the launcher's aggregator address, every
-/// worker ships periodic samples and its final metrics snapshot there
-/// (`CGP_TELEMETRY`); the caller must have bound that listener *before*
-/// this call, since workers connect with a single attempt.
-pub fn launch_distributed(
-    stages: usize,
-    passthrough: &[String],
-    telemetry: Option<&str>,
-    transport: Transport,
-) -> Result<Vec<String>, String> {
-    let mut opts = LaunchOptions::new(transport);
-    opts.telemetry = telemetry.map(str::to_string);
-    launch_supervised(stages, passthrough, &opts)
-        .map(|report| report.lines)
-        .map_err(|e| e.to_string())
-}
-
 /// One spawned worker: the process, its announced ingress address
 /// (`None` for the source stage), and its exit status once reaped.
 struct Slot {
@@ -232,9 +204,23 @@ struct Slot {
     exited: Option<ExitStatus>,
 }
 
-/// [`launch_distributed`] with supervision: monitors worker exits and,
-/// when [`LaunchOptions::supervise`] is set, masks crashes with prefix
-/// restarts until the dead stage's restart budget runs out.
+/// Spawn one worker process per pipeline unit (`stages` of them) and
+/// collect the last stage's output lines. `passthrough` is forwarded to
+/// every worker verbatim (strip the net flags first — see
+/// [`strip_net_flags`]), so fault injection, recovery, and batch flags
+/// apply inside the workers exactly as they would in-process.
+///
+/// Worker exits are the distributed run's error surface: a mid-pipeline
+/// failure is invisible in the last stage's output (its ingress just
+/// sees end-of-work). Without [`LaunchOptions::supervise`] any
+/// unsuccessful exit fails the launch; with it, crashes are masked by
+/// prefix restarts until the dead stage's restart budget runs out.
+///
+/// When [`LaunchOptions::telemetry`] names the launcher's aggregator
+/// address, every worker ships periodic samples and its final metrics
+/// snapshot there (`CGP_TELEMETRY`); the caller must have bound that
+/// listener *before* this call, since workers connect with a single
+/// attempt.
 pub fn launch_supervised(
     stages: usize,
     passthrough: &[String],

@@ -23,25 +23,25 @@ use crate::codec::{decode_state, encode_state};
 use crate::error::CoreError;
 use cgp_compiler::FilterPlan;
 use cgp_compiler::FilterStepper;
+pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
     AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
-    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, ShmIngress,
-    StageSpec, TelemetryConfig, WorkerEndpoints,
+    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, StageSpec,
+    TelemetryConfig, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
 use cgp_obs::telemetry::{TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
-use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TAG_DATA: u8 = 0;
 const TAG_REDUCTION: u8 = 1;
 
-/// Default stream batch: packets moved per lock acquisition. Chosen well
-/// below typical queue capacity (32) so batching never starves a
-/// round-robin sibling, while amortizing most of the per-packet
-/// synchronization.
+/// Default stream batch ([`ExecOptions::batch`]): packets moved per lock
+/// acquisition. Chosen well below typical queue capacity (32) so batching
+/// never starves a round-robin sibling, while amortizing most of the
+/// per-packet synchronization.
 const DEFAULT_BATCH: usize = 8;
 
 /// A deterministic host-environment builder, invoked once per filter copy
@@ -61,7 +61,7 @@ pub enum NetRole {
     #[default]
     Local,
     /// Run only pipeline unit `stage`, bridging its boundary streams
-    /// over TCP ([`run_plan_worker`]).
+    /// to the neighbouring workers ([`run_plan_worker_io`]).
     Worker(usize),
     /// Spawn one worker process per pipeline unit on this machine and
     /// collect the last stage's output (the bench harness implements
@@ -82,8 +82,8 @@ pub struct ExecOptions {
     pub deadline: Option<Duration>,
     /// Cancel if no packet moves for this long.
     pub stall_timeout: Option<Duration>,
-    /// Packets moved per stream lock acquisition (`None` = default
-    /// [`DEFAULT_BATCH`]; 1 = strict per-packet synchronization).
+    /// Packets moved per stream lock acquisition (`None` = the default,
+    /// 8; 1 = strict per-packet synchronization).
     pub batch: Option<usize>,
     /// Enable the recovery layer: ack/replay delivery, checkpointed
     /// reduction state, and supervised copy restarts — injected faults
@@ -162,7 +162,15 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Read options from the environment:
+    /// Read options from the environment (the variables are listed at
+    /// [`ExecOptions::from_lookup`]).
+    pub fn from_env() -> Result<ExecOptions, CoreError> {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Parse options from `lookup`, which answers a variable name with
+    /// its value (`None` = unset). Errors name the variable. The
+    /// variables:
     ///
     /// - `CGP_FAULTS` — fault spec (see [`FaultPlan::parse`]);
     /// - `CGP_DEADLINE_MS` — run deadline in milliseconds;
@@ -201,19 +209,19 @@ impl ExecOptions {
     ///   `cooldown`, `escalate`); `0`/`off`/empty disables;
     /// - `CGP_MAX_COPIES` — autoscaler copy-count ceiling (inert
     ///   without `CGP_AUTOSCALE`).
-    pub fn from_env() -> Result<ExecOptions, CoreError> {
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<ExecOptions, CoreError> {
         let mut opts = ExecOptions::default();
-        if let Ok(spec) = std::env::var("CGP_FAULTS") {
+        if let Some(spec) = lookup("CGP_FAULTS") {
             opts.faults = FaultPlan::parse(&spec)
                 .map_err(|e| CoreError::Config(format!("CGP_FAULTS: {e}")))?;
         }
         let ms = |var: &str| -> Result<Option<u64>, CoreError> {
-            match std::env::var(var) {
-                Ok(v) => v
+            match lookup(var) {
+                Some(v) => v
                     .parse::<u64>()
                     .map(Some)
                     .map_err(|_| CoreError::Config(format!("{var}: not a number: {v}"))),
-                Err(_) => Ok(None),
+                None => Ok(None),
             }
         };
         opts.deadline = ms("CGP_DEADLINE_MS")?.map(Duration::from_millis);
@@ -228,15 +236,15 @@ impl ExecOptions {
             opts.batch = Some(n as usize);
         }
         let flag = |var: &str| -> Result<Option<bool>, CoreError> {
-            match std::env::var(var) {
-                Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
+            match lookup(var) {
+                Some(v) => match v.trim().to_ascii_lowercase().as_str() {
                     "1" | "true" | "yes" | "on" => Ok(Some(true)),
                     "0" | "false" | "no" | "off" | "" => Ok(Some(false)),
                     other => Err(CoreError::Config(format!(
                         "{var}: expected a boolean, got `{other}`"
                     ))),
                 },
-                Err(_) => Ok(None),
+                None => Ok(None),
             }
         };
         if let Some(b) = flag("CGP_RECOVER")? {
@@ -248,7 +256,7 @@ impl ExecOptions {
         if let Some(b) = flag("CGP_NO_VM")? {
             opts.no_vm = b;
         }
-        if let Ok(v) = std::env::var("CGP_TRANSPORT") {
+        if let Some(v) = lookup("CGP_TRANSPORT") {
             match v.trim().to_ascii_lowercase().as_str() {
                 "" => {}
                 t @ ("shm" | "tcp") => opts.transport = Some(t.to_string()),
@@ -267,12 +275,12 @@ impl ExecOptions {
             }
             opts.checkpoint_every = Some(n);
         }
-        if let Ok(path) = std::env::var("CGP_CHECKPOINT_LOG") {
+        if let Some(path) = lookup("CGP_CHECKPOINT_LOG") {
             if !path.is_empty() {
                 opts.checkpoint_log = Some(path);
             }
         }
-        if let Ok(path) = std::env::var("CGP_CHECKPOINT_DIR") {
+        if let Some(path) = lookup("CGP_CHECKPOINT_DIR") {
             if !path.is_empty() {
                 opts.checkpoint_dir = Some(path);
             }
@@ -286,14 +294,15 @@ impl ExecOptions {
         if let Some(n) = ms("CGP_MAX_WORKER_RESTARTS")? {
             opts.max_worker_restarts = Some(n as u32);
         }
-        if let Ok(v) = std::env::var("CGP_ROLE") {
-            opts.role = Self::parse_role(&v)?;
+        if let Some(v) = lookup("CGP_ROLE") {
+            opts.role =
+                Self::parse_role(&v).map_err(|e| CoreError::Config(format!("CGP_ROLE: {e}")))?;
         }
         // A deterministic self-SIGKILL (`CGP_KILL=f2[0]#5`) is honored
         // only by worker processes: the launcher that spawned them (and
         // its in-process reference run) shares the environment, and a
         // kill rule firing there would take the whole supervisor down.
-        if let Ok(spec) = std::env::var("CGP_KILL") {
+        if let Some(spec) = lookup("CGP_KILL") {
             if !spec.is_empty() && matches!(opts.role, NetRole::Worker(_)) {
                 let kills = FaultPlan::parse(&format!("kill@{spec}"))
                     .map_err(|e| CoreError::Config(format!("CGP_KILL: {e}")))?;
@@ -306,7 +315,7 @@ impl ExecOptions {
             (TELEMETRY_LOG_ENV, &mut opts.telemetry_log),
             ("CGP_TELEMETRY", &mut opts.telemetry_addr),
         ] {
-            if let Ok(v) = std::env::var(var) {
+            if let Some(v) = lookup(var) {
                 if !v.is_empty() {
                     *slot = Some(v);
                 }
@@ -317,7 +326,7 @@ impl ExecOptions {
             // error, and must never become a zero-interval spin loop).
             opts.status_every = Some(Duration::from_millis(n));
         }
-        if let Ok(spec) = std::env::var("CGP_AUTOSCALE") {
+        if let Some(spec) = lookup("CGP_AUTOSCALE") {
             // Validate eagerly so a typo fails at startup, not inside
             // the run; the raw spec is kept so workers spawned with the
             // same environment derive identical provisioned widths.
@@ -376,25 +385,16 @@ impl ExecOptions {
         }
     }
 
-    /// Select the packet-step engine (`true` = bytecode VM, the
-    /// default; `false` = tree-walking interpreter).
-    pub fn use_vm(mut self, on: bool) -> Self {
-        self.no_vm = !on;
-        self
-    }
-
     /// Parse a role spec: `local`, `launcher`, or `worker:<stage>`
     /// (stage is zero-based).
-    pub fn parse_role(spec: &str) -> Result<NetRole, CoreError> {
+    fn parse_role(spec: &str) -> Result<NetRole, String> {
         match spec.trim() {
             "" | "local" => Ok(NetRole::Local),
             "launcher" => Ok(NetRole::Launcher),
             s => {
                 let stage = s.strip_prefix("worker:").and_then(|r| r.parse().ok());
                 stage.map(NetRole::Worker).ok_or_else(|| {
-                    CoreError::Config(format!(
-                        "role: expected `local`, `launcher`, or `worker:<stage>`, got `{s}`"
-                    ))
+                    format!("expected `local`, `launcher`, or `worker:<stage>`, got `{s}`")
                 })
             }
         }
@@ -403,28 +403,10 @@ impl ExecOptions {
 
 /// Run a compiled plan on real threads through the DataCutter runtime.
 /// `widths[j]` is the number of transparent copies of pipeline unit `j`
-/// (`None` = all width 1). Returns the epilogue's `print` output.
-pub fn run_plan_threaded(
-    plan: Arc<FilterPlan>,
-    host_builder: HostBuilder,
-    widths: Option<&[usize]>,
-) -> Result<Vec<String>, CoreError> {
-    run_plan_threaded_opts(plan, host_builder, widths, &ExecOptions::default())
-}
-
-/// [`run_plan_threaded`] with explicit fault-tolerance options.
-pub fn run_plan_threaded_opts(
-    plan: Arc<FilterPlan>,
-    host_builder: HostBuilder,
-    widths: Option<&[usize]>,
-    opts: &ExecOptions,
-) -> Result<Vec<String>, CoreError> {
-    run_plan_threaded_stats(plan, host_builder, widths, opts).map(|(out, _)| out)
-}
-
-/// [`run_plan_threaded_opts`] that also returns the runtime's per-stage
-/// statistics, so callers can surface failure/retry/recovery counters
-/// (the bench harness prints these for chaos runs).
+/// (`None` = all width 1); `opts` carries the fault-tolerance, telemetry
+/// and engine knobs (`&ExecOptions::default()` for a plain run). Returns
+/// the epilogue's `print` output and the runtime's per-stage statistics,
+/// so callers can surface failure/retry/recovery counters.
 pub fn run_plan_threaded_stats(
     plan: Arc<FilterPlan>,
     host_builder: HostBuilder,
@@ -440,46 +422,16 @@ pub fn run_plan_threaded_stats(
 /// Run only pipeline unit `stage` of the plan in this process, as one
 /// worker of a distributed run ([`Pipeline::run_worker`]).
 ///
-/// The caller supplies a bound `listener` for the stage's ingress link
-/// (required iff `stage > 0` — binding before the run lets launchers
-/// learn ephemeral ports first) and the downstream worker's address
-/// (required iff `stage` is not the last). All workers must be given the
-/// same program, compile options, and `widths` so they derive the same
-/// plan and topology. The returned output lines are non-empty only for
-/// the last stage's worker.
-pub fn run_plan_worker(
-    plan: Arc<FilterPlan>,
-    host_builder: HostBuilder,
-    stage: usize,
-    listener: Option<TcpListener>,
-    connect: Option<String>,
-    widths: Option<&[usize]>,
-    opts: &ExecOptions,
-) -> Result<(Vec<String>, RunStats), CoreError> {
-    run_plan_worker_io(
-        plan,
-        host_builder,
-        stage,
-        listener.map(WorkerIngress::Tcp),
-        connect,
-        widths,
-        opts,
-    )
-}
-
-/// Ingress endpoint for a worker's upstream link: a bound TCP listener
-/// (cross-host, or same-host fallback) or pre-created shared-memory
-/// rings (same-host fast path — see [`cgp_datacutter::ShmIngress`]).
-#[derive(Debug)]
-pub enum WorkerIngress {
-    Tcp(TcpListener),
-    Shm(ShmIngress),
-}
-
-/// [`run_plan_worker`] with a transport-generic ingress endpoint. The
-/// egress transport is chosen by the `connect` address: `shm:<base>`
-/// attaches to the downstream worker's shared-memory rings, anything
-/// else is dialled over TCP.
+/// The caller supplies the stage's ingress endpoint (required iff
+/// `stage > 0` — a bound TCP listener or pre-created shm rings, set up
+/// before the run so launchers learn ephemeral ports and ring paths
+/// first) and the downstream worker's address (required iff `stage` is
+/// not the last). The egress transport is chosen by that address:
+/// `shm:<base>` attaches to the downstream worker's shared-memory rings,
+/// anything else is dialled over TCP. All workers must be given the same
+/// program, compile options, and `widths` so they derive the same plan
+/// and topology. The returned output lines are non-empty only for the
+/// last stage's worker.
 pub fn run_plan_worker_io(
     plan: Arc<FilterPlan>,
     host_builder: HostBuilder,
@@ -490,16 +442,10 @@ pub fn run_plan_worker_io(
     opts: &ExecOptions,
 ) -> Result<(Vec<String>, RunStats), CoreError> {
     let (pipeline, output) = build_pipeline(plan, host_builder, widths, opts)?;
-    let (listener, shm_ingress) = match ingress {
-        Some(WorkerIngress::Tcp(l)) => (Some(l), None),
-        Some(WorkerIngress::Shm(s)) => (None, Some(s)),
-        None => (None, None),
-    };
     let stats = pipeline
         .run_worker(WorkerEndpoints {
             stage,
-            listener,
-            shm_ingress,
+            ingress,
             connect,
         })
         .map_err(CoreError::Runtime)?;
@@ -832,8 +778,10 @@ mod tests {
     use super::*;
     use cgp_compiler::cost::PipelineEnv;
     use cgp_compiler::{compile, CompileOptions};
+    use cgp_datacutter::ShmIngress;
     use cgp_lang::interp::Interp;
     use cgp_lang::Value;
+    use std::net::TcpListener;
 
     const SRC: &str = r#"
         extern int n;
@@ -885,7 +833,13 @@ mod tests {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let out = run_plan_threaded(Arc::new(c.plan), Arc::new(host), None).unwrap();
+        let (out, _) = run_plan_threaded_stats(
+            Arc::new(c.plan),
+            Arc::new(host),
+            None,
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out, oracle());
     }
 
@@ -895,8 +849,13 @@ mod tests {
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
         for widths in [[1usize, 2, 1], [2, 2, 1], [4, 4, 1]] {
-            let out =
-                run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&widths)).unwrap();
+            let (out, _) = run_plan_threaded_stats(
+                Arc::new(c.plan.clone()),
+                Arc::new(host),
+                Some(&widths),
+                &ExecOptions::default(),
+            )
+            .unwrap();
             assert_eq!(out, oracle(), "widths={widths:?}");
         }
     }
@@ -906,7 +865,13 @@ mod tests {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(1, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let out = run_plan_threaded(Arc::new(c.plan), Arc::new(host), None).unwrap();
+        let (out, _) = run_plan_threaded_stats(
+            Arc::new(c.plan),
+            Arc::new(host),
+            None,
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out, oracle());
     }
 
@@ -920,7 +885,7 @@ mod tests {
             deadline: Some(Duration::from_secs(30)),
             ..Default::default()
         };
-        let err = run_plan_threaded_opts(Arc::new(c.plan), Arc::new(host), None, &exec)
+        let err = run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec)
             .expect_err("injected panic must fail the run");
         let CoreError::Runtime(fe) = err else {
             panic!("expected a runtime error, got {err}");
@@ -1225,7 +1190,7 @@ mod tests {
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
-        let err = run_plan_threaded_opts(Arc::new(c.plan.clone()), Arc::new(host), None, &bad)
+        let err = run_plan_threaded_stats(Arc::new(c.plan.clone()), Arc::new(host), None, &bad)
             .expect_err("bad autoscale spec must fail");
         assert!(matches!(err, CoreError::Config(_)), "{err}");
         // Autoscaling rides the sampler clock: an explicit zero cadence
@@ -1235,7 +1200,7 @@ mod tests {
             status_every: Some(Duration::ZERO),
             ..Default::default()
         };
-        let err = run_plan_threaded_opts(Arc::new(c.plan), Arc::new(host), None, &no_clock)
+        let err = run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &no_clock)
             .expect_err("autoscale without a sampling cadence must fail");
         assert!(err.to_string().contains("cadence"), "{err}");
     }
@@ -1335,18 +1300,24 @@ mod tests {
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
         let plan = Arc::new(c.plan);
-        let vm_out = run_plan_threaded_opts(
+        let (vm_out, _) = run_plan_threaded_stats(
             Arc::clone(&plan),
             Arc::new(host),
             None,
-            &ExecOptions::default().use_vm(true),
+            &ExecOptions {
+                no_vm: false,
+                ..Default::default()
+            },
         )
         .unwrap();
-        let it_out = run_plan_threaded_opts(
+        let (it_out, _) = run_plan_threaded_stats(
             Arc::clone(&plan),
             Arc::new(host),
             None,
-            &ExecOptions::default().use_vm(false),
+            &ExecOptions {
+                no_vm: true,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(vm_out, it_out, "engines diverged");
@@ -1368,13 +1339,13 @@ mod tests {
                 deadline: Some(Duration::from_secs(30)),
                 recover: true,
                 checkpoint_every: Some(2),
+                no_vm: !on,
                 ..Default::default()
-            }
-            .use_vm(on);
+            };
             let (out, stats) =
                 run_plan_threaded_stats(Arc::clone(&plan), Arc::new(host), None, &exec).unwrap();
-            assert_eq!(out, oracle(), "use_vm={on}");
-            assert_eq!(stats.recoveries(), 1, "use_vm={on}");
+            assert_eq!(out, oracle(), "vm={on}");
+            assert_eq!(stats.recoveries(), 1, "vm={on}");
         }
     }
 
@@ -1446,7 +1417,12 @@ mod tests {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let err = run_plan_threaded(Arc::new(c.plan), Arc::new(host), Some(&[1, 2]));
+        let err = run_plan_threaded_stats(
+            Arc::new(c.plan),
+            Arc::new(host),
+            Some(&[1, 2]),
+            &ExecOptions::default(),
+        );
         assert!(err.is_err());
     }
 }

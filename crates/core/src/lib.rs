@@ -8,7 +8,7 @@
 //!   decomposition → packing → [`FilterPlan`];
 //! - **execute** the plan: single-threaded with real packed buffers
 //!   ([`run_plan_sequential`]) or on threads through the DataCutter-style
-//!   runtime with transparent copies ([`run_plan_threaded`]);
+//!   runtime with transparent copies ([`run_plan_threaded_stats`]);
 //! - **evaluate**: run the native applications (`cgp-apps`) for real and
 //!   replay their pipeline schedule on a simulated grid
 //!   ([`simulate_variant`]) — the path that regenerates the paper's
@@ -53,8 +53,7 @@ pub use cgp_compiler::{
 };
 pub use error::CoreError;
 pub use exec::{
-    run_plan_threaded, run_plan_threaded_opts, run_plan_threaded_stats, run_plan_worker,
-    run_plan_worker_io, ExecOptions, HostBuilder, NetRole, WorkerIngress,
+    run_plan_threaded_stats, run_plan_worker_io, ExecOptions, HostBuilder, NetRole, WorkerIngress,
 };
 pub use sim::{
     paper_grid, paper_grid_disk, simulate_variant, VariantRun, CALIBRATION, DISK_BANDWIDTH,

@@ -1,7 +1,7 @@
-//! Bounded MPMC channel.
+//! Bounded MPSC channel.
 //!
 //! The stream layer needs a small slice of crossbeam's channel API —
-//! `bounded`, cloneable `Sender`/`Receiver`, blocking `send`/`recv`
+//! `bounded`, a cloneable `Sender` (N→1 fan-in), blocking `send`/`recv`
 //! with disconnect detection — and the build environment is offline,
 //! so this provides exactly that on `Mutex` + `Condvar`. The queue
 //! bound is what gives streams backpressure (a full queue blocks the
@@ -24,7 +24,7 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Error returned by [`Sender::send`] when every receiver is gone (or
+/// Error returned by [`Sender::send`] when the receiver is gone (or
 /// the channel's [`CancelToken`] fired); carries the rejected message
 /// back like crossbeam's.
 #[derive(Debug)]
@@ -129,7 +129,7 @@ impl CancelToken {
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
-    receivers: usize,
+    receiver_alive: bool,
 }
 
 struct Inner<T> {
@@ -158,7 +158,7 @@ where
         state: Mutex::new(State {
             queue: VecDeque::new(),
             senders: 1,
-            receivers: 1,
+            receiver_alive: true,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -193,12 +193,12 @@ where
     )
 }
 
-/// Create a bounded MPMC channel holding at most `capacity` messages.
+/// Create a bounded MPSC channel holding at most `capacity` messages.
 pub fn bounded<T: Send + 'static>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     make(capacity, None)
 }
 
-/// Create a bounded MPMC channel whose blocking operations also abort
+/// Create a bounded MPSC channel whose blocking operations also abort
 /// (as if disconnected) once `token` is cancelled.
 pub fn bounded_cancellable<T: Send + 'static>(
     capacity: usize,
@@ -212,12 +212,12 @@ pub struct Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Blocking send; fails (returning the message) once every receiver
+    /// Blocking send; fails (returning the message) once the receiver
     /// has been dropped or the channel is cancelled.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
         let mut state = plock(&self.inner.state);
         loop {
-            if self.inner.cancelled() || state.receivers == 0 {
+            if self.inner.cancelled() || !state.receiver_alive {
                 return Err(SendError(msg));
             }
             if state.queue.len() < self.inner.capacity {
@@ -243,18 +243,16 @@ impl<T> Sender<T> {
     /// never exceeded and order is preserved).
     pub fn send_batch(&self, batch: &mut VecDeque<T>) -> Result<(), SendError<VecDeque<T>>> {
         while !batch.is_empty() {
-            let pushed;
             {
                 let mut state = plock(&self.inner.state);
                 loop {
-                    if self.inner.cancelled() || state.receivers == 0 {
+                    if self.inner.cancelled() || !state.receiver_alive {
                         return Err(SendError(std::mem::take(batch)));
                     }
                     let room = self.inner.capacity - state.queue.len();
                     if room > 0 {
                         let n = room.min(batch.len());
                         state.queue.extend(batch.drain(..n));
-                        pushed = n;
                         break;
                     }
                     state = self
@@ -264,13 +262,9 @@ impl<T> Sender<T> {
                         .unwrap_or_else(|e| e.into_inner());
                 }
             }
-            // One wakeup amortized over the whole round: a single message
-            // needs a single consumer, a burst may feed several.
-            if pushed == 1 {
-                self.inner.not_empty.notify_one();
-            } else {
-                self.inner.not_empty.notify_all();
-            }
+            // One wakeup amortized over the whole round: there is a
+            // single receiver to wake.
+            self.inner.not_empty.notify_one();
         }
         Ok(())
     }
@@ -382,25 +376,11 @@ impl<T> Receiver<T> {
     }
 }
 
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        plock(&self.inner.state).receivers += 1;
-        Receiver {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = plock(&self.inner.state);
-        state.receivers -= 1;
-        if state.receivers == 0 {
-            drop(state);
-            // Senders blocked on a full queue must observe the
-            // disconnect.
-            self.inner.not_full.notify_all();
-        }
+        plock(&self.inner.state).receiver_alive = false;
+        // Senders blocked on a full queue must observe the disconnect.
+        self.inner.not_full.notify_all();
     }
 }
 
@@ -629,26 +609,17 @@ mod tests {
             })
             .collect();
         drop(tx);
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let rx = rx.clone();
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Ok(v) = rx.recv() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        drop(rx);
+        let consumer = thread::spawn(move || {
+            let mut got = Vec::new();
+            while let Ok(v) = rx.recv() {
+                got.push(v);
+            }
+            got
+        });
         for p in producers {
             p.join().unwrap();
         }
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
+        let mut all: Vec<i32> = consumer.join().unwrap();
         all.sort_unstable();
         let mut expect: Vec<i32> = (0..3)
             .flat_map(|p| (0..100).map(move |i| p * 1000 + i))

@@ -38,12 +38,10 @@ use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
 use crate::fault::{FaultPlan, RetryPolicy, RunControl};
 use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
-use crate::net::{
-    egress_pump_tuned, serve_ingress_tuned, NetLinkStats, NetTuning, TelemetryClient,
-};
+use crate::net::{egress_pump, serve_ingress, NetLinkStats, NetTuning, TelemetryClient};
 use crate::recover::{CheckpointStore, RecoveryOptions};
-use crate::shm::{shm_egress_pump_probed, ShmIngress, SHM_PREFIX};
-use crate::stream::{logical_stream_with, Distribution};
+use crate::shm::{shm_egress_pump, ShmIngress, SHM_PREFIX};
+use crate::stream::logical_stream;
 use crate::telemetry::{
     build_sample, encode_telemetry_payload, now_us, LinkProbe, StageProbe, TelemetryConfig,
 };
@@ -233,19 +231,24 @@ impl RunStats {
     }
 }
 
+/// Ingress endpoint for a worker's upstream link: a bound TCP listener
+/// (cross-host, or same-host fallback) or pre-created shared-memory
+/// rings (same-host fast path — see [`ShmIngress`]).
+#[derive(Debug)]
+pub enum WorkerIngress {
+    Tcp(TcpListener),
+    Shm(ShmIngress),
+}
+
 /// Where a worker process's stage attaches to the rest of a distributed
 /// pipeline ([`Pipeline::run_worker`]).
 #[derive(Debug)]
 pub struct WorkerEndpoints {
     /// Index of the stage this process executes.
     pub stage: usize,
-    /// Listener for the ingress link from the upstream stage's process
-    /// (for `stage > 0` workers using the TCP transport).
-    pub listener: Option<TcpListener>,
-    /// Pre-created shared-memory ingress rings (for `stage > 0` workers
-    /// on the same host as their upstream — exactly one of `listener` /
-    /// `shm_ingress` must be set for a non-first stage).
-    pub shm_ingress: Option<ShmIngress>,
+    /// Ingress endpoint for the link from the upstream stage's process
+    /// (required iff `stage > 0`).
+    pub ingress: Option<WorkerIngress>,
     /// Address of the downstream stage's listener (required iff `stage`
     /// is not the last stage). A `shm:<base>` address selects the
     /// shared-memory transport; anything else is dialled over TCP.
@@ -256,7 +259,6 @@ pub struct WorkerEndpoints {
 pub struct Pipeline {
     stages: Vec<StageSpec>,
     buffer_capacity: usize,
-    distribution: Distribution,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     deadline: Option<Duration>,
@@ -280,7 +282,6 @@ impl Pipeline {
         Pipeline {
             stages: Vec::new(),
             buffer_capacity: 64,
-            distribution: Distribution::RoundRobin,
             faults: None,
             retry: RetryPolicy::default(),
             deadline: None,
@@ -332,11 +333,6 @@ impl Pipeline {
         self
     }
 
-    pub fn with_distribution(mut self, d: Distribution) -> Self {
-        self.distribution = d;
-        self
-    }
-
     /// Attach a deterministic fault-injection plan (chaos testing).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         if !plan.is_empty() {
@@ -380,8 +376,7 @@ impl Pipeline {
     /// Enable the recovery layer: ack/replay delivery on every stream,
     /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
     /// supervised copy restarts on panic or failure (beyond the classic
-    /// retry path, which only covers retryable errors). Requires
-    /// round-robin distribution.
+    /// retry path, which only covers retryable errors).
     pub fn with_recovery(mut self, recovery: RecoveryOptions) -> Self {
         self.recovery = recovery;
         self
@@ -421,9 +416,9 @@ impl Pipeline {
 
     /// Enable elastic copy-width autoscaling (requires telemetry with a
     /// nonzero sampling cadence — the controller ticks on the sampler's
-    /// clock — and round-robin distribution). Interior stages are
-    /// provisioned at `max(spec width, cfg.max_copies)` transparent
-    /// copies; only the active prefix receives packets, and a
+    /// clock). Interior stages are provisioned at
+    /// `max(spec width, cfg.max_copies)` transparent copies; only the
+    /// active prefix receives packets, and a
     /// [`WidthController`] grows/shrinks that prefix online from the
     /// live probes. Endpoint stages never scale: the source partitions
     /// the domain by copy at startup, and the final stage is the
@@ -476,32 +471,17 @@ impl Pipeline {
         if self.stages.is_empty() {
             return Err(FilterError::new("pipeline", "no stages"));
         }
-        if self.recovery.enabled && self.distribution == Distribution::Shared {
-            return Err(FilterError::new(
-                "pipeline",
-                "recovery requires round-robin distribution (a shared queue has \
-                 no deterministic packet-to-consumer mapping to replay against)",
-            ));
-        }
-        if self.autoscale.is_some() {
-            if self.distribution == Distribution::Shared {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "autoscaling requires round-robin distribution (a shared queue \
-                     has no per-copy routing for the width gate to act on)",
-                ));
-            }
-            if self
+        if self.autoscale.is_some()
+            && self
                 .telemetry
                 .as_ref()
                 .is_none_or(|t| t.sampler.every() <= Duration::ZERO)
-            {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "autoscaling requires telemetry with a nonzero sampling cadence \
-                     (the width controller ticks on the sampler's clock)",
-                ));
-            }
+        {
+            return Err(FilterError::new(
+                "pipeline",
+                "autoscaling requires telemetry with a nonzero sampling cadence \
+                 (the width controller ticks on the sampler's clock)",
+            ));
         }
         let n = self.stages.len();
         if let Some(w) = &worker {
@@ -511,21 +491,11 @@ impl Pipeline {
                     format!("worker stage {} out of range ({n} stages)", w.stage),
                 ));
             }
-            if self.distribution != Distribution::RoundRobin {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "distributed execution requires round-robin distribution (the \
-                     ingress bridge reproduces the in-process packet routing, which \
-                     a shared queue does not define)",
-                ));
-            }
-            let ingresses =
-                usize::from(w.listener.is_some()) + usize::from(w.shm_ingress.is_some());
-            if (w.stage > 0 && ingresses != 1) || (w.stage == 0 && ingresses != 0) {
+            if (w.stage > 0) != w.ingress.is_some() {
                 return Err(FilterError::new(
                     "pipeline",
                     if w.stage > 0 {
-                        "a worker for a non-first stage needs exactly one ingress endpoint \
+                        "a worker for a non-first stage needs an ingress endpoint \
                          (a TCP listener or a shm ingress)"
                     } else {
                         "the first stage has no ingress link but an ingress endpoint was provided"
@@ -547,9 +517,9 @@ impl Pipeline {
         install_quiet_panic_hook();
         let t0 = Instant::now();
         let control = RunControl::new();
-        let (active_stage, listener, shm_ingress, connect) = match worker {
-            Some(w) => (Some(w.stage), w.listener, w.shm_ingress, w.connect),
-            None => (None, None, None, None),
+        let (active_stage, ingress, connect) = match worker {
+            Some(w) => (Some(w.stage), w.ingress, w.connect),
+            None => (None, None, None),
         };
 
         // Elastic width: interior stages are provisioned at
@@ -597,11 +567,10 @@ impl Pipeline {
         match active_stage {
             None => {
                 for s in 0..n.saturating_sub(1) {
-                    let (ws, rs) = logical_stream_with(
+                    let (ws, rs) = logical_stream(
                         eff_width[s],
                         eff_width[s + 1],
                         self.buffer_capacity,
-                        self.distribution,
                         Some(Arc::clone(&control)),
                         self.recovery.enabled,
                         self.same_host_rings,
@@ -616,11 +585,10 @@ impl Pipeline {
             }
             Some(k) => {
                 if k > 0 {
-                    let (ws, rs) = logical_stream_with(
+                    let (ws, rs) = logical_stream(
                         eff_width[k - 1],
                         eff_width[k],
                         self.buffer_capacity,
-                        self.distribution,
                         Some(Arc::clone(&control)),
                         self.recovery.enabled,
                         self.same_host_rings,
@@ -632,11 +600,10 @@ impl Pipeline {
                 }
                 if k < n - 1 {
                     for slot in writers_per_stage[k].iter_mut().take(eff_width[k]) {
-                        let (mut ws, mut rs) = logical_stream_with(
+                        let (mut ws, mut rs) = logical_stream(
                             1,
                             1,
                             self.buffer_capacity,
-                            self.distribution,
                             Some(Arc::clone(&control)),
                             self.recovery.enabled,
                             self.same_host_rings,
@@ -678,14 +645,8 @@ impl Pipeline {
         // beyond an `Option` check.
         let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
             .map(|s| {
-                (self.telemetry.is_some() && active_stage.is_none_or(|k| k == s)).then(|| {
-                    StageProbe::new(
-                        self.stages[s].name.clone(),
-                        eff_width[s],
-                        s == n - 1,
-                        self.distribution == Distribution::Shared,
-                    )
-                })
+                (self.telemetry.is_some() && active_stage.is_none_or(|k| k == s))
+                    .then(|| StageProbe::new(self.stages[s].name.clone(), eff_width[s], s == n - 1))
             })
             .collect();
         // Busy time carried over from a previous incarnation of this
@@ -791,9 +752,7 @@ impl Pipeline {
         };
         // Network bridge threads participate in the same completion
         // count, so the watchdog covers a wedged socket too.
-        let net_threads = usize::from(listener.is_some())
-            + usize::from(shm_ingress.is_some())
-            + egress_readers.len();
+        let net_threads = usize::from(ingress.is_some()) + egress_readers.len();
         // (remaining threads, condvar) — workers count down, the watchdog
         // waits with a timeout.
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
@@ -894,10 +853,11 @@ impl Pipeline {
                     }
                 });
             }
-            // Ingress bridge: accept one connection per upstream producer
-            // copy and replay them onto the local ingress stream.
-            if let Some(listener) = listener {
-                let k = active_stage.expect("listener implies worker mode");
+            // Ingress bridge: replay the upstream producers onto the local
+            // ingress stream — one accepted connection per producer copy
+            // (TCP), or one reader thread per pre-created ring (shm).
+            if let Some(ingress) = ingress {
+                let link = active_stage.expect("ingress implies worker mode") as u32;
                 let writers = std::mem::take(&mut ingress_writers);
                 let control = Arc::clone(&control);
                 let errors = Arc::clone(&errors);
@@ -906,43 +866,16 @@ impl Pipeline {
                 let probe = ingress_probe.clone();
                 let tuning = self.net_tuning;
                 scope.spawn(move || {
-                    match serve_ingress_tuned(
-                        listener,
-                        k as u32,
-                        writers,
-                        Some(Arc::clone(&control)),
-                        probe,
-                        tuning,
-                    ) {
-                        Ok(st) => plock(&net_stats).push((k as u32, st)),
-                        // serve_ingress has already cancelled the run and
-                        // closed its local writers.
-                        Err(e) => plock(&errors).push(e),
-                    }
-                    countdown(&done);
-                });
-            }
-            // Same-host ingress: bridge the pre-created shm rings onto
-            // the local ingress stream (one reader thread per ring).
-            if let Some(shm) = shm_ingress {
-                let k = active_stage.expect("shm ingress implies worker mode");
-                let writers = std::mem::take(&mut ingress_writers);
-                let control = Arc::clone(&control);
-                let errors = Arc::clone(&errors);
-                let done = Arc::clone(&done);
-                let net_stats = Arc::clone(&net_stats);
-                let probe = ingress_probe.clone();
-                let tuning = self.net_tuning;
-                scope.spawn(move || {
-                    match shm.serve_tuned(
-                        k as u32,
-                        writers,
-                        Some(Arc::clone(&control)),
-                        probe,
-                        tuning,
-                    ) {
-                        Ok(st) => plock(&net_stats).push((k as u32, st)),
-                        // serve_probed has already cancelled the run and
+                    let ctl = Some(Arc::clone(&control));
+                    let served = match ingress {
+                        WorkerIngress::Tcp(l) => {
+                            serve_ingress(l, link, writers, ctl, probe, tuning)
+                        }
+                        WorkerIngress::Shm(shm) => shm.serve(link, writers, ctl, probe, tuning),
+                    };
+                    match served {
+                        Ok(st) => plock(&net_stats).push((link, st)),
+                        // The serve loop has already cancelled the run and
                         // closed its local writers.
                         Err(e) => plock(&errors).push(e),
                     }
@@ -964,7 +897,7 @@ impl Pipeline {
                 let tuning = self.net_tuning;
                 scope.spawn(move || {
                     let pumped = if let Some(base) = addr.strip_prefix(SHM_PREFIX) {
-                        shm_egress_pump_probed(
+                        shm_egress_pump(
                             reader,
                             base,
                             (k + 1) as u32,
@@ -973,7 +906,7 @@ impl Pipeline {
                             probe,
                         )
                     } else {
-                        egress_pump_tuned(
+                        egress_pump(
                             reader,
                             &addr,
                             (k + 1) as u32,
@@ -1848,16 +1781,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(err.message.contains("telemetry"), "{err}");
-        let err = Pipeline::new()
-            .with_distribution(Distribution::Shared)
-            .with_telemetry(TelemetryConfig::new(sampler_ms(1), "local"))
-            .with_autoscale(AutoscaleConfig::default())
-            .add_stage(StageSpec::new("source", 1, source(10)))
-            .add_stage(StageSpec::new("work", 1, spin_work(0)))
-            .add_stage(StageSpec::new("sum", 1, source(0)))
-            .run()
-            .unwrap_err();
-        assert!(err.message.contains("round-robin"), "{err}");
     }
 
     #[test]
@@ -2048,17 +1971,6 @@ mod tests {
             err.message.contains("no restore support"),
             "unexpected error: {err}"
         );
-    }
-
-    #[test]
-    fn recovery_rejects_shared_distribution() {
-        let err = Pipeline::new()
-            .with_distribution(Distribution::Shared)
-            .with_recovery(crate::recover::RecoveryOptions::on())
-            .add_stage(StageSpec::new("source", 1, source(1)))
-            .run()
-            .unwrap_err();
-        assert!(err.message.contains("round-robin"));
     }
 
     #[test]

@@ -501,12 +501,12 @@ where
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
-    use crate::stream::{logical_stream, Distribution};
+    use crate::stream::logical_stream;
 
     #[test]
     fn closure_filter_passes_through() {
-        let (ws, mut rs) = logical_stream(1, 1, 8, Distribution::RoundRobin);
-        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, Distribution::RoundRobin);
+        let (ws, mut rs) = logical_stream(1, 1, 8, None, false, true);
+        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, None, false, true);
         let mut f = ClosureFilter::new("double", |io: &mut FilterIo| {
             while let Some(b) = io.read() {
                 let doubled: Vec<u8> = b.as_slice().iter().map(|x| x * 2).collect();

@@ -55,13 +55,12 @@ pub use buffer::{
 };
 pub use channel::CancelToken;
 pub use error::{ErrorKind, FilterError, FilterResult};
-pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints};
+pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints, WorkerIngress};
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, RunControl, Trigger};
 pub use filter::{ClosureFilter, Filter, FilterFactory, FilterIo};
 pub use net::{
-    connect_with_retry, decode_frame, egress_pump, egress_pump_probed, egress_pump_tuned,
-    encode_frame, is_heartbeat_timeout, serve_ingress, serve_ingress_probed, serve_ingress_tuned,
-    serve_telemetry, serve_telemetry_events, Frame, IngressFeeder, NetLinkStats, NetTuning,
+    connect_with_retry, decode_frame, egress_pump, encode_frame, is_heartbeat_timeout,
+    serve_ingress, serve_telemetry, Frame, IngressFeeder, NetLinkStats, NetTuning,
     RemoteStreamReader, RemoteStreamWriter, TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC,
     NET_VERSION, TELEMETRY_LINK,
 };
@@ -69,10 +68,10 @@ pub use placement::{HostId, Placement, StageAssignment, StagePlacement};
 pub use recover::{decode_snapshot, Checkpoint, CheckpointStore, RecoveryOptions, Snapshot};
 pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{
-    remove_ring_files, shm_dir, shm_egress_pump_probed, shm_supported, ShmIngress, ShmReceiver,
-    ShmSender, DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    remove_ring_files, shm_dir, shm_egress_pump, shm_supported, ShmIngress, ShmReceiver, ShmSender,
+    DEFAULT_SHM_CAPACITY, SHM_PREFIX,
 };
-pub use stream::{logical_stream, Distribution, StreamReader, StreamWriter};
+pub use stream::{logical_stream, StreamReader, StreamWriter};
 pub use telemetry::{
     decode_telemetry_payload, encode_telemetry_payload, CopyProbe, LinkProbe, StageProbe,
     TelemetryConfig, TelemetryUpdate,

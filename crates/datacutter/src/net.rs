@@ -399,8 +399,9 @@ struct FrameConn {
 /// as heartbeat timeouts without a dedicated error kind.
 const HEARTBEAT_TIMEOUT_MSG: &str = "heartbeat deadline exceeded";
 
-/// Whether an error is a liveness verdict from [`FrameConn`]'s silence
-/// deadline (vs. an ordinary socket/framing failure).
+/// Whether an error is a liveness verdict from a link's silence
+/// deadline ([`NetTuning::deadline`]), vs. an ordinary socket/framing
+/// failure.
 pub fn is_heartbeat_timeout(e: &FilterError) -> bool {
     e.message.starts_with(HEARTBEAT_TIMEOUT_MSG)
 }
@@ -750,20 +751,10 @@ impl Drop for HeartbeatHandle {
 }
 
 impl RemoteStreamWriter {
-    /// Connect (with retry) and handshake as `producer` on `link`.
-    pub fn connect(
-        addr: &str,
-        link: u32,
-        producer: u32,
-        control: Option<Arc<RunControl>>,
-    ) -> FilterResult<Self> {
-        Self::connect_tuned(addr, link, producer, control, NetTuning::default())
-    }
-
-    /// [`RemoteStreamWriter::connect`] with liveness tuning: the
-    /// handshake wait is bounded by the silence deadline and, when
+    /// Connect (with retry) and handshake as `producer` on `link`. The
+    /// handshake wait is bounded by `tuning`'s silence deadline and, when
     /// heartbeats are on, the idle-link beacon thread is started.
-    pub fn connect_tuned(
+    pub fn connect(
         addr: &str,
         link: u32,
         producer: u32,
@@ -875,20 +866,9 @@ pub struct RemoteStreamReader {
 
 impl RemoteStreamReader {
     /// Validate an accepted connection's `Hello` against this link and
-    /// reply with the producer's resume watermark.
+    /// reply with the producer's resume watermark. An optional silence
+    /// `deadline` applies to the connection (handshake included).
     pub fn accept(
-        stream: TcpStream,
-        link: u32,
-        producers: usize,
-        resume_seq_of: impl Fn(u32) -> u64,
-        control: Option<Arc<RunControl>>,
-    ) -> FilterResult<Self> {
-        Self::accept_tuned(stream, link, producers, resume_seq_of, control, None)
-    }
-
-    /// [`RemoteStreamReader::accept`] with an optional silence deadline
-    /// applied to the connection (handshake included).
-    pub fn accept_tuned(
         stream: TcpStream,
         link: u32,
         producers: usize,
@@ -1047,48 +1027,22 @@ struct Slot {
 ///
 /// Producers may disconnect cleanly (`Close` or EOF at a frame boundary)
 /// and reconnect; the sequence watermark in the slot table dedups any
-/// re-sent in-flight frames. EOF mid-frame is malformed and fails the
-/// link.
-pub fn serve_ingress(
-    listener: TcpListener,
-    link: u32,
-    writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-) -> FilterResult<NetLinkStats> {
-    serve_ingress_probed(listener, link, writers, control, None)
-}
-
-/// [`serve_ingress`] with an optional live [`LinkProbe`]: frame/byte/
-/// dedup counters tick as traffic flows, so the telemetry sampler can
-/// report per-link rates mid-run instead of only at link teardown.
-pub fn serve_ingress_probed(
-    listener: TcpListener,
-    link: u32,
-    writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    serve_ingress_tuned(
-        listener,
-        link,
-        writers,
-        control,
-        probe,
-        NetTuning::default(),
-    )
-}
-
-/// [`serve_ingress_probed`] with liveness tuning. With default tuning the
-/// behavior is byte-for-byte the pre-supervision protocol. With
-/// `tuning.supervised` the link becomes crash-tolerant: a connection that
-/// dies without `End` — reset, EOF mid-frame, or silence past the
-/// heartbeat deadline — parks the producer's slot instead of failing the
-/// link, and a respawned process may reconnect (within
+/// re-sent in-flight frames. With default `tuning`, EOF mid-frame is
+/// malformed and fails the link.
+///
+/// An optional live [`LinkProbe`] ticks frame/byte/dedup counters as
+/// traffic flows, so the telemetry sampler can report per-link rates
+/// mid-run instead of only at link teardown.
+///
+/// With `tuning.supervised` the link becomes crash-tolerant: a
+/// connection that dies without `End` — reset, EOF mid-frame, or silence
+/// past the heartbeat deadline — parks the producer's slot instead of
+/// failing the link, and a respawned process may reconnect (within
 /// `tuning.reconnect`) and resume from the `HelloAck` watermark; a
 /// reconnect after `End` is drained and discarded (the respawned prefix
 /// deterministically regenerates everything, so its tail duplicates are
 /// expected, not corruption).
-pub fn serve_ingress_tuned(
+pub fn serve_ingress(
     listener: TcpListener,
     link: u32,
     writers: Vec<StreamWriter>,
@@ -1182,7 +1136,7 @@ pub fn serve_ingress_tuned(
             // every producer streams concurrently. The watermark is read
             // through the slot's shared handle: it stays correct even
             // while the feeder is checked out to a dying connection.
-            let remote = match RemoteStreamReader::accept_tuned(
+            let remote = match RemoteStreamReader::accept(
                 stream,
                 link,
                 producers,
@@ -1400,43 +1354,14 @@ pub fn serve_ingress_tuned(
 /// is acknowledged on the local stream — the socket plays a stateless
 /// consumer, so the producer side's replay buffers stay bounded and a
 /// restarted filter copy replays only untransmitted packets.
+///
+/// An optional live [`LinkProbe`] (shared by every producer copy's pump
+/// on the link) ticks transmitted frame/byte counters per packet for the
+/// telemetry sampler. `tuning` bounds the handshake wait by the silence
+/// deadline and, with heartbeats configured, makes the connection emit
+/// [`Frame::Heartbeat`] whenever the producer stage is idle — so the
+/// consumer's deadline distinguishes "slow" from "dead".
 pub fn egress_pump(
-    reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-) -> FilterResult<NetLinkStats> {
-    egress_pump_probed(reader, addr, link, producer, control, None)
-}
-
-/// [`egress_pump`] with an optional live [`LinkProbe`] (shared by every
-/// producer copy's pump on the link): transmitted frame/byte counters
-/// tick per packet for the telemetry sampler.
-pub fn egress_pump_probed(
-    reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    egress_pump_tuned(
-        reader,
-        addr,
-        link,
-        producer,
-        control,
-        probe,
-        NetTuning::default(),
-    )
-}
-
-/// [`egress_pump_probed`] with liveness tuning: the handshake wait is
-/// bounded by the silence deadline, and with heartbeats configured the
-/// connection emits [`Frame::Heartbeat`] whenever the producer stage is
-/// idle — so the consumer's deadline distinguishes "slow" from "dead".
-pub fn egress_pump_tuned(
     mut reader: StreamReader,
     addr: &str,
     link: u32,
@@ -1445,8 +1370,7 @@ pub fn egress_pump_tuned(
     probe: Option<Arc<LinkProbe>>,
     tuning: NetTuning,
 ) -> FilterResult<NetLinkStats> {
-    let mut conn =
-        RemoteStreamWriter::connect_tuned(addr, link, producer, control.clone(), tuning)?;
+    let mut conn = RemoteStreamWriter::connect(addr, link, producer, control.clone(), tuning)?;
     let (mut pf, mut pb) = (0u64, 0u64);
     while let Some(buf) = reader.read() {
         conn.write(&buf)?;
@@ -1555,27 +1479,15 @@ impl TelemetryClient {
 /// the launcher cancels after its worker processes exit, which also
 /// covers workers that crash before ever connecting.
 ///
+/// `on_disconnect(worker)` fires when a worker's connection ends (cleanly
+/// or not), after its last update was delivered. Aggregators use it to
+/// retire the worker's live state — without it, a crashed worker's final
+/// sample haunts every merged status line.
+///
 /// Telemetry is best-effort: per-connection decode errors end that
 /// connection but are not propagated (a run must never fail because its
 /// telemetry did). Only listener setup errors are returned.
-pub fn serve_telemetry<F>(
-    listener: TcpListener,
-    expected: usize,
-    control: Option<Arc<RunControl>>,
-    on_update: F,
-) -> FilterResult<()>
-where
-    F: Fn(u32, Vec<u8>) + Send + Sync,
-{
-    serve_telemetry_events(listener, expected, control, on_update, |_| {})
-}
-
-/// [`serve_telemetry`] plus a disconnect hook: `on_disconnect(worker)`
-/// fires when a worker's connection ends (cleanly or not), after its
-/// last update was delivered. Aggregators use it to retire the worker's
-/// live state — without it, a crashed worker's final sample haunts every
-/// merged status line.
-pub fn serve_telemetry_events<F, D>(
+pub fn serve_telemetry<F, D>(
     listener: TcpListener,
     expected: usize,
     control: Option<Arc<RunControl>>,
@@ -1641,7 +1553,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{logical_stream, Distribution};
+    use crate::stream::logical_stream;
 
     #[test]
     fn frames_roundtrip() {
@@ -1767,7 +1679,8 @@ mod tests {
         let got: Mutex<Vec<(u32, Vec<u8>)>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             s.spawn(|| {
-                serve_telemetry(listener, 2, None, |w, p| plock(&got).push((w, p))).unwrap();
+                serve_telemetry(listener, 2, None, |w, p| plock(&got).push((w, p)), |_| {})
+                    .unwrap();
             });
             for w in 0..2u32 {
                 let addr = addr.clone();
@@ -1794,7 +1707,7 @@ mod tests {
 
     #[test]
     fn ingress_feeder_dedups_and_rejects_gaps() {
-        let (ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+        let (ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
         let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap());
         for seq in 0..3 {
             assert!(feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap());

@@ -1,10 +1,10 @@
 //! Lock-free single-producer/single-consumer ring buffer.
 //!
 //! The mutex+condvar channel ([`crate::channel`]) is the general data
-//! plane: MPMC, cancellable, batched. But the overwhelmingly common link
-//! shape in a decomposed pipeline is one producer copy feeding one
-//! consumer copy — every width-1→width-1 stage boundary and every
-//! per-copy egress stream — and there the mutex is pure overhead. This
+//! plane: N→1 fan-in, cancellable, batched. But the overwhelmingly
+//! common link shape in a decomposed pipeline is one producer copy
+//! feeding one consumer copy — every width-1→width-1 stage boundary and
+//! every per-copy egress stream — and there the mutex is pure overhead. This
 //! ring keeps the channel's exact semantics (bounded backpressure,
 //! blocking send/recv, batched variants, disconnect detection,
 //! cancel-beats-queued-data) on two cache-line-padded atomic cursors:

@@ -1029,27 +1029,18 @@ impl ShmIngress {
     /// Bridge every producer's frames onto the local `writers` (writer
     /// `p` plays producer copy `p`, preserving in-process round-robin
     /// routing). Returns when every producer sent `End`, or with the
-    /// first error after cancelling the run. Unsupervised: a producer
-    /// closing its ring before `End` is an error.
-    pub fn serve_probed(
-        self,
-        link: u32,
-        writers: Vec<StreamWriter>,
-        control: Option<Arc<RunControl>>,
-        probe: Option<Arc<LinkProbe>>,
-    ) -> FilterResult<NetLinkStats> {
-        self.serve_tuned(link, writers, control, probe, NetTuning::default())
-    }
-
-    /// [`Self::serve_probed`] with explicit [`NetTuning`]. Supervised
-    /// mode arms the ring-reset protocol: a producer that dies mid-
-    /// stream parks its ring reader until the supervisor's respawn
-    /// re-attaches, drains the truncated tail, re-Hellos, and resumes
-    /// from the published watermark (duplicates deduped by the feeder
-    /// either way). Ring files stay alive until every producer ended,
-    /// so a rejoin can target any ring of the link. Heartbeats do not
-    /// apply here — liveness is pid-based.
-    pub fn serve_tuned(
+    /// first error after cancelling the run. Unsupervised (default
+    /// [`NetTuning`]): a producer closing its ring before `End` is an
+    /// error.
+    ///
+    /// `tuning.supervised` arms the ring-reset protocol: a producer that
+    /// dies mid-stream parks its ring reader until the supervisor's
+    /// respawn re-attaches, drains the truncated tail, re-Hellos, and
+    /// resumes from the published watermark (duplicates deduped by the
+    /// feeder either way). Ring files stay alive until every producer
+    /// ended, so a rejoin can target any ring of the link. Heartbeats do
+    /// not apply here — liveness is pid-based.
+    pub fn serve(
         self,
         link: u32,
         writers: Vec<StreamWriter>,
@@ -1202,12 +1193,12 @@ impl ShmIngress {
 
 /// Drain one local 1→1 stream behind producer copy `producer` into the
 /// ring at `<base>.<producer>` — the shm analogue of
-/// [`crate::net::egress_pump_probed`], with the same per-packet ack
+/// [`crate::net::egress_pump`], with the same per-packet ack
 /// commit so producer-side replay buffers stay bounded. When the attach
 /// was a rejoin (respawned worker reconnecting to a surviving
 /// consumer), packets below the consumer's resume watermark are
 /// suppressed at the source, mirroring the TCP `HelloAck` path.
-pub fn shm_egress_pump_probed(
+pub fn shm_egress_pump(
     mut reader: StreamReader,
     base: &str,
     link: u32,
@@ -1255,7 +1246,7 @@ pub fn shm_egress_pump_probed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{logical_stream, Distribution};
+    use crate::stream::logical_stream;
     use std::sync::atomic::AtomicU32 as TestCounter;
 
     static NEXT: TestCounter = TestCounter::new(0);
@@ -1451,7 +1442,7 @@ mod tests {
     fn supervised_ring_reset_resumes_from_the_published_watermark() {
         let base = test_base("reset");
         let ingress = ShmIngress::create(&base, 1, MIN_CAPACITY, None).unwrap();
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
         let mut r = rs.remove(0);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
@@ -1466,7 +1457,7 @@ mod tests {
             ..Default::default()
         };
         let writers = vec![ws.remove(0)];
-        let serve = std::thread::spawn(move || ingress.serve_tuned(7, writers, None, None, tuning));
+        let serve = std::thread::spawn(move || ingress.serve(7, writers, None, None, tuning));
 
         // First incarnation: Hello + 5 packets, then dies without End
         // (the drop sets producer_closed, standing in for a SIGKILL that
@@ -1535,7 +1526,7 @@ mod tests {
         let packets_per_producer = 200usize;
         let mut pumps = Vec::new();
         for p in 0..producers {
-            let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+            let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
             let (w, r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
@@ -1547,14 +1538,14 @@ mod tests {
                     }
                     w.close();
                 });
-                let stats = shm_egress_pump_probed(r, &base, 7, p as u32, None, None).unwrap();
+                let stats = shm_egress_pump(r, &base, 7, p as u32, None, None).unwrap();
                 feeder.join().unwrap();
                 stats
             }));
         }
 
         // Consumer side: a 2→1 local stream fed by the ingress.
-        let (ws, mut rs) = logical_stream(producers, 1, 16, Distribution::RoundRobin);
+        let (ws, mut rs) = logical_stream(producers, 1, 16, None, false, true);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
             let mut r = rs.remove(0);
@@ -1563,7 +1554,9 @@ mod tests {
             }
             seen
         });
-        let stats = ingress.serve_probed(7, ws, None, None).unwrap();
+        let stats = ingress
+            .serve(7, ws, None, None, NetTuning::default())
+            .unwrap();
         assert_eq!(stats.frames, (producers * packets_per_producer) as u64);
         let mut per_producer = vec![Vec::new(); producers];
         for b in reader.join().unwrap() {

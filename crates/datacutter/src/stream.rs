@@ -4,8 +4,7 @@
 //! to a logical consumer filter. Either side may be *transparently copied*
 //! (Section 2.2, "Transparent copies"): the runtime preserves the illusion
 //! of one logical point-to-point stream while distributing buffers among
-//! the copies — round-robin for load balancing, or through a shared
-//! (demand-driven) queue.
+//! the copies round-robin, for load balancing.
 //!
 //! ## Ack/replay delivery (recovery)
 //!
@@ -33,9 +32,8 @@
 //!   once.
 //!
 //! Replay needs a deterministic packet→consumer mapping to requeue
-//! packets where the originals went, so it is only built for round-robin
-//! distribution (where the target is a pure function of the sequence
-//! number); the executor rejects recovery + shared queues.
+//! packets where the originals went; round-robin delivery provides it,
+//! since the target is a pure function of the sequence number.
 //!
 //! [`Pipeline::with_recovery`]: crate::exec::Pipeline::with_recovery
 
@@ -64,17 +62,6 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// How a producer distributes buffers among consumer copies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Distribution {
-    /// Rotate through consumer copies (DataCutter's load-balancing default).
-    #[default]
-    RoundRobin,
-    /// One shared queue: whichever consumer copy is free takes the next
-    /// buffer (demand-driven).
-    Shared,
-}
-
 /// Sent-but-unacknowledged `(seq, packet)` pairs for one
 /// producer→consumer pair, in sequence order.
 type UnackedQueue = Mutex<VecDeque<(u64, Buffer)>>;
@@ -101,7 +88,7 @@ enum Msg {
 }
 
 /// Sending half of one queue backing a logical stream: the mutex
-/// channel (general: MPMC, N→1 fan-in, replay-friendly) or the
+/// channel (general: N→1 fan-in, replay-friendly) or the
 /// lock-free SPSC ring (selected automatically for 1→1 non-recovering
 /// links). Both expose identical blocking/batched/cancel semantics, so
 /// the stream layer is agnostic beyond this dispatch.
@@ -649,7 +636,6 @@ impl StreamReader {
 /// Writing end held by one producer copy.
 pub struct StreamWriter {
     txs: Vec<MsgTx>,
-    distribution: Distribution,
     next: usize,
     buffers_written: u64,
     bytes_written: u64,
@@ -733,14 +719,8 @@ impl StreamWriter {
         }
         let seq = self.write_index;
         self.write_index += 1;
-        let target = match self.distribution {
-            Distribution::RoundRobin => {
-                let t = self.next % self.fanout();
-                self.next += 1;
-                t
-            }
-            Distribution::Shared => 0,
-        };
+        let target = self.next % self.fanout();
+        self.next += 1;
         if let Some(rep) = &self.replay {
             if seq < self.sent_high {
                 // A rewound producer regenerating already-sent output:
@@ -852,11 +832,11 @@ impl StreamWriter {
         let bytes: u64 = bufs.iter().map(|b| b.len() as u64).sum();
         self.buffers_written += count;
         self.bytes_written += bytes;
-        // Group the run by target queue. Shared distribution and width-1
-        // round-robin collapse to a single group; multi-consumer
-        // round-robin rotates per packet, exactly like `write`. Elastic
-        // width is sampled once per batch: the whole run rotates over the
-        // fanout in force when the batch started.
+        // Group the run by target queue. Width-1 round-robin collapses to
+        // a single group; multi-consumer round-robin rotates per packet,
+        // exactly like `write`. Elastic width is sampled once per batch:
+        // the whole run rotates over the fanout in force when the batch
+        // started.
         let targets = self.txs.len();
         let fan = self.fanout();
         // One tick for the whole run: it is the first send's
@@ -876,14 +856,8 @@ impl StreamWriter {
         for buf in bufs {
             let seq = self.write_index;
             self.write_index += 1;
-            let target = match self.distribution {
-                Distribution::RoundRobin => {
-                    let t = self.next % fan;
-                    self.next += 1;
-                    t
-                }
-                Distribution::Shared => 0,
-            };
+            let target = self.next % fan;
+            self.next += 1;
             per_target[target].push_back(Msg::Data {
                 from: self.from as u32,
                 seq,
@@ -1050,71 +1024,28 @@ impl Drop for StreamWriter {
 /// Returns one writer per producer copy and one reader per consumer copy.
 /// `capacity` bounds each underlying queue (buffers in flight), providing
 /// backpressure.
+///
+/// - `control` attaches run-wide control: channels become cancellable
+///   through its token, and every successful send/receive bumps its
+///   progress counter (for the stall detector).
+/// - `recovering` attaches ack/replay state, enabling the
+///   upstream-backup protocol described in the module docs.
+/// - `same_host_rings` permits the lock-free SPSC ring for 1→1
+///   non-recovering links (the executor's default); `false` forces the
+///   mutex channel on every link, which benchmarks use to measure the
+///   ring against the channel on an otherwise identical pipeline.
+#[allow(clippy::fn_params_excessive_bools)]
 pub fn logical_stream(
     producers: usize,
     consumers: usize,
     capacity: usize,
-    distribution: Distribution,
-) -> (Vec<StreamWriter>, Vec<StreamReader>) {
-    logical_stream_controlled(producers, consumers, capacity, distribution, None)
-}
-
-/// [`logical_stream`] with run-wide control attached: channels become
-/// cancellable through the control's token, and every successful
-/// send/receive bumps its progress counter (for the stall detector).
-pub fn logical_stream_controlled(
-    producers: usize,
-    consumers: usize,
-    capacity: usize,
-    distribution: Distribution,
-    control: Option<Arc<RunControl>>,
-) -> (Vec<StreamWriter>, Vec<StreamReader>) {
-    logical_stream_recovering(producers, consumers, capacity, distribution, control, false)
-}
-
-/// [`logical_stream_controlled`] with optional ack/replay state attached
-/// (`recovering`), enabling the upstream-backup protocol described in the
-/// module docs. Only round-robin distribution gets replay state; a shared
-/// queue has no deterministic packet→consumer mapping to replay against
-/// (the executor rejects that combination up front).
-pub fn logical_stream_recovering(
-    producers: usize,
-    consumers: usize,
-    capacity: usize,
-    distribution: Distribution,
-    control: Option<Arc<RunControl>>,
-    recovering: bool,
-) -> (Vec<StreamWriter>, Vec<StreamReader>) {
-    logical_stream_with(
-        producers,
-        consumers,
-        capacity,
-        distribution,
-        control,
-        recovering,
-        true,
-    )
-}
-
-/// [`logical_stream_recovering`] with explicit backend selection:
-/// `same_host_rings` permits the lock-free SPSC ring for 1→1
-/// non-recovering links (the default everywhere); `false` forces the
-/// mutex channel on every link, which benchmarks use to measure the
-/// ring against the channel on an otherwise identical pipeline.
-#[allow(clippy::fn_params_excessive_bools)]
-pub fn logical_stream_with(
-    producers: usize,
-    consumers: usize,
-    capacity: usize,
-    distribution: Distribution,
     control: Option<Arc<RunControl>>,
     recovering: bool,
     same_host_rings: bool,
 ) -> (Vec<StreamWriter>, Vec<StreamReader>) {
     assert!(producers > 0 && consumers > 0);
     assert!(capacity > 0);
-    let replay = (recovering && distribution == Distribution::RoundRobin)
-        .then(|| Arc::new(ReplayShared::new(producers, consumers)));
+    let replay = recovering.then(|| Arc::new(ReplayShared::new(producers, consumers)));
     let channel = |cap: usize| match &control {
         Some(c) => bounded_cancellable(cap, c.token()),
         None => bounded(cap),
@@ -1147,7 +1078,6 @@ pub fn logical_stream_with(
     };
     let writer = |txs: Vec<MsgTx>, from: usize, stagger: usize| StreamWriter {
         txs,
-        distribution,
         next: stagger,
         buffers_written: 0,
         bytes_written: 0,
@@ -1169,10 +1099,8 @@ pub fn logical_stream_with(
     };
     // 1→1 non-recovering links ride the lock-free SPSC ring: exactly one
     // producer endpoint and one consumer endpoint, and no replay state
-    // (replay wants the channel's MPMC bookkeeping shape). Both
-    // distributions collapse to the same point-to-point semantics at
-    // width 1. Everything else — fan-in, fan-out, shared queues,
-    // recovering links — keeps the mutex channel.
+    // (replay wants the channel's bookkeeping shape). Everything else —
+    // fan-in, fan-out, recovering links — keeps the mutex channel.
     if same_host_rings && producers == 1 && consumers == 1 && replay.is_none() {
         let (tx, rx) = ring::spsc(capacity, control.as_ref().map(|c| c.token()));
         return (
@@ -1180,55 +1108,31 @@ pub fn logical_stream_with(
             vec![reader(MsgRx::Ring(rx), 0)],
         );
     }
-    match distribution {
-        Distribution::RoundRobin => {
-            // One queue per consumer copy; every producer can reach every
-            // consumer and rotates among them. Each producer sends one End
-            // per consumer; each consumer therefore waits for `producers`
-            // Ends.
-            let mut txs_per_consumer = Vec::with_capacity(consumers);
-            let mut readers = Vec::with_capacity(consumers);
-            for c in 0..consumers {
-                let (tx, rx) = channel(capacity);
-                txs_per_consumer.push(tx);
-                readers.push(reader(MsgRx::Chan(rx), c));
-            }
-            let writers = (0..producers)
-                // Stagger start positions so multiple producers do not
-                // all hit consumer 0 first.
-                .map(|p| {
-                    writer(
-                        txs_per_consumer
-                            .iter()
-                            .map(|tx| MsgTx::Chan(tx.clone()))
-                            .collect(),
-                        p,
-                        p,
-                    )
-                })
-                .collect();
-            (writers, readers)
-        }
-        Distribution::Shared => {
-            // One shared MPMC queue; consumers race for buffers. Each
-            // producer sends `consumers` Ends so that every consumer
-            // eventually sees `producers` Ends.
-            let (tx, rx) = channel(capacity);
-            let writers = (0..producers)
-                .map(|p| {
-                    writer(
-                        (0..consumers).map(|_| MsgTx::Chan(tx.clone())).collect(),
-                        p,
-                        0,
-                    )
-                })
-                .collect();
-            let readers = (0..consumers)
-                .map(|c| reader(MsgRx::Chan(rx.clone()), c))
-                .collect();
-            (writers, readers)
-        }
+    // One queue per consumer copy; every producer can reach every
+    // consumer and rotates among them. Each producer sends one End per
+    // consumer; each consumer therefore waits for `producers` Ends.
+    let mut txs_per_consumer = Vec::with_capacity(consumers);
+    let mut readers = Vec::with_capacity(consumers);
+    for c in 0..consumers {
+        let (tx, rx) = channel(capacity);
+        txs_per_consumer.push(tx);
+        readers.push(reader(MsgRx::Chan(rx), c));
     }
+    let writers = (0..producers)
+        // Stagger start positions so multiple producers do not all hit
+        // consumer 0 first.
+        .map(|p| {
+            writer(
+                txs_per_consumer
+                    .iter()
+                    .map(|tx| MsgTx::Chan(tx.clone()))
+                    .collect(),
+                p,
+                p,
+            )
+        })
+        .collect();
+    (writers, readers)
 }
 
 #[cfg(test)]
@@ -1242,7 +1146,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivers_in_order() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1256,7 +1160,7 @@ mod tests {
 
     #[test]
     fn round_robin_distributes_evenly() {
-        let (mut ws, mut rs) = logical_stream(1, 3, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 3, 16, None, false, true);
         for t in 0..9 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1275,7 +1179,7 @@ mod tests {
 
     #[test]
     fn multiple_producers_all_must_close() {
-        let (mut ws, mut rs) = logical_stream(2, 1, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(2, 1, 16, None, false, true);
         ws[0].write(buf(1)).unwrap();
         ws[1].write(buf(2)).unwrap();
         ws[0].close();
@@ -1289,49 +1193,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_queue_consumed_exactly_once() {
-        let (mut ws, rs) = logical_stream(1, 2, 32, Distribution::Shared);
-        for t in 0..10 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        let handles: Vec<_> = rs
-            .into_iter()
-            .map(|mut r| {
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(b) = r.read() {
-                        got.push(b.as_slice()[0]);
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<u8> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        assert_eq!(all, (0..10).collect::<Vec<u8>>());
-    }
-
-    #[test]
     fn write_after_close_errors() {
-        let (mut ws, _rs) = logical_stream(1, 1, 4, Distribution::RoundRobin);
+        let (mut ws, _rs) = logical_stream(1, 1, 4, None, false, true);
         ws[0].close();
         assert!(ws[0].write(buf(0)).is_err());
     }
 
     #[test]
     fn drop_closes_stream() {
-        let (ws, mut rs) = logical_stream(1, 1, 4, Distribution::RoundRobin);
+        let (ws, mut rs) = logical_stream(1, 1, 4, None, false, true);
         drop(ws);
         assert!(rs[0].read().is_none());
     }
 
     #[test]
     fn staggered_start_balances_multi_producer_round_robin() {
-        let (mut ws, mut rs) = logical_stream(2, 2, 32, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(2, 2, 32, None, false, true);
         // each producer writes 2 buffers
         ws[0].write(buf(0)).unwrap();
         ws[0].write(buf(1)).unwrap();
@@ -1350,7 +1227,7 @@ mod tests {
 
     #[test]
     fn stats_track_buffers_and_bytes() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 4, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 1, 4, None, false, true);
         ws[0].write(Buffer::from_vec(vec![0; 10])).unwrap();
         ws[0].write(Buffer::from_vec(vec![0; 5])).unwrap();
         assert_eq!(ws[0].stats(), (2, 15));
@@ -1363,8 +1240,7 @@ mod tests {
     /// a plain one (same delivery, no replays, no dedups).
     #[test]
     fn recovering_stream_without_failures_is_transparent() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 2, 16, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 16, None, true, true);
         for t in 0..8 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1384,8 +1260,7 @@ mod tests {
     /// once overall.
     #[test]
     fn consumer_restart_replays_unacked_exactly_once() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 1, 64, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
         for t in 0..10 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1418,8 +1293,7 @@ mod tests {
     /// consumer sees no duplicates and no losses.
     #[test]
     fn producer_rewind_suppresses_already_sent_packets() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 1, 64, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
         for t in 0..6 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1443,8 +1317,7 @@ mod tests {
     /// the same consumers as the originals would have.
     #[test]
     fn rewound_round_robin_keeps_target_mapping() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 2, 64, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 64, None, true, true);
         for t in 0..4 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1469,8 +1342,7 @@ mod tests {
     /// nothing.
     #[test]
     fn acked_packets_are_never_replayed() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 1, 64, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1490,9 +1362,8 @@ mod tests {
     /// excluded from the latency percentiles.
     #[test]
     fn probes_record_latency_and_gauges() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 1, 64, Distribution::RoundRobin, None, true);
-        let probe = StageProbe::new("sink".into(), 1, true, false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let probe = StageProbe::new("sink".into(), 1, true);
         ws[0].attach_probe(probe.clone(), 0);
         ws[0].mark_source();
         rs[0].attach_probe(probe.clone(), 0);
@@ -1529,9 +1400,9 @@ mod tests {
     /// origin, so downstream residence works while e2e stays silent.
     #[test]
     fn ingress_stamping_feeds_residence_only() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
         ws[0].enable_stamping();
-        let probe = StageProbe::new("f2".into(), 1, true, false);
+        let probe = StageProbe::new("f2".into(), 1, true);
         rs[0].attach_probe(probe.clone(), 0);
         ws[0].write(buf(0)).unwrap();
         ws[0].close();
@@ -1549,8 +1420,7 @@ mod tests {
     /// the producer already pruned.
     #[test]
     fn committed_ack_watermark_never_regresses() {
-        let (mut ws, mut rs) =
-            logical_stream_recovering(1, 1, 64, Distribution::RoundRobin, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }

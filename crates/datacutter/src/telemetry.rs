@@ -120,9 +120,6 @@ impl CopyProbe {
 pub struct StageProbe {
     pub name: String,
     pub(crate) copies: Vec<CopyProbe>,
-    /// Shared-queue distribution: every copy reads the same queue, so
-    /// depth aggregates by max instead of sum.
-    pub(crate) shared_queue: bool,
     /// Residence latency (upstream send → delivery at this stage), µs.
     pub(crate) residence_us: Mutex<Histogram>,
     /// End-to-end latency (ingest origin → delivery), µs; `Some` only on
@@ -134,11 +131,10 @@ pub struct StageProbe {
 }
 
 impl StageProbe {
-    pub(crate) fn new(name: String, width: usize, last: bool, shared_queue: bool) -> Arc<Self> {
+    pub(crate) fn new(name: String, width: usize, last: bool) -> Arc<Self> {
         Arc::new(StageProbe {
             name,
             copies: (0..width).map(|_| CopyProbe::default()).collect(),
-            shared_queue,
             residence_us: Mutex::new(Histogram::default()),
             e2e_us: last.then(|| Mutex::new(Histogram::default())),
             replay: Mutex::new(None),
@@ -151,15 +147,11 @@ impl StageProbe {
 
     /// Snapshot this stage's gauges (called from the sampler thread).
     pub fn sample(&self, now: u64) -> StageSample {
-        let depths = self
+        let queue_depth = self
             .copies
             .iter()
-            .map(|c| c.queue_depth.load(Ordering::Relaxed));
-        let queue_depth = if self.shared_queue {
-            depths.max().unwrap_or(0)
-        } else {
-            depths.sum()
-        };
+            .map(|c| c.queue_depth.load(Ordering::Relaxed))
+            .sum();
         let residence = plock(&self.residence_us).clone();
         let replay_occupancy = plock(&self.replay)
             .as_ref()
@@ -477,7 +469,7 @@ mod tests {
 
     #[test]
     fn stage_probe_samples_gauges() {
-        let probe = StageProbe::new("f2".into(), 2, true, false);
+        let probe = StageProbe::new("f2".into(), 2, true);
         probe.copy(0).mark_started(1000);
         probe.copy(1).mark_started(1000);
         probe.copy(0).queue_depth.store(3, Ordering::Relaxed);
@@ -494,14 +486,6 @@ mod tests {
         assert_eq!(s.buffers_in, 10);
         assert_eq!(s.residence_p50_us, 100);
         assert_eq!(probe.e2e().unwrap().count, 1);
-    }
-
-    #[test]
-    fn shared_queue_depth_aggregates_by_max() {
-        let probe = StageProbe::new("f1".into(), 2, false, true);
-        probe.copy(0).queue_depth.store(5, Ordering::Relaxed);
-        probe.copy(1).queue_depth.store(5, Ordering::Relaxed);
-        assert_eq!(probe.sample(0).queue_depth, 5);
     }
 
     #[test]

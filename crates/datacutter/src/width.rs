@@ -420,7 +420,7 @@ mod tests {
     use super::*;
 
     fn probe(width: usize) -> Arc<StageProbe> {
-        StageProbe::new("f2".into(), width, false, false)
+        StageProbe::new("f2".into(), width, false)
     }
 
     /// Make copy `c` of `p` look `started`-at with the given cumulative

@@ -2,9 +2,11 @@
 //! real sockets, real worker topologies, chaos through the wire.
 
 use cgp_datacutter::{
-    egress_pump, logical_stream, serve_ingress, Buffer, ClosureFilter, Distribution, FaultPlan,
-    FilterIo, Frame, Pipeline, RecoveryOptions, RunControl, StageSpec, WorkerEndpoints,
+    decode_frame, egress_pump, encode_frame, logical_stream, serve_ingress, Buffer, ClosureFilter,
+    ErrorKind, FaultPlan, FilterIo, Frame, NetTuning, Pipeline, RecoveryOptions, RunControl,
+    StageSpec, WorkerEndpoints, WorkerIngress,
 };
+use cgp_obs::SmallRng;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -104,8 +106,7 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>) -> u64 {
                 }
                 p.run_worker(WorkerEndpoints {
                     stage,
-                    listener,
-                    shm_ingress: None,
+                    ingress: listener.map(WorkerIngress::Tcp),
                     connect,
                 })
                 .unwrap_or_else(|e| panic!("worker {stage}: {e}"));
@@ -144,8 +145,10 @@ fn ingress_preserves_fifo_per_producer() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let producers = 3u32;
-    let (writers, readers) = logical_stream(producers as usize, 1, 64, Distribution::RoundRobin);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 7, writers, None));
+    let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false, true);
+    let serve = std::thread::spawn(move || {
+        serve_ingress(listener, 7, writers, None, None, NetTuning::default())
+    });
     let senders: Vec<_> = (0..producers)
         .map(|p| {
             std::thread::spawn(move || {
@@ -192,9 +195,11 @@ fn backpressure_bounds_the_producer_through_the_socket() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     // Consumer side: capacity 2, a gate holding the reader shut.
-    let (writers, readers) = logical_stream(1, 1, 2, Distribution::RoundRobin);
+    let (writers, readers) = logical_stream(1, 1, 2, None, false, true);
     let gate = Arc::new(AtomicBool::new(false));
-    let serve = std::thread::spawn(move || serve_ingress(listener, 1, writers, None));
+    let serve = std::thread::spawn(move || {
+        serve_ingress(listener, 1, writers, None, None, NetTuning::default())
+    });
     let gate2 = Arc::clone(&gate);
     let consumer = std::thread::spawn(move || {
         while !gate2.load(Ordering::Acquire) {
@@ -211,7 +216,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
     });
     // Producer side: 16 × 4 MiB — far beyond what the capacity-2 stream
     // plus kernel socket buffers can absorb.
-    let (mut pw, pr) = logical_stream(1, 1, 4, Distribution::RoundRobin);
+    let (mut pw, pr) = logical_stream(1, 1, 4, None, false, true);
     let done_sending = Arc::new(AtomicBool::new(false));
     let done2 = Arc::clone(&done_sending);
     let producer = std::thread::spawn(move || {
@@ -222,7 +227,8 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         done2.store(true, Ordering::Release);
     });
     let pump = std::thread::spawn(move || {
-        egress_pump(pr.into_iter().next().unwrap(), &addr, 1, 0, None).unwrap()
+        let reader = pr.into_iter().next().unwrap();
+        egress_pump(reader, &addr, 1, 0, None, None, NetTuning::default()).unwrap()
     });
     // With the gate shut the producer cannot finish: 64 MiB has nowhere
     // to go.
@@ -250,9 +256,11 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let control = RunControl::new();
-    let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+    let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
     let c2 = Arc::clone(&control);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 1, writers, Some(c2)));
+    let serve = std::thread::spawn(move || {
+        serve_ingress(listener, 1, writers, Some(c2), None, NetTuning::default())
+    });
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
         let mut n = 0;
@@ -285,8 +293,10 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
 fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 3, writers, None));
+    let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+    let serve = std::thread::spawn(move || {
+        serve_ingress(listener, 3, writers, None, None, NetTuning::default())
+    });
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
         let mut seen = Vec::new();
@@ -339,8 +349,10 @@ fn handshake_rejects_wrong_link_and_producer() {
     ] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
-        let serve = std::thread::spawn(move || serve_ingress(listener, 5, writers, None));
+        let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+        let serve = std::thread::spawn(move || {
+            serve_ingress(listener, 5, writers, None, None, NetTuning::default())
+        });
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&hello_bytes).unwrap();
         let err = serve.join().unwrap().unwrap_err();
@@ -367,6 +379,24 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
+/// Wait (bounded) for the thread count to fall back to `before`. Other
+/// tests in this binary run concurrently, so a transient excess is
+/// tolerated; a leaked thread is not.
+#[cfg(target_os = "linux")]
+fn assert_threads_return_to(before: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let after = thread_count();
+        if after <= before {
+            break;
+        }
+        if std::time::Instant::now() > deadline {
+            panic!("thread count must return to baseline: before={before} after={after}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Distributed runs — including faulted ones — must join every bridge
 /// and handler thread.
 #[cfg(target_os = "linux")]
@@ -378,15 +408,162 @@ fn distributed_runs_leak_no_threads() {
         let _ = run_three_workers(50, 2, None);
         let _ = run_three_workers(50, 2, Some(FaultPlan::new().panic_at("double", 0, 10)));
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let after = thread_count();
-        if after <= before {
-            break;
+    assert_threads_return_to(before);
+}
+
+/// Every malformed `WorkerEndpoints` is refused with a named error before
+/// the run spawns anything. Without the checks these runs would block (a
+/// copy waiting on an ingress nobody feeds) until the deadline fired.
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_endpoint_validation_fails_before_any_thread_starts() {
+    let tcp = || {
+        Some(WorkerIngress::Tcp(
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+        ))
+    };
+    let downstream = || Some("127.0.0.1:1".to_string());
+    let cases = [
+        ("stage >= n", 3, tcp(), None, "out of range"),
+        (
+            "stage 0 given an ingress",
+            0,
+            tcp(),
+            downstream(),
+            "the first stage has no ingress link",
+        ),
+        (
+            "stage > 0 without an ingress",
+            1,
+            None,
+            downstream(),
+            "needs an ingress endpoint",
+        ),
+        (
+            "non-last stage without connect",
+            1,
+            tcp(),
+            None,
+            "needs a connect address",
+        ),
+        (
+            "last stage with connect",
+            2,
+            tcp(),
+            downstream(),
+            "the last stage has no egress link",
+        ),
+    ];
+    for (what, stage, ingress, connect, expect) in cases {
+        let before = thread_count();
+        let total = Arc::new(AtomicU64::new(0));
+        let err = worker_pipeline(10, 2, Arc::clone(&total))
+            .with_deadline(Duration::from_secs(5))
+            .run_worker(WorkerEndpoints {
+                stage,
+                ingress,
+                connect,
+            })
+            .expect_err(what);
+        assert!(err.message.contains(expect), "{what}: {err}");
+        assert_eq!(total.load(Ordering::Relaxed), 0, "{what}: nothing ran");
+        assert_threads_return_to(before);
+    }
+}
+
+/// A random frame of any variant, with random fields and a payload of
+/// 0..300 bytes.
+fn random_frame(rng: &mut SmallRng) -> Frame {
+    match rng.gen_range(0, 7) {
+        0 => Frame::Hello {
+            link: rng.next_u64() as u32,
+            producer: rng.next_u64() as u32,
+        },
+        1 => Frame::HelloAck {
+            resume_seq: rng.next_u64(),
+        },
+        2 => Frame::Data {
+            from: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+            payload: random_bytes(rng, 299),
+        },
+        3 => Frame::End {
+            from: rng.next_u64() as u32,
+        },
+        4 => Frame::Close,
+        5 => Frame::Telemetry {
+            payload: random_bytes(rng, 299),
+        },
+        _ => Frame::Heartbeat,
+    }
+}
+
+fn random_bytes(rng: &mut SmallRng, max: usize) -> Vec<u8> {
+    let len = rng.gen_range(0, max + 1);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// A successful decode is canonical: re-encoding the frame yields exactly
+/// the bytes it was decoded from.
+fn assert_canonical(buf: &[u8]) {
+    if let Ok((f, used)) = decode_frame(buf) {
+        assert_eq!(encode_frame(&f), &buf[..used], "{f:?} from {buf:02x?}");
+    }
+}
+
+/// (a) Every generated frame round-trips, consuming exactly its own
+/// bytes; random trailing bytes never change what is consumed.
+#[test]
+fn generated_frames_roundtrip_ignoring_trailing_bytes() {
+    let mut rng = SmallRng::seed_from_u64(0xF4A3E);
+    for case in 0..500 {
+        let f = random_frame(&mut rng);
+        let bytes = encode_frame(&f);
+        let (back, used) = decode_frame(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!((&back, used), (&f, bytes.len()), "case {case}");
+        let mut padded = bytes.clone();
+        padded.extend(random_bytes(&mut rng, 64));
+        let (back, used) = decode_frame(&padded).unwrap();
+        assert_eq!((&back, used), (&f, bytes.len()), "case {case} with trailer");
+    }
+}
+
+/// (b) Every strict prefix of a generated frame is malformed.
+#[test]
+fn generated_frame_prefixes_are_malformed() {
+    let mut rng = SmallRng::seed_from_u64(0xF4A3F);
+    for case in 0..200 {
+        let f = random_frame(&mut rng);
+        let bytes = encode_frame(&f);
+        for cut in 0..bytes.len() {
+            let err = decode_frame(&bytes[..cut]).expect_err("strict prefix decoded");
+            assert_eq!(
+                err.kind,
+                ErrorKind::Malformed,
+                "case {case} cut {cut}: {f:?}"
+            );
         }
-        if std::time::Instant::now() > deadline {
-            panic!("thread count must return to baseline: before={before} after={after}");
+    }
+}
+
+/// (c) Random byte strings and single-byte mutations of valid frames
+/// never panic the decoder, and whatever does decode is canonical.
+#[test]
+fn random_and_mutated_bytes_decode_canonically_or_not_at_all() {
+    let mut rng = SmallRng::seed_from_u64(0xF4A40);
+    for _ in 0..2000 {
+        let mut bytes = random_bytes(&mut rng, 48);
+        // Bias the tag byte toward known tags so the decoder gets past
+        // its first check most of the time.
+        if let Some(tag) = bytes.first_mut() {
+            *tag = rng.gen_range(0, 9) as u8;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        assert_canonical(&bytes);
+    }
+    for _ in 0..1000 {
+        let mut bytes = encode_frame(&random_frame(&mut rng));
+        let i = rng.gen_range(0, bytes.len());
+        bytes[i] = rng.next_u64() as u8;
+        assert_canonical(&bytes);
     }
 }

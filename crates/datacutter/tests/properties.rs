@@ -1,12 +1,12 @@
 //! Property-style tests for the filter-stream runtime: buffers are
-//! conserved across arbitrary pipeline shapes, regardless of widths,
-//! capacities and distribution policy. Cases are drawn from a seeded
+//! conserved across arbitrary pipeline shapes, regardless of widths
+//! and capacities. Cases are drawn from a seeded
 //! PRNG (the build is offline, so no proptest) — failures reproduce
 //! deterministically from the printed case parameters.
 
 use cgp_datacutter::{
-    channel, Buffer, BufferBuilder, BufferPool, CancelToken, ClosureFilter, Distribution, FilterIo,
-    Pipeline, StageSpec,
+    channel, Buffer, BufferBuilder, BufferPool, CancelToken, ClosureFilter, FilterIo, Pipeline,
+    StageSpec,
 };
 use cgp_obs::SmallRng;
 use std::collections::VecDeque;
@@ -22,19 +22,15 @@ fn every_buffer_arrives_exactly_once() {
         let w1 = rng.gen_range(1, 4);
         let w2 = rng.gen_range(1, 4);
         let cap = rng.gen_range(1, 32);
-        let shared = rng.gen_bool(0.5);
+        // Unused draw: it keeps every later draw, and so the 40 seeded
+        // case shapes, the same.
+        let _ = rng.gen_bool(0.5);
 
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (Arc::clone(&sum), Arc::clone(&count));
-        let dist = if shared {
-            Distribution::Shared
-        } else {
-            Distribution::RoundRobin
-        };
         Pipeline::new()
             .with_capacity(cap)
-            .with_distribution(dist)
             .add_stage(StageSpec::new(
                 "src",
                 1,
@@ -76,7 +72,7 @@ fn every_buffer_arrives_exactly_once() {
             ))
             .run()
             .unwrap();
-        let ctx = format!("n={n} w1={w1} w2={w2} cap={cap} shared={shared}");
+        let ctx = format!("n={n} w1={w1} w2={w2} cap={cap}");
         assert_eq!(count.load(Ordering::Relaxed), n, "{ctx}");
         assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2, "{ctx}");
     }

@@ -4,7 +4,7 @@
 use cgp_datacutter::{
     decode_frame, decode_telemetry_payload, encode_frame, encode_telemetry_payload,
     serve_telemetry, Buffer, ClosureFilter, FilterIo, Frame, Pipeline, RunControl, StageSpec,
-    TelemetryClient, TelemetryConfig, WorkerEndpoints,
+    TelemetryClient, TelemetryConfig, WorkerEndpoints, WorkerIngress,
 };
 use cgp_obs::{MetricsRegistry, TelemetrySampler};
 use std::net::TcpListener;
@@ -206,11 +206,17 @@ fn three_workers_ship_telemetry_to_the_launcher() {
     let updates: Arc<Mutex<Vec<Update>>> = Arc::new(Mutex::new(Vec::new()));
     let u2 = Arc::clone(&updates);
     let serve = std::thread::spawn(move || {
-        serve_telemetry(lt, 3, None, move |_, payload| {
-            if let Ok(up) = decode_telemetry_payload(&payload) {
-                u2.lock().unwrap().push((up.source, up.fin, up.registry));
-            }
-        })
+        serve_telemetry(
+            lt,
+            3,
+            None,
+            move |_, payload| {
+                if let Ok(up) = decode_telemetry_payload(&payload) {
+                    u2.lock().unwrap().push((up.source, up.fin, up.registry));
+                }
+            },
+            |_| {},
+        )
     });
 
     std::thread::scope(|scope| {
@@ -229,8 +235,7 @@ fn three_workers_ship_telemetry_to_the_launcher() {
                     )
                     .run_worker(WorkerEndpoints {
                         stage,
-                        listener,
-                        shm_ingress: None,
+                        ingress: listener.map(WorkerIngress::Tcp),
                         connect,
                     })
                     .unwrap_or_else(|e| panic!("worker {stage}: {e}"));
@@ -292,9 +297,13 @@ fn dead_aggregator_never_fails_the_run() {
     let at = lt.local_addr().unwrap().to_string();
     // Accept one connection, handshake, then slam it shut.
     let accept = std::thread::spawn(move || {
-        serve_telemetry(lt, 1, Some(RunControl::new()), |_, _| {
-            panic!("no payload expected before the drop")
-        })
+        serve_telemetry(
+            lt,
+            1,
+            Some(RunControl::new()),
+            |_, _| panic!("no payload expected before the drop"),
+            |_| {},
+        )
     });
     // Connect and drop immediately: the worker-side client sees a dead
     // peer on its first send.

@@ -31,7 +31,7 @@
 //!
 //! - [`rng`] — a seeded SplitMix64/xoshiro-style PRNG (replaces `rand`)
 //!   used for synthetic datasets and seeded property-test loops;
-//! - [`bench`] — a tiny micro-benchmark harness (replaces `criterion`)
+//! - [`bench`](mod@bench) — a tiny micro-benchmark harness (replaces `criterion`)
 //!   used by `cgp-bench`'s ablation benches.
 //!
 //! ## Quick start

@@ -8,7 +8,9 @@
 //! ```
 
 use cgp_core::lang::{frontend, HostEnv, Interp, Value};
-use cgp_core::{compile, run_plan_sequential, run_plan_threaded, CompileOptions, PipelineEnv};
+use cgp_core::{
+    compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv,
+};
 use std::sync::Arc;
 
 const SRC: &str = r#"
@@ -81,10 +83,11 @@ fn main() {
     println!("plan (sequential)  : {sequential:?}");
 
     // 3. Threaded execution on the filter-stream runtime, width 2 compute.
-    let threaded = run_plan_threaded(
+    let (threaded, _stats) = run_plan_threaded_stats(
         Arc::new(compiled.plan.clone()),
         Arc::new(host),
         Some(&[1, 2, 1]),
+        &ExecOptions::default(),
     )
     .unwrap();
     println!("plan (threads 1-2-1): {threaded:?}");

@@ -7,7 +7,7 @@ use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
 use cgp_core::lang::{frontend, HostEnv, Interp};
-use cgp_core::{compile, run_plan_threaded, CompileOptions, PipelineEnv};
+use cgp_core::{compile, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv};
 use std::sync::Arc;
 
 fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
@@ -26,8 +26,14 @@ fn zbuf_threaded_all_widths() {
     let host = || iso_host_env(&ScalarGrid::synthetic(9, 9, 9, 13), 0.7, 16, 8);
     let expect = oracle(ZBUF_SRC, &host());
     for widths in [[1usize, 1, 1], [2, 2, 1], [4, 4, 1], [1, 4, 1]] {
-        let out =
-            run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&widths)).unwrap();
+        let out = run_plan_threaded_stats(
+            Arc::new(c.plan.clone()),
+            Arc::new(host),
+            Some(&widths),
+            &ExecOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(out, expect, "widths {widths:?}");
     }
 }
@@ -42,8 +48,14 @@ fn knn_threaded_all_widths() {
     let host = move || knn_host_env(&generate_points(600, 21), [0.4, 0.1, 0.9], 9, 6);
     let expect = oracle(KNN_SRC, &knn_host_env(&pts, [0.4, 0.1, 0.9], 9, 6));
     for widths in [[1usize, 1, 1], [2, 2, 1], [4, 4, 1]] {
-        let out =
-            run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&widths)).unwrap();
+        let out = run_plan_threaded_stats(
+            Arc::new(c.plan.clone()),
+            Arc::new(host),
+            Some(&widths),
+            &ExecOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(out, expect, "widths {widths:?}");
     }
 }
@@ -58,8 +70,14 @@ fn vmscope_threaded_all_widths() {
     let host = || vmscope_host_env(&Slide::synthetic(40, 40, 5), 2, 4);
     let expect = oracle(VMSCOPE_SRC, &host());
     for widths in [[1usize, 1, 1], [2, 2, 1], [4, 4, 1]] {
-        let out =
-            run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&widths)).unwrap();
+        let out = run_plan_threaded_stats(
+            Arc::new(c.plan.clone()),
+            Arc::new(host),
+            Some(&widths),
+            &ExecOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(out, expect, "widths {widths:?}");
     }
 }
@@ -76,8 +94,16 @@ fn threaded_runs_are_repeatable() {
     let plan = Arc::new(c.plan);
     let mut outputs = Vec::new();
     for _ in 0..5 {
-        outputs
-            .push(run_plan_threaded(Arc::clone(&plan), Arc::new(host), Some(&[2, 3, 1])).unwrap());
+        outputs.push(
+            run_plan_threaded_stats(
+                Arc::clone(&plan),
+                Arc::new(host),
+                Some(&[2, 3, 1]),
+                &ExecOptions::default(),
+            )
+            .unwrap()
+            .0,
+        );
     }
     for o in &outputs[1..] {
         assert_eq!(o, &outputs[0]);
@@ -96,8 +122,14 @@ fn wider_interior_stage_only() {
     let host = move || knn_host_env(&generate_points(300, 8), [0.6, 0.6, 0.1], 4, 6);
     let expect = oracle(KNN_SRC, &knn_host_env(&pts, [0.6, 0.6, 0.1], 4, 6));
     for w2 in [1usize, 2, 4] {
-        let out =
-            run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&[1, w2, 1])).unwrap();
+        let out = run_plan_threaded_stats(
+            Arc::new(c.plan.clone()),
+            Arc::new(host),
+            Some(&[1, w2, 1]),
+            &ExecOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(out, expect, "interior width {w2}");
     }
 }
@@ -109,6 +141,11 @@ fn copied_view_stage_is_rejected() {
         .with_symbol("k", 4);
     let c = compile(KNN_SRC, &opts).unwrap();
     let host = || knn_host_env(&generate_points(300, 8), [0.6, 0.6, 0.1], 4, 6);
-    let err = run_plan_threaded(Arc::new(c.plan), Arc::new(host), Some(&[1, 2]));
+    let err = run_plan_threaded_stats(
+        Arc::new(c.plan),
+        Arc::new(host),
+        Some(&[1, 2]),
+        &ExecOptions::default(),
+    );
     assert!(err.is_err(), "view stage width > 1 must be rejected");
 }
