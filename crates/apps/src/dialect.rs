@@ -317,14 +317,16 @@ class Vmscope {
 /// Build the host environment for the isosurface dialect programs from a
 /// scalar grid (cube objects with corner values and cell coordinates).
 pub fn iso_host_env(grid: &ScalarGrid, isovalue: f64, screen: i64, num_packets: i64) -> HostEnv {
+    const CORNERS: [&str; 8] = ["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"];
     let ncubes = grid.cubes();
     let mut cubes: Vec<Value> = Vec::with_capacity(ncubes);
     for c in 0..ncubes {
         let corners = grid.corners(c);
         let (cx, cy, cz) = grid.cube_coords(c);
-        let mut fields = HashMap::new();
-        for (i, v) in corners.iter().enumerate() {
-            fields.insert(format!("v{i}"), Value::Double(*v as f64));
+        // Eight corners plus the three coordinates.
+        let mut fields = HashMap::with_capacity(CORNERS.len() + 3);
+        for (name, v) in CORNERS.iter().zip(corners) {
+            fields.insert(name.to_string(), Value::Double(v as f64));
         }
         fields.insert("cx".to_string(), Value::Double(cx as f64));
         fields.insert("cy".to_string(), Value::Double(cy as f64));
@@ -394,6 +396,43 @@ mod tests {
     fn small_iso_host() -> HostEnv {
         let grid = ScalarGrid::synthetic(8, 8, 8, 21);
         iso_host_env(&grid, 0.8, 16, 4)
+    }
+
+    #[test]
+    fn iso_host_cubes_carry_corners_and_coordinates() {
+        let grid = ScalarGrid::synthetic(3, 3, 3, 21);
+        let host = iso_host_env(&grid, 0.8, 16, 4);
+        let Some(Value::Array(cubes)) = host.values.get("cubes") else {
+            panic!("no cube array");
+        };
+        let cubes = cubes.borrow();
+        assert_eq!(cubes.len(), grid.cubes());
+        for (c, cube) in cubes.iter().enumerate() {
+            let Value::Object(obj) = cube else {
+                panic!("cube {c} is not an object");
+            };
+            let obj = obj.borrow();
+            assert_eq!(obj.class, "Cube");
+            let (cx, cy, cz) = grid.cube_coords(c);
+            let mut want: HashMap<String, f64> = grid
+                .corners(c)
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (format!("v{i}"), *v as f64))
+                .collect();
+            want.extend([
+                ("cx".to_string(), cx as f64),
+                ("cy".to_string(), cy as f64),
+                ("cz".to_string(), cz as f64),
+            ]);
+            assert_eq!(obj.fields.len(), want.len(), "cube {c}");
+            for (name, v) in &want {
+                assert!(
+                    obj.fields[name].deep_eq(&Value::Double(*v)),
+                    "cube {c} field {name}"
+                );
+            }
+        }
     }
 
     #[test]

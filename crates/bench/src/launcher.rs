@@ -378,19 +378,7 @@ fn restart_prefix(
             }
         }
     }
-    // Dead consumers leave their ingress rings behind (SIGKILL runs no
-    // Drop); reclaim them so /dev/shm doesn't accumulate a file pair
-    // per crash. Worker-mode links have one producer, but probe a few
-    // extra paths — `remove_ring_files` only deletes dead-owner files.
-    for slot in slots[1..=k].iter() {
-        let addr = slot.as_ref().and_then(|s| s.addr.as_deref());
-        if let Some(base) = addr.and_then(|a| a.strip_prefix(SHM_PREFIX)) {
-            let n = remove_ring_files(base, 4);
-            if n > 0 {
-                eprintln!("[obs] supervisor: reclaimed {n} stale ring file(s) at {base}");
-            }
-        }
-    }
+    reclaim_rings(&slots[1..=k]);
     let seed = slots
         .get(k + 1)
         .and_then(|s| s.as_ref())
@@ -406,6 +394,23 @@ fn restart_prefix(
         slots,
         true,
     )
+}
+
+/// Reclaim the shm ingress rings of reaped workers. A dead consumer
+/// leaves its ring files behind (SIGKILL and SIGTERM run no Drop);
+/// removing them keeps /dev/shm from accumulating a file per crash.
+/// Worker-mode links have one producer, but probe a few extra paths —
+/// `remove_ring_files` only deletes dead-owner files.
+fn reclaim_rings(slots: &[Option<Slot>]) {
+    for slot in slots {
+        let addr = slot.as_ref().and_then(|s| s.addr.as_deref());
+        if let Some(base) = addr.and_then(|a| a.strip_prefix(SHM_PREFIX)) {
+            let n = remove_ring_files(base, 4);
+            if n > 0 {
+                eprintln!("[obs] supervisor: reclaimed {n} stale ring file(s) at {base}");
+            }
+        }
+    }
 }
 
 /// Spawn stages `top..=0`, last first, chaining each announced address
@@ -524,11 +529,13 @@ fn spawn_worker(
                 let announce = announce.trim();
                 // `shm:<base>` addresses are passed to the upstream
                 // worker verbatim; a bare number is a TCP port.
-                break Some(if announce.starts_with(SHM_PREFIX) {
+                let addr = if announce.starts_with(SHM_PREFIX) {
                     announce.to_string()
                 } else {
                     format!("127.0.0.1:{announce}")
-                });
+                };
+                eprintln!("[obs] launcher: worker {stage} ingress at {addr}");
+                break Some(addr);
             }
         }
     } else {
@@ -658,7 +665,7 @@ impl OutputCollector {
 
 /// Graceful teardown: SIGTERM every live worker, give the set a bounded
 /// window to exit on its own, then SIGKILL the stragglers. Every child
-/// is reaped either way.
+/// is reaped either way, and then every worker's shm rings reclaimed.
 fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
     let mut live: Vec<&mut Slot> = slots
         .iter_mut()
@@ -671,10 +678,7 @@ fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
     let deadline = Instant::now() + grace;
     loop {
         live.retain_mut(|slot| !matches!(slot.child.try_wait(), Ok(Some(_))));
-        if live.is_empty() {
-            return;
-        }
-        if Instant::now() > deadline {
+        if live.is_empty() || Instant::now() > deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -683,6 +687,7 @@ fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
         let _ = slot.child.kill();
         let _ = slot.child.wait();
     }
+    reclaim_rings(slots);
 }
 
 /// Politely ask a worker to exit (SIGTERM); [`shutdown`] escalates to

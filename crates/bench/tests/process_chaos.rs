@@ -11,6 +11,7 @@
 //! arms in worker roles, so neither the launcher nor its in-process
 //! reference run ever self-kills).
 
+use cgp_core::datacutter::shm::ring_path;
 use cgp_core::datacutter::shm_supported;
 use std::process::{Command, Output};
 
@@ -164,11 +165,11 @@ fn durable_checkpoints_survive_the_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn budget_exhaustion_fails_over_to_a_replanned_run() {
-    let out = run_chaos("f2[0]#2", "tcp", &["--max-worker-restarts", "0"]);
-    let stdout = stdout_of(&out);
-    let stderr = stderr_of(&out);
+/// The launcher exhausted the restart budget and failed over to a
+/// replanned in-process run whose output matched.
+fn assert_failed_over(out: &Output) {
+    let stdout = stdout_of(out);
+    let stderr = stderr_of(out);
     assert!(
         out.status.success(),
         "failover path must succeed\nstdout:\n{stdout}\nstderr:\n{stderr}"
@@ -185,6 +186,44 @@ fn budget_exhaustion_fails_over_to_a_replanned_run() {
         stdout.contains("failed over to a replanned in-process run; output matches"),
         "failover output must be diffed and match\nstdout:\n{stdout}"
     );
+}
+
+#[test]
+fn budget_exhaustion_fails_over_to_a_replanned_run() {
+    let out = run_chaos("f2[0]#2", "tcp", &["--max-worker-restarts", "0"]);
+    assert_failed_over(&out);
+}
+
+#[test]
+fn shm_budget_exhaustion_fails_over_and_reclaims_rings() {
+    if !shm_supported() {
+        return;
+    }
+    let out = run_chaos("f2[0]#2", "shm", &["--max-worker-restarts", "0"]);
+    assert_failed_over(&out);
+    // This run's ring bases, as the launcher announced them (other
+    // chaos tests run concurrently, so the shm dir is not scanned).
+    let stderr = stderr_of(&out);
+    let bases: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.split_once("ingress at shm:"))
+        .map(|(_, base)| base.trim())
+        .collect();
+    assert_eq!(
+        bases.len(),
+        2,
+        "one shm ingress per non-source stage\nstderr:\n{stderr}"
+    );
+    for base in bases {
+        for producer in 0..4 {
+            let ring = ring_path(base, producer);
+            assert!(
+                !ring.exists() && !ring.with_extension("tmp").exists(),
+                "failover teardown leaked {}\nstderr:\n{stderr}",
+                ring.display()
+            );
+        }
+    }
 }
 
 #[test]

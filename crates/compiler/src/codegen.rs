@@ -18,10 +18,10 @@
 //!   allocation site are re-allocated locally by the consuming filter; the
 //!   analysis guarantees their contents are fully written before use.
 //! - **Reduction finalization** — each filter owns a replicated copy of
-//!   every reduction variable (initialized by the replicated prologue, which
-//!   must construct the reduction identity); after the last packet the
-//!   copies are merged with `reduce` and the epilogue runs at the final
-//!   filter.
+//!   every reduction variable, initialized when its unit starts by the
+//!   replicated prologue (which must construct the reduction identity);
+//!   after the last packet the copies are merged with `reduce` and the
+//!   epilogue runs at the final filter.
 //!
 //! The module also provides [`run_plan_sequential`] — a single-threaded
 //! Path-A executor that moves real packed buffers between filter stages and
@@ -40,8 +40,10 @@ use cgp_lang::ast::*;
 use cgp_lang::bytecode::{vm::Vm, CodeBlock, ProgramCode};
 use cgp_lang::interp::{split_domain, HostEnv, Interp};
 use cgp_lang::span::Span;
-use cgp_lang::value::Value;
+use cgp_lang::value::{ObjectVal, Value};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// One filter of the generated pipeline.
@@ -74,33 +76,48 @@ pub struct FilterPlan {
     pub lowered: Arc<LoweredPlan>,
 }
 
-/// Plan-time lowered bytecode: the whole program's methods plus one step
+/// Plan-time lowered bytecode: the whole program's methods, the per-run
+/// lifecycle slices (prologue, loop-bounds probe, epilogue), and one step
 /// sequence per filter mirroring [`FilterSpec::atoms`] (a
 /// `CondSelect`/`CondBody` pair sharing a filter collapses into one
-/// reconstituted slice, exactly as the interpreter path does).
+/// reconstituted slice). Both engines of a [`FilterStepper`] walk these
+/// same lists, so they run the same statements in the same order.
 #[derive(Debug)]
 pub struct LoweredPlan {
     pub prog: ProgramCode,
+    /// The replicated prologue every unit starts from.
+    pub prologue: LoweredSlice,
+    /// Binds `__dom` and `__np`: the pipelined loop's domain and packet
+    /// count, evaluated against a started unit's state.
+    pub bounds: LoweredSlice,
+    /// Statements after the loop, run at the final filter.
+    pub epilogue: LoweredSlice,
     pub steps: Vec<Vec<LoweredStep>>,
     /// Per-filter replicated packet-local allocations.
-    pub replicated: Vec<Option<CodeBlock>>,
+    pub replicated: Vec<Option<LoweredSlice>>,
 }
 
-/// One VM-executable unit of a filter's packet step.
+/// A statement slice in both executable forms: the AST the tree-walker
+/// runs and its register lowering for the VM.
+#[derive(Debug)]
+pub struct LoweredSlice {
+    pub stmts: Vec<Stmt>,
+    pub code: CodeBlock,
+}
+
+/// One executable unit of a filter's packet step.
 #[derive(Debug)]
 pub enum LoweredStep {
     /// Straight-line statements, a foreach atom, or a reconstituted
     /// conditional foreach.
-    Slice(CodeBlock),
+    Slice(LoweredSlice),
     /// Filtering-cut condition probe (fills the `__pass` mask).
-    Select(CodeBlock),
+    Select(LoweredSlice),
     /// Guarded body run per passing point, bound to `var`.
-    Body { var: String, code: CodeBlock },
+    Body { var: String, body: LoweredSlice },
 }
 
-/// Lower every filter's atoms for the VM path. Pairing logic must match
-/// [`FilterStepper::step`]'s interpreter loop so both engines execute the
-/// same statements in the same order.
+/// Lower the plan's lifecycle slices and every filter's atoms.
 fn lower_filters(
     np: &NormalizedPipeline,
     graph: &BoundaryGraph,
@@ -108,14 +125,17 @@ fn lower_filters(
 ) -> LoweredPlan {
     let tp = &np.typed;
     let prog = ProgramCode::lower(tp);
-    let class = &np.class;
+    let slice = |stmts: Vec<Stmt>| LoweredSlice {
+        code: prog.lower_slice(tp, &np.class, &stmts),
+        stmts,
+    };
     let mut steps = Vec::with_capacity(filters.len());
     let mut replicated = Vec::with_capacity(filters.len());
     for f in filters {
         replicated.push(if f.replicated_decls.is_empty() {
             None
         } else {
-            Some(prog.lower_slice(tp, class, &f.replicated_decls))
+            Some(slice(f.replicated_decls.clone()))
         });
         let mut list = Vec::new();
         let atoms = &f.atoms;
@@ -123,22 +143,15 @@ fn lower_filters(
         while k < atoms.len() {
             let a = atoms[k];
             match &graph.atoms[a].code {
-                AtomCode::Straight(ss) => {
-                    list.push(LoweredStep::Slice(prog.lower_slice(tp, class, ss)));
-                }
-                AtomCode::Foreach(s) => {
-                    list.push(LoweredStep::Slice(prog.lower_slice(
-                        tp,
-                        class,
-                        std::slice::from_ref(s),
-                    )));
-                }
+                AtomCode::Straight(ss) => list.push(LoweredStep::Slice(slice(ss.clone()))),
+                AtomCode::Foreach(s) => list.push(LoweredStep::Slice(slice(vec![s.clone()]))),
                 AtomCode::CondSelect {
                     var,
                     domain,
                     cond,
                     cond_id,
                 } => {
+                    // Same-filter body? Reconstitute the conditional foreach.
                     let body_here = k + 1 < atoms.len()
                         && matches!(&graph.atoms[atoms[k+1]].code, AtomCode::CondBody { cond_id: c2, .. } if c2 == cond_id);
                     if body_here {
@@ -147,21 +160,17 @@ fn lower_filters(
                             unreachable!("checked above");
                         };
                         let merged = reconstitute(var, domain, cond, body);
-                        list.push(LoweredStep::Slice(prog.lower_slice(
-                            tp,
-                            class,
-                            std::slice::from_ref(&merged),
-                        )));
+                        list.push(LoweredStep::Slice(slice(vec![merged])));
                         k += 2;
                         continue;
                     }
-                    let probe = select_probe(var, domain, cond);
-                    list.push(LoweredStep::Select(prog.lower_slice(tp, class, &probe)));
+                    // Cut here: evaluate the condition per point.
+                    list.push(LoweredStep::Select(slice(select_probe(var, domain, cond))));
                 }
                 AtomCode::CondBody { var, body, .. } => {
                     list.push(LoweredStep::Body {
                         var: var.clone(),
-                        code: prog.lower_slice(tp, class, &body.stmts),
+                        body: slice(body.stmts.clone()),
                     });
                 }
             }
@@ -170,6 +179,9 @@ fn lower_filters(
         steps.push(list);
     }
     LoweredPlan {
+        prologue: slice(np.prologue.clone()),
+        bounds: slice(bounds_probe(np)),
+        epilogue: slice(np.epilogue.clone()),
         prog,
         steps,
         replicated,
@@ -463,19 +475,29 @@ fn collect_expr_vars(e: &Expr, out: &mut Vec<String>) {
 
 /// Per-filter execution driver shared by the sequential oracle runner here
 /// and the threaded DataCutter executor in `cgp-core`.
+///
+/// Each pipeline unit's lifecycle is: start (run the replicated prologue
+/// into the unit's own state), packet steps, reduction merges, and — at
+/// the final unit — the epilogue. A unit starts on first use (a step, a
+/// merge, its epilogue, or [`FilterStepper::loop_bounds`] for unit 0), or
+/// explicitly through the idempotent [`FilterStepper::start`]; so a
+/// runtime filter copy that drives only its own unit runs only its own
+/// prologue. Every stage runs on the engine [`FilterStepper::with_vm`]
+/// selected.
 pub struct FilterStepper<'p> {
     pub plan: &'p FilterPlan,
-    /// Persistent per-filter state (prologue results, reduction copies).
-    pub state: Vec<HashMap<String, Value>>,
+    /// Persistent per-unit state (prologue results, reduction copies);
+    /// `None` until the unit starts.
+    state: Vec<Option<HashMap<String, Value>>>,
     /// Scalar extern config visible to every filter.
     config: HashMap<String, Value>,
-    /// Full host bindings (arrays included) — only the source filter sees
-    /// these, which keeps the oracle honest about data placement.
+    /// Full host bindings (arrays included) — only the source filter and
+    /// the prologue see these, which keeps the oracle honest about data
+    /// placement.
     source_env: HashMap<String, Value>,
-    /// Execute packet steps on the register VM instead of the tree
-    /// walker. Off by default so [`run_plan_sequential`] stays an
-    /// independent interpreter-backed oracle; the threaded executor in
-    /// `cgp-core` turns it on unless `CGP_NO_VM` says otherwise.
+    /// Run on the register VM instead of the tree-walker. Off by default
+    /// so [`run_plan_sequential`] stays an independent interpreter-backed
+    /// oracle; the threaded executor in `cgp-core` always turns it on.
     use_vm: bool,
     /// Per-unit section environment (scalar config symbols); unit `j`'s
     /// also holds the receive arrays its input is unpacked into.
@@ -485,15 +507,61 @@ pub struct FilterStepper<'p> {
 /// What a filter step starts from.
 struct PacketFrame {
     /// Globals the filter may read.
-    globals: HostEnv,
+    globals: HashMap<String, Value>,
     /// Packet-local bindings.
     vars: HashMap<String, Value>,
     /// Passing indices received with the packet (filtering cuts).
     selection: Option<Vec<i64>>,
 }
 
+/// The statement executor of one lifecycle stage.
+enum Engine<'p> {
+    Tree { interp: Interp<'p>, class: &'p str },
+    Vm(Vm<'p>),
+}
+
+impl Engine<'_> {
+    /// Run `slice` against `vars`: its AST on the tree-walker, its
+    /// lowering on the VM.
+    fn exec(
+        &mut self,
+        slice: &LoweredSlice,
+        vars: &mut HashMap<String, Value>,
+    ) -> CompileResult<()> {
+        match self {
+            Engine::Tree { interp, class } => {
+                interp.exec_stmts_with_vars(class, &slice.stmts, vars)
+            }
+            Engine::Vm(vm) => vm.exec_slice(&slice.code, vars),
+        }
+        .map_err(CompileError::from)
+    }
+
+    /// Merge `partial` into `own` through its class's `reduce` method.
+    fn reduce(&mut self, own: Rc<RefCell<ObjectVal>>, partial: Value) -> CompileResult<()> {
+        let class = own.borrow().class.clone();
+        match self {
+            Engine::Tree { interp, .. } => {
+                interp.call_method(&class, "reduce", Some(own), vec![partial])
+            }
+            Engine::Vm(vm) => vm.call_method(&class, "reduce", Some(own), vec![partial]),
+        }
+        .map(drop)
+        .map_err(CompileError::from)
+    }
+
+    /// Captured `print` output.
+    fn output(self) -> Vec<String> {
+        match self {
+            Engine::Tree { interp, .. } => interp.output,
+            Engine::Vm(vm) => vm.output,
+        }
+    }
+}
+
 impl<'p> FilterStepper<'p> {
-    /// Initialize per-filter state by running the replicated prologue.
+    /// Bind the host's extern values. No prologue runs here: each unit
+    /// starts on first use (see the type docs).
     pub fn new(plan: &'p FilterPlan, host: &HostEnv) -> CompileResult<Self> {
         let tp = &plan.np.typed;
         let mut config = HashMap::new();
@@ -505,22 +573,6 @@ impl<'p> FilterStepper<'p> {
                 config.insert(e.name.clone(), v.clone());
             }
         }
-        let mut state = Vec::with_capacity(plan.m);
-        for _ in 0..plan.m {
-            // Each filter runs the prologue against the full host env (the
-            // prologue must be cheap and deterministic — documented).
-            let mut interp = Interp::new(
-                tp,
-                HostEnv {
-                    values: host.values.clone(),
-                },
-            );
-            let mut vars = HashMap::new();
-            interp
-                .exec_stmts_with_vars(&plan.np.class, &plan.np.prologue, &mut vars)
-                .map_err(CompileError::from)?;
-            state.push(vars);
-        }
         let mut env = RuntimeEnv::new(&plan.np.pkt_var);
         for (k, v) in &config {
             if let Value::Int(i) = v {
@@ -529,7 +581,7 @@ impl<'p> FilterStepper<'p> {
         }
         Ok(FilterStepper {
             plan,
-            state,
+            state: vec![None; plan.m],
             config,
             source_env: host.values.clone(),
             use_vm: false,
@@ -537,51 +589,60 @@ impl<'p> FilterStepper<'p> {
         })
     }
 
-    /// Select the packet-step engine: the register VM (`true`) or the
-    /// tree-walking interpreter (`false`, the default). Prologue, loop
-    /// bounds, reduction merge, and epilogue always use the interpreter —
-    /// they run once per unit of work, not per packet.
+    /// Select the engine for every lifecycle stage — prologue, loop
+    /// bounds, packet steps, reduction merges and epilogue: the register
+    /// VM (`true`) or the tree-walking interpreter (`false`, the
+    /// default). Select it before the first unit starts.
     pub fn with_vm(mut self, on: bool) -> Self {
         self.use_vm = on;
         self
     }
 
-    /// Evaluate the pipelined loop's domain and packet count using filter
-    /// 0's post-prologue state.
-    pub fn loop_bounds(&self) -> CompileResult<((i64, i64), i64)> {
+    /// A fresh executor over `globals` on the selected engine.
+    fn engine(&self, globals: HashMap<String, Value>) -> Engine<'p> {
         let plan = self.plan;
-        let tp = &plan.np.typed;
-        let mut interp = Interp::new(
-            tp,
-            HostEnv {
-                values: self.source_env.clone(),
-            },
-        );
-        let mut vars = self.state[0].clone();
-        let mut ids = NodeIdGen::above(&tp.program);
-        let probe = vec![
-            Stmt::new(
-                ids.fresh(),
-                Span::synthetic(),
-                StmtKind::VarDecl {
-                    name: "__dom".into(),
-                    ty: Type::RectDomain(1),
-                    init: Some(plan.np.domain.clone()),
-                },
-            ),
-            Stmt::new(
-                ids.fresh(),
-                Span::synthetic(),
-                StmtKind::VarDecl {
-                    name: "__np".into(),
-                    ty: Type::Int,
-                    init: Some(plan.np.num_packets.clone()),
-                },
-            ),
-        ];
-        interp
-            .exec_stmts_with_vars(&plan.np.class, &probe, &mut vars)
-            .map_err(CompileError::from)?;
+        let host = HostEnv { values: globals };
+        if self.use_vm {
+            Engine::Vm(Vm::new(&plan.lowered.prog, host))
+        } else {
+            Engine::Tree {
+                interp: Interp::new(&plan.np.typed, host),
+                class: &plan.np.class,
+            }
+        }
+    }
+
+    /// Start unit `j`: run the replicated prologue against the full host
+    /// env into the unit's own state. Idempotent — a started unit is left
+    /// as it is; every other entry point starts its unit on first use.
+    pub fn start(&mut self, j: usize) -> CompileResult<()> {
+        if self.state[j].is_some() {
+            return Ok(());
+        }
+        let mut vars = HashMap::new();
+        self.engine(self.source_env.clone())
+            .exec(&self.plan.lowered.prologue, &mut vars)?;
+        self.state[j] = Some(vars);
+        Ok(())
+    }
+
+    /// Unit `j`'s state; the unit must have started.
+    fn started(&self, j: usize) -> &HashMap<String, Value> {
+        self.state[j].as_ref().unwrap_or_else(|| {
+            panic!(
+                "unit {} ({j}) never started: call start({j}) or step it first",
+                self.plan.filters[j].name
+            )
+        })
+    }
+
+    /// Evaluate the pipelined loop's domain and packet count using unit
+    /// 0's post-prologue state (starting unit 0 if needed).
+    pub fn loop_bounds(&mut self) -> CompileResult<((i64, i64), i64)> {
+        self.start(0)?;
+        let mut vars = self.started(0).clone();
+        self.engine(self.source_env.clone())
+            .exec(&self.plan.lowered.bounds, &mut vars)?;
         let Some(Value::Domain(lo, hi)) = vars.get("__dom").cloned() else {
             return Err(CompileError::new("could not evaluate PipelinedLoop domain"));
         };
@@ -594,8 +655,7 @@ impl<'p> FilterStepper<'p> {
         Ok(((lo, hi), np_))
     }
 
-    /// Filter `j`'s starting frame for packet `(lo, hi)`, shared by both
-    /// engines.
+    /// Filter `j`'s starting frame for packet `(lo, hi)`.
     fn bind_packet(
         &self,
         j: usize,
@@ -606,15 +666,13 @@ impl<'p> FilterStepper<'p> {
         // Visible globals: full host env at the source, config-only
         // downstream (so a miscompiled plan fails loudly instead of
         // silently reading data it should have received).
-        let globals = HostEnv {
-            values: if j == 0 {
-                self.source_env.clone()
-            } else {
-                self.config.clone()
-            },
+        let globals = if j == 0 {
+            self.source_env.clone()
+        } else {
+            self.config.clone()
         };
         // Packet-local bindings: persistent state + unpacked buffer.
-        let mut vars: HashMap<String, Value> = self.state[j].clone();
+        let mut vars: HashMap<String, Value> = self.started(j).clone();
         let mut selection: Option<Vec<i64>> = None;
         if j > 0 {
             let input = input
@@ -667,125 +725,7 @@ impl<'p> FilterStepper<'p> {
         pkt: (i64, i64),
         input: Option<&[u8]>,
     ) -> CompileResult<Option<Vec<u8>>> {
-        if self.use_vm {
-            return self.step_vm(j, pkt, input);
-        }
-        let plan = self.plan;
-        let tp = &plan.np.typed;
-        let lo = pkt.0;
-        let PacketFrame {
-            globals,
-            mut vars,
-            mut selection,
-        } = self.bind_packet(j, pkt, input)?;
-        let mut interp = Interp::new(tp, globals);
-
-        // Replicated packet-local allocations.
-        let spec = &plan.filters[j];
-        if !spec.replicated_decls.is_empty() {
-            let decls = spec.replicated_decls.clone();
-            interp
-                .exec_stmts_with_vars(&plan.np.class, &decls, &mut vars)
-                .map_err(CompileError::from)?;
-        }
-
-        // Execute atoms.
-        let atoms = spec.atoms.clone();
-        let mut k = 0usize;
-        while k < atoms.len() {
-            let a = atoms[k];
-            match &plan.graph.atoms[a].code {
-                AtomCode::Straight(ss) => {
-                    let ss = ss.clone();
-                    interp
-                        .exec_stmts_with_vars(&plan.np.class, &ss, &mut vars)
-                        .map_err(CompileError::from)?;
-                }
-                AtomCode::Foreach(s) => {
-                    let s = s.clone();
-                    interp
-                        .exec_stmts_with_vars(&plan.np.class, std::slice::from_ref(&s), &mut vars)
-                        .map_err(CompileError::from)?;
-                }
-                AtomCode::CondSelect {
-                    var,
-                    domain,
-                    cond,
-                    cond_id,
-                } => {
-                    // Same-filter body? Reconstitute the conditional foreach.
-                    let body_here = k + 1 < atoms.len()
-                        && matches!(&plan.graph.atoms[atoms[k+1]].code, AtomCode::CondBody { cond_id: c2, .. } if c2 == cond_id);
-                    if body_here {
-                        let AtomCode::CondBody { body, .. } = &plan.graph.atoms[atoms[k + 1]].code
-                        else {
-                            unreachable!("checked above");
-                        };
-                        let merged = reconstitute(var, domain, cond, body);
-                        interp
-                            .exec_stmts_with_vars(
-                                &plan.np.class,
-                                std::slice::from_ref(&merged),
-                                &mut vars,
-                            )
-                            .map_err(CompileError::from)?;
-                        k += 2;
-                        continue;
-                    }
-                    // Cut here: evaluate the condition per point, collect
-                    // passing absolute indices.
-                    let mut passing = Vec::new();
-                    let (var, domain, cond) = (var.clone(), domain.clone(), cond.clone());
-                    let probe = select_probe(&var, &domain, &cond);
-                    let mut pv = vars.clone();
-                    interp
-                        .exec_stmts_with_vars(&plan.np.class, &probe, &mut pv)
-                        .map_err(CompileError::from)?;
-                    if let Some(Value::Array(mask)) = pv.get("__pass") {
-                        for (off, v) in mask.borrow().iter().enumerate() {
-                            if matches!(v, Value::Bool(true)) {
-                                passing.push(lo + off as i64);
-                            }
-                        }
-                    }
-                    selection = Some(passing);
-                }
-                AtomCode::CondBody { var, body, .. } => {
-                    // Executed for passing points only (received or locally
-                    // produced selection).
-                    let sel = selection
-                        .clone()
-                        .ok_or_else(|| CompileError::new("CondBody without a selection list"))?;
-                    let var = var.clone();
-                    let body = body.clone();
-                    for i in sel {
-                        vars.insert(var.clone(), Value::Int(i));
-                        interp
-                            .exec_stmts_with_vars(&plan.np.class, &body.stmts, &mut vars)
-                            .map_err(CompileError::from)?;
-                    }
-                    vars.remove(&var);
-                }
-            }
-            k += 1;
-        }
-
-        // Persist reduction-root mutations (Rc-shared, so already visible in
-        // state) — nothing to copy back explicitly. Pack for downstream.
-        self.emit(j, &vars, pkt, selection.as_deref())
-    }
-
-    /// [`FilterStepper::step`] on the register VM: same globals, same
-    /// packet-local bindings, same atom order (via the plan's lowered
-    /// step list), same pack/unpack — only the statement executor
-    /// changes. Divergence from the interpreter path is a bug; the
-    /// differential suites in `cgp-lang` and `cgp-core` enforce that.
-    fn step_vm(
-        &mut self,
-        j: usize,
-        pkt: (i64, i64),
-        input: Option<&[u8]>,
-    ) -> CompileResult<Option<Vec<u8>>> {
+        self.start(j)?;
         let lowered = &self.plan.lowered;
         let lo = pkt.0;
         let PacketFrame {
@@ -793,20 +733,20 @@ impl<'p> FilterStepper<'p> {
             mut vars,
             mut selection,
         } = self.bind_packet(j, pkt, input)?;
-        let mut vm = Vm::new(&lowered.prog, globals);
+        let mut engine = self.engine(globals);
 
-        if let Some(code) = &lowered.replicated[j] {
-            vm.exec_slice(code, &mut vars).map_err(CompileError::from)?;
+        // Replicated packet-local allocations.
+        if let Some(decls) = &lowered.replicated[j] {
+            engine.exec(decls, &mut vars)?;
         }
 
         for step in &lowered.steps[j] {
             match step {
-                LoweredStep::Slice(code) => {
-                    vm.exec_slice(code, &mut vars).map_err(CompileError::from)?;
-                }
-                LoweredStep::Select(code) => {
+                LoweredStep::Slice(slice) => engine.exec(slice, &mut vars)?,
+                LoweredStep::Select(probe) => {
+                    // Cut here: collect the passing absolute indices.
                     let mut pv = vars.clone();
-                    vm.exec_slice(code, &mut pv).map_err(CompileError::from)?;
+                    engine.exec(probe, &mut pv)?;
                     let mut passing = Vec::new();
                     if let Some(Value::Array(mask)) = pv.get("__pass") {
                         for (off, v) in mask.borrow().iter().enumerate() {
@@ -817,29 +757,40 @@ impl<'p> FilterStepper<'p> {
                     }
                     selection = Some(passing);
                 }
-                LoweredStep::Body { var, code } => {
+                LoweredStep::Body { var, body } => {
+                    // Executed for passing points only (received or
+                    // locally produced selection).
                     let sel = selection
                         .clone()
                         .ok_or_else(|| CompileError::new("CondBody without a selection list"))?;
                     for i in sel {
                         vars.insert(var.clone(), Value::Int(i));
-                        vm.exec_slice(code, &mut vars).map_err(CompileError::from)?;
+                        engine.exec(body, &mut vars)?;
                     }
                     vars.remove(var);
                 }
             }
         }
+
+        // Reduction-root mutations are Rc-shared, so already visible in
+        // state — nothing to copy back. Pack for downstream.
         self.emit(j, &vars, pkt, selection.as_deref())
     }
 
     /// Filter `j`'s reduction-variable bindings (for shipping at
     /// end-of-work in distributed executions).
+    ///
+    /// # Panics
+    ///
+    /// If unit `j` never started: its state does not exist yet, and an
+    /// empty map here would silently drop it downstream.
     pub fn reduction_state(&self, j: usize) -> HashMap<String, Value> {
+        let state = self.started(j);
         self.plan
             .analysis
             .reduction_roots
             .iter()
-            .filter_map(|r| self.state[j].get(r).map(|v| (r.clone(), v.clone())))
+            .filter_map(|r| state.get(r).map(|v| (r.clone(), v.clone())))
             .collect()
     }
 
@@ -850,21 +801,13 @@ impl<'p> FilterStepper<'p> {
         j: usize,
         partial: &HashMap<String, Value>,
     ) -> CompileResult<()> {
-        let tp = &self.plan.np.typed;
-        let mut interp = Interp::new(
-            tp,
-            HostEnv {
-                values: self.config.clone(),
-            },
-        );
+        self.start(j)?;
+        let mut engine = self.engine(self.config.clone());
+        let state = self.started(j);
         for (root, part) in partial {
-            let Some(Value::Object(own)) = self.state[j].get(root).cloned() else {
-                continue;
-            };
-            let class = own.borrow().class.clone();
-            interp
-                .call_method(&class, "reduce", Some(own), vec![part.clone()])
-                .map_err(CompileError::from)?;
+            if let Some(Value::Object(own)) = state.get(root) {
+                engine.reduce(Rc::clone(own), part.clone())?;
+            }
         }
         Ok(())
     }
@@ -872,54 +815,57 @@ impl<'p> FilterStepper<'p> {
     /// Run the epilogue against filter `j`'s state (after all partials have
     /// been merged into it). Returns the captured `print` output.
     pub fn epilogue_at(&mut self, j: usize) -> CompileResult<Vec<String>> {
-        let tp = &self.plan.np.typed;
-        let mut interp = Interp::new(
-            tp,
-            HostEnv {
-                values: self.config.clone(),
-            },
-        );
-        let mut vars = self.state[j].clone();
-        let epi = self.plan.np.epilogue.clone();
-        interp
-            .exec_stmts_with_vars(&self.plan.np.class, &epi, &mut vars)
-            .map_err(CompileError::from)?;
-        Ok(interp.output)
+        self.start(j)?;
+        let mut engine = self.engine(self.config.clone());
+        let mut vars = self.started(j).clone();
+        engine.exec(&self.plan.lowered.epilogue, &mut vars)?;
+        Ok(engine.output())
     }
 
-    /// Merge reduction copies into the last filter's state and run the
-    /// epilogue there. Returns the interpreter's captured `print` output.
+    /// Start every unit, merge the reduction copies into the last unit's
+    /// state and run the epilogue there, with the full host env as
+    /// globals. Returns the captured `print` output.
     pub fn finalize(&mut self, host: &HostEnv) -> CompileResult<Vec<String>> {
         let plan = self.plan;
-        let tp = &plan.np.typed;
-        let mut interp = Interp::new(
-            tp,
-            HostEnv {
-                values: host.values.clone(),
-            },
-        );
+        for j in 0..plan.m {
+            self.start(j)?;
+        }
+        let mut engine = self.engine(host.values.clone());
         let last = plan.m - 1;
-        let red_roots: Vec<String> = plan.analysis.reduction_roots.iter().cloned().collect();
-        for root in &red_roots {
-            let Some(Value::Object(final_obj)) = self.state[last].get(root).cloned() else {
+        for root in &plan.analysis.reduction_roots {
+            let Some(Value::Object(final_obj)) = self.started(last).get(root) else {
                 continue;
             };
-            let class = final_obj.borrow().class.clone();
             for j in 0..last {
-                if let Some(partial) = self.state[j].get(root).cloned() {
-                    interp
-                        .call_method(&class, "reduce", Some(final_obj.clone()), vec![partial])
-                        .map_err(CompileError::from)?;
+                if let Some(partial) = self.started(j).get(root) {
+                    engine.reduce(Rc::clone(final_obj), partial.clone())?;
                 }
             }
         }
-        let mut vars = self.state[last].clone();
-        let epi = plan.np.epilogue.clone();
-        interp
-            .exec_stmts_with_vars(&plan.np.class, &epi, &mut vars)
-            .map_err(CompileError::from)?;
-        Ok(interp.output)
+        let mut vars = self.started(last).clone();
+        engine.exec(&plan.lowered.epilogue, &mut vars)?;
+        Ok(engine.output())
     }
+}
+
+/// `__dom = <domain>; __np = <num_packets>;` — the loop-bounds probe.
+fn bounds_probe(np: &NormalizedPipeline) -> Vec<Stmt> {
+    let mut ids = NodeIdGen::above(&np.typed.program);
+    let mut decl = |name: &str, ty: Type, init: &Expr| {
+        Stmt::new(
+            ids.fresh(),
+            Span::synthetic(),
+            StmtKind::VarDecl {
+                name: name.into(),
+                ty,
+                init: Some(init.clone()),
+            },
+        )
+    };
+    vec![
+        decl("__dom", Type::RectDomain(1), &np.domain),
+        decl("__np", Type::Int, &np.num_packets),
+    ]
 }
 
 /// `foreach (var in domain) { if (cond) { body } }` — rebuilt when both
@@ -1244,6 +1190,38 @@ mod tests {
                 assert_eq!(vm_out, oracle(BASE, &host), "m={m} packets={np_}");
             }
         }
+    }
+
+    #[test]
+    fn units_start_on_their_own_once_and_lazily() {
+        let host = base_host(100, 5);
+        let plan = make_plan(BASE, 3, DecompStyle::Spread);
+        for vm in [false, true] {
+            let mut s = FilterStepper::new(&plan, &host).unwrap().with_vm(vm);
+            assert!(s.state.iter().all(Option::is_none), "new runs no prologue");
+            s.start(1).unwrap();
+            let started: Vec<bool> = s.state.iter().map(Option::is_some).collect();
+            assert_eq!(started, [false, true, false], "start(1) starts unit 1 only");
+            let before = s.reduction_state(1);
+            s.start(1).unwrap();
+            let (Value::Object(a), Value::Object(b)) =
+                (&before["acc"], &s.reduction_state(1)["acc"])
+            else {
+                panic!("acc is an object");
+            };
+            assert!(Rc::ptr_eq(a, b), "a second start leaves the state alone");
+            s.loop_bounds().unwrap();
+            let started: Vec<bool> = s.state.iter().map(Option::is_some).collect();
+            assert_eq!(started, [true, true, false], "loop_bounds starts unit 0");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit f3 (2) never started")]
+    fn reduction_state_of_an_unstarted_unit_is_a_caller_bug() {
+        let host = base_host(100, 5);
+        let plan = make_plan(BASE, 3, DecompStyle::Spread);
+        FilterStepper::new(&plan, &host).unwrap().reduction_state(2);
     }
 
     #[test]

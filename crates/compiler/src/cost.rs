@@ -718,17 +718,17 @@ impl LinkClass {
 /// constants against the baseline file so re-recording `BENCH_vm.json`
 /// on a very different machine flags them for re-calibration.
 ///
-/// The runtime executes filter bodies on the register VM by default
-/// (`CGP_NO_VM=1` falls back to the tree-walker), so plans built for real
-/// execution should use [`FilterEngine::Vm`]. Keep the *plan* engine fixed
-/// even when the runtime flag flips: byte-identity checks between VM and
-/// interpreter runs rely on both executing the same decomposition.
+/// The runtime executes every filter on the register VM, so plans built
+/// for real execution should use [`FilterEngine::Vm`]. Keep the *plan*
+/// engine fixed when comparing engines: byte-identity checks between the
+/// runtime and the interpreter-backed sequential oracle rely on both
+/// executing the same decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterEngine {
-    /// Register bytecode VM (`cgp_lang::bytecode`), the default engine.
+    /// Register bytecode VM (`cgp_lang::bytecode`), the runtime's engine.
     Vm,
-    /// Tree-walking interpreter (`cgp_lang::interp`), the `CGP_NO_VM=1`
-    /// fallback and the sequential oracle.
+    /// Tree-walking interpreter (`cgp_lang::interp`), the sequential
+    /// oracle.
     TreeWalker,
 }
 

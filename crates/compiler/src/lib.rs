@@ -64,7 +64,7 @@ pub mod reqcomm;
 pub use calibrate::{CalibrationReport, MeasuredLink, MeasuredStage, StageCalibration};
 pub use codegen::{
     build_plan, run_plan_sequential, FilterPlan, FilterSpec, FilterStepper, LoweredPlan,
-    LoweredStep,
+    LoweredSlice, LoweredStep,
 };
 pub use decompose::{decompose_brute_force, decompose_dp, Decomposition, Problem};
 pub use driver::{

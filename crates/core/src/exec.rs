@@ -13,11 +13,13 @@
 //! whatever the runtime's round-robin delivers. The last stage runs the
 //! epilogue once every upstream copy's state has been merged.
 //!
-//! Interpreter values are thread-local (`Rc`-based), so each filter copy
-//! rebuilds its host bindings on its own thread through the provided
-//! builder — deterministic builders make every copy see the same data,
-//! while the analysis guarantees only the source actually touches the
-//! extern arrays per packet.
+//! Each filter copy runs only its own pipeline unit, and that unit's whole
+//! lifecycle — prologue, packet steps, reduction merges, epilogue — on
+//! the register bytecode VM. Dialect values are thread-local
+//! (`Rc`-based), so each copy rebuilds its host bindings on its own
+//! thread through the provided builder — deterministic builders make
+//! every copy see the same data, while the analysis guarantees only the
+//! source actually touches the extern arrays per packet.
 
 use crate::codec::{decode_state, encode_state};
 use crate::error::CoreError;
@@ -136,10 +138,6 @@ pub struct ExecOptions {
     /// of the lock-free SPSC ring (`CGP_NO_RINGS=1`). Benchmarking and
     /// escape hatch; rings are on by default.
     pub no_rings: bool,
-    /// Execute packet steps on the tree-walking interpreter instead of
-    /// the register bytecode VM (`CGP_NO_VM=1`). Benchmarking and escape
-    /// hatch; the VM is on by default and byte-identical by contract.
-    pub no_vm: bool,
     /// Distributed transport between same-host workers: `None`/`"shm"`
     /// uses shared-memory rings, `"tcp"` forces loopback TCP
     /// (`CGP_TRANSPORT`). Cross-host links always use TCP.
@@ -200,8 +198,6 @@ impl ExecOptions {
     /// - `CGP_TELEMETRY` — launcher telemetry aggregator address;
     /// - `CGP_NO_RINGS` — `1`/`true`/`on` forces mutex channels on
     ///   every 1→1 link (disables the lock-free SPSC ring);
-    /// - `CGP_NO_VM` — `1`/`true`/`on` runs packet steps on the
-    ///   tree-walking interpreter instead of the bytecode VM;
     /// - `CGP_TRANSPORT` — `shm` (default) or `tcp` for same-host
     ///   worker links;
     /// - `CGP_AUTOSCALE` — elastic copy-width autoscaling: `on` for
@@ -252,9 +248,6 @@ impl ExecOptions {
         }
         if let Some(b) = flag("CGP_NO_RINGS")? {
             opts.no_rings = b;
-        }
-        if let Some(b) = flag("CGP_NO_VM")? {
-            opts.no_vm = b;
         }
         if let Some(v) = lookup("CGP_TRANSPORT") {
             match v.trim().to_ascii_lowercase().as_str() {
@@ -488,7 +481,6 @@ fn build_pipeline(
     };
     let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let batch = opts.batch.unwrap_or(DEFAULT_BATCH).max(1);
-    let use_vm = !opts.no_vm;
     let autoscale_cfg = match &opts.autoscale {
         Some(spec) => {
             let mut cfg = AutoscaleConfig::parse(spec)
@@ -602,7 +594,6 @@ fn build_pipeline(
                     width,
                     m,
                     batch,
-                    use_vm,
                     output: Arc::clone(&out),
                     pending_restore: None,
                 })
@@ -628,7 +619,6 @@ struct PlanFilter {
     width: usize,
     m: usize,
     batch: usize,
-    use_vm: bool,
     output: Arc<Mutex<Vec<String>>>,
     /// Checkpoint bytes handed to `Filter::restore` before `process`
     /// runs; decoded and merged into the fresh reduction state once the
@@ -653,8 +643,12 @@ impl PlanFilter {
         let plan = Arc::clone(&self.plan);
         let mut stepper = FilterStepper::new(&plan, &host)
             .map_err(CoreError::Compile)?
-            .with_vm(self.use_vm);
+            .with_vm(true);
         let j = self.j;
+        // This copy runs only its own unit. Start it before reading any
+        // input, so a failing prologue fails the copy up front and a
+        // copy that never receives a packet still ships its state.
+        stepper.start(j).map_err(CoreError::Compile)?;
 
         if j == 0 {
             // Source: generate this copy's share of the packets, shipping
@@ -1296,57 +1290,151 @@ mod tests {
 
     #[test]
     fn vm_and_interpreter_runs_are_byte_identical() {
+        // The threaded runtime runs every lifecycle stage on the VM;
+        // `run_plan_sequential` interprets the same plan, and `run_main`
+        // interprets the uncompiled program.
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let plan = Arc::new(c.plan);
-        let (vm_out, _) = run_plan_threaded_stats(
-            Arc::clone(&plan),
+        let sequential = cgp_compiler::run_plan_sequential(&c.plan, &host()).unwrap();
+        let (threaded, _) = run_plan_threaded_stats(
+            Arc::new(c.plan),
             Arc::new(host),
             None,
-            &ExecOptions {
-                no_vm: false,
-                ..Default::default()
-            },
+            &ExecOptions::default(),
         )
         .unwrap();
-        let (it_out, _) = run_plan_threaded_stats(
-            Arc::clone(&plan),
-            Arc::new(host),
-            None,
-            &ExecOptions {
-                no_vm: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(vm_out, it_out, "engines diverged");
-        assert_eq!(vm_out, oracle());
+        assert_eq!(
+            threaded, sequential,
+            "runtime diverged from the sequential plan"
+        );
+        assert_eq!(threaded, oracle());
     }
 
     #[test]
     fn vm_run_under_injected_fault_and_recovery_matches_oracle() {
         // The chaos case: a panic injected mid-stream, masked by the
-        // recovery layer, must be byte-identical whichever engine runs
-        // the packet steps.
+        // recovery layer, must stay byte-identical.
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let plan = Arc::new(c.plan);
-        for on in [true, false] {
-            let exec = ExecOptions {
-                faults: FaultPlan::new().panic_at("f2", 0, 3),
-                deadline: Some(Duration::from_secs(30)),
-                recover: true,
-                checkpoint_every: Some(2),
-                no_vm: !on,
-                ..Default::default()
-            };
-            let (out, stats) =
-                run_plan_threaded_stats(Arc::clone(&plan), Arc::new(host), None, &exec).unwrap();
-            assert_eq!(out, oracle(), "vm={on}");
-            assert_eq!(stats.recoveries(), 1, "vm={on}");
+        let exec = ExecOptions {
+            faults: FaultPlan::new().panic_at("f2", 0, 3),
+            deadline: Some(Duration::from_secs(30)),
+            recover: true,
+            checkpoint_every: Some(2),
+            ..Default::default()
+        };
+        let (out, stats) =
+            run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec).unwrap();
+        assert_eq!(out, oracle());
+        assert_eq!(stats.recoveries(), 1);
+    }
+
+    /// [`SRC`] whose reduction also counts merges: each `reduce` adds one
+    /// plus the partial's own count, so the final count is the number of
+    /// states shipped across the whole run.
+    const COUNTING_SRC: &str = r#"
+        extern int n;
+        extern double[] data;
+        runtime_define int num_packets;
+        class Acc implements Reducinterface {
+            double total;
+            int merges;
+            void reduce(Acc other) {
+                total = total + other.total;
+                merges = merges + other.merges + 1;
+            }
+            void add(double x) { total = total + x; }
         }
+        class A {
+            void main() {
+                RectDomain<1> all = [0 : n - 1];
+                Acc acc = new Acc();
+                PipelinedLoop (pkt in all; num_packets) {
+                    foreach (i in pkt) {
+                        double v = data[i] * 2.0 + 1.0;
+                        if (v > 60.0) {
+                            acc.add(v);
+                        }
+                    }
+                }
+                print(acc.total);
+                print(acc.merges);
+            }
+        }
+    "#;
+
+    #[test]
+    fn idle_copy_starts_and_ships_its_state() {
+        // Two packets into four f2 copies: f2 receives three buffers in
+        // all (two packets and f1's state), so at least one copy gets
+        // none. It must still start its unit and ship exactly one state,
+        // like every other copy upstream of the last stage: 1 + 4 merges.
+        let opts =
+            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 2).with_symbol("n", 200);
+        let c = compile(COUNTING_SRC, &opts).unwrap();
+        let two_packets = || host().bind("num_packets", Value::Int(2));
+        let tp = cgp_lang::frontend(COUNTING_SRC).unwrap();
+        let mut it = Interp::new(&tp, two_packets());
+        it.run_main().unwrap();
+        let widths = [1usize, 4, 1];
+        let (out, stats) = run_plan_threaded_stats(
+            Arc::new(c.plan),
+            Arc::new(two_packets),
+            Some(&widths),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(stats.stages[1].buffers_in, 3, "two packets plus f1's state");
+        assert_eq!(
+            out[0], it.output[0],
+            "the reduction total matches the oracle"
+        );
+        assert_eq!(
+            out[1], "5",
+            "one merge per shipped state: f1 plus four f2 copies"
+        );
+    }
+
+    #[test]
+    fn failing_prologue_fails_the_run_with_the_diagnostic() {
+        let src = SRC
+            .replace(
+                "void add(double x) { total = total + x; }",
+                "void add(double x) { total = total + x; }
+             void setup() { double[] t = new double[2]; t[5] = 1.0; }",
+            )
+            .replace(
+                "Acc acc = new Acc();",
+                "Acc acc = new Acc();
+             acc.setup();",
+            );
+        let tp = cgp_lang::frontend(&src).unwrap();
+        let diag = Interp::new(&tp, host())
+            .run_main()
+            .expect_err("the oracle fails in the prologue");
+        let opts =
+            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
+        let c = compile(&src, &opts).unwrap();
+        let exec = ExecOptions {
+            deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        let err = run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec)
+            .expect_err("a failing prologue must fail the run");
+        let CoreError::Runtime(fe) = &err else {
+            panic!("expected a runtime error naming a stage, got {err}");
+        };
+        assert!(
+            ["f1", "f2", "f3"].iter().any(|s| fe.filter.contains(s)),
+            "error names a stage: {fe}"
+        );
+        assert!(
+            fe.to_string().contains(&diag.message),
+            "error carries the interpreter's diagnostic {:?}: {fe}",
+            diag.message
+        );
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub use sim::{
 
 /// Re-exports of the underlying crates for applications that need them.
 pub mod lang {
-    pub use cgp_lang::interp::{split_domain, HostEnv, Interp};
+    /// `interp` is the tree-walking interpreter: the sequential oracle
+    /// that runs whole programs. The runtime never uses it.
+    pub use cgp_lang::interp::{self, split_domain, HostEnv};
     pub use cgp_lang::{frontend, parse, Diagnostic, Program, TypedProgram, Value};
 }
 pub use cgp_apps as apps;

@@ -121,6 +121,25 @@ impl<'p> Vm<'p> {
         // exactly what the interpreter's `mem::take` does on that path.
     }
 
+    /// Call `class::method` on `this` with `args` — the bytecode analogue
+    /// of `Interp::call_method`, with the same unknown-method and arity
+    /// diagnostics.
+    pub fn call_method(
+        &mut self,
+        class: &str,
+        method: &str,
+        this: Option<Rc<RefCell<ObjectVal>>>,
+        args: Vec<Value>,
+    ) -> LangResult<Value> {
+        let mi = self.prog.method_id(class, method).ok_or_else(|| {
+            interp_err(
+                Span::synthetic(),
+                format!("unknown method `{class}::{method}`"),
+            )
+        })?;
+        self.invoke(mi as usize, this, &args)
+    }
+
     /// Call a lowered method by id. `args` is borrowed straight from the
     /// caller's registers — no intermediate argv allocation.
     fn invoke(

@@ -157,3 +157,64 @@ fn packet_count_never_changes_vm_output() {
         "no cleanly-running pipelined program in 20 seeds"
     );
 }
+
+#[test]
+fn call_method_agrees_with_interpreter() {
+    // A reduction-style merge entry (the runtime's `reduce` call), a
+    // value-returning method with int→double coercions on both sides of
+    // the boundary, and the two call diagnostics: an unknown method and
+    // an arity mismatch.
+    let src = r#"
+        class Acc implements Reducinterface {
+            double total;
+            int merges;
+            void reduce(Acc other) { total = total + other.total; merges = merges + 1; }
+            double scaled(double f) { return total * f + merges; }
+            int whole() { return 2; }
+        }
+        class A { void main() { } }
+    "#;
+    let tp = frontend(src).expect("frontend");
+    let prog = ProgramCode::lower(&tp);
+    let acc = |total: f64| {
+        let mut fields = HashMap::new();
+        fields.insert("total".to_string(), Value::Double(total));
+        fields.insert("merges".to_string(), Value::Int(0));
+        Value::new_object("Acc", fields)
+    };
+    let obj = |v: &Value| match v {
+        Value::Object(o) => o.clone(),
+        other => panic!("not an object: {other}"),
+    };
+    let cases: Vec<(&str, Vec<Value>)> = vec![
+        ("reduce", vec![acc(2.5)]),
+        ("scaled", vec![Value::Int(3)]),
+        ("whole", vec![]),
+        ("missing", vec![]),
+        ("scaled", vec![]),
+    ];
+    for (method, args) in cases {
+        let (it_this, vm_this) = (acc(1.0), acc(1.0));
+        let mut it = Interp::new(&tp, HostEnv::new());
+        let ires = it.call_method("Acc", method, Some(obj(&it_this)), args.clone());
+        let mut vm = Vm::new(&prog, HostEnv::new());
+        let vres = vm.call_method("Acc", method, Some(obj(&vm_this)), args);
+        match (&ires, &vres) {
+            (Ok(a), Ok(b)) => assert!(a.deep_eq(b), "{method}: returned {a} vs {b}"),
+            (Err(ie), Err(ve)) => assert_eq!(ie, ve, "{method}: diagnostics diverged"),
+            _ => panic!("{method}: engines disagree: interp {ires:?}, vm {vres:?}"),
+        }
+        assert!(
+            it_this.deep_eq(&vm_this),
+            "{method}: receiver state diverged: {it_this} vs {vm_this}"
+        );
+    }
+    let mut vm = Vm::new(&prog, HostEnv::new());
+    let err = vm
+        .call_method("Nope", "reduce", None, vec![])
+        .expect_err("unknown class");
+    assert!(
+        err.to_string().contains("unknown method `Nope::reduce`"),
+        "{err}"
+    );
+}

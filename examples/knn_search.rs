@@ -7,7 +7,7 @@
 
 use cgp_core::apps::dialect::{knn_host_env, KNN_SRC};
 use cgp_core::apps::knn::{generate_points, KnnPipeline, KnnVersion};
-use cgp_core::lang::{frontend, Interp};
+use cgp_core::lang::{frontend, interp::Interp};
 use cgp_core::{
     compile, paper_grid, run_plan_sequential, simulate_variant, CompileOptions, PipelineEnv,
 };

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use cgp_core::lang::{frontend, HostEnv, Interp, Value};
+use cgp_core::lang::{frontend, interp::Interp, HostEnv, Value};
 use cgp_core::{
     compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv,
 };

@@ -5,7 +5,7 @@ use cgp_core::apps::dialect::*;
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
-use cgp_core::lang::{frontend, HostEnv, Interp};
+use cgp_core::lang::{frontend, interp::Interp, HostEnv};
 use cgp_core::{compile, run_plan_sequential, CompileOptions, Objective, PipelineEnv};
 
 fn oracle(src: &str, host: &HostEnv) -> Vec<String> {

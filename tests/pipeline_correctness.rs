@@ -6,7 +6,7 @@ use cgp_core::apps::dialect::*;
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
-use cgp_core::lang::{frontend, HostEnv, Interp};
+use cgp_core::lang::{frontend, interp::Interp, HostEnv};
 use cgp_core::{compile, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv};
 use std::sync::Arc;
 
