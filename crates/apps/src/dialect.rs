@@ -13,10 +13,10 @@
 use crate::isosurface::ScalarGrid;
 use crate::vmscope::Slide;
 use cgp_lang::interp::HostEnv;
-use cgp_lang::value::Value;
+use cgp_lang::value::{ObjectVal, Shape, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Isosurface rendering with z-buffers (the paper's Figure 1 workload).
 pub const ZBUF_SRC: &str = r#"
@@ -92,7 +92,10 @@ class IsoZbuf {
 "#;
 
 /// Isosurface rendering with active pixels: the sparse accumulation
-/// variant — same front half, sparse reduction object.
+/// variant — same front half, sparse reduction object. The pixel list's
+/// order depends on which copy's partial merges first, so `checksum` sums
+/// a dense screen-indexed copy in pixel order: transparent copies give the
+/// same bytes as the sequential run.
 pub const APIX_SRC: &str = r#"
 extern int ncubes;
 extern Cube[] cubes;
@@ -143,9 +146,11 @@ class ActivePixels implements Reducinterface {
             put(other.pix[i], other.depth[i], other.color[i]);
         }
     }
-    double checksum() {
+    double checksum(int npix) {
+        double[] dense = new double[npix];
+        for (int i = 0; i < count; i += 1) { dense[pix[i]] = color[i] + toDouble(pix[i]); }
         double s = 0.0;
-        for (int i = 0; i < count; i += 1) { s += color[i] + toDouble(pix[i]); }
+        for (int q = 0; q < npix; q += 1) { s += dense[q]; }
         return s;
     }
 }
@@ -172,7 +177,7 @@ class IsoApix {
                 }
             }
         }
-        print(ap.checksum());
+        print(ap.checksum(screen * screen));
     }
 }
 "#;
@@ -317,21 +322,27 @@ class Vmscope {
 /// Build the host environment for the isosurface dialect programs from a
 /// scalar grid (cube objects with corner values and cell coordinates).
 pub fn iso_host_env(grid: &ScalarGrid, isovalue: f64, screen: i64, num_packets: i64) -> HostEnv {
-    const CORNERS: [&str; 8] = ["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"];
+    // Eight corners plus the three coordinates, in `Cube`'s declared order;
+    // every cube shares this one shape.
+    const FIELDS: [&str; 11] = [
+        "v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "cx", "cy", "cz",
+    ];
+    let shape = Shape::new("Cube", FIELDS.iter().map(|f| f.to_string()).collect());
     let ncubes = grid.cubes();
     let mut cubes: Vec<Value> = Vec::with_capacity(ncubes);
     for c in 0..ncubes {
-        let corners = grid.corners(c);
         let (cx, cy, cz) = grid.cube_coords(c);
-        // Eight corners plus the three coordinates.
-        let mut fields = HashMap::with_capacity(CORNERS.len() + 3);
-        for (name, v) in CORNERS.iter().zip(corners) {
-            fields.insert(name.to_string(), Value::Double(v as f64));
-        }
-        fields.insert("cx".to_string(), Value::Double(cx as f64));
-        fields.insert("cy".to_string(), Value::Double(cy as f64));
-        fields.insert("cz".to_string(), Value::Double(cz as f64));
-        cubes.push(Value::new_object("Cube", fields));
+        let slots = grid
+            .corners(c)
+            .iter()
+            .map(|&v| v as f64)
+            .chain([cx as f64, cy as f64, cz as f64])
+            .map(|v| Some(Value::Double(v)))
+            .collect();
+        cubes.push(Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+            Arc::clone(&shape),
+            slots,
+        )))));
     }
     HostEnv::new()
         .bind("ncubes", Value::Int(ncubes as i64))
@@ -385,6 +396,7 @@ mod tests {
     use cgp_compiler::graph::BoundaryKind;
     use cgp_compiler::{compile, run_plan_sequential, CompileOptions};
     use cgp_lang::interp::Interp;
+    use std::collections::HashMap;
 
     fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
         let tp = cgp_lang::frontend(src).unwrap();
@@ -407,12 +419,24 @@ mod tests {
         };
         let cubes = cubes.borrow();
         assert_eq!(cubes.len(), grid.cubes());
+        let Value::Object(first) = &cubes[0] else {
+            panic!("cube 0 is not an object");
+        };
+        let shape = Arc::clone(first.borrow().shape());
+        let declared = [
+            "v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "cx", "cy", "cz",
+        ];
+        assert_eq!(shape.names(), declared, "fields in `Cube`'s declared order");
         for (c, cube) in cubes.iter().enumerate() {
             let Value::Object(obj) = cube else {
                 panic!("cube {c} is not an object");
             };
             let obj = obj.borrow();
-            assert_eq!(obj.class, "Cube");
+            assert!(
+                Arc::ptr_eq(obj.shape(), &shape),
+                "cube {c} has its own shape"
+            );
+            assert_eq!(obj.class(), "Cube");
             let (cx, cy, cz) = grid.cube_coords(c);
             let mut want: HashMap<String, f64> = grid
                 .corners(c)
@@ -425,10 +449,10 @@ mod tests {
                 ("cy".to_string(), cy as f64),
                 ("cz".to_string(), cz as f64),
             ]);
-            assert_eq!(obj.fields.len(), want.len(), "cube {c}");
+            assert_eq!(obj.field_count(), want.len(), "cube {c}");
             for (name, v) in &want {
                 assert!(
-                    obj.fields[name].deep_eq(&Value::Double(*v)),
+                    obj.get(name).is_some_and(|f| f.deep_eq(&Value::Double(*v))),
                     "cube {c} field {name}"
                 );
             }

@@ -1030,10 +1030,10 @@ fn demo_config(app: DialectApp) -> (&'static str, &'static str, CompileOptions) 
     // knn and vmscope plan at the calibrated VM compute power (the engine
     // that actually runs their filter bodies; see
     // `cgp_compiler::cost::FilterEngine`). The iso programs stay on the
-    // legacy conservative 1e8: their bodies are dominated by boxed
-    // `cubes[c].vN` field reads, which both engines execute well below
-    // the calibrated standard-op rate — raising their planning power
-    // would widen, not shrink, their calibration residuals.
+    // legacy conservative 1e8, chosen when every `cubes[c].vN` read
+    // hashed its name in a per-object map. Object shapes made those reads
+    // a cached slot index; whether the iso programs should move to the VM
+    // power is for the calibration work to decide.
     let vm_power = cgp_compiler::cost::FilterEngine::Vm.power();
     match app {
         DialectApp::Zbuf => (

@@ -539,7 +539,7 @@ impl Engine<'_> {
 
     /// Merge `partial` into `own` through its class's `reduce` method.
     fn reduce(&mut self, own: Rc<RefCell<ObjectVal>>, partial: Value) -> CompileResult<()> {
-        let class = own.borrow().class.clone();
+        let class = own.borrow().class().to_string();
         match self {
             Engine::Tree { interp, .. } => {
                 interp.call_method(&class, "reduce", Some(own), vec![partial])

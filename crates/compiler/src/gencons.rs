@@ -270,11 +270,13 @@ impl<'a> Analyzer<'a> {
                     sets.cons.kill_all(&g);
                     sets.cons.extend(&c);
                 }
-                if let Some(i) = init {
-                    self.stmt(sets, i)?;
-                }
+                // Reverse order: `init` runs before the first `cond`, so
+                // its definition must kill `cond`'s reads of the loop var.
                 if let Some(c) = cond {
                     self.add_reads(sets, c)?;
+                }
+                if let Some(i) = init {
+                    self.stmt(sets, i)?;
                 }
                 if let Some(st) = step {
                     // step reads/writes its var; the var is loop-local.
@@ -1185,6 +1187,50 @@ mod tests {
         let sets = analyze_stmts(&np, &np.body_stmts()).unwrap();
         let cons = fmt(&sets.cons);
         assert!(cons.contains("xs[0 : 7]"), "cons = {cons}");
+    }
+
+    #[test]
+    fn for_var_declared_under_a_condition_stays_loop_local() {
+        // vmscope's shape: a `for` declared inside an `if` inside a
+        // `foreach`. `init` runs before `cond`, so the loop variable is
+        // defined before its first read and must not leak into any Cons
+        // or ReqComm (where `pack` would look for it in the upstream
+        // frame).
+        let src = r#"
+            extern int n;
+            extern int w;
+            extern double[] px;
+            class Acc implements Reducinterface {
+                double t;
+                void reduce(Acc o) { t = t + o.t; }
+                void add(double v) { t = t + v; }
+            }
+            class A { void main() {
+                RectDomain<1> rows = [0 : n - 1];
+                Acc acc = new Acc();
+                PipelinedLoop (pkt in rows; 4) {
+                    foreach (y in pkt) {
+                        if (y % 2 == 0) {
+                            for (int sx = 0; sx < w; sx += 1) {
+                                acc.add(px[y * 4 + sx]);
+                            }
+                        }
+                    }
+                }
+                print(acc.t);
+            } }
+        "#;
+        let np = pipeline(src);
+        let g = build_graph(&np).unwrap();
+        let ca = crate::reqcomm::analyze_chain(&np, &g).unwrap();
+        let leaks = |set: &PlaceSet| set.iter().any(|p| p.root == "sx");
+        for (a, sets) in ca.atom_sets.iter().enumerate() {
+            assert!(!leaks(&sets.cons), "atom {a} Cons = {}", sets.cons);
+        }
+        for (b, set) in ca.reqcomm_raw.iter().enumerate() {
+            assert!(!leaks(set), "ReqComm(b{b}) = {set}");
+        }
+        assert!(!leaks(&ca.input_set), "input set = {}", ca.input_set);
     }
 
     #[test]

@@ -25,10 +25,11 @@ use crate::error::{CompileError, CompileResult};
 use crate::normalize::NormalizedPipeline;
 use crate::place::{Place, Sectioning};
 use cgp_lang::ast::Type;
-use cgp_lang::value::Value;
+use cgp_lang::value::{ObjectVal, Shape, Value};
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One packed field: the place and the filter (pipeline-unit index) that
 /// first consumes it.
@@ -234,9 +235,13 @@ type SharedArray = Rc<RefCell<Vec<Value>>>;
 /// previous section's lower bound to the end (everything below is already
 /// `Null`) and resizes to this packet's length, so unpacking costs
 /// O(packet) rather than O(top index).
+///
+/// It also keeps the field paths of the last layout it unpacked, so the
+/// objects every packet rebuilds share one shape per received root.
 #[derive(Default)]
 struct ReceiveArrays {
     slots: Vec<RecvSlot>,
+    paths: Option<(PackLayout, Rc<[FieldPath]>)>,
 }
 
 struct RecvSlot {
@@ -291,6 +296,18 @@ impl ReceiveArrays {
         Rc::clone(&slot.array)
     }
 
+    /// The field paths of `layout`'s entries, made once per layout.
+    fn paths(&mut self, layout: &PackLayout) -> Rc<[FieldPath]> {
+        match &self.paths {
+            Some((l, paths)) if l == layout => Rc::clone(paths),
+            _ => {
+                let paths: Rc<[FieldPath]> = field_paths(layout).into();
+                self.paths = Some((layout.clone(), Rc::clone(&paths)));
+                paths
+            }
+        }
+    }
+
     /// A second entry of the same root in this packet writes from `lowest`.
     fn extend_written(&mut self, root: &str, lowest: usize) {
         if let Some(slot) = self.slots.iter_mut().find(|s| s.root == root) {
@@ -305,6 +322,52 @@ struct Run {
     lo: i64,
     /// The element indices the wire carries, in wire order.
     ix: Vec<i64>,
+}
+
+/// Class of the objects unpack rebuilds from field paths.
+const PACKED_CLASS: &str = "__packed";
+
+/// The shape and slot of each step of a place's field path, root first.
+type FieldPath = Vec<(Arc<Shape>, usize)>;
+
+/// The field path of every entry of `layout` (instance-wise, then
+/// field-wise). Entries with the same root and path prefix share that
+/// step's shape, whose names are the fields those entries reach next, in
+/// entry order: one shape per received object root. Fields that did not
+/// cross have no slot, so reading one fails as a missing field.
+fn field_paths(layout: &PackLayout) -> Vec<FieldPath> {
+    let places: Vec<&Place> = layout.entries().map(|e| &e.place).collect();
+    // (a place reaching the step, the step's depth, its shape)
+    let mut shapes: Vec<(&Place, usize, Arc<Shape>)> = Vec::new();
+    let mut paths = Vec::with_capacity(places.len());
+    for &p in &places {
+        let mut path = FieldPath::new();
+        for (k, field) in p.fields.iter().enumerate() {
+            let at_step = |q: &Place| {
+                q.root == p.root && q.fields.len() > k && q.fields[..k] == p.fields[..k]
+            };
+            let shape = match shapes.iter().find(|(q, j, _)| *j == k && at_step(q)) {
+                Some((_, _, s)) => Arc::clone(s),
+                None => {
+                    let mut names: Vec<String> = Vec::new();
+                    for q in places.iter().filter(|q| at_step(q)) {
+                        if !names.contains(&q.fields[k]) {
+                            names.push(q.fields[k].clone());
+                        }
+                    }
+                    let s = Shape::new(PACKED_CLASS, names);
+                    shapes.push((p, k, Arc::clone(&s)));
+                    s
+                }
+            };
+            let slot = shape
+                .slot_of(field)
+                .expect("the step's names include this path's field");
+            path.push((shape, slot));
+        }
+        paths.push(path);
+    }
+    paths
 }
 
 /// Bind the array `run` unpacks into under `root`: the one an earlier
@@ -452,11 +515,12 @@ fn put_word(a: &mut [Value], i: i64, kind: ScalarKind, word: &[u8]) -> CompileRe
 /// [`pack_run`]) into the array bound for its root: for a plain array
 /// root with an 8-byte scalar kind the wire run is taken as one slice
 /// (one bounds check) and scattered under a single `borrow_mut`;
-/// otherwise falls back to per-element store.
+/// otherwise falls back to per-element store through the entry's field
+/// path.
 fn unpack_run(
-    vars: &mut HashMap<String, Value>,
     a: &SharedArray,
     e: &PackEntry,
+    path: &[(Arc<Shape>, usize)],
     ix: &[i64],
     buf: &[u8],
     pos: &mut usize,
@@ -475,7 +539,7 @@ fn unpack_run(
     }
     for &i in ix {
         let v = read_scalar(buf, pos, e.elem)?;
-        store(vars, &e.place, Some(i), v)?;
+        store_elem(a, i, path, v)?;
     }
     Ok(())
 }
@@ -562,7 +626,7 @@ fn select(vars: &HashMap<String, Value>, p: &Place, idx: Option<i64>) -> Compile
             return Ok(Value::Double(0.0));
         };
         let next =
-            o.borrow().fields.get(f).cloned().ok_or_else(|| {
+            o.borrow().get(f).cloned().ok_or_else(|| {
                 CompileError::new(format!("missing field `{f}` while packing {p}"))
             })?;
         cur = next;
@@ -570,77 +634,82 @@ fn select(vars: &HashMap<String, Value>, p: &Place, idx: Option<i64>) -> Compile
     Ok(cur)
 }
 
-/// Store a scalar into `vars` at the slot a place selects; creates objects
-/// as needed (the receiving filter starts from an empty frame). A
-/// sectioned place's array must already be bound ([`bind_array`]).
+/// Store a not-indexed place's scalar into `vars`, through `path` (the
+/// place's field path) when it has one. The receiving filter starts from
+/// an empty frame, so the path's objects are made here.
 fn store(
     vars: &mut HashMap<String, Value>,
     p: &Place,
-    idx: Option<i64>,
+    path: &[(Arc<Shape>, usize)],
     v: Value,
 ) -> CompileResult<()> {
     if !vars.contains_key(&p.root) {
         vars.insert(p.root.clone(), Value::Null);
     }
-    let root = vars.get_mut(&p.root).expect("bound above");
-    if p.fields.is_empty() {
-        match idx {
-            None => {
-                *root = v;
-            }
-            Some(i) => {
-                let Value::Array(a) = root else {
-                    return Err(CompileError::new(format!("`{}` is not an array", p.root)));
-                };
-                let mut a = a.borrow_mut();
-                let i = i as usize;
-                if i >= a.len() {
-                    return Err(CompileError::new(format!("unpack index {i} out of range")));
-                }
-                a[i] = v;
-            }
-        }
+    put_path(vars.get_mut(&p.root).expect("bound above"), path, v)
+}
+
+/// Store element `i` of a sectioned place into its bound array `a`,
+/// through `path` when the place has a field path.
+fn store_elem(
+    a: &SharedArray,
+    i: i64,
+    path: &[(Arc<Shape>, usize)],
+    v: Value,
+) -> CompileResult<()> {
+    let mut a = a.borrow_mut();
+    let slot = usize::try_from(i)
+        .ok()
+        .and_then(|i| a.get_mut(i))
+        .ok_or_else(|| CompileError::new(format!("unpack index {i} out of range")))?;
+    put_path(slot, path, v)
+}
+
+/// Write `v` into `slot` through `path`: each step's object is the one
+/// already there or a new one of the step's shape.
+fn put_path(slot: &mut Value, path: &[(Arc<Shape>, usize)], v: Value) -> CompileResult<()> {
+    let Some(((shape, _), _)) = path.split_first() else {
+        *slot = v;
         return Ok(());
-    }
-    // field path: ensure an object exists at the slot, then walk/create
-    let slot_obj = |slot: &mut Value| -> Value {
-        if !matches!(slot, Value::Object(_)) {
-            *slot = Value::new_object("__packed", HashMap::new());
-        }
-        slot.clone()
     };
-    let mut cur = match idx {
-        None => slot_obj(root),
-        Some(i) => {
-            let Value::Array(a) = root else {
-                return Err(CompileError::new(format!("`{}` is not an array", p.root)));
-            };
-            let mut a = a.borrow_mut();
-            let i = i as usize;
-            if i >= a.len() {
-                return Err(CompileError::new(format!("unpack index {i} out of range")));
-            }
-            slot_obj(&mut a[i])
-        }
-    };
-    for (k, f) in p.fields.iter().enumerate() {
-        let Value::Object(o) = &cur else {
-            unreachable!("slot_obj guarantees an object");
-        };
-        if k == p.fields.len() - 1 {
-            o.borrow_mut().fields.insert(f.clone(), v);
-            return Ok(());
-        }
+    let mut cur = object_in(slot, shape);
+    for (k, (shape, i)) in path.iter().enumerate() {
         let next = {
-            let mut ob = o.borrow_mut();
-            ob.fields
-                .entry(f.clone())
-                .or_insert_with(|| Value::new_object("__packed", HashMap::new()))
-                .clone()
+            let mut o = cur.borrow_mut();
+            // An object this layout did not build keeps its own shape.
+            let i = if o.shape().id() == shape.id() {
+                *i
+            } else {
+                let f = &shape.names()[*i];
+                o.shape().slot_of(f).ok_or_else(|| {
+                    CompileError::new(format!("cannot unpack field `{f}` into `{}`", o.class()))
+                })?
+            };
+            let field = o.slot_mut(i);
+            let Some((next_shape, _)) = path.get(k + 1) else {
+                *field = Some(v);
+                return Ok(());
+            };
+            object_in(field.get_or_insert(Value::Null), next_shape)
         };
         cur = next;
     }
-    unreachable!("fields is non-empty")
+    unreachable!("the last step returns")
+}
+
+/// The object `slot` holds, made there with `shape` when it holds none.
+fn object_in(slot: &mut Value, shape: &Arc<Shape>) -> Rc<RefCell<ObjectVal>> {
+    if !matches!(slot, Value::Object(_)) {
+        let absent = vec![None; shape.names().len()];
+        *slot = Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+            Arc::clone(shape),
+            absent,
+        ))));
+    }
+    let Value::Object(o) = slot else {
+        unreachable!("made above")
+    };
+    Rc::clone(o)
 }
 
 /// Pack the layout's values from `vars` into a byte buffer.
@@ -802,12 +871,14 @@ pub struct Unpacked {
 /// Unpack genuinely interleaved instance-wise entries position by
 /// position. A plain 8-byte entry scatters straight into its array,
 /// borrowed once for the whole packet (one borrow per distinct array);
-/// scalars and field paths go through [`store`]. A root's element type
-/// makes all of its entries plain words or none, so `store` never writes
-/// a borrowed array.
+/// scalars and field paths go through [`store`] and [`store_elem`]. A
+/// root's element type makes all of its entries plain words or none, so
+/// `store_elem` never writes a borrowed array.
+#[allow(clippy::too_many_arguments)]
 fn unpack_interleaved(
     vars: &mut HashMap<String, Value>,
     entries: &[PackEntry],
+    paths: &[FieldPath],
     runs: &[Option<Run>],
     arrays: &[Option<SharedArray>],
     count: usize,
@@ -832,23 +903,24 @@ fn unpack_interleaved(
     }
     let mut slots: Vec<RefMut<Vec<Value>>> = distinct.iter().map(|a| a.borrow_mut()).collect();
     for p in 0..count.max(1) {
-        for ((e, run), t) in entries.iter().zip(runs).zip(&target) {
-            let Some(run) = run else {
+        for (k, e) in entries.iter().enumerate() {
+            let Some(run) = &runs[k] else {
                 if p == 0 {
                     let v = read_scalar(buf, pos, e.elem)?;
-                    store(vars, &e.place, None, v)?;
+                    store(vars, &e.place, &paths[k], v)?;
                 }
                 continue;
             };
             let Some(&i) = run.ix.get(p) else {
                 continue;
             };
-            match t {
-                Some(t) => put_word(&mut slots[*t], i, e.elem, read_word(buf, pos)?)?,
-                None => {
+            match (target[k], &arrays[k]) {
+                (Some(t), _) => put_word(&mut slots[t], i, e.elem, read_word(buf, pos)?)?,
+                (None, Some(a)) => {
                     let v = read_scalar(buf, pos, e.elem)?;
-                    store(vars, &e.place, Some(i), v)?;
+                    store_elem(a, i, &paths[k], v)?;
                 }
+                (None, None) => unreachable!("a non-empty run has a bound array"),
             }
         }
         if count == 0 {
@@ -882,6 +954,8 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
 
     let mut vars: HashMap<String, Value> = HashMap::new();
     let recv = &mut *env.recv.borrow_mut();
+    let paths = recv.paths(layout);
+    let (inst_paths, fw_paths) = paths.split_at(layout.instance_wise.len());
     let packet_len = (hi - lo + 1).max(0) as usize;
 
     // The slots a sectioned entry covers, with the packet symbols taken
@@ -922,9 +996,9 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
     if single_run {
         if let (Some(a), Some(run)) = (&arrays[0], &runs[0]) {
             unpack_run(
-                &mut vars,
                 a,
                 &layout.instance_wise[0],
+                &inst_paths[0],
                 &run.ix,
                 buf,
                 &mut pos,
@@ -934,6 +1008,7 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         unpack_interleaved(
             &mut vars,
             &layout.instance_wise,
+            inst_paths,
             &runs,
             &arrays,
             count,
@@ -942,11 +1017,11 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         )?;
     }
 
-    for e in &layout.field_wise {
+    for (e, path) in layout.field_wise.iter().zip(fw_paths) {
         let n = read_i64(buf, &mut pos)?;
         if n < 0 {
             let v = read_scalar(buf, &mut pos, e.elem)?;
-            store(&mut vars, &e.place, None, v)?;
+            store(&mut vars, &e.place, path, v)?;
             continue;
         }
         let run = run_for(&e.place)?
@@ -961,7 +1036,7 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         }
         if !run.ix.is_empty() {
             let a = bind_array(&mut vars, recv, &e.place.root, &run, packet_len)?;
-            unpack_run(&mut vars, &a, e, &run.ix, buf, &mut pos)?;
+            unpack_run(&a, e, path, &run.ix, buf, &mut pos)?;
         }
     }
 
@@ -1077,12 +1152,76 @@ mod tests {
                 let Value::Object(o) = v else {
                     panic!("not an object")
                 };
-                assert!(o.borrow().fields["x"].deep_eq(&Value::Double((i + 1) as f64)));
-                assert!(!o.borrow().fields.contains_key("y"));
+                assert!(o
+                    .borrow()
+                    .get("x")
+                    .unwrap()
+                    .deep_eq(&Value::Double((i + 1) as f64)));
+                assert!(o.borrow().get("y").is_none());
             }
         } else {
             panic!("tri not an array");
         }
+    }
+
+    #[test]
+    fn unpacked_objects_share_one_shape_per_root_per_layout() {
+        // tri[0..2].x interleaved with tri[0..2].p.q, tri[0..2].y
+        // field-wise: every rebuilt `tri` element holds exactly the
+        // crossed fields, through one shape reused by every packet.
+        let field = |path: &[&str], first| {
+            let mut p = dense_place("tri", 0, 2);
+            p.fields.extend(path.iter().map(|f| f.to_string()));
+            entry(p, first, ScalarKind::F64)
+        };
+        let layout = PackLayout {
+            instance_wise: vec![field(&["x"], 1), field(&["p", "q"], 1)],
+            field_wise: vec![field(&["y"], 2)],
+            ..Default::default()
+        };
+        let tri = |x: f64| {
+            let inner = Value::new_object("In", HashMap::from([("q".into(), Value::Double(-x))]));
+            let f = HashMap::from([
+                ("x".to_string(), Value::Double(x)),
+                ("y".to_string(), Value::Double(2.0 * x)),
+                ("z".to_string(), Value::Double(0.0)),
+                ("p".to_string(), inner),
+            ]);
+            Value::new_object("Tri", f)
+        };
+        let vars = HashMap::from([(
+            "tri".to_string(),
+            Value::Array(Rc::new(RefCell::new(vec![tri(1.0), tri(2.0), tri(3.0)]))),
+        )]);
+        let env = RuntimeEnv::for_packet("pkt", 0, 2);
+        let buf = pack(&layout, &vars, &env, (0, 2), None).unwrap();
+        let mut shapes = Vec::new();
+        for _ in 0..2 {
+            let un = unpack(&layout, &env, &buf).unwrap();
+            let Value::Array(a) = &un.vars["tri"] else {
+                panic!("tri not an array");
+            };
+            for (i, v) in a.borrow().iter().enumerate() {
+                let Value::Object(o) = v else {
+                    panic!("not an object")
+                };
+                let o = o.borrow();
+                let x = (i + 1) as f64;
+                assert!(o.get("x").unwrap().deep_eq(&Value::Double(x)));
+                assert!(o.get("y").unwrap().deep_eq(&Value::Double(2.0 * x)));
+                assert!(o.get("z").is_none(), "z never crossed");
+                let Some(Value::Object(inner)) = o.get("p") else {
+                    panic!("p not rebuilt");
+                };
+                assert!(inner.borrow().get("q").unwrap().deep_eq(&Value::Double(-x)));
+                assert_eq!(o.shape().names(), ["x", "p", "y"]);
+                shapes.push(Arc::clone(o.shape()));
+            }
+        }
+        assert!(
+            shapes.iter().all(|s| Arc::ptr_eq(s, &shapes[0])),
+            "one shape per root per layout"
+        );
     }
 
     #[test]

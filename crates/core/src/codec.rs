@@ -5,10 +5,11 @@
 //! (Per-packet data uses the compiler's typed [`cgp_compiler::packing`]
 //! layouts instead — this codec is only for whole-object state transfer.)
 
-use cgp_lang::value::{ObjectVal, Value};
+use cgp_lang::value::{ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Encoding error (decode side).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,12 +104,8 @@ pub fn encoded_len(v: &Value) -> usize {
         }
         Value::Object(o) => {
             let o = o.borrow();
-            let fields: usize = o
-                .fields
-                .iter()
-                .map(|(k, v)| 4 + k.len() + encoded_len(v))
-                .sum();
-            1 + 4 + o.class.len() + 8 + fields
+            let fields: usize = o.fields().map(|(k, v)| 4 + k.len() + encoded_len(v)).sum();
+            1 + 4 + o.class().len() + 8 + fields
         }
     }
 }
@@ -180,14 +177,13 @@ fn encode_value_inner(v: &Value, out: &mut Vec<u8>) {
         Value::Object(o) => {
             out.push(TAG_OBJECT);
             let o = o.borrow();
-            encode_str(&o.class, out);
-            // sorted fields for deterministic encodings
-            let mut keys: Vec<&String> = o.fields.keys().collect();
-            keys.sort();
-            out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-            for k in keys {
+            encode_str(o.class(), out);
+            // Present fields sorted by name: deterministic, and the same
+            // bytes whatever the shape's slot order.
+            out.extend_from_slice(&(o.field_count() as u64).to_le_bytes());
+            for (k, v) in o.fields() {
                 encode_str(k, out);
-                encode_value_inner(&o.fields[k], out);
+                encode_value_inner(v, out);
             }
         }
     }
@@ -220,9 +216,21 @@ pub fn encode_state(state: &HashMap<String, Value>) -> Vec<u8> {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// One shape per distinct (class, field names) in this input. Local
+    /// to one decode: the input is untrusted, so nothing it names may
+    /// outlive the call.
+    shapes: HashMap<(&'a str, Vec<&'a str>), Arc<Shape>>,
 }
 
 impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            shapes: HashMap::new(),
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self
             .pos
@@ -280,10 +288,10 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    fn string(&mut self) -> Result<String, CodecError> {
+    fn str(&mut self) -> Result<&'a str, CodecError> {
         let n = self.u32()? as usize;
         let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|e| CodecError(e.to_string()))
+        std::str::from_utf8(b).map_err(|e| CodecError(e.to_string()))
     }
 
     fn value(&mut self) -> Result<Value, CodecError> {
@@ -331,19 +339,37 @@ impl<'a> Reader<'a> {
                 Ok(Value::Array(Rc::new(RefCell::new(v))))
             }
             TAG_OBJECT => {
-                let class = self.string()?;
+                let class = self.str()?;
                 let n = self.u64()? as usize;
                 // Each entry needs a 4-byte key length plus a 1-byte value tag.
                 self.check_count(n, 5)?;
-                let mut fields = HashMap::with_capacity(n);
+                let mut fields: Vec<(&'a str, Value)> = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let k = self.string()?;
-                    fields.insert(k, self.value()?);
+                    let k = self.str()?;
+                    fields.push((k, self.value()?));
                 }
-                Ok(Value::Object(Rc::new(RefCell::new(ObjectVal {
-                    class,
-                    fields,
-                }))))
+                // One slot per name, in name order; a repeated name keeps
+                // its last value (`dedup_by` hands the later entry first).
+                fields.sort_by(|a, b| a.0.cmp(b.0));
+                fields.dedup_by(|later, kept| {
+                    let same = later.0 == kept.0;
+                    if same {
+                        std::mem::swap(&mut later.1, &mut kept.1);
+                    }
+                    same
+                });
+                let (names, slots): (Vec<&'a str>, Vec<Option<Value>>) =
+                    fields.into_iter().map(|(k, v)| (k, Some(v))).unzip();
+                let shape =
+                    self.shapes
+                        .entry((class, names))
+                        .or_insert_with_key(|(class, names)| {
+                            Shape::new(*class, names.iter().map(|n| n.to_string()).collect())
+                        });
+                Ok(Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+                    Arc::clone(shape),
+                    slots,
+                )))))
             }
             t => Err(CodecError(format!("unknown tag {t}"))),
         }
@@ -352,19 +378,18 @@ impl<'a> Reader<'a> {
 
 /// Decode one value.
 pub fn decode_value(buf: &[u8]) -> Result<Value, CodecError> {
-    let mut r = Reader { buf, pos: 0 };
-    r.value()
+    Reader::new(buf).value()
 }
 
 /// Decode a state map produced by [`encode_state`].
 pub fn decode_state(buf: &[u8]) -> Result<HashMap<String, Value>, CodecError> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf);
     let n = r.u64()? as usize;
     // Each entry needs a 4-byte key length plus a 1-byte value tag.
     r.check_count(n, 5)?;
     let mut out = HashMap::with_capacity(n);
     for _ in 0..n {
-        let k = r.string()?;
+        let k = r.str()?.to_string();
         out.insert(k, r.value()?);
     }
     Ok(out)
@@ -373,6 +398,7 @@ pub fn decode_state(buf: &[u8]) -> Result<HashMap<String, Value>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgp_obs::SmallRng;
 
     fn roundtrip(v: Value) -> Value {
         let mut buf = Vec::new();
@@ -567,6 +593,271 @@ mod tests {
             bad[i] = 0xff;
             let _ = decode_state(&bad);
         }
+    }
+
+    fn array(v: Vec<Value>) -> Value {
+        Value::Array(Rc::new(RefCell::new(v)))
+    }
+
+    fn object(shape: &Arc<Shape>, slots: Vec<Option<Value>>) -> Value {
+        Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+            Arc::clone(shape),
+            slots,
+        ))))
+    }
+
+    /// The bytes `encode_state` wrote for this state before objects had
+    /// shapes (fields in a `HashMap`, encoded sorted by name).
+    const GOLDEN_STATE: &str = concat!(
+        "03000000000000000500000063656c6c73070300000000000000080400000043756265020000",
+        "000000000002000000637802000000000000f03f02000000637a020000000000000040050602",
+        "000000000000000900000000000000010000006e010700000000000000020000007a62080400",
+        "00005a427566030000000000000005000000636f6c6f7209030000000000000000000000000000",
+        "00000000000000ec3f9a9999999999d93f050000006465707468090300000000000000ea8ca0",
+        "39593e2946000000000000e03f000000000000d0bf0400000073697a65010300000000000000",
+    );
+
+    #[test]
+    fn encode_state_bytes_match_the_pre_shape_golden() {
+        // Slots in declaration order, and a `Cube` with nine absent
+        // slots: the wire still carries present fields sorted by name.
+        let zbuf = Shape::new("ZBuf", vec!["depth".into(), "color".into(), "size".into()]);
+        let cube_names = [
+            "v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "cx", "cy", "cz",
+        ];
+        let cube = Shape::new("Cube", cube_names.iter().map(|n| n.to_string()).collect());
+        let mut cube_slots = vec![None; cube_names.len()];
+        cube_slots[8] = Some(Value::Double(1.0));
+        cube_slots[10] = Some(Value::Double(2.0));
+        let doubles = |v: &[f64]| array(v.iter().map(|x| Value::Double(*x)).collect());
+        let st = HashMap::from([
+            (
+                "zb".to_string(),
+                object(
+                    &zbuf,
+                    vec![
+                        Some(doubles(&[1.0e30, 0.5, -0.25])),
+                        Some(doubles(&[0.0, 0.875, 0.4])),
+                        Some(Value::Int(3)),
+                    ],
+                ),
+            ),
+            ("n".to_string(), Value::Int(7)),
+            (
+                "cells".to_string(),
+                array(vec![
+                    object(&cube, cube_slots),
+                    Value::Null,
+                    Value::Domain(2, 9),
+                ]),
+            ),
+        ]);
+        let hex: String = encode_state(&st)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_STATE);
+    }
+
+    #[test]
+    fn decoded_objects_share_one_shape_per_class_and_names() {
+        let cube = Shape::new("Cube", vec!["cy".into(), "cx".into()]);
+        let c = |x: f64| object(&cube, vec![Some(Value::Double(-x)), Some(Value::Double(x))]);
+        let other = Value::new_object("Cube", HashMap::from([("cx".into(), Value::Int(1))]));
+        let st = HashMap::from([(
+            "cells".to_string(),
+            array(vec![c(1.0), c(2.0), other, c(3.0)]),
+        )]);
+        let buf = encode_state(&st);
+        let shapes = |st: &HashMap<String, Value>| -> Vec<Arc<Shape>> {
+            let Value::Array(a) = &st["cells"] else {
+                panic!("cells is an array")
+            };
+            let a = a.borrow();
+            a.iter()
+                .map(|v| match v {
+                    Value::Object(o) => Arc::clone(o.borrow().shape()),
+                    other => panic!("not an object: {other}"),
+                })
+                .collect()
+        };
+        let first = shapes(&decode_state(&buf).unwrap());
+        assert!(Arc::ptr_eq(&first[0], &first[1]) && Arc::ptr_eq(&first[0], &first[3]));
+        assert!(
+            !Arc::ptr_eq(&first[0], &first[2]),
+            "other names, other shape"
+        );
+        assert_eq!(
+            first[0].names(),
+            ["cx", "cy"],
+            "decoded slots in name order"
+        );
+        let second = shapes(&decode_state(&buf).unwrap());
+        assert!(
+            !Arc::ptr_eq(&first[0], &second[0]),
+            "no table outlives a call"
+        );
+    }
+
+    #[test]
+    fn repeated_field_names_keep_the_last_value() {
+        let mut buf = vec![TAG_OBJECT];
+        encode_str("P", &mut buf);
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        for (k, v) in [("b", 1), ("a", 2), ("b", 3)] {
+            encode_str(k, &mut buf);
+            encode_value(&Value::Int(v), &mut buf);
+        }
+        let Value::Object(o) = decode_value(&buf).unwrap() else {
+            panic!("not an object");
+        };
+        let o = o.borrow();
+        assert_eq!(o.field_count(), 2);
+        assert_eq!(o.get("b").and_then(Value::as_i64), Some(3));
+        assert_eq!(o.get("a").and_then(Value::as_i64), Some(2));
+    }
+
+    /// Seeded states over every tag, with objects of a few classes whose
+    /// shapes repeat, list fields in any order, and leave slots absent.
+    struct StateGen {
+        rng: SmallRng,
+        shapes: Vec<Arc<Shape>>,
+    }
+
+    impl StateGen {
+        fn new(seed: u64) -> Self {
+            StateGen {
+                rng: SmallRng::seed_from_u64(seed),
+                shapes: Vec::new(),
+            }
+        }
+
+        fn shape(&mut self) -> Arc<Shape> {
+            if !self.shapes.is_empty() && self.rng.gen_bool(0.5) {
+                let i = self.rng.gen_range(0, self.shapes.len());
+                return Arc::clone(&self.shapes[i]);
+            }
+            let class = ["Acc", "Cube", "ZBuf"][self.rng.gen_range(0, 3)];
+            let mut pool = ["a", "b", "cx", "depth", "n", "v0"];
+            self.rng.shuffle(&mut pool);
+            let k = self.rng.gen_range(0, pool.len() + 1);
+            let shape = Shape::new(class, pool[..k].iter().map(|n| n.to_string()).collect());
+            self.shapes.push(Arc::clone(&shape));
+            shape
+        }
+
+        fn value(&mut self, depth: usize) -> Value {
+            match self.rng.gen_range(0, if depth == 0 { 6 } else { 10 }) {
+                0 => Value::Int(self.rng.next_u64() as i64),
+                1 => Value::Double(f64::from_bits(self.rng.next_u64())),
+                2 => Value::Bool(self.rng.gen_bool(0.5)),
+                3 => Value::Null,
+                4 => Value::Void,
+                5 => Value::Domain(
+                    self.rng.gen_range(0, 9) as i64 - 4,
+                    self.rng.gen_range(0, 9) as i64 - 4,
+                ),
+                6 => array(
+                    (0..self.rng.gen_range(0, 5))
+                        .map(|i| Value::Double(i as f64 * 0.5))
+                        .collect(),
+                ),
+                7 => array(
+                    (0..self.rng.gen_range(0, 4))
+                        .map(|_| self.value(depth - 1))
+                        .collect(),
+                ),
+                _ => {
+                    let shape = self.shape();
+                    let slots = (0..shape.names().len())
+                        .map(|_| (!self.rng.gen_bool(0.2)).then(|| self.value(depth - 1)))
+                        .collect();
+                    object(&shape, slots)
+                }
+            }
+        }
+
+        fn state(&mut self) -> HashMap<String, Value> {
+            (0..self.rng.gen_range(0, 5))
+                .map(|_| {
+                    let key = ["acc", "zb", "n", "cells", "x"][self.rng.gen_range(0, 5)];
+                    (key.to_string(), self.value(3))
+                })
+                .collect()
+        }
+    }
+
+    fn states_equal(a: &HashMap<String, Value>, b: &HashMap<String, Value>) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .all(|(k, v)| b.get(k).is_some_and(|w| v.deep_eq(w)))
+    }
+
+    /// What decodes is canonical: re-encoding it and decoding again gives
+    /// the same state and the same bytes. Returns whether `buf` decoded.
+    fn assert_canonical(buf: &[u8]) -> bool {
+        let Ok(st) = decode_state(buf) else {
+            return false;
+        };
+        let again = encode_state(&st);
+        let back = decode_state(&again).expect("re-encoded state decodes");
+        assert!(states_equal(&st, &back), "{buf:02x?}");
+        assert_eq!(encode_state(&back), again, "{buf:02x?}");
+        true
+    }
+
+    #[test]
+    fn generated_states_roundtrip() {
+        let mut g = StateGen::new(0xC0DE_C001);
+        for case in 0..400 {
+            let st = g.state();
+            let buf = encode_state(&st);
+            let back = decode_state(&buf).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert!(states_equal(&st, &back), "case {case}");
+            assert_eq!(encode_state(&back), buf, "case {case}");
+        }
+    }
+
+    #[test]
+    fn generated_state_prefixes_fail() {
+        let mut g = StateGen::new(0xC0DE_C002);
+        for case in 0..150 {
+            let buf = encode_state(&g.state());
+            for cut in 0..buf.len() {
+                assert!(decode_state(&buf[..cut]).is_err(), "case {case} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_and_mutated_states_decode_canonically_or_not_at_all() {
+        let mut g = StateGen::new(0xC0DE_C003);
+        let (mut random_ok, mut mutated_ok) = (0, 0);
+        for _ in 0..2000 {
+            let len = g.rng.gen_range(0, 64);
+            let mut bytes: Vec<u8> = (0..len).map(|_| g.rng.next_u64() as u8).collect();
+            // A small entry count and a known tag after a one-byte key
+            // get the decoder past its first checks most of the time.
+            if len >= 14 {
+                bytes[..8].copy_from_slice(&1u64.to_le_bytes());
+                bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+                bytes[13] = g.rng.gen_range(0, 12) as u8;
+            }
+            random_ok += usize::from(assert_canonical(&bytes));
+        }
+        for _ in 0..2000 {
+            let mut bytes = encode_state(&g.state());
+            if bytes.is_empty() {
+                continue;
+            }
+            let i = g.rng.gen_range(0, bytes.len());
+            bytes[i] = g.rng.next_u64() as u8;
+            mutated_ok += usize::from(assert_canonical(&bytes));
+        }
+        assert!(
+            random_ok >= 100 && mutated_ok >= 200,
+            "too few inputs decoded to test anything: {random_ok} random, {mutated_ok} mutated"
+        );
     }
 
     #[test]

@@ -30,14 +30,13 @@ impl ProgramCode {
         let mut order: Vec<(String, usize)> = Vec::new();
         for c in &tp.program.classes {
             class_map.insert(c.name.clone(), classes.len() as u32);
-            classes.push(ClassCode {
-                name: c.name.clone(),
-                fields: c
-                    .fields
+            classes.push(ClassCode::new(
+                &c.name,
+                c.fields
                     .iter()
                     .map(|f| (f.name.clone(), ConstVal::default_for(&f.ty)))
                     .collect(),
-            });
+            ));
             let per = methods_by_class.entry(c.name.clone()).or_default();
             for (mi, m) in c.methods.iter().enumerate() {
                 per.insert(m.name.clone(), order.len() as u32);
@@ -414,6 +413,7 @@ impl<'a> Lowerer<'a> {
 
     fn finish(self) -> CodeBlock {
         let cacheable = vec![false; self.slot_names.len()];
+        let caches = ShapeCache::new(self.ops.len());
         CodeBlock {
             class: self.class,
             ops: self.ops,
@@ -424,6 +424,7 @@ impl<'a> Lowerer<'a> {
             slot_kinds: self.slot_kinds,
             cacheable,
             n_regs: self.max_regs,
+            caches,
         }
     }
 

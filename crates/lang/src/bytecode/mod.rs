@@ -25,6 +25,10 @@
 //!   ([`Op::LoadIndex`]/[`Op::StoreIndex`]); domain/array method calls
 //!   (`d.lo()`, `a.length()`) dispatch through a pre-resolved [`FastMeth`]
 //!   instead of a string compare.
+//! * **Shape caches** — object field reads and writes, `this`-field
+//!   fallbacks and object method calls resolve through a one-entry
+//!   per-op [`ShapeCache`] keyed by the object's [`Shape`] id: a hit is
+//!   one compare and one index, with no string hashed or allocated.
 //!
 //! Semantics are bit-for-bit those of `Interp::exec_stmts_with_vars`,
 //! including evaluation order, implicit int→double widening, wrapping
@@ -32,7 +36,8 @@
 //! interpreter stays in the tree as the differential oracle — see
 //! `crates/lang/tests/vm_differential.rs`.
 //!
-//! Everything produced by lowering is plain data (`String`s, scalars): a
+//! Everything produced by lowering is plain data (`String`s, scalars,
+//! `Arc`-shared immutable shapes, and the caches' relaxed atomics): a
 //! [`ProgramCode`] is `Send + Sync` and can be shared across filter threads
 //! inside an `Arc`, which `Value` (being `Rc`-based) cannot.
 
@@ -41,8 +46,10 @@ pub mod vm;
 
 use crate::ast::{AssignOp, BinOp, Type};
 use crate::span::Span;
-use crate::value::Value;
+use crate::value::{ObjectVal, Shape, Value};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Register index inside one [`CodeBlock`] frame.
 pub type Reg = u16;
@@ -162,7 +169,8 @@ pub const UNRESOLVED: u32 = u32::MAX;
 
 /// One bytecode instruction. Registers index the frame's `regs` array;
 /// `name`/`k` index the block's [`CodeBlock::names`] / [`CodeBlock::consts`]
-/// pools; jump targets are op indices.
+/// pools; jump targets are op indices. Ops that meet objects resolve the
+/// name through their entry in [`CodeBlock::caches`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// `regs[dst] = consts[k]`
@@ -359,6 +367,71 @@ pub enum Op {
     FailEscape,
 }
 
+/// Bits of a [`ShapeCache`] word that hold the resolved index; the shape
+/// id takes the rest.
+const CACHE_INDEX_BITS: u32 = 24;
+const CACHE_INDEX_MASK: u64 = (1 << CACHE_INDEX_BITS) - 1;
+
+/// One-entry inline caches, one per op of a [`CodeBlock`], keyed by
+/// [`Shape`] id: the last shape an op's object had and what it resolved
+/// to there (a field slot, a method id, or "no such field"). A hit costs
+/// one compare; a miss rescans and refills.
+///
+/// Each entry is a single word (`id << 24 | index`), so a reader on
+/// another filter thread sees either a whole stale pair or a whole fresh
+/// one, never one shape's id with another's index. Every pair ever stored
+/// stays true, because shapes are immutable and their ids never reused,
+/// so `Relaxed` suffices: the word publishes no other data. Shapes whose
+/// id or index does not fit are simply never cached.
+pub struct ShapeCache(Box<[AtomicU64]>);
+
+impl ShapeCache {
+    fn new(len: usize) -> ShapeCache {
+        ShapeCache((0..len).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// What op `pc` resolves to on `shape`: the cached index on a hit,
+    /// else `scan`'s answer, which refills the entry.
+    #[inline]
+    pub fn resolve(
+        &self,
+        pc: usize,
+        shape: &Shape,
+        scan: impl FnOnce() -> Option<usize>,
+    ) -> Option<usize> {
+        let entry = &self.0[pc];
+        let word = entry.load(Ordering::Relaxed);
+        if word >> CACHE_INDEX_BITS == shape.id() {
+            let i = word & CACHE_INDEX_MASK;
+            return (i != CACHE_INDEX_MASK).then_some(i as usize);
+        }
+        let found = scan();
+        // `CACHE_INDEX_MASK` itself records "not found".
+        let index = match found {
+            None => Some(CACHE_INDEX_MASK),
+            Some(i) => u64::try_from(i).ok().filter(|i| *i < CACHE_INDEX_MASK),
+        };
+        let id_fits = shape.id() < 1 << (64 - CACHE_INDEX_BITS);
+        if let Some(index) = index.filter(|_| id_fits) {
+            entry.store(shape.id() << CACHE_INDEX_BITS | index, Ordering::Relaxed);
+        }
+        found
+    }
+}
+
+/// A cloned block starts cold: cache entries are hints, not state.
+impl Clone for ShapeCache {
+    fn clone(&self) -> Self {
+        ShapeCache::new(self.0.len())
+    }
+}
+
+impl std::fmt::Debug for ShapeCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ShapeCache({} entries)", self.0.len())
+    }
+}
+
 /// One lowered frame: a statement slice or a method body.
 #[derive(Debug, Clone)]
 pub struct CodeBlock {
@@ -384,6 +457,9 @@ pub struct CodeBlock {
     pub cacheable: Vec<bool>,
     /// Total frame size (named slots + temporaries).
     pub n_regs: u16,
+    /// Per-op shape caches for field slots, `this`-field fallbacks and
+    /// object method dispatch, parallel to `ops`.
+    pub caches: ShapeCache,
 }
 
 impl CodeBlock {
@@ -410,23 +486,26 @@ pub struct MethodCode {
     pub name: String,
 }
 
-/// Instantiation recipe for a class: field names with pooled defaults.
+/// Instantiation recipe for a class: its shape (fields in declaration
+/// order) and each field's pooled default.
 #[derive(Debug, Clone)]
 pub struct ClassCode {
-    pub name: String,
-    pub fields: Vec<(String, ConstVal)>,
+    pub shape: Arc<Shape>,
+    pub defaults: Vec<ConstVal>,
 }
 
 impl ClassCode {
-    pub fn instantiate(&self) -> crate::value::ObjectVal {
-        let mut fields = HashMap::with_capacity(self.fields.len());
-        for (name, d) in &self.fields {
-            fields.insert(name.clone(), d.to_value());
+    pub fn new(name: &str, fields: Vec<(String, ConstVal)>) -> ClassCode {
+        let (names, defaults) = fields.into_iter().unzip();
+        ClassCode {
+            shape: Shape::new(name, names),
+            defaults,
         }
-        crate::value::ObjectVal {
-            class: self.name.clone(),
-            fields,
-        }
+    }
+
+    pub fn instantiate(&self) -> ObjectVal {
+        let slots = self.defaults.iter().map(|d| Some(d.to_value())).collect();
+        ObjectVal::new(Arc::clone(&self.shape), slots)
     }
 }
 
@@ -487,6 +566,23 @@ mod tests {
         assert!(ConstVal::default_for(&Type::Class("X".into()))
             .to_value()
             .deep_eq(&Value::Null));
+    }
+
+    #[test]
+    fn shape_cache_hits_only_the_shape_it_was_filled_for() {
+        let cache = ShapeCache::new(1);
+        let (a, b) = (Shape::new("P", vec![]), Shape::new("P", vec![]));
+        let unreachable = || -> Option<usize> { panic!("expected a hit") };
+        assert_eq!(cache.resolve(0, &a, || Some(3)), Some(3));
+        assert_eq!(cache.resolve(0, &a, unreachable), Some(3));
+        assert_eq!(cache.resolve(0, &b, || None), None, "another shape misses");
+        assert_eq!(cache.resolve(0, &b, unreachable), None, "absence is cached");
+        assert_eq!(cache.resolve(0, &a, || Some(3)), Some(3), "refilled for a");
+        assert_eq!(
+            cache.clone().resolve(0, &a, || Some(5)),
+            Some(5),
+            "clones start cold"
+        );
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl<'p> Vm<'p> {
                         let v = regs[s].clone();
                         regs[dst as usize] = v;
                     } else {
-                        let v = self.fallback_read(code, s, this, code.spans[pc])?;
+                        let v = self.fallback_read(code, pc, s, this)?;
                         if code.cacheable[s] {
                             // Provably-constant global: memoize so hot
                             // loops stop re-hashing the name.
@@ -234,7 +234,7 @@ impl<'p> Vm<'p> {
                         let nv = combine(mode, &regs[s], widened, span)?;
                         regs[s] = nv;
                     } else {
-                        self.fallback_write(code, s, this, rhs, mode, span)?;
+                        self.fallback_write(code, pc, s, this, rhs, mode)?;
                         // Defensive: a cached copy of this global (cannot
                         // happen today — cacheable slots are never
                         // assigned) would now be stale.
@@ -248,17 +248,19 @@ impl<'p> Vm<'p> {
                 }
                 Op::LoadField { dst, base, name } => {
                     let span = code.spans[pc];
-                    let b = regs[base as usize].clone();
-                    let Value::Object(obj) = b else {
+                    let Value::Object(obj) = &regs[base as usize] else {
                         return Err(interp_err(span, "field access on non-object"));
                     };
+                    let o = obj.borrow();
                     let fname = code.name(name);
-                    let v = obj
-                        .borrow()
-                        .fields
-                        .get(fname)
+                    let shape = o.shape();
+                    let v = code
+                        .caches
+                        .resolve(pc, shape, || shape.slot_of(fname))
+                        .and_then(|i| o.slot(i))
                         .cloned()
                         .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
+                    drop(o);
                     regs[dst as usize] = v;
                 }
                 Op::StoreField {
@@ -269,19 +271,18 @@ impl<'p> Vm<'p> {
                 } => {
                     let span = code.spans[pc];
                     let rhs = regs[src as usize].clone();
-                    let b = regs[base as usize].clone();
-                    let Value::Object(obj) = b else {
+                    let Value::Object(obj) = &regs[base as usize] else {
                         return Err(interp_err(span, "field assignment on non-object"));
                     };
+                    let mut o = obj.borrow_mut();
                     let fname = code.name(name);
-                    let old = obj
-                        .borrow()
-                        .fields
-                        .get(fname)
-                        .cloned()
+                    let shape = o.shape();
+                    let slot = code
+                        .caches
+                        .resolve(pc, shape, || shape.slot_of(fname))
+                        .and_then(|i| o.slot_mut(i).as_mut())
                         .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    obj.borrow_mut().fields.insert(fname.to_string(), nv);
+                    *slot = combine(mode, slot, widen(slot, rhs), span)?;
                 }
                 Op::LoadIndex { dst, base, idx } => {
                     let span = code.spans[pc];
@@ -517,32 +518,21 @@ impl<'p> Vm<'p> {
                         },
                         Value::Object(obj) => {
                             let mname = code.name(name);
-                            // Resolve inside the borrow so the hot path
-                            // never clones the class-name string.
                             let mi = {
-                                let b = obj.borrow();
-                                prog.methods_by_class
-                                    .get(&b.class)
-                                    .and_then(|m| m.get(mname))
-                                    .copied()
+                                let o = obj.borrow();
+                                code.caches.resolve(pc, o.shape(), || {
+                                    prog.method_id(o.class(), mname).map(|mi| mi as usize)
+                                })
                             };
-                            match mi {
-                                Some(mi) => {
-                                    let b = argb as usize;
-                                    self.invoke(
-                                        mi as usize,
-                                        Some(obj),
-                                        &regs[b..b + argc as usize],
-                                    )?
-                                }
-                                None => {
-                                    let cls = obj.borrow().class.clone();
-                                    return Err(interp_err(
-                                        Span::synthetic(),
-                                        format!("unknown method `{cls}::{mname}`"),
-                                    ));
-                                }
-                            }
+                            let Some(mi) = mi else {
+                                let cls = obj.borrow().class().to_string();
+                                return Err(interp_err(
+                                    Span::synthetic(),
+                                    format!("unknown method `{cls}::{mname}`"),
+                                ));
+                            };
+                            let b = argb as usize;
+                            self.invoke(mi, Some(obj), &regs[b..b + argc as usize])?
                         }
                         other => {
                             return Err(interp_err(
@@ -600,18 +590,21 @@ impl<'p> Vm<'p> {
     /// Unbound-slot read: `this` field, then global — the tail of the
     /// interpreter's lookup chain (the live-local head is the `bound`
     /// test at the call site). [`SlotKind`] elides provably-missing
-    /// probes.
+    /// probes; the `this` probe resolves through op `pc`'s shape cache.
     fn fallback_read(
         &self,
         code: &CodeBlock,
+        pc: usize,
         slot: usize,
         this: Option<&Rc<RefCell<ObjectVal>>>,
-        span: Span,
     ) -> LangResult<Value> {
         let name = code.name(code.slot_names[slot]);
         if code.slot_kinds[slot] != SlotKind::Global {
             if let Some(t) = this {
-                if let Some(v) = t.borrow().fields.get(name) {
+                let t = t.borrow();
+                let shape = t.shape();
+                let i = code.caches.resolve(pc, shape, || shape.slot_of(name));
+                if let Some(v) = i.and_then(|i| t.slot(i)) {
                     return Ok(v.clone());
                 }
             }
@@ -619,34 +612,39 @@ impl<'p> Vm<'p> {
         if let Some(v) = self.globals.get(name) {
             return Ok(v.clone());
         }
-        Err(interp_err(span, format!("unknown variable `{name}`")))
+        Err(interp_err(
+            code.spans[pc],
+            format!("unknown variable `{name}`"),
+        ))
     }
 
     /// Unbound-slot write, mirroring the interpreter's write order:
-    /// field of `this`, then global, then error.
+    /// field of `this` (in place, through op `pc`'s shape cache), then
+    /// global, then error.
     fn fallback_write(
         &mut self,
         code: &CodeBlock,
+        pc: usize,
         slot: usize,
         this: Option<&Rc<RefCell<ObjectVal>>>,
         rhs: Value,
         mode: AssignOp,
-        span: Span,
     ) -> LangResult<()> {
+        let span = code.spans[pc];
         let name = code.name(code.slot_names[slot]);
         if code.slot_kinds[slot] != SlotKind::Global {
             if let Some(t) = this {
-                let old = t.borrow().fields.get(name).cloned();
-                if let Some(old) = old {
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    t.borrow_mut().fields.insert(name.to_string(), nv);
+                let mut t = t.borrow_mut();
+                let shape = t.shape();
+                let i = code.caches.resolve(pc, shape, || shape.slot_of(name));
+                if let Some(old) = i.and_then(|i| t.slot_mut(i).as_mut()) {
+                    *old = combine(mode, old, widen(old, rhs), span)?;
                     return Ok(());
                 }
             }
         }
-        if let Some(old) = self.globals.get(name).cloned() {
-            let nv = combine(mode, &old, widen(&old, rhs), span)?;
-            self.globals.insert(name.to_string(), nv);
+        if let Some(old) = self.globals.get_mut(name) {
+            *old = combine(mode, old, widen(old, rhs), span)?;
             return Ok(());
         }
         Err(interp_err(

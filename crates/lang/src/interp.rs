@@ -14,10 +14,11 @@ use crate::ast::*;
 use crate::error::{interp_err, LangResult};
 use crate::span::Span;
 use crate::types::TypedProgram;
-use crate::value::{ObjectVal, Value};
+use crate::value::{ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Host-supplied bindings for `extern` and `runtime_define` globals.
 #[derive(Debug, Clone, Default)]
@@ -85,6 +86,8 @@ pub struct Interp<'p> {
     pub steps: u64,
     /// Optional step budget; exceeding it aborts with an error.
     pub fuel: Option<u64>,
+    /// One shape per instantiated class, fields in declaration order.
+    shapes: HashMap<String, Arc<Shape>>,
 }
 
 impl<'p> Interp<'p> {
@@ -95,6 +98,7 @@ impl<'p> Interp<'p> {
             output: Vec::new(),
             steps: 0,
             fuel: None,
+            shapes: HashMap::new(),
         }
     }
 
@@ -184,14 +188,18 @@ impl<'p> Interp<'p> {
             .program
             .class(class)
             .ok_or_else(|| interp_err(Span::synthetic(), format!("unknown class `{class}`")))?;
-        let mut fields = HashMap::new();
-        for f in &c.fields {
-            fields.insert(f.name.clone(), Self::default_value(&f.ty));
-        }
-        Ok(Rc::new(RefCell::new(ObjectVal {
-            class: class.to_string(),
-            fields,
-        })))
+        let shape = self.shapes.entry(class.to_string()).or_insert_with(|| {
+            Shape::new(class, c.fields.iter().map(|f| f.name.clone()).collect())
+        });
+        let slots = c
+            .fields
+            .iter()
+            .map(|f| Some(Self::default_value(&f.ty)))
+            .collect();
+        Ok(Rc::new(RefCell::new(ObjectVal::new(
+            Arc::clone(shape),
+            slots,
+        ))))
     }
 
     fn default_value(ty: &Type) -> Value {
@@ -434,15 +442,17 @@ impl<'p> Interp<'p> {
                     return Ok(());
                 }
                 if let Some(this_obj) = &frame.this_obj {
-                    let has = this_obj.borrow().fields.contains_key(name);
-                    if has {
-                        let old = this_obj.borrow().fields[name].clone();
+                    let old = this_obj.borrow().get(name).cloned();
+                    if let Some(old) = old {
                         let widened = match (&old, &rhs) {
                             (Value::Double(_), Value::Int(i)) => Value::Double(*i as f64),
                             _ => rhs,
                         };
                         let nv = combine(&old, widened)?;
-                        this_obj.borrow_mut().fields.insert(name.clone(), nv);
+                        *this_obj
+                            .borrow_mut()
+                            .get_mut(name)
+                            .expect("field read above") = nv;
                         return Ok(());
                     }
                 }
@@ -467,7 +477,6 @@ impl<'p> Interp<'p> {
                 };
                 let old = obj
                     .borrow()
-                    .fields
                     .get(field)
                     .cloned()
                     .ok_or_else(|| interp_err(span, format!("no field `{field}`")))?;
@@ -476,7 +485,7 @@ impl<'p> Interp<'p> {
                     _ => rhs,
                 };
                 let nv = combine(&old, widened)?;
-                obj.borrow_mut().fields.insert(field.clone(), nv);
+                *obj.borrow_mut().get_mut(field).expect("field read above") = nv;
                 Ok(())
             }
             LValue::Index(base, idx) => {
@@ -521,7 +530,7 @@ impl<'p> Interp<'p> {
             return Ok(v.clone());
         }
         if let Some(this_obj) = &frame.this_obj {
-            if let Some(v) = this_obj.borrow().fields.get(name) {
+            if let Some(v) = this_obj.borrow().get(name) {
                 return Ok(v.clone());
             }
         }
@@ -549,7 +558,6 @@ impl<'p> Interp<'p> {
                 match b {
                     Value::Object(obj) => obj
                         .borrow()
-                        .fields
                         .get(field)
                         .cloned()
                         .ok_or_else(|| interp_err(e.span, format!("no field `{field}`"))),
@@ -760,7 +768,7 @@ impl<'p> Interp<'p> {
                         )),
                     },
                     Value::Object(obj) => {
-                        let class = obj.borrow().class.clone();
+                        let class = obj.borrow().class().to_string();
                         self.call_method(&class, method, Some(obj), argv)
                     }
                     other => Err(interp_err(

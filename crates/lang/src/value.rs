@@ -4,6 +4,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A runtime value. Arrays and objects have reference semantics (shared
 /// mutable), matching Java; everything else is a copied scalar.
@@ -21,11 +23,125 @@ pub enum Value {
     Null,
 }
 
-/// Heap object: class name plus field values.
+/// Source of [`Shape`] ids: process-wide, starting at 1, never reused.
+static NEXT_SHAPE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// An object layout: its class and its ordered field names. Every object
+/// built through one shape shares it behind an `Arc`, so objects own
+/// neither a class name nor key strings. The id is unique for the life
+/// of the process, so a cache keyed by it can never mistake a new shape
+/// for a dropped one that happened to live at the same address.
+#[derive(Debug)]
+pub struct Shape {
+    id: u64,
+    class: String,
+    names: Vec<String>,
+    /// Slot indices in field-name order (`Display` and the state codec).
+    by_name: Vec<usize>,
+}
+
+impl Shape {
+    /// A new shape with a fresh id. `names` must be distinct.
+    pub fn new(class: impl Into<String>, names: Vec<String>) -> Arc<Shape> {
+        debug_assert!(
+            names
+                .iter()
+                .enumerate()
+                .all(|(i, n)| !names[..i].contains(n)),
+            "repeated field name in shape"
+        );
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_by(|a, b| names[*a].cmp(&names[*b]));
+        Arc::new(Shape {
+            id: NEXT_SHAPE_ID.fetch_add(1, Ordering::Relaxed),
+            class: class.into(),
+            names,
+            by_name,
+        })
+    }
+
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    pub fn class(&self) -> &str {
+        &self.class
+    }
+
+    /// Field names in slot order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The slot of field `name`, by a scan of the names.
+    pub fn slot_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+}
+
+/// Heap object: a shape plus one slot per field. A slot may be absent —
+/// an object unpacked from a packet holds only the fields that crossed —
+/// and reading an absent field fails like reading an undeclared one.
 #[derive(Debug, Clone)]
 pub struct ObjectVal {
-    pub class: String,
-    pub fields: HashMap<String, Value>,
+    shape: Arc<Shape>,
+    slots: Vec<Option<Value>>,
+}
+
+impl ObjectVal {
+    /// An object of `shape` with one value (or `None`) per field.
+    pub fn new(shape: Arc<Shape>, slots: Vec<Option<Value>>) -> ObjectVal {
+        assert_eq!(
+            slots.len(),
+            shape.names.len(),
+            "one slot per field of `{}`",
+            shape.class
+        );
+        ObjectVal { shape, slots }
+    }
+
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
+    }
+
+    pub fn class(&self) -> &str {
+        &self.shape.class
+    }
+
+    /// The value in slot `i`, if present.
+    pub fn slot(&self, i: usize) -> Option<&Value> {
+        self.slots.get(i)?.as_ref()
+    }
+
+    /// Slot `i` itself, present or not (out of range panics: slots come
+    /// from this object's shape).
+    pub fn slot_mut(&mut self, i: usize) -> &mut Option<Value> {
+        &mut self.slots[i]
+    }
+
+    /// Field `name`, if the shape has it and the slot is present.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.slot(self.shape.slot_of(name)?)
+    }
+
+    /// Field `name` for in-place update, if present.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        let i = self.shape.slot_of(name)?;
+        self.slots[i].as_mut()
+    }
+
+    /// Present fields in name order.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.shape
+            .by_name
+            .iter()
+            .filter_map(|&i| Some((self.shape.names[i].as_str(), self.slots[i].as_ref()?)))
+    }
+
+    /// Number of present fields.
+    pub fn field_count(&self) -> usize {
+        self.slots.iter().filter(|v| v.is_some()).count()
+    }
 }
 
 impl Value {
@@ -33,11 +149,18 @@ impl Value {
         Value::Array(Rc::new(RefCell::new(vec![fill; len])))
     }
 
+    /// An object of a fresh shape holding `fields` (names in sorted
+    /// order). A convenience for tests and one-off objects: code that
+    /// builds many objects of one class shares one [`Shape`] instead.
     pub fn new_object(class: impl Into<String>, fields: HashMap<String, Value>) -> Value {
-        Value::Object(Rc::new(RefCell::new(ObjectVal {
-            class: class.into(),
-            fields,
-        })))
+        let mut fields: Vec<(String, Value)> = fields.into_iter().collect();
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+        let (names, slots): (Vec<String>, Vec<Option<Value>>) =
+            fields.into_iter().map(|(n, v)| (n, Some(v))).unzip();
+        Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+            Shape::new(class, names),
+            slots,
+        ))))
     }
 
     /// Numeric value as f64 (int widens); None for non-numerics.
@@ -72,7 +195,8 @@ impl Value {
     }
 
     /// Structural equality used by tests: deep for arrays/objects, bitwise
-    /// for doubles.
+    /// for doubles. Objects compare by class and present fields, whatever
+    /// their shapes' slot order.
     pub fn deep_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a == b,
@@ -86,11 +210,10 @@ impl Value {
             }
             (Value::Object(a), Value::Object(b)) => {
                 let (a, b) = (a.borrow(), b.borrow());
-                a.class == b.class
-                    && a.fields.len() == b.fields.len()
-                    && a.fields
-                        .iter()
-                        .all(|(k, v)| b.fields.get(k).is_some_and(|w| v.deep_eq(w)))
+                a.class() == b.class()
+                    && a.field_count() == b.field_count()
+                    && a.fields()
+                        .all(|(k, v)| b.get(k).is_some_and(|w| v.deep_eq(w)))
             }
             _ => false,
         }
@@ -122,14 +245,12 @@ impl fmt::Display for Value {
             }
             Value::Object(o) => {
                 let o = o.borrow();
-                write!(f, "{}{{", o.class)?;
-                let mut keys: Vec<_> = o.fields.keys().collect();
-                keys.sort();
-                for (i, k) in keys.iter().enumerate() {
+                write!(f, "{}{{", o.class())?;
+                for (i, (k, v)) in o.fields().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{k}: {}", o.fields[*k])?;
+                    write!(f, "{k}: {v}")?;
                 }
                 write!(f, "}}")
             }
@@ -179,6 +300,47 @@ mod tests {
         let o2 = Value::new_object("P", f1);
         assert!(o1.deep_eq(&o2));
         assert!(!o1.deep_eq(&a));
+    }
+
+    #[test]
+    fn deep_eq_ignores_slot_order_but_not_absent_slots() {
+        let xy = Shape::new("P", vec!["x".into(), "y".into()]);
+        let yx = Shape::new("P", vec!["y".into(), "x".into()]);
+        let obj = |shape: &Arc<Shape>, slots: Vec<Option<Value>>| {
+            Value::Object(Rc::new(RefCell::new(ObjectVal::new(
+                Arc::clone(shape),
+                slots,
+            ))))
+        };
+        let a = obj(&xy, vec![Some(Value::Int(1)), Some(Value::Int(2))]);
+        let b = obj(&yx, vec![Some(Value::Int(2)), Some(Value::Int(1))]);
+        assert!(a.deep_eq(&b) && b.deep_eq(&a));
+        assert_eq!(a.to_string(), "P{x: 1, y: 2}");
+        assert_eq!(b.to_string(), "P{x: 1, y: 2}", "display sorts by name");
+        let partial = obj(&yx, vec![None, Some(Value::Int(1))]);
+        assert!(!a.deep_eq(&partial) && !partial.deep_eq(&a));
+        assert_eq!(partial.to_string(), "P{x: 1}");
+        let Value::Object(p) = &partial else {
+            unreachable!()
+        };
+        assert!(
+            p.borrow().get("y").is_none(),
+            "absent slot reads as missing"
+        );
+        assert_eq!(p.borrow().get("x").and_then(Value::as_i64), Some(1));
+        let q = Shape::new("Q", vec!["x".into(), "y".into()]);
+        let other_class = obj(&q, vec![Some(Value::Int(1)), Some(Value::Int(2))]);
+        assert!(!a.deep_eq(&other_class));
+    }
+
+    #[test]
+    fn shape_ids_are_never_reused() {
+        let first = Shape::new("P", vec![]).id();
+        let second = Shape::new("P", vec![]).id();
+        assert!(
+            second > first,
+            "a dropped shape's id is not handed out again"
+        );
     }
 
     #[test]

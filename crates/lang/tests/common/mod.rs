@@ -4,11 +4,16 @@
 //! program passes the checker by construction while still exercising the
 //! runtime's interesting territory: integer division/remainder by zero,
 //! empty `foreach` domains, unbound externs, `break`/`continue`, method
-//! calls and reduction objects, and int→double widening. Failures
+//! calls and reduction objects, int→double widening, and objects whose
+//! fields live in different slot orders (host-built vs `new`). Failures
 //! reproduce deterministically from the seed.
 
+use cgp_lang::value::{ObjectVal, Shape};
+use cgp_lang::{HostEnv, Value};
 use cgp_obs::SmallRng;
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 #[derive(Clone, Copy, PartialEq)]
 pub enum Ty {
@@ -27,6 +32,8 @@ pub struct ProgramGen {
     loop_depth: usize,
     /// Whether an `acc` reduction object is in scope (pipelined bodies).
     pub with_acc: bool,
+    /// `P`-typed locals in scope ([`ProgramGen::object_program`]).
+    objects: Vec<String>,
 }
 
 impl ProgramGen {
@@ -37,6 +44,7 @@ impl ProgramGen {
             next: 0,
             loop_depth: 0,
             with_acc: false,
+            objects: Vec::new(),
         }
     }
 
@@ -79,6 +87,14 @@ impl ProgramGen {
     /// on purpose: a zero denominator is a *runtime* diagnostic both
     /// engines must raise identically.
     pub fn int_expr(&mut self, depth: usize) -> String {
+        if !self.objects.is_empty() && self.rng.gen_bool(0.15) {
+            let o = self.object();
+            return match self.rng.gen_range(0, 3) {
+                0 => format!("{o}.a"),
+                1 => format!("{o}.c"),
+                _ => format!("{o}.geta()"),
+            };
+        }
         if depth == 0 || self.rng.gen_bool(0.35) {
             return match self.rng.gen_range(0, 3) {
                 0 => format!("{}", self.rng.gen_range(0, 30)),
@@ -125,6 +141,14 @@ impl ProgramGen {
     }
 
     pub fn double_expr(&mut self, depth: usize) -> String {
+        if !self.objects.is_empty() && self.rng.gen_bool(0.15) {
+            let o = self.object();
+            return match self.rng.gen_range(0, 3) {
+                0 => format!("{o}.b"),
+                1 => format!("{o}.d"),
+                _ => format!("{o}.mix({})", self.double_expr(0)),
+            };
+        }
         if depth == 0 || self.rng.gen_bool(0.35) {
             return match self.rng.gen_range(0, 3) {
                 0 => format!("{}.{}", self.rng.gen_range(0, 9), self.rng.gen_range(0, 10)),
@@ -303,6 +327,7 @@ impl ProgramGen {
                 let x = self.double_expr(2);
                 let _ = writeln!(out, "acc.add({x});");
             }
+            8 | 9 if !self.objects.is_empty() => self.object_stmt(out),
             _ => {
                 let ty = [Ty::Int, Ty::Double, Ty::Bool][self.rng.gen_range(0, 3)];
                 let e = self.expr_of(ty, 2);
@@ -370,4 +395,124 @@ impl ProgramGen {
             body = body
         )
     }
+
+    /// A `P`-typed local in scope.
+    fn object(&mut self) -> String {
+        self.objects[self.rng.gen_range(0, self.objects.len())].clone()
+    }
+
+    /// An index into the host's `ps`: mostly a complete object, sometimes
+    /// the one the host left `c` out of.
+    fn host_index(&mut self) -> usize {
+        if self.rng.gen_bool(0.3) {
+            2
+        } else {
+            self.rng.gen_range(0, 2)
+        }
+    }
+
+    /// A statement over objects: field writes and compound assignments
+    /// through an explicit receiver, method calls, rebinding a local to a
+    /// host-built or fresh object, and a loop over the host array.
+    fn object_stmt(&mut self, out: &mut String) {
+        let o = self.object();
+        match self.rng.gen_range(0, 7) {
+            0 | 1 => {
+                let (f, rhs) = if self.rng.gen_bool(0.5) {
+                    (["a", "c"][self.rng.gen_range(0, 2)], self.int_expr(1))
+                } else {
+                    (["b", "d"][self.rng.gen_range(0, 2)], self.double_expr(1))
+                };
+                let op = ["=", "+=", "-="][self.rng.gen_range(0, 3)];
+                let _ = writeln!(out, "{o}.{f} {op} {rhs};");
+            }
+            2 => {
+                let k = self.int_expr(1);
+                let _ = writeln!(out, "{o}.bump({k});");
+            }
+            3 => {
+                let k = self.host_index();
+                let _ = writeln!(out, "{o} = ps[{k}];");
+            }
+            4 => {
+                let _ = writeln!(out, "{o} = new P();");
+            }
+            5 => {
+                let i = self.fresh("i");
+                let f = ["a", "b", "c", "d"][self.rng.gen_range(0, 4)];
+                let _ = writeln!(
+                    out,
+                    "for (int {i} = 0; {i} < 2; {i} += 1) {{ ps[{i}].bump({i}); print(ps[{i}].{f} + {o}.{f}); }}"
+                );
+            }
+            _ => {
+                let k = self.host_index();
+                let f = ["a", "b", "c", "d"][self.rng.gen_range(0, 4)];
+                let _ = writeln!(out, "print(ps[{k}].{f});");
+            }
+        }
+    }
+
+    /// A program over objects of a class `P` with four fields, whose
+    /// methods read, write and compound-assign them through `this` both
+    /// implicitly and explicitly. `main` holds `P` locals bound to `new P()`
+    /// and to elements of the host's `ps` ([`object_host`]), whose slot
+    /// orders differ from the declaration, so one op meets several shapes.
+    #[allow(dead_code)] // not every test binary generates objects
+    pub fn object_program(&mut self, budget: usize) -> String {
+        let mut body = String::new();
+        for (k, init) in ["new P()", "ps[0]", "ps[1]"].iter().enumerate() {
+            let name = format!("o{k}");
+            let _ = writeln!(body, "P {name} = {init};");
+            self.objects.push(name);
+        }
+        self.stmts(&mut body, budget);
+        self.objects.clear();
+        format!(
+            concat!(
+                "extern int n;\n",
+                "extern P[] ps;\n",
+                "class P {{\n",
+                "    int a; double b; int c; double d;\n",
+                "    int geta() {{ return a; }}\n",
+                "    void bump(int k) {{ a += k; c = c - k; this.b += toDouble(k); }}\n",
+                "    double mix(double x) {{ this.d = d * 0.5 + x; return b + d + toDouble(c); }}\n",
+                "}}\n",
+                "class A {{ void main() {{\n",
+                "{body}",
+                "}} }}\n"
+            ),
+            body = body
+        )
+    }
+}
+
+/// The host side of [`ProgramGen::object_program`]: `n` and three `P`
+/// objects, each built through its own shape in a field order that differs
+/// from `P`'s declaration; the third leaves `c` out. A fresh call builds
+/// fresh objects, so each engine can mutate its own.
+#[allow(dead_code)]
+pub fn object_host(n: i64) -> HostEnv {
+    let obj = |names: &[&str], vals: &[f64]| {
+        let shape = Shape::new("P", names.iter().map(|n| n.to_string()).collect());
+        let slots = names
+            .iter()
+            .zip(vals)
+            .map(|(n, v)| {
+                Some(match *n {
+                    "a" | "c" => Value::Int(*v as i64),
+                    _ => Value::Double(*v),
+                })
+            })
+            .collect();
+        Value::Object(Rc::new(RefCell::new(ObjectVal::new(shape, slots))))
+    };
+    let ps = vec![
+        obj(&["d", "c", "b", "a"], &[0.25, 7.0, 1.5, 3.0]),
+        obj(&["b", "d", "a", "c"], &[-2.5, 4.0, 11.0, -6.0]),
+        obj(&["d", "b", "a"], &[8.5, 0.75, 5.0]),
+    ];
+    HostEnv::new()
+        .bind("n", Value::Int(n))
+        .bind("ps", Value::Array(Rc::new(RefCell::new(ps))))
 }

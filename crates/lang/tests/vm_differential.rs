@@ -11,12 +11,13 @@ mod common;
 use cgp_lang::bytecode::{vm::Vm, ProgramCode};
 use cgp_lang::interp::{HostEnv, Interp};
 use cgp_lang::{frontend, Value};
-use common::ProgramGen;
+use common::{object_host, ProgramGen};
 use std::collections::HashMap;
 
-/// Run `main`'s body as a statement slice through both engines and
-/// assert they are observationally identical, Ok or Err.
-fn assert_engines_agree(src: &str, host: HostEnv, ctx: &str) {
+/// Run `main`'s body as a statement slice through both engines, each
+/// against its own `host()`, and assert they are observationally
+/// identical, Ok or Err — host objects they mutate included.
+fn assert_engines_agree(src: &str, host: impl Fn() -> HostEnv, ctx: &str) {
     let tp = match frontend(src) {
         Ok(tp) => tp,
         Err(e) => panic!("{ctx}: generated program failed frontend: {e:?}\n{src}"),
@@ -24,13 +25,13 @@ fn assert_engines_agree(src: &str, host: HostEnv, ctx: &str) {
     let (class, method) = tp.program.main().expect("main");
     let (cname, stmts) = (class.name.clone(), method.body.stmts.clone());
 
-    let mut it = Interp::new(&tp, host.clone());
+    let mut it = Interp::new(&tp, host());
     let mut ivars = HashMap::new();
     let ires = it.exec_stmts_with_vars(&cname, &stmts, &mut ivars);
 
     let prog = ProgramCode::lower(&tp);
     let slice = prog.lower_slice(&tp, &cname, &stmts);
-    let mut vm = Vm::new(&prog, host);
+    let mut vm = Vm::new(&prog, host());
     let mut vvars = HashMap::new();
     let vres = vm.exec_slice(&slice, &mut vvars);
 
@@ -93,7 +94,7 @@ fn random_programs_agree() {
         {
             errored += 1;
         }
-        assert_engines_agree(&src, host, &format!("seed {seed}"));
+        assert_engines_agree(&src, || host.clone(), &format!("seed {seed}"));
     }
     assert!(
         errored >= 3,
@@ -114,8 +115,35 @@ fn random_pipelined_programs_agree_across_packet_splits() {
         let host = HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(np));
-        assert_engines_agree(&src, host, &format!("seed {seed} n={n} np={np}"));
+        assert_engines_agree(&src, || host.clone(), &format!("seed {seed} n={n} np={np}"));
     }
+}
+
+#[test]
+fn random_object_programs_agree() {
+    // Objects of one class reach the same ops through different shapes:
+    // `new P()` in declaration order, host-built `ps` elements in other
+    // orders, one of them without `c`. Both the clean runs and the
+    // missing-field diagnostics must match.
+    let (mut clean, mut missing) = (0, 0);
+    for seed in 0..150u64 {
+        let mut g = ProgramGen::new(0x0B1E_0000 + seed);
+        let src = g.object_program(8);
+        let n = (seed as i64 % 7) - 1;
+        assert_engines_agree(&src, || object_host(n), &format!("seed {seed}"));
+        let tp = frontend(&src).expect("frontend");
+        let (c, m) = tp.program.main().expect("main");
+        let mut it = Interp::new(&tp, object_host(n));
+        match it.exec_stmts_with_vars(&c.name, &m.body.stmts, &mut HashMap::new()) {
+            Ok(()) => clean += 1,
+            Err(e) if e.message.starts_with("no field") => missing += 1,
+            Err(_) => {}
+        }
+    }
+    assert!(
+        clean >= 20 && missing >= 5,
+        "generator drifted: {clean} clean runs, {missing} missing-field diagnostics of 150"
+    );
 }
 
 #[test]
@@ -135,7 +163,7 @@ fn packet_count_never_changes_vm_output() {
             let host = HostEnv::new()
                 .bind("n", Value::Int(57))
                 .bind("num_packets", Value::Int(np));
-            assert_engines_agree(&src, host.clone(), &format!("seed {seed} np={np}"));
+            assert_engines_agree(&src, || host.clone(), &format!("seed {seed} np={np}"));
             let prog = ProgramCode::lower(&tp);
             let slice = prog.lower_slice(&tp, &cname, &stmts);
             let mut vm = Vm::new(&prog, host);

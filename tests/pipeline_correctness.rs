@@ -7,7 +7,10 @@ use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
 use cgp_core::lang::{frontend, interp::Interp, HostEnv};
-use cgp_core::{compile, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv};
+use cgp_core::{
+    compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, Decomposition,
+    ExecOptions, HostBuilder, PipelineEnv,
+};
 use std::sync::Arc;
 
 fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
@@ -15,6 +18,147 @@ fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
     let mut it = Interp::new(&tp, host.clone());
     it.run_main().unwrap();
     it.output
+}
+
+/// One app of the decomposition matrix at its demo size.
+struct App {
+    name: &'static str,
+    src: &'static str,
+    opts: CompileOptions,
+    host: HostBuilder,
+}
+
+fn demo_apps() -> Vec<App> {
+    let env = || PipelineEnv::uniform(3, 1e8, 1e6, 1e-5);
+    let grid = ScalarGrid::synthetic(8, 8, 8, 21);
+    let iso_opts = || {
+        CompileOptions::new(env(), 128)
+            .with_symbol("ncubes", 343)
+            .with_symbol("screen", 16)
+            .with_selectivity(0, 0.15)
+    };
+    let iso_host: HostBuilder = Arc::new(move || iso_host_env(&grid, 0.8, 16, 4));
+    let pts = generate_points(300, 5);
+    let slide = Slide::synthetic(32, 32, 9);
+    vec![
+        App {
+            name: "zbuf",
+            src: ZBUF_SRC,
+            opts: iso_opts(),
+            host: Arc::clone(&iso_host),
+        },
+        App {
+            name: "apix",
+            src: APIX_SRC,
+            opts: iso_opts(),
+            host: iso_host,
+        },
+        App {
+            name: "knn",
+            src: KNN_SRC,
+            opts: CompileOptions::new(env(), 64)
+                .with_symbol("npoints", 300)
+                .with_symbol("k", 3),
+            host: Arc::new(move || knn_host_env(&pts, [0.3, 0.6, 0.2], 3, 6)),
+        },
+        App {
+            name: "vmscope",
+            src: VMSCOPE_SRC,
+            opts: CompileOptions::new(env(), 8)
+                .with_symbol("height", 32)
+                .with_symbol("width", 32)
+                .with_symbol("subsample", 2)
+                .with_selectivity(0, 0.5),
+            host: Arc::new(move || vmscope_host_env(&slide, 2, 4)),
+        },
+    ]
+}
+
+/// Every monotone assignment of `n` tasks to `m` units with the first
+/// task (the data source) on unit 0.
+fn monotone_plans(n: usize, m: usize) -> Vec<Vec<usize>> {
+    let mut plans = vec![vec![0]];
+    for _ in 1..n {
+        plans = plans
+            .into_iter()
+            .flat_map(|p| {
+                let last = *p.last().expect("non-empty");
+                (last..m).map(move |u| {
+                    let mut q = p.clone();
+                    q.push(u);
+                    q
+                })
+            })
+            .collect();
+    }
+    plans
+}
+
+/// The in-process slice of the conformance matrix: every app under every
+/// monotone 3-unit decomposition, run sequentially and threaded at widths
+/// [1,1,1] and [2,2,1], must print exactly what `Interp::run_main` prints.
+/// Each app's compiler-chosen plan also runs at the wider [4,4,1] and
+/// [1,4,1]. Every mismatch is collected, so a failure lists each row.
+#[test]
+fn every_decomposition_matches_the_oracle() {
+    let mut failures = Vec::new();
+    let mut runs = 0;
+    let mut plan_counts = Vec::new();
+    for app in demo_apps() {
+        let expect = oracle(app.src, &(app.host)());
+        let chosen = compile(app.src, &app.opts).unwrap();
+        let plans = monotone_plans(chosen.problem.n_tasks(), 3);
+        plan_counts.push(plans.len());
+        let mut rows: Vec<(Vec<usize>, Option<[usize; 3]>)> = Vec::new();
+        for unit_of in plans {
+            rows.push((unit_of.clone(), None));
+            rows.push((unit_of.clone(), Some([1, 1, 1])));
+            rows.push((unit_of, Some([2, 2, 1])));
+        }
+        for widths in [[4, 4, 1], [1, 4, 1]] {
+            rows.push((chosen.plan.decomposition.unit_of.clone(), Some(widths)));
+        }
+        for (unit_of, widths) in rows {
+            let forced = Decomposition {
+                unit_of: unit_of.clone(),
+                cost: f64::NAN,
+            };
+            let plan = compile(app.src, &app.opts.clone().with_decomposition(forced))
+                .unwrap()
+                .plan;
+            let out = match widths {
+                None => run_plan_sequential(&plan, &(app.host)()).map_err(|e| e.to_string()),
+                Some(w) => run_plan_threaded_stats(
+                    Arc::new(plan),
+                    Arc::clone(&app.host),
+                    Some(&w),
+                    &ExecOptions::default(),
+                )
+                .map(|(out, _)| out)
+                .map_err(|e| e.to_string()),
+            };
+            runs += 1;
+            let run = match widths {
+                None => "sequential".to_string(),
+                Some(w) => format!("threaded {w:?}"),
+            };
+            match out {
+                Ok(out) if out == expect => {}
+                Ok(out) => failures.push(format!(
+                    "{} unit_of={unit_of:?} {run}: {out:?} != {expect:?}",
+                    app.name
+                )),
+                Err(e) => failures.push(format!("{} unit_of={unit_of:?} {run}: {e}", app.name)),
+            }
+        }
+    }
+    assert_eq!(plan_counts, [15, 15, 10, 6], "plans per app");
+    assert!(
+        failures.is_empty(),
+        "{} of {runs} runs differ from the oracle:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }
 
 #[test]
