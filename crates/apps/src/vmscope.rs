@@ -141,6 +141,9 @@ pub struct VmscopePipeline {
     chunks: Vec<Vec<u8>>,
     /// Assembled output image (the result viewed at the destination).
     out: Vec<u8>,
+    /// Pixels the data node examined while subsampling, since the last
+    /// reset ([`VmscopePipeline::data_node_pixels`]).
+    examined: u64,
     label: String,
 }
 
@@ -164,6 +167,7 @@ impl VmscopePipeline {
             version,
             chunks: Vec::new(),
             out: vec![0; ow * oh * 3],
+            examined: 0,
             label: label.into(),
         };
         p.chunks = (0..n_packets)
@@ -179,6 +183,14 @@ impl VmscopePipeline {
             })
             .collect();
         p
+    }
+
+    /// Pixels the data node has examined while subsampling, over every
+    /// packet run since the last reset: every pixel of a kept row for
+    /// Decomp-Comp, every `f`-th for Decomp-Manual, none for Default
+    /// (whose data node ships the rows whole).
+    pub fn data_node_pixels(&self) -> u64 {
+        self.examined
     }
 
     /// Row range (relative to the query region) for packet `p`.
@@ -252,23 +264,26 @@ impl AppVariant for VmscopePipeline {
                 // Data node: decode, then strided subsampling; ship only
                 // kept pixels (instance-wise dense packing — coordinates
                 // are implicit in the counts).
-                let (kept, t0) = timed(|| {
+                let ((kept, examined), t0) = timed(|| {
                     let raw = decode_chunk(&self.chunks[p]);
                     let mut out: Vec<u8> =
                         Vec::with_capacity((rows.len() / f + 1) * (q.width / f + 1) * 3);
+                    let mut examined = 0u64;
                     let mut ry = rows.start.next_multiple_of(f);
                     while ry < rows.end {
                         let j = ry - rows.start;
                         let row = &raw[j * w3..(j + 1) * w3];
                         let mut rx = 0;
                         while rx < q.width {
+                            examined += 1;
                             out.extend_from_slice(&row[rx * 3..rx * 3 + 3]);
                             rx += f;
                         }
                         ry += f;
                     }
-                    out
+                    (out, examined)
                 });
+                self.examined += examined;
                 let bytes0 = kept.len() as f64 + 16.0; // payload + row header
                                                        // Compute node: assemble (positions implied by the grid).
                 let (_, t1) = timed(|| {
@@ -292,10 +307,11 @@ impl AppVariant for VmscopePipeline {
                 // fission), but within a kept row the generated code walks
                 // *every* pixel and tests `x % f == 0` — the conditional
                 // the paper contrasts with the manual stride.
-                let (kept, t0) = timed(|| {
+                let ((kept, examined), t0) = timed(|| {
                     let raw = decode_chunk(&self.chunks[p]);
                     let mut out: Vec<u8> =
                         Vec::with_capacity((rows.len() / f + 1) * (q.width / f + 1) * 3);
+                    let mut examined = 0u64;
                     for ry in rows.clone() {
                         if ry % f != 0 {
                             continue;
@@ -303,13 +319,15 @@ impl AppVariant for VmscopePipeline {
                         let j = ry - rows.start;
                         let row = &raw[j * w3..(j + 1) * w3];
                         for rx in 0..q.width {
+                            examined += 1;
                             if rx % f == 0 {
                                 out.extend_from_slice(&row[rx * 3..rx * 3 + 3]);
                             }
                         }
                     }
-                    out
+                    (out, examined)
                 });
+                self.examined += examined;
                 let bytes0 = kept.len() as f64 + 16.0;
                 // Compute node: assemble through the same generic path.
                 let (_, t1) = timed(|| {
@@ -341,6 +359,7 @@ impl AppVariant for VmscopePipeline {
 
     fn reset(&mut self) {
         self.out.fill(0);
+        self.examined = 0;
     }
 }
 
@@ -455,6 +474,9 @@ mod tests {
 
     #[test]
     fn comp_version_does_more_data_node_work() {
+        // Count the pixels each data node examines instead of timing two
+        // nearly equal stages: Comp walks every pixel of a kept row,
+        // Manual every f-th.
         let slide = Slide::synthetic(1024, 1024, 3);
         let q = Query {
             x0: 0,
@@ -465,15 +487,19 @@ mod tests {
         };
         let mut comp = VmscopePipeline::new(slide.clone(), q, 8, VmVersion::DecompComp, "big");
         let mut man = VmscopePipeline::new(slide, q, 8, VmVersion::DecompManual, "big");
-        let (pc, dc) = crate::profile::run_all_min(&mut comp, 3);
-        let (pm, dm) = crate::profile::run_all_min(&mut man, 3);
+        let (_, dc) = crate::profile::run_all_min(&mut comp, 2);
+        let (_, dm) = crate::profile::run_all_min(&mut man, 2);
         assert_eq!(dc, dm);
-        let t = |ps: &[PacketProfile]| ps.iter().map(|p| p.seconds[0]).sum::<f64>();
-        assert!(
-            t(&pc) > t(&pm),
-            "comp {} should exceed manual {}",
-            t(&pc),
-            t(&pm)
+        let kept_rows = 1024 / 8;
+        assert_eq!(
+            comp.data_node_pixels(),
+            kept_rows * 1024,
+            "every pixel of a kept row"
+        );
+        assert_eq!(
+            man.data_node_pixels(),
+            kept_rows * 1024 / 8,
+            "every 8th pixel"
         );
     }
 

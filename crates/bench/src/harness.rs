@@ -10,7 +10,9 @@
 //! - `--explain` — print the compiler's decision report for the matching
 //!   dialect program: candidate boundary graph, per-boundary
 //!   Gen/Cons/ReqComm byte volumes, every candidate decomposition's cost,
-//!   and why the winner won;
+//!   and why the winner won — then the generated filters: each unit's
+//!   atoms, its prologue slice length, the reduction roots it holds or
+//!   adopts and whether it builds the host environment;
 //! - `CGP_FAULTS=<spec>` (env) or `--faults <spec>` (flag, wins) — inject
 //!   deterministic faults into the threaded demo run (see
 //!   [`cgp_core::datacutter::FaultPlan::parse`] for the spec grammar),
@@ -511,6 +513,8 @@ impl Obs {
         if self.explain {
             println!("--- {name}: compiler decision report ---");
             print!("{}", compiled.report.render_text());
+            println!("--- {name}: generated filters ---");
+            print!("{}", compiled.plan.describe());
         }
         if self.sink.is_some() || self.chaos || self.telemetry {
             let builder = demo_host_builder(app);

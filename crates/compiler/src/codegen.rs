@@ -17,11 +17,35 @@
 //!   temporaries) whose *contents* are produced downstream of their
 //!   allocation site are re-allocated locally by the consuming filter; the
 //!   analysis guarantees their contents are fully written before use.
-//! - **Reduction finalization** — each filter owns a replicated copy of
-//!   every reduction variable, initialized when its unit starts by the
-//!   replicated prologue (which must construct the reduction identity);
-//!   after the last packet the copies are merged with `reduce` and the
-//!   epilogue runs at the final filter.
+//! - **Per-unit starts** — a unit does not run the whole prologue. At
+//!   plan-build time each unit gets a root-level backward slice of it,
+//!   iterated to a fixpoint ([`FilterSpec::prologue`]). The slice starts
+//!   from the names the unit's own code mentions — its atoms, its
+//!   replicated decls, the roots it packs and the symbols of its links'
+//!   section bounds, the loop-bounds probe on unit 0 and the epilogue on
+//!   the last unit — minus the reduction roots the unit does not hold. A
+//!   prologue statement is kept if it mentions a needed name, and its
+//!   names then become needed too. A statement's names include the
+//!   externs named, transitively, by every method of that name in any
+//!   class (calls dispatch on the runtime class). Statements no unit
+//!   keeps go to unit 0, so a prologue that fails anywhere still fails
+//!   the run.
+//! - **Reduction finalization** — unit `j` *holds* a reduction root when
+//!   its atoms name it; a root no unit's atoms name is held by the last
+//!   unit ([`FilterSpec::holds`]). A holder accumulates into the copy its
+//!   slice builds, and every copy of every holder stage runs that slice;
+//!   so a root held by more than one unit, or by a stage of width > 1,
+//!   needs a prologue that constructs the reduction identity (a seed
+//!   there counts once per holder copy). After the last
+//!   packet each unit ships only the roots it holds or has adopted. A
+//!   unit that has the root merges the partial with `reduce`; a unit
+//!   that lacks it adopts the partial with no merge. The epilogue runs
+//!   at the final filter.
+//! - **Host needs** — a unit none of whose names is an extern (its
+//!   slice's included, and `reduce`'s when it holds or adopts a root)
+//!   needs no host environment ([`FilterSpec::needs_host`]); the runtime
+//!   then binds an empty one, and reading an unbound extern fails with
+//!   the engines' usual diagnostic.
 //!
 //! The module also provides [`run_plan_sequential`] — a single-threaded
 //! Path-A executor that moves real packed buffers between filter stages and
@@ -34,12 +58,13 @@ use crate::error::{CompileError, CompileResult};
 use crate::graph::{AtomCode, BoundaryGraph, BoundaryKind};
 use crate::normalize::NormalizedPipeline;
 use crate::packing::{compute_layout, pack, unpack, PackLayout, RuntimeEnv};
-use crate::place::PlaceSet;
+use crate::place::{PlaceSet, Sectioning};
 use crate::reqcomm::ChainAnalysis;
 use cgp_lang::ast::*;
 use cgp_lang::bytecode::{vm::Vm, CodeBlock, ProgramCode};
 use cgp_lang::interp::{split_domain, HostEnv, Interp};
 use cgp_lang::span::Span;
+use cgp_lang::types::TypedProgram;
 use cgp_lang::value::{ObjectVal, Value};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -57,6 +82,18 @@ pub struct FilterSpec {
     /// VarDecl statements replicated from upstream atoms for packet-local
     /// arrays this filter writes before reading.
     pub replicated_decls: Vec<Stmt>,
+    /// Reduction roots this unit holds: its atoms name them, or no
+    /// unit's atoms do and this is the last unit.
+    pub holds: Vec<String>,
+    /// Reduction roots held upstream and not here: this unit adopts the
+    /// first partial it receives instead of merging it.
+    pub adopts: Vec<String>,
+    /// Indices into the prologue of the statements this unit starts
+    /// with, in program order.
+    pub prologue: Vec<usize>,
+    /// Whether this unit's code names an extern, so its copies need the
+    /// host environment.
+    pub needs_host: bool,
 }
 
 /// An executable decomposition.
@@ -77,16 +114,16 @@ pub struct FilterPlan {
 }
 
 /// Plan-time lowered bytecode: the whole program's methods, the per-run
-/// lifecycle slices (prologue, loop-bounds probe, epilogue), and one step
-/// sequence per filter mirroring [`FilterSpec::atoms`] (a
+/// lifecycle slices (per-unit prologue, loop-bounds probe, epilogue), and
+/// one step sequence per filter mirroring [`FilterSpec::atoms`] (a
 /// `CondSelect`/`CondBody` pair sharing a filter collapses into one
 /// reconstituted slice). Both engines of a [`FilterStepper`] walk these
 /// same lists, so they run the same statements in the same order.
 #[derive(Debug)]
 pub struct LoweredPlan {
     pub prog: ProgramCode,
-    /// The replicated prologue every unit starts from.
-    pub prologue: LoweredSlice,
+    /// Per-unit prologue slices ([`FilterSpec::prologue`]).
+    pub prologue: Vec<LoweredSlice>,
     /// Binds `__dom` and `__np`: the pipelined loop's domain and packet
     /// count, evaluated against a started unit's state.
     pub bounds: LoweredSlice,
@@ -131,7 +168,11 @@ fn lower_filters(
     };
     let mut steps = Vec::with_capacity(filters.len());
     let mut replicated = Vec::with_capacity(filters.len());
+    let mut prologue = Vec::with_capacity(filters.len());
     for f in filters {
+        prologue.push(slice(
+            f.prologue.iter().map(|&i| np.prologue[i].clone()).collect(),
+        ));
         replicated.push(if f.replicated_decls.is_empty() {
             None
         } else {
@@ -179,7 +220,7 @@ fn lower_filters(
         steps.push(list);
     }
     LoweredPlan {
-        prologue: slice(np.prologue.clone()),
+        prologue,
         bounds: slice(bounds_probe(np)),
         epilogue: slice(np.epilogue.clone()),
         prog,
@@ -205,6 +246,19 @@ impl FilterPlan {
                 f.name,
                 f.unit + 1,
                 labels.join(", ")
+            );
+            let _ = writeln!(
+                s,
+                "  starts {} of {} prologue statements; holds [{}]; adopts [{}]; {}",
+                f.prologue.len(),
+                self.np.prologue.len(),
+                f.holds.join(", "),
+                f.adopts.join(", "),
+                if f.needs_host {
+                    "builds the host env"
+                } else {
+                    "no host env"
+                }
             );
         }
         for (l, lay) in self.layouts.iter().enumerate() {
@@ -249,6 +303,10 @@ pub fn build_plan(
             name: format!("f{}", j + 1),
             atoms: Vec::new(),
             replicated_decls: Vec::new(),
+            holds: Vec::new(),
+            adopts: Vec::new(),
+            prologue: Vec::new(),
+            needs_host: false,
         })
         .collect();
     for (task, &unit) in decomposition.unit_of.iter().enumerate().skip(1) {
@@ -315,29 +373,29 @@ pub fn build_plan(
                 .map(|e| e.place.root.clone())
                 .collect()
         };
-        let mut declared: HashSet<String> = HashSet::new();
-        let mut needed: Vec<String> = Vec::new();
+        let mut atoms = Mentions::default();
         for &a in &f.atoms {
-            atom_names(&graph.atoms[a].code, &mut declared, &mut needed);
+            atoms.atom(&graph.atoms[a].code);
         }
-        for root in needed {
-            if received.contains(&root)
-                || declared.contains(&root)
-                || analysis.prologue_roots.contains(&root)
-                || analysis.reduction_roots.contains(&root)
-                || np.typed.symbols.externs.contains_key(&root)
+        for root in atoms.used {
+            if received.contains(root)
+                || atoms.declared.contains(root)
+                || analysis.prologue_roots.contains(root)
+                || analysis.reduction_roots.contains(root)
+                || np.typed.symbols.externs.contains_key(root)
                 || root == np.pkt_var
             {
                 continue;
             }
-            if let Some(d) = decls.get(&root) {
-                if !f.replicated_decls.iter().any(|s| stmt_declares(s, &root)) {
+            if let Some(d) = decls.get(root) {
+                if !f.replicated_decls.iter().any(|s| stmt_declares(s, root)) {
                     f.replicated_decls.push(d.clone());
                 }
             }
         }
     }
 
+    assign_unit_needs(np, graph, analysis, &layouts, &mut filters);
     let lowered = Arc::new(lower_filters(np, graph, &filters));
     Ok(FilterPlan {
         np: np.clone(),
@@ -375,98 +433,329 @@ fn collect_decls(graph: &BoundaryGraph) -> HashMap<String, Stmt> {
     out
 }
 
-/// Collect declared names and used (read or written) roots of an atom.
-fn atom_names(code: &AtomCode, declared: &mut HashSet<String>, needed: &mut Vec<String>) {
-    fn visit_stmt(s: &Stmt, declared: &mut HashSet<String>, needed: &mut Vec<String>) {
-        s.visit(&mut |st| {
-            if let StmtKind::VarDecl { name, .. } = &st.kind {
-                declared.insert(name.clone());
-            }
-            if let StmtKind::Foreach { var, .. } = &st.kind {
-                declared.insert(var.clone());
-            }
-            collect_stmt_var_reads(st, needed);
-        });
+/// What a piece of code mentions, nested statements included.
+#[derive(Default)]
+struct Mentions<'a> {
+    /// Names it declares: locals and loop variables.
+    declared: HashSet<&'a str>,
+    /// Roots it reads or writes, in visit order.
+    used: Vec<&'a str>,
+    /// Methods it calls, by name.
+    calls: HashSet<&'a str>,
+}
+
+impl<'a> Mentions<'a> {
+    fn of_stmts(stmts: impl IntoIterator<Item = &'a Stmt>) -> Self {
+        let mut m = Mentions::default();
+        for s in stmts {
+            m.stmt(s);
+        }
+        m
     }
-    match code {
-        AtomCode::Straight(ss) => {
-            for s in ss {
-                visit_stmt(s, declared, needed);
+
+    fn atom(&mut self, code: &'a AtomCode) {
+        match code {
+            AtomCode::Straight(ss) => ss.iter().for_each(|s| self.stmt(s)),
+            AtomCode::Foreach(s) => self.stmt(s),
+            AtomCode::CondSelect {
+                var, domain, cond, ..
+            } => {
+                self.declared.insert(var);
+                self.expr(cond);
+                self.expr(domain);
+            }
+            AtomCode::CondBody { var, body, .. } => {
+                self.declared.insert(var);
+                self.block(body);
             }
         }
-        AtomCode::Foreach(s) => visit_stmt(s, declared, needed),
-        AtomCode::CondSelect { var, cond, .. } => {
-            declared.insert(var.clone());
-            collect_expr_vars(cond, needed);
-        }
-        AtomCode::CondBody { var, body, .. } => {
-            declared.insert(var.clone());
-            for s in &body.stmts {
-                visit_stmt(s, declared, needed);
+    }
+
+    fn block(&mut self, b: &'a Block) {
+        b.stmts.iter().for_each(|s| self.stmt(s));
+    }
+
+    /// `s`'s own names, then its nested statements' (the order of
+    /// [`Stmt::visit`]).
+    fn stmt(&mut self, s: &'a Stmt) {
+        match &s.kind {
+            StmtKind::VarDecl { name, init, .. } => {
+                self.declared.insert(name);
+                if let Some(e) = init {
+                    self.expr(e);
+                }
             }
+            StmtKind::Assign { target, value, .. } => {
+                self.expr(value);
+                match target {
+                    LValue::Var(n) => self.used.push(n),
+                    LValue::Field(b, _) => self.expr(b),
+                    LValue::Index(b, i) => {
+                        self.expr(b);
+                        self.expr(i);
+                    }
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                self.expr(cond);
+                self.block(then_blk);
+                if let Some(b) = else_blk {
+                    self.block(b);
+                }
+            }
+            StmtKind::While { cond, body } => {
+                self.expr(cond);
+                self.block(body);
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(c) = cond {
+                    self.expr(c);
+                }
+                for s in init.iter().chain(step) {
+                    self.stmt(s);
+                }
+                self.block(body);
+            }
+            StmtKind::Foreach { var, domain, body } => {
+                self.declared.insert(var);
+                self.expr(domain);
+                self.block(body);
+            }
+            StmtKind::Pipelined {
+                var,
+                domain,
+                num_packets,
+                body,
+            } => {
+                self.declared.insert(var);
+                self.expr(domain);
+                self.expr(num_packets);
+                self.block(body);
+            }
+            StmtKind::Return(Some(e)) | StmtKind::Expr(e) => self.expr(e),
+            StmtKind::Block(b) => self.block(b),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
+        }
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        match &e.kind {
+            ExprKind::Var(n) => self.used.push(n),
+            ExprKind::Field(x, _) | ExprKind::Unary(_, x) | ExprKind::NewArray(_, x) => {
+                self.expr(x)
+            }
+            ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) | ExprKind::DomainLit(a, b) => {
+                self.expr(a);
+                self.expr(b);
+            }
+            ExprKind::Ternary(c, a, b) => {
+                self.expr(c);
+                self.expr(a);
+                self.expr(b);
+            }
+            ExprKind::Call { recv, method, args } => {
+                self.calls.insert(method);
+                if let Some(r) = recv {
+                    self.expr(r);
+                }
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Every name mentioned, plus the externs each called method may
+    /// name ([`callee_externs`]).
+    fn names(self, callees: &HashMap<&str, HashSet<&'a str>>) -> HashSet<&'a str> {
+        let mut out = self.declared;
+        out.extend(self.used);
+        for c in &self.calls {
+            out.extend(callees.get(c).into_iter().flatten());
+        }
+        out
+    }
+}
+
+/// The externs each method name may name, transitively through the
+/// methods it calls. A call dispatches on the runtime class, so a name
+/// stands for every class's method of that name.
+fn callee_externs(tp: &TypedProgram) -> HashMap<&str, HashSet<&str>> {
+    let mut direct: HashMap<&str, (HashSet<&str>, HashSet<&str>)> = HashMap::new();
+    for c in &tp.program.classes {
+        for m in &c.methods {
+            let body = Mentions::of_stmts(&m.body.stmts);
+            let (externs, calls) = direct.entry(&m.name).or_default();
+            let named = body.used.into_iter().chain(body.declared);
+            externs.extend(named.filter(|n| tp.symbols.externs.contains_key(*n)));
+            calls.extend(body.calls);
+        }
+    }
+    let mut out: HashMap<&str, HashSet<&str>> = direct
+        .iter()
+        .map(|(name, (externs, _))| (*name, externs.clone()))
+        .collect();
+    loop {
+        let mut changed = false;
+        for (name, (_, calls)) in &direct {
+            let reached: Vec<&str> = calls
+                .iter()
+                .filter_map(|c| out.get(c))
+                .flatten()
+                .copied()
+                .collect();
+            let own = out.get_mut(name).expect("every method name has an entry");
+            for e in reached {
+                changed |= own.insert(e);
+            }
+        }
+        if !changed {
+            return out;
         }
     }
 }
 
-fn collect_stmt_var_reads(s: &Stmt, out: &mut Vec<String>) {
-    match &s.kind {
-        StmtKind::VarDecl { init: Some(e), .. } => {
-            collect_expr_vars(e, out);
+/// Keep every statement that mentions a needed name, making its names
+/// needed too, until nothing changes.
+fn close_slice<'a>(
+    stmt_names: &[HashSet<&'a str>],
+    needed: &mut HashSet<&'a str>,
+    kept: &mut [bool],
+) {
+    loop {
+        let mut changed = false;
+        for (i, names) in stmt_names.iter().enumerate() {
+            if !kept[i] && names.iter().any(|n| needed.contains(n)) {
+                kept[i] = true;
+                needed.extend(names);
+                changed = true;
+            }
         }
-        StmtKind::Assign { target, value, .. } => {
-            collect_expr_vars(value, out);
-            match target {
-                LValue::Var(n) => out.push(n.clone()),
-                LValue::Field(b, _) => collect_expr_vars(b, out),
-                LValue::Index(b, i) => {
-                    collect_expr_vars(b, out);
-                    collect_expr_vars(i, out);
+        if !changed {
+            return;
+        }
+    }
+}
+
+/// Fill each filter's reduction holders, prologue slice and host need
+/// (module docs: *Per-unit starts*, *Reduction finalization*, *Host
+/// needs*).
+fn assign_unit_needs(
+    np: &NormalizedPipeline,
+    graph: &BoundaryGraph,
+    analysis: &ChainAnalysis,
+    layouts: &[PackLayout],
+    filters: &mut [FilterSpec],
+) {
+    let m = filters.len();
+    let last = m - 1;
+    let callees = callee_externs(&np.typed);
+    let reductions = &analysis.reduction_roots;
+    let probe = bounds_probe(np);
+
+    // The names each unit's own code mentions, and the roots its atoms
+    // name (which decide the holders). Packing is code too: a unit needs
+    // the roots it packs (the source packs extern arrays from the host)
+    // and the section bounds of the links it unpacks and packs.
+    let mut code: Vec<HashSet<&str>> = Vec::with_capacity(m);
+    let mut atom_roots: Vec<HashSet<&str>> = Vec::with_capacity(m);
+    for (j, f) in filters.iter().enumerate() {
+        let mut atoms = Mentions::default();
+        for &a in &f.atoms {
+            atoms.atom(&graph.atoms[a].code);
+        }
+        atom_roots.push(atoms.used.iter().copied().collect());
+        let mut names = atoms.names(&callees);
+        names.extend(Mentions::of_stmts(&f.replicated_decls).names(&callees));
+        let unpacked = j.checked_sub(1).and_then(|l| layouts.get(l));
+        let links = unpacked.map(|l| (l, false));
+        for (layout, packed) in links.into_iter().chain(layouts.get(j).map(|l| (l, true))) {
+            for e in layout.entries() {
+                if packed {
+                    names.insert(&e.place.root);
+                }
+                if let Sectioning::Range(sec) = &e.place.sect {
+                    let bounds = sec.lo.terms.iter().chain(&sec.hi.terms);
+                    names.extend(bounds.map(|(n, _)| n.as_str()));
                 }
             }
         }
-        StmtKind::If { cond, .. } => collect_expr_vars(cond, out),
-        StmtKind::While { cond, .. } => collect_expr_vars(cond, out),
-        StmtKind::For { cond: Some(c), .. } => {
-            collect_expr_vars(c, out);
-        }
-        StmtKind::Foreach { domain, .. } => collect_expr_vars(domain, out),
-        StmtKind::Return(Some(e)) | StmtKind::Expr(e) => collect_expr_vars(e, out),
-        _ => {}
+        code.push(names);
     }
-}
+    code[0].extend(Mentions::of_stmts(&probe).names(&callees));
+    code[last].extend(Mentions::of_stmts(&np.epilogue).names(&callees));
 
-fn collect_expr_vars(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::Var(n) => out.push(n.clone()),
-        ExprKind::Field(b, _) => collect_expr_vars(b, out),
-        ExprKind::Index(b, i) => {
-            collect_expr_vars(b, out);
-            collect_expr_vars(i, out);
+    let mut roots: Vec<&str> = reductions.iter().map(String::as_str).collect();
+    roots.sort_unstable();
+    let mut holds: Vec<Vec<&str>> = vec![Vec::new(); m];
+    for root in roots {
+        let named: Vec<usize> = (0..m).filter(|&j| atom_roots[j].contains(root)).collect();
+        for j in if named.is_empty() { vec![last] } else { named } {
+            holds[j].push(root);
         }
-        ExprKind::Unary(_, x) => collect_expr_vars(x, out),
-        ExprKind::Binary(_, l, r) => {
-            collect_expr_vars(l, out);
-            collect_expr_vars(r, out);
-        }
-        ExprKind::Ternary(c, a, b) => {
-            collect_expr_vars(c, out);
-            collect_expr_vars(a, out);
-            collect_expr_vars(b, out);
-        }
-        ExprKind::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                collect_expr_vars(r, out);
-            }
-            for a in args {
-                collect_expr_vars(a, out);
-            }
-        }
-        ExprKind::NewArray(_, len) => collect_expr_vars(len, out),
-        ExprKind::DomainLit(lo, hi) => {
-            collect_expr_vars(lo, out);
-            collect_expr_vars(hi, out);
-        }
-        _ => {}
+    }
+    let adopts: Vec<Vec<&str>> = (0..m)
+        .map(|j| {
+            let upstream = holds[..j].iter().flatten().copied();
+            let mut roots: Vec<&str> = upstream.filter(|r| !holds[j].contains(r)).collect();
+            roots.sort_unstable();
+            roots.dedup();
+            roots
+        })
+        .collect();
+
+    // Each unit's slice, then the statements no unit keeps on unit 0.
+    let stmt_names: Vec<HashSet<&str>> = np
+        .prologue
+        .iter()
+        .map(|s| Mentions::of_stmts([s]).names(&callees))
+        .collect();
+    let n = stmt_names.len();
+    let seed = |j: usize| -> HashSet<&str> {
+        let own = |name: &&str| !reductions.contains(*name) || holds[j].contains(name);
+        code[j].iter().copied().filter(own).collect()
+    };
+    let mut kept: Vec<Vec<bool>> = (0..m)
+        .map(|j| {
+            let mut keep = vec![false; n];
+            close_slice(&stmt_names, &mut seed(j), &mut keep);
+            keep
+        })
+        .collect();
+    // An orphan shares no name with any kept statement (the unit that
+    // kept one would have kept the orphan too), so adding the orphans
+    // needs no second closure.
+    let orphans: Vec<usize> = (0..n).filter(|&i| kept.iter().all(|k| !k[i])).collect();
+    for i in orphans {
+        kept[0][i] = true;
+    }
+
+    let reduce = callees.get("reduce");
+    let needs_host: Vec<bool> = (0..m)
+        .map(|j| {
+            let slice = (0..n).filter(|&i| kept[j][i]).flat_map(|i| &stmt_names[i]);
+            let merges = !holds[j].is_empty() || !adopts[j].is_empty();
+            let merge = reduce.filter(|_| merges).into_iter().flatten();
+            let mut names = code[j].iter().chain(slice).chain(merge);
+            names.any(|name| np.typed.symbols.externs.contains_key(*name))
+        })
+        .collect();
+    let owned = |names: &[&str]| names.iter().map(|r| r.to_string()).collect();
+    for (j, f) in filters.iter_mut().enumerate() {
+        f.holds = owned(&holds[j]);
+        f.adopts = owned(&adopts[j]);
+        f.prologue = (0..n).filter(|&i| kept[j][i]).collect();
+        f.needs_host = needs_host[j];
     }
 }
 
@@ -476,19 +765,22 @@ fn collect_expr_vars(e: &Expr, out: &mut Vec<String>) {
 /// Per-filter execution driver shared by the sequential oracle runner here
 /// and the threaded DataCutter executor in `cgp-core`.
 ///
-/// Each pipeline unit's lifecycle is: start (run the replicated prologue
-/// into the unit's own state), packet steps, reduction merges, and — at
-/// the final unit — the epilogue. A unit starts on first use (a step, a
-/// merge, its epilogue, or [`FilterStepper::loop_bounds`] for unit 0), or
-/// explicitly through the idempotent [`FilterStepper::start`]; so a
-/// runtime filter copy that drives only its own unit runs only its own
-/// prologue. Every stage runs on the engine [`FilterStepper::with_vm`]
-/// selected.
+/// Each pipeline unit's lifecycle is: start (run the unit's prologue
+/// slice into its own state), packet steps, reduction merges or
+/// adoptions, and — at the final unit — the epilogue. A unit starts on
+/// first use (a step, a merge, its epilogue, or
+/// [`FilterStepper::loop_bounds`] for unit 0), or explicitly through the
+/// idempotent [`FilterStepper::start`]; so a runtime filter copy that
+/// drives only its own unit runs only its own slice. Every stage runs on
+/// the engine [`FilterStepper::with_vm`] selected.
 pub struct FilterStepper<'p> {
     pub plan: &'p FilterPlan,
     /// Persistent per-unit state (prologue results, reduction copies);
     /// `None` until the unit starts.
     state: Vec<Option<HashMap<String, Value>>>,
+    /// The reduction roots each unit holds or has adopted: the ones it
+    /// ships and merges into.
+    roots: Vec<HashSet<String>>,
     /// Scalar extern config visible to every filter.
     config: HashMap<String, Value>,
     /// Full host bindings (arrays included) — only the source filter and
@@ -561,16 +853,18 @@ impl Engine<'_> {
 
 impl<'p> FilterStepper<'p> {
     /// Bind the host's extern values. No prologue runs here: each unit
-    /// starts on first use (see the type docs).
+    /// starts on first use (see the type docs). Externs the host leaves
+    /// unbound stay unbound: a unit that reads one fails there with the
+    /// engines' unknown-variable diagnostic.
     pub fn new(plan: &'p FilterPlan, host: &HostEnv) -> CompileResult<Self> {
         let tp = &plan.np.typed;
         let mut config = HashMap::new();
         for e in &tp.program.externs {
-            let v = host.values.get(&e.name).ok_or_else(|| {
-                CompileError::new(format!("extern `{}` not bound by host", e.name))
-            })?;
-            if !matches!(e.ty, Type::Array(_)) {
-                config.insert(e.name.clone(), v.clone());
+            match host.values.get(&e.name) {
+                Some(v) if !matches!(e.ty, Type::Array(_)) => {
+                    config.insert(e.name.clone(), v.clone());
+                }
+                _ => {}
             }
         }
         let mut env = RuntimeEnv::new(&plan.np.pkt_var);
@@ -582,6 +876,11 @@ impl<'p> FilterStepper<'p> {
         Ok(FilterStepper {
             plan,
             state: vec![None; plan.m],
+            roots: plan
+                .filters
+                .iter()
+                .map(|f| f.holds.iter().cloned().collect())
+                .collect(),
             config,
             source_env: host.values.clone(),
             use_vm: false,
@@ -612,16 +911,16 @@ impl<'p> FilterStepper<'p> {
         }
     }
 
-    /// Start unit `j`: run the replicated prologue against the full host
-    /// env into the unit's own state. Idempotent — a started unit is left
-    /// as it is; every other entry point starts its unit on first use.
+    /// Start unit `j`: run its prologue slice against the full host env
+    /// into the unit's own state. Idempotent — a started unit is left as
+    /// it is; every other entry point starts its unit on first use.
     pub fn start(&mut self, j: usize) -> CompileResult<()> {
         if self.state[j].is_some() {
             return Ok(());
         }
         let mut vars = HashMap::new();
         self.engine(self.source_env.clone())
-            .exec(&self.plan.lowered.prologue, &mut vars)?;
+            .exec(&self.plan.lowered.prologue[j], &mut vars)?;
         self.state[j] = Some(vars);
         Ok(())
     }
@@ -777,8 +1076,9 @@ impl<'p> FilterStepper<'p> {
         self.emit(j, &vars, pkt, selection.as_deref())
     }
 
-    /// Filter `j`'s reduction-variable bindings (for shipping at
-    /// end-of-work in distributed executions).
+    /// Filter `j`'s bindings of the reduction roots it holds or has
+    /// adopted (for shipping at end-of-work in distributed executions);
+    /// empty when it has none.
     ///
     /// # Panics
     ///
@@ -786,27 +1086,36 @@ impl<'p> FilterStepper<'p> {
     /// empty map here would silently drop it downstream.
     pub fn reduction_state(&self, j: usize) -> HashMap<String, Value> {
         let state = self.started(j);
-        self.plan
-            .analysis
-            .reduction_roots
+        self.roots[j]
             .iter()
             .filter_map(|r| state.get(r).map(|v| (r.clone(), v.clone())))
             .collect()
     }
 
-    /// Merge an upstream filter's reduction partials into filter `j`'s
-    /// copies via each object's `reduce` method.
+    /// Fold an upstream filter's reduction partials into filter `j`: a
+    /// root `j` has (holds or adopted before) merges through its
+    /// object's `reduce` method; a root it lacks adopts the partial, with
+    /// no call. Checkpoint restore goes through here too.
     pub fn merge_reduction(
         &mut self,
         j: usize,
         partial: &HashMap<String, Value>,
     ) -> CompileResult<()> {
         self.start(j)?;
-        let mut engine = self.engine(self.config.clone());
-        let state = self.started(j);
+        let mut engine = None;
         for (root, part) in partial {
-            if let Some(Value::Object(own)) = state.get(root) {
-                engine.reduce(Rc::clone(own), part.clone())?;
+            let state = self.state[j].as_mut().expect("started above");
+            match state.get(root) {
+                Some(Value::Object(own)) if self.roots[j].contains(root) => {
+                    let own = Rc::clone(own);
+                    engine
+                        .get_or_insert_with(|| self.engine(self.config.clone()))
+                        .reduce(own, part.clone())?;
+                }
+                _ => {
+                    state.insert(root.clone(), part.clone());
+                    self.roots[j].insert(root.clone());
+                }
             }
         }
         Ok(())
@@ -822,28 +1131,21 @@ impl<'p> FilterStepper<'p> {
         Ok(engine.output())
     }
 
-    /// Start every unit, merge the reduction copies into the last unit's
-    /// state and run the epilogue there, with the full host env as
-    /// globals. Returns the captured `print` output.
+    /// Start every unit and pass each unit's reduction state down the
+    /// chain into the next ([`FilterStepper::merge_reduction`], as the
+    /// runtime does), then run the epilogue at the last unit with the
+    /// full host env as globals. Returns the captured `print` output.
     pub fn finalize(&mut self, host: &HostEnv) -> CompileResult<Vec<String>> {
-        let plan = self.plan;
-        for j in 0..plan.m {
+        let last = self.plan.m - 1;
+        for j in 0..last {
             self.start(j)?;
+            let partial = self.reduction_state(j);
+            self.merge_reduction(j + 1, &partial)?;
         }
+        self.start(last)?;
         let mut engine = self.engine(host.values.clone());
-        let last = plan.m - 1;
-        for root in &plan.analysis.reduction_roots {
-            let Some(Value::Object(final_obj)) = self.started(last).get(root) else {
-                continue;
-            };
-            for j in 0..last {
-                if let Some(partial) = self.started(j).get(root) {
-                    engine.reduce(Rc::clone(final_obj), partial.clone())?;
-                }
-            }
-        }
         let mut vars = self.started(last).clone();
-        engine.exec(&plan.lowered.epilogue, &mut vars)?;
+        engine.exec(&self.plan.lowered.epilogue, &mut vars)?;
         Ok(engine.output())
     }
 }
@@ -1196,23 +1498,275 @@ mod tests {
     fn units_start_on_their_own_once_and_lazily() {
         let host = base_host(100, 5);
         let plan = make_plan(BASE, 3, DecompStyle::Spread);
+        let holder = plan
+            .filters
+            .iter()
+            .position(|f| f.holds == ["acc"])
+            .expect("one unit holds acc");
+        assert_ne!(holder, 1, "unit 1 is the non-holder below");
         for vm in [false, true] {
             let mut s = FilterStepper::new(&plan, &host).unwrap().with_vm(vm);
             assert!(s.state.iter().all(Option::is_none), "new runs no prologue");
             s.start(1).unwrap();
             let started: Vec<bool> = s.state.iter().map(Option::is_some).collect();
             assert_eq!(started, [false, true, false], "start(1) starts unit 1 only");
-            let before = s.reduction_state(1);
-            s.start(1).unwrap();
+            assert!(
+                !s.state[1].as_ref().unwrap().contains_key("acc"),
+                "a non-holder's slice does not build acc"
+            );
+            assert!(s.reduction_state(1).is_empty(), "so it has nothing to ship");
+            s.loop_bounds().unwrap();
+            let started: Vec<bool> = s.state.iter().map(Option::is_some).collect();
+            assert_eq!(started, [true, true, false], "loop_bounds starts unit 0");
+            s.start(holder).unwrap();
+            let before = s.reduction_state(holder);
+            s.start(holder).unwrap();
             let (Value::Object(a), Value::Object(b)) =
-                (&before["acc"], &s.reduction_state(1)["acc"])
+                (&before["acc"], &s.reduction_state(holder)["acc"])
             else {
                 panic!("acc is an object");
             };
             assert!(Rc::ptr_eq(a, b), "a second start leaves the state alone");
-            s.loop_bounds().unwrap();
-            let started: Vec<bool> = s.state.iter().map(Option::is_some).collect();
-            assert_eq!(started, [true, true, false], "loop_bounds starts unit 0");
+        }
+    }
+
+    /// Drive `plan` as the runtime does: one stepper per unit, each
+    /// bound to its own host (built only where the unit needs one), with
+    /// buffers and reduction states handed down the chain.
+    fn run_unit_by_unit(
+        plan: &FilterPlan,
+        host: &dyn Fn() -> HostEnv,
+        vm: bool,
+    ) -> CompileResult<Vec<String>> {
+        let hosts: Vec<HostEnv> = plan
+            .filters
+            .iter()
+            .map(|f| if f.needs_host { host() } else { HostEnv::new() })
+            .collect();
+        let mut units = Vec::with_capacity(plan.m);
+        for (j, h) in hosts.iter().enumerate() {
+            let mut s = FilterStepper::new(plan, h)?.with_vm(vm);
+            s.start(j)?;
+            units.push(s);
+        }
+        let ((lo, hi), n_packets) = units[0].loop_bounds()?;
+        for pkt in split_domain(lo, hi, n_packets as usize) {
+            let mut buf: Option<Vec<u8>> = None;
+            for (j, s) in units.iter_mut().enumerate() {
+                buf = s.step(j, pkt, buf.as_deref())?;
+            }
+        }
+        for j in 1..plan.m {
+            let partial = units[j - 1].reduction_state(j - 1);
+            units[j].merge_reduction(j, &partial)?;
+        }
+        units[plan.m - 1].epilogue_at(plan.m - 1)
+    }
+
+    /// Every monotone 3-unit plan of `src`, with the source on unit 0.
+    fn every_plan(src: &str) -> Vec<FilterPlan> {
+        let np = normalize(&frontend(src).unwrap()).unwrap();
+        let g = build_graph(&np).unwrap();
+        let ca = analyze_chain(&np, &g).unwrap();
+        let mut plans = vec![vec![0usize]];
+        for _ in 0..g.atoms.len() {
+            plans = plans
+                .into_iter()
+                .flat_map(|p| {
+                    (*p.last().expect("non-empty")..3).map(move |u| [p.clone(), vec![u]].concat())
+                })
+                .collect();
+        }
+        plans
+            .into_iter()
+            .map(|unit_of| {
+                let d = Decomposition {
+                    unit_of,
+                    cost: f64::NAN,
+                };
+                build_plan(&np, &g, &ca, &d, 3).unwrap()
+            })
+            .collect()
+    }
+
+    /// Run every plan of `src` sequentially and unit by unit on both
+    /// engines; return the runs whose result differs from the oracle's
+    /// (its output, or its failure's message).
+    fn plans_disagreeing_with_the_oracle(src: &str, host: &dyn Fn() -> HostEnv) -> Vec<String> {
+        plans_disagreeing_with(src, host, &|_| src.to_string())
+    }
+
+    /// [`plans_disagreeing_with_the_oracle`], checking each plan against
+    /// the oracle of the program `oracle(plan)` instead of `src`'s.
+    fn plans_disagreeing_with(
+        src: &str,
+        host: &dyn Fn() -> HostEnv,
+        oracle: &dyn Fn(&FilterPlan) -> String,
+    ) -> Vec<String> {
+        let mut bad = Vec::new();
+        for plan in every_plan(src) {
+            let tp = frontend(&oracle(&plan)).unwrap();
+            let mut it = SeqInterp::new(&tp, host());
+            let expect = it
+                .run_main()
+                .map(|_| it.output.clone())
+                .map_err(|d| d.message);
+            let unit_of = &plan.decomposition.unit_of;
+            let runs = [
+                ("sequential", run_plan_sequential(&plan, &host())),
+                ("unit by unit", run_unit_by_unit(&plan, host, false)),
+                (
+                    "unit by unit on the VM",
+                    run_unit_by_unit(&plan, host, true),
+                ),
+            ];
+            for (how, got) in runs {
+                let same = match (&got, &expect) {
+                    (Ok(out), Ok(want)) => out == want,
+                    (Err(e), Err(msg)) => e.to_string().contains(msg.as_str()),
+                    _ => false,
+                };
+                if !same {
+                    bad.push(format!("{unit_of:?} {how}: {got:?}"));
+                }
+            }
+        }
+        bad
+    }
+
+    /// [`BASE`] with `extra` added to the prologue, after `acc`.
+    fn with_prologue(extra: &str) -> String {
+        BASE.replace(
+            "Acc acc = new Acc();",
+            &format!("Acc acc = new Acc();\n{extra}"),
+        )
+    }
+
+    #[test]
+    fn an_alias_keeps_the_mutation_made_through_it() {
+        // `t` is not named by any atom, only reached through `s`: the
+        // fixpoint must keep `t.f = 3.0;` wherever `s` is read, with the
+        // alias before the mutation or after it (one pass in either
+        // direction misses one of the two).
+        for prologue in [
+            "Scale s = new Scale(); Scale t = s; t.f = 3.0;",
+            "Scale t = new Scale(); t.f = 3.0; Scale s = t;",
+        ] {
+            let src = with_prologue(prologue)
+                .replace("data[i] * 2.0", "data[i] * s.f")
+                .replace("class A {", "class Scale { double f; }\nclass A {");
+            let host = || base_host(100, 5);
+            assert_eq!(
+                plans_disagreeing_with_the_oracle(&src, &host),
+                [] as [String; 0],
+                "{prologue}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_callee_writing_an_extern_array_stays_on_unit_zero() {
+        // `acc.prime()` names no extern at the call site; its callee
+        // writes `data`, which unit 0 reads, so unit 0 keeps it even
+        // where another unit holds `acc`.
+        let src = with_prologue("acc.prime();").replace(
+            "void add(double x)",
+            "void prime() { data[0] = 1000.0; }\n void add(double x)",
+        );
+        let host = || base_host(100, 5);
+        let prime = 2;
+        for plan in every_plan(&src) {
+            assert!(
+                plan.filters[0].prologue.contains(&prime),
+                "{}",
+                plan.describe()
+            );
+            for f in plan.filters.iter().filter(|f| f.prologue.contains(&prime)) {
+                assert!(f.needs_host, "{} writes data: {}", f.name, plan.describe());
+            }
+        }
+        assert_eq!(
+            plans_disagreeing_with_the_oracle(&src, &host),
+            [] as [String; 0]
+        );
+    }
+
+    #[test]
+    fn a_dead_failing_statement_still_fails_the_run() {
+        let src = with_prologue("double[] t = new double[2]; t[5] = 1.0;");
+        let host = || base_host(100, 5);
+        for plan in every_plan(&src) {
+            let on = |f: &FilterSpec| f.prologue.contains(&2) && f.prologue.contains(&3);
+            let units: Vec<bool> = plan.filters.iter().map(on).collect();
+            assert_eq!(units, [true, false, false], "{}", plan.describe());
+        }
+        assert_eq!(
+            plans_disagreeing_with_the_oracle(&src, &host),
+            [] as [String; 0]
+        );
+    }
+
+    #[test]
+    fn a_seeded_reduction_counts_once() {
+        let src = with_prologue("acc.add(10.0);");
+        let host = || base_host(100, 5);
+        assert_eq!(
+            plans_disagreeing_with_the_oracle(&src, &host),
+            [] as [String; 0]
+        );
+    }
+
+    #[test]
+    fn a_root_held_by_two_units_counts_its_seed_once_per_holder() {
+        // A second atom updates `acc`; plans that place the two on
+        // different units have two holders, and each builds its own copy
+        // from its slice. A prologue that builds the identity matches the
+        // oracle on every plan; a seed counts once per holder (module
+        // docs: *Reduction finalization*).
+        let two_atoms = |src: String| {
+            src.replace(
+                "PipelinedLoop (pkt in all; num_packets) {",
+                "PipelinedLoop (pkt in all; num_packets) {\n\
+                 foreach (i in pkt) { acc.add(1.0); }",
+            )
+        };
+        let host = || base_host(100, 5);
+        assert_eq!(
+            plans_disagreeing_with_the_oracle(&two_atoms(BASE.to_string()), &host),
+            [] as [String; 0]
+        );
+        let holders =
+            |plan: &FilterPlan| plan.filters.iter().filter(|f| f.holds == ["acc"]).count();
+        let plans = every_plan(&two_atoms(BASE.to_string()));
+        assert!(plans.iter().any(|p| holders(p) == 1));
+        assert!(plans.iter().any(|p| holders(p) == 2));
+        let seeded = two_atoms(with_prologue("acc.add(10.0);"));
+        let seeds =
+            |plan: &FilterPlan| two_atoms(with_prologue(&"acc.add(10.0);".repeat(holders(plan))));
+        assert_eq!(
+            plans_disagreeing_with(&seeded, &host, &seeds),
+            [] as [String; 0]
+        );
+    }
+
+    #[test]
+    fn reading_an_unbound_extern_names_it_on_both_engines() {
+        // One unit: its own foreach reads `data`.
+        let plan = make_plan(BASE, 1, DecompStyle::Spread);
+        let no_data = HostEnv::new()
+            .bind("n", Value::Int(100))
+            .bind("num_packets", Value::Int(5));
+        for vm in [false, true] {
+            let empty = HostEnv::new();
+            let mut s = FilterStepper::new(&plan, &empty).unwrap().with_vm(vm);
+            let err = s.loop_bounds().expect_err("`n` is unbound").to_string();
+            assert!(err.contains("unknown variable `n`"), "vm={vm}: {err}");
+            let mut s = FilterStepper::new(&plan, &no_data).unwrap().with_vm(vm);
+            let err = s.step(0, (0, 19), None).expect_err("`data` is unbound");
+            assert!(
+                err.to_string().contains("unknown variable `data`"),
+                "vm={vm}: {err}"
+            );
         }
     }
 

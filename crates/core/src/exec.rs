@@ -4,22 +4,26 @@
 //! be *transparently copied* (`widths`). Packets travel as tagged buffers:
 //!
 //! - tag `0` — per-packet data, laid out by the compiler's pack layouts;
-//! - tag `1` — a filter copy's reduction-variable state, shipped at
-//!   end-of-work and merged downstream via each object's `reduce` method
-//!   (associativity/commutativity make the merge order irrelevant).
+//! - tag `1` — a filter copy's reduction-variable state: the roots its
+//!   unit holds or has adopted, shipped at end-of-work (a copy with none
+//!   ships nothing). Downstream, a unit that has a root merges it via the
+//!   object's `reduce` method (associativity/commutativity make the merge
+//!   order irrelevant); a unit that lacks it adopts the partial unmerged.
 //!
 //! The source stage's copies partition the packet sequence round-robin
 //! (the paper's "data available at w nodes"); interior stages receive
 //! whatever the runtime's round-robin delivers. The last stage runs the
-//! epilogue once every upstream copy's state has been merged.
+//! epilogue once every state shipped to it has been merged or adopted.
 //!
 //! Each filter copy runs only its own pipeline unit, and that unit's whole
-//! lifecycle — prologue, packet steps, reduction merges, epilogue — on
-//! the register bytecode VM. Dialect values are thread-local
-//! (`Rc`-based), so each copy rebuilds its host bindings on its own
-//! thread through the provided builder — deterministic builders make
-//! every copy see the same data, while the analysis guarantees only the
-//! source actually touches the extern arrays per packet.
+//! lifecycle — its prologue slice, packet steps, reduction merges,
+//! epilogue — on the register bytecode VM. Dialect values are
+//! thread-local (`Rc`-based), so a copy whose unit reads an extern
+//! ([`cgp_compiler::FilterSpec::needs_host`]) rebuilds its host bindings
+//! on the thread that runs it through the provided builder — deterministic
+//! builders make every copy see the same data, while the analysis
+//! guarantees only the source actually touches the extern arrays per
+//! packet. Any other copy binds an empty host environment.
 
 use crate::codec::{decode_state, encode_state};
 use crate::error::CoreError;
@@ -47,7 +51,7 @@ const TAG_REDUCTION: u8 = 1;
 const DEFAULT_BATCH: usize = 8;
 
 /// A deterministic host-environment builder, invoked once per filter copy
-/// on its own thread.
+/// whose unit reads an extern, on that copy's thread.
 pub type HostBuilder = Arc<dyn Fn() -> HostEnv + Send + Sync>;
 
 /// How this process participates in a run.
@@ -621,8 +625,8 @@ struct PlanFilter {
     batch: usize,
     output: Arc<Mutex<Vec<String>>>,
     /// Checkpoint bytes handed to `Filter::restore` before `process`
-    /// runs; decoded and merged into the fresh reduction state once the
-    /// stepper exists (`Value` state is not `Send`, so the raw encoding
+    /// runs; decoded and merged into (or adopted by) the fresh unit once
+    /// the stepper exists (`Value` state is not `Send`, so the raw encoding
     /// is carried across the restart instead).
     pending_restore: Option<Vec<u8>>,
 }
@@ -639,15 +643,20 @@ impl PlanFilter {
 
 impl PlanFilter {
     fn run_unit_of_work(&mut self, io: &mut FilterIo) -> Result<(), CoreError> {
-        let host = (self.host_builder)();
         let plan = Arc::clone(&self.plan);
+        let j = self.j;
+        let host = if plan.filters[j].needs_host {
+            (self.host_builder)()
+        } else {
+            HostEnv::new()
+        };
         let mut stepper = FilterStepper::new(&plan, &host)
             .map_err(CoreError::Compile)?
             .with_vm(true);
-        let j = self.j;
         // This copy runs only its own unit. Start it before reading any
-        // input, so a failing prologue fails the copy up front and a
-        // copy that never receives a packet still ships its state.
+        // input, so a failing prologue slice fails the copy up front and
+        // a copy that never receives a packet still ships the roots its
+        // unit holds.
         stepper.start(j).map_err(CoreError::Compile)?;
 
         if j == 0 {
@@ -675,9 +684,9 @@ impl PlanFilter {
         } else {
             // Interior/terminal: consume tagged buffers until end-of-work.
             if let Some(bytes) = self.pending_restore.take() {
-                // Restoring a checkpoint is the same operation as merging
-                // a sibling copy's partial reduction: fold the snapshot
-                // into the fresh zero state.
+                // Restoring a checkpoint is the same operation as folding
+                // in a sibling copy's partial: merge each root into the
+                // fresh zero state, or adopt it.
                 let saved = decode_state(&bytes).map_err(CoreError::Codec)?;
                 stepper
                     .merge_reduction(j, &saved)
@@ -719,11 +728,14 @@ impl PlanFilter {
             }
         }
 
-        // End of work: ship reduction state downstream, or finish here.
+        // End of work: ship the reduction roots this copy holds or
+        // adopted downstream, or finish here.
         if j < self.m - 1 {
             let state = stepper.reduction_state(j);
-            let buf = Self::tagged(io, TAG_REDUCTION, &encode_state(&state));
-            io.write(buf).map_err(CoreError::Runtime)?;
+            if !state.is_empty() {
+                let buf = Self::tagged(io, TAG_REDUCTION, &encode_state(&state));
+                io.write(buf).map_err(CoreError::Runtime)?;
+            }
         } else {
             let lines = stepper.epilogue_at(j).map_err(CoreError::Compile)?;
             self.output
@@ -771,7 +783,7 @@ impl Filter for PlanFilter {
 mod tests {
     use super::*;
     use cgp_compiler::cost::PipelineEnv;
-    use cgp_compiler::{compile, CompileOptions};
+    use cgp_compiler::{compile, CompileOptions, Decomposition};
     use cgp_datacutter::ShmIngress;
     use cgp_lang::interp::Interp;
     use cgp_lang::Value;
@@ -1367,34 +1379,83 @@ mod tests {
 
     #[test]
     fn idle_copy_starts_and_ships_its_state() {
-        // Two packets into four f2 copies: f2 receives three buffers in
-        // all (two packets and f1's state), so at least one copy gets
-        // none. It must still start its unit and ship exactly one state,
-        // like every other copy upstream of the last stage: 1 + 4 merges.
+        // Two packets into four f2 copies: at least two copies get no
+        // packet. Each must still start its unit and, if it holds or
+        // adopted a reduction root, ship it once.
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 2).with_symbol("n", 200);
-        let c = compile(COUNTING_SRC, &opts).unwrap();
         let two_packets = || host().bind("num_packets", Value::Int(2));
         let tp = cgp_lang::frontend(COUNTING_SRC).unwrap();
         let mut it = Interp::new(&tp, two_packets());
         it.run_main().unwrap();
-        let widths = [1usize, 4, 1];
-        let (out, stats) = run_plan_threaded_stats(
-            Arc::new(c.plan),
-            Arc::new(two_packets),
-            Some(&widths),
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(stats.stages[1].buffers_in, 3, "two packets plus f1's state");
+        let run = |plan: FilterPlan| {
+            let (out, stats) = run_plan_threaded_stats(
+                Arc::new(plan),
+                Arc::new(two_packets),
+                Some(&[1, 4, 1]),
+                &ExecOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                out[0], it.output[0],
+                "the reduction total matches the oracle"
+            );
+            (out[1].clone(), stats.stages[1].buffers_in)
+        };
+
+        // `acc.add` on f2: all four copies hold `acc`, the idle ones
+        // included. f1 holds nothing and ships no state.
+        let forced = opts.clone().with_decomposition(Decomposition {
+            unit_of: vec![0, 0, 0, 0, 1],
+            cost: f64::NAN,
+        });
+        let plan = compile(COUNTING_SRC, &forced).unwrap().plan;
+        assert_eq!(plan.filters[1].holds, ["acc"]);
         assert_eq!(
-            out[0], it.output[0],
-            "the reduction total matches the oracle"
+            run(plan),
+            ("3".into(), 2),
+            "f3 adopts one of the four f2 states and merges three"
         );
-        assert_eq!(
-            out[1], "5",
-            "one merge per shipped state: f1 plus four f2 copies"
+
+        // The DP puts every atom on f1: one f2 copy adopts f1's state and
+        // forwards it, f3 adopts that, and nothing merges.
+        let plan = compile(COUNTING_SRC, &opts).unwrap().plan;
+        assert_eq!(plan.decomposition.unit_of, [0; 5]);
+        assert_eq!(run(plan), ("0".into(), 3), "two packets plus f1's state");
+    }
+
+    #[test]
+    fn a_reduction_seeded_in_the_prologue_counts_once() {
+        // Only the holder's slice runs `acc.add(10.0)`; every other unit
+        // adopts the holder's copy instead of merging a seeded one.
+        let src = SRC.replace(
+            "Acc acc = new Acc();",
+            "Acc acc = new Acc();
+                acc.add(10.0);",
         );
+        let tp = cgp_lang::frontend(&src).unwrap();
+        let mut it = Interp::new(&tp, host());
+        it.run_main().unwrap();
+        let opts =
+            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
+        let cut = opts.clone().with_decomposition(Decomposition {
+            unit_of: vec![0, 0, 0, 0, 1],
+            cost: f64::NAN,
+        });
+        for opts in [opts, cut] {
+            let plan = compile(&src, &opts).unwrap().plan;
+            let unit_of = plan.decomposition.unit_of.clone();
+            let sequential = cgp_compiler::run_plan_sequential(&plan, &host()).unwrap();
+            assert_eq!(sequential, it.output, "sequential {unit_of:?}");
+            let (threaded, _) = run_plan_threaded_stats(
+                Arc::new(plan),
+                Arc::new(host),
+                None,
+                &ExecOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(threaded, it.output, "threaded {unit_of:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Threaded pipeline executor.
 //!
 //! Builds the logical streams between consecutive stages (honouring each
-//! stage's transparent-copy width) and runs every filter copy on its own
-//! thread through the unit-of-work cycle `init → process → finalize →
-//! close-output`.
+//! stage's transparent-copy width) and runs every filter copy through the
+//! unit-of-work cycle `init → process → finalize → close-output`: the
+//! last stage's first copy on the calling thread, every other copy on a
+//! thread of its own.
 //!
 //! ## Failure semantics
 //!
@@ -63,6 +64,23 @@ thread_local! {
     /// Marks filter-copy worker threads so the process panic hook stays
     /// quiet for panics the executor catches and converts.
     static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread quiet for one filter copy and restores the
+/// previous mark when the copy returns or unwinds, so the calling thread,
+/// which hosts a copy too, keeps its own panic output afterwards.
+struct QuietPanics(bool);
+
+impl QuietPanics {
+    fn enter() -> QuietPanics {
+        QuietPanics(QUIET_PANICS.with(|q| q.replace(true)))
+    }
+}
+
+impl Drop for QuietPanics {
+    fn drop(&mut self) {
+        QUIET_PANICS.with(|q| q.set(self.0));
+    }
 }
 
 static HOOK_INIT: Once = Once::new();
@@ -705,7 +723,7 @@ impl Pipeline {
         let ingress_probe = active_stage.and_then(|k| link_probe(k as u32));
         let egress_probe = active_stage.and_then(|k| link_probe((k + 1) as u32));
 
-        // Spawn every copy. Trace tids number filter copies globally
+        // Start every copy. Trace tids number filter copies globally
         // (stage by stage), one timeline row per copy.
         let tid_base: Vec<u32> = eff_width
             .iter()
@@ -929,6 +947,16 @@ impl Pipeline {
                     countdown(&done);
                 });
             }
+            // The last stage's first copy runs on this thread, once every
+            // other copy is spawned, instead of this thread idling in the
+            // scope's join. Besides saving a spawn per run, this keeps that
+            // copy's allocations in this thread's allocator arena from run
+            // to run. A spawned thread takes over an arena an exited one
+            // left behind, and a light copy that takes over a heavy copy's
+            // arena leaves that memory idle while the heavy copy grows a
+            // new one, so the resident set would vary from run to run.
+            let caller_stage = active_stage.unwrap_or(n - 1);
+            let mut on_caller = None;
             for (s, stage) in self.stages.iter().enumerate() {
                 if active_stage.is_some_and(|k| k != s) {
                     continue;
@@ -991,8 +1019,8 @@ impl Pipeline {
                     let done = Arc::clone(&done);
                     let factory = &stage.factory;
                     let stage_name = stage.name.clone();
-                    scope.spawn(move || {
-                        QUIET_PANICS.with(|q| q.set(true));
+                    let copy = move || {
+                        let _quiet = QuietPanics::enter();
                         let label = format!("{stage_name}[{c}]");
                         if trace::enabled() {
                             trace::name_thread(PID_RUNTIME, tid, label.clone());
@@ -1219,8 +1247,16 @@ impl Pipeline {
                             plock(&errors).push(FilterError { filter: label, ..e });
                         }
                         countdown(&done);
-                    });
+                    };
+                    if s == caller_stage && c == 0 {
+                        on_caller = Some(copy);
+                    } else {
+                        scope.spawn(copy);
+                    }
                 }
+            }
+            if let Some(mut copy) = on_caller {
+                copy();
             }
         });
 
@@ -1630,6 +1666,53 @@ mod tests {
         assert!(err.filter.contains("bad"));
         assert!(err.message.contains("intentional"));
         assert_eq!(err.kind, ErrorKind::Failed);
+    }
+
+    #[test]
+    fn the_last_stages_first_copy_runs_on_the_calling_thread() {
+        // Every copy records the thread it ran on; sink[0] then panics, so
+        // the calling thread must get its own panic output back after.
+        type Ran = Arc<Mutex<Vec<(&'static str, usize, std::thread::ThreadId)>>>;
+        let ran: Ran = Arc::default();
+        let stage = |name: &'static str, ran: &Ran| -> FilterFactory {
+            let ran = Arc::clone(ran);
+            Box::new(move |c| {
+                let ran = Arc::clone(&ran);
+                Box::new(ClosureFilter::new(name, move |io: &mut FilterIo| {
+                    plock(&ran).push((name, c, std::thread::current().id()));
+                    if name == "source" {
+                        for i in 0..10u64 {
+                            io.write(Buffer::from_vec(i.to_le_bytes().to_vec()))?;
+                        }
+                    }
+                    while io.read().is_some() {}
+                    if name == "sink" && c == 0 {
+                        panic!("intentional");
+                    }
+                    Ok(())
+                }))
+            })
+        };
+        let err = Pipeline::new()
+            .add_stage(StageSpec::new("source", 1, stage("source", &ran)))
+            .add_stage(StageSpec::new("sink", 2, stage("sink", &ran)))
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            (err.kind, err.filter.as_str()),
+            (ErrorKind::Panicked, "sink[0]")
+        );
+        let caller = std::thread::current().id();
+        let ran = plock(&ran);
+        assert_eq!(ran.len(), 3);
+        for &(name, c, thread) in ran.iter() {
+            let on_caller = name == "sink" && c == 0;
+            assert_eq!(thread == caller, on_caller, "{name}[{c}]");
+        }
+        assert!(
+            !QUIET_PANICS.with(Cell::get),
+            "the caller's panics print again"
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@ use cgp_core::apps::vmscope::Slide;
 use cgp_core::lang::{frontend, interp::Interp, HostEnv};
 use cgp_core::{
     compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, Decomposition,
-    ExecOptions, HostBuilder, PipelineEnv,
+    ExecOptions, FilterEngine, HostBuilder, Objective, PipelineEnv,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
@@ -292,4 +293,156 @@ fn copied_view_stage_is_rejected() {
         &ExecOptions::default(),
     );
     assert!(err.is_err(), "view stage width > 1 must be rejected");
+}
+
+/// `app`'s options with the steady-state DP in the same-host env, the
+/// objective and env `perfbench`'s decomposed workloads plan with.
+fn dp_opts(app: &App) -> CompileOptions {
+    let mut opts = app.opts.clone();
+    opts.pipeline = PipelineEnv::same_host(3, FilterEngine::Vm.power());
+    opts.with_objective(Objective::SteadyState { n_packets: 4 })
+}
+
+/// `app` compiled under `unit_of`: the DP's own pick when `dp` (which
+/// must be `unit_of`), else forced.
+fn plan_of(app: &App, unit_of: &[usize], dp: bool) -> cgp_core::FilterPlan {
+    let opts = dp_opts(app);
+    let opts = if dp {
+        opts
+    } else {
+        opts.with_decomposition(Decomposition {
+            unit_of: unit_of.to_vec(),
+            cost: f64::NAN,
+        })
+    };
+    let plan = compile(app.src, &opts).unwrap().plan;
+    assert_eq!(plan.decomposition.unit_of, unit_of, "{}", app.name);
+    plan
+}
+
+/// Per unit: the reduction roots it holds, its prologue slice and
+/// whether its copies build the host environment.
+type Unit = (&'static [&'static str], &'static [&'static str], bool);
+
+#[test]
+fn each_unit_holds_starts_and_builds_only_what_its_code_reads() {
+    const ZB: [&str; 3] = [
+        "RectDomain<1> all = [0 : (ncubes - 1)];",
+        "ZBuf zb = new ZBuf();",
+        "zb.setup(screen);",
+    ];
+    const AP: [&str; 3] = [
+        "RectDomain<1> all = [0 : (ncubes - 1)];",
+        "ActivePixels ap = new ActivePixels();",
+        "ap.setup(4096);",
+    ];
+    const KN: [&str; 3] = [
+        "RectDomain<1> pts = [0 : (npoints - 1)];",
+        "KNearest best = new KNearest();",
+        "best.setup(k);",
+    ];
+    const VM: [&str; 3] = [
+        "RectDomain<1> rows = [0 : (height - 1)];",
+        "OutImage img = new OutImage();",
+        "img.setup((width / subsample), (height / subsample));",
+    ];
+    const NONE: Unit = (&[], &[], false);
+    // (app, unit_of, the DP's pick?, units)
+    let table: [(&str, &[usize], bool, [Unit; 3]); 7] = [
+        (
+            "zbuf",
+            &[0, 0, 0, 1, 1],
+            true,
+            [(&[], &ZB[..1], true), (&["zb"], &ZB[1..], true), NONE],
+        ),
+        ("zbuf", &[0; 5], false, [(&["zb"], &ZB, true), NONE, NONE]),
+        (
+            "apix",
+            &[0, 0, 0, 1, 1],
+            true,
+            [
+                (&[], &AP[..1], true),
+                (&["ap"], &AP[1..], true),
+                (&[], &[], true),
+            ],
+        ),
+        (
+            "apix",
+            &[0; 5],
+            false,
+            [(&["ap"], &AP, true), NONE, (&[], &[], true)],
+        ),
+        (
+            "knn",
+            &[0, 0, 0, 1],
+            true,
+            [(&[], &KN[..1], true), (&["best"], &KN[1..], true), NONE],
+        ),
+        ("knn", &[0; 4], false, [(&["best"], &KN, true), NONE, NONE]),
+        (
+            "vmscope",
+            &[0; 3],
+            true,
+            [(&["img"], &VM, true), NONE, NONE],
+        ),
+    ];
+    let apps = demo_apps();
+    for (name, unit_of, dp, units) in table {
+        let app = apps.iter().find(|a| a.name == name).expect("a demo app");
+        let plan = plan_of(app, unit_of, dp);
+        let got: Vec<(Vec<&str>, Vec<String>, bool)> = plan
+            .filters
+            .iter()
+            .map(|f| {
+                let slice = f.prologue.iter().map(|&i| {
+                    cgp_lang::pretty::stmts_to_string(&plan.np.prologue[i..=i])
+                        .trim()
+                        .to_string()
+                });
+                let holds = f.holds.iter().map(String::as_str).collect();
+                (holds, slice.collect(), f.needs_host)
+            })
+            .collect();
+        let want: Vec<(Vec<&str>, Vec<String>, bool)> = units
+            .iter()
+            .map(|(holds, slice, host)| {
+                let slice = slice.iter().map(|s| s.to_string()).collect();
+                (holds.to_vec(), slice, *host)
+            })
+            .collect();
+        assert_eq!(got, want, "{name} {unit_of:?}\n{}", plan.describe());
+    }
+}
+
+#[test]
+fn only_units_that_read_an_extern_build_the_host_env() {
+    for app in demo_apps() {
+        let (dp, all_c0) = match app.name {
+            "zbuf" => (vec![0, 0, 0, 1, 1], vec![0; 5]),
+            "knn" => (vec![0, 0, 0, 1], vec![0; 4]),
+            _ => continue,
+        };
+        let expect = oracle(app.src, &(app.host)());
+        for (unit_of, is_dp, builds) in [(dp, true, 2), (all_c0, false, 1)] {
+            let plan = plan_of(&app, &unit_of, is_dp);
+            let count = Arc::new(AtomicUsize::new(0));
+            let counting: HostBuilder = {
+                let (count, inner) = (Arc::clone(&count), Arc::clone(&app.host));
+                Arc::new(move || {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    inner()
+                })
+            };
+            let (out, _) =
+                run_plan_threaded_stats(Arc::new(plan), counting, None, &ExecOptions::default())
+                    .unwrap();
+            assert_eq!(out, expect, "{} {unit_of:?}", app.name);
+            assert_eq!(
+                count.load(Ordering::SeqCst),
+                builds,
+                "{} {unit_of:?}: host builds",
+                app.name
+            );
+        }
+    }
 }
