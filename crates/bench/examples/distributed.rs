@@ -20,7 +20,6 @@ use cgp_core::datacutter::{
     Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RecoveryOptions, StageAssignment,
     StageSpec, WorkerEndpoints, WorkerIngress,
 };
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,10 +77,9 @@ fn pipeline(n: u64, faults: Option<FaultPlan>, total: Arc<AtomicU64>) -> Pipelin
 fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
     // Bind the downstream listeners first (real launchers learn the
     // ephemeral ports from each worker's `CGP_LISTENING` announcement).
-    let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let l2 = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let a1 = l1.local_addr().expect("addr").to_string();
-    let a2 = l2.local_addr().expect("addr").to_string();
+    // Each ingress serves the upstream stage's copies: 1, then 2.
+    let (l1, a1) = WorkerIngress::bind("127.0.0.1:0", 1).expect("bind");
+    let (l2, a2) = WorkerIngress::bind("127.0.0.1:0", 2).expect("bind");
     // The assignment each "process" would receive from a launcher.
     let assignments = [
         StageAssignment {
@@ -118,7 +116,7 @@ fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
                 pipeline(n, faults, total)
                     .run_worker(WorkerEndpoints {
                         stage: spec.stage,
-                        ingress: listener.map(WorkerIngress::Tcp),
+                        ingress: listener,
                         connect: spec.connect,
                     })
                     .expect("worker run");

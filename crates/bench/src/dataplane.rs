@@ -24,8 +24,8 @@
 //! spsc ≥ 1.5× batched.
 
 use cgp_core::datacutter::{
-    shm_dir, Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, ShmIngress, StageSpec,
-    TelemetryConfig, WorkerEndpoints, WorkerIngress, DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, StageSpec, TelemetryConfig, Transport,
+    WorkerEndpoints, WorkerIngress,
 };
 use cgp_obs::telemetry::TelemetrySampler;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,56 +360,25 @@ fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -
 }
 
 /// Run the echo pipeline split across three worker threads joined by a
-/// real same-host transport: loopback TCP (`shm = false`) or the
-/// shared-memory ring (`shm = true`). Returns total bytes observed by
-/// the sink.
-pub fn run_distributed_echo(shm: bool, packets: usize, payload: usize) -> u64 {
-    // Downstream endpoints are created before any producer connects,
-    // mirroring the launcher's create-then-announce ordering.
-    let endpoints: [WorkerEndpoints; 3] = if shm {
-        let unique = format!("{}-{:?}", std::process::id(), std::thread::current().id())
-            .replace(['(', ')'], "");
-        let base = |link: u32| {
-            shm_dir()
-                .join(format!("cgp-bench-echo-{unique}.l{link}"))
-                .display()
-                .to_string()
-        };
-        let (b1, b2) = (base(1), base(2));
-        let s1 = ShmIngress::create(&b1, 1, DEFAULT_SHM_CAPACITY, None).expect("shm ingress");
-        let s2 = ShmIngress::create(&b2, 1, DEFAULT_SHM_CAPACITY, None).expect("shm ingress");
-        [
-            (0, None, Some(format!("{SHM_PREFIX}{b1}"))),
-            (
-                1,
-                Some(WorkerIngress::Shm(s1)),
-                Some(format!("{SHM_PREFIX}{b2}")),
-            ),
-            (2, Some(WorkerIngress::Shm(s2)), None),
-        ]
-    } else {
-        let l1 = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let l2 = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a1 = l1.local_addr().expect("addr").to_string();
-        let a2 = l2.local_addr().expect("addr").to_string();
-        [
-            (0, None, Some(a1)),
-            (1, Some(WorkerIngress::Tcp(l1)), Some(a2)),
-            (2, Some(WorkerIngress::Tcp(l2)), None),
-        ]
-    }
-    .map(|(stage, ingress, connect)| WorkerEndpoints {
-        stage,
-        ingress,
-        connect,
-    });
+/// real same-host `transport`: loopback TCP or the shared-memory ring.
+/// Returns total bytes observed by the sink.
+pub fn run_distributed_echo(transport: Transport, packets: usize, payload: usize) -> u64 {
+    // Downstream endpoints exist before any producer connects, mirroring
+    // the launcher's bind-then-announce ordering.
+    let bind = || WorkerIngress::bind(transport.fresh_addr(), 1).expect("echo ingress");
+    let ((i1, a1), (i2, a2)) = (bind(), bind());
+    let endpoints = [(None, Some(a1)), (Some(i1), Some(a2)), (Some(i2), None)];
     let bytes = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
-        for endpoints in endpoints {
+        for (stage, (ingress, connect)) in endpoints.into_iter().enumerate() {
             let bytes = Arc::clone(&bytes);
             scope.spawn(move || {
                 echo_worker_pipeline(packets, payload, bytes)
-                    .run_worker(endpoints)
+                    .run_worker(WorkerEndpoints {
+                        stage,
+                        ingress,
+                        connect,
+                    })
                     .expect("distributed echo worker");
             });
         }
@@ -427,7 +396,8 @@ pub fn transport_paired_packets_per_sec(packets: usize, payload: usize, reps: us
         let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
         for slot in order {
             let start = Instant::now();
-            let got = run_distributed_echo(slot == 1, packets, payload);
+            let got =
+                run_distributed_echo([Transport::Tcp, Transport::Shm][slot], packets, payload);
             let dt = start.elapsed().as_secs_f64();
             assert_eq!(got, expect, "distributed echo lost bytes");
             best[slot] = best[slot].min(dt);
@@ -454,9 +424,9 @@ mod tests {
 
     #[test]
     fn distributed_echo_conserves_bytes_on_both_transports() {
-        assert_eq!(run_distributed_echo(false, 64, 128), 64 * 128);
+        assert_eq!(run_distributed_echo(Transport::Tcp, 64, 128), 64 * 128);
         if cgp_core::datacutter::shm_supported() {
-            assert_eq!(run_distributed_echo(true, 64, 128), 64 * 128);
+            assert_eq!(run_distributed_echo(Transport::Shm, 64, 128), 64 * 128);
         }
     }
 }

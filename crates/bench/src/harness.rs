@@ -36,10 +36,7 @@ use cgp_core::apps::dialect::{
 };
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::vmscope::Slide;
-use cgp_core::datacutter::{
-    decode_telemetry_payload, shm_dir, shm_supported, RunControl, ShmIngress, DEFAULT_SHM_CAPACITY,
-    SHM_PREFIX,
-};
+use cgp_core::datacutter::{decode_telemetry_payload, RunControl, Transport};
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
     ExecOptions, NetRole, PipelineEnv, WorkerIngress,
@@ -245,7 +242,7 @@ impl Obs {
     /// requested. Returns `true` when this process acted as a worker or
     /// launcher for `app` — the figure binary should return immediately,
     /// because a worker's stdout is part of the distributed protocol
-    /// (`CGP_LISTENING <port>` followed by the last stage's result
+    /// (`CGP_LISTENING <addr>` followed by the last stage's result
     /// lines). Returns `false` for the default local role.
     pub fn net_mode(&self, app: DialectApp) -> bool {
         match self.exec.role {
@@ -273,61 +270,26 @@ impl Obs {
         let m = compiled.plan.m;
         let ingress = (stage > 0).then(|| {
             let addr = self.exec.listen.as_deref().unwrap_or("127.0.0.1:0");
-            if let Some(base) = addr.strip_prefix(SHM_PREFIX) {
-                if !shm_supported() {
-                    eprintln!(
-                        "[obs] worker {stage}: transport `shm` requested but this build \
-                         has no shared-memory support (shm_supported() is false)"
-                    );
-                    std::process::exit(1);
-                }
-                // Shared-memory ingress: create the ring(s) before
-                // announcing, so a producer that attaches right after
-                // the marker finds them. Worker-mode plans spec one copy
-                // per stage, but under autoscale an interior upstream
-                // stage is provisioned at the copy cap and each of its
-                // copies owns an egress writer — the ring count must
-                // match that provisioned width, not the spec width.
-                let base = if base.is_empty() || base == "auto" {
-                    shm_dir()
-                        .join(format!("cgp-{name}-{}-l{stage}", std::process::id()))
-                        .display()
-                        .to_string()
-                } else {
-                    base.to_string()
-                };
-                let producers = self
-                    .exec
-                    .provisioned_width(stage - 1, m, 1)
-                    .unwrap_or_else(|e| {
-                        eprintln!("[obs] worker {stage}: bad autoscale spec: {e}");
-                        std::process::exit(1);
-                    });
-                let shm = ShmIngress::create(&base, producers, DEFAULT_SHM_CAPACITY, None)
-                    .unwrap_or_else(|e| {
-                        eprintln!("[obs] worker {stage}: cannot create shm rings at {base}: {e}");
-                        std::process::exit(1);
-                    });
-                println!(
-                    "{} {SHM_PREFIX}{}",
-                    crate::launcher::LISTENING_MARKER,
-                    shm.base()
-                );
-                let _ = std::io::stdout().flush();
-                WorkerIngress::Shm(shm)
-            } else {
-                let l = TcpListener::bind(addr).unwrap_or_else(|e| {
-                    eprintln!("[obs] worker {stage}: cannot bind {addr}: {e}");
+            // Worker-mode plans spec one copy per stage, but under
+            // autoscale an interior upstream stage is provisioned at the
+            // copy cap and each of its copies owns an egress connection:
+            // the producer count is that provisioned width.
+            let producers = self
+                .exec
+                .provisioned_width(stage - 1, m, 1)
+                .unwrap_or_else(|e| {
+                    eprintln!("[obs] worker {stage}: bad autoscale spec: {e}");
                     std::process::exit(1);
                 });
-                let port = l
-                    .local_addr()
-                    .expect("bound listener has an address")
-                    .port();
-                println!("{} {port}", crate::launcher::LISTENING_MARKER);
-                let _ = std::io::stdout().flush();
-                WorkerIngress::Tcp(l)
-            }
+            let (ingress, at) = WorkerIngress::bind(addr, producers).unwrap_or_else(|e| {
+                eprintln!("[obs] worker {stage}: cannot open ingress at {addr}: {e}");
+                std::process::exit(1);
+            });
+            // Announce only once the endpoint exists, so a producer that
+            // connects right after the marker finds it.
+            println!("{} {at}", crate::launcher::LISTENING_MARKER);
+            let _ = std::io::stdout().flush();
+            ingress
         });
         match run_plan_worker_io(
             Arc::new(compiled.plan),
@@ -405,7 +367,7 @@ impl Obs {
             .telemetry
             .then(|| TelemetryAggregator::start(m, &self.exec));
         let telemetry_addr = aggregator.as_ref().map(|a| a.addr.clone());
-        let transport = crate::launcher::Transport::select(self.exec.transport.as_deref());
+        let transport = Transport::select(self.exec.transport);
         eprintln!("[obs] launcher: data plane is {transport:?}");
         // Supervision rides on the recovery switch: with `--recover` the
         // launcher masks worker crashes with prefix restarts; without it
@@ -1170,11 +1132,15 @@ mod tests {
         let env = |var: &str| match var {
             "CGP_DEADLINE_MS" => Some("100".to_string()),
             "CGP_MAX_COPIES" => Some("3".to_string()),
+            "CGP_TRANSPORT" => Some("shm".to_string()),
             _ => None,
         };
         let exec = resolve_exec_options(&argv(&["--deadline-ms", "200"]), env).unwrap();
         assert_eq!(exec.deadline, Some(Duration::from_millis(200)), "flag wins");
         assert_eq!(exec.max_copies, Some(3), "env answers the rest");
+        assert_eq!(exec.transport, Some(Transport::Shm), "env answers the rest");
+        let exec = resolve_exec_options(&argv(&["--transport", "tcp"]), env).unwrap();
+        assert_eq!(exec.transport, Some(Transport::Tcp), "flag wins");
         // The last occurrence of a repeated flag wins.
         let exec = resolve_exec_options(&argv(&["--deadline-ms=1", "--deadline-ms", "2"]), no_env)
             .unwrap();

@@ -29,6 +29,7 @@
 //! [`LaunchError::BudgetExhausted`] so the caller can replan the
 //! decomposition over the surviving units instead.
 
+pub use cgp_core::datacutter::Transport;
 use cgp_core::datacutter::{remove_ring_files, shm_supported, SHM_PREFIX};
 use cgp_obs::trace;
 use std::io::{BufRead, BufReader, Read};
@@ -37,33 +38,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Marker line a worker prints (and flushes) on stdout once its ingress
-/// endpoint is ready, before it starts the run. For TCP the payload is
-/// the bound port; for shared memory it is the full `shm:<base>` address.
+/// endpoint is ready, before it starts the run. The payload is the
+/// address producers connect to (`host:port` or `shm:<base>`).
 pub const LISTENING_MARKER: &str = "CGP_LISTENING";
-
-/// Data-plane transport between worker processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Shared-memory rings (`shm:<base>` addresses) — same-host only.
-    Shm,
-    /// Loopback / cross-host TCP.
-    Tcp,
-}
-
-impl Transport {
-    /// Resolve the launcher's transport: an explicit `--transport` /
-    /// `CGP_TRANSPORT` choice wins; otherwise shared memory is picked
-    /// automatically when the build supports it (the single-machine
-    /// launcher always co-locates workers), falling back to TCP.
-    pub fn select(requested: Option<&str>) -> Transport {
-        match requested {
-            Some("tcp") => Transport::Tcp,
-            Some("shm") => Transport::Shm,
-            _ if shm_supported() => Transport::Shm,
-            _ => Transport::Tcp,
-        }
-    }
-}
 
 /// How a distributed launch runs: transport, telemetry, and the
 /// supervision policy (crash masking via prefix restarts).
@@ -490,17 +467,11 @@ fn spawn_worker(
     }
     if stage > 0 {
         // `shm:auto` tells the worker to create rings at a path of its
-        // own choosing and announce the full `shm:<base>` address; TCP
-        // workers bind an ephemeral port. Respawns pick *fresh*
+        // own choosing, `127.0.0.1:0` to bind an ephemeral port; either
+        // way it announces the address it got. Respawns pick *fresh*
         // endpoints the same way — nothing downstream ever reuses a
         // dead worker's address.
-        cmd.env(
-            "CGP_LISTEN",
-            match opts.transport {
-                Transport::Shm => format!("{SHM_PREFIX}auto"),
-                Transport::Tcp => "127.0.0.1:0".to_string(),
-            },
-        );
+        cmd.env("CGP_LISTEN", opts.transport.fresh_addr());
     }
     if let Some(addr) = connect {
         cmd.env("CGP_CONNECT", addr);
@@ -526,14 +497,7 @@ fn spawn_worker(
                 ));
             }
             if let Some(announce) = line.trim().strip_prefix(LISTENING_MARKER) {
-                let announce = announce.trim();
-                // `shm:<base>` addresses are passed to the upstream
-                // worker verbatim; a bare number is a TCP port.
-                let addr = if announce.starts_with(SHM_PREFIX) {
-                    announce.to_string()
-                } else {
-                    format!("127.0.0.1:{announce}")
-                };
+                let addr = announce.trim().to_string();
                 eprintln!("[obs] launcher: worker {stage} ingress at {addr}");
                 break Some(addr);
             }
@@ -757,8 +721,11 @@ mod tests {
 
     #[test]
     fn transport_selection_prefers_shm_on_supported_builds() {
-        assert_eq!(Transport::select(Some("tcp")), Transport::Tcp);
-        assert_eq!(Transport::select(Some("shm")), Transport::Shm);
+        let parse = |s: &str| s.parse::<Transport>().unwrap();
+        assert_eq!(Transport::select(Some(parse("tcp"))), Transport::Tcp);
+        assert_eq!(Transport::select(Some(parse("shm"))), Transport::Shm);
+        assert_eq!(parse(" SHM "), Transport::Shm);
+        assert_eq!(parse("Tcp"), Transport::Tcp);
         let auto = Transport::select(None);
         if shm_supported() {
             assert_eq!(auto, Transport::Shm);

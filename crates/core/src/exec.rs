@@ -33,7 +33,7 @@ pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
     AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
     FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, StageSpec,
-    TelemetryConfig, WorkerEndpoints,
+    TelemetryConfig, Transport, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
@@ -118,8 +118,9 @@ pub struct ExecOptions {
     /// How this process participates in the run (local / worker /
     /// launcher).
     pub role: NetRole,
-    /// Bind address for a worker's ingress listener (`host:port`; port 0
-    /// picks a free port).
+    /// Listen address of a worker's ingress: `host:port` (port 0 picks a
+    /// free port), `shm:<base>` or `shm:auto` (see
+    /// [`WorkerIngress::bind`]).
     pub listen: Option<String>,
     /// Address of the downstream worker's listener.
     pub connect: Option<String>,
@@ -142,10 +143,10 @@ pub struct ExecOptions {
     /// of the lock-free SPSC ring (`CGP_NO_RINGS=1`). Benchmarking and
     /// escape hatch; rings are on by default.
     pub no_rings: bool,
-    /// Distributed transport between same-host workers: `None`/`"shm"`
-    /// uses shared-memory rings, `"tcp"` forces loopback TCP
-    /// (`CGP_TRANSPORT`). Cross-host links always use TCP.
-    pub transport: Option<String>,
+    /// Distributed transport between same-host workers
+    /// (`CGP_TRANSPORT`); `None` lets [`Transport::select`] pick.
+    /// Cross-host links always use TCP.
+    pub transport: Option<Transport>,
     /// Elastic copy-width autoscaling spec (`CGP_AUTOSCALE`): `on` for
     /// defaults, or `key=value` pairs understood by
     /// [`AutoscaleConfig::parse`] (`max`, `grow`, `shrink`, `cooldown`,
@@ -194,7 +195,8 @@ impl ExecOptions {
     /// - `CGP_KILL` — deterministic self-SIGKILL spec (`stage[copy]#pkt`),
     ///   honored only in worker roles;
     /// - `CGP_ROLE` — `local` (default), `launcher`, or `worker:<stage>`;
-    /// - `CGP_LISTEN` — worker ingress bind address (`host:port`);
+    /// - `CGP_LISTEN` — worker ingress address (`host:port`,
+    ///   `shm:<base>` or `shm:auto`);
     /// - `CGP_CONNECT` — downstream worker's listener address;
     /// - `CGP_STATUS_EVERY` — telemetry sampling cadence in milliseconds
     ///   (`0` disables in-flight sampling);
@@ -253,16 +255,11 @@ impl ExecOptions {
         if let Some(b) = flag("CGP_NO_RINGS")? {
             opts.no_rings = b;
         }
-        if let Some(v) = lookup("CGP_TRANSPORT") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "" => {}
-                t @ ("shm" | "tcp") => opts.transport = Some(t.to_string()),
-                other => {
-                    return Err(CoreError::Config(format!(
-                        "CGP_TRANSPORT: expected `shm` or `tcp`, got `{other}`"
-                    )))
-                }
-            }
+        if let Some(v) = lookup("CGP_TRANSPORT").filter(|v| !v.trim().is_empty()) {
+            let t = v
+                .parse()
+                .map_err(|e| CoreError::Config(format!("CGP_TRANSPORT: {e}")))?;
+            opts.transport = Some(t);
         }
         if let Some(n) = ms("CGP_CHECKPOINT_EVERY")? {
             if n == 0 {
@@ -420,12 +417,12 @@ pub fn run_plan_threaded_stats(
 /// worker of a distributed run ([`Pipeline::run_worker`]).
 ///
 /// The caller supplies the stage's ingress endpoint (required iff
-/// `stage > 0` — a bound TCP listener or pre-created shm rings, set up
-/// before the run so launchers learn ephemeral ports and ring paths
-/// first) and the downstream worker's address (required iff `stage` is
-/// not the last). The egress transport is chosen by that address:
-/// `shm:<base>` attaches to the downstream worker's shared-memory rings,
-/// anything else is dialled over TCP. All workers must be given the same
+/// `stage > 0` — made by [`WorkerIngress::bind`] before the run, so
+/// launchers learn ephemeral ports and ring paths first) and the
+/// downstream worker's address (required iff `stage` is not the last).
+/// The egress transport is chosen by that address: `shm:<base>`
+/// attaches to the downstream worker's shared-memory rings, anything
+/// else is dialled over TCP. All workers must be given the same
 /// program, compile options, and `widths` so they derive the same plan
 /// and topology. The returned output lines are non-empty only for the
 /// last stage's worker.
@@ -784,10 +781,8 @@ mod tests {
     use super::*;
     use cgp_compiler::cost::PipelineEnv;
     use cgp_compiler::{compile, CompileOptions, Decomposition};
-    use cgp_datacutter::ShmIngress;
     use cgp_lang::interp::Interp;
     use cgp_lang::Value;
-    use std::net::TcpListener;
 
     const SRC: &str = r#"
         extern int n;
@@ -947,75 +942,26 @@ mod tests {
     }
 
     /// Host one worker per pipeline unit (on threads — the process
-    /// boundary is exercised by the bench launcher; the sockets and
+    /// boundary is exercised by the bench launcher; the carriers and
     /// topology are identical) and compare to the interpreter oracle.
-    fn run_distributed(plan: &FilterPlan, widths: [usize; 3], exec: ExecOptions) -> Vec<String> {
-        run_distributed_io(plan, widths, exec, false)
-    }
-
-    /// Same topology over shared-memory rings instead of loopback TCP.
-    fn run_distributed_shm(
+    fn run_distributed(
         plan: &FilterPlan,
         widths: [usize; 3],
         exec: ExecOptions,
+        transport: Transport,
     ) -> Vec<String> {
-        run_distributed_io(plan, widths, exec, true)
-    }
-
-    fn run_distributed_io(
-        plan: &FilterPlan,
-        widths: [usize; 3],
-        exec: ExecOptions,
-        shm: bool,
-    ) -> Vec<String> {
-        use cgp_datacutter::{DEFAULT_SHM_CAPACITY, SHM_PREFIX};
         let plan = Arc::new(plan.clone());
-        let (mut ingresses, connects): ([Option<WorkerIngress>; 3], [Option<String>; 3]) = if shm {
-            // The downstream worker creates its rings before any
-            // producer attaches, mirroring the launcher's create-then-
-            // announce ordering.
-            let unique = format!("{}-{:?}", std::process::id(), std::thread::current().id())
-                .replace(['(', ')'], "");
-            let base1 = cgp_datacutter::shm_dir()
-                .join(format!("cgp-core-test-{unique}.l1"))
-                .display()
-                .to_string();
-            let base2 = cgp_datacutter::shm_dir()
-                .join(format!("cgp-core-test-{unique}.l2"))
-                .display()
-                .to_string();
-            // Ring count per link = the upstream stage's *provisioned*
-            // width (autoscale provisions interior stages at the cap).
-            let p1 = exec.provisioned_width(0, 3, widths[0]).unwrap();
-            let p2 = exec.provisioned_width(1, 3, widths[1]).unwrap();
-            let s1 = ShmIngress::create(&base1, p1, DEFAULT_SHM_CAPACITY, None).unwrap();
-            let s2 = ShmIngress::create(&base2, p2, DEFAULT_SHM_CAPACITY, None).unwrap();
-            (
-                [
-                    None,
-                    Some(WorkerIngress::Shm(s1)),
-                    Some(WorkerIngress::Shm(s2)),
-                ],
-                [
-                    Some(format!("{SHM_PREFIX}{base1}")),
-                    Some(format!("{SHM_PREFIX}{base2}")),
-                    None,
-                ],
-            )
-        } else {
-            let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-            let l2 = TcpListener::bind("127.0.0.1:0").unwrap();
-            let a1 = l1.local_addr().unwrap().to_string();
-            let a2 = l2.local_addr().unwrap().to_string();
-            (
-                [
-                    None,
-                    Some(WorkerIngress::Tcp(l1)),
-                    Some(WorkerIngress::Tcp(l2)),
-                ],
-                [Some(a1), Some(a2), None],
-            )
-        };
+        // Every downstream ingress exists before any producer connects,
+        // mirroring the launcher's bind-then-announce order. Producers per
+        // link = the upstream stage's *provisioned* width (autoscale
+        // provisions interior stages at the cap).
+        let (mut ingresses, mut connects) = ([None, None, None], [None, None, None]);
+        for s in 1..3 {
+            let producers = exec.provisioned_width(s - 1, 3, widths[s - 1]).unwrap();
+            let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), producers).unwrap();
+            ingresses[s] = Some(ingress);
+            connects[s - 1] = Some(at);
+        }
         let handles: Vec<_> = (0..3)
             .map(|s| {
                 let plan = Arc::clone(&plan);
@@ -1068,7 +1014,7 @@ mod tests {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let out = run_distributed(&c.plan, [1, 2, 1], ExecOptions::default());
+        let out = run_distributed(&c.plan, [1, 2, 1], ExecOptions::default(), Transport::Tcp);
         assert_eq!(out, oracle(), "distributed run must be byte-identical");
     }
 
@@ -1084,7 +1030,7 @@ mod tests {
             checkpoint_every: Some(2),
             ..Default::default()
         };
-        let out = run_distributed(&c.plan, [1, 2, 1], exec);
+        let out = run_distributed(&c.plan, [1, 2, 1], exec, Transport::Tcp);
         assert_eq!(out, oracle(), "recovered distributed run must match");
     }
 
@@ -1096,7 +1042,7 @@ mod tests {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let out = run_distributed_shm(&c.plan, [1, 2, 1], ExecOptions::default());
+        let out = run_distributed(&c.plan, [1, 2, 1], ExecOptions::default(), Transport::Shm);
         assert_eq!(out, oracle(), "shm-transport run must be byte-identical");
     }
 
@@ -1118,7 +1064,7 @@ mod tests {
             checkpoint_every: Some(2),
             ..Default::default()
         };
-        let out = run_distributed_shm(&c.plan, [1, 2, 1], exec);
+        let out = run_distributed(&c.plan, [1, 2, 1], exec, Transport::Shm);
         assert_eq!(out, oracle(), "recovered shm run must match");
     }
 
@@ -1224,7 +1170,7 @@ mod tests {
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
-        let out = run_distributed(&c.plan, [1, 1, 1], exec);
+        let out = run_distributed(&c.plan, [1, 1, 1], exec, Transport::Tcp);
         assert_eq!(out, oracle(), "autoscaled distributed run must match");
     }
 
@@ -1245,7 +1191,7 @@ mod tests {
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
-        let out = run_distributed(&c.plan, [1, 1, 1], exec);
+        let out = run_distributed(&c.plan, [1, 1, 1], exec, Transport::Tcp);
         assert_eq!(out, oracle(), "fault under autoscale must be masked");
     }
 
@@ -1296,7 +1242,7 @@ mod tests {
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
-        let out = run_distributed_shm(&c.plan, [1, 1, 1], exec);
+        let out = run_distributed(&c.plan, [1, 1, 1], exec, Transport::Shm);
         assert_eq!(out, oracle(), "autoscaled shm run must match");
     }
 

@@ -39,9 +39,9 @@ use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
 use crate::fault::{FaultPlan, RetryPolicy, RunControl};
 use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
-use crate::net::{egress_pump, serve_ingress, NetLinkStats, NetTuning, TelemetryClient};
+use crate::link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, WorkerIngress};
+use crate::net::TelemetryClient;
 use crate::recover::{CheckpointStore, RecoveryOptions};
-use crate::shm::{shm_egress_pump, ShmIngress, SHM_PREFIX};
 use crate::stream::logical_stream;
 use crate::telemetry::{
     build_sample, encode_telemetry_payload, now_us, LinkProbe, StageProbe, TelemetryConfig,
@@ -50,7 +50,6 @@ use crate::width::{AutoscaleConfig, AutoscaleReport, StageWidth, WidthController
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::cell::Cell;
-use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
@@ -247,15 +246,6 @@ impl RunStats {
     pub fn checkpoint_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.checkpoint_bytes).sum()
     }
-}
-
-/// Ingress endpoint for a worker's upstream link: a bound TCP listener
-/// (cross-host, or same-host fallback) or pre-created shared-memory
-/// rings (same-host fast path — see [`ShmIngress`]).
-#[derive(Debug)]
-pub enum WorkerIngress {
-    Tcp(TcpListener),
-    Shm(ShmIngress),
 }
 
 /// Where a worker process's stage attaches to the rest of a distributed
@@ -872,8 +862,7 @@ impl Pipeline {
                 });
             }
             // Ingress bridge: replay the upstream producers onto the local
-            // ingress stream — one accepted connection per producer copy
-            // (TCP), or one reader thread per pre-created ring (shm).
+            // ingress stream (one bridge per producer copy).
             if let Some(ingress) = ingress {
                 let link = active_stage.expect("ingress implies worker mode") as u32;
                 let writers = std::mem::take(&mut ingress_writers);
@@ -885,13 +874,7 @@ impl Pipeline {
                 let tuning = self.net_tuning;
                 scope.spawn(move || {
                     let ctl = Some(Arc::clone(&control));
-                    let served = match ingress {
-                        WorkerIngress::Tcp(l) => {
-                            serve_ingress(l, link, writers, ctl, probe, tuning)
-                        }
-                        WorkerIngress::Shm(shm) => shm.serve(link, writers, ctl, probe, tuning),
-                    };
-                    match served {
+                    match serve_ingress(ingress, link, writers, ctl, probe, tuning) {
                         Ok(st) => plock(&net_stats).push((link, st)),
                         // The serve loop has already cancelled the run and
                         // closed its local writers.
@@ -901,8 +884,7 @@ impl Pipeline {
                 });
             }
             // Egress bridges: one pump per copy drains the copy's private
-            // 1→1 stream into the downstream worker's listener (TCP) or
-            // shm ring (`shm:<base>` addresses).
+            // 1→1 stream into the downstream worker's ingress.
             for (c, mut reader) in egress_readers.drain(..).enumerate() {
                 let k = active_stage.expect("egress readers imply worker mode");
                 let addr = connect.clone().expect("egress readers imply connect");
@@ -914,26 +896,15 @@ impl Pipeline {
                 let probe = egress_probe.clone();
                 let tuning = self.net_tuning;
                 scope.spawn(move || {
-                    let pumped = if let Some(base) = addr.strip_prefix(SHM_PREFIX) {
-                        shm_egress_pump(
-                            reader,
-                            base,
-                            (k + 1) as u32,
-                            c as u32,
-                            Some(Arc::clone(&control)),
-                            probe,
-                        )
-                    } else {
-                        egress_pump(
-                            reader,
-                            &addr,
-                            (k + 1) as u32,
-                            c as u32,
-                            Some(Arc::clone(&control)),
-                            probe,
-                            tuning,
-                        )
-                    };
+                    let pumped = egress_pump(
+                        reader,
+                        &addr,
+                        (k + 1) as u32,
+                        c as u32,
+                        Some(Arc::clone(&control)),
+                        probe,
+                        tuning,
+                    );
                     match pumped {
                         Ok(st) => plock(&net_stats).push(((k + 1) as u32, st)),
                         Err(e) => {

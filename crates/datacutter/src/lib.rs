@@ -41,6 +41,7 @@ pub mod error;
 pub mod exec;
 pub mod fault;
 pub mod filter;
+pub mod link;
 pub mod net;
 pub mod placement;
 pub mod recover;
@@ -55,21 +56,20 @@ pub use buffer::{
 };
 pub use channel::CancelToken;
 pub use error::{ErrorKind, FilterError, FilterResult};
-pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints, WorkerIngress};
+pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints};
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, RunControl, Trigger};
 pub use filter::{ClosureFilter, Filter, FilterFactory, FilterIo};
+pub use link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, Transport, WorkerIngress};
 pub use net::{
-    connect_with_retry, decode_frame, egress_pump, encode_frame, is_heartbeat_timeout,
-    serve_ingress, serve_telemetry, Frame, IngressFeeder, NetLinkStats, NetTuning,
-    RemoteStreamReader, RemoteStreamWriter, TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC,
-    NET_VERSION, TELEMETRY_LINK,
+    connect_with_retry, decode_frame, encode_frame, is_heartbeat_timeout, serve_telemetry, Frame,
+    TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC, NET_VERSION, TELEMETRY_LINK,
 };
 pub use placement::{HostId, Placement, StageAssignment, StagePlacement};
 pub use recover::{decode_snapshot, Checkpoint, CheckpointStore, RecoveryOptions, Snapshot};
 pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{
-    remove_ring_files, shm_dir, shm_egress_pump, shm_supported, ShmIngress, ShmReceiver, ShmSender,
-    DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    remove_ring_files, shm_dir, shm_supported, ShmIngress, ShmSender, DEFAULT_SHM_CAPACITY,
+    SHM_PREFIX,
 };
 pub use stream::{logical_stream, StreamReader, StreamWriter};
 pub use telemetry::{

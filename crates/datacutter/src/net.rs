@@ -1,12 +1,15 @@
-//! TCP transport for logical streams (distributed DataCutter).
+//! TCP carrier and the wire format of distributed logical streams.
 //!
 //! The in-process runtime connects filter copies through bounded channels
-//! ([`crate::stream`]). This module extends one logical stream across a
-//! process boundary with length-prefixed frames over TCP, *without*
-//! re-implementing any stream semantics: both sides of the socket are
-//! bridged onto ordinary local streams, so batching, backpressure,
+//! ([`crate::stream`]). A distributed run extends one logical stream
+//! across a process boundary with length-prefixed frames, *without*
+//! re-implementing any stream semantics: both ends are bridged onto
+//! ordinary local streams by [`crate::link`], so batching, backpressure,
 //! cancellation, deadlines, fault injection, and ack/replay recovery all
-//! keep working unchanged.
+//! keep working unchanged. This module defines the frames, and the TCP
+//! carrier: a cancellable socket, the heartbeat sidecar, and the accept
+//! loop through which a producer's connection arrives. Same-host rings
+//! ([`crate::shm`]) carry the same frames.
 //!
 //! ## Topology
 //!
@@ -15,7 +18,7 @@
 //! ```text
 //!  producer process                      consumer process
 //!  ┌──────────────┐  local 1→1 stream   ┌──────────────────────────────┐
-//!  │ filter copy c ├──▶ egress pump c ──TCP──▶ ingress handler p ──┐   │
+//!  │ filter copy c ├──▶ egress pump c ──TCP──▶ ingress bridge p ───┐   │
 //!  └──────────────┘   (one socket per         (one per upstream    │   │
 //!                      producer copy)          producer copy)      ▼   │
 //!                                              local P→C stream, writer│
@@ -28,10 +31,11 @@
 //!
 //! Each producer copy gets its own connection, so per-producer FIFO order
 //! is the socket's FIFO order. The consumer side feeds a local
-//! [`StreamWriter`] with the *same* producer index and stagger the
-//! in-process run would use; round-robin routing is a pure function of the
-//! sequence number, so packet→consumer-copy routing is reproduced exactly
-//! and results stay byte-identical to the in-process run.
+//! [`StreamWriter`](crate::stream::StreamWriter) with the *same* producer
+//! index and stagger the in-process run would use; round-robin routing
+//! is a pure function of the sequence number, so packet→consumer-copy
+//! routing is reproduced exactly and results stay byte-identical to the
+//! in-process run.
 //!
 //! ## Wire format
 //!
@@ -46,6 +50,7 @@
 //! | `End`      | `from: u32` (producer finished its unit of work)         |
 //! | `Close`    | — (orderly connection shutdown)                          |
 //! | `Telemetry`| `len: u32`, payload (JSON telemetry update)              |
+//! | `Heartbeat`| — (liveness beacon, consumed by the frame reader)        |
 //!
 //! `Telemetry` frames travel on their own connections — worker →
 //! launcher, handshaken with the sentinel link id [`TELEMETRY_LINK`] —
@@ -63,23 +68,26 @@
 //! ack/replay machinery exactly as in-process runs do. Across the socket,
 //! the consumer publishes its cumulative per-producer watermark in
 //! `HelloAck` whenever a producer (re)connects: a reconnecting producer
-//! resumes past the acknowledged prefix, and any duplicated in-flight
-//! frame is discarded by the same sequence watermark
-//! ([`IngressFeeder::feed`]) — the watermark never regresses across a
-//! reconnect because it lives in the serve loop's slot table, not in the
-//! per-connection handler.
+//! suppresses the acknowledged prefix, and any duplicated in-flight
+//! frame is discarded by the same sequence watermark — the watermark
+//! never regresses across a reconnect because it lives in the accept
+//! loop's slot table, not in the per-connection bridge. `HelloAck` goes
+//! out only once the producer's previous connection has returned its
+//! feeder, so the watermark it carries is final; a supervised respawn
+//! waits up to [`NetTuning::reconnect`] for it.
 //!
 //! [`ErrorKind::Malformed`]: crate::error::ErrorKind
 
-use crate::buffer::Buffer;
-use crate::error::{FilterError, FilterResult};
+use crate::error::{ErrorKind, FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::stream::{StreamReader, StreamWriter};
-use crate::telemetry::LinkProbe;
+use crate::link::{
+    expect_hello, read_frame, write_frame, Ended, Filled, FrameSink, FrameSource, IngressFeeder,
+    IngressLink, NetTuning, Read,
+};
 use cgp_obs::trace::{self, PID_RUNTIME};
-use std::io::{Read, Write};
+use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -315,75 +323,11 @@ pub fn decode_frame(buf: &[u8]) -> FilterResult<(Frame, usize)> {
     }
 }
 
-/// Per-link transfer counters, reported into `cgp_obs` metrics by the
-/// executor (`net.link<id>.frames` / `.bytes`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetLinkStats {
-    /// Data frames moved across the socket(s).
-    pub frames: u64,
-    /// Payload bytes moved across the socket(s).
-    pub bytes: u64,
-    /// Duplicated in-flight frames discarded by the sequence watermark
-    /// after a reconnect (ingress side only).
-    pub deduped: u64,
-    /// Heartbeat-deadline verdicts: a peer went silent past the liveness
-    /// deadline (ingress side only; under supervision this is a dirty
-    /// disconnect awaiting a respawned peer, otherwise it fails the link).
-    pub timeouts: u64,
-    /// Times a producer reconnected to this link after a disconnect
-    /// (ingress side only): a respawned worker process rejoining.
-    pub reconnects: u64,
-}
-
-/// Liveness knobs for one link's endpoints.
-///
-/// `heartbeat` turns the protocol on: egress pumps emit
-/// [`Frame::Heartbeat`] whenever the link has been idle that long, and
-/// readers fail (or, supervised, declare a dirty disconnect) when a peer
-/// is silent past [`NetTuning::deadline`]. `supervised` makes the ingress
-/// side *lenient*: a dead connection parks the producer's slot instead of
-/// failing the link, waiting up to `reconnect` for a respawned process to
-/// rejoin (the launcher's supervision layer guarantees one is coming, or
-/// kills the run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetTuning {
-    /// Emit a heartbeat after this much idle time, and derive the silence
-    /// deadline from it. `None` disables the liveness protocol entirely
-    /// (the pre-supervision behavior: a dead peer blocks reads until the
-    /// run watchdog fires).
-    pub heartbeat: Option<Duration>,
-    /// Lenient ingress: treat dead connections as dirty disconnects and
-    /// wait (bounded) for the producer to be respawned and reconnect.
-    pub supervised: bool,
-    /// How long a supervised ingress waits for a disconnected producer to
-    /// reconnect before declaring the link dead.
-    pub reconnect: Duration,
-}
-
-impl Default for NetTuning {
-    fn default() -> Self {
-        NetTuning {
-            heartbeat: None,
-            supervised: false,
-            reconnect: Duration::from_secs(10),
-        }
-    }
-}
-
-impl NetTuning {
-    /// Silence deadline: a peer that has sent nothing (not even a
-    /// heartbeat) for this long is presumed dead or hung. Several missed
-    /// beats, floored so scheduling jitter never fires it spuriously.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.heartbeat
-            .map(|every| (every * 4).max(Duration::from_secs(1)))
-    }
-}
-
-/// A framed, cancellation-aware connection: blocking reads and writes
-/// poll the socket at [`POLL`] granularity so a cancelled run unwedges
-/// promptly even while a peer is silent.
-struct FrameConn {
+/// A cancellation-aware TCP connection, one carrier under the frame
+/// protocol ([`crate::link`]): blocking reads and writes poll the socket
+/// at [`POLL`] granularity so a cancelled run unwedges promptly even
+/// while a peer is silent.
+struct TcpConn {
     stream: TcpStream,
     control: Option<Arc<RunControl>>,
     who: String,
@@ -406,13 +350,21 @@ pub fn is_heartbeat_timeout(e: &FilterError) -> bool {
     e.message.starts_with(HEARTBEAT_TIMEOUT_MSG)
 }
 
-impl FrameConn {
+/// Whether a socket error only means "nothing yet" (the [`POLL`] timeout
+/// fired or the call was interrupted), so the caller should re-check
+/// cancellation and try again.
+fn would_block(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::*;
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
+}
+
+impl TcpConn {
     fn new(stream: TcpStream, control: Option<Arc<RunControl>>, who: String) -> FilterResult<Self> {
         let err = |e: std::io::Error| FilterError::new(who.clone(), format!("socket setup: {e}"));
         stream.set_nodelay(true).map_err(err)?;
         stream.set_read_timeout(Some(POLL)).map_err(err)?;
         stream.set_write_timeout(Some(POLL)).map_err(err)?;
-        Ok(FrameConn {
+        Ok(TcpConn {
             stream,
             control,
             who,
@@ -433,16 +385,64 @@ impl FrameConn {
             .map(|_| FilterError::cancelled(self.who.clone(), "run cancelled during socket I/O"))
     }
 
-    /// Fill `buf` completely. `Ok(false)` means a clean EOF *before any
-    /// byte* and `allow_eof` — the peer closed at a frame boundary. EOF
-    /// mid-frame is malformed.
-    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<bool> {
+    fn write_all(&mut self, mut buf: &[u8]) -> FilterResult<()> {
+        while !buf.is_empty() {
+            match self.stream.write(buf) {
+                Ok(0) => {
+                    return Err(FilterError::new(
+                        self.who.clone(),
+                        "socket write returned 0 bytes",
+                    ))
+                }
+                Ok(n) => buf = &buf[n..],
+                Err(e) if would_block(&e) => {
+                    if let Some(c) = self.cancelled() {
+                        return Err(c);
+                    }
+                }
+                Err(e) => {
+                    return Err(FilterError::new(
+                        self.who.clone(),
+                        format!("socket write: {e}"),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Send `Hello` as `producer` on `link` and wait for the consumer's
+    /// `HelloAck`. Returns its resume watermark.
+    fn handshake(&mut self, link: u32, producer: u32) -> FilterResult<u64> {
+        write_frame(self, &encode_frame(&Frame::Hello { link, producer }), &[])?;
+        match read_frame(self)? {
+            Read::Frame(Frame::HelloAck { resume_seq }) => Ok(resume_seq),
+            Read::Frame(f) => Err(FilterError::malformed(
+                self.who.clone(),
+                format!("expected HelloAck, got {f:?}"),
+            )),
+            Read::Eof | Read::Reset => Err(FilterError::malformed(
+                self.who.clone(),
+                "connection closed during handshake",
+            )),
+        }
+    }
+}
+
+impl FrameSource for TcpConn {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    /// EOF mid-frame is malformed, and so is a peer silent past the
+    /// deadline; a socket never resets.
+    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled> {
         let mut off = 0;
         while off < buf.len() {
             match self.stream.read(&mut buf[off..]) {
                 Ok(0) => {
                     if off == 0 && allow_eof {
-                        return Ok(false);
+                        return Ok(Filled::Eof);
                     }
                     return Err(FilterError::malformed(
                         self.who.clone(),
@@ -453,12 +453,7 @@ impl FrameConn {
                     off += n;
                     self.last_rx = Instant::now();
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if would_block(&e) => {
                     if let Some(c) = self.cancelled() {
                         return Err(c);
                     }
@@ -475,7 +470,6 @@ impl FrameConn {
                         }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     return Err(FilterError::new(
                         self.who.clone(),
@@ -484,107 +478,21 @@ impl FrameConn {
                 }
             }
         }
-        Ok(true)
+        Ok(Filled::Full)
+    }
+}
+
+impl FrameSink for TcpConn {
+    fn who(&self) -> &str {
+        &self.who
     }
 
-    /// Read one frame; `Ok(None)` on a clean EOF at a frame boundary.
-    /// Heartbeats are consumed here (their only effect — refreshing the
-    /// silence deadline — happens in `fill`), so callers never see them.
-    /// The frame headers are re-parsed through [`decode_frame`] so the
-    /// socket path and the testable slice path share one hardened parser.
-    fn read_frame(&mut self) -> FilterResult<Option<Frame>> {
-        loop {
-            match self.read_frame_raw()? {
-                Some(Frame::Heartbeat) => continue,
-                other => return Ok(other),
-            }
-        }
-    }
-
-    fn read_frame_raw(&mut self) -> FilterResult<Option<Frame>> {
-        let mut tag = [0u8; 1];
-        if !self.fill(&mut tag, true)? {
-            return Ok(None);
-        }
-        let Some(header_len) = frame_header_len(tag[0]) else {
-            return Err(FilterError::malformed(
-                self.who.clone(),
-                format!("unknown frame tag {}", tag[0]),
-            ));
-        };
-        let mut frame = vec![tag[0]; 1];
-        frame.resize(1 + header_len, 0);
-        self.fill(&mut frame[1..], false)?;
-        // Frames with a variable payload: the length field's offset
-        // within the fixed header.
-        if let Some(at) = frame_len_field_at(tag[0]) {
-            let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(FilterError::malformed(
-                    self.who.clone(),
-                    format!("frame declares {len} bytes (cap {MAX_FRAME_PAYLOAD})"),
-                ));
-            }
-            let at = frame.len();
-            frame.resize(at + len, 0);
-            self.fill(&mut frame[at..], false)?;
-        }
-        decode_frame(&frame)
-            .map(|(f, _)| Some(f))
-            .map_err(|e| FilterError {
-                filter: self.who.clone(),
-                ..e
-            })
-    }
-
-    fn write_all(&mut self, mut buf: &[u8]) -> FilterResult<()> {
-        while !buf.is_empty() {
-            match self.stream.write(buf) {
-                Ok(0) => {
-                    return Err(FilterError::new(
-                        self.who.clone(),
-                        "socket write returned 0 bytes",
-                    ))
-                }
-                Ok(n) => buf = &buf[n..],
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if let Some(c) = self.cancelled() {
-                        return Err(c);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(FilterError::new(
-                        self.who.clone(),
-                        format!("socket write: {e}"),
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn write_frame(&mut self, f: &Frame) -> FilterResult<()> {
-        self.write_all(&encode_frame(f))
-    }
-
-    /// Write a data frame without copying the payload into an
-    /// intermediate encoding.
-    fn write_data(&mut self, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
-        debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-        self.write_all(&encode_data_header(from, seq, payload.len()))?;
+    fn send(&mut self, header: &[u8], payload: &[u8]) -> FilterResult<()> {
+        self.write_all(header)?;
         self.write_all(payload)
     }
 }
 
-/// Connect to `addr` with bounded retry and backoff (the peer worker may
-/// not have bound its listener yet). Cancellable; emits a `net.connect`
-/// trace span covering the whole attempt sequence.
 /// Whether a failed `connect` is worth retrying: the listener may not be
 /// accepting yet (the launcher spawns workers concurrently), the peer may
 /// have dropped a backlogged attempt, or the kernel was momentarily out
@@ -615,6 +523,9 @@ fn next_connect_delay(delay: Duration) -> Duration {
     delay.saturating_mul(2).min(MAX_CONNECT_DELAY)
 }
 
+/// Connect to `addr` with bounded retry and backoff (the peer worker may
+/// not have bound its listener yet). Cancellable; emits a `net.connect`
+/// trace span covering the whole attempt sequence.
 pub fn connect_with_retry(
     addr: &str,
     control: Option<&Arc<RunControl>>,
@@ -665,40 +576,93 @@ pub fn connect_with_retry(
     }
 }
 
-/// Producer-side remote endpoint: one connection carrying one producer
-/// copy's packets for one logical link. Sequence numbers are assigned
-/// densely here; the `HelloAck` resume watermark suppresses frames the
-/// consumer already acknowledged (reconnection after a consumer restart).
+/// The producer end of one TCP link connection, as the egress pump
+/// ([`crate::link::egress_pump`]) drives it.
 ///
 /// With [`NetTuning::heartbeat`] configured, a sidecar thread shares the
 /// connection (frame-granular mutex, so a heartbeat can never interleave
 /// inside a data frame) and emits [`Frame::Heartbeat`] whenever the link
 /// has been idle for one heartbeat interval — a blocked or slow producer
 /// stage no longer looks dead to the consumer's silence deadline.
-pub struct RemoteStreamWriter {
-    conn: Arc<Mutex<FrameConn>>,
-    producer: u32,
-    next_seq: u64,
-    resume_seq: u64,
-    frames: u64,
-    bytes: u64,
+pub(crate) struct TcpEgress {
+    conn: Arc<Mutex<TcpConn>>,
+    who: String,
     beat: Option<HeartbeatHandle>,
 }
 
-/// The egress heartbeat sidecar: stop flag + thread + beats-sent counter.
+/// Connect (with retry) and handshake as `producer` on `link`. Returns
+/// the connection and the consumer's resume watermark from `HelloAck`.
+/// The handshake wait is bounded by `tuning`'s silence deadline (see
+/// below) and, when heartbeats are on, the idle-link beacon thread is
+/// started.
+pub(crate) fn connect(
+    addr: &str,
+    link: u32,
+    producer: u32,
+    control: Option<Arc<RunControl>>,
+    tuning: NetTuning,
+) -> FilterResult<(TcpEgress, u64)> {
+    let who = format!("net.egress[{producer}]");
+    let stream = connect_with_retry(addr, control.as_ref(), &who)?;
+    let mut conn = TcpConn::new(stream, control, who.clone())?;
+    // A consumer that accepted but never replies must not hang the
+    // producer forever: bound the handshake by the silence deadline. A
+    // supervised consumer holds `HelloAck` back for up to
+    // `tuning.reconnect` while this producer's dead connection drains,
+    // so a respawn waits at least that long.
+    conn.set_deadline(tuning.deadline().map(|d| {
+        if tuning.supervised {
+            d.max(tuning.reconnect)
+        } else {
+            d
+        }
+    }));
+    let resume = conn.handshake(link, producer)?;
+    let conn = Arc::new(Mutex::new(conn));
+    let beat = tuning
+        .heartbeat
+        .map(|every| HeartbeatHandle::spawn(Arc::clone(&conn), every));
+    Ok((TcpEgress { conn, who, beat }, resume))
+}
+
+impl FrameSink for TcpEgress {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    fn send(&mut self, header: &[u8], payload: &[u8]) -> FilterResult<()> {
+        plock(&self.conn).send(header, payload)?;
+        if let Some(b) = &self.beat {
+            b.mark_tx();
+        }
+        Ok(())
+    }
+
+    /// Stop the heartbeat first, so nothing follows `Close`, then close
+    /// the write side in order.
+    fn finish(mut self, last: &[u8]) -> FilterResult<()> {
+        if let Some(mut b) = self.beat.take() {
+            b.stop();
+        }
+        let mut conn = plock(&self.conn);
+        conn.send(last, &[])?;
+        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+        Ok(())
+    }
+}
+
+/// The egress heartbeat sidecar: stop flag + thread.
 struct HeartbeatHandle {
     stop: Arc<std::sync::atomic::AtomicBool>,
-    sent: Arc<AtomicU64>,
     thread: Option<std::thread::JoinHandle<()>>,
     last_tx: Arc<Mutex<Instant>>,
 }
 
 impl HeartbeatHandle {
-    fn spawn(conn: Arc<Mutex<FrameConn>>, every: Duration) -> Self {
+    fn spawn(conn: Arc<Mutex<TcpConn>>, every: Duration) -> Self {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let sent = Arc::new(AtomicU64::new(0));
         let last_tx = Arc::new(Mutex::new(Instant::now()));
-        let (stop2, sent2, last2) = (Arc::clone(&stop), Arc::clone(&sent), Arc::clone(&last_tx));
+        let (stop2, last2) = (Arc::clone(&stop), Arc::clone(&last_tx));
         let thread = std::thread::spawn(move || {
             let slice = every.min(Duration::from_millis(50));
             while !stop2.load(Ordering::Acquire) {
@@ -717,16 +681,15 @@ impl HeartbeatHandle {
                 if plock(&last2).elapsed() < every {
                     continue;
                 }
-                if conn.write_frame(&Frame::Heartbeat).is_err() {
+                let beat = encode_frame(&Frame::Heartbeat);
+                if write_frame(&mut *conn, &beat, &[]).is_err() {
                     break;
                 }
                 *plock(&last2) = Instant::now();
-                sent2.fetch_add(1, Ordering::Relaxed);
             }
         });
         HeartbeatHandle {
             stop,
-            sent,
             thread: Some(thread),
             last_tx,
         }
@@ -750,266 +713,27 @@ impl Drop for HeartbeatHandle {
     }
 }
 
-impl RemoteStreamWriter {
-    /// Connect (with retry) and handshake as `producer` on `link`. The
-    /// handshake wait is bounded by `tuning`'s silence deadline and, when
-    /// heartbeats are on, the idle-link beacon thread is started.
-    pub fn connect(
-        addr: &str,
-        link: u32,
-        producer: u32,
-        control: Option<Arc<RunControl>>,
-        tuning: NetTuning,
-    ) -> FilterResult<Self> {
-        let who = format!("net.egress[{producer}]");
-        let stream = connect_with_retry(addr, control.as_ref(), &who)?;
-        let mut conn = FrameConn::new(stream, control, who.clone())?;
-        // A consumer that accepted but never replies must not hang the
-        // producer forever: bound the handshake by the silence deadline.
-        conn.set_deadline(tuning.deadline());
-        conn.write_frame(&Frame::Hello { link, producer })?;
-        let resume_seq = match conn.read_frame()? {
-            Some(Frame::HelloAck { resume_seq }) => resume_seq,
-            Some(f) => {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("expected HelloAck, got {f:?}"),
-                ))
-            }
-            None => {
-                return Err(FilterError::malformed(
-                    who,
-                    "connection closed during handshake",
-                ))
-            }
-        };
-        let conn = Arc::new(Mutex::new(conn));
-        let beat = tuning
-            .heartbeat
-            .map(|every| HeartbeatHandle::spawn(Arc::clone(&conn), every));
-        Ok(RemoteStreamWriter {
-            conn,
-            producer,
-            next_seq: resume_seq,
-            resume_seq,
-            frames: 0,
-            bytes: 0,
-            beat,
-        })
-    }
-
-    /// Send one packet. Frames below the consumer's resume watermark are
-    /// suppressed (already durable on the other side).
-    pub fn write(&mut self, buf: &Buffer) -> FilterResult<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if seq < self.resume_seq {
-            return Ok(());
-        }
-        let mut conn = plock(&self.conn);
-        if buf.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                conn.who.clone(),
-                format!(
-                    "packet of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    buf.len()
-                ),
-            ));
-        }
-        conn.write_data(self.producer, seq, buf.as_slice())?;
-        drop(conn);
-        if let Some(b) = &self.beat {
-            b.mark_tx();
-        }
-        self.frames += 1;
-        self.bytes += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Signal end-of-work and close the connection in order.
-    pub fn finish(mut self) -> FilterResult<NetLinkStats> {
-        if let Some(mut b) = self.beat.take() {
-            b.stop();
-        }
-        let mut conn = plock(&self.conn);
-        conn.write_frame(&Frame::End {
-            from: self.producer,
-        })?;
-        conn.write_frame(&Frame::Close)?;
-        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-        Ok(NetLinkStats {
-            frames: self.frames,
-            bytes: self.bytes,
-            ..Default::default()
-        })
-    }
-
-    /// Data frames / payload bytes sent so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.frames, self.bytes)
-    }
-
-    /// Heartbeats emitted on this connection so far.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.beat
-            .as_ref()
-            .map_or(0, |b| b.sent.load(Ordering::Relaxed))
-    }
-}
-
-/// Consumer-side remote endpoint: one accepted, handshaken connection
-/// delivering one upstream producer copy's frames.
-pub struct RemoteStreamReader {
-    conn: FrameConn,
-    producer: u32,
-}
-
-impl RemoteStreamReader {
-    /// Validate an accepted connection's `Hello` against this link and
-    /// reply with the producer's resume watermark. An optional silence
-    /// `deadline` applies to the connection (handshake included).
-    pub fn accept(
-        stream: TcpStream,
-        link: u32,
-        producers: usize,
-        resume_seq_of: impl Fn(u32) -> u64,
-        control: Option<Arc<RunControl>>,
-        deadline: Option<Duration>,
-    ) -> FilterResult<Self> {
-        let mut conn = FrameConn::new(stream, control, "net.ingress".to_string())?;
-        conn.set_deadline(deadline);
-        let producer = match conn.read_frame()? {
-            Some(Frame::Hello {
-                link: got_link,
-                producer,
-            }) => {
-                if got_link != link {
-                    return Err(FilterError::malformed(
-                        conn.who,
-                        format!("connection for link {got_link} arrived at link {link}"),
-                    ));
-                }
-                if producer as usize >= producers {
-                    return Err(FilterError::malformed(
-                        conn.who,
-                        format!("producer {producer} out of range (link has {producers})"),
-                    ));
-                }
-                producer
-            }
-            Some(f) => {
-                return Err(FilterError::malformed(
-                    conn.who,
-                    format!("expected Hello, got {f:?}"),
-                ))
-            }
-            None => {
-                return Err(FilterError::malformed(
-                    conn.who,
-                    "connection closed during handshake",
-                ))
-            }
-        };
-        conn.who = format!("net.ingress[{producer}]");
-        conn.write_frame(&Frame::HelloAck {
-            resume_seq: resume_seq_of(producer),
-        })?;
-        Ok(RemoteStreamReader { conn, producer })
-    }
-
-    /// Which producer copy this connection carries.
-    pub fn producer(&self) -> u32 {
-        self.producer
-    }
-
-    /// Read the next frame; `Ok(None)` on a clean disconnect at a frame
-    /// boundary (the producer may reconnect).
-    pub fn read(&mut self) -> FilterResult<Option<Frame>> {
-        self.conn.read_frame()
-    }
-}
-
-/// Seq-deduplicating bridge from one remote producer onto its local
-/// [`StreamWriter`]. The next-expected watermark lives in a shared atomic
-/// that survives the per-connection handler, so a reconnecting producer
-/// can never regress it: duplicated in-flight frames are dropped, gaps
-/// are malformed.
-pub struct IngressFeeder {
-    writer: StreamWriter,
-    next_seq: Arc<AtomicU64>,
-    deduped: u64,
-    ended: bool,
-}
-
-impl IngressFeeder {
-    pub fn new(writer: StreamWriter) -> Self {
-        IngressFeeder {
-            writer,
-            next_seq: Arc::new(AtomicU64::new(0)),
-            deduped: 0,
-            ended: false,
-        }
-    }
-
-    /// The cumulative watermark published to a (re)connecting producer as
-    /// `HelloAck { resume_seq }`.
-    pub fn resume_seq(&self) -> u64 {
-        self.next_seq.load(Ordering::Acquire)
-    }
-
-    /// Shared handle on the watermark, readable while the feeder itself
-    /// is checked out to a connection handler (a respawned producer may
-    /// handshake before the dead connection's handler has returned it).
-    pub fn watermark(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.next_seq)
-    }
-
-    /// Duplicated frames discarded so far.
-    pub fn deduped(&self) -> u64 {
-        self.deduped
-    }
-
-    /// Whether this producer already sent `End`.
-    pub fn ended(&self) -> bool {
-        self.ended
-    }
-
-    /// Deliver frame `seq`: `Ok(true)` if forwarded to the local stream,
-    /// `Ok(false)` if it was a duplicate below the watermark. A sequence
-    /// *gap* means frames were lost on a path that guarantees FIFO —
-    /// that's corruption, not reordering, and is malformed.
-    pub fn feed(&mut self, seq: u64, buf: Buffer) -> FilterResult<bool> {
-        let expect = self.next_seq.load(Ordering::Acquire);
-        if seq < expect {
-            self.deduped += 1;
-            return Ok(false);
-        }
-        if seq > expect {
-            return Err(FilterError::malformed(
-                "net.ingress",
-                format!("sequence gap: got {seq}, expected {expect}"),
-            ));
-        }
-        self.writer.write(buf)?;
-        self.next_seq.store(expect + 1, Ordering::Release);
-        Ok(true)
-    }
-
-    /// The producer finished its unit of work: propagate end-of-work to
-    /// the local stream.
-    pub fn end(&mut self) {
-        self.ended = true;
-        self.writer.close();
-    }
+/// Read an accepted connection's `Hello`. The silence `deadline`
+/// applies to the connection, handshake included. Returns the connection
+/// and its producer.
+fn accept(
+    stream: TcpStream,
+    link: u32,
+    producers: usize,
+    control: Option<Arc<RunControl>>,
+    deadline: Option<Duration>,
+) -> FilterResult<(TcpConn, usize)> {
+    let mut conn = TcpConn::new(stream, control, "net.ingress".to_string())?;
+    conn.set_deadline(deadline);
+    let p = expect_hello(read_frame(&mut conn)?, link, producers, &conn.who)?;
+    conn.who = format!("net.ingress[{p}]");
+    Ok((conn, p))
 }
 
 /// Slot table entry for one upstream producer copy. The feeder (and its
 /// watermark) live here between connections.
 struct Slot {
     feeder: Option<IngressFeeder>,
-    /// Shared view of the feeder's watermark, readable even while the
-    /// feeder is checked out to a handler.
-    watermark: Arc<AtomicU64>,
     /// When the producer's connection died without `End` (supervised
     /// mode): the reconnect deadline runs from here.
     parked_at: Option<Instant>,
@@ -1018,298 +742,175 @@ struct Slot {
     connected_once: bool,
 }
 
-/// Serve one logical link's ingress side: accept one connection per
-/// upstream producer copy on `listener`, handshake, and bridge frames
-/// onto the local `writers` (writer `p` plays producer copy `p`, keeping
-/// the in-process round-robin routing). Returns when every producer has
-/// sent `End`, or with the first error (cancelling the run so blocked
-/// filter copies unwedge).
+/// How a producer's connection arrives over TCP: accept one connection
+/// per upstream producer copy on `listener`, hand it the producer's
+/// watermark in `HelloAck` once its previous connection (if any) has
+/// returned the feeder, and bridge it on its own thread through `link`
+/// ([`crate::link::serve_ingress`]). Returns the feeders once
+/// every producer sent `End`, the link failed, or the run was cancelled.
 ///
-/// Producers may disconnect cleanly (`Close` or EOF at a frame boundary)
-/// and reconnect; the sequence watermark in the slot table dedups any
-/// re-sent in-flight frames. With default `tuning`, EOF mid-frame is
-/// malformed and fails the link.
+/// Unsupervised, a producer may disconnect cleanly (`Close` or EOF at a
+/// frame boundary) and reconnect; the watermark in the slot table dedups
+/// any re-sent frames, and any other connection failure fails the link.
 ///
-/// An optional live [`LinkProbe`] ticks frame/byte/dedup counters as
-/// traffic flows, so the telemetry sampler can report per-link rates
-/// mid-run instead of only at link teardown.
-///
-/// With `tuning.supervised` the link becomes crash-tolerant: a
-/// connection that dies without `End` — reset, EOF mid-frame, or silence
-/// past the heartbeat deadline — parks the producer's slot instead of
-/// failing the link, and a respawned process may reconnect (within
-/// `tuning.reconnect`) and resume from the `HelloAck` watermark; a
-/// reconnect after `End` is drained and discarded (the respawned prefix
-/// deterministically regenerates everything, so its tail duplicates are
-/// expected, not corruption).
-pub fn serve_ingress(
+/// Supervised (`tuning.supervised`), a connection that dies without
+/// `End` — reset, EOF mid-frame, or silence past the heartbeat deadline
+/// — parks the producer's slot instead, and a respawned process may
+/// reconnect within `tuning.reconnect`. A reconnect after `End` is
+/// drained and discarded: the respawned prefix deterministically
+/// regenerates everything, so its tail duplicates are expected, not
+/// corruption.
+pub(crate) fn serve_tcp(
     listener: TcpListener,
-    link: u32,
-    writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
+    link: &IngressLink,
+    feeders: Vec<IngressFeeder>,
     tuning: NetTuning,
-) -> FilterResult<NetLinkStats> {
-    let producers = writers.len();
-    let slots: Vec<Mutex<Slot>> = writers
+) -> Vec<IngressFeeder> {
+    let producers = feeders.len();
+    let table: Vec<Mutex<Slot>> = feeders
         .into_iter()
-        .map(|w| {
-            let feeder = IngressFeeder::new(w);
+        .map(|f| {
             Mutex::new(Slot {
-                watermark: feeder.watermark(),
-                feeder: Some(feeder),
+                feeder: Some(f),
                 parked_at: None,
                 connected_once: false,
             })
         })
         .collect();
-    let slots = &slots;
-    let remaining = AtomicUsize::new(producers);
-    let remaining = &remaining;
-    let frames = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let timeouts = AtomicU64::new(0);
-    let timeouts = &timeouts;
-    let reconnects = AtomicU64::new(0);
-    let errors: Mutex<Vec<FilterError>> = Mutex::new(Vec::new());
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| FilterError::new("net.ingress", format!("listener: {e}")))?;
-    let cancelled = || control.as_ref().is_some_and(|c| c.is_cancelled());
-    let fail = |e: FilterError, errs: &Mutex<Vec<FilterError>>| {
-        if let Some(c) = &control {
-            c.cancel(format!("ingress link {link} failed: {e}"));
-        }
-        plock(errs).push(e);
-    };
-
+    let slots = &table;
+    if let Err(e) = listener.set_nonblocking(true) {
+        link.fail(FilterError::new("net.ingress", format!("listener: {e}")));
+    }
     std::thread::scope(|scope| {
-        loop {
-            if remaining.load(Ordering::Acquire) == 0 || cancelled() {
-                break;
-            }
-            if !plock(&errors).is_empty() {
-                break;
-            }
+        while link.ended() < producers && !link.cancelled() && !link.failed() {
             let stream = match listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // Supervised: a parked producer whose replacement
                     // never arrives must fail in bounded time, not block
                     // the link until the run watchdog.
-                    if tuning.supervised {
-                        let expired = slots.iter().position(|s| {
-                            plock(s)
-                                .parked_at
-                                .is_some_and(|t| t.elapsed() > tuning.reconnect)
-                        });
-                        if let Some(p) = expired {
-                            fail(
-                                FilterError::stalled(
-                                    "net.ingress",
-                                    format!(
-                                        "producer {p} disconnected and no replacement \
-                                         reconnected within {:?} (worker presumed dead; \
-                                         restart budget exhausted?)",
-                                        tuning.reconnect
-                                    ),
-                                ),
-                                &errors,
-                            );
-                            break;
-                        }
+                    let expired = slots.iter().position(|s| {
+                        plock(s)
+                            .parked_at
+                            .is_some_and(|t| t.elapsed() > tuning.reconnect)
+                    });
+                    if let Some(p) = expired {
+                        link.fail(FilterError::stalled(
+                            "net.ingress",
+                            format!(
+                                "producer {p} disconnected and no replacement \
+                                 reconnected within {:?} (worker presumed dead; \
+                                 restart budget exhausted?)",
+                                tuning.reconnect
+                            ),
+                        ));
+                        break;
                     }
                     std::thread::sleep(ACCEPT_POLL);
                     continue;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    fail(
-                        FilterError::new("net.ingress", format!("accept: {e}")),
-                        &errors,
-                    );
+                    link.fail(FilterError::new("net.ingress", format!("accept: {e}")));
                     break;
                 }
             };
             // Handshake inline (it is bounded by the socket timeouts),
-            // then hand the connection + feeder to a handler thread so
-            // every producer streams concurrently. The watermark is read
-            // through the slot's shared handle: it stays correct even
-            // while the feeder is checked out to a dying connection.
-            let remote = match RemoteStreamReader::accept(
+            // then hand the connection + feeder to a thread so every
+            // producer streams concurrently.
+            let (mut conn, p) = match accept(
                 stream,
-                link,
+                link.link,
                 producers,
-                |p| plock(&slots[p as usize]).watermark.load(Ordering::Acquire),
-                control.clone(),
+                link.control.clone(),
                 tuning.deadline(),
             ) {
-                Ok(r) => r,
+                Ok(c) => c,
                 Err(e) => {
-                    fail(e, &errors);
+                    link.fail(e);
                     break;
                 }
             };
-            let p = remote.producer() as usize;
             // A respawned producer can handshake while the dead
-            // connection's handler is still timing out its read; wait
-            // (bounded) for the handler to park the feeder.
-            let wait_budget = Instant::now();
-            let mut feeder = loop {
+            // connection's thread is still timing out its read; wait
+            // (bounded) for that thread to park the feeder.
+            let waited = Instant::now();
+            let feeder = loop {
                 if let Some(f) = plock(&slots[p]).feeder.take() {
                     break Some(f);
                 }
-                if !tuning.supervised || wait_budget.elapsed() > tuning.reconnect || cancelled() {
+                if !tuning.supervised || waited.elapsed() > tuning.reconnect || link.cancelled() {
                     break None;
                 }
                 std::thread::sleep(ACCEPT_POLL);
             };
-            let Some(feeder) = feeder.take() else {
-                fail(
-                    FilterError::malformed(
-                        "net.ingress",
-                        format!("producer {p} connected twice concurrently"),
-                    ),
-                    &errors,
-                );
+            let Some(mut feeder) = feeder else {
+                link.fail(FilterError::malformed(
+                    "net.ingress",
+                    format!("producer {p} connected twice concurrently"),
+                ));
                 break;
             };
+            // Every frame of the previous connection has been fed, so
+            // the watermark is final: the producer resumes exactly past
+            // it.
+            let ack = Frame::HelloAck {
+                resume_seq: feeder.resume_seq(),
+            };
+            if let Err(e) = write_frame(&mut conn, &encode_frame(&ack), &[]) {
+                plock(&slots[p]).feeder = Some(feeder);
+                link.fail(e);
+                break;
+            }
+            // The producer stayed silent while waiting for this reply:
+            // its silence clock starts now.
+            conn.set_deadline(tuning.deadline());
             if feeder.ended() {
                 plock(&slots[p]).feeder = Some(feeder);
-                if tuning.supervised {
-                    // A respawned prefix regenerates its full output; the
-                    // tail past this link's End is duplicate by
-                    // construction. Drain and discard it.
-                    scope.spawn(move || {
-                        let mut remote = remote;
-                        loop {
-                            match remote.read() {
-                                Ok(Some(Frame::End { .. })) | Ok(Some(Frame::Close)) | Ok(None) => {
-                                    break
-                                }
-                                Ok(Some(_)) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                    });
-                    continue;
-                }
-                fail(
-                    FilterError::malformed(
+                if !tuning.supervised {
+                    link.fail(FilterError::malformed(
                         "net.ingress",
                         format!("producer {p} reconnected after End"),
-                    ),
-                    &errors,
-                );
-                break;
+                    ));
+                    break;
+                }
+                scope.spawn(move || {
+                    while let Ok(Read::Frame(f)) = read_frame(&mut conn) {
+                        if matches!(f, Frame::End { .. } | Frame::Close) {
+                            break;
+                        }
+                    }
+                });
+                continue;
             }
             {
                 let mut slot = plock(&slots[p]);
                 slot.parked_at = None;
-                if slot.connected_once {
-                    reconnects.fetch_add(1, Ordering::Relaxed);
+                if std::mem::replace(&mut slot.connected_once, true) {
+                    link.reconnected();
                 }
-                slot.connected_once = true;
             }
-            let (frames, bytes, errors) = (&frames, &bytes, &errors);
-            let fail = &fail;
-            let probe = probe.clone();
             scope.spawn(move || {
-                let mut remote = remote;
-                let mut feeder = feeder;
-                // Whether this connection died without `End` (supervised:
-                // park the slot and await a respawned producer).
-                let mut parked = false;
-                loop {
-                    match remote.read() {
-                        Ok(Some(Frame::Data { from, seq, payload })) => {
-                            if from as usize != p {
-                                fail(
-                                    FilterError::malformed(
-                                        "net.ingress",
-                                        format!(
-                                            "frame from producer {from} on producer {p}'s \
-                                             connection"
-                                        ),
-                                    ),
-                                    errors,
-                                );
-                                break;
-                            }
-                            let n = payload.len() as u64;
-                            match feeder.feed(seq, Buffer::from_vec(payload)) {
-                                Ok(true) => {
-                                    frames.fetch_add(1, Ordering::Relaxed);
-                                    bytes.fetch_add(n, Ordering::Relaxed);
-                                    if let Some(p) = &probe {
-                                        p.count_frame(n);
-                                    }
-                                }
-                                Ok(false) => {
-                                    if let Some(p) = &probe {
-                                        p.deduped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Err(e) => {
-                                    fail(e, errors);
-                                    break;
-                                }
-                            }
+                let parked = match link.bridge(&mut conn, p, &mut feeder) {
+                    Ok(Ended::End) => false,
+                    // Clean disconnect: the producer may reconnect; the
+                    // watermark in the slot table survives.
+                    Ok(Ended::Closed | Ended::Reset) => tuning.supervised,
+                    // Supervised: a dead connection is a dirty
+                    // disconnect, not link failure. The partial frame was
+                    // never fed, so a respawned producer resumes exactly
+                    // past the watermark.
+                    Ok(Ended::Lost(e)) if tuning.supervised && e.kind != ErrorKind::Cancelled => {
+                        if is_heartbeat_timeout(&e) {
+                            link.timed_out();
                         }
-                        Ok(Some(Frame::End { from })) => {
-                            if from as usize != p {
-                                fail(
-                                    FilterError::malformed(
-                                        "net.ingress",
-                                        format!(
-                                            "End from producer {from} on producer {p}'s \
-                                                 connection"
-                                        ),
-                                    ),
-                                    errors,
-                                );
-                                break;
-                            }
-                            feeder.end();
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            break;
-                        }
-                        // Clean disconnect: the producer may reconnect
-                        // (its process restarted); the watermark in the
-                        // slot table survives.
-                        Ok(Some(Frame::Close)) | Ok(None) => {
-                            parked = tuning.supervised;
-                            break;
-                        }
-                        Ok(Some(f)) => {
-                            fail(
-                                FilterError::malformed(
-                                    "net.ingress",
-                                    format!("unexpected frame mid-stream: {f:?}"),
-                                ),
-                                errors,
-                            );
-                            break;
-                        }
-                        Err(e) => {
-                            // Supervised: a dead connection — reset, EOF
-                            // mid-frame, heartbeat timeout — is a dirty
-                            // disconnect, not link failure. The partial
-                            // frame (if any) was never fed, so the
-                            // watermark is consistent and a respawned
-                            // producer resumes exactly past it.
-                            if tuning.supervised && e.kind != crate::error::ErrorKind::Cancelled {
-                                if is_heartbeat_timeout(&e) {
-                                    timeouts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                parked = true;
-                                break;
-                            }
-                            fail(e, errors);
-                            break;
-                        }
+                        true
                     }
-                }
+                    Ok(Ended::Lost(e)) | Err(e) => {
+                        link.fail(e);
+                        false
+                    }
+                };
                 // Return the feeder (and its watermark) to the slot for a
                 // possible reconnect; start the reconnect clock if the
                 // connection died without End.
@@ -1321,76 +922,10 @@ pub fn serve_ingress(
             });
         }
     });
-
-    // Close any local writer still open (error/cancel paths), so
-    // downstream readers see end-of-work instead of blocking forever.
-    let mut deduped = 0;
-    for slot in slots {
-        if let Some(f) = &mut plock(slot).feeder {
-            deduped += f.deduped();
-            f.writer.close();
-        }
-    }
-    if let Some(e) = plock(&errors).first() {
-        return Err(e.clone());
-    }
-    if cancelled() && remaining.load(Ordering::Acquire) > 0 {
-        return Err(FilterError::cancelled(
-            "net.ingress",
-            "run cancelled before all producers finished",
-        ));
-    }
-    Ok(NetLinkStats {
-        frames: frames.load(Ordering::Relaxed),
-        bytes: bytes.load(Ordering::Relaxed),
-        deduped,
-        timeouts: timeouts.load(Ordering::Relaxed),
-        reconnects: reconnects.load(Ordering::Relaxed),
-    })
-}
-
-/// Drain one local [`StreamReader`] (the 1→1 stream behind one producer
-/// copy) into a remote connection. Each successfully transmitted packet
-/// is acknowledged on the local stream — the socket plays a stateless
-/// consumer, so the producer side's replay buffers stay bounded and a
-/// restarted filter copy replays only untransmitted packets.
-///
-/// An optional live [`LinkProbe`] (shared by every producer copy's pump
-/// on the link) ticks transmitted frame/byte counters per packet for the
-/// telemetry sampler. `tuning` bounds the handshake wait by the silence
-/// deadline and, with heartbeats configured, makes the connection emit
-/// [`Frame::Heartbeat`] whenever the producer stage is idle — so the
-/// consumer's deadline distinguishes "slow" from "dead".
-pub fn egress_pump(
-    mut reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-    tuning: NetTuning,
-) -> FilterResult<NetLinkStats> {
-    let mut conn = RemoteStreamWriter::connect(addr, link, producer, control.clone(), tuning)?;
-    let (mut pf, mut pb) = (0u64, 0u64);
-    while let Some(buf) = reader.read() {
-        conn.write(&buf)?;
-        reader.commit_acks();
-        if let Some(p) = &probe {
-            // Delta against the connection's own counters, so suppressed
-            // resends never inflate the probe.
-            let (f, b) = conn.stats();
-            p.frames.fetch_add(f - pf, Ordering::Relaxed);
-            p.bytes.fetch_add(b - pb, Ordering::Relaxed);
-            (pf, pb) = (f, b);
-        }
-    }
-    if control.as_ref().is_some_and(|c| c.is_cancelled()) {
-        return Err(FilterError::cancelled(
-            format!("net.egress[{producer}]"),
-            "run cancelled during transmit",
-        ));
-    }
-    conn.finish()
+    table
+        .into_iter()
+        .filter_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()).feeder)
+        .collect()
 }
 
 /// Worker-side telemetry connection to the launcher's aggregator.
@@ -1401,7 +936,7 @@ pub fn egress_pump(
 /// telemetry must never fail a run, so callers typically drop the client
 /// on the first error.
 pub struct TelemetryClient {
-    conn: FrameConn,
+    conn: TcpConn,
 }
 
 impl TelemetryClient {
@@ -1423,51 +958,23 @@ impl TelemetryClient {
         }
         let stream = TcpStream::connect(addr)
             .map_err(|e| FilterError::new(who.clone(), format!("connect to {addr} failed: {e}")))?;
-        let mut conn = FrameConn::new(stream, control, who.clone())?;
-        conn.write_frame(&Frame::Hello {
-            link: TELEMETRY_LINK,
-            producer: worker,
-        })?;
-        match conn.read_frame()? {
-            Some(Frame::HelloAck { .. }) => {}
-            Some(f) => {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("expected HelloAck, got {f:?}"),
-                ))
-            }
-            None => {
-                return Err(FilterError::malformed(
-                    who,
-                    "connection closed during handshake",
-                ))
-            }
-        }
+        let mut conn = TcpConn::new(stream, control, who)?;
+        conn.handshake(TELEMETRY_LINK, worker)?;
         Ok(TelemetryClient { conn })
     }
 
     /// Ship one telemetry payload.
     pub fn send(&mut self, payload: &[u8]) -> FilterResult<()> {
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                self.conn.who.clone(),
-                format!(
-                    "telemetry payload of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    payload.len()
-                ),
-            ));
-        }
         let mut header = [0u8; 5];
         header[0] = TAG_TELEMETRY;
         header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.conn.write_all(&header)?;
-        self.conn.write_all(payload)
+        write_frame(&mut self.conn, &header, payload)
     }
 
     /// Orderly shutdown; errors are ignored (the aggregator treats EOF
     /// and `Close` the same).
     pub fn close(mut self) {
-        let _ = self.conn.write_frame(&Frame::Close);
+        let _ = write_frame(&mut self.conn, &encode_frame(&Frame::Close), &[]);
         let _ = self.conn.stream.shutdown(std::net::Shutdown::Write);
     }
 }
@@ -1519,12 +1026,13 @@ where
             };
             let control = control.clone();
             scope.spawn(move || {
-                let worker = (|| -> FilterResult<(FrameConn, u32)> {
-                    let mut conn = FrameConn::new(stream, control, "net.telemetry".to_string())?;
-                    match conn.read_frame()? {
-                        Some(Frame::Hello { link, producer }) if link == TELEMETRY_LINK => {
+                let worker = (|| -> FilterResult<(TcpConn, u32)> {
+                    let mut conn = TcpConn::new(stream, control, "net.telemetry".to_string())?;
+                    match read_frame(&mut conn)? {
+                        Read::Frame(Frame::Hello { link, producer }) if link == TELEMETRY_LINK => {
                             conn.who = format!("net.telemetry[{producer}]");
-                            conn.write_frame(&Frame::HelloAck { resume_seq: 0 })?;
+                            let ack = encode_frame(&Frame::HelloAck { resume_seq: 0 });
+                            write_frame(&mut conn, &ack, &[])?;
                             Ok((conn, producer))
                         }
                         _ => Err(FilterError::malformed(
@@ -1539,7 +1047,7 @@ where
                 };
                 // Close, EOF, an unexpected frame, or a decode error
                 // all just end the connection.
-                while let Ok(Some(Frame::Telemetry { payload })) = conn.read_frame() {
+                while let Ok(Read::Frame(Frame::Telemetry { payload })) = read_frame(&mut conn) {
                     on_update(worker, payload);
                 }
                 on_disconnect(worker);
@@ -1553,6 +1061,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Buffer;
     use crate::stream::logical_stream;
 
     #[test]

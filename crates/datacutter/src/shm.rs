@@ -13,12 +13,14 @@
 //! ## What flows through the ring
 //!
 //! Exactly the TCP wire format ([`crate::net`]): the same length-
-//! prefixed `Hello` / `Data` / `End` / `Close` frames, encoded by the
-//! same helpers and re-parsed by the same hardened [`decode_frame`].
-//! The ring is a plain byte pipe underneath — a frame larger than the
-//! ring streams through incrementally, reader consuming while the
-//! writer is still copying, so [`MAX_FRAME_PAYLOAD`] stays the only
-//! payload cap.
+//! prefixed `Hello` / `Data` / `End` / `Close` frames, written and read
+//! by the one frame writer and reader of [`crate::link`], which also
+//! owns the ingress bridge and the egress pump. This module is only the
+//! carrier and the way a producer arrives on it. The ring is a plain
+//! byte pipe underneath — a frame larger than the ring streams through
+//! incrementally, reader consuming while the writer is still copying,
+//! so [`MAX_FRAME_PAYLOAD`](crate::net::MAX_FRAME_PAYLOAD) stays the
+//! only payload cap.
 //!
 //! ## Layout and memory ordering
 //!
@@ -49,10 +51,11 @@
 //!
 //! The handshake is **one-way**: the producer writes `Hello` first and
 //! there is no `HelloAck` — on a first attach the consumer resumes from
-//! sequence 0. Blocking waits are spin-then-bounded-sleep polls (no
-//! cross-process condvars), checking run cancellation and the peer's
-//! closed flag every lap, so a dead peer or a cancelled run unwedges
-//! promptly. The consumer unlinks the ring file on drop.
+//! sequence 0. One reader thread serves each ring. Blocking waits are
+//! spin-then-bounded-sleep polls (no cross-process condvars), checking
+//! run cancellation and the peer's closed flag every lap, so a dead peer
+//! or a cancelled run unwedges promptly. The consumer unlinks the ring
+//! file on drop.
 //!
 //! ## Crash recovery: the ring-reset protocol
 //!
@@ -62,7 +65,7 @@
 //! can probe the other with `kill(pid, 0)`. Two consequences:
 //!
 //! - **Stale reclaim.** A process that is SIGKILLed never unlinks its
-//!   ring files. [`ShmReceiver::create`] therefore reclaims a leftover
+//!   ring files. Creating a ring therefore reclaims a leftover
 //!   ring (or half-written `.tmp`) whose recorded owner pid is dead, and
 //!   fails with a named error when the owner is still alive.
 //! - **Producer rejoin.** When a supervised worker is respawned, its
@@ -70,30 +73,28 @@
 //!   `producer_pid` slot marks the attach as a rejoin: the new producer
 //!   bumps `reset_req` and waits; the consumer (parked on the dead
 //!   producer) drains any truncated frame bytes (`head = tail`), clears
-//!   `producer_closed`, and stores `reset_ack = reset_req` — only then
-//!   does the producer write. The consumer publishes its dedup watermark
-//!   to `resume` after every accepted frame, so the rejoining producer
-//!   reads it post-ack and suppresses already-delivered packets exactly
-//!   like the TCP `HelloAck { resume_seq }` path. The downstream
-//!   [`IngressFeeder`] watermark still dedups independently, so a stale
-//!   `resume` is a bandwidth loss, never a correctness loss.
+//!   `producer_closed`, stores its dedup watermark in `resume` and then
+//!   `reset_ack = reset_req` — only then does the producer write. The
+//!   rejoining producer reads `resume` after the ack and suppresses
+//!   already-delivered packets, as the TCP `HelloAck { resume_seq }`
+//!   path does. The consumer's sequence watermark still dedups
+//!   independently, so a stale `resume` is a bandwidth loss, never a
+//!   correctness loss.
 //!
 //! Unsupervised runs keep the strict pre-supervision semantics: a ring
 //! closing before `End` is an error, and a reset request is malformed.
 
-use crate::buffer::Buffer;
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::net::{
-    decode_frame, encode_data_header, encode_frame, frame_header_len, frame_len_field_at, Frame,
-    IngressFeeder, NetLinkStats, NetTuning, MAX_FRAME_PAYLOAD,
+use crate::link::{
+    expect_hello, read_frame, write_frame, Ended, Filled, FrameSink, FrameSource, IngressFeeder,
+    IngressLink, NetTuning, Read,
 };
-use crate::stream::{StreamReader, StreamWriter};
-use crate::telemetry::LinkProbe;
+use crate::net::{encode_frame, Frame};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Ring-file magic: first bytes of the mapped header.
@@ -135,10 +136,6 @@ const SLEEP: Duration = Duration::from_micros(100);
 /// file before giving up (the consumer creates it before announcing,
 /// so this only covers slow filesystems and test races).
 const ATTACH_BUDGET: Duration = Duration::from_secs(10);
-
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Whether this build supports the shm transport (mmap is required).
 pub fn shm_supported() -> bool {
@@ -695,26 +692,38 @@ impl ShmSender {
         }
         Ok(())
     }
+}
 
-    /// Write one control frame.
-    pub fn write_frame(&mut self, f: &Frame) -> FilterResult<()> {
-        self.write_all(&encode_frame(f))
+impl FrameSink for ShmSender {
+    fn who(&self) -> &str {
+        &self.who
     }
 
-    /// Write a data frame without an intermediate encode of the payload.
-    pub fn write_data(&mut self, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                self.who.clone(),
-                format!(
-                    "packet of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    payload.len()
-                ),
-            ));
-        }
-        self.write_all(&encode_data_header(from, seq, payload.len()))?;
+    fn send(&mut self, header: &[u8], payload: &[u8]) -> FilterResult<()> {
+        self.write_all(header)?;
         self.write_all(payload)
     }
+}
+
+/// The producer end of ring `<base>.<producer>`, as the egress pump
+/// ([`crate::link::egress_pump`]) drives it: attach, then `Hello`.
+/// Returns the sender and the consumer's resume watermark, which is
+/// non-zero only when this attach was a rejoin.
+pub(crate) fn connect(
+    base: &str,
+    link: u32,
+    producer: u32,
+    control: Option<Arc<RunControl>>,
+) -> FilterResult<(ShmSender, u64)> {
+    let who = format!("shm.egress[{producer}]");
+    let mut tx = ShmSender::attach(&ring_path(base, producer), control, who)?;
+    write_frame(
+        &mut tx,
+        &encode_frame(&Frame::Hello { link, producer }),
+        &[],
+    )?;
+    let resume = tx.resume;
+    Ok((tx, resume))
 }
 
 impl Drop for ShmSender {
@@ -725,41 +734,16 @@ impl Drop for ShmSender {
     }
 }
 
-/// What one `fill` call produced.
-enum Filled {
-    /// Buffer completely filled.
-    Full,
-    /// Producer closed at a record boundary before any byte (only when
-    /// the caller allowed EOF).
-    Eof,
-    /// A rejoining producer requested a ring reset; any partial fill
-    /// was abandoned and the ring drained. The caller must restart its
-    /// frame parse from a clean boundary.
-    Reset,
-}
-
-/// One result of [`ShmReceiver::read_frame_sup`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum ShmRead {
-    /// A complete frame.
-    Frame(Frame),
-    /// Producer closed at a frame boundary.
-    Eof,
-    /// A respawned producer re-attached and the ring was drained; expect
-    /// a fresh `Hello` next.
-    Reset,
-}
-
-/// Consumer half of one ring: frame reader over the byte pipe. Unlinks
-/// the ring file on drop.
-pub struct ShmReceiver {
+/// Consumer half of one ring: the byte pipe a frame reader reads.
+/// Unlinks the ring file on drop.
+pub(crate) struct ShmReceiver {
     map: Map,
     control: Option<Arc<RunControl>>,
     who: String,
     path: PathBuf,
     /// `Some(deadline)` turns on supervised semantics: a dead producer
     /// parks the reader (awaiting a ring reset from its respawn) for at
-    /// most this long instead of erroring immediately.
+    /// most `deadline` instead of erroring immediately.
     supervised: Option<Duration>,
     parked_at: Option<Instant>,
     last_liveness: Option<Instant>,
@@ -770,7 +754,7 @@ const LIVENESS_EVERY: Duration = Duration::from_millis(50);
 
 impl ShmReceiver {
     /// Create the ring file at `path` and take the consumer side.
-    pub fn create(
+    pub(crate) fn create(
         path: &Path,
         capacity: usize,
         control: Option<Arc<RunControl>>,
@@ -786,21 +770,6 @@ impl ShmReceiver {
             parked_at: None,
             last_liveness: None,
         })
-    }
-
-    /// Enable supervised semantics: a gone producer (closed flag, or a
-    /// recorded pid that no longer exists) parks the reader for up to
-    /// `reconnect`, waiting for the supervisor to respawn it and the
-    /// respawn to run the reset handshake.
-    pub fn set_supervised(&mut self, reconnect: Duration) {
-        self.supervised = Some(reconnect);
-    }
-
-    /// Publish the next sequence number this consumer expects, for a
-    /// future rejoining producer to resume from. Called by the serve
-    /// loop after every accepted frame.
-    pub fn publish_resume(&self, next_seq: u64) {
-        self.map.resume().store(next_seq, Ordering::Release);
     }
 
     fn cancelled(&self) -> Option<FilterError> {
@@ -829,14 +798,15 @@ impl ShmReceiver {
         pid != 0 && !sys::process_alive(pid)
     }
 
-    /// Handle a pending reset request if one arrived: drain whatever the
-    /// dead producer left behind (possibly a truncated frame), clear its
-    /// closed flag, and ack — only after the ack does the rejoining
-    /// producer start writing.
-    fn take_reset(&mut self) -> bool {
+    /// Take a pending reset request if one arrived: drain whatever the
+    /// dead producer left behind (possibly a truncated frame) and clear
+    /// its closed flag. The rejoining producer writes nothing until
+    /// [`Self::ack_reset`]. Unsupervised, the reset is acked at once (so
+    /// the second producer does not hang) and then refused.
+    fn take_reset(&mut self) -> FilterResult<bool> {
         let req = self.map.reset_req().load(Ordering::Acquire);
         if req == self.map.reset_ack().load(Ordering::Relaxed) {
-            return false;
+            return Ok(false);
         }
         let tail = self.map.tail().load(Ordering::Acquire);
         self.map.head().store(tail, Ordering::Release);
@@ -844,27 +814,47 @@ impl ShmReceiver {
             .atomic_u32(OFF_PRODUCER_CLOSED)
             .store(0, Ordering::Release);
         self.parked_at = None;
-        self.map.reset_ack().store(req, Ordering::Release);
-        true
+        if self.supervised.is_none() {
+            self.ack_reset(0);
+            return Err(FilterError::malformed(
+                self.who.clone(),
+                "unexpected ring reset (second producer attached to an unsupervised ring)",
+            ));
+        }
+        Ok(true)
     }
 
-    /// Fill `buf` completely. [`Filled::Eof`] means the producer closed
-    /// at a record boundary (`allow_eof` and no byte read yet); a close
-    /// mid-frame is malformed — exactly the socket reader's contract —
+    /// Finish a reset [`FrameSource::fill`] reported: hand the rejoining
+    /// producer its `resume` watermark and let it write.
+    fn ack_reset(&self, resume: u64) {
+        self.map.resume().store(resume, Ordering::Release);
+        let req = self.map.reset_req().load(Ordering::Acquire);
+        self.map.reset_ack().store(req, Ordering::Release);
+    }
+}
+
+impl FrameSource for ShmReceiver {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    /// A close mid-frame is malformed — exactly the socket's contract —
     /// unless supervised, where a gone producer parks the reader until
     /// its respawn resets the ring or the reconnect deadline passes.
     fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled> {
         let mut off = 0;
         let mut backoff = Backoff::new();
         while off < buf.len() {
-            if let Some(e) = self.cancelled() {
-                return Err(e);
-            }
             let head = self.map.head().load(Ordering::Relaxed);
             let tail = self.map.tail().load(Ordering::Acquire);
             let used = tail.wrapping_sub(head);
             if used == 0 {
-                if self.take_reset() {
+                // Like the socket, notice cancellation only when about to
+                // wait: bytes already in the ring cost nothing to read.
+                if let Some(e) = self.cancelled() {
+                    return Err(e);
+                }
+                if self.take_reset()? {
                     return Ok(Filled::Reset);
                 }
                 if self.producer_gone() {
@@ -910,63 +900,6 @@ impl ShmReceiver {
         }
         Ok(Filled::Full)
     }
-
-    /// Read one frame, surfacing supervised ring resets to the caller.
-    /// Shares the header-layout tables and [`decode_frame`] with the
-    /// socket path, so both transports parse one format.
-    pub fn read_frame_sup(&mut self) -> FilterResult<ShmRead> {
-        let mut tag = [0u8; 1];
-        match self.fill(&mut tag, true)? {
-            Filled::Eof => return Ok(ShmRead::Eof),
-            Filled::Reset => return Ok(ShmRead::Reset),
-            Filled::Full => {}
-        }
-        let Some(header_len) = frame_header_len(tag[0]) else {
-            return Err(FilterError::malformed(
-                self.who.clone(),
-                format!("unknown frame tag {}", tag[0]),
-            ));
-        };
-        let mut frame = vec![tag[0]; 1];
-        frame.resize(1 + header_len, 0);
-        if matches!(self.fill(&mut frame[1..], false)?, Filled::Reset) {
-            return Ok(ShmRead::Reset);
-        }
-        if let Some(at) = frame_len_field_at(tag[0]) {
-            let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(FilterError::malformed(
-                    self.who.clone(),
-                    format!("frame declares {len} bytes (cap {MAX_FRAME_PAYLOAD})"),
-                ));
-            }
-            let at = frame.len();
-            frame.resize(at + len, 0);
-            if matches!(self.fill(&mut frame[at..], false)?, Filled::Reset) {
-                return Ok(ShmRead::Reset);
-            }
-        }
-        decode_frame(&frame)
-            .map(|(f, _)| ShmRead::Frame(f))
-            .map_err(|e| FilterError {
-                filter: self.who.clone(),
-                ..e
-            })
-    }
-
-    /// Read one frame; `Ok(None)` when the producer closed at a frame
-    /// boundary. A ring reset is an error on this path — only supervised
-    /// serve loops expect rejoins.
-    pub fn read_frame(&mut self) -> FilterResult<Option<Frame>> {
-        match self.read_frame_sup()? {
-            ShmRead::Frame(f) => Ok(Some(f)),
-            ShmRead::Eof => Ok(None),
-            ShmRead::Reset => Err(FilterError::malformed(
-                self.who.clone(),
-                "unexpected ring reset (second producer attached to an unsupervised ring)",
-            )),
-        }
-    }
 }
 
 impl Drop for ShmReceiver {
@@ -999,7 +932,9 @@ impl std::fmt::Debug for ShmIngress {
 }
 
 impl ShmIngress {
-    /// Create `producers` ring files at `<base>.<p>`.
+    /// Create `producers` ring files at `<base>.<p>`. `control` lets the
+    /// ring readers notice a cancelled run; a run that serves the rings
+    /// hands them its own instead.
     pub fn create(
         base: &str,
         producers: usize,
@@ -1026,226 +961,114 @@ impl ShmIngress {
         &self.base
     }
 
-    /// Bridge every producer's frames onto the local `writers` (writer
-    /// `p` plays producer copy `p`, preserving in-process round-robin
-    /// routing). Returns when every producer sent `End`, or with the
-    /// first error after cancelling the run. Unsupervised (default
-    /// [`NetTuning`]): a producer closing its ring before `End` is an
-    /// error.
+    /// How producers arrive over shared memory: one reader thread per
+    /// ring bridges its producer through `link`
+    /// ([`crate::link::serve_ingress`]). Returns the feeders once every
+    /// ring's producer ended or failed.
     ///
-    /// `tuning.supervised` arms the ring-reset protocol: a producer that
-    /// dies mid-stream parks its ring reader until the supervisor's
-    /// respawn re-attaches, drains the truncated tail, re-Hellos, and
-    /// resumes from the published watermark (duplicates deduped by the
-    /// feeder either way). Ring files stay alive until every producer
-    /// ended, so a rejoin can target any ring of the link. Heartbeats do
-    /// not apply here — liveness is pid-based.
-    pub fn serve(
+    /// Unsupervised (default [`NetTuning`]), a producer closing its ring
+    /// before `End` is an error, and so is a ring reset. Supervised
+    /// (`tuning.supervised`), a producer that dies mid-stream parks its
+    /// ring reader inside `fill` until the supervisor's respawn
+    /// re-attaches, drains the truncated tail, re-Hellos, and resumes
+    /// past the watermark handed over with the reset ack. Ring files
+    /// stay on disk until every ring's reader returned, so a rejoin can
+    /// target any ring of the link. Heartbeats do not apply here —
+    /// liveness is pid-based.
+    pub(crate) fn serve(
         self,
-        link: u32,
-        writers: Vec<StreamWriter>,
-        control: Option<Arc<RunControl>>,
-        probe: Option<Arc<LinkProbe>>,
+        link: &IngressLink,
+        feeders: Vec<IngressFeeder>,
         tuning: NetTuning,
-    ) -> FilterResult<NetLinkStats> {
+    ) -> Vec<IngressFeeder> {
         assert_eq!(
-            writers.len(),
+            feeders.len(),
             self.receivers.len(),
             "one local writer per producer ring"
         );
-        let frames = AtomicU64::new(0);
-        let bytes = AtomicU64::new(0);
-        let reconnects = AtomicU64::new(0);
-        let errors: Mutex<Vec<FilterError>> = Mutex::new(Vec::new());
-        let (frames, bytes, reconnects, errors) = (&frames, &bytes, &reconnects, &errors);
-        let control = &control;
-        let fail = |e: FilterError| {
-            if let Some(c) = control {
-                c.cancel(format!("shm ingress link {link} failed: {e}"));
-            }
-            plock(errors).push(e);
-        };
-        let fail = &fail;
-        let mut deduped = 0u64;
+        let producers = feeders.len();
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (p, (mut rx, writer)) in self.receivers.into_iter().zip(writers).enumerate() {
-                let probe = probe.clone();
-                handles.push(scope.spawn(move || {
-                    if tuning.supervised {
-                        rx.set_supervised(tuning.reconnect);
-                    }
-                    let mut feeder = IngressFeeder::new(writer);
-                    let watermark = feeder.watermark();
-                    let res = (|| -> FilterResult<()> {
-                        let mut expect_hello = true;
-                        let mut connected = false;
-                        loop {
-                            match rx.read_frame_sup()? {
-                                ShmRead::Reset => {
-                                    if connected {
-                                        reconnects.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    expect_hello = true;
-                                }
-                                ShmRead::Frame(Frame::Hello {
-                                    link: got_link,
-                                    producer,
-                                }) if expect_hello => {
-                                    if got_link != link || producer as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!(
-                                                "hello for link {got_link} producer {producer} \
-                                                 arrived at link {link} producer {p}"
-                                            ),
-                                        ));
-                                    }
-                                    expect_hello = false;
-                                    connected = true;
-                                }
-                                _ if expect_hello => {
-                                    return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
-                                        "expected Hello first on this ring",
-                                    ));
-                                }
-                                ShmRead::Frame(Frame::Data { from, seq, payload }) => {
-                                    if from as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!("frame from producer {from} on ring {p}"),
-                                        ));
-                                    }
-                                    let n = payload.len() as u64;
-                                    if feeder.feed(seq, Buffer::from_vec(payload))? {
-                                        frames.fetch_add(1, Ordering::Relaxed);
-                                        bytes.fetch_add(n, Ordering::Relaxed);
-                                        if let Some(pr) = &probe {
-                                            pr.count_frame(n);
-                                        }
-                                    } else if let Some(pr) = &probe {
-                                        pr.deduped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    rx.publish_resume(watermark.load(Ordering::Acquire));
-                                }
-                                ShmRead::Frame(Frame::End { from }) => {
-                                    if from as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!("End from producer {from} on ring {p}"),
-                                        ));
-                                    }
-                                    feeder.end();
-                                    return Ok(());
-                                }
-                                // A ring closing before End means the
-                                // producer died (supervised readers park
-                                // inside read_frame_sup instead).
-                                ShmRead::Frame(Frame::Close) | ShmRead::Eof => {
-                                    return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
-                                        "producer closed its ring before End",
-                                    ));
-                                }
-                                ShmRead::Frame(f) => {
-                                    return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
-                                        format!("unexpected frame mid-stream: {f:?}"),
-                                    ));
-                                }
-                            }
+            let readers: Vec<_> = self
+                .receivers
+                .into_iter()
+                .zip(feeders)
+                .enumerate()
+                .map(|(p, (mut rx, mut feeder))| {
+                    scope.spawn(move || {
+                        if link.control.is_some() {
+                            rx.control = link.control.clone();
                         }
-                    })();
-                    if let Err(e) = res {
-                        fail(e);
-                    }
-                    if !feeder.ended() {
-                        // Error/cancel path: unblock downstream readers.
-                        feeder.end();
-                    }
-                    // Hand the receiver back so ring files survive until
-                    // the whole link completed: a late rejoin must find
-                    // its ring on disk.
-                    (feeder.deduped(), rx)
-                }));
-            }
-            let mut receivers = Vec::new();
-            for h in handles {
-                if let Ok((d, rx)) = h.join() {
-                    deduped += d;
-                    receivers.push(rx);
-                }
-            }
-        });
-        if let Some(e) = plock(errors).first() {
-            return Err(e.clone());
-        }
-        Ok(NetLinkStats {
-            frames: frames.load(Ordering::Relaxed),
-            bytes: bytes.load(Ordering::Relaxed),
-            deduped,
-            reconnects: reconnects.load(Ordering::Relaxed),
-            ..Default::default()
+                        if tuning.supervised {
+                            rx.supervised = Some(tuning.reconnect);
+                        }
+                        if let Err(e) = serve_ring(&mut rx, p, producers, &mut feeder, link) {
+                            link.fail(e);
+                        }
+                        (feeder, rx)
+                    })
+                })
+                .collect();
+            // The rings drop only here, after every reader returned.
+            let (feeders, _rings): (Vec<_>, Vec<_>) =
+                readers.into_iter().filter_map(|h| h.join().ok()).unzip();
+            feeders
         })
     }
 }
 
-/// Drain one local 1→1 stream behind producer copy `producer` into the
-/// ring at `<base>.<producer>` — the shm analogue of
-/// [`crate::net::egress_pump`], with the same per-packet ack
-/// commit so producer-side replay buffers stay bounded. When the attach
-/// was a rejoin (respawned worker reconnecting to a surviving
-/// consumer), packets below the consumer's resume watermark are
-/// suppressed at the source, mirroring the TCP `HelloAck` path.
-pub fn shm_egress_pump(
-    mut reader: StreamReader,
-    base: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    let who = format!("shm.egress[{producer}]");
-    let mut tx = ShmSender::attach(&ring_path(base, producer), control.clone(), who.clone())?;
-    tx.write_frame(&Frame::Hello { link, producer })?;
-    let resume = tx.resume_seq();
-    let mut seq = 0u64;
-    let (mut frames, mut bytes, mut deduped) = (0u64, 0u64, 0u64);
-    while let Some(buf) = reader.read() {
-        if seq >= resume {
-            tx.write_data(producer, seq, buf.as_slice())?;
-            frames += 1;
-            bytes += buf.len() as u64;
-            if let Some(p) = &probe {
-                p.frames.fetch_add(1, Ordering::Relaxed);
-                p.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+/// Bridge ring `p` through every incarnation of its producer: `Hello`,
+/// then frames until the producer ends, and again after each ring reset.
+fn serve_ring(
+    rx: &mut ShmReceiver,
+    p: usize,
+    producers: usize,
+    feeder: &mut IngressFeeder,
+    link: &IngressLink,
+) -> FilterResult<()> {
+    let mut rejoin = false;
+    loop {
+        let got = match read_frame(rx)? {
+            // A producer that died before its Hello was reset by its
+            // respawn; the respawn's Hello comes next.
+            Read::Reset => {
+                rx.ack_reset(feeder.resume_seq());
+                continue;
             }
-        } else {
-            deduped += 1;
-            if let Some(p) = &probe {
-                p.deduped.fetch_add(1, Ordering::Relaxed);
-            }
+            read => expect_hello(read, link.link, producers, &rx.who)?,
+        };
+        if got != p {
+            return Err(FilterError::malformed(
+                rx.who.clone(),
+                format!("Hello from producer {got} on producer {p}'s ring"),
+            ));
         }
-        seq += 1;
-        reader.commit_acks();
+        if std::mem::replace(&mut rejoin, true) {
+            link.reconnected();
+        }
+        match link.bridge(rx, p, feeder)? {
+            Ended::End => return Ok(()),
+            // Every frame the dead producer completed has been fed, so
+            // the respawn resumes exactly past the watermark.
+            Ended::Reset => rx.ack_reset(feeder.resume_seq()),
+            // Supervised readers park inside `fill` instead, so a close
+            // before End means the producer is gone for good.
+            Ended::Closed => {
+                return Err(FilterError::malformed(
+                    rx.who.clone(),
+                    "producer closed its ring before End",
+                ))
+            }
+            Ended::Lost(e) => return Err(e),
+        }
     }
-    if control.as_ref().is_some_and(|c| c.is_cancelled()) {
-        return Err(FilterError::cancelled(who, "run cancelled during transmit"));
-    }
-    tx.write_frame(&Frame::End { from: producer })?;
-    tx.write_frame(&Frame::Close)?;
-    Ok(NetLinkStats {
-        frames,
-        bytes,
-        deduped,
-        ..Default::default()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Buffer;
+    use crate::link::{egress_pump, serve_ingress, WorkerIngress};
+    use crate::net::encode_data_header;
     use crate::stream::logical_stream;
     use std::sync::atomic::AtomicU32 as TestCounter;
 
@@ -1257,6 +1080,23 @@ mod tests {
             .join(format!("cgp-shm-test-{}-{tag}-{n}", std::process::id()))
             .to_string_lossy()
             .into_owned()
+    }
+
+    fn send(tx: &mut ShmSender, f: &Frame) {
+        write_frame(tx, &encode_frame(f), &[]).unwrap();
+    }
+
+    fn send_data(tx: &mut ShmSender, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
+        write_frame(tx, &encode_data_header(from, seq, payload.len()), payload)
+    }
+
+    /// The next frame through the shared reader; `None` at a clean EOF.
+    fn recv(rx: &mut ShmReceiver) -> FilterResult<Option<Frame>> {
+        Ok(match read_frame(rx)? {
+            Read::Frame(f) => Some(f),
+            Read::Eof => None,
+            Read::Reset => panic!("unexpected ring reset"),
+        })
     }
 
     #[test]
@@ -1280,11 +1120,11 @@ mod tests {
         let expect = sent.clone();
         let writer = std::thread::spawn(move || {
             for f in &sent {
-                tx.write_frame(f).unwrap();
+                send(&mut tx, f);
             }
         });
         for f in &expect {
-            assert_eq!(rx.read_frame().unwrap().as_ref(), Some(f));
+            assert_eq!(recv(&mut rx).unwrap().as_ref(), Some(f));
         }
         writer.join().unwrap();
         drop(rx);
@@ -1301,9 +1141,9 @@ mod tests {
         let payload: Vec<u8> = (0..4 * MIN_CAPACITY).map(|i| (i % 251) as u8).collect();
         let want = payload.clone();
         let writer = std::thread::spawn(move || {
-            tx.write_data(0, 0, &payload).unwrap();
+            send_data(&mut tx, 0, 0, &payload).unwrap();
         });
-        match rx.read_frame().unwrap() {
+        match recv(&mut rx).unwrap() {
             Some(Frame::Data { from, seq, payload }) => {
                 assert_eq!((from, seq), (0, 0));
                 assert_eq!(payload, want);
@@ -1318,10 +1158,10 @@ mod tests {
         let path = PathBuf::from(format!("{}.0", test_base("eof")));
         let mut rx = ShmReceiver::create(&path, MIN_CAPACITY, None, "rx".into()).unwrap();
         let mut tx = ShmSender::attach(&path, None, "tx".into()).unwrap();
-        tx.write_frame(&Frame::End { from: 0 }).unwrap();
+        send(&mut tx, &Frame::End { from: 0 });
         drop(tx);
-        assert_eq!(rx.read_frame().unwrap(), Some(Frame::End { from: 0 }));
-        assert_eq!(rx.read_frame().unwrap(), None, "close at boundary is EOF");
+        assert_eq!(recv(&mut rx).unwrap(), Some(Frame::End { from: 0 }));
+        assert_eq!(recv(&mut rx).unwrap(), None, "close at boundary is EOF");
 
         let path = PathBuf::from(format!("{}.0", test_base("midframe")));
         let mut rx = ShmReceiver::create(&path, MIN_CAPACITY, None, "rx".into()).unwrap();
@@ -1329,7 +1169,7 @@ mod tests {
         // A data header promising bytes that never arrive.
         tx.write_all(&encode_data_header(0, 0, 64)).unwrap();
         drop(tx);
-        let err = rx.read_frame().unwrap_err();
+        let err = recv(&mut rx).unwrap_err();
         assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
         assert!(err.message.contains("mid-frame"), "{err}");
     }
@@ -1367,7 +1207,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             // Nobody drains: this blocks once the ring fills, and must
             // return a Cancelled error when the run is cancelled.
-            tx.write_data(0, 0, &vec![0u8; 4 * MIN_CAPACITY])
+            send_data(&mut tx, 0, 0, &vec![0u8; 4 * MIN_CAPACITY])
         });
         std::thread::sleep(Duration::from_millis(50));
         control.cancel("test");
@@ -1457,20 +1297,24 @@ mod tests {
             ..Default::default()
         };
         let writers = vec![ws.remove(0)];
-        let serve = std::thread::spawn(move || ingress.serve(7, writers, None, None, tuning));
+        let serve = std::thread::spawn(move || {
+            serve_ingress(WorkerIngress::Shm(ingress), 7, writers, None, None, tuning)
+        });
 
         // First incarnation: Hello + 5 packets, then dies without End
         // (the drop sets producer_closed, standing in for a SIGKILL that
         // the pid-liveness probe would catch).
         let ring = ring_path(&base, 0);
         let mut tx = ShmSender::attach(&ring, None, "tx1".into()).unwrap();
-        tx.write_frame(&Frame::Hello {
-            link: 7,
-            producer: 0,
-        })
-        .unwrap();
+        send(
+            &mut tx,
+            &Frame::Hello {
+                link: 7,
+                producer: 0,
+            },
+        );
         for seq in 0..5u64 {
-            tx.write_data(0, seq, &[seq as u8]).unwrap();
+            send_data(&mut tx, 0, seq, &[seq as u8]).unwrap();
         }
         drop(tx);
         std::thread::sleep(Duration::from_millis(20));
@@ -1479,16 +1323,18 @@ mod tests {
         // consumer's watermark, so delivery resumes exactly at seq 5.
         let mut tx = ShmSender::attach(&ring, None, "tx2".into()).unwrap();
         assert_eq!(tx.resume_seq(), 5, "consumer published its watermark");
-        tx.write_frame(&Frame::Hello {
-            link: 7,
-            producer: 0,
-        })
-        .unwrap();
+        send(
+            &mut tx,
+            &Frame::Hello {
+                link: 7,
+                producer: 0,
+            },
+        );
         for seq in 5..10u64 {
-            tx.write_data(0, seq, &[seq as u8]).unwrap();
+            send_data(&mut tx, 0, seq, &[seq as u8]).unwrap();
         }
-        tx.write_frame(&Frame::End { from: 0 }).unwrap();
-        tx.write_frame(&Frame::Close).unwrap();
+        send(&mut tx, &Frame::End { from: 0 });
+        send(&mut tx, &Frame::Close);
         drop(tx);
 
         let stats = serve.join().unwrap().unwrap();
@@ -1507,7 +1353,7 @@ mod tests {
         // Second attach on a ring that saw a producer: requests a reset.
         let p = path.clone();
         let attach2 = std::thread::spawn(move || ShmSender::attach(&p, None, "tx2".into()));
-        let err = rx.read_frame().unwrap_err();
+        let err = recv(&mut rx).unwrap_err();
         assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
         assert!(err.message.contains("ring reset"), "{err}");
         drop(tx1);
@@ -1538,7 +1384,9 @@ mod tests {
                     }
                     w.close();
                 });
-                let stats = shm_egress_pump(r, &base, 7, p as u32, None, None).unwrap();
+                let addr = format!("{SHM_PREFIX}{base}");
+                let tuning = NetTuning::default();
+                let stats = egress_pump(r, &addr, 7, p as u32, None, None, tuning).unwrap();
                 feeder.join().unwrap();
                 stats
             }));
@@ -1554,9 +1402,15 @@ mod tests {
             }
             seen
         });
-        let stats = ingress
-            .serve(7, ws, None, None, NetTuning::default())
-            .unwrap();
+        let stats = serve_ingress(
+            WorkerIngress::Shm(ingress),
+            7,
+            ws,
+            None,
+            None,
+            NetTuning::default(),
+        )
+        .unwrap();
         assert_eq!(stats.frames, (producers * packets_per_producer) as u64);
         let mut per_producer = vec![Vec::new(); producers];
         for b in reader.join().unwrap() {

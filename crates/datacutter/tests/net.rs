@@ -1,10 +1,14 @@
-//! Loopback-TCP integration tests for the distributed stream transport:
-//! real sockets, real worker topologies, chaos through the wire.
+//! Integration tests for the distributed link transport: real sockets
+//! and real mmap rings, real worker topologies, chaos through the wire.
+//! Every behaviour both carriers share runs over each of them; the
+//! few that differ by design keep single-carrier tests.
 
+use cgp_datacutter::shm::ring_path;
 use cgp_datacutter::{
-    decode_frame, egress_pump, encode_frame, logical_stream, serve_ingress, Buffer, ClosureFilter,
-    ErrorKind, FaultPlan, FilterIo, Frame, NetTuning, Pipeline, RecoveryOptions, RunControl,
-    StageSpec, WorkerEndpoints, WorkerIngress,
+    decode_frame, egress_pump, encode_frame, logical_stream, serve_ingress, shm_supported, Buffer,
+    ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Frame, NetLinkStats, NetTuning,
+    Pipeline, RecoveryOptions, RunControl, ShmSender, StageSpec, StreamWriter, Transport,
+    WorkerEndpoints, WorkerIngress, SHM_PREFIX,
 };
 use cgp_obs::SmallRng;
 use std::io::{Read, Write};
@@ -12,6 +16,16 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The carriers a shared behaviour runs over: TCP, and shm rings where
+/// the build supports them.
+fn carriers() -> Vec<Transport> {
+    let mut all = vec![Transport::Tcp];
+    if shm_supported() {
+        all.push(Transport::Shm);
+    }
+    all
+}
 
 /// Encode a frame to raw bytes (tests drive the wire by hand).
 fn raw(f: &Frame) -> Vec<u8> {
@@ -36,6 +50,60 @@ fn read_hello_ack(s: &mut TcpStream) -> u64 {
     s.read_exact(&mut buf).expect("HelloAck");
     assert_eq!(buf[0], 2, "HelloAck tag");
     u64::from_le_bytes(buf[1..9].try_into().unwrap())
+}
+
+/// A producer's end of a link, driven byte by byte: a socket, or the
+/// sending half of one ring.
+enum RawProducer {
+    Tcp(TcpStream),
+    Shm(ShmSender),
+}
+
+impl RawProducer {
+    /// Connect to the ingress at `addr`; on shm, attach to ring `ring`.
+    fn open(addr: &str, ring: u32) -> Self {
+        match addr.strip_prefix(SHM_PREFIX) {
+            Some(base) => RawProducer::Shm(
+                ShmSender::attach(&ring_path(base, ring), None, format!("raw[{ring}]")).unwrap(),
+            ),
+            None => RawProducer::Tcp(TcpStream::connect(addr).unwrap()),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        match self {
+            RawProducer::Tcp(s) => s.write_all(bytes).unwrap(),
+            RawProducer::Shm(s) => s.write_all(bytes).unwrap(),
+        }
+    }
+
+    /// Say `Hello` and return the consumer's resume watermark: from
+    /// `HelloAck` on TCP, from the attach on shm.
+    fn hello(&mut self, link: u32, producer: u32) -> u64 {
+        self.send(&hello(link, producer));
+        match self {
+            RawProducer::Tcp(s) => read_hello_ack(s),
+            RawProducer::Shm(s) => s.resume_seq(),
+        }
+    }
+}
+
+/// An ingress for `producers` upstream copies on a fresh endpoint of
+/// `carrier`, served on its own thread into `writers`.
+fn serve(
+    carrier: Transport,
+    link: u32,
+    writers: Vec<StreamWriter>,
+    control: Option<Arc<RunControl>>,
+    tuning: NetTuning,
+) -> (
+    String,
+    std::thread::JoinHandle<Result<NetLinkStats, FilterError>>,
+) {
+    let (ingress, addr) = WorkerIngress::bind(carrier.fresh_addr(), writers.len()).unwrap();
+    let serving =
+        std::thread::spawn(move || serve_ingress(ingress, link, writers, control, None, tuning));
+    (addr, serving)
 }
 
 /// Three-stage source → double → sum pipeline; `total` receives the sum.
@@ -83,19 +151,19 @@ fn worker_pipeline(n: u64, width: usize, total: Arc<AtomicU64>) -> Pipeline {
         ))
 }
 
-/// Run the three-stage pipeline as three workers over loopback and
+/// Run the three-stage pipeline as three workers over `carrier` and
 /// return the sum.
-fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>) -> u64 {
-    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let l2 = TcpListener::bind("127.0.0.1:0").unwrap();
-    let a1 = l1.local_addr().unwrap().to_string();
-    let a2 = l2.local_addr().unwrap().to_string();
+fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>, carrier: Transport) -> u64 {
+    // Each ingress serves the upstream stage's copies: the source's 1,
+    // then the doublers' `width`.
+    let (i1, a1) = WorkerIngress::bind(carrier.fresh_addr(), 1).unwrap();
+    let (i2, a2) = WorkerIngress::bind(carrier.fresh_addr(), width).unwrap();
     let total = Arc::new(AtomicU64::new(0));
-    let mut listeners = [None, Some(l1), Some(l2)];
+    let mut ingresses = [None, Some(i1), Some(i2)];
     let connects = [Some(a1), Some(a2), None];
     std::thread::scope(|scope| {
         for stage in 0..3 {
-            let listener = listeners[stage].take();
+            let ingress = ingresses[stage].take();
             let connect = connects[stage].clone();
             let total = Arc::clone(&total);
             let faults = faults.clone();
@@ -106,10 +174,10 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>) -> u64 {
                 }
                 p.run_worker(WorkerEndpoints {
                     stage,
-                    ingress: listener.map(WorkerIngress::Tcp),
+                    ingress,
                     connect,
                 })
-                .unwrap_or_else(|e| panic!("worker {stage}: {e}"));
+                .unwrap_or_else(|e| panic!("{carrier:?} worker {stage}: {e}"));
             });
         }
     });
@@ -124,7 +192,10 @@ fn three_workers_match_in_process_for_all_widths() {
             .run()
             .unwrap();
         let expect = total.load(Ordering::Relaxed);
-        assert_eq!(run_three_workers(100, width, None), expect, "width={width}");
+        for carrier in carriers() {
+            let got = run_three_workers(100, width, None, carrier);
+            assert_eq!(got, expect, "{carrier:?} width={width}");
+        }
     }
 }
 
@@ -134,118 +205,123 @@ fn chaos_fault_at_exact_packet_index_through_the_socket_is_recovered() {
     // Panic in the middle worker at packet 20: the restart replays the
     // unacked ingress tail, the egress pump dedups nothing (its acks are
     // per transmitted packet), and the result is exact.
-    let plan = FaultPlan::new().panic_at("double", 0, 20);
-    assert_eq!(run_three_workers(200, 2, Some(plan)), expect);
+    for carrier in carriers() {
+        let plan = FaultPlan::new().panic_at("double", 0, 20);
+        assert_eq!(
+            run_three_workers(200, 2, Some(plan), carrier),
+            expect,
+            "{carrier:?}"
+        );
+    }
 }
 
 /// Per-producer FIFO: each producer's packets arrive in send order even
 /// with several producers interleaving on separate connections.
 #[test]
 fn ingress_preserves_fifo_per_producer() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let producers = 3u32;
-    let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false, true);
-    let serve = std::thread::spawn(move || {
-        serve_ingress(listener, 7, writers, None, None, NetTuning::default())
-    });
-    let senders: Vec<_> = (0..producers)
-        .map(|p| {
-            std::thread::spawn(move || {
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.write_all(&hello(7, p)).unwrap();
-                assert_eq!(read_hello_ack(&mut s), 0);
-                for i in 0..50u64 {
-                    s.write_all(&data(p, i, &[p as u8, i as u8])).unwrap();
-                }
-                s.write_all(&raw(&Frame::End { from: p })).unwrap();
-                s.write_all(&raw(&Frame::Close)).unwrap();
+    for carrier in carriers() {
+        let producers = 3u32;
+        let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false, true);
+        let (addr, serving) = serve(carrier, 7, writers, None, NetTuning::default());
+        let senders: Vec<_> = (0..producers)
+            .map(|p| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut s = RawProducer::open(&addr, p);
+                    assert_eq!(s.hello(7, p), 0);
+                    for i in 0..50u64 {
+                        s.send(&data(p, i, &[p as u8, i as u8]));
+                    }
+                    s.send(&raw(&Frame::End { from: p }));
+                    s.send(&raw(&Frame::Close));
+                })
             })
-        })
-        .collect();
-    let mut last_seen = vec![None::<u8>; producers as usize];
-    let mut reader = readers.into_iter().next().unwrap();
-    let mut count = 0;
-    while let Some(b) = reader.read() {
-        let &[p, i] = b.as_slice() else {
-            panic!("2-byte payload")
-        };
-        if let Some(prev) = last_seen[p as usize] {
-            assert!(i > prev, "producer {p} out of order: {i} after {prev}");
+            .collect();
+        let mut last_seen = vec![None::<u8>; producers as usize];
+        let mut reader = readers.into_iter().next().unwrap();
+        let mut count = 0;
+        while let Some(b) = reader.read() {
+            let &[p, i] = b.as_slice() else {
+                panic!("2-byte payload")
+            };
+            if let Some(prev) = last_seen[p as usize] {
+                assert!(
+                    i > prev,
+                    "{carrier:?}: producer {p} out of order: {i} after {prev}"
+                );
+            }
+            last_seen[p as usize] = Some(i);
+            count += 1;
         }
-        last_seen[p as usize] = Some(i);
-        count += 1;
+        assert_eq!(count, 150, "{carrier:?}");
+        for s in senders {
+            s.join().unwrap();
+        }
+        let stats = serving.join().unwrap().unwrap();
+        assert_eq!(stats.frames, 150, "{carrier:?}");
+        assert_eq!(stats.bytes, 300, "{carrier:?}");
+        assert_eq!(stats.deduped, 0, "{carrier:?}");
     }
-    assert_eq!(count, 150);
-    for s in senders {
-        s.join().unwrap();
-    }
-    let stats = serve.join().unwrap().unwrap();
-    assert_eq!(stats.frames, 150);
-    assert_eq!(stats.bytes, 300);
-    assert_eq!(stats.deduped, 0);
 }
 
-/// Backpressure propagates through TCP: with a gated consumer and far
-/// more in-flight data than the stream capacity + socket buffers can
-/// hold, the producer must stall until the gate opens — and everything
-/// still arrives intact.
+/// Backpressure propagates through the carrier: with a gated consumer
+/// and far more in-flight data than the stream capacity plus socket
+/// buffers or ring can hold, the producer must stall until the gate
+/// opens — and everything still arrives intact.
 #[test]
 fn backpressure_bounds_the_producer_through_the_socket() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    // Consumer side: capacity 2, a gate holding the reader shut.
-    let (writers, readers) = logical_stream(1, 1, 2, None, false, true);
-    let gate = Arc::new(AtomicBool::new(false));
-    let serve = std::thread::spawn(move || {
-        serve_ingress(listener, 1, writers, None, None, NetTuning::default())
-    });
-    let gate2 = Arc::clone(&gate);
-    let consumer = std::thread::spawn(move || {
-        while !gate2.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let mut reader = readers.into_iter().next().unwrap();
-        let mut bytes = 0u64;
-        let mut frames = 0u64;
-        while let Some(b) = reader.read() {
-            bytes += b.len() as u64;
-            frames += 1;
-        }
-        (frames, bytes)
-    });
-    // Producer side: 16 × 4 MiB — far beyond what the capacity-2 stream
-    // plus kernel socket buffers can absorb.
-    let (mut pw, pr) = logical_stream(1, 1, 4, None, false, true);
-    let done_sending = Arc::new(AtomicBool::new(false));
-    let done2 = Arc::clone(&done_sending);
-    let producer = std::thread::spawn(move || {
-        for i in 0..16u8 {
-            pw[0].write(Buffer::from_vec(vec![i; 4 << 20])).unwrap();
-        }
-        pw[0].close();
-        done2.store(true, Ordering::Release);
-    });
-    let pump = std::thread::spawn(move || {
-        let reader = pr.into_iter().next().unwrap();
-        egress_pump(reader, &addr, 1, 0, None, None, NetTuning::default()).unwrap()
-    });
-    // With the gate shut the producer cannot finish: 64 MiB has nowhere
-    // to go.
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(
-        !done_sending.load(Ordering::Acquire),
-        "producer finished 64 MiB with the consumer gated — no backpressure"
-    );
-    gate.store(true, Ordering::Release);
-    producer.join().unwrap();
-    let (frames, bytes) = consumer.join().unwrap();
-    assert_eq!(frames, 16);
-    assert_eq!(bytes, 16 * (4 << 20) as u64);
-    let egress = pump.join().unwrap();
-    assert_eq!(egress.frames, 16);
-    let ingress = serve.join().unwrap().unwrap();
-    assert_eq!(ingress.bytes, egress.bytes);
+    for carrier in carriers() {
+        // Consumer side: capacity 2, a gate holding the reader shut.
+        let (writers, readers) = logical_stream(1, 1, 2, None, false, true);
+        let gate = Arc::new(AtomicBool::new(false));
+        let (addr, serving) = serve(carrier, 1, writers, None, NetTuning::default());
+        let gate2 = Arc::clone(&gate);
+        let consumer = std::thread::spawn(move || {
+            while !gate2.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let mut reader = readers.into_iter().next().unwrap();
+            let mut bytes = 0u64;
+            let mut frames = 0u64;
+            while let Some(b) = reader.read() {
+                bytes += b.len() as u64;
+                frames += 1;
+            }
+            (frames, bytes)
+        });
+        // Producer side: 16 × 4 MiB — far beyond what the capacity-2
+        // stream plus kernel socket buffers or a 4 MiB ring can absorb.
+        let (mut pw, pr) = logical_stream(1, 1, 4, None, false, true);
+        let done_sending = Arc::new(AtomicBool::new(false));
+        let done2 = Arc::clone(&done_sending);
+        let producer = std::thread::spawn(move || {
+            for i in 0..16u8 {
+                pw[0].write(Buffer::from_vec(vec![i; 4 << 20])).unwrap();
+            }
+            pw[0].close();
+            done2.store(true, Ordering::Release);
+        });
+        let pump = std::thread::spawn(move || {
+            let reader = pr.into_iter().next().unwrap();
+            egress_pump(reader, &addr, 1, 0, None, None, NetTuning::default()).unwrap()
+        });
+        // With the gate shut the producer cannot finish: 64 MiB has
+        // nowhere to go.
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(
+            !done_sending.load(Ordering::Acquire),
+            "{carrier:?}: producer finished 64 MiB with the consumer gated — no backpressure"
+        );
+        gate.store(true, Ordering::Release);
+        producer.join().unwrap();
+        let (frames, bytes) = consumer.join().unwrap();
+        assert_eq!(frames, 16, "{carrier:?}");
+        assert_eq!(bytes, 16 * (4 << 20) as u64, "{carrier:?}");
+        let egress = pump.join().unwrap();
+        assert_eq!(egress.frames, 16, "{carrier:?}");
+        let ingress = serving.join().unwrap().unwrap();
+        assert_eq!(ingress.bytes, egress.bytes, "{carrier:?}");
+    }
 }
 
 /// A producer that dies mid-frame is corruption, not a clean disconnect:
@@ -253,49 +329,230 @@ fn backpressure_bounds_the_producer_through_the_socket() {
 /// truncating the stream.
 #[test]
 fn disconnect_mid_frame_fails_the_link_loudly() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let control = RunControl::new();
-    let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
-    let c2 = Arc::clone(&control);
-    let serve = std::thread::spawn(move || {
-        serve_ingress(listener, 1, writers, Some(c2), None, NetTuning::default())
-    });
-    let drain = std::thread::spawn(move || {
-        let mut r = readers.into_iter().next().unwrap();
-        let mut n = 0;
-        while r.read().is_some() {
-            n += 1;
-        }
-        n
-    });
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&hello(1, 0)).unwrap();
-    assert_eq!(read_hello_ack(&mut s), 0);
-    s.write_all(&data(0, 0, b"complete")).unwrap();
-    // Truncate the next frame: header promises 100 bytes, deliver 3 and
-    // slam the connection.
-    let partial = data(0, 1, &[9u8; 100]);
-    s.write_all(&partial[..partial.len() - 97]).unwrap();
+    for carrier in carriers() {
+        let control = RunControl::new();
+        let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+        let tuning = NetTuning::default();
+        let (addr, serving) = serve(carrier, 1, writers, Some(Arc::clone(&control)), tuning);
+        let drain = std::thread::spawn(move || {
+            let mut r = readers.into_iter().next().unwrap();
+            let mut n = 0;
+            while r.read().is_some() {
+                n += 1;
+            }
+            n
+        });
+        let mut s = RawProducer::open(&addr, 0);
+        assert_eq!(s.hello(1, 0), 0);
+        s.send(&data(0, 0, b"complete"));
+        // Truncate the next frame: header promises 100 bytes, deliver 3
+        // and slam the connection.
+        let partial = data(0, 1, &[9u8; 100]);
+        s.send(&partial[..partial.len() - 97]);
+        drop(s);
+        let err = serving.join().unwrap().unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Malformed, "{carrier:?}: {err}");
+        assert!(
+            control.is_cancelled(),
+            "{carrier:?}: a failed link cancels the run"
+        );
+        // The local reader was unblocked (writers closed on the error
+        // path) and saw only the complete packet.
+        assert_eq!(drain.join().unwrap(), 1, "{carrier:?}");
+    }
+}
+
+/// Run one producer's hand-written wire bytes (after its `Hello`) into a
+/// one-producer ingress and return how the link ended. The producer
+/// then vanishes.
+fn link_after(carrier: Transport, frames: &[Vec<u8>]) -> Result<NetLinkStats, FilterError> {
+    let (writers, mut readers) = logical_stream(1, 1, 16, None, false, true);
+    let (addr, serving) = serve(carrier, 4, writers, None, NetTuning::default());
+    let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
+    let mut s = RawProducer::open(&addr, 0);
+    for f in frames {
+        s.send(f);
+    }
     drop(s);
-    let err = serve.join().unwrap().unwrap_err();
-    assert_eq!(err.kind, cgp_datacutter::ErrorKind::Malformed, "{err}");
-    assert!(control.is_cancelled(), "a failed link cancels the run");
-    // The local reader was unblocked (writers closed on the error path)
-    // and saw only the complete packet.
-    assert_eq!(drain.join().unwrap(), 1);
+    let result = serving.join().unwrap();
+    drain.join().unwrap();
+    result
+}
+
+/// Assert that a link failed as malformed, naming `what`.
+fn assert_malformed(result: Result<NetLinkStats, FilterError>, what: &str, carrier: Transport) {
+    let err = result.expect_err(what);
+    assert_eq!(err.kind, ErrorKind::Malformed, "{carrier:?}: {err}");
+    assert!(err.message.contains(what), "{carrier:?}: {err}");
+}
+
+/// A sequence gap on the link — frames lost on a carrier that
+/// guarantees FIFO — fails it, on both carriers.
+#[test]
+fn a_sequence_gap_on_the_link_is_malformed() {
+    for carrier in carriers() {
+        let frames = [hello(4, 0), data(0, 0, b"a"), data(0, 2, b"c")];
+        assert_malformed(link_after(carrier, &frames), "sequence gap", carrier);
+    }
+}
+
+/// The first frame of a connection must be `Hello`.
+#[test]
+fn a_frame_before_hello_is_malformed() {
+    for carrier in carriers() {
+        let frames = [data(0, 0, b"early")];
+        assert_malformed(
+            link_after(carrier, &frames),
+            "expected Hello first",
+            carrier,
+        );
+    }
+}
+
+/// A frame labelled with another producer than the connection's fails
+/// the link; without the check, this run would end cleanly.
+#[test]
+fn a_frame_from_another_producer_is_malformed() {
+    for carrier in carriers() {
+        let frames = [
+            hello(4, 0),
+            data(1, 0, b"stray"),
+            raw(&Frame::End { from: 1 }),
+            raw(&Frame::Close),
+        ];
+        assert_malformed(link_after(carrier, &frames), "from producer 1", carrier);
+    }
+}
+
+/// Unsupervised rings are strict: a producer gone before `End` fails the
+/// link (TCP lets a producer reconnect instead; see
+/// `reconnect_dedups_duplicates_and_never_regresses_acks`).
+#[test]
+fn a_ring_closed_before_end_is_malformed() {
+    if !shm_supported() {
+        return;
+    }
+    let frames = [hello(4, 0), data(0, 0, b"a")];
+    let result = link_after(Transport::Shm, &frames);
+    assert_malformed(result, "closed its ring before End", Transport::Shm);
+}
+
+/// A respawned producer regenerates its whole stream from packet 0. The
+/// egress pump must suppress the prefix the consumer already has, not
+/// relabel it as new packets: the first incarnation delivers 0..3 and
+/// dies without `End`, the second regenerates 0..5.
+#[test]
+fn a_respawned_producer_delivers_its_prefix_once() {
+    let tuning = NetTuning {
+        supervised: true,
+        reconnect: Duration::from_secs(10),
+        ..Default::default()
+    };
+    for carrier in carriers() {
+        let (writers, mut readers) = logical_stream(1, 1, 16, None, false, true);
+        let (addr, serving) = serve(carrier, 2, writers, None, tuning);
+        let mut first = RawProducer::open(&addr, 0);
+        assert_eq!(first.hello(2, 0), 0);
+        for i in 0..3u64 {
+            first.send(&data(0, i, &[i as u8]));
+        }
+        drop(first);
+        let (mut ws, rs) = logical_stream(1, 1, 16, None, false, true);
+        for i in 0..5u8 {
+            ws[0].write(Buffer::from_vec(vec![i])).unwrap();
+        }
+        ws[0].close();
+        let reader = rs.into_iter().next().unwrap();
+        let egress = egress_pump(reader, &addr, 2, 0, None, None, tuning).unwrap();
+        let mut seen = Vec::new();
+        while let Some(b) = readers[0].read() {
+            seen.push(b.as_slice()[0]);
+        }
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "{carrier:?}: exactly once");
+        assert_eq!(egress.deduped, 3, "{carrier:?}: the prefix was suppressed");
+        assert_eq!(egress.frames, 2, "{carrier:?}");
+        let ingress = serving.join().unwrap().unwrap();
+        assert_eq!(ingress.frames, 5, "{carrier:?}");
+        assert_eq!(
+            ingress.deduped, 0,
+            "{carrier:?}: no duplicate reached the link"
+        );
+        assert_eq!(ingress.reconnects, 1, "{carrier:?}");
+    }
+}
+
+/// A respawned producer can handshake while its dead connection's bridge
+/// is still blocked feeding a full local stream. The respawn waits for
+/// that drain past the silence deadline, its resume point counts every
+/// drained packet, and the consumer's silence clock for the new
+/// connection starts at the handshake, not when the `Hello` arrived.
+#[test]
+fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
+    let tuning = NetTuning {
+        heartbeat: Some(Duration::from_millis(300)),
+        supervised: true,
+        reconnect: Duration::from_secs(10),
+    };
+    let deadline = tuning.deadline().unwrap();
+    for carrier in carriers() {
+        // Room for two packets, and nobody reads until past the deadline.
+        let (writers, mut readers) = logical_stream(1, 1, 2, None, false, true);
+        let (addr, serving) = serve(carrier, 2, writers, None, tuning);
+        let mut first = RawProducer::open(&addr, 0);
+        assert_eq!(first.hello(2, 0), 0);
+        for i in 0..8u64 {
+            first.send(&data(0, i, &[i as u8]));
+        }
+        drop(first);
+        let (mut ws, rs) = logical_stream(1, 1, 16, None, false, true);
+        let respawn = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let reader = rs.into_iter().next().unwrap();
+                egress_pump(reader, &addr, 2, 0, None, None, tuning)
+            })
+        };
+        // The regenerated prefix is suppressed, so the new connection
+        // carries nothing but heartbeats until the tail arrives.
+        let tail = std::thread::spawn(move || {
+            for i in 0..8u8 {
+                ws[0].write(Buffer::from_vec(vec![i])).unwrap();
+            }
+            std::thread::sleep(deadline + Duration::from_millis(800));
+            for i in 8..12u8 {
+                ws[0].write(Buffer::from_vec(vec![i])).unwrap();
+            }
+            ws[0].close();
+        });
+        std::thread::sleep(deadline + Duration::from_millis(300));
+        let mut seen = Vec::new();
+        while let Some(b) = readers[0].read() {
+            seen.push(b.as_slice()[0]);
+        }
+        tail.join().unwrap();
+        let egress = respawn.join().unwrap().unwrap();
+        assert_eq!(seen, (0..12).collect::<Vec<u8>>(), "{carrier:?}");
+        assert_eq!(egress.deduped, 8, "{carrier:?}: resumed past the drain");
+        let ingress = serving.join().unwrap().unwrap();
+        assert_eq!(ingress.frames, 12, "{carrier:?}");
+        assert_eq!(ingress.deduped, 0, "{carrier:?}");
+        assert_eq!(ingress.timeouts, 0, "{carrier:?}: no silence verdict");
+        assert_eq!(ingress.reconnects, 1, "{carrier:?}");
+    }
 }
 
 /// A clean disconnect + reconnect re-sending in-flight frames: the slot's
 /// sequence watermark survives the connection, dedups the duplicates, and
-/// the published resume watermark never regresses.
+/// the published resume watermark never regresses. TCP only: an
+/// unsupervised ring refuses a second producer.
 #[test]
 fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
-    let serve = std::thread::spawn(move || {
-        serve_ingress(listener, 3, writers, None, None, NetTuning::default())
+    let serving = std::thread::spawn(move || {
+        let ingress = WorkerIngress::Tcp(listener);
+        serve_ingress(ingress, 3, writers, None, None, NetTuning::default())
     });
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
@@ -334,37 +591,31 @@ fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     s.write_all(&raw(&Frame::Close)).unwrap();
     drop(s);
     assert_eq!(drain.join().unwrap(), vec![0, 1, 2, 3, 4], "exactly once");
-    let stats = serve.join().unwrap().unwrap();
+    let stats = serving.join().unwrap().unwrap();
     assert_eq!(stats.frames, 5, "5 unique frames delivered");
     assert_eq!(stats.deduped, 2, "2 duplicated in-flight frames dropped");
 }
 
-/// Handshake hardening: wrong link, out-of-range producer, bad magic.
+/// Handshake hardening: wrong link, out-of-range producer, bad tag.
 #[test]
 fn handshake_rejects_wrong_link_and_producer() {
-    for (hello_bytes, what) in [
-        (hello(99, 0), "wrong link"),
-        (hello(5, 7), "producer out of range"),
-        (b"XXXX-garbage-that-is-not-a-frame".to_vec(), "bad tag"),
-    ] {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
-        let serve = std::thread::spawn(move || {
-            serve_ingress(listener, 5, writers, None, None, NetTuning::default())
-        });
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&hello_bytes).unwrap();
-        let err = serve.join().unwrap().unwrap_err();
-        assert_eq!(
-            err.kind,
-            cgp_datacutter::ErrorKind::Malformed,
-            "{what}: {err}"
-        );
-        drop(s);
-        // The local reader is released rather than stranded.
-        let mut r = readers.into_iter().next().unwrap();
-        assert!(r.read().is_none(), "{what}: reader unblocked");
+    for carrier in carriers() {
+        for (hello_bytes, what) in [
+            (hello(99, 0), "wrong link"),
+            (hello(5, 7), "producer out of range"),
+            (b"XXXX-garbage-that-is-not-a-frame".to_vec(), "bad tag"),
+        ] {
+            let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+            let (addr, serving) = serve(carrier, 5, writers, None, NetTuning::default());
+            let mut s = RawProducer::open(&addr, 0);
+            s.send(&hello_bytes);
+            let err = serving.join().unwrap().unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{carrier:?} {what}: {err}");
+            drop(s);
+            // The local reader is released rather than stranded.
+            let mut r = readers.into_iter().next().unwrap();
+            assert!(r.read().is_none(), "{carrier:?} {what}: reader unblocked");
+        }
     }
 }
 
@@ -402,13 +653,16 @@ fn assert_threads_return_to(before: usize) {
 #[cfg(target_os = "linux")]
 #[test]
 fn distributed_runs_leak_no_threads() {
-    let _ = run_three_workers(50, 2, None); // warm-up
-    let before = thread_count();
-    for _ in 0..2 {
-        let _ = run_three_workers(50, 2, None);
-        let _ = run_three_workers(50, 2, Some(FaultPlan::new().panic_at("double", 0, 10)));
+    for carrier in carriers() {
+        let _ = run_three_workers(50, 2, None, carrier); // warm-up
+        let before = thread_count();
+        for _ in 0..2 {
+            let _ = run_three_workers(50, 2, None, carrier);
+            let panic = FaultPlan::new().panic_at("double", 0, 10);
+            let _ = run_three_workers(50, 2, Some(panic), carrier);
+        }
+        assert_threads_return_to(before);
     }
-    assert_threads_return_to(before);
 }
 
 /// Every malformed `WorkerEndpoints` is refused with a named error before
