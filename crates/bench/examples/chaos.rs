@@ -13,16 +13,19 @@
 
 use cgp_core::datacutter::{
     Buffer, ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Pipeline, RetryPolicy,
-    StageSpec,
+    RunOptions, StageSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// source → double → sum over `n` u64 packets.
-fn pipeline(n: u64, total: Arc<AtomicU64>) -> Pipeline {
-    Pipeline::new()
-        .with_capacity(8)
+fn pipeline(n: u64, total: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
+    let opts = RunOptions {
+        capacity: 8,
+        ..opts
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,
@@ -69,7 +72,9 @@ fn main() {
 
     // 1. Baseline: no faults.
     let total = Arc::new(AtomicU64::new(0));
-    let stats = pipeline(N, Arc::clone(&total)).run().expect("clean run");
+    let stats = pipeline(N, Arc::clone(&total), RunOptions::default())
+        .run()
+        .expect("clean run");
     println!(
         "baseline: sum={} (expected {expect}), wall {:?}",
         total.load(Ordering::Relaxed),
@@ -80,9 +85,12 @@ fn main() {
     //    panic is caught, its streams are closed/drained, and the run
     //    returns a structured Panicked error naming double[1].
     let total = Arc::new(AtomicU64::new(0));
-    let err = pipeline(N, total)
-        .with_faults(FaultPlan::new().panic_at("double", 1, 100))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: FaultPlan::new().panic_at("double", 1, 100),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = pipeline(N, total, opts)
         .run()
         .expect_err("injected panic fails the run");
     assert_eq!(err.kind, ErrorKind::Panicked);
@@ -92,14 +100,17 @@ fn main() {
     //    packet 0 (before producing anything), so the retry restarts the
     //    unit of work with a fresh filter instance and the run completes.
     let total = Arc::new(AtomicU64::new(0));
-    let stats = pipeline(N, Arc::clone(&total))
-        .with_faults(FaultPlan::new().rule(cgp_core::datacutter::FaultRule {
+    let opts = RunOptions {
+        faults: FaultPlan::new().rule(cgp_core::datacutter::FaultRule {
             stage: Some("source".into()),
             copy: Some(0),
             trigger: cgp_core::datacutter::Trigger::Packet(0),
             action: cgp_core::datacutter::FaultAction::Fail { retryable: true },
-        }))
-        .with_retry(RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)))
+        }),
+        retry: RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)),
+        ..Default::default()
+    };
+    let stats = pipeline(N, Arc::clone(&total), opts)
         .run()
         .expect("retry recovers");
     assert_eq!(total.load(Ordering::Relaxed), expect);
@@ -112,9 +123,12 @@ fn main() {
     // 4. Stall: a filter that blocks forever (never reads its input) is
     //    caught by the deadline watchdog; the error reports where the
     //    pipeline was blocked instead of hanging the process.
-    let err = Pipeline::new()
-        .with_capacity(2)
-        .with_deadline(Duration::from_millis(300))
+    let opts = RunOptions {
+        capacity: 2,
+        deadline: Some(Duration::from_millis(300)),
+        ..Default::default()
+    };
+    let err = Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,

@@ -17,8 +17,8 @@
 //! ```
 
 use cgp_core::datacutter::{
-    Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RecoveryOptions, StageAssignment,
-    StageSpec, WorkerEndpoints, WorkerIngress,
+    Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RecoveryOptions, RunOptions, StageSpec,
+    WorkerEndpoints, WorkerIngress,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +28,17 @@ use std::sync::Arc;
 /// participant rebuilds the plan deterministically); the endpoints
 /// select which stage actually runs.
 fn pipeline(n: u64, faults: Option<FaultPlan>, total: Arc<AtomicU64>) -> Pipeline {
-    let mut p = Pipeline::new()
-        .with_capacity(8)
+    // A fault plan comes with the recovery that masks it.
+    let opts = RunOptions {
+        capacity: 8,
+        recovery: match faults {
+            Some(_) => RecoveryOptions::on(),
+            None => RecoveryOptions::default(),
+        },
+        faults: faults.unwrap_or_default(),
+        ..Default::default()
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,
@@ -67,11 +76,7 @@ fn pipeline(n: u64, faults: Option<FaultPlan>, total: Arc<AtomicU64>) -> Pipelin
                     Ok(())
                 }))
             }),
-        ));
-    if let Some(f) = faults {
-        p = p.with_faults(f).with_recovery(RecoveryOptions::on());
-    }
-    p
+        ))
 }
 
 fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
@@ -80,44 +85,26 @@ fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
     // Each ingress serves the upstream stage's copies: 1, then 2.
     let (l1, a1) = WorkerIngress::bind("127.0.0.1:0", 1).expect("bind");
     let (l2, a2) = WorkerIngress::bind("127.0.0.1:0", 2).expect("bind");
-    // The assignment each "process" would receive from a launcher.
-    let assignments = [
-        StageAssignment {
-            stage: 0,
-            widths: vec![1, 2, 1],
-            listen: None,
-            connect: Some(a1.clone()),
-        },
-        StageAssignment {
-            stage: 1,
-            widths: vec![1, 2, 1],
-            listen: Some(a1),
-            connect: Some(a2.clone()),
-        },
-        StageAssignment {
-            stage: 2,
-            widths: vec![1, 2, 1],
-            listen: Some(a2),
-            connect: None,
-        },
-    ];
+    // What each "process" would receive from a launcher: its stage, its
+    // ingress (bound above) and its downstream address.
+    let connects = [Some(a1), Some(a2), None];
     let total = Arc::new(AtomicU64::new(0));
     let mut listeners = [None, Some(l1), Some(l2)];
     std::thread::scope(|scope| {
-        for (s, a) in assignments.iter().enumerate() {
-            // Serialize/parse the assignment as a launcher would hand it
-            // over (env var / argv), then run that one stage.
-            let spec = StageAssignment::parse(&a.render()).expect("roundtrip");
-            println!("  worker {s}: {spec}");
-            let listener = listeners[s].take();
+        for (stage, connect) in connects.into_iter().enumerate() {
+            let ingress = listeners[stage].take();
+            println!(
+                "  worker {stage}: connect {}",
+                connect.as_deref().unwrap_or("none")
+            );
             let faults = faults.clone();
             let total = Arc::clone(&total);
             scope.spawn(move || {
                 pipeline(n, faults, total)
                     .run_worker(WorkerEndpoints {
-                        stage: spec.stage,
-                        ingress: listener,
-                        connect: spec.connect,
+                        stage,
+                        ingress,
+                        connect,
                     })
                     .expect("worker run");
             });

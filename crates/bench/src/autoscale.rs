@@ -23,8 +23,8 @@
 //! must agree bit-for-bit — the guard hard-fails on any divergence.
 
 use cgp_core::datacutter::{
-    AutoscaleConfig, Buffer, ClosureFilter, FilterFactory, FilterIo, Pipeline, StageSpec,
-    TelemetryConfig,
+    AutoscaleConfig, Buffer, ClosureFilter, FilterFactory, FilterIo, Pipeline, RunOptions,
+    StageSpec, TelemetryConfig,
 };
 use cgp_obs::telemetry::TelemetrySampler;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,11 +112,20 @@ fn sum_stage(total: &Arc<AtomicU64>) -> FilterFactory {
 /// Run the step-load pipeline once; `elastic` turns the autoscaler on.
 pub fn step_load_run(cfg: &StepLoadConfig, elastic: bool) -> StepLoadRun {
     let total = Arc::new(AtomicU64::new(0));
-    let mut pipeline = Pipeline::new()
-        .with_telemetry(TelemetryConfig::new(
+    let autoscale = elastic.then(|| {
+        AutoscaleConfig::parse(&cfg.spec)
+            .expect("step-load autoscale spec parses")
+            .expect("step-load autoscale spec is not `off`")
+    });
+    let opts = RunOptions {
+        telemetry: Some(TelemetryConfig::new(
             Arc::new(TelemetrySampler::new(Duration::from_millis(cfg.sampler_ms))),
             "local",
-        ))
+        )),
+        autoscale,
+        ..Default::default()
+    };
+    let pipeline = Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source_stage(cfg.packets)))
         .add_stage(StageSpec::new(
             "work",
@@ -124,12 +133,6 @@ pub fn step_load_run(cfg: &StepLoadConfig, elastic: bool) -> StepLoadRun {
             step_work_stage(cfg.packets, cfg.work_us),
         ))
         .add_stage(StageSpec::new("sum", 1, sum_stage(&total)));
-    if elastic {
-        let autoscale = AutoscaleConfig::parse(&cfg.spec)
-            .expect("step-load autoscale spec parses")
-            .expect("step-load autoscale spec is not `off`");
-        pipeline = pipeline.with_autoscale(autoscale);
-    }
     let t = Instant::now();
     let stats = pipeline.run().expect("step-load run completes");
     let elapsed = t.elapsed().max(Duration::from_micros(1));

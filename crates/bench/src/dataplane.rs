@@ -24,8 +24,8 @@
 //! spsc ≥ 1.5× batched.
 
 use cgp_core::datacutter::{
-    Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, StageSpec, TelemetryConfig, Transport,
-    WorkerEndpoints, WorkerIngress,
+    Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, RunOptions, StageSpec, TelemetryConfig,
+    Transport, WorkerEndpoints, WorkerIngress,
 };
 use cgp_obs::telemetry::TelemetrySampler;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,18 +109,18 @@ pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
     let bytes = Arc::new(AtomicU64::new(0));
     let sink_bytes = Arc::clone(&bytes);
 
-    let mut pipeline = Pipeline::new()
-        .with_capacity(64)
-        .with_batch(batch)
-        .with_same_host_rings(rings);
-    if pooled {
-        pipeline = pipeline.with_pool(BufferPool::new());
-    }
-    if sampled {
-        let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(50)));
-        pipeline = pipeline.with_telemetry(TelemetryConfig::new(sampler, "echo"));
-    }
-    pipeline
+    let opts = RunOptions {
+        capacity: 64,
+        batch,
+        pool: pooled.then(BufferPool::new),
+        same_host_rings: rings,
+        telemetry: sampled.then(|| {
+            let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(50)));
+            TelemetryConfig::new(sampler, "echo")
+        }),
+        ..Default::default()
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "src",
             1,
@@ -300,10 +300,13 @@ pub fn link_paired_packets_per_sec(packets: usize, payload: usize, reps: usize) 
 /// rebuilds the full plan; the endpoints select which stage runs).
 fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -> Pipeline {
     let batch = 8usize;
-    Pipeline::new()
-        .with_capacity(64)
-        .with_batch(batch)
-        .with_pool(BufferPool::new())
+    let opts = RunOptions {
+        capacity: 64,
+        batch,
+        pool: Some(BufferPool::new()),
+        ..Default::default()
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "src",
             1,

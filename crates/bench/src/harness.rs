@@ -81,7 +81,7 @@ pub fn parse_common_opts(args: impl IntoIterator<Item = String>) -> CommonOpts {
 /// `CGP_*` variable it answers for (see [`ExecOptions::from_lookup`]).
 /// `--recover` is bare and answers `CGP_RECOVER=1`; every other flag
 /// takes a value, as `--flag value` or `--flag=value`.
-const EXEC_FLAGS: [(&str, &str); 15] = [
+const EXEC_FLAGS: [(&str, &str); 14] = [
     ("--faults", "CGP_FAULTS"),
     ("--deadline-ms", "CGP_DEADLINE_MS"),
     ("--recover", "CGP_RECOVER"),
@@ -96,7 +96,6 @@ const EXEC_FLAGS: [(&str, &str); 15] = [
     ("--heartbeat-ms", "CGP_HEARTBEAT_MS"),
     ("--max-worker-restarts", "CGP_MAX_WORKER_RESTARTS"),
     ("--autoscale", "CGP_AUTOSCALE"),
-    ("--max-copies", "CGP_MAX_COPIES"),
 ];
 
 /// The [`EXEC_FLAGS`] given in `args`, as `(variable, value)` pairs in
@@ -274,13 +273,7 @@ impl Obs {
             // autoscale an interior upstream stage is provisioned at the
             // copy cap and each of its copies owns an egress connection:
             // the producer count is that provisioned width.
-            let producers = self
-                .exec
-                .provisioned_width(stage - 1, m, 1)
-                .unwrap_or_else(|e| {
-                    eprintln!("[obs] worker {stage}: bad autoscale spec: {e}");
-                    std::process::exit(1);
-                });
+            let producers = self.exec.provisioned_width(stage - 1, m, 1);
             let (ingress, at) = WorkerIngress::bind(addr, producers).unwrap_or_else(|e| {
                 eprintln!("[obs] worker {stage}: cannot open ingress at {addr}: {e}");
                 std::process::exit(1);
@@ -378,8 +371,6 @@ impl Obs {
         if let Some(n) = self.exec.max_worker_restarts {
             lopts.max_worker_restarts = n;
         }
-        lopts.heartbeat_ms = self.exec.heartbeat.map(|d| (d.as_millis() as u64).max(1));
-        lopts.checkpoint_dir = self.exec.checkpoint_dir.clone();
         let got = match crate::launcher::launch_supervised(m, &passthrough, &lopts) {
             Ok(report) => {
                 if report.restart_events > 0 {
@@ -1074,6 +1065,8 @@ fn demo_host_builder(app: DialectApp) -> cgp_core::HostBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgp_core::datacutter::{AutoscaleConfig, FaultPlan, RetryPolicy};
+    use cgp_obs::SmallRng;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -1131,13 +1124,13 @@ mod tests {
     fn flags_win_over_their_variables() {
         let env = |var: &str| match var {
             "CGP_DEADLINE_MS" => Some("100".to_string()),
-            "CGP_MAX_COPIES" => Some("3".to_string()),
+            "CGP_CHECKPOINT_EVERY" => Some("3".to_string()),
             "CGP_TRANSPORT" => Some("shm".to_string()),
             _ => None,
         };
         let exec = resolve_exec_options(&argv(&["--deadline-ms", "200"]), env).unwrap();
         assert_eq!(exec.deadline, Some(Duration::from_millis(200)), "flag wins");
-        assert_eq!(exec.max_copies, Some(3), "env answers the rest");
+        assert_eq!(exec.checkpoint_every, Some(3), "env answers the rest");
         assert_eq!(exec.transport, Some(Transport::Shm), "env answers the rest");
         let exec = resolve_exec_options(&argv(&["--transport", "tcp"]), env).unwrap();
         assert_eq!(exec.transport, Some(Transport::Tcp), "flag wins");
@@ -1187,7 +1180,17 @@ mod tests {
             ("--heartbeat-ms", "CGP_HEARTBEAT_MS", "-5"),
             ("--max-worker-restarts", "CGP_MAX_WORKER_RESTARTS", "many"),
             ("--autoscale", "CGP_AUTOSCALE", "nonsense"),
-            ("--max-copies", "CGP_MAX_COPIES", "0"),
+            // Counts parse as whole numbers of their own type, so these
+            // are errors rather than a wrapped or truncated count.
+            (
+                "--max-worker-restarts",
+                "CGP_MAX_WORKER_RESTARTS",
+                "4294967296",
+            ),
+            ("--autoscale", "CGP_AUTOSCALE", "max=2.5"),
+            ("--autoscale", "CGP_AUTOSCALE", "max=1e30"),
+            ("--autoscale", "CGP_AUTOSCALE", "cooldown=-7"),
+            ("--autoscale", "CGP_AUTOSCALE", "escalate=1e12"),
         ];
         for (flag, var, bad) in cases {
             for args in [argv(&[flag, bad]), argv(&[&format!("{flag}={bad}")])] {
@@ -1201,6 +1204,319 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("{var}={bad} must be rejected"));
             assert!(err.starts_with(&format!("{var}:")), "{var}={bad}: {err}");
+        }
+        // `CGP_RETRIES` has no flag.
+        let env = |name: &str| (name == "CGP_RETRIES").then(|| "4294967297".to_string());
+        let err = resolve_exec_options(&[], env).expect_err("2^32 + 1 retries must be rejected");
+        assert!(err.starts_with("CGP_RETRIES:"), "{err}");
+    }
+
+    /// One drawn setting: its variable, its spelling, and how a case
+    /// gives it (by flag, or by variable).
+    struct Given {
+        var: &'static str,
+        text: String,
+        by_flag: bool,
+    }
+
+    fn flag_of(var: &str) -> Option<&'static str> {
+        EXEC_FLAGS.iter().find(|(_, v)| *v == var).map(|(f, _)| *f)
+    }
+
+    /// A count drawn from the edges and the middle of `0..=max`.
+    fn count(rng: &mut SmallRng, max: u64) -> u64 {
+        match rng.gen_range(0, 4) {
+            0 => max,
+            1 => rng.gen_range_u64(10),
+            _ => rng.gen_range_u64(max),
+        }
+    }
+
+    /// Draw a random valid setting for about half of `from_lookup`'s
+    /// variables, and the typed options they must resolve to.
+    fn draw(rng: &mut SmallRng) -> (Vec<(&'static str, String)>, ExecOptions) {
+        let mut want = ExecOptions::default();
+        let mut set: Vec<(&'static str, String)> = Vec::new();
+        let boolean = |rng: &mut SmallRng| -> (String, bool) {
+            let (text, on) = [
+                ("1", true),
+                ("true", true),
+                ("Yes", true),
+                ("ON", true),
+                ("0", false),
+                ("false", false),
+                ("no", false),
+                ("Off", false),
+                ("", false),
+            ][rng.gen_range(0, 9)];
+            (text.to_string(), on)
+        };
+        let take = |rng: &mut SmallRng| rng.gen_bool(0.5);
+        if take(rng) {
+            let (c, n) = (rng.gen_range(0, 4), rng.gen_range_u64(1000));
+            let spec = format!("panic@f2[{c}]#{n}");
+            want.faults = FaultPlan::parse(&spec).unwrap();
+            set.push(("CGP_FAULTS", spec));
+        }
+        for (var, slot) in [
+            ("CGP_DEADLINE_MS", &mut want.deadline),
+            ("CGP_STALL_MS", &mut want.stall_timeout),
+            (STATUS_EVERY_ENV, &mut want.status_every),
+        ] {
+            if take(rng) {
+                let ms = count(rng, u64::MAX);
+                *slot = Some(Duration::from_millis(ms));
+                set.push((var, ms.to_string()));
+            }
+        }
+        if take(rng) {
+            let ms = count(rng, u64::MAX);
+            want.heartbeat = (ms > 0).then(|| Duration::from_millis(ms));
+            set.push(("CGP_HEARTBEAT_MS", ms.to_string()));
+        }
+        if take(rng) {
+            let n = count(rng, u32::MAX as u64) as u32;
+            want.retry = RetryPolicy::retries(n);
+            set.push(("CGP_RETRIES", n.to_string()));
+        }
+        if take(rng) {
+            let n = count(rng, u32::MAX as u64) as u32;
+            want.max_worker_restarts = Some(n);
+            set.push(("CGP_MAX_WORKER_RESTARTS", n.to_string()));
+        }
+        if take(rng) {
+            let n = count(rng, u64::MAX - 1) as usize + 1;
+            want.batch = Some(n);
+            set.push(("CGP_BATCH", n.to_string()));
+        }
+        if take(rng) {
+            let n = count(rng, u64::MAX - 1) + 1;
+            want.checkpoint_every = Some(n);
+            set.push(("CGP_CHECKPOINT_EVERY", n.to_string()));
+        }
+        for (var, slot) in [
+            ("CGP_RECOVER", &mut want.recover),
+            ("CGP_NO_RINGS", &mut want.no_rings),
+            ("CGP_SUPERVISED", &mut want.supervised),
+        ] {
+            if take(rng) {
+                let (text, on) = boolean(rng);
+                *slot = on;
+                set.push((var, text));
+            }
+        }
+        if take(rng) {
+            let (text, t) = [
+                ("tcp", Some(Transport::Tcp)),
+                ("shm", Some(Transport::Shm)),
+                (" SHM ", Some(Transport::Shm)),
+                ("", None),
+            ][rng.gen_range(0, 4)];
+            want.transport = t;
+            set.push(("CGP_TRANSPORT", text.to_string()));
+        }
+        if take(rng) {
+            let (text, role) = match rng.gen_range(0, 4) {
+                0 => ("local".to_string(), NetRole::Local),
+                1 => ("launcher".to_string(), NetRole::Launcher),
+                2 => (String::new(), NetRole::Local),
+                _ => {
+                    let k = rng.gen_range(0, 9);
+                    (format!("worker:{k}"), NetRole::Worker(k))
+                }
+            };
+            want.role = role;
+            set.push(("CGP_ROLE", text));
+        }
+        if take(rng) {
+            let spec = format!("f{}[0]#{}", rng.gen_range(1, 4), rng.gen_range_u64(100));
+            if matches!(want.role, NetRole::Worker(_)) {
+                let kills = FaultPlan::parse(&format!("kill@{spec}")).unwrap();
+                want.faults = std::mem::take(&mut want.faults).merge(kills);
+            }
+            set.push(("CGP_KILL", spec));
+        }
+        for (var, slot, text) in [
+            (
+                "CGP_CHECKPOINT_LOG",
+                &mut want.checkpoint_log,
+                "/tmp/ckpt log.jsonl",
+            ),
+            ("CGP_CHECKPOINT_DIR", &mut want.checkpoint_dir, "ckpt=dir"),
+            ("CGP_LISTEN", &mut want.listen, "shm:auto"),
+            ("CGP_CONNECT", &mut want.connect, "127.0.0.1:4100"),
+            (TELEMETRY_LOG_ENV, &mut want.telemetry_log, "/tmp/t.jsonl"),
+            ("CGP_TELEMETRY", &mut want.telemetry_addr, "127.0.0.1:9"),
+        ] {
+            if take(rng) {
+                *slot = Some(text.to_string());
+                set.push((var, text.to_string()));
+            }
+        }
+        if take(rng) {
+            let (text, cfg) = match rng.gen_range(0, 4) {
+                0 => ("on".to_string(), Some(AutoscaleConfig::default())),
+                1 => ("off".to_string(), None),
+                _ => {
+                    let cfg = AutoscaleConfig {
+                        max_width: count(rng, 64) as usize + 1,
+                        grow_backlog: 1.0 + rng.gen_range(0, 16) as f64,
+                        shrink_starved: rng.gen_range(0, 5) as f64 / 4.0,
+                        cooldown_ticks: count(rng, u32::MAX as u64) as u32,
+                        escalate_ticks: count(rng, u32::MAX as u64 - 1) as u32 + 1,
+                    };
+                    let text = format!(
+                        "max={},grow={},shrink={},cooldown={},escalate={}",
+                        cfg.max_width,
+                        cfg.grow_backlog,
+                        cfg.shrink_starved,
+                        cfg.cooldown_ticks,
+                        cfg.escalate_ticks
+                    );
+                    (text, Some(cfg))
+                }
+            };
+            want.autoscale = cfg;
+            set.push(("CGP_AUTOSCALE", text));
+        }
+        (set, want)
+    }
+
+    /// Decide for each setting whether it is given by flag (where one
+    /// exists and, for `--recover`, only when it means on).
+    fn give(rng: &mut SmallRng, set: Vec<(&'static str, String)>) -> Vec<Given> {
+        set.into_iter()
+            .map(|(var, text)| {
+                let flaggable = match flag_of(var) {
+                    Some("--recover") => text == "1",
+                    Some(_) => true,
+                    None => false,
+                };
+                let by_flag = flaggable && rng.gen_bool(0.5);
+                Given { var, text, by_flag }
+            })
+            .collect()
+    }
+
+    /// Render the settings as an argument list and an environment. A
+    /// setting given by flag also gets a valid decoy in its variable
+    /// now and then, which the flag must override.
+    fn render(
+        rng: &mut SmallRng,
+        given: &[Given],
+        decoys: bool,
+    ) -> (Vec<String>, BTreeMap<&'static str, String>) {
+        let mut args = Vec::new();
+        let mut env = BTreeMap::new();
+        for g in given {
+            if !g.by_flag {
+                env.insert(g.var, g.text.clone());
+                continue;
+            }
+            let flag = flag_of(g.var).expect("flaggable");
+            if flag == "--recover" {
+                args.push(flag.to_string());
+                if decoys && rng.gen_bool(0.3) {
+                    env.insert(g.var, "0".to_string());
+                }
+                continue;
+            }
+            if rng.gen_bool(0.5) {
+                args.push(flag.to_string());
+                args.push(g.text.clone());
+            } else {
+                args.push(format!("{flag}={}", g.text));
+            }
+            let decoy = match g.var {
+                "CGP_ROLE" | "CGP_KILL" | "CGP_FAULTS" => None,
+                "CGP_TRANSPORT" => Some("tcp"),
+                "CGP_AUTOSCALE" => Some("max=7"),
+                "CGP_LISTEN" | "CGP_CONNECT" | "CGP_CHECKPOINT_DIR" | TELEMETRY_LOG_ENV => {
+                    Some("decoy")
+                }
+                _ => Some("17"),
+            };
+            if let Some(d) = decoy.filter(|_| decoys && rng.gen_bool(0.3)) {
+                env.insert(g.var, d.to_string());
+            }
+            // Figure flags the parser must skip ride along.
+            if rng.gen_bool(0.2) {
+                args.push("--width".to_string());
+                args.push("4".to_string());
+            }
+        }
+        (args, env)
+    }
+
+    /// Every drawn set of valid settings, given by flags and variables
+    /// in any mix, resolves to exactly the typed values drawn.
+    #[test]
+    fn drawn_settings_resolve_to_their_typed_values() {
+        let mut rng = SmallRng::seed_from_u64(0xE0E1);
+        for case in 0..400 {
+            let (set, want) = draw(&mut rng);
+            let given = give(&mut rng, set);
+            let (args, env) = render(&mut rng, &given, true);
+            let got = resolve_exec_options(&args, |v| env.get(v).cloned())
+                .unwrap_or_else(|e| panic!("case {case}: {args:?} {env:?}: {e}"));
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "case {case}: {args:?} {env:?}"
+            );
+        }
+    }
+
+    /// One corrupted value among valid ones fails the whole resolution,
+    /// and the error names the corrupted option as it was given.
+    #[test]
+    fn a_corrupted_setting_is_named_by_its_flag_or_variable() {
+        let mut rng = SmallRng::seed_from_u64(0xE0E2);
+        let corruptions: &[(&str, &[&str])] = &[
+            ("CGP_DEADLINE_MS", &["abc", "12x", "-3", "1.5"]),
+            ("CGP_STALL_MS", &["soon", "1e3"]),
+            (STATUS_EVERY_ENV, &["fast", "-1"]),
+            ("CGP_HEARTBEAT_MS", &["-5", "2.5"]),
+            ("CGP_RETRIES", &["many", "4294967296", "4294967297"]),
+            (
+                "CGP_MAX_WORKER_RESTARTS",
+                &["lots", "4294967296", "18446744073709551616"],
+            ),
+            ("CGP_BATCH", &["0", "big"]),
+            ("CGP_CHECKPOINT_EVERY", &["0", "every"]),
+            (
+                "CGP_AUTOSCALE",
+                &["max=0", "max=2.5", "max=1e30", "cooldown=-7", "nonsense"],
+            ),
+            ("CGP_TRANSPORT", &["udp", "quic"]),
+            ("CGP_ROLE", &["boss", "worker:x", "worker:-1"]),
+        ];
+        for case in 0..400 {
+            let (set, _) = draw(&mut rng);
+            let (var, bad) = corruptions[rng.gen_range(0, corruptions.len())];
+            let bad = bad[rng.gen_range(0, bad.len())];
+            let mut given = give(&mut rng, set);
+            given.retain(|g| g.var != var);
+            let by_flag = flag_of(var).is_some() && rng.gen_bool(0.5);
+            let at = rng.gen_range(0, given.len() + 1);
+            given.insert(
+                at,
+                Given {
+                    var,
+                    text: bad.to_string(),
+                    by_flag,
+                },
+            );
+            let (args, env) = render(&mut rng, &given, false);
+            let err = match resolve_exec_options(&args, |v| env.get(v).cloned()) {
+                Ok(_) => panic!("case {case}: {var}={bad:?} must be rejected: {args:?} {env:?}"),
+                Err(e) => e,
+            };
+            let name = if by_flag { flag_of(var).unwrap() } else { var };
+            assert!(
+                err.starts_with(&format!("{name}:")),
+                "case {case}: {var}={bad:?} by {name}: {err}"
+            );
         }
     }
 
@@ -1270,12 +1586,12 @@ mod tests {
 
     #[test]
     fn parse_common_opts_autoscale_space_and_equals_forms_agree() {
-        let spaced = argv(&["--autoscale", "max=4,grow=2", "--max-copies", "8"]);
-        let equals = argv(&["--autoscale=max=4,grow=2", "--max-copies=8"]);
+        let spaced = argv(&["--autoscale", "max=4,grow=2"]);
+        let equals = argv(&["--autoscale=max=4,grow=2"]);
         assert_eq!(exec_flags(&spaced), exec_flags(&equals));
         let exec = resolve_exec_options(&spaced, no_env).unwrap();
-        assert_eq!(exec.autoscale.as_deref(), Some("max=4,grow=2"));
-        assert_eq!(exec.max_copies, Some(8));
+        let cfg = exec.autoscale.expect("autoscale on");
+        assert_eq!((cfg.max_width, cfg.grow_backlog), (4, 2.0));
     }
 
     #[test]

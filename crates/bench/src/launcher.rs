@@ -42,8 +42,11 @@ use std::time::{Duration, Instant};
 /// address producers connect to (`host:port` or `shm:<base>`).
 pub const LISTENING_MARKER: &str = "CGP_LISTENING";
 
-/// How a distributed launch runs: transport, telemetry, and the
-/// supervision policy (crash masking via prefix restarts).
+/// What the launcher itself decides for a distributed launch: transport,
+/// telemetry aggregation, and the supervision policy (crash masking via
+/// prefix restarts). Worker settings it does not act on reach the
+/// workers unchanged, in the forwarded arguments and the inherited
+/// environment.
 #[derive(Debug, Clone)]
 pub struct LaunchOptions {
     /// Launcher-side telemetry aggregator address (`CGP_TELEMETRY`).
@@ -56,12 +59,6 @@ pub struct LaunchOptions {
     /// many times exhausts its budget and fails the launch with
     /// [`LaunchError::BudgetExhausted`].
     pub max_worker_restarts: u32,
-    /// Heartbeat cadence forwarded to workers (`CGP_HEARTBEAT_MS`), so
-    /// silent peers are detected, not just dead connections.
-    pub heartbeat_ms: Option<u64>,
-    /// Durable checkpoint directory forwarded to workers
-    /// (`CGP_CHECKPOINT_DIR`).
-    pub checkpoint_dir: Option<String>,
     /// Teardown grace: SIGTERM first, escalate to SIGKILL only after
     /// this long.
     pub grace: Duration,
@@ -74,8 +71,6 @@ impl LaunchOptions {
             transport,
             supervise: false,
             max_worker_restarts: 2,
-            heartbeat_ms: None,
-            checkpoint_dir: None,
             grace: Duration::from_secs(2),
         }
     }
@@ -137,25 +132,14 @@ impl From<String> for LaunchError {
     }
 }
 
-/// Drop the networking flags from a forwarded argument list, so spawned
-/// workers don't inherit the parent's `--role launcher` (their role
-/// arrives via `CGP_ROLE`, which explicit flags would override).
-/// `--telemetry-log` is also stripped: workers ship samples to the
-/// launcher's aggregator instead of each clobbering the same file. The
-/// supervision flags (`--checkpoint-dir`, `--heartbeat-ms`,
-/// `--max-worker-restarts`) are launcher policy, forwarded as env vars
-/// instead.
+/// Drop the flags the launcher replaces for each worker from a forwarded
+/// argument list: `--role`, `--listen` and `--connect` arrive as
+/// `CGP_ROLE`, `CGP_LISTEN` and `CGP_CONNECT` per worker, and a flag
+/// would override them. `--telemetry-log` is also stripped: workers ship
+/// samples to the launcher's aggregator instead of each clobbering the
+/// same file. Every other flag reaches the workers as given.
 pub fn strip_net_flags(args: &[String]) -> Vec<String> {
-    const STRIP: &[&str] = &[
-        "--role",
-        "--listen",
-        "--connect",
-        "--telemetry-log",
-        "--transport",
-        "--checkpoint-dir",
-        "--heartbeat-ms",
-        "--max-worker-restarts",
-    ];
+    const STRIP: &[&str] = &["--role", "--listen", "--connect", "--telemetry-log"];
     let mut out = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -184,8 +168,9 @@ struct Slot {
 /// Spawn one worker process per pipeline unit (`stages` of them) and
 /// collect the last stage's output lines. `passthrough` is forwarded to
 /// every worker verbatim (strip the net flags first — see
-/// [`strip_net_flags`]), so fault injection, recovery, and batch flags
-/// apply inside the workers exactly as they would in-process.
+/// [`strip_net_flags`]), so fault injection, recovery, heartbeat and
+/// checkpoint flags apply inside the workers exactly as they would
+/// in-process.
 ///
 /// Worker exits are the distributed run's error surface: a mid-pipeline
 /// failure is invisible in the last stage's output (its ingress just
@@ -454,12 +439,6 @@ fn spawn_worker(
     if opts.supervise {
         cmd.env("CGP_SUPERVISED", "1");
     }
-    if let Some(ms) = opts.heartbeat_ms {
-        cmd.env("CGP_HEARTBEAT_MS", ms.to_string());
-    }
-    if let Some(dir) = &opts.checkpoint_dir {
-        cmd.env("CGP_CHECKPOINT_DIR", dir);
-    }
     if respawn {
         // An injected kill fires once: the replacement must survive, or
         // the restart budget drains on the same deterministic crash.
@@ -707,6 +686,8 @@ mod tests {
             "--max-worker-restarts",
             "3",
         ]);
+        // Worker settings the launcher does not replace pass through
+        // as given, in either form.
         assert_eq!(
             strip_net_flags(&args),
             argv(&[
@@ -714,7 +695,15 @@ mod tests {
                 "panic@f2[0]#3",
                 "--recover",
                 "--status-every",
-                "50"
+                "50",
+                "--transport",
+                "shm",
+                "--transport=tcp",
+                "--checkpoint-dir",
+                "/tmp/ckpt",
+                "--heartbeat-ms=50",
+                "--max-worker-restarts",
+                "3",
             ])
         );
     }

@@ -32,12 +32,14 @@ use cgp_compiler::FilterStepper;
 pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
     AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
-    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, StageSpec,
-    TelemetryConfig, Transport, WorkerEndpoints,
+    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunOptions, RunStats,
+    StageSpec, TelemetryConfig, Transport, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
 use cgp_obs::telemetry::{TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
+use std::num::{IntErrorKind, ParseIntError};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -75,10 +77,12 @@ pub enum NetRole {
     Launcher,
 }
 
-/// Fault-tolerance knobs for a threaded plan run, forwarded to the
-/// DataCutter [`Pipeline`]: deterministic fault injection, bounded retry
-/// of retryable failures, and deadline/stall watchdogs.
-#[derive(Clone, Default)]
+/// Every run setting of a threaded plan run, as read from flags and
+/// `CGP_*` variables ([`ExecOptions::from_lookup`]): fault injection,
+/// retry, watchdogs, recovery, the distributed role and links,
+/// telemetry and elastic width. The runtime's share becomes one
+/// DataCutter [`RunOptions`] per run.
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Deterministic fault-injection plan (empty = no injection).
     pub faults: FaultPlan,
@@ -147,16 +151,11 @@ pub struct ExecOptions {
     /// (`CGP_TRANSPORT`); `None` lets [`Transport::select`] pick.
     /// Cross-host links always use TCP.
     pub transport: Option<Transport>,
-    /// Elastic copy-width autoscaling spec (`CGP_AUTOSCALE`): `on` for
-    /// defaults, or `key=value` pairs understood by
-    /// [`AutoscaleConfig::parse`] (`max`, `grow`, `shrink`, `cooldown`,
-    /// `escalate`). Requires telemetry with a nonzero cadence; enabling
-    /// it here turns telemetry on with the default cadence if nothing
-    /// else did.
-    pub autoscale: Option<String>,
-    /// Override the autoscaler's copy-count ceiling (`CGP_MAX_COPIES`).
-    /// Inert without [`ExecOptions::autoscale`].
-    pub max_copies: Option<usize>,
+    /// Elastic copy-width autoscaling (`CGP_AUTOSCALE`, parsed by
+    /// [`AutoscaleConfig::parse`]; `None` is fixed width). Requires
+    /// telemetry with a nonzero cadence; enabling it here turns telemetry
+    /// on with the default cadence if nothing else did.
+    pub autoscale: Option<AutoscaleConfig>,
     /// Pre-restart cumulative busy time per stage copy, folded into this
     /// run's probes and stats so observed busy time stays monotonic
     /// across a process restart (`busy_carry[stage][copy]`). Empty inner
@@ -208,34 +207,28 @@ impl ExecOptions {
     ///   worker links;
     /// - `CGP_AUTOSCALE` — elastic copy-width autoscaling: `on` for
     ///   defaults or `key=value` pairs (`max`, `grow`, `shrink`,
-    ///   `cooldown`, `escalate`); `0`/`off`/empty disables;
-    /// - `CGP_MAX_COPIES` — autoscaler copy-count ceiling (inert
-    ///   without `CGP_AUTOSCALE`).
+    ///   `cooldown`, `escalate`); `0`/`off`/empty disables.
+    ///
+    /// Counts parse as whole numbers of their own type: a fractional,
+    /// negative or out-of-range value is an error, never a wrapped or
+    /// truncated count.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<ExecOptions, CoreError> {
         let mut opts = ExecOptions::default();
         if let Some(spec) = lookup("CGP_FAULTS") {
             opts.faults = FaultPlan::parse(&spec)
                 .map_err(|e| CoreError::Config(format!("CGP_FAULTS: {e}")))?;
         }
-        let ms = |var: &str| -> Result<Option<u64>, CoreError> {
-            match lookup(var) {
-                Some(v) => v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| CoreError::Config(format!("{var}: not a number: {v}"))),
-                None => Ok(None),
-            }
-        };
+        let ms = |var: &str| whole::<u64>(&lookup, var);
         opts.deadline = ms("CGP_DEADLINE_MS")?.map(Duration::from_millis);
         opts.stall_timeout = ms("CGP_STALL_MS")?.map(Duration::from_millis);
-        if let Some(n) = ms("CGP_RETRIES")? {
-            opts.retry = RetryPolicy::retries(n as u32);
+        if let Some(n) = whole::<u32>(&lookup, "CGP_RETRIES")? {
+            opts.retry = RetryPolicy::retries(n);
         }
-        if let Some(n) = ms("CGP_BATCH")? {
+        if let Some(n) = whole::<usize>(&lookup, "CGP_BATCH")? {
             if n == 0 {
                 return Err(CoreError::Config("CGP_BATCH: must be at least 1".into()));
             }
-            opts.batch = Some(n as usize);
+            opts.batch = Some(n);
         }
         let flag = |var: &str| -> Result<Option<bool>, CoreError> {
             match lookup(var) {
@@ -285,9 +278,7 @@ impl ExecOptions {
         if let Some(b) = flag("CGP_SUPERVISED")? {
             opts.supervised = b;
         }
-        if let Some(n) = ms("CGP_MAX_WORKER_RESTARTS")? {
-            opts.max_worker_restarts = Some(n as u32);
-        }
+        opts.max_worker_restarts = whole::<u32>(&lookup, "CGP_MAX_WORKER_RESTARTS")?;
         if let Some(v) = lookup("CGP_ROLE") {
             opts.role =
                 Self::parse_role(&v).map_err(|e| CoreError::Config(format!("CGP_ROLE: {e}")))?;
@@ -321,22 +312,8 @@ impl ExecOptions {
             opts.status_every = Some(Duration::from_millis(n));
         }
         if let Some(spec) = lookup("CGP_AUTOSCALE") {
-            // Validate eagerly so a typo fails at startup, not inside
-            // the run; the raw spec is kept so workers spawned with the
-            // same environment derive identical provisioned widths.
-            AutoscaleConfig::parse(&spec)
+            opts.autoscale = AutoscaleConfig::parse(&spec)
                 .map_err(|e| CoreError::Config(format!("CGP_AUTOSCALE: {e}")))?;
-            if !spec.is_empty() {
-                opts.autoscale = Some(spec);
-            }
-        }
-        if let Some(n) = ms("CGP_MAX_COPIES")? {
-            if n == 0 {
-                return Err(CoreError::Config(
-                    "CGP_MAX_COPIES: must be at least 1".into(),
-                ));
-            }
-            opts.max_copies = Some(n as usize);
         }
         Ok(opts)
     }
@@ -355,27 +332,10 @@ impl ExecOptions {
     /// and links; endpoints and non-autoscaled runs keep the spec width.
     /// Anything sizing a cross-process link to a stage — shm ingress
     /// rings in particular — must agree with the runtime on this number.
-    pub fn provisioned_width(
-        &self,
-        j: usize,
-        m: usize,
-        spec_width: usize,
-    ) -> Result<usize, CoreError> {
-        let Some(spec) = &self.autoscale else {
-            return Ok(spec_width);
-        };
-        let cfg = AutoscaleConfig::parse(spec)
-            .map_err(|e| CoreError::Config(format!("autoscale: {e}")))?;
-        let Some(mut cfg) = cfg else {
-            return Ok(spec_width);
-        };
-        if let Some(max) = self.max_copies {
-            cfg.max_copies = max;
-        }
-        if j == 0 || j + 1 == m {
-            Ok(spec_width)
-        } else {
-            Ok(spec_width.max(cfg.max_copies))
+    pub fn provisioned_width(&self, j: usize, m: usize, spec_width: usize) -> usize {
+        match &self.autoscale {
+            Some(cfg) if j > 0 && j + 1 < m => spec_width.max(cfg.max_width),
+            _ => spec_width,
         }
     }
 
@@ -393,6 +353,25 @@ impl ExecOptions {
             }
         }
     }
+}
+
+/// Parse `var`'s value, if set, as a whole number of `T`. The error names
+/// the variable, and says whether the value was not a whole number or is
+/// out of `T`'s range.
+fn whole<T: FromStr<Err = ParseIntError>>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    var: &str,
+) -> Result<Option<T>, CoreError> {
+    let Some(v) = lookup(var) else {
+        return Ok(None);
+    };
+    v.parse::<T>().map(Some).map_err(|e| {
+        let why = match e.kind() {
+            IntErrorKind::PosOverflow => "out of range",
+            _ => "not a number",
+        };
+        CoreError::Config(format!("{var}: {why}: {v}"))
+    })
 }
 
 /// Run a compiled plan on real threads through the DataCutter runtime.
@@ -482,103 +461,7 @@ fn build_pipeline(
     };
     let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let batch = opts.batch.unwrap_or(DEFAULT_BATCH).max(1);
-    let autoscale_cfg = match &opts.autoscale {
-        Some(spec) => {
-            let mut cfg = AutoscaleConfig::parse(spec)
-                .map_err(|e| CoreError::Config(format!("autoscale: {e}")))?;
-            if let (Some(cfg), Some(max)) = (cfg.as_mut(), opts.max_copies) {
-                cfg.max_copies = max;
-            }
-            cfg
-        }
-        None => None,
-    };
-
-    let mut pipeline = Pipeline::new()
-        .with_capacity(32)
-        .with_batch(batch)
-        .with_pool(BufferPool::new())
-        .with_faults(opts.faults.clone())
-        .with_retry(opts.retry)
-        .with_same_host_rings(!opts.no_rings);
-    if let Some(d) = opts.deadline {
-        pipeline = pipeline.with_deadline(d);
-    }
-    if let Some(s) = opts.stall_timeout {
-        pipeline = pipeline.with_stall_timeout(s);
-    }
-    if opts.recover {
-        let mut recovery = RecoveryOptions::on();
-        if let Some(k) = opts.checkpoint_every {
-            recovery = recovery.with_checkpoint_every(k);
-        }
-        pipeline = pipeline.with_recovery(recovery);
-        if opts.checkpoint_log.is_some() || opts.checkpoint_dir.is_some() {
-            let mut store = match &opts.checkpoint_log {
-                Some(path) => CheckpointStore::with_jsonl(path)
-                    .map_err(|e| CoreError::Config(format!("checkpoint log `{path}`: {e}")))?,
-                None => CheckpointStore::in_memory(),
-            };
-            if let Some(dir) = &opts.checkpoint_dir {
-                store = store
-                    .with_durable(dir)
-                    .map_err(|e| CoreError::Config(format!("checkpoint dir `{dir}`: {e}")))?;
-            }
-            pipeline = pipeline.with_checkpoint_store(store);
-        }
-    }
-    if opts.heartbeat.is_some() || opts.supervised {
-        pipeline = pipeline.with_net_tuning(NetTuning {
-            heartbeat: opts.heartbeat,
-            supervised: opts.supervised,
-            ..Default::default()
-        });
-    }
-    if let Some(reg) = &opts.metrics {
-        pipeline = pipeline.with_metrics(Arc::clone(reg));
-    }
-    if let Some(cfg) = &autoscale_cfg {
-        pipeline = pipeline.with_autoscale(cfg.clone());
-    }
-    if opts.busy_carry.iter().any(|c| !c.is_empty()) {
-        pipeline = pipeline.with_busy_carry(opts.busy_carry.clone());
-    }
-    // An explicit zero cadence means "no in-flight sampling": alone it
-    // leaves telemetry off entirely; combined with a log/aggregator it
-    // keeps the final snapshot but skips the sampler loop. Autoscaling
-    // rides the sampler clock, so enabling it turns telemetry on too.
-    let sampling = opts.sampling_enabled();
-    if sampling
-        || opts.telemetry_log.is_some()
-        || opts.telemetry_addr.is_some()
-        || autoscale_cfg.is_some()
-    {
-        let every = opts.status_every.unwrap_or(Duration::from_millis(500));
-        // Status lines go to stderr (worker stdout is protocol-reserved);
-        // suppress them when a launcher aggregates the merged line.
-        let mut sampler = TelemetrySampler::new(every)
-            .with_status_line(sampling && opts.telemetry_addr.is_none());
-        if let Some(path) = &opts.telemetry_log {
-            sampler = sampler
-                .with_log_path(path)
-                .map_err(|e| CoreError::Config(format!("telemetry log `{path}`: {e}")))?;
-        }
-        let source = match opts.role {
-            NetRole::Worker(k) => format!("worker:{k}"),
-            _ => "local".to_string(),
-        };
-        let mut cfg = TelemetryConfig::new(Arc::new(sampler), source);
-        if let Some(addr) = &opts.telemetry_addr {
-            cfg = cfg.ship_to(addr.clone());
-        }
-        pipeline = pipeline.with_telemetry(cfg);
-        if opts.metrics.is_none() {
-            // The final telemetry frame ships a registry snapshot (the
-            // launcher merges them for calibration), so a telemetered
-            // run needs one even when the caller won't read it.
-            pipeline = pipeline.with_metrics(Arc::new(Mutex::new(MetricsRegistry::default())));
-        }
-    }
+    let mut pipeline = Pipeline::new(run_options(opts, batch)?);
     for (j, &width) in widths.iter().enumerate() {
         let plan = Arc::clone(&plan);
         let hb = Arc::clone(&host_builder);
@@ -610,6 +493,88 @@ fn build_pipeline(
         pipeline = pipeline.add_stage(stage);
     }
     Ok((pipeline, output))
+}
+
+/// The runtime's share of `opts`, as the one [`RunOptions`] value a run
+/// takes. The checkpoint store, the telemetry sampler and the registry a
+/// telemetered run needs are built here, once per run.
+fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError> {
+    let recovery = match (opts.recover, opts.checkpoint_every) {
+        (false, _) => RecoveryOptions::default(),
+        (true, None) => RecoveryOptions::on(),
+        (true, Some(k)) => RecoveryOptions::on().with_checkpoint_every(k),
+    };
+    let mut checkpoint_store = None;
+    if opts.recover && (opts.checkpoint_log.is_some() || opts.checkpoint_dir.is_some()) {
+        let mut store = match &opts.checkpoint_log {
+            Some(path) => CheckpointStore::with_jsonl(path)
+                .map_err(|e| CoreError::Config(format!("checkpoint log `{path}`: {e}")))?,
+            None => CheckpointStore::in_memory(),
+        };
+        if let Some(dir) = &opts.checkpoint_dir {
+            store = store
+                .with_durable(dir)
+                .map_err(|e| CoreError::Config(format!("checkpoint dir `{dir}`: {e}")))?;
+        }
+        checkpoint_store = Some(store);
+    }
+    // An explicit zero cadence means "no in-flight sampling": alone it
+    // leaves telemetry off entirely; combined with a log/aggregator it
+    // keeps the final snapshot but skips the sampler loop. Autoscaling
+    // rides the sampler clock, so enabling it turns telemetry on too.
+    let sampling = opts.sampling_enabled();
+    let mut telemetry = None;
+    let mut metrics = opts.metrics.clone();
+    if sampling
+        || opts.telemetry_log.is_some()
+        || opts.telemetry_addr.is_some()
+        || opts.autoscale.is_some()
+    {
+        let every = opts.status_every.unwrap_or(Duration::from_millis(500));
+        // Status lines go to stderr (worker stdout is protocol-reserved);
+        // suppress them when a launcher aggregates the merged line.
+        let mut sampler = TelemetrySampler::new(every)
+            .with_status_line(sampling && opts.telemetry_addr.is_none());
+        if let Some(path) = &opts.telemetry_log {
+            sampler = sampler
+                .with_log_path(path)
+                .map_err(|e| CoreError::Config(format!("telemetry log `{path}`: {e}")))?;
+        }
+        let source = match opts.role {
+            NetRole::Worker(k) => format!("worker:{k}"),
+            _ => "local".to_string(),
+        };
+        let mut cfg = TelemetryConfig::new(Arc::new(sampler), source);
+        if let Some(addr) = &opts.telemetry_addr {
+            cfg = cfg.ship_to(addr.clone());
+        }
+        telemetry = Some(cfg);
+        // The final telemetry frame ships a registry snapshot (the
+        // launcher merges them for calibration), so a telemetered run
+        // needs one even when the caller won't read it.
+        metrics.get_or_insert_with(|| Arc::new(Mutex::new(MetricsRegistry::default())));
+    }
+    Ok(RunOptions {
+        capacity: 32,
+        batch,
+        pool: Some(BufferPool::new()),
+        same_host_rings: !opts.no_rings,
+        faults: opts.faults.clone(),
+        retry: opts.retry,
+        deadline: opts.deadline,
+        stall_timeout: opts.stall_timeout,
+        metrics,
+        recovery,
+        checkpoint_store,
+        net_tuning: NetTuning {
+            heartbeat: opts.heartbeat,
+            supervised: opts.supervised,
+            ..Default::default()
+        },
+        telemetry,
+        autoscale: opts.autoscale.clone(),
+        busy_carry: opts.busy_carry.clone(),
+    })
 }
 
 struct PlanFilter {
@@ -941,6 +906,14 @@ mod tests {
         assert!(stats.checkpoint_bytes() > 0);
     }
 
+    /// Autoscaling with a copy cap of `max`, other knobs at default.
+    fn cap(max: usize) -> AutoscaleConfig {
+        AutoscaleConfig {
+            max_width: max,
+            ..Default::default()
+        }
+    }
+
     /// Host one worker per pipeline unit (on threads — the process
     /// boundary is exercised by the bench launcher; the carriers and
     /// topology are identical) and compare to the interpreter oracle.
@@ -957,7 +930,7 @@ mod tests {
         // provisions interior stages at the cap).
         let (mut ingresses, mut connects) = ([None, None, None], [None, None, None]);
         for s in 1..3 {
-            let producers = exec.provisioned_width(s - 1, 3, widths[s - 1]).unwrap();
+            let producers = exec.provisioned_width(s - 1, 3, widths[s - 1]);
             let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), producers).unwrap();
             ingresses[s] = Some(ingress);
             connects[s - 1] = Some(at);
@@ -1101,7 +1074,11 @@ mod tests {
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
         let exec = ExecOptions {
-            autoscale: Some("max=3,cooldown=0".into()),
+            autoscale: Some(AutoscaleConfig {
+                max_width: 3,
+                cooldown_ticks: 0,
+                ..Default::default()
+            }),
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
@@ -1116,39 +1093,14 @@ mod tests {
     }
 
     #[test]
-    fn max_copies_overrides_the_autoscale_cap() {
-        let opts =
-            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
-        let c = compile(SRC, &opts).unwrap();
-        let exec = ExecOptions {
-            autoscale: Some("on".into()),
-            max_copies: Some(2),
-            status_every: Some(Duration::from_millis(2)),
-            ..Default::default()
-        };
-        let (out, stats) =
-            run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec).unwrap();
-        assert_eq!(out, oracle());
-        assert_eq!(stats.stages[1].busy_per_copy.len(), 2, "cap overridden");
-    }
-
-    #[test]
     fn autoscale_config_errors_are_surfaced() {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let bad = ExecOptions {
-            autoscale: Some("nonsense".into()),
-            status_every: Some(Duration::from_millis(2)),
-            ..Default::default()
-        };
-        let err = run_plan_threaded_stats(Arc::new(c.plan.clone()), Arc::new(host), None, &bad)
-            .expect_err("bad autoscale spec must fail");
-        assert!(matches!(err, CoreError::Config(_)), "{err}");
         // Autoscaling rides the sampler clock: an explicit zero cadence
         // contradicts it and is rejected rather than silently ignored.
         let no_clock = ExecOptions {
-            autoscale: Some("on".into()),
+            autoscale: Some(AutoscaleConfig::default()),
             status_every: Some(Duration::ZERO),
             ..Default::default()
         };
@@ -1166,7 +1118,7 @@ mod tests {
         // shared autoscale config, so boundary streams line up even
         // though each process widens (or not) on its own telemetry.
         let exec = ExecOptions {
-            autoscale: Some("max=3".into()),
+            autoscale: Some(cap(3)),
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
@@ -1187,7 +1139,7 @@ mod tests {
             deadline: Some(Duration::from_secs(30)),
             recover: true,
             checkpoint_every: Some(2),
-            autoscale: Some("max=3".into()),
+            autoscale: Some(cap(3)),
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };
@@ -1198,33 +1150,17 @@ mod tests {
     #[test]
     fn provisioned_width_sizes_interior_links_at_the_cap() {
         let fixed = ExecOptions::default();
-        assert_eq!(fixed.provisioned_width(1, 3, 2).unwrap(), 2);
+        assert_eq!(fixed.provisioned_width(1, 3, 2), 2);
         let elastic = ExecOptions {
-            autoscale: Some("max=3".into()),
+            autoscale: Some(cap(3)),
             ..Default::default()
         };
         // Endpoints keep the spec width; interior stages are provisioned
         // at the cap (and a wider spec wins over a narrower cap).
-        assert_eq!(elastic.provisioned_width(0, 3, 1).unwrap(), 1);
-        assert_eq!(elastic.provisioned_width(1, 3, 1).unwrap(), 3);
-        assert_eq!(elastic.provisioned_width(2, 3, 1).unwrap(), 1);
-        assert_eq!(elastic.provisioned_width(1, 3, 5).unwrap(), 5);
-        let overridden = ExecOptions {
-            autoscale: Some("on".into()),
-            max_copies: Some(2),
-            ..Default::default()
-        };
-        assert_eq!(overridden.provisioned_width(1, 3, 1).unwrap(), 2);
-        let off = ExecOptions {
-            autoscale: Some("off".into()),
-            ..Default::default()
-        };
-        assert_eq!(off.provisioned_width(1, 3, 1).unwrap(), 1);
-        let bad = ExecOptions {
-            autoscale: Some("max=zero".into()),
-            ..Default::default()
-        };
-        assert!(bad.provisioned_width(1, 3, 1).is_err());
+        assert_eq!(elastic.provisioned_width(0, 3, 1), 1);
+        assert_eq!(elastic.provisioned_width(1, 3, 1), 3);
+        assert_eq!(elastic.provisioned_width(2, 3, 1), 1);
+        assert_eq!(elastic.provisioned_width(1, 3, 5), 5);
     }
 
     #[cfg(unix)]
@@ -1238,7 +1174,7 @@ mod tests {
         // the upstream stage — one ring per provisioned copy — or the
         // widened copies find no ring to write into.
         let exec = ExecOptions {
-            autoscale: Some("max=3".into()),
+            autoscale: Some(cap(3)),
             status_every: Some(Duration::from_millis(2)),
             ..Default::default()
         };

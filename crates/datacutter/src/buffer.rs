@@ -2,8 +2,8 @@
 //!
 //! "A buffer represents a contiguous memory region containing useful data.
 //! Streams transfer data in fixed size buffers." — buffers are immutable
-//! once sealed ([`Buffer`]), built through a [`BufferBuilder`] with a
-//! capacity limit mirroring DataCutter's fixed buffer size.
+//! once sealed ([`Buffer`]); a filter writes each packet into a vector
+//! and seals it, one packet per buffer.
 //!
 //! ## Zero-copy and pooling
 //!
@@ -20,9 +20,6 @@ use crate::error::{FilterError, FilterResult};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-
-/// Default stream buffer capacity (64 KiB, DataCutter-style).
-pub const DEFAULT_BUFFER_CAPACITY: usize = 64 * 1024;
 
 /// Heap storage behind a [`Buffer`]: the payload bytes plus, for pooled
 /// buffers, a handle back to the pool that recycles the allocation when
@@ -42,12 +39,11 @@ impl Drop for SharedVec {
     }
 }
 
-/// Backing storage: borrowed static data, an owned (possibly pooled) heap
-/// allocation, or a pre-shared `Arc<[u8]>`. Clones share the allocation
+/// Backing storage: an owned (possibly pooled) heap allocation, or a
+/// pre-shared `Arc<[u8]>`. Clones share the allocation
 /// and sub-ranges adjust `start`/`end` only.
 #[derive(Clone)]
 enum Storage {
-    Static(&'static [u8]),
     Owned(Arc<SharedVec>),
     Shared(Arc<[u8]>),
 }
@@ -74,14 +70,6 @@ impl Buffer {
         }
     }
 
-    pub fn from_static(s: &'static [u8]) -> Self {
-        Buffer {
-            storage: Storage::Static(s),
-            start: 0,
-            end: s.len(),
-        }
-    }
-
     /// Wrap an already-shared slice without copying.
     pub fn from_arc(s: Arc<[u8]>) -> Self {
         let end = s.len();
@@ -102,7 +90,6 @@ impl Buffer {
 
     pub fn as_slice(&self) -> &[u8] {
         let whole: &[u8] = match &self.storage {
-            Storage::Static(s) => s,
             Storage::Owned(v) => &v.bytes,
             Storage::Shared(a) => a,
         };
@@ -123,7 +110,7 @@ impl Buffer {
 
     /// Mark this buffer's allocation for recycling into `pool` when the
     /// last clone drops. Zero-copy when this is the only handle to an
-    /// owned allocation; otherwise (shared, static, or already-cloned
+    /// owned allocation; otherwise (shared or already-cloned
     /// storage) the buffer is returned unchanged.
     pub fn into_pooled(mut self, pool: &BufferPool) -> Buffer {
         if let Storage::Owned(arc) = &mut self.storage {
@@ -374,171 +361,9 @@ impl BufferPool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// builders
-
-/// Accumulates payload up to a fixed capacity, splitting into sealed
-/// buffers — the way a filter writes a large result across multiple
-/// fixed-size stream buffers.
-pub struct BufferBuilder {
-    capacity: usize,
-    current: Vec<u8>,
-    sealed: Vec<Buffer>,
-    pool: Option<BufferPool>,
-}
-
-impl BufferBuilder {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        BufferBuilder {
-            capacity,
-            current: Vec::new(),
-            sealed: Vec::new(),
-            pool: None,
-        }
-    }
-
-    /// Draw each sealed buffer's storage from (and return it to) `pool`.
-    pub fn pooled(capacity: usize, pool: BufferPool) -> Self {
-        let mut b = Self::new(capacity);
-        b.pool = Some(pool);
-        b
-    }
-
-    fn fresh(&self) -> Vec<u8> {
-        match &self.pool {
-            Some(p) => p.alloc(self.capacity),
-            None => Vec::with_capacity(self.capacity),
-        }
-    }
-
-    fn seal_vec(&self, v: Vec<u8>) -> Buffer {
-        match &self.pool {
-            Some(p) => p.seal(v),
-            None => Buffer::from_vec(v),
-        }
-    }
-
-    /// Append payload, sealing full buffers as the capacity is reached.
-    pub fn push(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            if self.current.capacity() == 0 {
-                self.current = self.fresh();
-            }
-            let room = self.capacity - self.current.len();
-            let take = room.min(bytes.len());
-            self.current.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if self.current.len() == self.capacity {
-                // Next iteration (or a later push) re-fills `current`
-                // lazily; finish() ignores the empty placeholder.
-                let full = std::mem::take(&mut self.current);
-                let sealed = self.seal_vec(full);
-                self.sealed.push(sealed);
-            }
-        }
-    }
-
-    /// Seal any remaining partial buffer and return the sequence.
-    pub fn finish(mut self) -> Vec<Buffer> {
-        if !self.current.is_empty() {
-            let tail = std::mem::take(&mut self.current);
-            let sealed = self.seal_vec(tail);
-            self.sealed.push(sealed);
-        }
-        self.sealed
-    }
-}
-
-/// Reusable single-packet writer: `start` hands out a cleared, pooled
-/// scratch vector (capacity reused across packets), `seal` turns it into
-/// a pooled [`Buffer`]. The per-packet fast path of the threaded
-/// executor builds every tagged packet through one of these instead of a
-/// fresh heap allocation.
-pub struct BufferWriter {
-    pool: BufferPool,
-    default_capacity: usize,
-}
-
-impl BufferWriter {
-    pub fn new(pool: BufferPool) -> Self {
-        Self::with_capacity(pool, DEFAULT_BUFFER_CAPACITY)
-    }
-
-    pub fn with_capacity(pool: BufferPool, default_capacity: usize) -> Self {
-        BufferWriter {
-            pool,
-            default_capacity: default_capacity.max(1),
-        }
-    }
-
-    /// An empty scratch vector with at least `hint.max(default)` bytes of
-    /// room, recycled from the pool when possible.
-    pub fn start(&self, hint: usize) -> Vec<u8> {
-        self.pool.alloc(hint.max(self.default_capacity))
-    }
-
-    /// Seal a scratch vector into a pooled buffer (its allocation comes
-    /// back to the pool when the last clone drops).
-    pub fn seal(&self, v: Vec<u8>) -> Buffer {
-        self.pool.seal(v)
-    }
-
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-}
-
-/// Reassemble a logical payload from a buffer sequence (inverse of
-/// [`BufferBuilder`]). Zero-copy for a single buffer (a shared view of
-/// its storage); one exact-size allocation otherwise.
-pub fn reassemble(buffers: &[Buffer]) -> Buffer {
-    match buffers {
-        [] => Buffer::from_static(&[]),
-        [one] => one.clone(),
-        many => {
-            let total: usize = many.iter().map(Buffer::len).sum();
-            let mut out = Vec::with_capacity(total);
-            for b in many {
-                out.extend_from_slice(b.as_slice());
-            }
-            Buffer::from_vec(out)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_splits_at_capacity() {
-        let mut b = BufferBuilder::new(4);
-        b.push(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        let bufs = b.finish();
-        assert_eq!(bufs.len(), 3);
-        assert_eq!(bufs[0].len(), 4);
-        assert_eq!(bufs[1].len(), 4);
-        assert_eq!(bufs[2].len(), 1);
-        assert_eq!(
-            reassemble(&bufs).as_slice(),
-            &[1, 2, 3, 4, 5, 6, 7, 8, 9][..]
-        );
-    }
-
-    #[test]
-    fn builder_exact_multiple_has_no_tail() {
-        let mut b = BufferBuilder::new(2);
-        b.push(&[1, 2, 3, 4]);
-        let bufs = b.finish();
-        assert_eq!(bufs.len(), 2);
-    }
-
-    #[test]
-    fn empty_builder_finishes_empty() {
-        let b = BufferBuilder::new(8);
-        assert!(b.finish().is_empty());
-    }
 
     #[test]
     fn slice_is_zero_copy_view() {
@@ -589,30 +414,6 @@ mod tests {
         }
         let e = b.u64_le("t").unwrap_err();
         assert_eq!(e.kind, crate::error::ErrorKind::Malformed);
-    }
-
-    #[test]
-    fn incremental_pushes_accumulate() {
-        let mut b = BufferBuilder::new(8);
-        b.push(&[1, 2, 3]);
-        b.push(&[4, 5]);
-        let bufs = b.finish();
-        assert_eq!(bufs.len(), 1);
-        assert_eq!(reassemble(&bufs).as_slice(), &[1, 2, 3, 4, 5][..]);
-    }
-
-    #[test]
-    fn reassemble_single_buffer_shares_storage() {
-        let b = Buffer::from_vec(vec![1, 2, 3]);
-        let r = reassemble(std::slice::from_ref(&b));
-        assert_eq!(r, b);
-        // Shares the same allocation: both views point at the same bytes.
-        assert_eq!(r.as_slice().as_ptr(), b.as_slice().as_ptr());
-    }
-
-    #[test]
-    fn reassemble_empty_is_empty() {
-        assert!(reassemble(&[]).is_empty());
     }
 
     #[test]
@@ -717,30 +518,5 @@ mod tests {
             assert!(v.capacity() >= c);
             let _ = class_of(v.capacity());
         }
-    }
-
-    #[test]
-    fn pooled_builder_round_trips_through_pool() {
-        let pool = BufferPool::new();
-        let mut b = BufferBuilder::pooled(4, pool.clone());
-        b.push(&[1, 2, 3, 4, 5]);
-        let bufs = b.finish();
-        assert_eq!(reassemble(&bufs).as_slice(), &[1, 2, 3, 4, 5][..]);
-        drop(bufs);
-        assert!(pool.stats().recycled >= 2);
-    }
-
-    #[test]
-    fn buffer_writer_reuses_capacity() {
-        let pool = BufferPool::new();
-        let w = BufferWriter::with_capacity(pool.clone(), 64);
-        for i in 0..10u8 {
-            let mut v = w.start(8);
-            v.push(i);
-            drop(w.seal(v));
-        }
-        let st = pool.stats();
-        assert_eq!(st.misses, 1, "one real allocation serves all packets");
-        assert_eq!(st.hits, 9);
     }
 }

@@ -15,15 +15,17 @@
 //!   [`ErrorKind::Panicked`](crate::error::ErrorKind) error naming the
 //!   `stage[copy]`; the copy's streams are closed and drained so
 //!   neighbouring copies terminate instead of blocking forever, and other
-//!   copies' stats updates never see a poisoned lock.
+//!   copies' stats updates never see a poisoned lock. The error is
+//!   recorded before the streams close, so a downstream failure it
+//!   causes never outranks it as the run's error.
 //! - **Fault injection** — a [`FaultPlan`] injects deterministic
 //!   fail/panic/delay/drop faults at stage × copy × packet index
-//!   ([`Pipeline::with_faults`]).
+//!   ([`RunOptions::faults`]).
 //! - **Retry** — errors marked [`retryable`](crate::FilterError::retryable)
 //!   re-run the unit of work with a fresh filter instance under a bounded
-//!   [`RetryPolicy`] with exponential backoff ([`Pipeline::with_retry`]).
-//! - **Deadline & stall detection** — [`Pipeline::with_deadline`] /
-//!   [`Pipeline::with_stall_timeout`] arm a watchdog that cancels the
+//!   [`RetryPolicy`] with exponential backoff ([`RunOptions::retry`]).
+//! - **Deadline & stall detection** — [`RunOptions::deadline`] /
+//!   [`RunOptions::stall_timeout`] arm a watchdog that cancels the
 //!   run's channels, wakes every blocked copy, and reports *where* the
 //!   pipeline was blocked (using the `blocked_send`/`blocked_recv`
 //!   instrumentation) instead of hanging. Cancellation is cooperative:
@@ -33,7 +35,7 @@
 //! Failures surface as counters on [`StageStats`] (`failures`, `retries`,
 //! `panics`), as `fault`-category trace events through `cgp_obs`, and
 //! optionally into a shared [`MetricsRegistry`]
-//! ([`Pipeline::with_metrics`]).
+//! ([`RunOptions::metrics`]).
 
 use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
@@ -188,7 +190,7 @@ pub struct StageStats {
     pub checkpoint_bytes: u64,
     /// Per-packet residence latency at this stage (upstream send →
     /// delivery here), µs. Populated only when telemetry is attached
-    /// ([`Pipeline::with_telemetry`]); empty otherwise.
+    /// ([`RunOptions::telemetry`]); empty otherwise.
     pub residence_us: Histogram,
 }
 
@@ -206,7 +208,7 @@ pub struct RunStats {
     /// the final stage ran in this process; empty otherwise.
     pub e2e_us: Histogram,
     /// Width decisions the elastic controller made during this run
-    /// ([`Pipeline::with_autoscale`]); empty for fixed-width runs.
+    /// ([`RunOptions::autoscale`]); empty for fixed-width runs.
     pub autoscale: AutoscaleReport,
 }
 
@@ -263,189 +265,147 @@ pub struct WorkerEndpoints {
     pub connect: Option<String>,
 }
 
-/// A linear pipeline of stages connected by logical streams.
-pub struct Pipeline {
-    stages: Vec<StageSpec>,
-    buffer_capacity: usize,
-    faults: Option<Arc<FaultPlan>>,
-    retry: RetryPolicy,
-    deadline: Option<Duration>,
-    stall_timeout: Option<Duration>,
-    metrics: Option<Arc<Mutex<MetricsRegistry>>>,
-    batch: usize,
-    pool: Option<BufferPool>,
-    recovery: RecoveryOptions,
-    checkpoint_store: Option<CheckpointStore>,
-    telemetry: Option<TelemetryConfig>,
-    same_host_rings: bool,
-    net_tuning: NetTuning,
-    autoscale: Option<AutoscaleConfig>,
-    /// Per-stage, per-copy busy time to carry into the probes and stats
-    /// ([`Pipeline::with_busy_carry`]).
-    busy_carry: Vec<Vec<Duration>>,
-}
-
-impl Pipeline {
-    pub fn new() -> Self {
-        Pipeline {
-            stages: Vec::new(),
-            buffer_capacity: 64,
-            faults: None,
-            retry: RetryPolicy::default(),
-            deadline: None,
-            stall_timeout: None,
-            metrics: None,
-            batch: 1,
-            pool: None,
-            recovery: RecoveryOptions::default(),
-            checkpoint_store: None,
-            telemetry: None,
-            same_host_rings: true,
-            net_tuning: NetTuning::default(),
-            autoscale: None,
-            busy_carry: Vec::new(),
-        }
-    }
-
-    /// Whether 1→1 non-recovering links use the lock-free SPSC ring
-    /// instead of the mutex channel (on by default). Turning this off
-    /// forces every link onto the mutex path — useful for apples-to-
-    /// apples benchmarking and as an escape hatch.
-    pub fn with_same_host_rings(mut self, on: bool) -> Self {
-        self.same_host_rings = on;
-        self
-    }
-
+/// How one pipeline run behaves: every setting apart from the stage list.
+///
+/// [`RunOptions::default`] is a plain in-process run: 64-packet queues,
+/// per-packet synchronization, no pool, rings on, no faults, no retry, no
+/// watchdog, recovery off, default [`NetTuning`], no telemetry, fixed
+/// widths and no carried busy time. Set fields with struct update syntax:
+///
+/// ```
+/// use cgp_datacutter::RunOptions;
+/// use std::time::Duration;
+///
+/// let opts = RunOptions {
+///     capacity: 8,
+///     deadline: Some(Duration::from_secs(30)),
+///     ..Default::default()
+/// };
+/// assert_eq!(opts.batch, 1);
+/// ```
+///
+/// [`Pipeline::run`] checks the settings before any copy starts: a zero
+/// capacity, or autoscaling without a sampling cadence, is a named error.
+#[derive(Clone)]
+pub struct RunOptions {
+    /// Queue depth (buffers in flight) per stream; provides backpressure.
+    /// Must be at least 1.
+    pub capacity: usize,
     /// Max packets moved per lock acquisition on every stream (adaptive:
     /// a busy consumer drains up to `batch` queued packets after each
-    /// blocking receive, an idle one keeps per-packet latency). 1 —
-    /// the default — restores strict per-packet synchronization.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
+    /// blocking receive, an idle one keeps per-packet latency). 1, the
+    /// default, is strict per-packet synchronization; 0 counts as 1.
+    pub batch: usize,
     /// Recycle packet storage through a shared [`BufferPool`]: filters
     /// that build packets via [`FilterIo::alloc`]/[`FilterIo::seal`] get
     /// recycled allocations, and per-stage hit/miss counts land in
     /// [`StageStats`] (and the metrics registry, when attached).
-    pub fn with_pool(mut self, pool: BufferPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Queue depth (buffers in flight) per stream; provides backpressure.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0);
-        self.buffer_capacity = capacity;
-        self
-    }
-
-    /// Attach a deterministic fault-injection plan (chaos testing).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        if !plan.is_empty() {
-            self.faults = Some(Arc::new(plan));
-        }
-        self
-    }
-
+    pub pool: Option<BufferPool>,
+    /// Whether 1→1 non-recovering links use the lock-free SPSC ring
+    /// instead of the mutex channel (on by default). Off forces every
+    /// link onto the mutex path, for A/B measurement and as an escape
+    /// hatch.
+    pub same_host_rings: bool,
+    /// Deterministic fault-injection plan (chaos testing); an empty plan
+    /// injects nothing.
+    pub faults: FaultPlan,
     /// Bounded retry with exponential backoff for retryable filter
     /// errors; each retry re-runs the unit of work with a fresh filter
     /// instance from the stage factory.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
+    pub retry: RetryPolicy,
     /// Hard wall-clock limit for the run. On expiry the watchdog cancels
-    /// every stream, blocked copies unwedge, and `run` returns a
+    /// every stream, blocked copies unwedge, and the run returns a
     /// structured [`ErrorKind::Stalled`] error naming where copies were
-    /// blocked — instead of hanging.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
+    /// blocked, instead of hanging.
+    pub deadline: Option<Duration>,
     /// Cancel the run if no packet moves anywhere in the pipeline for
     /// this long (should comfortably exceed the slowest per-packet
     /// compute time).
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Emit per-stage failure counters (`stage.<name>.failures` /
-    /// `.retries` / `.panics`) into a shared registry at end of run.
-    pub fn with_metrics(mut self, registry: Arc<Mutex<MetricsRegistry>>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Enable the recovery layer: ack/replay delivery on every stream,
+    pub stall_timeout: Option<Duration>,
+    /// Registry the run publishes its counters into at end of run:
+    /// per-stage failures, retries, panics, pool and recovery counts,
+    /// per-link network counters, and (with telemetry) per-stage rates
+    /// and latency histograms.
+    pub metrics: Option<Arc<Mutex<MetricsRegistry>>>,
+    /// The recovery layer: ack/replay delivery on every stream,
     /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
-    /// supervised copy restarts on panic or failure (beyond the classic
-    /// retry path, which only covers retryable errors).
-    pub fn with_recovery(mut self, recovery: RecoveryOptions) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Use a caller-provided checkpoint store (e.g. one mirrored to a
-    /// JSONL audit log via [`CheckpointStore::with_jsonl`]); defaults to
-    /// a fresh in-memory store per run.
-    pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Self {
-        self.checkpoint_store = Some(store);
-        self
-    }
-
-    /// Tune the distributed planes' liveness behavior: heartbeat cadence
-    /// and silence deadline on TCP links, and supervised (lenient)
-    /// ingress semantics where a dead producer parks its slot awaiting a
-    /// respawned process instead of failing the run. No-op for purely
-    /// in-process runs.
-    pub fn with_net_tuning(mut self, tuning: NetTuning) -> Self {
-        self.net_tuning = tuning;
-        self
-    }
-
-    /// Attach the live telemetry plane. Per-stage probes feed a sampler
-    /// thread that snapshots queue depth, per-copy busy/active time,
-    /// latency percentiles, replay-buffer occupancy, and net-link
-    /// counters on the sampler's cadence — without stopping the
-    /// pipeline. Packets are stamped at ingest so
-    /// [`StageStats::residence_us`] and [`RunStats::e2e_us`] report real
-    /// p50/p95/p99 latencies. When `config.ship_to` is set, every sample
-    /// (and the final registry snapshot) is also shipped to the launcher
-    /// as a `Telemetry` frame (see [`crate::net::serve_telemetry`]).
-    pub fn with_telemetry(mut self, config: TelemetryConfig) -> Self {
-        self.telemetry = Some(config);
-        self
-    }
-
-    /// Enable elastic copy-width autoscaling (requires telemetry with a
-    /// nonzero sampling cadence — the controller ticks on the sampler's
-    /// clock). Interior stages are provisioned at
-    /// `max(spec width, cfg.max_copies)` transparent copies; only the
-    /// active prefix receives packets, and a
-    /// [`WidthController`] grows/shrinks that prefix online from the
-    /// live probes. Endpoint stages never scale: the source partitions
-    /// the domain by copy at startup, and the final stage is the
-    /// reduction's convergence point. Decisions land in
+    /// supervised copy restarts on panic or failure (beyond the retry
+    /// path, which only covers retryable errors).
+    pub recovery: RecoveryOptions,
+    /// Checkpoint store used under recovery (e.g. one mirrored to a JSONL
+    /// audit log via [`CheckpointStore::with_jsonl`]); `None` is a fresh
+    /// in-memory store per run.
+    pub checkpoint_store: Option<CheckpointStore>,
+    /// Liveness of the distributed links: heartbeat cadence and silence
+    /// deadline on TCP links, and supervised (lenient) ingress, where a
+    /// dead producer parks its slot awaiting a respawned process instead
+    /// of failing the run. Inert for in-process runs.
+    pub net_tuning: NetTuning,
+    /// The live telemetry plane. Per-stage probes feed a sampler thread
+    /// that snapshots queue depth, per-copy busy/active time, latency
+    /// percentiles, replay-buffer occupancy, and net-link counters on the
+    /// sampler's cadence, without stopping the pipeline. Packets are
+    /// stamped at ingest so [`StageStats::residence_us`] and
+    /// [`RunStats::e2e_us`] report real p50/p95/p99 latencies. When
+    /// `ship_to` is set, every sample (and the final registry snapshot)
+    /// is also shipped to the launcher as a `Telemetry` frame (see
+    /// [`crate::net::serve_telemetry`]).
+    pub telemetry: Option<TelemetryConfig>,
+    /// Elastic copy-width autoscaling; requires telemetry with a nonzero
+    /// sampling cadence (the controller ticks on the sampler's clock).
+    /// Interior stages are provisioned at `max(spec width,
+    /// cfg.max_width)` transparent copies; only the active prefix
+    /// receives packets, and a [`WidthController`] grows and shrinks that
+    /// prefix online from the live probes. Endpoint stages never scale:
+    /// the source partitions the domain by copy at startup, and the final
+    /// stage is the reduction's convergence point. Decisions land in
     /// [`RunStats::autoscale`].
-    pub fn with_autoscale(mut self, cfg: AutoscaleConfig) -> Self {
-        self.autoscale = Some(cfg);
-        self
-    }
-
-    /// Seed per-stage, per-copy busy time carried over from a previous
-    /// run of the same pipeline (an autoscale escalation redeploys it, a
+    pub autoscale: Option<AutoscaleConfig>,
+    /// Per-stage, per-copy busy time carried over from a previous run of
+    /// the same pipeline (an autoscale escalation redeploys it, a
     /// supervisor restarts it): the carry folds into the live probes and
     /// final [`StageStats::busy_per_copy`], so merged telemetry stays
     /// monotone across the handover instead of restarting from this
-    /// process's epoch. Missing stages/copies default to zero.
-    pub fn with_busy_carry(mut self, carry: Vec<Vec<Duration>>) -> Self {
-        self.busy_carry = carry;
-        self
+    /// process's epoch. Missing stages or copies count as zero.
+    pub busy_carry: Vec<Vec<Duration>>,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            capacity: 64,
+            batch: 1,
+            pool: None,
+            same_host_rings: true,
+            faults: FaultPlan::default(),
+            retry: RetryPolicy::default(),
+            deadline: None,
+            stall_timeout: None,
+            metrics: None,
+            recovery: RecoveryOptions::default(),
+            checkpoint_store: None,
+            net_tuning: NetTuning::default(),
+            telemetry: None,
+            autoscale: None,
+            busy_carry: Vec::new(),
+        }
+    }
+}
+
+/// A linear pipeline of stages connected by logical streams, run under
+/// one [`RunOptions`].
+pub struct Pipeline {
+    stages: Vec<StageSpec>,
+    opts: RunOptions,
+}
+
+impl Pipeline {
+    /// An empty pipeline that runs under `opts`.
+    pub fn new(opts: RunOptions) -> Self {
+        Pipeline {
+            stages: Vec::new(),
+            opts,
+        }
     }
 
     pub fn add_stage(mut self, stage: StageSpec) -> Self {
@@ -476,11 +436,18 @@ impl Pipeline {
     }
 
     fn run_inner(self, worker: Option<WorkerEndpoints>) -> FilterResult<RunStats> {
-        if self.stages.is_empty() {
+        let Pipeline { stages, opts } = self;
+        if stages.is_empty() {
             return Err(FilterError::new("pipeline", "no stages"));
         }
-        if self.autoscale.is_some()
-            && self
+        if opts.capacity == 0 {
+            return Err(FilterError::new(
+                "pipeline",
+                "stream capacity must be at least 1 (RunOptions::capacity is 0)",
+            ));
+        }
+        if opts.autoscale.is_some()
+            && opts
                 .telemetry
                 .as_ref()
                 .is_none_or(|t| t.sampler.every() <= Duration::ZERO)
@@ -491,7 +458,8 @@ impl Pipeline {
                  (the width controller ticks on the sampler's clock)",
             ));
         }
-        let n = self.stages.len();
+        let batch = opts.batch.max(1);
+        let n = stages.len();
         if let Some(w) = &worker {
             if w.stage >= n {
                 return Err(FilterError::new(
@@ -531,7 +499,7 @@ impl Pipeline {
         };
 
         // Elastic width: interior stages are provisioned at
-        // max(spec width, max_copies) transparent copies — threads,
+        // max(spec width, max_width) transparent copies — threads,
         // queues, probes — with only the active prefix (initially the
         // spec width) in the round-robin rotation. Lazily spawning
         // copies on grow would deadlock (an unspawned copy's writers
@@ -544,15 +512,15 @@ impl Pipeline {
         // autoscale config, so ingress/egress connection counts agree
         // across process boundaries.
         let eff_width: Vec<usize> = (0..n)
-            .map(|s| match &self.autoscale {
-                Some(cfg) if s > 0 && s < n - 1 => self.stages[s].width.max(cfg.max_copies),
-                _ => self.stages[s].width,
+            .map(|s| match &opts.autoscale {
+                Some(cfg) if s > 0 && s < n - 1 => stages[s].width.max(cfg.max_width),
+                _ => stages[s].width,
             })
             .collect();
         let stage_widths: Vec<Option<Arc<StageWidth>>> = (0..n)
             .map(|s| {
-                (self.autoscale.is_some() && s > 0 && s < n - 1)
-                    .then(|| StageWidth::new(self.stages[s].width, eff_width[s]))
+                (opts.autoscale.is_some() && s > 0 && s < n - 1)
+                    .then(|| StageWidth::new(stages[s].width, eff_width[s]))
             })
             .collect();
 
@@ -578,10 +546,10 @@ impl Pipeline {
                     let (ws, rs) = logical_stream(
                         eff_width[s],
                         eff_width[s + 1],
-                        self.buffer_capacity,
+                        opts.capacity,
                         Some(Arc::clone(&control)),
-                        self.recovery.enabled,
-                        self.same_host_rings,
+                        opts.recovery.enabled,
+                        opts.same_host_rings,
                     );
                     for (i, w) in ws.into_iter().enumerate() {
                         writers_per_stage[s][i] = Some(w);
@@ -596,10 +564,10 @@ impl Pipeline {
                     let (ws, rs) = logical_stream(
                         eff_width[k - 1],
                         eff_width[k],
-                        self.buffer_capacity,
+                        opts.capacity,
                         Some(Arc::clone(&control)),
-                        self.recovery.enabled,
-                        self.same_host_rings,
+                        opts.recovery.enabled,
+                        opts.same_host_rings,
                     );
                     ingress_writers = ws;
                     for (i, r) in rs.into_iter().enumerate() {
@@ -611,10 +579,10 @@ impl Pipeline {
                         let (mut ws, mut rs) = logical_stream(
                             1,
                             1,
-                            self.buffer_capacity,
+                            opts.capacity,
                             Some(Arc::clone(&control)),
-                            self.recovery.enabled,
-                            self.same_host_rings,
+                            opts.recovery.enabled,
+                            opts.same_host_rings,
                         );
                         *slot = ws.pop();
                         egress_readers.push(rs.pop().expect("1→1 stream"));
@@ -653,8 +621,8 @@ impl Pipeline {
         // beyond an `Option` check.
         let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
             .map(|s| {
-                (self.telemetry.is_some() && active_stage.is_none_or(|k| k == s))
-                    .then(|| StageProbe::new(self.stages[s].name.clone(), eff_width[s], s == n - 1))
+                (opts.telemetry.is_some() && active_stage.is_none_or(|k| k == s))
+                    .then(|| StageProbe::new(stages[s].name.clone(), eff_width[s], s == n - 1))
             })
             .collect();
         // Busy time carried over from a previous incarnation of this
@@ -662,7 +630,7 @@ impl Pipeline {
         // monotone across an escalation handover.
         for (s, probe) in probes.iter().enumerate() {
             if let Some(p) = probe {
-                if let Some(carry) = self.busy_carry.get(s) {
+                if let Some(carry) = opts.busy_carry.get(s) {
                     for (c, d) in carry.iter().enumerate().take(eff_width[s]) {
                         p.copy(c).set_carried(d.as_micros() as u64);
                     }
@@ -673,7 +641,7 @@ impl Pipeline {
         // telemetry cadence. Empty (and elided) when no scalable stage
         // runs in this process.
         let controller: Mutex<Option<WidthController>> = Mutex::new(
-            self.autoscale
+            opts.autoscale
                 .as_ref()
                 .map(|cfg| {
                     let mut ctl = WidthController::new(cfg.clone());
@@ -687,7 +655,7 @@ impl Pipeline {
                 .filter(|ctl| !ctl.is_empty()),
         );
         let mut link_probes: Vec<(u32, Arc<LinkProbe>)> = Vec::new();
-        if self.telemetry.is_some() {
+        if opts.telemetry.is_some() {
             // Packets arriving over TCP get a fresh residence stamp here:
             // origin ticks don't cross process boundaries (the clocks are
             // not comparable), so the ingress bridge re-stamps send time
@@ -727,7 +695,7 @@ impl Pipeline {
             trace::name_process(PID_RUNTIME, "datacutter");
         }
         let stats: Arc<Mutex<Vec<StageStats>>> = Arc::new(Mutex::new(
-            self.stages
+            stages
                 .iter()
                 .enumerate()
                 .map(|(s, spec)| {
@@ -735,7 +703,7 @@ impl Pipeline {
                     // exit accounting below accumulates on top of it.
                     let mut busy_per_copy = vec![Duration::ZERO; eff_width[s]];
                     let mut busy = Duration::ZERO;
-                    if let Some(carry) = self.busy_carry.get(s) {
+                    if let Some(carry) = opts.busy_carry.get(s) {
                         for (c, d) in carry.iter().enumerate().take(eff_width[s]) {
                             busy_per_copy[c] = *d;
                             busy += *d;
@@ -765,23 +733,23 @@ impl Pipeline {
         // waits with a timeout.
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
         let net_stats: Arc<Mutex<Vec<(u32, NetLinkStats)>>> = Arc::new(Mutex::new(Vec::new()));
-        let retry = self.retry;
-        let recovery = self.recovery;
-        let store = self
+        let retry = opts.retry;
+        let recovery = opts.recovery;
+        let store = opts
             .recovery
             .enabled
-            .then(|| self.checkpoint_store.clone().unwrap_or_default());
+            .then(|| opts.checkpoint_store.clone().unwrap_or_default());
         // Telemetry shipping connection, shared between the sampler loop
         // and the final flush after the scope ends.
         let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(None);
         let worker_id: u32 = active_stage.map_or(0, |k| k as u32);
 
         std::thread::scope(|scope| {
-            if self.deadline.is_some() || self.stall_timeout.is_some() {
+            if opts.deadline.is_some() || opts.stall_timeout.is_some() {
                 let control = Arc::clone(&control);
                 let done = Arc::clone(&done);
-                let deadline = self.deadline;
-                let stall_timeout = self.stall_timeout;
+                let deadline = opts.deadline;
+                let stall_timeout = opts.stall_timeout;
                 scope.spawn(move || {
                     watchdog(&control, &done, deadline, stall_timeout);
                 });
@@ -792,7 +760,7 @@ impl Pipeline {
             // A zero cadence disables in-flight sampling entirely (the
             // final fin-stamped flush below still runs): spawning the
             // loop with a zero timeout would busy-spin it.
-            if let Some(tcfg) = self
+            if let Some(tcfg) = opts
                 .telemetry
                 .as_ref()
                 .filter(|t| t.sampler.every() > Duration::ZERO)
@@ -803,7 +771,7 @@ impl Pipeline {
                 let every = sampler.every();
                 let done = Arc::clone(&done);
                 let control = Arc::clone(&control);
-                let pool = self.pool.clone();
+                let pool = opts.pool.clone();
                 let probes = &probes;
                 let link_probes = &link_probes;
                 let client_slot = &telemetry_client;
@@ -871,7 +839,7 @@ impl Pipeline {
                 let done = Arc::clone(&done);
                 let net_stats = Arc::clone(&net_stats);
                 let probe = ingress_probe.clone();
-                let tuning = self.net_tuning;
+                let tuning = opts.net_tuning;
                 scope.spawn(move || {
                     let ctl = Some(Arc::clone(&control));
                     match serve_ingress(ingress, link, writers, ctl, probe, tuning) {
@@ -892,9 +860,9 @@ impl Pipeline {
                 let errors = Arc::clone(&errors);
                 let done = Arc::clone(&done);
                 let net_stats = Arc::clone(&net_stats);
-                reader.set_batch(self.batch);
+                reader.set_batch(batch);
                 let probe = egress_probe.clone();
-                let tuning = self.net_tuning;
+                let tuning = opts.net_tuning;
                 scope.spawn(move || {
                     let pumped = egress_pump(
                         reader,
@@ -928,16 +896,13 @@ impl Pipeline {
             // new one, so the resident set would vary from run to run.
             let caller_stage = active_stage.unwrap_or(n - 1);
             let mut on_caller = None;
-            for (s, stage) in self.stages.iter().enumerate() {
+            for (s, stage) in stages.iter().enumerate() {
                 if active_stage.is_some_and(|k| k != s) {
                     continue;
                 }
                 for c in 0..eff_width[s] {
                     let tid = tid_base[s] + c as u32;
-                    let injector = self
-                        .faults
-                        .as_ref()
-                        .and_then(|p| p.injector(&stage.name, c));
+                    let injector = opts.faults.injector(&stage.name, c);
                     let mut io = FilterIo {
                         input: readers_per_stage[s][c].take(),
                         output: writers_per_stage[s][c].take(),
@@ -945,7 +910,7 @@ impl Pipeline {
                         width: eff_width[s],
                         injector,
                         control: Some(Arc::clone(&control)),
-                        pool: self.pool.clone(),
+                        pool: opts.pool.clone(),
                         pool_hits: 0,
                         pool_misses: 0,
                         recovery: store.as_ref().map(|st| RecoveryCtx {
@@ -964,7 +929,7 @@ impl Pipeline {
                     };
                     if let Some(r) = io.input.as_mut() {
                         r.set_trace_tid(tid);
-                        r.set_batch(self.batch);
+                        r.set_batch(batch);
                     }
                     if let Some(w) = io.output.as_mut() {
                         w.set_trace_tid(tid);
@@ -1143,12 +1108,22 @@ impl Pipeline {
                             .output
                             .as_ref()
                             .is_some_and(|w| w.cancelled_while_blocked());
+                        // Record a failure before closing the output: a
+                        // downstream copy that fails because this stream
+                        // ended early must not outrank the root cause.
+                        let failed = result.is_err();
+                        if let Err(e) = result {
+                            plock(&errors).push(FilterError {
+                                filter: label.clone(),
+                                ..e
+                            });
+                        }
                         if let Some(w) = io.output.as_mut() {
                             w.close();
                         }
                         // Drain remaining input on error to unblock
                         // upstream writers.
-                        if result.is_err() {
+                        if failed {
                             while io.read().is_some() {}
                         }
                         let busy = t.elapsed();
@@ -1214,9 +1189,6 @@ impl Pipeline {
                             entry.pool_misses += pm;
                         }
                         drop(copy_span);
-                        if let Err(e) = result {
-                            plock(&errors).push(FilterError { filter: label, ..e });
-                        }
                         countdown(&done);
                     };
                     if s == caller_stage && c == 0 {
@@ -1260,7 +1232,7 @@ impl Pipeline {
             }
         }
         net_links.sort_by_key(|(link, _)| *link);
-        if let Some(registry) = &self.metrics {
+        if let Some(registry) = &opts.metrics {
             let mut reg = plock(registry);
             for (link, st) in &net_links {
                 reg.counter(&format!("net.link{link}.frames"), st.frames);
@@ -1308,7 +1280,7 @@ impl Pipeline {
                 // calibration — pushed for every locally-run stage when
                 // telemetry is on, so the launcher's merged registry has
                 // a complete picture.
-                if self.telemetry.is_some() && active_stage.is_none_or(|k| k == s) {
+                if opts.telemetry.is_some() && active_stage.is_none_or(|k| k == s) {
                     reg.counter(
                         &format!("stage.{}.busy_us", st.name),
                         st.busy.as_micros() as u64,
@@ -1348,14 +1320,14 @@ impl Pipeline {
         // Final telemetry flush: a fin-stamped sample plus the full
         // registry snapshot, recorded locally and shipped to the launcher
         // when configured — even when the run itself failed.
-        if let Some(tcfg) = &self.telemetry {
+        if let Some(tcfg) = &opts.telemetry {
             let sample = build_sample(
                 &tcfg.source,
                 t0.elapsed().as_micros() as u64,
                 now_us(),
                 true,
                 &probes,
-                self.pool.as_ref(),
+                opts.pool.as_ref(),
                 &link_probes,
             );
             let stamped = tcfg.sampler.record(sample);
@@ -1368,7 +1340,7 @@ impl Pipeline {
             }
             if let Some(mut client) = client {
                 let payload = {
-                    let reg = self.metrics.as_ref().map(|m| plock(m));
+                    let reg = opts.metrics.as_ref().map(|m| plock(m));
                     encode_telemetry_payload(&tcfg.source, true, Some(&stamped), reg.as_deref())
                 };
                 let _ = client.send(&payload);
@@ -1462,12 +1434,6 @@ fn watchdog(
     }
 }
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1490,7 +1456,7 @@ mod tests {
     fn three_stage_pipeline_computes() {
         let total = Arc::new(AtomicU64::new(0));
         let total2 = Arc::clone(&total);
-        let stats = Pipeline::new()
+        let stats = Pipeline::new(RunOptions::default())
             .add_stage(StageSpec::new("source", 1, source(100)))
             .add_stage(StageSpec::new(
                 "square",
@@ -1533,7 +1499,7 @@ mod tests {
         for width in [1usize, 2, 4] {
             let total = Arc::new(AtomicU64::new(0));
             let total2 = Arc::clone(&total);
-            Pipeline::new()
+            Pipeline::new(RunOptions::default())
                 .add_stage(StageSpec::new("source", 1, source(200)))
                 .add_stage(StageSpec::new(
                     "work",
@@ -1593,7 +1559,7 @@ mod tests {
         }
         let total = Arc::new(AtomicU64::new(0));
         let total2 = Arc::clone(&total);
-        Pipeline::new()
+        Pipeline::new(RunOptions::default())
             .add_stage(StageSpec::new("source", 1, source(100)))
             .add_stage(StageSpec::new(
                 "acc",
@@ -1620,7 +1586,7 @@ mod tests {
 
     #[test]
     fn error_propagates_and_does_not_hang() {
-        let err = Pipeline::new()
+        let err = Pipeline::new(RunOptions::default())
             .add_stage(StageSpec::new("source", 1, source(1000)))
             .add_stage(StageSpec::new(
                 "bad",
@@ -1664,7 +1630,7 @@ mod tests {
                 }))
             })
         };
-        let err = Pipeline::new()
+        let err = Pipeline::new(RunOptions::default())
             .add_stage(StageSpec::new("source", 1, stage("source", &ran)))
             .add_stage(StageSpec::new("sink", 2, stage("sink", &ran)))
             .run()
@@ -1688,7 +1654,7 @@ mod tests {
 
     #[test]
     fn malformed_packet_is_a_structured_error_not_a_panic() {
-        let err = Pipeline::new()
+        let err = Pipeline::new(RunOptions::default())
             .add_stage(StageSpec::new(
                 "source",
                 1,
@@ -1718,15 +1684,85 @@ mod tests {
 
     #[test]
     fn empty_pipeline_is_an_error() {
-        assert!(Pipeline::new().run().is_err());
+        assert!(Pipeline::new(RunOptions::default()).run().is_err());
+    }
+
+    #[test]
+    fn a_failure_outranks_the_downstream_failure_it_causes() {
+        // `mid[0]` panics on its first packet and then drains its input,
+        // which the source holds open for a while; meanwhile the sink
+        // sees its input end early and fails on its own.
+        let source = Box::new(|_| {
+            Box::new(ClosureFilter::new("source", |io: &mut FilterIo| {
+                io.write(Buffer::from_vec(0u64.to_le_bytes().to_vec()))?;
+                std::thread::sleep(Duration::from_millis(300));
+                io.write(Buffer::from_vec(1u64.to_le_bytes().to_vec()))
+            })) as Box<dyn Filter>
+        });
+        let forward = Box::new(|_| {
+            Box::new(ClosureFilter::new("mid", |io: &mut FilterIo| {
+                while let Some(b) = io.read() {
+                    io.write(b)?;
+                }
+                Ok(())
+            })) as Box<dyn Filter>
+        });
+        let sink = Box::new(|_| {
+            Box::new(ClosureFilter::new("sink", |io: &mut FilterIo| {
+                if io.read().is_none() {
+                    return Err(FilterError::new("sink", "input ended before any packet"));
+                }
+                while io.read().is_some() {}
+                Ok(())
+            })) as Box<dyn Filter>
+        });
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("mid", 0, 0),
+            deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        let err = Pipeline::new(opts)
+            .add_stage(StageSpec::new("source", 1, source))
+            .add_stage(StageSpec::new("mid", 1, forward))
+            .add_stage(StageSpec::new("sink", 1, sink))
+            .run()
+            .expect_err("the injected panic fails the run");
+        assert_eq!(err.kind, ErrorKind::Panicked, "{err}");
+        assert_eq!(err.filter, "mid[0]");
+    }
+
+    #[test]
+    fn zero_capacity_is_a_named_error_before_any_copy_starts() {
+        let started = Arc::new(AtomicU64::new(0));
+        let s2 = Arc::clone(&started);
+        let opts = RunOptions {
+            capacity: 0,
+            ..Default::default()
+        };
+        let err = Pipeline::new(opts)
+            .add_stage(StageSpec::new(
+                "source",
+                1,
+                Box::new(move |_| {
+                    s2.fetch_add(1, Ordering::Relaxed);
+                    Box::new(ClosureFilter::new("source", |_: &mut FilterIo| Ok(())))
+                }),
+            ))
+            .run()
+            .expect_err("capacity 0 must be rejected");
+        assert!(err.message.contains("capacity"), "{err}");
+        assert_eq!(started.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn backpressure_small_capacity_still_completes() {
         let total = Arc::new(AtomicU64::new(0));
         let total2 = Arc::clone(&total);
-        Pipeline::new()
-            .with_capacity(1)
+        let opts = RunOptions {
+            capacity: 1,
+            ..Default::default()
+        };
+        Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(500)))
             .add_stage(StageSpec::new(
                 "sink",
@@ -1750,9 +1786,12 @@ mod tests {
     fn recovery_survives_a_panic_in_a_stateless_stage_exactly_once() {
         let total = Arc::new(AtomicU64::new(0));
         let total2 = Arc::clone(&total);
-        let stats = Pipeline::new()
-            .with_faults(FaultPlan::new().panic_at("work", 0, 50))
-            .with_recovery(crate::recover::RecoveryOptions::on())
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("work", 0, 50),
+            recovery: crate::recover::RecoveryOptions::on(),
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(200)))
             .add_stage(StageSpec::new(
                 "work",
@@ -1827,8 +1866,11 @@ mod tests {
 
     #[test]
     fn autoscale_preconditions_are_enforced() {
-        let err = Pipeline::new()
-            .with_autoscale(AutoscaleConfig::default())
+        let opts = RunOptions {
+            autoscale: Some(AutoscaleConfig::default()),
+            ..Default::default()
+        };
+        let err = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(10)))
             .add_stage(StageSpec::new("work", 1, spin_work(0)))
             .add_stage(StageSpec::new("sum", 1, source(0)))
@@ -1840,13 +1882,16 @@ mod tests {
     #[test]
     fn autoscaled_run_widens_under_load_with_identical_output() {
         let total = Arc::new(AtomicU64::new(0));
-        let stats = Pipeline::new()
-            .with_telemetry(TelemetryConfig::new(sampler_ms(2), "local"))
-            .with_autoscale(
+        let opts = RunOptions {
+            telemetry: Some(TelemetryConfig::new(sampler_ms(2), "local")),
+            autoscale: Some(
                 AutoscaleConfig::parse("max=4,grow=2,cooldown=0")
                     .unwrap()
                     .unwrap(),
-            )
+            ),
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(300)))
             .add_stage(StageSpec::new("work", 1, spin_work(400)))
             .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
@@ -1870,15 +1915,18 @@ mod tests {
     #[test]
     fn autoscaled_recovery_masks_a_mid_run_fault_with_identical_output() {
         let total = Arc::new(AtomicU64::new(0));
-        let stats = Pipeline::new()
-            .with_faults(FaultPlan::new().panic_at("work", 0, 50))
-            .with_recovery(crate::recover::RecoveryOptions::on())
-            .with_telemetry(TelemetryConfig::new(sampler_ms(2), "local"))
-            .with_autoscale(
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("work", 0, 50),
+            recovery: crate::recover::RecoveryOptions::on(),
+            telemetry: Some(TelemetryConfig::new(sampler_ms(2), "local")),
+            autoscale: Some(
                 AutoscaleConfig::parse("max=4,grow=2,cooldown=0")
                     .unwrap()
                     .unwrap(),
-            )
+            ),
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(300)))
             .add_stage(StageSpec::new("work", 1, spin_work(300)))
             .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
@@ -1896,9 +1944,12 @@ mod tests {
         let total = Arc::new(AtomicU64::new(0));
         let sampler = sampler_ms(1);
         let carry = vec![Vec::new(), vec![Duration::from_millis(500)]];
-        let stats = Pipeline::new()
-            .with_telemetry(TelemetryConfig::new(Arc::clone(&sampler), "local"))
-            .with_busy_carry(carry)
+        let opts = RunOptions {
+            telemetry: Some(TelemetryConfig::new(Arc::clone(&sampler), "local")),
+            busy_carry: carry,
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(50)))
             .add_stage(StageSpec::new("work", 1, spin_work(0)))
             .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
@@ -1951,9 +2002,12 @@ mod tests {
         }
         let total = Arc::new(AtomicU64::new(0));
         let total2 = Arc::clone(&total);
-        let stats = Pipeline::new()
-            .with_faults(FaultPlan::new().panic_at("acc", 0, 150))
-            .with_recovery(crate::recover::RecoveryOptions::on().with_checkpoint_every(16))
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("acc", 0, 150),
+            recovery: crate::recover::RecoveryOptions::on().with_checkpoint_every(16),
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(200)))
             .add_stage(
                 StageSpec::new("acc", 1, Box::new(|_| Box::new(CkptSum { sum: 0 }))).stateful(),
@@ -2008,13 +2062,14 @@ mod tests {
                 "no-restore"
             }
         }
-        let err = Pipeline::new()
-            .with_faults(FaultPlan::new().panic_at("acc", 0, 50))
-            .with_recovery(
-                crate::recover::RecoveryOptions::on()
-                    .with_checkpoint_every(8)
-                    .with_max_restarts(1),
-            )
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("acc", 0, 50),
+            recovery: crate::recover::RecoveryOptions::on()
+                .with_checkpoint_every(8)
+                .with_max_restarts(1),
+            ..Default::default()
+        };
+        let err = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(100)))
             .add_stage(
                 StageSpec::new("acc", 1, Box::new(|_| Box::new(NoRestore { sum: 0 }))).stateful(),
@@ -2029,11 +2084,14 @@ mod tests {
 
     #[test]
     fn restart_budget_exhaustion_surfaces_the_error() {
-        let err = Pipeline::new()
+        let opts = RunOptions {
             // Panic on every packet: restarts keep replaying into the
             // same panic until the budget runs out.
-            .with_faults(FaultPlan::parse("work[0]@*:panic").unwrap())
-            .with_recovery(crate::recover::RecoveryOptions::on().with_max_restarts(2))
+            faults: FaultPlan::parse("work[0]@*:panic").unwrap(),
+            recovery: crate::recover::RecoveryOptions::on().with_max_restarts(2),
+            ..Default::default()
+        };
+        let err = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(10)))
             .add_stage(StageSpec::new(
                 "work",
@@ -2055,9 +2113,12 @@ mod tests {
 
     #[test]
     fn deadline_on_healthy_pipeline_is_inert() {
-        let stats = Pipeline::new()
-            .with_deadline(Duration::from_secs(30))
-            .with_stall_timeout(Duration::from_secs(30))
+        let opts = RunOptions {
+            deadline: Some(Duration::from_secs(30)),
+            stall_timeout: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        let stats = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(50)))
             .add_stage(StageSpec::new(
                 "sink",

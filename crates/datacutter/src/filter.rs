@@ -61,11 +61,11 @@ pub struct FilterIo {
     /// Run-wide cancellation/progress state, when the executor runs with
     /// a deadline or stall watchdog.
     pub(crate) control: Option<Arc<RunControl>>,
-    /// Shared packet-storage pool ([`Pipeline::with_pool`]); when absent,
+    /// Shared packet-storage pool ([`RunOptions::pool`]); when absent,
     /// [`alloc`](FilterIo::alloc)/[`seal`](FilterIo::seal) fall through
     /// to plain heap allocation.
     ///
-    /// [`Pipeline::with_pool`]: crate::exec::Pipeline::with_pool
+    /// [`RunOptions::pool`]: crate::exec::RunOptions::pool
     pub(crate) pool: Option<BufferPool>,
     /// Pool hits/misses by this copy's [`alloc`](FilterIo::alloc) calls
     /// (aggregated into `StageStats` by the executor).

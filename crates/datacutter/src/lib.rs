@@ -8,12 +8,12 @@
 //! (round-robin buffer delivery for load balance).
 //!
 //! ```
-//! use cgp_datacutter::{Buffer, ClosureFilter, FilterIo, Pipeline, StageSpec};
+//! use cgp_datacutter::{Buffer, ClosureFilter, FilterIo, Pipeline, RunOptions, StageSpec};
 //! use std::sync::{Arc, atomic::{AtomicU64, Ordering}};
 //!
 //! let total = Arc::new(AtomicU64::new(0));
 //! let t2 = Arc::clone(&total);
-//! Pipeline::new()
+//! Pipeline::new(RunOptions::default())
 //!     .add_stage(StageSpec::new("source", 1, Box::new(|_| Box::new(
 //!         ClosureFilter::new("source", |io: &mut FilterIo| {
 //!             for i in 0u64..10 {
@@ -43,7 +43,6 @@ pub mod fault;
 pub mod filter;
 pub mod link;
 pub mod net;
-pub mod placement;
 pub mod recover;
 pub mod ring;
 pub mod shm;
@@ -51,12 +50,10 @@ pub mod stream;
 pub mod telemetry;
 pub mod width;
 
-pub use buffer::{
-    reassemble, Buffer, BufferBuilder, BufferPool, BufferWriter, PoolStats, DEFAULT_BUFFER_CAPACITY,
-};
+pub use buffer::{Buffer, BufferPool, PoolStats};
 pub use channel::CancelToken;
 pub use error::{ErrorKind, FilterError, FilterResult};
-pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints};
+pub use exec::{Pipeline, RunOptions, RunStats, StageSpec, StageStats, WorkerEndpoints};
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, RunControl, Trigger};
 pub use filter::{ClosureFilter, Filter, FilterFactory, FilterIo};
 pub use link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, Transport, WorkerIngress};
@@ -64,7 +61,6 @@ pub use net::{
     connect_with_retry, decode_frame, encode_frame, is_heartbeat_timeout, serve_telemetry, Frame,
     TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC, NET_VERSION, TELEMETRY_LINK,
 };
-pub use placement::{HostId, Placement, StageAssignment, StagePlacement};
 pub use recover::{decode_snapshot, Checkpoint, CheckpointStore, RecoveryOptions, Snapshot};
 pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{

@@ -42,9 +42,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Recovery knobs for a pipeline run ([`Pipeline::with_recovery`]).
+/// Recovery knobs for a pipeline run ([`RunOptions::recovery`]).
 ///
-/// [`Pipeline::with_recovery`]: crate::exec::Pipeline::with_recovery
+/// [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
     /// Master switch. Off (the default) keeps PR 2 semantics: failures
@@ -358,24 +358,25 @@ pub fn decode_snapshot(bytes: &[u8], stage: &str, copy: usize) -> FilterResult<S
     if bytes.len() < 8 {
         return Err(trunc());
     }
-    let u64_at = |at: usize| -> FilterResult<u64> {
-        bytes
-            .get(at..at + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    // Every length field is untrusted: offsets are computed with checked
+    // arithmetic, so a huge length reads as truncation, never as an
+    // overflow (a panic in debug builds, a wrapped offset in release).
+    let field = |at: usize, len: usize| -> FilterResult<&[u8]> {
+        at.checked_add(len)
+            .and_then(|end| bytes.get(at..end))
             .ok_or_else(trunc)
     };
+    let u64_at =
+        |at: usize| field(at, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
     let stage_len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let got_stage = bytes
-        .get(12..12 + stage_len)
-        .map(String::from_utf8_lossy)
-        .ok_or_else(trunc)?;
+    let got_stage = String::from_utf8_lossy(field(12, stage_len)?);
     let mut at = 12 + stage_len;
     let got_copy = u64_at(at)?;
     let out_index = u64_at(at + 8)?;
     let packets = u64_at(at + 16)?;
-    let state_len = u64_at(at + 24)? as usize;
+    let state_len = usize::try_from(u64_at(at + 24)?).map_err(|_| trunc())?;
     at += 32;
-    let state = bytes.get(at..at + state_len).ok_or_else(trunc)?;
+    let state = field(at, state_len)?;
     at += state_len;
     let sum = u64_at(at)?;
     if sum != fnv64(&bytes[..at]) {

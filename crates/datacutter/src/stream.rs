@@ -9,7 +9,7 @@
 //! ## Ack/replay delivery (recovery)
 //!
 //! When a pipeline runs with recovery enabled
-//! ([`Pipeline::with_recovery`]), every data message carries the producer
+//! ([`RunOptions::recovery`]), every data message carries the producer
 //! copy index and a producer-global sequence number. The endpoints then
 //! cooperate on an upstream-backup protocol:
 //!
@@ -35,7 +35,7 @@
 //! packets where the originals went; round-robin delivery provides it,
 //! since the target is a pure function of the sequence number.
 //!
-//! [`Pipeline::with_recovery`]: crate::exec::Pipeline::with_recovery
+//! [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 
 use crate::buffer::Buffer;
 use crate::channel::{bounded, bounded_cancellable, Receiver, RecvError, SendError, Sender};
@@ -241,10 +241,10 @@ pub struct StreamReader {
     /// prefix, which is already logged from the failed attempt.
     log_skip: usize,
     /// Stage probe + this reader's copy index, when live telemetry is
-    /// attached ([`Pipeline::with_telemetry`]). `None` costs one branch
+    /// attached ([`RunOptions::telemetry`]). `None` costs one branch
     /// per delivery.
     ///
-    /// [`Pipeline::with_telemetry`]: crate::exec::Pipeline::with_telemetry
+    /// [`RunOptions::telemetry`]: crate::exec::RunOptions::telemetry
     probe: Option<(Arc<StageProbe>, usize)>,
     /// Ingest-origin tick of the most recently delivered packet (0 =
     /// unknown); the filter shim propagates it onto the stage's output

@@ -19,10 +19,10 @@
 //!   updated by the ingress/egress bridges.
 //!
 //! Everything here is built **only when telemetry is enabled**
-//! ([`Pipeline::with_telemetry`]); with no probe attached, the stream
+//! ([`RunOptions::telemetry`]); with no probe attached, the stream
 //! hot path pays nothing beyond an `Option` check.
 //!
-//! [`Pipeline::with_telemetry`]: crate::exec::Pipeline::with_telemetry
+//! [`RunOptions::telemetry`]: crate::exec::RunOptions::telemetry
 
 use crate::error::{FilterError, FilterResult};
 use crate::stream::ReplayShared;
@@ -271,9 +271,9 @@ pub(crate) fn build_sample(
 }
 
 /// Telemetry configuration attached to a pipeline
-/// ([`Pipeline::with_telemetry`]).
+/// ([`RunOptions::telemetry`]).
 ///
-/// [`Pipeline::with_telemetry`]: crate::exec::Pipeline::with_telemetry
+/// [`RunOptions::telemetry`]: crate::exec::RunOptions::telemetry
 #[derive(Clone)]
 pub struct TelemetryConfig {
     /// Sink + cadence; shared so callers can poll

@@ -8,7 +8,7 @@
 //! recv-starved fractions. This module feeds those measurements back
 //! into the width decision *online*:
 //!
-//! - Scalable stages are **provisioned** at `max_copies` transparent
+//! - Scalable stages are **provisioned** at `max_width` transparent
 //!   copies up front (threads, queues, probes), but only the first
 //!   `width` of them are **active**: the upstream writers' round-robin
 //!   only rotates over the active prefix ([`StageWidth`]), so inactive
@@ -31,7 +31,7 @@
 //!   end-of-stream, so no packet is lost or reordered relative to a
 //!   fixed-width run's merge semantics.
 //! - When widening stops helping — the bottleneck stage is pinned at
-//!   `max_copies` and still backlogged for `escalate_ticks` consecutive
+//!   `max_width` and still backlogged for `escalate_ticks` consecutive
 //!   ticks — the imbalance is structural (the *decomposition* is wrong,
 //!   not the width) and the controller raises an escalation advice in
 //!   [`AutoscaleReport`]. The harness answers it with the existing
@@ -54,9 +54,9 @@ use std::sync::Arc;
 /// (`CGP_AUTOSCALE` / `--autoscale`; see [`AutoscaleConfig::parse`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleConfig {
-    /// Hard per-stage copy budget (`--max-copies`); stages are
+    /// Hard per-stage copy budget (the `max` key); stages are
     /// provisioned at this width and never grow past it.
-    pub max_copies: usize,
+    pub max_width: usize,
     /// Grow when a stage's input backlog exceeds this many queued
     /// packets per active copy.
     pub grow_backlog: f64,
@@ -68,14 +68,14 @@ pub struct AutoscaleConfig {
     /// (per stage) — the pipeline needs a tick to re-settle.
     pub cooldown_ticks: u32,
     /// Consecutive ticks the bottleneck must sit saturated at
-    /// `max_copies` before escalation to re-decomposition is advised.
+    /// `max_width` before escalation to re-decomposition is advised.
     pub escalate_ticks: u32,
 }
 
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
-            max_copies: 4,
+            max_width: 4,
             grow_backlog: 4.0,
             shrink_starved: 0.5,
             cooldown_ticks: 2,
@@ -116,20 +116,36 @@ impl AutoscaleConfig {
             };
             match key.trim() {
                 "max" => {
-                    cfg.max_copies = num()? as usize;
-                    if cfg.max_copies == 0 {
+                    cfg.max_width = whole(key, value)?;
+                    if cfg.max_width == 0 {
                         return Err(bad("`max`: must be at least 1".into()));
                     }
                 }
                 "grow" => cfg.grow_backlog = num()?.max(1.0),
                 "shrink" => cfg.shrink_starved = num()?.clamp(0.0, 1.0),
-                "cooldown" => cfg.cooldown_ticks = num()? as u32,
-                "escalate" => cfg.escalate_ticks = (num()? as u32).max(1),
+                "cooldown" => cfg.cooldown_ticks = whole(key, value)?,
+                "escalate" => cfg.escalate_ticks = whole::<u32>(key, value)?.max(1),
                 other => return Err(bad(format!("unknown key `{other}`"))),
             }
         }
         Ok(Some(cfg))
     }
+}
+
+/// Parse `value` as a whole number of `T`: a fractional, negative or
+/// out-of-range value is an error naming `key`, never a wrapped or
+/// truncated count.
+fn whole<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    key: &str,
+    value: &str,
+) -> FilterResult<T> {
+    value.trim().parse::<T>().map_err(|e| {
+        let why = match e.kind() {
+            std::num::IntErrorKind::PosOverflow => "out of range",
+            _ => "not a whole number",
+        };
+        FilterError::new("autoscale", format!("`{}`: {why}: {value}", key.trim()))
+    })
 }
 
 /// Shared handle gating how many of a stage's provisioned copies the
@@ -185,7 +201,7 @@ pub struct AutoscaleEvent {
 pub struct AutoscaleReport {
     pub events: Vec<AutoscaleEvent>,
     /// Set when widening stopped helping: the named stage sat saturated
-    /// at `max_copies` with sustained backlog, so the imbalance is
+    /// at `max_width` with sustained backlog, so the imbalance is
     /// structural and only re-decomposition (replan + redeploy over the
     /// measured environment) can move the bottleneck.
     pub escalation: Option<String>,
@@ -218,7 +234,7 @@ struct WatchedStage {
     probe: Arc<StageProbe>,
     /// Ticks left before this stage may change width again.
     cooldown: u32,
-    /// Consecutive ticks spent saturated at `max_copies` with backlog.
+    /// Consecutive ticks spent saturated at `max_width` with backlog.
     saturated: u32,
     prev: Vec<PrevCopy>,
 }
@@ -348,7 +364,7 @@ impl WidthController {
         for (i, st) in self.stages.iter_mut().enumerate() {
             let obs = &observed[i];
             let active = st.width.active();
-            let cap = self.cfg.max_copies.min(st.width.provisioned());
+            let cap = self.cfg.max_width.min(st.width.provisioned());
             let cooling = st.cooldown > 0;
             if cooling {
                 st.cooldown -= 1;
@@ -446,7 +462,7 @@ mod tests {
         let cfg = AutoscaleConfig::parse("max=8, grow=2, shrink=0.6, cooldown=1, escalate=3")
             .unwrap()
             .unwrap();
-        assert_eq!(cfg.max_copies, 8);
+        assert_eq!(cfg.max_width, 8);
         assert_eq!(cfg.grow_backlog, 2.0);
         assert_eq!(cfg.shrink_starved, 0.6);
         assert_eq!(cfg.cooldown_ticks, 1);
@@ -455,6 +471,17 @@ mod tests {
         assert!(AutoscaleConfig::parse("bogus=1").is_err());
         assert!(AutoscaleConfig::parse("max").is_err());
         assert!(AutoscaleConfig::parse("max=lots").is_err());
+        for bad in [
+            "max=2.5",
+            "max=1e30",
+            "max=-1",
+            "cooldown=-7",
+            "escalate=1e12",
+        ] {
+            let err = AutoscaleConfig::parse(bad).expect_err(bad).to_string();
+            let key = bad.split('=').next().unwrap();
+            assert!(err.contains(&format!("`{key}`")), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -563,7 +590,7 @@ mod tests {
     #[test]
     fn saturated_bottleneck_escalates_to_replan_advice() {
         let cfg = AutoscaleConfig {
-            max_copies: 2,
+            max_width: 2,
             cooldown_ticks: 0,
             escalate_ticks: 3,
             ..Default::default()
@@ -595,7 +622,7 @@ mod tests {
     #[test]
     fn relief_resets_the_escalation_streak() {
         let cfg = AutoscaleConfig {
-            max_copies: 1,
+            max_width: 1,
             cooldown_ticks: 0,
             escalate_ticks: 2,
             ..Default::default()

@@ -4,7 +4,7 @@
 
 use cgp_datacutter::{
     Buffer, ClosureFilter, ErrorKind, FaultAction, FaultPlan, FaultRule, FilterError, FilterIo,
-    Pipeline, RetryPolicy, StageSpec, Trigger,
+    Pipeline, RetryPolicy, RunOptions, StageSpec, Trigger,
 };
 use cgp_obs::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,9 +47,12 @@ fn counting_sink(count: Arc<AtomicU64>) -> cgp_datacutter::FilterFactory {
     })
 }
 
-fn three_stage(mid_width: usize, count: Arc<AtomicU64>) -> Pipeline {
-    Pipeline::new()
-        .with_capacity(8)
+fn three_stage(mid_width: usize, count: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
+    let opts = RunOptions {
+        capacity: 8,
+        ..opts
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source(N)))
         .add_stage(StageSpec::new("mid", mid_width, forward()))
         .add_stage(StageSpec::new("sink", 1, counting_sink(count)))
@@ -71,9 +74,12 @@ fn thread_count() -> usize {
 fn panic_mid_stream_terminates_with_named_error() {
     let count = Arc::new(AtomicU64::new(0));
     let t = Instant::now();
-    let err = three_stage(2, count)
-        .with_faults(FaultPlan::new().panic_at("mid", 1, 50))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: FaultPlan::new().panic_at("mid", 1, 50),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = three_stage(2, count, opts)
         .run()
         .expect_err("injected panic must fail the run");
     assert_eq!(err.kind, ErrorKind::Panicked);
@@ -86,10 +92,13 @@ fn panic_mid_stream_terminates_with_named_error() {
 fn error_after_n_packets_terminates_and_counts() {
     let count = Arc::new(AtomicU64::new(0));
     let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-    let err = three_stage(1, count)
-        .with_faults(FaultPlan::new().fail_at("mid", 0, 100))
-        .with_deadline(Duration::from_secs(30))
-        .with_metrics(Arc::clone(&metrics))
+    let opts = RunOptions {
+        faults: FaultPlan::new().fail_at("mid", 0, 100),
+        deadline: Some(Duration::from_secs(30)),
+        metrics: Some(Arc::clone(&metrics)),
+        ..Default::default()
+    };
+    let err = three_stage(1, count, opts)
         .run()
         .expect_err("injected failure must fail the run");
     assert_eq!(err.kind, ErrorKind::Failed);
@@ -112,10 +121,13 @@ fn retryable_failure_recovers_under_retry_policy() {
         trigger: Trigger::Packet(0),
         action: FaultAction::Fail { retryable: true },
     });
-    let stats = three_stage(1, Arc::clone(&count))
-        .with_faults(plan)
-        .with_retry(RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: plan,
+        retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
         .expect("retry must recover a retryable failure");
     assert_eq!(count.load(Ordering::Relaxed), N);
@@ -132,10 +144,13 @@ fn retries_exhausted_surfaces_the_error() {
         trigger: Trigger::Every,
         action: FaultAction::Fail { retryable: true },
     });
-    let err = three_stage(1, count)
-        .with_faults(plan)
-        .with_retry(RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: plan,
+        retry: RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = three_stage(1, count, opts)
         .run()
         .expect_err("always-failing stage exhausts retries");
     assert_eq!(err.kind, ErrorKind::Failed);
@@ -149,9 +164,12 @@ fn injected_stall_is_caught_by_deadline_and_names_the_blockage() {
     // fills the queues and blocks in send. The watchdog must cancel,
     // every thread must join, and the error must say who was stuck.
     let t = Instant::now();
-    let err = Pipeline::new()
-        .with_capacity(2)
-        .with_deadline(Duration::from_millis(250))
+    let opts = RunOptions {
+        capacity: 2,
+        deadline: Some(Duration::from_millis(250)),
+        ..Default::default()
+    };
+    let err = Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source(N)))
         .add_stage(StageSpec::new(
             "wedged",
@@ -182,9 +200,12 @@ fn injected_stall_is_caught_by_deadline_and_names_the_blockage() {
 #[test]
 fn stall_timeout_catches_no_progress() {
     let t = Instant::now();
-    let err = Pipeline::new()
-        .with_capacity(2)
-        .with_stall_timeout(Duration::from_millis(200))
+    let opts = RunOptions {
+        capacity: 2,
+        stall_timeout: Some(Duration::from_millis(200)),
+        ..Default::default()
+    };
+    let err = Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source(N)))
         .add_stage(StageSpec::new(
             "wedged",
@@ -208,8 +229,11 @@ fn stall_timeout_catches_no_progress() {
 #[test]
 fn dropped_packets_reduce_delivery_without_failing() {
     let count = Arc::new(AtomicU64::new(0));
-    let stats = three_stage(1, Arc::clone(&count))
-        .with_faults(FaultPlan::new().drop_at("mid", 0, 10).drop_at("mid", 0, 20))
+    let opts = RunOptions {
+        faults: FaultPlan::new().drop_at("mid", 0, 10).drop_at("mid", 0, 20),
+        ..Default::default()
+    };
+    let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
         .expect("drops are silent");
     assert_eq!(count.load(Ordering::Relaxed), N - 2);
@@ -226,8 +250,11 @@ fn probabilistic_faults_are_deterministic_per_seed() {
             trigger: Trigger::Prob(0.2),
             action: FaultAction::DropPacket,
         });
-        three_stage(1, Arc::clone(&count))
-            .with_faults(plan)
+        let opts = RunOptions {
+            faults: plan,
+            ..Default::default()
+        };
+        three_stage(1, Arc::clone(&count), opts)
             .run()
             .expect("drops are silent");
         count.load(Ordering::Relaxed)
@@ -243,9 +270,12 @@ fn panic_in_one_copy_does_not_poison_siblings_stats() {
     // Width-4 middle stage, one copy panics; the other three finish and
     // their stats still aggregate (poison-tolerant locking).
     let count = Arc::new(AtomicU64::new(0));
-    let err = three_stage(4, Arc::clone(&count))
-        .with_faults(FaultPlan::new().panic_at("mid", 2, 0))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: FaultPlan::new().panic_at("mid", 2, 0),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = three_stage(4, Arc::clone(&count), opts)
         .run()
         .expect_err("one copy panicked");
     assert_eq!(err.filter, "mid[2]");
@@ -258,16 +288,21 @@ fn panic_in_one_copy_does_not_poison_siblings_stats() {
 fn no_leaked_threads_after_failures() {
     // Warm up then measure: every failure mode must join all its threads.
     let count = Arc::new(AtomicU64::new(0));
-    let _ = three_stage(2, Arc::clone(&count)).run();
+    let _ = three_stage(2, Arc::clone(&count), RunOptions::default()).run();
     let before = thread_count();
     for _ in 0..3 {
-        let _ = three_stage(2, Arc::clone(&count))
-            .with_faults(FaultPlan::new().panic_at("mid", 0, 10))
-            .with_deadline(Duration::from_secs(30))
-            .run();
-        let _ = Pipeline::new()
-            .with_capacity(2)
-            .with_deadline(Duration::from_millis(100))
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("mid", 0, 10),
+            deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        let _ = three_stage(2, Arc::clone(&count), opts).run();
+        let opts = RunOptions {
+            capacity: 2,
+            deadline: Some(Duration::from_millis(100)),
+            ..Default::default()
+        };
+        let _ = Pipeline::new(opts)
             .add_stage(StageSpec::new("source", 1, source(N)))
             .add_stage(StageSpec::new(
                 "wedged",
@@ -306,10 +341,13 @@ fn faults_target_exact_packet_indices_through_batches() {
     // batch a panic at packet 123 of mid[1] still fires there and the
     // error still names that exact packet.
     let count = Arc::new(AtomicU64::new(0));
-    let err = three_stage(2, count)
-        .with_batch(8)
-        .with_faults(FaultPlan::new().panic_at("mid", 1, 123))
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        batch: 8,
+        faults: FaultPlan::new().panic_at("mid", 1, 123),
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = three_stage(2, count, opts)
         .run()
         .expect_err("injected panic must fail the batched run");
     assert_eq!(err.kind, ErrorKind::Panicked);
@@ -319,9 +357,12 @@ fn faults_target_exact_packet_indices_through_batches() {
     // Drops remove exactly the targeted packets, nothing adjacent in
     // the same batch.
     let count = Arc::new(AtomicU64::new(0));
-    let stats = three_stage(1, Arc::clone(&count))
-        .with_batch(8)
-        .with_faults(FaultPlan::new().drop_at("mid", 0, 10).drop_at("mid", 0, 20))
+    let opts = RunOptions {
+        batch: 8,
+        faults: FaultPlan::new().drop_at("mid", 0, 10).drop_at("mid", 0, 20),
+        ..Default::default()
+    };
+    let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
         .expect("drops are silent");
     assert_eq!(count.load(Ordering::Relaxed), N - 2);
@@ -332,9 +373,12 @@ fn faults_target_exact_packet_indices_through_batches() {
 fn spec_parsed_plan_behaves_like_builder_plan() {
     let count = Arc::new(AtomicU64::new(0));
     let plan = FaultPlan::parse("mid[0]@25:panic").expect("valid spec");
-    let err = three_stage(1, count)
-        .with_faults(plan)
-        .with_deadline(Duration::from_secs(30))
+    let opts = RunOptions {
+        faults: plan,
+        deadline: Some(Duration::from_secs(30)),
+        ..Default::default()
+    };
+    let err = three_stage(1, count, opts)
         .run()
         .expect_err("parsed panic fires");
     assert_eq!(err.kind, ErrorKind::Panicked);

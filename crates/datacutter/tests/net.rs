@@ -7,8 +7,8 @@ use cgp_datacutter::shm::ring_path;
 use cgp_datacutter::{
     decode_frame, egress_pump, encode_frame, logical_stream, serve_ingress, shm_supported, Buffer,
     ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Frame, NetLinkStats, NetTuning,
-    Pipeline, RecoveryOptions, RunControl, ShmSender, StageSpec, StreamWriter, Transport,
-    WorkerEndpoints, WorkerIngress, SHM_PREFIX,
+    Pipeline, RecoveryOptions, RunControl, RunOptions, ShmSender, StageSpec, StreamWriter,
+    Transport, WorkerEndpoints, WorkerIngress, SHM_PREFIX,
 };
 use cgp_obs::SmallRng;
 use std::io::{Read, Write};
@@ -107,9 +107,12 @@ fn serve(
 }
 
 /// Three-stage source → double → sum pipeline; `total` receives the sum.
-fn worker_pipeline(n: u64, width: usize, total: Arc<AtomicU64>) -> Pipeline {
-    Pipeline::new()
-        .with_capacity(8)
+fn worker_pipeline(n: u64, width: usize, total: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
+    let opts = RunOptions {
+        capacity: 8,
+        ..opts
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,
@@ -168,16 +171,22 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>, carrier: T
             let total = Arc::clone(&total);
             let faults = faults.clone();
             scope.spawn(move || {
-                let mut p = worker_pipeline(n, width, total);
-                if let Some(f) = faults {
-                    p = p.with_faults(f).with_recovery(RecoveryOptions::on());
-                }
-                p.run_worker(WorkerEndpoints {
-                    stage,
-                    ingress,
-                    connect,
-                })
-                .unwrap_or_else(|e| panic!("{carrier:?} worker {stage}: {e}"));
+                // A fault plan comes with the recovery that masks it.
+                let opts = RunOptions {
+                    recovery: match faults {
+                        Some(_) => RecoveryOptions::on(),
+                        None => RecoveryOptions::default(),
+                    },
+                    faults: faults.unwrap_or_default(),
+                    ..Default::default()
+                };
+                worker_pipeline(n, width, total, opts)
+                    .run_worker(WorkerEndpoints {
+                        stage,
+                        ingress,
+                        connect,
+                    })
+                    .unwrap_or_else(|e| panic!("{carrier:?} worker {stage}: {e}"));
             });
         }
     });
@@ -188,7 +197,7 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>, carrier: T
 fn three_workers_match_in_process_for_all_widths() {
     for width in [1usize, 2, 4] {
         let total = Arc::new(AtomicU64::new(0));
-        worker_pipeline(100, width, Arc::clone(&total))
+        worker_pipeline(100, width, Arc::clone(&total), RunOptions::default())
             .run()
             .unwrap();
         let expect = total.load(Ordering::Relaxed);
@@ -711,8 +720,11 @@ fn worker_endpoint_validation_fails_before_any_thread_starts() {
     for (what, stage, ingress, connect, expect) in cases {
         let before = thread_count();
         let total = Arc::new(AtomicU64::new(0));
-        let err = worker_pipeline(10, 2, Arc::clone(&total))
-            .with_deadline(Duration::from_secs(5))
+        let opts = RunOptions {
+            deadline: Some(Duration::from_secs(5)),
+            ..Default::default()
+        };
+        let err = worker_pipeline(10, 2, Arc::clone(&total), opts)
             .run_worker(WorkerEndpoints {
                 stage,
                 ingress,

@@ -5,7 +5,7 @@
 //! deterministically from the printed case parameters.
 
 use cgp_datacutter::{
-    channel, Buffer, BufferBuilder, BufferPool, CancelToken, ClosureFilter, FilterIo, Pipeline,
+    channel, Buffer, BufferPool, CancelToken, ClosureFilter, FilterIo, Pipeline, RunOptions,
     StageSpec,
 };
 use cgp_obs::SmallRng;
@@ -29,8 +29,11 @@ fn every_buffer_arrives_exactly_once() {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (Arc::clone(&sum), Arc::clone(&count));
-        Pipeline::new()
-            .with_capacity(cap)
+        let opts = RunOptions {
+            capacity: cap,
+            ..Default::default()
+        };
+        Pipeline::new(opts)
             .add_stage(StageSpec::new(
                 "src",
                 1,
@@ -78,28 +81,6 @@ fn every_buffer_arrives_exactly_once() {
     }
 }
 
-#[test]
-fn buffer_builder_reassembles() {
-    let mut rng = SmallRng::seed_from_u64(0xDC02);
-    for _case in 0..100 {
-        let len = rng.gen_range(0, 5000);
-        let cap = rng.gen_range(1, 512);
-        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range_u64(256) as u8).collect();
-
-        let mut b = BufferBuilder::new(cap);
-        b.push(&payload);
-        let bufs = b.finish();
-        for buf in &bufs {
-            assert!(buf.len() <= cap, "len={len} cap={cap}");
-        }
-        assert_eq!(
-            cgp_datacutter::reassemble(&bufs).as_slice(),
-            payload.as_slice(),
-            "len={len} cap={cap}"
-        );
-    }
-}
-
 /// A width-1 chain with batching and pooling enabled delivers every
 /// packet exactly once and in exact FIFO order; random-width middles
 /// still conserve the multiset. Sources allocate from the pool and
@@ -135,10 +116,13 @@ fn batched_streams_preserve_order_and_conserve() {
         // Width-1 chain: exact end-to-end FIFO order.
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink_seen = Arc::clone(&seen);
-        Pipeline::new()
-            .with_capacity(cap)
-            .with_batch(batch)
-            .with_pool(BufferPool::new())
+        let opts = RunOptions {
+            capacity: cap,
+            batch,
+            pool: Some(BufferPool::new()),
+            ..Default::default()
+        };
+        Pipeline::new(opts)
             .add_stage(StageSpec::new("src", 1, batched_source()))
             .add_stage(StageSpec::new(
                 "mid",
@@ -177,10 +161,13 @@ fn batched_streams_preserve_order_and_conserve() {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (Arc::clone(&sum), Arc::clone(&count));
-        Pipeline::new()
-            .with_capacity(cap)
-            .with_batch(batch)
-            .with_pool(BufferPool::new())
+        let opts = RunOptions {
+            capacity: cap,
+            batch,
+            pool: Some(BufferPool::new()),
+            ..Default::default()
+        };
+        Pipeline::new(opts)
             .add_stage(StageSpec::new("src", 1, batched_source()))
             .add_stage(StageSpec::new(
                 "mid",

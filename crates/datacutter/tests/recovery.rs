@@ -10,7 +10,7 @@
 
 use cgp_datacutter::{
     Buffer, CheckpointStore, ClosureFilter, FaultAction, FaultPlan, FaultRule, Filter, FilterIo,
-    FilterResult, Pipeline, RecoveryOptions, RetryPolicy, StageSpec, Trigger,
+    FilterResult, Pipeline, RecoveryOptions, RetryPolicy, RunOptions, StageSpec, Trigger,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,16 +108,18 @@ fn sink(tally: Arc<Tally>) -> cgp_datacutter::FilterFactory {
 }
 
 /// source → stateful mid1 (width 2) → stateful mid2 → counting sink.
-fn recovering_pipeline(tally: Arc<Tally>, checkpoint_every: u64) -> Pipeline {
-    Pipeline::new()
-        .with_capacity(8)
-        .with_deadline(Duration::from_secs(60))
-        .with_retry(RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)))
-        .with_recovery(
-            RecoveryOptions::on()
-                .with_checkpoint_every(checkpoint_every)
-                .with_max_restarts(8),
-        )
+/// `opts` adds the faults or the checkpoint store under test.
+fn recovering_pipeline(tally: Arc<Tally>, checkpoint_every: u64, opts: RunOptions) -> Pipeline {
+    let opts = RunOptions {
+        capacity: 8,
+        deadline: Some(Duration::from_secs(60)),
+        retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)),
+        recovery: RecoveryOptions::on()
+            .with_checkpoint_every(checkpoint_every)
+            .with_max_restarts(8),
+        ..opts
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source(N)))
         .add_stage(StageSpec::new("mid1", 2, stateful(1)).stateful())
         .add_stage(StageSpec::new("mid2", 1, stateful(2)).stateful())
@@ -197,8 +199,11 @@ fn recovery_is_exactly_once_under_random_fault_plans() {
     for seed in 0..10u64 {
         let tally = Arc::new(Tally::default());
         let plan = random_plan(seed);
-        let stats = recovering_pipeline(Arc::clone(&tally), 16)
-            .with_faults(plan.clone())
+        let opts = RunOptions {
+            faults: plan.clone(),
+            ..Default::default()
+        };
+        let stats = recovering_pipeline(Arc::clone(&tally), 16, opts)
             .run()
             .unwrap_or_else(|e| panic!("seed {seed}: recovery must complete ({plan:?}): {e}"));
         assert_exact(&tally, &format!("seed {seed}"));
@@ -217,7 +222,7 @@ fn recovery_is_exactly_once_under_random_fault_plans() {
 #[test]
 fn fault_free_recovery_run_is_exact_with_zero_overhead_counters() {
     let tally = Arc::new(Tally::default());
-    let stats = recovering_pipeline(Arc::clone(&tally), 16)
+    let stats = recovering_pipeline(Arc::clone(&tally), 16, RunOptions::default())
         .run()
         .expect("clean run");
     assert_exact(&tally, "fault-free");
@@ -229,16 +234,17 @@ fn fault_free_recovery_run_is_exact_with_zero_overhead_counters() {
 #[test]
 fn recovered_run_matches_fault_free_run_byte_for_byte() {
     let clean = Arc::new(Tally::default());
-    recovering_pipeline(Arc::clone(&clean), 16)
+    recovering_pipeline(Arc::clone(&clean), 16, RunOptions::default())
         .run()
         .expect("clean run");
     let chaotic = Arc::new(Tally::default());
-    let stats = recovering_pipeline(Arc::clone(&chaotic), 16)
-        .with_faults(
-            FaultPlan::new()
-                .panic_at("mid1", 0, 40)
-                .panic_at("mid2", 0, 90),
-        )
+    let opts = RunOptions {
+        faults: FaultPlan::new()
+            .panic_at("mid1", 0, 40)
+            .panic_at("mid2", 0, 90),
+        ..Default::default()
+    };
+    let stats = recovering_pipeline(Arc::clone(&chaotic), 16, opts)
         .run()
         .expect("recovery completes");
     assert!(stats.recoveries() >= 2);
@@ -267,9 +273,12 @@ fn jsonl_checkpoint_log_records_commits() {
     let _ = std::fs::remove_file(&path);
     let store = CheckpointStore::with_jsonl(&path).expect("create checkpoint log");
     let tally = Arc::new(Tally::default());
-    recovering_pipeline(Arc::clone(&tally), 16)
-        .with_checkpoint_store(store.clone())
-        .with_faults(FaultPlan::new().panic_at("mid2", 0, 100))
+    let opts = RunOptions {
+        checkpoint_store: Some(store.clone()),
+        faults: FaultPlan::new().panic_at("mid2", 0, 100),
+        ..Default::default()
+    };
+    recovering_pipeline(Arc::clone(&tally), 16, opts)
         .run()
         .expect("recovery completes");
     assert_exact(&tally, "jsonl");
@@ -303,13 +312,15 @@ fn recovery_chaos_leaks_no_threads() {
     // Warm up, then hammer the restart path: every recovery attempt must
     // join its replaced worker threads.
     let tally = Arc::new(Tally::default());
-    let _ = recovering_pipeline(Arc::clone(&tally), 16).run();
+    let _ = recovering_pipeline(Arc::clone(&tally), 16, RunOptions::default()).run();
     let before = thread_count();
     for seed in 0..3u64 {
         let tally = Arc::new(Tally::default());
-        let _ = recovering_pipeline(Arc::clone(&tally), 8)
-            .with_faults(random_plan(seed))
-            .run();
+        let opts = RunOptions {
+            faults: random_plan(seed),
+            ..Default::default()
+        };
+        let _ = recovering_pipeline(Arc::clone(&tally), 8, opts).run();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

@@ -1,18 +1,28 @@
-//! Seeded properties of the two spec parsers that read operator input:
-//! [`FaultPlan::parse`] (`CGP_FAULTS`, `--faults`) and
-//! [`AutoscaleConfig::parse`] (`CGP_AUTOSCALE`, `--autoscale`).
+//! Seeded properties of the decoders that read operator input or files
+//! a crashed process left behind: [`FaultPlan::parse`] (`CGP_FAULTS`,
+//! `--faults`), [`AutoscaleConfig::parse`] (`CGP_AUTOSCALE`,
+//! `--autoscale`) and [`decode_snapshot`] (durable checkpoint files).
 //!
-//! For each parser:
+//! For each spec parser:
 //!
 //! - a spec rendered from a generated value parses back to that value;
 //! - every prefix, and every random mutation, of a generated spec returns
 //!   `Ok` or `Err` and never panics;
 //! - renderings that differ only in whitespace parse the same.
 //!
+//! The autoscale parser also rejects, by key, an integer setting given
+//! as a fraction, a negative number or a value out of its type's range.
+//! A durable snapshot round-trips through the store's encoder, and every
+//! prefix, random mutation or huge length field of one decodes to a
+//! `Malformed` error or to the original snapshot.
+//!
 //! Cases come from a seeded PRNG (the build is offline, so no proptest);
 //! a failure names its case and spec.
 
-use cgp_datacutter::{AutoscaleConfig, FaultAction, FaultPlan, FaultRule, Trigger};
+use cgp_datacutter::{
+    decode_snapshot, AutoscaleConfig, CheckpointStore, ErrorKind, FaultAction, FaultPlan,
+    FaultRule, Snapshot, Trigger,
+};
 use cgp_obs::SmallRng;
 use std::time::Duration;
 
@@ -129,7 +139,7 @@ fn random_autoscale(rng: &mut SmallRng) -> (Option<AutoscaleConfig>, Vec<&'stati
         }
         keys.push(key);
         match key {
-            "max" => cfg.max_copies = rng.gen_range(1, 65),
+            "max" => cfg.max_width = rng.gen_range(1, 65),
             "grow" => cfg.grow_backlog = 1.0 + 15.0 * rng.gen_f64(),
             "shrink" => cfg.shrink_starved = pick(&[0.0, 1.0, rng.gen_f64()], rng),
             "cooldown" => cfg.cooldown_ticks = rng.gen_range(0, 100) as u32,
@@ -158,7 +168,7 @@ fn render_autoscale(
                 .iter()
                 .map(|&k| {
                     let v = match k {
-                        "max" => c.max_copies.to_string(),
+                        "max" => c.max_width.to_string(),
                         "grow" => c.grow_backlog.to_string(),
                         "shrink" => c.shrink_starved.to_string(),
                         "cooldown" => c.cooldown_ticks.to_string(),
@@ -288,4 +298,152 @@ fn autoscale_specs_differing_in_whitespace_parse_the_same() {
             "case {case}: {spaced:?} vs {plain:?}"
         );
     }
+}
+
+/// An integer key given a fraction, a negative number, an exponent or a
+/// value beyond its type is rejected with an error naming the key; none
+/// of them is truncated or wrapped into a count.
+#[test]
+fn autoscale_integer_keys_reject_fractions_and_out_of_range_values() {
+    let mut rng = SmallRng::seed_from_u64(0xA504);
+    for case in 0..300 {
+        let (key, too_big) = pick(
+            &[
+                ("max", "18446744073709551616"),
+                ("cooldown", "4294967296"),
+                ("escalate", "4294967297"),
+            ],
+            &mut rng,
+        );
+        let n = rng.gen_range(1, 64);
+        let bad = match rng.gen_range(0, 4) {
+            0 => format!("{n}.5"),
+            1 => format!("-{n}"),
+            2 => format!("1e{}", rng.gen_range(1, 40)),
+            _ => too_big.to_string(),
+        };
+        // The bad key rides among valid ones, at a random position.
+        let value = random_autoscale(&mut rng);
+        let mut parts: Vec<String> = match &value.0 {
+            Some(_) if !value.1.is_empty() => render_autoscale(&value, &mut rng, false)
+                .split(',')
+                .map(str::to_string)
+                .collect(),
+            _ => Vec::new(),
+        };
+        let at = rng.gen_range(0, parts.len() + 1);
+        parts.insert(at, format!("{key}={bad}"));
+        let spec = parts.join(",");
+        let err = match AutoscaleConfig::parse(&spec) {
+            Ok(cfg) => panic!("case {case}: {spec:?} must be rejected, parsed as {cfg:?}"),
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            err.contains(&format!("`{key}`")),
+            "case {case}: {spec:?}: error does not name `{key}`: {err}"
+        );
+    }
+    let err = AutoscaleConfig::parse("max=2.5").expect_err("max=2.5");
+    assert!(err.to_string().contains("`max`"), "{err}");
+}
+
+/// A random snapshot for a random stage copy.
+fn random_snapshot(rng: &mut SmallRng) -> (String, usize, Snapshot) {
+    let stage = pick(&["f1", "f2", "mid", "re-duce", "s_2", "é"], rng).to_string();
+    let copy = rng.gen_range(0, 8);
+    let len = pick(&[0, 1, rng.gen_range(0, 64), rng.gen_range(0, 4096)], rng);
+    let snap = Snapshot {
+        state: (0..len).map(|_| rng.gen_range(0, 256) as u8).collect(),
+        out_index: pick(&[0, rng.gen_range_u64(1000), rng.next_u64()], rng),
+        packets: pick(&[0, rng.gen_range_u64(1000), rng.next_u64()], rng),
+    };
+    (stage, copy, snap)
+}
+
+/// The decoder's verdict on `bytes` is the original snapshot or a
+/// `Malformed` error; anything else fails the case.
+fn assert_original_or_malformed(
+    bytes: &[u8],
+    stage: &str,
+    copy: usize,
+    snap: &Snapshot,
+    what: &str,
+) {
+    match decode_snapshot(bytes, stage, copy) {
+        Ok(got) => assert_eq!(&got, snap, "{what}: decoded to a different snapshot"),
+        Err(e) => assert_eq!(e.kind, ErrorKind::Malformed, "{what}: {e}"),
+    }
+}
+
+#[test]
+fn durable_snapshots_round_trip_and_reject_damage_by_name() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("snapshot-props-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::durable(&dir).expect("durable store");
+    let mut rng = SmallRng::seed_from_u64(0xC4E1);
+    for case in 0..150 {
+        let (stage, copy, snap) = random_snapshot(&mut rng);
+        store.save(&stage, copy, snap.clone()).expect("save");
+        let path = store.snapshot_path(&stage, copy).expect("durable path");
+        let bytes = std::fs::read(&path).expect("read snapshot file");
+        let got = decode_snapshot(&bytes, &stage, copy)
+            .unwrap_or_else(|e| panic!("case {case}: round trip: {e}"));
+        assert_eq!(got, snap, "case {case}: round trip");
+        assert_eq!(
+            store.load_persisted(&stage, copy).expect("load").as_ref(),
+            Some(&snap),
+            "case {case}: load_persisted"
+        );
+
+        for cut in 0..bytes.len() {
+            let err = decode_snapshot(&bytes[..cut], &stage, copy)
+                .expect_err("a strict prefix is truncated");
+            assert_eq!(err.kind, ErrorKind::Malformed, "case {case}: prefix {cut}");
+        }
+
+        for m in 0..40 {
+            let mut damaged = bytes.clone();
+            let at = rng.gen_range(0, damaged.len());
+            match rng.gen_range(0, 3) {
+                0 => damaged[at] = rng.gen_range(0, 256) as u8,
+                1 => {
+                    damaged.remove(at);
+                }
+                _ => damaged.insert(at, rng.gen_range(0, 256) as u8),
+            }
+            assert_original_or_malformed(
+                &damaged,
+                &stage,
+                copy,
+                &snap,
+                &format!("case {case}: mutation {m}"),
+            );
+        }
+
+        // Length fields near their type's maximum: the stage name's u32
+        // at byte 8 and the state's u64 after the fixed header.
+        let state_len_at = 12 + stage.len() + 24;
+        for k in 0..8u64 {
+            let mut huge = bytes.clone();
+            huge[state_len_at..state_len_at + 8].copy_from_slice(&(u64::MAX - k).to_le_bytes());
+            assert_original_or_malformed(
+                &huge,
+                &stage,
+                copy,
+                &snap,
+                &format!("case {case}: state_len u64::MAX - {k}"),
+            );
+            let mut huge = bytes.clone();
+            huge[8..12].copy_from_slice(&(u32::MAX - k as u32).to_le_bytes());
+            assert_original_or_malformed(
+                &huge,
+                &stage,
+                copy,
+                &snap,
+                &format!("case {case}: stage_len u32::MAX - {k}"),
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,8 @@
 
 use cgp_datacutter::{
     decode_frame, decode_telemetry_payload, encode_frame, encode_telemetry_payload,
-    serve_telemetry, Buffer, ClosureFilter, FilterIo, Frame, Pipeline, RunControl, StageSpec,
-    TelemetryClient, TelemetryConfig, WorkerEndpoints, WorkerIngress,
+    serve_telemetry, Buffer, ClosureFilter, FilterIo, Frame, Pipeline, RunControl, RunOptions,
+    StageSpec, TelemetryClient, TelemetryConfig, WorkerEndpoints, WorkerIngress,
 };
 use cgp_obs::{MetricsRegistry, TelemetrySampler};
 use std::net::TcpListener;
@@ -13,9 +13,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Three-stage source → double → sum pipeline; `total` receives the sum.
-fn pipeline(n: u64, width: usize, total: Arc<AtomicU64>) -> Pipeline {
-    Pipeline::new()
-        .with_capacity(8)
+fn pipeline(n: u64, width: usize, total: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
+    let opts = RunOptions {
+        capacity: 8,
+        ..opts
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,
@@ -64,17 +67,20 @@ fn pipeline(n: u64, width: usize, total: Arc<AtomicU64>) -> Pipeline {
 #[test]
 fn in_process_telemetry_records_latencies_and_counters() {
     let plain = Arc::new(AtomicU64::new(0));
-    pipeline(200, 2, Arc::clone(&plain)).run().unwrap();
+    pipeline(200, 2, Arc::clone(&plain), RunOptions::default())
+        .run()
+        .unwrap();
     let expect = plain.load(Ordering::Relaxed);
 
     let total = Arc::new(AtomicU64::new(0));
     let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(5)));
     let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
-    let stats = pipeline(200, 2, Arc::clone(&total))
-        .with_metrics(Arc::clone(&registry))
-        .with_telemetry(TelemetryConfig::new(Arc::clone(&sampler), "local"))
-        .run()
-        .unwrap();
+    let opts = RunOptions {
+        metrics: Some(Arc::clone(&registry)),
+        telemetry: Some(TelemetryConfig::new(Arc::clone(&sampler), "local")),
+        ..Default::default()
+    };
+    let stats = pipeline(200, 2, Arc::clone(&total), opts).run().unwrap();
     assert_eq!(total.load(Ordering::Relaxed), expect, "output unchanged");
 
     // Every packet that crossed a stream got a residence measurement;
@@ -116,10 +122,11 @@ fn in_process_telemetry_records_latencies_and_counters() {
 fn telemetry_off_leaves_no_trace() {
     let total = Arc::new(AtomicU64::new(0));
     let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
-    let stats = pipeline(50, 2, Arc::clone(&total))
-        .with_metrics(Arc::clone(&registry))
-        .run()
-        .unwrap();
+    let opts = RunOptions {
+        metrics: Some(Arc::clone(&registry)),
+        ..Default::default()
+    };
+    let stats = pipeline(50, 2, Arc::clone(&total), opts).run().unwrap();
     assert_eq!(stats.e2e_us.count, 0);
     assert!(stats.stages.iter().all(|s| s.residence_us.count == 0));
     let reg = registry.lock().unwrap();
@@ -187,7 +194,9 @@ fn wire_merge_equals_in_process_registry() {
 #[test]
 fn three_workers_ship_telemetry_to_the_launcher() {
     let plain = Arc::new(AtomicU64::new(0));
-    pipeline(100, 2, Arc::clone(&plain)).run().unwrap();
+    pipeline(100, 2, Arc::clone(&plain), RunOptions::default())
+        .run()
+        .unwrap();
     let expect = plain.load(Ordering::Relaxed);
 
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -228,11 +237,14 @@ fn three_workers_ship_telemetry_to_the_launcher() {
             scope.spawn(move || {
                 let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(5)));
                 let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
-                pipeline(100, 2, total)
-                    .with_metrics(registry)
-                    .with_telemetry(
+                let opts = RunOptions {
+                    metrics: Some(registry),
+                    telemetry: Some(
                         TelemetryConfig::new(sampler, format!("worker:{stage}")).ship_to(at),
-                    )
+                    ),
+                    ..Default::default()
+                };
+                pipeline(100, 2, total, opts)
                     .run_worker(WorkerEndpoints {
                         stage,
                         ingress: listener.map(WorkerIngress::Tcp),
@@ -315,10 +327,11 @@ fn dead_aggregator_never_fails_the_run() {
     let total = Arc::new(AtomicU64::new(0));
     let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(5)));
     // Ship to a port with nothing listening: connects fail, run succeeds.
-    pipeline(50, 1, Arc::clone(&total))
-        .with_telemetry(TelemetryConfig::new(sampler, "local").ship_to("127.0.0.1:1"))
-        .run()
-        .unwrap();
+    let opts = RunOptions {
+        telemetry: Some(TelemetryConfig::new(sampler, "local").ship_to("127.0.0.1:1")),
+        ..Default::default()
+    };
+    pipeline(50, 1, Arc::clone(&total), opts).run().unwrap();
     assert_eq!(
         total.load(Ordering::Relaxed),
         (0..50u64).map(|i| i * 2).sum()

@@ -8,7 +8,7 @@
 //! sink is process-global; integration-test files run as separate
 //! processes, so other suites are unaffected.
 
-use cgp_datacutter::{Buffer, ClosureFilter, FilterIo, Pipeline, StageSpec};
+use cgp_datacutter::{Buffer, ClosureFilter, FilterIo, Pipeline, RunOptions, StageSpec};
 use cgp_obs::json::Json;
 use cgp_obs::trace;
 use cgp_obs::{ChromeTraceSink, TraceSink};
@@ -32,8 +32,11 @@ const PACKETS: usize = 12;
 const PAYLOAD: usize = 256;
 
 fn three_stage_pipeline() -> Pipeline {
-    Pipeline::new()
-        .with_capacity(4)
+    let opts = RunOptions {
+        capacity: 4,
+        ..Default::default()
+    };
+    Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "source",
             1,

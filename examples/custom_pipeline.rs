@@ -7,7 +7,7 @@
 //! ```
 
 use cgp_core::datacutter::{
-    Buffer, ClosureFilter, Filter, FilterIo, FilterResult, Pipeline, StageSpec,
+    Buffer, ClosureFilter, Filter, FilterIo, FilterResult, Pipeline, RunOptions, StageSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,8 +53,11 @@ fn main() {
     let total_count = Arc::new(AtomicU64::new(0));
     let (th, tc) = (Arc::clone(&total_hash), Arc::clone(&total_count));
 
-    let stats = Pipeline::new()
-        .with_capacity(16)
+    let opts = RunOptions {
+        capacity: 16,
+        ..Default::default()
+    };
+    let stats = Pipeline::new(opts)
         .add_stage(StageSpec::new(
             "generate",
             1,
