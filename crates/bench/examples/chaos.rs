@@ -1,7 +1,7 @@
 //! Worked chaos example: run the same pipeline through the fault-tolerant
-//! runtime under four injected failure modes — a mid-stream panic, a
-//! plain failure, a retryable failure that recovers under the retry
-//! policy, and an induced stall caught by the watchdog.
+//! runtime under three injected failure modes — a mid-stream panic, a
+//! failure that recovery's restart masks, and an induced stall caught by
+//! the watchdog.
 //!
 //! ```sh
 //! cargo run --release -p cgp-bench --example chaos
@@ -12,7 +12,7 @@
 //! process, no leaked threads (the executor joins every copy).
 
 use cgp_core::datacutter::{
-    Buffer, ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Pipeline, RetryPolicy,
+    Buffer, ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Pipeline, RecoveryOptions,
     RunOptions, StageSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,27 +96,23 @@ fn main() {
     assert_eq!(err.kind, ErrorKind::Panicked);
     println!("panic injection: {err}");
 
-    // 3. Retryable failure + retry policy: the source fails retryably at
-    //    packet 0 (before producing anything), so the retry restarts the
-    //    unit of work with a fresh filter instance and the run completes.
+    // 3. Failure + recovery: copy 0 of `double` fails at packet 100.
+    //    Recovery restarts the copy with a fresh filter instance and
+    //    replays the input it had not acknowledged, so the run completes
+    //    with the exact sum. Without recovery the same fault fails the run.
     let total = Arc::new(AtomicU64::new(0));
     let opts = RunOptions {
-        faults: FaultPlan::new().rule(cgp_core::datacutter::FaultRule {
-            stage: Some("source".into()),
-            copy: Some(0),
-            trigger: cgp_core::datacutter::Trigger::Packet(0),
-            action: cgp_core::datacutter::FaultAction::Fail { retryable: true },
-        }),
-        retry: RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)),
+        faults: FaultPlan::new().fail_at("double", 0, 100),
+        recovery: RecoveryOptions::on(),
         ..Default::default()
     };
     let stats = pipeline(N, Arc::clone(&total), opts)
         .run()
-        .expect("retry recovers");
+        .expect("the restart recovers");
     assert_eq!(total.load(Ordering::Relaxed), expect);
     println!(
-        "retryable failure: recovered after {} retries (sum still {})",
-        stats.retries(),
+        "failure under recovery: masked by {} restart(s) (sum still {})",
+        stats.recoveries(),
         expect
     );
 

@@ -16,8 +16,10 @@
 //! - `CGP_FAULTS=<spec>` (env) or `--faults <spec>` (flag, wins) — inject
 //!   deterministic faults into the threaded demo run (see
 //!   [`cgp_core::datacutter::FaultPlan::parse`] for the spec grammar),
-//!   plus `CGP_DEADLINE_MS`/`--deadline-ms`, `CGP_STALL_MS` and
-//!   `CGP_RETRIES` for the matching watchdog/retry knobs;
+//!   plus `CGP_DEADLINE_MS`/`--deadline-ms` and `CGP_STALL_MS` for the
+//!   matching watchdog knobs. A chaos run reports whether its output
+//!   matches the oracle (what `Interp::run_main` prints for the same
+//!   program) and how many packets `drop` faults discarded;
 //! - `CGP_RECOVER=1` (env) or `--recover` (flag) — mask the injected
 //!   faults with checkpointed restarts and ack/replay delivery, with
 //!   `CGP_CHECKPOINT_EVERY`/`--checkpoint-every` controlling commit
@@ -37,6 +39,7 @@ use cgp_core::apps::dialect::{
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::vmscope::Slide;
 use cgp_core::datacutter::{decode_telemetry_payload, RunControl, Transport};
+use cgp_core::lang::{frontend, interp::Interp};
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
     ExecOptions, NetRole, PipelineEnv, WorkerIngress,
@@ -311,7 +314,8 @@ impl Obs {
                     );
                 }
                 eprintln!(
-                    "[obs] worker {stage}/{m} for {name} finished ({})",
+                    "[obs] worker {stage}/{m} for {name} finished, dropped {} packets ({})",
+                    stats.dropped(),
                     net.join("; ")
                 );
             }
@@ -322,9 +326,8 @@ impl Obs {
         }
     }
 
-    /// Run `app`'s demo plan twice — in-process, then split one worker
-    /// process per pipeline unit over loopback TCP — and fail loudly
-    /// unless the outputs are byte-identical.
+    /// Run `app`'s demo plan split one worker process per pipeline unit,
+    /// and fail loudly unless the output is byte-identical to the oracle.
     fn run_as_launcher(&self, app: DialectApp) {
         let (name, src, opts) = demo_config(app);
         let compiled = compile(src, &opts).unwrap_or_else(|e| {
@@ -332,28 +335,7 @@ impl Obs {
             std::process::exit(1);
         });
         let m = compiled.plan.m;
-        // The reference run stays untelemetered — its output is the
-        // byte-identity oracle, and the merged telemetry log belongs to
-        // the distributed run being observed — and fixed-width: an
-        // autoscaled distributed run must match the *static* plan's
-        // output exactly, so the oracle must not scale itself.
-        let mut reference_exec = self.exec.clone();
-        reference_exec.status_every = None;
-        reference_exec.telemetry_log = None;
-        reference_exec.telemetry_addr = None;
-        reference_exec.autoscale = None;
-        let expected = match run_plan_threaded_stats(
-            Arc::new(compiled.plan.clone()),
-            demo_host_builder(app),
-            None,
-            &reference_exec,
-        ) {
-            Ok((out, _)) => out,
-            Err(e) => {
-                eprintln!("[obs] launcher: in-process reference run for {name} failed: {e}");
-                std::process::exit(1);
-            }
-        };
+        let expected = oracle_lines(app);
         let passthrough =
             crate::launcher::strip_net_flags(&std::env::args().skip(1).collect::<Vec<_>>());
         let aggregator = self
@@ -410,16 +392,17 @@ impl Obs {
                     Some(out) if out == expected => {
                         println!(
                             "[obs] distributed run for {name} failed over to a replanned \
-                             in-process run; output matches ({} lines)",
+                             in-process run; output matches the oracle ({} lines)",
                             out.len()
                         );
                         return;
                     }
                     Some(out) => {
-                        eprintln!(
-                            "[obs] launcher: failover output diverges for {name}: expected \
-                             {expected:?}, got {out:?}"
+                        println!(
+                            "[obs] distributed run for {name} failed over to a replanned \
+                             in-process run; output differs from the oracle"
                         );
+                        eprintln!("[obs] launcher: expected {expected:?}, got {out:?}");
                         std::process::exit(1);
                     }
                     None => std::process::exit(1),
@@ -434,15 +417,16 @@ impl Obs {
             agg.finish(name, &compiled);
         }
         if got != expected {
-            eprintln!(
-                "[obs] launcher: distributed output diverges from the in-process run for \
-                 {name}: expected {expected:?}, got {got:?}"
+            println!(
+                "[obs] distributed run for {name} across {m} workers: output differs from \
+                 the oracle"
             );
+            eprintln!("[obs] launcher: expected {expected:?}, got {got:?}");
             std::process::exit(1);
         }
         println!(
-            "[obs] distributed run for {name} across {m} workers matches the in-process \
-             run ({} output lines)",
+            "[obs] distributed run for {name} across {m} workers matches the oracle \
+             ({} output lines)",
             got.len()
         );
     }
@@ -491,7 +475,14 @@ impl Obs {
                         }
                     }
                     if self.chaos {
-                        println!("[obs] chaos run for {name} completed despite injection");
+                        println!(
+                            "[obs] chaos run for {name} completed; {}",
+                            verdict(&out, &oracle_lines(app))
+                        );
+                        println!(
+                            "[obs] chaos run for {name} dropped {} packets",
+                            stats.dropped()
+                        );
                         if self.exec.recover {
                             println!(
                                 "[obs] recovery: {} restarts, {} replayed packets, \
@@ -521,7 +512,14 @@ impl Obs {
                         // unit's host as dead, replan over the survivors
                         // with the cost model, and re-run from checkpoints.
                         println!("[obs] chaos run for {name} exhausted restarts: {e}");
-                        self.failover_rerun(name, src, &opts, &compiled, builder, &e);
+                        if let Some(out) =
+                            self.failover_rerun(name, src, &opts, &compiled, builder, &e)
+                        {
+                            println!(
+                                "[obs] failover run for {name}: {}",
+                                verdict(&out, &oracle_lines(app))
+                            );
+                        }
                     } else if self.chaos {
                         // Under injection a structured failure is the
                         // expected outcome — report it, don't die.
@@ -539,7 +537,7 @@ impl Obs {
     /// decomposition DP over the survivors, recompile, and re-run. The
     /// fault plan stays armed — the recovery layer masks it on the new
     /// placement, so a completed re-run really demonstrates end-to-end
-    /// self-healing.
+    /// self-healing. Returns the re-run's output lines on success.
     fn failover_rerun(
         &self,
         name: &str,
@@ -548,18 +546,18 @@ impl Obs {
         compiled: &Compiled,
         builder: cgp_core::HostBuilder,
         err: &CoreError,
-    ) {
+    ) -> Option<Vec<String>> {
         let Some(dead) = dead_unit_of(err) else {
             println!("[obs] failover: cannot identify a dead unit in `{err}`; giving up");
-            return;
+            return None;
         };
-        let _ = self.failover_replan_run(name, src, copts, compiled, builder, dead);
+        self.failover_replan_run(name, src, copts, compiled, builder, dead)
     }
 
     /// Drop pipeline unit `dead` from the environment, re-run the
     /// decomposition DP over the survivors, recompile, and re-run
     /// in-process. Returns the re-run's output lines on success so the
-    /// caller can diff them against a reference.
+    /// caller can compare them with the oracle.
     fn failover_replan_run(
         &self,
         name: &str,
@@ -1044,6 +1042,26 @@ fn dead_unit_of(err: &CoreError) -> Option<usize> {
     unit_of_stage_label(&fe.filter)
 }
 
+/// What `Interp::run_main` prints for `app`'s demo program on its demo
+/// host: the oracle every chaos and distributed run is compared with.
+fn oracle_lines(app: DialectApp) -> Vec<String> {
+    let (name, src, _) = demo_config(app);
+    let tp = frontend(src).unwrap_or_else(|e| panic!("oracle for {name}: {e}"));
+    let mut it = Interp::new(&tp, demo_host_builder(app)());
+    it.run_main()
+        .unwrap_or_else(|e| panic!("oracle for {name}: {e}"));
+    it.output
+}
+
+/// How a run's output compares with the oracle, as the harness prints it.
+fn verdict(out: &[String], oracle: &[String]) -> &'static str {
+    if out == oracle {
+        "output matches the oracle"
+    } else {
+        "output differs from the oracle"
+    }
+}
+
 fn demo_host_builder(app: DialectApp) -> cgp_core::HostBuilder {
     match app {
         DialectApp::Zbuf | DialectApp::Apix => {
@@ -1065,7 +1083,7 @@ fn demo_host_builder(app: DialectApp) -> cgp_core::HostBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgp_core::datacutter::{AutoscaleConfig, FaultPlan, RetryPolicy};
+    use cgp_core::datacutter::{AutoscaleConfig, FaultPlan};
     use cgp_obs::SmallRng;
 
     fn argv(s: &[&str]) -> Vec<String> {
@@ -1205,10 +1223,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("{var}={bad} must be rejected"));
             assert!(err.starts_with(&format!("{var}:")), "{var}={bad}: {err}");
         }
-        // `CGP_RETRIES` has no flag.
-        let env = |name: &str| (name == "CGP_RETRIES").then(|| "4294967297".to_string());
-        let err = resolve_exec_options(&[], env).expect_err("2^32 + 1 retries must be rejected");
-        assert!(err.starts_with("CGP_RETRIES:"), "{err}");
     }
 
     /// One drawn setting: its variable, its spelling, and how a case
@@ -1273,11 +1287,6 @@ mod tests {
             let ms = count(rng, u64::MAX);
             want.heartbeat = (ms > 0).then(|| Duration::from_millis(ms));
             set.push(("CGP_HEARTBEAT_MS", ms.to_string()));
-        }
-        if take(rng) {
-            let n = count(rng, u32::MAX as u64) as u32;
-            want.retry = RetryPolicy::retries(n);
-            set.push(("CGP_RETRIES", n.to_string()));
         }
         if take(rng) {
             let n = count(rng, u32::MAX as u64) as u32;
@@ -1477,7 +1486,6 @@ mod tests {
             ("CGP_STALL_MS", &["soon", "1e3"]),
             (STATUS_EVERY_ENV, &["fast", "-1"]),
             ("CGP_HEARTBEAT_MS", &["-5", "2.5"]),
-            ("CGP_RETRIES", &["many", "4294967296", "4294967297"]),
             (
                 "CGP_MAX_WORKER_RESTARTS",
                 &["lots", "4294967296", "18446744073709551616"],

@@ -7,7 +7,8 @@
 //! or `shm:auto`), announces it on stdout as `CGP_LISTENING <addr>`, and
 //! the launcher passes that address to the next worker upstream as
 //! `CGP_CONNECT`. The final stage's remaining stdout is the run's result,
-//! which the caller diffs against an in-process run of the same plan.
+//! which the caller compares with the oracle (the sequential
+//! interpreter's output for the same program).
 //!
 //! Closures can't cross process boundaries, so there is no plan shipping:
 //! every worker recompiles the same program with the same options (both

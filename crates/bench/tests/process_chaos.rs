@@ -1,7 +1,7 @@
 //! Process-level chaos: SIGKILL real worker processes mid-stream and
 //! assert the supervised launcher masks the crash — the distributed
-//! output stays byte-identical to the in-process reference run (the
-//! launcher itself diffs them and fails loudly on divergence), the
+//! output stays byte-identical to the oracle (the launcher itself
+//! compares them and fails loudly on divergence), the
 //! restart count stays bounded, and budget exhaustion falls over to a
 //! cost-model replan instead of dying.
 //!
@@ -9,7 +9,7 @@
 //! `CGP_KILL=<stage>[<copy>]#<packet>` makes exactly one worker raise
 //! SIGKILL against itself at a deterministic packet index (the spec only
 //! arms in worker roles, so neither the launcher nor its in-process
-//! reference run ever self-kills).
+//! failover run ever self-kills).
 
 use cgp_core::datacutter::shm::ring_path;
 use cgp_core::datacutter::shm_supported;
@@ -48,9 +48,9 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The launcher only prints this after diffing the distributed output
-/// against its own in-process run — it *is* the byte-identity oracle.
-const MATCH_LINE: &str = "matches the in-process run";
+/// The launcher only prints this after comparing the distributed output
+/// with the oracle, the sequential interpreter's output.
+const MATCH_LINE: &str = "matches the oracle";
 
 fn assert_masked(out: &Output, expect_restarts: &str) {
     let stdout = stdout_of(out);
@@ -183,7 +183,7 @@ fn assert_failed_over(out: &Output) {
         "missing replan report\nstdout:\n{stdout}"
     );
     assert!(
-        stdout.contains("failed over to a replanned in-process run; output matches"),
+        stdout.contains("failed over to a replanned in-process run; output matches the oracle"),
         "failover output must be diffed and match\nstdout:\n{stdout}"
     );
 }

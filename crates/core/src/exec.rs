@@ -32,8 +32,8 @@ use cgp_compiler::FilterStepper;
 pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
     AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
-    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunOptions, RunStats,
-    StageSpec, TelemetryConfig, Transport, WorkerEndpoints,
+    FilterResult, NetTuning, Pipeline, RecoveryOptions, RunOptions, RunStats, StageSpec,
+    TelemetryConfig, Transport, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
@@ -79,15 +79,13 @@ pub enum NetRole {
 
 /// Every run setting of a threaded plan run, as read from flags and
 /// `CGP_*` variables ([`ExecOptions::from_lookup`]): fault injection,
-/// retry, watchdogs, recovery, the distributed role and links,
+/// watchdogs, recovery, the distributed role and links,
 /// telemetry and elastic width. The runtime's share becomes one
 /// DataCutter [`RunOptions`] per run.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Deterministic fault-injection plan (empty = no injection).
     pub faults: FaultPlan,
-    /// Retry policy for retryable filter errors.
-    pub retry: RetryPolicy,
     /// Hard wall-clock limit for the run.
     pub deadline: Option<Duration>,
     /// Cancel if no packet moves for this long.
@@ -98,7 +96,7 @@ pub struct ExecOptions {
     /// Enable the recovery layer: ack/replay delivery, checkpointed
     /// reduction state, and supervised copy restarts — injected faults
     /// are survived instead of surfaced (where the restart budget
-    /// allows).
+    /// allows). Off, a failed filter copy fails the run.
     pub recover: bool,
     /// Checkpoint cadence in accepted packets for stateful stages
     /// (`None` = the runtime default).
@@ -177,7 +175,6 @@ impl ExecOptions {
     /// - `CGP_FAULTS` — fault spec (see [`FaultPlan::parse`]);
     /// - `CGP_DEADLINE_MS` — run deadline in milliseconds;
     /// - `CGP_STALL_MS` — stall timeout in milliseconds;
-    /// - `CGP_RETRIES` — max retries for retryable failures;
     /// - `CGP_BATCH` — packets per stream lock acquisition (1 disables
     ///   batching);
     /// - `CGP_RECOVER` — `1`/`true`/`on` enables the recovery layer;
@@ -221,9 +218,6 @@ impl ExecOptions {
         let ms = |var: &str| whole::<u64>(&lookup, var);
         opts.deadline = ms("CGP_DEADLINE_MS")?.map(Duration::from_millis);
         opts.stall_timeout = ms("CGP_STALL_MS")?.map(Duration::from_millis);
-        if let Some(n) = whole::<u32>(&lookup, "CGP_RETRIES")? {
-            opts.retry = RetryPolicy::retries(n);
-        }
         if let Some(n) = whole::<usize>(&lookup, "CGP_BATCH")? {
             if n == 0 {
                 return Err(CoreError::Config("CGP_BATCH: must be at least 1".into()));
@@ -285,7 +279,7 @@ impl ExecOptions {
         }
         // A deterministic self-SIGKILL (`CGP_KILL=f2[0]#5`) is honored
         // only by worker processes: the launcher that spawned them (and
-        // its in-process reference run) shares the environment, and a
+        // its in-process failover run) shares the environment, and a
         // kill rule firing there would take the whole supervisor down.
         if let Some(spec) = lookup("CGP_KILL") {
             if !spec.is_empty() && matches!(opts.role, NetRole::Worker(_)) {
@@ -379,7 +373,7 @@ fn whole<T: FromStr<Err = ParseIntError>>(
 /// (`None` = all width 1); `opts` carries the fault-tolerance, telemetry
 /// and engine knobs (`&ExecOptions::default()` for a plain run). Returns
 /// the epilogue's `print` output and the runtime's per-stage statistics,
-/// so callers can surface failure/retry/recovery counters.
+/// so callers can surface failure/recovery counters.
 pub fn run_plan_threaded_stats(
     plan: Arc<FilterPlan>,
     host_builder: HostBuilder,
@@ -479,6 +473,7 @@ fn build_pipeline(
                     m,
                     batch,
                     output: Arc::clone(&out),
+                    lines: Vec::new(),
                     pending_restore: None,
                 })
             }),
@@ -560,7 +555,6 @@ fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError
         pool: Some(BufferPool::new()),
         same_host_rings: !opts.no_rings,
         faults: opts.faults.clone(),
-        retry: opts.retry,
         deadline: opts.deadline,
         stall_timeout: opts.stall_timeout,
         metrics,
@@ -586,6 +580,9 @@ struct PlanFilter {
     m: usize,
     batch: usize,
     output: Arc<Mutex<Vec<String>>>,
+    /// The final unit's epilogue lines, published to `output` by
+    /// `finalize`, which a doomed attempt never reaches.
+    lines: Vec<String>,
     /// Checkpoint bytes handed to `Filter::restore` before `process`
     /// runs; decoded and merged into (or adopted by) the fresh unit once
     /// the stepper exists (`Value` state is not `Send`, so the raw encoding
@@ -699,11 +696,7 @@ impl PlanFilter {
                 io.write(buf).map_err(CoreError::Runtime)?;
             }
         } else {
-            let lines = stepper.epilogue_at(j).map_err(CoreError::Compile)?;
-            self.output
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(lines);
+            self.lines = stepper.epilogue_at(j).map_err(CoreError::Compile)?;
         }
         Ok(())
     }
@@ -713,14 +706,22 @@ impl Filter for PlanFilter {
     fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
         self.run_unit_of_work(io).map_err(|e| match e {
             // Stream/injected errors are already structured — pass them
-            // through so kind/retryable survive (the executor renames
-            // them to this stage's label).
+            // through so their kind survives (the executor renames them
+            // to this stage's label).
             CoreError::Runtime(fe) => fe,
             other => cgp_datacutter::FilterError::new(
                 format!("f{}[{}]", self.j + 1, self.copy),
                 other.to_string(),
             ),
         })
+    }
+
+    fn finalize(&mut self, _io: &mut FilterIo) -> FilterResult<()> {
+        self.output
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .append(&mut self.lines);
+        Ok(())
     }
 
     fn name(&self) -> &str {

@@ -4,8 +4,7 @@
 //! `stage[copy]` label), *what* happened (`message`), and a structured
 //! [`ErrorKind`] so callers can distinguish an ordinary filter failure
 //! from a caught panic, a malformed packet, a run-deadline stall, or a
-//! secondary cancellation. `retryable` marks transient failures the
-//! executor may re-attempt under its [retry policy](crate::RetryPolicy).
+//! secondary cancellation.
 
 use std::fmt;
 
@@ -49,9 +48,6 @@ pub struct FilterError {
     /// Failure class (ordinary error, caught panic, malformed packet,
     /// stall, cancellation).
     pub kind: ErrorKind,
-    /// Whether the executor may retry the unit of work (bounded by the
-    /// pipeline's retry policy).
-    pub retryable: bool,
 }
 
 impl FilterError {
@@ -60,7 +56,6 @@ impl FilterError {
             filter: filter.into(),
             message: message.into(),
             kind: ErrorKind::Failed,
-            retryable: false,
         }
     }
 
@@ -94,12 +89,6 @@ impl FilterError {
             kind: ErrorKind::Cancelled,
             ..FilterError::new(filter, message)
         }
-    }
-
-    /// Mark this error as retryable under the executor's retry policy.
-    pub fn retryable(mut self) -> Self {
-        self.retryable = true;
-        self
     }
 }
 
@@ -147,12 +136,8 @@ mod tests {
     }
 
     #[test]
-    fn kinds_and_retryable_flag() {
-        let e = FilterError::new("x", "m");
-        assert_eq!(e.kind, ErrorKind::Failed);
-        assert!(!e.retryable);
-        let r = FilterError::new("x", "m").retryable();
-        assert!(r.retryable);
+    fn constructors_set_the_kind() {
+        assert_eq!(FilterError::new("x", "m").kind, ErrorKind::Failed);
         assert_eq!(FilterError::cancelled("x", "m").kind, ErrorKind::Cancelled);
     }
 }

@@ -21,9 +21,11 @@
 //! - **Fault injection** — a [`FaultPlan`] injects deterministic
 //!   fail/panic/delay/drop faults at stage × copy × packet index
 //!   ([`RunOptions::faults`]).
-//! - **Retry** — errors marked [`retryable`](crate::FilterError::retryable)
-//!   re-run the unit of work with a fresh filter instance under a bounded
-//!   [`RetryPolicy`] with exponential backoff ([`RunOptions::retry`]).
+//! - **Restart** — with recovery on ([`RunOptions::recovery`]), every
+//!   failure except a cancellation restarts the copy: a fresh filter
+//!   instance gets its committed checkpoint back and its unacknowledged
+//!   input replayed, up to [`RecoveryOptions::max_restarts`] times with
+//!   exponential backoff. Without recovery a failed copy fails the run.
 //! - **Deadline & stall detection** — [`RunOptions::deadline`] /
 //!   [`RunOptions::stall_timeout`] arm a watchdog that cancels the
 //!   run's channels, wakes every blocked copy, and reports *where* the
@@ -32,14 +34,14 @@
 //!   filters blocked in stream operations unwedge automatically;
 //!   long compute loops should poll [`FilterIo::cancelled`].
 //!
-//! Failures surface as counters on [`StageStats`] (`failures`, `retries`,
-//! `panics`), as `fault`-category trace events through `cgp_obs`, and
-//! optionally into a shared [`MetricsRegistry`]
+//! Failures surface as counters on [`StageStats`] (`failures`, `panics`,
+//! `recoveries`, `dropped`), as `fault`-category trace events through
+//! `cgp_obs`, and optionally into a shared [`MetricsRegistry`]
 //! ([`RunOptions::metrics`]).
 
 use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
-use crate::fault::{FaultPlan, RetryPolicy, RunControl};
+use crate::fault::{FaultPlan, RunControl};
 use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
 use crate::link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, WorkerIngress};
 use crate::net::TelemetryClient;
@@ -168,10 +170,11 @@ pub struct StageStats {
     /// (starved for upstream data), summed over copies.
     pub blocked_recv: Duration,
     /// Failed unit-of-work attempts across this stage's copies
-    /// (including attempts that later succeeded on retry).
+    /// (including attempts whose copy later succeeded on a restart).
     pub failures: u64,
-    /// Retries performed across this stage's copies.
-    pub retries: u64,
+    /// Packets injected `drop` faults discarded across this stage's
+    /// copies: intentional loss, which recovery does not resurrect.
+    pub dropped: u64,
     /// Attempts that ended in a caught panic.
     pub panics: u64,
     /// Packet-storage allocations served from the run's [`BufferPool`]
@@ -179,8 +182,7 @@ pub struct StageStats {
     pub pool_hits: u64,
     /// Packet-storage allocations that fell through to the heap.
     pub pool_misses: u64,
-    /// Copy restarts performed by the recovery supervisor (beyond the
-    /// classic retry path).
+    /// Copy restarts performed under recovery.
     pub recoveries: u64,
     /// Packets re-delivered from replay buffers after restarts.
     pub replayed_packets: u64,
@@ -214,14 +216,14 @@ pub struct RunStats {
 
 impl RunStats {
     /// Failed attempts summed over stages (a successful run can still
-    /// have non-zero failures if retries recovered them).
+    /// have non-zero failures if restarts recovered them).
     pub fn failures(&self) -> u64 {
         self.stages.iter().map(|s| s.failures).sum()
     }
 
-    /// Retries summed over stages.
-    pub fn retries(&self) -> u64 {
-        self.stages.iter().map(|s| s.retries).sum()
+    /// Packets dropped by injected faults, summed over stages.
+    pub fn dropped(&self) -> u64 {
+        self.stages.iter().map(|s| s.dropped).sum()
     }
 
     /// Caught panics summed over stages.
@@ -268,9 +270,9 @@ pub struct WorkerEndpoints {
 /// How one pipeline run behaves: every setting apart from the stage list.
 ///
 /// [`RunOptions::default`] is a plain in-process run: 64-packet queues,
-/// per-packet synchronization, no pool, rings on, no faults, no retry, no
-/// watchdog, recovery off, default [`NetTuning`], no telemetry, fixed
-/// widths and no carried busy time. Set fields with struct update syntax:
+/// per-packet synchronization, no pool, rings on, no faults, no watchdog,
+/// recovery off, default [`NetTuning`], no telemetry, fixed widths and no
+/// carried busy time. Set fields with struct update syntax:
 ///
 /// ```
 /// use cgp_datacutter::RunOptions;
@@ -309,10 +311,6 @@ pub struct RunOptions {
     /// Deterministic fault-injection plan (chaos testing); an empty plan
     /// injects nothing.
     pub faults: FaultPlan,
-    /// Bounded retry with exponential backoff for retryable filter
-    /// errors; each retry re-runs the unit of work with a fresh filter
-    /// instance from the stage factory.
-    pub retry: RetryPolicy,
     /// Hard wall-clock limit for the run. On expiry the watchdog cancels
     /// every stream, blocked copies unwedge, and the run returns a
     /// structured [`ErrorKind::Stalled`] error naming where copies were
@@ -323,14 +321,14 @@ pub struct RunOptions {
     /// compute time).
     pub stall_timeout: Option<Duration>,
     /// Registry the run publishes its counters into at end of run:
-    /// per-stage failures, retries, panics, pool and recovery counts,
+    /// per-stage failures, drops, panics, pool and recovery counts,
     /// per-link network counters, and (with telemetry) per-stage rates
     /// and latency histograms.
     pub metrics: Option<Arc<Mutex<MetricsRegistry>>>,
     /// The recovery layer: ack/replay delivery on every stream,
     /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
-    /// supervised copy restarts on panic or failure (beyond the retry
-    /// path, which only covers retryable errors).
+    /// supervised copy restarts on any failure but a cancellation. Off,
+    /// a failed copy fails the run.
     pub recovery: RecoveryOptions,
     /// Checkpoint store used under recovery (e.g. one mirrored to a JSONL
     /// audit log via [`CheckpointStore::with_jsonl`]); `None` is a fresh
@@ -378,7 +376,6 @@ impl Default for RunOptions {
             pool: None,
             same_host_rings: true,
             faults: FaultPlan::default(),
-            retry: RetryPolicy::default(),
             deadline: None,
             stall_timeout: None,
             metrics: None,
@@ -427,8 +424,8 @@ impl Pipeline {
     /// — an ingress serve loop replays the upstream producers onto a
     /// local stream with the in-process round-robin routing, and one
     /// egress pump per copy relays its output to the downstream worker —
-    /// so batching, backpressure, cancellation, fault injection, retry,
-    /// and recovery behave exactly as under [`Pipeline::run`], and the
+    /// so batching, backpressure, cancellation, fault injection and
+    /// recovery behave exactly as under [`Pipeline::run`], and the
     /// distributed run's results are byte-identical to the in-process
     /// run's.
     pub fn run_worker(self, endpoints: WorkerEndpoints) -> FilterResult<RunStats> {
@@ -733,7 +730,6 @@ impl Pipeline {
         // waits with a timeout.
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
         let net_stats: Arc<Mutex<Vec<(u32, NetLinkStats)>>> = Arc::new(Mutex::new(Vec::new()));
-        let retry = opts.retry;
         let recovery = opts.recovery;
         let store = opts
             .recovery
@@ -913,6 +909,7 @@ impl Pipeline {
                         pool: opts.pool.clone(),
                         pool_hits: 0,
                         pool_misses: 0,
+                        dropped: 0,
                         recovery: store.as_ref().map(|st| RecoveryCtx {
                             store: st.clone(),
                             stage: stage.name.clone(),
@@ -968,7 +965,6 @@ impl Pipeline {
                         if let Some(p) = &probe {
                             p.copy(c).mark_started(now_us());
                         }
-                        let mut retries_here = 0u64;
                         let mut failures_here = 0u64;
                         let mut panics_here = 0u64;
                         let mut recoveries_here = 0u64;
@@ -997,20 +993,30 @@ impl Pipeline {
                                             filter.restore(&snap)?;
                                         }
                                     }
-                                    {
+                                    let processed = {
                                         let _s = trace::span(
                                             "process",
                                             "filter-phase",
                                             PID_RUNTIME,
                                             tid,
                                         );
-                                        filter.process(&mut io)?;
+                                        filter.process(&mut io)
+                                    };
+                                    // An input-side injected failure parks
+                                    // its error and fabricates end-of-work:
+                                    // the attempt is doomed whatever
+                                    // `process` made of the truncated
+                                    // input, so `finalize` must not run
+                                    // and publish its results.
+                                    if let Some(e) = io.take_injected_error() {
+                                        return Err(e);
                                     }
+                                    processed?;
                                     let _s =
                                         trace::span("finalize", "filter-phase", PID_RUNTIME, tid);
                                     filter.finalize(&mut io)
                                 }));
-                            let mut attempt_result: FilterResult<()> = match unit {
+                            let attempt_result: FilterResult<()> = match unit {
                                 Ok(r) => r,
                                 Err(payload) => {
                                     panics_here += 1;
@@ -1020,13 +1026,14 @@ impl Pipeline {
                                     ))
                                 }
                             };
-                            // An input-side injected failure parks its
-                            // error and signals end-of-work.
-                            if attempt_result.is_ok() {
-                                if let Some(e) = io.take_injected_error() {
-                                    attempt_result = Err(e);
-                                }
-                            }
+                            // A failure parked by a phase that then
+                            // panicked, or by `finalize`, is still the
+                            // attempt's root cause; taking it after every
+                            // attempt also keeps it from failing the next.
+                            let attempt_result = match io.take_injected_error() {
+                                Some(e) => Err(e),
+                                None => attempt_result,
+                            };
                             match attempt_result {
                                 Err(e) => {
                                     failures_here += 1;
@@ -1039,24 +1046,13 @@ impl Pipeline {
                                             vec![("error", e.to_string().into())],
                                         );
                                     }
-                                    let attempts_left = retries_here < retry.max_retries as u64;
-                                    if e.retryable && attempts_left && !control.is_cancelled() {
-                                        retries_here += 1;
-                                        let _ = control.cancellable_sleep(
-                                            retry.delay(retries_here as u32),
-                                            &label,
-                                        );
-                                        // Under recovery a retry is also a
-                                        // restart: replay the unacked tail
-                                        // instead of losing it.
-                                        io.begin_attempt();
-                                        continue;
-                                    }
-                                    // Recovery restart: panics and
-                                    // non-retryable failures get a fresh
-                                    // instance, the committed checkpoint,
-                                    // and the unacked input replayed —
-                                    // bounded by the restart budget.
+                                    // Restart: a fresh instance, the
+                                    // committed checkpoint and the unacked
+                                    // input replayed, within the restart
+                                    // budget. Without recovery nothing
+                                    // brings back the state and input the
+                                    // failed attempt consumed, so its
+                                    // error is final.
                                     if recovery.enabled
                                         && e.kind != ErrorKind::Cancelled
                                         && recoveries_here < recovery.max_restarts as u64
@@ -1076,7 +1072,7 @@ impl Pipeline {
                                             );
                                         }
                                         let _ = control.cancellable_sleep(
-                                            retry.delay(recoveries_here as u32),
+                                            restart_backoff(recoveries_here),
                                             &label,
                                         );
                                         io.begin_attempt();
@@ -1175,7 +1171,7 @@ impl Pipeline {
                             // copy's) still shows real busy time.
                             entry.busy_per_copy[c] += busy;
                             entry.failures += failures_here;
-                            entry.retries += retries_here;
+                            entry.dropped += io.dropped;
                             entry.panics += panics_here;
                             entry.recoveries += recoveries_here;
                             if let Some(r) = &io.input {
@@ -1251,8 +1247,8 @@ impl Pipeline {
                 if st.failures > 0 {
                     reg.counter(&format!("stage.{}.failures", st.name), st.failures);
                 }
-                if st.retries > 0 {
-                    reg.counter(&format!("stage.{}.retries", st.name), st.retries);
+                if st.dropped > 0 {
+                    reg.counter(&format!("stage.{}.dropped", st.name), st.dropped);
                 }
                 if st.panics > 0 {
                     reg.counter(&format!("stage.{}.panics", st.name), st.panics);
@@ -1376,6 +1372,13 @@ impl Pipeline {
             autoscale,
         })
     }
+}
+
+/// Backoff before restart `n` (1-based) of a failed copy: 10 ms, doubling,
+/// capped at 2 s.
+fn restart_backoff(n: u64) -> Duration {
+    let doublings = n.saturating_sub(1).min(20) as u32;
+    (Duration::from_millis(10) * (1 << doublings)).min(Duration::from_secs(2))
 }
 
 /// Decrement the shared completion count, waking the watchdog when the
@@ -2109,6 +2112,14 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::Panicked);
         assert_eq!(err.filter, "work[0]");
+    }
+
+    #[test]
+    fn restart_backoff_doubles_and_caps() {
+        assert_eq!(restart_backoff(1), Duration::from_millis(10));
+        assert_eq!(restart_backoff(2), Duration::from_millis(20));
+        assert_eq!(restart_backoff(3), Duration::from_millis(40));
+        assert_eq!(restart_backoff(20), Duration::from_secs(2), "capped");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Fault tolerance: deterministic fault injection, retry policy, and the
-//! shared run-control state behind the executor's deadline/stall watchdog.
+//! Fault tolerance: deterministic fault injection and the shared
+//! run-control state behind the executor's deadline/stall watchdog.
 //!
 //! A [`FaultPlan`] injects failures at precise points — *stage* × *copy* ×
 //! *packet index* — so failure-path behaviour is reproducible in tests and
@@ -16,10 +16,10 @@
 //! packet  := u64 | '*' | '%' f64    -- exact index, every packet, or
 //!                                      per-packet probability (seeded,
 //!                                      deterministic)
-//! action  := 'fail' | 'fail-retryable' | 'panic' | 'drop' | 'delay:' ms
+//! action  := 'fail' | 'panic' | 'drop' | 'kill' | 'delay:' ms
 //! ```
 //!
-//! Example: `square[0]@5:panic;sink[*]@%0.01:fail-retryable;src[1]@*:delay:2`.
+//! Example: `square[0]@5:panic;sink[*]@%0.01:fail;src[1]@*:delay:2`.
 //!
 //! Probabilistic triggers are *seedable*: the decision for a given
 //! (seed, stage, copy, packet) tuple is a pure function, so a chaos run
@@ -37,14 +37,10 @@ use crate::channel::CancelToken;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// The filter copy reports a structured error for this unit of work.
-    Fail {
-        /// Whether the injected error is retryable under the pipeline's
-        /// [`RetryPolicy`].
-        retryable: bool,
-    },
+    Fail,
     /// The filter copy panics (exercises the executor's panic isolation).
     Panic,
-    /// The packet is silently discarded.
+    /// The packet is discarded (counted in `StageStats::dropped`).
     DropPacket,
     /// Packet handling is delayed (cancellable; exercises the stall
     /// detector and backpressure paths).
@@ -103,13 +99,13 @@ impl FaultPlan {
         self
     }
 
-    /// Inject a non-retryable failure at `stage[copy]` packet `packet`.
+    /// Inject a failure at `stage[copy]` packet `packet`.
     pub fn fail_at(self, stage: &str, copy: usize, packet: u64) -> Self {
         self.rule(FaultRule {
             stage: Some(stage.into()),
             copy: Some(copy),
             trigger: Trigger::Packet(packet),
-            action: FaultAction::Fail { retryable: false },
+            action: FaultAction::Fail,
         })
     }
 
@@ -282,8 +278,7 @@ fn parse_rule_parts(
         })?),
     };
     let action = match action.trim() {
-        "fail" => FaultAction::Fail { retryable: false },
-        "fail-retryable" => FaultAction::Fail { retryable: true },
+        "fail" => FaultAction::Fail,
         "panic" => FaultAction::Panic,
         "drop" => FaultAction::DropPacket,
         "kill" => FaultAction::Kill,
@@ -295,7 +290,7 @@ fn parse_rule_parts(
             None => {
                 return Err(format!(
                     "unknown fault action `{a}` in `{entry}`: want \
-                     fail|fail-retryable|panic|drop|kill|delay:<ms>"
+                     fail|panic|drop|kill|delay:<ms>"
                 ))
             }
         },
@@ -408,58 +403,11 @@ impl FaultInjector {
     }
 
     /// The structured error an injected `Fail` action produces.
-    pub fn injected_error(&self, packet: u64, retryable: bool) -> FilterError {
-        let e = FilterError::new(
+    pub fn injected_error(&self, packet: u64) -> FilterError {
+        FilterError::new(
             self.label.clone(),
             format!("injected failure at packet {packet}"),
-        );
-        if retryable {
-            e.retryable()
-        } else {
-            e
-        }
-    }
-}
-
-/// Bounded-retry policy for retryable filter errors: attempt `n` (1-based)
-/// waits `backoff × 2^(n−1)`, capped at `max_backoff`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first failure (0 = no retry).
-    pub max_retries: u32,
-    /// Base backoff before the first retry.
-    pub backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    pub fn retries(n: u32) -> Self {
-        RetryPolicy {
-            max_retries: n,
-            ..Default::default()
-        }
-    }
-
-    pub fn with_backoff(mut self, base: Duration) -> Self {
-        self.backoff = base;
-        self
-    }
-
-    /// Backoff before retry `attempt` (1-based).
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(20);
-        (self.backoff * factor).min(self.max_backoff)
+        )
     }
 }
 
@@ -543,10 +491,9 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_readme_example() {
-        let plan = FaultPlan::parse(
-            "seed=7; square[0]@5:panic; sink[*]@%0.01:fail-retryable; src[1]@*:delay:2",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("seed=7; square[0]@5:panic; sink[*]@%0.01:fail; src[1]@*:delay:2")
+                .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.rules.len(), 3);
         assert_eq!(
@@ -561,7 +508,7 @@ mod tests {
         assert_eq!(plan.rules[1].stage, Some("sink".into()));
         assert_eq!(plan.rules[1].copy, None);
         assert_eq!(plan.rules[1].trigger, Trigger::Prob(0.01));
-        assert_eq!(plan.rules[1].action, FaultAction::Fail { retryable: true });
+        assert_eq!(plan.rules[1].action, FaultAction::Fail);
         assert_eq!(
             plan.rules[2].action,
             FaultAction::Delay(Duration::from_millis(2))
@@ -577,6 +524,13 @@ mod tests {
         assert!(FaultPlan::parse("seed=abc").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("explode@a[0]#1").is_err());
+        // A `fail-` suffix is an unknown action, and the error lists the
+        // valid ones.
+        let err = FaultPlan::parse("a[0]@1:fail-fast").unwrap_err();
+        assert!(
+            err.contains("want fail|panic|drop|kill|delay:<ms>"),
+            "{err}"
+        );
         assert!(FaultPlan::parse("panic@a[#1").is_err(), "stray bracket");
         assert!(FaultPlan::parse("panic@a]0[#1").is_err(), "stray bracket");
     }
@@ -660,7 +614,7 @@ mod tests {
         let canonical = FaultPlan::parse("reduce[0]@500:panic").unwrap();
         let alias = FaultPlan::parse("panic@reduce[0]#500").unwrap();
         assert_eq!(alias.rules, canonical.rules);
-        let plan = FaultPlan::parse("delay:250@f2[*]#*; fail-retryable@*[1]#%0.5").unwrap();
+        let plan = FaultPlan::parse("delay:250@f2[*]#*; fail@*[1]#%0.5").unwrap();
         assert_eq!(plan.rules.len(), 2);
         assert_eq!(
             plan.rules[0].action,
@@ -668,7 +622,7 @@ mod tests {
         );
         assert_eq!(plan.rules[0].trigger, Trigger::Every);
         assert_eq!(plan.rules[0].stage.as_deref(), Some("f2"));
-        assert_eq!(plan.rules[1].action, FaultAction::Fail { retryable: true });
+        assert_eq!(plan.rules[1].action, FaultAction::Fail);
         assert_eq!(plan.rules[1].trigger, Trigger::Prob(0.5));
         assert_eq!(plan.rules[1].copy, Some(1));
     }
@@ -711,15 +665,6 @@ mod tests {
         assert!((20..=100).contains(&fired), "~30% of 200, got {fired}");
         let other = decisions(&plan.clone().with_seed(43));
         assert_ne!(a, other, "different seed, different decisions");
-    }
-
-    #[test]
-    fn retry_backoff_doubles_and_caps() {
-        let p = RetryPolicy::retries(5).with_backoff(Duration::from_millis(10));
-        assert_eq!(p.delay(1), Duration::from_millis(10));
-        assert_eq!(p.delay(2), Duration::from_millis(20));
-        assert_eq!(p.delay(3), Duration::from_millis(40));
-        assert_eq!(p.delay(20), Duration::from_secs(2), "capped");
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct FilterIo {
     /// (aggregated into `StageStats` by the executor).
     pub(crate) pool_hits: u64,
     pub(crate) pool_misses: u64,
+    /// Packets an injected `drop` fault discarded at this copy
+    /// (aggregated into `StageStats::dropped` by the executor).
+    pub(crate) dropped: u64,
     /// Recovery bookkeeping (checkpoint cadence, ack policy), present
     /// only when the pipeline runs with recovery enabled.
     pub(crate) recovery: Option<RecoveryCtx>,
@@ -95,6 +98,7 @@ impl FilterIo {
             pool: None,
             pool_hits: 0,
             pool_misses: 0,
+            dropped: 0,
             recovery: None,
         }
     }
@@ -180,7 +184,7 @@ impl FilterIo {
             let packet = inj.packets_seen();
             match inj.on_packet() {
                 None => return Some(buf),
-                Some(FaultAction::DropPacket) => continue,
+                Some(FaultAction::DropPacket) => self.dropped += 1,
                 Some(FaultAction::Delay(d)) => {
                     if let Err(e) = Self::fault_sleep(&self.control, d, inj.label()) {
                         inj.set_pending(e);
@@ -188,8 +192,8 @@ impl FilterIo {
                     }
                     return Some(buf);
                 }
-                Some(FaultAction::Fail { retryable }) => {
-                    let e = inj.injected_error(packet, retryable);
+                Some(FaultAction::Fail) => {
+                    let e = inj.injected_error(packet);
                     inj.set_pending(e);
                     return None;
                 }
@@ -216,7 +220,7 @@ impl FilterIo {
             // output it produces past the failure point (e.g. an
             // end-of-stream reduction) is an artifact of the truncated
             // input. Swallow it — sending would burn sequence numbers
-            // that the retried attempt regenerates with *different*
+            // that the restarted attempt regenerates with *different*
             // content, desynchronizing replay suppression.
             return Ok(());
         }
@@ -225,12 +229,15 @@ impl FilterIo {
                 let packet = inj.packets_seen();
                 match inj.on_packet() {
                     None => {}
-                    Some(FaultAction::DropPacket) => return Ok(()),
+                    Some(FaultAction::DropPacket) => {
+                        self.dropped += 1;
+                        return Ok(());
+                    }
                     Some(FaultAction::Delay(d)) => {
                         Self::fault_sleep(&self.control, d, inj.label())?;
                     }
-                    Some(FaultAction::Fail { retryable }) => {
-                        return Err(inj.injected_error(packet, retryable));
+                    Some(FaultAction::Fail) => {
+                        return Err(inj.injected_error(packet));
                     }
                     Some(FaultAction::Panic) => {
                         panic!("injected panic at {} packet {packet}", inj.label())
@@ -461,7 +468,7 @@ pub trait Filter: Send {
 }
 
 /// Factory producing one filter instance per transparent copy. `Sync`
-/// because the executor re-invokes it from worker threads when retrying
+/// because the executor re-invokes it from worker threads when restarting
 /// a failed unit of work with a fresh filter instance.
 pub type FilterFactory = Box<dyn Fn(usize) -> Box<dyn Filter> + Send + Sync>;
 

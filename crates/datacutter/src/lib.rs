@@ -54,7 +54,7 @@ pub use buffer::{Buffer, BufferPool, PoolStats};
 pub use channel::CancelToken;
 pub use error::{ErrorKind, FilterError, FilterResult};
 pub use exec::{Pipeline, RunOptions, RunStats, StageSpec, StageStats, WorkerEndpoints};
-pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, RunControl, Trigger};
+pub use fault::{FaultAction, FaultPlan, FaultRule, RunControl, Trigger};
 pub use filter::{ClosureFilter, Filter, FilterFactory, FilterIo};
 pub use link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, Transport, WorkerIngress};
 pub use net::{

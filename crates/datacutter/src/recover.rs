@@ -20,9 +20,10 @@
 //!    copy restores the last snapshot ([`Filter::restore`]) and replays
 //!    only the unacknowledged tail.
 //! 3. **Restart supervision** (`exec.rs`) — with recovery enabled the
-//!    executor treats panics and failures as restartable: the copy gets a
-//!    fresh filter instance, its checkpoint back, and its input replayed,
-//!    up to [`RecoveryOptions::max_restarts`] times. Placement-level
+//!    executor restarts a copy after any failure but a cancellation: the
+//!    copy gets a fresh filter instance, its checkpoint back, and its
+//!    input replayed, up to [`RecoveryOptions::max_restarts`] times. This
+//!    is the only way a failed copy runs again. Placement-level
 //!    failover (re-running the decomposition DP over surviving hosts)
 //!    lives in `cgp-compiler`'s `failover` module.
 //!
@@ -47,8 +48,8 @@ use std::sync::{Arc, Mutex};
 /// [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// Master switch. Off (the default) keeps PR 2 semantics: failures
-    /// are detected, isolated, and surfaced — not survived.
+    /// Master switch. Off (the default), failures are detected,
+    /// isolated, and surfaced — a failed copy fails the run.
     pub enabled: bool,
     /// Stateful filters are asked to checkpoint every this many accepted
     /// packets (the `K` of the design; also bounds the replay buffers).

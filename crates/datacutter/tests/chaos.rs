@@ -4,7 +4,7 @@
 
 use cgp_datacutter::{
     Buffer, ClosureFilter, ErrorKind, FaultAction, FaultPlan, FaultRule, FilterError, FilterIo,
-    Pipeline, RetryPolicy, RunOptions, StageSpec, Trigger,
+    Pipeline, RecoveryOptions, RunOptions, StageSpec, Trigger,
 };
 use cgp_obs::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,59 +103,53 @@ fn error_after_n_packets_terminates_and_counts() {
         .expect_err("injected failure must fail the run");
     assert_eq!(err.kind, ErrorKind::Failed);
     assert_eq!(err.filter, "mid[0]");
-    assert!(!err.retryable);
     let reg = metrics.lock().unwrap();
     assert_eq!(reg.get_counter("stage.mid.failures"), 1);
     assert_eq!(reg.get_counter("stage.mid.panics"), 0);
 }
 
 #[test]
-fn retryable_failure_recovers_under_retry_policy() {
-    // The source fails retryably on its very first packet — before any
-    // output — so re-running the unit of work is safe and the pipeline
+fn a_failed_source_restarts_under_recovery() {
+    // The source fails on its very first packet. Recovery restarts it:
+    // the fresh instance regenerates its packets and the pipeline
     // completes with the full data set.
     let count = Arc::new(AtomicU64::new(0));
-    let plan = FaultPlan::new().rule(FaultRule {
-        stage: Some("source".into()),
-        copy: Some(0),
-        trigger: Trigger::Packet(0),
-        action: FaultAction::Fail { retryable: true },
-    });
     let opts = RunOptions {
-        faults: plan,
-        retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)),
+        faults: FaultPlan::new().fail_at("source", 0, 0),
+        recovery: RecoveryOptions::on(),
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
     };
     let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
-        .expect("retry must recover a retryable failure");
+        .expect("a restart must recover the failure");
     assert_eq!(count.load(Ordering::Relaxed), N);
-    assert_eq!(stats.retries(), 1);
+    assert_eq!(stats.recoveries(), 1);
     assert_eq!(stats.failures(), 1, "the failed attempt is still counted");
 }
 
 #[test]
 fn retries_exhausted_surfaces_the_error() {
+    // Every packet fails, so each restart fails again until the budget
+    // of two runs out.
     let count = Arc::new(AtomicU64::new(0));
-    let plan = FaultPlan::new().rule(FaultRule {
-        stage: Some("mid".into()),
-        copy: Some(0),
-        trigger: Trigger::Every,
-        action: FaultAction::Fail { retryable: true },
-    });
     let opts = RunOptions {
-        faults: plan,
-        retry: RetryPolicy::retries(2).with_backoff(Duration::from_millis(1)),
+        faults: FaultPlan::new().rule(FaultRule {
+            stage: Some("mid".into()),
+            copy: Some(0),
+            trigger: Trigger::Every,
+            action: FaultAction::Fail,
+        }),
+        recovery: RecoveryOptions::on().with_max_restarts(2),
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
     };
     let err = three_stage(1, count, opts)
         .run()
-        .expect_err("always-failing stage exhausts retries");
+        .expect_err("always-failing stage exhausts its restarts");
     assert_eq!(err.kind, ErrorKind::Failed);
-    assert!(err.retryable, "the surfaced error keeps its retryable flag");
     assert_eq!(err.filter, "mid[0]");
+    assert!(err.message.contains("injected failure"), "{err}");
 }
 
 #[test]
@@ -229,15 +223,21 @@ fn stall_timeout_catches_no_progress() {
 #[test]
 fn dropped_packets_reduce_delivery_without_failing() {
     let count = Arc::new(AtomicU64::new(0));
+    let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
     let opts = RunOptions {
         faults: FaultPlan::new().drop_at("mid", 0, 10).drop_at("mid", 0, 20),
+        metrics: Some(Arc::clone(&metrics)),
         ..Default::default()
     };
     let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
-        .expect("drops are silent");
+        .expect("drops do not fail the run");
     assert_eq!(count.load(Ordering::Relaxed), N - 2);
     assert_eq!(stats.failures(), 0);
+    // The loss is counted where it happened.
+    assert_eq!(stats.dropped(), 2);
+    assert_eq!(stats.stages[1].dropped, 2);
+    assert_eq!(metrics.lock().unwrap().get_counter("stage.mid.dropped"), 2);
 }
 
 #[test]
@@ -364,9 +364,10 @@ fn faults_target_exact_packet_indices_through_batches() {
     };
     let stats = three_stage(1, Arc::clone(&count), opts)
         .run()
-        .expect("drops are silent");
+        .expect("drops do not fail the run");
     assert_eq!(count.load(Ordering::Relaxed), N - 2);
     assert_eq!(stats.failures(), 0);
+    assert_eq!(stats.dropped(), 2);
 }
 
 #[test]

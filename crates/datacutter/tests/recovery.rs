@@ -1,4 +1,4 @@
-//! Recovery suite: under panic / retryable-failure / delay injection with
+//! Recovery suite: under panic / failure / delay injection with
 //! recovery enabled, a pipeline must *complete* with effectively-exactly-
 //! once results — the sink sees every packet exactly once and every
 //! stateful stage's reduction equals the fault-free value — and must leak
@@ -10,7 +10,7 @@
 
 use cgp_datacutter::{
     Buffer, CheckpointStore, ClosureFilter, FaultAction, FaultPlan, FaultRule, Filter, FilterIo,
-    FilterResult, Pipeline, RecoveryOptions, RetryPolicy, RunOptions, StageSpec, Trigger,
+    FilterResult, Pipeline, RecoveryOptions, RunOptions, StageSpec, Trigger,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -113,7 +113,6 @@ fn recovering_pipeline(tally: Arc<Tally>, checkpoint_every: u64, opts: RunOption
     let opts = RunOptions {
         capacity: 8,
         deadline: Some(Duration::from_secs(60)),
-        retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(1)),
         recovery: RecoveryOptions::on()
             .with_checkpoint_every(checkpoint_every)
             .with_max_restarts(8),
@@ -162,7 +161,7 @@ fn assert_exact(tally: &Tally, ctx: &str) {
 }
 
 /// Deterministic per-seed pseudo-random fault plans over the recoverable
-/// actions (panic, retryable fail, delay) at random stages/copies/packets.
+/// actions (panic, fail, delay) at random stages/copies/packets.
 fn random_plan(seed: u64) -> FaultPlan {
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = || {
@@ -186,7 +185,7 @@ fn random_plan(seed: u64) -> FaultPlan {
             trigger: Trigger::Packet(packet),
             action: match next() % 3 {
                 0 => FaultAction::Panic,
-                1 => FaultAction::Fail { retryable: true },
+                1 => FaultAction::Fail,
                 _ => FaultAction::Delay(Duration::from_millis(2)),
             },
         });
@@ -210,8 +209,7 @@ fn recovery_is_exactly_once_under_random_fault_plans() {
         // Replays stay bounded by checkpoint spacing + channel capacity
         // per restart.
         assert!(
-            stats.replayed_packets()
-                <= stats.recoveries() * (16 + 8 + 2) + stats.retries() * (16 + 8 + 2),
+            stats.replayed_packets() <= stats.recoveries() * (16 + 8 + 2),
             "seed {seed}: replay bounded: {} replayed over {} restarts",
             stats.replayed_packets(),
             stats.recoveries()

@@ -58,12 +58,11 @@ impl GenPlan {
                     1 => Trigger::Prob(pick(&[0.0, 1.0, rng.gen_f64()], rng)),
                     _ => Trigger::Packet(pick(&[0, rng.gen_range_u64(64), rng.next_u64()], rng)),
                 },
-                action: match rng.gen_range(0, 6) {
-                    0 => FaultAction::Fail { retryable: false },
-                    1 => FaultAction::Fail { retryable: true },
-                    2 => FaultAction::Panic,
-                    3 => FaultAction::DropPacket,
-                    4 => FaultAction::Kill,
+                action: match rng.gen_range(0, 5) {
+                    0 => FaultAction::Fail,
+                    1 => FaultAction::Panic,
+                    2 => FaultAction::DropPacket,
+                    3 => FaultAction::Kill,
                     _ => FaultAction::Delay(Duration::from_millis(rng.gen_range_u64(10_000))),
                 },
             })
@@ -95,8 +94,7 @@ impl GenPlan {
                 Trigger::Packet(n) => n.to_string(),
             };
             let action = match r.action {
-                FaultAction::Fail { retryable: false } => "fail".to_string(),
-                FaultAction::Fail { retryable: true } => "fail-retryable".to_string(),
+                FaultAction::Fail => "fail".to_string(),
                 FaultAction::Panic => "panic".to_string(),
                 FaultAction::DropPacket => "drop".to_string(),
                 FaultAction::Kill => "kill".to_string(),

@@ -18,7 +18,4 @@ pub mod sim;
 
 pub use adaptive::{simulate_phased, Phase, PhasedResult};
 pub use config::{GridConfig, HostSpec, LinkSpec, StageResources};
-pub use sim::{
-    analytic_total_time, simulate, simulate_recovering, simulate_with_failures, FailureSpec,
-    HostFailure, PacketWork, RecoverySpec, SimResult,
-};
+pub use sim::{analytic_total_time, simulate, PacketWork, SimResult};

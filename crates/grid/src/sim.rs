@@ -41,82 +41,6 @@ pub struct PacketWork {
     pub read_bytes: f64,
 }
 
-/// A simulated failure of one stage copy's host at a virtual time.
-/// From `at` onward the copy accepts no new packets; a packet it could
-/// not finish before `at` is re-executed on a surviving copy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostFailure {
-    pub stage: usize,
-    pub copy: usize,
-    /// Virtual time at which the host dies.
-    pub at: f64,
-}
-
-/// Failure scenario for [`simulate_with_failures`]: what-if analysis of
-/// the transparent-copy redundancy the runtime's panic isolation relies
-/// on (a dead copy's packets reroute to its siblings; a stage with no
-/// surviving copy drops packets).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FailureSpec {
-    pub hosts: Vec<HostFailure>,
-}
-
-impl FailureSpec {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn host(mut self, stage: usize, copy: usize, at: f64) -> Self {
-        self.hosts.push(HostFailure { stage, copy, at });
-        self
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-}
-
-/// Recovery semantics for [`simulate_recovering`]: the simulator's model
-/// of the runtime's checkpoint/replay protocol. A dead copy's reduction
-/// state restores from its last committed checkpoint onto a surviving
-/// sibling (so it is not lost), and the packets it served since that
-/// commit re-execute on the adopter at the adopter's speed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoverySpec {
-    /// Packets between checkpoint commits (clamped to ≥ 1). On a death,
-    /// `served % checkpoint_every` packets replay on the adopter.
-    pub checkpoint_every: u64,
-    /// When a stage loses *every* copy, adopt its work onto the most
-    /// powerful surviving host of another stage (the cost model's pick
-    /// for the merged pipeline) instead of dropping packets.
-    pub failover: bool,
-}
-
-impl Default for RecoverySpec {
-    fn default() -> Self {
-        RecoverySpec {
-            checkpoint_every: 64,
-            failover: false,
-        }
-    }
-}
-
-impl RecoverySpec {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn with_checkpoint_every(mut self, k: u64) -> Self {
-        self.checkpoint_every = k.max(1);
-        self
-    }
-
-    pub fn with_failover(mut self) -> Self {
-        self.failover = true;
-        self
-    }
-}
-
 /// Simulation output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
@@ -131,26 +55,6 @@ pub struct SimResult {
     pub link_busy: Vec<Vec<f64>>,
     /// Utilization (busy / makespan) of the most loaded resource.
     pub bottleneck_utilization: f64,
-    /// Packets that reached the last stage.
-    pub completed_packets: u64,
-    /// Packets re-executed on a sibling copy because their preferred copy
-    /// had failed (or died mid-service).
-    pub rerouted_packets: u64,
-    /// Packets lost because some stage had no surviving copy.
-    pub dropped_packets: u64,
-    /// End-of-work reduction states lost with failed copies (their
-    /// finalize chains never reach the view host).
-    pub lost_states: u64,
-    /// Packets re-executed from the last checkpoint after a death
-    /// (always 0 outside [`simulate_recovering`]).
-    pub replayed_packets: u64,
-    /// Dead copies whose checkpointed state was restored onto an
-    /// adopter instead of being lost (always 0 outside
-    /// [`simulate_recovering`]).
-    pub restored_states: u64,
-    /// Stages whose work was adopted by another stage's host after all
-    /// their copies died (always 0 outside [`simulate_recovering`]).
-    pub failover_events: u64,
 }
 
 impl SimResult {
@@ -183,49 +87,6 @@ impl SimResult {
 /// assembled results); it chains stage-by-stage to the last host after that
 /// stage's final packet.
 pub fn simulate(grid: &GridConfig, packets: &[PacketWork], finalize_bytes: &[f64]) -> SimResult {
-    simulate_with_failures(grid, packets, finalize_bytes, &FailureSpec::default())
-}
-
-/// [`simulate`] under a failure scenario. A packet routes to its
-/// round-robin copy unless that copy cannot finish it before dying, in
-/// which case the next surviving sibling (in copy order) re-executes it;
-/// a stage with no copy able to take a packet drops it, and downstream
-/// stages never see it. A transfer in flight when its sender dies is
-/// assumed delivered (store-and-forward). A copy that dies during the
-/// run loses its accumulated reduction state ([`SimResult::lost_states`]);
-/// failures after the last packet are inert.
-pub fn simulate_with_failures(
-    grid: &GridConfig,
-    packets: &[PacketWork],
-    finalize_bytes: &[f64],
-    failures: &FailureSpec,
-) -> SimResult {
-    simulate_core(grid, packets, finalize_bytes, failures, None)
-}
-
-/// [`simulate_with_failures`] under the runtime's recovery protocol: dead
-/// copies restore their checkpointed reduction state onto a surviving
-/// sibling (replaying `served % checkpoint_every` packets at the
-/// adopter's speed), and — with [`RecoverySpec::failover`] — a stage with
-/// no survivor at all is adopted by the most powerful surviving host of
-/// another stage, so the run still completes every packet.
-pub fn simulate_recovering(
-    grid: &GridConfig,
-    packets: &[PacketWork],
-    finalize_bytes: &[f64],
-    failures: &FailureSpec,
-    recovery: &RecoverySpec,
-) -> SimResult {
-    simulate_core(grid, packets, finalize_bytes, failures, Some(recovery))
-}
-
-fn simulate_core(
-    grid: &GridConfig,
-    packets: &[PacketWork],
-    finalize_bytes: &[f64],
-    failures: &FailureSpec,
-    recovery: Option<&RecoverySpec>,
-) -> SimResult {
     let m = grid.m();
     assert!(m >= 1);
     assert!(finalize_bytes.len() >= m.saturating_sub(1) || finalize_bytes.is_empty());
@@ -238,40 +99,9 @@ fn simulate_core(
     // free[s][c] = next idle time of stage s copy c; lfree likewise for the
     // egress link of stage s copy c.
     let mut free: Vec<Vec<f64>> = widths.iter().map(|w| vec![0.0; *w]).collect();
-    let mut lfree: Vec<Vec<f64>> = widths[..m - 1.min(m)]
-        .iter()
-        .map(|w| vec![0.0; *w])
-        .collect();
-    if m >= 1 {
-        lfree.truncate(m - 1);
-    }
+    let mut lfree: Vec<Vec<f64>> = widths[..m - 1].iter().map(|w| vec![0.0; *w]).collect();
     let mut stage_busy: Vec<Vec<f64>> = widths.iter().map(|w| vec![0.0; *w]).collect();
     let mut link_busy: Vec<Vec<f64>> = lfree.iter().map(|v| vec![0.0; v.len()]).collect();
-
-    // fail_at[s][c] = earliest declared death of that stage copy's host.
-    let mut fail_at: Vec<Vec<Option<f64>>> = widths.iter().map(|w| vec![None; *w]).collect();
-    for f in &failures.hosts {
-        assert!(
-            f.stage < m && f.copy < widths[f.stage],
-            "failure target C{}[{}] out of range",
-            f.stage,
-            f.copy
-        );
-        let slot = &mut fail_at[f.stage][f.copy];
-        *slot = Some(slot.map_or(f.at, |t: f64| t.min(f.at)));
-    }
-
-    // Recovery bookkeeping (untouched when `recovery` is None so the
-    // plain failure path stays bitwise identical): packets served per
-    // copy since the run began, which deaths have been restored, and the
-    // adoptive host of each fully-dead stage.
-    let mut served: Vec<Vec<u64>> = widths.iter().map(|w| vec![0u64; *w]).collect();
-    let mut restored: Vec<Vec<bool>> = widths.iter().map(|w| vec![false; *w]).collect();
-    let mut death_handled: Vec<Vec<bool>> = widths.iter().map(|w| vec![false; *w]).collect();
-    let mut adopted_stage: Vec<Option<(usize, usize)>> = vec![None; m];
-    let mut replayed_packets = 0u64;
-    let mut restored_states = 0u64;
-    let mut failover_events = 0u64;
 
     // Timeline export: each (stage, copy) and each egress link gets its own
     // virtual thread; busy intervals become 'X' events on the virtual clock.
@@ -304,158 +134,23 @@ fn simulate_core(
         }
     }
 
-    if tracing {
-        for (s, copies) in fail_at.iter().enumerate() {
-            for (c, at) in copies.iter().enumerate() {
-                if let Some(at) = at {
-                    trace::complete(
-                        format!("HOST FAILURE C{s}[{c}]"),
-                        "sim-failure",
-                        at * VIRT_US,
-                        0.0,
-                        PID_SIM,
-                        stage_tid[s][c],
-                        vec![],
-                    );
-                }
-            }
-        }
-    }
-
     let mut packets_done: f64 = 0.0;
-    let mut completed_packets = 0u64;
-    let mut rerouted_packets = 0u64;
-    let mut dropped_packets = 0u64;
     for (p, work) in packets.iter().enumerate() {
-        // Per-packet service time of stage `sw`'s work on host (sh, ch)
-        // (the host differs from the stage under failover adoption).
-        let svc = |sw: usize, sh: usize, ch: usize| {
-            let host = &grid.stages[sh].hosts[ch];
-            let mut service = work.comp_ops[sw] / host.power;
-            if sw == 0 {
+        let mut arrive = 0.0_f64;
+        for s in 0..m {
+            // The runtime's round-robin target.
+            let c = p % widths[s];
+            let host = &grid.stages[s].hosts[c];
+            let mut service = work.comp_ops[s] / host.power;
+            if s == 0 {
                 if let Some(disk) = host.disk_bandwidth {
                     service += work.read_bytes / disk;
                 }
             }
-            service
-        };
-        let mut arrive = 0.0_f64;
-        let mut completed = true;
-        let mut rerouted = false;
-        for s in 0..m {
-            // Recovery: the first time a copy's death bites, restore its
-            // checkpointed state onto an adopter and replay the packets
-            // since its last commit at the adopter's speed.
-            if let Some(rec) = recovery {
-                for c in 0..widths[s] {
-                    if death_handled[s][c] {
-                        continue;
-                    }
-                    let Some(at) = fail_at[s][c] else { continue };
-                    let start = arrive.max(free[s][c]);
-                    if start + svc(s, s, c) <= at {
-                        continue; // can still serve this packet
-                    }
-                    death_handled[s][c] = true;
-                    let target = pick_adopter(
-                        grid,
-                        &widths,
-                        &fail_at,
-                        &mut adopted_stage,
-                        &mut failover_events,
-                        rec.failover,
-                        s,
-                    );
-                    if served[s][c] == 0 {
-                        continue; // never served: no state to restore
-                    }
-                    let Some((s2, c2)) = target else { continue };
-                    restored[s][c] = true;
-                    restored_states += 1;
-                    let replay = served[s][c] % rec.checkpoint_every.max(1);
-                    if replay > 0 {
-                        replayed_packets += replay;
-                        let mean = stage_busy[s][c] / served[s][c] as f64;
-                        let burst = replay as f64 * mean * grid.stages[s].hosts[c].power
-                            / grid.stages[s2].hosts[c2].power;
-                        free[s2][c2] = arrive.max(free[s2][c2]) + burst;
-                        stage_busy[s2][c2] += burst;
-                    }
-                }
-            }
-            // Preferred copy is the runtime's round-robin target; on
-            // failure, try siblings in copy order.
-            let preferred = p % widths[s];
-            let mut chosen: Option<(usize, f64, f64)> = None;
-            for k in 0..widths[s] {
-                let c = (preferred + k) % widths[s];
-                let service = svc(s, s, c);
-                let start = arrive.max(free[s][c]);
-                if let Some(at) = fail_at[s][c] {
-                    if start + service > at {
-                        continue; // dead, or would die mid-service
-                    }
-                }
-                if k > 0 {
-                    rerouted = true;
-                }
-                chosen = Some((c, start, service));
-                break;
-            }
-            let Some((c, start, service)) = chosen else {
-                if let Some((s2, c2)) = adopted_stage[s] {
-                    // Failover: the adoptive host executes this stage's
-                    // work on its own timeline; the transfer still
-                    // crosses this stage's link position (slot 0).
-                    let service = svc(s, s2, c2);
-                    let start = arrive.max(free[s2][c2]);
-                    let done = start + service;
-                    free[s2][c2] = done;
-                    stage_busy[s2][c2] += service;
-                    rerouted = true;
-                    if tracing {
-                        trace::complete(
-                            format!("pkt{p} (failover C{s})"),
-                            "sim-stage",
-                            start * VIRT_US,
-                            service * VIRT_US,
-                            PID_SIM,
-                            stage_tid[s2][c2],
-                            vec![("ops", ArgValue::from(work.comp_ops[s]))],
-                        );
-                    }
-                    arrive = done;
-                    if s < m - 1 {
-                        let link = grid.links[s];
-                        let xfer = link.latency + work.bytes[s] / link.bandwidth;
-                        let lstart = arrive.max(lfree[s][0]);
-                        let ldone = lstart + xfer;
-                        lfree[s][0] = ldone;
-                        link_busy[s][0] += xfer;
-                        if tracing {
-                            trace::complete(
-                                format!("pkt{p}"),
-                                "sim-link",
-                                lstart * VIRT_US,
-                                xfer * VIRT_US,
-                                PID_SIM,
-                                link_tid[s][0],
-                                vec![("bytes", ArgValue::from(work.bytes[s]))],
-                            );
-                        }
-                        arrive = ldone;
-                    }
-                    continue;
-                }
-                // No surviving copy can take this packet: it is lost.
-                completed = false;
-                dropped_packets += 1;
-                break;
-            };
+            let start = arrive.max(free[s][c]);
             let done = start + service;
             free[s][c] = done;
             stage_busy[s][c] += service;
-            served[s][c] += 1;
             if tracing {
                 trace::complete(
                     format!("pkt{p}"),
@@ -492,81 +187,16 @@ fn simulate_core(
                 arrive = ldone;
             }
         }
-        if completed {
-            completed_packets += 1;
-            if rerouted {
-                rerouted_packets += 1;
-            }
-            packets_done = packets_done.max(arrive);
-        }
-    }
-
-    // Recovery: restore deaths the routing loop never saw (the copy's
-    // last packet was already served when it died, but its state past
-    // the final checkpoint still needs replaying on an adopter before
-    // finalize chains run).
-    if let Some(rec) = recovery {
-        for s in 0..m {
-            for c in 0..widths[s] {
-                if death_handled[s][c] || served[s][c] == 0 {
-                    continue;
-                }
-                let Some(at) = fail_at[s][c] else { continue };
-                if at > packets_done {
-                    continue; // inert: state already shipped
-                }
-                death_handled[s][c] = true;
-                let target = pick_adopter(
-                    grid,
-                    &widths,
-                    &fail_at,
-                    &mut adopted_stage,
-                    &mut failover_events,
-                    rec.failover,
-                    s,
-                );
-                let Some((s2, c2)) = target else { continue };
-                restored[s][c] = true;
-                restored_states += 1;
-                let replay = served[s][c] % rec.checkpoint_every.max(1);
-                if replay > 0 {
-                    replayed_packets += replay;
-                    let mean = stage_busy[s][c] / served[s][c] as f64;
-                    let burst = replay as f64 * mean * grid.stages[s].hosts[c].power
-                        / grid.stages[s2].hosts[c2].power;
-                    free[s2][c2] += burst;
-                    stage_busy[s2][c2] += burst;
-                }
-            }
-        }
+        packets_done = packets_done.max(arrive);
     }
 
     // Finalization: each stage copy's end-of-work state flows to the next
     // stage (copy 0) and onward; the view host can only finish after every
     // chain arrives.
     let mut makespan = packets_done;
-    let mut lost_states = 0u64;
-    // A copy that died during the run takes its accumulated reduction
-    // state with it — no finalize chain — unless recovery restored it
-    // onto an adopter (the adopter's chain then carries the merged
-    // state). Deaths after the last packet are inert (state already
-    // shipped); idle copies had no state.
-    let died_in_run = |s: usize, c: usize| {
-        fail_at[s][c].is_some_and(|at| at <= packets_done) && stage_busy[s][c] > 0.0
-    };
-    for (s, rests) in restored.iter().enumerate() {
-        for (c, &rest) in rests.iter().enumerate() {
-            if died_in_run(s, c) && !rest {
-                lost_states += 1;
-            }
-        }
-    }
     if m >= 2 && !finalize_bytes.is_empty() {
         for s in 0..m - 1 {
             for c in 0..widths[s] {
-                if died_in_run(s, c) {
-                    continue;
-                }
                 let mut t = free[s][c];
                 for l in s..m - 1 {
                     let link = grid.links[l];
@@ -588,34 +218,6 @@ fn simulate_core(
                 makespan = makespan.max(t);
             }
         }
-        // Failover-adopted stages have no surviving copy of their own:
-        // the adoptive host ships the restored state down the chain.
-        for s in 0..m - 1 {
-            let Some((s2, c2)) = adopted_stage[s] else {
-                continue;
-            };
-            if !(0..widths[s]).any(|c| restored[s][c]) {
-                continue;
-            }
-            let mut t = free[s2][c2];
-            for (l, &link) in grid.links.iter().enumerate().take(m - 1).skip(s) {
-                let fb = finalize_bytes.get(l).copied().unwrap_or(0.0);
-                let xfer = link.latency + fb / link.bandwidth;
-                if tracing {
-                    trace::complete(
-                        format!("finalize C{s} (failover)"),
-                        "sim-finalize",
-                        t * VIRT_US,
-                        xfer * VIRT_US,
-                        PID_SIM,
-                        link_tid[l][0],
-                        vec![("bytes", ArgValue::from(fb))],
-                    );
-                }
-                t += xfer;
-            }
-            makespan = makespan.max(t);
-        }
     }
 
     let mut util = 0.0_f64;
@@ -633,57 +235,7 @@ fn simulate_core(
         stage_busy,
         link_busy,
         bottleneck_utilization: util,
-        completed_packets,
-        rerouted_packets,
-        dropped_packets,
-        lost_states,
-        replayed_packets,
-        restored_states,
-        failover_events,
     }
-}
-
-/// The adopter for a dead copy of stage `s`: the strongest surviving
-/// sibling, else — when failover is on — the strongest surviving host of
-/// any other stage (recorded in `adopted_stage` so every packet of the
-/// orphaned stage routes there; counted once per stage).
-fn pick_adopter(
-    grid: &GridConfig,
-    widths: &[usize],
-    fail_at: &[Vec<Option<f64>>],
-    adopted_stage: &mut [Option<(usize, usize)>],
-    failover_events: &mut u64,
-    failover: bool,
-    s: usize,
-) -> Option<(usize, usize)> {
-    let sibling = (0..widths[s])
-        .filter(|&k| fail_at[s][k].is_none())
-        .max_by(|&a, &b| {
-            grid.stages[s].hosts[a]
-                .power
-                .total_cmp(&grid.stages[s].hosts[b].power)
-        });
-    if let Some(k) = sibling {
-        return Some((s, k));
-    }
-    if !failover {
-        return None;
-    }
-    if adopted_stage[s].is_none() {
-        adopted_stage[s] = (0..grid.m())
-            .filter(|&s2| s2 != s)
-            .flat_map(|s2| (0..widths[s2]).map(move |c2| (s2, c2)))
-            .filter(|&(s2, c2)| fail_at[s2][c2].is_none())
-            .max_by(|&(s2, c2), &(s3, c3)| {
-                grid.stages[s2].hosts[c2]
-                    .power
-                    .total_cmp(&grid.stages[s3].hosts[c3].power)
-            });
-        if adopted_stage[s].is_some() {
-            *failover_events += 1;
-        }
-    }
-    adopted_stage[s]
 }
 
 /// The paper's closed-form total time for uniform packets on a width-1
@@ -863,175 +415,6 @@ mod tests {
         let r = simulate(&g, &pkts, &[1e3, 1e3]);
         assert!(r.bottleneck_utilization <= 1.0 + 1e-9);
         assert!(r.bottleneck_utilization > 0.0);
-    }
-
-    #[test]
-    fn no_failures_is_bitwise_identical_to_simulate() {
-        let g = GridConfig::paper_cluster(2);
-        let pkts = uniform_packets(32, &[1e6, 5e6, 1e5], &[1e4, 1e3]);
-        let base = simulate(&g, &pkts, &[1e3, 1e3]);
-        let with = simulate_with_failures(&g, &pkts, &[1e3, 1e3], &FailureSpec::new());
-        assert_eq!(base, with);
-        assert_eq!(base.completed_packets, 32);
-        assert_eq!(base.dropped_packets, 0);
-        assert_eq!(base.lost_states, 0);
-    }
-
-    #[test]
-    fn dead_copy_reroutes_to_surviving_sibling() {
-        let link = LinkSpec {
-            bandwidth: 1e9,
-            latency: 0.0,
-        };
-        let n = 64;
-        let g = GridConfig::w_w_1(2, 1e3, link);
-        let pkts = uniform_packets(n, &[1.0, 1000.0, 1.0], &[8.0, 8.0]);
-        // Copy 1 of the middle stage is dead from the start: every odd
-        // packet reroutes to copy 0 and the stage degrades to width 1.
-        let spec = FailureSpec::new().host(1, 1, 0.0);
-        let r = simulate_with_failures(&g, &pkts, &[], &spec);
-        assert_eq!(r.completed_packets, n as u64);
-        assert_eq!(r.dropped_packets, 0);
-        assert_eq!(r.rerouted_packets, n as u64 / 2);
-        assert_eq!(r.stage_busy[1][1], 0.0, "dead copy did no work");
-        let healthy = simulate(&g, &pkts, &[]);
-        assert!(
-            r.makespan > 1.8 * healthy.makespan,
-            "width-2 stage degraded to width 1: {} vs {}",
-            r.makespan,
-            healthy.makespan
-        );
-    }
-
-    #[test]
-    fn stage_with_no_survivor_drops_packets() {
-        let link = LinkSpec {
-            bandwidth: 1e9,
-            latency: 0.0,
-        };
-        let g = GridConfig::uniform_chain(2, 1.0, link);
-        let pkts = uniform_packets(10, &[1.0, 1.0], &[0.0]);
-        // Width-1 stage 0 dies at t=5: packets that cannot finish there
-        // by then are lost, and the run still terminates.
-        let spec = FailureSpec::new().host(0, 0, 5.0);
-        let r = simulate_with_failures(&g, &pkts, &[], &spec);
-        assert_eq!(r.completed_packets, 5);
-        assert_eq!(r.dropped_packets, 5);
-        assert_eq!(r.lost_states, 1, "the dead copy's state is gone");
-        assert!(r.makespan <= 6.0 + 1e-12);
-    }
-
-    #[test]
-    fn late_failure_is_inert() {
-        let g = GridConfig::paper_cluster(2);
-        let pkts = uniform_packets(16, &[1e6, 5e6, 1e5], &[1e4, 1e3]);
-        let base = simulate(&g, &pkts, &[1e3, 1e3]);
-        let spec = FailureSpec::new().host(1, 0, base.makespan * 100.0);
-        let with = simulate_with_failures(&g, &pkts, &[1e3, 1e3], &spec);
-        assert_eq!(base.makespan, with.makespan);
-        assert_eq!(with.lost_states, 0);
-        assert_eq!(with.rerouted_packets, 0);
-    }
-
-    #[test]
-    fn mid_service_death_reexecutes_on_sibling() {
-        let link = LinkSpec {
-            bandwidth: 1e9,
-            latency: 0.0,
-        };
-        // Stage 0 width 2, each packet takes 10s. Copy 0 dies at t=15:
-        // it finishes packet 0 (0..10) but cannot finish packet 2
-        // (10..20), which reroutes to copy 1.
-        let g = GridConfig::w_w_1(2, 1.0, link);
-        let pkts = uniform_packets(4, &[10.0, 0.0, 0.0], &[0.0, 0.0]);
-        let spec = FailureSpec::new().host(0, 0, 15.0);
-        let r = simulate_with_failures(&g, &pkts, &[], &spec);
-        assert_eq!(r.completed_packets, 4);
-        assert_eq!(r.rerouted_packets, 1);
-        assert!((r.stage_busy[0][0] - 10.0).abs() < 1e-12);
-        assert!((r.stage_busy[0][1] - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recovery_without_failures_is_bitwise_identical_to_simulate() {
-        let g = GridConfig::paper_cluster(2);
-        let pkts = uniform_packets(32, &[1e6, 5e6, 1e5], &[1e4, 1e3]);
-        let base = simulate(&g, &pkts, &[1e3, 1e3]);
-        let rec = simulate_recovering(
-            &g,
-            &pkts,
-            &[1e3, 1e3],
-            &FailureSpec::new(),
-            &RecoverySpec::new().with_checkpoint_every(4),
-        );
-        assert_eq!(base, rec);
-    }
-
-    #[test]
-    fn recovery_restores_a_dead_copy_onto_its_sibling() {
-        let link = LinkSpec {
-            bandwidth: 1e9,
-            latency: 0.0,
-        };
-        let n = 64;
-        let g = GridConfig::w_w_1(2, 1e3, link);
-        let pkts = uniform_packets(n, &[1.0, 1000.0, 1.0], &[8.0, 8.0]);
-        // Middle-stage copy 1 serves packets for a while, then dies;
-        // checkpoints every 4 packets bound the replay.
-        let spec = FailureSpec::new().host(1, 1, 10.0);
-        let rec = RecoverySpec::new().with_checkpoint_every(4);
-        let r = simulate_recovering(&g, &pkts, &[8.0, 8.0], &spec, &rec);
-        assert_eq!(r.completed_packets, n as u64);
-        assert_eq!(r.dropped_packets, 0);
-        assert_eq!(r.lost_states, 0, "checkpointed state is not lost");
-        assert_eq!(r.restored_states, 1);
-        assert!(
-            r.replayed_packets < 4,
-            "replay bounded by checkpoint_every: {}",
-            r.replayed_packets
-        );
-        // Same scenario without recovery loses the dead copy's state.
-        let base = simulate_with_failures(&g, &pkts, &[8.0, 8.0], &spec);
-        assert_eq!(base.lost_states, 1);
-        assert_eq!(base.restored_states, 0);
-    }
-
-    #[test]
-    fn failover_adopts_a_stage_with_no_survivors() {
-        let link = LinkSpec {
-            bandwidth: 1e9,
-            latency: 0.0,
-        };
-        let g = GridConfig::uniform_chain(3, 1.0, link);
-        let pkts = uniform_packets(10, &[1.0, 1.0, 1.0], &[0.0, 0.0]);
-        // The only copy of interior stage 1 dies mid-run. Without
-        // failover the remaining packets drop ...
-        let spec = FailureSpec::new().host(1, 0, 5.0);
-        let base = simulate_recovering(&g, &pkts, &[], &spec, &RecoverySpec::new());
-        assert!(base.dropped_packets > 0);
-        // ... with failover another host adopts the stage and every
-        // packet completes, at the cost of a longer makespan.
-        let rec = RecoverySpec::new().with_checkpoint_every(2).with_failover();
-        let r = simulate_recovering(&g, &pkts, &[], &spec, &rec);
-        assert_eq!(r.completed_packets, 10);
-        assert_eq!(r.dropped_packets, 0);
-        assert_eq!(r.failover_events, 1);
-        assert_eq!(r.restored_states, 1);
-        assert_eq!(r.lost_states, 0);
-        let healthy = simulate(&g, &pkts, &[]);
-        assert!(r.makespan >= healthy.makespan);
-    }
-
-    #[test]
-    fn late_death_is_inert_under_recovery_too() {
-        let g = GridConfig::paper_cluster(2);
-        let pkts = uniform_packets(16, &[1e6, 5e6, 1e5], &[1e4, 1e3]);
-        let base = simulate(&g, &pkts, &[1e3, 1e3]);
-        let spec = FailureSpec::new().host(1, 0, base.makespan * 100.0);
-        let r = simulate_recovering(&g, &pkts, &[1e3, 1e3], &spec, &RecoverySpec::new());
-        assert_eq!(r.makespan, base.makespan);
-        assert_eq!(r.restored_states, 0);
-        assert_eq!(r.replayed_packets, 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use cgp_core::apps::dialect::*;
 use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
+use cgp_core::datacutter::FaultPlan;
 use cgp_core::lang::{frontend, interp::Interp, HostEnv};
 use cgp_core::{
     compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, Decomposition,
@@ -157,6 +158,96 @@ fn every_decomposition_matches_the_oracle() {
     assert!(
         failures.is_empty(),
         "{} of {runs} runs differ from the oracle:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// A `fail` or `panic` injected at packet 1 of `f2[0]` or `f3[0]`, on
+/// each app's demo pick and on a plan whose last two units run atoms, at
+/// widths [1,1,1] and [2,2,1]. With recovery on, the copy restarts once
+/// and the output is the oracle's; with recovery off, the run fails with
+/// an error naming the faulted copy and the fault. Every mismatch is
+/// collected, so a failure lists each cell.
+#[test]
+fn injected_faults_restart_to_the_oracle_or_fail_by_name() {
+    let mut failures = Vec::new();
+    let mut cells = 0;
+    for app in demo_apps() {
+        let expect = oracle(app.src, &(app.host)());
+        let cut: &[usize] = match app.name {
+            "zbuf" | "apix" => &[0, 0, 0, 1, 2],
+            "knn" => &[0, 0, 1, 2],
+            _ => &[0, 1, 2],
+        };
+        let forced = app.opts.clone().with_decomposition(Decomposition {
+            unit_of: cut.to_vec(),
+            cost: f64::NAN,
+        });
+        let plans = [
+            compile(app.src, &app.opts).unwrap().plan,
+            compile(app.src, &forced).unwrap().plan,
+        ];
+        for plan in plans {
+            let plan = Arc::new(plan);
+            let unit_of = &plan.decomposition.unit_of;
+            for widths in [[1, 1, 1], [2, 2, 1]] {
+                for (action, fault) in [
+                    ("fail", "injected failure at packet 1"),
+                    ("panic", "injected panic"),
+                ] {
+                    for site in ["f2[0]", "f3[0]"] {
+                        for recover in [true, false] {
+                            let exec = ExecOptions {
+                                faults: FaultPlan::parse(&format!("{site}@1:{action}")).unwrap(),
+                                recover,
+                                ..Default::default()
+                            };
+                            let run = run_plan_threaded_stats(
+                                Arc::clone(&plan),
+                                Arc::clone(&app.host),
+                                Some(&widths),
+                                &exec,
+                            );
+                            cells += 1;
+                            let cell = format!(
+                                "{} unit_of={unit_of:?} {widths:?} {site}@1:{action} recover={recover}",
+                                app.name
+                            );
+                            match (recover, run) {
+                                (true, Ok((out, stats))) => {
+                                    if out != expect {
+                                        failures.push(format!("{cell}: {out:?} != {expect:?}"));
+                                    } else if stats.recoveries() != 1 {
+                                        failures.push(format!(
+                                            "{cell}: {} restarts, want 1",
+                                            stats.recoveries()
+                                        ));
+                                    }
+                                }
+                                (true, Err(e)) => failures.push(format!("{cell}: {e}")),
+                                (false, Ok((out, _))) => {
+                                    failures.push(format!("{cell}: Ok {out:?}, want an error"))
+                                }
+                                (false, Err(e)) => {
+                                    let msg = e.to_string();
+                                    if !msg.contains(&format!("`{site}`")) || !msg.contains(fault) {
+                                        failures.push(format!(
+                                            "{cell}: `{msg}` does not name {site} and `{fault}`"
+                                        ));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 128);
+    assert!(
+        failures.is_empty(),
+        "{} of {cells} cells failed:\n{}",
         failures.len(),
         failures.join("\n")
     );
