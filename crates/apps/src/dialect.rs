@@ -11,8 +11,11 @@
 //! decomposition — and are validated against the sequential interpreter.
 
 use crate::isosurface::ScalarGrid;
+use crate::knn::generate_points;
 use crate::vmscope::Slide;
-use cgp_lang::interp::HostEnv;
+use cgp_compiler::cost::{FilterEngine, PipelineEnv};
+use cgp_compiler::CompileOptions;
+use cgp_lang::interp::{HostEnv, Interp};
 use cgp_lang::value::{ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -389,13 +392,90 @@ pub fn vmscope_host_env(slide: &Slide, subsample: i64, num_packets: i64) -> Host
         .bind("num_packets", Value::Int(num_packets))
 }
 
+/// One of the four apps at its demo size: the program, the options it
+/// compiles under, and a builder for its host dataset (one fresh
+/// environment per call). The `cgp` CLI, the conformance matrix and the
+/// decomposition tests all run these, and compare every run with
+/// [`DemoApp::oracle`].
+#[derive(Clone)]
+pub struct DemoApp {
+    pub name: &'static str,
+    pub src: &'static str,
+    pub opts: CompileOptions,
+    pub host: Arc<dyn Fn() -> HostEnv + Send + Sync>,
+}
+
+/// zbuf, apix, knn (k = 3) and vmscope, in that order. knn and vmscope
+/// plan at the VM's calibrated power ([`FilterEngine::Vm`]); zbuf and
+/// apix keep the conservative 1e8 they were tuned at before object
+/// shapes made field reads cheap, until the cost model's calibration
+/// settles their power.
+pub fn demo_apps() -> Vec<DemoApp> {
+    let env = |power| PipelineEnv::uniform(3, power, 1e6, 1e-5);
+    let vm = FilterEngine::Vm.power();
+    let iso_opts = || {
+        CompileOptions::new(env(1e8), 128)
+            .with_symbol("ncubes", 343)
+            .with_symbol("screen", 16)
+            .with_selectivity(0, 0.15)
+    };
+    let grid = ScalarGrid::synthetic(8, 8, 8, 21);
+    let iso_host: Arc<dyn Fn() -> HostEnv + Send + Sync> =
+        Arc::new(move || iso_host_env(&grid, 0.8, 16, 4));
+    let pts = generate_points(300, 5);
+    let slide = Slide::synthetic(32, 32, 9);
+    vec![
+        DemoApp {
+            name: "zbuf",
+            src: ZBUF_SRC,
+            opts: iso_opts(),
+            host: Arc::clone(&iso_host),
+        },
+        DemoApp {
+            name: "apix",
+            src: APIX_SRC,
+            opts: iso_opts(),
+            host: iso_host,
+        },
+        DemoApp {
+            name: "knn",
+            src: KNN_SRC,
+            opts: CompileOptions::new(env(vm), 64)
+                .with_symbol("npoints", 300)
+                .with_symbol("k", 3),
+            host: Arc::new(move || knn_host_env(&pts, [0.3, 0.6, 0.2], 3, 6)),
+        },
+        DemoApp {
+            name: "vmscope",
+            src: VMSCOPE_SRC,
+            opts: CompileOptions::new(env(vm), 8)
+                .with_symbol("height", 32)
+                .with_symbol("width", 32)
+                .with_symbol("subsample", 2)
+                .with_selectivity(0, 0.5),
+            host: Arc::new(move || vmscope_host_env(&slide, 2, 4)),
+        },
+    ]
+}
+
+impl DemoApp {
+    /// What `Interp::run_main` prints for the program on its host: the
+    /// oracle every run of the app is compared with.
+    pub fn oracle(&self) -> Vec<String> {
+        let tp = cgp_lang::frontend(self.src)
+            .unwrap_or_else(|e| panic!("oracle for {}: {e}", self.name));
+        let mut it = Interp::new(&tp, (self.host)());
+        it.run_main()
+            .unwrap_or_else(|e| panic!("oracle for {}: {e}", self.name));
+        it.output
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgp_compiler::cost::PipelineEnv;
     use cgp_compiler::graph::BoundaryKind;
-    use cgp_compiler::{compile, run_plan_sequential, CompileOptions};
-    use cgp_lang::interp::Interp;
+    use cgp_compiler::{compile, run_plan_sequential};
     use std::collections::HashMap;
 
     fn oracle(src: &str, host: &HostEnv) -> Vec<String> {

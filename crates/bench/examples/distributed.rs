@@ -1,7 +1,7 @@
 //! Worked distributed-execution example: split one pipeline across three
 //! worker "processes" (hosted on threads here, so the example is
-//! self-contained — the bench figure binaries' `--role launcher` flag
-//! does the same thing with real processes) connected by loopback TCP,
+//! self-contained — `cgp <app> --role launcher` does the same thing with
+//! real processes) connected by loopback TCP,
 //! and show that the distributed result is identical to the in-process
 //! run — including when a fault is injected into the middle worker and
 //! masked by checkpointed recovery.
@@ -13,7 +13,7 @@
 //! The process-level equivalent, spawning one OS process per stage:
 //!
 //! ```sh
-//! cargo run --release -p cgp-bench --bin fig05_zbuf_small -- --role launcher
+//! cargo run --release -p cgp-bench --bin cgp -- zbuf --role launcher
 //! ```
 
 use cgp_core::datacutter::{

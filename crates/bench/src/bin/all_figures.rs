@@ -1,38 +1,26 @@
 //! Runs every figure harness and prints both the console tables and the
-//! Markdown blocks EXPERIMENTS.md embeds. Supports `CGP_TRACE=<path>` /
-//! `--trace-out <path>` / `--explain` (see `cgp_bench::harness`).
+//! Markdown blocks EXPERIMENTS.md embeds. Takes `--trace-out <path>` (or
+//! `CGP_TRACE`) and nothing else (see `cgp_bench::harness::figure_main`).
 use cgp_bench::figures;
-use cgp_bench::harness::{DialectApp, Obs};
 
 fn main() {
-    let obs = Obs::init();
-    if obs.net_mode(DialectApp::Zbuf) {
-        return;
-    }
-    let figs = [
-        figures::fig05(),
-        figures::fig06(),
-        figures::fig07(),
-        figures::fig08(),
-        figures::fig09(),
-        figures::fig10(),
-        figures::fig11(),
-        figures::fig12(),
-    ];
-    for f in &figs {
-        f.print();
-    }
-    println!("---- markdown ----\n");
-    for f in &figs {
-        println!("{}", f.to_markdown());
-    }
-    for app in [
-        DialectApp::Zbuf,
-        DialectApp::Apix,
-        DialectApp::Knn { k: 3 },
-        DialectApp::Vmscope,
-    ] {
-        obs.compiler_demo(app);
-    }
-    obs.finish();
+    cgp_bench::harness::figure_main(|| {
+        let figs = [
+            figures::fig05(),
+            figures::fig06(),
+            figures::fig07(),
+            figures::fig08(),
+            figures::fig09(),
+            figures::fig10(),
+            figures::fig11(),
+            figures::fig12(),
+        ];
+        for f in &figs {
+            f.print();
+        }
+        println!("---- markdown ----\n");
+        for f in &figs {
+            println!("{}", f.to_markdown());
+        }
+    });
 }

@@ -1,14 +1,7 @@
 //! Reproduces Figure 05 of the paper. See EXPERIMENTS.md.
-//! Supports `CGP_TRACE=<path>` / `--trace-out <path>` / `--explain`
-//! (see `cgp_bench::harness`).
-use cgp_bench::harness::{DialectApp, Obs};
+//! Takes `--trace-out <path>` (or `CGP_TRACE`) and nothing else (see
+//! `cgp_bench::harness::figure_main`).
 
 fn main() {
-    let obs = Obs::init();
-    if obs.net_mode(DialectApp::Zbuf) {
-        return;
-    }
-    cgp_bench::figures::fig05().print();
-    obs.compiler_demo(DialectApp::Zbuf);
-    obs.finish();
+    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig05().print());
 }

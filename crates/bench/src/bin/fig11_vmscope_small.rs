@@ -1,14 +1,7 @@
 //! Reproduces Figure 11 of the paper. See EXPERIMENTS.md.
-//! Supports `CGP_TRACE=<path>` / `--trace-out <path>` / `--explain`
-//! (see `cgp_bench::harness`).
-use cgp_bench::harness::{DialectApp, Obs};
+//! Takes `--trace-out <path>` (or `CGP_TRACE`) and nothing else (see
+//! `cgp_bench::harness::figure_main`).
 
 fn main() {
-    let obs = Obs::init();
-    if obs.net_mode(DialectApp::Vmscope) {
-        return;
-    }
-    cgp_bench::figures::fig11().print();
-    obs.compiler_demo(DialectApp::Vmscope);
-    obs.finish();
+    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig11().print());
 }

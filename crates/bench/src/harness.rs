@@ -1,48 +1,58 @@
-//! Observability wiring shared by the figure binaries.
+//! The `cgp` command line, and the trace wiring of the figure binaries.
 //!
-//! Every figure binary accepts:
+//! `cgp <zbuf|apix|knn|vmscope> [flags]` ([`cgp_main`]) compiles one of
+//! the four demo apps ([`demo_apps`]) and then, by `--role`/`CGP_ROLE`:
 //!
-//! - `CGP_TRACE=<path>` (env) or `--trace-out <path>` (flag, wins over the
-//!   env var) — write a Chrome `trace_event` JSON file covering the run:
-//!   the virtual-time simulator timeline, the seven compiler phases of the
-//!   matching dialect program, and a real threaded DataCutter execution of
-//!   its compiled plan (per-filter-copy spans, per-packet events);
-//! - `--explain` — print the compiler's decision report for the matching
-//!   dialect program: candidate boundary graph, per-boundary
-//!   Gen/Cons/ReqComm byte volumes, every candidate decomposition's cost,
-//!   and why the winner won — then the generated filters: each unit's
-//!   atoms, its prologue slice length, the reduction roots it holds or
-//!   adopts and whether it builds the host environment;
-//! - `CGP_FAULTS=<spec>` (env) or `--faults <spec>` (flag, wins) — inject
-//!   deterministic faults into the threaded demo run (see
-//!   [`cgp_core::datacutter::FaultPlan::parse`] for the spec grammar),
-//!   plus `CGP_DEADLINE_MS`/`--deadline-ms` and `CGP_STALL_MS` for the
-//!   matching watchdog knobs. A chaos run reports whether its output
-//!   matches the oracle (what `Interp::run_main` prints for the same
-//!   program) and how many packets `drop` faults discarded;
-//! - `CGP_RECOVER=1` (env) or `--recover` (flag) — mask the injected
-//!   faults with checkpointed restarts and ack/replay delivery, with
-//!   `CGP_CHECKPOINT_EVERY`/`--checkpoint-every` controlling commit
-//!   frequency; if a stage still exhausts its restart budget, the
-//!   harness replans the decomposition over the surviving units with the
-//!   cost model and re-runs (`[obs] failover: ...`).
+//! - `local` (the default) runs the compiled plan on threads and
+//!   compares its output with the oracle (what `Interp::run_main` prints
+//!   for the same program). It exits 1 when they differ, unless `drop`
+//!   faults discarded packets on purpose;
+//! - `launcher` runs the plan as one worker process per pipeline unit
+//!   ([`crate::launcher`]), which re-executes `cgp` with
+//!   `CGP_ROLE=worker:<k>`, and compares the last stage's output with the
+//!   oracle;
+//! - `worker:<k>` runs unit `k` alone ([`run_worker`]).
 //!
-//! When none is given the binaries run exactly as before — no sink is
-//! installed and the tracing hooks reduce to one relaxed atomic load.
+//! Its flags:
+//!
+//! - `--explain` — print the compiler's decision report (candidate
+//!   boundary graph, per-boundary Gen/Cons/ReqComm byte volumes, every
+//!   candidate decomposition's cost, and why the winner won), then the
+//!   generated filters: each unit's atoms, its prologue slice length, the
+//!   reduction roots it holds or adopts and whether it builds the host
+//!   environment;
+//! - `--trace-out <path>` (or `CGP_TRACE`) — write a Chrome
+//!   `trace_event` JSON file of a local run: the seven compiler phases
+//!   and the runtime's per-filter-copy spans and per-packet events;
+//! - 14 run options, each answering its `CGP_*` variable (see
+//!   [`ExecOptions::from_lookup`]): `--faults`, `--deadline-ms`,
+//!   `--recover`, `--checkpoint-every`, `--role`, `--listen`,
+//!   `--connect`, `--transport`, `--status-every`, `--telemetry-log`,
+//!   `--checkpoint-dir`, `--heartbeat-ms`, `--max-worker-restarts` and
+//!   `--autoscale`. `--faults <spec>` injects deterministic faults
+//!   (grammar at [`cgp_core::datacutter::FaultPlan::parse`]); `--recover`
+//!   masks them with checkpointed restarts, and when a unit still
+//!   exhausts its restart budget `cgp` replans the decomposition over the
+//!   surviving units with the cost model and re-runs (`[obs] failover:
+//!   ...`); `--status-every`/`--telemetry-log` turn on the telemetry
+//!   plane and the cost-model calibration report; `--autoscale` widens
+//!   stages online.
+//!
+//! Every flag but the bare `--explain` and `--recover` takes a value, as
+//! `--flag value` or `--flag=value`. An unknown argument, a missing value,
+//! a missing or unknown app, or a bad value exits 2 naming it.
+//!
+//! The figure binaries take only `--trace-out` (or `CGP_TRACE`), which
+//! traces the simulator timeline of their own runs ([`figure_main`]).
 
 use cgp_compiler::calibrate::CalibrationReport;
 use cgp_compiler::decompose::decompose_dp;
 use cgp_compiler::failover::replan;
-use cgp_core::apps::dialect::{
-    iso_host_env, knn_host_env, vmscope_host_env, APIX_SRC, KNN_SRC, VMSCOPE_SRC, ZBUF_SRC,
-};
-use cgp_core::apps::isosurface::ScalarGrid;
-use cgp_core::apps::vmscope::Slide;
+use cgp_core::apps::dialect::{demo_apps, DemoApp};
 use cgp_core::datacutter::{decode_telemetry_payload, RunControl, Transport};
-use cgp_core::lang::{frontend, interp::Interp};
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
-    ExecOptions, NetRole, PipelineEnv, WorkerIngress,
+    ExecOptions, FilterPlan, HostBuilder, NetRole, WorkerIngress,
 };
 use cgp_obs::metrics::MetricsRegistry;
 use cgp_obs::telemetry::{TelemetrySample, TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
@@ -54,36 +64,9 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Command-line options shared by every figure binary that are not run
-/// options (the run-option flags resolve into [`ExecOptions`] in
-/// [`Obs::init`]). Supports both `--flag value` and `--flag=value`;
-/// unrecognized arguments are ignored (figures keep their own flags).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CommonOpts {
-    pub explain: bool,
-    pub trace_path: Option<String>,
-}
-
-/// Parse the shared non-run flags out of an argument stream.
-pub fn parse_common_opts(args: impl IntoIterator<Item = String>) -> CommonOpts {
-    let mut o = CommonOpts::default();
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == "--explain" {
-            o.explain = true;
-        } else if a == "--trace-out" {
-            o.trace_path = args.next();
-        } else if let Some(p) = a.strip_prefix("--trace-out=") {
-            o.trace_path = Some(p.to_string());
-        }
-    }
-    o
-}
-
-/// The run-option flags every figure binary accepts, each with the
-/// `CGP_*` variable it answers for (see [`ExecOptions::from_lookup`]).
-/// `--recover` is bare and answers `CGP_RECOVER=1`; every other flag
-/// takes a value, as `--flag value` or `--flag=value`.
+/// The run-option flags `cgp` accepts, each with the `CGP_*` variable it
+/// answers for (see [`ExecOptions::from_lookup`]). `--recover` is bare
+/// and answers `CGP_RECOVER=1`; every other flag takes a value.
 const EXEC_FLAGS: [(&str, &str); 14] = [
     ("--faults", "CGP_FAULTS"),
     ("--deadline-ms", "CGP_DEADLINE_MS"),
@@ -101,61 +84,178 @@ const EXEC_FLAGS: [(&str, &str); 14] = [
     ("--autoscale", "CGP_AUTOSCALE"),
 ];
 
-/// The [`EXEC_FLAGS`] given in `args`, as `(variable, value)` pairs in
-/// argument order.
-fn exec_flags(args: &[String]) -> Vec<(&'static str, String)> {
-    let mut out = Vec::new();
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        if a == "--recover" {
-            out.push(("CGP_RECOVER", "1".to_string()));
+/// A command line as read, before its values are checked.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// The positional argument (`cgp`'s app).
+    app: Option<String>,
+    explain: bool,
+    trace_path: Option<String>,
+    /// The [`EXEC_FLAGS`] given, as `(variable, value)` pairs in argument
+    /// order.
+    exec: Vec<(&'static str, String)>,
+}
+
+/// Read `args`. `--trace-out` is always known; `cgp` (`cli`) also knows
+/// `--explain`, the [`EXEC_FLAGS`] and one positional app. Any other
+/// argument is an error that names it.
+fn scan(args: &[String], cli: bool) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let unknown = || format!("unknown argument `{arg}`");
+        if !arg.starts_with('-') {
+            if !cli || out.app.is_some() {
+                return Err(unknown());
+            }
+            out.app = Some(arg.clone());
             continue;
         }
-        for (flag, var) in EXEC_FLAGS.into_iter().filter(|(f, _)| *f != "--recover") {
-            if a == flag {
-                out.extend(args.next().map(|v| (var, v.clone())));
-                break;
-            }
-            if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-                out.push((var, v.to_string()));
-                break;
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| it.next().cloned())
+                .ok_or_else(|| format!("{flag}: missing value"))
+        };
+        if flag == "--trace-out" {
+            out.trace_path = Some(value()?);
+        } else if !cli {
+            return Err(unknown());
+        } else if arg == "--explain" {
+            out.explain = true;
+        } else if arg == "--recover" {
+            out.exec.push(("CGP_RECOVER", "1".to_string()));
+        } else {
+            match EXEC_FLAGS
+                .iter()
+                .find(|(f, _)| *f == flag && *f != "--recover")
+            {
+                Some(&(_, var)) => out.exec.push((var, value()?)),
+                None => return Err(unknown()),
             }
         }
     }
-    out
+    Ok(out)
 }
 
-/// Resolve the run options: a flag in `args` answers its variable (the
+/// Resolve the run options: a flag in `flags` answers its variable (the
 /// last occurrence wins), `env` answers the rest, and both go through
 /// the one parser, [`ExecOptions::from_lookup`]. An error names the
 /// option the way it was given — the flag, or the variable.
 fn resolve_exec_options(
-    args: &[String],
+    flags: &[(&'static str, String)],
     env: impl Fn(&str) -> Option<String>,
 ) -> Result<ExecOptions, String> {
-    let flags: BTreeMap<&str, String> = exec_flags(args).into_iter().collect();
-    ExecOptions::from_lookup(|var| flags.get(var).cloned().or_else(|| env(var))).map_err(|e| {
-        let msg = match e {
-            CoreError::Config(m) => m,
-            e => e.to_string(),
-        };
-        match EXEC_FLAGS
-            .iter()
-            .find(|(_, var)| flags.contains_key(var) && msg.starts_with(&format!("{var}:")))
-        {
-            Some((flag, var)) => msg.replacen(var, flag, 1),
-            None => msg,
-        }
+    let flags: BTreeMap<&str, &String> = flags.iter().map(|(var, v)| (*var, v)).collect();
+    ExecOptions::from_lookup(|var| flags.get(var).map(|v| v.to_string()).or_else(|| env(var)))
+        .map_err(|e| {
+            let msg = match e {
+                CoreError::Config(m) => m,
+                e => e.to_string(),
+            };
+            match EXEC_FLAGS
+                .iter()
+                .find(|(_, var)| flags.contains_key(var) && msg.starts_with(&format!("{var}:")))
+            {
+                Some((flag, var)) => msg.replacen(var, flag, 1),
+                None => msg,
+            }
+        })
+}
+
+/// What `cgp` was asked to do.
+struct Cli {
+    app: DemoApp,
+    explain: bool,
+    trace_path: Option<String>,
+    exec: ExecOptions,
+    /// The arguments as given; a launcher forwards them to its workers.
+    args: Vec<String>,
+}
+
+/// Read a `cgp` command line; `env` answers the `CGP_*` variables.
+fn parse_cli(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Cli, String> {
+    let scanned = scan(args, true)?;
+    let apps = demo_apps();
+    let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
+    let name = scanned
+        .app
+        .ok_or_else(|| format!("missing app (one of {})", names.join(", ")))?;
+    let app = apps
+        .into_iter()
+        .find(|a| a.name == name)
+        .ok_or_else(|| format!("unknown app `{name}` (one of {})", names.join(", ")))?;
+    let exec = resolve_exec_options(&scanned.exec, &env).map_err(|e| format!("bad option {e}"))?;
+    Ok(Cli {
+        app,
+        explain: scanned.explain,
+        trace_path: scanned.trace_path.or_else(|| env(trace::TRACE_ENV)),
+        exec,
+        args: args.to_vec(),
     })
 }
 
-/// Which dialect program matches the figure being run.
-#[derive(Debug, Clone, Copy)]
-pub enum DialectApp {
-    Zbuf,
-    Apix,
-    Knn { k: i64 },
-    Vmscope,
+/// `cgp`'s `main`: parse `args` (the command line without the program
+/// name), act in the requested role, and return the exit code.
+pub fn cgp_main(args: &[String]) -> i32 {
+    let cli = match parse_cli(args, |var| std::env::var(var).ok()) {
+        Ok(cli) => cli,
+        Err(e) => {
+            let flags: Vec<&str> = EXEC_FLAGS.iter().map(|(f, _)| *f).collect();
+            eprintln!("cgp: {e}");
+            eprintln!(
+                "usage: cgp <zbuf|apix|knn|vmscope> [--explain] [--trace-out <path>] [{}]",
+                flags.join("|")
+            );
+            return 2;
+        }
+    };
+    match cli.exec.role {
+        NetRole::Worker(stage) => match compile(cli.app.src, &cli.app.opts) {
+            Ok(c) => run_worker(cli.app.name, c.plan, cli.app.host, stage, &cli.exec),
+            Err(e) => {
+                eprintln!(
+                    "[obs] worker {stage}: dialect compile failed for {}: {e}",
+                    cli.app.name
+                );
+                1
+            }
+        },
+        NetRole::Launcher => run_launcher(&cli),
+        NetRole::Local => {
+            let trace = cli.trace_path.clone().map(Trace::install);
+            let code = run_local(&cli);
+            if let Some(trace) = trace {
+                trace.finish();
+            }
+            code
+        }
+    }
+}
+
+/// A figure binary's `main`: accept `--trace-out <path>` (or
+/// `CGP_TRACE`) and nothing else, run `figure` with the trace installed,
+/// and write it. Any other argument exits 2 naming it.
+pub fn figure_main(figure: impl FnOnce()) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = match scan(&args, false) {
+        Ok(a) => a
+            .trace_path
+            .or_else(|| std::env::var(trace::TRACE_ENV).ok()),
+        Err(e) => {
+            eprintln!("{e}\nusage: a figure binary takes only [--trace-out <path>]");
+            std::process::exit(2);
+        }
+    };
+    let trace = path.map(Trace::install);
+    figure();
+    if let Some(trace) = trace {
+        trace.finish();
+    }
 }
 
 /// Forwards to the Chrome sink while accumulating a per-phase timing
@@ -181,534 +281,387 @@ impl TraceSink for SummarySink {
     }
 }
 
-/// Per-run observability state for a figure binary.
-pub struct Obs {
-    explain: bool,
-    trace_path: Option<String>,
-    sink: Option<Arc<SummarySink>>,
-    exec: ExecOptions,
-    chaos: bool,
-    /// Telemetry plane requested (`--status-every`/`--telemetry-log` or
-    /// their env forms): sample in-flight state, report latency
-    /// percentiles, and calibrate the cost model post-run.
-    telemetry: bool,
+/// An installed Chrome trace and where it goes.
+struct Trace {
+    path: String,
+    sink: Arc<SummarySink>,
 }
 
-impl Obs {
-    /// Parse `--trace-out`/`--explain` and the run options, and install
-    /// the trace sink if tracing is asked for. Each run option comes from
-    /// its flag (`--faults`, `--deadline-ms`, `--recover`, …) when given,
-    /// else from its `CGP_*` variable, through the one parser
-    /// [`ExecOptions::from_lookup`]. A bad value fails here, at startup,
-    /// naming the option.
-    pub fn init() -> Obs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let opts = parse_common_opts(args.iter().cloned());
-        let explain = opts.explain;
-        let trace_path = opts
-            .trace_path
-            .or_else(|| std::env::var(trace::TRACE_ENV).ok());
-        let exec = resolve_exec_options(&args, |var| std::env::var(var).ok())
-            .unwrap_or_else(|e| panic!("bad option {e}"));
-        let chaos = !exec.faults.is_empty() || exec.deadline.is_some();
-        // `--status-every 0` means sampling is explicitly disabled; only
-        // a positive cadence (or a log sink) brings up the telemetry
-        // plane.
-        let sampling = exec.sampling_enabled();
-        let telemetry = sampling || exec.telemetry_log.is_some();
-        let sink = trace_path.as_ref().map(|p| {
-            let inner = ChromeTraceSink::create(p)
-                .unwrap_or_else(|e| panic!("cannot create trace file {p}: {e}"));
-            let sink = Arc::new(SummarySink {
-                inner,
-                phases: Mutex::new(Vec::new()),
-            });
-            trace::install_sink(sink.clone());
-            sink
+impl Trace {
+    fn install(path: String) -> Trace {
+        let inner = ChromeTraceSink::create(&path)
+            .unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
+        let sink = Arc::new(SummarySink {
+            inner,
+            phases: Mutex::new(Vec::new()),
         });
-        Obs {
-            explain,
-            trace_path,
-            sink,
-            exec,
-            chaos,
-            telemetry,
-        }
+        trace::install_sink(sink.clone());
+        Trace { path, sink }
     }
 
-    fn active(&self) -> bool {
-        self.explain || self.sink.is_some() || self.chaos || self.telemetry
-    }
-
-    /// Handle a distributed role (`--role`/`CGP_ROLE`), if one was
-    /// requested. Returns `true` when this process acted as a worker or
-    /// launcher for `app` — the figure binary should return immediately,
-    /// because a worker's stdout is part of the distributed protocol
-    /// (`CGP_LISTENING <addr>` followed by the last stage's result
-    /// lines). Returns `false` for the default local role.
-    pub fn net_mode(&self, app: DialectApp) -> bool {
-        match self.exec.role {
-            NetRole::Local => false,
-            NetRole::Worker(stage) => {
-                self.run_as_worker(app, stage);
-                true
-            }
-            NetRole::Launcher => {
-                self.run_as_launcher(app);
-                true
-            }
-        }
-    }
-
-    /// Execute one stage of `app`'s demo plan as a distributed worker.
-    /// Everything informational goes to stderr; stdout carries only the
-    /// protocol marker and (for the last stage) the result lines.
-    fn run_as_worker(&self, app: DialectApp, stage: usize) {
-        let (name, src, opts) = demo_config(app);
-        let compiled = compile(src, &opts).unwrap_or_else(|e| {
-            eprintln!("[obs] worker {stage}: dialect compile failed for {name}: {e}");
-            std::process::exit(1);
-        });
-        let m = compiled.plan.m;
-        let ingress = (stage > 0).then(|| {
-            let addr = self.exec.listen.as_deref().unwrap_or("127.0.0.1:0");
-            // Worker-mode plans spec one copy per stage, but under
-            // autoscale an interior upstream stage is provisioned at the
-            // copy cap and each of its copies owns an egress connection:
-            // the producer count is that provisioned width.
-            let producers = self.exec.provisioned_width(stage - 1, m, 1);
-            let (ingress, at) = WorkerIngress::bind(addr, producers).unwrap_or_else(|e| {
-                eprintln!("[obs] worker {stage}: cannot open ingress at {addr}: {e}");
-                std::process::exit(1);
-            });
-            // Announce only once the endpoint exists, so a producer that
-            // connects right after the marker finds it.
-            println!("{} {at}", crate::launcher::LISTENING_MARKER);
-            let _ = std::io::stdout().flush();
-            ingress
-        });
-        match run_plan_worker_io(
-            Arc::new(compiled.plan),
-            demo_host_builder(app),
-            stage,
-            ingress,
-            self.exec.connect.clone(),
-            None,
-            &self.exec,
-        ) {
-            Ok((out, stats)) => {
-                for line in &out {
-                    println!("{line}");
-                }
-                let net: Vec<String> = stats
-                    .net_links
-                    .iter()
-                    .map(|(l, st)| format!("link {l}: {} frames, {} bytes", st.frames, st.bytes))
-                    .collect();
-                if self.exec.recover && stats.recoveries() > 0 {
-                    eprintln!(
-                        "[obs] worker {stage}/{m} for {name} recovered: {} restarts, \
-                         {} replayed packets",
-                        stats.recoveries(),
-                        stats.replayed_packets()
-                    );
-                }
-                eprintln!(
-                    "[obs] worker {stage}/{m} for {name} finished, dropped {} packets ({})",
-                    stats.dropped(),
-                    net.join("; ")
-                );
-            }
-            Err(e) => {
-                eprintln!("[obs] worker {stage}/{m} for {name} failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// Run `app`'s demo plan split one worker process per pipeline unit,
-    /// and fail loudly unless the output is byte-identical to the oracle.
-    fn run_as_launcher(&self, app: DialectApp) {
-        let (name, src, opts) = demo_config(app);
-        let compiled = compile(src, &opts).unwrap_or_else(|e| {
-            eprintln!("[obs] launcher: dialect compile failed for {name}: {e}");
-            std::process::exit(1);
-        });
-        let m = compiled.plan.m;
-        let expected = oracle_lines(app);
-        let passthrough =
-            crate::launcher::strip_net_flags(&std::env::args().skip(1).collect::<Vec<_>>());
-        let aggregator = self
-            .telemetry
-            .then(|| TelemetryAggregator::start(m, &self.exec));
-        let telemetry_addr = aggregator.as_ref().map(|a| a.addr.clone());
-        let transport = Transport::select(self.exec.transport);
-        eprintln!("[obs] launcher: data plane is {transport:?}");
-        // Supervision rides on the recovery switch: with `--recover` the
-        // launcher masks worker crashes with prefix restarts; without it
-        // a dead worker fails the run, exactly as before.
-        let mut lopts = crate::launcher::LaunchOptions::new(transport);
-        lopts.telemetry = telemetry_addr.clone();
-        lopts.supervise = self.exec.recover;
-        if let Some(n) = self.exec.max_worker_restarts {
-            lopts.max_worker_restarts = n;
-        }
-        let got = match crate::launcher::launch_supervised(m, &passthrough, &lopts) {
-            Ok(report) => {
-                if report.restart_events > 0 {
-                    eprintln!(
-                        "[obs] launcher: masked {} worker crash(es) with prefix restarts \
-                         ({} total restarts)",
-                        report.restart_events,
-                        report.total_restarts()
-                    );
-                }
-                report.lines
-            }
-            Err(crate::launcher::LaunchError::BudgetExhausted {
-                stage,
-                restarts,
-                last,
-            }) => {
-                // Worker-mode plans run one pipeline unit per stage, so
-                // the dead stage index *is* the dead unit: treat its host
-                // as lost, replan the decomposition over the survivors
-                // with the cost model, and re-run in-process.
-                if let Some(agg) = aggregator {
-                    agg.finish(name, &compiled);
-                }
-                println!(
-                    "[obs] chaos run for {name} exhausted restarts: worker stage {stage} \
-                     kept dying after {restarts} masked restart(s) (last exit: {last})"
-                );
-                match self.failover_replan_run(
-                    name,
-                    src,
-                    &opts,
-                    &compiled,
-                    demo_host_builder(app),
-                    stage,
-                ) {
-                    Some(out) if out == expected => {
-                        println!(
-                            "[obs] distributed run for {name} failed over to a replanned \
-                             in-process run; output matches the oracle ({} lines)",
-                            out.len()
-                        );
-                        return;
-                    }
-                    Some(out) => {
-                        println!(
-                            "[obs] distributed run for {name} failed over to a replanned \
-                             in-process run; output differs from the oracle"
-                        );
-                        eprintln!("[obs] launcher: expected {expected:?}, got {out:?}");
-                        std::process::exit(1);
-                    }
-                    None => std::process::exit(1),
-                }
-            }
-            Err(e) => {
-                eprintln!("[obs] launcher: distributed run for {name} failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        if let Some(agg) = aggregator {
-            agg.finish(name, &compiled);
-        }
-        if got != expected {
-            println!(
-                "[obs] distributed run for {name} across {m} workers: output differs from \
-                 the oracle"
-            );
-            eprintln!("[obs] launcher: expected {expected:?}, got {got:?}");
-            std::process::exit(1);
-        }
-        println!(
-            "[obs] distributed run for {name} across {m} workers matches the oracle \
-             ({} output lines)",
-            got.len()
-        );
-    }
-
-    /// Compile (and, when tracing, execute on real threads) the dialect
-    /// program matching this figure, on a demo-sized workload. Emits the
-    /// seven compiler phase spans, the decision report, and the runtime's
-    /// per-filter spans into the trace; prints the report with `--explain`.
-    pub fn compiler_demo(&self, app: DialectApp) {
-        if !self.active() {
-            return;
-        }
-        let (name, src, opts) = demo_config(app);
-        let compiled = match compile(src, &opts) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("[obs] dialect compile failed for {name}: {e}");
-                return;
-            }
-        };
-        if self.explain {
-            println!("--- {name}: compiler decision report ---");
-            print!("{}", compiled.report.render_text());
-            println!("--- {name}: generated filters ---");
-            print!("{}", compiled.plan.describe());
-        }
-        if self.sink.is_some() || self.chaos || self.telemetry {
-            let builder = demo_host_builder(app);
-            let plan = Arc::new(compiled.plan.clone());
-            let mut exec = self.exec.clone();
-            let registry = self.telemetry.then(|| {
-                let reg = Arc::new(Mutex::new(MetricsRegistry::default()));
-                exec.metrics = Some(Arc::clone(&reg));
-                reg
-            });
-            match run_plan_threaded_stats(plan, Arc::clone(&builder), None, &exec) {
-                Ok((out, stats)) => {
-                    if let Some(reg) = &registry {
-                        let reg = reg.lock().unwrap_or_else(|e| e.into_inner());
-                        match CalibrationReport::from_run(&compiled.report, &reg) {
-                            Some(cal) => {
-                                println!("--- {name}: cost-model calibration ---");
-                                print!("{}", cal.render_text());
-                            }
-                            None => eprintln!("[obs] no telemetry recorded for {name}"),
-                        }
-                    }
-                    if self.chaos {
-                        println!(
-                            "[obs] chaos run for {name} completed; {}",
-                            verdict(&out, &oracle_lines(app))
-                        );
-                        println!(
-                            "[obs] chaos run for {name} dropped {} packets",
-                            stats.dropped()
-                        );
-                        if self.exec.recover {
-                            println!(
-                                "[obs] recovery: {} restarts, {} replayed packets, \
-                                 {} checkpoints ({} bytes)",
-                                stats.recoveries(),
-                                stats.replayed_packets(),
-                                stats.checkpoints(),
-                                stats.checkpoint_bytes()
-                            );
-                        }
-                    }
-                    if stats.autoscale.escalation.is_some() {
-                        self.escalation_rerun(
-                            name,
-                            src,
-                            &opts,
-                            &compiled,
-                            Arc::clone(&builder),
-                            &stats,
-                            &out,
-                        );
-                    }
-                }
-                Err(e) => {
-                    if self.chaos && self.exec.recover {
-                        // Restart budget exhausted on some unit: treat the
-                        // unit's host as dead, replan over the survivors
-                        // with the cost model, and re-run from checkpoints.
-                        println!("[obs] chaos run for {name} exhausted restarts: {e}");
-                        if let Some(out) =
-                            self.failover_rerun(name, src, &opts, &compiled, builder, &e)
-                        {
-                            println!(
-                                "[obs] failover run for {name}: {}",
-                                verdict(&out, &oracle_lines(app))
-                            );
-                        }
-                    } else if self.chaos {
-                        // Under injection a structured failure is the
-                        // expected outcome — report it, don't die.
-                        println!("[obs] chaos run for {name} failed as injected: {e}");
-                    } else {
-                        eprintln!("[obs] threaded demo run failed for {name}: {e}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cost-model-driven failover: map the failed stage label back to a
-    /// pipeline unit, drop that unit from the environment, re-run the
-    /// decomposition DP over the survivors, recompile, and re-run. The
-    /// fault plan stays armed — the recovery layer masks it on the new
-    /// placement, so a completed re-run really demonstrates end-to-end
-    /// self-healing. Returns the re-run's output lines on success.
-    fn failover_rerun(
-        &self,
-        name: &str,
-        src: &str,
-        copts: &CompileOptions,
-        compiled: &Compiled,
-        builder: cgp_core::HostBuilder,
-        err: &CoreError,
-    ) -> Option<Vec<String>> {
-        let Some(dead) = dead_unit_of(err) else {
-            println!("[obs] failover: cannot identify a dead unit in `{err}`; giving up");
-            return None;
-        };
-        self.failover_replan_run(name, src, copts, compiled, builder, dead)
-    }
-
-    /// Drop pipeline unit `dead` from the environment, re-run the
-    /// decomposition DP over the survivors, recompile, and re-run
-    /// in-process. Returns the re-run's output lines on success so the
-    /// caller can compare them with the oracle.
-    fn failover_replan_run(
-        &self,
-        name: &str,
-        src: &str,
-        copts: &CompileOptions,
-        compiled: &Compiled,
-        builder: cgp_core::HostBuilder,
-        dead: usize,
-    ) -> Option<Vec<String>> {
-        self.replan_run(name, src, copts, compiled, builder, dead, &self.exec)
-    }
-
-    /// The replan-and-rerun core shared by crash failover and autoscale
-    /// escalation; `exec` lets the escalation path seed the re-run with
-    /// carried busy time.
-    #[allow(clippy::too_many_arguments)]
-    fn replan_run(
-        &self,
-        name: &str,
-        src: &str,
-        copts: &CompileOptions,
-        compiled: &Compiled,
-        builder: cgp_core::HostBuilder,
-        dead: usize,
-        exec: &ExecOptions,
-    ) -> Option<Vec<String>> {
-        let current = decompose_dp(&compiled.problem, &compiled.pipeline);
-        let plan = match replan(&compiled.problem, &compiled.pipeline, &current, dead) {
-            Ok(p) => p,
-            Err(e) => {
-                println!("[obs] failover: {e}");
-                return None;
-            }
-        };
-        print!("[obs] {}", plan.render_text());
-        let reduced = CompileOptions {
-            pipeline: plan.env.clone(),
-            ..copts.clone()
-        };
-        let recompiled = match compile(src, &reduced) {
-            Ok(c) => c,
-            Err(e) => {
-                println!("[obs] failover recompile failed for {name}: {e}");
-                return None;
-            }
-        };
-        let mut exec = exec.clone();
-        if !exec.busy_carry.is_empty() {
-            // Remap carried busy time through the survivor index map
-            // (satellite of the failover plan): unit widths may change
-            // under the new decomposition, so each surviving unit's
-            // carry is summed over its old copies — per-stage totals
-            // stay monotone across the handover even though per-copy
-            // identity does not survive a re-decomposition.
-            let mut carry = vec![Vec::new(); plan.env.m()];
-            for (j, per_copy) in exec.busy_carry.iter().enumerate() {
-                if let Some(nj) = plan.surviving_index(j) {
-                    carry[nj] = vec![per_copy.iter().sum::<Duration>()];
-                }
-            }
-            exec.busy_carry = carry;
-        }
-        // The fault plan stays armed — the recovery layer masks it on
-        // the new placement, so a completed re-run really demonstrates
-        // end-to-end self-healing. (Process-level `CGP_KILL` specs only
-        // arm in worker roles, so this in-process run can't shoot
-        // itself.)
-        match run_plan_threaded_stats(Arc::new(recompiled.plan), builder, None, &exec) {
-            Ok((out, stats)) => {
-                println!(
-                    "[obs] failover run for {name} completed on {} units \
-                     ({} restarts, {} replayed packets)",
-                    plan.env.m(),
-                    stats.recoveries(),
-                    stats.replayed_packets()
-                );
-                Some(out)
-            }
-            Err(e) => {
-                println!("[obs] failover run for {name} failed: {e}");
-                None
-            }
-        }
-    }
-
-    /// Autoscale escalation: the controller saturated a stage at its
-    /// copy cap and the backlog never relieved — widening cannot fix a
-    /// decomposition that is structurally wrong for the observed costs.
-    /// Map the advised stage label back to its pipeline unit, re-plan
-    /// the decomposition around it with the same cost-model replanner
-    /// the crash-failover path uses, and re-run in-process seeded with
-    /// the busy time already accumulated, diffing the output against
-    /// the first run: re-decomposition must be invisible in the bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn escalation_rerun(
-        &self,
-        name: &str,
-        src: &str,
-        copts: &CompileOptions,
-        compiled: &Compiled,
-        builder: cgp_core::HostBuilder,
-        stats: &cgp_core::datacutter::RunStats,
-        expected: &[String],
-    ) {
-        let Some(advice) = stats.autoscale.escalation.as_deref() else {
-            return;
-        };
-        let Some(unit) = unit_of_stage_label(advice) else {
-            println!("[obs] autoscale: cannot map escalated stage `{advice}` to a pipeline unit");
-            return;
-        };
-        println!(
-            "[obs] autoscale: {advice} stayed the bottleneck at its copy cap \
-             after {} grow(s); escalating to re-decomposition around unit {unit}",
-            stats.autoscale.grows()
-        );
-        let mut exec = self.exec.clone();
-        exec.busy_carry = stats
-            .stages
-            .iter()
-            .map(|s| s.busy_per_copy.clone())
-            .collect();
-        match self.replan_run(name, src, copts, compiled, builder, unit, &exec) {
-            Some(out) if out == expected => println!(
-                "[obs] autoscale: re-decomposed run for {name} matches the elastic run \
-                 ({} lines)",
-                out.len()
-            ),
-            Some(out) => eprintln!(
-                "[obs] autoscale: re-decomposed output diverges for {name}: expected \
-                 {expected:?}, got {out:?}"
-            ),
-            None => {}
-        }
-    }
-
-    /// Flush the trace (writes the Chrome JSON array) and print the
-    /// phase-timing summary.
-    pub fn finish(self) {
-        let Some(sink) = self.sink else { return };
+    /// Write the Chrome JSON array and print the phase-timing summary.
+    fn finish(self) {
         trace::clear_sink();
-        let phases = sink.phases.lock().unwrap();
+        let phases = self
+            .sink
+            .phases
+            .lock()
+            .expect("no thread panics while recording a trace event");
         if !phases.is_empty() {
             println!("--- compiler phase timings ---");
             for (name, dur_us) in phases.iter() {
                 println!("  {name:<12} {dur_us:>10.1} us");
             }
         }
-        if let Some(p) = &self.trace_path {
-            println!("trace written to {p} (open in Perfetto / chrome://tracing)");
+        println!(
+            "trace written to {} (open in Perfetto / chrome://tracing)",
+            self.path
+        );
+    }
+}
+
+/// Compile the app, print the decision report under `--explain`, run the
+/// plan on threads and compare the output with the oracle. Under
+/// injected faults (`--faults` or `--deadline-ms`) a failed run is the
+/// expected outcome and is reported, not fatal; with `--recover` an
+/// exhausted restart budget fails over to a replanned run. Returns 1 when
+/// an output differs from the oracle and no `drop` fault explains it.
+fn run_local(cli: &Cli) -> i32 {
+    let (app, exec) = (&cli.app, &cli.exec);
+    let name = app.name;
+    let compiled = match compile(app.src, &app.opts) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("[obs] dialect compile failed for {name}: {e}");
+            return 1;
         }
+    };
+    if cli.explain {
+        println!("--- {name}: compiler decision report ---");
+        print!("{}", compiled.report.render_text());
+        println!("--- {name}: generated filters ---");
+        print!("{}", compiled.plan.describe());
+    }
+    let chaos = !exec.faults.is_empty() || exec.deadline.is_some();
+    let oracle = app.oracle();
+    let mut run_exec = exec.clone();
+    let registry = (exec.sampling_enabled() || exec.telemetry_log.is_some()).then(|| {
+        let reg = Arc::new(Mutex::new(MetricsRegistry::default()));
+        run_exec.metrics = Some(Arc::clone(&reg));
+        reg
+    });
+    let plan = Arc::new(compiled.plan.clone());
+    let (out, stats) = match run_plan_threaded_stats(plan, Arc::clone(&app.host), None, &run_exec) {
+        Ok(run) => run,
+        Err(e) if chaos && exec.recover => {
+            // Restart budget exhausted on some unit: treat the unit's
+            // host as dead, replan over the survivors with the cost
+            // model, and re-run from checkpoints.
+            println!("[obs] chaos run for {name} exhausted restarts: {e}");
+            let Some(dead) = dead_unit_of(&e) else {
+                println!("[obs] failover: cannot identify a dead unit in `{e}`; giving up");
+                return 0;
+            };
+            return match replan_run(app, exec, &compiled, dead) {
+                Some(out) => {
+                    println!("[obs] failover run for {name}: {}", verdict(&out, &oracle));
+                    i32::from(out != oracle)
+                }
+                None => 0,
+            };
+        }
+        Err(e) if chaos => {
+            println!("[obs] chaos run for {name} failed as injected: {e}");
+            return 0;
+        }
+        Err(e) => {
+            eprintln!("[obs] run failed for {name}: {e}");
+            return 1;
+        }
+    };
+    if let Some(reg) = &registry {
+        let reg = reg.lock().unwrap_or_else(|e| e.into_inner());
+        match CalibrationReport::from_run(&compiled.report, &reg) {
+            Some(cal) => {
+                println!("--- {name}: cost-model calibration ---");
+                print!("{}", cal.render_text());
+            }
+            None => eprintln!("[obs] no telemetry recorded for {name}"),
+        }
+    }
+    let run = if chaos { "chaos run" } else { "run" };
+    println!(
+        "[obs] {run} for {name} completed; {}",
+        verdict(&out, &oracle)
+    );
+    if chaos {
+        println!(
+            "[obs] chaos run for {name} dropped {} packets",
+            stats.dropped()
+        );
+        if exec.recover {
+            println!(
+                "[obs] recovery: {} restarts, {} replayed packets, {} checkpoints ({} bytes)",
+                stats.recoveries(),
+                stats.replayed_packets(),
+                stats.checkpoints(),
+                stats.checkpoint_bytes()
+            );
+        }
+    }
+    if let Some(stage) = &stats.autoscale.escalation {
+        println!(
+            "[obs] autoscale: {stage} stayed the bottleneck at its copy cap after {} grow(s); \
+             a re-decomposition is advised",
+            stats.autoscale.grows()
+        );
+    }
+    i32::from(out != oracle && stats.dropped() == 0)
+}
+
+/// Run `stage` of `plan` as one worker process of a distributed run: bind
+/// its ingress and announce it on stdout ([`crate::launcher::LISTENING_MARKER`]),
+/// run the unit, and print the last stage's result lines on stdout;
+/// everything informational goes to stderr. Returns the exit code. Both
+/// `cgp --role worker:<k>` and the conformance matrix's workers run here.
+pub fn run_worker(
+    name: &str,
+    plan: FilterPlan,
+    host: HostBuilder,
+    stage: usize,
+    exec: &ExecOptions,
+) -> i32 {
+    let m = plan.m;
+    let ingress = if stage > 0 {
+        let addr = exec.listen.as_deref().unwrap_or("127.0.0.1:0");
+        // Worker-mode plans spec one copy per stage, but under autoscale
+        // an interior upstream stage is provisioned at the copy cap and
+        // each of its copies owns an egress connection: the producer
+        // count is that provisioned width.
+        let producers = exec.provisioned_width(stage - 1, m, 1);
+        match WorkerIngress::bind(addr, producers) {
+            Ok((ingress, at)) => {
+                // Announce only once the endpoint exists, so a producer
+                // that connects right after the marker finds it.
+                println!("{} {at}", crate::launcher::LISTENING_MARKER);
+                let _ = std::io::stdout().flush();
+                Some(ingress)
+            }
+            Err(e) => {
+                eprintln!("[obs] worker {stage}: cannot open ingress at {addr}: {e}");
+                return 1;
+            }
+        }
+    } else {
+        None
+    };
+    match run_plan_worker_io(
+        Arc::new(plan),
+        host,
+        stage,
+        ingress,
+        exec.connect.clone(),
+        None,
+        exec,
+    ) {
+        Ok((out, stats)) => {
+            for line in &out {
+                println!("{line}");
+            }
+            let net: Vec<String> = stats
+                .net_links
+                .iter()
+                .map(|(l, st)| format!("link {l}: {} frames, {} bytes", st.frames, st.bytes))
+                .collect();
+            if exec.recover && stats.recoveries() > 0 {
+                eprintln!(
+                    "[obs] worker {stage}/{m} for {name} recovered: {} restarts, \
+                     {} replayed packets",
+                    stats.recoveries(),
+                    stats.replayed_packets()
+                );
+            }
+            eprintln!(
+                "[obs] worker {stage}/{m} for {name} finished, dropped {} packets ({})",
+                stats.dropped(),
+                net.join("; ")
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("[obs] worker {stage}/{m} for {name} failed: {e}");
+            1
+        }
+    }
+}
+
+/// Run the app's plan split one worker process per pipeline unit, and
+/// fail unless the output is byte-identical to the oracle. With
+/// `--recover` the launcher supervises the workers; a unit that exhausts
+/// its restart budget fails over to a replanned in-process run.
+fn run_launcher(cli: &Cli) -> i32 {
+    let (app, exec) = (&cli.app, &cli.exec);
+    let name = app.name;
+    let compiled = match compile(app.src, &app.opts) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("[obs] launcher: dialect compile failed for {name}: {e}");
+            return 1;
+        }
+    };
+    let m = compiled.plan.m;
+    let expected = app.oracle();
+    let passthrough = crate::launcher::strip_net_flags(&cli.args);
+    let telemetry = exec.sampling_enabled() || exec.telemetry_log.is_some();
+    let aggregator = telemetry.then(|| TelemetryAggregator::start(m, exec));
+    let transport = Transport::select(exec.transport);
+    eprintln!("[obs] launcher: data plane is {transport:?}");
+    // Supervision rides on the recovery switch: with `--recover` the
+    // launcher masks worker crashes with prefix restarts; without it a
+    // dead worker fails the run.
+    let mut lopts = crate::launcher::LaunchOptions::new(transport);
+    lopts.telemetry = aggregator.as_ref().map(|a| a.addr.clone());
+    lopts.supervise = exec.recover;
+    if let Some(n) = exec.max_worker_restarts {
+        lopts.max_worker_restarts = n;
+    }
+    let launched = crate::launcher::launch_supervised(m, &passthrough, &lopts);
+    if let Some(agg) = aggregator {
+        agg.finish(name, &compiled);
+    }
+    let got = match launched {
+        Ok(report) => {
+            if report.restart_events > 0 {
+                eprintln!(
+                    "[obs] launcher: masked {} worker crash(es) with prefix restarts \
+                     ({} total restarts)",
+                    report.restart_events,
+                    report.total_restarts()
+                );
+            }
+            report.lines
+        }
+        Err(crate::launcher::LaunchError::BudgetExhausted {
+            stage,
+            restarts,
+            last,
+        }) => {
+            // Worker-mode plans run one pipeline unit per stage, so the
+            // dead stage index *is* the dead unit: treat its host as
+            // lost, replan over the survivors, and re-run in-process.
+            println!(
+                "[obs] chaos run for {name} exhausted restarts: worker stage {stage} \
+                 kept dying after {restarts} masked restart(s) (last exit: {last})"
+            );
+            return match replan_run(app, exec, &compiled, stage) {
+                Some(out) if out == expected => {
+                    println!(
+                        "[obs] distributed run for {name} failed over to a replanned \
+                         in-process run; output matches the oracle ({} lines)",
+                        out.len()
+                    );
+                    0
+                }
+                Some(out) => {
+                    println!(
+                        "[obs] distributed run for {name} failed over to a replanned \
+                         in-process run; output differs from the oracle"
+                    );
+                    eprintln!("[obs] launcher: expected {expected:?}, got {out:?}");
+                    1
+                }
+                None => 1,
+            };
+        }
+        Err(e) => {
+            eprintln!("[obs] launcher: distributed run for {name} failed: {e}");
+            return 1;
+        }
+    };
+    if got != expected {
+        println!(
+            "[obs] distributed run for {name} across {m} workers: output differs from \
+             the oracle"
+        );
+        eprintln!("[obs] launcher: expected {expected:?}, got {got:?}");
+        return 1;
+    }
+    println!(
+        "[obs] distributed run for {name} across {m} workers matches the oracle \
+         ({} output lines)",
+        got.len()
+    );
+    0
+}
+
+/// Cost-model failover: drop pipeline unit `dead` from the environment,
+/// re-run the decomposition DP over the survivors, recompile, and re-run
+/// in-process. The fault plan stays armed — the recovery layer masks it
+/// on the new placement, so a completed re-run demonstrates end-to-end
+/// self-healing. (`CGP_KILL` arms only in worker roles, so this run
+/// cannot shoot itself.) Returns the re-run's output lines on success.
+fn replan_run(
+    app: &DemoApp,
+    exec: &ExecOptions,
+    compiled: &Compiled,
+    dead: usize,
+) -> Option<Vec<String>> {
+    let name = app.name;
+    let current = decompose_dp(&compiled.problem, &compiled.pipeline);
+    let plan = match replan(&compiled.problem, &compiled.pipeline, &current, dead) {
+        Ok(p) => p,
+        Err(e) => {
+            println!("[obs] failover: {e}");
+            return None;
+        }
+    };
+    print!("[obs] {}", plan.render_text());
+    let reduced = CompileOptions {
+        pipeline: plan.env.clone(),
+        ..app.opts.clone()
+    };
+    let recompiled = match compile(app.src, &reduced) {
+        Ok(c) => c,
+        Err(e) => {
+            println!("[obs] failover recompile failed for {name}: {e}");
+            return None;
+        }
+    };
+    match run_plan_threaded_stats(Arc::new(recompiled.plan), Arc::clone(&app.host), None, exec) {
+        Ok((out, stats)) => {
+            println!(
+                "[obs] failover run for {name} completed on {} units \
+                 ({} restarts, {} replayed packets)",
+                plan.env.m(),
+                stats.recoveries(),
+                stats.replayed_packets()
+            );
+            Some(out)
+        }
+        Err(e) => {
+            println!("[obs] failover run for {name} failed: {e}");
+            None
+        }
+    }
+}
+
+/// Map a failed copy's stage label (`f{j+1}[c]`) back to the pipeline
+/// unit `j`.
+fn dead_unit_of(err: &CoreError) -> Option<usize> {
+    let CoreError::Runtime(fe) = err else {
+        return None;
+    };
+    let rest = fe.filter.strip_prefix('f')?;
+    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+    digits.parse::<usize>().ok()?.checked_sub(1)
+}
+
+/// How a run's output compares with the oracle, as `cgp` prints it.
+fn verdict(out: &[String], oracle: &[String]) -> &'static str {
+    if out == oracle {
+        "output matches the oracle"
+    } else {
+        "output differs from the oracle"
     }
 }
 
@@ -979,107 +932,6 @@ impl TelemetryAggregator {
     }
 }
 
-/// Demo-sized compile configuration per app (small workloads — these runs
-/// exist to populate traces and reports, not to measure).
-fn demo_config(app: DialectApp) -> (&'static str, &'static str, CompileOptions) {
-    // knn and vmscope plan at the calibrated VM compute power (the engine
-    // that actually runs their filter bodies; see
-    // `cgp_compiler::cost::FilterEngine`). The iso programs stay on the
-    // legacy conservative 1e8, chosen when every `cubes[c].vN` read
-    // hashed its name in a per-object map. Object shapes made those reads
-    // a cached slot index; whether the iso programs should move to the VM
-    // power is for the calibration work to decide.
-    let vm_power = cgp_compiler::cost::FilterEngine::Vm.power();
-    match app {
-        DialectApp::Zbuf => (
-            "zbuf",
-            ZBUF_SRC,
-            CompileOptions::new(PipelineEnv::uniform(3, 1e8, 1e6, 1e-5), 128)
-                .with_symbol("ncubes", 343)
-                .with_symbol("screen", 16)
-                .with_selectivity(0, 0.15),
-        ),
-        DialectApp::Apix => (
-            "apix",
-            APIX_SRC,
-            CompileOptions::new(PipelineEnv::uniform(3, 1e8, 1e6, 1e-5), 128)
-                .with_symbol("ncubes", 343)
-                .with_symbol("screen", 16)
-                .with_selectivity(0, 0.15),
-        ),
-        DialectApp::Knn { k } => (
-            "knn",
-            KNN_SRC,
-            CompileOptions::new(PipelineEnv::uniform(3, vm_power, 1e6, 1e-5), 64)
-                .with_symbol("npoints", 300)
-                .with_symbol("k", k.min(50)),
-        ),
-        DialectApp::Vmscope => (
-            "vmscope",
-            VMSCOPE_SRC,
-            CompileOptions::new(PipelineEnv::uniform(3, vm_power, 1e6, 1e-5), 8)
-                .with_symbol("height", 32)
-                .with_symbol("width", 32)
-                .with_symbol("subsample", 2)
-                .with_selectivity(0, 0.5),
-        ),
-    }
-}
-
-/// Map an executor stage label (`f{j+1}` as the probes name stages, or
-/// `f{j+1}[c]` as failures name copies) back to the pipeline unit `j`.
-fn unit_of_stage_label(label: &str) -> Option<usize> {
-    let rest = label.strip_prefix('f')?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse::<usize>().ok()?.checked_sub(1)
-}
-
-/// Map a failed stage label back to the pipeline unit index `j`.
-fn dead_unit_of(err: &CoreError) -> Option<usize> {
-    let CoreError::Runtime(fe) = err else {
-        return None;
-    };
-    unit_of_stage_label(&fe.filter)
-}
-
-/// What `Interp::run_main` prints for `app`'s demo program on its demo
-/// host: the oracle every chaos and distributed run is compared with.
-fn oracle_lines(app: DialectApp) -> Vec<String> {
-    let (name, src, _) = demo_config(app);
-    let tp = frontend(src).unwrap_or_else(|e| panic!("oracle for {name}: {e}"));
-    let mut it = Interp::new(&tp, demo_host_builder(app)());
-    it.run_main()
-        .unwrap_or_else(|e| panic!("oracle for {name}: {e}"));
-    it.output
-}
-
-/// How a run's output compares with the oracle, as the harness prints it.
-fn verdict(out: &[String], oracle: &[String]) -> &'static str {
-    if out == oracle {
-        "output matches the oracle"
-    } else {
-        "output differs from the oracle"
-    }
-}
-
-fn demo_host_builder(app: DialectApp) -> cgp_core::HostBuilder {
-    match app {
-        DialectApp::Zbuf | DialectApp::Apix => {
-            let grid = ScalarGrid::synthetic(8, 8, 8, 21);
-            Arc::new(move || iso_host_env(&grid, 0.8, 16, 4))
-        }
-        DialectApp::Knn { k } => {
-            let pts = cgp_core::apps::knn::generate_points(300, 5);
-            let k = k.min(50);
-            Arc::new(move || knn_host_env(&pts, [0.3, 0.6, 0.2], k, 6))
-        }
-        DialectApp::Vmscope => {
-            let slide = Slide::synthetic(32, 32, 9);
-            Arc::new(move || vmscope_host_env(&slide, 2, 4))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,9 +946,18 @@ mod tests {
         None
     }
 
+    /// Resolve a command line of run-option flags the way `cgp` does.
+    fn resolve(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<ExecOptions, String> {
+        resolve_exec_options(&scan(args, true)?.exec, env)
+    }
+
     #[test]
     fn parse_common_opts_space_and_equals_forms_agree() {
         let spaced = argv(&[
+            "zbuf",
             "--explain",
             "--recover",
             "--faults",
@@ -1109,6 +970,7 @@ mod tests {
             "16",
         ]);
         let equals = argv(&[
+            "zbuf",
             "--explain",
             "--recover",
             "--faults=panic@f2[0]#3",
@@ -1116,26 +978,61 @@ mod tests {
             "--trace-out=/tmp/t.json",
             "--checkpoint-every=16",
         ]);
-        let common = parse_common_opts(spaced.clone());
-        assert_eq!(common, parse_common_opts(equals.clone()));
-        assert!(common.explain);
-        assert_eq!(common.trace_path.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(exec_flags(&spaced), exec_flags(&equals));
-        let exec = resolve_exec_options(&spaced, no_env).unwrap();
-        assert!(exec.recover);
-        assert!(!exec.faults.is_empty());
-        assert_eq!(exec.deadline, Some(Duration::from_millis(500)));
-        assert_eq!(exec.checkpoint_every, Some(16));
+        let scanned = scan(&spaced, true).unwrap();
+        assert_eq!(scanned, scan(&equals, true).unwrap());
+        let cli = parse_cli(&spaced, no_env).unwrap();
+        assert_eq!(cli.app.name, "zbuf");
+        assert!(cli.explain);
+        assert_eq!(cli.trace_path.as_deref(), Some("/tmp/t.json"));
+        assert!(cli.exec.recover);
+        assert!(!cli.exec.faults.is_empty());
+        assert_eq!(cli.exec.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(cli.exec.checkpoint_every, Some(16));
     }
 
+    /// A misspelled flag, a stray positional, a missing value or a
+    /// missing or unknown app fails the command line by name instead of
+    /// silently changing the run; the figure binaries know only
+    /// `--trace-out`.
     #[test]
-    fn parse_common_opts_ignores_unknown_figure_flags() {
-        let args = argv(&["--width", "4", "--recover", "positional"]);
-        assert_eq!(parse_common_opts(args.clone()), CommonOpts::default());
-        assert_eq!(exec_flags(&args), vec![("CGP_RECOVER", "1".to_string())]);
-        let exec = resolve_exec_options(&args, no_env).unwrap();
-        assert!(exec.recover);
-        assert!(exec.faults.is_empty());
+    fn unknown_arguments_and_apps_are_rejected_by_name() {
+        let err = |args: &[&str]| {
+            parse_cli(&argv(args), no_env)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} must be rejected"))
+        };
+        for (args, bad) in [
+            (&["zbuf", "--recovr"][..], "--recovr"),
+            (&["zbuf", "--width", "4"], "--width"),
+            (&["zbuf", "--recover=1"], "--recover=1"),
+            (&["zbuf", "--explain=yes"], "--explain=yes"),
+            (
+                &["zbuf", "--role", "launcher", "--transprt", "tcp"],
+                "--transprt",
+            ),
+            (&["zbuf", "knn"], "knn"),
+        ] {
+            assert_eq!(err(args), format!("unknown argument `{bad}`"));
+        }
+        assert_eq!(err(&["zbuf", "--faults"]), "--faults: missing value");
+        assert!(err(&["--recover"]).starts_with("missing app"));
+        assert!(err(&[]).starts_with("missing app"));
+        assert!(err(&["fig05", "--recover"]).starts_with("unknown app `fig05`"));
+        assert!(err(&["zbuf", "--faults", "nonsense"]).starts_with("bad option --faults:"));
+        for app in demo_apps() {
+            assert_eq!(
+                parse_cli(&argv(&[app.name]), no_env).unwrap().app.name,
+                app.name
+            );
+        }
+        let figure = scan(&argv(&["--trace-out", "t.json"]), false).unwrap();
+        assert_eq!(figure.trace_path.as_deref(), Some("t.json"));
+        for bad in ["--explain", "--recover", "--faults=x", "zbuf"] {
+            assert_eq!(
+                scan(&argv(&[bad]), false),
+                Err(format!("unknown argument `{bad}`"))
+            );
+        }
     }
 
     #[test]
@@ -1146,15 +1043,14 @@ mod tests {
             "CGP_TRANSPORT" => Some("shm".to_string()),
             _ => None,
         };
-        let exec = resolve_exec_options(&argv(&["--deadline-ms", "200"]), env).unwrap();
+        let exec = resolve(&argv(&["--deadline-ms", "200"]), env).unwrap();
         assert_eq!(exec.deadline, Some(Duration::from_millis(200)), "flag wins");
         assert_eq!(exec.checkpoint_every, Some(3), "env answers the rest");
         assert_eq!(exec.transport, Some(Transport::Shm), "env answers the rest");
-        let exec = resolve_exec_options(&argv(&["--transport", "tcp"]), env).unwrap();
+        let exec = resolve(&argv(&["--transport", "tcp"]), env).unwrap();
         assert_eq!(exec.transport, Some(Transport::Tcp), "flag wins");
         // The last occurrence of a repeated flag wins.
-        let exec = resolve_exec_options(&argv(&["--deadline-ms=1", "--deadline-ms", "2"]), no_env)
-            .unwrap();
+        let exec = resolve(&argv(&["--deadline-ms=1", "--deadline-ms", "2"]), no_env).unwrap();
         assert_eq!(exec.deadline, Some(Duration::from_millis(2)));
     }
 
@@ -1170,7 +1066,7 @@ mod tests {
             }
         };
         let armed = |args: &[&str], role| {
-            let exec = resolve_exec_options(&argv(args), env_with(role)).unwrap();
+            let exec = resolve(&argv(args), env_with(role)).unwrap();
             !exec.faults.is_empty()
         };
         assert!(armed(&["--role", "worker:1"], None), "worker by flag");
@@ -1212,13 +1108,13 @@ mod tests {
         ];
         for (flag, var, bad) in cases {
             for args in [argv(&[flag, bad]), argv(&[&format!("{flag}={bad}")])] {
-                let err = resolve_exec_options(&args, no_env)
+                let err = resolve(&args, no_env)
                     .err()
                     .unwrap_or_else(|| panic!("{args:?} must be rejected"));
                 assert!(err.starts_with(&format!("{flag}:")), "{args:?}: {err}");
             }
             let env = |name: &str| (name == var).then(|| bad.to_string());
-            let err = resolve_exec_options(&[], env)
+            let err = resolve(&[], env)
                 .err()
                 .unwrap_or_else(|| panic!("{var}={bad} must be rejected"));
             assert!(err.starts_with(&format!("{var}:")), "{var}={bad}: {err}");
@@ -1448,11 +1344,6 @@ mod tests {
             if let Some(d) = decoy.filter(|_| decoys && rng.gen_bool(0.3)) {
                 env.insert(g.var, d.to_string());
             }
-            // Figure flags the parser must skip ride along.
-            if rng.gen_bool(0.2) {
-                args.push("--width".to_string());
-                args.push("4".to_string());
-            }
         }
         (args, env)
     }
@@ -1466,12 +1357,22 @@ mod tests {
             let (set, want) = draw(&mut rng);
             let given = give(&mut rng, set);
             let (args, env) = render(&mut rng, &given, true);
-            let got = resolve_exec_options(&args, |v| env.get(v).cloned())
+            let got = resolve(&args, |v| env.get(v).cloned())
                 .unwrap_or_else(|e| panic!("case {case}: {args:?} {env:?}: {e}"));
             assert_eq!(
                 format!("{got:?}"),
                 format!("{want:?}"),
                 "case {case}: {args:?} {env:?}"
+            );
+            // The same line with an unknown flag before or after the
+            // settings fails by its name.
+            let mut args = args;
+            let at = if rng.gen_bool(0.5) { 0 } else { args.len() };
+            args.splice(at..at, argv(&["--width", "4"]));
+            assert_eq!(
+                resolve(&args, |v| env.get(v).cloned()).err().as_deref(),
+                Some("unknown argument `--width`"),
+                "case {case}: {args:?}"
             );
         }
     }
@@ -1516,7 +1417,7 @@ mod tests {
                 },
             );
             let (args, env) = render(&mut rng, &given, false);
-            let err = match resolve_exec_options(&args, |v| env.get(v).cloned()) {
+            let err = match resolve(&args, |v| env.get(v).cloned()) {
                 Ok(_) => panic!("case {case}: {var}={bad:?} must be rejected: {args:?} {env:?}"),
                 Err(e) => e,
             };
@@ -1596,8 +1497,8 @@ mod tests {
     fn parse_common_opts_autoscale_space_and_equals_forms_agree() {
         let spaced = argv(&["--autoscale", "max=4,grow=2"]);
         let equals = argv(&["--autoscale=max=4,grow=2"]);
-        assert_eq!(exec_flags(&spaced), exec_flags(&equals));
-        let exec = resolve_exec_options(&spaced, no_env).unwrap();
+        assert_eq!(scan(&spaced, true), scan(&equals, true));
+        let exec = resolve(&spaced, no_env).unwrap();
         let cfg = exec.autoscale.expect("autoscale on");
         assert_eq!((cfg.max_width, cfg.grow_backlog), (4, 2.0));
     }

@@ -1,12 +1,14 @@
 //! Single-machine distributed launcher with worker supervision.
 //!
-//! Re-executes the current figure binary once per pipeline unit with
-//! `CGP_ROLE=worker:<stage>`, wiring the workers into a chain over
-//! loopback TCP or shared-memory rings. Workers are spawned **last stage
-//! first**: each one binds an ephemeral endpoint (`CGP_LISTEN=127.0.0.1:0`
-//! or `shm:auto`), announces it on stdout as `CGP_LISTENING <addr>`, and
-//! the launcher passes that address to the next worker upstream as
-//! `CGP_CONNECT`. The final stage's remaining stdout is the run's result,
+//! Re-executes the current binary once per pipeline unit with
+//! `CGP_ROLE=worker:<stage>`, so `cgp --role launcher` spawns `cgp`
+//! workers and the conformance matrix spawns its own test binary (both
+//! run a worker through [`crate::harness::run_worker`]). The workers form
+//! a chain over loopback TCP or shared-memory rings. They are spawned
+//! **last stage first**: each one binds an ephemeral endpoint
+//! (`CGP_LISTEN=127.0.0.1:0` or `shm:auto`), announces it on stdout as
+//! `CGP_LISTENING <addr>`, and the launcher passes that address to the
+//! next worker upstream as `CGP_CONNECT`. The final stage's remaining stdout is the run's result,
 //! which the caller compares with the oracle (the sequential
 //! interpreter's output for the same program).
 //!

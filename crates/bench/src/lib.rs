@@ -15,6 +15,10 @@
 //!
 //! Per-figure environment constants (host slowdown, effective link
 //! bandwidth) and their justification are recorded in EXPERIMENTS.md.
+//!
+//! The figure binaries print figures and take only `--trace-out`. The
+//! runtime's command line is the `cgp` binary ([`harness`]): it runs,
+//! launches, explains and chaos-tests the four dialect apps.
 
 pub mod autoscale;
 pub mod dataplane;

@@ -5,24 +5,29 @@
 //! restart count stays bounded, and budget exhaustion falls over to a
 //! cost-model replan instead of dying.
 //!
-//! The vehicle is the `fig05_zbuf_small` figure binary in launcher mode:
+//! The vehicle is `cgp zbuf --role launcher`:
 //! `CGP_KILL=<stage>[<copy>]#<packet>` makes exactly one worker raise
 //! SIGKILL against itself at a deterministic packet index (the spec only
 //! arms in worker roles, so neither the launcher nor its in-process
-//! failover run ever self-kills).
+//! failover run ever self-kills). The conformance matrix
+//! (`tests/conformance.rs`) runs the same kills on real cuts of all four
+//! apps; this suite checks what `cgp` itself prints and leaves behind.
 
 use cgp_core::datacutter::shm::ring_path;
 use cgp_core::datacutter::shm_supported;
 use std::process::{Command, Output};
 
-fn fig_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_fig05_zbuf_small")
+/// `cgp zbuf`, ready for more arguments.
+fn cgp_zbuf() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cgp"));
+    cmd.arg("zbuf");
+    cmd
 }
 
-/// Run the figure binary as a supervised launcher with `kill_spec`
-/// armed, over `transport`, with `extra` flags appended.
+/// Run `cgp zbuf` as a supervised launcher with `kill_spec` armed, over
+/// `transport`, with `extra` flags appended.
 fn run_chaos(kill_spec: &str, transport: &str, extra: &[&str]) -> Output {
-    Command::new(fig_bin())
+    cgp_zbuf()
         .args([
             "--role",
             "launcher",
@@ -230,7 +235,7 @@ fn shm_budget_exhaustion_fails_over_and_reclaims_rings() {
 fn unsupervised_worker_death_fails_loudly() {
     // Without --recover there is no supervision: the kill must surface
     // as a named worker exit, not a hang or a silent truncated result.
-    let out = Command::new(fig_bin())
+    let out = cgp_zbuf()
         .args(["--role", "launcher", "--transport", "tcp"])
         .env("CGP_KILL", "f2[0]#2")
         .output()

@@ -72,13 +72,13 @@ pub enum NetRole {
     /// to the neighbouring workers ([`run_plan_worker_io`]).
     Worker(usize),
     /// Spawn one worker process per pipeline unit on this machine and
-    /// collect the last stage's output (the bench harness implements
+    /// collect the last stage's output (the `cgp` CLI implements
     /// this on top of [`NetRole::Worker`]).
     Launcher,
 }
 
-/// Every run setting of a threaded plan run, as read from flags and
-/// `CGP_*` variables ([`ExecOptions::from_lookup`]): fault injection,
+/// Every run setting of a threaded plan run, as read from `cgp`'s flags
+/// and `CGP_*` variables ([`ExecOptions::from_lookup`]): fault injection,
 /// watchdogs, recovery, the distributed role and links,
 /// telemetry and elastic width. The runtime's share becomes one
 /// DataCutter [`RunOptions`] per run.
@@ -154,11 +154,6 @@ pub struct ExecOptions {
     /// telemetry with a nonzero cadence; enabling it here turns telemetry
     /// on with the default cadence if nothing else did.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Pre-restart cumulative busy time per stage copy, folded into this
-    /// run's probes and stats so observed busy time stays monotonic
-    /// across a process restart (`busy_carry[stage][copy]`). Empty inner
-    /// vectors (or a shorter outer vector) mean "no carry".
-    pub busy_carry: Vec<Vec<Duration>>,
 }
 
 impl ExecOptions {
@@ -567,7 +562,6 @@ fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError
         },
         telemetry,
         autoscale: opts.autoscale.clone(),
-        busy_carry: opts.busy_carry.clone(),
     })
 }
 

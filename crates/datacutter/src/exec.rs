@@ -271,8 +271,8 @@ pub struct WorkerEndpoints {
 ///
 /// [`RunOptions::default`] is a plain in-process run: 64-packet queues,
 /// per-packet synchronization, no pool, rings on, no faults, no watchdog,
-/// recovery off, default [`NetTuning`], no telemetry, fixed widths and no
-/// carried busy time. Set fields with struct update syntax:
+/// recovery off, default [`NetTuning`], no telemetry and fixed widths.
+/// Set fields with struct update syntax:
 ///
 /// ```
 /// use cgp_datacutter::RunOptions;
@@ -359,13 +359,6 @@ pub struct RunOptions {
     /// stage is the reduction's convergence point. Decisions land in
     /// [`RunStats::autoscale`].
     pub autoscale: Option<AutoscaleConfig>,
-    /// Per-stage, per-copy busy time carried over from a previous run of
-    /// the same pipeline (an autoscale escalation redeploys it, a
-    /// supervisor restarts it): the carry folds into the live probes and
-    /// final [`StageStats::busy_per_copy`], so merged telemetry stays
-    /// monotone across the handover instead of restarting from this
-    /// process's epoch. Missing stages or copies count as zero.
-    pub busy_carry: Vec<Vec<Duration>>,
 }
 
 impl Default for RunOptions {
@@ -384,7 +377,6 @@ impl Default for RunOptions {
             net_tuning: NetTuning::default(),
             telemetry: None,
             autoscale: None,
-            busy_carry: Vec::new(),
         }
     }
 }
@@ -622,18 +614,6 @@ impl Pipeline {
                     .then(|| StageProbe::new(stages[s].name.clone(), eff_width[s], s == n - 1))
             })
             .collect();
-        // Busy time carried over from a previous incarnation of this
-        // pipeline folds into the probes, so mid-run samples stay
-        // monotone across an escalation handover.
-        for (s, probe) in probes.iter().enumerate() {
-            if let Some(p) = probe {
-                if let Some(carry) = opts.busy_carry.get(s) {
-                    for (c, d) in carry.iter().enumerate().take(eff_width[s]) {
-                        p.copy(c).set_carried(d.as_micros() as u64);
-                    }
-                }
-            }
-        }
         // The width controller, ticked by the sampler thread on the
         // telemetry cadence. Empty (and elided) when no scalable stage
         // runs in this process.
@@ -695,23 +675,10 @@ impl Pipeline {
             stages
                 .iter()
                 .enumerate()
-                .map(|(s, spec)| {
-                    // Seed with any carried-over busy time; the per-copy
-                    // exit accounting below accumulates on top of it.
-                    let mut busy_per_copy = vec![Duration::ZERO; eff_width[s]];
-                    let mut busy = Duration::ZERO;
-                    if let Some(carry) = opts.busy_carry.get(s) {
-                        for (c, d) in carry.iter().enumerate().take(eff_width[s]) {
-                            busy_per_copy[c] = *d;
-                            busy += *d;
-                        }
-                    }
-                    StageStats {
-                        name: spec.name.clone(),
-                        busy,
-                        busy_per_copy,
-                        ..Default::default()
-                    }
+                .map(|(s, spec)| StageStats {
+                    name: spec.name.clone(),
+                    busy_per_copy: vec![Duration::ZERO; eff_width[s]],
+                    ..Default::default()
                 })
                 .collect(),
         ));
@@ -1164,11 +1131,11 @@ impl Pipeline {
                                 }
                             }
                             entry.busy += busy;
-                            // Accumulated at copy exit, on top of any
-                            // carried-over seed; mid-run snapshots read
-                            // the live per-copy probe instead, so a
-                            // sample taken before this line (or a crashed
-                            // copy's) still shows real busy time.
+                            // Accumulated at copy exit; mid-run
+                            // snapshots read the live per-copy probe
+                            // instead, so a sample taken before this line
+                            // (or a crashed copy's) still shows real busy
+                            // time.
                             entry.busy_per_copy[c] += busy;
                             entry.failures += failures_here;
                             entry.dropped += io.dropped;
@@ -1940,38 +1907,6 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), (0..300).sum::<u64>());
         assert_eq!(stats.panics(), 1);
         assert_eq!(stats.recoveries(), 1);
-    }
-
-    #[test]
-    fn busy_carry_seeds_stats_and_live_samples() {
-        let total = Arc::new(AtomicU64::new(0));
-        let sampler = sampler_ms(1);
-        let carry = vec![Vec::new(), vec![Duration::from_millis(500)]];
-        let opts = RunOptions {
-            telemetry: Some(TelemetryConfig::new(Arc::clone(&sampler), "local")),
-            busy_carry: carry,
-            ..Default::default()
-        };
-        let stats = Pipeline::new(opts)
-            .add_stage(StageSpec::new("source", 1, source(50)))
-            .add_stage(StageSpec::new("work", 1, spin_work(0)))
-            .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
-            .run()
-            .unwrap();
-        assert_eq!(total.load(Ordering::Relaxed), (0..50).sum::<u64>());
-        // Final stats accumulate on top of the carried seed instead of
-        // overwriting it.
-        assert!(stats.stages[1].busy_per_copy[0] >= Duration::from_millis(500));
-        assert!(stats.stages[1].busy >= Duration::from_millis(500));
-        // The fin-stamped sample reads the carry through the live probe,
-        // so a redeployed pipeline's telemetry never jumps backwards.
-        let last = sampler.latest().expect("fin sample recorded");
-        let ws = last
-            .stages
-            .iter()
-            .find(|s| s.stage == "work")
-            .expect("work stage sampled");
-        assert!(ws.busy_us_per_copy[0] >= 500_000);
     }
 
     #[test]

@@ -54,13 +54,6 @@ pub struct CopyProbe {
     started_us: AtomicU64,
     /// Final busy time, published at copy exit (0 = still running).
     final_busy_us: AtomicU64,
-    /// Busy time inherited from a previous incarnation of this copy
-    /// (supervised restart, or an autoscale escalation handover that
-    /// redeploys the pipeline): folded into [`busy_us`] so merged
-    /// per-copy busy never jumps backwards across a restart.
-    ///
-    /// [`busy_us`]: CopyProbe::busy_us
-    carried_us: AtomicU64,
     pub(crate) blocked_send_us: AtomicU64,
     pub(crate) blocked_recv_us: AtomicU64,
     pub(crate) buffers_in: AtomicU64,
@@ -78,22 +71,9 @@ impl CopyProbe {
         self.final_busy_us.store(busy_us.max(1), Ordering::Relaxed);
     }
 
-    pub(crate) fn set_carried(&self, us: u64) {
-        self.carried_us.store(us, Ordering::Relaxed);
-    }
-
-    /// Busy wall-time so far, µs, including any carried-forward time from
-    /// a previous incarnation: the final value for finished copies,
-    /// `now − start` for running ones, the carry alone before the copy
-    /// starts.
+    /// Busy wall-time so far, µs: the final value for finished copies,
+    /// `now − start` for running ones, 0 before the copy starts.
     pub fn busy_us(&self, now: u64) -> u64 {
-        self.carried_us.load(Ordering::Relaxed) + self.own_busy_us(now)
-    }
-
-    /// Busy time of *this* incarnation only (no carry) — the denominator
-    /// blocked fractions are judged against, since the blocked counters
-    /// also start from zero at each incarnation.
-    fn own_busy_us(&self, now: u64) -> u64 {
         let fin = self.final_busy_us.load(Ordering::Relaxed);
         if fin != 0 {
             return fin;
@@ -106,7 +86,7 @@ impl CopyProbe {
 
     /// Fraction of busy time spent neither send-blocked nor recv-starved.
     pub fn active_frac(&self, now: u64) -> f64 {
-        let busy = self.own_busy_us(now);
+        let busy = self.busy_us(now);
         if busy == 0 {
             return 0.0;
         }
@@ -430,29 +410,6 @@ mod tests {
         assert_eq!(a.percentile(0.0), 0);
         assert!((1..=2).contains(&a.percentile(0.5)));
         assert_eq!(a.percentile(1.0), u64::MAX);
-    }
-
-    /// Regression (busy accounting across copy restarts): a restarted
-    /// copy's incremental busy counter restarts from its own epoch, so
-    /// without the carry the merged per-copy busy jumps backwards — and
-    /// blocked fractions computed against the *merged* busy can exceed
-    /// 1.0. The carry folds into `busy_us` but not into the denominator
-    /// `active_frac` judges blocked time against.
-    #[test]
-    fn carried_busy_folds_in_without_skewing_active_frac() {
-        let p = CopyProbe::default();
-        p.set_carried(5000);
-        assert_eq!(p.busy_us(1000), 5000, "carry alone before (re)start");
-        p.mark_started(1000);
-        assert_eq!(p.busy_us(3000), 7000, "carry + this incarnation");
-        p.blocked_send_us.store(1000, Ordering::Relaxed);
-        assert!(
-            (p.active_frac(3000) - 0.5).abs() < 1e-9,
-            "active fraction judges only this incarnation: blocked 1000 \
-             of own busy 2000, not of merged 7000"
-        );
-        p.mark_finished(2000);
-        assert_eq!(p.busy_us(9999), 7000, "final value still carries");
     }
 
     #[test]

@@ -34,11 +34,9 @@
 //!   `max_width` and still backlogged for `escalate_ticks` consecutive
 //!   ticks — the imbalance is structural (the *decomposition* is wrong,
 //!   not the width) and the controller raises an escalation advice in
-//!   [`AutoscaleReport`]. The harness answers it with the existing
-//!   failover machinery: re-run the decomposition DP over the measured
-//!   environment and redeploy with checkpoint/restore + ack/replay
-//!   handover, carrying each copy's cumulative busy time forward so
-//!   merged telemetry stays monotone across the handover.
+//!   [`AutoscaleReport`]. The advice is reported, not acted on: the run
+//!   finishes at the capped width, and the `cgp` CLI prints it as one
+//!   `[obs] autoscale:` line.
 //!
 //! Every decision is about *routing*, never about data: output is
 //! byte-identical to a fixed-width run because reduction merges are

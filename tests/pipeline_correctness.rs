@@ -22,60 +22,6 @@ fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
     it.output
 }
 
-/// One app of the decomposition matrix at its demo size.
-struct App {
-    name: &'static str,
-    src: &'static str,
-    opts: CompileOptions,
-    host: HostBuilder,
-}
-
-fn demo_apps() -> Vec<App> {
-    let env = || PipelineEnv::uniform(3, 1e8, 1e6, 1e-5);
-    let grid = ScalarGrid::synthetic(8, 8, 8, 21);
-    let iso_opts = || {
-        CompileOptions::new(env(), 128)
-            .with_symbol("ncubes", 343)
-            .with_symbol("screen", 16)
-            .with_selectivity(0, 0.15)
-    };
-    let iso_host: HostBuilder = Arc::new(move || iso_host_env(&grid, 0.8, 16, 4));
-    let pts = generate_points(300, 5);
-    let slide = Slide::synthetic(32, 32, 9);
-    vec![
-        App {
-            name: "zbuf",
-            src: ZBUF_SRC,
-            opts: iso_opts(),
-            host: Arc::clone(&iso_host),
-        },
-        App {
-            name: "apix",
-            src: APIX_SRC,
-            opts: iso_opts(),
-            host: iso_host,
-        },
-        App {
-            name: "knn",
-            src: KNN_SRC,
-            opts: CompileOptions::new(env(), 64)
-                .with_symbol("npoints", 300)
-                .with_symbol("k", 3),
-            host: Arc::new(move || knn_host_env(&pts, [0.3, 0.6, 0.2], 3, 6)),
-        },
-        App {
-            name: "vmscope",
-            src: VMSCOPE_SRC,
-            opts: CompileOptions::new(env(), 8)
-                .with_symbol("height", 32)
-                .with_symbol("width", 32)
-                .with_symbol("subsample", 2)
-                .with_selectivity(0, 0.5),
-            host: Arc::new(move || vmscope_host_env(&slide, 2, 4)),
-        },
-    ]
-}
-
 /// Every monotone assignment of `n` tasks to `m` units with the first
 /// task (the data source) on unit 0.
 fn monotone_plans(n: usize, m: usize) -> Vec<Vec<usize>> {
@@ -96,7 +42,8 @@ fn monotone_plans(n: usize, m: usize) -> Vec<Vec<usize>> {
     plans
 }
 
-/// The in-process slice of the conformance matrix: every app under every
+/// The in-process sweep beside the conformance matrix
+/// (`crates/bench/tests/conformance.rs`): every app under every
 /// monotone 3-unit decomposition, run sequentially and threaded at widths
 /// [1,1,1] and [2,2,1], must print exactly what `Interp::run_main` prints.
 /// Each app's compiler-chosen plan also runs at the wider [4,4,1] and
@@ -107,7 +54,7 @@ fn every_decomposition_matches_the_oracle() {
     let mut runs = 0;
     let mut plan_counts = Vec::new();
     for app in demo_apps() {
-        let expect = oracle(app.src, &(app.host)());
+        let expect = app.oracle();
         let chosen = compile(app.src, &app.opts).unwrap();
         let plans = monotone_plans(chosen.problem.n_tasks(), 3);
         plan_counts.push(plans.len());
@@ -174,7 +121,7 @@ fn injected_faults_restart_to_the_oracle_or_fail_by_name() {
     let mut failures = Vec::new();
     let mut cells = 0;
     for app in demo_apps() {
-        let expect = oracle(app.src, &(app.host)());
+        let expect = app.oracle();
         let cut: &[usize] = match app.name {
             "zbuf" | "apix" => &[0, 0, 0, 1, 2],
             "knn" => &[0, 0, 1, 2],
@@ -388,7 +335,7 @@ fn copied_view_stage_is_rejected() {
 
 /// `app`'s options with the steady-state DP in the same-host env, the
 /// objective and env `perfbench`'s decomposed workloads plan with.
-fn dp_opts(app: &App) -> CompileOptions {
+fn dp_opts(app: &DemoApp) -> CompileOptions {
     let mut opts = app.opts.clone();
     opts.pipeline = PipelineEnv::same_host(3, FilterEngine::Vm.power());
     opts.with_objective(Objective::SteadyState { n_packets: 4 })
@@ -396,7 +343,7 @@ fn dp_opts(app: &App) -> CompileOptions {
 
 /// `app` compiled under `unit_of`: the DP's own pick when `dp` (which
 /// must be `unit_of`), else forced.
-fn plan_of(app: &App, unit_of: &[usize], dp: bool) -> cgp_core::FilterPlan {
+fn plan_of(app: &DemoApp, unit_of: &[usize], dp: bool) -> cgp_core::FilterPlan {
     let opts = dp_opts(app);
     let opts = if dp {
         opts
@@ -513,7 +460,7 @@ fn only_units_that_read_an_extern_build_the_host_env() {
             "knn" => (vec![0, 0, 0, 1], vec![0; 4]),
             _ => continue,
         };
-        let expect = oracle(app.src, &(app.host)());
+        let expect = app.oracle();
         for (unit_of, is_dp, builds) in [(dp, true, 2), (all_c0, false, 1)] {
             let plan = plan_of(&app, &unit_of, is_dp);
             let count = Arc::new(AtomicUsize::new(0));
