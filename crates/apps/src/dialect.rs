@@ -1,14 +1,17 @@
 //! The four applications written in the paper's dialect (Section 3).
 //!
-//! These are the compiler-path versions: each is a compact dialect program
-//! (the paper reports its inputs were under 200 lines) that `cgp-compiler`
-//! normalizes, analyzes, decomposes and turns into an executable
-//! [`cgp_compiler::FilterPlan`]. They are deliberately simplified relative
-//! to the native Rust pipelines in this crate (e.g. the isosurface program
-//! renders one fragment per crossing cube instead of full triangles): the
-//! native pipelines carry the performance experiments, while these carry
-//! the *compiler* experiments — boundary selection, ReqComm, packing and
-//! decomposition — and are validated against the sequential interpreter.
+//! Each app is one compact dialect program (the paper reports its inputs
+//! were under 200 lines) that `cgp-compiler` normalizes, analyzes,
+//! decomposes and turns into an executable [`cgp_compiler::FilterPlan`].
+//! These programs are the only implementation of the apps: the runtime
+//! runs their plans, the figures profile and replay them, and every run
+//! is compared with what the sequential interpreter prints. The isosurface
+//! programs render one fragment per crossing cube rather than full
+//! triangles.
+//!
+//! [`KNN_MANUAL_SRC`] and [`VMSCOPE_MANUAL_SRC`] are the figures'
+//! hand-written variants (the paper's Decomp-Manual): the same classes
+//! under a different `main`, printing what the base program prints.
 
 use crate::isosurface::ScalarGrid;
 use crate::knn::generate_points;
@@ -185,8 +188,11 @@ class IsoApix {
 }
 "#;
 
-/// k-nearest-neighbor search.
-pub const KNN_SRC: &str = r#"
+/// knn's externs and reduction class, shared by [`KNN_SRC`] and
+/// [`KNN_MANUAL_SRC`].
+macro_rules! knn_prelude {
+    () => {
+        r#"
 extern int npoints;
 extern double[] px;
 extern double[] py;
@@ -251,7 +257,14 @@ class KNearest implements Reducinterface {
         return s;
     }
 }
+"#
+    };
+}
 
+/// k-nearest-neighbor search.
+pub const KNN_SRC: &str = concat!(
+    knn_prelude!(),
+    r#"
 class Knn {
     void main() {
         RectDomain<1> pts = [0 : npoints - 1];
@@ -269,10 +282,44 @@ class Knn {
         print(best.checksum());
     }
 }
-"#;
+"#
+);
 
-/// Virtual microscope: clip + subsample a slide region.
-pub const VMSCOPE_SRC: &str = r#"
+/// knn written by hand: each packet keeps its own `KNearest` and reduces
+/// it into `best`, so a cut after the loop could ship k candidates per
+/// packet instead of every distance. `compile` rejects every plan that
+/// cuts this program (the packet-local object has no pack layout), so it
+/// runs only with every atom on the data host.
+pub const KNN_MANUAL_SRC: &str = concat!(
+    knn_prelude!(),
+    r#"
+class KnnManual {
+    void main() {
+        RectDomain<1> pts = [0 : npoints - 1];
+        KNearest best = new KNearest();
+        best.setup(k);
+        PipelinedLoop (pkt in pts; num_packets) {
+            KNearest local = new KNearest();
+            local.setup(k);
+            foreach (i in pkt) {
+                double dx = px[i] - qx;
+                double dy = py[i] - qy;
+                double dz = pz[i] - qz;
+                local.push(dx * dx + dy * dy + dz * dz, i);
+            }
+            best.reduce(local);
+        }
+        print(best.checksum());
+    }
+}
+"#
+);
+
+/// vmscope's externs and output image, shared by [`VMSCOPE_SRC`] and
+/// [`VMSCOPE_MANUAL_SRC`].
+macro_rules! vmscope_prelude {
+    () => {
+        r#"
 extern int height;
 extern int width;
 extern int subsample;
@@ -302,7 +349,14 @@ class OutImage implements Reducinterface {
         return s;
     }
 }
+"#
+    };
+}
 
+/// Virtual microscope: clip + subsample a slide region.
+pub const VMSCOPE_SRC: &str = concat!(
+    vmscope_prelude!(),
+    r#"
 class Vmscope {
     void main() {
         RectDomain<1> rows = [0 : height - 1];
@@ -320,7 +374,31 @@ class Vmscope {
         print(img.checksum());
     }
 }
-"#;
+"#
+);
+
+/// The virtual microscope written by hand: a strided loop over the output
+/// rows a packet covers, instead of testing every input row.
+pub const VMSCOPE_MANUAL_SRC: &str = concat!(
+    vmscope_prelude!(),
+    r#"
+class VmscopeManual {
+    void main() {
+        RectDomain<1> rows = [0 : height - 1];
+        OutImage img = new OutImage();
+        img.setup(width / subsample, height / subsample);
+        PipelinedLoop (pkt in rows; num_packets) {
+            for (int oy = (pkt.lo() + subsample - 1) / subsample; oy * subsample <= pkt.hi(); oy += 1) {
+                for (int sx = 0; sx < width / subsample; sx += 1) {
+                    img.put(sx, oy, pixels[oy * subsample * width + sx * subsample]);
+                }
+            }
+        }
+        print(img.checksum());
+    }
+}
+"#
+);
 
 /// Build the host environment for the isosurface dialect programs from a
 /// scalar grid (cube objects with corner values and cell coordinates).
@@ -471,19 +549,34 @@ impl DemoApp {
     }
 }
 
+/// What `Interp::run_main` prints for `src` on `host`.
+#[cfg(test)]
+pub(crate) fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
+    let tp = cgp_lang::frontend(src).unwrap();
+    let mut it = Interp::new(&tp, host.clone());
+    it.run_main().unwrap();
+    it.output
+}
+
+/// Compile `src` under `opts` and run its plan sequentially on `host`:
+/// the plan's placement and what it printed.
+#[cfg(test)]
+pub(crate) fn run_compiled(
+    src: &str,
+    opts: &CompileOptions,
+    host: &HostEnv,
+) -> (Vec<usize>, Vec<String>) {
+    let c = cgp_compiler::compile(src, opts).unwrap();
+    let out = cgp_compiler::run_plan_sequential(&c.plan, host).unwrap();
+    (c.plan.decomposition.unit_of, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cgp_compiler::graph::BoundaryKind;
     use cgp_compiler::{compile, run_plan_sequential};
     use std::collections::HashMap;
-
-    fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
-        let tp = cgp_lang::frontend(src).unwrap();
-        let mut it = Interp::new(&tp, host.clone());
-        it.run_main().unwrap();
-        it.output
-    }
 
     fn small_iso_host() -> HostEnv {
         let grid = ScalarGrid::synthetic(8, 8, 8, 21);
@@ -683,7 +776,9 @@ mod tests {
             ("zbuf", ZBUF_SRC),
             ("apix", APIX_SRC),
             ("knn", KNN_SRC),
+            ("knn-manual", KNN_MANUAL_SRC),
             ("vmscope", VMSCOPE_SRC),
+            ("vmscope-manual", VMSCOPE_MANUAL_SRC),
         ] {
             let lines = src.lines().filter(|l| !l.trim().is_empty()).count();
             assert!(lines < 200, "{name} is {lines} lines");

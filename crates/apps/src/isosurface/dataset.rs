@@ -108,23 +108,6 @@ impl ScalarGrid {
         }
         ScalarGrid { nx, ny, nz, data }
     }
-
-    /// Packetize cubes into `n_packets` contiguous z-slab-aligned ranges of
-    /// the cube index space.
-    pub fn cube_packets(&self, n_packets: usize) -> Vec<std::ops::Range<usize>> {
-        let total = self.cubes();
-        let n = n_packets.max(1).min(total.max(1));
-        let base = total / n;
-        let rem = total % n;
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0;
-        for p in 0..n {
-            let len = base + usize::from(p < rem);
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -169,24 +152,5 @@ mod tests {
             .count();
         assert!(crossing > 0);
         assert!(crossing < g.cubes());
-    }
-
-    #[test]
-    fn packets_partition_cube_space() {
-        let g = ScalarGrid::synthetic(9, 9, 9, 3);
-        let pk = g.cube_packets(7);
-        assert_eq!(pk.len(), 7);
-        let total: usize = pk.iter().map(|r| r.len()).sum();
-        assert_eq!(total, g.cubes());
-        for w in pk.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
-    fn more_packets_than_cubes_clamps() {
-        let g = ScalarGrid::synthetic(2, 2, 3, 0);
-        let pk = g.cube_packets(100);
-        assert_eq!(pk.len(), g.cubes());
     }
 }

@@ -1,13 +1,10 @@
-//! Isosurface rendering (z-buffer and active-pixel algorithms).
+//! Isosurface rendering's dataset. The programs are
+//! [`crate::dialect::ZBUF_SRC`] (z-buffer) and
+//! [`crate::dialect::APIX_SRC`] (active pixels).
 
 pub mod dataset;
-pub mod march;
-pub mod pipelines;
-pub mod render;
 
 pub use dataset::ScalarGrid;
-pub use march::{crosses, crossing_cubes, extract_triangles, Triangle};
-pub use pipelines::{large_grid, small_grid, IsoPipeline, IsoVersion, Renderer, ISOVALUE};
-pub use render::{
-    rasterize_apix, rasterize_zbuf, transform_project, ActivePixels, ScreenTri, ViewParams, ZBuffer,
-};
+
+/// Standard isovalue used across experiments.
+pub const ISOVALUE: f32 = 0.85;

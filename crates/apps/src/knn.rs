@@ -1,24 +1,13 @@
-//! k-nearest-neighbor search (Section 6.4).
+//! k-nearest-neighbor search's dataset (Section 6.4). The program is
+//! [`crate::dialect::KNN_SRC`].
 //!
 //! The paper's dataset is 4.5 million 3-D points (108 MB → 24 bytes per
 //! point), queried with k = 3 and k = 200; we generate a deterministic
-//! pseudo-random point set of `f64` triples (same 24 bytes/point) scaled to
-//! laptop runtimes. The dataset is memory-resident at the data nodes, as a
-//! 108 MB working set would have been after its first scan.
-//!
-//! Variants:
-//!
-//! - **Default** — data nodes ship every point; compute nodes calculate
-//!   distances and maintain the k-nearest set.
-//! - **Decomp-Comp / Decomp-Manual** — the decomposed versions compute
-//!   distances *at the data nodes* and forward only each packet's k best
-//!   candidates (a per-packet partial reduction), slashing communication.
-//!   The two differ only in how the received packet is iterated
-//!   (compiler-generated generic unpacking vs. hand-written direct reads) —
-//!   the paper found no significant difference, and the small constant
-//!   overhead here reproduces that.
+//! pseudo-random point set of `f64` triples (same 24 bytes/point) at the
+//! sizes the VM and the interpreter oracle run in. The dataset is
+//! memory-resident at the data nodes, as a 108 MB working set would have
+//! been after its first scan.
 
-use crate::profile::{fnv1a, timed, AppVariant, PacketProfile};
 use cgp_obs::SmallRng;
 
 /// Deterministic 3-D point cloud (24 bytes per point, like the paper's).
@@ -29,422 +18,113 @@ pub fn generate_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
         .collect()
 }
 
-/// A candidate: squared distance plus point index (index breaks ties
-/// deterministically).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    pub dist2: f64,
-    pub index: u32,
-}
-
-impl Candidate {
-    #[inline]
-    fn key(&self) -> (f64, u32) {
-        (self.dist2, self.index)
-    }
-}
-
-/// The k-nearest set — the reduction variable of this application. A
-/// bounded binary max-heap: `push` is `O(log k)`, so per-packet partial
-/// selections stay cheap even at k = 200. The merge (`reduce`) is
-/// associative and commutative.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KNearest {
-    pub k: usize,
-    /// Max-heap by (dist2, index): `heap[0]` is the current worst kept.
-    heap: Vec<Candidate>,
-}
-
-impl KNearest {
-    pub fn new(k: usize) -> KNearest {
-        assert!(k >= 1);
-        KNearest {
-            k,
-            heap: Vec::with_capacity(k),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Consider one candidate.
-    #[inline]
-    pub fn push(&mut self, c: Candidate) {
-        if self.heap.len() < self.k {
-            self.heap.push(c);
-            self.sift_up(self.heap.len() - 1);
-        } else if c.key() < self.heap[0].key() {
-            self.heap[0] = c;
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key() > self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.heap.len() && self.heap[l].key() > self.heap[largest].key() {
-                largest = l;
-            }
-            if r < self.heap.len() && self.heap[r].key() > self.heap[largest].key() {
-                largest = r;
-            }
-            if largest == i {
-                return;
-            }
-            self.heap.swap(i, largest);
-            i = largest;
-        }
-    }
-
-    /// Merge another k-nearest set (the `reduce` operation).
-    pub fn reduce(&mut self, other: &KNearest) {
-        for c in &other.heap {
-            self.push(*c);
-        }
-    }
-
-    /// Candidates sorted ascending by (dist2, index).
-    pub fn sorted(&self) -> Vec<Candidate> {
-        let mut v = self.heap.clone();
-        v.sort_by(|a, b| a.key().partial_cmp(&b.key()).expect("no NaN distances"));
-        v
-    }
-
-    /// Wire size: 12 bytes per candidate (f64 distance + u32 index).
-    pub fn wire_bytes(&self) -> usize {
-        self.heap.len() * 12
-    }
-
-    pub fn digest(&self) -> u64 {
-        let sorted = self.sorted();
-        let mut bytes = Vec::with_capacity(sorted.len() * 12);
-        for c in &sorted {
-            bytes.extend_from_slice(&c.dist2.to_bits().to_le_bytes());
-            bytes.extend_from_slice(&c.index.to_le_bytes());
-        }
-        fnv1a(&bytes)
-    }
-}
-
-#[inline]
-fn dist2(a: &[f64; 3], b: &[f64; 3]) -> f64 {
-    let dx = a[0] - b[0];
-    let dy = a[1] - b[1];
-    let dz = a[2] - b[2];
-    dx * dx + dy * dy + dz * dz
-}
-
-/// knn pipeline version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnnVersion {
-    Default,
-    DecompComp,
-    DecompManual,
-}
-
-/// A runnable knn pipeline.
-pub struct KnnPipeline {
-    points: Vec<[f64; 3]>,
-    query: [f64; 3],
-    k: usize,
-    n_packets: usize,
-    version: KnnVersion,
-    result: KNearest,
-    label: String,
-}
-
-impl KnnPipeline {
-    pub fn new(
-        points: Vec<[f64; 3]>,
-        query: [f64; 3],
-        k: usize,
-        n_packets: usize,
-        version: KnnVersion,
-        label: impl Into<String>,
-    ) -> KnnPipeline {
-        let result = KNearest::new(k);
-        KnnPipeline {
-            points,
-            query,
-            k,
-            n_packets: n_packets.max(1),
-            version,
-            result,
-            label: label.into(),
-        }
-    }
-
-    /// Final k-nearest set (after all packets ran).
-    pub fn result(&self) -> &KNearest {
-        &self.result
-    }
-
-    fn packet_range(&self, p: usize) -> std::ops::Range<usize> {
-        let n = self.points.len();
-        let np = self.n_packets;
-        let base = n / np;
-        let rem = n % np;
-        let start = p * base + p.min(rem);
-        let len = base + usize::from(p < rem);
-        start..start + len
-    }
-}
-
-impl AppVariant for KnnPipeline {
-    fn name(&self) -> String {
-        let v = match self.version {
-            KnnVersion::Default => "Default",
-            KnnVersion::DecompComp => "Decomp-Comp",
-            KnnVersion::DecompManual => "Decomp-Manual",
-        };
-        format!("{}/{v}", self.label)
-    }
-
-    fn packets(&self) -> usize {
-        self.n_packets
-    }
-
-    fn run_packet(&mut self, p: usize) -> PacketProfile {
-        let range = self.packet_range(p);
-        let q = self.query;
-        match self.version {
-            KnnVersion::Default => {
-                // Data node: serialize raw points.
-                let (raw, t0) = timed(|| {
-                    let mut out = Vec::with_capacity(range.len() * 3);
-                    for i in range.clone() {
-                        out.extend_from_slice(&self.points[i]);
-                    }
-                    out
-                });
-                let bytes0 = raw.len() as f64 * 8.0;
-                // Compute node: distances + k-selection over raw points.
-                let (_, t1) = timed(|| {
-                    let start = range.start;
-                    for (j, chunk) in raw.chunks_exact(3).enumerate() {
-                        let pt = [chunk[0], chunk[1], chunk[2]];
-                        self.result.push(Candidate {
-                            dist2: dist2(&pt, &q),
-                            index: (start + j) as u32,
-                        });
-                    }
-                });
-                PacketProfile::new([t0, t1, 0.0], [bytes0, 0.0])
-            }
-            KnnVersion::DecompComp | KnnVersion::DecompManual => {
-                let comp_style = self.version == KnnVersion::DecompComp;
-                // Data node: distances + per-packet k-selection; ship only
-                // the k best candidates.
-                let (partial, t0) = timed(|| {
-                    let mut part = KNearest::new(self.k);
-                    for i in range.clone() {
-                        part.push(Candidate {
-                            dist2: dist2(&self.points[i], &q),
-                            index: i as u32,
-                        });
-                    }
-                    part
-                });
-                let bytes0 = partial.wire_bytes() as f64;
-                // Compute node: merge the partial result. The
-                // compiler-generated version iterates the received buffer
-                // through the generic unpack path (an intermediate copy);
-                // the manual version merges in place — the tiny difference
-                // matches the paper's "no significant difference".
-                let (_, t1) = timed(|| {
-                    if comp_style {
-                        let unpacked: Vec<Candidate> = partial.sorted();
-                        for c in unpacked {
-                            self.result.push(c);
-                        }
-                    } else {
-                        self.result.reduce(&partial);
-                    }
-                });
-                PacketProfile::new([t0, t1, 0.0], [bytes0, 0.0])
-            }
-        }
-    }
-
-    fn finalize_bytes(&self) -> [f64; 2] {
-        [0.0, self.result.wire_bytes() as f64]
-    }
-
-    fn result_digest(&self) -> u64 {
-        self.result.digest()
-    }
-
-    fn reset(&mut self) {
-        self.result = KNearest::new(self.k);
-    }
-}
-
-/// The paper's two test cases: k = 3 and k = 200.
-pub const PAPER_KS: [usize; 2] = [3, 200];
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::run_all;
+    use crate::dialect::{knn_host_env, oracle, run_compiled, KNN_MANUAL_SRC, KNN_SRC};
+    use cgp_compiler::cost::PipelineEnv;
+    use cgp_compiler::{compile, CompileOptions, Decomposition, Objective};
 
-    fn mk(version: KnnVersion, k: usize) -> KnnPipeline {
-        KnnPipeline::new(
-            generate_points(5000, 7),
-            [0.25, 0.5, 0.75],
-            k,
-            16,
-            version,
-            "knn-test",
-        )
-    }
-
-    #[test]
-    fn knearest_keeps_k_smallest() {
-        let mut kn = KNearest::new(3);
-        for (d, i) in [(5.0, 0), (1.0, 1), (3.0, 2), (0.5, 3), (4.0, 4)] {
-            kn.push(Candidate { dist2: d, index: i });
-        }
-        let dists: Vec<f64> = kn.sorted().iter().map(|c| c.dist2).collect();
-        assert_eq!(dists, vec![0.5, 1.0, 3.0]);
-    }
-
-    #[test]
-    fn knearest_matches_sort_oracle() {
-        let pts = generate_points(3000, 13);
-        let q = [0.5, 0.5, 0.5];
-        for k in [1usize, 3, 17, 200, 5000] {
-            let mut kn = KNearest::new(k);
-            for (i, p) in pts.iter().enumerate() {
-                kn.push(Candidate {
-                    dist2: dist2(p, &q),
-                    index: i as u32,
-                });
-            }
-            let mut all: Vec<Candidate> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Candidate {
-                    dist2: dist2(p, &q),
-                    index: i as u32,
-                })
-                .collect();
-            all.sort_by(|a, b| a.key().partial_cmp(&b.key()).unwrap());
-            all.truncate(k);
-            assert_eq!(kn.sorted(), all, "k={k}");
-        }
-    }
-
-    #[test]
-    fn knearest_reduce_commutative() {
-        let pts = generate_points(1000, 3);
-        let q = [0.1, 0.2, 0.3];
-        let mut a = KNearest::new(10);
-        let mut b = KNearest::new(10);
-        for (i, p) in pts.iter().enumerate() {
-            let c = Candidate {
-                dist2: dist2(p, &q),
-                index: i as u32,
-            };
-            if i % 2 == 0 {
-                a.push(c);
-            } else {
-                b.push(c);
-            }
-        }
-        let mut ab = a.clone();
-        ab.reduce(&b);
-        let mut ba = b.clone();
-        ba.reduce(&a);
-        assert_eq!(ab.digest(), ba.digest());
-    }
-
-    #[test]
-    fn all_versions_agree() {
-        for k in [3usize, 200] {
-            let (_, d0) = run_all(&mut mk(KnnVersion::Default, k));
-            let (_, d1) = run_all(&mut mk(KnnVersion::DecompComp, k));
-            let (_, d2) = run_all(&mut mk(KnnVersion::DecompManual, k));
-            assert_eq!(d0, d1, "k={k}");
-            assert_eq!(d1, d2, "k={k}");
-        }
-    }
-
-    #[test]
-    fn matches_brute_force_oracle() {
-        let pts = generate_points(2000, 11);
-        let q = [0.4, 0.4, 0.6];
-        let mut pipeline =
-            KnnPipeline::new(pts.clone(), q, 5, 7, KnnVersion::DecompManual, "oracle");
-        run_all(&mut pipeline);
-        let mut all: Vec<Candidate> = pts
+    /// What [`KNN_SRC`] prints, computed in Rust: the sum of the k
+    /// smallest squared distances from `q`, in ascending order.
+    fn brute_force(pts: &[[f64; 3]], q: [f64; 3], k: usize) -> String {
+        let mut d: Vec<f64> = pts
             .iter()
-            .enumerate()
-            .map(|(i, p)| Candidate {
-                dist2: dist2(p, &q),
-                index: i as u32,
+            .map(|p| {
+                let (dx, dy, dz) = (p[0] - q[0], p[1] - q[1], p[2] - q[2]);
+                dx * dx + dy * dy + dz * dz
             })
             .collect();
-        all.sort_by(|a, b| a.key().partial_cmp(&b.key()).unwrap());
-        let expect: Vec<Candidate> = all.into_iter().take(5).collect();
-        assert_eq!(pipeline.result.sorted(), expect);
+        d.sort_by(f64::total_cmp);
+        d.iter().take(k).fold(0.0, |s, d| s + d).to_string()
     }
 
-    #[test]
-    fn decomp_ships_far_fewer_bytes() {
-        let (pd, _) = run_all(&mut mk(KnnVersion::Default, 3));
-        let (pc, _) = run_all(&mut mk(KnnVersion::DecompManual, 3));
-        let bytes = |ps: &[PacketProfile]| ps.iter().map(|p| p.bytes[0]).sum::<f64>();
-        assert!(
-            bytes(&pc) < bytes(&pd) / 50.0,
-            "{} vs {}",
-            bytes(&pc),
-            bytes(&pd)
-        );
-    }
-
-    #[test]
-    fn k200_ships_more_than_k3() {
-        let (p3, _) = run_all(&mut mk(KnnVersion::DecompManual, 3));
-        let (p200, _) = run_all(&mut mk(KnnVersion::DecompManual, 200));
-        let bytes = |ps: &[PacketProfile]| ps.iter().map(|p| p.bytes[0]).sum::<f64>();
-        assert!(bytes(&p200) > bytes(&p3) * 10.0);
-    }
-
-    #[test]
-    fn packet_ranges_partition() {
-        let p = mk(KnnVersion::Default, 3);
-        let mut total = 0;
-        let mut prev_end = 0;
-        for i in 0..p.packets() {
-            let r = p.packet_range(i);
-            assert_eq!(r.start, prev_end);
-            prev_end = r.end;
-            total += r.len();
-        }
-        assert_eq!(total, 5000);
+    fn opts(npoints: usize, k: i64) -> CompileOptions {
+        CompileOptions::new(PipelineEnv::uniform(3, 1e8, 1e8, 1e-5), 64)
+            .with_symbol("npoints", npoints as i64)
+            .with_symbol("k", k)
     }
 
     #[test]
     fn points_are_deterministic() {
         assert_eq!(generate_points(100, 5), generate_points(100, 5));
         assert_ne!(generate_points(100, 5), generate_points(100, 6));
+    }
+
+    /// `KNearest` fed out of order, with k below, at and above the point
+    /// count, keeps exactly the k smallest (every sum here is exact).
+    #[test]
+    fn knearest_keeps_k_smallest() {
+        // Squared distances 9, 1, 4, 0.25 and 6.25 from the origin.
+        let pts = [
+            [3.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 2.0],
+            [0.5, 0.0, 0.0],
+            [0.0, 2.5, 0.0],
+        ];
+        for (k, sum) in [(1, "0.25"), (3, "5.25"), (5, "20.5"), (7, "20.5")] {
+            let host = knn_host_env(&pts, [0.0; 3], k, 2);
+            assert_eq!(oracle(KNN_SRC, &host), [sum], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn knearest_matches_sort_oracle() {
+        let pts = generate_points(500, 13);
+        let q = [0.5, 0.5, 0.5];
+        for k in [1, 3, 17, 200, 600] {
+            let host = knn_host_env(&pts, q, k as i64, 7);
+            let want = brute_force(&pts, q, k);
+            assert_eq!(oracle(KNN_SRC, &host), [want], "k = {k}");
+        }
+    }
+
+    /// The compiled pipeline, cut where the steady-state objective puts
+    /// the cut, prints the brute-force answer.
+    #[test]
+    fn matches_brute_force_oracle() {
+        let pts = generate_points(1000, 11);
+        let q = [0.4, 0.4, 0.6];
+        let host = knn_host_env(&pts, q, 5, 7);
+        let steady = opts(1000, 5).with_objective(Objective::SteadyState { n_packets: 7 });
+        let (unit_of, out) = run_compiled(KNN_SRC, &steady, &host);
+        assert!(unit_of.iter().any(|&u| u > 0), "no cut: {unit_of:?}");
+        assert_eq!(out, [brute_force(&pts, q, 5)]);
+    }
+
+    /// Default, the latency and steady-state picks, and the hand-written
+    /// variant with every atom on the data host (its only plan that
+    /// compiles) print what the interpreter prints, for the paper's two k.
+    #[test]
+    fn all_versions_agree() {
+        let pts = generate_points(500, 8);
+        for k in [3, 200] {
+            let host = knn_host_env(&pts, [0.5; 3], k, 6);
+            let expect = oracle(KNN_SRC, &host);
+            assert_eq!(oracle(KNN_MANUAL_SRC, &host), expect, "k = {k}");
+            let latency = opts(500, k);
+            let place = |src, unit_of: fn(usize) -> Vec<usize>| {
+                let n_tasks = compile(src, &latency).unwrap().problem.n_tasks();
+                latency.clone().with_decomposition(Decomposition {
+                    unit_of: unit_of(n_tasks),
+                    cost: f64::NAN,
+                })
+            };
+            let default = place(KNN_SRC, |n| Decomposition::default_style(n, 3).unit_of);
+            let steady = latency
+                .clone()
+                .with_objective(Objective::SteadyState { n_packets: 6 });
+            let on_c0 = place(KNN_MANUAL_SRC, |n| vec![0; n]);
+            for (src, opts) in [
+                (KNN_SRC, &default),
+                (KNN_SRC, &latency),
+                (KNN_SRC, &steady),
+                (KNN_MANUAL_SRC, &on_c0),
+            ] {
+                let (unit_of, out) = run_compiled(src, opts, &host);
+                assert_eq!(out, expect, "k = {k}, unit_of {unit_of:?}");
+            }
+        }
     }
 }

@@ -1,26 +1,17 @@
 //! # cgp-apps — the four data-driven applications
 //!
-//! The paper's evaluation applications (Section 6.1), each in the versions
-//! the paper compares:
+//! The paper's evaluation applications (Section 6.1), each written once,
+//! in the paper's dialect ([`dialect`]): isosurface rendering with
+//! **z-buffer** and **active-pixel** accumulation, **k-nearest
+//! neighbors** and the **virtual microscope**. `cgp-compiler` turns each
+//! program into a filter plan; every run is compared with what the
+//! sequential interpreter prints.
 //!
-//! - [`isosurface`] — isosurface rendering with **z-buffer** and
-//!   **active-pixel** algorithms (Default vs compiler-Decomposed);
-//! - [`knn`] — k-nearest neighbors (Default, Decomp-Comp, Decomp-Manual);
-//! - [`vmscope`] — virtual microscope (Default, Decomp-Comp,
-//!   Decomp-Manual);
-//! - [`dialect`] — the same applications written in the paper's dialect,
-//!   compiled through `cgp-compiler` and validated against the sequential
-//!   interpreter.
-//!
-//! Native pipelines implement [`profile::AppVariant`]: they execute the
-//! real computation packet by packet, recording per-stage seconds and
-//! per-link bytes for the `cgp-grid` virtual-time simulator (the cluster
-//! substitution — see DESIGN.md).
+//! The other modules generate the deterministic synthetic datasets the
+//! programs read: [`isosurface::ScalarGrid`], [`knn::generate_points`]
+//! and [`vmscope::Slide`] (see DESIGN.md for the substitutions).
 
 pub mod dialect;
 pub mod isosurface;
 pub mod knn;
-pub mod profile;
 pub mod vmscope;
-
-pub use profile::{run_all, to_sim_packets, AppVariant, PacketProfile};

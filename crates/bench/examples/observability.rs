@@ -1,7 +1,8 @@
 //! Worked observability example: compile a dialect program with tracing
 //! on, execute the compiled plan on the threaded DataCutter runtime,
-//! replay a workload on the virtual-time grid simulator, and end with a
-//! Chrome trace plus the compiler's decision report.
+//! profile the same plan and replay it on the virtual-time grid
+//! simulator, and end with a Chrome trace plus the compiler's decision
+//! report.
 //!
 //! ```sh
 //! cargo run --release -p cgp-bench --example observability
@@ -15,8 +16,11 @@
 
 use cgp_core::apps::dialect::{iso_host_env, ZBUF_SRC};
 use cgp_core::apps::isosurface::ScalarGrid;
-use cgp_core::grid::{simulate, GridConfig, LinkSpec, PacketWork};
-use cgp_core::{compile, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv};
+use cgp_core::grid::{simulate, GridConfig, LinkSpec};
+use cgp_core::{
+    compile, profile_plan, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv,
+    CALIBRATION, PENTIUM_SLOWDOWN,
+};
 use cgp_obs::trace;
 use cgp_obs::ChromeTraceSink;
 use std::sync::Arc;
@@ -43,34 +47,30 @@ fn main() {
     //    backpressure or starvation shows up as stall spans.
     let grid = ScalarGrid::synthetic(8, 8, 8, 21);
     let host = Arc::new(move || iso_host_env(&grid, 0.8, 16, 4));
+    let plan = Arc::new(compiled.plan);
     let (out, _) = run_plan_threaded_stats(
-        Arc::new(compiled.plan),
-        host,
+        Arc::clone(&plan),
+        host.clone(),
         Some(&[1, 2, 1]),
         &ExecOptions::default(),
     )
     .expect("threaded run");
     println!("threaded run output: {out:?}");
 
-    // 4. Replay a synthetic workload on the virtual-time simulator — its
+    // 4. Profile the same plan on the VM, as the figure binaries do, and
+    //    replay the profile on the virtual-time simulator — its
     //    stage/link busy intervals land in the same trace, under virtual
     //    timestamps (1 virtual second = 1 trace second).
+    let profile = profile_plan(&plan, &host()).expect("profile");
     let sim_grid = GridConfig::w_w_1(
         2,
-        1e6,
+        CALIBRATION / PENTIUM_SLOWDOWN,
         LinkSpec {
             bandwidth: 1e6,
             latency: 1e-4,
         },
     );
-    let packets: Vec<PacketWork> = (0..32)
-        .map(|i| PacketWork {
-            comp_ops: vec![1e4, 5e4 + 1e3 * (i % 7) as f64, 1e3],
-            bytes: vec![4096.0, 512.0],
-            read_bytes: 0.0,
-        })
-        .collect();
-    let sim = simulate(&sim_grid, &packets, &[1e3, 1e3]);
+    let sim = simulate(&sim_grid, &profile.packets, &profile.finalize_bytes);
     println!(
         "simulated makespan {:.4} virtual s (bottleneck {:?}, utilization {:.0}%)",
         sim.makespan,

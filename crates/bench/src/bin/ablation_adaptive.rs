@@ -2,17 +2,18 @@
 //! runtime (the paper's future work: "an environment where available
 //! compute and communication resources can change at runtime").
 //!
-//! Scenario (z-buffer isosurface): during phase 1 the data host is shared
-//! with another job (its available power drops 6×) while the network is
-//! fast — the Default placement wins because it keeps the loaded data host
-//! down to reading slabs. In phase 2 the data host frees up but the link
-//! collapses — the compiler's decomposition wins because only crossing
-//! cubes travel. Re-decomposing at the switch beats both static choices.
+//! Scenario (z-buffer isosurface at Figure 5's size): during phase 1 the
+//! data host is shared with another job (its available power drops 6×)
+//! while the network is fast — the Default placement should win because
+//! it keeps the loaded data host down to reading cubes. In phase 2 the
+//! data host frees up but the link collapses — the compiler's
+//! decomposition should win because less crosses the link. Re-decomposing
+//! at the switch should beat both static choices.
 
-use cgp_core::apps::isosurface::{IsoPipeline, IsoVersion, Renderer, ScalarGrid, ISOVALUE};
-use cgp_core::apps::profile::{run_all_min, to_sim_packets};
+use cgp_bench::figures::iso;
+use cgp_core::apps::dialect::ZBUF_SRC;
 use cgp_core::grid::{simulate_phased, GridConfig, LinkSpec, PacketWork, Phase};
-use cgp_core::{CALIBRATION, PENTIUM_SLOWDOWN};
+use cgp_core::{profile_plan, PlanProfile, CALIBRATION, PENTIUM_SLOWDOWN};
 
 fn grid(bandwidth: f64, data_host_share: f64) -> GridConfig {
     let mut g = GridConfig::w_w_1(
@@ -29,32 +30,29 @@ fn grid(bandwidth: f64, data_host_share: f64) -> GridConfig {
     g
 }
 
-fn halves(version: IsoVersion) -> (Vec<PacketWork>, Vec<PacketWork>) {
-    let mut v = IsoPipeline::new(
-        ScalarGrid::synthetic(96, 96, 96, 20030517),
-        ISOVALUE,
-        64,
-        512,
-        Renderer::ZBuffer,
-        version,
-        "adaptive",
-    );
-    let (profiles, _) = run_all_min(&mut v, 3);
-    let packets = to_sim_packets(&profiles, CALIBRATION);
-    let half = packets.len() / 2;
-    (packets[..half].to_vec(), packets[half..].to_vec())
+fn halves(p: &PlanProfile) -> (&[PacketWork], &[PacketWork]) {
+    p.packets.split_at(p.packets.len() / 2)
 }
 
 fn main() {
     // Phase 1: loaded data host (1/6 power), fast link. Phase 2: idle data
     // host, collapsed link.
     let (phase1, phase2) = (grid(2.0e8, 1.0 / 6.0), grid(5.0e6, 1.0));
-    let (def_a, def_b) = halves(IsoVersion::Default);
-    let (dec_a, dec_b) = halves(IsoVersion::Decomp);
+    let (_, app) = iso(false, ZBUF_SRC);
+    let series = app.series(None).expect("zbuf compiles");
+    let profile = |name: &str| {
+        let (_, plan) = series.iter().find(|(n, _)| n == name).expect(name);
+        println!("{name}: unit_of {:?}", plan.decomposition.unit_of);
+        profile_plan(plan, &app.host).expect(name)
+    };
+    let (def, dec) = (profile("Default"), profile("Decomp"));
+    assert_eq!(def.output, dec.output, "both placements print the same");
+    let (def_a, def_b) = halves(&def);
+    let (dec_a, dec_b) = halves(&dec);
     let penalty = 0.01; // drain + re-place filters
 
-    let zbuf_bytes = 512.0 * 512.0 * 8.0;
-    let run = |a: &[PacketWork], b: &[PacketWork], switch: bool| {
+    // The run ends on the second half's placement, which ships its state.
+    let run = |a: &[PacketWork], b: &[PacketWork], last: &PlanProfile, switch: bool| {
         simulate_phased(
             &[
                 Phase {
@@ -68,15 +66,15 @@ fn main() {
             ],
             &[switch],
             if switch { penalty } else { 0.0 },
-            &[0.0, zbuf_bytes],
+            &last.finalize_bytes,
         )
         .makespan
     };
-    let static_default = run(&def_a, &def_b, false);
-    let static_decomp = run(&dec_a, &dec_b, false);
-    let adaptive = run(&def_a, &dec_b, true);
+    let static_default = run(def_a, def_b, &def, false);
+    let static_decomp = run(dec_a, dec_b, &dec, false);
+    let adaptive = run(def_a, dec_b, &dec, true);
 
-    println!("zbuf 96^3: phase 1 = loaded data host + 200 MB/s; phase 2 = idle host + 5 MB/s\n");
+    println!("\nzbuf 40^3: phase 1 = loaded data host + 200 MB/s; phase 2 = idle host + 5 MB/s\n");
     println!("  static Default         : {static_default:.4} s");
     println!("  static Decomp          : {static_decomp:.4} s");
     println!("  adaptive (re-decompose): {adaptive:.4} s  (includes {penalty}s redeploy)");

@@ -3,5 +3,5 @@
 //! `cgp_bench::harness::figure_main`).
 
 fn main() {
-    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig08().print());
+    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig08().map(|f| f.print()));
 }

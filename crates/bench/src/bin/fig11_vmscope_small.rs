@@ -3,5 +3,5 @@
 //! `cgp_bench::harness::figure_main`).
 
 fn main() {
-    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig11().print());
+    cgp_bench::harness::figure_main(|| cgp_bench::figures::fig11().map(|f| f.print()));
 }

@@ -239,8 +239,10 @@ pub fn cgp_main(args: &[String]) -> i32 {
 
 /// A figure binary's `main`: accept `--trace-out <path>` (or
 /// `CGP_TRACE`) and nothing else, run `figure` with the trace installed,
-/// and write it. Any other argument exits 2 naming it.
-pub fn figure_main(figure: impl FnOnce()) {
+/// and write it. Any other argument exits 2 naming it; a figure that
+/// fails (a series printing other lines than the oracle) exits 1 with
+/// its error.
+pub fn figure_main(figure: impl FnOnce() -> Result<(), String>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let path = match scan(&args, false) {
         Ok(a) => a
@@ -252,9 +254,13 @@ pub fn figure_main(figure: impl FnOnce()) {
         }
     };
     let trace = path.map(Trace::install);
-    figure();
+    let result = figure();
     if let Some(trace) = trace {
         trace.finish();
+    }
+    if let Err(e) = result {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }
 

@@ -1,10 +1,12 @@
 //! # cgp-bench — figure harness
 //!
 //! One binary per figure of the paper's evaluation (Section 6). Each
-//! harness runs the real application computation packet by packet and
-//! replays the pipeline schedule on the simulated `w-w-1` grids (see
-//! DESIGN.md for the cluster substitution), printing the same series the
-//! paper plots: execution time per version on the 1-1-1, 2-2-1 and 4-4-1
+//! figure compiles its app's dialect program under every series'
+//! placement, profiles each plan's units on the VM
+//! ([`cgp_core::profile_plan`]), checks that every series prints what the
+//! sequential interpreter prints, and replays the profiles on the
+//! simulated `w-w-1` grids (see DESIGN.md for the cluster substitution):
+//! execution time per series on the 1-1-1, 2-2-1 and 4-4-1
 //! configurations, plus the ratios the text quotes.
 //!
 //! Run all figures:
@@ -13,8 +15,8 @@
 //! cargo run --release -p cgp-bench --bin all_figures
 //! ```
 //!
-//! Per-figure environment constants (host slowdown, effective link
-//! bandwidth) and their justification are recorded in EXPERIMENTS.md.
+//! The host slowdown and the effective link bandwidths, and how they were
+//! derived, are recorded in EXPERIMENTS.md.
 //!
 //! The figure binaries print figures and take only `--trace-out`. The
 //! runtime's command line is the `cgp` binary ([`harness`]): it runs,
@@ -25,102 +27,167 @@ pub mod dataplane;
 pub mod harness;
 pub mod launcher;
 
-use cgp_core::apps::profile::AppVariant;
-use cgp_core::grid::{GridConfig, LinkSpec};
-use cgp_core::{simulate_variant, CALIBRATION, PENTIUM_SLOWDOWN};
-
-/// Default host slowdown re-exported for figure definitions.
-pub const PENTIUM_SLOWDOWN_DEFAULT: f64 = PENTIUM_SLOWDOWN;
+use cgp_core::grid::{simulate, GridConfig, LinkSpec};
+use cgp_core::lang::interp::Interp;
+use cgp_core::lang::HostEnv;
+use cgp_core::{
+    compile, profile_plan, CompileOptions, Decomposition, FilterEngine, FilterPlan, Objective,
+    PipelineEnv, CALIBRATION, PENTIUM_SLOWDOWN,
+};
 
 /// The paper's three configurations.
 pub const WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// A `w-w-1` grid with an explicit effective link bandwidth (bytes/s) and
-/// host slowdown (how much slower than the measuring machine the simulated
-/// 700 MHz hosts run the app's instruction mix — see EXPERIMENTS.md).
-pub fn grid_with(w: usize, bandwidth: f64, slowdown: f64) -> GridConfig {
-    GridConfig::w_w_1(
-        w,
-        CALIBRATION / slowdown,
-        LinkSpec {
+/// Per-message latency of the simulated testbed's links (seconds).
+const LINK_LATENCY: f64 = 2.0e-5;
+
+/// One figure's program, dataset and target grid.
+pub struct App {
+    src: &'static str,
+    /// The dataset, built once per figure.
+    pub host: HostEnv,
+    /// What the compiler plans under: the figure's `w-w-1` grid as a
+    /// [`PipelineEnv`] (the VM's power divided by [`PENTIUM_SLOWDOWN`])
+    /// and the dataset's sizes.
+    opts: CompileOptions,
+    /// Effective link bandwidth of the figure's grid (bytes/s).
+    bandwidth: f64,
+    /// The packet count, which the steady-state objective plans for.
+    packets: u64,
+}
+
+impl App {
+    /// `src` over `elems` loop points in `packets` packets on a grid with
+    /// links of `bandwidth`; add the program's symbols to `opts`.
+    fn new(src: &'static str, host: HostEnv, elems: i64, packets: u64, bandwidth: f64) -> App {
+        let env = PipelineEnv::uniform(
+            3,
+            FilterEngine::Vm.power() / PENTIUM_SLOWDOWN,
             bandwidth,
-            latency: 2.0e-5,
-        },
-    )
+            LINK_LATENCY,
+        );
+        App {
+            src,
+            host,
+            opts: CompileOptions::new(env, elems / packets as i64),
+            bandwidth,
+            packets,
+        }
+    }
+
+    /// The figure's `w-w-1` grid.
+    pub fn grid(&self, w: usize) -> GridConfig {
+        let link = LinkSpec {
+            bandwidth: self.bandwidth,
+            latency: LINK_LATENCY,
+        };
+        GridConfig::w_w_1(w, CALIBRATION / PENTIUM_SLOWDOWN, link)
+    }
+
+    /// What `Interp::run_main` prints for the program on the dataset.
+    fn oracle(&self) -> Result<Vec<String>, String> {
+        let tp = cgp_core::lang::frontend(self.src).map_err(|e| e.to_string())?;
+        let mut it = Interp::new(&tp, self.host.clone());
+        it.run_main().map_err(|e| e.to_string())?;
+        Ok(it.output)
+    }
+
+    /// The compiled series: **Default** (the paper's placement),
+    /// **Decomp** (the latency DP's pick; `Decomp-Comp` beside a manual
+    /// variant), **Decomp-steady** (the steady-state pick, when it
+    /// differs) and **Decomp-Manual** (`manual` under Decomp's options).
+    pub fn series(&self, manual: Option<&str>) -> Result<Vec<(String, FilterPlan)>, String> {
+        let build = |name: &str, src: &str, opts: &CompileOptions| {
+            compile(src, opts)
+                .map(|c| (name.to_string(), c.plan))
+                .map_err(|e| format!("{name}: {e}"))
+        };
+        let comp = if manual.is_some() {
+            "Decomp-Comp"
+        } else {
+            "Decomp"
+        };
+        let decomp = build(comp, self.src, &self.opts)?;
+        let n_tasks = decomp.1.decomposition.unit_of.len();
+        let default = self
+            .opts
+            .clone()
+            .with_decomposition(Decomposition::default_style(n_tasks, 3));
+        let steady = self.opts.clone().with_objective(Objective::SteadyState {
+            n_packets: self.packets,
+        });
+        let mut series = vec![build("Default", self.src, &default)?];
+        let steady = build("Decomp-steady", self.src, &steady)?;
+        let differs = steady.1.decomposition.unit_of != decomp.1.decomposition.unit_of;
+        series.push(decomp);
+        if differs {
+            series.push(steady);
+        }
+        if let Some(src) = manual {
+            series.push(build("Decomp-Manual", src, &self.opts)?);
+        }
+        Ok(series)
+    }
 }
 
-/// [`grid_with`] at the default [`PENTIUM_SLOWDOWN`].
-pub fn grid_with_bandwidth(w: usize, bandwidth: f64) -> GridConfig {
-    grid_with(w, bandwidth, PENTIUM_SLOWDOWN)
-}
-
-/// One figure: variant constructors are invoked fresh per configuration.
+/// One figure: every series' placement and its makespan per width.
 pub struct Figure {
     pub id: &'static str,
     pub title: String,
     pub versions: Vec<String>,
+    /// Each version's `unit_of`.
+    pub unit_of: Vec<Vec<usize>>,
     /// `rows[w][v]` = makespan of version `v` at width `WIDTHS[w]`.
     pub rows: Vec<Vec<f64>>,
 }
 
-/// A named variant constructor.
-pub type VariantMaker = (String, Box<dyn Fn() -> Box<dyn AppVariant>>);
-
 impl Figure {
-    /// Run `versions` across the three configurations.
+    /// Profile every series of `app` once on the VM, check that it prints
+    /// what the oracle prints, and replay the profile at each width. A
+    /// series that fails to compile or prints anything else fails the
+    /// figure, naming the figure and the series.
     pub fn run(
         id: &'static str,
         title: impl Into<String>,
-        bandwidth: f64,
-        versions: Vec<VariantMaker>,
-    ) -> Figure {
-        Self::run_with(
-            id,
-            title,
-            bandwidth,
-            crate::PENTIUM_SLOWDOWN_DEFAULT,
-            versions,
-        )
-    }
-
-    /// [`Figure::run`] with an explicit host slowdown.
-    pub fn run_with(
-        id: &'static str,
-        title: impl Into<String>,
-        bandwidth: f64,
-        slowdown: f64,
-        versions: Vec<VariantMaker>,
-    ) -> Figure {
-        let mut rows = Vec::new();
-        for &w in &WIDTHS {
-            let grid = grid_with(w, bandwidth, slowdown);
-            let mut row = Vec::new();
-            let mut digest: Option<u64> = None;
-            for (_, mk) in &versions {
-                let mut v = mk();
-                let run = simulate_variant(v.as_mut(), &grid);
-                match digest {
-                    None => digest = Some(run.result_digest),
-                    Some(d) => assert_eq!(
-                        d, run.result_digest,
-                        "version results must agree ({id}, width {w})"
-                    ),
-                }
-                row.push(run.makespan);
-            }
-            rows.push(row);
-        }
-        Figure {
+        app: &App,
+        manual: Option<&str>,
+    ) -> Result<Figure, String> {
+        let oracle = app.oracle().map_err(|e| format!("{id} oracle: {e}"))?;
+        let mut fig = Figure {
             id,
             title: title.into(),
-            versions: versions.into_iter().map(|(n, _)| n).collect(),
-            rows,
+            versions: Vec::new(),
+            unit_of: Vec::new(),
+            rows: vec![Vec::new(); WIDTHS.len()],
+        };
+        for (name, plan) in app.series(manual).map_err(|e| format!("{id} {e}"))? {
+            let p = profile_plan(&plan, &app.host).map_err(|e| format!("{id} {name}: {e}"))?;
+            if p.output != oracle {
+                return Err(format!(
+                    "{id} {name}: printed {:?}, the oracle prints {oracle:?}",
+                    p.output
+                ));
+            }
+            for (row, &w) in fig.rows.iter_mut().zip(&WIDTHS) {
+                row.push(simulate(&app.grid(w), &p.packets, &p.finalize_bytes).makespan);
+            }
+            fig.versions.push(name);
+            fig.unit_of.push(plan.decomposition.unit_of);
         }
+        Ok(fig)
     }
 
     /// Render the paper-style table plus derived ratios.
     pub fn print(&self) {
         println!("== {}: {} ==", self.id, self.title);
+        for (v, u) in self.versions.iter().zip(&self.unit_of) {
+            let cut = if u.iter().all(|&x| x == 0) {
+                " (no cut)"
+            } else {
+                ""
+            };
+            println!("{v}: unit_of {u:?}{cut}, matches the oracle");
+        }
         print!("{:<10}", "config");
         for v in &self.versions {
             print!(" {:>16}", format!("{v}(s)"));
@@ -175,297 +242,195 @@ impl Figure {
     }
 }
 
-/// Environment constants per application (see EXPERIMENTS.md).
+/// Effective link bandwidths per application (see EXPERIMENTS.md).
 pub mod env {
-    /// Isosurface: in-memory grids streamed as large sequential slab
-    /// buffers — near wire rate.
+    /// Isosurface: in-memory grids streamed as large sequential buffers —
+    /// near wire rate.
     pub const ISO_BANDWIDTH: f64 = 1.0e8;
     /// knn: large sequential point buffers stream near wire rate.
     pub const KNN_BANDWIDTH: f64 = 1.0e8;
     /// vmscope: many small pixel buffers through TCP-based streams.
     pub const VM_BANDWIDTH: f64 = 3.5e7;
-    /// knn's kernel is x87-era scalar floating point — far below a modern
-    /// core's auto-vectorized throughput — so its host slowdown sits higher
-    /// in the calibration band (see EXPERIMENTS.md).
-    pub const KNN_SLOWDOWN: f64 = 42.0;
 }
 
-/// Standard workloads for the figures (scaled from the paper's datasets;
-/// see DESIGN.md substitutions).
-pub mod workloads {
-    use cgp_core::apps::isosurface::{IsoPipeline, IsoVersion, Renderer, ScalarGrid, ISOVALUE};
-    use cgp_core::apps::knn::{generate_points, KnnPipeline, KnnVersion};
-    use cgp_core::apps::vmscope::{Query, Slide, VmVersion, VmscopePipeline};
-
-    /// Isosurface datasets: "small" and "large" synthetic grids (the
-    /// paper's 150 MB / 600 MB ParSSim time-steps, scaled ~1:4 in cells).
-    pub fn iso_grid(large: bool) -> ScalarGrid {
-        if large {
-            ScalarGrid::synthetic(192, 192, 192, 20030517)
-        } else {
-            ScalarGrid::synthetic(128, 128, 128, 20030517)
-        }
-    }
-
-    pub const ISO_PACKETS: usize = 128;
-
-    /// Screen scales with the dataset extent so the per-triangle raster
-    /// area (hence the compute/communication balance) is size-independent.
-    pub fn iso_screen(large: bool) -> usize {
-        if large {
-            1536
-        } else {
-            1024
-        }
-    }
-
-    pub fn iso_variant(large: bool, renderer: Renderer, version: IsoVersion) -> IsoPipeline {
-        IsoPipeline::new(
-            iso_grid(large),
-            ISOVALUE,
-            ISO_PACKETS,
-            iso_screen(large),
-            renderer,
-            version,
-            if large { "iso-large" } else { "iso-small" },
-        )
-    }
-
-    /// knn dataset: 1M `f64` points (the paper's 4.5M/108 MB, scaled).
-    pub const KNN_POINTS: usize = 1_000_000;
-    pub const KNN_PACKETS: usize = 8;
-    pub const KNN_QUERY: [f64; 3] = [0.5, 0.5, 0.5];
-
-    pub fn knn_variant(k: usize, version: KnnVersion) -> KnnPipeline {
-        KnnPipeline::new(
-            generate_points(KNN_POINTS, 42),
-            KNN_QUERY,
-            k,
-            KNN_PACKETS,
-            version,
-            format!("knn-k{k}"),
-        )
-    }
-
-    /// vmscope slide and the paper's two queries.
-    pub fn vm_slide() -> Slide {
-        Slide::synthetic(2048, 2048, 7)
-    }
-
-    pub fn vm_small_query() -> (Query, usize) {
-        (
-            Query {
-                x0: 512,
-                y0: 512,
-                width: 256,
-                height: 256,
-                subsample: 4,
-            },
-            5,
-        )
-    }
-
-    pub fn vm_large_query() -> (Query, usize) {
-        (
-            Query {
-                x0: 0,
-                y0: 0,
-                width: 2048,
-                height: 2048,
-                subsample: 8,
-            },
-            64,
-        )
-    }
-
-    pub fn vm_variant(large: bool, version: VmVersion) -> VmscopePipeline {
-        let (q, packets) = if large {
-            vm_large_query()
-        } else {
-            vm_small_query()
-        };
-        VmscopePipeline::new(
-            vm_slide(),
-            q,
-            packets,
-            version,
-            if large { "vm-large" } else { "vm-small" },
-        )
-    }
-}
-
-/// Build the standard figure definitions (used by the per-figure binaries
-/// and `all_figures`).
+/// The standard figure definitions (used by the per-figure binaries and
+/// `all_figures`), at the sizes DESIGN.md's substitution table lists.
 pub mod figures {
-    use super::workloads::*;
-    use super::{env, Figure, VariantMaker};
-    use cgp_core::apps::isosurface::{IsoVersion, Renderer};
-    use cgp_core::apps::knn::KnnVersion;
-    use cgp_core::apps::profile::AppVariant;
-    use cgp_core::apps::vmscope::VmVersion;
+    use super::{env, App, Figure};
+    use cgp_core::apps::dialect::{
+        iso_host_env, knn_host_env, vmscope_host_env, APIX_SRC, KNN_MANUAL_SRC, KNN_SRC,
+        VMSCOPE_MANUAL_SRC, VMSCOPE_SRC, ZBUF_SRC,
+    };
+    use cgp_core::apps::isosurface::{ScalarGrid, ISOVALUE};
+    use cgp_core::apps::knn::generate_points;
+    use cgp_core::apps::vmscope::Slide;
 
-    fn boxed<V: AppVariant + 'static>(
-        f: impl Fn() -> V + 'static,
-    ) -> Box<dyn Fn() -> Box<dyn AppVariant>> {
-        Box::new(move || Box::new(f()))
+    /// The isosurface grid's plume layout.
+    const ISO_SEED: u64 = 20030517;
+    const ISO_PACKETS: u64 = 64;
+    const KNN_POINTS: usize = 300_000;
+    const KNN_PACKETS: u64 = 64;
+    const KNN_QUERY: [f64; 3] = [0.5, 0.5, 0.5];
+
+    /// An isosurface figure's grid and app: 40³ cells and a 256² screen,
+    /// or 56³ and 384² (the screen scales with the extent). The crossing
+    /// test's selectivity is the grid's measured crossing fraction.
+    pub fn iso(large: bool, src: &'static str) -> (ScalarGrid, App) {
+        let (n, screen) = if large { (56, 384) } else { (40, 256) };
+        iso_sized(n, screen, ISO_PACKETS, src)
     }
 
-    fn iso_versions(large: bool, renderer: Renderer) -> Vec<VariantMaker> {
-        vec![
-            (
-                "Default".into(),
-                boxed(move || iso_variant(large, renderer, IsoVersion::Default)),
-            ),
-            (
-                "Decomp".into(),
-                boxed(move || iso_variant(large, renderer, IsoVersion::Decomp)),
-            ),
-        ]
+    /// An isosurface app over an `n`³ grid and a `screen`² image in
+    /// `packets` packets.
+    pub(crate) fn iso_sized(
+        n: usize,
+        screen: i64,
+        packets: u64,
+        src: &'static str,
+    ) -> (ScalarGrid, App) {
+        let grid = ScalarGrid::synthetic(n, n, n, ISO_SEED);
+        let host = iso_host_env(&grid, ISOVALUE as f64, screen, packets as i64);
+        let ncubes = grid.cubes();
+        let crossing = (0..ncubes)
+            .map(|c| grid.corners(c))
+            .filter(|v| {
+                let lo = v.iter().fold(f32::INFINITY, |a, &b| a.min(b));
+                let hi = v.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+                lo <= ISOVALUE && hi > ISOVALUE
+            })
+            .count();
+        let mut app = App::new(src, host, ncubes as i64, packets, env::ISO_BANDWIDTH);
+        app.opts = app
+            .opts
+            .with_symbol("ncubes", ncubes as i64)
+            .with_symbol("screen", screen)
+            .with_selectivity(0, crossing as f64 / ncubes as f64);
+        (grid, app)
     }
 
-    fn knn_versions(k: usize) -> Vec<VariantMaker> {
-        vec![
-            (
-                "Default".into(),
-                boxed(move || knn_variant(k, KnnVersion::Default)),
-            ),
-            (
-                "Decomp-Comp".into(),
-                boxed(move || knn_variant(k, KnnVersion::DecompComp)),
-            ),
-            (
-                "Decomp-Manual".into(),
-                boxed(move || knn_variant(k, KnnVersion::DecompManual)),
-            ),
-        ]
+    fn knn(k: i64) -> App {
+        let points = generate_points(KNN_POINTS, 42);
+        let host = knn_host_env(&points, KNN_QUERY, k, KNN_PACKETS as i64);
+        let n = KNN_POINTS as i64;
+        let mut app = App::new(KNN_SRC, host, n, KNN_PACKETS, env::KNN_BANDWIDTH);
+        app.opts = app.opts.with_symbol("npoints", n).with_symbol("k", k);
+        app
     }
 
-    fn vm_versions(large: bool) -> Vec<VariantMaker> {
-        vec![
-            (
-                "Default".into(),
-                boxed(move || vm_variant(large, VmVersion::Default)),
-            ),
-            (
-                "Decomp-Comp".into(),
-                boxed(move || vm_variant(large, VmVersion::DecompComp)),
-            ),
-            (
-                "Decomp-Manual".into(),
-                boxed(move || vm_variant(large, VmVersion::DecompManual)),
-            ),
-        ]
+    /// A whole-slide query: `side`² pixels subsampled by `f`.
+    fn vmscope(side: usize, f: i64, packets: u64) -> App {
+        let slide = Slide::synthetic(side, side, 7);
+        let host = vmscope_host_env(&slide, f, packets as i64);
+        let side = side as i64;
+        let mut app = App::new(VMSCOPE_SRC, host, side, packets, env::VM_BANDWIDTH);
+        app.opts = app
+            .opts
+            .with_symbol("height", side)
+            .with_symbol("width", side)
+            .with_symbol("subsample", f)
+            .with_selectivity(0, 1.0 / f as f64);
+        app
     }
 
-    pub fn fig05() -> Figure {
-        Figure::run(
-            "Figure 5",
-            "z-buffer isosurface, small dataset",
-            env::ISO_BANDWIDTH,
-            iso_versions(false, Renderer::ZBuffer),
-        )
+    pub fn fig05() -> Result<Figure, String> {
+        let title = "z-buffer isosurface, small dataset";
+        Figure::run("Figure 5", title, &iso(false, ZBUF_SRC).1, None)
     }
 
-    pub fn fig06() -> Figure {
-        Figure::run(
-            "Figure 6",
-            "z-buffer isosurface, large dataset",
-            env::ISO_BANDWIDTH,
-            iso_versions(true, Renderer::ZBuffer),
-        )
+    pub fn fig06() -> Result<Figure, String> {
+        let title = "z-buffer isosurface, large dataset";
+        Figure::run("Figure 6", title, &iso(true, ZBUF_SRC).1, None)
     }
 
-    pub fn fig07() -> Figure {
-        Figure::run(
-            "Figure 7",
-            "active-pixel isosurface, small dataset",
-            env::ISO_BANDWIDTH,
-            iso_versions(false, Renderer::ActivePixels),
-        )
+    pub fn fig07() -> Result<Figure, String> {
+        let title = "active-pixel isosurface, small dataset";
+        Figure::run("Figure 7", title, &iso(false, APIX_SRC).1, None)
     }
 
-    pub fn fig08() -> Figure {
-        Figure::run(
-            "Figure 8",
-            "active-pixel isosurface, large dataset",
-            env::ISO_BANDWIDTH,
-            iso_versions(true, Renderer::ActivePixels),
-        )
+    pub fn fig08() -> Result<Figure, String> {
+        let title = "active-pixel isosurface, large dataset";
+        Figure::run("Figure 8", title, &iso(true, APIX_SRC).1, None)
     }
 
-    pub fn fig09() -> Figure {
-        Figure::run_with(
-            "Figure 9",
-            "k-nearest neighbors, k = 3",
-            env::KNN_BANDWIDTH,
-            env::KNN_SLOWDOWN,
-            knn_versions(3),
-        )
+    pub fn fig09() -> Result<Figure, String> {
+        let title = "k-nearest neighbors, k = 3";
+        Figure::run("Figure 9", title, &knn(3), Some(KNN_MANUAL_SRC))
     }
 
-    pub fn fig10() -> Figure {
-        Figure::run_with(
-            "Figure 10",
-            "k-nearest neighbors, k = 200",
-            env::KNN_BANDWIDTH,
-            env::KNN_SLOWDOWN,
-            knn_versions(200),
-        )
+    pub fn fig10() -> Result<Figure, String> {
+        let title = "k-nearest neighbors, k = 200";
+        Figure::run("Figure 10", title, &knn(200), Some(KNN_MANUAL_SRC))
     }
 
-    pub fn fig11() -> Figure {
-        Figure::run(
-            "Figure 11",
-            "virtual microscope, small query",
-            env::VM_BANDWIDTH,
-            vm_versions(false),
-        )
+    pub fn fig11() -> Result<Figure, String> {
+        let title = "virtual microscope, small query";
+        let app = vmscope(256, 4, 5);
+        Figure::run("Figure 11", title, &app, Some(VMSCOPE_MANUAL_SRC))
     }
 
-    pub fn fig12() -> Figure {
-        Figure::run(
-            "Figure 12",
-            "virtual microscope, large query",
-            env::VM_BANDWIDTH,
-            vm_versions(true),
-        )
+    pub fn fig12() -> Result<Figure, String> {
+        let title = "virtual microscope, large query";
+        let app = vmscope(1024, 8, 64);
+        Figure::run("Figure 12", title, &app, Some(VMSCOPE_MANUAL_SRC))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgp_core::apps::isosurface::{IsoPipeline, IsoVersion, Renderer, ScalarGrid};
-    use cgp_core::apps::AppVariant;
+    use cgp_core::apps::dialect::{knn_host_env, APIX_SRC, KNN_MANUAL_SRC, KNN_SRC, ZBUF_SRC};
+    use cgp_core::apps::knn::generate_points;
+
+    fn tiny_knn() -> App {
+        let host = knn_host_env(&generate_points(400, 3), [0.5; 3], 5, 4);
+        let mut app = App::new(KNN_SRC, host, 400, 4, env::KNN_BANDWIDTH);
+        app.opts = app.opts.with_symbol("npoints", 400).with_symbol("k", 5);
+        app
+    }
 
     #[test]
     fn figure_runner_produces_tables() {
-        let mk = |version: IsoVersion| -> Box<dyn Fn() -> Box<dyn AppVariant>> {
-            Box::new(move || {
-                Box::new(IsoPipeline::new(
-                    ScalarGrid::synthetic(12, 12, 12, 1),
-                    0.8,
-                    4,
-                    32,
-                    Renderer::ZBuffer,
-                    version,
-                    "t",
-                ))
-            })
-        };
-        let fig = Figure::run(
-            "test",
-            "tiny iso",
-            env::ISO_BANDWIDTH,
-            vec![
-                ("Default".into(), mk(IsoVersion::Default)),
-                ("Decomp".into(), mk(IsoVersion::Decomp)),
-            ],
-        );
+        let fig = Figure::run("test", "tiny knn", &tiny_knn(), Some(KNN_MANUAL_SRC)).unwrap();
+        assert_eq!(fig.versions[0], "Default");
+        assert_eq!(fig.unit_of[0], [0, 1, 1, 1]);
+        assert!(fig.versions.contains(&"Decomp-Comp".to_string()));
+        assert_eq!(fig.versions.last().unwrap(), "Decomp-Manual");
         assert_eq!(fig.rows.len(), 3);
-        assert_eq!(fig.rows[0].len(), 2);
+        assert!(fig.rows.iter().all(|r| r.len() == fig.versions.len()));
         assert!(fig.rows.iter().flatten().all(|t| *t > 0.0));
         let md = fig.to_markdown();
         assert!(md.contains("| 1-1-1 |"));
+    }
+
+    #[test]
+    fn a_series_printing_something_else_fails_the_figure_by_name() {
+        let wrong = KNN_MANUAL_SRC.replace("print(best.checksum());", "print(best.count);");
+        let err = Figure::run("Figure T", "tiny knn", &tiny_knn(), Some(&wrong))
+            .err()
+            .expect("a wrong series must fail the figure");
+        assert!(
+            err.starts_with("Figure T Decomp-Manual: printed [\"5\"]"),
+            "{err}"
+        );
+    }
+
+    /// An isosurface figure's Default and Decomp series print the same
+    /// (`Figure::run` fails a series whose output differs from the
+    /// oracle's), under different placements.
+    fn default_and_decomp_agree(src: &'static str) {
+        let (_, app) = figures::iso_sized(10, 16, 4, src);
+        let fig = Figure::run("test", "tiny iso", &app, None).unwrap();
+        assert_eq!(fig.versions[..2], ["Default", "Decomp"]);
+        assert_ne!(fig.unit_of[0], fig.unit_of[1]);
+    }
+
+    #[test]
+    fn default_and_decomp_agree_zbuf() {
+        default_and_decomp_agree(ZBUF_SRC);
+    }
+
+    #[test]
+    fn default_and_decomp_agree_apix() {
+        default_and_decomp_agree(APIX_SRC);
     }
 }

@@ -221,6 +221,9 @@ pub fn compile(src: &str, options: &CompileOptions) -> CompileResult<Compiled> {
         let input_vol = volume_bytes(&np, &analysis.input_set, &env, None);
         Problem::from_chain(&costs, input_vol)
     });
+    if let Some(d) = &options.force_decomposition {
+        check_forced(&d.unit_of, problem.n_tasks(), options.pipeline.m())?;
+    }
     // Phase 6 — decompose: pick the placement and build the report.
     let (decomposition, report) = phase("decompose", || {
         let (decomposition, name): (Decomposition, &'static str) =
@@ -262,6 +265,34 @@ pub fn compile(src: &str, options: &CompileOptions) -> CompileResult<Compiled> {
         pipeline: options.pipeline.clone(),
         report,
     })
+}
+
+/// A forced `unit_of` must be a placement the DP could have chosen: one
+/// unit per task, every unit below `m`, the virtual source (task 0) on
+/// unit 0, and tasks never moving back upstream.
+fn check_forced(unit_of: &[usize], n_tasks: usize, m: usize) -> CompileResult<()> {
+    let fail = |rule: String| {
+        Err(crate::error::CompileError::new(format!(
+            "forced decomposition {unit_of:?}: {rule}"
+        )))
+    };
+    if unit_of.len() != n_tasks {
+        return fail(format!("has {} entries for {n_tasks} tasks", unit_of.len()));
+    }
+    if let Some(u) = unit_of.iter().find(|&&u| u >= m) {
+        return fail(format!("names unit {u} of a {m}-unit pipeline"));
+    }
+    if unit_of.first().is_some_and(|&u| u != 0) {
+        return fail("puts task 0, the virtual source, off unit 0".into());
+    }
+    if let Some(i) = (1..unit_of.len()).find(|&i| unit_of[i] < unit_of[i - 1]) {
+        return fail(format!(
+            "moves task {i} back to unit {} after unit {}",
+            unit_of[i],
+            unit_of[i - 1]
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

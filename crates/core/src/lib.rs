@@ -9,10 +9,9 @@
 //! - **execute** the plan: single-threaded with real packed buffers
 //!   ([`run_plan_sequential`]) or on threads through the DataCutter-style
 //!   runtime with transparent copies ([`run_plan_threaded_stats`]);
-//! - **evaluate**: run the native applications (`cgp-apps`) for real and
-//!   replay their pipeline schedule on a simulated grid
-//!   ([`simulate_variant`]) — the path that regenerates the paper's
-//!   figures.
+//! - **evaluate**: profile a plan's units on the VM ([`profile_plan`])
+//!   and replay the profile on a simulated grid (`grid::simulate`) — the
+//!   path that regenerates the paper's figures.
 //!
 //! ```
 //! use cgp_core::{compile, run_plan_sequential, CompileOptions, PipelineEnv};
@@ -55,10 +54,7 @@ pub use error::CoreError;
 pub use exec::{
     run_plan_threaded_stats, run_plan_worker_io, ExecOptions, HostBuilder, NetRole, WorkerIngress,
 };
-pub use sim::{
-    paper_grid, paper_grid_disk, simulate_variant, VariantRun, CALIBRATION, DISK_BANDWIDTH,
-    LINK_BANDWIDTH, PENTIUM_SLOWDOWN,
-};
+pub use sim::{profile_plan, PlanProfile, CALIBRATION, DISK_BANDWIDTH, PENTIUM_SLOWDOWN};
 
 /// Re-exports of the underlying crates for applications that need them.
 pub mod lang {

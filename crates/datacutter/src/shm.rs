@@ -1425,4 +1425,118 @@ mod tests {
             assert_eq!(stats.frames, packets_per_producer as u64);
         }
     }
+
+    /// A ring file whose header says `capacity`, sized `HEADER_LEN + len`.
+    fn write_header(path: &Path, capacity: u64, len: usize) -> Vec<u8> {
+        let mut file = vec![0u8; HEADER_LEN + len];
+        file[0..4].copy_from_slice(&SHM_MAGIC);
+        file[4..6].copy_from_slice(&SHM_VERSION.to_le_bytes());
+        file[8..16].copy_from_slice(&capacity.to_le_bytes());
+        file[OWNER_PID_AT..OWNER_PID_AT + 8].copy_from_slice(&7u64.to_le_bytes());
+        std::fs::write(path, &file).unwrap();
+        file
+    }
+
+    fn malformed(path: &Path) -> String {
+        match attach_ring(path, None, "tx") {
+            Ok(_) => panic!("{} attached", path.display()),
+            Err(e) => {
+                assert_eq!(e.kind, crate::error::ErrorKind::Malformed, "{e}");
+                e.message
+            }
+        }
+    }
+
+    #[test]
+    fn generated_ring_headers_attach_with_their_capacity() {
+        let mut rng = cgp_obs::SmallRng::seed_from_u64(0x5A11);
+        for case in 0..12 {
+            let path = PathBuf::from(format!("{}.0", test_base("header")));
+            let cap = MIN_CAPACITY << rng.gen_range(0, 5);
+            let created = create_ring(&path, cap, "rx").unwrap();
+            let attached = attach_ring(&path, None, "tx").unwrap();
+            assert_eq!(
+                (created.cap, attached.cap),
+                (cap as u64, cap as u64),
+                "case {case}"
+            );
+            assert_eq!(ring_owner_pid(&path).unwrap(), Some(sys::own_pid()));
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn mutated_header_bytes_are_malformed_by_name() {
+        let mut rng = cgp_obs::SmallRng::seed_from_u64(0x5A12);
+        let path = PathBuf::from(format!("{}.0", test_base("mutate")));
+        let valid = write_header(&path, MIN_CAPACITY as u64, MIN_CAPACITY);
+        for (byte, name) in (0..4)
+            .map(|b| (b, "bad shm magic"))
+            .chain((4..6).map(|b| (b, "shm layout version")))
+            .chain((8..16).map(|b| (b, "inconsistent with file size")))
+        {
+            for _ in 0..8 {
+                let mut file = valid.clone();
+                file[byte] ^= rng.gen_range(1, 256) as u8;
+                std::fs::write(&path, &file).unwrap();
+                let msg = malformed(&path);
+                assert!(msg.contains(name), "byte {byte}: {msg}");
+            }
+        }
+        // A power-of-two capacity that disagrees with the file's size.
+        for cap in [MIN_CAPACITY / 2, 2 * MIN_CAPACITY, 1 << 40] {
+            write_header(&path, cap as u64, MIN_CAPACITY);
+            let msg = malformed(&path);
+            assert!(
+                msg.contains(&format!("shm capacity {cap} inconsistent")),
+                "{msg}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_truncated_ring_file_is_rejected_as_truncated() {
+        let path = PathBuf::from(format!("{}.0", test_base("truncate")));
+        write_header(&path, MIN_CAPACITY as u64, MIN_CAPACITY);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        for len in (0..HEADER_LEN + MIN_CAPACITY).rev() {
+            file.set_len(len as u64).unwrap();
+            let msg = malformed(&path);
+            assert!(
+                msg.ends_with(&format!("is truncated ({len} bytes)")),
+                "{msg}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn owner_pid_is_read_only_behind_a_valid_magic_and_version() {
+        let mut rng = cgp_obs::SmallRng::seed_from_u64(0x5A13);
+        let path = PathBuf::from(format!("{}.0", test_base("owner")));
+        for case in 0..300 {
+            let mut header: Vec<u8> = (0..24).map(|_| rng.next_u64() as u8).collect();
+            let magic = rng.gen_range(0, 2) == 0;
+            let version = rng.gen_range(0, 2) == 0;
+            if magic {
+                header[0..4].copy_from_slice(&SHM_MAGIC);
+            }
+            if version {
+                header[4..6].copy_from_slice(&SHM_VERSION.to_le_bytes());
+            }
+            let valid = header[0..4] == SHM_MAGIC && read_header_u16(&header, 4) == SHM_VERSION;
+            let want = valid.then(|| read_header_u64(&header, OWNER_PID_AT));
+            let short = rng.gen_range(0, 24);
+            std::fs::write(&path, &header).unwrap();
+            assert_eq!(ring_owner_pid(&path).unwrap(), want, "case {case}");
+            std::fs::write(&path, &header[..short]).unwrap();
+            assert_eq!(
+                ring_owner_pid(&path).unwrap(),
+                None,
+                "case {case}: {short} bytes"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
 }

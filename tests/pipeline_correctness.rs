@@ -116,6 +116,37 @@ fn every_decomposition_matches_the_oracle() {
 /// and the output is the oracle's; with recovery off, the run fails with
 /// an error naming the faulted copy and the fault. Every mismatch is
 /// collected, so a failure lists each cell.
+/// `compile` checks a forced placement before it reports on or builds
+/// it: each shape the DP can never pick fails with the rule it breaks
+/// and the `unit_of`, instead of panicking in the report or compiling a
+/// plan that prints a wrong answer (`[0,2,1,2]` printed `0`).
+#[test]
+fn forced_decompositions_the_dp_cannot_pick_are_rejected_by_rule() {
+    let knn = &demo_apps()[2];
+    assert_eq!(compile(knn.src, &knn.opts).unwrap().problem.n_tasks(), 4);
+    let cases: [(&[usize], &str); 5] = [
+        (&[0, 1, 1, 1, 1], "has 5 entries for 4 tasks"),
+        (&[0, 1, 1], "has 3 entries for 4 tasks"),
+        (&[0, 1, 2, 3], "names unit 3 of a 3-unit pipeline"),
+        (&[1, 1, 1, 1], "puts task 0, the virtual source, off unit 0"),
+        (&[0, 2, 1, 2], "moves task 2 back to unit 1 after unit 2"),
+    ];
+    for (unit_of, rule) in cases {
+        let forced = Decomposition {
+            unit_of: unit_of.to_vec(),
+            cost: f64::NAN,
+        };
+        let err = compile(knn.src, &knn.opts.clone().with_decomposition(forced))
+            .err()
+            .unwrap_or_else(|| panic!("{unit_of:?} compiled"))
+            .to_string();
+        assert!(
+            err.contains(rule) && err.contains(&format!("{unit_of:?}")),
+            "{unit_of:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn injected_faults_restart_to_the_oracle_or_fail_by_name() {
     let mut failures = Vec::new();
