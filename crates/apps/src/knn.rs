@@ -22,8 +22,10 @@ pub fn generate_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
 mod tests {
     use super::*;
     use crate::dialect::{knn_host_env, oracle, run_compiled, KNN_MANUAL_SRC, KNN_SRC};
-    use cgp_compiler::cost::PipelineEnv;
+    use cgp_compiler::codegen::LoweredStep;
+    use cgp_compiler::cost::{FilterEngine, PipelineEnv};
     use cgp_compiler::{compile, CompileOptions, Decomposition, Objective};
+    use cgp_lang::bytecode::{Op, Repr};
 
     /// What [`KNN_SRC`] prints, computed in Rust: the sum of the k
     /// smallest squared distances from `q`, in ascending order.
@@ -126,5 +128,85 @@ mod tests {
                 assert_eq!(out, expect, "k = {k}, unit_of {unit_of:?}");
             }
         }
+    }
+
+    /// The VM ops that move or compute on boxed `Value`s: generic
+    /// arithmetic, comparisons and branches, boxed array elements, and
+    /// copies of boxed slots. Calls, object ops and the once-per-frame
+    /// memoizing read of a global are not counted.
+    fn boxed_op(op: &Op) -> bool {
+        matches!(
+            op,
+            Op::Bin { .. }
+                | Op::Neg { .. }
+                | Op::Not { .. }
+                | Op::BranchTrue { .. }
+                | Op::BranchFalse { .. }
+                | Op::Box { .. }
+                | Op::Unbox { .. }
+                | Op::MoveV { .. }
+                | Op::AssignSlot { .. }
+                | Op::CallBuiltin { .. }
+                | Op::LoadElem { repr: Repr::V, .. }
+                | Op::StoreElem { repr: Repr::V, .. }
+        ) || matches!(op, Op::ReadSlot { dst, slot } if dst != slot)
+    }
+
+    /// The ops of every `foreach` loop in `ops`, header to exit (a peeled
+    /// first iteration included).
+    fn loop_bodies(ops: &[Op]) -> Vec<&[Op]> {
+        let mut bodies = Vec::new();
+        for (at, op) in ops.iter().enumerate() {
+            if let Op::ForeachBegin { end, .. } = op {
+                bodies.push(&ops[at + 1..*end as usize]);
+            }
+        }
+        bodies
+    }
+
+    /// `knn-decomp`'s compute stages and the top-k `push` they feed run
+    /// on unboxed registers: lowering that silently fell back to boxed
+    /// ops would cost about 4× with no other symptom.
+    #[test]
+    fn knn_decomp_hot_loops_lower_to_typed_ops() {
+        let (points, packets) = (300_000i64, 64);
+        let opts = CompileOptions::new(
+            PipelineEnv::same_host(3, FilterEngine::Vm.power()),
+            points / packets,
+        )
+        .with_symbol("npoints", points)
+        .with_symbol("k", 8)
+        .with_objective(Objective::SteadyState {
+            n_packets: packets as u64,
+        });
+        let plan = compile(KNN_SRC, &opts).unwrap().plan;
+        assert_eq!(plan.decomposition.unit_of, [0, 0, 0, 1]);
+        let lowered = &plan.lowered;
+        let mut stages = 0;
+        for (j, steps) in lowered.steps.iter().enumerate() {
+            for step in steps {
+                let LoweredStep::Slice(slice) = step else {
+                    continue;
+                };
+                for body in loop_bodies(&slice.code.ops) {
+                    stages += 1;
+                    let boxed: Vec<&Op> = body.iter().filter(|o| boxed_op(o)).collect();
+                    assert!(
+                        boxed.is_empty(),
+                        "f{} loop body boxes: {boxed:?}\n{body:?}",
+                        j + 1
+                    );
+                }
+            }
+        }
+        assert_eq!(stages, 2, "one loop on each compute stage");
+        let push = lowered.prog.method_id("KNearest", "push").unwrap();
+        let code = &lowered.prog.methods[push as usize].code;
+        let boxed: Vec<&Op> = code.ops.iter().filter(|o| boxed_op(o)).collect();
+        assert!(
+            boxed.is_empty(),
+            "KNearest.push boxes: {boxed:?}\n{:?}",
+            code.ops
+        );
     }
 }

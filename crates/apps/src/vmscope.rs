@@ -96,12 +96,32 @@ mod tests {
             };
             let default = place(Decomposition::default_style(3, 3).unit_of);
             let cut = place(vec![0, 0, 1]);
-            for (src, opts) in [
+            // The manual variant's loop off the data host: its strided
+            // `pixels` read ships the whole array (`pixels[*]`), which the
+            // receiver must size from the wire.
+            let manual_cut = |m: usize, unit_of: Vec<usize>| {
+                CompileOptions::new(PipelineEnv::uniform(m, 1e8, 1e6, 1e-5), 8)
+                    .with_symbol("height", 40)
+                    .with_symbol("width", 40)
+                    .with_symbol("subsample", f)
+                    .with_decomposition(Decomposition {
+                        unit_of,
+                        cost: f64::NAN,
+                    })
+            };
+            let manual_cuts = [
+                manual_cut(2, vec![0, 1]),
+                manual_cut(3, vec![0, 1]),
+                manual_cut(3, vec![0, 2]),
+            ];
+            let mut runs = vec![
                 (VMSCOPE_SRC, &default),
                 (VMSCOPE_SRC, &latency),
                 (VMSCOPE_SRC, &cut),
                 (VMSCOPE_MANUAL_SRC, &latency),
-            ] {
+            ];
+            runs.extend(manual_cuts.iter().map(|o| (VMSCOPE_MANUAL_SRC, o)));
+            for (src, opts) in runs {
                 let (unit_of, out) = run_compiled(src, opts, &host);
                 assert_eq!(out, expect, "f = {f}, unit_of {unit_of:?}");
             }

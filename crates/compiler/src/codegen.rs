@@ -62,7 +62,7 @@ use crate::place::{PlaceSet, Sectioning};
 use crate::reqcomm::ChainAnalysis;
 use cgp_lang::ast::*;
 use cgp_lang::bytecode::{vm::Vm, CodeBlock, ProgramCode};
-use cgp_lang::interp::{split_domain, HostEnv, Interp};
+use cgp_lang::interp::{check_host, split_domain, HostEnv, Interp};
 use cgp_lang::span::Span;
 use cgp_lang::types::TypedProgram;
 use cgp_lang::value::{ObjectVal, Value};
@@ -852,12 +852,15 @@ impl Engine<'_> {
 }
 
 impl<'p> FilterStepper<'p> {
-    /// Bind the host's extern values. No prologue runs here: each unit
-    /// starts on first use (see the type docs). Externs the host leaves
-    /// unbound stay unbound: a unit that reads one fails there with the
-    /// engines' unknown-variable diagnostic.
+    /// Bind the host's extern values, each checked against its declared
+    /// type ([`check_host`]): a mismatch fails here, by name, on either
+    /// engine. No prologue runs here: each unit starts on first use (see
+    /// the type docs). Externs the host leaves unbound stay unbound: a
+    /// unit that reads one fails there with the engines' unknown-variable
+    /// diagnostic.
     pub fn new(plan: &'p FilterPlan, host: &HostEnv) -> CompileResult<Self> {
         let tp = &plan.np.typed;
+        check_host(tp, &host.values)?;
         let mut config = HashMap::new();
         for e in &tp.program.externs {
             match host.values.get(&e.name) {
@@ -1351,6 +1354,94 @@ mod tests {
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(num_packets))
             .bind("data", data)
+    }
+
+    /// A host whose extern disagrees with its declaration — an `int`
+    /// where `double` is declared, an `int` inside a `double[]` — would
+    /// make the interpreter compute with the wrong tag and the VM raise.
+    /// Both engines reject it where the run binds it, naming the extern.
+    #[test]
+    fn hosts_of_the_wrong_tag_are_rejected_by_name_on_both_engines() {
+        const SRC: &str = r#"
+            extern int n;
+            extern double scale;
+            extern double[] data;
+            runtime_define int num_packets;
+            class Acc implements Reducinterface {
+                double total;
+                void reduce(Acc other) { total = total + other.total; }
+                void add(double x) { total = total + x; }
+            }
+            class A {
+                void main() {
+                    RectDomain<1> all = [0 : n - 1];
+                    Acc acc = new Acc();
+                    PipelinedLoop (pkt in all; num_packets) {
+                        foreach (i in pkt) { acc.add(data[i] * scale); }
+                    }
+                    print(acc.total);
+                }
+            }
+        "#;
+        let plan = make_plan(SRC, 2, DecompStyle::Spread);
+        let host = |scale: Value, third: Value| {
+            let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(vec![
+                Value::Double(1.0),
+                Value::Double(2.0),
+                third,
+            ])));
+            HostEnv::new()
+                .bind("n", Value::Int(3))
+                .bind("num_packets", Value::Int(2))
+                .bind("scale", scale)
+                .bind("data", data)
+        };
+        let good = host(Value::Double(0.5), Value::Double(3.0));
+        let oracle = {
+            let mut it = SeqInterp::new(&plan.np.typed, good.clone());
+            it.run_main().unwrap();
+            it.output
+        };
+        for vm in [false, true] {
+            let mut s = FilterStepper::new(&plan, &good).unwrap().with_vm(vm);
+            assert_eq!(run_stepper(&mut s, &plan, &good), oracle);
+        }
+        for (bad, name, what) in [
+            (
+                host(Value::Int(3), Value::Double(3.0)),
+                "scale",
+                "holds `3`",
+            ),
+            (
+                host(Value::Double(0.5), Value::Int(3)),
+                "data",
+                "element 2 holds `3`",
+            ),
+        ] {
+            let interp = SeqInterp::new(&plan.np.typed, bad.clone())
+                .run_main()
+                .unwrap_err();
+            let stepper = FilterStepper::new(&plan, &bad).map(drop).unwrap_err();
+            for msg in [interp.message.clone(), stepper.to_string()] {
+                assert!(
+                    msg.contains(&format!("extern `{name}`")) && msg.contains(what),
+                    "{msg}"
+                );
+            }
+            assert!(stepper.to_string().contains(&interp.message));
+        }
+    }
+
+    /// Run every packet through a stepper and finalize.
+    fn run_stepper(s: &mut FilterStepper, plan: &FilterPlan, host: &HostEnv) -> Vec<String> {
+        let ((lo, hi), np) = s.loop_bounds().unwrap();
+        for (plo, phi) in split_domain(lo, hi, np as usize) {
+            let mut buf: Option<Vec<u8>> = None;
+            for j in 0..plan.m {
+                buf = s.step(j, (plo, phi), buf.as_deref()).unwrap();
+            }
+        }
+        s.finalize(host).unwrap()
     }
 
     #[test]

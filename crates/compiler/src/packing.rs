@@ -431,6 +431,31 @@ fn section_indices(lo: i64, hi: i64, stride: i64) -> Vec<i64> {
     (lo..=hi).step_by(stride.max(1) as usize).collect()
 }
 
+/// Does a section map each packet point to exactly one element (so a
+/// filtering cut can ship only the passing ones)? Never a whole-array
+/// section, whose length is the array's.
+fn per_point(p: &Place, (slo, shi, stride): (i64, i64, i64), pkt: (i64, i64)) -> bool {
+    !matches!(p.sect, Sectioning::All) && stride == 1 && shi - slo == pkt.1 - pkt.0
+}
+
+/// Indices of the whole-array (`[*]`) entries among `entries`.
+fn whole_arrays(entries: &[PackEntry]) -> impl Iterator<Item = usize> + '_ {
+    entries
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| matches!(e.place.sect, Sectioning::All))
+        .map(|(k, _)| k)
+}
+
+/// A whole-array length read off the wire, bounded by the bytes left
+/// (every element takes at least one) before anything is sized by it.
+fn wire_len(n: i64, left: usize) -> CompileResult<usize> {
+    usize::try_from(n)
+        .ok()
+        .filter(|n| *n <= left)
+        .ok_or_else(|| CompileError::new(format!("section length {n} exceeds the packet")))
+}
+
 fn push_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -745,8 +770,9 @@ pub fn pack(
         let (slo, shi, stride) = concrete_range(p, env, pkt, root_len)?;
         // Selection compaction applies only to sections that map each
         // domain point to exactly one element (dense, packet-sized); other
-        // shapes (strided, multi-element-per-point) travel in full.
-        let per_point = stride == 1 && shi - slo == pkt.1 - pkt.0;
+        // shapes (strided, multi-element-per-point, the whole array)
+        // travel in full.
+        let per_point = per_point(p, (slo, shi, stride), pkt);
         if let (Some(sel), Some(_), true) = (selection, layout.filtered, per_point) {
             // Selection indices are absolute domain points; the section's
             // lower bound is aligned with the packet's first point, so the
@@ -779,6 +805,7 @@ pub fn pack(
             .filter(|_| layout.filtered.is_some())
             .map_or(0, |s| 8 + 8 * s.len())
         + 8
+        + 8 * whole_arrays(&layout.instance_wise).count()
         + layout
             .instance_wise
             .iter()
@@ -813,6 +840,14 @@ pub fn pack(
         .max()
         .unwrap_or(0);
     push_i64(&mut out, count as i64);
+    // A whole-array section's length is the sender's array's: the
+    // receiver reads it here, not from its packet.
+    for k in whole_arrays(&layout.instance_wise) {
+        push_i64(
+            &mut out,
+            inst_indices[k].as_ref().map_or(0, Vec::len) as i64,
+        );
+    }
     if let [e] = &layout.instance_wise[..] {
         match &inst_indices[0] {
             None => push_scalar(&mut out, e.elem, &select(vars, &e.place, None)?)?,
@@ -959,24 +994,29 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
     let packet_len = (hi - lo + 1).max(0) as usize;
 
     // The slots a sectioned entry covers, with the packet symbols taken
-    // from the header.
-    let run_for = |p: &Place| -> CompileResult<Option<Run>> {
+    // from the header; a whole-array section is `wire_len` long.
+    let run_for = |p: &Place, wire_len: usize| -> CompileResult<Option<Run>> {
         if matches!(p.sect, Sectioning::NotIndexed) {
             return Ok(None);
         }
-        let (slo, shi, stride) = concrete_range(p, env, (lo, hi), packet_len)?;
-        let per_point = stride == 1 && shi - slo == hi - lo;
-        let ix = match (&selection, per_point) {
+        let range = concrete_range(p, env, (lo, hi), wire_len)?;
+        let (slo, shi, stride) = range;
+        let ix = match (&selection, per_point(p, range, (lo, hi))) {
             (Some(sel), true) => sel.iter().map(|i| slo + (i - lo)).collect(),
             _ => section_indices(slo, shi, stride),
         };
         Ok(Some(Run { lo: slo, ix }))
     };
 
+    let count = read_i64(buf, &mut pos)? as usize;
+    let mut whole_len = vec![0usize; layout.instance_wise.len()];
+    for k in whole_arrays(&layout.instance_wise) {
+        whole_len[k] = wire_len(read_i64(buf, &mut pos)?, buf.len() - pos)?;
+    }
     let mut runs: Vec<Option<Run>> = Vec::with_capacity(layout.instance_wise.len());
     let mut arrays: Vec<Option<SharedArray>> = Vec::with_capacity(layout.instance_wise.len());
-    for e in &layout.instance_wise {
-        let run = run_for(&e.place)?;
+    for (e, wire_len) in layout.instance_wise.iter().zip(&whole_len) {
+        let run = run_for(&e.place, *wire_len)?;
         arrays.push(match &run {
             Some(r) if !r.ix.is_empty() => {
                 Some(bind_array(&mut vars, recv, &e.place.root, r, packet_len)?)
@@ -986,7 +1026,6 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         });
         runs.push(run);
     }
-    let count = read_i64(buf, &mut pos)? as usize;
     // A single sectioned instance-wise entry is one contiguous run on the
     // wire — scatter it in bulk; genuine interleaves go per-position.
     let single_run = matches!(
@@ -1024,7 +1063,11 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
             store(&mut vars, &e.place, path, v)?;
             continue;
         }
-        let run = run_for(&e.place)?
+        let whole = match e.place.sect {
+            Sectioning::All => wire_len(n, buf.len() - pos)?,
+            _ => 0,
+        };
+        let run = run_for(&e.place, whole)?
             .ok_or_else(|| CompileError::new("sectioned payload for scalar place"))?;
         if run.ix.len() != n as usize {
             return Err(CompileError::new(format!(
@@ -1061,6 +1104,51 @@ mod tests {
             place,
             first_consumer: first,
             elem,
+        }
+    }
+
+    /// A whole array (`xs[*]`) travels at its sender's length, longer
+    /// than the packet, interleaved or field-wise, and a corrupt length on
+    /// the wire is refused before anything is sized by it.
+    #[test]
+    fn whole_arrays_travel_at_their_own_length() {
+        let xs = || {
+            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+                (0..10).map(|i| Value::Double(i as f64 * 0.5)).collect(),
+            )))
+        };
+        let ys = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+            (0..2).map(Value::Int).collect(),
+        )));
+        let vars: HashMap<String, Value> =
+            [("xs".to_string(), xs()), ("ys".to_string(), ys)].into();
+        let env = RuntimeEnv::for_packet("pkt", 0, 1);
+        for (first, with_ys) in [(1, false), (1, true), (2, false)] {
+            let mut entries = vec![entry(Place::whole_array("xs"), first, ScalarKind::F64)];
+            if with_ys {
+                entries.push(entry(dense_place("ys", 0, 1), first, ScalarKind::I64));
+            }
+            let layout = if first == 1 {
+                PackLayout {
+                    instance_wise: entries,
+                    ..Default::default()
+                }
+            } else {
+                PackLayout {
+                    field_wise: entries,
+                    ..Default::default()
+                }
+            };
+            let buf = pack(&layout, &vars, &env, (0, 1), None).unwrap();
+            let un = unpack(&layout, &env, &buf).unwrap();
+            assert!(un.vars["xs"].deep_eq(&xs()), "first consumer {first}");
+            // After the header and the interleave count: the whole
+            // array's length word, or its field-wise count.
+            let at = 24;
+            let mut bad = buf.clone();
+            bad[at..at + 8].copy_from_slice(&i64::MAX.to_le_bytes());
+            let err = unpack(&layout, &RuntimeEnv::for_packet("pkt", 0, 1), &bad).unwrap_err();
+            assert!(err.to_string().contains("exceeds the packet"), "{err}");
         }
     }
 

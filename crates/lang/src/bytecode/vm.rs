@@ -8,13 +8,19 @@
 //! errors (it `mem::take`s the map and never restores it on the error
 //! path).
 //!
+//! A frame is three register files (`Frame`): boxed `Value`s, `f64`s and
+//! `i64`s. Typed ops read and write the unboxed files directly; a value is
+//! boxed only where it leaves typed code (write-back to `vars`, stores
+//! into arrays, fields and globals, generic calls, `print`).
+//!
 //! The fuel accounting differs by design: the interpreter ticks per AST
-//! node, the VM per op, so the two engines exhaust a given budget at
-//! different points. Plan execution never sets fuel; it is a safety valve
-//! for tests.
+//! node, the VM per loop back-edge and per call, so the two engines
+//! exhaust a given budget at different points but both stop every
+//! runaway loop or recursion. Plan execution never sets fuel; it is a
+//! safety valve for tests.
 
 use super::*;
-use crate::error::{interp_err, LangResult};
+use crate::error::{interp_err, Diagnostic, LangResult};
 use crate::interp::HostEnv;
 use crate::span::Span;
 use crate::value::{ObjectVal, Value};
@@ -26,8 +32,8 @@ use std::rc::Rc;
 enum VmFlow {
     /// Fell off the end of the op sequence (or `Halt` in a slice).
     Done,
-    /// Method `return`.
-    Ret(Value),
+    /// Method `return`; a value, if any, is in the VM's return cells.
+    Ret,
     /// `break`/`continue` escaped a statement slice.
     Escape(Span),
 }
@@ -36,10 +42,102 @@ enum VmFlow {
 /// loop variable) that write-back returns to the caller's var map;
 /// `CACHED` is a memoized read of a provably-constant global
 /// ([`CodeBlock::cacheable`]) — readable like a local, invisible to
-/// write-back.
+/// write-back. No op unbinds a slot.
 const UNBOUND: u8 = 0;
 const BOUND: u8 = 1;
 const CACHED: u8 = 2;
+
+/// One activation's registers: the three files share one numbering
+/// ([`Reg`]) and the named slots' bound states.
+#[derive(Default)]
+struct Frame {
+    v: Vec<Value>,
+    f: Vec<f64>,
+    i: Vec<i64>,
+    bound: Vec<u8>,
+}
+
+impl Frame {
+    /// Size the files for `code`, unbind every slot and load the constant
+    /// registers. Registers keep whatever a recycled frame left in them:
+    /// the lowering writes every temporary before reading it, and reads an
+    /// unbound slot only through its fallback.
+    fn enter(&mut self, code: &CodeBlock) {
+        let n = code.n_regs as usize;
+        if self.v.len() < n {
+            self.v.resize(n, Value::Void);
+        }
+        if self.f.len() < n {
+            self.f.resize(n, 0.0);
+        }
+        if self.i.len() < n {
+            self.i.resize(n, 0);
+        }
+        self.bound.clear();
+        self.bound.resize(code.slot_count(), UNBOUND);
+        for &(r, x) in &code.f_consts {
+            self.f[r as usize] = x;
+        }
+        for &(r, x) in &code.i_consts {
+            self.i[r as usize] = x;
+        }
+    }
+}
+
+/// A value read out of a container, in the file its op names.
+enum Out {
+    F(f64),
+    I(i64),
+    V(Value),
+}
+
+impl Out {
+    /// `x` as `repr` wants it, if its tag agrees (strict: the value comes
+    /// from outside typed code).
+    #[inline]
+    fn of(repr: Repr, x: &Value) -> Option<Out> {
+        Some(match (repr, x) {
+            (Repr::F, Value::Double(d)) => Out::F(*d),
+            (Repr::I, Value::Int(n)) => Out::I(*n),
+            (Repr::B, Value::Bool(b)) => Out::I(i64::from(*b)),
+            (Repr::V, x) => Out::V(x.clone()),
+            _ => return None,
+        })
+    }
+
+    #[inline]
+    fn store(self, v: &mut [Value], f: &mut [f64], ir: &mut [i64], dst: Reg) {
+        match self {
+            Out::F(x) => f[dst as usize] = x,
+            Out::I(x) => ir[dst as usize] = x,
+            Out::V(x) => v[dst as usize] = x,
+        }
+    }
+}
+
+/// The diagnostic for a value from outside typed code whose tag disagrees
+/// with its static type.
+fn mismatch(span: Span, what: impl std::fmt::Display, want: Repr, got: &Value) -> Diagnostic {
+    interp_err(
+        span,
+        format!(
+            "{what} holds `{got}` where a {} is declared",
+            want.type_name()
+        ),
+    )
+}
+
+/// Register `src` of `repr`'s file, boxed.
+#[inline]
+fn boxed(v: &[Value], f: &[f64], ir: &[i64], repr: Repr, src: Reg) -> Value {
+    let s = src as usize;
+    match repr {
+        Repr::F => Value::Double(f[s]),
+        Repr::I => Value::Int(ir[s]),
+        Repr::B => Value::Bool(ir[s] != 0),
+        Repr::V => v[s].clone(),
+    }
+}
 
 /// Bytecode executor. One instance per filter step, like the interpreter.
 pub struct Vm<'p> {
@@ -48,13 +146,18 @@ pub struct Vm<'p> {
     pub globals: HashMap<String, Value>,
     /// Captured `print()` output.
     pub output: Vec<String>,
-    /// Executed op counter (cost/debug aid; op-granular, not AST-granular).
+    /// Loop back-edges and calls executed (the fuel clock).
     pub steps: u64,
-    /// Optional op budget; exceeding it aborts with an error.
+    /// Optional budget of back-edges and calls; exceeding it aborts with
+    /// an error.
     pub fuel: Option<u64>,
-    /// Recycled call frames (registers + slot states) so a method call
-    /// in a hot loop does not allocate.
-    frames: Vec<(Vec<Value>, Vec<u8>)>,
+    /// Recycled call frames, so a method call in a hot loop does not
+    /// allocate.
+    frames: Vec<Frame>,
+    /// What the last `Ret` returned, in its repr's cell.
+    ret_v: Value,
+    ret_f: f64,
+    ret_i: i64,
 }
 
 impl<'p> Vm<'p> {
@@ -66,6 +169,9 @@ impl<'p> Vm<'p> {
             steps: 0,
             fuel: None,
             frames: Vec::new(),
+            ret_v: Value::Void,
+            ret_f: 0.0,
+            ret_i: 0,
         }
     }
 
@@ -89,33 +195,45 @@ impl<'p> Vm<'p> {
 
     /// Execute a lowered statement slice against `vars` — the bytecode
     /// analogue of `Interp::exec_stmts_with_vars`, with identical
-    /// semantics for bindings, write-back, and error behavior.
+    /// semantics for bindings, write-back, and error behavior. A seeded
+    /// value whose tag disagrees with its slot's static type is rejected
+    /// by name.
     pub fn exec_slice(
         &mut self,
         code: &CodeBlock,
         vars: &mut HashMap<String, Value>,
     ) -> LangResult<()> {
         let this = self.instantiate(&code.class)?;
-        let mut regs = vec![Value::Void; code.n_regs as usize];
-        let mut bound = vec![UNBOUND; code.slot_count()];
+        let mut fr = Frame::default();
+        fr.enter(code);
         let mut taken = std::mem::take(vars);
-        for (i, nid) in code.slot_names.iter().enumerate() {
-            if let Some(v) = taken.get(code.name(*nid)) {
-                regs[i] = v.clone();
-                bound[i] = BOUND;
+        for (s, nid) in code.slot_names.iter().enumerate() {
+            let name = code.name(*nid);
+            if let Some(x) = taken.get(name) {
+                let repr = code.slot_repr[s];
+                let out = Out::of(repr, x).ok_or_else(|| {
+                    mismatch(Span::synthetic(), format_args!("`{name}`"), repr, x)
+                })?;
+                out.store(&mut fr.v, &mut fr.f, &mut fr.i, s as Reg);
+                fr.bound[s] = BOUND;
             }
         }
-        match self.run(code, &mut regs, &mut bound, Some(&this))? {
-            VmFlow::Done | VmFlow::Ret(_) => {
-                write_back(code, &mut regs, &bound, &mut taken);
-                *vars = taken;
-                Ok(())
+        let flow = self.run(code, &mut fr, Some(&this))?;
+        // Write back every bound slot; `CACHED` slots are memoized
+        // globals, not locals, and must not leak into the var map.
+        for (s, nid) in code.slot_names.iter().enumerate() {
+            if fr.bound[s] == BOUND {
+                let x = match code.slot_repr[s] {
+                    Repr::V => std::mem::replace(&mut fr.v[s], Value::Void),
+                    repr => boxed(&fr.v, &fr.f, &fr.i, repr, s as Reg),
+                };
+                taken.insert(code.name(*nid).to_string(), x);
             }
-            VmFlow::Escape(span) => {
-                write_back(code, &mut regs, &bound, &mut taken);
-                *vars = taken;
-                Err(interp_err(span, "break/continue escaped statement slice"))
-            }
+        }
+        *vars = taken;
+        match flow {
+            VmFlow::Done | VmFlow::Ret => Ok(()),
+            VmFlow::Escape(span) => Err(interp_err(span, "break/continue escaped statement slice")),
         }
         // A `?`-propagated error drops `taken`, leaving `vars` empty —
         // exactly what the interpreter's `mem::take` does on that path.
@@ -123,7 +241,8 @@ impl<'p> Vm<'p> {
 
     /// Call `class::method` on `this` with `args` — the bytecode analogue
     /// of `Interp::call_method`, with the same unknown-method and arity
-    /// diagnostics.
+    /// diagnostics and the same int→double coercion of arguments and
+    /// result.
     pub fn call_method(
         &mut self,
         class: &str,
@@ -137,237 +256,529 @@ impl<'p> Vm<'p> {
                 format!("unknown method `{class}::{method}`"),
             )
         })?;
-        self.invoke(mi as usize, this, &args)
+        self.invoke_values(mi as usize, this.as_ref(), &args)
     }
 
-    /// Call a lowered method by id. `args` is borrowed straight from the
-    /// caller's registers — no intermediate argv allocation.
+    #[inline]
+    fn tick(&mut self, span: Span) -> LangResult<()> {
+        self.steps += 1;
+        match self.fuel {
+            Some(fuel) if self.steps > fuel => Err(interp_err(span, "interpreter fuel exhausted")),
+            _ => Ok(()),
+        }
+    }
+
+    fn arity(&self, mi: usize, argc: usize) -> LangResult<()> {
+        let m = &self.prog.methods[mi];
+        if argc == self.prog.sigs[mi].params.len() {
+            return Ok(());
+        }
+        Err(interp_err(
+            m.decl_span,
+            format!("arity mismatch calling `{}::{}`", m.class, m.name),
+        ))
+    }
+
+    /// Run method `mi` in a recycled frame whose parameters `bind` fills;
+    /// its result is left in the return cells.
     fn invoke(
         &mut self,
         mi: usize,
-        this: Option<Rc<RefCell<ObjectVal>>>,
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        bind: impl FnOnce(&mut Frame) -> LangResult<()>,
+    ) -> LangResult<()> {
+        let prog = self.prog;
+        let code = &prog.methods[mi].code;
+        let mut fr = self.frames.pop().unwrap_or_default();
+        fr.enter(code);
+        let flow = bind(&mut fr).and_then(|()| self.run(code, &mut fr, this));
+        self.frames.push(fr);
+        match flow? {
+            VmFlow::Ret => Ok(()),
+            // Falling off the end, which the checker allows only in a
+            // void method (`Escape` cannot occur in method code).
+            VmFlow::Done | VmFlow::Escape(_) => {
+                self.ret_v = Value::Void;
+                Ok(())
+            }
+        }
+    }
+
+    /// A call from lowered code: the arguments sit in the caller's
+    /// registers `argb..`, each already in its parameter's repr.
+    #[allow(clippy::too_many_arguments)]
+    fn call_typed(
+        &mut self,
+        mi: usize,
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        v: &[Value],
+        f: &[f64],
+        ir: &[i64],
+        argb: Reg,
+        argc: u8,
+        span: Span,
+    ) -> LangResult<()> {
+        self.arity(mi, argc as usize)?;
+        self.tick(span)?;
+        let prog = self.prog;
+        let params = &prog.sigs[mi].params;
+        self.invoke(mi, this, |fr| {
+            for (p, repr) in params.iter().enumerate() {
+                let a = argb as usize + p;
+                match repr {
+                    Repr::F => fr.f[p] = f[a],
+                    Repr::I | Repr::B => fr.i[p] = ir[a],
+                    Repr::V => fr.v[p] = v[a].clone(),
+                }
+                fr.bound[p] = BOUND;
+            }
+            Ok(())
+        })
+    }
+
+    /// A call with boxed arguments (the external entry, and dispatch the
+    /// lowering could not resolve): each argument is coerced as the
+    /// interpreter does and unboxed into its parameter; the result comes
+    /// back boxed.
+    fn invoke_values(
+        &mut self,
+        mi: usize,
+        this: Option<&Rc<RefCell<ObjectVal>>>,
         args: &[Value],
     ) -> LangResult<Value> {
-        let m = &self.prog.methods[mi];
-        if args.len() != m.params as usize {
-            return Err(interp_err(
-                m.decl_span,
-                format!("arity mismatch calling `{}::{}`", m.class, m.name),
-            ));
-        }
-        let (mut regs, mut bound) = self.frames.pop().unwrap_or_default();
-        regs.clear();
-        regs.resize(m.code.n_regs as usize, Value::Void);
-        bound.clear();
-        bound.resize(m.code.slot_count(), UNBOUND);
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = a.clone();
-            bound[i] = BOUND;
-        }
-        let flow = self.run(&m.code, &mut regs, &mut bound, this.as_ref());
-        self.frames.push((regs, bound));
-        match flow? {
-            VmFlow::Ret(v) => Ok(if m.coerce_ret { widen_to_double(v) } else { v }),
-            // Falling off the end — or a loose break/continue, which the
-            // interpreter folds to `Void` (lowered to `RetVoid`, so
-            // `Escape` cannot occur in method code).
-            VmFlow::Done | VmFlow::Escape(_) => Ok(Value::Void),
+        self.arity(mi, args.len())?;
+        let prog = self.prog;
+        let m = &prog.methods[mi];
+        self.tick(m.decl_span)?;
+        let sig = &prog.sigs[mi];
+        self.invoke(mi, this, |fr| {
+            for (p, (repr, a)) in sig.params.iter().zip(args).enumerate() {
+                let a = match (repr, a) {
+                    (Repr::F, Value::Int(n)) => Value::Double(*n as f64),
+                    _ => a.clone(),
+                };
+                let name = m.code.name(m.code.slot_names[p]);
+                Out::of(*repr, &a)
+                    .ok_or_else(|| mismatch(m.decl_span, format_args!("`{name}`"), *repr, &a))?
+                    .store(&mut fr.v, &mut fr.f, &mut fr.i, p as Reg);
+                fr.bound[p] = BOUND;
+            }
+            Ok(())
+        })?;
+        Ok(match sig.ret {
+            None | Some(Repr::V) => std::mem::replace(&mut self.ret_v, Value::Void),
+            Some(Repr::F) => Value::Double(self.ret_f),
+            Some(Repr::I) => Value::Int(self.ret_i),
+            Some(Repr::B) => Value::Bool(self.ret_i != 0),
+        })
+    }
+
+    /// Move method `mi`'s result from the return cells into `dst`.
+    #[inline]
+    fn take_ret(&mut self, mi: usize, v: &mut [Value], f: &mut [f64], ir: &mut [i64], dst: Reg) {
+        let d = dst as usize;
+        match self.prog.sigs[mi].ret {
+            None | Some(Repr::V) => v[d] = std::mem::replace(&mut self.ret_v, Value::Void),
+            Some(Repr::F) => f[d] = self.ret_f,
+            Some(Repr::I) | Some(Repr::B) => ir[d] = self.ret_i,
         }
     }
 
     fn run(
         &mut self,
         code: &CodeBlock,
-        regs: &mut [Value],
-        bound: &mut [u8],
+        fr: &mut Frame,
         this: Option<&Rc<RefCell<ObjectVal>>>,
     ) -> LangResult<VmFlow> {
         let prog = self.prog;
-        let ops = &code.ops;
+        let ops = &code.ops[..];
+        let Frame { v, f, i, bound } = fr;
+        let (v, f, ir, bound) = (&mut v[..], &mut f[..], &mut i[..], &mut bound[..]);
         let mut pc = 0usize;
         while pc < ops.len() {
-            self.steps += 1;
-            if let Some(fuel) = self.fuel {
-                if self.steps > fuel {
-                    return Err(interp_err(code.spans[pc], "interpreter fuel exhausted"));
-                }
-            }
             match ops[pc] {
-                Op::Const { dst, k } => {
-                    regs[dst as usize] = code.consts[k as usize].to_value();
+                // -- typed arithmetic, hottest first --------------------
+                Op::AddF { dst, l, r } => f[dst as usize] = f[l as usize] + f[r as usize],
+                Op::SubF { dst, l, r } => f[dst as usize] = f[l as usize] - f[r as usize],
+                Op::MulF { dst, l, r } => f[dst as usize] = f[l as usize] * f[r as usize],
+                Op::DivF { dst, l, r } => f[dst as usize] = f[l as usize] / f[r as usize],
+                Op::RemF { dst, l, r } => f[dst as usize] = f[l as usize] % f[r as usize],
+                Op::AddI { dst, l, r } => {
+                    ir[dst as usize] = ir[l as usize].wrapping_add(ir[r as usize])
                 }
-                Op::ReadSlot { dst, slot } => {
-                    let s = slot as usize;
-                    if bound[s] != UNBOUND {
-                        let v = regs[s].clone();
-                        regs[dst as usize] = v;
-                    } else {
-                        let v = self.fallback_read(code, pc, s, this)?;
-                        if code.cacheable[s] {
-                            // Provably-constant global: memoize so hot
-                            // loops stop re-hashing the name.
-                            regs[s] = v.clone();
-                            bound[s] = CACHED;
+                Op::SubI { dst, l, r } => {
+                    ir[dst as usize] = ir[l as usize].wrapping_sub(ir[r as usize])
+                }
+                Op::MulI { dst, l, r } => {
+                    ir[dst as usize] = ir[l as usize].wrapping_mul(ir[r as usize])
+                }
+                Op::DivI { dst, l, r } => {
+                    let b = ir[r as usize];
+                    if b == 0 {
+                        return Err(interp_err(code.spans[pc], "integer division by zero"));
+                    }
+                    ir[dst as usize] = ir[l as usize].wrapping_div(b);
+                }
+                Op::RemI { dst, l, r } => {
+                    let b = ir[r as usize];
+                    if b == 0 {
+                        return Err(interp_err(code.spans[pc], "integer remainder by zero"));
+                    }
+                    ir[dst as usize] = ir[l as usize].wrapping_rem(b);
+                }
+                Op::NegF { dst, src } => f[dst as usize] = -f[src as usize],
+                Op::NegI { dst, src } => ir[dst as usize] = ir[src as usize].wrapping_neg(),
+                Op::NotB { dst, src } => ir[dst as usize] = i64::from(ir[src as usize] == 0),
+                Op::IToF { dst, src } => f[dst as usize] = ir[src as usize] as f64,
+                Op::CmpF { cmp, dst, l, r } => {
+                    ir[dst as usize] = i64::from(cmp.holds(f[l as usize], f[r as usize]))
+                }
+                Op::CmpI { cmp, dst, l, r } => {
+                    ir[dst as usize] =
+                        i64::from(cmp.holds(ir[l as usize] as f64, ir[r as usize] as f64))
+                }
+                Op::BrF { cmp, l, r, to } => {
+                    if cmp.holds(f[l as usize], f[r as usize]) {
+                        pc = to as usize;
+                        continue;
+                    }
+                }
+                Op::BrI { cmp, l, r, to } => {
+                    if cmp.holds(ir[l as usize] as f64, ir[r as usize] as f64) {
+                        pc = to as usize;
+                        continue;
+                    }
+                }
+                Op::BranchB { cond, when, to } => {
+                    if (ir[cond as usize] != 0) == when {
+                        pc = to as usize;
+                        continue;
+                    }
+                }
+                Op::MoveF { dst, src } => f[dst as usize] = f[src as usize],
+                Op::MoveI { dst, src } => ir[dst as usize] = ir[src as usize],
+                Op::CombineF { dst, src, mode } => {
+                    f[dst as usize] = combine_f(mode, f[dst as usize], f[src as usize])
+                }
+                Op::CombineI { dst, src, mode } => {
+                    ir[dst as usize] = combine_i(mode, ir[dst as usize], ir[src as usize])
+                }
+                Op::Box { dst, src, repr } => v[dst as usize] = boxed(v, f, ir, repr, src),
+                Op::Unbox { dst, src, repr } => {
+                    let d = dst as usize;
+                    match (repr, &v[src as usize]) {
+                        (Repr::F, Value::Double(x)) => f[d] = *x,
+                        (Repr::F, Value::Int(x)) => f[d] = *x as f64,
+                        (Repr::I, Value::Int(x)) => ir[d] = *x,
+                        (Repr::B, Value::Bool(x)) => ir[d] = i64::from(*x),
+                        (Repr::V, x) => v[d] = x.clone(),
+                        (Repr::I, _) => return Err(interp_err(code.spans[pc], "expected an int")),
+                        (Repr::B, _) => {
+                            return Err(interp_err(code.spans[pc], "expected a boolean"))
                         }
-                        regs[dst as usize] = v;
+                        (Repr::F, _) => {
+                            return Err(interp_err(code.spans[pc], "expected a double"))
+                        }
                     }
                 }
-                Op::BindSlot { slot, src } => {
-                    regs[slot as usize] = std::mem::replace(&mut regs[src as usize], Value::Void);
-                    bound[slot as usize] = BOUND;
-                }
-                Op::BindDefault { slot, k } => {
-                    regs[slot as usize] = code.consts[k as usize].to_value();
-                    bound[slot as usize] = BOUND;
-                }
-                Op::CoerceDouble { reg } => {
-                    if let Value::Int(i) = regs[reg as usize] {
-                        regs[reg as usize] = Value::Double(i as f64);
-                    }
-                }
-                Op::AssignSlot { slot, src, mode } => {
-                    let span = code.spans[pc];
-                    let s = slot as usize;
-                    let rhs = regs[src as usize].clone();
-                    if bound[s] == BOUND {
-                        let widened = widen(&regs[s], rhs);
-                        let nv = combine(mode, &regs[s], widened, span)?;
-                        regs[s] = nv;
-                    } else {
-                        self.fallback_write(code, pc, s, this, rhs, mode)?;
-                        // Defensive: a cached copy of this global (cannot
-                        // happen today — cacheable slots are never
-                        // assigned) would now be stale.
-                        bound[s] = UNBOUND;
-                    }
-                }
-                Op::LoadThis { dst } => {
-                    regs[dst as usize] = this.cloned().map(Value::Object).ok_or_else(|| {
-                        interp_err(code.spans[pc], "`this` outside an instance method")
-                    })?;
-                }
-                Op::LoadField { dst, base, name } => {
-                    let span = code.spans[pc];
-                    let Value::Object(obj) = &regs[base as usize] else {
-                        return Err(interp_err(span, "field access on non-object"));
+                Op::Math1F { dst, src, f: which } => {
+                    let x = f[src as usize];
+                    f[dst as usize] = match which {
+                        BuiltinFn::Sqrt => x.sqrt(),
+                        BuiltinFn::Floor => x.floor(),
+                        BuiltinFn::Ceil => x.ceil(),
+                        BuiltinFn::Exp => x.exp(),
+                        BuiltinFn::Log => x.ln(),
+                        _ => x.abs(),
                     };
-                    let o = obj.borrow();
-                    let fname = code.name(name);
-                    let shape = o.shape();
-                    let v = code
-                        .caches
-                        .resolve(pc, shape, || shape.slot_of(fname))
-                        .and_then(|i| o.slot(i))
-                        .cloned()
-                        .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
-                    drop(o);
-                    regs[dst as usize] = v;
+                }
+                Op::MinF { dst, l, r } => f[dst as usize] = f[l as usize].min(f[r as usize]),
+                Op::MaxF { dst, l, r } => f[dst as usize] = f[l as usize].max(f[r as usize]),
+                Op::MinI { dst, l, r } => ir[dst as usize] = ir[l as usize].min(ir[r as usize]),
+                Op::MaxI { dst, l, r } => ir[dst as usize] = ir[l as usize].max(ir[r as usize]),
+                Op::PowF { dst, l, r } => f[dst as usize] = f[l as usize].powf(f[r as usize]),
+                Op::FToI { dst, src } => ir[dst as usize] = f[src as usize] as i64,
+                Op::AbsI { dst, src } => ir[dst as usize] = ir[src as usize].wrapping_abs(),
+                // -- containers -------------------------------------------
+                Op::LoadElem {
+                    dst,
+                    base,
+                    idx,
+                    repr,
+                } => {
+                    let k = ir[idx as usize];
+                    let out = match base {
+                        Base::Reg(b) => match &v[b as usize] {
+                            Value::Array(arr) => {
+                                arr.borrow().get(k as usize).and_then(|x| Out::of(repr, x))
+                            }
+                            _ => None,
+                        },
+                        Base::This(_) => None,
+                    };
+                    match out {
+                        Some(out) => out.store(v, f, ir, dst),
+                        None => self.load_elem(code, pc, (v, f, ir), this, dst, base, k, repr)?,
+                    }
+                }
+                Op::StoreElem {
+                    base,
+                    idx,
+                    src,
+                    mode,
+                    repr,
+                } => {
+                    let k = ir[idx as usize];
+                    let done = match (base, repr) {
+                        (Base::Reg(b), Repr::F | Repr::I) => match &v[b as usize] {
+                            Value::Array(arr) => {
+                                match (repr, arr.borrow_mut().get_mut(k as usize)) {
+                                    (Repr::F, Some(old @ Value::Double(_))) => {
+                                        let Value::Double(o) = *old else {
+                                            unreachable!()
+                                        };
+                                        *old = Value::Double(combine_f(mode, o, f[src as usize]));
+                                        true
+                                    }
+                                    (Repr::I, Some(old @ Value::Int(_))) => {
+                                        let Value::Int(o) = *old else { unreachable!() };
+                                        *old = Value::Int(combine_i(mode, o, ir[src as usize]));
+                                        true
+                                    }
+                                    _ => false,
+                                }
+                            }
+                            _ => false,
+                        },
+                        _ => false,
+                    };
+                    if !done {
+                        self.store_elem(code, pc, (v, f, ir), this, base, k, src, mode, repr)?;
+                    }
+                }
+                Op::LoadField {
+                    dst,
+                    base,
+                    name,
+                    repr,
+                } => {
+                    let fname = || code.name(name);
+                    let out = match base {
+                        Base::This(_) => this.and_then(|t| {
+                            let t = t.borrow();
+                            let shape = t.shape();
+                            let i = code.caches.resolve(pc, shape, || shape.slot_of(fname()))?;
+                            Out::of(repr, t.slot(i)?)
+                        }),
+                        Base::Reg(b) => match &v[b as usize] {
+                            Value::Object(obj) => {
+                                let o = obj.borrow();
+                                let shape = o.shape();
+                                code.caches
+                                    .resolve(pc, shape, || shape.slot_of(fname()))
+                                    .and_then(|i| o.slot(i))
+                                    .and_then(|x| Out::of(repr, x))
+                            }
+                            _ => None,
+                        },
+                    };
+                    match out {
+                        Some(out) => out.store(v, f, ir, dst),
+                        None => {
+                            self.load_field(code, pc, (v, f, ir), this, dst, base, name, repr)?
+                        }
+                    }
                 }
                 Op::StoreField {
                     base,
                     name,
                     src,
                     mode,
+                    repr,
                 } => {
-                    let span = code.spans[pc];
-                    let rhs = regs[src as usize].clone();
-                    let Value::Object(obj) = &regs[base as usize] else {
-                        return Err(interp_err(span, "field assignment on non-object"));
+                    let fname = || code.name(name);
+                    let (x, n) = (f[src as usize], ir[src as usize]);
+                    let store = |o: &mut ObjectVal| -> bool {
+                        let shape = o.shape();
+                        let Some(i) = code.caches.resolve(pc, shape, || shape.slot_of(fname()))
+                        else {
+                            return false;
+                        };
+                        match (repr, o.slot_mut(i)) {
+                            (Repr::F, Some(old @ Value::Double(_))) => {
+                                let Value::Double(a) = *old else {
+                                    unreachable!()
+                                };
+                                *old = Value::Double(combine_f(mode, a, x));
+                                true
+                            }
+                            (Repr::I, Some(old @ Value::Int(_))) => {
+                                let Value::Int(a) = *old else { unreachable!() };
+                                *old = Value::Int(combine_i(mode, a, n));
+                                true
+                            }
+                            _ => false,
+                        }
                     };
-                    let mut o = obj.borrow_mut();
-                    let fname = code.name(name);
-                    let shape = o.shape();
-                    let slot = code
-                        .caches
-                        .resolve(pc, shape, || shape.slot_of(fname))
-                        .and_then(|i| o.slot_mut(i).as_mut())
-                        .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
-                    *slot = combine(mode, slot, widen(slot, rhs), span)?;
-                }
-                Op::LoadIndex { dst, base, idx } => {
-                    let span = code.spans[pc];
-                    let i = int_reg(&regs[idx as usize]);
-                    let b = regs[base as usize].clone();
-                    let Value::Array(arr) = b else {
-                        return Err(interp_err(span, "indexing non-array"));
+                    let done = match base {
+                        Base::This(_) => this.is_some_and(|t| store(&mut t.borrow_mut())),
+                        Base::Reg(b) => match &v[b as usize] {
+                            Value::Object(obj) => store(&mut obj.borrow_mut()),
+                            _ => false,
+                        },
                     };
-                    let arr = arr.borrow();
-                    if i < 0 || i as usize >= arr.len() {
-                        return Err(interp_err(
-                            span,
-                            format!("array index {i} out of bounds (len {})", arr.len()),
-                        ));
+                    if !done {
+                        self.store_field(code, pc, (v, f, ir), this, base, name, src, mode, repr)?;
                     }
-                    let v = arr[i as usize].clone();
-                    drop(arr);
-                    regs[dst as usize] = v;
                 }
-                Op::StoreIndex {
-                    base,
+                Op::LoadElemField {
+                    dst,
+                    arr,
                     idx,
-                    src,
-                    mode,
+                    name,
+                    repr,
                 } => {
-                    let span = code.spans[pc];
-                    let i = int_reg(&regs[idx as usize]);
-                    let rhs = regs[src as usize].clone();
-                    let b = regs[base as usize].clone();
-                    let Value::Array(arr) = b else {
-                        return Err(interp_err(span, "index assignment on non-array"));
+                    let k = ir[idx as usize];
+                    let out = match &v[arr as usize] {
+                        Value::Array(a) => match a.borrow().get(k as usize) {
+                            Some(Value::Object(obj)) => {
+                                let o = obj.borrow();
+                                let shape = o.shape();
+                                code.caches
+                                    .resolve(pc, shape, || shape.slot_of(code.name(name)))
+                                    .and_then(|i| o.slot(i))
+                                    .and_then(|x| Out::of(repr, x))
+                            }
+                            _ => None,
+                        },
+                        _ => None,
                     };
-                    let len = arr.borrow().len();
-                    if i < 0 || i as usize >= len {
-                        return Err(interp_err(
-                            span,
-                            format!("array index {i} out of bounds (len {len})"),
-                        ));
-                    }
-                    let old = arr.borrow()[i as usize].clone();
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    arr.borrow_mut()[i as usize] = nv;
-                }
-                Op::CheckInt { src } => {
-                    if !matches!(regs[src as usize], Value::Int(_)) {
-                        return Err(interp_err(code.spans[pc], "expected an int"));
+                    match out {
+                        Some(out) => out.store(v, f, ir, dst),
+                        None => {
+                            self.load_elem_field(code, pc, (v, f, ir), dst, arr, k, name, repr)?
+                        }
                     }
                 }
-                Op::CheckBool { src } => {
-                    if !matches!(regs[src as usize], Value::Bool(_)) {
-                        return Err(interp_err(code.spans[pc], "expected a boolean"));
+                Op::Intrinsic { dst, base, fast } => {
+                    let n = match (base, fast) {
+                        (Base::Reg(b), _) => match (&v[b as usize], fast) {
+                            (Value::Domain(lo, _), FastMeth::DomLo) => Some(*lo),
+                            (Value::Domain(_, hi), FastMeth::DomHi) => Some(*hi),
+                            (Value::Domain(lo, hi), FastMeth::DomSize) => {
+                                Some((hi - lo + 1).max(0))
+                            }
+                            (Value::Array(a), FastMeth::ArrLen) => Some(a.borrow().len() as i64),
+                            _ => None,
+                        },
+                        (Base::This(_), _) => None,
+                    };
+                    ir[dst as usize] = match n {
+                        Some(n) => n,
+                        None => {
+                            let span = code.spans[pc];
+                            self.with_base(code, pc, v, this, base, |b| intrinsic(b, fast, span))??
+                        }
+                    };
+                }
+                // -- slots ------------------------------------------------
+                Op::Const { dst, k } => {
+                    v[dst as usize] = code.consts[k as usize].to_value();
+                }
+                Op::ReadSlot { dst, slot } => {
+                    let s = slot as usize;
+                    if bound[s] == UNBOUND {
+                        self.read_fallback(code, pc, (v, f, ir), this, dst, slot)?;
+                        if dst == slot && code.cacheable[s] {
+                            // Provably-constant global: memoize so hot
+                            // loops stop re-hashing the name.
+                            bound[s] = CACHED;
+                        }
+                    } else if dst != slot {
+                        match code.slot_repr[s] {
+                            Repr::F => f[dst as usize] = f[s],
+                            Repr::I | Repr::B => ir[dst as usize] = ir[s],
+                            Repr::V => v[dst as usize] = v[s].clone(),
+                        }
                     }
                 }
+                Op::Bind { slot } => bound[slot as usize] = BOUND,
+                Op::BindDefault { slot, k } => {
+                    let s = slot as usize;
+                    let x = code.consts[k as usize].to_value();
+                    let repr = code.slot_repr[s];
+                    Out::of(repr, &x)
+                        .ok_or_else(|| mismatch(code.spans[pc], "a default", repr, &x))?
+                        .store(v, f, ir, slot);
+                    bound[s] = BOUND;
+                }
+                Op::AssignSlot { slot, src, mode } => {
+                    let span = code.spans[pc];
+                    let s = slot as usize;
+                    let repr = code.slot_repr[s];
+                    if bound[s] == BOUND {
+                        match (repr, mode) {
+                            (Repr::F, _) => f[s] = combine_f(mode, f[s], f[src as usize]),
+                            (Repr::I, _) => ir[s] = combine_i(mode, ir[s], ir[src as usize]),
+                            (Repr::B, AssignOp::Set) => ir[s] = ir[src as usize],
+                            _ => {
+                                let old = boxed(v, f, ir, repr, slot);
+                                let rhs = boxed(v, f, ir, repr, src);
+                                let nv = combine(mode, &old, widen(&old, rhs), span)?;
+                                Out::of(repr, &nv)
+                                    .ok_or_else(|| mismatch(span, "an assignment", repr, &nv))?
+                                    .store(v, f, ir, slot);
+                            }
+                        }
+                    } else {
+                        let rhs = boxed(v, f, ir, repr, src);
+                        let name = code.name(code.slot_names[s]);
+                        let skip_this = code.slot_kinds[s] == SlotKind::Global;
+                        self.write_name(code, pc, name, skip_this, this, rhs, mode)?;
+                    }
+                }
+                Op::LoadThis { dst } => {
+                    v[dst as usize] = this.cloned().map(Value::Object).ok_or_else(|| {
+                        interp_err(code.spans[pc], "`this` outside an instance method")
+                    })?;
+                }
+                Op::MoveV { dst, src } => v[dst as usize] = v[src as usize].clone(),
                 Op::CheckDomainPipe { src } => {
-                    if !matches!(regs[src as usize], Value::Domain(..)) {
+                    if !matches!(v[src as usize], Value::Domain(..)) {
                         return Err(interp_err(
                             code.spans[pc],
                             "PipelinedLoop over non-domain value",
                         ));
                     }
                 }
+                // -- generic (boxed) -------------------------------------
                 Op::Neg { dst, src } => {
-                    let v = match &regs[src as usize] {
-                        Value::Int(i) => Value::Int(i.wrapping_neg()),
+                    let x = match &v[src as usize] {
+                        Value::Int(n) => Value::Int(n.wrapping_neg()),
                         Value::Double(d) => Value::Double(-d),
                         _ => return Err(interp_err(code.spans[pc], "negating non-numeric")),
                     };
-                    regs[dst as usize] = v;
+                    v[dst as usize] = x;
                 }
                 Op::Not { dst, src } => {
-                    let v = match &regs[src as usize] {
+                    let x = match &v[src as usize] {
                         Value::Bool(b) => Value::Bool(!b),
                         _ => return Err(interp_err(code.spans[pc], "logical not on non-boolean")),
                     };
-                    regs[dst as usize] = v;
+                    v[dst as usize] = x;
                 }
                 Op::Bin { op, dst, l, r } => {
-                    let v = bin_vals(op, &regs[l as usize], &regs[r as usize], code.spans[pc])?;
-                    regs[dst as usize] = v;
+                    let x = bin_vals(op, &v[l as usize], &v[r as usize], code.spans[pc])?;
+                    v[dst as usize] = x;
                 }
                 Op::Jump { to } => {
+                    if to as usize <= pc {
+                        self.tick(code.spans[pc])?;
+                    }
                     pc = to as usize;
                     continue;
                 }
-                Op::BranchTrue { cond, to } => match &regs[cond as usize] {
+                Op::BranchTrue { cond, to } => match &v[cond as usize] {
                     Value::Bool(b) => {
                         if *b {
                             pc = to as usize;
@@ -376,7 +787,7 @@ impl<'p> Vm<'p> {
                     }
                     _ => return Err(interp_err(code.spans[pc], "expected a boolean")),
                 },
-                Op::BranchFalse { cond, to } => match &regs[cond as usize] {
+                Op::BranchFalse { cond, to } => match &v[cond as usize] {
                     Value::Bool(b) => {
                         if !*b {
                             pc = to as usize;
@@ -385,8 +796,9 @@ impl<'p> Vm<'p> {
                     }
                     _ => return Err(interp_err(code.spans[pc], "expected a boolean")),
                 },
+                // -- loops ------------------------------------------------
                 Op::ForeachBegin { dom, var, cur, end } => {
-                    let (lo, hi) = match &regs[dom as usize] {
+                    let (lo, hi) = match &v[dom as usize] {
                         Value::Domain(lo, hi) => (*lo, *hi),
                         _ => {
                             return Err(interp_err(code.spans[pc], "foreach over non-domain value"))
@@ -396,25 +808,18 @@ impl<'p> Vm<'p> {
                         pc = end as usize;
                         continue;
                     }
-                    regs[cur as usize] = Value::Int(lo);
-                    regs[var as usize] = Value::Int(lo);
-                    bound[var as usize] = BOUND;
+                    let c = cur as usize;
+                    ir[c] = lo;
+                    ir[c + 1] = hi;
+                    ir[var as usize] = lo;
                 }
-                Op::ForeachNext {
-                    var,
-                    cur,
-                    dom,
-                    body,
-                } => {
-                    let hi = match &regs[dom as usize] {
-                        Value::Domain(_, hi) => *hi,
-                        _ => return Err(interp_err(code.spans[pc], "corrupt foreach state")),
-                    };
-                    let c = int_reg(&regs[cur as usize]);
-                    if c < hi {
-                        regs[cur as usize] = Value::Int(c + 1);
-                        regs[var as usize] = Value::Int(c + 1);
-                        bound[var as usize] = BOUND;
+                Op::ForeachNext { var, cur, body } => {
+                    let c = cur as usize;
+                    let at = ir[c];
+                    if at < ir[c + 1] {
+                        self.tick(code.spans[pc])?;
+                        ir[c] = at + 1;
+                        ir[var as usize] = at + 1;
                         pc = body as usize;
                         continue;
                     }
@@ -427,11 +832,11 @@ impl<'p> Vm<'p> {
                     end,
                 } => {
                     let span = code.spans[pc];
-                    let (lo, hi) = match &regs[dom as usize] {
+                    let (lo, hi) = match &v[dom as usize] {
                         Value::Domain(lo, hi) => (*lo, *hi),
                         _ => return Err(interp_err(span, "PipelinedLoop over non-domain value")),
                     };
-                    let np = int_reg(&regs[n as usize]);
+                    let np = ir[n as usize];
                     if np <= 0 {
                         return Err(interp_err(span, "num_packets must be positive"));
                     }
@@ -441,9 +846,9 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                     let nc = np.min(total);
-                    regs[n as usize] = Value::Int(nc);
-                    regs[p as usize] = Value::Int(0);
-                    regs[var as usize] = packet_domain(lo, total, nc, 0);
+                    ir[n as usize] = nc;
+                    ir[p as usize] = 0;
+                    v[var as usize] = packet_domain(lo, total, nc, 0);
                     bound[var as usize] = BOUND;
                 }
                 Op::PipeNext {
@@ -453,21 +858,22 @@ impl<'p> Vm<'p> {
                     p,
                     body,
                 } => {
-                    let (lo, hi) = match &regs[dom as usize] {
+                    let (lo, hi) = match &v[dom as usize] {
                         Value::Domain(lo, hi) => (*lo, *hi),
                         _ => return Err(interp_err(code.spans[pc], "corrupt pipelined state")),
                     };
                     let total = (hi - lo + 1).max(0);
-                    let nc = int_reg(&regs[n as usize]);
-                    let pi = int_reg(&regs[p as usize]) + 1;
+                    let nc = ir[n as usize];
+                    let pi = ir[p as usize] + 1;
                     if pi < nc {
-                        regs[p as usize] = Value::Int(pi);
-                        regs[var as usize] = packet_domain(lo, total, nc, pi);
-                        bound[var as usize] = BOUND;
+                        self.tick(code.spans[pc])?;
+                        ir[p as usize] = pi;
+                        v[var as usize] = packet_domain(lo, total, nc, pi);
                         pc = body as usize;
                         continue;
                     }
                 }
+                // -- calls and allocation ---------------------------------
                 Op::CallStatic {
                     dst,
                     mi,
@@ -481,72 +887,61 @@ impl<'p> Vm<'p> {
                             format!("unknown method `{}::{}`", code.class, code.name(name)),
                         ));
                     }
-                    let b = argb as usize;
-                    let v = self.invoke(mi as usize, this.cloned(), &regs[b..b + argc as usize])?;
-                    regs[dst as usize] = v;
+                    let m = mi as usize;
+                    self.call_typed(m, this, v, f, ir, argb, argc, code.spans[pc])?;
+                    self.take_ret(m, v, f, ir, dst);
                 }
                 Op::CallMethod {
                     dst,
                     recv,
                     name,
-                    fast,
+                    mi,
                     argb,
                     argc,
                 } => {
-                    let span = code.spans[pc];
-                    let rv = regs[recv as usize].clone();
-                    let v = match rv {
-                        Value::Domain(lo, hi) => match fast {
-                            FastMeth::DomLo => Value::Int(lo),
-                            FastMeth::DomHi => Value::Int(hi),
-                            FastMeth::DomSize => Value::Int((hi - lo + 1).max(0)),
-                            _ => {
-                                return Err(interp_err(
-                                    span,
-                                    format!("RectDomain has no method `{}`", code.name(name)),
-                                ))
-                            }
-                        },
-                        Value::Array(arr) => match fast {
-                            FastMeth::ArrLen => Value::Int(arr.borrow().len() as i64),
-                            _ => {
-                                return Err(interp_err(
-                                    span,
-                                    format!("arrays have no method `{}`", code.name(name)),
-                                ))
-                            }
-                        },
+                    // The receiver's class resolves, through the cache, to
+                    // the method whose signature placed the arguments.
+                    let typed = match &v[recv as usize] {
                         Value::Object(obj) => {
-                            let mname = code.name(name);
-                            let mi = {
-                                let o = obj.borrow();
-                                code.caches.resolve(pc, o.shape(), || {
-                                    prog.method_id(o.class(), mname).map(|mi| mi as usize)
-                                })
-                            };
-                            let Some(mi) = mi else {
-                                let cls = obj.borrow().class().to_string();
-                                return Err(interp_err(
-                                    Span::synthetic(),
-                                    format!("unknown method `{cls}::{mname}`"),
-                                ));
-                            };
-                            let b = argb as usize;
-                            self.invoke(mi, Some(obj), &regs[b..b + argc as usize])?
+                            let o = obj.borrow();
+                            let actual = code.caches.resolve(pc, o.shape(), || {
+                                prog.method_id(o.class(), code.name(name))
+                                    .map(|m| m as usize)
+                            });
+                            actual == Some(mi as usize)
                         }
-                        other => {
-                            return Err(interp_err(
-                                span,
-                                format!("cannot call `{}` on value `{other}`", code.name(name)),
-                            ))
-                        }
+                        _ => false,
                     };
-                    regs[dst as usize] = v;
+                    if typed {
+                        let Value::Object(obj) = &v[recv as usize] else {
+                            unreachable!("matched above")
+                        };
+                        let m = mi as usize;
+                        self.call_typed(m, Some(obj), v, f, ir, argb, argc, code.spans[pc])?;
+                        self.take_ret(m, v, f, ir, dst);
+                    } else {
+                        self.call_method_dynamic(
+                            code,
+                            pc,
+                            (v, f, ir),
+                            dst,
+                            recv,
+                            name,
+                            mi,
+                            argb,
+                            argc,
+                        )?;
+                    }
                 }
-                Op::CallBuiltin { dst, f, argb, argc } => {
+                Op::CallBuiltin {
+                    dst,
+                    f: which,
+                    argb,
+                    argc,
+                } => {
                     let b = argb as usize;
-                    let v = self.builtin(f, &regs[b..b + argc as usize], code.spans[pc])?;
-                    regs[dst as usize] = v;
+                    let x = self.builtin(which, &v[b..b + argc as usize], code.spans[pc])?;
+                    v[dst as usize] = x;
                 }
                 Op::New { dst, ci, name } => {
                     if ci == UNRESOLVED {
@@ -555,30 +950,34 @@ impl<'p> Vm<'p> {
                             format!("unknown class `{}`", code.name(name)),
                         ));
                     }
-                    regs[dst as usize] = Value::Object(Rc::new(RefCell::new(
+                    v[dst as usize] = Value::Object(Rc::new(RefCell::new(
                         prog.classes[ci as usize].instantiate(),
                     )));
                 }
                 Op::NewArray { dst, len, k } => {
-                    let n = int_reg(&regs[len as usize]);
+                    let n = ir[len as usize];
                     if n < 0 {
                         return Err(interp_err(code.spans[pc], "negative array length"));
                     }
-                    regs[dst as usize] =
+                    v[dst as usize] =
                         Value::new_array(n as usize, code.consts[k as usize].to_value());
                 }
                 Op::NewDomain { dst, lo, hi } => {
-                    let l = int_reg(&regs[lo as usize]);
-                    let h = int_reg(&regs[hi as usize]);
-                    regs[dst as usize] = Value::Domain(l, h);
+                    v[dst as usize] = Value::Domain(ir[lo as usize], ir[hi as usize]);
                 }
-                Op::Ret { src } => {
-                    return Ok(VmFlow::Ret(std::mem::replace(
-                        &mut regs[src as usize],
-                        Value::Void,
-                    )));
+                Op::Ret { src, repr } => {
+                    let s = src as usize;
+                    match repr {
+                        Repr::F => self.ret_f = f[s],
+                        Repr::I | Repr::B => self.ret_i = ir[s],
+                        Repr::V => self.ret_v = std::mem::replace(&mut v[s], Value::Void),
+                    }
+                    return Ok(VmFlow::Ret);
                 }
-                Op::RetVoid => return Ok(VmFlow::Ret(Value::Void)),
+                Op::RetVoid => {
+                    self.ret_v = Value::Void;
+                    return Ok(VmFlow::Ret);
+                }
                 Op::Halt => return Ok(VmFlow::Done),
                 Op::FailEscape => return Ok(VmFlow::Escape(code.spans[pc])),
             }
@@ -587,52 +986,377 @@ impl<'p> Vm<'p> {
         Ok(VmFlow::Done)
     }
 
-    /// Unbound-slot read: `this` field, then global — the tail of the
-    /// interpreter's lookup chain (the live-local head is the `bound`
-    /// test at the call site). [`SlotKind`] elides provably-missing
-    /// probes; the `this` probe resolves through op `pc`'s shape cache.
-    fn fallback_read(
+    /// `LoadElem` off its fast path: a `this` field base, a boxed element,
+    /// or a diagnostic.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn load_elem(
         &self,
         code: &CodeBlock,
         pc: usize,
-        slot: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
         this: Option<&Rc<RefCell<ObjectVal>>>,
-    ) -> LangResult<Value> {
-        let name = code.name(code.slot_names[slot]);
-        if code.slot_kinds[slot] != SlotKind::Global {
+        dst: Reg,
+        base: Base,
+        k: i64,
+        repr: Repr,
+    ) -> LangResult<()> {
+        let span = code.spans[pc];
+        let out = self.with_base(code, pc, v, this, base, |b| {
+            let Value::Array(arr) = b else {
+                return Err(interp_err(span, "indexing non-array"));
+            };
+            let arr = arr.borrow();
+            let x = element(&arr, k, span)?;
+            Out::of(repr, x)
+                .ok_or_else(|| mismatch(span, format_args!("array element {k}"), repr, x))
+        })??;
+        out.store(v, f, ir, dst);
+        Ok(())
+    }
+
+    /// `StoreElem` off its fast path: a `this` field base, a boxed or
+    /// differently tagged element, or a diagnostic.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn store_elem(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        base: Base,
+        k: i64,
+        src: Reg,
+        mode: AssignOp,
+        repr: Repr,
+    ) -> LangResult<()> {
+        let span = code.spans[pc];
+        let rhs = boxed(v, f, ir, repr, src);
+        self.with_base(code, pc, v, this, base, |b| {
+            let Value::Array(arr) = b else {
+                return Err(interp_err(span, "index assignment on non-array"));
+            };
+            let mut arr = arr.borrow_mut();
+            let len = arr.len();
+            if k < 0 || k as usize >= len {
+                return Err(interp_err(
+                    span,
+                    format!("array index {k} out of bounds (len {len})"),
+                ));
+            }
+            let old = &mut arr[k as usize];
+            *old = combine(mode, old, widen(old, rhs), span)?;
+            Ok(())
+        })?
+    }
+
+    /// `LoadField` off its fast path: an absent field of `this` (then a
+    /// global), a non-object, a tag mismatch or a missing field.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn load_field(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        dst: Reg,
+        base: Base,
+        name: u16,
+        repr: Repr,
+    ) -> LangResult<()> {
+        let span = code.spans[pc];
+        let fname = code.name(name);
+        let out = match base {
+            Base::Reg(b) => {
+                let Value::Object(obj) = &v[b as usize] else {
+                    return Err(interp_err(span, "field access on non-object"));
+                };
+                let o = obj.borrow();
+                let shape = o.shape();
+                let x = code
+                    .caches
+                    .resolve(pc, shape, || shape.slot_of(fname))
+                    .and_then(|s| o.slot(s))
+                    .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
+                Out::of(repr, x)
+                    .ok_or_else(|| mismatch(span, format_args!("field `{fname}`"), repr, x))?
+            }
+            Base::This(_) => self.with_name(code, pc, fname, false, span, this, |x| {
+                Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{fname}`"), repr, x))
+            })??,
+        };
+        out.store(v, f, ir, dst);
+        Ok(())
+    }
+
+    /// `StoreField` off its fast path: the interpreter's widen-and-combine
+    /// on boxed values, an absent field of `this` (then a global), or a
+    /// diagnostic.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn store_field(
+        &mut self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        base: Base,
+        name: u16,
+        src: Reg,
+        mode: AssignOp,
+        repr: Repr,
+    ) -> LangResult<()> {
+        let span = code.spans[pc];
+        let rhs = boxed(v, f, ir, repr, src);
+        let fname = code.name(name);
+        match base {
+            Base::Reg(b) => {
+                let Value::Object(obj) = &v[b as usize] else {
+                    return Err(interp_err(span, "field assignment on non-object"));
+                };
+                let mut o = obj.borrow_mut();
+                let shape = o.shape();
+                let slot = code
+                    .caches
+                    .resolve(pc, shape, || shape.slot_of(fname))
+                    .and_then(|s| o.slot_mut(s).as_mut())
+                    .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
+                *slot = combine(mode, slot, widen(slot, rhs), span)?;
+                Ok(())
+            }
+            Base::This(_) => self.write_name(code, pc, fname, false, this, rhs, mode),
+        }
+    }
+
+    /// `LoadElemField` off its fast path: the diagnostic of the index or
+    /// of the field, or a boxed field value.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn load_elem_field(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        dst: Reg,
+        arr: Reg,
+        k: i64,
+        name: u16,
+        repr: Repr,
+    ) -> LangResult<()> {
+        let span = code.spans[pc];
+        let at = code.name_span(pc);
+        let Value::Array(a) = &v[arr as usize] else {
+            return Err(interp_err(at, "indexing non-array"));
+        };
+        let a = a.borrow();
+        let Value::Object(obj) = element(&a, k, at)? else {
+            return Err(interp_err(span, "field access on non-object"));
+        };
+        let o = obj.borrow();
+        let fname = code.name(name);
+        let shape = o.shape();
+        let x = code
+            .caches
+            .resolve(pc, shape, || shape.slot_of(fname))
+            .and_then(|s| o.slot(s))
+            .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
+        let out = Out::of(repr, x)
+            .ok_or_else(|| mismatch(span, format_args!("field `{fname}`"), repr, x))?;
+        drop(o);
+        drop(a);
+        out.store(v, f, ir, dst);
+        Ok(())
+    }
+
+    /// `ReadSlot` of an unbound slot: the interpreter's fallback chain,
+    /// unboxed into `dst`.
+    #[cold]
+    #[inline(never)]
+    fn read_fallback(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        dst: Reg,
+        slot: Reg,
+    ) -> LangResult<()> {
+        let s = slot as usize;
+        let repr = code.slot_repr[s];
+        let name = code.name(code.slot_names[s]);
+        let skip_this = code.slot_kinds[s] == SlotKind::Global;
+        let span = code.spans[pc];
+        let out = self.with_name(code, pc, name, skip_this, span, this, |x| {
+            Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{name}`"), repr, x))
+        })??;
+        out.store(v, f, ir, dst);
+        Ok(())
+    }
+
+    /// `CallMethod` when the receiver is not an object of the class the
+    /// lowering resolved: the interpreter's dynamic dispatch on boxed
+    /// arguments, domain and array intrinsics by name, or its diagnostic.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn call_method_dynamic(
+        &mut self,
+        code: &CodeBlock,
+        pc: usize,
+        (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
+        dst: Reg,
+        recv: Reg,
+        name: u16,
+        mi: u32,
+        argb: Reg,
+        argc: u8,
+    ) -> LangResult<()> {
+        let prog = self.prog;
+        let span = code.spans[pc];
+        let mname = code.name(name);
+        // The expected method's parameters placed the arguments (boxed,
+        // when unresolved).
+        let expected = prog.sigs.get(mi as usize);
+        let result = match &v[recv as usize] {
+            Value::Object(obj) => {
+                let actual = {
+                    let o = obj.borrow();
+                    code.caches.resolve(pc, o.shape(), || {
+                        prog.method_id(o.class(), mname).map(|m| m as usize)
+                    })
+                };
+                let Some(actual) = actual else {
+                    let cls = obj.borrow().class().to_string();
+                    return Err(interp_err(
+                        Span::synthetic(),
+                        format!("unknown method `{cls}::{mname}`"),
+                    ));
+                };
+                let args: Vec<Value> = (0..argc as usize)
+                    .map(|p| {
+                        let repr = expected
+                            .and_then(|s| s.params.get(p).copied())
+                            .unwrap_or(Repr::V);
+                        boxed(v, f, ir, repr, argb + p as Reg)
+                    })
+                    .collect();
+                let obj = Rc::clone(obj);
+                self.invoke_values(actual, Some(&obj), &args)?
+            }
+            Value::Domain(lo, hi) => match mname {
+                "lo" => Value::Int(*lo),
+                "hi" => Value::Int(*hi),
+                "size" => Value::Int((hi - lo + 1).max(0)),
+                _ => {
+                    return Err(interp_err(
+                        span,
+                        format!("RectDomain has no method `{mname}`"),
+                    ))
+                }
+            },
+            Value::Array(arr) => match mname {
+                "length" => Value::Int(arr.borrow().len() as i64),
+                _ => return Err(interp_err(span, format!("arrays have no method `{mname}`"))),
+            },
+            other => {
+                return Err(interp_err(
+                    span,
+                    format!("cannot call `{mname}` on value `{other}`"),
+                ))
+            }
+        };
+        // Into the register the lowering placed for the expected result.
+        let repr = expected.and_then(|s| s.ret).unwrap_or(Repr::V);
+        let result = match (repr, result) {
+            (Repr::F, Value::Int(n)) => Value::Double(n as f64),
+            (_, x) => x,
+        };
+        Out::of(repr, &result)
+            .ok_or_else(|| mismatch(span, format_args!("`{mname}`'s result"), repr, &result))?
+            .store(v, f, ir, dst);
+        Ok(())
+    }
+
+    /// The value of a bare name outside the frame's slots: a field of
+    /// `this` (through op `pc`'s shape cache) unless `skip_this`, then a
+    /// global, else the interpreter's unknown-variable diagnostic at
+    /// `span`. `look` sees the value in place.
+    #[allow(clippy::too_many_arguments)]
+    fn with_name<R>(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        name: &str,
+        skip_this: bool,
+        span: Span,
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        look: impl FnOnce(&Value) -> R,
+    ) -> LangResult<R> {
+        if !skip_this {
             if let Some(t) = this {
                 let t = t.borrow();
                 let shape = t.shape();
                 let i = code.caches.resolve(pc, shape, || shape.slot_of(name));
-                if let Some(v) = i.and_then(|i| t.slot(i)) {
-                    return Ok(v.clone());
+                if let Some(x) = i.and_then(|i| t.slot(i)) {
+                    return Ok(look(x));
                 }
             }
         }
-        if let Some(v) = self.globals.get(name) {
-            return Ok(v.clone());
+        if let Some(x) = self.globals.get(name) {
+            return Ok(look(x));
         }
-        Err(interp_err(
-            code.spans[pc],
-            format!("unknown variable `{name}`"),
-        ))
+        Err(interp_err(span, format!("unknown variable `{name}`")))
     }
 
-    /// Unbound-slot write, mirroring the interpreter's write order:
-    /// field of `this` (in place, through op `pc`'s shape cache), then
-    /// global, then error.
-    fn fallback_write(
+    /// An array or domain operand in place: a register, or a field of
+    /// `this` by name (the interpreter's lookup chain, diagnosed at the
+    /// name's span).
+    fn with_base<R>(
+        &self,
+        code: &CodeBlock,
+        pc: usize,
+        v: &[Value],
+        this: Option<&Rc<RefCell<ObjectVal>>>,
+        base: Base,
+        look: impl FnOnce(&Value) -> R,
+    ) -> LangResult<R> {
+        match base {
+            Base::Reg(r) => Ok(look(&v[r as usize])),
+            Base::This(name) => self.with_name(
+                code,
+                pc,
+                code.name(name),
+                false,
+                code.name_span(pc),
+                this,
+                look,
+            ),
+        }
+    }
+
+    /// Assignment to a bare name outside the frame's slots, mirroring the
+    /// interpreter's write order: field of `this` (in place, through op
+    /// `pc`'s shape cache) unless `skip_this`, then global, then error.
+    #[allow(clippy::too_many_arguments)]
+    fn write_name(
         &mut self,
         code: &CodeBlock,
         pc: usize,
-        slot: usize,
+        name: &str,
+        skip_this: bool,
         this: Option<&Rc<RefCell<ObjectVal>>>,
         rhs: Value,
         mode: AssignOp,
     ) -> LangResult<()> {
         let span = code.spans[pc];
-        let name = code.name(code.slot_names[slot]);
-        if code.slot_kinds[slot] != SlotKind::Global {
+        if !skip_this {
             if let Some(t) = this {
                 let mut t = t.borrow_mut();
                 let shape = t.shape();
@@ -702,31 +1426,38 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Lowering guarantees a [`Op::CheckInt`] before every int-typed operand,
-/// so this read cannot miss; the fallback keeps corrupt state from
-/// panicking.
-fn int_reg(v: &Value) -> i64 {
-    match v {
-        Value::Int(i) => *i,
-        _ => 0,
+/// Element `k` of an array, or the interpreter's bounds diagnostic.
+#[inline]
+fn element(arr: &[Value], k: i64, span: Span) -> LangResult<&Value> {
+    if k < 0 || k as usize >= arr.len() {
+        return Err(interp_err(
+            span,
+            format!("array index {k} out of bounds (len {})", arr.len()),
+        ));
     }
+    Ok(&arr[k as usize])
 }
 
-fn write_back(
-    code: &CodeBlock,
-    regs: &mut [Value],
-    bound: &[u8],
-    vars: &mut HashMap<String, Value>,
-) {
-    for (i, nid) in code.slot_names.iter().enumerate() {
-        // `CACHED` slots are memoized globals, not locals — they must not
-        // leak into the caller's variable map.
-        if bound[i] == BOUND {
-            vars.insert(
-                code.name(*nid).to_string(),
-                std::mem::replace(&mut regs[i], Value::Void),
-            );
-        }
+/// `lo()`/`hi()`/`size()`/`length()` of a value, with the interpreter's
+/// diagnostics for a receiver of the wrong kind.
+fn intrinsic(x: &Value, fast: FastMeth, span: Span) -> LangResult<i64> {
+    match (x, fast) {
+        (Value::Domain(lo, _), FastMeth::DomLo) => Ok(*lo),
+        (Value::Domain(_, hi), FastMeth::DomHi) => Ok(*hi),
+        (Value::Domain(lo, hi), FastMeth::DomSize) => Ok((hi - lo + 1).max(0)),
+        (Value::Array(a), FastMeth::ArrLen) => Ok(a.borrow().len() as i64),
+        (Value::Domain(..), m) => Err(interp_err(
+            span,
+            format!("RectDomain has no method `{}`", m.name()),
+        )),
+        (Value::Array(_), m) => Err(interp_err(
+            span,
+            format!("arrays have no method `{}`", m.name()),
+        )),
+        (other, m) => Err(interp_err(
+            span,
+            format!("cannot call `{}` on value `{other}`", m.name()),
+        )),
     }
 }
 
@@ -749,10 +1480,26 @@ fn widen(old: &Value, rhs: Value) -> Value {
     }
 }
 
-fn widen_to_double(v: Value) -> Value {
-    match v {
-        Value::Int(i) => Value::Double(i as f64),
-        other => other,
+/// The interpreter's compound assignment on doubles, `a + sign * b`. The
+/// `-1.0` is a real multiply there, which keeps a NaN `b`'s sign bit;
+/// folded to a negation (as the optimizer does once `sign` is known) it
+/// would flip it, so the constant is kept opaque.
+#[inline]
+fn combine_f(mode: AssignOp, a: f64, b: f64) -> f64 {
+    match mode {
+        AssignOp::Set => b,
+        AssignOp::Add => a + b,
+        AssignOp::Sub => a + std::hint::black_box(-1.0) * b,
+    }
+}
+
+/// The interpreter's compound assignment on ints (wrapping).
+#[inline]
+fn combine_i(mode: AssignOp, a: i64, b: i64) -> i64 {
+    match mode {
+        AssignOp::Set => b,
+        AssignOp::Add => a.wrapping_add(b),
+        AssignOp::Sub => a.wrapping_sub(b),
     }
 }
 
@@ -761,11 +1508,7 @@ fn combine(mode: AssignOp, old: &Value, rhs: Value, span: Span) -> LangResult<Va
     match mode {
         AssignOp::Set => Ok(rhs),
         AssignOp::Add | AssignOp::Sub => match (old, &rhs) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if mode == AssignOp::Add {
-                a.wrapping_add(*b)
-            } else {
-                a.wrapping_sub(*b)
-            })),
+            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(combine_i(mode, *a, *b))),
             _ => {
                 let a = old
                     .as_f64()
@@ -773,8 +1516,7 @@ fn combine(mode: AssignOp, old: &Value, rhs: Value, span: Span) -> LangResult<Va
                 let b = rhs.as_f64().ok_or_else(|| {
                     interp_err(span, "compound assignment with non-numeric value")
                 })?;
-                let sign = if mode == AssignOp::Add { 1.0 } else { -1.0 };
-                Ok(Value::Double(a + sign * b))
+                Ok(Value::Double(combine_f(mode, a, b)))
             }
         },
     }
@@ -795,13 +1537,13 @@ fn bin_vals(op: BinOp, lv: &Value, rv: &Value, span: Span) -> LangResult<Value> 
                         if *b == 0 {
                             return Err(interp_err(span, "integer division by zero"));
                         }
-                        a / b
+                        a.wrapping_div(*b)
                     }
                     BinOp::Rem => {
                         if *b == 0 {
                             return Err(interp_err(span, "integer remainder by zero"));
                         }
-                        a % b
+                        a.wrapping_rem(*b)
                     }
                     _ => unreachable!(),
                 };
@@ -851,15 +1593,7 @@ fn bin_vals(op: BinOp, lv: &Value, rv: &Value, span: Span) -> LangResult<Value> 
                 let b = rv
                     .as_f64()
                     .ok_or_else(|| interp_err(span, "non-numeric operand"))?;
-                match op {
-                    BinOp::Lt => a < b,
-                    BinOp::Le => a <= b,
-                    BinOp::Gt => a > b,
-                    BinOp::Ge => a >= b,
-                    BinOp::Eq => a == b,
-                    BinOp::Ne => a != b,
-                    _ => unreachable!(),
-                }
+                Cmp::of(op).expect("comparison").holds(a, b)
             }
         };
         Ok(Value::Bool(res))
@@ -1215,6 +1949,143 @@ mod tests {
         let (vars, _) = run_both(src, HostEnv::new());
         assert_eq!(vars["a"].as_i64(), Some(1));
         assert!(!vars.contains_key("b"));
+    }
+
+    #[test]
+    fn int_min_divided_by_minus_one_wraps() {
+        // Every other int op wraps; `/` and `%` overflow only here.
+        let (_, out) = run_both(
+            r#"class A { void main() {
+                int m = 0 - 9223372036854775807 - 1;
+                print(m / (0 - 1));
+                print(m % (0 - 1));
+                int k = 0 - 1;
+                print(m / k);
+                print(m % k);
+            } }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(
+            out,
+            ["-9223372036854775808", "0", "-9223372036854775808", "0"]
+        );
+    }
+
+    #[test]
+    fn int_compares_go_through_f64() {
+        // 2^53 + 1 and 2^53 are one double apart: equal as `f64`.
+        let (_, out) = run_both(
+            r#"class A { void main() {
+                int big = 9007199254740992;
+                int next = big + 1;
+                print(next > big);
+                print(next == big);
+                boolean b = next > big;
+                if (next > big) { print(1); } else { print(2); }
+            } }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(out, ["false", "true", "2"]);
+    }
+
+    #[test]
+    fn nan_and_negative_zero_follow_rust_rules() {
+        let (_, out) = run_both(
+            r#"class A { void main() {
+                double nan = 0.0 / 0.0;
+                double nz = 0.0 - 0.0;
+                nz = -0.0;
+                print(min(nan, 1.0));
+                print(max(1.0, nan));
+                print(nan < 1.0);
+                print(!(nan < 1.0));
+                print(nan != nan);
+                print(nz == 0.0);
+                print(min(nz, 0.0));
+                print(toInt(nan));
+                print(toInt(1.0e300));
+                if (nan >= 1.0) { print(1); } else { print(2); }
+                if (!(nan < 1.0)) { print(3); }
+            } }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(out[..6], ["1", "1", "false", "true", "true", "true"]);
+    }
+
+    #[test]
+    fn mixed_ternary_keeps_each_branch_tag() {
+        let (_, out) = run_both(
+            r#"class A { void main() {
+                boolean c = true;
+                print((c ? 1 : 2.0) / 2);
+                print((c ? 7 : 2.0) % 2);
+                double x = c ? 1 : 2.0;
+                print(x / 2);
+                print(min(c ? 3 : 2.5, 4));
+            } }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(out, ["0", "1", "0.5", "3"]);
+    }
+
+    #[test]
+    fn typed_calls_coerce_arguments_and_results() {
+        let (_, out) = run_both(
+            r#"class A {
+                double half(double x) { return x / 2; }
+                double one() { return 1; }
+                int twice(int x) { return x * 2; }
+                boolean pos(double x) { return x > 0.0; }
+                void main() {
+                    print(half(3));
+                    print(one() / 2);
+                    print(twice(21));
+                    print(pos(0 - 1));
+                    double y = half(twice(2)) + one();
+                    print(y);
+                }
+            }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(out, ["1.5", "0.5", "42", "false", "3"]);
+    }
+
+    #[test]
+    fn a_host_value_of_the_wrong_tag_is_named() {
+        // `extern double q` bound to an int: the interpreter would divide
+        // as ints; the VM's unboxing names the value instead.
+        let src = "extern double q; class A { void main() { print(q / 2); } }";
+        let tp = frontend(src).unwrap();
+        let (class, method) = tp.program.main().unwrap();
+        let prog = ProgramCode::lower(&tp);
+        let slice = prog.lower_slice(&tp, &class.name, &method.body.stmts);
+        let mut vm = Vm::new(&prog, HostEnv::new().bind("q", Value::Int(3)));
+        let err = vm.exec_slice(&slice, &mut HashMap::new()).unwrap_err();
+        assert!(err.message.contains("`q` holds `3`"), "{}", err.message);
+    }
+
+    #[test]
+    fn first_iterations_run_apart_and_loops_still_agree() {
+        // Peeled first iterations: memoized globals, declarations and
+        // breaks in the first pass and in the rest.
+        let (_, out) = run_both(
+            r#"extern double w;
+            class A { void main() {
+                RectDomain<1> d = [0 : 9];
+                double s = 0.0;
+                foreach (i in d) {
+                    double t = w * toDouble(i);
+                    if (t > 20.0) { break; }
+                    s += t;
+                }
+                int k = 0;
+                while (k < 5) { int z = k * 2; k += 1; s += toDouble(z); }
+                for (int q = 0; q < 3; q += 1) { double u = w; s -= u; }
+                print(s);
+            } }"#,
+            HostEnv::new().bind("w", Value::Double(2.5)),
+        );
+        assert_eq!(out, ["102.5"]);
     }
 
     #[test]

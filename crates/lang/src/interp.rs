@@ -37,6 +37,134 @@ impl HostEnv {
     }
 }
 
+/// Check every extern `values` binds against its declared type in `tp`:
+/// scalars by tag, arrays element by element, objects by class and
+/// present field (one level deep). A run calls this once, where it binds
+/// the host, so typed code never meets a value whose tag disagrees with
+/// its declaration; the error names the extern.
+pub fn check_host(tp: &TypedProgram, values: &HashMap<String, Value>) -> LangResult<()> {
+    for e in &tp.program.externs {
+        if let Some(v) = values.get(&e.name) {
+            if let Err(what) = conforms(tp, &e.ty, v, true) {
+                return Err(interp_err(
+                    e.span,
+                    format!("extern `{}` is declared `{}` but {what}", e.name, e.ty),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Does `v` carry the tags of type `ty`? `Err` describes where it does
+/// not. Objects' fields are checked when `deep`, without descending
+/// further (host data may be cyclic).
+fn conforms(tp: &TypedProgram, ty: &Type, v: &Value, deep: bool) -> Result<(), String> {
+    let ok = match (ty, v) {
+        (Type::Int, Value::Int(_))
+        | (Type::Double, Value::Double(_))
+        | (Type::Bool, Value::Bool(_))
+        | (Type::RectDomain(_), Value::Domain(..))
+        | (Type::Array(_) | Type::Class(_), Value::Null) => true,
+        (Type::Array(elem), Value::Array(a)) => {
+            let a = a.borrow();
+            let bad = match &**elem {
+                // The common host arrays, in one pass each.
+                Type::Double => a.iter().position(|x| !matches!(x, Value::Double(_))),
+                Type::Int => a.iter().position(|x| !matches!(x, Value::Int(_))),
+                // Host object arrays share a few shapes: resolve each
+                // shape's declared field types once, not per object.
+                Type::Class(c) if deep => {
+                    let class = tp.program.class(c);
+                    let mut table: Option<(u64, Vec<Option<&Type>>)> = None;
+                    for (i, x) in a.iter().enumerate() {
+                        let Value::Object(o) = x else {
+                            conforms(tp, elem, x, deep).map_err(|w| of_element(i, &w))?;
+                            continue;
+                        };
+                        let o = o.borrow();
+                        if o.class() != c {
+                            return Err(format!(
+                                "element {i} holds an object of class `{}`",
+                                o.class()
+                            ));
+                        }
+                        let shape = o.shape();
+                        if table.as_ref().map(|(id, _)| *id) != Some(shape.id()) {
+                            let types = shape
+                                .names()
+                                .iter()
+                                .map(|n| class.and_then(|k| k.field(n)).map(|f| &f.ty))
+                                .collect();
+                            table = Some((shape.id(), types));
+                        }
+                        let types = &table.as_ref().expect("filled above").1;
+                        for (s, ty) in types.iter().enumerate() {
+                            if let (Some(ty), Some(x)) = (ty, o.slot(s)) {
+                                if matches!(
+                                    (ty, x),
+                                    (Type::Double, Value::Double(_)) | (Type::Int, Value::Int(_))
+                                ) {
+                                    continue;
+                                }
+                                conforms(tp, ty, x, false).map_err(|_| {
+                                    format!(
+                                        "element {i}'s field `{}` holds `{x}`",
+                                        shape.names()[s]
+                                    )
+                                })?;
+                            }
+                        }
+                    }
+                    None
+                }
+                elem => {
+                    for (i, x) in a.iter().enumerate() {
+                        conforms(tp, elem, x, deep).map_err(|w| of_element(i, &w))?;
+                    }
+                    None
+                }
+            };
+            if let Some(i) = bad {
+                return Err(format!("element {i} holds `{}`", a[i]));
+            }
+            true
+        }
+        (Type::Class(c), Value::Object(o)) => {
+            let o = o.borrow();
+            if o.class() != c {
+                return Err(format!("holds an object of class `{}`", o.class()));
+            }
+            if deep {
+                let class = tp.program.class(c);
+                for (name, x) in o.fields() {
+                    if let Some(f) = class.and_then(|k| k.field(name)) {
+                        conforms(tp, &f.ty, x, false)
+                            .map_err(|_| format!("field `{name}` holds `{x}`"))?;
+                    }
+                }
+            }
+            true
+        }
+        _ => false,
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("holds `{v}`"))
+    }
+}
+
+/// Where element `i` disagrees: `element 3 holds …` or `element 3's
+/// field …`.
+fn of_element(i: usize, what: &str) -> String {
+    if what.starts_with("field") {
+        format!("element {i}'s {what}")
+    } else {
+        format!("element {i} {what}")
+    }
+}
+
 /// Split the inclusive domain `[lo, hi]` into `n` contiguous, balanced,
 /// non-overlapping packets covering it exactly. Used identically by the
 /// sequential interpreter, the compiler and the runtime, so all three agree
@@ -128,6 +256,7 @@ impl<'p> Interp<'p> {
                 ));
             }
         }
+        check_host(self.tp, &self.globals)?;
         let (class, method) = self
             .tp
             .program
@@ -655,13 +784,13 @@ impl<'p> Interp<'p> {
                             if *b == 0 {
                                 return Err(interp_err(span, "integer division by zero"));
                             }
-                            a / b
+                            a.wrapping_div(*b)
                         }
                         BinOp::Rem => {
                             if *b == 0 {
                                 return Err(interp_err(span, "integer remainder by zero"));
                             }
-                            a % b
+                            a.wrapping_rem(*b)
                         }
                         _ => unreachable!(),
                     };
@@ -1079,6 +1208,39 @@ mod tests {
         "#;
         let (_, out) = run(src, HostEnv::new());
         assert_eq!(out, vec!["8"]);
+    }
+
+    #[test]
+    fn host_objects_are_checked_field_by_field() {
+        let src = r#"
+            extern P[] ps;
+            class P { int a; double b; }
+            class Q { int a; }
+            class A { void main() { } }
+        "#;
+        let tp = check(parse(src).unwrap()).unwrap();
+        let p = |a: Value, b: Value| {
+            let mut f = HashMap::new();
+            f.insert("a".to_string(), a);
+            f.insert("b".to_string(), b);
+            Value::new_object("P", f)
+        };
+        let ps = |elems: Vec<Value>| {
+            let mut host = HashMap::new();
+            host.insert("ps".to_string(), Value::Array(Rc::new(RefCell::new(elems))));
+            check_host(&tp, &host).map_err(|e| e.message)
+        };
+        let good = p(Value::Int(1), Value::Double(2.0));
+        assert_eq!(ps(vec![good.clone(), Value::Null]), Ok(()));
+        assert_eq!(
+            ps(vec![good.clone(), p(Value::Int(1), Value::Int(2))]),
+            Err("extern `ps` is declared `P[]` but element 1's field `b` holds `2`".into())
+        );
+        let q = Value::new_object("Q", HashMap::from([("a".to_string(), Value::Int(1))]));
+        assert_eq!(
+            ps(vec![q]),
+            Err("extern `ps` is declared `P[]` but element 0 holds an object of class `Q`".into())
+        );
     }
 
     #[test]

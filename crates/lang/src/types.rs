@@ -175,6 +175,15 @@ impl<'p> Checker<'p> {
             }
         }
         self.check_block(&mut ctx, &method.body)?;
+        if method.ret != Type::Void && can_complete(&method.body.stmts) {
+            return Err(type_err(
+                method.span,
+                format!(
+                    "method `{}::{}` can finish without returning a `{}`",
+                    class.name, method.name, method.ret
+                ),
+            ));
+        }
         self.symbols
             .method_scopes
             .insert(method_key(&class.name, &method.name), ctx.scope);
@@ -751,6 +760,48 @@ impl<'p> Checker<'p> {
     }
 }
 
+/// Can `stmts` run to their end without returning? Java's rule, as far as
+/// the dialect needs it: a `return` ends a block, an `if` ends it when
+/// both branches do, and a `while (true)` or condition-less `for` without
+/// a `break` never finishes. Any other statement can finish.
+fn can_complete(stmts: &[Stmt]) -> bool {
+    stmts.iter().all(|s| match &s.kind {
+        StmtKind::Return(_) => false,
+        StmtKind::Block(b) => can_complete(&b.stmts),
+        StmtKind::If {
+            then_blk,
+            else_blk: Some(e),
+            ..
+        } => can_complete(&then_blk.stmts) || can_complete(&e.stmts),
+        StmtKind::While { cond, body } => {
+            !matches!(cond.kind, ExprKind::BoolLit(true)) || breaks(&body.stmts)
+        }
+        StmtKind::For { cond, body, .. } => {
+            !matches!(
+                &cond,
+                None | Some(Expr {
+                    kind: ExprKind::BoolLit(true),
+                    ..
+                })
+            ) || breaks(&body.stmts)
+        }
+        _ => true,
+    })
+}
+
+/// Does a `break` in `stmts` leave the loop they are the body of (not a
+/// nested one)?
+fn breaks(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match &s.kind {
+        StmtKind::Break => true,
+        StmtKind::Block(b) => breaks(&b.stmts),
+        StmtKind::If {
+            then_blk, else_blk, ..
+        } => breaks(&then_blk.stmts) || else_blk.as_ref().is_some_and(|e| breaks(&e.stmts)),
+        _ => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,6 +984,22 @@ mod tests {
         let tp = check_src(src).unwrap();
         let e = crate::parser::parse_expr("x + i").unwrap();
         assert_eq!(tp.expr_type("A", "f", &e), Type::Double);
+    }
+
+    #[test]
+    fn non_void_methods_must_return_on_every_path() {
+        let err = check_src("class A { int f(int x) { if (x > 0) { return 1; } } }").unwrap_err();
+        assert!(err.message.contains("without returning"), "{}", err.message);
+        assert!(check_src("class A { int f() { while (true) { break; } } }").is_err());
+        for ok in [
+            "class A { int f(int x) { if (x > 0) { return 1; } else { return 2; } } }",
+            "class A { int f() { while (true) { return 1; } } }",
+            "class A { int f() { for (;;) { int y = 1; } } }",
+            "class A { int f() { { return 3; } } }",
+            "class A { void f() { } }",
+        ] {
+            assert!(check_src(ok).is_ok(), "{ok}");
+        }
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! program passes the checker by construction while still exercising the
 //! runtime's interesting territory: integer division/remainder by zero,
 //! empty `foreach` domains, unbound externs, `break`/`continue`, method
-//! calls and reduction objects, int→double widening, and objects whose
-//! fields live in different slot orders (host-built vs `new`). Failures
+//! calls and reduction objects, int→double widening, objects whose
+//! fields live in different slot orders (host-built vs `new`), and (in
+//! [`ProgramGen::typed_program`]) `double[]`/`int[]` locals, integers
+//! near ±2^53 and `i64::MIN`, division by `-1`, `-0.0` and NaN, and
+//! methods whose `double` parameters and results meet ints. Failures
 //! reproduce deterministically from the seed.
 
 use cgp_lang::value::{ObjectVal, Shape};
@@ -34,6 +37,9 @@ pub struct ProgramGen {
     pub with_acc: bool,
     /// `P`-typed locals in scope ([`ProgramGen::object_program`]).
     objects: Vec<String>,
+    /// Typed-array locals, edge values and typed calls in scope
+    /// ([`ProgramGen::typed_program`]).
+    typed: bool,
 }
 
 impl ProgramGen {
@@ -45,6 +51,7 @@ impl ProgramGen {
             loop_depth: 0,
             with_acc: false,
             objects: Vec::new(),
+            typed: false,
         }
     }
 
@@ -87,6 +94,27 @@ impl ProgramGen {
     /// on purpose: a zero denominator is a *runtime* diagnostic both
     /// engines must raise identically.
     pub fn int_expr(&mut self, depth: usize) -> String {
+        if self.typed && self.rng.gen_bool(0.25) {
+            return match self.rng.gen_range(0, 7) {
+                // One double apart at 2^53: compares go through f64.
+                0 => [
+                    "9007199254740992",
+                    "9007199254740993",
+                    "(0 - 9007199254740993)",
+                ][self.rng.gen_range(0, 3)]
+                .to_string(),
+                1 => "(0 - 9223372036854775807 - 1)".to_string(),
+                2 => format!("({} / (0 - 1))", self.int_expr(depth.saturating_sub(1))),
+                3 => format!("({} % (0 - 1))", self.int_expr(depth.saturating_sub(1))),
+                4 => format!("ia[{}]", self.index()),
+                5 => format!(
+                    "pick({}, {})",
+                    self.int_expr(depth.saturating_sub(1)),
+                    self.int_expr(0)
+                ),
+                _ => format!("toInt({})", self.double_expr(0)),
+            };
+        }
         if !self.objects.is_empty() && self.rng.gen_bool(0.15) {
             let o = self.object();
             return match self.rng.gen_range(0, 3) {
@@ -141,6 +169,22 @@ impl ProgramGen {
     }
 
     pub fn double_expr(&mut self, depth: usize) -> String {
+        if self.typed && self.rng.gen_bool(0.25) {
+            return match self.rng.gen_range(0, 7) {
+                0 => "-0.0".to_string(),
+                1 => "(0.0 / 0.0)".to_string(),
+                2 => format!("da[{}]", self.index()),
+                // Double parameters called with ints, double results
+                // returned from ints.
+                3 => format!("half({})", self.int_expr(depth.saturating_sub(1))),
+                4 => format!("whole({})", self.int_expr(depth.saturating_sub(1))),
+                5 => format!("min({}, -0.0)", self.double_expr(depth.saturating_sub(1))),
+                _ => format!(
+                    "max((0.0 / 0.0), {})",
+                    self.double_expr(depth.saturating_sub(1))
+                ),
+            };
+        }
         if !self.objects.is_empty() && self.rng.gen_bool(0.15) {
             let o = self.object();
             return match self.rng.gen_range(0, 3) {
@@ -244,7 +288,34 @@ impl ProgramGen {
         self.scope.truncate(base);
     }
 
+    /// An index into the typed-array locals: usually in range, sometimes
+    /// not (the bounds diagnostic must match too).
+    fn index(&mut self) -> String {
+        if self.rng.gen_bool(0.9) {
+            format!("(abs({}) % 4)", self.int_expr(0))
+        } else {
+            self.int_expr(1)
+        }
+    }
+
     fn stmt(&mut self, out: &mut String, inner_budget: usize) {
+        if self.typed && self.rng.gen_bool(0.2) {
+            let i = self.index();
+            let op = ["=", "+=", "-="][self.rng.gen_range(0, 3)];
+            let _ = if self.rng.gen_bool(0.5) {
+                // Int right-hand sides widen into the double array.
+                let rhs = if self.rng.gen_bool(0.5) {
+                    self.int_expr(2)
+                } else {
+                    self.double_expr(2)
+                };
+                writeln!(out, "da[{i}] {op} {rhs};")
+            } else {
+                let rhs = self.int_expr(2);
+                writeln!(out, "ia[{i}] {op} {rhs};")
+            };
+            return;
+        }
         match self.rng.gen_range(0, 10) {
             0 | 1 => {
                 let ty = [Ty::Int, Ty::Double, Ty::Bool][self.rng.gen_range(0, 3)];
@@ -358,6 +429,34 @@ impl ProgramGen {
             body.push_str("print(u);\n");
         }
         format!("extern int n;\nextern int u;\nclass A {{ void main() {{\n{body}}} }}\n")
+    }
+
+    /// A straight-line program over `double[]`/`int[]` locals and typed
+    /// methods, with the edge values of typed arithmetic in reach.
+    #[allow(dead_code)] // not every test binary generates typed programs
+    pub fn typed_program(&mut self, budget: usize) -> String {
+        self.typed = true;
+        let mut body = String::new();
+        self.stmts(&mut body, budget);
+        self.typed = false;
+        format!(
+            concat!(
+                "extern int n;\n",
+                "class A {{\n",
+                "    double half(double x) {{ return x / 2; }}\n",
+                "    double whole(int k) {{ return k; }}\n",
+                "    int pick(int a, int b) {{ if (a < b) {{ return a; }} return b; }}\n",
+                "    void main() {{\n",
+                "        double[] da = new double[4];\n",
+                "        int[] ia = new int[4];\n",
+                "{body}",
+                "        print(da[0] + da[1] + da[2] + da[3]);\n",
+                "        print(ia[0] + ia[1] + ia[2] + ia[3]);\n",
+                "    }}\n",
+                "}}\n"
+            ),
+            body = body
+        )
     }
 
     /// A pipelined reduction program with a random per-element body; the

@@ -104,6 +104,34 @@ fn random_programs_agree() {
 }
 
 #[test]
+fn random_typed_programs_agree() {
+    // Typed arrays with widening stores, integers at ±2^53 and i64::MIN,
+    // `/` and `%` by -1, -0.0 and NaN in compares and min/max, and typed
+    // calls: the shapes where unboxed registers could drift from the
+    // interpreter's tagged values.
+    let mut errored = 0;
+    for seed in 0..150u64 {
+        let mut g = ProgramGen::new(0x7E_0000 + seed);
+        let src = g.typed_program(10);
+        let host = HostEnv::new().bind("n", Value::Int((seed as i64 % 9) - 3));
+        let tp = frontend(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"));
+        let (c, m) = tp.program.main().unwrap();
+        let mut it = Interp::new(&tp, host.clone());
+        if it
+            .exec_stmts_with_vars(&c.name, &m.body.stmts, &mut HashMap::new())
+            .is_err()
+        {
+            errored += 1;
+        }
+        assert_engines_agree(&src, || host.clone(), &format!("typed seed {seed}"));
+    }
+    assert!(
+        (5..140).contains(&errored),
+        "generator drifted: {errored} of 150 typed programs fail at run time"
+    );
+}
+
+#[test]
 fn random_pipelined_programs_agree_across_packet_splits() {
     for seed in 0..40u64 {
         let mut g = ProgramGen::new(0xD1FF_8000 + seed);
