@@ -24,13 +24,13 @@
 //! - `--trace-out <path>` (or `CGP_TRACE`) — write a Chrome
 //!   `trace_event` JSON file of a local run: the seven compiler phases
 //!   and the runtime's per-filter-copy spans and per-packet events;
-//! - 14 run options, each answering its `CGP_*` variable (see
+//! - 13 run options, each answering its `CGP_*` variable (see
 //!   [`ExecOptions::from_lookup`]): `--faults`, `--deadline-ms`,
 //!   `--recover`, `--checkpoint-every`, `--role`, `--listen`,
 //!   `--connect`, `--transport`, `--status-every`, `--telemetry-log`,
-//!   `--checkpoint-dir`, `--heartbeat-ms`, `--max-worker-restarts` and
-//!   `--autoscale`. `--faults <spec>` injects deterministic faults
-//!   (grammar at [`cgp_core::datacutter::FaultPlan::parse`]); `--recover`
+//!   `--heartbeat-ms`, `--max-worker-restarts` and `--autoscale`.
+//!   `--faults <spec>` injects deterministic faults (grammar at
+//!   [`cgp_core::datacutter::FaultPlan::parse`]); `--recover`
 //!   masks them with checkpointed restarts, and when a unit still
 //!   exhausts its restart budget `cgp` replans the decomposition over the
 //!   surviving units with the cost model and re-runs (`[obs] failover:
@@ -49,6 +49,7 @@ use cgp_compiler::calibrate::CalibrationReport;
 use cgp_compiler::decompose::decompose_dp;
 use cgp_compiler::failover::replan;
 use cgp_core::apps::dialect::{demo_apps, DemoApp};
+use cgp_core::datacutter::width::provisioned_width;
 use cgp_core::datacutter::{decode_telemetry_payload, RunControl, Transport};
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
@@ -67,7 +68,7 @@ use std::time::Duration;
 /// The run-option flags `cgp` accepts, each with the `CGP_*` variable it
 /// answers for (see [`ExecOptions::from_lookup`]). `--recover` is bare
 /// and answers `CGP_RECOVER=1`; every other flag takes a value.
-const EXEC_FLAGS: [(&str, &str); 14] = [
+const EXEC_FLAGS: [(&str, &str); 13] = [
     ("--faults", "CGP_FAULTS"),
     ("--deadline-ms", "CGP_DEADLINE_MS"),
     ("--recover", "CGP_RECOVER"),
@@ -78,7 +79,6 @@ const EXEC_FLAGS: [(&str, &str); 14] = [
     ("--transport", "CGP_TRANSPORT"),
     ("--status-every", STATUS_EVERY_ENV),
     ("--telemetry-log", TELEMETRY_LOG_ENV),
-    ("--checkpoint-dir", "CGP_CHECKPOINT_DIR"),
     ("--heartbeat-ms", "CGP_HEARTBEAT_MS"),
     ("--max-worker-restarts", "CGP_MAX_WORKER_RESTARTS"),
     ("--autoscale", "CGP_AUTOSCALE"),
@@ -444,7 +444,7 @@ pub fn run_worker(
         // an interior upstream stage is provisioned at the copy cap and
         // each of its copies owns an egress connection: the producer
         // count is that provisioned width.
-        let producers = exec.provisioned_width(stage - 1, m, 1);
+        let producers = provisioned_width(exec.autoscale.as_ref(), stage - 1, m, 1);
         match WorkerIngress::bind(addr, producers) {
             Ok((ingress, at)) => {
                 // Announce only once the endpoint exists, so a producer
@@ -1248,12 +1248,6 @@ mod tests {
             set.push(("CGP_KILL", spec));
         }
         for (var, slot, text) in [
-            (
-                "CGP_CHECKPOINT_LOG",
-                &mut want.checkpoint_log,
-                "/tmp/ckpt log.jsonl",
-            ),
-            ("CGP_CHECKPOINT_DIR", &mut want.checkpoint_dir, "ckpt=dir"),
             ("CGP_LISTEN", &mut want.listen, "shm:auto"),
             ("CGP_CONNECT", &mut want.connect, "127.0.0.1:4100"),
             (TELEMETRY_LOG_ENV, &mut want.telemetry_log, "/tmp/t.jsonl"),
@@ -1342,9 +1336,7 @@ mod tests {
                 "CGP_ROLE" | "CGP_KILL" | "CGP_FAULTS" => None,
                 "CGP_TRANSPORT" => Some("tcp"),
                 "CGP_AUTOSCALE" => Some("max=7"),
-                "CGP_LISTEN" | "CGP_CONNECT" | "CGP_CHECKPOINT_DIR" | TELEMETRY_LOG_ENV => {
-                    Some("decoy")
-                }
+                "CGP_LISTEN" | "CGP_CONNECT" | TELEMETRY_LOG_ENV => Some("decoy"),
                 _ => Some("17"),
             };
             if let Some(d) = decoy.filter(|_| decoys && rng.gen_bool(0.3)) {

@@ -172,8 +172,8 @@ struct Slot {
 /// collect the last stage's output lines. `passthrough` is forwarded to
 /// every worker verbatim (strip the net flags first — see
 /// [`strip_net_flags`]), so fault injection, recovery, heartbeat and
-/// checkpoint flags apply inside the workers exactly as they would
-/// in-process.
+/// checkpoint-cadence flags apply inside the workers exactly as they
+/// would in-process.
 ///
 /// Worker exits are the distributed run's error surface: a mid-pipeline
 /// failure is invisible in the last stage's output (its ingress just
@@ -683,8 +683,6 @@ mod tests {
             "--transport",
             "shm",
             "--transport=tcp",
-            "--checkpoint-dir",
-            "/tmp/ckpt",
             "--heartbeat-ms=50",
             "--max-worker-restarts",
             "3",
@@ -702,8 +700,6 @@ mod tests {
                 "--transport",
                 "shm",
                 "--transport=tcp",
-                "--checkpoint-dir",
-                "/tmp/ckpt",
                 "--heartbeat-ms=50",
                 "--max-worker-restarts",
                 "3",

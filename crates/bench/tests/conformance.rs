@@ -10,7 +10,7 @@
 //! - the matrix: prints each row's `unit_of`, runs every cell in a child
 //!   process of its own, and fails listing every cell that failed, with
 //!   that cell's worker output;
-//! - a cell (`cell <row> <column> <dir>`): runs one cell and prints why it
+//! - a cell (`cell <row> <column>`): runs one cell and prints why it
 //!   failed, if it did. A cross-process cell goes through
 //!   [`cgp_bench::launcher::launch_supervised`], which re-executes this
 //!   binary once per pipeline unit;
@@ -108,8 +108,7 @@ fn rows() -> Vec<Row> {
 struct Column {
     id: &'static str,
     /// Run settings as `CGP_*` variables, read through
-    /// `ExecOptions::from_lookup`; `{dir}` stands for the run's temporary
-    /// directory.
+    /// `ExecOptions::from_lookup`.
     settings: &'static [(&'static str, &'static str)],
     /// `None` runs in-process at widths [1,1,1]; `Some` runs one worker
     /// process per unit over that transport, supervised when the
@@ -172,12 +171,7 @@ const COLUMNS: [Column; 17] = [
         kill: Some("f3[0]#1"),
         ..col(
             "tcp/kill-f3",
-            &[
-                RECOVER[0],
-                RECOVER[1],
-                ("CGP_HEARTBEAT_MS", "25"),
-                ("CGP_CHECKPOINT_DIR", "{dir}"),
-            ],
+            &[RECOVER[0], RECOVER[1], ("CGP_HEARTBEAT_MS", "25")],
             TCP,
         )
     },
@@ -209,19 +203,19 @@ const COLUMNS: [Column; 17] = [
 impl Column {
     /// The run options of this cell: the column's settings, then `env`
     /// (a worker's role, endpoints and kill spec arrive there).
-    fn exec(&self, dir: &str, env: impl Fn(&str) -> Option<String>) -> ExecOptions {
+    fn exec(&self, env: impl Fn(&str) -> Option<String>) -> ExecOptions {
         ExecOptions::from_lookup(|var| match self.settings.iter().find(|(v, _)| *v == var) {
-            Some((_, value)) => Some(value.replace("{dir}", dir)),
+            Some((_, value)) => Some(value.to_string()),
             None => env(var),
         })
         .unwrap_or_else(|e| panic!("{}: {e}", self.id))
     }
 }
 
-/// The row and column named by `args` (`<row> <column> <dir> ...`).
-fn cell_of(args: &[String]) -> (Row, &'static Column, String) {
-    let [row, col, dir, ..] = args else {
-        panic!("want <row> <column> <dir>, got {args:?}");
+/// The row and column named by `args` (`<row> <column> ...`).
+fn cell_of(args: &[String]) -> (Row, &'static Column) {
+    let [row, col, ..] = args else {
+        panic!("want <row> <column>, got {args:?}");
     };
     let row = rows()
         .into_iter()
@@ -231,13 +225,13 @@ fn cell_of(args: &[String]) -> (Row, &'static Column, String) {
         .iter()
         .find(|c| c.id == col)
         .unwrap_or_else(|| panic!("no column {col}"));
-    (row, col, dir.clone())
+    (row, col)
 }
 
 /// Run one cell; `Err` says why it failed.
-fn run_cell(row: &Row, col: &Column, dir: &str) -> Result<(), String> {
+fn run_cell(row: &Row, col: &Column) -> Result<(), String> {
     let plan = row.compile();
-    let exec = col.exec(dir, |_| None);
+    let exec = col.exec(|_| None);
     let run = match col.transport {
         None => run_plan_threaded_stats(
             Arc::new(plan),
@@ -250,7 +244,7 @@ fn run_cell(row: &Row, col: &Column, dir: &str) -> Result<(), String> {
         Some(transport) => {
             let mut lopts = LaunchOptions::new(transport);
             lopts.supervise = exec.recover;
-            let args = [row.id(), col.id.to_string(), dir.to_string()];
+            let args = [row.id(), col.id.to_string()];
             launch_supervised(plan.m, &args, &lopts)
                 .map(|report| (report.lines, report.restart_events))
                 .map_err(|e| e.to_string())
@@ -276,9 +270,6 @@ fn run_cell(row: &Row, col: &Column, dir: &str) -> Result<(), String> {
 /// Run every cell, each in a child process, and return the exit code.
 fn matrix() -> i32 {
     let exe = std::env::current_exe().expect("test binary path");
-    let dir = std::env::temp_dir().join(format!("cgp-conformance-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the temporary directory");
-    let dir_s = dir.display().to_string();
     let rows = rows();
     let (mut cells, mut skipped, mut failures) = (0, 0, Vec::new());
     for row in &rows {
@@ -294,7 +285,7 @@ fn matrix() -> i32 {
                 continue;
             }
             let mut cmd = Command::new(&exe);
-            cmd.args([CELL, &row.id(), col.id, &dir_s]);
+            cmd.args([CELL, &row.id(), col.id]);
             for (var, _) in std::env::vars().filter(|(v, _)| v.starts_with("CGP_")) {
                 cmd.env_remove(var);
             }
@@ -316,7 +307,6 @@ fn matrix() -> i32 {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(cells, 12 * 17, "rows × columns");
     if skipped > 0 {
         println!("note: {skipped} shm cells skipped (no shared-memory support in this build)");
@@ -337,14 +327,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let role = std::env::var("CGP_ROLE").unwrap_or_default();
     if let Some(stage) = role.strip_prefix("worker:").and_then(|k| k.parse().ok()) {
-        let (row, col, dir) = cell_of(&args);
-        let exec = col.exec(&dir, |var| std::env::var(var).ok());
+        let (row, col) = cell_of(&args);
+        let exec = col.exec(|var| std::env::var(var).ok());
         let code = run_worker(row.app.name, row.compile(), row.app.host, stage, &exec);
         std::process::exit(code);
     }
     if args.first().map(String::as_str) == Some(CELL) {
-        let (row, col, dir) = cell_of(&args[1..]);
-        if let Err(e) = run_cell(&row, col, &dir) {
+        let (row, col) = cell_of(&args[1..]);
+        if let Err(e) = run_cell(&row, col) {
             println!("{e}");
             std::process::exit(1);
         }

@@ -136,40 +136,6 @@ fn shm_kill_last_stage_late_is_masked() {
     );
 }
 
-#[test]
-fn durable_checkpoints_survive_the_crash() {
-    let dir = std::env::temp_dir().join(format!("cgp-chaos-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let dir_s = dir.display().to_string();
-    let out = run_chaos("f2[0]#2", "tcp", &["--checkpoint-dir", &dir_s]);
-    assert_masked(&out, "masked 1 worker crash(es)");
-    // Stateful stages persisted crash-consistent snapshots; a fresh
-    // process can decode them (no torn commits — tmp+rename).
-    let snapshots: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read checkpoint dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    assert!(
-        !snapshots.is_empty(),
-        "no durable snapshots in {dir_s} after a --checkpoint-dir run"
-    );
-    for entry in &snapshots {
-        let path = entry.path();
-        let stem = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("utf8 snapshot name");
-        let (stage, copy) = stem.rsplit_once('-').expect("stage-copy snapshot name");
-        let copy: usize = copy.parse().expect("copy index in snapshot name");
-        let bytes = std::fs::read(&path).expect("read snapshot");
-        cgp_core::datacutter::decode_snapshot(&bytes, stage, copy)
-            .unwrap_or_else(|e| panic!("torn snapshot {path:?}: {e}"));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The launcher exhausted the restart budget and failed over to a
 /// replanned in-process run whose output matched.
 fn assert_failed_over(out: &Output) {

@@ -101,15 +101,6 @@ pub fn analyze_stmts(np: &NormalizedPipeline, stmts: &[Stmt]) -> CompileResult<S
     Analyzer::new(np).segment(stmts)
 }
 
-/// [`analyze_stmts`] with known extern-scalar values folded in.
-pub fn analyze_stmts_with(
-    np: &NormalizedPipeline,
-    stmts: &[Stmt],
-    consts: &HashMap<String, i64>,
-) -> CompileResult<SegmentSets> {
-    Analyzer::new_with(np, consts).segment(stmts)
-}
-
 /// Names of reduction-variable roots declared in the prologue (or main
 /// scope); these are excluded from per-packet communication because the
 /// runtime replicates them and merges copies via `reduce`.

@@ -71,17 +71,6 @@ pub enum AtomCode {
     },
 }
 
-impl AtomCode {
-    /// Statements equivalent to this atom when executed in full (select and
-    /// body halves merged back produce the original conditional foreach).
-    pub fn is_cond_half(&self) -> bool {
-        matches!(
-            self,
-            AtomCode::CondSelect { .. } | AtomCode::CondBody { .. }
-        )
-    }
-}
-
 /// One atomic filter `f_i` (the code between consecutive candidate
 /// boundaries).
 #[derive(Debug, Clone)]

@@ -63,17 +63,6 @@ impl AtomicUnit {
         };
         Some((var, domain, cond, then_blk))
     }
-
-    /// For Foreach/CondForeach: (loop var, domain expr).
-    pub fn foreach_parts(&self) -> Option<(&str, &Expr)> {
-        if self.kind == UnitKind::Straight {
-            return None;
-        }
-        let StmtKind::Foreach { var, domain, .. } = &self.stmts[0].kind else {
-            return None;
-        };
-        Some((var, domain))
-    }
 }
 
 /// The normalized pipelined computation.

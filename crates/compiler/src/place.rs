@@ -309,11 +309,6 @@ impl Place {
         }
     }
 
-    /// Same storage root and field path (ignoring the section)?
-    pub fn same_path(&self, other: &Place) -> bool {
-        self.root == other.root && self.fields == other.fields
-    }
-
     /// Does a definition of `self` definitely overwrite all of `other`?
     /// (Used when subtracting must-defs from Cons/ReqComm.) A def of the
     /// whole object (`fields` a prefix of other's) covers deeper fields.

@@ -31,9 +31,9 @@ use cgp_compiler::FilterPlan;
 use cgp_compiler::FilterStepper;
 pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
-    AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
-    FilterResult, NetTuning, Pipeline, RecoveryOptions, RunOptions, RunStats, StageSpec,
-    TelemetryConfig, Transport, WorkerEndpoints,
+    AutoscaleConfig, Buffer, BufferPool, FaultPlan, Filter, FilterIo, FilterResult, NetTuning,
+    Pipeline, RecoveryOptions, RunOptions, RunStats, StageSpec, TelemetryConfig, Transport,
+    WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
@@ -101,12 +101,6 @@ pub struct ExecOptions {
     /// Checkpoint cadence in accepted packets for stateful stages
     /// (`None` = the runtime default).
     pub checkpoint_every: Option<u64>,
-    /// Mirror checkpoint commits to a JSONL audit log at this path.
-    pub checkpoint_log: Option<String>,
-    /// Persist checkpoint commits crash-consistently to this directory
-    /// (one file per stage copy, tmp-file + atomic-rename commit), so a
-    /// freshly exec'd process can read the last committed snapshots.
-    pub checkpoint_dir: Option<String>,
     /// Heartbeat cadence for distributed TCP links: idle links exchange
     /// `Heartbeat` frames this often and presume a peer dead after ~4
     /// missed beats. `None` disables the liveness protocol.
@@ -157,12 +151,6 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Read options from the environment (the variables are listed at
-    /// [`ExecOptions::from_lookup`]).
-    pub fn from_env() -> Result<ExecOptions, CoreError> {
-        Self::from_lookup(|name| std::env::var(name).ok())
-    }
-
     /// Parse options from `lookup`, which answers a variable name with
     /// its value (`None` = unset). Errors name the variable. The
     /// variables:
@@ -174,9 +162,6 @@ impl ExecOptions {
     ///   batching);
     /// - `CGP_RECOVER` — `1`/`true`/`on` enables the recovery layer;
     /// - `CGP_CHECKPOINT_EVERY` — checkpoint cadence in packets;
-    /// - `CGP_CHECKPOINT_LOG` — JSONL audit log path for checkpoints;
-    /// - `CGP_CHECKPOINT_DIR` — directory for durable (crash-consistent,
-    ///   atomically renamed) per-copy checkpoint files;
     /// - `CGP_HEARTBEAT_MS` — heartbeat cadence on distributed TCP links
     ///   (`0`/unset disables the liveness protocol);
     /// - `CGP_SUPERVISED` — `1`/`true`/`on` makes a worker's ingress
@@ -251,16 +236,6 @@ impl ExecOptions {
             }
             opts.checkpoint_every = Some(n);
         }
-        if let Some(path) = lookup("CGP_CHECKPOINT_LOG") {
-            if !path.is_empty() {
-                opts.checkpoint_log = Some(path);
-            }
-        }
-        if let Some(path) = lookup("CGP_CHECKPOINT_DIR") {
-            if !path.is_empty() {
-                opts.checkpoint_dir = Some(path);
-            }
-        }
         opts.heartbeat = ms("CGP_HEARTBEAT_MS")?
             .filter(|&n| n > 0)
             .map(Duration::from_millis);
@@ -312,20 +287,6 @@ impl ExecOptions {
     /// explicit off switch — it must never become a zero-interval spin).
     pub fn sampling_enabled(&self) -> bool {
         self.status_every.is_some_and(|d| d > Duration::ZERO)
-    }
-
-    /// Provisioned copy count for pipeline unit `j` of `m` under these
-    /// options. The elastic runtime provisions every *interior* stage at
-    /// the autoscale copy cap up front (routing gates decide how many
-    /// copies see traffic), so each provisioned copy owns real threads
-    /// and links; endpoints and non-autoscaled runs keep the spec width.
-    /// Anything sizing a cross-process link to a stage — shm ingress
-    /// rings in particular — must agree with the runtime on this number.
-    pub fn provisioned_width(&self, j: usize, m: usize, spec_width: usize) -> usize {
-        match &self.autoscale {
-            Some(cfg) if j > 0 && j + 1 < m => spec_width.max(cfg.max_width),
-            _ => spec_width,
-        }
     }
 
     /// Parse a role spec: `local`, `launcher`, or `worker:<stage>`
@@ -486,28 +447,14 @@ fn build_pipeline(
 }
 
 /// The runtime's share of `opts`, as the one [`RunOptions`] value a run
-/// takes. The checkpoint store, the telemetry sampler and the registry a
-/// telemetered run needs are built here, once per run.
+/// takes. The telemetry sampler and the registry a telemetered run needs
+/// are built here, once per run.
 fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError> {
     let recovery = match (opts.recover, opts.checkpoint_every) {
         (false, _) => RecoveryOptions::default(),
         (true, None) => RecoveryOptions::on(),
         (true, Some(k)) => RecoveryOptions::on().with_checkpoint_every(k),
     };
-    let mut checkpoint_store = None;
-    if opts.recover && (opts.checkpoint_log.is_some() || opts.checkpoint_dir.is_some()) {
-        let mut store = match &opts.checkpoint_log {
-            Some(path) => CheckpointStore::with_jsonl(path)
-                .map_err(|e| CoreError::Config(format!("checkpoint log `{path}`: {e}")))?,
-            None => CheckpointStore::in_memory(),
-        };
-        if let Some(dir) = &opts.checkpoint_dir {
-            store = store
-                .with_durable(dir)
-                .map_err(|e| CoreError::Config(format!("checkpoint dir `{dir}`: {e}")))?;
-        }
-        checkpoint_store = Some(store);
-    }
     // An explicit zero cadence means "no in-flight sampling": alone it
     // leaves telemetry off entirely; combined with a log/aggregator it
     // keeps the final snapshot but skips the sampler loop. Autoscaling
@@ -554,7 +501,6 @@ fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError
         stall_timeout: opts.stall_timeout,
         metrics,
         recovery,
-        checkpoint_store,
         net_tuning: NetTuning {
             heartbeat: opts.heartbeat,
             supervised: opts.supervised,
@@ -676,7 +622,7 @@ impl PlanFilter {
                 }
                 if io.checkpoint_due() {
                     let snap = encode_state(&stepper.reduction_state(j));
-                    io.commit_checkpoint(&snap).map_err(CoreError::Runtime)?;
+                    io.commit_checkpoint(&snap);
                 }
             }
         }
@@ -741,6 +687,7 @@ mod tests {
     use super::*;
     use cgp_compiler::cost::PipelineEnv;
     use cgp_compiler::{compile, CompileOptions, Decomposition};
+    use cgp_datacutter::width::provisioned_width;
     use cgp_lang::interp::Interp;
     use cgp_lang::Value;
 
@@ -925,7 +872,7 @@ mod tests {
         // provisions interior stages at the cap).
         let (mut ingresses, mut connects) = ([None, None, None], [None, None, None]);
         for s in 1..3 {
-            let producers = exec.provisioned_width(s - 1, 3, widths[s - 1]);
+            let producers = provisioned_width(exec.autoscale.as_ref(), s - 1, 3, widths[s - 1]);
             let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), producers).unwrap();
             ingresses[s] = Some(ingress);
             connects[s - 1] = Some(at);
@@ -1140,22 +1087,6 @@ mod tests {
         };
         let out = run_distributed(&c.plan, [1, 1, 1], exec, Transport::Tcp);
         assert_eq!(out, oracle(), "fault under autoscale must be masked");
-    }
-
-    #[test]
-    fn provisioned_width_sizes_interior_links_at_the_cap() {
-        let fixed = ExecOptions::default();
-        assert_eq!(fixed.provisioned_width(1, 3, 2), 2);
-        let elastic = ExecOptions {
-            autoscale: Some(cap(3)),
-            ..Default::default()
-        };
-        // Endpoints keep the spec width; interior stages are provisioned
-        // at the cap (and a wider spec wins over a narrower cap).
-        assert_eq!(elastic.provisioned_width(0, 3, 1), 1);
-        assert_eq!(elastic.provisioned_width(1, 3, 1), 3);
-        assert_eq!(elastic.provisioned_width(2, 3, 1), 1);
-        assert_eq!(elastic.provisioned_width(1, 3, 5), 5);
     }
 
     #[cfg(unix)]

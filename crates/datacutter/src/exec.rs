@@ -45,12 +45,14 @@ use crate::fault::{FaultPlan, RunControl};
 use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
 use crate::link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, WorkerIngress};
 use crate::net::TelemetryClient;
-use crate::recover::{CheckpointStore, RecoveryOptions};
+use crate::recover::RecoveryOptions;
 use crate::stream::logical_stream;
 use crate::telemetry::{
     build_sample, encode_telemetry_payload, now_us, LinkProbe, StageProbe, TelemetryConfig,
 };
-use crate::width::{AutoscaleConfig, AutoscaleReport, StageWidth, WidthController};
+use crate::width::{
+    provisioned_width, AutoscaleConfig, AutoscaleReport, StageWidth, WidthController,
+};
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::cell::Cell;
@@ -330,10 +332,6 @@ pub struct RunOptions {
     /// supervised copy restarts on any failure but a cancellation. Off,
     /// a failed copy fails the run.
     pub recovery: RecoveryOptions,
-    /// Checkpoint store used under recovery (e.g. one mirrored to a JSONL
-    /// audit log via [`CheckpointStore::with_jsonl`]); `None` is a fresh
-    /// in-memory store per run.
-    pub checkpoint_store: Option<CheckpointStore>,
     /// Liveness of the distributed links: heartbeat cadence and silence
     /// deadline on TCP links, and supervised (lenient) ingress, where a
     /// dead producer parks its slot awaiting a respawned process instead
@@ -373,7 +371,6 @@ impl Default for RunOptions {
             stall_timeout: None,
             metrics: None,
             recovery: RecoveryOptions::default(),
-            checkpoint_store: None,
             net_tuning: NetTuning::default(),
             telemetry: None,
             autoscale: None,
@@ -501,10 +498,7 @@ impl Pipeline {
         // autoscale config, so ingress/egress connection counts agree
         // across process boundaries.
         let eff_width: Vec<usize> = (0..n)
-            .map(|s| match &opts.autoscale {
-                Some(cfg) if s > 0 && s < n - 1 => stages[s].width.max(cfg.max_width),
-                _ => stages[s].width,
-            })
+            .map(|s| provisioned_width(opts.autoscale.as_ref(), s, n, stages[s].width))
             .collect();
         let stage_widths: Vec<Option<Arc<StageWidth>>> = (0..n)
             .map(|s| {
@@ -698,10 +692,6 @@ impl Pipeline {
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
         let net_stats: Arc<Mutex<Vec<(u32, NetLinkStats)>>> = Arc::new(Mutex::new(Vec::new()));
         let recovery = opts.recovery;
-        let store = opts
-            .recovery
-            .enabled
-            .then(|| opts.checkpoint_store.clone().unwrap_or_default());
         // Telemetry shipping connection, shared between the sampler loop
         // and the final flush after the scope ends.
         let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(None);
@@ -877,10 +867,8 @@ impl Pipeline {
                         pool_hits: 0,
                         pool_misses: 0,
                         dropped: 0,
-                        recovery: store.as_ref().map(|st| RecoveryCtx {
-                            store: st.clone(),
-                            stage: stage.name.clone(),
-                            copy: c,
+                        recovery: recovery.enabled.then_some(RecoveryCtx {
+                            snapshot: None,
                             checkpoint_every: recovery.checkpoint_every,
                             auto_ack: !stage.stateful,
                             accepted: 0,
@@ -957,7 +945,7 @@ impl Pipeline {
                                                 PID_RUNTIME,
                                                 tid,
                                             );
-                                            filter.restore(&snap)?;
+                                            filter.restore(snap)?;
                                         }
                                     }
                                     let processed = {
@@ -1926,7 +1914,7 @@ mod tests {
                 while let Some(b) = io.read() {
                     self.sum += b.u64_le("ckpt-sum")?;
                     if io.checkpoint_due() {
-                        io.commit_checkpoint(&self.sum.to_le_bytes())?;
+                        io.commit_checkpoint(&self.sum.to_le_bytes());
                     }
                 }
                 Ok(())
@@ -1991,7 +1979,7 @@ mod tests {
                 while let Some(b) = io.read() {
                     self.sum += b.u64_le("no-restore")?;
                     if io.checkpoint_due() {
-                        io.commit_checkpoint(&self.sum.to_le_bytes())?;
+                        io.commit_checkpoint(&self.sum.to_le_bytes());
                     }
                 }
                 Ok(())

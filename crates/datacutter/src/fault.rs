@@ -129,26 +129,6 @@ impl FaultPlan {
         })
     }
 
-    /// Delay handling of packet `packet` at `stage[copy]`.
-    pub fn delay_at(self, stage: &str, copy: usize, packet: u64, delay: Duration) -> Self {
-        self.rule(FaultRule {
-            stage: Some(stage.into()),
-            copy: Some(copy),
-            trigger: Trigger::Packet(packet),
-            action: FaultAction::Delay(delay),
-        })
-    }
-
-    /// SIGKILL the whole process at `stage[copy]` packet `packet`.
-    pub fn kill_at(self, stage: &str, copy: usize, packet: u64) -> Self {
-        self.rule(FaultRule {
-            stage: Some(stage.into()),
-            copy: Some(copy),
-            trigger: Trigger::Packet(packet),
-            action: FaultAction::Kill,
-        })
-    }
-
     /// Append every rule of `other` (its seed is ignored; the receiver's
     /// seed governs probabilistic triggers).
     pub fn merge(mut self, other: FaultPlan) -> Self {

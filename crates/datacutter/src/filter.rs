@@ -10,7 +10,6 @@
 use crate::buffer::{Buffer, BufferPool};
 use crate::error::{FilterError, FilterResult};
 use crate::fault::{FaultAction, FaultInjector, RunControl};
-use crate::recover::{CheckpointStore, Snapshot};
 use crate::stream::{StreamReader, StreamWriter};
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::sync::Arc;
@@ -19,10 +18,9 @@ use std::time::Duration;
 /// Per-copy recovery bookkeeping attached to a [`FilterIo`] when the
 /// pipeline runs with recovery enabled.
 pub(crate) struct RecoveryCtx {
-    pub(crate) store: CheckpointStore,
-    /// `stage` / `copy` key this copy checkpoints under.
-    pub(crate) stage: String,
-    pub(crate) copy: usize,
+    /// The last committed state snapshot. The `FilterIo` outlives every
+    /// attempt of its copy, so a restarted attempt restores from here.
+    pub(crate) snapshot: Option<Vec<u8>>,
     /// Checkpoint cadence (accepted packets) for stateful stages.
     pub(crate) checkpoint_every: u64,
     /// Stateless stages acknowledge inputs as they are consumed (a
@@ -32,7 +30,7 @@ pub(crate) struct RecoveryCtx {
     pub(crate) auto_ack: bool,
     /// Inputs accepted since the last checkpoint commit.
     pub(crate) accepted: u64,
-    /// Inputs accepted over the whole unit of work (snapshot metadata).
+    /// Inputs accepted over the whole unit of work (trace metadata).
     pub(crate) accepted_total: u64,
     /// Output write index at the last ack boundary; restarts rewind the
     /// writer here.
@@ -305,12 +303,12 @@ impl FilterIo {
             .is_some_and(|rc| !rc.auto_ack && rc.accepted >= rc.checkpoint_every)
     }
 
-    /// Commit a state snapshot: persist it to the checkpoint store, then
-    /// acknowledge the delivered input prefix (in that order — the
-    /// snapshot is what makes those packets durable) and record the
-    /// current output index as the restart boundary. A no-op without
-    /// recovery, so filters can call it unconditionally.
-    pub fn commit_checkpoint(&mut self, snapshot: &[u8]) -> FilterResult<()> {
+    /// Commit a state snapshot: keep it as this copy's restore point,
+    /// then acknowledge the delivered input prefix (in that order — the
+    /// snapshot is what covers those packets) and record the current
+    /// output index as the restart boundary. A no-op without recovery,
+    /// so filters can call it unconditionally.
+    pub fn commit_checkpoint(&mut self, snapshot: &[u8]) {
         if self
             .injector
             .as_ref()
@@ -319,24 +317,16 @@ impl FilterIo {
             // Doomed attempt (see `write`): must not acknowledge input —
             // the faulted packet was consumed from the stream but never
             // delivered, and only a replay can deliver it.
-            return Ok(());
+            return;
         }
         let out_index = self
             .output
             .as_ref()
             .map_or(0, crate::stream::StreamWriter::write_index);
         let Some(rc) = &mut self.recovery else {
-            return Ok(());
+            return;
         };
-        rc.store.save(
-            &rc.stage,
-            rc.copy,
-            Snapshot {
-                state: snapshot.to_vec(),
-                out_index,
-                packets: rc.accepted_total,
-            },
-        )?;
+        rc.snapshot = Some(snapshot.to_vec());
         if let Some(r) = &mut self.input {
             r.commit_acks();
         }
@@ -357,14 +347,12 @@ impl FilterIo {
                 ],
             );
         }
-        Ok(())
     }
 
     /// The latest committed snapshot for this copy, if any (the executor
     /// feeds it to [`Filter::restore`] before a restarted attempt).
-    pub(crate) fn latest_snapshot(&self) -> Option<Vec<u8>> {
-        let rc = self.recovery.as_ref()?;
-        rc.store.load(&rc.stage, rc.copy).map(|s| s.state)
+    pub(crate) fn latest_snapshot(&self) -> Option<&[u8]> {
+        self.recovery.as_ref()?.snapshot.as_deref()
     }
 
     /// Reset the endpoints for a restarted unit-of-work attempt: rewind

@@ -61,7 +61,7 @@ pub use net::{
     connect_with_retry, decode_frame, encode_frame, is_heartbeat_timeout, serve_telemetry, Frame,
     TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC, NET_VERSION, TELEMETRY_LINK,
 };
-pub use recover::{decode_snapshot, Checkpoint, CheckpointStore, RecoveryOptions, Snapshot};
+pub use recover::RecoveryOptions;
 pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{
     remove_ring_files, shm_dir, shm_supported, ShmIngress, ShmSender, DEFAULT_SHM_CAPACITY,

@@ -180,6 +180,26 @@ impl StageWidth {
     }
 }
 
+/// Provisioned copy count of stage `s` of `n` whose spec width is
+/// `spec_width`. Under `autoscale` an interior stage runs at
+/// `max(spec_width, max_width)` copies up front and the routing gate
+/// decides how many see traffic; endpoints, and every stage of a
+/// fixed-width run, keep the spec width. The executor sizes its stages
+/// with this, and anything sizing a cross-process link to a stage (a
+/// worker's shm ingress rings in particular) must use it too, so both
+/// ends agree on the producer count.
+pub fn provisioned_width(
+    autoscale: Option<&AutoscaleConfig>,
+    s: usize,
+    n: usize,
+    spec_width: usize,
+) -> usize {
+    match autoscale {
+        Some(cfg) if s > 0 && s + 1 < n => spec_width.max(cfg.max_width),
+        _ => spec_width,
+    }
+}
+
 /// One width decision the controller made.
 #[derive(Debug, Clone)]
 pub struct AutoscaleEvent {
@@ -432,6 +452,22 @@ impl WidthController {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn provisioned_width_sizes_interior_links_at_the_cap() {
+        assert_eq!(provisioned_width(None, 1, 3, 2), 2);
+        let cap = AutoscaleConfig {
+            max_width: 3,
+            ..Default::default()
+        };
+        let elastic = Some(&cap);
+        // Endpoints keep the spec width; interior stages are provisioned
+        // at the cap (and a wider spec wins over a narrower cap).
+        assert_eq!(provisioned_width(elastic, 0, 3, 1), 1);
+        assert_eq!(provisioned_width(elastic, 1, 3, 1), 3);
+        assert_eq!(provisioned_width(elastic, 2, 3, 1), 1);
+        assert_eq!(provisioned_width(elastic, 1, 3, 5), 5);
+    }
 
     fn probe(width: usize) -> Arc<StageProbe> {
         StageProbe::new("f2".into(), width, false)

@@ -1,7 +1,6 @@
-//! Seeded properties of the decoders that read operator input or files
-//! a crashed process left behind: [`FaultPlan::parse`] (`CGP_FAULTS`,
-//! `--faults`), [`AutoscaleConfig::parse`] (`CGP_AUTOSCALE`,
-//! `--autoscale`) and [`decode_snapshot`] (durable checkpoint files).
+//! Seeded properties of the decoders that read operator input:
+//! [`FaultPlan::parse`] (`CGP_FAULTS`, `--faults`) and
+//! [`AutoscaleConfig::parse`] (`CGP_AUTOSCALE`, `--autoscale`).
 //!
 //! For each spec parser:
 //!
@@ -12,17 +11,11 @@
 //!
 //! The autoscale parser also rejects, by key, an integer setting given
 //! as a fraction, a negative number or a value out of its type's range.
-//! A durable snapshot round-trips through the store's encoder, and every
-//! prefix, random mutation or huge length field of one decodes to a
-//! `Malformed` error or to the original snapshot.
 //!
 //! Cases come from a seeded PRNG (the build is offline, so no proptest);
 //! a failure names its case and spec.
 
-use cgp_datacutter::{
-    decode_snapshot, AutoscaleConfig, CheckpointStore, ErrorKind, FaultAction, FaultPlan,
-    FaultRule, Snapshot, Trigger,
-};
+use cgp_datacutter::{AutoscaleConfig, FaultAction, FaultPlan, FaultRule, Trigger};
 use cgp_obs::SmallRng;
 use std::time::Duration;
 
@@ -343,105 +336,4 @@ fn autoscale_integer_keys_reject_fractions_and_out_of_range_values() {
     }
     let err = AutoscaleConfig::parse("max=2.5").expect_err("max=2.5");
     assert!(err.to_string().contains("`max`"), "{err}");
-}
-
-/// A random snapshot for a random stage copy.
-fn random_snapshot(rng: &mut SmallRng) -> (String, usize, Snapshot) {
-    let stage = pick(&["f1", "f2", "mid", "re-duce", "s_2", "é"], rng).to_string();
-    let copy = rng.gen_range(0, 8);
-    let len = pick(&[0, 1, rng.gen_range(0, 64), rng.gen_range(0, 4096)], rng);
-    let snap = Snapshot {
-        state: (0..len).map(|_| rng.gen_range(0, 256) as u8).collect(),
-        out_index: pick(&[0, rng.gen_range_u64(1000), rng.next_u64()], rng),
-        packets: pick(&[0, rng.gen_range_u64(1000), rng.next_u64()], rng),
-    };
-    (stage, copy, snap)
-}
-
-/// The decoder's verdict on `bytes` is the original snapshot or a
-/// `Malformed` error; anything else fails the case.
-fn assert_original_or_malformed(
-    bytes: &[u8],
-    stage: &str,
-    copy: usize,
-    snap: &Snapshot,
-    what: &str,
-) {
-    match decode_snapshot(bytes, stage, copy) {
-        Ok(got) => assert_eq!(&got, snap, "{what}: decoded to a different snapshot"),
-        Err(e) => assert_eq!(e.kind, ErrorKind::Malformed, "{what}: {e}"),
-    }
-}
-
-#[test]
-fn durable_snapshots_round_trip_and_reject_damage_by_name() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("snapshot-props-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::durable(&dir).expect("durable store");
-    let mut rng = SmallRng::seed_from_u64(0xC4E1);
-    for case in 0..150 {
-        let (stage, copy, snap) = random_snapshot(&mut rng);
-        store.save(&stage, copy, snap.clone()).expect("save");
-        let path = store.snapshot_path(&stage, copy).expect("durable path");
-        let bytes = std::fs::read(&path).expect("read snapshot file");
-        let got = decode_snapshot(&bytes, &stage, copy)
-            .unwrap_or_else(|e| panic!("case {case}: round trip: {e}"));
-        assert_eq!(got, snap, "case {case}: round trip");
-        assert_eq!(
-            store.load_persisted(&stage, copy).expect("load").as_ref(),
-            Some(&snap),
-            "case {case}: load_persisted"
-        );
-
-        for cut in 0..bytes.len() {
-            let err = decode_snapshot(&bytes[..cut], &stage, copy)
-                .expect_err("a strict prefix is truncated");
-            assert_eq!(err.kind, ErrorKind::Malformed, "case {case}: prefix {cut}");
-        }
-
-        for m in 0..40 {
-            let mut damaged = bytes.clone();
-            let at = rng.gen_range(0, damaged.len());
-            match rng.gen_range(0, 3) {
-                0 => damaged[at] = rng.gen_range(0, 256) as u8,
-                1 => {
-                    damaged.remove(at);
-                }
-                _ => damaged.insert(at, rng.gen_range(0, 256) as u8),
-            }
-            assert_original_or_malformed(
-                &damaged,
-                &stage,
-                copy,
-                &snap,
-                &format!("case {case}: mutation {m}"),
-            );
-        }
-
-        // Length fields near their type's maximum: the stage name's u32
-        // at byte 8 and the state's u64 after the fixed header.
-        let state_len_at = 12 + stage.len() + 24;
-        for k in 0..8u64 {
-            let mut huge = bytes.clone();
-            huge[state_len_at..state_len_at + 8].copy_from_slice(&(u64::MAX - k).to_le_bytes());
-            assert_original_or_malformed(
-                &huge,
-                &stage,
-                copy,
-                &snap,
-                &format!("case {case}: state_len u64::MAX - {k}"),
-            );
-            let mut huge = bytes.clone();
-            huge[8..12].copy_from_slice(&(u32::MAX - k as u32).to_le_bytes());
-            assert_original_or_malformed(
-                &huge,
-                &stage,
-                copy,
-                &snap,
-                &format!("case {case}: stage_len u32::MAX - {k}"),
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -70,11 +70,6 @@ impl Type {
         Type::Array(Box::new(elem))
     }
 
-    /// Is this a primitive scalar type (int/double/bool)?
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Type::Int | Type::Double | Type::Bool)
-    }
-
     /// Byte size used by the packing layer for scalar element types.
     pub fn scalar_size(&self) -> Option<usize> {
         match self {

@@ -917,10 +917,6 @@ impl ProgramCode {
     pub fn method_id(&self, class: &str, method: &str) -> Option<u32> {
         self.methods_by_class.get(class)?.get(method).copied()
     }
-
-    pub fn class_id(&self, class: &str) -> Option<u32> {
-        self.class_map.get(class).copied()
-    }
 }
 
 #[cfg(test)]

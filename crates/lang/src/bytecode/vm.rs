@@ -1480,16 +1480,13 @@ fn widen(old: &Value, rhs: Value) -> Value {
     }
 }
 
-/// The interpreter's compound assignment on doubles, `a + sign * b`. The
-/// `-1.0` is a real multiply there, which keeps a NaN `b`'s sign bit;
-/// folded to a negation (as the optimizer does once `sign` is known) it
-/// would flip it, so the constant is kept opaque.
+/// The interpreter's compound assignment on doubles.
 #[inline]
 fn combine_f(mode: AssignOp, a: f64, b: f64) -> f64 {
     match mode {
         AssignOp::Set => b,
         AssignOp::Add => a + b,
-        AssignOp::Sub => a + std::hint::black_box(-1.0) * b,
+        AssignOp::Sub => a - b,
     }
 }
 

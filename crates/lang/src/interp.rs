@@ -536,25 +536,26 @@ impl<'p> Interp<'p> {
         let combine = |old: &Value, rhs: Value| -> LangResult<Value> {
             match op {
                 AssignOp::Set => Ok(rhs),
-                AssignOp::Add | AssignOp::Sub => {
-                    let sign = if op == AssignOp::Add { 1.0 } else { -1.0 };
-                    match (old, &rhs) {
-                        (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if op == AssignOp::Add {
-                            a.wrapping_add(*b)
+                AssignOp::Add | AssignOp::Sub => match (old, &rhs) {
+                    (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if op == AssignOp::Add {
+                        a.wrapping_add(*b)
+                    } else {
+                        a.wrapping_sub(*b)
+                    })),
+                    _ => {
+                        let a = old.as_f64().ok_or_else(|| {
+                            interp_err(span, "compound assignment on non-numeric target")
+                        })?;
+                        let b = rhs.as_f64().ok_or_else(|| {
+                            interp_err(span, "compound assignment with non-numeric value")
+                        })?;
+                        Ok(Value::Double(if op == AssignOp::Add {
+                            a + b
                         } else {
-                            a.wrapping_sub(*b)
-                        })),
-                        _ => {
-                            let a = old.as_f64().ok_or_else(|| {
-                                interp_err(span, "compound assignment on non-numeric target")
-                            })?;
-                            let b = rhs.as_f64().ok_or_else(|| {
-                                interp_err(span, "compound assignment with non-numeric value")
-                            })?;
-                            Ok(Value::Double(a + sign * b))
-                        }
+                            a - b
+                        }))
                     }
-                }
+                },
             }
         };
         match target {

@@ -195,12 +195,16 @@ impl Value {
     }
 
     /// Structural equality used by tests: deep for arrays/objects, bitwise
-    /// for doubles. Objects compare by class and present fields, whatever
-    /// their shapes' slot order.
+    /// for doubles except that any NaN equals any NaN (Rust leaves the
+    /// sign and payload of an arithmetic NaN unspecified, and no dialect
+    /// operation can observe them). Objects compare by class and present
+    /// fields, whatever their shapes' slot order.
     pub fn deep_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (Value::Double(a), Value::Double(b)) => {
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+            }
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Void, Value::Void) | (Value::Null, Value::Null) => true,
             (Value::Domain(a1, a2), Value::Domain(b1, b2)) => a1 == b1 && a2 == b2,
@@ -300,6 +304,17 @@ mod tests {
         let o2 = Value::new_object("P", f1);
         assert!(o1.deep_eq(&o2));
         assert!(!o1.deep_eq(&a));
+    }
+
+    #[test]
+    fn deep_eq_equates_nans_of_either_sign_but_not_signed_zeros() {
+        let nan = Value::Double(f64::NAN);
+        let neg_nan = Value::Double(-f64::NAN);
+        assert!(nan.deep_eq(&neg_nan) && neg_nan.deep_eq(&nan));
+        assert!(!nan.deep_eq(&Value::Double(1.0)));
+        let (zero, neg_zero) = (Value::Double(0.0), Value::Double(-0.0));
+        assert!(!zero.deep_eq(&neg_zero) && !neg_zero.deep_eq(&zero));
+        assert!(zero.deep_eq(&Value::Double(0.0)));
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod trace;
 pub use json::Json;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use rng::SmallRng;
-pub use sink::{ChromeTraceSink, JsonLinesSink, RingSink, TraceSink};
+pub use sink::{ChromeTraceSink, RingSink, TraceSink};
 pub use telemetry::{
     StageSample, TelemetrySample, TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV,
 };

@@ -1,12 +1,10 @@
 //! Trace sinks.
 //!
 //! A [`TraceSink`] receives stamped [`TraceEvent`]s from the global
-//! dispatcher in [`crate::trace`]. Three implementations:
+//! dispatcher in [`crate::trace`]. Two implementations:
 //!
 //! - [`RingSink`] — fixed-capacity in-memory ring; keeps the newest
 //!   events. Used by tests and by the in-process report printers.
-//! - [`JsonLinesSink`] — one JSON object per line, streamed to any
-//!   writer; cheap to tail while a run is live.
 //! - [`ChromeTraceSink`] — buffers events and writes a single JSON
 //!   array on flush: the Chrome `trace_event` format, loadable in
 //!   `chrome://tracing` and Perfetto.
@@ -62,37 +60,6 @@ impl TraceSink for RingSink {
     }
 
     fn flush(&self) {}
-}
-
-/// Streams one JSON object per event to a writer, newline-delimited.
-pub struct JsonLinesSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLinesSink {
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonLinesSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::new(Box::new(BufWriter::new(File::create(path)?))))
-    }
-}
-
-impl TraceSink for JsonLinesSink {
-    fn record(&self, event: TraceEvent) {
-        let mut line = String::new();
-        event.to_json().write(&mut line);
-        line.push('\n');
-        let mut out = self.out.lock().unwrap();
-        let _ = out.write_all(line.as_bytes());
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
-    }
 }
 
 /// Buffers events; `flush` writes the whole Chrome `trace_event` JSON
@@ -193,22 +160,6 @@ mod tests {
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_one_object_per_line() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonLinesSink::new(Box::new(SharedBuf(buf.clone())));
-        sink.record(ev("a", 1.0));
-        sink.record(ev("b", 2.0));
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let parsed = Json::parse(line).unwrap();
-            assert!(parsed.get("name").is_some());
         }
     }
 
