@@ -1,10 +1,9 @@
 //! Data-plane regression guard.
 //!
-//! Measures packet-echo throughput in the legacy (per-packet, no pool,
-//! mutex), batched + pooled mutex, and SPSC-ring configurations, plus
-//! the distributed echo over both same-host transports (loopback TCP
-//! vs shared memory), and compares against the committed
-//! `BENCH_dataplane.json` baseline:
+//! Measures packet-echo throughput in the legacy (per-packet, no pool)
+//! and batched + pooled configurations, plus the distributed echo over
+//! both same-host transports (loopback TCP vs shared memory), and
+//! compares against the committed `BENCH_dataplane.json` baseline:
 //!
 //! ```sh
 //! cargo run --release -p cgp-bench --bin dataplane_guard            # check
@@ -13,29 +12,22 @@
 //!
 //! The check fails (exit 1) if:
 //!
-//! * batched or spsc throughput drops more than 30% below its baseline,
+//! * batched throughput drops more than 30% below its baseline,
 //! * the batched/legacy speedup falls below 1.5× (baseline records ≥ 2×),
-//! * the SPSC ring link falls below 1.5× the mutex link on the bare
-//!   per-packet link bench (the ring acceptance bar; with 8-packet
-//!   transfer batches both links measure at parity because one lock
-//!   amortizes over the batch, so the gate runs at the granularity
-//!   where the link implementation is the variable),
 //! * the shm transport fails to beat loopback TCP on the same run, or
 //! * enabling telemetry sampling costs more than 5% of the batched rate.
 //!
 //! `--record` rewrites the baseline from a fresh measurement.
 //!
 //! Env knobs for CI smoke mode: `CGP_GUARD_PACKETS` (default 16384),
-//! `CGP_GUARD_LINK_PACKETS` (default 262144), `CGP_GUARD_DIST_PACKETS`
-//! (default 8192), `CGP_GUARD_REPS` (default 11), `CGP_GUARD_BASELINE`
-//! (path). The defaults are sized so the telemetry plane's fixed
+//! `CGP_GUARD_DIST_PACKETS` (default 8192), `CGP_GUARD_REPS` (default
+//! 11), `CGP_GUARD_BASELINE` (path). The defaults are sized so the telemetry plane's fixed
 //! per-run setup (sampler thread, probes — tens of µs) amortizes below
 //! the 5% sampling tolerance and paired best-of filters scheduler
 //! noise.
 
 use cgp_bench::dataplane::{
-    echo_packets_per_sec, echo_paired_packets_per_sec, link_paired_packets_per_sec,
-    transport_paired_packets_per_sec, EchoConfig,
+    echo_packets_per_sec, echo_paired_packets_per_sec, transport_paired_packets_per_sec, EchoConfig,
 };
 use cgp_core::datacutter::shm_supported;
 
@@ -44,11 +36,6 @@ const PAYLOAD: usize = 1024;
 const DROP_TOLERANCE: f64 = 0.30;
 /// Machine-independent floor on the batched/legacy speedup.
 const SPEEDUP_FLOOR: f64 = 1.5;
-/// Machine-independent floor on the ring/mutex speedup for a bare
-/// per-packet 1→1 link.
-const RING_SPEEDUP_FLOOR: f64 = 1.5;
-/// Payload for the bare-link bench: small, so the link dominates.
-const LINK_PAYLOAD: usize = 64;
 /// The shm transport must beat loopback TCP on the same run.
 const SHM_OVER_TCP_FLOOR: f64 = 1.0;
 /// Telemetry sampling may cost at most this fraction of batched
@@ -79,27 +66,27 @@ fn main() {
     let baseline_path =
         std::env::var("CGP_GUARD_BASELINE").unwrap_or_else(|_| "BENCH_dataplane.json".to_string());
     let packets = env_usize("CGP_GUARD_PACKETS", 16384);
-    let link_packets = env_usize("CGP_GUARD_LINK_PACKETS", 262144);
     let dist_packets = env_usize("CGP_GUARD_DIST_PACKETS", 8192);
     let reps = env_usize("CGP_GUARD_REPS", 11);
 
     let legacy_cfg = EchoConfig::legacy(packets, PAYLOAD);
     let batched_cfg = EchoConfig::batched(packets, PAYLOAD);
-    let spsc_cfg = EchoConfig::spsc(packets, PAYLOAD);
     // Warm both paths once so thread-spawn and allocator cold costs do
     // not land on the first timed rep.
     let _ = echo_packets_per_sec(&legacy_cfg, 1);
+    let _ = echo_packets_per_sec(&batched_cfg, 1);
     let legacy = echo_packets_per_sec(&legacy_cfg, reps);
     // Paired (interleaved) reps wherever two rates are compared against
     // each other: the tolerances are below run-to-run machine noise, so
-    // both configurations must sample the same noise window.
-    let (batched, spsc) = echo_paired_packets_per_sec(&batched_cfg, &spsc_cfg, reps);
+    // both configurations must sample the same noise window. The
+    // batched rate comes from the first pair, beside a configuration of
+    // its own speed, as the baseline's was recorded.
     // A first sampling estimate over the tolerance is re-measured once
     // with doubled reps — scheduler noise shrinks with samples, a real
     // regression does not.
     let sampled_cfg = batched_cfg.clone().with_sampling();
-    let (mut batched_s, mut sampled) =
-        echo_paired_packets_per_sec(&batched_cfg, &sampled_cfg, reps);
+    let (batched, mut sampled) = echo_paired_packets_per_sec(&batched_cfg, &sampled_cfg, reps);
+    let mut batched_s = batched;
     if sampled < batched_s * (1.0 - SAMPLING_TOLERANCE) {
         eprintln!(
             "note: sampling estimate {:.1}% over tolerance; re-measuring with {} reps",
@@ -110,11 +97,6 @@ fn main() {
     }
     let speedup = batched / legacy;
     let sampling_cost = 1.0 - sampled / batched_s;
-
-    // Bare 1→1 link at per-packet granularity: the shape where the
-    // link implementation (ring vs mutex) is the variable.
-    let (link_mutex, link_spsc) = link_paired_packets_per_sec(link_packets, LINK_PAYLOAD, reps);
-    let ring_speedup = link_spsc / link_mutex;
 
     // Same-host transports: distributed echo across three worker
     // threads, loopback TCP vs shared memory (skipped where shm is
@@ -131,14 +113,9 @@ fn main() {
         "  batched (batch={}, pooled):  {batched:>12.0} packets/s",
         batched_cfg.batch
     );
-    println!("  spsc    (ring links):       {spsc:>12.0} packets/s");
     println!("  sampled (telemetry on):     {sampled:>12.0} packets/s");
     println!("  batched/legacy speedup: {speedup:.2}x");
     println!("  sampling cost: {:.1}%", sampling_cost.max(0.0) * 100.0);
-    println!("bare 1->1 link, per-packet ({link_packets} packets x {LINK_PAYLOAD} B):");
-    println!("  mutex stream:               {link_mutex:>12.0} packets/s");
-    println!("  spsc ring:                  {link_spsc:>12.0} packets/s");
-    println!("  ring/mutex speedup:     {ring_speedup:.2}x");
     if shm_supported() {
         println!("distributed echo ({dist_packets} packets x {PAYLOAD} B, 3 workers):");
         println!("  tcp (loopback):             {tcp:>12.0} packets/s");
@@ -158,13 +135,7 @@ fn main() {
                 "  \"batch\": {batch},\n",
                 "  \"legacy_packets_per_sec\": {legacy:.0},\n",
                 "  \"batched_packets_per_sec\": {batched:.0},\n",
-                "  \"spsc_packets_per_sec\": {spsc:.0},\n",
                 "  \"speedup\": {speedup:.2},\n",
-                "  \"link_packets\": {link_packets},\n",
-                "  \"link_payload_bytes\": {link_payload},\n",
-                "  \"link_mutex_packets_per_sec\": {link_mutex:.0},\n",
-                "  \"link_spsc_packets_per_sec\": {link_spsc:.0},\n",
-                "  \"ring_speedup\": {ring_speedup:.2},\n",
                 "  \"dist_packets\": {dist_packets},\n",
                 "  \"tcp_packets_per_sec\": {tcp:.0},\n",
                 "  \"shm_packets_per_sec\": {shm:.0},\n",
@@ -176,13 +147,7 @@ fn main() {
             batch = batched_cfg.batch,
             legacy = legacy,
             batched = batched,
-            spsc = spsc,
             speedup = speedup,
-            link_packets = link_packets,
-            link_payload = LINK_PAYLOAD,
-            link_mutex = link_mutex,
-            link_spsc = link_spsc,
-            ring_speedup = ring_speedup,
             dist_packets = dist_packets,
             tcp = tcp,
             shm = shm,
@@ -217,22 +182,9 @@ fn main() {
         }
     };
     check_drop("batched", batched, base_batched);
-    // Older baselines predate the spsc field; the machine-independent
-    // ring floor below still gates the ring path there.
-    if let Some(base_spsc) = json_f64(&text, "spsc_packets_per_sec") {
-        check_drop("spsc", spsc, base_spsc);
-    }
     if speedup < SPEEDUP_FLOOR {
         eprintln!(
             "FAIL: batched/legacy speedup {speedup:.2}x is below the {SPEEDUP_FLOOR:.1}x floor"
-        );
-        failed = true;
-    }
-    if ring_speedup < RING_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: ring/mutex link speedup {ring_speedup:.2}x \
-             ({link_spsc:.0} vs {link_mutex:.0} packets/s per-packet) is below the \
-             {RING_SPEEDUP_FLOOR:.1}x floor"
         );
         failed = true;
     }
@@ -257,7 +209,7 @@ fn main() {
     }
     println!(
         "OK: within {:.0}% of baseline ({base_batched:.0} packets/s batched), above the \
-         {SPEEDUP_FLOOR:.1}x batched and {RING_SPEEDUP_FLOOR:.1}x ring speedup floors, \
+         {SPEEDUP_FLOOR:.1}x batched speedup floor, \
          shm beats loopback TCP, and sampling within {:.0}%",
         DROP_TOLERANCE * 100.0,
         SAMPLING_TOLERANCE * 100.0

@@ -3,25 +3,20 @@
 //! Used by `benches/dataplane.rs` (criterion suite) and the
 //! `dataplane_guard` regression binary so both measure exactly the same
 //! pipeline: a three-stage source → echo → sink that moves `packets`
-//! buffers of `payload` bytes. Three in-process configurations matter:
+//! buffers of `payload` bytes. Two in-process configurations matter:
 //!
-//! * **legacy** — `batch = 1`, no buffer pool, mutex links: every packet
-//!   is a fresh allocation, every hop one lock acquisition and one
-//!   condvar wakeup.
-//! * **batched** — `batch = 8` with a [`BufferPool`], mutex links:
-//!   packet storage is recycled and up to `batch` packets move per lock
-//!   acquisition.
-//! * **spsc** — batched + pooled with the lock-free SPSC ring on the
-//!   pipeline's 1→1 links (the default data plane since the same-host
-//!   specialization landed).
+//! * **legacy** — `batch = 1`, no buffer pool: every packet is a fresh
+//!   allocation, every hop one lock acquisition and one condvar wakeup.
+//! * **batched** — `batch = 8` with a [`BufferPool`]: packet storage is
+//!   recycled and up to `batch` packets move per lock acquisition.
 //!
-//! [`run_distributed_echo`] runs the same pipeline split across three
-//! worker threads joined by a real transport — loopback TCP or the
-//! shared-memory ring — so the guard can compare same-host transports.
+//! [`transport_paired_packets_per_sec`] runs the same pipeline split
+//! across three worker threads joined by a real transport — loopback
+//! TCP or the shared-memory ring — so the guard can compare same-host
+//! transports.
 //!
 //! The committed `BENCH_dataplane.json` baseline records the rates; the
-//! acceptance bars are batched ≥ 1.5× legacy (historically ≥ 2×) and
-//! spsc ≥ 1.5× batched.
+//! acceptance bar is batched ≥ 1.5× legacy (historically ≥ 2×).
 
 use cgp_core::datacutter::{
     Buffer, BufferPool, ClosureFilter, FilterIo, Pipeline, RunOptions, StageSpec, TelemetryConfig,
@@ -44,9 +39,6 @@ pub struct EchoConfig {
     pub batch: usize,
     /// Whether stages allocate from a shared [`BufferPool`].
     pub pooled: bool,
-    /// Whether 1→1 links use the lock-free SPSC ring (`false` pins the
-    /// mutex `Stream`, the pre-ring data plane).
-    pub rings: bool,
     /// Whether the telemetry plane samples the run (50 ms cadence, no
     /// log sink) — the guard asserts sampling stays within 5% of the
     /// unsampled rate.
@@ -54,37 +46,26 @@ pub struct EchoConfig {
 }
 
 impl EchoConfig {
-    /// The original data plane: per-packet sends, fresh allocations,
-    /// mutex links.
+    /// The original data plane: per-packet sends and fresh allocations.
     pub fn legacy(packets: usize, payload: usize) -> Self {
         EchoConfig {
             packets,
             payload,
             batch: 1,
             pooled: false,
-            rings: false,
             sampled: false,
         }
     }
 
-    /// The pooled + batched mutex data plane at the default batch of 8.
+    /// The pooled + batched data plane at the batch of 8 every compiled
+    /// plan runs with.
     pub fn batched(packets: usize, payload: usize) -> Self {
         EchoConfig {
             packets,
             payload,
             batch: 8,
             pooled: true,
-            rings: false,
             sampled: false,
-        }
-    }
-
-    /// The batched + pooled configuration on lock-free SPSC ring links —
-    /// the default same-host data plane.
-    pub fn spsc(packets: usize, payload: usize) -> Self {
-        EchoConfig {
-            rings: true,
-            ..EchoConfig::batched(packets, payload)
         }
     }
 
@@ -103,7 +84,6 @@ pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
         payload,
         batch,
         pooled,
-        rings,
         sampled,
     } = *cfg;
     let bytes = Arc::new(AtomicU64::new(0));
@@ -113,7 +93,6 @@ pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
         capacity: 64,
         batch,
         pool: pooled.then(BufferPool::new),
-        same_host_rings: rings,
         telemetry: sampled.then(|| {
             let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(50)));
             TelemetryConfig::new(sampler, "echo")
@@ -218,84 +197,6 @@ pub fn echo_paired_packets_per_sec(a: &EchoConfig, b: &EchoConfig, reps: usize) 
     (a.packets as f64 / best[0], b.packets as f64 / best[1])
 }
 
-/// Throughput of one bare 1→1 stream link in packets per second at
-/// per-packet granularity: a producer thread pushes `packets` pooled
-/// `payload`-byte buffers one write at a time through a
-/// [`logical_stream`] link and a consumer drains them. With
-/// `rings = true` the link is the lock-free SPSC ring; with `false` it
-/// is pinned to the mutex `Stream`. This isolates the link itself — the
-/// full echo pipeline's per-packet buffer machinery (alloc, memset,
-/// seal) otherwise hides the sync cost — at the granularity where the
-/// link implementation is actually the variable: with 8-packet transfer
-/// batches one lock acquisition amortizes over the batch and the two
-/// links measure at parity, while per-packet the mutex+condvar pays its
-/// full price on every message.
-///
-/// [`logical_stream`]: cgp_core::datacutter::logical_stream
-pub fn link_packets_per_sec(rings: bool, packets: usize, payload: usize, reps: usize) -> f64 {
-    link_packets_per_sec_b(rings, packets, payload, 1, reps)
-}
-
-/// [`link_packets_per_sec`] with an explicit transfer batch size.
-pub fn link_packets_per_sec_b(
-    rings: bool,
-    packets: usize,
-    payload: usize,
-    batch: usize,
-    reps: usize,
-) -> f64 {
-    use cgp_core::datacutter::logical_stream;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let (mut writers, mut readers) = logical_stream(1, 1, 64, None, false, rings);
-        let mut writer = writers.pop().expect("one writer");
-        let mut reader = readers.pop().expect("one reader");
-        reader.set_batch(batch);
-        let pool = BufferPool::new();
-        let start = Instant::now();
-        let producer = std::thread::spawn(move || {
-            let mut sent = 0usize;
-            while sent < packets {
-                let n = batch.min(packets - sent);
-                let bufs: Vec<Buffer> = (0..n)
-                    .map(|_| {
-                        let mut v = pool.alloc(payload);
-                        v.resize(payload, 0xA5);
-                        pool.seal(v)
-                    })
-                    .collect();
-                writer.write_batch(bufs).expect("link write");
-                sent += n;
-            }
-            writer.close();
-        });
-        let mut got = 0usize;
-        while reader.read().is_some() {
-            got += 1;
-        }
-        producer.join().expect("producer join");
-        let dt = start.elapsed().as_secs_f64();
-        assert_eq!(got, packets, "link lost packets");
-        best = best.min(dt);
-    }
-    packets as f64 / best
-}
-
-/// Paired best-of-`reps` for the bare link, mutex vs ring, interleaved
-/// like [`echo_paired_packets_per_sec`]. Returns `(mutex, ring)` in
-/// packets per second.
-pub fn link_paired_packets_per_sec(packets: usize, payload: usize, reps: usize) -> (f64, f64) {
-    let mut rates = [0f64; 2];
-    for rep in 0..reps.max(1) {
-        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
-        for slot in order {
-            let rate = link_packets_per_sec(slot == 1, packets, payload, 1);
-            rates[slot] = rates[slot].max(rate);
-        }
-    }
-    (rates[0], rates[1])
-}
-
 /// Build the echo pipeline for one distributed worker (each worker
 /// rebuilds the full plan; the endpoints select which stage runs).
 fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -> Pipeline {
@@ -365,7 +266,7 @@ fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -
 /// Run the echo pipeline split across three worker threads joined by a
 /// real same-host `transport`: loopback TCP or the shared-memory ring.
 /// Returns total bytes observed by the sink.
-pub fn run_distributed_echo(transport: Transport, packets: usize, payload: usize) -> u64 {
+fn run_distributed_echo(transport: Transport, packets: usize, payload: usize) -> u64 {
     // Downstream endpoints exist before any producer connects, mirroring
     // the launcher's bind-then-announce ordering.
     let bind = || WorkerIngress::bind(transport.fresh_addr(), 1).expect("echo ingress");
@@ -418,7 +319,6 @@ mod tests {
         for cfg in [
             EchoConfig::legacy(100, 64),
             EchoConfig::batched(100, 64),
-            EchoConfig::spsc(100, 64),
             EchoConfig::batched(100, 64).with_sampling(),
         ] {
             assert_eq!(run_packet_echo(&cfg), 100 * 64, "{cfg:?}");

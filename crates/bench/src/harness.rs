@@ -1196,18 +1196,12 @@ mod tests {
             set.push(("CGP_MAX_WORKER_RESTARTS", n.to_string()));
         }
         if take(rng) {
-            let n = count(rng, u64::MAX - 1) as usize + 1;
-            want.batch = Some(n);
-            set.push(("CGP_BATCH", n.to_string()));
-        }
-        if take(rng) {
             let n = count(rng, u64::MAX - 1) + 1;
             want.checkpoint_every = Some(n);
             set.push(("CGP_CHECKPOINT_EVERY", n.to_string()));
         }
         for (var, slot) in [
             ("CGP_RECOVER", &mut want.recover),
-            ("CGP_NO_RINGS", &mut want.no_rings),
             ("CGP_SUPERVISED", &mut want.supervised),
         ] {
             if take(rng) {
@@ -1389,7 +1383,6 @@ mod tests {
                 "CGP_MAX_WORKER_RESTARTS",
                 &["lots", "4294967296", "18446744073709551616"],
             ),
-            ("CGP_BATCH", &["0", "big"]),
             ("CGP_CHECKPOINT_EVERY", &["0", "every"]),
             (
                 "CGP_AUTOSCALE",

@@ -141,8 +141,7 @@ const fn col(
 const TCP: Option<Transport> = Some(Transport::Tcp);
 const SHM: Option<Transport> = Some(Transport::Shm);
 
-const COLUMNS: [Column; 17] = [
-    col("threads/no-rings", &[("CGP_NO_RINGS", "1")], None),
+const COLUMNS: [Column; 15] = [
     col("threads/autoscale", &AUTOSCALE, None),
     col(
         "threads/autoscale+panic",
@@ -151,7 +150,6 @@ const COLUMNS: [Column; 17] = [
     ),
     col("tcp", &[], TCP),
     col("shm", &[], SHM),
-    col("shm/no-rings", &[("CGP_NO_RINGS", "1")], SHM),
     col("tcp/panic", &[PANIC, RECOVER[0], RECOVER[1]], TCP),
     col("shm/panic", &[PANIC, RECOVER[0], RECOVER[1]], SHM),
     col(
@@ -307,7 +305,7 @@ fn matrix() -> i32 {
             }
         }
     }
-    assert_eq!(cells, 12 * 17, "rows × columns");
+    assert_eq!(cells, 12 * 15, "rows × columns");
     if skipped > 0 {
         println!("note: {skipped} shm cells skipped (no shared-memory support in this build)");
     }

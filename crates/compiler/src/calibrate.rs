@@ -193,7 +193,7 @@ pub struct StageCalibration {
 pub struct CalibrationReport {
     pub stages: Vec<StageCalibration>,
     /// Per-link measured traffic (empty for in-process runs, which move
-    /// buffers over rings/channels rather than framed transports).
+    /// buffers over channels rather than framed transports).
     pub links: Vec<MeasuredLink>,
     /// The model's predicted bottleneck, e.g. `("C", 1)` or `("L", 0)`.
     pub predicted_bottleneck: (&'static str, usize),

@@ -662,11 +662,11 @@ impl StageTimes {
 
 /// Transport class of a pipeline link, with default `B(L)` / latency
 /// constants for each. Same-host links are dramatically cheaper than a
-/// network hop, and the runtime exploits that automatically (SPSC rings
-/// in-process, the shared-memory transport between co-located worker
-/// processes, TCP across hosts) — the cost model must see the same
-/// asymmetry or it will shy away from cuts that are nearly free in
-/// practice.
+/// network hop, and the runtime exploits that automatically (batched
+/// mutex channels in-process, the shared-memory transport between
+/// co-located worker processes, TCP across hosts) — the cost model must
+/// see the same asymmetry or it will shy away from cuts that are nearly
+/// free in practice.
 ///
 /// The constants are calibrated against the committed
 /// `BENCH_dataplane.json` measurements (distributed 1 KiB packet echo:
@@ -677,7 +677,7 @@ impl StageTimes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkClass {
     /// Shared-memory ring between processes on one host (or an
-    /// in-process SPSC ring link).
+    /// in-process channel link).
     SameHostShm,
     /// Loopback TCP between processes on one host.
     SameHostTcp,

@@ -46,11 +46,12 @@ use std::time::Duration;
 const TAG_DATA: u8 = 0;
 const TAG_REDUCTION: u8 = 1;
 
-/// Default stream batch ([`ExecOptions::batch`]): packets moved per lock
-/// acquisition. Chosen well below typical queue capacity (32) so batching
-/// never starves a round-robin sibling, while amortizing most of the
-/// per-packet synchronization.
-const DEFAULT_BATCH: usize = 8;
+/// Stream batch of every run: packets moved per lock acquisition
+/// ([`RunOptions::batch`]) and packets per source flush. Chosen well
+/// below the queue capacity (32) so batching never starves a
+/// round-robin sibling, while amortizing most of the per-packet
+/// synchronization.
+const BATCH: usize = 8;
 
 /// A deterministic host-environment builder, invoked once per filter copy
 /// whose unit reads an extern, on that copy's thread.
@@ -90,9 +91,6 @@ pub struct ExecOptions {
     pub deadline: Option<Duration>,
     /// Cancel if no packet moves for this long.
     pub stall_timeout: Option<Duration>,
-    /// Packets moved per stream lock acquisition (`None` = the default,
-    /// 8; 1 = strict per-packet synchronization).
-    pub batch: Option<usize>,
     /// Enable the recovery layer: ack/replay delivery, checkpointed
     /// reduction state, and supervised copy restarts — injected faults
     /// are survived instead of surfaced (where the restart budget
@@ -135,10 +133,6 @@ pub struct ExecOptions {
     /// latency histograms into it (callers read it post-run, e.g. for
     /// cost-model calibration).
     pub metrics: Option<Arc<Mutex<MetricsRegistry>>>,
-    /// Force every same-process 1→1 link onto the mutex channel instead
-    /// of the lock-free SPSC ring (`CGP_NO_RINGS=1`). Benchmarking and
-    /// escape hatch; rings are on by default.
-    pub no_rings: bool,
     /// Distributed transport between same-host workers
     /// (`CGP_TRANSPORT`); `None` lets [`Transport::select`] pick.
     /// Cross-host links always use TCP.
@@ -158,8 +152,6 @@ impl ExecOptions {
     /// - `CGP_FAULTS` — fault spec (see [`FaultPlan::parse`]);
     /// - `CGP_DEADLINE_MS` — run deadline in milliseconds;
     /// - `CGP_STALL_MS` — stall timeout in milliseconds;
-    /// - `CGP_BATCH` — packets per stream lock acquisition (1 disables
-    ///   batching);
     /// - `CGP_RECOVER` — `1`/`true`/`on` enables the recovery layer;
     /// - `CGP_CHECKPOINT_EVERY` — checkpoint cadence in packets;
     /// - `CGP_HEARTBEAT_MS` — heartbeat cadence on distributed TCP links
@@ -178,8 +170,6 @@ impl ExecOptions {
     ///   (`0` disables in-flight sampling);
     /// - `CGP_TELEMETRY_LOG` — JSONL path for telemetry samples;
     /// - `CGP_TELEMETRY` — launcher telemetry aggregator address;
-    /// - `CGP_NO_RINGS` — `1`/`true`/`on` forces mutex channels on
-    ///   every 1→1 link (disables the lock-free SPSC ring);
     /// - `CGP_TRANSPORT` — `shm` (default) or `tcp` for same-host
     ///   worker links;
     /// - `CGP_AUTOSCALE` — elastic copy-width autoscaling: `on` for
@@ -198,12 +188,6 @@ impl ExecOptions {
         let ms = |var: &str| whole::<u64>(&lookup, var);
         opts.deadline = ms("CGP_DEADLINE_MS")?.map(Duration::from_millis);
         opts.stall_timeout = ms("CGP_STALL_MS")?.map(Duration::from_millis);
-        if let Some(n) = whole::<usize>(&lookup, "CGP_BATCH")? {
-            if n == 0 {
-                return Err(CoreError::Config("CGP_BATCH: must be at least 1".into()));
-            }
-            opts.batch = Some(n);
-        }
         let flag = |var: &str| -> Result<Option<bool>, CoreError> {
             match lookup(var) {
                 Some(v) => match v.trim().to_ascii_lowercase().as_str() {
@@ -218,9 +202,6 @@ impl ExecOptions {
         };
         if let Some(b) = flag("CGP_RECOVER")? {
             opts.recover = b;
-        }
-        if let Some(b) = flag("CGP_NO_RINGS")? {
-            opts.no_rings = b;
         }
         if let Some(v) = lookup("CGP_TRANSPORT").filter(|v| !v.trim().is_empty()) {
             let t = v
@@ -410,8 +391,7 @@ fn build_pipeline(
         None => vec![1; m],
     };
     let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let batch = opts.batch.unwrap_or(DEFAULT_BATCH).max(1);
-    let mut pipeline = Pipeline::new(run_options(opts, batch)?);
+    let mut pipeline = Pipeline::new(run_options(opts)?);
     for (j, &width) in widths.iter().enumerate() {
         let plan = Arc::clone(&plan);
         let hb = Arc::clone(&host_builder);
@@ -427,7 +407,6 @@ fn build_pipeline(
                     copy,
                     width,
                     m,
-                    batch,
                     output: Arc::clone(&out),
                     lines: Vec::new(),
                     pending_restore: None,
@@ -449,7 +428,7 @@ fn build_pipeline(
 /// The runtime's share of `opts`, as the one [`RunOptions`] value a run
 /// takes. The telemetry sampler and the registry a telemetered run needs
 /// are built here, once per run.
-fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError> {
+fn run_options(opts: &ExecOptions) -> Result<RunOptions, CoreError> {
     let recovery = match (opts.recover, opts.checkpoint_every) {
         (false, _) => RecoveryOptions::default(),
         (true, None) => RecoveryOptions::on(),
@@ -493,9 +472,8 @@ fn run_options(opts: &ExecOptions, batch: usize) -> Result<RunOptions, CoreError
     }
     Ok(RunOptions {
         capacity: 32,
-        batch,
+        batch: BATCH,
         pool: Some(BufferPool::new()),
-        same_host_rings: !opts.no_rings,
         faults: opts.faults.clone(),
         deadline: opts.deadline,
         stall_timeout: opts.stall_timeout,
@@ -518,7 +496,6 @@ struct PlanFilter {
     copy: usize,
     width: usize,
     m: usize,
-    batch: usize,
     output: Arc<Mutex<Vec<String>>>,
     /// The final unit's epilogue lines, published to `output` by
     /// `finalize`, which a doomed attempt never reaches.
@@ -561,9 +538,9 @@ impl PlanFilter {
         if j == 0 {
             // Source: generate this copy's share of the packets, shipping
             // them in batches so downstream queue synchronization is
-            // amortized over `batch` packets.
+            // amortized over `BATCH` packets.
             let ((lo, hi), n_packets) = stepper.loop_bounds().map_err(CoreError::Compile)?;
-            let mut pending: Vec<Buffer> = Vec::with_capacity(self.batch);
+            let mut pending: Vec<Buffer> = Vec::with_capacity(BATCH);
             for (i, (plo, phi)) in split_domain(lo, hi, n_packets as usize).iter().enumerate() {
                 if i % self.width != self.copy {
                     continue;
@@ -573,8 +550,8 @@ impl PlanFilter {
                     .map_err(CoreError::Compile)?;
                 if let Some(payload) = out {
                     pending.push(Self::tagged(io, TAG_DATA, &payload));
-                    if pending.len() >= self.batch {
-                        let batch = std::mem::replace(&mut pending, Vec::with_capacity(self.batch));
+                    if pending.len() >= BATCH {
+                        let batch = std::mem::replace(&mut pending, Vec::with_capacity(BATCH));
                         io.write_batch(batch).map_err(CoreError::Runtime)?;
                     }
                 }
@@ -1359,14 +1336,6 @@ mod tests {
         let (out, _) =
             run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec).unwrap();
         assert_eq!(out, oracle());
-    }
-
-    #[test]
-    fn exec_options_from_env_rejects_bad_spec() {
-        // Exercise the parser directly (env vars are process-global, so
-        // don't set them in a test).
-        assert!(FaultPlan::parse("nonsense spec !!").is_err());
-        assert!(FaultPlan::parse("f2[0]@3:panic; seed=7").is_ok());
     }
 
     #[test]

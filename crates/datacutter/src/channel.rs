@@ -7,6 +7,11 @@
 //! bound is what gives streams backpressure (a full queue blocks the
 //! producer, exactly DataCutter's fixed-buffer-pool behaviour).
 //!
+//! Every in-process stream link runs on this channel, 1→1 links
+//! included. [`Sender::send_batch`] and [`Receiver::try_recv_batch`]
+//! move several packets per lock acquisition, which is how the stream
+//! layer amortizes the lock over a batch.
+//!
 //! Channels can optionally be tied to a [`CancelToken`]
 //! ([`bounded_cancellable`]): cancelling the token wakes every blocked
 //! `send`/`recv` and makes them fail like a disconnect, which is how the
@@ -106,18 +111,6 @@ impl CancelToken {
             return;
         }
         wakers.push(Waker { channel_id, probe });
-    }
-
-    /// [`register`](Self::register) for sibling queue implementations
-    /// (the SPSC ring): same dedup/prune/sticky-cancel behaviour, same
-    /// waker contract (`probe(true)` notifies, `probe(false)` reports
-    /// liveness).
-    pub(crate) fn register_waker(
-        &self,
-        channel_id: usize,
-        probe: Box<dyn Fn(bool) -> bool + Send + Sync>,
-    ) {
-        self.register(channel_id, probe);
     }
 
     /// Registered live wakers (racy; for tests).

@@ -272,7 +272,7 @@ pub struct WorkerEndpoints {
 /// How one pipeline run behaves: every setting apart from the stage list.
 ///
 /// [`RunOptions::default`] is a plain in-process run: 64-packet queues,
-/// per-packet synchronization, no pool, rings on, no faults, no watchdog,
+/// per-packet synchronization, no pool, no faults, no watchdog,
 /// recovery off, default [`NetTuning`], no telemetry and fixed widths.
 /// Set fields with struct update syntax:
 ///
@@ -305,11 +305,6 @@ pub struct RunOptions {
     /// recycled allocations, and per-stage hit/miss counts land in
     /// [`StageStats`] (and the metrics registry, when attached).
     pub pool: Option<BufferPool>,
-    /// Whether 1→1 non-recovering links use the lock-free SPSC ring
-    /// instead of the mutex channel (on by default). Off forces every
-    /// link onto the mutex path, for A/B measurement and as an escape
-    /// hatch.
-    pub same_host_rings: bool,
     /// Deterministic fault-injection plan (chaos testing); an empty plan
     /// injects nothing.
     pub faults: FaultPlan,
@@ -365,7 +360,6 @@ impl Default for RunOptions {
             capacity: 64,
             batch: 1,
             pool: None,
-            same_host_rings: true,
             faults: FaultPlan::default(),
             deadline: None,
             stall_timeout: None,
@@ -532,7 +526,6 @@ impl Pipeline {
                         opts.capacity,
                         Some(Arc::clone(&control)),
                         opts.recovery.enabled,
-                        opts.same_host_rings,
                     );
                     for (i, w) in ws.into_iter().enumerate() {
                         writers_per_stage[s][i] = Some(w);
@@ -550,7 +543,6 @@ impl Pipeline {
                         opts.capacity,
                         Some(Arc::clone(&control)),
                         opts.recovery.enabled,
-                        opts.same_host_rings,
                     );
                     ingress_writers = ws;
                     for (i, r) in rs.into_iter().enumerate() {
@@ -565,7 +557,6 @@ impl Pipeline {
                             opts.capacity,
                             Some(Arc::clone(&control)),
                             opts.recovery.enabled,
-                            opts.same_host_rings,
                         );
                         *slot = ws.pop();
                         egress_readers.push(rs.pop().expect("1→1 stream"));

@@ -500,8 +500,8 @@ mod tests {
 
     #[test]
     fn closure_filter_passes_through() {
-        let (ws, mut rs) = logical_stream(1, 1, 8, None, false, true);
-        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, None, false, true);
+        let (ws, mut rs) = logical_stream(1, 1, 8, None, false);
+        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, None, false);
         let mut f = ClosureFilter::new("double", |io: &mut FilterIo| {
             while let Some(b) = io.read() {
                 let doubled: Vec<u8> = b.as_slice().iter().map(|x| x * 2).collect();

@@ -44,7 +44,6 @@ pub mod filter;
 pub mod link;
 pub mod net;
 pub mod recover;
-pub mod ring;
 pub mod shm;
 pub mod stream;
 pub mod telemetry;
@@ -62,7 +61,6 @@ pub use net::{
     TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC, NET_VERSION, TELEMETRY_LINK,
 };
 pub use recover::RecoveryOptions;
-pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{
     remove_ring_files, shm_dir, shm_supported, ShmIngress, ShmSender, DEFAULT_SHM_CAPACITY,
     SHM_PREFIX,

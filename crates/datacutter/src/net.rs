@@ -1216,7 +1216,7 @@ mod tests {
 
     #[test]
     fn ingress_feeder_dedups_and_rejects_gaps() {
-        let (ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
+        let (ws, mut rs) = logical_stream(1, 1, 16, None, false);
         let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap());
         for seq in 0..3 {
             assert!(feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap());

@@ -124,7 +124,7 @@ const OFF_PRODUCER_PID: usize = 512;
 /// Byte offset of the owner (consumer) pid in the static header.
 const OWNER_PID_AT: usize = 16;
 
-/// Busy-spin laps before yielding (matches the in-process ring).
+/// Busy-spin laps before yielding.
 const SPINS: u32 = 128;
 /// `yield_now` laps before sleeping.
 const YIELDS: u32 = 16;
@@ -1282,7 +1282,7 @@ mod tests {
     fn supervised_ring_reset_resumes_from_the_published_watermark() {
         let base = test_base("reset");
         let ingress = ShmIngress::create(&base, 1, MIN_CAPACITY, None).unwrap();
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
         let mut r = rs.remove(0);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
@@ -1372,7 +1372,7 @@ mod tests {
         let packets_per_producer = 200usize;
         let mut pumps = Vec::new();
         for p in 0..producers {
-            let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
+            let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
             let (w, r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
@@ -1393,7 +1393,7 @@ mod tests {
         }
 
         // Consumer side: a 2→1 local stream fed by the ingress.
-        let (ws, mut rs) = logical_stream(producers, 1, 16, None, false, true);
+        let (ws, mut rs) = logical_stream(producers, 1, 16, None, false);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
             let mut r = rs.remove(0);

@@ -38,10 +38,9 @@
 //! [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 
 use crate::buffer::Buffer;
-use crate::channel::{bounded, bounded_cancellable, Receiver, RecvError, SendError, Sender};
+use crate::channel::{bounded, bounded_cancellable, Receiver, Sender};
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::ring::{self, RingReceiver, RingSender};
 use crate::telemetry::{instant_us, StageProbe};
 use crate::width::StageWidth;
 use cgp_obs::metrics::Histogram;
@@ -85,68 +84,6 @@ enum Msg {
     },
     /// A producer copy finished its unit of work.
     End,
-}
-
-/// Sending half of one queue backing a logical stream: the mutex
-/// channel (general: N→1 fan-in, replay-friendly) or the
-/// lock-free SPSC ring (selected automatically for 1→1 non-recovering
-/// links). Both expose identical blocking/batched/cancel semantics, so
-/// the stream layer is agnostic beyond this dispatch.
-enum MsgTx {
-    Chan(Sender<Msg>),
-    Ring(RingSender<Msg>),
-}
-
-impl MsgTx {
-    fn send(&self, msg: Msg) -> Result<(), SendError<Msg>> {
-        match self {
-            MsgTx::Chan(tx) => tx.send(msg),
-            MsgTx::Ring(tx) => tx.send(msg),
-        }
-    }
-
-    fn send_batch(&self, batch: &mut VecDeque<Msg>) -> Result<(), SendError<VecDeque<Msg>>> {
-        match self {
-            MsgTx::Chan(tx) => tx.send_batch(batch),
-            MsgTx::Ring(tx) => tx.send_batch(batch),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MsgTx::Chan(tx) => tx.len(),
-            MsgTx::Ring(tx) => tx.len(),
-        }
-    }
-}
-
-/// Receiving half, mirroring [`MsgTx`].
-enum MsgRx {
-    Chan(Receiver<Msg>),
-    Ring(RingReceiver<Msg>),
-}
-
-impl MsgRx {
-    fn recv(&self) -> Result<Msg, RecvError> {
-        match self {
-            MsgRx::Chan(rx) => rx.recv(),
-            MsgRx::Ring(rx) => rx.recv(),
-        }
-    }
-
-    fn try_recv_batch(&self, max: usize, out: &mut VecDeque<Msg>) -> Result<usize, RecvError> {
-        match self {
-            MsgRx::Chan(rx) => rx.try_recv_batch(max, out),
-            MsgRx::Ring(rx) => rx.try_recv_batch(max, out),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MsgRx::Chan(rx) => rx.len(),
-            MsgRx::Ring(rx) => rx.len(),
-        }
-    }
 }
 
 /// Ack/replay state shared by every endpoint of one logical stream
@@ -202,7 +139,7 @@ impl ReplayShared {
 
 /// Reading end held by one consumer copy.
 pub struct StreamReader {
-    rx: MsgRx,
+    rx: Receiver<Msg>,
     producers_remaining: usize,
     /// Locally drained messages not yet handed to the filter. Filled by
     /// the adaptive drain: after a blocking receive delivers one message,
@@ -635,7 +572,7 @@ impl StreamReader {
 
 /// Writing end held by one producer copy.
 pub struct StreamWriter {
-    txs: Vec<MsgTx>,
+    txs: Vec<Sender<Msg>>,
     next: usize,
     buffers_written: u64,
     bytes_written: u64,
@@ -1030,18 +967,12 @@ impl Drop for StreamWriter {
 ///   progress counter (for the stall detector).
 /// - `recovering` attaches ack/replay state, enabling the
 ///   upstream-backup protocol described in the module docs.
-/// - `same_host_rings` permits the lock-free SPSC ring for 1→1
-///   non-recovering links (the executor's default); `false` forces the
-///   mutex channel on every link, which benchmarks use to measure the
-///   ring against the channel on an otherwise identical pipeline.
-#[allow(clippy::fn_params_excessive_bools)]
 pub fn logical_stream(
     producers: usize,
     consumers: usize,
     capacity: usize,
     control: Option<Arc<RunControl>>,
     recovering: bool,
-    same_host_rings: bool,
 ) -> (Vec<StreamWriter>, Vec<StreamReader>) {
     assert!(producers > 0 && consumers > 0);
     assert!(capacity > 0);
@@ -1050,7 +981,7 @@ pub fn logical_stream(
         Some(c) => bounded_cancellable(cap, c.token()),
         None => bounded(cap),
     };
-    let reader = |rx: MsgRx, consumer: usize| StreamReader {
+    let reader = |rx: Receiver<Msg>, consumer: usize| StreamReader {
         rx,
         producers_remaining: producers,
         pending: VecDeque::new(),
@@ -1076,7 +1007,7 @@ pub fn logical_stream(
         drains: 0,
         last_flush_us: 0,
     };
-    let writer = |txs: Vec<MsgTx>, from: usize, stagger: usize| StreamWriter {
+    let writer = |txs: Vec<Sender<Msg>>, from: usize, stagger: usize| StreamWriter {
         txs,
         next: stagger,
         buffers_written: 0,
@@ -1097,17 +1028,6 @@ pub fn logical_stream(
         fresh_origin: false,
         active_width: None,
     };
-    // 1→1 non-recovering links ride the lock-free SPSC ring: exactly one
-    // producer endpoint and one consumer endpoint, and no replay state
-    // (replay wants the channel's bookkeeping shape). Everything else —
-    // fan-in, fan-out, recovering links — keeps the mutex channel.
-    if same_host_rings && producers == 1 && consumers == 1 && replay.is_none() {
-        let (tx, rx) = ring::spsc(capacity, control.as_ref().map(|c| c.token()));
-        return (
-            vec![writer(vec![MsgTx::Ring(tx)], 0, 0)],
-            vec![reader(MsgRx::Ring(rx), 0)],
-        );
-    }
     // One queue per consumer copy; every producer can reach every
     // consumer and rotates among them. Each producer sends one End per
     // consumer; each consumer therefore waits for `producers` Ends.
@@ -1116,21 +1036,12 @@ pub fn logical_stream(
     for c in 0..consumers {
         let (tx, rx) = channel(capacity);
         txs_per_consumer.push(tx);
-        readers.push(reader(MsgRx::Chan(rx), c));
+        readers.push(reader(rx, c));
     }
     let writers = (0..producers)
         // Stagger start positions so multiple producers do not all hit
         // consumer 0 first.
-        .map(|p| {
-            writer(
-                txs_per_consumer
-                    .iter()
-                    .map(|tx| MsgTx::Chan(tx.clone()))
-                    .collect(),
-                p,
-                p,
-            )
-        })
+        .map(|p| writer(txs_per_consumer.clone(), p, p))
         .collect();
     (writers, readers)
 }
@@ -1146,7 +1057,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivers_in_order() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1160,7 +1071,7 @@ mod tests {
 
     #[test]
     fn round_robin_distributes_evenly() {
-        let (mut ws, mut rs) = logical_stream(1, 3, 16, None, false, true);
+        let (mut ws, mut rs) = logical_stream(1, 3, 16, None, false);
         for t in 0..9 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1179,7 +1090,7 @@ mod tests {
 
     #[test]
     fn multiple_producers_all_must_close() {
-        let (mut ws, mut rs) = logical_stream(2, 1, 16, None, false, true);
+        let (mut ws, mut rs) = logical_stream(2, 1, 16, None, false);
         ws[0].write(buf(1)).unwrap();
         ws[1].write(buf(2)).unwrap();
         ws[0].close();
@@ -1194,21 +1105,21 @@ mod tests {
 
     #[test]
     fn write_after_close_errors() {
-        let (mut ws, _rs) = logical_stream(1, 1, 4, None, false, true);
+        let (mut ws, _rs) = logical_stream(1, 1, 4, None, false);
         ws[0].close();
         assert!(ws[0].write(buf(0)).is_err());
     }
 
     #[test]
     fn drop_closes_stream() {
-        let (ws, mut rs) = logical_stream(1, 1, 4, None, false, true);
+        let (ws, mut rs) = logical_stream(1, 1, 4, None, false);
         drop(ws);
         assert!(rs[0].read().is_none());
     }
 
     #[test]
     fn staggered_start_balances_multi_producer_round_robin() {
-        let (mut ws, mut rs) = logical_stream(2, 2, 32, None, false, true);
+        let (mut ws, mut rs) = logical_stream(2, 2, 32, None, false);
         // each producer writes 2 buffers
         ws[0].write(buf(0)).unwrap();
         ws[0].write(buf(1)).unwrap();
@@ -1227,7 +1138,7 @@ mod tests {
 
     #[test]
     fn stats_track_buffers_and_bytes() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 4, None, false, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 4, None, false);
         ws[0].write(Buffer::from_vec(vec![0; 10])).unwrap();
         ws[0].write(Buffer::from_vec(vec![0; 5])).unwrap();
         assert_eq!(ws[0].stats(), (2, 15));
@@ -1240,7 +1151,7 @@ mod tests {
     /// a plain one (same delivery, no replays, no dedups).
     #[test]
     fn recovering_stream_without_failures_is_transparent() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 16, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 16, None, true);
         for t in 0..8 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1260,7 +1171,7 @@ mod tests {
     /// once overall.
     #[test]
     fn consumer_restart_replays_unacked_exactly_once() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
         for t in 0..10 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1293,7 +1204,7 @@ mod tests {
     /// consumer sees no duplicates and no losses.
     #[test]
     fn producer_rewind_suppresses_already_sent_packets() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
         for t in 0..6 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1317,7 +1228,7 @@ mod tests {
     /// the same consumers as the originals would have.
     #[test]
     fn rewound_round_robin_keeps_target_mapping() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 64, None, true);
         for t in 0..4 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1342,7 +1253,7 @@ mod tests {
     /// nothing.
     #[test]
     fn acked_packets_are_never_replayed() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1362,7 +1273,7 @@ mod tests {
     /// excluded from the latency percentiles.
     #[test]
     fn probes_record_latency_and_gauges() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
         let probe = StageProbe::new("sink".into(), 1, true);
         ws[0].attach_probe(probe.clone(), 0);
         ws[0].mark_source();
@@ -1400,7 +1311,7 @@ mod tests {
     /// origin, so downstream residence works while e2e stays silent.
     #[test]
     fn ingress_stamping_feeds_residence_only() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
         ws[0].enable_stamping();
         let probe = StageProbe::new("f2".into(), 1, true);
         rs[0].attach_probe(probe.clone(), 0);
@@ -1420,7 +1331,7 @@ mod tests {
     /// the producer already pruned.
     #[test]
     fn committed_ack_watermark_never_regresses() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }

@@ -230,7 +230,7 @@ fn chaos_fault_at_exact_packet_index_through_the_socket_is_recovered() {
 fn ingress_preserves_fifo_per_producer() {
     for carrier in carriers() {
         let producers = 3u32;
-        let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false, true);
+        let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false);
         let (addr, serving) = serve(carrier, 7, writers, None, NetTuning::default());
         let senders: Vec<_> = (0..producers)
             .map(|p| {
@@ -281,7 +281,7 @@ fn ingress_preserves_fifo_per_producer() {
 fn backpressure_bounds_the_producer_through_the_socket() {
     for carrier in carriers() {
         // Consumer side: capacity 2, a gate holding the reader shut.
-        let (writers, readers) = logical_stream(1, 1, 2, None, false, true);
+        let (writers, readers) = logical_stream(1, 1, 2, None, false);
         let gate = Arc::new(AtomicBool::new(false));
         let (addr, serving) = serve(carrier, 1, writers, None, NetTuning::default());
         let gate2 = Arc::clone(&gate);
@@ -300,7 +300,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         });
         // Producer side: 16 × 4 MiB — far beyond what the capacity-2
         // stream plus kernel socket buffers or a 4 MiB ring can absorb.
-        let (mut pw, pr) = logical_stream(1, 1, 4, None, false, true);
+        let (mut pw, pr) = logical_stream(1, 1, 4, None, false);
         let done_sending = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done_sending);
         let producer = std::thread::spawn(move || {
@@ -340,7 +340,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
 fn disconnect_mid_frame_fails_the_link_loudly() {
     for carrier in carriers() {
         let control = RunControl::new();
-        let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+        let (writers, readers) = logical_stream(1, 1, 16, None, false);
         let tuning = NetTuning::default();
         let (addr, serving) = serve(carrier, 1, writers, Some(Arc::clone(&control)), tuning);
         let drain = std::thread::spawn(move || {
@@ -375,7 +375,7 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
 /// one-producer ingress and return how the link ended. The producer
 /// then vanishes.
 fn link_after(carrier: Transport, frames: &[Vec<u8>]) -> Result<NetLinkStats, FilterError> {
-    let (writers, mut readers) = logical_stream(1, 1, 16, None, false, true);
+    let (writers, mut readers) = logical_stream(1, 1, 16, None, false);
     let (addr, serving) = serve(carrier, 4, writers, None, NetTuning::default());
     let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
     let mut s = RawProducer::open(&addr, 0);
@@ -458,7 +458,7 @@ fn a_respawned_producer_delivers_its_prefix_once() {
         ..Default::default()
     };
     for carrier in carriers() {
-        let (writers, mut readers) = logical_stream(1, 1, 16, None, false, true);
+        let (writers, mut readers) = logical_stream(1, 1, 16, None, false);
         let (addr, serving) = serve(carrier, 2, writers, None, tuning);
         let mut first = RawProducer::open(&addr, 0);
         assert_eq!(first.hello(2, 0), 0);
@@ -466,7 +466,7 @@ fn a_respawned_producer_delivers_its_prefix_once() {
             first.send(&data(0, i, &[i as u8]));
         }
         drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, None, false, true);
+        let (mut ws, rs) = logical_stream(1, 1, 16, None, false);
         for i in 0..5u8 {
             ws[0].write(Buffer::from_vec(vec![i])).unwrap();
         }
@@ -505,7 +505,7 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
     let deadline = tuning.deadline().unwrap();
     for carrier in carriers() {
         // Room for two packets, and nobody reads until past the deadline.
-        let (writers, mut readers) = logical_stream(1, 1, 2, None, false, true);
+        let (writers, mut readers) = logical_stream(1, 1, 2, None, false);
         let (addr, serving) = serve(carrier, 2, writers, None, tuning);
         let mut first = RawProducer::open(&addr, 0);
         assert_eq!(first.hello(2, 0), 0);
@@ -513,7 +513,7 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
             first.send(&data(0, i, &[i as u8]));
         }
         drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, None, false, true);
+        let (mut ws, rs) = logical_stream(1, 1, 16, None, false);
         let respawn = {
             let addr = addr.clone();
             std::thread::spawn(move || {
@@ -558,7 +558,7 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
 fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+    let (writers, readers) = logical_stream(1, 1, 16, None, false);
     let serving = std::thread::spawn(move || {
         let ingress = WorkerIngress::Tcp(listener);
         serve_ingress(ingress, 3, writers, None, None, NetTuning::default())
@@ -614,7 +614,7 @@ fn handshake_rejects_wrong_link_and_producer() {
             (hello(5, 7), "producer out of range"),
             (b"XXXX-garbage-that-is-not-a-frame".to_vec(), "bad tag"),
         ] {
-            let (writers, readers) = logical_stream(1, 1, 16, None, false, true);
+            let (writers, readers) = logical_stream(1, 1, 16, None, false);
             let (addr, serving) = serve(carrier, 5, writers, None, NetTuning::default());
             let mut s = RawProducer::open(&addr, 0);
             s.send(&hello_bytes);
