@@ -3,14 +3,18 @@
 //! Used by `benches/dataplane.rs` (criterion suite) and the
 //! `dataplane_guard` regression binary so both measure exactly the same
 //! pipeline: a three-stage source → echo → sink that moves `packets`
-//! buffers of `payload` bytes. Two in-process configurations matter:
+//! buffers of `payload` bytes. Three in-process configurations matter:
 //!
 //! * **legacy** — `batch = 1`, no buffer pool: every packet is a fresh
 //!   allocation, every hop one lock acquisition and one condvar wakeup.
 //! * **batched** — `batch = 8` with a [`BufferPool`]: packet storage is
 //!   recycled and up to `batch` packets move per lock acquisition.
+//! * **sampled** — batched with telemetry on. Every run keeps the same
+//!   per-stage counters; telemetry adds the latency stamps, the latency
+//!   histograms and the sampler thread, which is the cost the guard's
+//!   5% sampling gate measures.
 //!
-//! [`transport_paired_packets_per_sec`] runs the same pipeline split
+//! [`transport_paired_packets_per_sec`] runs the batched pipeline split
 //! across three worker threads joined by a real transport — loopback
 //! TCP or the shared-memory ring — so the guard can compare same-host
 //! transports.
@@ -76,9 +80,10 @@ impl EchoConfig {
     }
 }
 
-/// Run the echo pipeline once. Returns total bytes observed by the sink
-/// (always `packets * payload`; asserted by callers).
-pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
+/// The echo pipeline under `cfg`'s options; the sink adds the bytes it
+/// receives to `bytes`. Every worker of a distributed echo builds the
+/// same pipeline, and its endpoints select which stage runs.
+fn echo_pipeline(cfg: &EchoConfig, bytes: Arc<AtomicU64>) -> Pipeline {
     let EchoConfig {
         packets,
         payload,
@@ -86,9 +91,6 @@ pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
         pooled,
         sampled,
     } = *cfg;
-    let bytes = Arc::new(AtomicU64::new(0));
-    let sink_bytes = Arc::clone(&bytes);
-
     let opts = RunOptions {
         capacity: 64,
         batch,
@@ -97,114 +99,6 @@ pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
             let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(50)));
             TelemetryConfig::new(sampler, "echo")
         }),
-        ..Default::default()
-    };
-    Pipeline::new(opts)
-        .add_stage(StageSpec::new(
-            "src",
-            1,
-            Box::new(move |_| {
-                Box::new(ClosureFilter::new("src", move |io: &mut FilterIo| {
-                    let mut pending: Vec<Buffer> = Vec::with_capacity(batch);
-                    for i in 0..packets {
-                        let mut v = io.alloc(payload);
-                        v.resize(payload, (i & 0xFF) as u8);
-                        pending.push(io.seal(v));
-                        if pending.len() >= batch {
-                            io.write_batch(std::mem::replace(
-                                &mut pending,
-                                Vec::with_capacity(batch),
-                            ))?;
-                        }
-                    }
-                    io.write_batch(pending)
-                }))
-            }),
-        ))
-        .add_stage(StageSpec::new(
-            "echo",
-            1,
-            Box::new(move |_| {
-                Box::new(ClosureFilter::new("echo", move |io: &mut FilterIo| {
-                    let mut pending: Vec<Buffer> = Vec::with_capacity(batch);
-                    while let Some(b) = io.read() {
-                        pending.push(b);
-                        if pending.len() >= batch {
-                            io.write_batch(std::mem::replace(
-                                &mut pending,
-                                Vec::with_capacity(batch),
-                            ))?;
-                        }
-                    }
-                    io.write_batch(pending)
-                }))
-            }),
-        ))
-        .add_stage(StageSpec::new(
-            "sink",
-            1,
-            Box::new(move |_| {
-                let bytes = Arc::clone(&sink_bytes);
-                Box::new(ClosureFilter::new("sink", move |io: &mut FilterIo| {
-                    while let Some(b) = io.read() {
-                        bytes.fetch_add(b.len() as u64, Ordering::Relaxed);
-                    }
-                    Ok(())
-                }))
-            }),
-        ))
-        .run()
-        .expect("echo pipeline failed");
-    bytes.load(Ordering::Relaxed)
-}
-
-/// Best-of-`reps` throughput in packets per second. Each rep runs the
-/// full pipeline (thread spawn included, as in real deployments) and the
-/// byte conservation invariant is asserted every time.
-pub fn echo_packets_per_sec(cfg: &EchoConfig, reps: usize) -> f64 {
-    let expect = (cfg.packets * cfg.payload) as u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let got = run_packet_echo(cfg);
-        let dt = start.elapsed().as_secs_f64();
-        assert_eq!(got, expect, "packet-echo lost bytes");
-        best = best.min(dt);
-    }
-    cfg.packets as f64 / best
-}
-
-/// Best-of-`reps` for two configurations with the reps interleaved
-/// (a b, b a, a b, …), so both sample the same noise window. Sequential
-/// best-of runs on a busy machine systematically penalize whichever
-/// configuration runs later; a paired comparison with the within-pair
-/// order alternated (used by the guard's sampling-overhead check) does
-/// not favor either slot.
-pub fn echo_paired_packets_per_sec(a: &EchoConfig, b: &EchoConfig, reps: usize) -> (f64, f64) {
-    let mut best = [f64::INFINITY; 2];
-    for rep in 0..reps.max(1) {
-        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
-        for slot in order {
-            let cfg = if slot == 0 { a } else { b };
-            let expect = (cfg.packets * cfg.payload) as u64;
-            let start = Instant::now();
-            let got = run_packet_echo(cfg);
-            let dt = start.elapsed().as_secs_f64();
-            assert_eq!(got, expect, "packet-echo lost bytes");
-            best[slot] = best[slot].min(dt);
-        }
-    }
-    (a.packets as f64 / best[0], b.packets as f64 / best[1])
-}
-
-/// Build the echo pipeline for one distributed worker (each worker
-/// rebuilds the full plan; the endpoints select which stage runs).
-fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -> Pipeline {
-    let batch = 8usize;
-    let opts = RunOptions {
-        capacity: 64,
-        batch,
-        pool: Some(BufferPool::new()),
         ..Default::default()
     };
     Pipeline::new(opts)
@@ -263,21 +157,72 @@ fn echo_worker_pipeline(packets: usize, payload: usize, bytes: Arc<AtomicU64>) -
         ))
 }
 
-/// Run the echo pipeline split across three worker threads joined by a
-/// real same-host `transport`: loopback TCP or the shared-memory ring.
-/// Returns total bytes observed by the sink.
+/// Run the echo pipeline once. Returns total bytes observed by the sink
+/// (always `packets * payload`; asserted by callers).
+pub fn run_packet_echo(cfg: &EchoConfig) -> u64 {
+    let bytes = Arc::new(AtomicU64::new(0));
+    echo_pipeline(cfg, Arc::clone(&bytes))
+        .run()
+        .expect("echo pipeline failed");
+    bytes.load(Ordering::Relaxed)
+}
+
+/// Best-of-`reps` throughput in packets per second. Each rep runs the
+/// full pipeline (thread spawn included, as in real deployments) and the
+/// byte conservation invariant is asserted every time.
+pub fn echo_packets_per_sec(cfg: &EchoConfig, reps: usize) -> f64 {
+    let expect = (cfg.packets * cfg.payload) as u64;
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let got = run_packet_echo(cfg);
+        let dt = start.elapsed().as_secs_f64();
+        assert_eq!(got, expect, "packet-echo lost bytes");
+        best = best.min(dt);
+    }
+    cfg.packets as f64 / best
+}
+
+/// Best-of-`reps` for two configurations with the reps interleaved
+/// (a b, b a, a b, …), so both sample the same noise window. Sequential
+/// best-of runs on a busy machine systematically penalize whichever
+/// configuration runs later; a paired comparison with the within-pair
+/// order alternated (used by the guard's sampling-overhead check) does
+/// not favor either slot.
+pub fn echo_paired_packets_per_sec(a: &EchoConfig, b: &EchoConfig, reps: usize) -> (f64, f64) {
+    let mut best = [f64::INFINITY; 2];
+    for rep in 0..reps.max(1) {
+        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
+        for slot in order {
+            let cfg = if slot == 0 { a } else { b };
+            let expect = (cfg.packets * cfg.payload) as u64;
+            let start = Instant::now();
+            let got = run_packet_echo(cfg);
+            let dt = start.elapsed().as_secs_f64();
+            assert_eq!(got, expect, "packet-echo lost bytes");
+            best[slot] = best[slot].min(dt);
+        }
+    }
+    (a.packets as f64 / best[0], b.packets as f64 / best[1])
+}
+
+/// Run the batched echo pipeline split across three worker threads
+/// joined by a real same-host `transport`: loopback TCP or the
+/// shared-memory ring. Returns total bytes observed by the sink.
 fn run_distributed_echo(transport: Transport, packets: usize, payload: usize) -> u64 {
     // Downstream endpoints exist before any producer connects, mirroring
     // the launcher's bind-then-announce ordering.
     let bind = || WorkerIngress::bind(transport.fresh_addr(), 1).expect("echo ingress");
     let ((i1, a1), (i2, a2)) = (bind(), bind());
     let endpoints = [(None, Some(a1)), (Some(i1), Some(a2)), (Some(i2), None)];
+    let cfg = EchoConfig::batched(packets, payload);
     let bytes = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for (stage, (ingress, connect)) in endpoints.into_iter().enumerate() {
             let bytes = Arc::clone(&bytes);
+            let cfg = &cfg;
             scope.spawn(move || {
-                echo_worker_pipeline(packets, payload, bytes)
+                echo_pipeline(cfg, bytes)
                     .run_worker(WorkerEndpoints {
                         stage,
                         ingress,

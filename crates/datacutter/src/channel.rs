@@ -1,7 +1,7 @@
 //! Bounded MPSC channel.
 //!
-//! The stream layer needs a small slice of crossbeam's channel API —
-//! `bounded`, a cloneable `Sender` (N→1 fan-in), blocking `send`/`recv`
+//! The stream layer needs a small slice of crossbeam's channel API — a
+//! bounded queue, a cloneable `Sender` (N→1 fan-in), blocking `send`/`recv`
 //! with disconnect detection — and the build environment is offline,
 //! so this provides exactly that on `Mutex` + `Condvar`. The queue
 //! bound is what gives streams backpressure (a full queue blocks the
@@ -12,11 +12,10 @@
 //! move several packets per lock acquisition, which is how the stream
 //! layer amortizes the lock over a batch.
 //!
-//! Channels can optionally be tied to a [`CancelToken`]
-//! ([`bounded_cancellable`]): cancelling the token wakes every blocked
-//! `send`/`recv` and makes them fail like a disconnect, which is how the
-//! executor's deadline/stall watchdog unwedges a blocked pipeline
-//! without killing threads. All internal locking is poison-tolerant: a
+//! Every channel is tied to a [`CancelToken`] ([`bounded_cancellable`]):
+//! cancelling the token wakes every blocked `send`/`recv` and makes them
+//! fail like a disconnect, which is how the executor's deadline/stall
+//! watchdog unwedges a blocked pipeline without killing threads. All internal locking is poison-tolerant: a
 //! filter copy that panics must not turn other copies' channel
 //! operations into secondary panics.
 
@@ -42,8 +41,8 @@ pub struct RecvError;
 
 /// Cooperative cancellation for a set of channels (one per pipeline
 /// run). [`CancelToken::cancel`] is sticky: every current and future
-/// blocking `send`/`recv` on a channel built with
-/// [`bounded_cancellable`] fails promptly.
+/// blocking `send`/`recv` on a channel built with the token fails
+/// promptly.
 #[derive(Clone, Default)]
 pub struct CancelToken {
     shared: Arc<CancelShared>,
@@ -130,21 +129,22 @@ struct Inner<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
-    cancel: Option<Arc<CancelShared>>,
+    cancel: Arc<CancelShared>,
 }
 
 impl<T> Inner<T> {
     fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.flag.load(Ordering::Acquire))
+        self.cancel.flag.load(Ordering::Acquire)
     }
 }
 
-fn make<T>(capacity: usize, cancel: Option<&CancelToken>) -> (Sender<T>, Receiver<T>)
-where
-    T: Send + 'static,
-{
+/// Create a bounded MPSC channel holding at most `capacity` messages,
+/// whose blocking operations also abort (as if disconnected) once
+/// `token` is cancelled.
+pub fn bounded_cancellable<T: Send + 'static>(
+    capacity: usize,
+    token: &CancelToken,
+) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "channel capacity must be positive");
     let inner = Arc::new(Inner {
         capacity,
@@ -155,49 +155,32 @@ where
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
-        cancel: cancel.map(|t| Arc::clone(&t.shared)),
+        cancel: Arc::clone(&token.shared),
     });
-    if let Some(token) = cancel {
-        let channel_id = Arc::as_ptr(&inner) as usize;
-        let weak = Arc::downgrade(&inner);
-        token.register(
-            channel_id,
-            Box::new(move |notify| {
-                let Some(inner) = weak.upgrade() else {
-                    return false;
-                };
-                if notify {
-                    // Touch the lock so wakes cannot race a thread that
-                    // has checked the flag but not yet parked on the
-                    // condvar.
-                    drop(plock(&inner.state));
-                    inner.not_empty.notify_all();
-                    inner.not_full.notify_all();
-                }
-                true
-            }),
-        );
-    }
+    let channel_id = Arc::as_ptr(&inner) as usize;
+    let weak = Arc::downgrade(&inner);
+    token.register(
+        channel_id,
+        Box::new(move |notify| {
+            let Some(inner) = weak.upgrade() else {
+                return false;
+            };
+            if notify {
+                // Touch the lock so wakes cannot race a thread that has
+                // checked the flag but not yet parked on the condvar.
+                drop(plock(&inner.state));
+                inner.not_empty.notify_all();
+                inner.not_full.notify_all();
+            }
+            true
+        }),
+    );
     (
         Sender {
             inner: inner.clone(),
         },
         Receiver { inner },
     )
-}
-
-/// Create a bounded MPSC channel holding at most `capacity` messages.
-pub fn bounded<T: Send + 'static>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    make(capacity, None)
-}
-
-/// Create a bounded MPSC channel whose blocking operations also abort
-/// (as if disconnected) once `token` is cancelled.
-pub fn bounded_cancellable<T: Send + 'static>(
-    capacity: usize,
-    token: &CancelToken,
-) -> (Sender<T>, Receiver<T>) {
-    make(capacity, Some(token))
 }
 
 pub struct Sender<T> {
@@ -385,7 +368,7 @@ mod tests {
 
     #[test]
     fn fifo_within_capacity() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = bounded_cancellable(4, &CancelToken::new());
         for i in 0..4 {
             tx.send(i).unwrap();
         }
@@ -397,7 +380,7 @@ mod tests {
 
     #[test]
     fn recv_errors_after_all_senders_drop() {
-        let (tx, rx) = bounded::<u32>(2);
+        let (tx, rx) = bounded_cancellable::<u32>(2, &CancelToken::new());
         tx.send(9).unwrap();
         let tx2 = tx.clone();
         drop(tx);
@@ -408,14 +391,14 @@ mod tests {
 
     #[test]
     fn send_errors_after_all_receivers_drop() {
-        let (tx, rx) = bounded::<u32>(2);
+        let (tx, rx) = bounded_cancellable::<u32>(2, &CancelToken::new());
         drop(rx);
         assert!(tx.send(1).is_err());
     }
 
     #[test]
     fn full_queue_blocks_until_drained() {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = bounded_cancellable(1, &CancelToken::new());
         tx.send(0).unwrap();
         let h = thread::spawn(move || {
             tx.send(1).unwrap(); // blocks until the reader drains
@@ -429,7 +412,7 @@ mod tests {
 
     #[test]
     fn blocked_sender_unblocks_on_receiver_drop() {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = bounded_cancellable(1, &CancelToken::new());
         tx.send(0).unwrap();
         let h = thread::spawn(move || tx.send(1).is_err());
         thread::sleep(Duration::from_millis(20));
@@ -480,7 +463,7 @@ mod tests {
 
     #[test]
     fn send_batch_preserves_order_and_bound() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = bounded_cancellable(4, &CancelToken::new());
         let mut batch: VecDeque<i32> = (0..20).collect();
         let h = thread::spawn(move || {
             let mut got = Vec::new();
@@ -506,7 +489,7 @@ mod tests {
 
     #[test]
     fn try_recv_batch_drains_up_to_max() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = bounded_cancellable(8, &CancelToken::new());
         for i in 0..6 {
             tx.send(i).unwrap();
         }
@@ -521,7 +504,7 @@ mod tests {
 
     #[test]
     fn send_batch_returns_remainder_on_disconnect() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = bounded_cancellable(2, &CancelToken::new());
         let mut batch: VecDeque<i32> = (0..10).collect();
         let h = thread::spawn(move || {
             // Take a couple then hang up mid-batch.
@@ -590,7 +573,7 @@ mod tests {
 
     #[test]
     fn mpmc_delivers_each_message_once() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = bounded_cancellable(8, &CancelToken::new());
         let producers: Vec<_> = (0..3)
             .map(|p| {
                 let tx = tx.clone();

@@ -48,7 +48,8 @@ use crate::net::TelemetryClient;
 use crate::recover::RecoveryOptions;
 use crate::stream::logical_stream;
 use crate::telemetry::{
-    build_sample, encode_telemetry_payload, now_us, LinkProbe, StageProbe, TelemetryConfig,
+    build_sample, encode_telemetry_payload, now_us, CopyProbe, LinkProbe, StageProbe,
+    TelemetryConfig,
 };
 use crate::width::{
     provisioned_width, AutoscaleConfig, AutoscaleReport, StageWidth, WidthController,
@@ -56,6 +57,7 @@ use crate::width::{
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
@@ -147,7 +149,9 @@ impl StageSpec {
     }
 }
 
-/// Per-stage statistics from a run.
+/// Per-stage statistics from a run. The traffic, blocked and busy
+/// figures are read off the stage's probe when the run ends, so they are
+/// counted on every run; telemetry adds only the latency histogram.
 #[derive(Debug, Clone, Default)]
 pub struct StageStats {
     pub name: String,
@@ -319,8 +323,8 @@ pub struct RunOptions {
     pub stall_timeout: Option<Duration>,
     /// Registry the run publishes its counters into at end of run:
     /// per-stage failures, drops, panics, pool and recovery counts,
-    /// per-link network counters, and (with telemetry) per-stage rates
-    /// and latency histograms.
+    /// per-link network counters, per-stage rates (busy, blocked and
+    /// buffer counts), and, with telemetry, latency histograms.
     pub metrics: Option<Arc<Mutex<MetricsRegistry>>>,
     /// The recovery layer: ack/replay delivery on every stream,
     /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
@@ -332,14 +336,15 @@ pub struct RunOptions {
     /// dead producer parks its slot awaiting a respawned process instead
     /// of failing the run. Inert for in-process runs.
     pub net_tuning: NetTuning,
-    /// The live telemetry plane. Per-stage probes feed a sampler thread
-    /// that snapshots queue depth, per-copy busy/active time, latency
-    /// percentiles, replay-buffer occupancy, and net-link counters on the
-    /// sampler's cadence, without stopping the pipeline. Packets are
-    /// stamped at ingest so [`StageStats::residence_us`] and
-    /// [`RunStats::e2e_us`] report real p50/p95/p99 latencies. When
-    /// `ship_to` is set, every sample (and the final registry snapshot)
-    /// is also shipped to the launcher as a `Telemetry` frame (see
+    /// Latency telemetry and live sampling. The per-stage and per-link
+    /// counters run on every run; this adds the rest. Packets are stamped
+    /// at ingest so [`StageStats::residence_us`] and [`RunStats::e2e_us`]
+    /// report real p50/p95/p99 latencies, and a sampler thread snapshots
+    /// queue depth, per-copy busy/active time, latency percentiles,
+    /// replay-buffer occupancy, and net-link counters on the sampler's
+    /// cadence, without stopping the pipeline. When `ship_to` is set,
+    /// every sample (and the final registry snapshot) is also shipped to
+    /// the launcher as a `Telemetry` frame (see
     /// [`crate::net::serve_telemetry`]).
     pub telemetry: Option<TelemetryConfig>,
     /// Elastic copy-width autoscaling; requires telemetry with a nonzero
@@ -524,7 +529,7 @@ impl Pipeline {
                         eff_width[s],
                         eff_width[s + 1],
                         opts.capacity,
-                        Some(Arc::clone(&control)),
+                        Arc::clone(&control),
                         opts.recovery.enabled,
                     );
                     for (i, w) in ws.into_iter().enumerate() {
@@ -541,7 +546,7 @@ impl Pipeline {
                         eff_width[k - 1],
                         eff_width[k],
                         opts.capacity,
-                        Some(Arc::clone(&control)),
+                        Arc::clone(&control),
                         opts.recovery.enabled,
                     );
                     ingress_writers = ws;
@@ -555,7 +560,7 @@ impl Pipeline {
                             1,
                             1,
                             opts.capacity,
-                            Some(Arc::clone(&control)),
+                            Arc::clone(&control),
                             opts.recovery.enabled,
                         );
                         *slot = ws.pop();
@@ -589,13 +594,14 @@ impl Pipeline {
             }
         }
 
-        // Live telemetry: one probe per locally-run stage, attached to
-        // every stream endpoint the stage's copies touch. All `None`
-        // when telemetry is off — the stream hot path then pays nothing
-        // beyond an `Option` check.
+        // One probe per locally-run stage, attached to every stream
+        // endpoint the stage's copies touch: the run's counters, read
+        // mid-run by the telemetry sampler and once more at the end for
+        // the stage stats.
         let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
             .map(|s| {
-                (opts.telemetry.is_some() && active_stage.is_none_or(|k| k == s))
+                active_stage
+                    .is_none_or(|k| k == s)
                     .then(|| StageProbe::new(stages[s].name.clone(), eff_width[s], s == n - 1))
             })
             .collect();
@@ -616,7 +622,6 @@ impl Pipeline {
                 })
                 .filter(|ctl| !ctl.is_empty()),
         );
-        let mut link_probes: Vec<(u32, Arc<LinkProbe>)> = Vec::new();
         if opts.telemetry.is_some() {
             // Packets arriving over TCP get a fresh residence stamp here:
             // origin ticks don't cross process boundaries (the clocks are
@@ -625,23 +630,22 @@ impl Pipeline {
             for w in &mut ingress_writers {
                 w.enable_stamping();
             }
-            if let Some(k) = active_stage {
-                if k > 0 {
-                    link_probes.push((k as u32, Arc::new(LinkProbe::default())));
-                }
-                if k < n - 1 {
-                    link_probes.push(((k + 1) as u32, Arc::new(LinkProbe::default())));
-                }
-            }
         }
-        let link_probe = |link: u32| {
+        // One probe per worker link: the ingress link's, and the egress
+        // link's, shared by every copy's pump.
+        let link_probes: Vec<(u32, Arc<LinkProbe>)> = active_stage
+            .into_iter()
+            .flat_map(|k| [(k > 0).then_some(k), (k < n - 1).then_some(k + 1)])
+            .flatten()
+            .map(|link| (link as u32, Arc::default()))
+            .collect();
+        let link_probe = |link: usize| {
             link_probes
                 .iter()
-                .find(|(l, _)| *l == link)
+                .find(|(l, _)| *l as usize == link)
                 .map(|(_, p)| Arc::clone(p))
+                .expect("a probe per worker link")
         };
-        let ingress_probe = active_stage.and_then(|k| link_probe(k as u32));
-        let egress_probe = active_stage.and_then(|k| link_probe((k + 1) as u32));
 
         // Start every copy. Trace tids number filter copies globally
         // (stage by stage), one timeline row per copy.
@@ -681,7 +685,6 @@ impl Pipeline {
         // (remaining threads, condvar) — workers count down, the watchdog
         // waits with a timeout.
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
-        let net_stats: Arc<Mutex<Vec<(u32, NetLinkStats)>>> = Arc::new(Mutex::new(Vec::new()));
         let recovery = opts.recovery;
         // Telemetry shipping connection, shared between the sampler loop
         // and the final flush after the scope ends.
@@ -781,16 +784,14 @@ impl Pipeline {
                 let control = Arc::clone(&control);
                 let errors = Arc::clone(&errors);
                 let done = Arc::clone(&done);
-                let net_stats = Arc::clone(&net_stats);
-                let probe = ingress_probe.clone();
+                let probe = link_probe(link as usize);
                 let tuning = opts.net_tuning;
                 scope.spawn(move || {
                     let ctl = Some(Arc::clone(&control));
-                    match serve_ingress(ingress, link, writers, ctl, probe, tuning) {
-                        Ok(st) => plock(&net_stats).push((link, st)),
-                        // The serve loop has already cancelled the run and
-                        // closed its local writers.
-                        Err(e) => plock(&errors).push(e),
+                    // On error the serve loop has already cancelled the
+                    // run and closed its local writers.
+                    if let Err(e) = serve_ingress(ingress, link, writers, ctl, probe, tuning) {
+                        plock(&errors).push(e);
                     }
                     countdown(&done);
                 });
@@ -803,9 +804,8 @@ impl Pipeline {
                 let control = Arc::clone(&control);
                 let errors = Arc::clone(&errors);
                 let done = Arc::clone(&done);
-                let net_stats = Arc::clone(&net_stats);
                 reader.set_batch(batch);
-                let probe = egress_probe.clone();
+                let probe = link_probe(k + 1);
                 let tuning = opts.net_tuning;
                 scope.spawn(move || {
                     let pumped = egress_pump(
@@ -817,15 +817,12 @@ impl Pipeline {
                         probe,
                         tuning,
                     );
-                    match pumped {
-                        Ok(st) => plock(&net_stats).push(((k + 1) as u32, st)),
-                        Err(e) => {
-                            // Wake the (possibly blocked) local producer.
-                            if e.kind != ErrorKind::Cancelled {
-                                control.cancel(format!("egress link {} failed: {e}", k + 1));
-                            }
-                            plock(&errors).push(e);
+                    if let Err(e) = pumped {
+                        // Wake the (possibly blocked) local producer.
+                        if e.kind != ErrorKind::Cancelled {
+                            control.cancel(format!("egress link {} failed: {e}", k + 1));
                         }
+                        plock(&errors).push(e);
                     }
                     countdown(&done);
                 });
@@ -853,7 +850,7 @@ impl Pipeline {
                         copy_index: c,
                         width: eff_width[s],
                         injector,
-                        control: Some(Arc::clone(&control)),
+                        control: Arc::clone(&control),
                         pool: opts.pool.clone(),
                         pool_hits: 0,
                         pool_misses: 0,
@@ -877,13 +874,14 @@ impl Pipeline {
                     if let Some(w) = io.output.as_mut() {
                         w.set_trace_tid(tid);
                     }
-                    let probe = probes[s].clone();
-                    if let Some(p) = &probe {
-                        if let Some(r) = io.input.as_mut() {
-                            r.attach_probe(Arc::clone(p), c);
-                        }
-                        if let Some(w) = io.output.as_mut() {
-                            w.attach_probe(Arc::clone(p), c);
+                    let probe = probes[s].clone().expect("a probe per local stage");
+                    if let Some(r) = io.input.as_mut() {
+                        r.attach_probe(Arc::clone(&probe), c);
+                    }
+                    if let Some(w) = io.output.as_mut() {
+                        w.attach_probe(Arc::clone(&probe), c);
+                        if opts.telemetry.is_some() {
+                            w.enable_stamping();
                             if s == 0 {
                                 // The true source stamps fresh ingest
                                 // origins for end-to-end latency.
@@ -908,9 +906,8 @@ impl Pipeline {
                         let t = Instant::now();
                         // Publish the start tick so mid-run snapshots (and
                         // crashed copies) report real busy time.
-                        if let Some(p) = &probe {
-                            p.copy(c).mark_started(now_us());
-                        }
+                        let cp = probe.copy(c);
+                        cp.mark_started(now_us());
                         let mut failures_here = 0u64;
                         let mut panics_here = 0u64;
                         let mut recoveries_here = 0u64;
@@ -1068,54 +1065,33 @@ impl Pipeline {
                         if failed {
                             while io.read().is_some() {}
                         }
-                        let busy = t.elapsed();
-                        if let Some(p) = &probe {
-                            p.copy(c).mark_finished(busy.as_micros() as u64);
+                        if let Some(r) = io.input.as_mut() {
+                            r.flush_probe_locals();
+                        }
+                        cp.mark_finished(t.elapsed());
+                        if copy_span.is_recording() {
+                            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                            copy_span.arg("buffers_in", load(&cp.buffers_in));
+                            copy_span.arg("buffers_out", load(&cp.buffers_out));
+                            let (recv, send) = (cp.blocked_recv(), cp.blocked_send());
+                            copy_span.arg("blocked_recv_us", recv.as_micros() as u64);
+                            copy_span.arg("blocked_send_us", send.as_micros() as u64);
+                        }
+                        if recv_stalled {
+                            plock(&stalled_at).push(format!(
+                                "{label} blocked in recv ({}ms starved)",
+                                cp.blocked_recv().as_millis()
+                            ));
+                        }
+                        if send_stalled {
+                            plock(&stalled_at).push(format!(
+                                "{label} blocked in send ({}ms backpressured)",
+                                cp.blocked_send().as_millis()
+                            ));
                         }
                         {
                             let mut st = plock(&stats);
                             let entry = &mut st[s];
-                            if let Some(r) = &io.input {
-                                let (b, by) = r.stats();
-                                entry.buffers_in += b;
-                                entry.bytes_in += by;
-                                entry.blocked_recv += r.blocked();
-                                if copy_span.is_recording() {
-                                    copy_span.arg("buffers_in", b);
-                                    copy_span
-                                        .arg("blocked_recv_us", r.blocked().as_micros() as u64);
-                                }
-                                if recv_stalled {
-                                    plock(&stalled_at).push(format!(
-                                        "{label} blocked in recv ({}ms starved)",
-                                        r.blocked().as_millis()
-                                    ));
-                                }
-                            }
-                            if let Some(w) = &io.output {
-                                let (b, by) = w.stats();
-                                entry.buffers_out += b;
-                                entry.bytes_out += by;
-                                entry.blocked_send += w.blocked();
-                                if copy_span.is_recording() {
-                                    copy_span.arg("buffers_out", b);
-                                    copy_span
-                                        .arg("blocked_send_us", w.blocked().as_micros() as u64);
-                                }
-                                if send_stalled {
-                                    plock(&stalled_at).push(format!(
-                                        "{label} blocked in send ({}ms backpressured)",
-                                        w.blocked().as_millis()
-                                    ));
-                                }
-                            }
-                            entry.busy += busy;
-                            // Accumulated at copy exit; mid-run
-                            // snapshots read the live per-copy probe
-                            // instead, so a sample taken before this line
-                            // (or a crashed copy's) still shows real busy
-                            // time.
-                            entry.busy_per_copy[c] += busy;
                             entry.failures += failures_here;
                             entry.dropped += io.dropped;
                             entry.panics += panics_here;
@@ -1123,12 +1099,12 @@ impl Pipeline {
                             if let Some(r) = &io.input {
                                 entry.replayed_packets += r.recovery_stats().0;
                             }
-                            let (ck, ckb) = io.checkpoint_counts();
-                            entry.checkpoints += ck;
-                            entry.checkpoint_bytes += ckb;
-                            let (ph, pm) = io.pool_counts();
-                            entry.pool_hits += ph;
-                            entry.pool_misses += pm;
+                            if let Some(rc) = &io.recovery {
+                                entry.checkpoints += rc.checkpoints;
+                                entry.checkpoint_bytes += rc.checkpoint_bytes;
+                            }
+                            entry.pool_hits += io.pool_hits;
+                            entry.pool_misses += io.pool_misses;
                         }
                         drop(copy_span);
                         countdown(&done);
@@ -1151,95 +1127,65 @@ impl Pipeline {
             .map(WidthController::into_report)
             .unwrap_or_default();
         let mut e2e_us = Histogram::default();
-        for (s, probe) in probes.iter().enumerate() {
+        for (st, probe) in stages.iter_mut().zip(&probes) {
             if let Some(p) = probe {
-                stages[s].residence_us = p.residence();
+                read_probe(st, p);
                 if let Some(h) = p.e2e() {
                     e2e_us = h;
                 }
             }
         }
-        // Merge per-thread samples (each egress pump reports separately)
-        // into one entry per link.
-        let mut net_links: Vec<(u32, NetLinkStats)> = Vec::new();
-        for (link, st) in std::mem::take(&mut *plock(&net_stats)) {
-            if let Some((_, agg)) = net_links.iter_mut().find(|(l, _)| *l == link) {
-                agg.frames += st.frames;
-                agg.bytes += st.bytes;
-                agg.deduped += st.deduped;
-                agg.timeouts += st.timeouts;
-                agg.reconnects += st.reconnects;
-            } else {
-                net_links.push((link, st));
-            }
-        }
-        net_links.sort_by_key(|(link, _)| *link);
+        let net_links: Vec<(u32, NetLinkStats)> = link_probes
+            .iter()
+            .map(|(link, p)| (*link, p.stats()))
+            .collect();
         if let Some(registry) = &opts.metrics {
             let mut reg = plock(registry);
             for (link, st) in &net_links {
                 reg.counter(&format!("net.link{link}.frames"), st.frames);
                 reg.counter(&format!("net.link{link}.bytes"), st.bytes);
-                if st.deduped > 0 {
-                    reg.counter(&format!("net.link{link}.deduped"), st.deduped);
-                }
-                if st.timeouts > 0 {
-                    reg.counter(&format!("net.link{link}.timeouts"), st.timeouts);
-                }
-                if st.reconnects > 0 {
-                    reg.counter(&format!("net.link{link}.reconnects"), st.reconnects);
+                let rare = [
+                    ("deduped", st.deduped),
+                    ("timeouts", st.timeouts),
+                    ("reconnects", st.reconnects),
+                ];
+                for (key, v) in rare.into_iter().filter(|(_, v)| *v > 0) {
+                    reg.counter(&format!("net.link{link}.{key}"), v);
                 }
             }
-            for (s, st) in stages.iter().enumerate() {
-                if st.failures > 0 {
-                    reg.counter(&format!("stage.{}.failures", st.name), st.failures);
-                }
-                if st.dropped > 0 {
-                    reg.counter(&format!("stage.{}.dropped", st.name), st.dropped);
-                }
-                if st.panics > 0 {
-                    reg.counter(&format!("stage.{}.panics", st.name), st.panics);
-                }
-                if st.pool_hits > 0 {
-                    reg.counter(&format!("stage.{}.pool.hits", st.name), st.pool_hits);
-                }
-                if st.pool_misses > 0 {
-                    reg.counter(&format!("stage.{}.pool.misses", st.name), st.pool_misses);
-                }
-                if st.recoveries > 0 {
-                    reg.counter(&format!("stage.{}.recoveries", st.name), st.recoveries);
-                }
-                if st.replayed_packets > 0 {
-                    reg.counter(&format!("stage.{}.replayed", st.name), st.replayed_packets);
-                }
-                if st.checkpoints > 0 {
-                    reg.counter(&format!("stage.{}.checkpoints", st.name), st.checkpoints);
-                    reg.counter(
-                        &format!("stage.{}.checkpoint_bytes", st.name),
-                        st.checkpoint_bytes,
-                    );
+            for (st, probe) in stages.iter().zip(&probes) {
+                let name = &st.name;
+                let rare = [
+                    ("failures", st.failures),
+                    ("dropped", st.dropped),
+                    ("panics", st.panics),
+                    ("pool.hits", st.pool_hits),
+                    ("pool.misses", st.pool_misses),
+                    ("recoveries", st.recoveries),
+                    ("replayed", st.replayed_packets),
+                    ("checkpoints", st.checkpoints),
+                    ("checkpoint_bytes", st.checkpoint_bytes),
+                ];
+                for (key, v) in rare.into_iter().filter(|(_, v)| *v > 0) {
+                    reg.counter(&format!("stage.{name}.{key}"), v);
                 }
                 // Measured per-stage rates for post-run cost-model
-                // calibration — pushed for every locally-run stage when
-                // telemetry is on, so the launcher's merged registry has
-                // a complete picture.
-                if opts.telemetry.is_some() && active_stage.is_none_or(|k| k == s) {
-                    reg.counter(
-                        &format!("stage.{}.busy_us", st.name),
-                        st.busy.as_micros() as u64,
-                    );
-                    reg.counter(
-                        &format!("stage.{}.blocked_send_us", st.name),
-                        st.blocked_send.as_micros() as u64,
-                    );
-                    reg.counter(
-                        &format!("stage.{}.blocked_recv_us", st.name),
-                        st.blocked_recv.as_micros() as u64,
-                    );
-                    reg.counter(&format!("stage.{}.buffers_in", st.name), st.buffers_in);
-                    reg.counter(&format!("stage.{}.buffers_out", st.name), st.buffers_out);
+                // calibration — pushed for every locally-run stage, so
+                // the launcher's merged registry has a complete picture.
+                if probe.is_some() {
+                    let rates = [
+                        ("busy_us", st.busy.as_micros() as u64),
+                        ("blocked_send_us", st.blocked_send.as_micros() as u64),
+                        ("blocked_recv_us", st.blocked_recv.as_micros() as u64),
+                        ("buffers_in", st.buffers_in),
+                        ("buffers_out", st.buffers_out),
+                    ];
+                    for (key, v) in rates {
+                        reg.counter(&format!("stage.{name}.{key}"), v);
+                    }
                     if st.residence_us.count > 0 {
                         reg.merge_histogram(
-                            &format!("stage.{}.residence_us", st.name),
+                            &format!("stage.{name}.residence_us"),
                             &st.residence_us,
                         );
                     }
@@ -1320,6 +1266,27 @@ impl Pipeline {
     }
 }
 
+/// Fill a locally run stage's traffic, blocked and busy figures from its
+/// probe, once every copy has exited.
+fn read_probe(st: &mut StageStats, probe: &StageProbe) {
+    let sum = |f: fn(&CopyProbe) -> &AtomicU64| {
+        probe
+            .copies
+            .iter()
+            .map(|c| f(c).load(Ordering::Relaxed))
+            .sum()
+    };
+    st.buffers_in = sum(|c| &c.buffers_in);
+    st.bytes_in = sum(|c| &c.bytes_in);
+    st.buffers_out = sum(|c| &c.buffers_out);
+    st.bytes_out = sum(|c| &c.bytes_out);
+    st.blocked_send = probe.copies.iter().map(CopyProbe::blocked_send).sum();
+    st.blocked_recv = probe.copies.iter().map(CopyProbe::blocked_recv).sum();
+    st.busy_per_copy = probe.copies.iter().map(CopyProbe::busy).collect();
+    st.busy = st.busy_per_copy.iter().sum();
+    st.residence_us = probe.residence();
+}
+
 /// Backoff before restart `n` (1-based) of a failed copy: 10 ms, doubling,
 /// capped at 2 s.
 fn restart_backoff(n: u64) -> Duration {
@@ -1388,7 +1355,6 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::filter::{ClosureFilter, Filter};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn source(n: u64) -> FilterFactory {
         Box::new(move |_| {

@@ -13,7 +13,6 @@ use crate::fault::{FaultAction, FaultInjector, RunControl};
 use crate::stream::{StreamReader, StreamWriter};
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-copy recovery bookkeeping attached to a [`FilterIo`] when the
 /// pipeline runs with recovery enabled.
@@ -56,9 +55,8 @@ pub struct FilterIo {
     /// Per-copy fault injection (chaos testing); interposed on the
     /// packet path by [`read`](FilterIo::read)/[`write`](FilterIo::write).
     pub(crate) injector: Option<FaultInjector>,
-    /// Run-wide cancellation/progress state, when the executor runs with
-    /// a deadline or stall watchdog.
-    pub(crate) control: Option<Arc<RunControl>>,
+    /// Run-wide cancellation/progress state.
+    pub(crate) control: Arc<RunControl>,
     /// Shared packet-storage pool ([`RunOptions::pool`]); when absent,
     /// [`alloc`](FilterIo::alloc)/[`seal`](FilterIo::seal) fall through
     /// to plain heap allocation.
@@ -78,29 +76,6 @@ pub struct FilterIo {
 }
 
 impl FilterIo {
-    /// Build the I/O endpoints for one filter copy (mostly useful in
-    /// tests; the executor builds these itself).
-    pub fn new(
-        input: Option<StreamReader>,
-        output: Option<StreamWriter>,
-        copy_index: usize,
-        width: usize,
-    ) -> Self {
-        FilterIo {
-            input,
-            output,
-            copy_index,
-            width,
-            injector: None,
-            control: None,
-            pool: None,
-            pool_hits: 0,
-            pool_misses: 0,
-            dropped: 0,
-            recovery: None,
-        }
-    }
-
     /// Get scratch storage for building an output packet: recycled from
     /// the pipeline's [`BufferPool`] when one is attached, freshly
     /// allocated otherwise. Pair with [`seal`](FilterIo::seal).
@@ -184,7 +159,7 @@ impl FilterIo {
                 None => return Some(buf),
                 Some(FaultAction::DropPacket) => self.dropped += 1,
                 Some(FaultAction::Delay(d)) => {
-                    if let Err(e) = Self::fault_sleep(&self.control, d, inj.label()) {
+                    if let Err(e) = self.control.cancellable_sleep(d, inj.label()) {
                         inj.set_pending(e);
                         return None;
                     }
@@ -203,11 +178,21 @@ impl FilterIo {
         }
     }
 
-    /// Write one buffer downstream.
+    /// Write one buffer downstream: a batch of one through
+    /// [`write_batch`](FilterIo::write_batch).
+    pub fn write(&mut self, buf: Buffer) -> FilterResult<()> {
+        self.write_batch([buf])
+    }
+
+    /// Write a run of buffers downstream, amortizing synchronization over
+    /// the whole run (one lock acquisition + one wakeup per target queue
+    /// instead of per packet).
     ///
     /// For source stages (no input) this is where faults fire, counted
-    /// per written packet.
-    pub fn write(&mut self, buf: crate::buffer::Buffer) -> FilterResult<()> {
+    /// per written packet: the survivors go out as one batch, and every
+    /// packet ahead of a fault is sent before the fault acts, so a fault
+    /// fires at the same packet index however the writes are batched.
+    pub fn write_batch(&mut self, bufs: impl IntoIterator<Item = Buffer>) -> FilterResult<()> {
         if self
             .injector
             .as_ref()
@@ -222,59 +207,43 @@ impl FilterIo {
             // content, desynchronizing replay suppression.
             return Ok(());
         }
-        if self.input.is_none() {
-            if let Some(inj) = self.injector.as_mut() {
+        // A terminal filter has no output: its writes are results it keeps
+        // itself, so there is nothing to send.
+        let flush =
+            |out: &mut Option<StreamWriter>| out.as_mut().map_or(Ok(()), StreamWriter::flush);
+        let mut injector = self.injector.as_mut().filter(|_| self.input.is_none());
+        for buf in bufs {
+            if let Some(inj) = injector.as_deref_mut() {
                 let packet = inj.packets_seen();
                 match inj.on_packet() {
                     None => {}
                     Some(FaultAction::DropPacket) => {
                         self.dropped += 1;
-                        return Ok(());
+                        continue;
                     }
-                    Some(FaultAction::Delay(d)) => {
-                        Self::fault_sleep(&self.control, d, inj.label())?;
+                    Some(action) => {
+                        // Every packet ahead of the fault leaves before
+                        // it acts.
+                        flush(&mut self.output)?;
+                        match action {
+                            FaultAction::Delay(d) => {
+                                self.control.cancellable_sleep(d, inj.label())?
+                            }
+                            FaultAction::Fail => return Err(inj.injected_error(packet)),
+                            FaultAction::Panic => {
+                                panic!("injected panic at {} packet {packet}", inj.label())
+                            }
+                            FaultAction::Kill => crate::fault::die_hard(),
+                            FaultAction::DropPacket => unreachable!("handled above"),
+                        }
                     }
-                    Some(FaultAction::Fail) => {
-                        return Err(inj.injected_error(packet));
-                    }
-                    Some(FaultAction::Panic) => {
-                        panic!("injected panic at {} packet {packet}", inj.label())
-                    }
-                    Some(FaultAction::Kill) => crate::fault::die_hard(),
                 }
             }
-        }
-        match self.output.as_mut() {
-            Some(w) => w.write(buf),
-            None => Ok(()), // terminal filter: writes are results, kept by the filter itself
-        }
-    }
-
-    /// Write a run of buffers downstream, amortizing synchronization over
-    /// the whole run (one lock acquisition + one wakeup per target queue
-    /// instead of per packet).
-    ///
-    /// With a fault injector attached this degrades to per-packet
-    /// [`write`](FilterIo::write): injected faults must keep firing at
-    /// exact packet indices, so a copy under test never skips the
-    /// per-packet interposition point.
-    pub fn write_batch(&mut self, bufs: Vec<Buffer>) -> FilterResult<()> {
-        if self.injector.is_some() {
-            for buf in bufs {
-                self.write(buf)?;
+            if let Some(w) = self.output.as_mut() {
+                w.stage(buf)?;
             }
-            return Ok(());
         }
-        match self.output.as_mut() {
-            Some(w) => w.write_batch(bufs),
-            None => Ok(()),
-        }
-    }
-
-    /// Pool hits/misses accumulated by this copy's
-    /// [`alloc`](FilterIo::alloc) calls.
-    pub fn pool_counts(&self) -> (u64, u64) {
-        (self.pool_hits, self.pool_misses)
+        flush(&mut self.output)
     }
 
     pub fn has_input(&self) -> bool {
@@ -289,7 +258,7 @@ impl FilterIo {
     /// Long-running compute loops should poll this and bail out so a
     /// cancelled run can join all threads promptly.
     pub fn cancelled(&self) -> bool {
-        self.control.as_ref().is_some_and(|c| c.is_cancelled())
+        self.control.is_cancelled()
     }
 
     /// Whether a stateful filter should checkpoint now: recovery is on,
@@ -389,27 +358,10 @@ impl FilterIo {
         }
     }
 
-    /// Checkpoint commits and snapshot bytes by this copy.
-    pub(crate) fn checkpoint_counts(&self) -> (u64, u64) {
-        self.recovery
-            .as_ref()
-            .map_or((0, 0), |rc| (rc.checkpoints, rc.checkpoint_bytes))
-    }
-
     /// Take the error an input-side injected failure parked (the read
     /// path can only signal end-of-work).
     pub(crate) fn take_injected_error(&mut self) -> Option<FilterError> {
         self.injector.as_mut().and_then(FaultInjector::take_pending)
-    }
-
-    fn fault_sleep(control: &Option<Arc<RunControl>>, d: Duration, who: &str) -> FilterResult<()> {
-        match control {
-            Some(c) => c.cancellable_sleep(d, who),
-            None => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-        }
     }
 }
 
@@ -498,10 +450,26 @@ mod tests {
     use crate::buffer::Buffer;
     use crate::stream::logical_stream;
 
+    fn io(input: Option<StreamReader>, output: Option<StreamWriter>) -> FilterIo {
+        FilterIo {
+            input,
+            output,
+            copy_index: 0,
+            width: 1,
+            injector: None,
+            control: RunControl::new(),
+            pool: None,
+            pool_hits: 0,
+            pool_misses: 0,
+            dropped: 0,
+            recovery: None,
+        }
+    }
+
     #[test]
     fn closure_filter_passes_through() {
-        let (ws, mut rs) = logical_stream(1, 1, 8, None, false);
-        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, None, false);
+        let (ws, mut rs) = logical_stream(1, 1, 8, RunControl::new(), false);
+        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, RunControl::new(), false);
         let mut f = ClosureFilter::new("double", |io: &mut FilterIo| {
             while let Some(b) = io.read() {
                 let doubled: Vec<u8> = b.as_slice().iter().map(|x| x * 2).collect();
@@ -513,7 +481,7 @@ mod tests {
         let mut w = ws.into_iter().next().unwrap();
         w.write(Buffer::from_vec(vec![1, 2, 3])).unwrap();
         w.close();
-        let mut io = FilterIo::new(Some(rs.remove(0)), Some(ws2.remove(0)), 0, 1);
+        let mut io = io(Some(rs.remove(0)), Some(ws2.remove(0)));
         f.init(&mut io).unwrap();
         f.process(&mut io).unwrap();
         f.finalize(&mut io).unwrap();
@@ -525,7 +493,7 @@ mod tests {
 
     #[test]
     fn terminal_filter_write_is_noop() {
-        let mut io = FilterIo::new(None, None, 0, 1);
+        let mut io = io(None, None);
         assert!(io.write(Buffer::from_vec(vec![1])).is_ok());
         assert!(!io.has_input());
         assert!(!io.has_output());

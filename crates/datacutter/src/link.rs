@@ -47,7 +47,7 @@ use crate::shm::{self, shm_dir, shm_supported, ShmIngress, DEFAULT_SHM_CAPACITY,
 use crate::stream::{StreamReader, StreamWriter};
 use crate::telemetry::LinkProbe;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -56,8 +56,9 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Per-link transfer counters, reported into `cgp_obs` metrics by the
-/// executor (`net.link<id>.frames` / `.bytes`).
+/// Per-link transfer counters, read off the link's [`LinkProbe`] and
+/// reported into `cgp_obs` metrics by the executor
+/// (`net.link<id>.frames` / `.bytes`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetLinkStats {
     /// Data frames moved across the carrier.
@@ -371,7 +372,6 @@ pub(crate) fn expect_hello(
 pub(crate) struct IngressFeeder {
     writer: StreamWriter,
     next_seq: u64,
-    deduped: u64,
     ended: bool,
 }
 
@@ -380,7 +380,6 @@ impl IngressFeeder {
         IngressFeeder {
             writer,
             next_seq: 0,
-            deduped: 0,
             ended: false,
         }
     }
@@ -389,11 +388,6 @@ impl IngressFeeder {
     /// resume_seq }` on TCP, the ring header's resume word on shm.
     pub(crate) fn resume_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Duplicated frames discarded so far.
-    pub(crate) fn deduped(&self) -> u64 {
-        self.deduped
     }
 
     /// Whether this producer already sent `End`.
@@ -408,7 +402,6 @@ impl IngressFeeder {
     pub(crate) fn feed(&mut self, seq: u64, buf: Buffer) -> FilterResult<bool> {
         let expect = self.next_seq;
         if seq < expect {
-            self.deduped += 1;
             return Ok(false);
         }
         if seq > expect {
@@ -455,17 +448,13 @@ pub(crate) enum Ended {
     Lost(FilterError),
 }
 
-/// Link-level state shared by every producer's bridge: counters, the
-/// first error and the run's cancel fan-in.
+/// Link-level state shared by every producer's bridge: the link's
+/// probe, the first error and the run's cancel fan-in.
 #[derive(Default)]
 pub(crate) struct IngressLink {
     pub(crate) link: u32,
     pub(crate) control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-    frames: AtomicU64,
-    bytes: AtomicU64,
-    timeouts: AtomicU64,
-    reconnects: AtomicU64,
+    probe: Arc<LinkProbe>,
     /// Producers that sent `End`.
     ended: AtomicUsize,
     error: Mutex<Option<FilterError>>,
@@ -495,12 +484,12 @@ impl IngressLink {
 
     /// A producer handshook again after a disconnect.
     pub(crate) fn reconnected(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
+        self.probe.reconnects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A producer went silent past the heartbeat deadline.
     pub(crate) fn timed_out(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+        self.probe.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bridge producer `p`'s connection onto its feeder until the
@@ -524,13 +513,9 @@ impl IngressLink {
                     check_from(src.who(), from, p)?;
                     let n = payload.len() as u64;
                     if feeder.feed(seq, Buffer::from_vec(payload))? {
-                        self.frames.fetch_add(1, Ordering::Relaxed);
-                        self.bytes.fetch_add(n, Ordering::Relaxed);
-                        if let Some(probe) = &self.probe {
-                            probe.count_frame(n);
-                        }
-                    } else if let Some(probe) = &self.probe {
-                        probe.deduped.fetch_add(1, Ordering::Relaxed);
+                        self.probe.count_frame(n);
+                    } else {
+                        self.probe.deduped.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Frame::End { from } => {
@@ -554,9 +539,7 @@ impl IngressLink {
     /// downstream readers see end-of-work instead of blocking forever,
     /// then report the link.
     fn finish(self, feeders: Vec<IngressFeeder>, producers: usize) -> FilterResult<NetLinkStats> {
-        let mut deduped = 0;
         for mut f in feeders {
-            deduped += f.deduped();
             f.writer.close();
         }
         let cancelled = self.cancelled();
@@ -570,13 +553,7 @@ impl IngressLink {
                 "run cancelled before all producers finished",
             ));
         }
-        Ok(NetLinkStats {
-            frames: self.frames.into_inner(),
-            bytes: self.bytes.into_inner(),
-            deduped,
-            timeouts: self.timeouts.into_inner(),
-            reconnects: self.reconnects.into_inner(),
-        })
+        Ok(self.probe.stats())
     }
 }
 
@@ -586,9 +563,10 @@ impl IngressLink {
 /// every producer has sent `End`, or with the first error, after
 /// cancelling the run so blocked filter copies unwedge.
 ///
-/// An optional live [`LinkProbe`] ticks frame/byte/dedup counters as
-/// traffic flows, so the telemetry sampler can report per-link rates
-/// mid-run. `tuning.supervised` makes the link crash-tolerant: a
+/// The link's [`LinkProbe`] counts frames, bytes, dedups, timeouts and
+/// reconnects as traffic flows (the telemetry sampler reads it mid-run);
+/// the returned stats are read off it. `tuning.supervised` makes the
+/// link crash-tolerant: a
 /// producer that dies without `End` parks until its respawn rejoins and
 /// resumes from the watermark (see the module docs for each carrier's
 /// policy).
@@ -597,7 +575,7 @@ pub fn serve_ingress(
     link: u32,
     writers: Vec<StreamWriter>,
     control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
+    probe: Arc<LinkProbe>,
     tuning: NetTuning,
 ) -> FilterResult<NetLinkStats> {
     let producers = writers.len();
@@ -623,8 +601,9 @@ pub fn serve_ingress(
 /// buffers stay bounded and a restarted filter copy replays only
 /// untransmitted packets.
 ///
-/// An optional live [`LinkProbe`] (shared by every producer copy's pump
-/// on the link) ticks transmitted and suppressed packets. `tuning`
+/// The link's [`LinkProbe`] (shared by every producer copy's pump on the
+/// link) counts transmitted and suppressed packets; the returned stats
+/// are read off it when this pump finishes. `tuning`
 /// bounds the TCP handshake by the silence deadline and, with heartbeats
 /// configured, makes the connection beat whenever the producer stage is
 /// idle, so the consumer's deadline tells "slow" from "dead".
@@ -634,19 +613,20 @@ pub fn egress_pump(
     link: u32,
     producer: u32,
     control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
+    probe: Arc<LinkProbe>,
     tuning: NetTuning,
 ) -> FilterResult<NetLinkStats> {
     match addr.strip_prefix(SHM_PREFIX) {
         Some(base) => {
             let (tx, resume) = shm::connect(base, link, producer, control.clone())?;
-            pump(tx, resume, reader, producer, control, probe)
+            pump(tx, resume, reader, producer, control, &probe)?;
         }
         None => {
             let (tx, resume) = net::connect(addr, link, producer, control.clone(), tuning)?;
-            pump(tx, resume, reader, producer, control, probe)
+            pump(tx, resume, reader, producer, control, &probe)?;
         }
     }
+    Ok(probe.stats())
 }
 
 /// The send loop behind [`egress_pump`], once the carrier's handshake
@@ -658,16 +638,12 @@ fn pump(
     mut reader: StreamReader,
     producer: u32,
     control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    let mut stats = NetLinkStats::default();
+    probe: &LinkProbe,
+) -> FilterResult<()> {
     let mut seq = 0u64;
     while let Some(buf) = reader.read() {
         if seq < resume {
-            stats.deduped += 1;
-            if let Some(p) = &probe {
-                p.deduped.fetch_add(1, Ordering::Relaxed);
-            }
+            probe.deduped.fetch_add(1, Ordering::Relaxed);
         } else {
             let n = buf.len();
             write_frame(
@@ -675,11 +651,7 @@ fn pump(
                 &encode_data_header(producer, seq, n),
                 buf.as_slice(),
             )?;
-            stats.frames += 1;
-            stats.bytes += n as u64;
-            if let Some(p) = &probe {
-                p.count_frame(n as u64);
-            }
+            probe.count_frame(n as u64);
         }
         seq += 1;
         reader.commit_acks();
@@ -692,6 +664,5 @@ fn pump(
     }
     let mut last = encode_frame(&Frame::End { from: producer });
     last.extend(encode_frame(&Frame::Close));
-    tx.finish(&last)?;
-    Ok(stats)
+    tx.finish(&last)
 }

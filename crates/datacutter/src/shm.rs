@@ -1282,7 +1282,7 @@ mod tests {
     fn supervised_ring_reset_resumes_from_the_published_watermark() {
         let base = test_base("reset");
         let ingress = ShmIngress::create(&base, 1, MIN_CAPACITY, None).unwrap();
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         let mut r = rs.remove(0);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
@@ -1298,7 +1298,14 @@ mod tests {
         };
         let writers = vec![ws.remove(0)];
         let serve = std::thread::spawn(move || {
-            serve_ingress(WorkerIngress::Shm(ingress), 7, writers, None, None, tuning)
+            serve_ingress(
+                WorkerIngress::Shm(ingress),
+                7,
+                writers,
+                None,
+                Default::default(),
+                tuning,
+            )
         });
 
         // First incarnation: Hello + 5 packets, then dies without End
@@ -1372,7 +1379,7 @@ mod tests {
         let packets_per_producer = 200usize;
         let mut pumps = Vec::new();
         for p in 0..producers {
-            let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
+            let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
             let (w, r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
@@ -1386,14 +1393,15 @@ mod tests {
                 });
                 let addr = format!("{SHM_PREFIX}{base}");
                 let tuning = NetTuning::default();
-                let stats = egress_pump(r, &addr, 7, p as u32, None, None, tuning).unwrap();
+                let stats =
+                    egress_pump(r, &addr, 7, p as u32, None, Default::default(), tuning).unwrap();
                 feeder.join().unwrap();
                 stats
             }));
         }
 
         // Consumer side: a 2→1 local stream fed by the ingress.
-        let (ws, mut rs) = logical_stream(producers, 1, 16, None, false);
+        let (ws, mut rs) = logical_stream(producers, 1, 16, RunControl::new(), false);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
             let mut r = rs.remove(0);
@@ -1407,7 +1415,7 @@ mod tests {
             7,
             ws,
             None,
-            None,
+            Default::default(),
             NetTuning::default(),
         )
         .unwrap();

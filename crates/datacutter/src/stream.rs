@@ -38,7 +38,7 @@
 //! [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 
 use crate::buffer::Buffer;
-use crate::channel::{bounded, bounded_cancellable, Receiver, Sender};
+use crate::channel::{bounded_cancellable, Receiver, Sender};
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
 use crate::telemetry::{instant_us, StageProbe};
@@ -149,15 +149,11 @@ pub struct StreamReader {
     pending: VecDeque<Msg>,
     /// Max messages moved per lock acquisition; 1 disables batching.
     batch: usize,
-    buffers_read: u64,
-    bytes_read: u64,
-    blocked: Duration,
     /// Trace thread id of the owning filter copy (see
     /// [`StreamReader::set_trace_tid`]).
     tid: u32,
-    /// Run-wide control (cancellation + progress), when the executor
-    /// runs with a deadline/stall watchdog.
-    control: Option<Arc<RunControl>>,
+    /// Run-wide control: cancellation and progress.
+    control: Arc<RunControl>,
     /// Set when a receive was aborted by run cancellation — the copy was
     /// blocked here when the watchdog fired.
     cancelled_while_blocked: bool,
@@ -177,12 +173,10 @@ pub struct StreamReader {
     /// consumption-order log again — i.e. the length of the replayed
     /// prefix, which is already logged from the failed attempt.
     log_skip: usize,
-    /// Stage probe + this reader's copy index, when live telemetry is
-    /// attached ([`RunOptions::telemetry`]). `None` costs one branch
-    /// per delivery.
-    ///
-    /// [`RunOptions::telemetry`]: crate::exec::RunOptions::telemetry
-    probe: Option<(Arc<StageProbe>, usize)>,
+    /// The consumer stage's probe and this reader's copy in it: where
+    /// deliveries, bytes and starved time are counted.
+    probe: Arc<StageProbe>,
+    copy: usize,
     /// Ingest-origin tick of the most recently delivered packet (0 =
     /// unknown); the filter shim propagates it onto the stage's output
     /// writer so end-to-end latency survives the stage hop.
@@ -198,10 +192,11 @@ pub struct StreamReader {
     /// recording stays lock-free.
     local_residence: Histogram,
     local_e2e: Histogram,
-    /// Deliveries not yet published to the probe's `buffers_in` counter
+    /// Deliveries and their bytes not yet published to the probe
     /// (flushed with the histograms, so the per-packet path has no
     /// atomics at all).
     local_buffers_in: u64,
+    local_bytes_in: u64,
     /// Channel drains so far; the queue-depth gauge refreshes on every
     /// 16th (taking the channel lock for an honest depth), which at
     /// batched drain rates is still orders of magnitude finer than any
@@ -215,16 +210,16 @@ pub struct StreamReader {
     last_flush_us: u64,
 }
 
-/// Minimum µs between mid-run local→shared telemetry flushes. The
-/// sampler's finest practical cadence (`--status-every`) is tens of
-/// milliseconds, so a 10 ms publish lag is invisible to it; final stats
-/// are exact regardless via the end-of-stream flush.
+/// Minimum µs between mid-run local→shared probe flushes. The sampler's
+/// finest practical cadence (`--status-every`) is tens of milliseconds,
+/// so a 10 ms publish lag is invisible to it; final counts are exact
+/// regardless via the end-of-stream flush.
 const FLUSH_INTERVAL_US: u64 = 10_000;
 
 impl StreamReader {
     /// Set the adaptive-drain batch size (messages moved per lock
     /// acquisition); 1 restores strict per-packet operation.
-    pub fn set_batch(&mut self, batch: usize) {
+    pub(crate) fn set_batch(&mut self, batch: usize) {
         self.batch = batch.max(1);
     }
 
@@ -235,7 +230,7 @@ impl StreamReader {
             // matching the channel's cancel-beats-queued-data rule: a
             // cancelled pipeline stops moving data even if this copy
             // already holds some.
-            if !self.pending.is_empty() && self.control.as_ref().is_some_and(|c| c.is_cancelled()) {
+            if !self.pending.is_empty() && self.control.is_cancelled() {
                 self.pending.clear();
                 self.flush_probe_locals();
                 return None;
@@ -264,30 +259,30 @@ impl StreamReader {
                             plock(&rep.order[self.consumer]).push((from, seq));
                         }
                     }
-                    if let Some((probe, _)) = &self.probe {
-                        // Latency math reuses the tick taken when this
-                        // packet's drain pulled it off the channel and
-                        // records into reader-local histograms: the
-                        // clock read and the shared-histogram locks are
-                        // paid once per drain, not per packet, keeping
-                        // sampling within the guard's 5% budget.
-                        let now = self.now_us_cache;
-                        if sent_us > 0 {
-                            self.local_residence.record(now.saturating_sub(sent_us));
-                        }
-                        if origin_us > 0 && probe.e2e_us.is_some() {
-                            self.local_e2e.record(now.saturating_sub(origin_us));
-                        }
-                        self.local_buffers_in += 1;
+                    // Latency math (stamped packets only, i.e. telemetry
+                    // on) reuses the tick taken when this packet's drain
+                    // pulled it off the channel and records into
+                    // reader-local histograms: the clock read and the
+                    // shared-histogram locks are paid once per drain, not
+                    // per packet, keeping sampling within the guard's 5%
+                    // budget.
+                    let now = self.now_us_cache;
+                    if sent_us > 0 {
+                        self.local_residence.record(now.saturating_sub(sent_us));
                     }
+                    if origin_us > 0 && self.probe.e2e_us.is_some() {
+                        self.local_e2e.record(now.saturating_sub(origin_us));
+                    }
+                    self.local_buffers_in += 1;
+                    self.local_bytes_in += buf.len() as u64;
                     self.last_origin_us = origin_us;
                     if self.pending.is_empty()
-                        && self.now_us_cache.saturating_sub(self.last_flush_us) >= FLUSH_INTERVAL_US
+                        && now.saturating_sub(self.last_flush_us) >= FLUSH_INTERVAL_US
                     {
                         // Local batch exhausted and the publish lag is
-                        // due: push the locally recorded latencies to
-                        // the shared probe. Checked only at batch
-                        // boundaries, fired at most every 10 ms.
+                        // due: push the local counts and latencies to the
+                        // shared probe. Checked only at batch boundaries,
+                        // fired at most every 10 ms.
                         self.flush_probe_locals();
                     }
                     return Some(self.account(buf));
@@ -305,13 +300,9 @@ impl StreamReader {
             let wait_start = Instant::now();
             let msg = self.rx.recv();
             let waited = wait_start.elapsed();
-            self.blocked += waited;
-            if let Some((probe, copy)) = &self.probe {
-                probe
-                    .copy(*copy)
-                    .blocked_recv_us
-                    .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-            }
+            let cp = self.probe.copy(self.copy);
+            cp.blocked_recv_ns
+                .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
             if trace::enabled() && waited >= STALL_EVENT_THRESHOLD {
                 let end_us = trace::now_us();
                 trace::complete(
@@ -334,30 +325,28 @@ impl StreamReader {
                         // the checks at the top of the loop.
                         let _ = self.rx.try_recv_batch(self.batch - 1, &mut self.pending);
                     }
-                    if let Some((probe, copy)) = &self.probe {
-                        // The drain tick is derived from the recv-side
-                        // `Instant` the blocked accounting already paid
-                        // for — epoch subtraction, no second clock read.
-                        self.now_us_cache = instant_us(wait_start + waited);
-                        // Refresh the depth gauge every 16th drain (the
-                        // first included, so short runs report at all):
-                        // `rx.len()` takes the channel lock the batched
-                        // path exists to amortize, and a gauge that is
-                        // at most 15 drains stale is still far fresher
-                        // than any sampling cadence reading it.
-                        if self.drains & 0xF == 0 {
-                            probe.copy(*copy).queue_depth.store(
-                                (self.rx.len() + self.pending.len()) as u64,
-                                Ordering::Relaxed,
-                            );
-                        }
-                        self.drains = self.drains.wrapping_add(1);
+                    // The drain tick is derived from the recv-side
+                    // `Instant` the blocked accounting already paid for —
+                    // epoch subtraction, no second clock read.
+                    self.now_us_cache = instant_us(wait_start + waited);
+                    // Refresh the depth gauge every 16th drain (the first
+                    // included, so short runs report at all): `rx.len()`
+                    // takes the channel lock the batched path exists to
+                    // amortize, and a gauge that is at most 15 drains
+                    // stale is still far fresher than any sampling
+                    // cadence reading it.
+                    if self.drains & 0xF == 0 {
+                        cp.queue_depth.store(
+                            (self.rx.len() + self.pending.len()) as u64,
+                            Ordering::Relaxed,
+                        );
                     }
+                    self.drains = self.drains.wrapping_add(1);
                 }
                 Err(_) => {
                     // All senders dropped, or the run was cancelled out
                     // from under a blocked receive.
-                    if self.control.as_ref().is_some_and(|c| c.is_cancelled()) {
+                    if self.control.is_cancelled() {
                         self.cancelled_while_blocked = true;
                     }
                     self.flush_probe_locals();
@@ -367,42 +356,38 @@ impl StreamReader {
         }
     }
 
-    /// Merge the reader-local latency histograms into the shared probe
-    /// histograms. Runs once per channel drain and on every
-    /// end-of-stream path; a no-op while the locals are empty, so the
-    /// tail flush is idempotent.
-    fn flush_probe_locals(&mut self) {
+    /// Publish the reader-local delivery counts and merge the local
+    /// latency histograms into the shared probe. Runs at most every
+    /// [`FLUSH_INTERVAL_US`] mid-stream, on every end-of-stream path,
+    /// and when the copy exits; a no-op while the locals are empty, so
+    /// repeated flushes are idempotent.
+    pub(crate) fn flush_probe_locals(&mut self) {
         self.last_flush_us = self.now_us_cache;
-        let Some((probe, copy)) = &self.probe else {
-            return;
-        };
+        let cp = self.probe.copy(self.copy);
         if self.local_buffers_in > 0 {
-            probe
-                .copy(*copy)
-                .buffers_in
+            cp.buffers_in
                 .fetch_add(self.local_buffers_in, Ordering::Relaxed);
+            cp.bytes_in
+                .fetch_add(self.local_bytes_in, Ordering::Relaxed);
             self.local_buffers_in = 0;
+            self.local_bytes_in = 0;
         }
         if self.local_residence.count > 0 {
-            plock(&probe.residence_us).merge(&self.local_residence);
+            plock(&self.probe.residence_us).merge(&self.local_residence);
             self.local_residence = Histogram::default();
         }
         if self.local_e2e.count > 0 {
-            if let Some(h) = &probe.e2e_us {
+            if let Some(h) = &self.probe.e2e_us {
                 plock(h).merge(&self.local_e2e);
             }
             self.local_e2e = Histogram::default();
         }
     }
 
-    /// Per-packet accounting for a buffer about to be handed to the
-    /// filter: stats, progress for the stall detector, trace event.
+    /// Per-packet bookkeeping for a buffer about to be handed to the
+    /// filter: progress for the stall detector, trace event.
     fn account(&mut self, b: Buffer) -> Buffer {
-        self.buffers_read += 1;
-        self.bytes_read += b.len() as u64;
-        if let Some(c) = &self.control {
-            c.note_progress();
-        }
+        self.control.note_progress();
         if trace::enabled() {
             trace::instant(
                 "recv",
@@ -525,42 +510,33 @@ impl StreamReader {
         self.cancelled_while_blocked = false;
     }
 
-    pub fn stats(&self) -> (u64, u64) {
-        (self.buffers_read, self.bytes_read)
-    }
-
     /// Packets re-delivered from replay buffers / duplicates discarded by
     /// the sequence watermark (both 0 without recovery).
-    pub fn recovery_stats(&self) -> (u64, u64) {
+    pub(crate) fn recovery_stats(&self) -> (u64, u64) {
         (self.replayed, self.deduped)
     }
 
     /// Whether a blocking receive on this endpoint was aborted by run
     /// cancellation (the stall report uses this to name wedged copies).
-    pub fn cancelled_while_blocked(&self) -> bool {
+    pub(crate) fn cancelled_while_blocked(&self) -> bool {
         self.cancelled_while_blocked
-    }
-
-    /// Total time this endpoint spent inside blocking receives — i.e.
-    /// the copy was starved waiting for upstream data.
-    pub fn blocked(&self) -> Duration {
-        self.blocked
     }
 
     /// Set the trace row for per-packet and stall events (the executor
     /// assigns one tid per filter copy).
-    pub fn set_trace_tid(&mut self, tid: u32) {
+    pub(crate) fn set_trace_tid(&mut self, tid: u32) {
         self.tid = tid;
     }
 
-    /// Attach a live-telemetry probe for this consumer copy; also hands
-    /// the stream's replay state to the probe so the sampler can report
-    /// replay-buffer occupancy.
+    /// Count this reader's deliveries as copy `copy` of `probe` (the
+    /// consumer stage's); also hands the stream's replay state to the
+    /// probe so the sampler can report replay-buffer occupancy.
     pub(crate) fn attach_probe(&mut self, probe: Arc<StageProbe>, copy: usize) {
         if let Some(rep) = &self.replay {
             *plock(&probe.replay) = Some(rep.clone());
         }
-        self.probe = Some((probe, copy));
+        self.probe = probe;
+        self.copy = copy;
     }
 
     /// Ingest-origin tick of the most recently delivered packet
@@ -573,17 +549,21 @@ impl StreamReader {
 /// Writing end held by one producer copy.
 pub struct StreamWriter {
     txs: Vec<Sender<Msg>>,
+    /// Packets staged for the next [`flush`](Self::flush), one queue per
+    /// consumer copy. The queues keep their capacity across flushes, so a
+    /// steady stream of sends allocates nothing.
+    staged: Vec<VecDeque<Msg>>,
+    /// Staged packets and their bytes, counted into the probe by the
+    /// flush that sends them.
+    staged_packets: u64,
+    staged_bytes: u64,
     next: usize,
-    buffers_written: u64,
-    bytes_written: u64,
     closed: bool,
-    blocked: Duration,
     /// Trace thread id of the owning filter copy (see
     /// [`StreamWriter::set_trace_tid`]).
     tid: u32,
-    /// Run-wide control (cancellation + progress), when the executor
-    /// runs with a deadline/stall watchdog.
-    control: Option<Arc<RunControl>>,
+    /// Run-wide control: cancellation and progress.
+    control: Arc<RunControl>,
     /// Set when a send was aborted by run cancellation — the copy was
     /// blocked here (downstream backpressure) when the watchdog fired.
     cancelled_while_blocked: bool,
@@ -601,9 +581,10 @@ pub struct StreamWriter {
     sent_high: u64,
     /// Ack/replay state, present only under recovery.
     replay: Option<Arc<ReplayShared>>,
-    /// Stage probe + this writer's copy index, when live telemetry is
-    /// attached.
-    probe: Option<(Arc<StageProbe>, usize)>,
+    /// The producer stage's probe and this writer's copy in it: where
+    /// sends, bytes and backpressured time are counted.
+    probe: Arc<StageProbe>,
+    copy: usize,
     /// Stamp `sent_us`/`origin_us` on outgoing packets (telemetry on).
     stamp: bool,
     /// Origin tick to propagate on subsequent writes (set by the filter
@@ -628,29 +609,31 @@ impl StreamWriter {
         }
     }
 
-    /// Packet stamps for the next write: `(sent_us, origin_us)`, both 0
-    /// when telemetry is off.
-    fn stamps(&self) -> (u64, u64) {
-        if !self.stamp {
-            return (0, 0);
-        }
-        self.stamps_at(instant_us(Instant::now()))
-    }
-
-    /// [`stamps`](Self::stamps) from a tick already in hand (the batched
-    /// write path reuses its blocked-accounting `Instant`, so stamping a
-    /// whole batch costs no clock read at all).
-    fn stamps_at(&self, now: u64) -> (u64, u64) {
-        let origin = if self.fresh_origin {
-            now
-        } else {
-            self.origin_us
-        };
-        (now, origin)
-    }
-
-    /// Send one buffer to (one copy of) the logical consumer.
+    /// Send one buffer to (one copy of) the logical consumer: a batch of
+    /// one through [`write_batch`](Self::write_batch).
     pub fn write(&mut self, buf: Buffer) -> FilterResult<()> {
+        self.write_batch([buf])
+    }
+
+    /// Send a run of buffers, amortizing lock acquisitions and condvar
+    /// wakeups over the whole run instead of paying one per packet.
+    /// Round-robin distribution is exact: each consumer copy receives its
+    /// packets in sequence order, and under recovery every packet passes
+    /// the sequence/replay bookkeeping.
+    pub fn write_batch(&mut self, bufs: impl IntoIterator<Item = Buffer>) -> FilterResult<()> {
+        for buf in bufs {
+            self.stage(buf)?;
+        }
+        self.flush()
+    }
+
+    /// Stage one packet for the next [`flush`](Self::flush): give it the
+    /// next sequence number and its round-robin target and, under
+    /// recovery, keep it in the replay buffer — or suppress it when a
+    /// rewound producer regenerates a packet it already sent (the
+    /// original is still buffered or already processed, so re-sending
+    /// would only create a duplicate for the watermark to discard).
+    pub(crate) fn stage(&mut self, buf: Buffer) -> FilterResult<()> {
         if self.closed {
             return Err(FilterError::new("stream", "write after close"));
         }
@@ -660,11 +643,6 @@ impl StreamWriter {
         self.next += 1;
         if let Some(rep) = &self.replay {
             if seq < self.sent_high {
-                // A rewound producer regenerating already-sent output:
-                // the original packet is still in the replay buffer (or
-                // already processed), so re-sending would only create a
-                // duplicate for the watermark to discard. Suppressed
-                // sends do not count toward stats.
                 return Ok(());
             }
             self.sent_high = seq + 1;
@@ -675,156 +653,68 @@ impl StreamWriter {
             }
             un.push_back((seq, buf.clone()));
         }
-        self.buffers_written += 1;
-        let bytes = buf.len() as u64;
-        self.bytes_written += bytes;
-        // Queue depth *before* the send: how much backlog the consumer
-        // already has. Only sampled when tracing (it takes the queue
-        // lock).
-        let tracing = trace::enabled();
-        let depth = if tracing {
-            self.txs[target].len() as u64
-        } else {
-            0
-        };
-        let (sent_us, origin_us) = self.stamps();
-        let wait_start = Instant::now();
-        let sent = self.txs[target].send(Msg::Data {
+        self.staged_packets += 1;
+        self.staged_bytes += buf.len() as u64;
+        self.staged[target].push_back(Msg::Data {
             from: self.from as u32,
             seq,
-            sent_us,
-            origin_us,
+            sent_us: 0,
+            origin_us: 0,
             buf,
         });
-        let waited = wait_start.elapsed();
-        self.blocked += waited;
-        if let Some((probe, copy)) = &self.probe {
-            let cp = probe.copy(*copy);
-            cp.blocked_send_us
-                .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-            cp.buffers_out.fetch_add(1, Ordering::Relaxed);
-        }
-        if tracing {
-            if waited >= STALL_EVENT_THRESHOLD {
-                let end_us = trace::now_us();
-                trace::complete(
-                    "blocked_on_send",
-                    "stall",
-                    end_us - waited.as_secs_f64() * 1e6,
-                    waited.as_secs_f64() * 1e6,
-                    PID_RUNTIME,
-                    self.tid,
-                    vec![("queue_depth", depth.into())],
-                );
-            }
-            trace::instant(
-                "send",
-                "packet",
-                PID_RUNTIME,
-                self.tid,
-                vec![("bytes", bytes.into()), ("queue_depth", depth.into())],
-            );
-        }
-        match sent {
-            Ok(()) => {
-                if let Some(c) = &self.control {
-                    c.note_progress();
-                }
-                Ok(())
-            }
-            Err(_) if self.control.as_ref().is_some_and(|c| c.is_cancelled()) => {
-                self.cancelled_while_blocked = true;
-                Err(FilterError::cancelled(
-                    "stream",
-                    "run cancelled during send",
-                ))
-            }
-            Err(_) => Err(FilterError::new("stream", "consumer hung up")),
-        }
+        Ok(())
     }
 
-    /// Send a run of buffers, amortizing lock acquisitions and condvar
-    /// wakeups over the whole run instead of paying one per packet.
-    /// Round-robin distribution is preserved exactly: each consumer copy
-    /// receives the same subsequence, in the same order, as `len` calls
-    /// to [`write`](Self::write) would have produced.
-    ///
-    /// Under recovery this degrades to per-packet [`write`](Self::write):
-    /// every packet must pass the sequence/replay bookkeeping
-    /// individually. Runs without recovery keep the batched fast path.
-    pub fn write_batch(&mut self, bufs: Vec<Buffer>) -> FilterResult<()> {
-        if self.closed {
-            return Err(FilterError::new("stream", "write after close"));
-        }
-        if bufs.is_empty() {
+    /// Send everything staged: one group per consumer queue, each moved
+    /// under one lock acquisition and one wakeup per round of queue
+    /// capacity. With telemetry on, the whole flush shares one send
+    /// stamp, taken from the `Instant` the blocked accounting needs
+    /// anyway. On failure the unsent rest is discarded.
+    pub(crate) fn flush(&mut self) -> FilterResult<()> {
+        if self.staged_packets == 0 {
             return Ok(());
         }
-        if self.replay.is_some() {
-            for buf in bufs {
-                self.write(buf)?;
+        let start = Instant::now();
+        if self.stamp {
+            let now = instant_us(start);
+            let origin = if self.fresh_origin {
+                now
+            } else {
+                self.origin_us
+            };
+            for msg in self.staged.iter_mut().flatten() {
+                if let Msg::Data {
+                    sent_us, origin_us, ..
+                } = msg
+                {
+                    (*sent_us, *origin_us) = (now, origin);
+                }
             }
-            return Ok(());
-        }
-        let count = bufs.len() as u64;
-        let bytes: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        self.buffers_written += count;
-        self.bytes_written += bytes;
-        // Group the run by target queue. Width-1 round-robin collapses to
-        // a single group; multi-consumer round-robin rotates per packet,
-        // exactly like `write`. Elastic width is sampled once per batch:
-        // the whole run rotates over the fanout in force when the batch
-        // started.
-        let targets = self.txs.len();
-        let fan = self.fanout();
-        // One tick for the whole run: it is the first send's
-        // blocked-accounting start (message assembly lands in "blocked"
-        // time — nanoseconds against the µs-scale waits it accounts) and,
-        // with telemetry on, the shared send stamp. The packets leave
-        // together, so a shared stamp loses nothing, and deriving it from
-        // the `Instant` already needed for accounting makes stamping a
-        // batch cost no extra clock read.
-        let batch_start = Instant::now();
-        let (sent_us, origin_us) = if self.stamp {
-            self.stamps_at(instant_us(batch_start))
-        } else {
-            (0, 0)
-        };
-        let mut per_target: Vec<VecDeque<Msg>> = (0..targets).map(|_| VecDeque::new()).collect();
-        for buf in bufs {
-            let seq = self.write_index;
-            self.write_index += 1;
-            let target = self.next % fan;
-            self.next += 1;
-            per_target[target].push_back(Msg::Data {
-                from: self.from as u32,
-                seq,
-                sent_us,
-                origin_us,
-                buf,
-            });
         }
         let tracing = trace::enabled();
-        let mut first_send = Some(batch_start);
-        for (target, mut batch) in per_target.into_iter().enumerate() {
-            if batch.is_empty() {
+        let mut last = start;
+        let mut result = Ok(());
+        for (tx, group) in self.txs.iter().zip(&mut self.staged) {
+            if group.is_empty() {
                 continue;
             }
-            let n = batch.len() as u64;
-            let depth = if tracing {
-                self.txs[target].len() as u64
+            let (count, bytes) = if tracing {
+                let bytes: u64 = group
+                    .iter()
+                    .map(|m| match m {
+                        Msg::Data { buf, .. } => buf.len() as u64,
+                        Msg::End => 0,
+                    })
+                    .sum();
+                (group.len() as u64, bytes)
             } else {
-                0
+                (0, 0)
             };
-            let wait_start = first_send.take().unwrap_or_else(Instant::now);
-            let sent = self.txs[target].send_batch(&mut batch);
-            let waited = wait_start.elapsed();
-            self.blocked += waited;
-            if let Some((probe, copy)) = &self.probe {
-                let cp = probe.copy(*copy);
-                cp.blocked_send_us
-                    .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-                cp.buffers_out.fetch_add(n, Ordering::Relaxed);
-            }
+            let depth = if tracing { tx.len() as u64 } else { 0 };
+            let sent = tx.send_batch(group);
+            let now = Instant::now();
+            let waited = now - last;
+            last = now;
             if tracing {
                 if waited >= STALL_EVENT_THRESHOLD {
                     let end_us = trace::now_us();
@@ -839,30 +729,39 @@ impl StreamWriter {
                     );
                 }
                 trace::instant(
-                    "send_batch",
+                    "send",
                     "packet",
                     PID_RUNTIME,
                     self.tid,
-                    vec![("count", n.into()), ("queue_depth", depth.into())],
+                    vec![
+                        ("bytes", bytes.into()),
+                        ("count", count.into()),
+                        ("queue_depth", depth.into()),
+                    ],
                 );
             }
-            match sent {
-                Ok(()) => {
-                    if let Some(c) = &self.control {
-                        c.note_progress();
-                    }
-                }
-                Err(_) if self.control.as_ref().is_some_and(|c| c.is_cancelled()) => {
+            if sent.is_err() {
+                result = Err(if self.control.is_cancelled() {
                     self.cancelled_while_blocked = true;
-                    return Err(FilterError::cancelled(
-                        "stream",
-                        "run cancelled during send",
-                    ));
-                }
-                Err(_) => return Err(FilterError::new("stream", "consumer hung up")),
+                    FilterError::cancelled("stream", "run cancelled during send")
+                } else {
+                    FilterError::new("stream", "consumer hung up")
+                });
+                break;
             }
+            self.control.note_progress();
         }
-        Ok(())
+        let cp = self.probe.copy(self.copy);
+        cp.blocked_send_ns
+            .fetch_add((last - start).as_nanos() as u64, Ordering::Relaxed);
+        cp.buffers_out
+            .fetch_add(self.staged_packets, Ordering::Relaxed);
+        cp.bytes_out.fetch_add(self.staged_bytes, Ordering::Relaxed);
+        (self.staged_packets, self.staged_bytes) = (0, 0);
+        if result.is_err() {
+            self.staged.iter_mut().for_each(VecDeque::clear);
+        }
+        result
     }
 
     /// Sequence number of the next packet to write (recovery bookkeeping:
@@ -883,7 +782,7 @@ impl StreamWriter {
 
     /// Whether a blocking send on this endpoint was aborted by run
     /// cancellation (the stall report uses this to name wedged copies).
-    pub fn cancelled_while_blocked(&self) -> bool {
+    pub(crate) fn cancelled_while_blocked(&self) -> bool {
         self.cancelled_while_blocked
     }
 
@@ -898,33 +797,23 @@ impl StreamWriter {
         }
     }
 
-    pub fn stats(&self) -> (u64, u64) {
-        (self.buffers_written, self.bytes_written)
-    }
-
-    /// Total time this endpoint spent inside blocking sends — i.e. the
-    /// copy was throttled by downstream backpressure.
-    pub fn blocked(&self) -> Duration {
-        self.blocked
-    }
-
     /// Set the trace row for per-packet and stall events (the executor
     /// assigns one tid per filter copy).
-    pub fn set_trace_tid(&mut self, tid: u32) {
+    pub(crate) fn set_trace_tid(&mut self, tid: u32) {
         self.tid = tid;
     }
 
-    /// Attach a live-telemetry probe for this producer copy (also turns
-    /// on packet stamping).
+    /// Count this writer's sends as copy `copy` of `probe` (the producer
+    /// stage's).
     pub(crate) fn attach_probe(&mut self, probe: Arc<StageProbe>, copy: usize) {
-        self.probe = Some((probe, copy));
-        self.stamp = true;
+        self.probe = probe;
+        self.copy = copy;
     }
 
-    /// Stamp `sent_us` without a probe. Used by network ingress bridges:
-    /// residence latency at the receiving stage still works, while
-    /// origins (which don't survive the process boundary — clocks are
-    /// not comparable) stay unset.
+    /// Stamp `sent_us` on every packet (telemetry on). Ingress bridges
+    /// stamp without marking a source: residence latency at the receiving
+    /// stage still works, while origins (which don't survive the process
+    /// boundary — clocks are not comparable) stay unset.
     pub(crate) fn enable_stamping(&mut self) {
         self.stamp = true;
     }
@@ -962,35 +851,33 @@ impl Drop for StreamWriter {
 /// `capacity` bounds each underlying queue (buffers in flight), providing
 /// backpressure.
 ///
-/// - `control` attaches run-wide control: channels become cancellable
-///   through its token, and every successful send/receive bumps its
-///   progress counter (for the stall detector).
+/// - `control` is the run's control: channels are cancellable through
+///   its token, and every successful send/receive bumps its progress
+///   counter (for the stall detector).
 /// - `recovering` attaches ack/replay state, enabling the
 ///   upstream-backup protocol described in the module docs.
+///
+/// Each side counts into a probe of its own until the executor attaches
+/// the stage probes ([`StageProbe`]).
 pub fn logical_stream(
     producers: usize,
     consumers: usize,
     capacity: usize,
-    control: Option<Arc<RunControl>>,
+    control: Arc<RunControl>,
     recovering: bool,
 ) -> (Vec<StreamWriter>, Vec<StreamReader>) {
     assert!(producers > 0 && consumers > 0);
     assert!(capacity > 0);
     let replay = recovering.then(|| Arc::new(ReplayShared::new(producers, consumers)));
-    let channel = |cap: usize| match &control {
-        Some(c) => bounded_cancellable(cap, c.token()),
-        None => bounded(cap),
-    };
+    let producer_probe = StageProbe::new(String::new(), producers, false);
+    let consumer_probe = StageProbe::new(String::new(), consumers, false);
     let reader = |rx: Receiver<Msg>, consumer: usize| StreamReader {
         rx,
         producers_remaining: producers,
         pending: VecDeque::new(),
         batch: 1,
-        buffers_read: 0,
-        bytes_read: 0,
-        blocked: Duration::ZERO,
         tid: 0,
-        control: control.clone(),
+        control: Arc::clone(&control),
         cancelled_while_blocked: false,
         consumer,
         replay: replay.clone(),
@@ -998,31 +885,34 @@ pub fn logical_stream(
         replayed: 0,
         deduped: 0,
         log_skip: 0,
-        probe: None,
+        probe: Arc::clone(&consumer_probe),
+        copy: consumer,
         last_origin_us: 0,
         now_us_cache: 0,
         local_residence: Histogram::default(),
         local_e2e: Histogram::default(),
         local_buffers_in: 0,
+        local_bytes_in: 0,
         drains: 0,
         last_flush_us: 0,
     };
     let writer = |txs: Vec<Sender<Msg>>, from: usize, stagger: usize| StreamWriter {
+        staged: (0..txs.len()).map(|_| VecDeque::new()).collect(),
         txs,
+        staged_packets: 0,
+        staged_bytes: 0,
         next: stagger,
-        buffers_written: 0,
-        bytes_written: 0,
         closed: false,
-        blocked: Duration::ZERO,
         tid: 0,
-        control: control.clone(),
+        control: Arc::clone(&control),
         cancelled_while_blocked: false,
         from,
         stagger,
         write_index: 0,
         sent_high: 0,
         replay: replay.clone(),
-        probe: None,
+        probe: Arc::clone(&producer_probe),
+        copy: from,
         stamp: false,
         origin_us: 0,
         fresh_origin: false,
@@ -1034,7 +924,7 @@ pub fn logical_stream(
     let mut txs_per_consumer = Vec::with_capacity(consumers);
     let mut readers = Vec::with_capacity(consumers);
     for c in 0..consumers {
-        let (tx, rx) = channel(capacity);
+        let (tx, rx) = bounded_cancellable(capacity, control.token());
         txs_per_consumer.push(tx);
         readers.push(reader(rx, c));
     }
@@ -1055,9 +945,28 @@ mod tests {
         Buffer::from_vec(vec![tag])
     }
 
+    /// `(buffers, bytes)` a writer counted into its probe.
+    fn sent(w: &StreamWriter) -> (u64, u64) {
+        let cp = w.probe.copy(w.copy);
+        (
+            cp.buffers_out.load(Ordering::Relaxed),
+            cp.bytes_out.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(buffers, bytes)` a reader counted into its probe.
+    fn received(r: &mut StreamReader) -> (u64, u64) {
+        r.flush_probe_locals();
+        let cp = r.probe.copy(r.copy);
+        (
+            cp.buffers_in.load(Ordering::Relaxed),
+            cp.bytes_in.load(Ordering::Relaxed),
+        )
+    }
+
     #[test]
     fn point_to_point_delivers_in_order() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1071,7 +980,7 @@ mod tests {
 
     #[test]
     fn round_robin_distributes_evenly() {
-        let (mut ws, mut rs) = logical_stream(1, 3, 16, None, false);
+        let (mut ws, mut rs) = logical_stream(1, 3, 16, RunControl::new(), false);
         for t in 0..9 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1090,7 +999,7 @@ mod tests {
 
     #[test]
     fn multiple_producers_all_must_close() {
-        let (mut ws, mut rs) = logical_stream(2, 1, 16, None, false);
+        let (mut ws, mut rs) = logical_stream(2, 1, 16, RunControl::new(), false);
         ws[0].write(buf(1)).unwrap();
         ws[1].write(buf(2)).unwrap();
         ws[0].close();
@@ -1105,21 +1014,21 @@ mod tests {
 
     #[test]
     fn write_after_close_errors() {
-        let (mut ws, _rs) = logical_stream(1, 1, 4, None, false);
+        let (mut ws, _rs) = logical_stream(1, 1, 4, RunControl::new(), false);
         ws[0].close();
         assert!(ws[0].write(buf(0)).is_err());
     }
 
     #[test]
     fn drop_closes_stream() {
-        let (ws, mut rs) = logical_stream(1, 1, 4, None, false);
+        let (ws, mut rs) = logical_stream(1, 1, 4, RunControl::new(), false);
         drop(ws);
         assert!(rs[0].read().is_none());
     }
 
     #[test]
     fn staggered_start_balances_multi_producer_round_robin() {
-        let (mut ws, mut rs) = logical_stream(2, 2, 32, None, false);
+        let (mut ws, mut rs) = logical_stream(2, 2, 32, RunControl::new(), false);
         // each producer writes 2 buffers
         ws[0].write(buf(0)).unwrap();
         ws[0].write(buf(1)).unwrap();
@@ -1138,20 +1047,20 @@ mod tests {
 
     #[test]
     fn stats_track_buffers_and_bytes() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 4, None, false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 4, RunControl::new(), false);
         ws[0].write(Buffer::from_vec(vec![0; 10])).unwrap();
         ws[0].write(Buffer::from_vec(vec![0; 5])).unwrap();
-        assert_eq!(ws[0].stats(), (2, 15));
+        assert_eq!(sent(&ws[0]), (2, 15));
         ws[0].close();
         while rs[0].read().is_some() {}
-        assert_eq!(rs[0].stats(), (2, 15));
+        assert_eq!(received(&mut rs[0]), (2, 15));
     }
 
     /// A recovering logical stream with no failures behaves exactly like
     /// a plain one (same delivery, no replays, no dedups).
     #[test]
     fn recovering_stream_without_failures_is_transparent() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 16, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 16, RunControl::new(), true);
         for t in 0..8 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1171,7 +1080,7 @@ mod tests {
     /// once overall.
     #[test]
     fn consumer_restart_replays_unacked_exactly_once() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
         for t in 0..10 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1204,7 +1113,7 @@ mod tests {
     /// consumer sees no duplicates and no losses.
     #[test]
     fn producer_rewind_suppresses_already_sent_packets() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
         for t in 0..6 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1221,14 +1130,14 @@ mod tests {
         }
         assert_eq!(seen, (0..10).collect::<Vec<u8>>());
         // Only 10 distinct packets ever hit the wire.
-        assert_eq!(ws[0].stats().0, 10);
+        assert_eq!(sent(&ws[0]).0, 10);
     }
 
     /// Round-robin targets survive a rewind: regenerated packets land on
     /// the same consumers as the originals would have.
     #[test]
     fn rewound_round_robin_keeps_target_mapping() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 2, 64, RunControl::new(), true);
         for t in 0..4 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1253,7 +1162,7 @@ mod tests {
     /// nothing.
     #[test]
     fn acked_packets_are_never_replayed() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -1273,9 +1182,10 @@ mod tests {
     /// excluded from the latency percentiles.
     #[test]
     fn probes_record_latency_and_gauges() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
         let probe = StageProbe::new("sink".into(), 1, true);
         ws[0].attach_probe(probe.clone(), 0);
+        ws[0].enable_stamping();
         ws[0].mark_source();
         rs[0].attach_probe(probe.clone(), 0);
         for t in 0..4 {
@@ -1311,7 +1221,7 @@ mod tests {
     /// origin, so downstream residence works while e2e stays silent.
     #[test]
     fn ingress_stamping_feeds_residence_only() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, None, false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         ws[0].enable_stamping();
         let probe = StageProbe::new("f2".into(), 1, true);
         rs[0].attach_probe(probe.clone(), 0);
@@ -1331,7 +1241,7 @@ mod tests {
     /// the producer already pruned.
     #[test]
     fn committed_ack_watermark_never_regresses() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, None, true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }

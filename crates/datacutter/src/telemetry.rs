@@ -1,36 +1,43 @@
-//! Executor-side probes for the live telemetry plane.
+//! Executor-side probes: the runtime's counters.
 //!
 //! `cgp_obs::telemetry` defines the sample model and the fan-out sink;
 //! this module owns the *probing*: shared, lock-light state the stream
-//! endpoints and filter copies update as they run, which a sampler
-//! thread in the executor reads every `CGP_STATUS_EVERY` ms without
-//! stopping the pipeline.
+//! endpoints, link bridges and filter copies update as they run. Every
+//! run counts into them; [`StageStats`] and [`NetLinkStats`] are read off
+//! them when the run ends, and with telemetry on a sampler thread in the
+//! executor also reads them every `CGP_STATUS_EVERY` ms without stopping
+//! the pipeline.
 //!
 //! - [`CopyProbe`] — per filter copy: incremental busy time (start tick
 //!   published at spawn, so a mid-run snapshot or a crashed copy reports
-//!   real busy time, not zero), blocked-send/recv accumulators, buffer
-//!   counts, input queue depth. All atomics, all relaxed.
+//!   real busy time, not zero), blocked-send/recv time in nanoseconds,
+//!   buffer and byte counts in each direction, input queue depth. All
+//!   atomics, all relaxed.
 //! - [`StageProbe`] — per logical stage: the copy probes plus the
 //!   per-stage residence-latency histogram (and, on the final stage, the
 //!   pipeline-wide end-to-end histogram). The histograms sit behind a
 //!   `Mutex`, but each is only locked by its own copy's reader thread
 //!   (uncontended fast path) and briefly by the sampler.
-//! - [`LinkProbe`] — per network link: live frame/byte/dedup counters
-//!   updated by the ingress/egress bridges.
+//! - [`LinkProbe`] — per network link: frame/byte/dedup/timeout/reconnect
+//!   counters updated by the ingress/egress bridges.
 //!
-//! Everything here is built **only when telemetry is enabled**
-//! ([`RunOptions::telemetry`]); with no probe attached, the stream
-//! hot path pays nothing beyond an `Option` check.
+//! What [`RunOptions::telemetry`] adds on top is latency: packets are
+//! stamped only when it is on, so the histograms stay empty without it,
+//! and the sampler thread runs only with it.
 //!
 //! [`RunOptions::telemetry`]: crate::exec::RunOptions::telemetry
+//! [`StageStats`]: crate::exec::StageStats
+//! [`NetLinkStats`]: crate::link::NetLinkStats
 
 use crate::error::{FilterError, FilterResult};
+use crate::link::NetLinkStats;
 use crate::stream::ReplayShared;
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
 use cgp_obs::telemetry::{StageSample, TelemetrySample, TelemetrySampler};
 use cgp_obs::{trace, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Monotone microsecond tick shared with the trace layer, so packet
 /// stamps and trace events live on one clock. Floored at 1: stamp 0
@@ -46,18 +53,22 @@ pub(crate) fn instant_us(at: std::time::Instant) -> u64 {
     (trace::instant_us(at) as u64).max(1)
 }
 
-/// Lock-light in-flight counters for one filter copy.
+/// Lock-light counters for one filter copy.
 #[derive(Default)]
 pub struct CopyProbe {
     /// Tick when the copy thread started (0 = not yet started). Published
     /// at spawn so busy time accrues incrementally.
     started_us: AtomicU64,
-    /// Final busy time, published at copy exit (0 = still running).
-    final_busy_us: AtomicU64,
-    pub(crate) blocked_send_us: AtomicU64,
-    pub(crate) blocked_recv_us: AtomicU64,
+    /// Final busy time, ns, published at copy exit (0 = still running).
+    final_busy_ns: AtomicU64,
+    /// Time spent blocked in sends (downstream backpressure), ns.
+    pub(crate) blocked_send_ns: AtomicU64,
+    /// Time spent blocked in receives (starved for input), ns.
+    pub(crate) blocked_recv_ns: AtomicU64,
     pub(crate) buffers_in: AtomicU64,
+    pub(crate) bytes_in: AtomicU64,
     pub(crate) buffers_out: AtomicU64,
+    pub(crate) bytes_out: AtomicU64,
     /// Input queue backlog observed at the last delivery.
     pub(crate) queue_depth: AtomicU64,
 }
@@ -67,21 +78,35 @@ impl CopyProbe {
         self.started_us.store(now.max(1), Ordering::Relaxed);
     }
 
-    pub(crate) fn mark_finished(&self, busy_us: u64) {
-        self.final_busy_us.store(busy_us.max(1), Ordering::Relaxed);
+    pub(crate) fn mark_finished(&self, busy: Duration) {
+        self.final_busy_ns
+            .store((busy.as_nanos() as u64).max(1), Ordering::Relaxed);
     }
 
     /// Busy wall-time so far, µs: the final value for finished copies,
     /// `now − start` for running ones, 0 before the copy starts.
     pub fn busy_us(&self, now: u64) -> u64 {
-        let fin = self.final_busy_us.load(Ordering::Relaxed);
+        let fin = self.final_busy_ns.load(Ordering::Relaxed);
         if fin != 0 {
-            return fin;
+            return fin.div_ceil(1000);
         }
         match self.started_us.load(Ordering::Relaxed) {
             0 => 0,
             start => now.saturating_sub(start),
         }
+    }
+
+    /// Final busy time (zero while the copy runs).
+    pub(crate) fn busy(&self) -> Duration {
+        Duration::from_nanos(self.final_busy_ns.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn blocked_send(&self) -> Duration {
+        Duration::from_nanos(self.blocked_send_ns.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn blocked_recv(&self) -> Duration {
+        Duration::from_nanos(self.blocked_recv_ns.load(Ordering::Relaxed))
     }
 
     /// Fraction of busy time spent neither send-blocked nor recv-starved.
@@ -90,8 +115,7 @@ impl CopyProbe {
         if busy == 0 {
             return 0.0;
         }
-        let blocked = self.blocked_send_us.load(Ordering::Relaxed)
-            + self.blocked_recv_us.load(Ordering::Relaxed);
+        let blocked = (self.blocked_send() + self.blocked_recv()).as_micros();
         (1.0 - blocked as f64 / busy as f64).clamp(0.0, 1.0)
     }
 }
@@ -144,12 +168,12 @@ impl StageProbe {
             blocked_send_us: self
                 .copies
                 .iter()
-                .map(|c| c.blocked_send_us.load(Ordering::Relaxed))
+                .map(|c| c.blocked_send().as_micros() as u64)
                 .sum(),
             blocked_recv_us: self
                 .copies
                 .iter()
-                .map(|c| c.blocked_recv_us.load(Ordering::Relaxed))
+                .map(|c| c.blocked_recv().as_micros() as u64)
                 .sum(),
             buffers_in: self
                 .copies
@@ -179,19 +203,32 @@ impl StageProbe {
     }
 }
 
-/// Live counters for one network link (shared with the ingress/egress
-/// bridge threads).
+/// Counters for one network link, shared with its ingress or egress
+/// bridge threads; [`NetLinkStats`] is read off them.
 #[derive(Default)]
 pub struct LinkProbe {
     pub frames: AtomicU64,
     pub bytes: AtomicU64,
     pub deduped: AtomicU64,
+    pub timeouts: AtomicU64,
+    pub reconnects: AtomicU64,
 }
 
 impl LinkProbe {
     pub(crate) fn count_frame(&self, payload_bytes: u64) {
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(payload_bytes, Ordering::Relaxed);
+    }
+
+    pub(crate) fn stats(&self) -> NetLinkStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        NetLinkStats {
+            frames: get(&self.frames),
+            bytes: get(&self.bytes),
+            deduped: get(&self.deduped),
+            timeouts: get(&self.timeouts),
+            reconnects: get(&self.reconnects),
+        }
     }
 }
 
@@ -357,7 +394,7 @@ mod tests {
         assert_eq!(p.busy_us(1000), 0, "not started");
         p.mark_started(1000);
         assert_eq!(p.busy_us(3500), 2500, "running: now - start");
-        p.mark_finished(2600);
+        p.mark_finished(Duration::from_micros(2600));
         assert_eq!(p.busy_us(9999), 2600, "finished: final value wins");
     }
 
@@ -384,7 +421,7 @@ mod tests {
         // A copy whose entire life fit in the first microsecond (raw
         // busy 0) still publishes a nonzero final value — 0 would read
         // as "still running" and busy would jump back to now - start.
-        q.mark_finished(0);
+        q.mark_finished(Duration::ZERO);
         assert_eq!(q.busy_us(5000), 1, "floored final value wins");
     }
 
@@ -416,11 +453,11 @@ mod tests {
     fn active_frac_subtracts_blocked_time() {
         let p = CopyProbe::default();
         p.mark_started(1000);
-        p.blocked_send_us.store(250, Ordering::Relaxed);
-        p.blocked_recv_us.store(250, Ordering::Relaxed);
+        p.blocked_send_ns.store(250_000, Ordering::Relaxed);
+        p.blocked_recv_ns.store(250_000, Ordering::Relaxed);
         assert!((p.active_frac(2000) - 0.5).abs() < 1e-9);
         // Blocked can transiently exceed busy (racy reads): clamped.
-        p.blocked_send_us.store(5000, Ordering::Relaxed);
+        p.blocked_send_ns.store(5_000_000, Ordering::Relaxed);
         assert_eq!(p.active_frac(2000), 0.0);
     }
 

@@ -321,8 +321,8 @@ impl WidthController {
         let mut last_starved = 0.0;
         for (c, copy) in st.probe.copies.iter().enumerate() {
             let busy = copy.busy_us(now);
-            let send = copy.blocked_send_us.load(Ordering::Relaxed);
-            let recv = copy.blocked_recv_us.load(Ordering::Relaxed);
+            let send = copy.blocked_send().as_micros() as u64;
+            let recv = copy.blocked_recv().as_micros() as u64;
             let prev = &mut st.prev[c];
             let d_busy = busy.saturating_sub(prev.busy_us);
             let d_send = send.saturating_sub(prev.send_us);
@@ -477,7 +477,9 @@ mod tests {
     /// blocked-recv time.
     fn load_copy(p: &StageProbe, c: usize, started: u64, recv_us: u64) {
         p.copy(c).mark_started(started);
-        p.copy(c).blocked_recv_us.store(recv_us, Ordering::Relaxed);
+        p.copy(c)
+            .blocked_recv_ns
+            .store(recv_us * 1000, Ordering::Relaxed);
     }
 
     #[test]

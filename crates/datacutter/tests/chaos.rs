@@ -24,6 +24,22 @@ fn source(n: u64) -> cgp_datacutter::FilterFactory {
     })
 }
 
+/// Like [`source`], writing `batch` packets per `write_batch`.
+fn batched_source(n: u64, batch: usize) -> cgp_datacutter::FilterFactory {
+    Box::new(move |_| {
+        Box::new(ClosureFilter::new("source", move |io: &mut FilterIo| {
+            let mut pending = Vec::with_capacity(batch);
+            for i in 0..n {
+                pending.push(Buffer::from_vec(i.to_le_bytes().to_vec()));
+                if pending.len() == batch {
+                    io.write_batch(std::mem::take(&mut pending))?;
+                }
+            }
+            io.write_batch(pending)
+        }))
+    })
+}
+
 fn forward() -> cgp_datacutter::FilterFactory {
     Box::new(|_| {
         Box::new(ClosureFilter::new("mid", |io: &mut FilterIo| {
@@ -367,6 +383,35 @@ fn faults_target_exact_packet_indices_through_batches() {
         .expect("drops do not fail the run");
     assert_eq!(count.load(Ordering::Relaxed), N - 2);
     assert_eq!(stats.failures(), 0);
+    assert_eq!(stats.dropped(), 2);
+
+    // Source faults fire as the source writes, 8 packets per
+    // `write_batch`: every packet ahead of a failure at packet 13 is
+    // sent before it acts, and drops remove only their own packets.
+    let run_source = |faults: FaultPlan, count: &Arc<AtomicU64>| {
+        let opts = RunOptions {
+            capacity: 8,
+            faults,
+            deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        Pipeline::new(opts)
+            .add_stage(StageSpec::new("source", 1, batched_source(N, 8)))
+            .add_stage(StageSpec::new("sink", 1, counting_sink(Arc::clone(count))))
+            .run()
+    };
+    let count = Arc::new(AtomicU64::new(0));
+    let err = run_source(FaultPlan::new().fail_at("source", 0, 13), &count)
+        .expect_err("injected failure must fail the batched source");
+    assert_eq!(err.filter, "source[0]", "{err}");
+    assert!(err.message.contains("packet 13"), "{err}");
+    assert_eq!(count.load(Ordering::Relaxed), 13, "packets 0..13 were sent");
+    let count = Arc::new(AtomicU64::new(0));
+    let drops = FaultPlan::new()
+        .drop_at("source", 0, 10)
+        .drop_at("source", 0, 11);
+    let stats = run_source(drops, &count).expect("drops do not fail the run");
+    assert_eq!(count.load(Ordering::Relaxed), N - 2);
     assert_eq!(stats.dropped(), 2);
 }
 

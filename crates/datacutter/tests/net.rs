@@ -101,8 +101,9 @@ fn serve(
     std::thread::JoinHandle<Result<NetLinkStats, FilterError>>,
 ) {
     let (ingress, addr) = WorkerIngress::bind(carrier.fresh_addr(), writers.len()).unwrap();
-    let serving =
-        std::thread::spawn(move || serve_ingress(ingress, link, writers, control, None, tuning));
+    let serving = std::thread::spawn(move || {
+        serve_ingress(ingress, link, writers, control, Default::default(), tuning)
+    });
     (addr, serving)
 }
 
@@ -230,7 +231,8 @@ fn chaos_fault_at_exact_packet_index_through_the_socket_is_recovered() {
 fn ingress_preserves_fifo_per_producer() {
     for carrier in carriers() {
         let producers = 3u32;
-        let (writers, readers) = logical_stream(producers as usize, 1, 64, None, false);
+        let (writers, readers) =
+            logical_stream(producers as usize, 1, 64, RunControl::new(), false);
         let (addr, serving) = serve(carrier, 7, writers, None, NetTuning::default());
         let senders: Vec<_> = (0..producers)
             .map(|p| {
@@ -281,7 +283,7 @@ fn ingress_preserves_fifo_per_producer() {
 fn backpressure_bounds_the_producer_through_the_socket() {
     for carrier in carriers() {
         // Consumer side: capacity 2, a gate holding the reader shut.
-        let (writers, readers) = logical_stream(1, 1, 2, None, false);
+        let (writers, readers) = logical_stream(1, 1, 2, RunControl::new(), false);
         let gate = Arc::new(AtomicBool::new(false));
         let (addr, serving) = serve(carrier, 1, writers, None, NetTuning::default());
         let gate2 = Arc::clone(&gate);
@@ -300,7 +302,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         });
         // Producer side: 16 × 4 MiB — far beyond what the capacity-2
         // stream plus kernel socket buffers or a 4 MiB ring can absorb.
-        let (mut pw, pr) = logical_stream(1, 1, 4, None, false);
+        let (mut pw, pr) = logical_stream(1, 1, 4, RunControl::new(), false);
         let done_sending = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done_sending);
         let producer = std::thread::spawn(move || {
@@ -312,7 +314,16 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         });
         let pump = std::thread::spawn(move || {
             let reader = pr.into_iter().next().unwrap();
-            egress_pump(reader, &addr, 1, 0, None, None, NetTuning::default()).unwrap()
+            egress_pump(
+                reader,
+                &addr,
+                1,
+                0,
+                None,
+                Default::default(),
+                NetTuning::default(),
+            )
+            .unwrap()
         });
         // With the gate shut the producer cannot finish: 64 MiB has
         // nowhere to go.
@@ -340,7 +351,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
 fn disconnect_mid_frame_fails_the_link_loudly() {
     for carrier in carriers() {
         let control = RunControl::new();
-        let (writers, readers) = logical_stream(1, 1, 16, None, false);
+        let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
         let tuning = NetTuning::default();
         let (addr, serving) = serve(carrier, 1, writers, Some(Arc::clone(&control)), tuning);
         let drain = std::thread::spawn(move || {
@@ -375,7 +386,7 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
 /// one-producer ingress and return how the link ended. The producer
 /// then vanishes.
 fn link_after(carrier: Transport, frames: &[Vec<u8>]) -> Result<NetLinkStats, FilterError> {
-    let (writers, mut readers) = logical_stream(1, 1, 16, None, false);
+    let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
     let (addr, serving) = serve(carrier, 4, writers, None, NetTuning::default());
     let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
     let mut s = RawProducer::open(&addr, 0);
@@ -458,7 +469,7 @@ fn a_respawned_producer_delivers_its_prefix_once() {
         ..Default::default()
     };
     for carrier in carriers() {
-        let (writers, mut readers) = logical_stream(1, 1, 16, None, false);
+        let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
         let (addr, serving) = serve(carrier, 2, writers, None, tuning);
         let mut first = RawProducer::open(&addr, 0);
         assert_eq!(first.hello(2, 0), 0);
@@ -466,13 +477,13 @@ fn a_respawned_producer_delivers_its_prefix_once() {
             first.send(&data(0, i, &[i as u8]));
         }
         drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, None, false);
+        let (mut ws, rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         for i in 0..5u8 {
             ws[0].write(Buffer::from_vec(vec![i])).unwrap();
         }
         ws[0].close();
         let reader = rs.into_iter().next().unwrap();
-        let egress = egress_pump(reader, &addr, 2, 0, None, None, tuning).unwrap();
+        let egress = egress_pump(reader, &addr, 2, 0, None, Default::default(), tuning).unwrap();
         let mut seen = Vec::new();
         while let Some(b) = readers[0].read() {
             seen.push(b.as_slice()[0]);
@@ -505,7 +516,7 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
     let deadline = tuning.deadline().unwrap();
     for carrier in carriers() {
         // Room for two packets, and nobody reads until past the deadline.
-        let (writers, mut readers) = logical_stream(1, 1, 2, None, false);
+        let (writers, mut readers) = logical_stream(1, 1, 2, RunControl::new(), false);
         let (addr, serving) = serve(carrier, 2, writers, None, tuning);
         let mut first = RawProducer::open(&addr, 0);
         assert_eq!(first.hello(2, 0), 0);
@@ -513,12 +524,12 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
             first.send(&data(0, i, &[i as u8]));
         }
         drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, None, false);
+        let (mut ws, rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         let respawn = {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let reader = rs.into_iter().next().unwrap();
-                egress_pump(reader, &addr, 2, 0, None, None, tuning)
+                egress_pump(reader, &addr, 2, 0, None, Default::default(), tuning)
             })
         };
         // The regenerated prefix is suppressed, so the new connection
@@ -558,10 +569,17 @@ fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
 fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (writers, readers) = logical_stream(1, 1, 16, None, false);
+    let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
     let serving = std::thread::spawn(move || {
         let ingress = WorkerIngress::Tcp(listener);
-        serve_ingress(ingress, 3, writers, None, None, NetTuning::default())
+        serve_ingress(
+            ingress,
+            3,
+            writers,
+            None,
+            Default::default(),
+            NetTuning::default(),
+        )
     });
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
@@ -614,7 +632,7 @@ fn handshake_rejects_wrong_link_and_producer() {
             (hello(5, 7), "producer out of range"),
             (b"XXXX-garbage-that-is-not-a-frame".to_vec(), "bad tag"),
         ] {
-            let (writers, readers) = logical_stream(1, 1, 16, None, false);
+            let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
             let (addr, serving) = serve(carrier, 5, writers, None, NetTuning::default());
             let mut s = RawProducer::open(&addr, 0);
             s.send(&hello_bytes);

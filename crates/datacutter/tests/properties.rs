@@ -217,7 +217,7 @@ fn channel_batched_ops_preserve_fifo_and_backpressure_bound() {
         let consumer_seed = rng.gen_range_u64(u64::MAX);
         let ctx = format!("n={n} cap={cap} chunk={chunk} drain={drain}");
 
-        let (tx, rx) = channel::bounded::<u64>(cap);
+        let (tx, rx) = channel::bounded_cancellable::<u64>(cap, &CancelToken::new());
         let watcher = tx.clone();
         let producer = thread::spawn(move || {
             let mut i = 0u64;
@@ -251,7 +251,7 @@ fn channel_batched_ops_preserve_fifo_and_backpressure_bound() {
 #[test]
 fn disconnect_mid_batch_returns_unsent_suffix() {
     // No receiver at all: the whole batch comes back.
-    let (tx, rx) = channel::bounded::<u64>(4);
+    let (tx, rx) = channel::bounded_cancellable::<u64>(4, &CancelToken::new());
     drop(rx);
     let mut batch: VecDeque<u64> = (0..10).collect();
     let err = tx.send_batch(&mut batch).unwrap_err();
@@ -262,7 +262,7 @@ fn disconnect_mid_batch_returns_unsent_suffix() {
 
     // Receiver takes a prefix then hangs up mid-batch.
     const CAP: usize = 4;
-    let (tx, rx) = channel::bounded::<u64>(CAP);
+    let (tx, rx) = channel::bounded_cancellable::<u64>(CAP, &CancelToken::new());
     let producer = thread::spawn(move || {
         let mut batch: VecDeque<u64> = (0..32).collect();
         tx.send_batch(&mut batch).expect_err("receiver hangs up")

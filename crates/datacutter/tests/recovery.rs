@@ -21,35 +21,46 @@ const N: u64 = 300;
 /// are 24 bytes: magic, stage id, sum.
 const MARKER_MAGIC: u64 = u64::MAX;
 
-fn source(n: u64) -> cgp_datacutter::FilterFactory {
+/// Writes `n` packets, `batch` per `write_batch`.
+fn source(n: u64, batch: usize) -> cgp_datacutter::FilterFactory {
     Box::new(move |_| {
         Box::new(ClosureFilter::new("source", move |io: &mut FilterIo| {
+            let mut pending = Vec::with_capacity(batch);
             for i in 0..n {
-                io.write(Buffer::from_vec(i.to_le_bytes().to_vec()))?;
+                pending.push(Buffer::from_vec(i.to_le_bytes().to_vec()));
+                if pending.len() == batch {
+                    io.write_batch(std::mem::take(&mut pending))?;
+                }
             }
-            Ok(())
+            io.write_batch(pending)
         }))
     })
 }
 
-/// A stateful stage: forwards every data packet unchanged while keeping a
-/// running sum (its reduction state), checkpointing via the runtime's
-/// protocol and emitting the final sum as a marker packet at end-of-work.
+/// A stateful stage: forwards every data packet unchanged, `batch` per
+/// `write_batch`, while keeping a running sum (its reduction state),
+/// checkpointing via the runtime's protocol and emitting the final sum as
+/// a marker packet at end-of-work.
 struct StatefulSum {
     stage_id: u64,
     sum: u64,
+    batch: usize,
 }
 
 impl Filter for StatefulSum {
     fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
+        let mut pending = Vec::with_capacity(self.batch);
         while let Some(b) = io.read() {
-            if b.len() == 24 {
-                // An upstream stage's marker: forward untouched.
-                io.write(b)?;
-                continue;
+            // An upstream stage's marker is forwarded untouched.
+            if b.len() != 24 {
+                self.sum = self.sum.wrapping_add(b.u64_le("stateful-sum")?);
             }
-            self.sum = self.sum.wrapping_add(b.u64_le("stateful-sum")?);
-            io.write(b)?;
+            pending.push(b);
+            // A checkpoint covers the inputs read so far, so their
+            // outputs must be written before it commits.
+            if pending.len() == self.batch || io.checkpoint_due() {
+                io.write_batch(std::mem::take(&mut pending))?;
+            }
             if io.checkpoint_due() {
                 io.commit_checkpoint(&self.sum.to_le_bytes());
             }
@@ -58,8 +69,8 @@ impl Filter for StatefulSum {
         m.extend_from_slice(&MARKER_MAGIC.to_le_bytes());
         m.extend_from_slice(&self.stage_id.to_le_bytes());
         m.extend_from_slice(&self.sum.to_le_bytes());
-        io.write(Buffer::from_vec(m))?;
-        Ok(())
+        pending.push(Buffer::from_vec(m));
+        io.write_batch(pending)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> FilterResult<()> {
@@ -75,8 +86,14 @@ impl Filter for StatefulSum {
     }
 }
 
-fn stateful(stage_id: u64) -> cgp_datacutter::FilterFactory {
-    Box::new(move |_| Box::new(StatefulSum { stage_id, sum: 0 }))
+fn stateful(stage_id: u64, batch: usize) -> cgp_datacutter::FilterFactory {
+    Box::new(move |_| {
+        Box::new(StatefulSum {
+            stage_id,
+            sum: 0,
+            batch,
+        })
+    })
 }
 
 /// Sink tallies: packets seen, their sum, and each stage's marker sums.
@@ -107,9 +124,15 @@ fn sink(tally: Arc<Tally>) -> cgp_datacutter::FilterFactory {
     })
 }
 
-/// source → stateful mid1 (width 2) → stateful mid2 → counting sink.
-/// `opts` adds the faults under test.
-fn recovering_pipeline(tally: Arc<Tally>, checkpoint_every: u64, opts: RunOptions) -> Pipeline {
+/// source → stateful mid1 (width 2) → stateful mid2 → counting sink,
+/// the first three writing `batch` packets per `write_batch`. `opts`
+/// adds the faults under test.
+fn recovering_pipeline(
+    tally: Arc<Tally>,
+    checkpoint_every: u64,
+    batch: usize,
+    opts: RunOptions,
+) -> Pipeline {
     let opts = RunOptions {
         capacity: 8,
         deadline: Some(Duration::from_secs(60)),
@@ -119,9 +142,9 @@ fn recovering_pipeline(tally: Arc<Tally>, checkpoint_every: u64, opts: RunOption
         ..opts
     };
     Pipeline::new(opts)
-        .add_stage(StageSpec::new("source", 1, source(N)))
-        .add_stage(StageSpec::new("mid1", 2, stateful(1)).stateful())
-        .add_stage(StageSpec::new("mid2", 1, stateful(2)).stateful())
+        .add_stage(StageSpec::new("source", 1, source(N, batch)))
+        .add_stage(StageSpec::new("mid1", 2, stateful(1, batch)).stateful())
+        .add_stage(StageSpec::new("mid2", 1, stateful(2, batch)).stateful())
         .add_stage(StageSpec::new("sink", 1, sink(tally)))
 }
 
@@ -161,7 +184,8 @@ fn assert_exact(tally: &Tally, ctx: &str) {
 }
 
 /// Deterministic per-seed pseudo-random fault plans over the recoverable
-/// actions (panic, fail, delay) at random stages/copies/packets.
+/// actions (panic, fail, delay) at random stages/copies/packets. Rules on
+/// the source fire as it writes, so they can land mid-batch.
 fn random_plan(seed: u64) -> FaultPlan {
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = || {
@@ -172,10 +196,10 @@ fn random_plan(seed: u64) -> FaultPlan {
     };
     let mut plan = FaultPlan::new();
     for _ in 0..(1 + next() % 3) {
-        let (stage, copies) = if next() % 2 == 0 {
-            ("mid1", 2)
-        } else {
-            ("mid2", 1)
+        let (stage, copies) = match next() % 3 {
+            0 => ("source", 1),
+            1 => ("mid1", 2),
+            _ => ("mid2", 1),
         };
         let copy = (next() % copies) as usize;
         let packet = next() % 120;
@@ -198,19 +222,25 @@ fn recovery_is_exactly_once_under_random_fault_plans() {
     for seed in 0..10u64 {
         let tally = Arc::new(Tally::default());
         let plan = random_plan(seed);
+        // Batch sizes 1..=16 across the seeds.
+        let batch = 1 + (seed * 5 % 16) as usize;
         let opts = RunOptions {
             faults: plan.clone(),
             ..Default::default()
         };
-        let stats = recovering_pipeline(Arc::clone(&tally), 16, opts)
+        let stats = recovering_pipeline(Arc::clone(&tally), 16, batch, opts)
             .run()
-            .unwrap_or_else(|e| panic!("seed {seed}: recovery must complete ({plan:?}): {e}"));
-        assert_exact(&tally, &format!("seed {seed}"));
-        // Replays stay bounded by checkpoint spacing + channel capacity
-        // per restart.
+            .unwrap_or_else(|e| {
+                panic!("seed {seed}, batch {batch}: recovery must complete ({plan:?}): {e}")
+            });
+        assert_exact(&tally, &format!("seed {seed}, batch {batch}"));
+        // Replays stay bounded per restart by checkpoint spacing +
+        // channel capacity + the batch each of (at most two) producers
+        // holds in flight: a batch enters the replay buffer as it starts
+        // to send.
         assert!(
-            stats.replayed_packets() <= stats.recoveries() * (16 + 8 + 2),
-            "seed {seed}: replay bounded: {} replayed over {} restarts",
+            stats.replayed_packets() <= stats.recoveries() * (16 + 8 + 2 * batch as u64),
+            "seed {seed}, batch {batch}: replay bounded: {} replayed over {} restarts",
             stats.replayed_packets(),
             stats.recoveries()
         );
@@ -220,7 +250,7 @@ fn recovery_is_exactly_once_under_random_fault_plans() {
 #[test]
 fn fault_free_recovery_run_is_exact_with_zero_overhead_counters() {
     let tally = Arc::new(Tally::default());
-    let stats = recovering_pipeline(Arc::clone(&tally), 16, RunOptions::default())
+    let stats = recovering_pipeline(Arc::clone(&tally), 16, 1, RunOptions::default())
         .run()
         .expect("clean run");
     assert_exact(&tally, "fault-free");
@@ -232,7 +262,7 @@ fn fault_free_recovery_run_is_exact_with_zero_overhead_counters() {
 #[test]
 fn recovered_run_matches_fault_free_run_byte_for_byte() {
     let clean = Arc::new(Tally::default());
-    recovering_pipeline(Arc::clone(&clean), 16, RunOptions::default())
+    recovering_pipeline(Arc::clone(&clean), 16, 1, RunOptions::default())
         .run()
         .expect("clean run");
     let chaotic = Arc::new(Tally::default());
@@ -242,7 +272,7 @@ fn recovered_run_matches_fault_free_run_byte_for_byte() {
             .panic_at("mid2", 0, 90),
         ..Default::default()
     };
-    let stats = recovering_pipeline(Arc::clone(&chaotic), 16, opts)
+    let stats = recovering_pipeline(Arc::clone(&chaotic), 16, 1, opts)
         .run()
         .expect("recovery completes");
     assert!(stats.recoveries() >= 2);
@@ -278,7 +308,7 @@ fn recovery_chaos_leaks_no_threads() {
     // Warm up, then hammer the restart path: every recovery attempt must
     // join its replaced worker threads.
     let tally = Arc::new(Tally::default());
-    let _ = recovering_pipeline(Arc::clone(&tally), 16, RunOptions::default()).run();
+    let _ = recovering_pipeline(Arc::clone(&tally), 16, 1, RunOptions::default()).run();
     let before = thread_count();
     for seed in 0..3u64 {
         let tally = Arc::new(Tally::default());
@@ -286,7 +316,7 @@ fn recovery_chaos_leaks_no_threads() {
             faults: random_plan(seed),
             ..Default::default()
         };
-        let _ = recovering_pipeline(Arc::clone(&tally), 8, opts).run();
+        let _ = recovering_pipeline(Arc::clone(&tally), 8, 1, opts).run();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

@@ -116,8 +116,9 @@ fn in_process_telemetry_records_latencies_and_counters() {
     assert_eq!(reg.get_histogram("pipeline.e2e_us").unwrap().count, 200);
 }
 
-/// Telemetry off: no histograms, no sampler, no calibration counters —
-/// and the result is still exact.
+/// Telemetry off: no latency stamps, so no histograms — and the result
+/// is still exact. The calibration counters come from the probes every
+/// run keeps, so they reach the registry anyway.
 #[test]
 fn telemetry_off_leaves_no_trace() {
     let total = Arc::new(AtomicU64::new(0));
@@ -130,8 +131,78 @@ fn telemetry_off_leaves_no_trace() {
     assert_eq!(stats.e2e_us.count, 0);
     assert!(stats.stages.iter().all(|s| s.residence_us.count == 0));
     let reg = registry.lock().unwrap();
-    assert_eq!(reg.get_counter("stage.double.buffers_in"), 0);
+    assert_eq!(reg.get_counter("stage.double.buffers_in"), 50);
+    assert!(reg.get_histogram("stage.double.residence_us").is_none());
     assert!(reg.get_histogram("pipeline.e2e_us").is_none());
+}
+
+/// Counters are always on: one deterministic pipeline counts the same
+/// buffers and bytes per stage with telemetry off and on, and busy time
+/// either way; telemetry only adds the latency histograms.
+#[test]
+fn stage_counters_do_not_depend_on_telemetry() {
+    let run = |telemetry: Option<TelemetryConfig>| {
+        let total = Arc::new(AtomicU64::new(0));
+        let opts = RunOptions {
+            telemetry,
+            ..Default::default()
+        };
+        let stats = pipeline(120, 2, Arc::clone(&total), opts).run().unwrap();
+        assert_eq!(total.load(Ordering::Relaxed), 2 * (0..120).sum::<u64>());
+        stats
+    };
+    let off = run(None);
+    let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(5)));
+    let on = run(Some(TelemetryConfig::new(sampler, "local")));
+    let counts =
+        |s: &cgp_datacutter::StageStats| (s.buffers_in, s.bytes_in, s.buffers_out, s.bytes_out);
+    for (a, b) in off.stages.iter().zip(&on.stages) {
+        assert_eq!(counts(a), counts(b), "stage {}", a.name);
+        for st in [a, b] {
+            assert!(st.busy > Duration::ZERO, "stage {} busy", st.name);
+            assert_eq!(st.busy, st.busy_per_copy.iter().sum(), "stage {}", st.name);
+        }
+    }
+    assert_eq!(counts(&off.stages[0]), (0, 0, 120, 960));
+    assert_eq!(counts(&off.stages[1]), (120, 960, 120, 960));
+    assert_eq!(counts(&off.stages[2]), (120, 960, 0, 0));
+    assert_eq!(off.e2e_us.count, 0);
+    assert_eq!(on.e2e_us.count, 120);
+}
+
+/// A copy that stops reading before end of stream still reports what it
+/// read: its reader's counts are published when the copy exits.
+#[test]
+fn stats_count_what_a_copy_read_before_it_stopped() {
+    let stats = Pipeline::new(RunOptions::default())
+        .add_stage(StageSpec::new(
+            "source",
+            1,
+            Box::new(|_| {
+                Box::new(ClosureFilter::new("source", |io: &mut FilterIo| {
+                    for i in 0..3u64 {
+                        io.write(Buffer::from_vec(i.to_le_bytes().to_vec()))?;
+                    }
+                    Ok(())
+                }))
+            }),
+        ))
+        .add_stage(StageSpec::new(
+            "sink",
+            1,
+            Box::new(|_| {
+                Box::new(ClosureFilter::new("sink", |io: &mut FilterIo| {
+                    for _ in 0..3 {
+                        io.read().expect("three packets");
+                    }
+                    Ok(())
+                }))
+            }),
+        ))
+        .run()
+        .unwrap();
+    let sink = &stats.stages[1];
+    assert_eq!((sink.buffers_in, sink.bytes_in), (3, 24));
 }
 
 /// The wire-merge satellite: worker-side registry snapshots round-trip
