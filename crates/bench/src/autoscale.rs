@@ -110,7 +110,7 @@ fn sum_stage(total: &Arc<AtomicU64>) -> FilterFactory {
 }
 
 /// Run the step-load pipeline once; `elastic` turns the autoscaler on.
-pub fn step_load_run(cfg: &StepLoadConfig, elastic: bool) -> StepLoadRun {
+pub(crate) fn step_load_run(cfg: &StepLoadConfig, elastic: bool) -> StepLoadRun {
     let total = Arc::new(AtomicU64::new(0));
     let autoscale = elastic.then(|| {
         AutoscaleConfig::parse(&cfg.spec)

@@ -519,12 +519,12 @@ fn run_launcher(cli: &Cli) -> i32 {
     let expected = app.oracle();
     let passthrough = crate::launcher::strip_net_flags(&cli.args);
     let telemetry = exec.sampling_enabled() || exec.telemetry_log.is_some();
-    let aggregator = telemetry.then(|| TelemetryAggregator::start(m, exec));
+    let aggregator = telemetry.then(|| TelemetryAggregator::start(exec));
     let transport = Transport::select(exec.transport);
     eprintln!("[obs] launcher: data plane is {transport:?}");
     // Supervision rides on the recovery switch: with `--recover` the
-    // launcher masks worker crashes with prefix restarts; without it a
-    // dead worker fails the run.
+    // launcher masks worker crashes with whole-chain restarts; without it
+    // a dead worker fails the run.
     let mut lopts = crate::launcher::LaunchOptions::new(transport);
     lopts.telemetry = aggregator.as_ref().map(|a| a.addr.clone());
     lopts.supervise = exec.recover;
@@ -539,7 +539,7 @@ fn run_launcher(cli: &Cli) -> i32 {
         Ok(report) => {
             if report.restart_events > 0 {
                 eprintln!(
-                    "[obs] launcher: masked {} worker crash(es) with prefix restarts \
+                    "[obs] launcher: masked {} worker crash(es) with whole-chain restarts \
                      ({} total restarts)",
                     report.restart_events,
                     report.total_restarts()
@@ -697,7 +697,7 @@ struct TelemetryAggregator {
 }
 
 impl TelemetryAggregator {
-    fn start(workers: usize, exec: &ExecOptions) -> TelemetryAggregator {
+    fn start(exec: &ExecOptions) -> TelemetryAggregator {
         let every = exec
             .status_every
             .filter(|d| *d > Duration::ZERO)
@@ -718,6 +718,8 @@ impl TelemetryAggregator {
         // worker: its stale sample must leave the status line, and its
         // partial registry snapshot must not pollute the merged
         // calibration (a restarted replacement re-reports from scratch).
+        // A whole-chain restart respawns finished workers too: a source
+        // that reports again after its fin is live again.
         let sources: Arc<Mutex<BTreeMap<u32, String>>> = Arc::default();
         let finished: Arc<Mutex<std::collections::BTreeSet<String>>> = Arc::default();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
@@ -750,6 +752,12 @@ impl TelemetryAggregator {
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
                             .insert(worker, update.source.clone());
+                        if !update.fin {
+                            finished
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .remove(&update.source);
+                        }
                         // Fold any carried pre-restart busy time into the
                         // incoming sample before it is logged or shown:
                         // the restarted process's probes start from zero,
@@ -863,8 +871,7 @@ impl TelemetryAggregator {
                 };
                 let _ = cgp_core::datacutter::serve_telemetry(
                     listener,
-                    workers,
-                    Some(control),
+                    control,
                     on_update,
                     on_disconnect,
                 );
@@ -1200,15 +1207,10 @@ mod tests {
             want.checkpoint_every = Some(n);
             set.push(("CGP_CHECKPOINT_EVERY", n.to_string()));
         }
-        for (var, slot) in [
-            ("CGP_RECOVER", &mut want.recover),
-            ("CGP_SUPERVISED", &mut want.supervised),
-        ] {
-            if take(rng) {
-                let (text, on) = boolean(rng);
-                *slot = on;
-                set.push((var, text));
-            }
+        if take(rng) {
+            let (text, on) = boolean(rng);
+            want.recover = on;
+            set.push(("CGP_RECOVER", text));
         }
         if take(rng) {
             let (text, t) = [
@@ -1425,7 +1427,7 @@ mod tests {
         use cgp_core::datacutter::{encode_telemetry_payload, TelemetryClient};
 
         let exec = ExecOptions::default();
-        let agg = TelemetryAggregator::start(2, &exec);
+        let agg = TelemetryAggregator::start(&exec);
 
         let sample = |source: &str| TelemetrySample {
             source: source.to_string(),
@@ -1465,7 +1467,32 @@ mod tests {
         .unwrap();
         drop(w1);
 
-        // Both connections ended, so the serve loop exits on its own.
+        // Worker 2 finishes, then a whole-chain restart respawns it: once
+        // it reports again it is live, so its death without a fin retires
+        // it like any crash.
+        let mut w2 = TelemetryClient::connect(&agg.addr, 2, None).unwrap();
+        w2.send(&encode_telemetry_payload(
+            "worker:2",
+            true,
+            None,
+            Some(&reg),
+        ))
+        .unwrap();
+        w2.close();
+        for _ in 0..400 {
+            if agg.registries.lock().unwrap().contains_key("worker:2") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut w2 = TelemetryClient::connect(&agg.addr, 2, None).unwrap();
+        let sample2 = encode_telemetry_payload("worker:2", false, Some(&sample("worker:2")), None);
+        w2.send(&sample2).unwrap();
+        drop(w2);
+
+        // Every connection ended; the serve loop reads each to its end
+        // once the launcher cancels it.
+        agg.control.cancel("workers exited");
         let _ = agg.handle.join();
         let latest = agg.latest.lock().unwrap();
         assert!(
@@ -1481,6 +1508,10 @@ mod tests {
         assert!(
             !registries.contains_key("worker:1"),
             "the dead worker's partial snapshot must not pollute the merge"
+        );
+        assert!(
+            !registries.contains_key("worker:2"),
+            "a respawned worker that died before finishing leaves no snapshot"
         );
     }
 
@@ -1500,7 +1531,7 @@ mod tests {
         use cgp_obs::telemetry::StageSample;
 
         let exec = ExecOptions::default();
-        let agg = TelemetryAggregator::start(2, &exec);
+        let agg = TelemetryAggregator::start(&exec);
         let sample = |busy: u64| TelemetrySample {
             source: "worker:1".to_string(),
             stages: vec![StageSample {
@@ -1559,6 +1590,7 @@ mod tests {
             "pre-restart busy time must be carried forward across the restart"
         );
         drop(w);
+        agg.control.cancel("workers exited");
         let _ = agg.handle.join();
         // A second crash replaces the carry with the folded reading —
         // 5100, never 5000 + 5100.

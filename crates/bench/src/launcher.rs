@@ -20,15 +20,17 @@
 //! # Supervision (`LaunchOptions::supervise`)
 //!
 //! With supervision on, the launcher monitors worker exits and masks
-//! crashes by **prefix restart**: the data plane carries no wire-level
-//! acks, so a dead stage `k`'s upstream progress is unrecoverable — the
-//! supervisor kills stages `0..k-1`, respawns `k..0` (last first, fresh
-//! endpoints re-announced up the chain), and relies on the surviving
-//! stage `k+1` to park its ingress, hand the respawned producer its
-//! resume watermark, and drop the already-delivered prefix (sequence
-//! dedup). The result stays byte-identical because every stage recomputes
-//! deterministically from packet 0. Each crash charges one unit to the
-//! dead stage's restart budget; exhaustion surfaces as
+//! crashes by **restarting the whole chain**: the data plane carries no
+//! wire-level acks, and a compiled plan recomputes every packet
+//! deterministically from packet 0, so the supervisor kills and reaps
+//! every live worker, reclaims every stage's shm rings, and respawns all
+//! stages (last first, fresh endpoints re-announced up the chain) exactly
+//! as it started them. The survivors' ingress links, supervised because
+//! the workers run with `--recover`, wait for that teardown instead of
+//! failing, so the worker that died is the only one that exits on its
+//! own. The result stays byte-identical; the price is that a crash also
+//! recomputes the stages that survived it. Each crash charges one unit
+//! to the dead stage's restart budget; exhaustion surfaces as
 //! [`LaunchError::BudgetExhausted`] so the caller can replan the
 //! decomposition over the surviving units instead.
 
@@ -47,7 +49,7 @@ pub const LISTENING_MARKER: &str = "CGP_LISTENING";
 
 /// What the launcher itself decides for a distributed launch: transport,
 /// telemetry aggregation, and the supervision policy (crash masking via
-/// prefix restarts). Worker settings it does not act on reach the
+/// whole-chain restarts). Worker settings it does not act on reach the
 /// workers unchanged, in the forwarded arguments and the inherited
 /// environment.
 #[derive(Debug, Clone)]
@@ -56,15 +58,12 @@ pub struct LaunchOptions {
     pub telemetry: Option<String>,
     /// Data plane between co-located workers.
     pub transport: Transport,
-    /// Monitor worker exits and mask crashes with prefix restarts.
+    /// Monitor worker exits and mask crashes with whole-chain restarts.
     pub supervise: bool,
     /// Restart budget **per stage**: a stage that dies more than this
     /// many times exhausts its budget and fails the launch with
     /// [`LaunchError::BudgetExhausted`].
     pub max_worker_restarts: u32,
-    /// Teardown grace: SIGTERM first, escalate to SIGKILL only after
-    /// this long.
-    pub grace: Duration,
 }
 
 impl LaunchOptions {
@@ -74,10 +73,13 @@ impl LaunchOptions {
             transport,
             supervise: false,
             max_worker_restarts: 2,
-            grace: Duration::from_secs(2),
         }
     }
 }
+
+/// Teardown grace: SIGTERM first, escalate to SIGKILL only after this
+/// long.
+const GRACE: Duration = Duration::from_secs(2);
 
 /// What a supervised launch produced.
 #[derive(Debug, Default)]
@@ -86,7 +88,7 @@ pub struct LaunchReport {
     pub lines: Vec<String>,
     /// Restarts charged per stage (indexed by stage).
     pub restarts: Vec<u32>,
-    /// Total crash events masked by a prefix restart.
+    /// Total crash events masked by a whole-chain restart.
     pub restart_events: u32,
 }
 
@@ -179,7 +181,7 @@ struct Slot {
 /// failure is invisible in the last stage's output (its ingress just
 /// sees end-of-work). Without [`LaunchOptions::supervise`] any
 /// unsuccessful exit fails the launch; with it, crashes are masked by
-/// prefix restarts until the dead stage's restart budget runs out.
+/// whole-chain restarts until the dead stage's restart budget runs out.
 ///
 /// When [`LaunchOptions::telemetry`] names the launcher's aggregator
 /// address, every worker ships periodic samples and its final metrics
@@ -210,24 +212,14 @@ pub fn launch_supervised(
     let mut restarts = vec![0u32; stages];
     let mut events = 0u32;
 
-    if let Err(e) = spawn_range(
-        &exe,
-        passthrough,
-        stages,
-        opts,
-        stages - 1,
-        None,
-        &collector,
-        &mut slots,
-        false,
-    ) {
-        shutdown(&mut slots, opts.grace);
+    if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, false) {
+        shutdown(&mut slots);
         return Err(e.into());
     }
 
     loop {
         if let Some(msg) = collector.diverged() {
-            shutdown(&mut slots, opts.grace);
+            shutdown(&mut slots);
             return Err(LaunchError::Failed(msg));
         }
         // Reap exits. A crash usually cascades (the dead stage's producer
@@ -248,7 +240,7 @@ pub fn launch_supervised(
                 }
                 Ok(None) => {}
                 Err(e) => {
-                    shutdown(&mut slots, opts.grace);
+                    shutdown(&mut slots);
                     return Err(LaunchError::Failed(format!("wait for worker {stage}: {e}")));
                 }
             }
@@ -260,7 +252,7 @@ pub fn launch_supervised(
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "unknown".to_string());
             if !opts.supervise {
-                shutdown(&mut slots, opts.grace);
+                shutdown(&mut slots);
                 return Err(LaunchError::Failed(format!(
                     "worker {k} exited with {status}"
                 )));
@@ -273,7 +265,7 @@ pub fn launch_supervised(
                      budget ({}) exhausted",
                     opts.max_worker_restarts
                 );
-                shutdown(&mut slots, opts.grace);
+                shutdown(&mut slots);
                 return Err(LaunchError::BudgetExhausted {
                     stage: k,
                     restarts: restarts[k] - 1,
@@ -281,23 +273,24 @@ pub fn launch_supervised(
                 });
             }
             eprintln!(
-                "[obs] supervisor: worker stage {k} died ({status}); restarting stages \
-                 0..={k} (restart {}/{})",
+                "[obs] supervisor: worker stage {k} died ({status}); restarting the whole \
+                 chain of {stages} stages (restart {}/{})",
                 restarts[k], opts.max_worker_restarts
             );
             trace::instant(
-                format!("respawn stages 0..={k}"),
+                format!("restart the chain after stage {k} died"),
                 "supervision",
                 trace::PID_RUNTIME,
                 0,
                 vec![],
             );
-            restart_prefix(&exe, passthrough, stages, opts, k, &collector, &mut slots).map_err(
-                |e| {
-                    shutdown(&mut slots, opts.grace);
-                    LaunchError::Failed(e)
-                },
-            )?;
+            // Every stage recomputes from packet 0, so even stages that
+            // already finished successfully must go.
+            shutdown(&mut slots);
+            if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, true) {
+                shutdown(&mut slots);
+                return Err(LaunchError::Failed(e));
+            }
             continue;
         }
         if slots
@@ -320,47 +313,6 @@ pub fn launch_supervised(
     })
 }
 
-/// Kill the stale prefix `0..k-1`, reclaim the dead stages' shm ring
-/// files, and respawn stages `k..=0` (last first) against the surviving
-/// stage `k+1`'s original address.
-fn restart_prefix(
-    exe: &std::path::Path,
-    passthrough: &[String],
-    stages: usize,
-    opts: &LaunchOptions,
-    k: usize,
-    collector: &OutputCollector,
-    slots: &mut [Option<Slot>],
-) -> Result<(), String> {
-    // The prefix recomputes from packet 0, so even stages that already
-    // finished successfully must go.
-    for slot in slots[..k].iter_mut() {
-        let slot = slot.as_mut().expect("spawned");
-        if slot.exited.is_none() {
-            let _ = slot.child.kill();
-            if let Ok(status) = slot.child.wait() {
-                slot.exited = Some(status);
-            }
-        }
-    }
-    reclaim_rings(&slots[1..=k]);
-    let seed = slots
-        .get(k + 1)
-        .and_then(|s| s.as_ref())
-        .and_then(|s| s.addr.clone());
-    spawn_range(
-        exe,
-        passthrough,
-        stages,
-        opts,
-        k,
-        seed,
-        collector,
-        slots,
-        true,
-    )
-}
-
 /// Reclaim the shm ingress rings of reaped workers. A dead consumer
 /// leaves its ring files behind (SIGKILL and SIGTERM run no Drop);
 /// removing them keeps /dev/shm from accumulating a file per crash.
@@ -378,27 +330,22 @@ fn reclaim_rings(slots: &[Option<Slot>]) {
     }
 }
 
-/// Spawn stages `top..=0`, last first, chaining each announced address
-/// into the next worker upstream. `connect_seed` is the downstream
-/// address stage `top` connects to (`None` when `top` is the last
-/// stage).
-#[allow(clippy::too_many_arguments)]
-fn spawn_range(
+/// Spawn every stage, last first, chaining each announced address into
+/// the next worker upstream. The last stage's stdout goes to
+/// `collector`.
+fn spawn_chain(
     exe: &std::path::Path,
     passthrough: &[String],
-    stages: usize,
     opts: &LaunchOptions,
-    top: usize,
-    connect_seed: Option<String>,
     collector: &OutputCollector,
     slots: &mut [Option<Slot>],
     respawn: bool,
 ) -> Result<(), String> {
-    let mut connect = connect_seed;
-    for stage in (0..=top).rev() {
+    let mut connect = None;
+    for stage in (0..slots.len()).rev() {
         let (child, addr, reader) =
             spawn_worker(exe, passthrough, stage, opts, connect.as_deref(), respawn)?;
-        if stage == stages - 1 {
+        if stage == slots.len() - 1 {
             collector.attach(reader);
         }
         connect = addr.clone();
@@ -439,9 +386,6 @@ fn spawn_worker(
             cmd.env_remove("CGP_TELEMETRY");
         }
     }
-    if opts.supervise {
-        cmd.env("CGP_SUPERVISED", "1");
-    }
     if respawn {
         // An injected kill fires once: the replacement must survive, or
         // the restart budget drains on the same deterministic crash.
@@ -451,8 +395,8 @@ fn spawn_worker(
         // `shm:auto` tells the worker to create rings at a path of its
         // own choosing, `127.0.0.1:0` to bind an ephemeral port; either
         // way it announces the address it got. Respawns pick *fresh*
-        // endpoints the same way — nothing downstream ever reuses a
-        // dead worker's address.
+        // endpoints the same way — nothing ever reuses a torn-down
+        // worker's address.
         cmd.env("CGP_LISTEN", opts.transport.fresh_addr());
     }
     if let Some(addr) = connect {
@@ -609,10 +553,11 @@ impl OutputCollector {
     }
 }
 
-/// Graceful teardown: SIGTERM every live worker, give the set a bounded
-/// window to exit on its own, then SIGKILL the stragglers. Every child
-/// is reaped either way, and then every worker's shm rings reclaimed.
-fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
+/// Teardown: SIGTERM every live worker, give the set [`GRACE`] to exit
+/// on its own, then SIGKILL the stragglers. Every child is reaped either
+/// way (and marked exited, so no later signal reaches a reused pid), and
+/// then every worker's shm rings reclaimed.
+fn shutdown(slots: &mut [Option<Slot>]) {
     let mut live: Vec<&mut Slot> = slots
         .iter_mut()
         .filter_map(|s| s.as_mut())
@@ -621,9 +566,12 @@ fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
     for slot in live.iter() {
         terminate(slot.child.id());
     }
-    let deadline = Instant::now() + grace;
+    let deadline = Instant::now() + GRACE;
     loop {
-        live.retain_mut(|slot| !matches!(slot.child.try_wait(), Ok(Some(_))));
+        live.retain_mut(|slot| {
+            slot.exited = slot.child.try_wait().ok().flatten();
+            slot.exited.is_none()
+        });
         if live.is_empty() || Instant::now() > deadline {
             break;
         }
@@ -631,13 +579,13 @@ fn shutdown(slots: &mut [Option<Slot>], grace: Duration) {
     }
     for slot in live {
         let _ = slot.child.kill();
-        let _ = slot.child.wait();
+        slot.exited = slot.child.wait().ok();
     }
     reclaim_rings(slots);
 }
 
 /// Politely ask a worker to exit (SIGTERM); [`shutdown`] escalates to
-/// SIGKILL after the grace window.
+/// SIGKILL after [`GRACE`].
 #[cfg(unix)]
 fn terminate(pid: u32) {
     use std::os::raw::c_int;

@@ -36,7 +36,7 @@ use cgp_core::{
 };
 
 /// The paper's three configurations.
-pub const WIDTHS: [usize; 3] = [1, 2, 4];
+pub(crate) const WIDTHS: [usize; 3] = [1, 2, 4];
 
 /// Per-message latency of the simulated testbed's links (seconds).
 const LINK_LATENCY: f64 = 2.0e-5;
@@ -246,11 +246,11 @@ impl Figure {
 pub mod env {
     /// Isosurface: in-memory grids streamed as large sequential buffers —
     /// near wire rate.
-    pub const ISO_BANDWIDTH: f64 = 1.0e8;
+    pub(crate) const ISO_BANDWIDTH: f64 = 1.0e8;
     /// knn: large sequential point buffers stream near wire rate.
-    pub const KNN_BANDWIDTH: f64 = 1.0e8;
+    pub(crate) const KNN_BANDWIDTH: f64 = 1.0e8;
     /// vmscope: many small pixel buffers through TCP-based streams.
-    pub const VM_BANDWIDTH: f64 = 3.5e7;
+    pub(crate) const VM_BANDWIDTH: f64 = 3.5e7;
 }
 
 /// The standard figure definitions (used by the per-figure binaries and

@@ -57,7 +57,7 @@ impl MeasuredStage {
     /// Read one stage's measured rates from registry keys. Returns `None`
     /// when the registry holds no telemetry for this stage (telemetry was
     /// off, or the stage ran in a process whose registry wasn't merged).
-    pub fn from_registry(reg: &MetricsRegistry, name: &str) -> Option<MeasuredStage> {
+    pub(crate) fn from_registry(reg: &MetricsRegistry, name: &str) -> Option<MeasuredStage> {
         let key = |suffix: &str| format!("stage.{name}.{suffix}");
         let busy_us = reg.get_counter(&key("busy_us"));
         let buffers_in = reg.get_counter(&key("buffers_in"));
@@ -92,7 +92,7 @@ impl MeasuredStage {
 
     /// Measured service time: active seconds per packet (the quantity the
     /// model's `T(C_i)` predicts).
-    pub fn active_s_per_packet(&self) -> f64 {
+    pub(crate) fn active_s_per_packet(&self) -> f64 {
         if self.packets == 0 {
             0.0
         } else {
@@ -116,7 +116,7 @@ impl MeasuredStage {
 }
 
 /// Per-link traffic measured by the net/shm transport probes
-/// (`net.link<k>.frames` / `.bytes` / `.deduped` counters), joined with
+/// (`net.link<k>.frames` / `.bytes` counters), joined with
 /// the model's per-packet volume prediction where one exists. Bytes per
 /// frame is the measured `Vol(f)` the volume model predicts — the
 /// per-link analogue of a stage residual — and is what the same-host
@@ -131,8 +131,6 @@ pub struct MeasuredLink {
     pub frames: u64,
     /// Payload bytes moved across the link.
     pub bytes: u64,
-    /// Frames discarded by the replay watermark after a reconnect.
-    pub deduped: u64,
     /// The model's `T(L_k)`, seconds per packet (`None` when the link
     /// index is outside the predicted pipeline — e.g. telemetry from a
     /// wider run than the plan).
@@ -141,7 +139,7 @@ pub struct MeasuredLink {
 
 impl MeasuredLink {
     /// Measured payload bytes per frame (0 for an idle link).
-    pub fn bytes_per_frame(&self) -> f64 {
+    pub(crate) fn bytes_per_frame(&self) -> f64 {
         if self.frames == 0 {
             0.0
         } else {
@@ -151,7 +149,7 @@ impl MeasuredLink {
 
     /// Collect every `net.link<k>.*` family present in `reg`, sorted by
     /// link index. Empty when the run was in-process or untelemetered.
-    pub fn from_registry(reg: &MetricsRegistry, times: &StageTimes) -> Vec<MeasuredLink> {
+    pub(crate) fn from_registry(reg: &MetricsRegistry, times: &StageTimes) -> Vec<MeasuredLink> {
         let mut links: Vec<usize> = reg
             .counters()
             .filter_map(|(name, _)| {
@@ -168,7 +166,6 @@ impl MeasuredLink {
                 link: k,
                 frames: reg.get_counter(&format!("net.link{k}.frames")),
                 bytes: reg.get_counter(&format!("net.link{k}.bytes")),
-                deduped: reg.get_counter(&format!("net.link{k}.deduped")),
                 predicted_s_per_packet: times.comm.get(k).copied(),
             })
             .collect()
@@ -217,7 +214,10 @@ impl CalibrationReport {
 
     /// [`CalibrationReport::from_run`] against raw stage times (the
     /// launcher keeps `StageTimes` without the full report).
-    pub fn from_parts(times: &StageTimes, reg: &MetricsRegistry) -> Option<CalibrationReport> {
+    pub(crate) fn from_parts(
+        times: &StageTimes,
+        reg: &MetricsRegistry,
+    ) -> Option<CalibrationReport> {
         let m = times.comp.len();
         let mut stages = Vec::with_capacity(m);
         for unit in 0..m {
@@ -328,9 +328,6 @@ impl CalibrationReport {
             if let Some(p) = l.predicted_s_per_packet {
                 let _ = write!(s, ", predicted {p:.6e} s/pkt");
             }
-            if l.deduped > 0 {
-                let _ = write!(s, ", {} deduped after reconnect", l.deduped);
-            }
             let _ = writeln!(s);
         }
         let b = &self.stages[self.measured_bottleneck];
@@ -406,7 +403,6 @@ impl CalibrationReport {
                         o.set("link", Json::Num(l.link as f64));
                         o.set("frames", Json::Num(l.frames as f64));
                         o.set("bytes", Json::Num(l.bytes as f64));
-                        o.set("deduped", Json::Num(l.deduped as f64));
                         o.set("bytes_per_frame", Json::Num(l.bytes_per_frame()));
                         o.set(
                             "predicted_s_per_packet",
@@ -567,7 +563,6 @@ mod tests {
         reg.counter("net.link0.bytes", 100 * 1024);
         reg.counter("net.link1.frames", 100);
         reg.counter("net.link1.bytes", 100 * 256);
-        reg.counter("net.link1.deduped", 3);
         // An out-of-plan link index (e.g. telemetry merged from a wider
         // run) still surfaces, just without a prediction.
         reg.counter("net.link7.frames", 5);
@@ -578,12 +573,10 @@ mod tests {
         assert_eq!((l0.link, l0.frames, l0.bytes), (0, 100, 100 * 1024));
         assert!((l0.bytes_per_frame() - 1024.0).abs() < 1e-9);
         assert_eq!(l0.predicted_s_per_packet, Some(1e-6));
-        assert_eq!(report.links[1].deduped, 3);
         assert_eq!(report.links[2].predicted_s_per_packet, None);
         let text = report.render_text();
         assert!(text.contains("L0: 100 frames"), "{text}");
         assert!(text.contains("1024 B/frame"), "{text}");
-        assert!(text.contains("3 deduped after reconnect"), "{text}");
         let j = Json::parse(&report.to_json().to_string()).unwrap();
         let links = j.get("links").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(links.len(), 3);

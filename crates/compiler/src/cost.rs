@@ -154,7 +154,7 @@ impl CostEnv {
 // operation counting
 
 /// Count operations for one atomic filter under `env`.
-pub fn count_atom(np: &NormalizedPipeline, code: &AtomCode, env: &CostEnv) -> OpCount {
+pub(crate) fn count_atom(np: &NormalizedPipeline, code: &AtomCode, env: &CostEnv) -> OpCount {
     let mut counter = Counter { np, env, depth: 0 };
     match code {
         AtomCode::Straight(stmts) => counter.stmts(stmts),
@@ -766,7 +766,7 @@ impl PipelineEnv {
     }
 
     /// Uniform pipeline whose links all have `class` characteristics.
-    pub fn uniform_class(m: usize, power: f64, class: LinkClass) -> Self {
+    pub(crate) fn uniform_class(m: usize, power: f64, class: LinkClass) -> Self {
         Self::uniform(m, power, class.bandwidth(), class.latency())
     }
 

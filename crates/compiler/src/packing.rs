@@ -52,7 +52,7 @@ pub enum ScalarKind {
 }
 
 impl ScalarKind {
-    pub fn byte_len(self) -> usize {
+    pub(crate) fn byte_len(self) -> usize {
         match self {
             ScalarKind::I64 | ScalarKind::F64 => 8,
             ScalarKind::Bool => 1,

@@ -64,7 +64,7 @@ pub fn analyze_chain(
 
 /// [`analyze_chain`] with known extern-scalar values folded into symbolic
 /// index expressions (see [`crate::gencons::analyze_atom_with`]).
-pub fn analyze_chain_with(
+pub(crate) fn analyze_chain_with(
     np: &NormalizedPipeline,
     graph: &BoundaryGraph,
     consts: &HashMap<String, i64>,

@@ -89,7 +89,7 @@ fn homogeneity(a: &[Value]) -> Homogeneous {
 }
 
 /// Exact size in bytes of `encode_value(v)` (so encoders reserve once).
-pub fn encoded_len(v: &Value) -> usize {
+pub(crate) fn encoded_len(v: &Value) -> usize {
     match v {
         Value::Int(_) | Value::Double(_) => 9,
         Value::Bool(_) => 2,

@@ -94,7 +94,10 @@ pub struct ExecOptions {
     /// Enable the recovery layer: ack/replay delivery, checkpointed
     /// reduction state, and supervised copy restarts — injected faults
     /// are survived instead of surfaced (where the restart budget
-    /// allows). Off, a failed filter copy fails the run.
+    /// allows). Off, a failed filter copy fails the run. A worker run
+    /// with recovery is also supervised by its launcher: a vanished
+    /// upstream producer leaves the ingress waiting for the launcher to
+    /// restart the chain, instead of failing the run.
     pub recover: bool,
     /// Checkpoint cadence in accepted packets for stateful stages
     /// (`None` = the runtime default).
@@ -103,10 +106,6 @@ pub struct ExecOptions {
     /// `Heartbeat` frames this often and presume a peer dead after ~4
     /// missed beats. `None` disables the liveness protocol.
     pub heartbeat: Option<Duration>,
-    /// Supervised distributed run: a worker whose upstream producer dies
-    /// parks the link and waits (bounded) for the supervisor to respawn
-    /// it, instead of failing the run.
-    pub supervised: bool,
     /// Per-stage process-restart budget for a supervising launcher.
     pub max_worker_restarts: Option<u32>,
     /// How this process participates in the run (local / worker /
@@ -156,8 +155,6 @@ impl ExecOptions {
     /// - `CGP_CHECKPOINT_EVERY` — checkpoint cadence in packets;
     /// - `CGP_HEARTBEAT_MS` — heartbeat cadence on distributed TCP links
     ///   (`0`/unset disables the liveness protocol);
-    /// - `CGP_SUPERVISED` — `1`/`true`/`on` makes a worker's ingress
-    ///   lenient: a dead producer parks the link awaiting a respawn;
     /// - `CGP_MAX_WORKER_RESTARTS` — per-stage process-restart budget
     ///   for a supervising launcher;
     /// - `CGP_KILL` — deterministic self-SIGKILL spec (`stage[copy]#pkt`),
@@ -220,9 +217,6 @@ impl ExecOptions {
         opts.heartbeat = ms("CGP_HEARTBEAT_MS")?
             .filter(|&n| n > 0)
             .map(Duration::from_millis);
-        if let Some(b) = flag("CGP_SUPERVISED")? {
-            opts.supervised = b;
-        }
         opts.max_worker_restarts = whole::<u32>(&lookup, "CGP_MAX_WORKER_RESTARTS")?;
         if let Some(v) = lookup("CGP_ROLE") {
             opts.role =
@@ -481,8 +475,7 @@ fn run_options(opts: &ExecOptions) -> Result<RunOptions, CoreError> {
         recovery,
         net_tuning: NetTuning {
             heartbeat: opts.heartbeat,
-            supervised: opts.supervised,
-            ..Default::default()
+            supervised: opts.recover,
         },
         telemetry,
         autoscale: opts.autoscale.clone(),

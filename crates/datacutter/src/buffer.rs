@@ -279,7 +279,7 @@ impl BufferPool {
 
     /// Cap the idle allocations kept per size class (bounds the pool's
     /// worst-case footprint at `cap × Σ class sizes`).
-    pub fn with_max_per_class(cap: usize) -> Self {
+    pub(crate) fn with_max_per_class(cap: usize) -> Self {
         BufferPool {
             shared: Arc::new(PoolShared {
                 classes: (0..CLASSES).map(|_| Mutex::new(Vec::new())).collect(),

@@ -332,9 +332,9 @@ pub struct RunOptions {
     /// a failed copy fails the run.
     pub recovery: RecoveryOptions,
     /// Liveness of the distributed links: heartbeat cadence and silence
-    /// deadline on TCP links, and supervised (lenient) ingress, where a
-    /// dead producer parks its slot awaiting a respawned process instead
-    /// of failing the run. Inert for in-process runs.
+    /// deadline on TCP links, and supervised ingress, where a vanished
+    /// producer leaves the link waiting for the launcher to tear the
+    /// chain down instead of failing the run. Inert for in-process runs.
     pub net_tuning: NetTuning,
     /// Latency telemetry and live sampling. The per-stage and per-link
     /// counters run on every run; this adds the rest. Packets are stamped
@@ -1144,13 +1144,8 @@ impl Pipeline {
             for (link, st) in &net_links {
                 reg.counter(&format!("net.link{link}.frames"), st.frames);
                 reg.counter(&format!("net.link{link}.bytes"), st.bytes);
-                let rare = [
-                    ("deduped", st.deduped),
-                    ("timeouts", st.timeouts),
-                    ("reconnects", st.reconnects),
-                ];
-                for (key, v) in rare.into_iter().filter(|(_, v)| *v > 0) {
-                    reg.counter(&format!("net.link{link}.{key}"), v);
+                if st.timeouts > 0 {
+                    reg.counter(&format!("net.link{link}.timeouts"), st.timeouts);
                 }
             }
             for (st, probe) in stages.iter().zip(&probes) {

@@ -12,18 +12,16 @@
 //!   heartbeats. One frame writer checks [`MAX_FRAME_PAYLOAD`] and hands
 //!   the carrier a whole frame, so a TCP heartbeat can never land inside
 //!   a data frame.
-//! - **Ingress.** [`serve_ingress`] bridges each producer copy's
-//!   connection onto its local [`StreamWriter`] through a
-//!   sequence-deduplicating feeder. The bridge reports how a connection
-//!   ended (`End`, a clean close, a ring reset, or a carrier error), and
-//!   the carrier's arrival code decides whether that parks the producer
-//!   or fails the link. Counters, the first error (which cancels the
-//!   run) and teardown are link-level and shared.
+//! - **Ingress.** [`serve_ingress`] serves each producer copy's
+//!   connection from its one-way `Hello` to its `End`, feeding its local
+//!   [`StreamWriter`] in strict sequence order. A protocol violation fails
+//!   the link. A producer that vanishes short of `End` is settled in one
+//!   place for both carriers: unsupervised, that fails the link;
+//!   supervised, the link waits for the launcher to tear the chain down.
+//!   Counters, the first error (which cancels the run) and teardown are
+//!   link-level and shared.
 //! - **Egress.** [`egress_pump`] drains one producer copy's local 1→1
-//!   stream. Every incarnation of a producer numbers its packets from 0.
-//!   Packets below the consumer's resume watermark, handed over in
-//!   `HelloAck` on TCP and in the ring header on a ring reset, are
-//!   suppressed and counted in [`NetLinkStats::deduped`].
+//!   stream, numbering its packets from 0.
 //! - **Endpoints.** [`WorkerIngress::bind`] turns a listen address into
 //!   an ingress, and [`Transport`] names the carrier a launcher picks.
 //!
@@ -31,17 +29,16 @@
 //!
 //! | | TCP | shm |
 //! |---|---|---|
-//! | arrival | accept loop, `Hello`/`HelloAck` slot routing | one eagerly created ring and reader thread per producer |
+//! | arrival | accept loop; the `Hello` names the producer | one eagerly created ring and reader thread per producer |
 //! | liveness | silence deadline, heartbeat sidecar | pid probe |
-//! | close before `End`, unsupervised | the producer may reconnect | error |
-//! | supervised | a dead connection parks the slot for `reconnect` | the reader parks until the ring is reset |
+//! | a second producer | fails the link (malformed) | its attach is refused (malformed) |
 
 use crate::buffer::Buffer;
-use crate::error::{FilterError, FilterResult};
+use crate::error::{ErrorKind, FilterError, FilterResult};
 use crate::fault::RunControl;
 use crate::net::{
     self, decode_frame, encode_data_header, encode_frame, frame_header_len, frame_len_field_at,
-    Frame, MAX_FRAME_PAYLOAD,
+    is_heartbeat_timeout, Frame, MAX_FRAME_PAYLOAD,
 };
 use crate::shm::{self, shm_dir, shm_supported, ShmIngress, DEFAULT_SHM_CAPACITY, SHM_PREFIX};
 use crate::stream::{StreamReader, StreamWriter};
@@ -49,12 +46,16 @@ use crate::telemetry::LinkProbe;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Poison-tolerant lock (link state is plain data).
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
+
+/// How long a supervised ingress waits, after a producer vanished, for
+/// the launcher to tear the chain down before it fails as stalled.
+const SUPERVISED_WAIT: Duration = Duration::from_secs(10);
 
 /// Per-link transfer counters, read off the link's [`LinkProbe`] and
 /// reported into `cgp_obs` metrics by the executor
@@ -65,51 +66,30 @@ pub struct NetLinkStats {
     pub frames: u64,
     /// Payload bytes moved across the carrier.
     pub bytes: u64,
-    /// Packets that were not moved twice: on ingress, duplicated frames
-    /// the sequence watermark discarded; on egress, packets below the
-    /// consumer's resume watermark that were never sent.
-    pub deduped: u64,
-    /// Heartbeat-deadline verdicts: a peer went silent past the liveness
-    /// deadline (ingress side only; under supervision this is a dirty
-    /// disconnect awaiting a respawned peer, otherwise it fails the link).
+    /// Heartbeat-deadline verdicts: a producer went silent past the
+    /// liveness deadline (ingress side only).
     pub timeouts: u64,
-    /// Times a producer reconnected to this link after a disconnect
-    /// (ingress side only): a respawned worker process rejoining.
-    pub reconnects: u64,
 }
 
 /// Liveness knobs for one link's endpoints.
 ///
 /// `heartbeat` turns the TCP liveness protocol on: egress connections
 /// emit [`Frame::Heartbeat`] whenever the link has been idle that long,
-/// and readers fail (or, supervised, declare a dirty disconnect) when a
-/// peer is silent past [`NetTuning::deadline`]. Rings probe the
-/// producer's pid instead. `supervised` makes the ingress side
-/// *lenient*: a dead producer parks instead of failing the link, waiting
-/// up to `reconnect` for a respawned process to rejoin (the launcher's
-/// supervision layer guarantees one is coming, or kills the run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// and a reader declares its producer vanished when it is silent past
+/// [`NetTuning::deadline`]. Rings probe the producer's pid instead.
+/// `supervised` says what a vanished producer means: unsupervised, it
+/// fails the link; supervised, the producer's process died and the
+/// launcher restarts the whole chain, so the link waits for that
+/// teardown (cancellable, and bounded at 10 s).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetTuning {
     /// Emit a heartbeat after this much idle time, and derive the silence
     /// deadline from it. `None` disables the liveness protocol entirely
     /// (a dead TCP peer blocks reads until the run watchdog fires).
     pub heartbeat: Option<Duration>,
-    /// Lenient ingress: treat dead producers as dirty disconnects and
-    /// wait (bounded) for the producer to be respawned and rejoin.
+    /// A launcher supervises this worker: a vanished producer waits for
+    /// the chain's teardown instead of failing the link.
     pub supervised: bool,
-    /// How long a supervised ingress waits for a disconnected producer to
-    /// rejoin before declaring the link dead.
-    pub reconnect: Duration,
-}
-
-impl Default for NetTuning {
-    fn default() -> Self {
-        NetTuning {
-            heartbeat: None,
-            supervised: false,
-            reconnect: Duration::from_secs(10),
-        }
-    }
 }
 
 impl NetTuning {
@@ -210,26 +190,15 @@ impl WorkerIngress {
     }
 }
 
-/// What one blocking carrier read produced.
-pub(crate) enum Filled {
-    /// The buffer is full.
-    Full,
-    /// The peer closed cleanly before any byte.
-    Eof,
-    /// A respawned producer reset the ring: any partial frame is gone,
-    /// and a fresh `Hello` comes next.
-    Reset,
-}
-
 /// The reading end of a carrier.
 pub(crate) trait FrameSource {
     /// Names the endpoint in errors.
     fn who(&self) -> &str;
 
-    /// Fill `buf` completely. [`Filled::Eof`] is returned only when
-    /// `allow_eof` and no byte was read yet; a close mid-frame is
+    /// Fill `buf` completely. Returns `false` only when `allow_eof` and
+    /// the peer closed before any byte was read; a close mid-frame is
     /// malformed.
-    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled>;
+    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<bool>;
 }
 
 /// The writing end of a carrier.
@@ -250,25 +219,15 @@ pub(crate) trait FrameSink {
     }
 }
 
-/// One read from a carrier.
-pub(crate) enum Read {
-    Frame(Frame),
-    /// The peer closed at a frame boundary.
-    Eof,
-    /// The ring was reset; see [`Filled::Reset`].
-    Reset,
-}
-
 /// The frame reader: tag, fixed header, length cap, payload, then the
 /// one hardened [`decode_frame`]. Heartbeats are consumed here; their
 /// only effect, refreshing a silence deadline, happens in the carrier.
-pub(crate) fn read_frame(src: &mut impl FrameSource) -> FilterResult<Read> {
+/// `None` means the peer closed at a frame boundary.
+pub(crate) fn read_frame(src: &mut impl FrameSource) -> FilterResult<Option<Frame>> {
     loop {
         let mut tag = [0u8; 1];
-        match src.fill(&mut tag, true)? {
-            Filled::Full => {}
-            Filled::Eof => return Ok(Read::Eof),
-            Filled::Reset => return Ok(Read::Reset),
+        if !src.fill(&mut tag, true)? {
+            return Ok(None);
         }
         let Some(header_len) = frame_header_len(tag[0]) else {
             return Err(FilterError::malformed(
@@ -277,9 +236,7 @@ pub(crate) fn read_frame(src: &mut impl FrameSource) -> FilterResult<Read> {
             ));
         };
         let mut frame = vec![tag[0]; 1 + header_len];
-        if let Filled::Reset = src.fill(&mut frame[1..], false)? {
-            return Ok(Read::Reset);
-        }
+        src.fill(&mut frame[1..], false)?;
         if let Some(at) = frame_len_field_at(tag[0]) {
             let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize;
             if len > MAX_FRAME_PAYLOAD {
@@ -290,13 +247,11 @@ pub(crate) fn read_frame(src: &mut impl FrameSource) -> FilterResult<Read> {
             }
             let at = frame.len();
             frame.resize(at + len, 0);
-            if let Filled::Reset = src.fill(&mut frame[at..], false)? {
-                return Ok(Read::Reset);
-            }
+            src.fill(&mut frame[at..], false)?;
         }
         match decode_frame(&frame) {
             Ok((Frame::Heartbeat, _)) => continue,
-            Ok((f, _)) => return Ok(Read::Frame(f)),
+            Ok((f, _)) => return Ok(Some(f)),
             Err(e) => {
                 return Err(FilterError {
                     filter: src.who().to_string(),
@@ -326,53 +281,19 @@ pub(crate) fn write_frame(
     sink.send(header, payload)
 }
 
-/// Check a connection's opening frame: a `Hello` for `link` from a
-/// producer below `producers`. Returns that producer.
-pub(crate) fn expect_hello(
-    read: Read,
-    link: u32,
-    producers: usize,
-    who: &str,
-) -> FilterResult<usize> {
-    match read {
-        Read::Frame(Frame::Hello {
-            link: got,
-            producer,
-        }) => {
-            if got != link {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("connection for link {got} arrived at link {link}"),
-                ));
-            }
-            if producer as usize >= producers {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("producer {producer} out of range (link has {producers})"),
-                ));
-            }
-            Ok(producer as usize)
-        }
-        Read::Frame(f) => Err(FilterError::malformed(
-            who,
-            format!("expected Hello first, got {f:?}"),
-        )),
-        Read::Eof | Read::Reset => Err(FilterError::malformed(
-            who,
-            "connection closed during handshake",
-        )),
-    }
+/// Open a connection: the one-way `Hello` naming `link` and `producer`.
+/// Nothing comes back; the producer streams right after it.
+pub(crate) fn send_hello(sink: &mut impl FrameSink, link: u32, producer: u32) -> FilterResult<()> {
+    write_frame(sink, &encode_frame(&Frame::Hello { link, producer }), &[])
 }
 
-/// Seq-deduplicating bridge from one remote producer onto its local
-/// [`StreamWriter`]. The feeder, and with it the next-expected
-/// watermark, outlives any one connection, so a reconnecting producer
-/// can never regress it: duplicated frames are dropped, gaps are
-/// malformed.
+/// Bridge from one remote producer onto its local [`StreamWriter`].
+/// Frames must arrive in sequence order: every carrier is FIFO and every
+/// producer numbers its packets from 0, so a repeat or a gap is
+/// corruption and is malformed.
 pub(crate) struct IngressFeeder {
     writer: StreamWriter,
     next_seq: u64,
-    ended: bool,
 }
 
 impl IngressFeeder {
@@ -380,45 +301,31 @@ impl IngressFeeder {
         IngressFeeder {
             writer,
             next_seq: 0,
-            ended: false,
         }
     }
 
-    /// The watermark handed to a (re)connecting producer: `HelloAck {
-    /// resume_seq }` on TCP, the ring header's resume word on shm.
-    pub(crate) fn resume_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Whether this producer already sent `End`.
-    pub(crate) fn ended(&self) -> bool {
-        self.ended
-    }
-
-    /// Deliver frame `seq`: `Ok(true)` if forwarded to the local stream,
-    /// `Ok(false)` if it was a duplicate below the watermark. A sequence
-    /// *gap* means frames were lost on a path that guarantees FIFO —
-    /// that's corruption, not reordering, and is malformed.
-    pub(crate) fn feed(&mut self, seq: u64, buf: Buffer) -> FilterResult<bool> {
+    /// Deliver frame `seq`, which must be the next one expected.
+    pub(crate) fn feed(&mut self, seq: u64, buf: Buffer) -> FilterResult<()> {
         let expect = self.next_seq;
-        if seq < expect {
-            return Ok(false);
-        }
-        if seq > expect {
+        if seq != expect {
+            let what = if seq < expect {
+                "repeated sequence"
+            } else {
+                "sequence gap"
+            };
             return Err(FilterError::malformed(
                 "net.ingress",
-                format!("sequence gap: got {seq}, expected {expect}"),
+                format!("{what}: got {seq}, expected {expect}"),
             ));
         }
         self.writer.write(buf)?;
         self.next_seq = expect + 1;
-        Ok(true)
+        Ok(())
     }
 
     /// The producer finished its unit of work: propagate end-of-work to
     /// the local stream.
     pub(crate) fn end(&mut self) {
-        self.ended = true;
         self.writer.close();
     }
 }
@@ -435,42 +342,66 @@ fn check_from(who: &str, from: u32, p: usize) -> FilterResult<()> {
     ))
 }
 
-/// How one producer connection ended.
-pub(crate) enum Ended {
-    /// The producer sent `End`; its local writer is closed.
-    End,
-    /// `Close`, or EOF at a frame boundary.
-    Closed,
-    /// A respawned producer reset the ring.
-    Reset,
-    /// The carrier failed: a read error, EOF mid-frame, a malformed frame
-    /// or the silence deadline. The partial frame, if any, was never fed.
-    Lost(FilterError),
+/// Check a connection's opening frame: a `Hello` for `link` from a
+/// producer below `producers`. Returns that producer.
+fn expect_hello(first: Frame, link: u32, producers: usize, who: &str) -> FilterResult<usize> {
+    match first {
+        Frame::Hello {
+            link: got,
+            producer,
+        } => {
+            if got != link {
+                return Err(FilterError::malformed(
+                    who,
+                    format!("connection for link {got} arrived at link {link}"),
+                ));
+            }
+            if producer as usize >= producers {
+                return Err(FilterError::malformed(
+                    who,
+                    format!("producer {producer} out of range (link has {producers})"),
+                ));
+            }
+            Ok(producer as usize)
+        }
+        f => Err(FilterError::malformed(
+            who,
+            format!("expected Hello first, got {f:?}"),
+        )),
+    }
 }
 
-/// Link-level state shared by every producer's bridge: the link's
-/// probe, the first error and the run's cancel fan-in.
-#[derive(Default)]
+/// Link-level state shared by every producer's connection: the feeders,
+/// the link's probe, the first error and the run's cancel fan-in.
 pub(crate) struct IngressLink {
-    pub(crate) link: u32,
+    link: u32,
     pub(crate) control: Option<Arc<RunControl>>,
+    supervised: bool,
     probe: Arc<LinkProbe>,
+    /// Producer `p`'s feeder until a connection claims it. A feeder is
+    /// dropped, closing its local writer, only once its connection is
+    /// settled or the link is torn down.
+    feeders: Vec<Mutex<Option<IngressFeeder>>>,
     /// Producers that sent `End`.
     ended: AtomicUsize,
     error: Mutex<Option<FilterError>>,
 }
 
 impl IngressLink {
+    pub(crate) fn producers(&self) -> usize {
+        self.feeders.len()
+    }
+
     pub(crate) fn cancelled(&self) -> bool {
         self.control.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
-    pub(crate) fn failed(&self) -> bool {
-        plock(&self.error).is_some()
-    }
-
-    pub(crate) fn ended(&self) -> usize {
-        self.ended.load(Ordering::Acquire)
+    /// Whether the link has nothing left to accept: every producer sent
+    /// `End`, the run was cancelled or the link failed.
+    pub(crate) fn done(&self) -> bool {
+        self.ended.load(Ordering::Acquire) == self.producers()
+            || self.cancelled()
+            || plock(&self.error).is_some()
     }
 
     /// Record the link's first error and cancel the run, so filter
@@ -482,50 +413,80 @@ impl IngressLink {
         plock(&self.error).get_or_insert(e);
     }
 
-    /// A producer handshook again after a disconnect.
-    pub(crate) fn reconnected(&self) {
-        self.probe.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A producer went silent past the heartbeat deadline.
-    pub(crate) fn timed_out(&self) {
-        self.probe.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bridge producer `p`'s connection onto its feeder until the
-    /// connection ends. A frame labelled with another producer, a
-    /// sequence gap or an unexpected frame is an error on every carrier.
-    pub(crate) fn bridge(
+    /// Serve one producer connection from its `Hello` to its `End`.
+    /// `ring` is the producer a shm ring belongs to (`None` on TCP, where
+    /// the `Hello` picks it), and `claimed(src, p)` lets the carrier name
+    /// the connection once its producer is known. A protocol violation,
+    /// including a second connection for a producer, fails the link, and
+    /// so may a producer that vanishes (see [`Self::vanished`]). The
+    /// producer's feeder lives here, so its local writer closes only
+    /// after that failure has cancelled the run: nothing downstream
+    /// mistakes a dead or broken producer for a finished one.
+    pub(crate) fn serve<S: FrameSource>(
         &self,
-        src: &mut impl FrameSource,
-        p: usize,
-        feeder: &mut IngressFeeder,
-    ) -> FilterResult<Ended> {
+        src: &mut S,
+        ring: Option<usize>,
+        claimed: impl FnOnce(&mut S, usize),
+    ) {
+        let mut feeder = None;
+        if let Err(e) = self.serve_producer(src, ring, claimed, &mut feeder) {
+            self.fail(e);
+        }
+    }
+
+    fn serve_producer<S: FrameSource>(
+        &self,
+        src: &mut S,
+        ring: Option<usize>,
+        claimed: impl FnOnce(&mut S, usize),
+        held: &mut Option<IngressFeeder>,
+    ) -> FilterResult<()> {
+        let first = match read_frame(src) {
+            Ok(Some(f)) => f,
+            Ok(None) => {
+                let why = FilterError::malformed(src.who(), "connection closed during handshake");
+                return self.vanished(why);
+            }
+            Err(e) => return self.vanished(e),
+        };
+        let p = expect_hello(first, self.link, self.producers(), src.who())?;
+        if let Some(r) = ring.filter(|&r| r != p) {
+            return Err(FilterError::malformed(
+                src.who(),
+                format!("Hello from producer {p} on producer {r}'s ring"),
+            ));
+        }
+        claimed(src, p);
+        let Some(feeder) = plock(&self.feeders[p]).take() else {
+            return Err(FilterError::malformed(
+                src.who(),
+                format!("producer {p} connected twice"),
+            ));
+        };
+        let feeder = held.insert(feeder);
         loop {
-            let frame = match read_frame(src) {
-                Ok(Read::Frame(f)) => f,
-                Ok(Read::Eof) => return Ok(Ended::Closed),
-                Ok(Read::Reset) => return Ok(Ended::Reset),
-                Err(e) => return Ok(Ended::Lost(e)),
-            };
-            match frame {
-                Frame::Data { from, seq, payload } => {
+            match read_frame(src) {
+                Ok(None | Some(Frame::Close)) => {
+                    let why = FilterError::malformed(
+                        src.who(),
+                        format!("producer {p} closed its connection before End"),
+                    );
+                    return self.vanished(why);
+                }
+                Err(e) => return self.vanished(e),
+                Ok(Some(Frame::Data { from, seq, payload })) => {
                     check_from(src.who(), from, p)?;
                     let n = payload.len() as u64;
-                    if feeder.feed(seq, Buffer::from_vec(payload))? {
-                        self.probe.count_frame(n);
-                    } else {
-                        self.probe.deduped.fetch_add(1, Ordering::Relaxed);
-                    }
+                    feeder.feed(seq, Buffer::from_vec(payload))?;
+                    self.probe.count_frame(n);
                 }
-                Frame::End { from } => {
+                Ok(Some(Frame::End { from })) => {
                     check_from(src.who(), from, p)?;
                     feeder.end();
                     self.ended.fetch_add(1, Ordering::AcqRel);
-                    return Ok(Ended::End);
+                    return Ok(());
                 }
-                Frame::Close => return Ok(Ended::Closed),
-                f => {
+                Ok(Some(f)) => {
                     return Err(FilterError::malformed(
                         src.who(),
                         format!("unexpected frame mid-stream: {f:?}"),
@@ -535,19 +496,47 @@ impl IngressLink {
         }
     }
 
+    /// A producer vanished (`why`): it closed before `End` (cleanly or
+    /// not), its carrier broke off mid-frame, or it went silent past its
+    /// deadline. Every heartbeat verdict is counted here. Unsupervised,
+    /// the link fails by `why`. Supervised, the producer's process died
+    /// and is the launcher's to report: it tears the whole chain down,
+    /// so wait for the run's cancellation, and fail as stalled only if
+    /// [`SUPERVISED_WAIT`] passes first.
+    fn vanished(&self, why: FilterError) -> FilterResult<()> {
+        if is_heartbeat_timeout(&why) {
+            self.probe.timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+        if !self.supervised || why.kind == ErrorKind::Cancelled {
+            return Err(why);
+        }
+        let since = Instant::now();
+        while !self.cancelled() && plock(&self.error).is_none() {
+            if since.elapsed() > SUPERVISED_WAIT {
+                return Err(FilterError::stalled(
+                    why.filter,
+                    format!(
+                        "{}; no supervisor tore the chain down within {SUPERVISED_WAIT:?}",
+                        why.message
+                    ),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        Ok(())
+    }
+
     /// Close every local writer still open (error and cancel paths), so
     /// downstream readers see end-of-work instead of blocking forever,
     /// then report the link.
-    fn finish(self, feeders: Vec<IngressFeeder>, producers: usize) -> FilterResult<NetLinkStats> {
-        for mut f in feeders {
-            f.writer.close();
-        }
+    fn finish(self) -> FilterResult<NetLinkStats> {
+        let unfinished = self.ended.load(Ordering::Acquire) < self.producers();
         let cancelled = self.cancelled();
-        let ended = self.ended();
+        drop(self.feeders);
         if let Some(e) = self.error.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(e);
         }
-        if cancelled && ended < producers {
+        if cancelled && unfinished {
             return Err(FilterError::cancelled(
                 "net.ingress",
                 "run cancelled before all producers finished",
@@ -563,13 +552,11 @@ impl IngressLink {
 /// every producer has sent `End`, or with the first error, after
 /// cancelling the run so blocked filter copies unwedge.
 ///
-/// The link's [`LinkProbe`] counts frames, bytes, dedups, timeouts and
-/// reconnects as traffic flows (the telemetry sampler reads it mid-run);
-/// the returned stats are read off it. `tuning.supervised` makes the
-/// link crash-tolerant: a
-/// producer that dies without `End` parks until its respawn rejoins and
-/// resumes from the watermark (see the module docs for each carrier's
-/// policy).
+/// The link's [`LinkProbe`] counts frames, bytes and heartbeat timeouts
+/// as traffic flows (the telemetry sampler reads it mid-run); the
+/// returned stats are read off it. With `tuning.supervised`, a producer
+/// that vanishes leaves the link waiting for the run's cancellation (see
+/// [`NetTuning`]), which it then returns as the error.
 pub fn serve_ingress(
     ingress: WorkerIngress,
     link: u32,
@@ -578,19 +565,23 @@ pub fn serve_ingress(
     probe: Arc<LinkProbe>,
     tuning: NetTuning,
 ) -> FilterResult<NetLinkStats> {
-    let producers = writers.len();
     let state = IngressLink {
         link,
         control,
+        supervised: tuning.supervised,
         probe,
-        ..Default::default()
+        feeders: writers
+            .into_iter()
+            .map(|w| Mutex::new(Some(IngressFeeder::new(w))))
+            .collect(),
+        ended: AtomicUsize::new(0),
+        error: Mutex::new(None),
     };
-    let feeders = writers.into_iter().map(IngressFeeder::new).collect();
-    let feeders = match ingress {
-        WorkerIngress::Tcp(listener) => net::serve_tcp(listener, &state, feeders, tuning),
-        WorkerIngress::Shm(rings) => rings.serve(&state, feeders, tuning),
-    };
-    state.finish(feeders, producers)
+    match ingress {
+        WorkerIngress::Tcp(listener) => net::serve_tcp(listener, &state, tuning.deadline()),
+        WorkerIngress::Shm(rings) => rings.serve(&state),
+    }
+    state.finish()
 }
 
 /// Drain one local [`StreamReader`] (the 1→1 stream behind one producer
@@ -602,11 +593,10 @@ pub fn serve_ingress(
 /// untransmitted packets.
 ///
 /// The link's [`LinkProbe`] (shared by every producer copy's pump on the
-/// link) counts transmitted and suppressed packets; the returned stats
-/// are read off it when this pump finishes. `tuning`
-/// bounds the TCP handshake by the silence deadline and, with heartbeats
-/// configured, makes the connection beat whenever the producer stage is
-/// idle, so the consumer's deadline tells "slow" from "dead".
+/// link) counts transmitted packets; the returned stats are read off it
+/// when this pump finishes. With heartbeats configured in `tuning`, a
+/// TCP connection beats whenever the producer stage is idle, so the
+/// consumer's deadline tells "slow" from "dead".
 pub fn egress_pump(
     reader: StreamReader,
     addr: &str,
@@ -618,23 +608,21 @@ pub fn egress_pump(
 ) -> FilterResult<NetLinkStats> {
     match addr.strip_prefix(SHM_PREFIX) {
         Some(base) => {
-            let (tx, resume) = shm::connect(base, link, producer, control.clone())?;
-            pump(tx, resume, reader, producer, control, &probe)?;
+            let tx = shm::connect(base, link, producer, control.clone())?;
+            pump(tx, reader, producer, control, &probe)?;
         }
         None => {
-            let (tx, resume) = net::connect(addr, link, producer, control.clone(), tuning)?;
-            pump(tx, resume, reader, producer, control, &probe)?;
+            let tx = net::connect(addr, link, producer, control.clone(), tuning)?;
+            pump(tx, reader, producer, control, &probe)?;
         }
     }
     Ok(probe.stats())
 }
 
-/// The send loop behind [`egress_pump`], once the carrier's handshake
-/// produced `resume`, the first sequence number the consumer still
-/// needs.
+/// The send loop behind [`egress_pump`], once the carrier's `Hello` is
+/// out: packet `seq` of this producer goes out as data frame `seq`.
 fn pump(
     mut tx: impl FrameSink,
-    resume: u64,
     mut reader: StreamReader,
     producer: u32,
     control: Option<Arc<RunControl>>,
@@ -642,17 +630,13 @@ fn pump(
 ) -> FilterResult<()> {
     let mut seq = 0u64;
     while let Some(buf) = reader.read() {
-        if seq < resume {
-            probe.deduped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let n = buf.len();
-            write_frame(
-                &mut tx,
-                &encode_data_header(producer, seq, n),
-                buf.as_slice(),
-            )?;
-            probe.count_frame(n as u64);
-        }
+        let n = buf.len();
+        write_frame(
+            &mut tx,
+            &encode_data_header(producer, seq, n),
+            buf.as_slice(),
+        )?;
+        probe.count_frame(n as u64);
         seq += 1;
         reader.commit_acks();
     }

@@ -45,7 +45,6 @@
 //! | frame      | layout                                                  |
 //! |------------|---------------------------------------------------------|
 //! | `Hello`    | magic `CGPN`, `version: u16`, `link: u32`, `producer: u32` |
-//! | `HelloAck` | `resume_seq: u64` (consumer's cumulative-ack watermark)  |
 //! | `Data`     | `from: u32`, `seq: u64`, `len: u32`, payload             |
 //! | `End`      | `from: u32` (producer finished its unit of work)         |
 //! | `Close`    | — (orderly connection shutdown)                          |
@@ -62,39 +61,37 @@
 //! / version mismatches are [`ErrorKind::Malformed`] errors, and EOF in
 //! the middle of a frame is malformed rather than silently truncated.
 //!
+//! The handshake is one-way, as on rings: a producer writes `Hello` and
+//! streams right after it, numbering its data frames from 0.
+//!
 //! ## Recovery across the socket
 //!
 //! Within each process, filter-copy restarts use the local streams'
-//! ack/replay machinery exactly as in-process runs do. Across the socket,
-//! the consumer publishes its cumulative per-producer watermark in
-//! `HelloAck` whenever a producer (re)connects: a reconnecting producer
-//! suppresses the acknowledged prefix, and any duplicated in-flight
-//! frame is discarded by the same sequence watermark — the watermark
-//! never regresses across a reconnect because it lives in the accept
-//! loop's slot table, not in the per-connection bridge. `HelloAck` goes
-//! out only once the producer's previous connection has returned its
-//! feeder, so the watermark it carries is final; a supervised respawn
-//! waits up to [`NetTuning::reconnect`] for it.
+//! ack/replay machinery exactly as in-process runs do. A connection is
+//! never resumed: each producer connects once, a second connection for
+//! it is malformed, and a producer that vanishes short of `End` is
+//! settled by [`crate::link`] (the link fails, or under supervision
+//! waits for the launcher to restart the whole chain from packet 0).
 //!
 //! [`ErrorKind::Malformed`]: crate::error::ErrorKind
 
-use crate::error::{ErrorKind, FilterError, FilterResult};
+use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
 use crate::link::{
-    expect_hello, read_frame, write_frame, Ended, Filled, FrameSink, FrameSource, IngressFeeder,
-    IngressLink, NetTuning, Read,
+    read_frame, send_hello, write_frame, FrameSink, FrameSource, IngressLink, NetTuning,
 };
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Connection magic: first bytes of every `Hello` frame.
 pub const NET_MAGIC: [u8; 4] = *b"CGPN";
-/// Wire-protocol version (checked during the handshake).
-pub const NET_VERSION: u16 = 1;
+/// Wire-protocol version (checked during the handshake). Version 2 made
+/// the handshake the producer's one-way `Hello`.
+pub const NET_VERSION: u16 = 2;
 /// Hard cap on a single data frame's payload. A `Data` frame declaring
 /// more than this is malformed and rejected before any allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 64 * 1024 * 1024;
@@ -108,7 +105,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 const CONNECT_BUDGET: Duration = Duration::from_secs(10);
 
 const TAG_HELLO: u8 = 1;
-const TAG_HELLO_ACK: u8 = 2;
 const TAG_DATA: u8 = 3;
 const TAG_END: u8 = 4;
 const TAG_CLOSE: u8 = 5;
@@ -121,7 +117,6 @@ const TAG_HEARTBEAT: u8 = 7;
 pub(crate) fn frame_header_len(tag: u8) -> Option<usize> {
     match tag {
         TAG_HELLO => Some(14),
-        TAG_HELLO_ACK => Some(8),
         TAG_DATA => Some(16),
         TAG_END => Some(4),
         TAG_CLOSE => Some(0),
@@ -156,7 +151,7 @@ pub(crate) fn encode_data_header(from: u32, seq: u64, len: usize) -> [u8; 17] {
 /// unmistakable for a data link.
 pub const TELEMETRY_LINK: u32 = u32::MAX;
 
-/// Poison-tolerant lock (slot state is plain data).
+/// Poison-tolerant lock (the heartbeat's shared state is plain data).
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -168,9 +163,6 @@ pub enum Frame {
     /// Connection opener: which logical link and which producer copy this
     /// connection carries.
     Hello { link: u32, producer: u32 },
-    /// Handshake reply: the consumer's cumulative-ack watermark for this
-    /// producer; the producer suppresses frames with `seq < resume_seq`.
-    HelloAck { resume_seq: u64 },
     /// One packet: the `seq`-th the producer copy `from` ever sent on
     /// this link.
     Data {
@@ -180,8 +172,7 @@ pub enum Frame {
     },
     /// Producer copy `from` finished its unit of work.
     End { from: u32 },
-    /// Orderly connection shutdown (reconnection stays possible until
-    /// `End` was seen).
+    /// Orderly connection shutdown, after `End`.
     Close,
     /// One telemetry update (JSON payload; see
     /// [`crate::telemetry::decode_telemetry_payload`]). Only valid on
@@ -206,12 +197,6 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
             out.extend_from_slice(&NET_VERSION.to_le_bytes());
             out.extend_from_slice(&link.to_le_bytes());
             out.extend_from_slice(&producer.to_le_bytes());
-            out
-        }
-        Frame::HelloAck { resume_seq } => {
-            let mut out = Vec::with_capacity(9);
-            out.push(TAG_HELLO_ACK);
-            out.extend_from_slice(&resume_seq.to_le_bytes());
             out
         }
         Frame::Data { from, seq, payload } => {
@@ -275,10 +260,6 @@ pub fn decode_frame(buf: &[u8]) -> FilterResult<(Frame, usize)> {
             let link = u32::from_le_bytes(get(buf, 7, who)?);
             let producer = u32::from_le_bytes(get(buf, 11, who)?);
             Ok((Frame::Hello { link, producer }, 15))
-        }
-        TAG_HELLO_ACK => {
-            let resume_seq = u64::from_le_bytes(get(buf, 1, who)?);
-            Ok((Frame::HelloAck { resume_seq }, 9))
         }
         TAG_DATA => {
             let from = u32::from_le_bytes(get(buf, 1, who)?);
@@ -410,23 +391,6 @@ impl TcpConn {
         }
         Ok(())
     }
-
-    /// Send `Hello` as `producer` on `link` and wait for the consumer's
-    /// `HelloAck`. Returns its resume watermark.
-    fn handshake(&mut self, link: u32, producer: u32) -> FilterResult<u64> {
-        write_frame(self, &encode_frame(&Frame::Hello { link, producer }), &[])?;
-        match read_frame(self)? {
-            Read::Frame(Frame::HelloAck { resume_seq }) => Ok(resume_seq),
-            Read::Frame(f) => Err(FilterError::malformed(
-                self.who.clone(),
-                format!("expected HelloAck, got {f:?}"),
-            )),
-            Read::Eof | Read::Reset => Err(FilterError::malformed(
-                self.who.clone(),
-                "connection closed during handshake",
-            )),
-        }
-    }
 }
 
 impl FrameSource for TcpConn {
@@ -434,15 +398,15 @@ impl FrameSource for TcpConn {
         &self.who
     }
 
-    /// EOF mid-frame is malformed, and so is a peer silent past the
-    /// deadline; a socket never resets.
-    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled> {
+    /// EOF mid-frame is malformed, and a peer silent past the deadline is
+    /// a stall.
+    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<bool> {
         let mut off = 0;
         while off < buf.len() {
             match self.stream.read(&mut buf[off..]) {
                 Ok(0) => {
                     if off == 0 && allow_eof {
-                        return Ok(Filled::Eof);
+                        return Ok(false);
                     }
                     return Err(FilterError::malformed(
                         self.who.clone(),
@@ -478,7 +442,7 @@ impl FrameSource for TcpConn {
                 }
             }
         }
-        Ok(Filled::Full)
+        Ok(true)
     }
 }
 
@@ -590,39 +554,24 @@ pub(crate) struct TcpEgress {
     beat: Option<HeartbeatHandle>,
 }
 
-/// Connect (with retry) and handshake as `producer` on `link`. Returns
-/// the connection and the consumer's resume watermark from `HelloAck`.
-/// The handshake wait is bounded by `tuning`'s silence deadline (see
-/// below) and, when heartbeats are on, the idle-link beacon thread is
-/// started.
+/// Connect (with retry) and say `Hello` as `producer` on `link`. When
+/// heartbeats are on, the idle-link beacon thread is started.
 pub(crate) fn connect(
     addr: &str,
     link: u32,
     producer: u32,
     control: Option<Arc<RunControl>>,
     tuning: NetTuning,
-) -> FilterResult<(TcpEgress, u64)> {
+) -> FilterResult<TcpEgress> {
     let who = format!("net.egress[{producer}]");
     let stream = connect_with_retry(addr, control.as_ref(), &who)?;
     let mut conn = TcpConn::new(stream, control, who.clone())?;
-    // A consumer that accepted but never replies must not hang the
-    // producer forever: bound the handshake by the silence deadline. A
-    // supervised consumer holds `HelloAck` back for up to
-    // `tuning.reconnect` while this producer's dead connection drains,
-    // so a respawn waits at least that long.
-    conn.set_deadline(tuning.deadline().map(|d| {
-        if tuning.supervised {
-            d.max(tuning.reconnect)
-        } else {
-            d
-        }
-    }));
-    let resume = conn.handshake(link, producer)?;
+    send_hello(&mut conn, link, producer)?;
     let conn = Arc::new(Mutex::new(conn));
     let beat = tuning
         .heartbeat
         .map(|every| HeartbeatHandle::spawn(Arc::clone(&conn), every));
-    Ok((TcpEgress { conn, who, beat }, resume))
+    Ok(TcpEgress { conn, who, beat })
 }
 
 impl FrameSink for TcpEgress {
@@ -713,99 +662,20 @@ impl Drop for HeartbeatHandle {
     }
 }
 
-/// Read an accepted connection's `Hello`. The silence `deadline`
-/// applies to the connection, handshake included. Returns the connection
-/// and its producer.
-fn accept(
-    stream: TcpStream,
-    link: u32,
-    producers: usize,
-    control: Option<Arc<RunControl>>,
-    deadline: Option<Duration>,
-) -> FilterResult<(TcpConn, usize)> {
-    let mut conn = TcpConn::new(stream, control, "net.ingress".to_string())?;
-    conn.set_deadline(deadline);
-    let p = expect_hello(read_frame(&mut conn)?, link, producers, &conn.who)?;
-    conn.who = format!("net.ingress[{p}]");
-    Ok((conn, p))
-}
-
-/// Slot table entry for one upstream producer copy. The feeder (and its
-/// watermark) live here between connections.
-struct Slot {
-    feeder: Option<IngressFeeder>,
-    /// When the producer's connection died without `End` (supervised
-    /// mode): the reconnect deadline runs from here.
-    parked_at: Option<Instant>,
-    /// Whether this producer ever completed a handshake (distinguishes a
-    /// first connect from a respawned process rejoining).
-    connected_once: bool,
-}
-
 /// How a producer's connection arrives over TCP: accept one connection
-/// per upstream producer copy on `listener`, hand it the producer's
-/// watermark in `HelloAck` once its previous connection (if any) has
-/// returned the feeder, and bridge it on its own thread through `link`
-/// ([`crate::link::serve_ingress`]). Returns the feeders once
+/// per upstream producer copy on `listener` and serve each on its own
+/// thread through `link` ([`crate::link::serve_ingress`]), with the
+/// silence `deadline` on every read, the `Hello` included. Returns once
 /// every producer sent `End`, the link failed, or the run was cancelled.
-///
-/// Unsupervised, a producer may disconnect cleanly (`Close` or EOF at a
-/// frame boundary) and reconnect; the watermark in the slot table dedups
-/// any re-sent frames, and any other connection failure fails the link.
-///
-/// Supervised (`tuning.supervised`), a connection that dies without
-/// `End` — reset, EOF mid-frame, or silence past the heartbeat deadline
-/// — parks the producer's slot instead, and a respawned process may
-/// reconnect within `tuning.reconnect`. A reconnect after `End` is
-/// drained and discarded: the respawned prefix deterministically
-/// regenerates everything, so its tail duplicates are expected, not
-/// corruption.
-pub(crate) fn serve_tcp(
-    listener: TcpListener,
-    link: &IngressLink,
-    feeders: Vec<IngressFeeder>,
-    tuning: NetTuning,
-) -> Vec<IngressFeeder> {
-    let producers = feeders.len();
-    let table: Vec<Mutex<Slot>> = feeders
-        .into_iter()
-        .map(|f| {
-            Mutex::new(Slot {
-                feeder: Some(f),
-                parked_at: None,
-                connected_once: false,
-            })
-        })
-        .collect();
-    let slots = &table;
+pub(crate) fn serve_tcp(listener: TcpListener, link: &IngressLink, deadline: Option<Duration>) {
     if let Err(e) = listener.set_nonblocking(true) {
         link.fail(FilterError::new("net.ingress", format!("listener: {e}")));
     }
     std::thread::scope(|scope| {
-        while link.ended() < producers && !link.cancelled() && !link.failed() {
+        while !link.done() {
             let stream = match listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Supervised: a parked producer whose replacement
-                    // never arrives must fail in bounded time, not block
-                    // the link until the run watchdog.
-                    let expired = slots.iter().position(|s| {
-                        plock(s)
-                            .parked_at
-                            .is_some_and(|t| t.elapsed() > tuning.reconnect)
-                    });
-                    if let Some(p) = expired {
-                        link.fail(FilterError::stalled(
-                            "net.ingress",
-                            format!(
-                                "producer {p} disconnected and no replacement \
-                                 reconnected within {:?} (worker presumed dead; \
-                                 restart budget exhausted?)",
-                                tuning.reconnect
-                            ),
-                        ));
-                        break;
-                    }
                     std::thread::sleep(ACCEPT_POLL);
                     continue;
                 }
@@ -815,123 +685,26 @@ pub(crate) fn serve_tcp(
                     break;
                 }
             };
-            // Handshake inline (it is bounded by the socket timeouts),
-            // then hand the connection + feeder to a thread so every
-            // producer streams concurrently.
-            let (mut conn, p) = match accept(
-                stream,
-                link.link,
-                producers,
-                link.control.clone(),
-                tuning.deadline(),
-            ) {
+            let mut conn = match TcpConn::new(stream, link.control.clone(), "net.ingress".into()) {
                 Ok(c) => c,
                 Err(e) => {
                     link.fail(e);
                     break;
                 }
             };
-            // A respawned producer can handshake while the dead
-            // connection's thread is still timing out its read; wait
-            // (bounded) for that thread to park the feeder.
-            let waited = Instant::now();
-            let feeder = loop {
-                if let Some(f) = plock(&slots[p]).feeder.take() {
-                    break Some(f);
-                }
-                if !tuning.supervised || waited.elapsed() > tuning.reconnect || link.cancelled() {
-                    break None;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            };
-            let Some(mut feeder) = feeder else {
-                link.fail(FilterError::malformed(
-                    "net.ingress",
-                    format!("producer {p} connected twice concurrently"),
-                ));
-                break;
-            };
-            // Every frame of the previous connection has been fed, so
-            // the watermark is final: the producer resumes exactly past
-            // it.
-            let ack = Frame::HelloAck {
-                resume_seq: feeder.resume_seq(),
-            };
-            if let Err(e) = write_frame(&mut conn, &encode_frame(&ack), &[]) {
-                plock(&slots[p]).feeder = Some(feeder);
-                link.fail(e);
-                break;
-            }
-            // The producer stayed silent while waiting for this reply:
-            // its silence clock starts now.
-            conn.set_deadline(tuning.deadline());
-            if feeder.ended() {
-                plock(&slots[p]).feeder = Some(feeder);
-                if !tuning.supervised {
-                    link.fail(FilterError::malformed(
-                        "net.ingress",
-                        format!("producer {p} reconnected after End"),
-                    ));
-                    break;
-                }
-                scope.spawn(move || {
-                    while let Ok(Read::Frame(f)) = read_frame(&mut conn) {
-                        if matches!(f, Frame::End { .. } | Frame::Close) {
-                            break;
-                        }
-                    }
-                });
-                continue;
-            }
-            {
-                let mut slot = plock(&slots[p]);
-                slot.parked_at = None;
-                if std::mem::replace(&mut slot.connected_once, true) {
-                    link.reconnected();
-                }
-            }
+            conn.set_deadline(deadline);
             scope.spawn(move || {
-                let parked = match link.bridge(&mut conn, p, &mut feeder) {
-                    Ok(Ended::End) => false,
-                    // Clean disconnect: the producer may reconnect; the
-                    // watermark in the slot table survives.
-                    Ok(Ended::Closed | Ended::Reset) => tuning.supervised,
-                    // Supervised: a dead connection is a dirty
-                    // disconnect, not link failure. The partial frame was
-                    // never fed, so a respawned producer resumes exactly
-                    // past the watermark.
-                    Ok(Ended::Lost(e)) if tuning.supervised && e.kind != ErrorKind::Cancelled => {
-                        if is_heartbeat_timeout(&e) {
-                            link.timed_out();
-                        }
-                        true
-                    }
-                    Ok(Ended::Lost(e)) | Err(e) => {
-                        link.fail(e);
-                        false
-                    }
-                };
-                // Return the feeder (and its watermark) to the slot for a
-                // possible reconnect; start the reconnect clock if the
-                // connection died without End.
-                let mut slot = plock(&slots[p]);
-                if parked {
-                    slot.parked_at = Some(Instant::now());
-                }
-                slot.feeder = Some(feeder);
+                link.serve(&mut conn, None, |c, p| c.who = format!("net.ingress[{p}]"));
             });
         }
     });
-    table
-        .into_iter()
-        .filter_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()).feeder)
-        .collect()
 }
 
 /// Worker-side telemetry connection to the launcher's aggregator.
 ///
-/// Handshakes with [`TELEMETRY_LINK`] (so version mismatches are caught
-/// exactly like on data links), then ships opaque telemetry payloads.
+/// Says `Hello` with [`TELEMETRY_LINK`] (so version mismatches are
+/// caught exactly like on data links), then ships opaque telemetry
+/// payloads.
 /// All sends are best-effort from the caller's perspective: losing
 /// telemetry must never fail a run, so callers typically drop the client
 /// on the first error.
@@ -942,8 +715,8 @@ pub struct TelemetryClient {
 impl TelemetryClient {
     /// Connect (single attempt — the launcher binds its aggregator
     /// before spawning workers, and a retry budget here would stall a
-    /// worker whose launcher died; telemetry is best-effort) and
-    /// handshake as `worker`.
+    /// worker whose launcher died; telemetry is best-effort) and say
+    /// `Hello` as `worker`.
     pub fn connect(
         addr: &str,
         worker: u32,
@@ -959,7 +732,7 @@ impl TelemetryClient {
         let stream = TcpStream::connect(addr)
             .map_err(|e| FilterError::new(who.clone(), format!("connect to {addr} failed: {e}")))?;
         let mut conn = TcpConn::new(stream, control, who)?;
-        conn.handshake(TELEMETRY_LINK, worker)?;
+        send_hello(&mut conn, TELEMETRY_LINK, worker)?;
         Ok(TelemetryClient { conn })
     }
 
@@ -981,10 +754,10 @@ impl TelemetryClient {
 
 /// Serve the launcher side of the telemetry plane: accept worker
 /// connections on `listener` and hand every decoded payload to
-/// `on_update(worker, payload)`. Returns once `expected` connections
-/// have terminated (cleanly or not), or when `control` is cancelled —
-/// the launcher cancels after its worker processes exit, which also
-/// covers workers that crash before ever connecting.
+/// `on_update(worker, payload)`, until `control` is cancelled. The
+/// launcher cancels once its worker processes have exited, however many
+/// incarnations of each it spawned; connections already waiting to be
+/// accepted are still served, and a served connection is read to its end.
 ///
 /// `on_disconnect(worker)` fires when a worker's connection ends (cleanly
 /// or not), after its last update was delivered. Aggregators use it to
@@ -996,8 +769,7 @@ impl TelemetryClient {
 /// telemetry did). Only listener setup errors are returned.
 pub fn serve_telemetry<F, D>(
     listener: TcpListener,
-    expected: usize,
-    control: Option<Arc<RunControl>>,
+    control: Arc<RunControl>,
     on_update: F,
     on_disconnect: D,
 ) -> FilterResult<()>
@@ -1008,52 +780,38 @@ where
     listener
         .set_nonblocking(true)
         .map_err(|e| FilterError::new("net.telemetry", format!("listener: {e}")))?;
-    let finished = AtomicUsize::new(0);
-    let finished = &finished;
-    let cancelled = || control.as_ref().is_some_and(|c| c.is_cancelled());
     let on_update = &on_update;
     let on_disconnect = &on_disconnect;
-    std::thread::scope(|scope| {
-        while finished.load(Ordering::Acquire) < expected && !cancelled() {
-            let stream = match listener.accept() {
-                Ok((s, _)) => s,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
+    std::thread::scope(|scope| loop {
+        let stream = match listener.accept() {
+            Ok((s, _)) => s,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if control.is_cancelled() {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                std::thread::sleep(ACCEPT_POLL);
+                continue;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        let control = Arc::clone(&control);
+        scope.spawn(move || {
+            let Ok(mut conn) = TcpConn::new(stream, Some(control), "net.telemetry".to_string())
+            else {
+                return;
             };
-            let control = control.clone();
-            scope.spawn(move || {
-                let worker = (|| -> FilterResult<(TcpConn, u32)> {
-                    let mut conn = TcpConn::new(stream, control, "net.telemetry".to_string())?;
-                    match read_frame(&mut conn)? {
-                        Read::Frame(Frame::Hello { link, producer }) if link == TELEMETRY_LINK => {
-                            conn.who = format!("net.telemetry[{producer}]");
-                            let ack = encode_frame(&Frame::HelloAck { resume_seq: 0 });
-                            write_frame(&mut conn, &ack, &[])?;
-                            Ok((conn, producer))
-                        }
-                        _ => Err(FilterError::malformed(
-                            "net.telemetry",
-                            "expected telemetry Hello",
-                        )),
-                    }
-                })();
-                let Ok((mut conn, worker)) = worker else {
-                    finished.fetch_add(1, Ordering::AcqRel);
-                    return;
-                };
-                // Close, EOF, an unexpected frame, or a decode error
-                // all just end the connection.
-                while let Ok(Read::Frame(Frame::Telemetry { payload })) = read_frame(&mut conn) {
-                    on_update(worker, payload);
-                }
-                on_disconnect(worker);
-                finished.fetch_add(1, Ordering::AcqRel);
-            });
-        }
+            let worker = match read_frame(&mut conn) {
+                Ok(Some(Frame::Hello { link, producer })) if link == TELEMETRY_LINK => producer,
+                _ => return,
+            };
+            // Close, EOF, an unexpected frame, or a decode error all just
+            // end the connection.
+            while let Ok(Some(Frame::Telemetry { payload })) = read_frame(&mut conn) {
+                on_update(worker, payload);
+            }
+            on_disconnect(worker);
+        });
     });
     Ok(())
 }
@@ -1062,6 +820,7 @@ where
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
+    use crate::link::IngressFeeder;
     use crate::stream::logical_stream;
 
     #[test]
@@ -1071,7 +830,6 @@ mod tests {
                 link: 3,
                 producer: 7,
             },
-            Frame::HelloAck { resume_seq: 42 },
             Frame::Data {
                 from: 1,
                 seq: 99,
@@ -1186,20 +944,22 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let got: Mutex<Vec<(u32, Vec<u8>)>> = Mutex::new(Vec::new());
+        let control = RunControl::new();
         std::thread::scope(|s| {
-            s.spawn(|| {
-                serve_telemetry(listener, 2, None, |w, p| plock(&got).push((w, p)), |_| {})
-                    .unwrap();
+            let serving = s.spawn(|| {
+                let on_update = |w, p| plock(&got).push((w, p));
+                serve_telemetry(listener, Arc::clone(&control), on_update, |_| {}).unwrap();
             });
             for w in 0..2u32 {
-                let addr = addr.clone();
-                s.spawn(move || {
-                    let mut client = TelemetryClient::connect(&addr, w, None).unwrap();
-                    client.send(format!("update-{w}-a").as_bytes()).unwrap();
-                    client.send(format!("update-{w}-b").as_bytes()).unwrap();
-                    client.close();
-                });
+                let mut client = TelemetryClient::connect(&addr, w, None).unwrap();
+                client.send(format!("update-{w}-a").as_bytes()).unwrap();
+                client.send(format!("update-{w}-b").as_bytes()).unwrap();
+                client.close();
             }
+            // Both clients closed: the server still reads each connection
+            // to its end once cancelled.
+            control.cancel("clients done");
+            serving.join().unwrap();
         });
         let mut got = plock(&got).clone();
         got.sort();
@@ -1215,21 +975,20 @@ mod tests {
     }
 
     #[test]
-    fn ingress_feeder_dedups_and_rejects_gaps() {
+    fn ingress_feeder_rejects_repeats_and_gaps() {
         let (ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
         let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap());
         for seq in 0..3 {
-            assert!(feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap());
+            feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap();
         }
-        // Duplicated in-flight frames after a reconnect: dropped.
-        assert!(!feeder.feed(1, Buffer::from_vec(vec![1])).unwrap());
-        assert!(!feeder.feed(2, Buffer::from_vec(vec![2])).unwrap());
-        assert_eq!(feeder.resume_seq(), 3, "watermark never regresses");
-        // Next fresh frame is delivered.
-        assert!(feeder.feed(3, Buffer::from_vec(vec![3])).unwrap());
-        // A gap is corruption.
-        let err = feeder.feed(9, Buffer::from_vec(vec![9])).unwrap_err();
-        assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
+        // A repeat and a gap are both corruption on a FIFO carrier, and
+        // neither moves the next expected sequence number.
+        for (seq, what) in [(2, "repeated sequence"), (9, "sequence gap")] {
+            let err = feeder.feed(seq, Buffer::from_vec(vec![9])).unwrap_err();
+            assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
+            assert_eq!(err.message, format!("{what}: got {seq}, expected 3"));
+        }
+        feeder.feed(3, Buffer::from_vec(vec![3])).unwrap();
         feeder.end();
         let seen: Vec<u8> = std::iter::from_fn(|| rs[0].read())
             .map(|b| b.as_slice()[0])

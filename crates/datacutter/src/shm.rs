@@ -32,10 +32,7 @@
 //! offset 128  tail: AtomicU64   — bytes produced  (writer-owned)
 //! offset 192  producer_closed: AtomicU32
 //! offset 256  consumer_closed: AtomicU32
-//! offset 320  reset_req: AtomicU64  — bumped by a rejoining producer
-//! offset 384  reset_ack: AtomicU64  — consumer acks the drain
-//! offset 448  resume: AtomicU64     — consumer's next expected seq
-//! offset 512  producer_pid: AtomicU64 — current producer, 0 = none yet
+//! offset 320  producer_pid: AtomicU64 — the attached producer, 0 = none yet
 //! offset 4096 data[capacity]    — ring, indexed by cursor & (cap-1)
 //! ```
 //!
@@ -49,48 +46,30 @@
 //!
 //! ## Handshake and failure model
 //!
-//! The handshake is **one-way**: the producer writes `Hello` first and
-//! there is no `HelloAck` — on a first attach the consumer resumes from
-//! sequence 0. One reader thread serves each ring. Blocking waits are
+//! The handshake is **one-way**, as on TCP: the producer attaches, writes
+//! `Hello` and streams. A ring takes one producer for its lifetime: the
+//! attach claims the `producer_pid` slot, and a second attach is refused
+//! as malformed. One reader thread serves each ring. Blocking waits are
 //! spin-then-bounded-sleep polls (no cross-process condvars), checking
 //! run cancellation and the peer's closed flag every lap, so a dead peer
 //! or a cancelled run unwedges promptly. The consumer unlinks the ring
 //! file on drop.
 //!
-//! ## Crash recovery: the ring-reset protocol
-//!
 //! Liveness on this transport is **pid-based**, not heartbeat-based: the
 //! header records the consumer's pid (written before the publishing
 //! rename) and the producer's pid (stored at attach), and either side
-//! can probe the other with `kill(pid, 0)`. Two consequences:
-//!
-//! - **Stale reclaim.** A process that is SIGKILLed never unlinks its
-//!   ring files. Creating a ring therefore reclaims a leftover
-//!   ring (or half-written `.tmp`) whose recorded owner pid is dead, and
-//!   fails with a named error when the owner is still alive.
-//! - **Producer rejoin.** When a supervised worker is respawned, its
-//!   egress re-attaches to the surviving consumer's ring. A non-zero
-//!   `producer_pid` slot marks the attach as a rejoin: the new producer
-//!   bumps `reset_req` and waits; the consumer (parked on the dead
-//!   producer) drains any truncated frame bytes (`head = tail`), clears
-//!   `producer_closed`, stores its dedup watermark in `resume` and then
-//!   `reset_ack = reset_req` — only then does the producer write. The
-//!   rejoining producer reads `resume` after the ack and suppresses
-//!   already-delivered packets, as the TCP `HelloAck { resume_seq }`
-//!   path does. The consumer's sequence watermark still dedups
-//!   independently, so a stale `resume` is a bandwidth loss, never a
-//!   correctness loss.
-//!
-//! Unsupervised runs keep the strict pre-supervision semantics: a ring
-//! closing before `End` is an error, and a reset request is malformed.
+//! can probe the other with `kill(pid, 0)`. A reader whose producer is
+//! gone sees a close: at a frame boundary that is EOF, mid-frame it is
+//! malformed, and [`crate::link`] settles what a close before `End`
+//! means. A process that is SIGKILLed never unlinks its ring files, so
+//! creating a ring reclaims a leftover ring (or half-written `.tmp`)
+//! whose recorded owner pid is dead, and fails with a named error when
+//! the owner is still alive; a supervising launcher reclaims the rings
+//! of the workers it tore down the same way ([`remove_ring_files`]).
 
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::link::{
-    expect_hello, read_frame, write_frame, Ended, Filled, FrameSink, FrameSource, IngressFeeder,
-    IngressLink, NetTuning, Read,
-};
-use crate::net::{encode_frame, Frame};
+use crate::link::{send_hello, FrameSink, FrameSource, IngressLink};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -98,10 +77,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Ring-file magic: first bytes of the mapped header.
-pub const SHM_MAGIC: [u8; 4] = *b"CGPS";
+const SHM_MAGIC: [u8; 4] = *b"CGPS";
 /// Ring-layout version (checked when the producer attaches). v2 added
-/// the owner-pid field and the reset/resume slots.
-pub const SHM_VERSION: u16 = 2;
+/// the owner-pid field; v3 dropped the ring-reset words.
+const SHM_VERSION: u16 = 3;
 /// Default data-area size per link ring.
 pub const DEFAULT_SHM_CAPACITY: usize = 4 * 1024 * 1024;
 /// Listener-marker prefix for shared-memory endpoints: a worker that
@@ -117,10 +96,7 @@ const OFF_HEAD: usize = 64;
 const OFF_TAIL: usize = 128;
 const OFF_PRODUCER_CLOSED: usize = 192;
 const OFF_CONSUMER_CLOSED: usize = 256;
-const OFF_RESET_REQ: usize = 320;
-const OFF_RESET_ACK: usize = 384;
-const OFF_RESUME: usize = 448;
-const OFF_PRODUCER_PID: usize = 512;
+const OFF_PRODUCER_PID: usize = 320;
 /// Byte offset of the owner (consumer) pid in the static header.
 const OWNER_PID_AT: usize = 16;
 
@@ -175,7 +151,7 @@ mod sys {
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
-    pub fn map_shared(file: &File, len: usize) -> std::io::Result<*mut u8> {
+    pub(super) fn map_shared(file: &File, len: usize) -> std::io::Result<*mut u8> {
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -192,13 +168,13 @@ mod sys {
         Ok(ptr.cast())
     }
 
-    pub fn unmap(ptr: *mut u8, len: usize) {
+    pub(super) fn unmap(ptr: *mut u8, len: usize) {
         unsafe {
             munmap(ptr.cast(), len);
         }
     }
 
-    pub fn own_pid() -> u64 {
+    pub(super) fn own_pid() -> u64 {
         std::process::id() as u64
     }
 
@@ -207,7 +183,7 @@ mod sys {
     /// (`EPERM` means alive but not ours). Pid reuse can only produce a
     /// false *alive*, which is the safe direction for both reclaim and
     /// liveness verdicts.
-    pub fn process_alive(pid: u64) -> bool {
+    pub(super) fn process_alive(pid: u64) -> bool {
         const ESRCH: i32 = 3;
         extern "C" {
             fn kill(pid: i32, sig: c_int) -> c_int;
@@ -226,23 +202,23 @@ mod sys {
 mod sys {
     use std::fs::File;
 
-    pub fn map_shared(_file: &File, _len: usize) -> std::io::Result<*mut u8> {
+    pub(super) fn map_shared(_file: &File, _len: usize) -> std::io::Result<*mut u8> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "shm transport requires mmap (unix)",
         ))
     }
 
-    pub fn unmap(_ptr: *mut u8, _len: usize) {}
+    pub(super) fn unmap(_ptr: *mut u8, _len: usize) {}
 
-    pub fn own_pid() -> u64 {
+    pub(super) fn own_pid() -> u64 {
         std::process::id() as u64
     }
 
     /// Without `kill(pid, 0)` we can never prove a process dead, so
     /// report everything alive — reclaim then refuses, which is the
     /// conservative failure mode.
-    pub fn process_alive(_pid: u64) -> bool {
+    pub(super) fn process_alive(_pid: u64) -> bool {
         true
     }
 }
@@ -292,18 +268,6 @@ impl Map {
 
     fn close(&self, off: usize) {
         self.atomic_u32(off).store(1, Ordering::Release);
-    }
-
-    fn reset_req(&self) -> &AtomicU64 {
-        self.atomic_u64(OFF_RESET_REQ)
-    }
-
-    fn reset_ack(&self) -> &AtomicU64 {
-        self.atomic_u64(OFF_RESET_ACK)
-    }
-
-    fn resume(&self) -> &AtomicU64 {
-        self.atomic_u64(OFF_RESUME)
     }
 
     fn producer_pid(&self) -> &AtomicU64 {
@@ -590,68 +554,33 @@ pub struct ShmSender {
     map: Map,
     control: Option<Arc<RunControl>>,
     who: String,
-    resume: u64,
 }
 
 impl ShmSender {
-    /// Attach to the ring file at `path` (created by the consumer).
-    ///
-    /// When the ring has seen a producer before (its `producer_pid` slot
-    /// is non-zero — this attach is a respawned worker rejoining a
-    /// surviving consumer), the attach runs the ring-reset protocol:
-    /// request a drain, wait for the consumer's ack, and pick up the
-    /// consumer's resume watermark so already-delivered packets can be
-    /// suppressed at the source ([`Self::resume_seq`]).
+    /// Attach to the ring file at `path` (created by the consumer) as its
+    /// one producer. A ring that already has a producer refuses the
+    /// attach as malformed.
     pub fn attach(
         path: &Path,
         control: Option<Arc<RunControl>>,
         who: String,
     ) -> FilterResult<Self> {
         let map = attach_ring(path, control.as_ref(), &who)?;
-        let prior = map.producer_pid().swap(sys::own_pid(), Ordering::AcqRel);
-        let mut resume = 0;
-        if prior != 0 {
-            let req = map.reset_req().fetch_add(1, Ordering::AcqRel) + 1;
-            let start = Instant::now();
-            let mut backoff = Backoff::new();
-            while map.reset_ack().load(Ordering::Acquire) < req {
-                if control.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    return Err(FilterError::cancelled(
-                        who.clone(),
-                        "run cancelled while waiting for ring reset",
-                    ));
-                }
-                if map.consumer_closed() {
-                    return Err(FilterError::new(
-                        who.clone(),
-                        "consumer closed the ring during the reset handshake",
-                    ));
-                }
-                if start.elapsed() >= ATTACH_BUDGET {
-                    return Err(FilterError::stalled(
-                        who.clone(),
-                        format!(
-                            "consumer did not ack the ring reset within {ATTACH_BUDGET:?} \
-                             (unsupervised consumer, or its serve loop already returned?)"
-                        ),
-                    ));
-                }
-                backoff.pause();
-            }
-            resume = map.resume().load(Ordering::Acquire);
+        if let Err(prior) = map.producer_pid().compare_exchange(
+            0,
+            sys::own_pid(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            return Err(FilterError::malformed(
+                who,
+                format!(
+                    "shm ring {} already has a producer (pid {prior})",
+                    path.display()
+                ),
+            ));
         }
-        Ok(ShmSender {
-            map,
-            control,
-            who,
-            resume,
-        })
-    }
-
-    /// First sequence number the consumer still needs: non-zero exactly
-    /// when this attach was a rejoin that found delivered prefix state.
-    pub fn resume_seq(&self) -> u64 {
-        self.resume
+        Ok(ShmSender { map, control, who })
     }
 
     fn cancelled(&self) -> Option<FilterError> {
@@ -707,23 +636,16 @@ impl FrameSink for ShmSender {
 
 /// The producer end of ring `<base>.<producer>`, as the egress pump
 /// ([`crate::link::egress_pump`]) drives it: attach, then `Hello`.
-/// Returns the sender and the consumer's resume watermark, which is
-/// non-zero only when this attach was a rejoin.
 pub(crate) fn connect(
     base: &str,
     link: u32,
     producer: u32,
     control: Option<Arc<RunControl>>,
-) -> FilterResult<(ShmSender, u64)> {
+) -> FilterResult<ShmSender> {
     let who = format!("shm.egress[{producer}]");
     let mut tx = ShmSender::attach(&ring_path(base, producer), control, who)?;
-    write_frame(
-        &mut tx,
-        &encode_frame(&Frame::Hello { link, producer }),
-        &[],
-    )?;
-    let resume = tx.resume;
-    Ok((tx, resume))
+    send_hello(&mut tx, link, producer)?;
+    Ok(tx)
 }
 
 impl Drop for ShmSender {
@@ -741,15 +663,10 @@ pub(crate) struct ShmReceiver {
     control: Option<Arc<RunControl>>,
     who: String,
     path: PathBuf,
-    /// `Some(deadline)` turns on supervised semantics: a dead producer
-    /// parks the reader (awaiting a ring reset from its respawn) for at
-    /// most `deadline` instead of erroring immediately.
-    supervised: Option<Duration>,
-    parked_at: Option<Instant>,
     last_liveness: Option<Instant>,
 }
 
-/// How often a blocked supervised reader re-probes the producer pid.
+/// How often a blocked reader re-probes the producer pid.
 const LIVENESS_EVERY: Duration = Duration::from_millis(50);
 
 impl ShmReceiver {
@@ -766,8 +683,6 @@ impl ShmReceiver {
             control,
             who,
             path: path.to_path_buf(),
-            supervised: None,
-            parked_at: None,
             last_liveness: None,
         })
     }
@@ -797,40 +712,6 @@ impl ShmReceiver {
         let pid = self.map.producer_pid().load(Ordering::Acquire);
         pid != 0 && !sys::process_alive(pid)
     }
-
-    /// Take a pending reset request if one arrived: drain whatever the
-    /// dead producer left behind (possibly a truncated frame) and clear
-    /// its closed flag. The rejoining producer writes nothing until
-    /// [`Self::ack_reset`]. Unsupervised, the reset is acked at once (so
-    /// the second producer does not hang) and then refused.
-    fn take_reset(&mut self) -> FilterResult<bool> {
-        let req = self.map.reset_req().load(Ordering::Acquire);
-        if req == self.map.reset_ack().load(Ordering::Relaxed) {
-            return Ok(false);
-        }
-        let tail = self.map.tail().load(Ordering::Acquire);
-        self.map.head().store(tail, Ordering::Release);
-        self.map
-            .atomic_u32(OFF_PRODUCER_CLOSED)
-            .store(0, Ordering::Release);
-        self.parked_at = None;
-        if self.supervised.is_none() {
-            self.ack_reset(0);
-            return Err(FilterError::malformed(
-                self.who.clone(),
-                "unexpected ring reset (second producer attached to an unsupervised ring)",
-            ));
-        }
-        Ok(true)
-    }
-
-    /// Finish a reset [`FrameSource::fill`] reported: hand the rejoining
-    /// producer its `resume` watermark and let it write.
-    fn ack_reset(&self, resume: u64) {
-        self.map.resume().store(resume, Ordering::Release);
-        let req = self.map.reset_req().load(Ordering::Acquire);
-        self.map.reset_ack().store(req, Ordering::Release);
-    }
 }
 
 impl FrameSource for ShmReceiver {
@@ -838,10 +719,8 @@ impl FrameSource for ShmReceiver {
         &self.who
     }
 
-    /// A close mid-frame is malformed — exactly the socket's contract —
-    /// unless supervised, where a gone producer parks the reader until
-    /// its respawn resets the ring or the reconnect deadline passes.
-    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled> {
+    /// A close mid-frame is malformed — exactly the socket's contract.
+    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<bool> {
         let mut off = 0;
         let mut backoff = Backoff::new();
         while off < buf.len() {
@@ -854,32 +733,14 @@ impl FrameSource for ShmReceiver {
                 if let Some(e) = self.cancelled() {
                     return Err(e);
                 }
-                if self.take_reset()? {
-                    return Ok(Filled::Reset);
-                }
                 if self.producer_gone() {
                     // The close flag trails the final tail store:
                     // re-check before declaring EOF.
                     if self.map.tail().load(Ordering::Acquire) != tail {
                         continue;
                     }
-                    if let Some(deadline) = self.supervised {
-                        let parked = *self.parked_at.get_or_insert_with(Instant::now);
-                        if parked.elapsed() > deadline {
-                            return Err(FilterError::stalled(
-                                self.who.clone(),
-                                format!(
-                                    "producer gone and no respawn reset the ring within \
-                                     {deadline:?} (worker presumed dead; restart budget \
-                                     exhausted?)"
-                                ),
-                            ));
-                        }
-                        std::thread::sleep(SLEEP);
-                        continue;
-                    }
                     if off == 0 && allow_eof {
-                        return Ok(Filled::Eof);
+                        return Ok(false);
                     }
                     return Err(FilterError::malformed(
                         self.who.clone(),
@@ -889,7 +750,6 @@ impl FrameSource for ShmReceiver {
                 backoff.pause();
                 continue;
             }
-            self.parked_at = None;
             let n = (used as usize).min(buf.len() - off);
             self.map.copy_out(head, &mut buf[off..off + n]);
             self.map
@@ -898,7 +758,7 @@ impl FrameSource for ShmReceiver {
             off += n;
             backoff.reset();
         }
-        Ok(Filled::Full)
+        Ok(true)
     }
 }
 
@@ -962,104 +822,26 @@ impl ShmIngress {
     }
 
     /// How producers arrive over shared memory: one reader thread per
-    /// ring bridges its producer through `link`
-    /// ([`crate::link::serve_ingress`]). Returns the feeders once every
-    /// ring's producer ended or failed.
-    ///
-    /// Unsupervised (default [`NetTuning`]), a producer closing its ring
-    /// before `End` is an error, and so is a ring reset. Supervised
-    /// (`tuning.supervised`), a producer that dies mid-stream parks its
-    /// ring reader inside `fill` until the supervisor's respawn
-    /// re-attaches, drains the truncated tail, re-Hellos, and resumes
-    /// past the watermark handed over with the reset ack. Ring files
-    /// stay on disk until every ring's reader returned, so a rejoin can
-    /// target any ring of the link. Heartbeats do not apply here —
-    /// liveness is pid-based.
-    pub(crate) fn serve(
-        self,
-        link: &IngressLink,
-        feeders: Vec<IngressFeeder>,
-        tuning: NetTuning,
-    ) -> Vec<IngressFeeder> {
+    /// ring serves its producer through `link`
+    /// ([`crate::link::serve_ingress`]). Returns once every ring's reader
+    /// returned; each ring is unlinked as its reader returns. Heartbeats
+    /// do not apply here — liveness is pid-based.
+    pub(crate) fn serve(self, link: &IngressLink) {
         assert_eq!(
-            feeders.len(),
+            link.producers(),
             self.receivers.len(),
             "one local writer per producer ring"
         );
-        let producers = feeders.len();
         std::thread::scope(|scope| {
-            let readers: Vec<_> = self
-                .receivers
-                .into_iter()
-                .zip(feeders)
-                .enumerate()
-                .map(|(p, (mut rx, mut feeder))| {
-                    scope.spawn(move || {
-                        if link.control.is_some() {
-                            rx.control = link.control.clone();
-                        }
-                        if tuning.supervised {
-                            rx.supervised = Some(tuning.reconnect);
-                        }
-                        if let Err(e) = serve_ring(&mut rx, p, producers, &mut feeder, link) {
-                            link.fail(e);
-                        }
-                        (feeder, rx)
-                    })
-                })
-                .collect();
-            // The rings drop only here, after every reader returned.
-            let (feeders, _rings): (Vec<_>, Vec<_>) =
-                readers.into_iter().filter_map(|h| h.join().ok()).unzip();
-            feeders
-        })
-    }
-}
-
-/// Bridge ring `p` through every incarnation of its producer: `Hello`,
-/// then frames until the producer ends, and again after each ring reset.
-fn serve_ring(
-    rx: &mut ShmReceiver,
-    p: usize,
-    producers: usize,
-    feeder: &mut IngressFeeder,
-    link: &IngressLink,
-) -> FilterResult<()> {
-    let mut rejoin = false;
-    loop {
-        let got = match read_frame(rx)? {
-            // A producer that died before its Hello was reset by its
-            // respawn; the respawn's Hello comes next.
-            Read::Reset => {
-                rx.ack_reset(feeder.resume_seq());
-                continue;
+            for (p, mut rx) in self.receivers.into_iter().enumerate() {
+                scope.spawn(move || {
+                    if link.control.is_some() {
+                        rx.control = link.control.clone();
+                    }
+                    link.serve(&mut rx, Some(p), |_, _| {});
+                });
             }
-            read => expect_hello(read, link.link, producers, &rx.who)?,
-        };
-        if got != p {
-            return Err(FilterError::malformed(
-                rx.who.clone(),
-                format!("Hello from producer {got} on producer {p}'s ring"),
-            ));
-        }
-        if std::mem::replace(&mut rejoin, true) {
-            link.reconnected();
-        }
-        match link.bridge(rx, p, feeder)? {
-            Ended::End => return Ok(()),
-            // Every frame the dead producer completed has been fed, so
-            // the respawn resumes exactly past the watermark.
-            Ended::Reset => rx.ack_reset(feeder.resume_seq()),
-            // Supervised readers park inside `fill` instead, so a close
-            // before End means the producer is gone for good.
-            Ended::Closed => {
-                return Err(FilterError::malformed(
-                    rx.who.clone(),
-                    "producer closed its ring before End",
-                ))
-            }
-            Ended::Lost(e) => return Err(e),
-        }
+        });
     }
 }
 
@@ -1067,8 +849,10 @@ fn serve_ring(
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
-    use crate::link::{egress_pump, serve_ingress, WorkerIngress};
-    use crate::net::encode_data_header;
+    use crate::link::{
+        egress_pump, read_frame, serve_ingress, write_frame, NetTuning, WorkerIngress,
+    };
+    use crate::net::{encode_data_header, encode_frame, Frame};
     use crate::stream::logical_stream;
     use std::sync::atomic::AtomicU32 as TestCounter;
 
@@ -1088,15 +872,6 @@ mod tests {
 
     fn send_data(tx: &mut ShmSender, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
         write_frame(tx, &encode_data_header(from, seq, payload.len()), payload)
-    }
-
-    /// The next frame through the shared reader; `None` at a clean EOF.
-    fn recv(rx: &mut ShmReceiver) -> FilterResult<Option<Frame>> {
-        Ok(match read_frame(rx)? {
-            Read::Frame(f) => Some(f),
-            Read::Eof => None,
-            Read::Reset => panic!("unexpected ring reset"),
-        })
     }
 
     #[test]
@@ -1124,7 +899,7 @@ mod tests {
             }
         });
         for f in &expect {
-            assert_eq!(recv(&mut rx).unwrap().as_ref(), Some(f));
+            assert_eq!(read_frame(&mut rx).unwrap().as_ref(), Some(f));
         }
         writer.join().unwrap();
         drop(rx);
@@ -1143,7 +918,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             send_data(&mut tx, 0, 0, &payload).unwrap();
         });
-        match recv(&mut rx).unwrap() {
+        match read_frame(&mut rx).unwrap() {
             Some(Frame::Data { from, seq, payload }) => {
                 assert_eq!((from, seq), (0, 0));
                 assert_eq!(payload, want);
@@ -1160,8 +935,12 @@ mod tests {
         let mut tx = ShmSender::attach(&path, None, "tx".into()).unwrap();
         send(&mut tx, &Frame::End { from: 0 });
         drop(tx);
-        assert_eq!(recv(&mut rx).unwrap(), Some(Frame::End { from: 0 }));
-        assert_eq!(recv(&mut rx).unwrap(), None, "close at boundary is EOF");
+        assert_eq!(read_frame(&mut rx).unwrap(), Some(Frame::End { from: 0 }));
+        assert_eq!(
+            read_frame(&mut rx).unwrap(),
+            None,
+            "close at boundary is EOF"
+        );
 
         let path = PathBuf::from(format!("{}.0", test_base("midframe")));
         let mut rx = ShmReceiver::create(&path, MIN_CAPACITY, None, "rx".into()).unwrap();
@@ -1169,7 +948,7 @@ mod tests {
         // A data header promising bytes that never arrive.
         tx.write_all(&encode_data_header(0, 0, 64)).unwrap();
         drop(tx);
-        let err = recv(&mut rx).unwrap_err();
+        let err = read_frame(&mut rx).unwrap_err();
         assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
         assert!(err.message.contains("mid-frame"), "{err}");
     }
@@ -1279,94 +1058,22 @@ mod tests {
     }
 
     #[test]
-    fn supervised_ring_reset_resumes_from_the_published_watermark() {
-        let base = test_base("reset");
-        let ingress = ShmIngress::create(&base, 1, MIN_CAPACITY, None).unwrap();
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
-        let mut r = rs.remove(0);
-        let reader = std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            while let Some(b) = r.read() {
-                seen.push(b.as_slice().to_vec());
-            }
-            seen
-        });
-        let tuning = NetTuning {
-            supervised: true,
-            reconnect: Duration::from_secs(5),
-            ..Default::default()
-        };
-        let writers = vec![ws.remove(0)];
-        let serve = std::thread::spawn(move || {
-            serve_ingress(
-                WorkerIngress::Shm(ingress),
-                7,
-                writers,
-                None,
-                Default::default(),
-                tuning,
-            )
-        });
-
-        // First incarnation: Hello + 5 packets, then dies without End
-        // (the drop sets producer_closed, standing in for a SIGKILL that
-        // the pid-liveness probe would catch).
-        let ring = ring_path(&base, 0);
-        let mut tx = ShmSender::attach(&ring, None, "tx1".into()).unwrap();
-        send(
-            &mut tx,
-            &Frame::Hello {
-                link: 7,
-                producer: 0,
-            },
-        );
-        for seq in 0..5u64 {
-            send_data(&mut tx, 0, seq, &[seq as u8]).unwrap();
-        }
-        drop(tx);
-        std::thread::sleep(Duration::from_millis(20));
-
-        // Respawn: the attach runs the reset handshake and learns the
-        // consumer's watermark, so delivery resumes exactly at seq 5.
-        let mut tx = ShmSender::attach(&ring, None, "tx2".into()).unwrap();
-        assert_eq!(tx.resume_seq(), 5, "consumer published its watermark");
-        send(
-            &mut tx,
-            &Frame::Hello {
-                link: 7,
-                producer: 0,
-            },
-        );
-        for seq in 5..10u64 {
-            send_data(&mut tx, 0, seq, &[seq as u8]).unwrap();
-        }
-        send(&mut tx, &Frame::End { from: 0 });
-        send(&mut tx, &Frame::Close);
-        drop(tx);
-
-        let stats = serve.join().unwrap().unwrap();
-        assert_eq!(stats.frames, 10);
-        assert_eq!(stats.reconnects, 1, "the rejoin is visible in stats");
-        let seen = reader.join().unwrap();
-        let want: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
-        assert_eq!(seen, want, "no loss, no duplication across the reset");
-    }
-
-    #[test]
-    fn reset_on_an_unsupervised_ring_is_a_named_error() {
-        let path = PathBuf::from(format!("{}.0", test_base("unsup-reset")));
+    fn a_second_attach_to_a_ring_is_refused_by_name() {
+        let path = PathBuf::from(format!("{}.0", test_base("second")));
         let mut rx = ShmReceiver::create(&path, MIN_CAPACITY, None, "rx".into()).unwrap();
-        let tx1 = ShmSender::attach(&path, None, "tx1".into()).unwrap();
-        // Second attach on a ring that saw a producer: requests a reset.
-        let p = path.clone();
-        let attach2 = std::thread::spawn(move || ShmSender::attach(&p, None, "tx2".into()));
-        let err = recv(&mut rx).unwrap_err();
+        let mut tx = ShmSender::attach(&path, None, "tx1".into()).unwrap();
+        let err = match ShmSender::attach(&path, None, "tx2".into()) {
+            Err(e) => e,
+            Ok(_) => panic!("a second producer attached"),
+        };
         assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
-        assert!(err.message.contains("ring reset"), "{err}");
-        drop(tx1);
-        // The reader acked the drain before erroring, so the second
-        // attach completes rather than hanging on its budget.
-        attach2.join().unwrap().unwrap();
+        assert!(err.message.contains("already has a producer"), "{err}");
+        // The refused attach left the ring to its producer: no closed
+        // flag, no bytes.
+        send(&mut tx, &Frame::End { from: 0 });
+        drop(tx);
+        assert_eq!(read_frame(&mut rx).unwrap(), Some(Frame::End { from: 0 }));
+        assert_eq!(read_frame(&mut rx).unwrap(), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   pipeline-wide end-to-end histogram). The histograms sit behind a
 //!   `Mutex`, but each is only locked by its own copy's reader thread
 //!   (uncontended fast path) and briefly by the sampler.
-//! - [`LinkProbe`] — per network link: frame/byte/dedup/timeout/reconnect
+//! - [`LinkProbe`] — per network link: frame/byte/timeout
 //!   counters updated by the ingress/egress bridges.
 //!
 //! What [`RunOptions::telemetry`] adds on top is latency: packets are
@@ -110,7 +110,7 @@ impl CopyProbe {
     }
 
     /// Fraction of busy time spent neither send-blocked nor recv-starved.
-    pub fn active_frac(&self, now: u64) -> f64 {
+    pub(crate) fn active_frac(&self, now: u64) -> f64 {
         let busy = self.busy_us(now);
         if busy == 0 {
             return 0.0;
@@ -209,9 +209,7 @@ impl StageProbe {
 pub struct LinkProbe {
     pub frames: AtomicU64,
     pub bytes: AtomicU64,
-    pub deduped: AtomicU64,
     pub timeouts: AtomicU64,
-    pub reconnects: AtomicU64,
 }
 
 impl LinkProbe {
@@ -225,9 +223,7 @@ impl LinkProbe {
         NetLinkStats {
             frames: get(&self.frames),
             bytes: get(&self.bytes),
-            deduped: get(&self.deduped),
             timeouts: get(&self.timeouts),
-            reconnects: get(&self.reconnects),
         }
     }
 }
@@ -268,10 +264,6 @@ pub(crate) fn build_sample(
             format!("net.link{link}.bytes"),
             p.bytes.load(Ordering::Relaxed),
         ));
-        let deduped = p.deduped.load(Ordering::Relaxed);
-        if deduped > 0 {
-            counters.push((format!("net.link{link}.deduped"), deduped));
-        }
     }
     TelemetrySample {
         source: source.to_string(),

@@ -11,7 +11,7 @@ use cgp_datacutter::{
     Transport, WorkerEndpoints, WorkerIngress, SHM_PREFIX,
 };
 use cgp_obs::SmallRng;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,14 +44,6 @@ fn data(from: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
     })
 }
 
-/// Read the 9-byte HelloAck and return its resume_seq.
-fn read_hello_ack(s: &mut TcpStream) -> u64 {
-    let mut buf = [0u8; 9];
-    s.read_exact(&mut buf).expect("HelloAck");
-    assert_eq!(buf[0], 2, "HelloAck tag");
-    u64::from_le_bytes(buf[1..9].try_into().unwrap())
-}
-
 /// A producer's end of a link, driven byte by byte: a socket, or the
 /// sending half of one ring.
 enum RawProducer {
@@ -62,12 +54,18 @@ enum RawProducer {
 impl RawProducer {
     /// Connect to the ingress at `addr`; on shm, attach to ring `ring`.
     fn open(addr: &str, ring: u32) -> Self {
-        match addr.strip_prefix(SHM_PREFIX) {
-            Some(base) => RawProducer::Shm(
-                ShmSender::attach(&ring_path(base, ring), None, format!("raw[{ring}]")).unwrap(),
-            ),
+        Self::try_open(addr, ring).unwrap()
+    }
+
+    fn try_open(addr: &str, ring: u32) -> Result<Self, FilterError> {
+        Ok(match addr.strip_prefix(SHM_PREFIX) {
+            Some(base) => RawProducer::Shm(ShmSender::attach(
+                &ring_path(base, ring),
+                None,
+                format!("raw[{ring}]"),
+            )?),
             None => RawProducer::Tcp(TcpStream::connect(addr).unwrap()),
-        }
+        })
     }
 
     fn send(&mut self, bytes: &[u8]) {
@@ -77,14 +75,9 @@ impl RawProducer {
         }
     }
 
-    /// Say `Hello` and return the consumer's resume watermark: from
-    /// `HelloAck` on TCP, from the attach on shm.
-    fn hello(&mut self, link: u32, producer: u32) -> u64 {
+    /// Say the one-way `Hello`.
+    fn hello(&mut self, link: u32, producer: u32) {
         self.send(&hello(link, producer));
-        match self {
-            RawProducer::Tcp(s) => read_hello_ack(s),
-            RawProducer::Shm(s) => s.resume_seq(),
-        }
     }
 }
 
@@ -239,7 +232,7 @@ fn ingress_preserves_fifo_per_producer() {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     let mut s = RawProducer::open(&addr, p);
-                    assert_eq!(s.hello(7, p), 0);
+                    s.hello(7, p);
                     for i in 0..50u64 {
                         s.send(&data(p, i, &[p as u8, i as u8]));
                     }
@@ -271,7 +264,6 @@ fn ingress_preserves_fifo_per_producer() {
         let stats = serving.join().unwrap().unwrap();
         assert_eq!(stats.frames, 150, "{carrier:?}");
         assert_eq!(stats.bytes, 300, "{carrier:?}");
-        assert_eq!(stats.deduped, 0, "{carrier:?}");
     }
 }
 
@@ -363,7 +355,7 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
             n
         });
         let mut s = RawProducer::open(&addr, 0);
-        assert_eq!(s.hello(1, 0), 0);
+        s.hello(1, 0);
         s.send(&data(0, 0, b"complete"));
         // Truncate the next frame: header promises 100 bytes, deliver 3
         // and slam the connection.
@@ -444,183 +436,145 @@ fn a_frame_from_another_producer_is_malformed() {
     }
 }
 
-/// Unsupervised rings are strict: a producer gone before `End` fails the
-/// link (TCP lets a producer reconnect instead; see
-/// `reconnect_dedups_duplicates_and_never_regresses_acks`).
+/// A producer gone before `End`, by a clean close, fails an unsupervised
+/// link on both carriers.
 #[test]
 fn a_ring_closed_before_end_is_malformed() {
-    if !shm_supported() {
-        return;
+    for carrier in carriers() {
+        let frames = [hello(4, 0), data(0, 0, b"a")];
+        let result = link_after(carrier, &frames);
+        assert_malformed(
+            result,
+            "producer 0 closed its connection before End",
+            carrier,
+        );
     }
-    let frames = [hello(4, 0), data(0, 0, b"a")];
-    let result = link_after(Transport::Shm, &frames);
-    assert_malformed(result, "closed its ring before End", Transport::Shm);
 }
 
-/// A respawned producer regenerates its whole stream from packet 0. The
-/// egress pump must suppress the prefix the consumer already has, not
-/// relabel it as new packets: the first incarnation delivers 0..3 and
-/// dies without `End`, the second regenerates 0..5.
+/// A producer that connects or attaches and vanishes before its `Hello`,
+/// and one that vanishes mid-stream before `End`: the wire bytes each
+/// sends before dropping its end, and what an unsupervised link fails
+/// with.
+fn vanishing_producers() -> [(&'static str, Vec<Vec<u8>>, &'static str); 2] {
+    [
+        ("before Hello", vec![], "connection closed during handshake"),
+        (
+            "mid-stream",
+            vec![hello(6, 0), data(0, 0, b"a"), data(0, 1, b"b")],
+            "producer 0 closed its connection before End",
+        ),
+    ]
+}
+
+/// Unsupervised, a vanished producer fails the link at once, by name.
 #[test]
-fn a_respawned_producer_delivers_its_prefix_once() {
+fn a_vanished_producer_fails_an_unsupervised_link() {
+    for carrier in carriers() {
+        for (when, frames, what) in vanishing_producers() {
+            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let control = RunControl::new();
+            let ctl = Some(Arc::clone(&control));
+            let (addr, serving) = serve(carrier, 6, writers, ctl, NetTuning::default());
+            let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
+            let mut s = RawProducer::open(&addr, 0);
+            for f in &frames {
+                s.send(f);
+            }
+            drop(s);
+            let err = serving.join().unwrap().unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{carrier:?} {when}: {err}");
+            assert!(err.message.contains(what), "{carrier:?} {when}: {err}");
+            assert!(control.is_cancelled(), "{carrier:?} {when}: run cancelled");
+            drain.join().unwrap();
+        }
+    }
+}
+
+/// Supervised, a vanished producer's process is the launcher's to report:
+/// the link neither fails nor lets its local reader see end-of-work, and
+/// it returns only when the run is cancelled (the launcher's teardown),
+/// as a cancellation, never as malformed.
+#[test]
+fn a_vanished_producer_leaves_a_supervised_link_waiting_for_cancellation() {
     let tuning = NetTuning {
         supervised: true,
-        reconnect: Duration::from_secs(10),
         ..Default::default()
     };
     for carrier in carriers() {
-        let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
-        let (addr, serving) = serve(carrier, 2, writers, None, tuning);
-        let mut first = RawProducer::open(&addr, 0);
-        assert_eq!(first.hello(2, 0), 0);
-        for i in 0..3u64 {
-            first.send(&data(0, i, &[i as u8]));
+        for (when, frames, _) in vanishing_producers() {
+            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let control = RunControl::new();
+            let (addr, serving) = serve(carrier, 6, writers, Some(Arc::clone(&control)), tuning);
+            let drain = std::thread::spawn(move || {
+                let mut n = 0;
+                while readers[0].read().is_some() {
+                    n += 1;
+                }
+                n
+            });
+            let mut s = RawProducer::open(&addr, 0);
+            for f in &frames {
+                s.send(f);
+            }
+            drop(s);
+            std::thread::sleep(Duration::from_millis(300));
+            assert!(
+                !serving.is_finished() && !drain.is_finished(),
+                "{carrier:?} {when}: the link waits, its reader still open"
+            );
+            assert!(!control.is_cancelled(), "{carrier:?} {when}");
+            control.cancel("the launcher tears the chain down");
+            let err = serving.join().unwrap().unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Cancelled, "{carrier:?} {when}: {err}");
+            assert_eq!(
+                drain.join().unwrap(),
+                frames.len().saturating_sub(1),
+                "{carrier:?} {when}: every complete frame was delivered"
+            );
         }
-        drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, RunControl::new(), false);
-        for i in 0..5u8 {
-            ws[0].write(Buffer::from_vec(vec![i])).unwrap();
-        }
-        ws[0].close();
-        let reader = rs.into_iter().next().unwrap();
-        let egress = egress_pump(reader, &addr, 2, 0, None, Default::default(), tuning).unwrap();
-        let mut seen = Vec::new();
-        while let Some(b) = readers[0].read() {
-            seen.push(b.as_slice()[0]);
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4], "{carrier:?}: exactly once");
-        assert_eq!(egress.deduped, 3, "{carrier:?}: the prefix was suppressed");
-        assert_eq!(egress.frames, 2, "{carrier:?}");
-        let ingress = serving.join().unwrap().unwrap();
-        assert_eq!(ingress.frames, 5, "{carrier:?}");
-        assert_eq!(
-            ingress.deduped, 0,
-            "{carrier:?}: no duplicate reached the link"
-        );
-        assert_eq!(ingress.reconnects, 1, "{carrier:?}");
     }
 }
 
-/// A respawned producer can handshake while its dead connection's bridge
-/// is still blocked feeding a full local stream. The respawn waits for
-/// that drain past the silence deadline, its resume point counts every
-/// drained packet, and the consumer's silence clock for the new
-/// connection starts at the handshake, not when the `Hello` arrived.
+/// A producer connects once: a second connection on TCP fails the link,
+/// and a second attach to a ring is refused, both as malformed.
 #[test]
-fn a_respawn_handshakes_while_its_dead_connection_still_drains() {
-    let tuning = NetTuning {
-        heartbeat: Some(Duration::from_millis(300)),
-        supervised: true,
-        reconnect: Duration::from_secs(10),
-    };
-    let deadline = tuning.deadline().unwrap();
+fn a_second_connection_for_a_producer_is_malformed() {
     for carrier in carriers() {
-        // Room for two packets, and nobody reads until past the deadline.
-        let (writers, mut readers) = logical_stream(1, 1, 2, RunControl::new(), false);
-        let (addr, serving) = serve(carrier, 2, writers, None, tuning);
+        let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+        // The link's failure cancels the run, which releases the first
+        // producer's connection too.
+        let ctl = Some(RunControl::new());
+        let (addr, serving) = serve(carrier, 8, writers, ctl, NetTuning::default());
+        let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
         let mut first = RawProducer::open(&addr, 0);
-        assert_eq!(first.hello(2, 0), 0);
-        for i in 0..8u64 {
-            first.send(&data(0, i, &[i as u8]));
+        first.hello(8, 0);
+        first.send(&data(0, 0, b"a"));
+        match carrier {
+            Transport::Tcp => {
+                let mut second = RawProducer::open(&addr, 0);
+                second.hello(8, 0);
+                assert_malformed(
+                    serving.join().unwrap(),
+                    "producer 0 connected twice",
+                    carrier,
+                );
+            }
+            Transport::Shm => {
+                let err = match RawProducer::try_open(&addr, 0) {
+                    Err(e) => e,
+                    Ok(_) => panic!("a second producer attached to ring 0"),
+                };
+                assert_eq!(err.kind, ErrorKind::Malformed, "{err}");
+                assert!(err.message.contains("already has a producer"), "{err}");
+                // The first producer is undisturbed and finishes the link.
+                first.send(&raw(&Frame::End { from: 0 }));
+                let stats = serving.join().unwrap().unwrap();
+                assert_eq!(stats.frames, 1);
+            }
         }
         drop(first);
-        let (mut ws, rs) = logical_stream(1, 1, 16, RunControl::new(), false);
-        let respawn = {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let reader = rs.into_iter().next().unwrap();
-                egress_pump(reader, &addr, 2, 0, None, Default::default(), tuning)
-            })
-        };
-        // The regenerated prefix is suppressed, so the new connection
-        // carries nothing but heartbeats until the tail arrives.
-        let tail = std::thread::spawn(move || {
-            for i in 0..8u8 {
-                ws[0].write(Buffer::from_vec(vec![i])).unwrap();
-            }
-            std::thread::sleep(deadline + Duration::from_millis(800));
-            for i in 8..12u8 {
-                ws[0].write(Buffer::from_vec(vec![i])).unwrap();
-            }
-            ws[0].close();
-        });
-        std::thread::sleep(deadline + Duration::from_millis(300));
-        let mut seen = Vec::new();
-        while let Some(b) = readers[0].read() {
-            seen.push(b.as_slice()[0]);
-        }
-        tail.join().unwrap();
-        let egress = respawn.join().unwrap().unwrap();
-        assert_eq!(seen, (0..12).collect::<Vec<u8>>(), "{carrier:?}");
-        assert_eq!(egress.deduped, 8, "{carrier:?}: resumed past the drain");
-        let ingress = serving.join().unwrap().unwrap();
-        assert_eq!(ingress.frames, 12, "{carrier:?}");
-        assert_eq!(ingress.deduped, 0, "{carrier:?}");
-        assert_eq!(ingress.timeouts, 0, "{carrier:?}: no silence verdict");
-        assert_eq!(ingress.reconnects, 1, "{carrier:?}");
+        drain.join().unwrap();
     }
-}
-
-/// A clean disconnect + reconnect re-sending in-flight frames: the slot's
-/// sequence watermark survives the connection, dedups the duplicates, and
-/// the published resume watermark never regresses. TCP only: an
-/// unsupervised ring refuses a second producer.
-#[test]
-fn reconnect_dedups_duplicates_and_never_regresses_acks() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
-    let serving = std::thread::spawn(move || {
-        let ingress = WorkerIngress::Tcp(listener);
-        serve_ingress(
-            ingress,
-            3,
-            writers,
-            None,
-            Default::default(),
-            NetTuning::default(),
-        )
-    });
-    let drain = std::thread::spawn(move || {
-        let mut r = readers.into_iter().next().unwrap();
-        let mut seen = Vec::new();
-        while let Some(b) = r.read() {
-            seen.push(b.as_slice()[0]);
-        }
-        seen
-    });
-    // First connection: deliver 0..3, then vanish cleanly (as a crashed-
-    // and-restarted upstream process that had frames in flight would).
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&hello(3, 0)).unwrap();
-    assert_eq!(read_hello_ack(&mut s), 0);
-    for i in 0..3u64 {
-        s.write_all(&data(0, i, &[i as u8])).unwrap();
-    }
-    s.write_all(&raw(&Frame::Close)).unwrap();
-    drop(s);
-    // Give the handler thread time to park the feeder back in the slot
-    // table (a real restarted process takes far longer to come back).
-    std::thread::sleep(Duration::from_millis(300));
-    // Reconnect: the watermark still stands at 3 — nothing regressed.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&hello(3, 0)).unwrap();
-    assert_eq!(
-        read_hello_ack(&mut s),
-        3,
-        "resume watermark after reconnect"
-    );
-    // Re-send the duplicated in-flight tail (1, 2), then fresh data.
-    for i in 1..5u64 {
-        s.write_all(&data(0, i, &[i as u8])).unwrap();
-    }
-    s.write_all(&raw(&Frame::End { from: 0 })).unwrap();
-    s.write_all(&raw(&Frame::Close)).unwrap();
-    drop(s);
-    assert_eq!(drain.join().unwrap(), vec![0, 1, 2, 3, 4], "exactly once");
-    let stats = serving.join().unwrap().unwrap();
-    assert_eq!(stats.frames, 5, "5 unique frames delivered");
-    assert_eq!(stats.deduped, 2, "2 duplicated in-flight frames dropped");
 }
 
 /// Handshake hardening: wrong link, out-of-range producer, bad tag.
@@ -758,24 +712,21 @@ fn worker_endpoint_validation_fails_before_any_thread_starts() {
 /// A random frame of any variant, with random fields and a payload of
 /// 0..300 bytes.
 fn random_frame(rng: &mut SmallRng) -> Frame {
-    match rng.gen_range(0, 7) {
+    match rng.gen_range(0, 6) {
         0 => Frame::Hello {
             link: rng.next_u64() as u32,
             producer: rng.next_u64() as u32,
         },
-        1 => Frame::HelloAck {
-            resume_seq: rng.next_u64(),
-        },
-        2 => Frame::Data {
+        1 => Frame::Data {
             from: rng.next_u64() as u32,
             seq: rng.next_u64(),
             payload: random_bytes(rng, 299),
         },
-        3 => Frame::End {
+        2 => Frame::End {
             from: rng.next_u64() as u32,
         },
-        4 => Frame::Close,
-        5 => Frame::Telemetry {
+        3 => Frame::Close,
+        4 => Frame::Telemetry {
             payload: random_bytes(rng, 299),
         },
         _ => Frame::Heartbeat,

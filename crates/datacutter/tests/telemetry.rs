@@ -285,11 +285,12 @@ fn three_workers_ship_telemetry_to_the_launcher() {
     type Update = (String, bool, Option<MetricsRegistry>);
     let updates: Arc<Mutex<Vec<Update>>> = Arc::new(Mutex::new(Vec::new()));
     let u2 = Arc::clone(&updates);
+    let control = RunControl::new();
+    let ctl = Arc::clone(&control);
     let serve = std::thread::spawn(move || {
         serve_telemetry(
             lt,
-            3,
-            None,
+            ctl,
             move |_, payload| {
                 if let Ok(up) = decode_telemetry_payload(&payload) {
                     u2.lock().unwrap().push((up.source, up.fin, up.registry));
@@ -325,6 +326,8 @@ fn three_workers_ship_telemetry_to_the_launcher() {
             });
         }
     });
+    // Every worker has finished: the launcher stops its aggregator.
+    control.cancel("workers finished");
     serve.join().unwrap().unwrap();
     assert_eq!(total.load(Ordering::Relaxed), expect, "output unchanged");
 
@@ -378,12 +381,13 @@ fn three_workers_ship_telemetry_to_the_launcher() {
 fn dead_aggregator_never_fails_the_run() {
     let lt = TcpListener::bind("127.0.0.1:0").unwrap();
     let at = lt.local_addr().unwrap().to_string();
-    // Accept one connection, handshake, then slam it shut.
+    // Accept one connection, read its Hello, then see it slammed shut.
+    let control = RunControl::new();
+    let ctl = Arc::clone(&control);
     let accept = std::thread::spawn(move || {
         serve_telemetry(
             lt,
-            1,
-            Some(RunControl::new()),
+            ctl,
             |_, _| panic!("no payload expected before the drop"),
             |_| {},
         )
@@ -392,7 +396,9 @@ fn dead_aggregator_never_fails_the_run() {
     // peer on its first send.
     let client = TelemetryClient::connect(&at, 0, None).unwrap();
     drop(client);
-    // The serve loop sees the disconnect and returns.
+    // The serve loop reads the dropped connection to its end and
+    // returns once cancelled.
+    control.cancel("launcher done");
     accept.join().unwrap().unwrap();
 
     let total = Arc::new(AtomicU64::new(0));

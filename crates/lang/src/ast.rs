@@ -449,7 +449,7 @@ pub enum ExprKind {
 
 /// Names of builtin free functions understood by the type checker,
 /// interpreter and cost model.
-pub const BUILTINS: &[&str] = &[
+pub(crate) const BUILTINS: &[&str] = &[
     "sqrt", "abs", "min", "max", "floor", "ceil", "pow", "exp", "log", "toInt", "toDouble", "print",
 ];
 

@@ -73,30 +73,12 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing quantile `q` (0..=1).
-    /// Coarse (factor-of-two) but merge-stable.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max
-    }
-
     /// Interpolated quantile estimate: locates the bucket containing rank
     /// `q·count`, then interpolates linearly within the bucket's value
     /// range `[2^(i-1), 2^i)` by the rank's position among the bucket's
     /// samples. Clamped to the observed `[min, max]`, so a single-sample
-    /// histogram returns the exact sample. Finer than
-    /// [`quantile`](Self::quantile) (which reports only the bucket's
-    /// upper bound) and equally merge-stable.
+    /// histogram returns the exact sample. Merge-stable: it reads only
+    /// the bucket counts and the exact min/max.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -398,9 +380,9 @@ mod tests {
         assert_eq!(h.max, 100);
         assert!((h.mean() - 26.5).abs() < 1e-9);
         // p50 falls in the bucket holding 2 (values [2,4)).
-        assert_eq!(h.quantile(0.5), 4);
-        // p100 falls in the bucket holding 100 (values [64,128)).
-        assert_eq!(h.quantile(1.0), 128);
+        assert!((2..4).contains(&h.percentile(0.5)));
+        // p100 is the exact maximum.
+        assert_eq!(h.percentile(1.0), 100);
     }
 
     #[test]
@@ -429,7 +411,7 @@ mod tests {
         }
         // Rank 2 of 4 lands in the bucket covering [2,4) which holds 3
         // samples; interpolation keeps the estimate inside the bucket,
-        // strictly finer than quantile()'s upper bound of 4.
+        // strictly below its upper bound of 4.
         let p50 = h.percentile(0.5);
         assert!((2..4).contains(&p50), "p50={p50}");
         // Rank 4 crosses into the [64,128) bucket; the estimate is
