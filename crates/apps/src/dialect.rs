@@ -19,7 +19,7 @@ use crate::vmscope::Slide;
 use cgp_compiler::cost::{FilterEngine, PipelineEnv};
 use cgp_compiler::CompileOptions;
 use cgp_lang::interp::{HostEnv, Interp};
-use cgp_lang::value::{ObjectVal, Shape, Value};
+use cgp_lang::value::{ArrayVal, ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -427,19 +427,17 @@ pub fn iso_host_env(grid: &ScalarGrid, isovalue: f64, screen: i64, num_packets: 
     }
     HostEnv::new()
         .bind("ncubes", Value::Int(ncubes as i64))
-        .bind("cubes", Value::Array(Rc::new(RefCell::new(cubes))))
+        .bind("cubes", Value::array(ArrayVal::Boxed(cubes)))
         .bind("isoval", Value::Double(isovalue))
         .bind("screen", Value::Int(screen))
         .bind("num_packets", Value::Int(num_packets))
 }
 
-/// Host environment for the knn dialect program.
+/// Host environment for the knn dialect program: one dense `double[]`
+/// per coordinate.
 pub fn knn_host_env(points: &[[f64; 3]], query: [f64; 3], k: i64, num_packets: i64) -> HostEnv {
-    let arr = |sel: fn(&[f64; 3]) -> f64| {
-        Value::Array(Rc::new(RefCell::new(
-            points.iter().map(|p| Value::Double(sel(p))).collect(),
-        )))
-    };
+    let arr =
+        |sel: fn(&[f64; 3]) -> f64| Value::array(ArrayVal::F64(points.iter().map(sel).collect()));
     HostEnv::new()
         .bind("npoints", Value::Int(points.len() as i64))
         .bind("px", arr(|p| p[0]))
@@ -452,21 +450,19 @@ pub fn knn_host_env(points: &[[f64; 3]], query: [f64; 3], k: i64, num_packets: i
         .bind("num_packets", Value::Int(num_packets))
 }
 
-/// Host environment for the vmscope dialect program (grayscale in (0, 1],
-/// so the merge's "written" sentinel of 0 never collides with real data).
+/// Host environment for the vmscope dialect program: a dense `double[]`
+/// of grayscale in (0, 1], so the merge's "written" sentinel of 0 never
+/// collides with real data.
 pub fn vmscope_host_env(slide: &Slide, subsample: i64, num_packets: i64) -> HostEnv {
-    let pixels: Vec<Value> = (0..slide.height)
+    let pixels: Vec<f64> = (0..slide.height)
         .flat_map(|y| (0..slide.width).map(move |x| (x, y)))
-        .map(|(x, y)| {
-            let p = slide.pixel(x, y);
-            Value::Double(0.05 + p[0] as f64 / 260.0)
-        })
+        .map(|(x, y)| 0.05 + slide.pixel(x, y)[0] as f64 / 260.0)
         .collect();
     HostEnv::new()
         .bind("height", Value::Int(slide.height as i64))
         .bind("width", Value::Int(slide.width as i64))
         .bind("subsample", Value::Int(subsample))
-        .bind("pixels", Value::Array(Rc::new(RefCell::new(pixels))))
+        .bind("pixels", Value::array(ArrayVal::F64(pixels)))
         .bind("num_packets", Value::Int(num_packets))
 }
 
@@ -590,7 +586,9 @@ mod tests {
         let Some(Value::Array(cubes)) = host.values.get("cubes") else {
             panic!("no cube array");
         };
-        let cubes = cubes.borrow();
+        let ArrayVal::Boxed(cubes) = &*cubes.borrow() else {
+            panic!("cubes are objects, in boxed storage");
+        };
         assert_eq!(cubes.len(), grid.cubes());
         let Value::Object(first) = &cubes[0] else {
             panic!("cube 0 is not an object");
@@ -629,6 +627,38 @@ mod tests {
                     "cube {c} field {name}"
                 );
             }
+        }
+    }
+
+    /// knn's coordinates and vmscope's pixels are bound dense, as the
+    /// `double[]` externs they are declared as, with the values the
+    /// points and the slide give.
+    #[test]
+    fn numeric_host_arrays_are_bound_dense() {
+        let pts = generate_points(50, 5);
+        let knn = knn_host_env(&pts, [0.3, 0.6, 0.2], 3, 6);
+        for (name, axis) in [("px", 0), ("py", 1), ("pz", 2)] {
+            let Some(Value::Array(a)) = knn.values.get(name) else {
+                panic!("no `{name}` array");
+            };
+            let ArrayVal::F64(xs) = &*a.borrow() else {
+                panic!("`{name}` is not dense");
+            };
+            assert_eq!(*xs, pts.iter().map(|p| p[axis]).collect::<Vec<_>>());
+        }
+        let slide = Slide::synthetic(8, 6, 9);
+        let vmscope = vmscope_host_env(&slide, 2, 4);
+        let Some(Value::Array(a)) = vmscope.values.get("pixels") else {
+            panic!("no `pixels` array");
+        };
+        let ArrayVal::F64(pixels) = &*a.borrow() else {
+            panic!("`pixels` is not dense");
+        };
+        assert_eq!(pixels.len(), 8 * 6);
+        assert_eq!(pixels[8 + 3], 0.05 + slide.pixel(3, 1)[0] as f64 / 260.0);
+        for (src, host) in [(KNN_SRC, &knn), (VMSCOPE_SRC, &vmscope)] {
+            let tp = cgp_lang::frontend(src).unwrap();
+            cgp_lang::interp::check_host(&tp, &host.values).unwrap();
         }
     }
 

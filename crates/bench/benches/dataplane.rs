@@ -10,11 +10,9 @@ use cgp_bench::dataplane::{run_packet_echo, EchoConfig};
 use cgp_compiler::packing::{pack, unpack, PackEntry, PackLayout, RuntimeEnv, ScalarKind};
 use cgp_compiler::place::{Place, Section, SymExpr};
 use cgp_core::codec::{decode_state, encode_state};
-use cgp_lang::Value;
+use cgp_lang::{ArrayVal, Value};
 use cgp_obs::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 fn bench_packet_echo(c: &mut Criterion) {
     let mut group = c.benchmark_group("packet_echo");
@@ -33,9 +31,7 @@ fn bench_packet_echo(c: &mut Criterion) {
 }
 
 fn f64_array(n: usize) -> Value {
-    Value::Array(Rc::new(RefCell::new(
-        (0..n).map(|i| Value::Double(i as f64)).collect(),
-    )))
+    Value::array(ArrayVal::F64((0..n).map(|i| i as f64).collect()))
 }
 
 fn bench_pack_bulk(c: &mut Criterion) {

@@ -3,7 +3,7 @@
 
 use cgp_compiler::packing::{pack, unpack, PackEntry, PackLayout, RuntimeEnv, ScalarKind};
 use cgp_compiler::place::{Place, Section, SymExpr};
-use cgp_lang::Value;
+use cgp_lang::{ArrayVal, Value};
 use cgp_obs::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 
@@ -27,9 +27,7 @@ fn vars(n: usize) -> HashMap<String, Value> {
         f.insert("y".to_string(), Value::Double(-x));
         Value::new_object("T", f)
     };
-    let arr = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-        (0..n).map(|i| mk_obj(i as f64)).collect(),
-    )));
+    let arr = Value::array(ArrayVal::Boxed((0..n).map(|i| mk_obj(i as f64)).collect()));
     let mut v = HashMap::new();
     v.insert("t".to_string(), arr);
     v
@@ -92,9 +90,8 @@ fn bench_packet_sequence(c: &mut Criterion) {
         .iter()
         .enumerate()
         .map(|(k, r)| {
-            let vals = (0..POINTS).map(|i| Value::Double((i * 3 + k as i64) as f64));
-            let arr = std::rc::Rc::new(std::cell::RefCell::new(vals.collect()));
-            (r.to_string(), Value::Array(arr))
+            let vals = (0..POINTS).map(|i| (i * 3 + k as i64) as f64);
+            (r.to_string(), Value::array(ArrayVal::F64(vals.collect())))
         })
         .collect();
     let bufs: Vec<Vec<u8>> = cgp_lang::interp::split_domain(0, POINTS - 1, PACKETS)

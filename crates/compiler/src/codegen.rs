@@ -1271,8 +1271,8 @@ mod tests {
     use crate::graph::build_graph;
     use crate::normalize::normalize;
     use crate::reqcomm::analyze_chain;
-    use cgp_lang::frontend;
     use cgp_lang::interp::Interp as SeqInterp;
+    use cgp_lang::{frontend, ArrayVal};
 
     /// Compile a source with a fixed decomposition style for `m` units.
     fn make_plan(src: &str, m: usize, decomp: DecompStyle) -> FilterPlan {
@@ -1345,11 +1345,9 @@ mod tests {
     "#;
 
     fn base_host(n: i64, num_packets: i64) -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..n)
-                .map(|i| Value::Double((i * 7 % 100) as f64))
-                .collect(),
-        )));
+        let data = Value::array(ArrayVal::F64(
+            (0..n).map(|i| (i * 7 % 100) as f64).collect(),
+        ));
         HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(num_packets))
@@ -1385,11 +1383,11 @@ mod tests {
         "#;
         let plan = make_plan(SRC, 2, DecompStyle::Spread);
         let host = |scale: Value, third: Value| {
-            let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(vec![
+            let data = Value::array(ArrayVal::Boxed(vec![
                 Value::Double(1.0),
                 Value::Double(2.0),
                 third,
-            ])));
+            ]));
             HostEnv::new()
                 .bind("n", Value::Int(3))
                 .bind("num_packets", Value::Int(2))
@@ -1416,6 +1414,12 @@ mod tests {
                 host(Value::Double(0.5), Value::Int(3)),
                 "data",
                 "element 2 holds `3`",
+            ),
+            (
+                good.clone()
+                    .bind("data", Value::array(ArrayVal::I64(vec![1, 2, 3]))),
+                "data",
+                "holds a dense `int[]`",
             ),
         ] {
             let interp = SeqInterp::new(&plan.np.typed, bad.clone())
@@ -1932,11 +1936,9 @@ mod tests {
             }
         "#;
         let n = 90;
-        let xs = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..n)
-                .map(|i| Value::Double((i % 13) as f64 * 0.31))
-                .collect(),
-        )));
+        let xs = Value::array(ArrayVal::F64(
+            (0..n).map(|i| (i % 13) as f64 * 0.31).collect(),
+        ));
         let host = HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(6))

@@ -300,7 +300,7 @@ mod tests {
     use super::*;
     use crate::codegen::run_plan_sequential;
     use cgp_lang::interp::{HostEnv, Interp};
-    use cgp_lang::Value;
+    use cgp_lang::{ArrayVal, Value};
 
     const SRC: &str = r#"
         extern int n;
@@ -329,9 +329,7 @@ mod tests {
     "#;
 
     fn host(n: i64) -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..n).map(|i| Value::Double((i % 97) as f64)).collect(),
-        )));
+        let data = Value::array(ArrayVal::F64((0..n).map(|i| (i % 97) as f64).collect()));
         HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(8))

@@ -25,7 +25,7 @@ use crate::error::{CompileError, CompileResult};
 use crate::normalize::NormalizedPipeline;
 use crate::place::{Place, Sectioning};
 use cgp_lang::ast::Type;
-use cgp_lang::value::{ObjectVal, Shape, Value};
+use cgp_lang::value::{ArrayVal, ObjectVal, Shape, Value};
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -227,14 +227,17 @@ impl RuntimeEnv {
     }
 }
 
-type SharedArray = Rc<RefCell<Vec<Value>>>;
+type SharedArray = Rc<RefCell<ArrayVal>>;
 
 /// The arrays one receiving unit's last packet was unpacked into, one per
-/// sectioned root. The next packet reuses a root's array only when the
-/// filter kept no reference to it; it then resets just the slots from the
-/// previous section's lower bound to the end (everything below is already
-/// `Null`) and resizes to this packet's length, so unpacking costs
-/// O(packet) rather than O(top index).
+/// sectioned root. They are boxed, with a `Null` in every slot the packet
+/// did not carry, so a plan that reads a slot it was not shipped fails
+/// instead of reading a default or an earlier packet's value. The next
+/// packet reuses a root's array only when the filter kept no reference to
+/// it; it then resets just the slots from the previous section's lower
+/// bound to the end (everything below is already `Null`) and resizes to
+/// this packet's length, so unpacking costs O(packet) rather than O(top
+/// index).
 ///
 /// It also keeps the field paths of the last layout it unpacked, so the
 /// objects every packet rebuilds share one shape per received root.
@@ -272,7 +275,7 @@ impl ReceiveArrays {
     /// slots long, whose writes start at slot `lowest`: the previous
     /// packet's array when no one else holds it, else fresh storage.
     fn take(&mut self, root: &str, alloc_len: usize, lowest: usize) -> SharedArray {
-        let fresh = || Rc::new(RefCell::new(vec![Value::Null; alloc_len]));
+        let fresh = || Rc::new(RefCell::new(ArrayVal::Boxed(vec![Value::Null; alloc_len])));
         let Some(slot) = self.slots.iter_mut().find(|s| s.root == root) else {
             self.slots.push(RecvSlot {
                 root: root.to_string(),
@@ -281,16 +284,15 @@ impl ReceiveArrays {
             });
             return Rc::clone(&self.slots.last().expect("just pushed").array);
         };
-        match Rc::get_mut(&mut slot.array) {
-            Some(a) => {
-                let a = a.get_mut();
+        match Rc::get_mut(&mut slot.array).map(RefCell::get_mut) {
+            Some(ArrayVal::Boxed(a)) => {
                 a.truncate(alloc_len);
                 let from = slot.written_from.min(a.len());
                 a[from..].fill(Value::Null);
                 a.resize(alloc_len, Value::Null);
             }
             // The filter retained last packet's array: leave it alone.
-            None => slot.array = fresh(),
+            _ => slot.array = fresh(),
         }
         slot.written_from = lowest;
         Rc::clone(&slot.array)
@@ -467,10 +469,11 @@ const RUN_CHUNK: usize = 64;
 /// Pack a sectioned entry's whole run of elements.
 ///
 /// Fast path — a plain array root (no field path) with an 8-byte scalar
-/// kind: the array is borrowed **once** for the run and values are
-/// LE-converted through a stack scratch buffer, appended chunk-at-a-time
-/// (no per-element `Value` clone, hash lookup, or 8-byte push). Anything
-/// else falls back to the general per-element select.
+/// kind: the array is borrowed **once** for the run, a dense one's
+/// elements are its words, and the words are LE-converted through a stack
+/// scratch buffer, appended chunk-at-a-time (no per-element `Value` clone,
+/// hash lookup, or 8-byte push). Anything else falls back to the general
+/// per-element select.
 fn pack_run(
     out: &mut Vec<u8>,
     kind: ScalarKind,
@@ -478,40 +481,65 @@ fn pack_run(
     p: &Place,
     ix: &[i64],
 ) -> CompileResult<()> {
-    if p.fields.is_empty() && matches!(kind, ScalarKind::F64 | ScalarKind::I64) {
-        if let Some(Value::Array(a)) = vars.get(&p.root) {
-            let a = a.borrow();
-            let mut scratch = [0u8; RUN_CHUNK * 8];
-            let mut filled = 0usize;
-            for &i in ix {
-                let v = a.get(i as usize).ok_or_else(|| {
-                    CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
-                })?;
-                let word: u64 = match (kind, v) {
-                    (ScalarKind::I64, Value::Int(x)) => *x as u64,
-                    (ScalarKind::F64, Value::Double(x)) => x.to_bits(),
-                    (ScalarKind::F64, Value::Int(x)) => (*x as f64).to_bits(),
-                    (k, other) => {
-                        return Err(CompileError::new(format!(
+    if let (true, Some(Value::Array(a))) = (p.fields.is_empty(), vars.get(&p.root)) {
+        let out_of_range =
+            |i: i64| CompileError::new(format!("pack index {i} out of range for `{}`", p.root));
+        match (&*a.borrow(), kind) {
+            (ArrayVal::F64(a), ScalarKind::F64) => {
+                return extend_words(out, ix, |i| {
+                    a.get(i as usize)
+                        .map(|x| x.to_bits())
+                        .ok_or_else(|| out_of_range(i))
+                })
+            }
+            (ArrayVal::I64(a), ScalarKind::I64) => {
+                return extend_words(out, ix, |i| {
+                    a.get(i as usize)
+                        .map(|x| *x as u64)
+                        .ok_or_else(|| out_of_range(i))
+                })
+            }
+            (ArrayVal::Boxed(a), ScalarKind::F64 | ScalarKind::I64) => {
+                return extend_words(out, ix, |i| {
+                    let v = a.get(i as usize).ok_or_else(|| out_of_range(i))?;
+                    match (kind, v) {
+                        (ScalarKind::I64, Value::Int(x)) => Ok(*x as u64),
+                        (ScalarKind::F64, Value::Double(x)) => Ok(x.to_bits()),
+                        (ScalarKind::F64, Value::Int(x)) => Ok((*x as f64).to_bits()),
+                        (k, other) => Err(CompileError::new(format!(
                             "cannot pack value `{other}` as {k:?}"
-                        )))
+                        ))),
                     }
-                };
-                scratch[filled * 8..filled * 8 + 8].copy_from_slice(&word.to_le_bytes());
-                filled += 1;
-                if filled == RUN_CHUNK {
-                    out.extend_from_slice(&scratch);
-                    filled = 0;
-                }
+                })
             }
-            if filled > 0 {
-                out.extend_from_slice(&scratch[..filled * 8]);
-            }
-            return Ok(());
+            _ => {}
         }
     }
     for &i in ix {
         push_scalar(out, kind, &select(vars, p, Some(i))?)?;
+    }
+    Ok(())
+}
+
+/// Append `word(i)` for each index of `ix` as LE bytes, converted through
+/// a stack scratch buffer and appended chunk-at-a-time.
+fn extend_words(
+    out: &mut Vec<u8>,
+    ix: &[i64],
+    mut word: impl FnMut(i64) -> CompileResult<u64>,
+) -> CompileResult<()> {
+    let mut scratch = [0u8; RUN_CHUNK * 8];
+    let mut filled = 0usize;
+    for &i in ix {
+        scratch[filled * 8..filled * 8 + 8].copy_from_slice(&word(i)?.to_le_bytes());
+        filled += 1;
+        if filled == RUN_CHUNK {
+            out.extend_from_slice(&scratch);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        out.extend_from_slice(&scratch[..filled * 8]);
     }
     Ok(())
 }
@@ -522,18 +550,34 @@ fn is_plain_word(e: &PackEntry) -> bool {
     e.place.fields.is_empty() && matches!(e.elem, ScalarKind::F64 | ScalarKind::I64)
 }
 
-/// Write one 8-byte wire word into slot `i` of an unpacked array.
-fn put_word(a: &mut [Value], i: i64, kind: ScalarKind, word: &[u8]) -> CompileResult<()> {
+/// The value of one 8-byte wire word of `kind`.
+fn word_value(kind: ScalarKind, word: &[u8]) -> Value {
     let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-    let slot = usize::try_from(i)
-        .ok()
-        .and_then(|i| a.get_mut(i))
-        .ok_or_else(|| CompileError::new(format!("unpack index {i} out of range")))?;
-    *slot = match kind {
+    match kind {
         ScalarKind::F64 => Value::Double(f64::from_bits(word)),
         _ => Value::Int(word as i64),
-    };
+    }
+}
+
+/// Write one 8-byte wire word into slot `i` of an unpacked array, in
+/// whichever storage the array has.
+fn put_word(a: &mut ArrayVal, i: i64, kind: ScalarKind, word: &[u8]) -> CompileResult<()> {
+    let i = slot_index(a.len(), i)?;
+    match (a, word_value(kind, word)) {
+        (ArrayVal::Boxed(a), v) => a[i] = v,
+        (ArrayVal::F64(a), Value::Double(x)) => a[i] = x,
+        (ArrayVal::I64(a), Value::Int(x)) => a[i] = x,
+        (a, v) => a.set(i, v).map_err(CompileError::new)?,
+    }
     Ok(())
+}
+
+/// `i` as a slot of an array `len` long, or the unpack range error.
+fn slot_index(len: usize, i: i64) -> CompileResult<usize> {
+    usize::try_from(i)
+        .ok()
+        .filter(|i| *i < len)
+        .ok_or_else(|| CompileError::new(format!("unpack index {i} out of range")))
 }
 
 /// Unpack a sectioned entry's whole run of elements (inverse of
@@ -557,8 +601,20 @@ fn unpack_run(
             .ok_or_else(|| CompileError::new("buffer underrun (run)"))?;
         *pos = end;
         let mut a = a.borrow_mut();
-        for (&i, word) in ix.iter().zip(run.chunks_exact(8)) {
-            put_word(&mut a, i, e.elem, word)?;
+        let words = ix.iter().zip(run.chunks_exact(8));
+        match &mut *a {
+            // Receive arrays, the common case: one storage match per run.
+            ArrayVal::Boxed(slots) => {
+                for (&i, word) in words {
+                    let i = slot_index(slots.len(), i)?;
+                    slots[i] = word_value(e.elem, word);
+                }
+            }
+            dense => {
+                for (&i, word) in words {
+                    put_word(dense, i, e.elem, word)?;
+                }
+            }
         }
         return Ok(());
     }
@@ -631,12 +687,9 @@ fn select(vars: &HashMap<String, Value>, p: &Place, idx: Option<i64>) -> Compile
         .ok_or_else(|| CompileError::new(format!("missing variable `{}` while packing", p.root)))?;
     let mut cur = match (idx, root) {
         (None, v) => v.clone(),
-        (Some(i), Value::Array(a)) => {
-            let a = a.borrow();
-            a.get(i as usize).cloned().ok_or_else(|| {
-                CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
-            })?
-        }
+        (Some(i), Value::Array(a)) => a.borrow().get(i as usize).ok_or_else(|| {
+            CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
+        })?,
         (Some(_), other) => {
             return Err(CompileError::new(format!(
                 "sectioned place `{p}` but `{}` is `{other}`",
@@ -675,7 +728,8 @@ fn store(
 }
 
 /// Store element `i` of a sectioned place into its bound array `a`,
-/// through `path` when the place has a field path.
+/// through `path` when the place has a field path (only boxed storage
+/// holds objects).
 fn store_elem(
     a: &SharedArray,
     i: i64,
@@ -683,11 +737,15 @@ fn store_elem(
     v: Value,
 ) -> CompileResult<()> {
     let mut a = a.borrow_mut();
-    let slot = usize::try_from(i)
-        .ok()
-        .and_then(|i| a.get_mut(i))
-        .ok_or_else(|| CompileError::new(format!("unpack index {i} out of range")))?;
-    put_path(slot, path, v)
+    let i = slot_index(a.len(), i)?;
+    match &mut *a {
+        ArrayVal::Boxed(a) => put_path(&mut a[i], path, v),
+        dense if path.is_empty() => dense.set(i, v).map_err(CompileError::new),
+        dense => Err(CompileError::new(format!(
+            "cannot unpack a field into a `{}`",
+            dense.type_name()
+        ))),
+    }
 }
 
 /// Write `v` into `slot` through `path`: each step's object is the one
@@ -936,7 +994,7 @@ fn unpack_interleaved(
             _ => None,
         });
     }
-    let mut slots: Vec<RefMut<Vec<Value>>> = distinct.iter().map(|a| a.borrow_mut()).collect();
+    let mut slots: Vec<RefMut<ArrayVal>> = distinct.iter().map(|a| a.borrow_mut()).collect();
     for p in 0..count.max(1) {
         for (k, e) in entries.iter().enumerate() {
             let Some(run) = &runs[k] else {
@@ -1112,14 +1170,8 @@ mod tests {
     /// the wire is refused before anything is sized by it.
     #[test]
     fn whole_arrays_travel_at_their_own_length() {
-        let xs = || {
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..10).map(|i| Value::Double(i as f64 * 0.5)).collect(),
-            )))
-        };
-        let ys = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..2).map(Value::Int).collect(),
-        )));
+        let xs = || Value::array(ArrayVal::F64((0..10).map(|i| i as f64 * 0.5).collect()));
+        let ys = Value::array(ArrayVal::I64(vec![0, 1]));
         let vars: HashMap<String, Value> =
             [("xs".to_string(), xs()), ("ys".to_string(), ys)].into();
         let env = RuntimeEnv::for_packet("pkt", 0, 1);
@@ -1152,6 +1204,60 @@ mod tests {
         }
     }
 
+    /// A receive array holds `Null` wherever the current packet shipped
+    /// nothing — not a default `0.0`, not the previous packet's value —
+    /// so a plan that reads a slot it was not sent fails on both engines.
+    #[test]
+    fn receive_array_holes_stay_loud() {
+        use cgp_lang::bytecode::{vm::Vm, ProgramCode};
+        use cgp_lang::interp::{HostEnv, Interp};
+        let packet = Section::dense(SymExpr::sym("pkt.lo"), SymExpr::sym("pkt.hi"));
+        let layout = PackLayout {
+            instance_wise: vec![entry(Place::sliced("xs", packet), 1, ScalarKind::F64)],
+            ..Default::default()
+        };
+        let xs = Value::array(ArrayVal::F64((0..8).map(|i| 10.0 + i as f64).collect()));
+        let vars = HashMap::from([("xs".to_string(), xs)]);
+        let env = RuntimeEnv::new("pkt");
+        let first = pack(&layout, &vars, &env, (0, 3), None).unwrap();
+        let second = pack(&layout, &vars, &env, (4, 7), None).unwrap();
+        // The first packet's bindings are gone, so the second reuses its
+        // array.
+        drop(unpack(&layout, &env, &first).unwrap());
+        let un = unpack(&layout, &env, &second).unwrap();
+        let Value::Array(a) = &un.vars["xs"] else {
+            panic!("xs not an array");
+        };
+        {
+            let a = a.borrow();
+            assert_eq!(a.type_name(), "array", "receive arrays stay boxed");
+            for i in 0..4 {
+                assert!(matches!(a.get(i), Some(Value::Null)), "slot {i}: {a:?}");
+            }
+            for i in 4..8 {
+                let shipped = Value::Double(10.0 + i as f64);
+                assert!(a.get(i).unwrap().deep_eq(&shipped), "slot {i}");
+            }
+        }
+        let tp = cgp_lang::frontend(
+            "extern double[] xs; class A { void main() { print(xs[5]); print(xs[1] * 2.0); } }",
+        )
+        .unwrap();
+        let stmts = &tp.program.main().unwrap().1.body.stmts;
+        let mut it = Interp::new(&tp, HostEnv::new());
+        let interp = it.exec_stmts_with_vars("A", stmts, &mut un.vars.clone());
+        let prog = ProgramCode::lower(&tp);
+        let slice = prog.lower_slice(&tp, "A", stmts);
+        let mut vm = Vm::new(&prog, HostEnv::new());
+        let bytecode = vm.exec_slice(&slice, &mut un.vars.clone());
+        assert!(
+            interp.is_err() && bytecode.is_err(),
+            "{interp:?} {bytecode:?}"
+        );
+        assert_eq!(it.output, ["15"]);
+        assert_eq!(vm.output, ["15"]);
+    }
+
     #[test]
     fn roundtrip_instance_wise() {
         let layout = PackLayout {
@@ -1164,15 +1270,11 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "xs".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..4).map(|i| Value::Double(i as f64 * 1.5)).collect(),
-            ))),
+            Value::array(ArrayVal::F64((0..4).map(|i| i as f64 * 1.5).collect())),
         );
         vars.insert(
             "ys".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..4).map(Value::Int).collect(),
-            ))),
+            Value::array(ArrayVal::Boxed((0..4).map(Value::Int).collect())),
         );
         let env = RuntimeEnv::for_packet("pkt", 0, 3);
         let buf = pack(&layout, &vars, &env, (0, 3), None).unwrap();
@@ -1224,19 +1326,14 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "tri".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(vec![
-                mk_obj(1.0),
-                mk_obj(2.0),
-                mk_obj(3.0),
-            ]))),
+            Value::array(ArrayVal::Boxed(vec![mk_obj(1.0), mk_obj(2.0), mk_obj(3.0)])),
         );
         let env = RuntimeEnv::for_packet("pkt", 0, 2);
         let buf = pack(&layout, &vars, &env, (0, 2), None).unwrap();
         let un = unpack(&layout, &env, &buf).unwrap();
         // Only x made it across.
         if let Value::Array(a) = &un.vars["tri"] {
-            let a = a.borrow();
-            for (i, v) in a.iter().enumerate() {
+            for (i, v) in a.borrow().iter().enumerate() {
                 let Value::Object(o) = v else {
                     panic!("not an object")
                 };
@@ -1279,7 +1376,7 @@ mod tests {
         };
         let vars = HashMap::from([(
             "tri".to_string(),
-            Value::Array(Rc::new(RefCell::new(vec![tri(1.0), tri(2.0), tri(3.0)]))),
+            Value::array(ArrayVal::Boxed(vec![tri(1.0), tri(2.0), tri(3.0)])),
         )]);
         let env = RuntimeEnv::for_packet("pkt", 0, 2);
         let buf = pack(&layout, &vars, &env, (0, 2), None).unwrap();
@@ -1325,9 +1422,7 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "v__x".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..8).map(|i| Value::Double(i as f64)).collect(),
-            ))),
+            Value::array(ArrayVal::F64((0..8).map(|i| i as f64).collect())),
         );
         let env = RuntimeEnv::for_packet("pkt", 10, 17);
         let sel = vec![11i64, 13, 16];
@@ -1337,10 +1432,10 @@ mod tests {
         if let Value::Array(a) = &un.vars["v__x"] {
             let a = a.borrow();
             assert_eq!(a.len(), 8);
-            assert!(a[1].deep_eq(&Value::Double(1.0)));
-            assert!(a[3].deep_eq(&Value::Double(3.0)));
-            assert!(a[6].deep_eq(&Value::Double(6.0)));
-            assert!(matches!(a[0], Value::Null)); // untouched slot
+            assert!(a.get(1).unwrap().deep_eq(&Value::Double(1.0)));
+            assert!(a.get(3).unwrap().deep_eq(&Value::Double(3.0)));
+            assert!(a.get(6).unwrap().deep_eq(&Value::Double(6.0)));
+            assert!(matches!(a.get(0), Some(Value::Null))); // untouched slot
         } else {
             panic!("not an array");
         }

@@ -7,7 +7,7 @@ use cgp_compiler::packing::{
     pack, unpack, PackEntry, PackLayout, RuntimeEnv, ScalarKind, Unpacked,
 };
 use cgp_compiler::place::{Place, PlaceSet, Section, Sectioning, SymExpr};
-use cgp_lang::Value;
+use cgp_lang::{ArrayVal, Value};
 use cgp_obs::SmallRng;
 use std::collections::HashMap;
 
@@ -275,9 +275,7 @@ fn pack_unpack_roundtrip() {
         let mut vars: HashMap<String, Value> = HashMap::new();
         vars.insert(
             "xs".into(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                case.doubles.iter().map(|d| Value::Double(*d)).collect(),
-            ))),
+            Value::array(ArrayVal::F64(case.doubles.clone())),
         );
         for (name, v) in &case.scalars {
             vars.insert(name.clone(), Value::Int(*v));
@@ -321,9 +319,7 @@ fn filtered_pack_roundtrip() {
         };
         let vars: HashMap<String, Value> = [(
             "v".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..len).map(|i| Value::Double(i as f64 * 1.25)).collect(),
-            ))),
+            Value::array(ArrayVal::F64((0..len).map(|i| i as f64 * 1.25).collect())),
         )]
         .into_iter()
         .collect();
@@ -348,13 +344,11 @@ fn filtered_pack_roundtrip() {
                 panic!("not array")
             };
             let arr = arr.borrow();
-            for i in 0..len {
-                if mask[i] {
-                    assert!(
-                        arr[i].deep_eq(&Value::Double(i as f64 * 1.25)),
-                        "case {case_no}"
-                    );
-                }
+            for (i, _) in mask[..len].iter().enumerate().filter(|(_, m)| **m) {
+                assert!(
+                    arr.get(i).unwrap().deep_eq(&Value::Double(i as f64 * 1.25)),
+                    "case {case_no}"
+                );
             }
         }
         // volume proportional to selection
@@ -414,7 +408,7 @@ fn reuse_entries() -> Vec<(PackEntry, bool)> {
 /// absolute arrays span the domain, the rebased one only the packet, and
 /// every value is a function of its domain point.
 fn reuse_source(n: i64, (lo, hi): (i64, i64)) -> HashMap<String, Value> {
-    let arr = |vals: Vec<Value>| Value::Array(std::rc::Rc::new(std::cell::RefCell::new(vals)));
+    let arr = |vals: Vec<Value>| Value::array(ArrayVal::Boxed(vals));
     let obj = |i: i64| {
         let f = [
             ("x".to_string(), Value::Double(i as f64 + 0.5)),
@@ -425,9 +419,12 @@ fn reuse_source(n: i64, (lo, hi): (i64, i64)) -> HashMap<String, Value> {
     [
         (
             "a",
-            arr((0..n).map(|i| Value::Double(i as f64 * 1.5)).collect()),
+            Value::array(ArrayVal::F64((0..n).map(|i| i as f64 * 1.5).collect())),
         ),
-        ("b", arr((0..n).map(|i| Value::Int(i * 7 - 3)).collect())),
+        (
+            "b",
+            Value::array(ArrayVal::I64((0..n).map(|i| i * 7 - 3).collect())),
+        ),
         (
             "v",
             arr((lo..=hi).map(|i| Value::Double(i as f64 / 4.0)).collect()),
@@ -563,9 +560,7 @@ fn retained_receive_array_is_never_reused() {
     let Value::Array(kept_arr) = &kept else {
         unreachable!()
     };
-    let snapshot = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-        kept_arr.borrow().clone(),
-    )));
+    let snapshot = Value::array(kept_arr.borrow().clone());
     let un = unpack_packet(packets[2]);
     let a2 = storage(&un, "a");
     assert_ne!(a2, a0, "retained array was reused");

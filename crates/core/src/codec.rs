@@ -5,7 +5,7 @@
 //! (Per-packet data uses the compiler's typed [`cgp_compiler::packing`]
 //! layouts instead — this codec is only for whole-object state transfer.)
 
-use cgp_lang::value::{ObjectVal, Shape, Value};
+use cgp_lang::value::{ArrayVal, ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -31,9 +31,11 @@ const TAG_NULL: u8 = 5;
 const TAG_DOMAIN: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
-/// Homogeneous `f64` array: count + one contiguous run of LE bit patterns.
+/// Non-empty `f64` array (dense, or boxed with only doubles): count + one
+/// contiguous run of LE bit patterns. Decodes to dense storage.
 const TAG_ARRAY_F64: u8 = 9;
-/// Homogeneous `i64` array: count + one contiguous run of LE values.
+/// Non-empty `i64` array (dense, or boxed with only ints): count + one
+/// contiguous run of LE values. Decodes to dense storage.
 const TAG_ARRAY_I64: u8 = 10;
 
 /// Scratch size (in 8-byte words) for chunked LE conversion: large enough
@@ -60,36 +62,35 @@ fn extend_u64_run(out: &mut Vec<u8>, words: impl Iterator<Item = u64>) {
     }
 }
 
-/// Element kind of a homogeneous array (qualifying it for a bulk tag).
-enum Homogeneous {
-    F64,
-    I64,
-    No,
+/// How an array travels: one bulk run under `TAG_ARRAY_F64` or
+/// `TAG_ARRAY_I64`, or element by element under `TAG_ARRAY`.
+enum Layout<'a> {
+    Run(u8),
+    Tagged(&'a [Value]),
 }
 
-fn homogeneity(a: &[Value]) -> Homogeneous {
-    let mut iter = a.iter();
-    match iter.next() {
-        Some(Value::Double(_)) => {
-            if iter.all(|v| matches!(v, Value::Double(_))) {
-                Homogeneous::F64
-            } else {
-                Homogeneous::No
+/// A non-empty dense array is its run; a boxed one is a run when every
+/// element has the first one's numeric tag. Empty arrays are `TAG_ARRAY`
+/// whatever their storage.
+fn layout(a: &ArrayVal) -> Layout<'_> {
+    match a {
+        ArrayVal::F64(xs) if !xs.is_empty() => Layout::Run(TAG_ARRAY_F64),
+        ArrayVal::I64(xs) if !xs.is_empty() => Layout::Run(TAG_ARRAY_I64),
+        ArrayVal::F64(_) | ArrayVal::I64(_) => Layout::Tagged(&[]),
+        ArrayVal::Boxed(xs) => match xs.first() {
+            Some(Value::Double(_)) if xs.iter().all(|v| matches!(v, Value::Double(_))) => {
+                Layout::Run(TAG_ARRAY_F64)
             }
-        }
-        Some(Value::Int(_)) => {
-            if iter.all(|v| matches!(v, Value::Int(_))) {
-                Homogeneous::I64
-            } else {
-                Homogeneous::No
+            Some(Value::Int(_)) if xs.iter().all(|v| matches!(v, Value::Int(_))) => {
+                Layout::Run(TAG_ARRAY_I64)
             }
-        }
-        _ => Homogeneous::No,
+            _ => Layout::Tagged(xs),
+        },
     }
 }
 
-/// Exact size in bytes of `encode_value(v)` (so encoders reserve once).
-pub(crate) fn encoded_len(v: &Value) -> usize {
+/// Exact size in bytes of `v`'s encoding (so encoders reserve once).
+fn encoded_len(v: &Value) -> usize {
     match v {
         Value::Int(_) | Value::Double(_) => 9,
         Value::Bool(_) => 2,
@@ -97,9 +98,9 @@ pub(crate) fn encoded_len(v: &Value) -> usize {
         Value::Domain(_, _) => 17,
         Value::Array(a) => {
             let a = a.borrow();
-            match homogeneity(&a) {
-                Homogeneous::F64 | Homogeneous::I64 => 9 + 8 * a.len(),
-                Homogeneous::No => 9 + a.iter().map(encoded_len).sum::<usize>(),
+            match layout(&a) {
+                Layout::Run(_) => 9 + 8 * a.len(),
+                Layout::Tagged(xs) => 9 + xs.iter().map(encoded_len).sum::<usize>(),
             }
         }
         Value::Object(o) => {
@@ -110,15 +111,11 @@ pub(crate) fn encoded_len(v: &Value) -> usize {
     }
 }
 
-/// Append the encoding of `v` to `out`, reserving the exact size first.
-/// Homogeneous `f64`/`i64` arrays travel as one contiguous LE run
-/// (`TAG_ARRAY_F64`/`TAG_ARRAY_I64`) instead of per-element tagged
-/// encodings — the common reduction-state shape is a large numeric array.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(v));
-    encode_value_inner(v, out);
-}
-
+/// Append the encoding of `v` to `out`. Numeric arrays travel as one
+/// contiguous LE run (`TAG_ARRAY_F64`/`TAG_ARRAY_I64`) instead of
+/// per-element tagged encodings — the common reduction-state shape is a
+/// large numeric array, and a dense one is copied straight out of its
+/// storage.
 fn encode_value_inner(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Int(x) => {
@@ -142,36 +139,28 @@ fn encode_value_inner(v: &Value, out: &mut Vec<u8>) {
         }
         Value::Array(a) => {
             let a = a.borrow();
-            match homogeneity(&a) {
-                Homogeneous::F64 => {
-                    out.push(TAG_ARRAY_F64);
-                    out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-                    extend_u64_run(
-                        out,
-                        a.iter().map(|v| match v {
-                            Value::Double(x) => x.to_bits(),
-                            _ => unreachable!("homogeneity checked"),
-                        }),
-                    );
-                }
-                Homogeneous::I64 => {
-                    out.push(TAG_ARRAY_I64);
-                    out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-                    extend_u64_run(
-                        out,
-                        a.iter().map(|v| match v {
-                            Value::Int(x) => *x as u64,
-                            _ => unreachable!("homogeneity checked"),
-                        }),
-                    );
-                }
-                Homogeneous::No => {
-                    out.push(TAG_ARRAY);
-                    out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-                    for e in a.iter() {
+            let layout = layout(&a);
+            out.push(match layout {
+                Layout::Run(tag) => tag,
+                Layout::Tagged(_) => TAG_ARRAY,
+            });
+            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
+            match (&*a, layout) {
+                (_, Layout::Tagged(xs)) => {
+                    for e in xs {
                         encode_value_inner(e, out);
                     }
                 }
+                (ArrayVal::F64(xs), _) => extend_u64_run(out, xs.iter().map(|x| x.to_bits())),
+                (ArrayVal::I64(xs), _) => extend_u64_run(out, xs.iter().map(|x| *x as u64)),
+                (ArrayVal::Boxed(xs), _) => extend_u64_run(
+                    out,
+                    xs.iter().map(|v| match v {
+                        Value::Double(x) => x.to_bits(),
+                        Value::Int(x) => *x as u64,
+                        _ => unreachable!("a run holds only its tag's numbers"),
+                    }),
+                ),
             }
         }
         Value::Object(o) => {
@@ -288,6 +277,17 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// A bulk run's count and words: one bounds check for the whole run,
+    /// then LE conversion straight off the slice.
+    fn run(&mut self) -> Result<impl Iterator<Item = u64> + 'a, CodecError> {
+        let n = self.u64()? as usize;
+        self.check_count(n, 8)?;
+        let run = self.take(n * 8)?;
+        Ok(run
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+    }
+
     fn str(&mut self) -> Result<&'a str, CodecError> {
         let n = self.u32()? as usize;
         let b = self.take(n)?;
@@ -310,33 +310,15 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     v.push(self.value()?);
                 }
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                Ok(Value::array(ArrayVal::Boxed(v)))
             }
             TAG_ARRAY_F64 => {
-                let n = self.u64()? as usize;
-                self.check_count(n, 8)?;
-                // One bounds check for the whole run, then chunked LE
-                // conversion straight off the slice.
-                let run = self.take(n * 8)?;
-                let v: Vec<Value> = run
-                    .chunks_exact(8)
-                    .map(|c| {
-                        Value::Double(f64::from_bits(u64::from_le_bytes(
-                            c.try_into().expect("8-byte chunk"),
-                        )))
-                    })
-                    .collect();
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                let words = self.run()?.map(f64::from_bits);
+                Ok(Value::array(ArrayVal::F64(words.collect())))
             }
             TAG_ARRAY_I64 => {
-                let n = self.u64()? as usize;
-                self.check_count(n, 8)?;
-                let run = self.take(n * 8)?;
-                let v: Vec<Value> = run
-                    .chunks_exact(8)
-                    .map(|c| Value::Int(i64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                    .collect();
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                let words = self.run()?.map(|w| w as i64);
+                Ok(Value::array(ArrayVal::I64(words.collect())))
             }
             TAG_OBJECT => {
                 let class = self.str()?;
@@ -376,11 +358,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode one value.
-pub fn decode_value(buf: &[u8]) -> Result<Value, CodecError> {
-    Reader::new(buf).value()
-}
-
 /// Decode a state map produced by [`encode_state`].
 pub fn decode_state(buf: &[u8]) -> Result<HashMap<String, Value>, CodecError> {
     let mut r = Reader::new(buf);
@@ -399,6 +376,16 @@ pub fn decode_state(buf: &[u8]) -> Result<HashMap<String, Value>, CodecError> {
 mod tests {
     use super::*;
     use cgp_obs::SmallRng;
+
+    /// `v`'s encoding, reserved at its exact size.
+    fn encode_value(v: &Value, out: &mut Vec<u8>) {
+        out.reserve(encoded_len(v));
+        encode_value_inner(v, out);
+    }
+
+    fn decode_value(buf: &[u8]) -> Result<Value, CodecError> {
+        Reader::new(buf).value()
+    }
 
     fn roundtrip(v: Value) -> Value {
         let mut buf = Vec::new();
@@ -425,7 +412,7 @@ mod tests {
         fields.insert("xs".to_string(), arr);
         fields.insert("n".to_string(), Value::Int(7));
         let obj = Value::new_object("Acc", fields);
-        let outer = Value::Array(Rc::new(RefCell::new(vec![obj, Value::Null])));
+        let outer = array(vec![obj, Value::Null]);
         roundtrip(outer);
     }
 
@@ -444,9 +431,7 @@ mod tests {
     fn homogeneous_arrays_use_bulk_tags_and_roundtrip() {
         // f64 run (larger than one conversion chunk, exercising the
         // chunked copy).
-        let xs = Value::Array(Rc::new(RefCell::new(
-            (0..1000).map(|i| Value::Double(i as f64 * 0.5)).collect(),
-        )));
+        let xs = array((0..1000).map(|i| Value::Double(i as f64 * 0.5)).collect());
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY_F64);
@@ -459,17 +444,14 @@ mod tests {
         assert!(decode_value(&buf).unwrap().deep_eq(&xs));
 
         // i64 run.
-        let ys = Value::Array(Rc::new(RefCell::new((-500..500).map(Value::Int).collect())));
+        let ys = array((-500..500).map(Value::Int).collect());
         let mut buf = Vec::new();
         encode_value(&ys, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY_I64);
         assert!(decode_value(&buf).unwrap().deep_eq(&ys));
 
         // Mixed arrays keep the generic element-wise encoding.
-        let mixed = Value::Array(Rc::new(RefCell::new(vec![
-            Value::Int(1),
-            Value::Double(2.0),
-        ])));
+        let mixed = array(vec![Value::Int(1), Value::Double(2.0)]);
         let mut buf = Vec::new();
         encode_value(&mixed, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY);
@@ -479,28 +461,30 @@ mod tests {
 
     #[test]
     fn bulk_run_preserves_exotic_doubles() {
-        let xs = Value::Array(Rc::new(RefCell::new(vec![
-            Value::Double(f64::NAN),
-            Value::Double(f64::INFINITY),
-            Value::Double(-0.0),
-            Value::Double(f64::MIN_POSITIVE),
-        ])));
+        let xs = Value::array(ArrayVal::F64(vec![
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE,
+        ]));
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         let Value::Array(back) = decode_value(&buf).unwrap() else {
             panic!("not an array");
         };
-        let back = back.borrow();
-        assert!(matches!(back[0], Value::Double(x) if x.is_nan()));
-        assert!(matches!(back[1], Value::Double(x) if x == f64::INFINITY));
-        assert!(matches!(back[2], Value::Double(x) if x == 0.0 && x.is_sign_negative()));
+        let ArrayVal::F64(back) = &*back.borrow() else {
+            panic!("not dense");
+        };
+        assert_eq!(back.len(), 4);
+        assert!(back[0].is_nan());
+        assert_eq!(back[1], f64::INFINITY);
+        assert!(back[2] == 0.0 && back[2].is_sign_negative());
+        assert_eq!(back[3], f64::MIN_POSITIVE);
     }
 
     #[test]
     fn truncated_bulk_run_errors() {
-        let xs = Value::Array(Rc::new(RefCell::new(
-            (0..10).map(|i| Value::Double(i as f64)).collect(),
-        )));
+        let xs = Value::array(ArrayVal::F64((0..10).map(|i| i as f64).collect()));
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         buf.truncate(buf.len() - 3);
@@ -560,16 +544,14 @@ mod tests {
         let mut fields = HashMap::new();
         fields.insert(
             "xs".to_string(),
-            Value::Array(Rc::new(RefCell::new(
-                (0..16).map(|i| Value::Double(i as f64)).collect(),
-            ))),
+            Value::array(ArrayVal::F64((0..16).map(|i| i as f64).collect())),
         );
         fields.insert("n".to_string(), Value::Int(7));
-        let v = Value::Array(Rc::new(RefCell::new(vec![
+        let v = array(vec![
             Value::new_object("Acc", fields),
             Value::Domain(1, 9),
             Value::Bool(true),
-        ])));
+        ]);
         let mut buf = Vec::new();
         encode_value(&v, &mut buf);
         assert!(decode_value(&buf).is_ok());
@@ -585,7 +567,7 @@ mod tests {
         let mut st = HashMap::new();
         st.insert(
             "a".to_string(),
-            Value::Array(Rc::new(RefCell::new((0..8).map(Value::Int).collect()))),
+            Value::array(ArrayVal::I64((0..8).collect())),
         );
         let buf = encode_state(&st);
         for i in 0..buf.len() {
@@ -596,7 +578,60 @@ mod tests {
     }
 
     fn array(v: Vec<Value>) -> Value {
-        Value::Array(Rc::new(RefCell::new(v)))
+        Value::array(ArrayVal::Boxed(v))
+    }
+
+    /// A dense array and a boxed one with the same elements travel as the
+    /// same bytes — empty ones included, which stay `TAG_ARRAY` — and the
+    /// bulk tags come back dense.
+    #[test]
+    fn dense_and_boxed_arrays_encode_alike_and_runs_decode_dense() {
+        let doubles = vec![1.5, -0.0, f64::NAN, 1.0e300];
+        let ints = vec![i64::MIN, -1, 0, 7];
+        let cases = [
+            (
+                Value::array(ArrayVal::F64(doubles.clone())),
+                array(doubles.iter().map(|x| Value::Double(*x)).collect()),
+                TAG_ARRAY_F64,
+            ),
+            (
+                Value::array(ArrayVal::I64(ints.clone())),
+                array(ints.iter().map(|x| Value::Int(*x)).collect()),
+                TAG_ARRAY_I64,
+            ),
+            (
+                Value::array(ArrayVal::F64(vec![])),
+                array(vec![]),
+                TAG_ARRAY,
+            ),
+            (
+                Value::array(ArrayVal::I64(vec![])),
+                array(vec![]),
+                TAG_ARRAY,
+            ),
+        ];
+        for (dense, boxed, tag) in cases {
+            assert!(dense.deep_eq(&boxed) && boxed.deep_eq(&dense));
+            let (mut d, mut b) = (Vec::new(), Vec::new());
+            encode_value(&dense, &mut d);
+            encode_value(&boxed, &mut b);
+            assert_eq!(d, b, "{dense}");
+            assert_eq!(d[0], tag);
+            assert_eq!(d.len(), encoded_len(&dense));
+            let state = |v: &Value| encode_state(&HashMap::from([("a".to_string(), v.clone())]));
+            assert_eq!(state(&dense), state(&boxed));
+            let back = decode_value(&d).unwrap();
+            assert!(back.deep_eq(&dense));
+            let Value::Array(back) = back else {
+                panic!("not an array");
+            };
+            let want = match tag {
+                TAG_ARRAY_F64 => "double[]",
+                TAG_ARRAY_I64 => "int[]",
+                _ => "array",
+            };
+            assert_eq!(back.borrow().type_name(), want, "{dense}");
+        }
     }
 
     fn object(shape: &Arc<Shape>, slots: Vec<Option<Value>>) -> Value {
@@ -717,8 +752,9 @@ mod tests {
         assert_eq!(o.get("a").and_then(Value::as_i64), Some(2));
     }
 
-    /// Seeded states over every tag, with objects of a few classes whose
-    /// shapes repeat, list fields in any order, and leave slots absent.
+    /// Seeded states over every tag, with boxed and dense numeric arrays,
+    /// and objects of a few classes whose shapes repeat, list fields in
+    /// any order, and leave slots absent.
     struct StateGen {
         rng: SmallRng,
         shapes: Vec<Arc<Shape>>,
@@ -757,11 +793,20 @@ mod tests {
                     self.rng.gen_range(0, 9) as i64 - 4,
                     self.rng.gen_range(0, 9) as i64 - 4,
                 ),
-                6 => array(
-                    (0..self.rng.gen_range(0, 5))
-                        .map(|i| Value::Double(i as f64 * 0.5))
-                        .collect(),
-                ),
+                6 => {
+                    let n = self.rng.gen_range(0, 5);
+                    match self.rng.gen_range(0, 3) {
+                        0 => array((0..n).map(|i| Value::Double(i as f64 * 0.5)).collect()),
+                        1 => Value::array(ArrayVal::F64(
+                            (0..n)
+                                .map(|_| f64::from_bits(self.rng.next_u64()))
+                                .collect(),
+                        )),
+                        _ => Value::array(ArrayVal::I64(
+                            (0..n).map(|_| self.rng.next_u64() as i64).collect(),
+                        )),
+                    }
+                }
                 7 => array(
                     (0..self.rng.gen_range(0, 4))
                         .map(|_| self.value(depth - 1))

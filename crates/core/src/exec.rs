@@ -659,7 +659,7 @@ mod tests {
     use cgp_compiler::{compile, CompileOptions, Decomposition};
     use cgp_datacutter::width::provisioned_width;
     use cgp_lang::interp::Interp;
-    use cgp_lang::Value;
+    use cgp_lang::{ArrayVal, Value};
 
     const SRC: &str = r#"
         extern int n;
@@ -688,11 +688,9 @@ mod tests {
     "#;
 
     fn host() -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..200)
-                .map(|i| Value::Double((i * 13 % 101) as f64))
-                .collect(),
-        )));
+        let data = Value::array(ArrayVal::F64(
+            (0..200).map(|i| (i * 13 % 101) as f64).collect(),
+        ));
         HostEnv::new()
             .bind("n", Value::Int(200))
             .bind("num_packets", Value::Int(10))

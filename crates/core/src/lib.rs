@@ -61,7 +61,7 @@ pub mod lang {
     /// `interp` is the tree-walking interpreter: the sequential oracle
     /// that runs whole programs. The runtime never uses it.
     pub use cgp_lang::interp::{self, split_domain, HostEnv};
-    pub use cgp_lang::{frontend, parse, Diagnostic, Program, TypedProgram, Value};
+    pub use cgp_lang::{frontend, parse, ArrayVal, Diagnostic, Program, TypedProgram, Value};
 }
 pub use cgp_apps as apps;
 pub use cgp_datacutter as datacutter;

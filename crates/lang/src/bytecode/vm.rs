@@ -23,7 +23,7 @@ use super::*;
 use crate::error::{interp_err, Diagnostic, LangResult};
 use crate::interp::HostEnv;
 use crate::span::Span;
-use crate::value::{ObjectVal, Value};
+use crate::value::{ArrayVal, ObjectVal, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -508,13 +508,10 @@ impl<'p> Vm<'p> {
                 } => {
                     let k = ir[idx as usize];
                     let out = match base {
-                        Base::Reg(b) => match &v[b as usize] {
-                            Value::Array(arr) => {
-                                arr.borrow().get(k as usize).and_then(|x| Out::of(repr, x))
-                            }
-                            _ => None,
-                        },
-                        Base::This(_) => None,
+                        Base::Reg(b) => elem_of(&v[b as usize], k, repr),
+                        Base::This(name) => {
+                            this_field(code, pc, this, name, |x| elem_of(x, k, repr))
+                        }
                     };
                     match out {
                         Some(out) => out.store(v, f, ir, dst),
@@ -529,28 +526,16 @@ impl<'p> Vm<'p> {
                     repr,
                 } => {
                     let k = ir[idx as usize];
-                    let done = match (base, repr) {
-                        (Base::Reg(b), Repr::F | Repr::I) => match &v[b as usize] {
-                            Value::Array(arr) => {
-                                match (repr, arr.borrow_mut().get_mut(k as usize)) {
-                                    (Repr::F, Some(old @ Value::Double(_))) => {
-                                        let Value::Double(o) = *old else {
-                                            unreachable!()
-                                        };
-                                        *old = Value::Double(combine_f(mode, o, f[src as usize]));
-                                        true
-                                    }
-                                    (Repr::I, Some(old @ Value::Int(_))) => {
-                                        let Value::Int(o) = *old else { unreachable!() };
-                                        *old = Value::Int(combine_i(mode, o, ir[src as usize]));
-                                        true
-                                    }
-                                    _ => false,
-                                }
-                            }
-                            _ => false,
-                        },
+                    let (x, n) = (f[src as usize], ir[src as usize]);
+                    let store = |b: &Value| match b {
+                        Value::Array(arr) => store_num(&mut arr.borrow_mut(), k, mode, repr, x, n),
                         _ => false,
+                    };
+                    let done = match base {
+                        Base::Reg(b) => store(&v[b as usize]),
+                        Base::This(name) => {
+                            this_field(code, pc, this, name, |b| store(b).then_some(())).is_some()
+                        }
                     };
                     if !done {
                         self.store_elem(code, pc, (v, f, ir), this, base, k, src, mode, repr)?;
@@ -640,15 +625,18 @@ impl<'p> Vm<'p> {
                 } => {
                     let k = ir[idx as usize];
                     let out = match &v[arr as usize] {
-                        Value::Array(a) => match a.borrow().get(k as usize) {
-                            Some(Value::Object(obj)) => {
-                                let o = obj.borrow();
-                                let shape = o.shape();
-                                code.caches
-                                    .resolve(pc, shape, || shape.slot_of(code.name(name)))
-                                    .and_then(|i| o.slot(i))
-                                    .and_then(|x| Out::of(repr, x))
-                            }
+                        Value::Array(a) => match &*a.borrow() {
+                            ArrayVal::Boxed(a) => match a.get(k as usize) {
+                                Some(Value::Object(obj)) => {
+                                    let o = obj.borrow();
+                                    let shape = o.shape();
+                                    code.caches
+                                        .resolve(pc, shape, || shape.slot_of(code.name(name)))
+                                        .and_then(|i| o.slot(i))
+                                        .and_then(|x| Out::of(repr, x))
+                                }
+                                _ => None,
+                            },
                             _ => None,
                         },
                         _ => None,
@@ -661,17 +649,11 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Op::Intrinsic { dst, base, fast } => {
-                    let n = match (base, fast) {
-                        (Base::Reg(b), _) => match (&v[b as usize], fast) {
-                            (Value::Domain(lo, _), FastMeth::DomLo) => Some(*lo),
-                            (Value::Domain(_, hi), FastMeth::DomHi) => Some(*hi),
-                            (Value::Domain(lo, hi), FastMeth::DomSize) => {
-                                Some((hi - lo + 1).max(0))
-                            }
-                            (Value::Array(a), FastMeth::ArrLen) => Some(a.borrow().len() as i64),
-                            _ => None,
-                        },
-                        (Base::This(_), _) => None,
+                    let n = match base {
+                        Base::Reg(b) => fast_intrinsic(&v[b as usize], fast),
+                        Base::This(name) => {
+                            this_field(code, pc, this, name, |x| fast_intrinsic(x, fast))
+                        }
                     };
                     ir[dst as usize] = match n {
                         Some(n) => n,
@@ -986,8 +968,8 @@ impl<'p> Vm<'p> {
         Ok(VmFlow::Done)
     }
 
-    /// `LoadElem` off its fast path: a `this` field base, a boxed element,
-    /// or a diagnostic.
+    /// `LoadElem` off its fast path: a `this` field that falls back to a
+    /// global, an element whose tag disagrees, or a diagnostic.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -1007,17 +989,17 @@ impl<'p> Vm<'p> {
             let Value::Array(arr) = b else {
                 return Err(interp_err(span, "indexing non-array"));
             };
-            let arr = arr.borrow();
-            let x = element(&arr, k, span)?;
-            Out::of(repr, x)
-                .ok_or_else(|| mismatch(span, format_args!("array element {k}"), repr, x))
+            let x = element(&arr.borrow(), k, span)?;
+            Out::of(repr, &x)
+                .ok_or_else(|| mismatch(span, format_args!("array element {k}"), repr, &x))
         })??;
         out.store(v, f, ir, dst);
         Ok(())
     }
 
-    /// `StoreElem` off its fast path: a `this` field base, a boxed or
-    /// differently tagged element, or a diagnostic.
+    /// `StoreElem` off its fast path: the interpreter's widen-and-combine
+    /// on boxed values (a generic source, a boxed element of another tag,
+    /// a `this` field that falls back to a global), or a diagnostic.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -1040,16 +1022,10 @@ impl<'p> Vm<'p> {
                 return Err(interp_err(span, "index assignment on non-array"));
             };
             let mut arr = arr.borrow_mut();
-            let len = arr.len();
-            if k < 0 || k as usize >= len {
-                return Err(interp_err(
-                    span,
-                    format!("array index {k} out of bounds (len {len})"),
-                ));
-            }
-            let old = &mut arr[k as usize];
-            *old = combine(mode, old, widen(old, rhs), span)?;
-            Ok(())
+            let old = element(&arr, k, span)?;
+            let nv = combine(mode, &old, widen(&old, rhs), span)?;
+            arr.set(k as usize, nv)
+                .map_err(|what| interp_err(span, what))
         })?
     }
 
@@ -1086,9 +1062,18 @@ impl<'p> Vm<'p> {
                 Out::of(repr, x)
                     .ok_or_else(|| mismatch(span, format_args!("field `{fname}`"), repr, x))?
             }
-            Base::This(_) => self.with_name(code, pc, fname, false, span, this, |x| {
-                Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{fname}`"), repr, x))
-            })??,
+            Base::This(_) => self.with_name(
+                code,
+                pc,
+                fname,
+                false,
+                || span,
+                this,
+                |x| {
+                    Out::of(repr, x)
+                        .ok_or_else(|| mismatch(span, format_args!("`{fname}`"), repr, x))
+                },
+            )??,
         };
         out.store(v, f, ir, dst);
         Ok(())
@@ -1155,8 +1140,7 @@ impl<'p> Vm<'p> {
         let Value::Array(a) = &v[arr as usize] else {
             return Err(interp_err(at, "indexing non-array"));
         };
-        let a = a.borrow();
-        let Value::Object(obj) = element(&a, k, at)? else {
+        let Value::Object(obj) = element(&a.borrow(), k, at)? else {
             return Err(interp_err(span, "field access on non-object"));
         };
         let o = obj.borrow();
@@ -1170,7 +1154,6 @@ impl<'p> Vm<'p> {
         let out = Out::of(repr, x)
             .ok_or_else(|| mismatch(span, format_args!("field `{fname}`"), repr, x))?;
         drop(o);
-        drop(a);
         out.store(v, f, ir, dst);
         Ok(())
     }
@@ -1193,9 +1176,15 @@ impl<'p> Vm<'p> {
         let name = code.name(code.slot_names[s]);
         let skip_this = code.slot_kinds[s] == SlotKind::Global;
         let span = code.spans[pc];
-        let out = self.with_name(code, pc, name, skip_this, span, this, |x| {
-            Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{name}`"), repr, x))
-        })??;
+        let out = self.with_name(
+            code,
+            pc,
+            name,
+            skip_this,
+            || span,
+            this,
+            |x| Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{name}`"), repr, x)),
+        )??;
         out.store(v, f, ir, dst);
         Ok(())
     }
@@ -1287,7 +1276,7 @@ impl<'p> Vm<'p> {
     /// The value of a bare name outside the frame's slots: a field of
     /// `this` (through op `pc`'s shape cache) unless `skip_this`, then a
     /// global, else the interpreter's unknown-variable diagnostic at
-    /// `span`. `look` sees the value in place.
+    /// `span()`. `look` sees the value in place.
     #[allow(clippy::too_many_arguments)]
     fn with_name<R>(
         &self,
@@ -1295,7 +1284,7 @@ impl<'p> Vm<'p> {
         pc: usize,
         name: &str,
         skip_this: bool,
-        span: Span,
+        span: impl FnOnce() -> Span,
         this: Option<&Rc<RefCell<ObjectVal>>>,
         look: impl FnOnce(&Value) -> R,
     ) -> LangResult<R> {
@@ -1312,7 +1301,7 @@ impl<'p> Vm<'p> {
         if let Some(x) = self.globals.get(name) {
             return Ok(look(x));
         }
-        Err(interp_err(span, format!("unknown variable `{name}`")))
+        Err(interp_err(span(), format!("unknown variable `{name}`")))
     }
 
     /// An array or domain operand in place: a register, or a field of
@@ -1334,7 +1323,7 @@ impl<'p> Vm<'p> {
                 pc,
                 code.name(name),
                 false,
-                code.name_span(pc),
+                || code.name_span(pc),
                 this,
                 look,
             ),
@@ -1426,39 +1415,113 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Element `k` of an array, or the interpreter's bounds diagnostic.
+/// The value in field `name` of `this`, through op `pc`'s shape cache,
+/// seen by `look`; `None` when there is no `this` or the field is absent.
 #[inline]
-fn element(arr: &[Value], k: i64, span: Span) -> LangResult<&Value> {
-    if k < 0 || k as usize >= arr.len() {
-        return Err(interp_err(
-            span,
-            format!("array index {k} out of bounds (len {})", arr.len()),
-        ));
-    }
-    Ok(&arr[k as usize])
+fn this_field<R>(
+    code: &CodeBlock,
+    pc: usize,
+    this: Option<&Rc<RefCell<ObjectVal>>>,
+    name: u16,
+    look: impl FnOnce(&Value) -> Option<R>,
+) -> Option<R> {
+    let t = this?.borrow();
+    let shape = t.shape();
+    let i = code
+        .caches
+        .resolve(pc, shape, || shape.slot_of(code.name(name)))?;
+    look(t.slot(i)?)
 }
 
-/// `lo()`/`hi()`/`size()`/`length()` of a value, with the interpreter's
-/// diagnostics for a receiver of the wrong kind.
-fn intrinsic(x: &Value, fast: FastMeth, span: Span) -> LangResult<i64> {
-    match (x, fast) {
-        (Value::Domain(lo, _), FastMeth::DomLo) => Ok(*lo),
-        (Value::Domain(_, hi), FastMeth::DomHi) => Ok(*hi),
-        (Value::Domain(lo, hi), FastMeth::DomSize) => Ok((hi - lo + 1).max(0)),
-        (Value::Array(a), FastMeth::ArrLen) => Ok(a.borrow().len() as i64),
-        (Value::Domain(..), m) => Err(interp_err(
-            span,
-            format!("RectDomain has no method `{}`", m.name()),
-        )),
-        (Value::Array(_), m) => Err(interp_err(
-            span,
-            format!("arrays have no method `{}`", m.name()),
-        )),
-        (other, m) => Err(interp_err(
-            span,
-            format!("cannot call `{}` on value `{other}`", m.name()),
-        )),
+/// Element `k` of array `x` as `repr` wants it, when in range and its tag
+/// agrees; a dense array's elements agree with their own repr.
+#[inline]
+fn elem_of(x: &Value, k: i64, repr: Repr) -> Option<Out> {
+    let Value::Array(a) = x else {
+        return None;
+    };
+    let k = k as usize;
+    match (&*a.borrow(), repr) {
+        (ArrayVal::F64(a), Repr::F) => a.get(k).map(|x| Out::F(*x)),
+        (ArrayVal::I64(a), Repr::I) => a.get(k).map(|x| Out::I(*x)),
+        (ArrayVal::Boxed(a), _) => a.get(k).and_then(|x| Out::of(repr, x)),
+        (a, Repr::V) => a.get(k).map(Out::V),
+        _ => None,
     }
+}
+
+/// `a[k] op= x` (a `double` source) or `op= n` (an `int`) in place, when
+/// `k` is in range and the storage holds the result: dense storage of the
+/// source's kind, a `double[]` for an `int` (widened), or a boxed element
+/// of the source's tag. `false` leaves the store to the cold path.
+#[inline]
+fn store_num(a: &mut ArrayVal, k: i64, mode: AssignOp, repr: Repr, x: f64, n: i64) -> bool {
+    let k = k as usize;
+    match (a, repr) {
+        (ArrayVal::F64(a), Repr::F | Repr::I) => {
+            let Some(o) = a.get_mut(k) else { return false };
+            let b = if matches!(repr, Repr::F) { x } else { n as f64 };
+            *o = combine_f(mode, *o, b);
+        }
+        (ArrayVal::I64(a), Repr::I) => {
+            let Some(o) = a.get_mut(k) else { return false };
+            *o = combine_i(mode, *o, n);
+        }
+        (ArrayVal::Boxed(a), Repr::F) => {
+            let Some(Value::Double(o)) = a.get_mut(k) else {
+                return false;
+            };
+            *o = combine_f(mode, *o, x);
+        }
+        (ArrayVal::Boxed(a), Repr::I) => {
+            let Some(Value::Int(o)) = a.get_mut(k) else {
+                return false;
+            };
+            *o = combine_i(mode, *o, n);
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Element `k` of an array, boxed, or the interpreter's bounds diagnostic.
+#[inline]
+fn element(arr: &ArrayVal, k: i64, span: Span) -> LangResult<Value> {
+    usize::try_from(k)
+        .ok()
+        .and_then(|i| arr.get(i))
+        .ok_or_else(|| {
+            interp_err(
+                span,
+                format!("array index {k} out of bounds (len {})", arr.len()),
+            )
+        })
+}
+
+/// `lo()`/`hi()`/`size()`/`length()` of a value of the right kind.
+#[inline]
+fn fast_intrinsic(x: &Value, fast: FastMeth) -> Option<i64> {
+    match (x, fast) {
+        (Value::Domain(lo, _), FastMeth::DomLo) => Some(*lo),
+        (Value::Domain(_, hi), FastMeth::DomHi) => Some(*hi),
+        (Value::Domain(lo, hi), FastMeth::DomSize) => Some((hi - lo + 1).max(0)),
+        (Value::Array(a), FastMeth::ArrLen) => Some(a.borrow().len() as i64),
+        _ => None,
+    }
+}
+
+/// [`fast_intrinsic`], with the interpreter's diagnostics for a receiver
+/// of the wrong kind.
+fn intrinsic(x: &Value, fast: FastMeth, span: Span) -> LangResult<i64> {
+    fast_intrinsic(x, fast).ok_or_else(|| {
+        let m = fast.name();
+        let what = match x {
+            Value::Domain(..) => format!("RectDomain has no method `{m}`"),
+            Value::Array(_) => format!("arrays have no method `{m}`"),
+            other => format!("cannot call `{m}` on value `{other}`"),
+        };
+        interp_err(span, what)
+    })
 }
 
 /// Packet `p` of `split_domain(lo, lo + total - 1, nc)`, computed
@@ -1823,13 +1886,7 @@ mod tests {
                 print(xs[0]);
                 print(xs[2]);
             } }"#;
-        let fresh = || {
-            let arr = Value::new_array(3, Value::Double(0.0));
-            if let Value::Array(a) = &arr {
-                a.borrow_mut()[1] = Value::Double(1.0);
-            }
-            arr
-        };
+        let fresh = || Value::array(ArrayVal::F64(vec![0.0, 1.0, 0.0]));
         let tp = frontend(src).unwrap();
         let (class, method) = tp.program.main().unwrap();
 
@@ -2059,6 +2116,27 @@ mod tests {
         let mut vm = Vm::new(&prog, HostEnv::new().bind("q", Value::Int(3)));
         let err = vm.exec_slice(&slice, &mut HashMap::new()).unwrap_err();
         assert!(err.message.contains("`q` holds `3`"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_store_dense_storage_cannot_hold_is_named_on_both_engines() {
+        // A slice does not check its host: `xs` is declared `double[]`
+        // but bound to a dense `int[]`, so `1.5` has nowhere to go.
+        let host = HostEnv::new().bind("xs", Value::array(ArrayVal::I64(vec![0, 0])));
+        let d = err_both(
+            "extern double[] xs; class A { void main() { xs[1] = 1.5; } }",
+            host.clone(),
+        );
+        assert_eq!(d.message, "`int[]` element 1 cannot hold `1.5`");
+        // An int into a dense `double[]` widens on both engines (the two
+        // runs share `xs`, so the stores are idempotent).
+        let xs = Value::array(ArrayVal::F64(vec![0.5, 0.5]));
+        let (_, out) = run_both(
+            "extern double[] xs; class A { void main() { xs[1] = 2; xs[0] = 3; print(xs[0] / xs[1]); } }",
+            HostEnv::new().bind("xs", xs.clone()),
+        );
+        assert_eq!(out, ["1.5"]);
+        assert!(xs.deep_eq(&Value::array(ArrayVal::F64(vec![3.0, 2.0]))));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::ast::*;
 use crate::error::{interp_err, LangResult};
 use crate::span::Span;
 use crate::types::TypedProgram;
-use crate::value::{ObjectVal, Shape, Value};
+use crate::value::{ArrayVal, ObjectVal, Shape, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -38,10 +38,11 @@ impl HostEnv {
 }
 
 /// Check every extern `values` binds against its declared type in `tp`:
-/// scalars by tag, arrays element by element, objects by class and
-/// present field (one level deep). A run calls this once, where it binds
-/// the host, so typed code never meets a value whose tag disagrees with
-/// its declaration; the error names the extern.
+/// scalars by tag, dense arrays by their storage, boxed arrays element by
+/// element, objects by class and present field (one level deep). A run
+/// calls this once, where it binds the host, so typed code never meets a
+/// value whose tag disagrees with its declaration; the error names the
+/// extern.
 pub fn check_host(tp: &TypedProgram, values: &HashMap<String, Value>) -> LangResult<()> {
     for e in &tp.program.externs {
         if let Some(v) = values.get(&e.name) {
@@ -68,6 +69,14 @@ fn conforms(tp: &TypedProgram, ty: &Type, v: &Value, deep: bool) -> Result<(), S
         | (Type::Array(_) | Type::Class(_), Value::Null) => true,
         (Type::Array(elem), Value::Array(a)) => {
             let a = a.borrow();
+            let a = match (&**elem, &*a) {
+                // Dense storage proves its element tag.
+                (Type::Double, ArrayVal::F64(_)) | (Type::Int, ArrayVal::I64(_)) => return Ok(()),
+                (_, ArrayVal::F64(_) | ArrayVal::I64(_)) => {
+                    return Err(format!("holds a dense `{}`", a.type_name()))
+                }
+                (_, ArrayVal::Boxed(a)) => a,
+            };
             let bad = match &**elem {
                 // The common host arrays, in one pass each.
                 Type::Double => a.iter().position(|x| !matches!(x, Value::Double(_))),
@@ -631,14 +640,14 @@ impl<'p> Interp<'p> {
                         format!("array index {i} out of bounds (len {len})"),
                     ));
                 }
-                let old = arr.borrow()[i as usize].clone();
+                let old = arr.borrow().get(i as usize).expect("index checked above");
                 let widened = match (&old, &rhs) {
                     (Value::Double(_), Value::Int(v)) => Value::Double(*v as f64),
                     _ => rhs,
                 };
                 let nv = combine(&old, widened)?;
-                arr.borrow_mut()[i as usize] = nv;
-                Ok(())
+                let stored = arr.borrow_mut().set(i as usize, nv);
+                stored.map_err(|what| interp_err(span, what))
             }
         }
     }
@@ -706,7 +715,7 @@ impl<'p> Interp<'p> {
                                 format!("array index {i} out of bounds (len {})", arr.len()),
                             ))
                         } else {
-                            Ok(arr[i as usize].clone())
+                            Ok(arr.get(i as usize).expect("index checked above"))
                         }
                     }
                     _ => Err(interp_err(e.span, "indexing non-array")),
@@ -1081,12 +1090,10 @@ mod tests {
                 print(xs[0]);
             } }
         "#;
-        let arr = Value::new_array(2, Value::Double(0.0));
-        if let Value::Array(a) = &arr {
-            a.borrow_mut()[1] = Value::Double(1.0);
-        }
-        let (_, out) = run(src, HostEnv::new().bind("xs", arr));
+        let arr = Value::array(ArrayVal::F64(vec![0.0, 1.0]));
+        let (_, out) = run(src, HostEnv::new().bind("xs", arr.clone()));
         assert_eq!(out, vec!["3.5"]);
+        assert!(arr.deep_eq(&Value::array(ArrayVal::F64(vec![3.5, 1.0]))));
     }
 
     #[test]
@@ -1228,7 +1235,7 @@ mod tests {
         };
         let ps = |elems: Vec<Value>| {
             let mut host = HashMap::new();
-            host.insert("ps".to_string(), Value::Array(Rc::new(RefCell::new(elems))));
+            host.insert("ps".to_string(), Value::array(ArrayVal::Boxed(elems)));
             check_host(&tp, &host).map_err(|e| e.message)
         };
         let good = p(Value::Int(1), Value::Double(2.0));

@@ -53,7 +53,7 @@ pub use error::Diagnostic;
 pub use interp::{split_domain, HostEnv, Interp};
 pub use parser::parse;
 pub use types::{check, TypedProgram};
-pub use value::Value;
+pub use value::{ArrayVal, Value};
 
 /// Parse and type-check in one step.
 pub fn frontend(src: &str) -> Result<TypedProgram, Diagnostic> {

@@ -18,9 +18,101 @@ pub enum Value {
     /// Inclusive 1-D rectdomain `[lo, hi]`. `lo > hi` encodes an empty
     /// domain.
     Domain(i64, i64),
-    Array(Rc<RefCell<Vec<Value>>>),
+    Array(Rc<RefCell<ArrayVal>>),
     Object(Rc<RefCell<ObjectVal>>),
     Null,
+}
+
+/// An array's elements, stored by kind: `double[]` and `int[]` dense,
+/// everything else (objects, booleans, nested arrays, and arrays whose
+/// slots may be `Null`) boxed. The elements are the semantics: reads box
+/// an element, writes unbox it, and [`Value::deep_eq`] and `Display` see
+/// two arrays with equal elements as equal whatever their storage. An
+/// array's storage never changes kind.
+#[derive(Debug, Clone)]
+pub enum ArrayVal {
+    F64(Vec<f64>),
+    I64(Vec<i64>),
+    Boxed(Vec<Value>),
+}
+
+impl ArrayVal {
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            ArrayVal::F64(a) => a.len(),
+            ArrayVal::I64(a) => a.len(),
+            ArrayVal::Boxed(a) => a.len(),
+        }
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element `i`, boxed.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Value> {
+        match self {
+            ArrayVal::F64(a) => a.get(i).map(|x| Value::Double(*x)),
+            ArrayVal::I64(a) => a.get(i).map(|x| Value::Int(*x)),
+            ArrayVal::Boxed(a) => a.get(i).cloned(),
+        }
+    }
+
+    /// Store `v` as element `i` (in range), unboxed into dense storage
+    /// with the interpreter's widening: an `int` stored into a `double[]`
+    /// becomes a `double`. `Err` says what dense storage cannot hold.
+    #[inline]
+    pub fn set(&mut self, i: usize, v: Value) -> Result<(), String> {
+        match (self, v) {
+            (ArrayVal::F64(a), Value::Double(x)) => a[i] = x,
+            (ArrayVal::F64(a), Value::Int(x)) => a[i] = x as f64,
+            (ArrayVal::I64(a), Value::Int(x)) => a[i] = x,
+            (ArrayVal::Boxed(a), v) => a[i] = v,
+            (dense, v) => return Err(dense.cannot_hold(i, &v)),
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn cannot_hold(&self, i: usize, v: &Value) -> String {
+        format!("`{}` element {i} cannot hold `{v}`", self.type_name())
+    }
+
+    /// The elements in order, boxed.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("in range"))
+    }
+
+    /// `double[]`, `int[]`, or `array` for boxed storage.
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            ArrayVal::F64(_) => "double[]",
+            ArrayVal::I64(_) => "int[]",
+            ArrayVal::Boxed(_) => "array",
+        }
+    }
+
+    fn deep_eq(&self, other: &ArrayVal) -> bool {
+        match (self, other) {
+            (ArrayVal::F64(a), ArrayVal::F64(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_f64(*x, *y))
+            }
+            (ArrayVal::I64(a), ArrayVal::I64(b)) => a == b,
+            _ => {
+                self.len() == other.len()
+                    && self.iter().zip(other.iter()).all(|(x, y)| x.deep_eq(&y))
+            }
+        }
+    }
+}
+
+/// `deep_eq` on doubles: bitwise, except that any NaN equals any NaN.
+fn same_f64(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 /// Source of [`Shape`] ids: process-wide, starting at 1, never reused.
@@ -145,8 +237,20 @@ impl ObjectVal {
 }
 
 impl Value {
+    /// An array of `len` copies of `fill`, dense when `fill` is a
+    /// `double` or an `int` (the defaults of `new double[n]` and
+    /// `new int[n]`).
     pub fn new_array(len: usize, fill: Value) -> Value {
-        Value::Array(Rc::new(RefCell::new(vec![fill; len])))
+        Value::array(match fill {
+            Value::Double(x) => ArrayVal::F64(vec![x; len]),
+            Value::Int(x) => ArrayVal::I64(vec![x; len]),
+            fill => ArrayVal::Boxed(vec![fill; len]),
+        })
+    }
+
+    /// A new array holding `elems`.
+    pub fn array(elems: ArrayVal) -> Value {
+        Value::Array(Rc::new(RefCell::new(elems)))
     }
 
     /// An object of a fresh shape holding `fields` (names in sorted
@@ -202,16 +306,11 @@ impl Value {
     pub fn deep_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Double(a), Value::Double(b)) => {
-                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-            }
+            (Value::Double(a), Value::Double(b)) => same_f64(*a, *b),
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Void, Value::Void) | (Value::Null, Value::Null) => true,
             (Value::Domain(a1, a2), Value::Domain(b1, b2)) => a1 == b1 && a2 == b2,
-            (Value::Array(a), Value::Array(b)) => {
-                let (a, b) = (a.borrow(), b.borrow());
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.deep_eq(y))
-            }
+            (Value::Array(a), Value::Array(b)) => a.borrow().deep_eq(&b.borrow()),
             (Value::Object(a), Value::Object(b)) => {
                 let (a, b) = (a.borrow(), b.borrow());
                 a.class() == b.class()
@@ -234,13 +333,14 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "null"),
             Value::Domain(lo, hi) => write!(f, "[{lo} : {hi}]"),
             Value::Array(a) => {
+                let a = a.borrow();
                 write!(f, "[")?;
-                for (i, v) in a.borrow().iter().enumerate() {
+                for (i, v) in a.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
                     if i >= 8 {
-                        write!(f, "... ({} elems)", a.borrow().len())?;
+                        write!(f, "... ({} elems)", a.len())?;
                         break;
                     }
                     write!(f, "{v}")?;
@@ -286,11 +386,69 @@ mod tests {
         let a = Value::new_array(3, Value::Int(0));
         let b = a.clone();
         if let Value::Array(arr) = &a {
-            arr.borrow_mut()[0] = Value::Int(7);
+            arr.borrow_mut().set(0, Value::Int(7)).unwrap();
         }
         if let Value::Array(arr) = &b {
-            assert_eq!(arr.borrow()[0].as_i64(), Some(7));
+            assert_eq!(arr.borrow().get(0).and_then(|v| v.as_i64()), Some(7));
         }
+    }
+
+    #[test]
+    fn new_arrays_of_doubles_and_ints_are_dense() {
+        let storage = |v: &Value| match v {
+            Value::Array(a) => a.borrow().type_name(),
+            _ => unreachable!(),
+        };
+        assert_eq!(
+            storage(&Value::new_array(2, Value::Double(0.0))),
+            "double[]"
+        );
+        assert_eq!(storage(&Value::new_array(2, Value::Int(0))), "int[]");
+        assert_eq!(storage(&Value::new_array(2, Value::Bool(false))), "array");
+        assert_eq!(storage(&Value::new_array(2, Value::Null)), "array");
+    }
+
+    #[test]
+    fn dense_stores_widen_ints_and_name_what_they_cannot_hold() {
+        let mut d = ArrayVal::F64(vec![0.5; 2]);
+        d.set(1, Value::Int(3)).unwrap();
+        assert!(d.get(1).unwrap().deep_eq(&Value::Double(3.0)), "int widens");
+        assert_eq!(
+            d.set(0, Value::Bool(true)),
+            Err("`double[]` element 0 cannot hold `true`".into())
+        );
+        let mut n = ArrayVal::I64(vec![0; 2]);
+        assert_eq!(
+            n.set(1, Value::Double(1.5)),
+            Err("`int[]` element 1 cannot hold `1.5`".into())
+        );
+        let mut b = ArrayVal::Boxed(vec![Value::Null; 2]);
+        b.set(0, Value::Bool(true)).unwrap();
+        assert!(b.get(0).unwrap().deep_eq(&Value::Bool(true)));
+        assert_eq!(b.get(2).map(|_| ()), None, "out of range reads nothing");
+    }
+
+    #[test]
+    fn dense_and_boxed_arrays_with_equal_elements_are_equal_and_print_alike() {
+        let dense = Value::array(ArrayVal::F64(vec![1.5, f64::NAN, -0.0]));
+        let boxed = Value::array(ArrayVal::Boxed(vec![
+            Value::Double(1.5),
+            Value::Double(-f64::NAN),
+            Value::Double(-0.0),
+        ]));
+        assert!(dense.deep_eq(&boxed) && boxed.deep_eq(&dense));
+        assert_eq!(dense.to_string(), boxed.to_string());
+        let ints = Value::array(ArrayVal::I64((0..12).collect()));
+        let boxed_ints = Value::array(ArrayVal::Boxed((0..12).map(Value::Int).collect()));
+        assert!(ints.deep_eq(&boxed_ints));
+        assert_eq!(ints.to_string(), boxed_ints.to_string());
+        assert_eq!(ints.to_string(), "[0, 1, 2, 3, 4, 5, 6, 7, ... (12 elems)]");
+        // Elements, not storage: an int and a double never compare equal.
+        let widened = Value::array(ArrayVal::F64(vec![1.0]));
+        assert!(!widened.deep_eq(&Value::array(ArrayVal::I64(vec![1]))));
+        let zero = Value::array(ArrayVal::F64(vec![0.0]));
+        assert!(!zero.deep_eq(&Value::array(ArrayVal::F64(vec![-0.0]))));
+        assert!(Value::array(ArrayVal::F64(vec![])).deep_eq(&Value::array(ArrayVal::Boxed(vec![]))));
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! fields live in different slot orders (host-built vs `new`), and (in
 //! [`ProgramGen::typed_program`]) `double[]`/`int[]` locals, integers
 //! near ±2^53 and `i64::MIN`, division by `-1`, `-0.0` and NaN, and
-//! methods whose `double` parameters and results meet ints. Failures
-//! reproduce deterministically from the seed.
+//! methods whose `double` parameters and results meet ints, and (in
+//! [`ProgramGen::dense_program`]) dense host arrays, arrays in fields of
+//! `this` and arrays reached through aliases. Failures reproduce
+//! deterministically from the seed.
 
 use cgp_lang::value::{ObjectVal, Shape};
-use cgp_lang::{HostEnv, Value};
+use cgp_lang::{ArrayVal, HostEnv, Value};
 use cgp_obs::SmallRng;
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -40,6 +42,11 @@ pub struct ProgramGen {
     /// Typed-array locals, edge values and typed calls in scope
     /// ([`ProgramGen::typed_program`]).
     typed: bool,
+    /// The `double[]` and `int[]` expressions typed statements index.
+    darrays: Vec<&'static str>,
+    iarrays: Vec<&'static str>,
+    /// Whether `main`'s `Buf b` is in scope ([`ProgramGen::dense_program`]).
+    with_buf: bool,
 }
 
 impl ProgramGen {
@@ -52,7 +59,24 @@ impl ProgramGen {
             with_acc: false,
             objects: Vec::new(),
             typed: false,
+            darrays: vec!["da"],
+            iarrays: vec!["ia"],
+            with_buf: false,
         }
+    }
+
+    /// One of the `double[]` (or `int[]`) expressions in scope, drawing
+    /// only when there is a choice.
+    fn array(&mut self, doubles: bool) -> &'static str {
+        let names = if doubles {
+            &self.darrays
+        } else {
+            &self.iarrays
+        };
+        if names.len() == 1 {
+            return names[0];
+        }
+        names[self.rng.gen_range(0, names.len())]
     }
 
     fn fresh(&mut self, prefix: &str) -> String {
@@ -106,7 +130,10 @@ impl ProgramGen {
                 1 => "(0 - 9223372036854775807 - 1)".to_string(),
                 2 => format!("({} / (0 - 1))", self.int_expr(depth.saturating_sub(1))),
                 3 => format!("({} % (0 - 1))", self.int_expr(depth.saturating_sub(1))),
-                4 => format!("ia[{}]", self.index()),
+                4 => {
+                    let a = self.array(false);
+                    format!("{a}[{}]", self.index())
+                }
                 5 => format!(
                     "pick({}, {})",
                     self.int_expr(depth.saturating_sub(1)),
@@ -173,7 +200,10 @@ impl ProgramGen {
             return match self.rng.gen_range(0, 7) {
                 0 => "-0.0".to_string(),
                 1 => "(0.0 / 0.0)".to_string(),
-                2 => format!("da[{}]", self.index()),
+                2 => {
+                    let a = self.array(true);
+                    format!("{a}[{}]", self.index())
+                }
                 // Double parameters called with ints, double results
                 // returned from ints.
                 3 => format!("half({})", self.int_expr(depth.saturating_sub(1))),
@@ -291,6 +321,11 @@ impl ProgramGen {
     /// An index into the typed-array locals: usually in range, sometimes
     /// not (the bounds diagnostic must match too).
     fn index(&mut self) -> String {
+        // In a `Buf` method, the in-range parameter `k` indexes the
+        // fields by bare name, which the VM reads through `this`.
+        if self.scope.iter().any(|(n, _)| n == "k") && self.rng.gen_bool(0.4) {
+            return "k".to_string();
+        }
         if self.rng.gen_bool(0.9) {
             format!("(abs({}) % 4)", self.int_expr(0))
         } else {
@@ -299,6 +334,16 @@ impl ProgramGen {
     }
 
     fn stmt(&mut self, out: &mut String, inner_budget: usize) {
+        if self.with_buf && self.rng.gen_bool(0.15) {
+            let k = self.index();
+            let _ = if self.rng.gen_bool(0.5) {
+                let (x, m) = (self.double_expr(1), self.int_expr(1));
+                writeln!(out, "b.put({k}, {x}, {m});")
+            } else {
+                writeln!(out, "print(b.get({k}, 0.5, 1));")
+            };
+            return;
+        }
         if self.typed && self.rng.gen_bool(0.2) {
             let i = self.index();
             let op = ["=", "+=", "-="][self.rng.gen_range(0, 3)];
@@ -309,10 +354,12 @@ impl ProgramGen {
                 } else {
                     self.double_expr(2)
                 };
-                writeln!(out, "da[{i}] {op} {rhs};")
+                let a = self.array(true);
+                writeln!(out, "{a}[{i}] {op} {rhs};")
             } else {
                 let rhs = self.int_expr(2);
-                writeln!(out, "ia[{i}] {op} {rhs};")
+                let a = self.array(false);
+                writeln!(out, "{a}[{i}] {op} {rhs};")
             };
             return;
         }
@@ -459,6 +506,92 @@ impl ProgramGen {
         )
     }
 
+    /// A program over dense arrays: `double[]`/`int[]` locals `da`/`ia`,
+    /// their aliases `db`/`ib` and `h.d`/`h.k` (an object's fields), and
+    /// the host's dense externs `hd`/`hk` ([`dense_host`]); `main` calls
+    /// methods of a `Buf` whose generated bodies read, write and
+    /// compound-assign its own array fields `xs`/`ks` by bare name (so
+    /// through `this`), with an in-range parameter index most of the time.
+    #[allow(dead_code)] // not every test binary generates dense programs
+    pub fn dense_program(&mut self, budget: usize) -> String {
+        self.typed = true;
+        self.darrays = vec!["xs", "xs", "hd"];
+        self.iarrays = vec!["ks", "ks", "hk"];
+        self.scope = vec![
+            ("k".to_string(), Ty::Int),
+            ("x".to_string(), Ty::Double),
+            ("m".to_string(), Ty::Int),
+        ];
+        let mut put = String::new();
+        self.stmts(&mut put, budget / 2);
+        let mut get = String::new();
+        self.stmts(&mut get, budget / 3);
+        self.scope.clear();
+        self.darrays = vec!["da", "db", "h.d", "hd"];
+        self.iarrays = vec!["ia", "ib", "h.k", "hk"];
+        self.with_buf = true;
+        let mut body = String::new();
+        self.stmts(&mut body, budget);
+        self.with_buf = false;
+        self.darrays = vec!["da"];
+        self.iarrays = vec!["ia"];
+        self.typed = false;
+        format!(
+            concat!(
+                "extern int n;\n",
+                "extern double[] hd;\n",
+                "extern int[] hk;\n",
+                "class H {{ double[] d; int[] k; }}\n",
+                "class Buf {{\n",
+                "    double[] xs;\n",
+                "    int[] ks;\n",
+                "{helpers}",
+                "    void setup(int s) {{ xs = new double[s]; ks = new int[s]; }}\n",
+                "    void put(int k, double x, int m) {{\n{put}",
+                "        xs[k] += x;\n",
+                "        ks[k] -= m;\n",
+                "    }}\n",
+                "    double get(int k, double x, int m) {{\n{get}",
+                "        return xs[k] + toDouble(ks[k]);\n",
+                "    }}\n",
+                "    double sum() {{\n",
+                "        double s = 0.0;\n",
+                "        for (int i = 0; i < xs.length(); i += 1) {{ s += xs[i]; s += ks[i]; }}\n",
+                "        return s;\n",
+                "    }}\n",
+                "}}\n",
+                "class A {{\n",
+                "{helpers}",
+                "    void main() {{\n",
+                "        double[] da = new double[4];\n",
+                "        int[] ia = new int[4];\n",
+                "        double[] db = da;\n",
+                "        int[] ib = ia;\n",
+                "        H h = new H();\n",
+                "        h.d = da;\n",
+                "        h.k = hk;\n",
+                "        Buf b = new Buf();\n",
+                "        b.setup(4);\n",
+                "{body}",
+                "        print(da[0] + da[1] + da[2] + da[3]);\n",
+                "        print(ia[0] + ia[1] + ia[2] + ia[3]);\n",
+                "        print(hd[0] + hd[1] + hd[2] + hd[3]);\n",
+                "        print(hk[0] + hk[1] + hk[2] + hk[3]);\n",
+                "        print(b.sum());\n",
+                "    }}\n",
+                "}}\n"
+            ),
+            helpers = concat!(
+                "    double half(double x) { return x / 2; }\n",
+                "    double whole(int k) { return k; }\n",
+                "    int pick(int a, int b) { if (a < b) { return a; } return b; }\n",
+            ),
+            put = put,
+            get = get,
+            body = body
+        )
+    }
+
     /// A pipelined reduction program with a random per-element body; the
     /// packet variable, element variable and an `acc` object are in scope.
     pub fn pipelined_program(&mut self, budget: usize) -> String {
@@ -586,6 +719,21 @@ impl ProgramGen {
     }
 }
 
+/// The host side of [`ProgramGen::dense_program`]: `n` and the dense
+/// externs `hd` and `hk`, four elements each, bound as `knn_host_env`
+/// and `vmscope_host_env` bind numeric arrays. A fresh call builds fresh
+/// arrays, so each engine can mutate its own.
+#[allow(dead_code)]
+pub fn dense_host(n: i64) -> HostEnv {
+    HostEnv::new()
+        .bind("n", Value::Int(n))
+        .bind(
+            "hd",
+            Value::array(ArrayVal::F64(vec![0.5, -1.25, 3.0, 2.0])),
+        )
+        .bind("hk", Value::array(ArrayVal::I64(vec![3, -7, 11, 0])))
+}
+
 /// The host side of [`ProgramGen::object_program`]: `n` and three `P`
 /// objects, each built through its own shape in a field order that differs
 /// from `P`'s declaration; the third leaves `c` out. A fresh call builds
@@ -613,5 +761,5 @@ pub fn object_host(n: i64) -> HostEnv {
     ];
     HostEnv::new()
         .bind("n", Value::Int(n))
-        .bind("ps", Value::Array(Rc::new(RefCell::new(ps))))
+        .bind("ps", Value::array(ArrayVal::Boxed(ps)))
 }

@@ -11,7 +11,7 @@ mod common;
 use cgp_lang::bytecode::{vm::Vm, ProgramCode};
 use cgp_lang::interp::{HostEnv, Interp};
 use cgp_lang::{frontend, Value};
-use common::{object_host, ProgramGen};
+use common::{dense_host, object_host, ProgramGen};
 use std::collections::HashMap;
 
 /// Run `main`'s body as a statement slice through both engines, each
@@ -128,6 +128,33 @@ fn random_typed_programs_agree() {
     assert!(
         (5..140).contains(&errored),
         "generator drifted: {errored} of 150 typed programs fail at run time"
+    );
+}
+
+#[test]
+fn random_dense_programs_agree() {
+    // Dense host arrays, `this`-field arrays read, written and
+    // compound-assigned by bare name inside methods, arrays aliased
+    // through a second local and an object field, and int stores and
+    // `+=` into `double[]`s: every element op over dense storage, on both
+    // engines, host arrays' final contents included.
+    let (mut clean, mut errored) = (0, 0);
+    for seed in 0..150u64 {
+        let mut g = ProgramGen::new(0xDE_0000 + seed);
+        let src = g.dense_program(8);
+        let n = (seed as i64 % 9) - 3;
+        assert_engines_agree(&src, || dense_host(n), &format!("dense seed {seed}"));
+        let tp = frontend(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"));
+        let (c, m) = tp.program.main().unwrap();
+        let mut it = Interp::new(&tp, dense_host(n));
+        match it.exec_stmts_with_vars(&c.name, &m.body.stmts, &mut HashMap::new()) {
+            Ok(()) => clean += 1,
+            Err(_) => errored += 1,
+        }
+    }
+    assert!(
+        clean >= 20 && errored >= 5,
+        "generator drifted: {clean} clean runs, {errored} runtime failures of 150"
     );
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use cgp_core::lang::{frontend, interp::Interp, HostEnv, Value};
+use cgp_core::lang::{frontend, interp::Interp, ArrayVal, HostEnv, Value};
 use cgp_core::{
     compile, run_plan_sequential, run_plan_threaded_stats, CompileOptions, ExecOptions, PipelineEnv,
 };
@@ -45,11 +45,9 @@ const SRC: &str = r#"
 
 fn host() -> HostEnv {
     let n = 10_000i64;
-    let samples = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-        (0..n)
-            .map(|i| Value::Double(((i * 37 % 1000) as f64) / 1000.0))
-            .collect(),
-    )));
+    let samples = Value::array(ArrayVal::F64(
+        (0..n).map(|i| ((i * 37 % 1000) as f64) / 1000.0).collect(),
+    ));
     HostEnv::new()
         .bind("n", Value::Int(n))
         .bind("num_packets", Value::Int(16))
