@@ -567,12 +567,97 @@ pub(crate) fn run_compiled(
     (c.plan.decomposition.unit_of, out)
 }
 
+/// The op ranges of every `foreach` loop in `ops`, header to exit (a
+/// peeled first iteration included).
+#[cfg(test)]
+pub(crate) fn loop_ranges(ops: &[cgp_lang::bytecode::Op]) -> Vec<std::ops::Range<usize>> {
+    use cgp_lang::bytecode::Op;
+    ops.iter()
+        .enumerate()
+        .filter_map(|(at, op)| match op {
+            Op::ForeachBegin { end, .. } => Some(at + 1..*end as usize),
+            _ => None,
+        })
+        .collect()
+}
+
+/// How many calls of `class::method` the `foreach` loops of `plan`'s
+/// slices inline (a peeled first iteration is a second copy). Every call
+/// op in those loops must be a guard's miss target — the guard jumps past
+/// it and its exit jump into the inlined body — with no call on the hit
+/// path: a lowering change that silently stops inlining fails here, not
+/// only in the ledger.
+#[cfg(test)]
+pub(crate) fn inlined_calls(plan: &cgp_compiler::FilterPlan, class: &str, method: &str) -> usize {
+    use cgp_compiler::codegen::LoweredStep;
+    use cgp_lang::bytecode::Op;
+    let lowered = &plan.lowered;
+    let want = lowered.prog.method_id(class, method).expect("the method");
+    let is_call = |op: &Op| matches!(op, Op::CallMethod { .. } | Op::CallStatic { .. });
+    let mut inlined = 0;
+    for step in lowered.steps.iter().flatten() {
+        let LoweredStep::Slice(slice) = step else {
+            continue;
+        };
+        let ops = &slice.code.ops;
+        for range in loop_ranges(ops) {
+            for at in range {
+                match ops[at] {
+                    Op::Guard { mi, hit, .. } => {
+                        let (Op::CallMethod { mi: called, .. } | Op::CallStatic { mi: called, .. }) =
+                            ops[at + 1]
+                        else {
+                            panic!("guard at {at} without its call: {ops:?}");
+                        };
+                        let Op::Jump { to: end } = ops[at + 2] else {
+                            panic!("guard at {at} without its exit jump: {ops:?}");
+                        };
+                        assert_eq!((called, hit as usize), (mi, at + 3), "{ops:?}");
+                        let body = &ops[hit as usize..end as usize];
+                        assert!(
+                            !body.iter().any(is_call),
+                            "a call on the hit path: {body:?}"
+                        );
+                        inlined += usize::from(mi == want);
+                    }
+                    ref op if is_call(op) => assert!(
+                        matches!(ops[at - 1], Op::Guard { hit, .. } if hit as usize == at + 2),
+                        "a call at {at} that no guard jumps over: {ops:?}"
+                    ),
+                    _ => {}
+                }
+            }
+        }
+    }
+    inlined
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cgp_compiler::graph::BoundaryKind;
     use cgp_compiler::{compile, run_plan_sequential};
     use std::collections::HashMap;
+
+    /// Each app's hot loop reaches its reduction method's body with no
+    /// call on the hit path, in the plan the compiler picks for it.
+    #[test]
+    fn every_hot_loop_inlines_its_reduction_method() {
+        let methods = [
+            ("zbuf", "ZBuf", "put"),
+            ("apix", "ActivePixels", "put"),
+            ("knn", "KNearest", "push"),
+            ("vmscope", "OutImage", "put"),
+        ];
+        for (app, (name, class, method)) in demo_apps().iter().zip(methods) {
+            assert_eq!(app.name, name);
+            let plan = compile(app.src, &app.opts).unwrap().plan;
+            assert!(
+                inlined_calls(&plan, class, method) > 0,
+                "{name}: {class}.{method} is not inlined"
+            );
+        }
+    }
 
     fn small_iso_host() -> HostEnv {
         let grid = ScalarGrid::synthetic(8, 8, 8, 21);

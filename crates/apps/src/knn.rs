@@ -21,7 +21,9 @@ pub fn generate_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dialect::{knn_host_env, oracle, run_compiled, KNN_MANUAL_SRC, KNN_SRC};
+    use crate::dialect::{
+        inlined_calls, knn_host_env, loop_ranges, oracle, run_compiled, KNN_MANUAL_SRC, KNN_SRC,
+    };
     use cgp_compiler::codegen::LoweredStep;
     use cgp_compiler::cost::{FilterEngine, PipelineEnv};
     use cgp_compiler::{compile, CompileOptions, Decomposition, Objective};
@@ -152,21 +154,11 @@ mod tests {
         ) || matches!(op, Op::ReadSlot { dst, slot } if dst != slot)
     }
 
-    /// The ops of every `foreach` loop in `ops`, header to exit (a peeled
-    /// first iteration included).
-    fn loop_bodies(ops: &[Op]) -> Vec<&[Op]> {
-        let mut bodies = Vec::new();
-        for (at, op) in ops.iter().enumerate() {
-            if let Op::ForeachBegin { end, .. } = op {
-                bodies.push(&ops[at + 1..*end as usize]);
-            }
-        }
-        bodies
-    }
-
     /// `knn-decomp`'s compute stages and the top-k `push` they feed run
-    /// on unboxed registers: lowering that silently fell back to boxed
-    /// ops would cost about 4× with no other symptom.
+    /// on unboxed registers, and `push` is inlined into the loop that
+    /// calls it and into `reduce`: lowering that silently fell back to
+    /// boxed ops would cost about 4× with no other symptom, and a real
+    /// call about 2×.
     #[test]
     fn knn_decomp_hot_loops_lower_to_typed_ops() {
         let (points, packets) = (300_000i64, 64);
@@ -188,7 +180,8 @@ mod tests {
                 let LoweredStep::Slice(slice) = step else {
                     continue;
                 };
-                for body in loop_bodies(&slice.code.ops) {
+                for range in loop_ranges(&slice.code.ops) {
+                    let body = &slice.code.ops[range];
                     stages += 1;
                     let boxed: Vec<&Op> = body.iter().filter(|o| boxed_op(o)).collect();
                     assert!(
@@ -200,7 +193,20 @@ mod tests {
             }
         }
         assert_eq!(stages, 2, "one loop on each compute stage");
+        assert!(
+            inlined_calls(&plan, "KNearest", "push") > 0,
+            "push is a call"
+        );
         let push = lowered.prog.method_id("KNearest", "push").unwrap();
+        let reduce = lowered.prog.method_id("KNearest", "reduce").unwrap();
+        assert!(
+            lowered.prog.methods[reduce as usize]
+                .code
+                .ops
+                .iter()
+                .any(|o| matches!(o, Op::Guard { mi, .. } if *mi == push)),
+            "reduce calls push through a guard"
+        );
         let code = &lowered.prog.methods[push as usize].code;
         let boxed: Vec<&Op> = code.ops.iter().filter(|o| boxed_op(o)).collect();
         assert!(

@@ -69,16 +69,6 @@ impl Type {
     pub fn array_of(elem: Type) -> Type {
         Type::Array(Box::new(elem))
     }
-
-    /// Byte size used by the packing layer for scalar element types.
-    pub fn scalar_size(&self) -> Option<usize> {
-        match self {
-            Type::Int => Some(8),
-            Type::Double => Some(8),
-            Type::Bool => Some(1),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Type {
@@ -481,14 +471,6 @@ mod tests {
         assert_eq!(Type::array_of(Type::Double).to_string(), "double[]");
         assert_eq!(Type::RectDomain(1).to_string(), "RectDomain<1>");
         assert_eq!(Type::Class("ZBuffer".into()).to_string(), "ZBuffer");
-    }
-
-    #[test]
-    fn scalar_sizes() {
-        assert_eq!(Type::Int.scalar_size(), Some(8));
-        assert_eq!(Type::Double.scalar_size(), Some(8));
-        assert_eq!(Type::Bool.scalar_size(), Some(1));
-        assert_eq!(Type::array_of(Type::Int).scalar_size(), None);
     }
 
     #[test]

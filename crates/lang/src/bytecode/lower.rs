@@ -26,6 +26,7 @@ use crate::ast::*;
 use crate::span::Span;
 use crate::symbols::MethodScope;
 use crate::types::TypedProgram;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 /// An expression's static type, as far as the lowering needs it: the
@@ -165,14 +166,23 @@ impl ProgramCode {
                 }
             })
             .collect();
-        ProgramCode {
+        let mut prog = ProgramCode {
             methods,
             sigs,
             classes,
             methods_by_class,
             class_map,
             assigned_names,
+        };
+        // A callee qualifies by its own lowering: a leaf makes no call,
+        // so it is never rewritten, and a body that calls keeps its call
+        // ops (as miss targets), so it stays no leaf.
+        for mi in 0..prog.methods.len() {
+            if prog.methods[mi].code.ops.iter().any(is_call) {
+                prog.methods[mi].code = prog.inline_leaves(prog.methods[mi].code.clone());
+            }
         }
+        prog
     }
 
     /// Lower a statement slice of `class`'s `main` — the bytecode
@@ -196,8 +206,18 @@ impl ProgramCode {
             lw.top_span = s.span;
             lw.stmt(s);
         }
-        lw.finish()
+        self.inline_leaves(lw.finish())
     }
+}
+
+/// `c`'s index in the constant pool `consts`, added if new.
+fn intern_const(consts: &mut Vec<ConstVal>, c: ConstVal) -> u16 {
+    if let Some(i) = consts.iter().position(|k| k.same(&c)) {
+        return i as u16;
+    }
+    let id = u16::try_from(consts.len()).expect("bytecode const pool exceeds 65535 entries");
+    consts.push(c);
+    id
 }
 
 /// A slot's register holds its value: it is bound or memoized.
@@ -253,6 +273,8 @@ struct Lowerer<'a> {
     bound: Vec<u8>,
     /// Bare names that are fields of `this` in a method body.
     this_names: HashMap<String, St>,
+    /// The `Value` register that holds the receiver.
+    this: Reg,
 
     f_consts: Vec<(Reg, f64)>,
     i_consts: Vec<(Reg, i64)>,
@@ -298,6 +320,7 @@ impl<'a> Lowerer<'a> {
             cacheable: Vec::new(),
             bound: Vec::new(),
             this_names: HashMap::new(),
+            this: 0,
             f_consts: Vec::new(),
             i_consts: Vec::new(),
             f_const_of: HashMap::new(),
@@ -588,6 +611,7 @@ impl<'a> Lowerer<'a> {
             }
         }
         self.next_tmp = self.slot_names.len() as u16;
+        self.this = self.alloc();
         for v in std::mem::take(&mut self.int_lits) {
             if !self.i_const_of.contains_key(&v) {
                 let r = self.alloc();
@@ -729,13 +753,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn konst(&mut self, c: ConstVal) -> u16 {
-        if let Some(i) = self.consts.iter().position(|k| k.same(&c)) {
-            return i as u16;
-        }
-        let id =
-            u16::try_from(self.consts.len()).expect("bytecode const pool exceeds 65535 entries");
-        self.consts.push(c);
-        id
+        intern_const(&mut self.consts, c)
     }
 
     fn slot(&self, name: &str) -> Reg {
@@ -763,6 +781,7 @@ impl<'a> Lowerer<'a> {
             ops: self.ops,
             spans: self.spans,
             name_spans: self.name_spans,
+            this: self.this,
             consts: self.consts,
             names: self.names,
             slot_names: self.slot_names,
@@ -1117,7 +1136,7 @@ impl<'a> Lowerer<'a> {
                     let nid = self.name_id(name);
                     self.emit(
                         Op::StoreField {
-                            base: Base::This(nid),
+                            base: Base::This(self.this, nid),
                             name: nid,
                             src: src.reg,
                             mode: op,
@@ -1210,7 +1229,7 @@ impl<'a> Lowerer<'a> {
         if let ExprKind::Var(name) = &base.kind {
             if self.this_name(name).is_some() && self.quiet(idx) {
                 let nid = self.name_id(name);
-                return (Base::This(nid), Some(base.span));
+                return (Base::This(self.this, nid), Some(base.span));
             }
         }
         (Base::Reg(self.expr_as(base, Repr::V)), None)
@@ -1572,7 +1591,7 @@ impl<'a> Lowerer<'a> {
                     self.emit(
                         Op::LoadField {
                             dst,
-                            base: Base::This(nid),
+                            base: Base::This(self.this, nid),
                             name: nid,
                             repr,
                         },
@@ -1589,7 +1608,13 @@ impl<'a> Lowerer<'a> {
                 )
             }
             ExprKind::This => {
-                self.emit(Op::LoadThis { dst }, span);
+                self.emit(
+                    Op::LoadThis {
+                        dst,
+                        this: self.this,
+                    },
+                    span,
+                );
                 let st = St::Obj(
                     self.cx
                         .class_map
@@ -1952,7 +1977,7 @@ impl<'a> Lowerer<'a> {
                     }
                     let (base, name_span) = match &r.kind {
                         ExprKind::Var(n) if self.this_name(n).is_some() => {
-                            (Base::This(self.name_id(n)), Some(r.span))
+                            (Base::This(self.this, self.name_id(n)), Some(r.span))
                         }
                         _ => (Base::Reg(self.expr_as(r, Repr::V)), None),
                     };
@@ -2112,6 +2137,520 @@ impl<'a> Lowerer<'a> {
             }
             BuiltinFn::Print => unreachable!("print is generic"),
         }
+    }
+}
+
+impl ProgramCode {
+    /// `code` with every resolved call of a leaf method ([`is_leaf`])
+    /// inlined. A call becomes
+    ///
+    /// ```text
+    ///        Guard  (hit: body)
+    ///        the original call op, which a miss falls through to
+    ///        Jump   end
+    /// body:  moves of the arguments into the callee's parameter registers
+    ///        the callee's ops
+    ///        (void) Const Void into the call's result register
+    /// end:
+    /// ```
+    ///
+    /// The callee's registers move into a window above the caller's, one
+    /// per distinct callee, except its `this`, which becomes the call's
+    /// receiver register (the caller's own for a receiver-less call).
+    /// `Bind`s are dropped (a leaf never reads a bound state), and `Ret`
+    /// becomes a move into the call's result register and a jump to
+    /// `end`. Inlined ops keep the callee's spans; the rest take the
+    /// call's.
+    fn inline_leaves(&self, code: CodeBlock) -> CodeBlock {
+        // The callees, each with its register window, and the one each
+        // op calls, if any.
+        let mut windows: Vec<(usize, Reg)> = Vec::new();
+        let mut top = code.n_regs;
+        let sites: Vec<Option<usize>> = code
+            .ops
+            .iter()
+            .map(|op| {
+                let (Op::CallStatic { mi, argc, .. } | Op::CallMethod { mi, argc, .. }) = *op
+                else {
+                    return None;
+                };
+                let (mi, m) = (mi as usize, self.methods.get(mi as usize)?);
+                if self.sigs[mi].params.len() != argc as usize {
+                    return None;
+                }
+                if let Some(w) = windows.iter().position(|&(c, _)| c == mi) {
+                    return Some(w);
+                }
+                if !is_leaf(&m.code) {
+                    return None;
+                }
+                let next = top.checked_add(m.code.n_regs)?;
+                windows.push((mi, top));
+                top = next;
+                Some(windows.len() - 1)
+            })
+            .collect();
+        if windows.is_empty() {
+            return code;
+        }
+        let CodeBlock {
+            class,
+            ops,
+            spans,
+            name_spans,
+            this,
+            mut consts,
+            mut names,
+            slot_names,
+            slot_kinds,
+            slot_repr,
+            cacheable,
+            mut f_consts,
+            mut i_consts,
+            ..
+        } = code;
+        let callees: Vec<Inlinee> = windows
+            .iter()
+            .map(|&(mi, base)| {
+                let callee = &self.methods[mi].code;
+                // Only the names its ops read: inlined code never falls
+                // back to a slot by name.
+                let used: Vec<Cell<bool>> = callee.names.iter().map(|_| Cell::new(false)).collect();
+                let probe = Renumber {
+                    reg: |r| r,
+                    name: |n: u16| {
+                        used[n as usize].set(true);
+                        n
+                    },
+                    konst: |k| k,
+                    to: |t| t,
+                };
+                callee.ops.iter().for_each(|op| {
+                    probe.op(*op);
+                });
+                let nmap = callee
+                    .names
+                    .iter()
+                    .zip(&used)
+                    .map(|(n, u)| {
+                        if u.get() {
+                            intern_name(&mut names, n)
+                        } else {
+                            u16::MAX
+                        }
+                    })
+                    .collect();
+                let kmap = callee
+                    .consts
+                    .iter()
+                    .map(|c| intern_const(&mut consts, *c))
+                    .collect();
+                f_consts.extend(callee.f_consts.iter().map(|&(r, x)| (r + base, x)));
+                i_consts.extend(callee.i_consts.iter().map(|&(r, x)| (r + base, x)));
+                let void = self.sigs[mi].ret.is_none();
+                let void_k = void.then(|| intern_const(&mut consts, ConstVal::Void));
+                let params = self.sigs[mi].params.len();
+                Inlinee::new(mi, callee, params, base, nmap, kmap, void_k)
+            })
+            .collect();
+        // Where each of the caller's ops lands.
+        let mut new_at = Vec::with_capacity(ops.len() + 1);
+        let mut at = 0u32;
+        for site in &sites {
+            new_at.push(at);
+            at += match site {
+                Some(c) => 3 + callees[*c].len,
+                None => 1,
+            };
+        }
+        new_at.push(at);
+        let caller = Renumber {
+            reg: |r| r,
+            name: |n| n,
+            konst: |k| k,
+            to: |t: u32| new_at[t as usize],
+        };
+        let mut out = Splice {
+            ops: Vec::with_capacity(at as usize),
+            spans: Vec::with_capacity(at as usize),
+            name_spans: Vec::new(),
+        };
+        for (i, (&op, site)) in ops.iter().zip(&sites).enumerate() {
+            let span = spans[i];
+            let Some(c) = site else {
+                out.push(caller.op(op), span);
+                continue;
+            };
+            let callee = &callees[*c];
+            let (dst, recv, argb) = match op {
+                Op::CallMethod {
+                    dst, recv, argb, ..
+                } => (dst, Some(recv), argb),
+                Op::CallStatic { dst, argb, .. } => (dst, None, argb),
+                _ => unreachable!("only calls are sites"),
+            };
+            let body = new_at[i] + 3;
+            let end = new_at[i + 1];
+            out.push(
+                Op::Guard {
+                    recv,
+                    mi: callee.mi as u32,
+                    hit: body,
+                },
+                span,
+            );
+            out.push(op, span);
+            out.push(Op::Jump { to: end }, span);
+            callee.emit(
+                &mut out,
+                &self.methods[callee.mi].code,
+                &self.sigs[callee.mi],
+                Call {
+                    dst,
+                    this: recv.unwrap_or(this),
+                    argb,
+                    body,
+                    span,
+                },
+            );
+        }
+        for &(i, sp) in &name_spans {
+            let i = i as usize;
+            let at = new_at[i] + u32::from(sites[i].is_some());
+            out.name_spans.push((at, sp));
+        }
+        out.name_spans.sort_by_key(|(at, _)| *at);
+        CodeBlock {
+            class,
+            caches: ShapeCache::new(out.ops.len()),
+            ops: out.ops,
+            spans: out.spans,
+            name_spans: out.name_spans,
+            this,
+            consts,
+            names,
+            slot_names,
+            slot_kinds,
+            slot_repr,
+            cacheable,
+            f_consts,
+            i_consts,
+            n_regs: top,
+        }
+    }
+}
+
+/// The most ops a method's own lowering may have and still be inlined.
+const INLINE_MAX_OPS: usize = 256;
+
+/// Is `code`, a method's own lowering, a leaf: no call (builtins aside),
+/// no slot fallback — so every slot it reads is an operand and its bound
+/// states are never read — no pipelined loop (whose header marks a slot
+/// bound), and at most [`INLINE_MAX_OPS`] ops?
+fn is_leaf(code: &CodeBlock) -> bool {
+    code.ops.len() <= INLINE_MAX_OPS
+        && !code.ops.iter().any(|op| {
+            is_call(op)
+                || matches!(
+                    op,
+                    Op::ReadSlot { .. }
+                        | Op::AssignSlot { .. }
+                        | Op::BindDefault { .. }
+                        | Op::PipeBegin { .. }
+                        | Op::PipeNext { .. }
+                )
+        })
+}
+
+/// A call of a method.
+fn is_call(op: &Op) -> bool {
+    matches!(op, Op::CallStatic { .. } | Op::CallMethod { .. })
+}
+
+/// `name`'s index in the name pool `names`, added if new.
+fn intern_name(names: &mut Vec<String>, name: &str) -> u16 {
+    let i = names.iter().position(|n| n == name).unwrap_or_else(|| {
+        names.push(name.to_string());
+        names.len() - 1
+    });
+    u16::try_from(i).expect("bytecode name pool exceeds 65535 entries")
+}
+
+/// Ops, spans and identifier spans of a block being spliced.
+struct Splice {
+    ops: Vec<Op>,
+    spans: Vec<Span>,
+    name_spans: Vec<(u32, Span)>,
+}
+
+impl Splice {
+    fn push(&mut self, op: Op, span: Span) {
+        self.ops.push(op);
+        self.spans.push(span);
+    }
+}
+
+/// One inlined call site: where the result goes, the receiver register
+/// that stands for the callee's `this`, the arguments, and where the
+/// inlined body starts.
+struct Call {
+    dst: Reg,
+    this: Reg,
+    argb: Reg,
+    body: u32,
+    span: Span,
+}
+
+/// A leaf laid out for inlining, the same at every site: its register
+/// window, its pool indices in the caller's pools, and where each of its
+/// ops lands relative to the body's start.
+struct Inlinee {
+    /// The method.
+    mi: usize,
+    base: Reg,
+    nmap: Vec<u16>,
+    kmap: Vec<u16>,
+    /// The pooled `Void` a void callee leaves in the result register.
+    void_k: Option<u16>,
+    /// Per callee op (and one past the last), its offset from the body's
+    /// start.
+    at: Vec<u32>,
+    /// The body's length: moves, ops and the void tail.
+    len: u32,
+}
+
+impl Inlinee {
+    fn new(
+        mi: usize,
+        code: &CodeBlock,
+        params: usize,
+        base: Reg,
+        nmap: Vec<u16>,
+        kmap: Vec<u16>,
+        void_k: Option<u16>,
+    ) -> Inlinee {
+        let last = code.ops.len().saturating_sub(1);
+        let mut at = Vec::with_capacity(code.ops.len() + 1);
+        let mut next = params as u32;
+        for (j, op) in code.ops.iter().enumerate() {
+            at.push(next);
+            // A return that is the last op falls through to the exit.
+            next += match op {
+                Op::Bind { .. } => 0,
+                Op::Ret { .. } => 1 + u32::from(j != last),
+                Op::RetVoid => u32::from(j != last),
+                _ => 1,
+            };
+        }
+        at.push(next);
+        Inlinee {
+            mi,
+            base,
+            nmap,
+            kmap,
+            void_k,
+            at,
+            len: next + u32::from(void_k.is_some()),
+        }
+    }
+
+    /// Emit the body for `call`: argument moves, the callee's renumbered
+    /// ops, and the void tail.
+    fn emit(&self, out: &mut Splice, code: &CodeBlock, sig: &Sig, call: Call) {
+        let base = self.base;
+        let reg = |r: Reg| if r == code.this { call.this } else { r + base };
+        let callee = Renumber {
+            reg,
+            name: |n: u16| self.nmap[n as usize],
+            konst: |k: u16| self.kmap[k as usize],
+            to: |t: u32| call.body + self.at[t as usize],
+        };
+        for (p, repr) in sig.params.iter().enumerate() {
+            let (dst, src) = (base + p as Reg, call.argb + p as Reg);
+            out.push(move_op(*repr, dst, src), call.span);
+        }
+        // Falling off the end, or a void return: the tail.
+        let exit = call.body + self.at[code.ops.len()];
+        let end = call.body + self.len;
+        let last = code.ops.len().saturating_sub(1);
+        for (j, &op) in code.ops.iter().enumerate() {
+            let span = code.spans[j];
+            match op {
+                Op::Bind { .. } => {}
+                Op::Ret { src, repr } => {
+                    out.push(move_op(repr, call.dst, reg(src)), span);
+                    if j != last {
+                        out.push(Op::Jump { to: end }, span);
+                    }
+                }
+                Op::RetVoid => {
+                    if j != last {
+                        out.push(Op::Jump { to: exit }, span);
+                    }
+                }
+                op => out.push(callee.op(op), span),
+            }
+        }
+        for &(j, sp) in &code.name_spans {
+            out.name_spans.push((call.body + self.at[j as usize], sp));
+        }
+        if let Some(k) = self.void_k {
+            out.push(Op::Const { dst: call.dst, k }, call.span);
+        }
+    }
+}
+
+/// A move between registers of `repr`'s file.
+fn move_op(repr: Repr, dst: Reg, src: Reg) -> Op {
+    match repr {
+        Repr::F => Op::MoveF { dst, src },
+        Repr::I | Repr::B => Op::MoveI { dst, src },
+        Repr::V => Op::MoveV { dst, src },
+    }
+}
+
+/// How an op is renumbered when it moves into another block: its
+/// registers, name and constant pool indices, and jump targets.
+struct Renumber<R, N, K, T> {
+    reg: R,
+    name: N,
+    konst: K,
+    to: T,
+}
+
+impl<R, N, K, T> Renumber<R, N, K, T>
+where
+    R: Fn(Reg) -> Reg,
+    N: Fn(u16) -> u16,
+    K: Fn(u16) -> u16,
+    T: Fn(u32) -> u32,
+{
+    fn base(&self, b: Base) -> Base {
+        match b {
+            Base::Reg(r) => Base::Reg((self.reg)(r)),
+            Base::This(t, n) => Base::This((self.reg)(t), (self.name)(n)),
+        }
+    }
+
+    fn op(&self, mut op: Op) -> Op {
+        let (reg, name, konst, to) = (&self.reg, &self.name, &self.konst, &self.to);
+        match &mut op {
+            Op::AddF { dst, l, r }
+            | Op::SubF { dst, l, r }
+            | Op::MulF { dst, l, r }
+            | Op::DivF { dst, l, r }
+            | Op::RemF { dst, l, r }
+            | Op::AddI { dst, l, r }
+            | Op::SubI { dst, l, r }
+            | Op::MulI { dst, l, r }
+            | Op::DivI { dst, l, r }
+            | Op::RemI { dst, l, r }
+            | Op::MinF { dst, l, r }
+            | Op::MaxF { dst, l, r }
+            | Op::MinI { dst, l, r }
+            | Op::MaxI { dst, l, r }
+            | Op::PowF { dst, l, r }
+            | Op::Bin { dst, l, r, .. }
+            | Op::CmpF { dst, l, r, .. }
+            | Op::CmpI { dst, l, r, .. }
+            | Op::NewDomain { dst, lo: l, hi: r } => {
+                (*dst, *l, *r) = (reg(*dst), reg(*l), reg(*r));
+            }
+            Op::MoveV { dst, src }
+            | Op::MoveF { dst, src }
+            | Op::MoveI { dst, src }
+            | Op::Neg { dst, src }
+            | Op::Not { dst, src }
+            | Op::NegF { dst, src }
+            | Op::NegI { dst, src }
+            | Op::NotB { dst, src }
+            | Op::IToF { dst, src }
+            | Op::FToI { dst, src }
+            | Op::AbsI { dst, src }
+            | Op::CombineF { dst, src, .. }
+            | Op::CombineI { dst, src, .. }
+            | Op::Box { dst, src, .. }
+            | Op::Unbox { dst, src, .. }
+            | Op::Math1F { dst, src, .. }
+            | Op::ReadSlot { dst, slot: src }
+            | Op::AssignSlot { slot: dst, src, .. }
+            | Op::LoadThis { dst, this: src } => (*dst, *src) = (reg(*dst), reg(*src)),
+            Op::Bind { slot: r } | Op::CheckDomainPipe { src: r } | Op::Ret { src: r, .. } => {
+                *r = reg(*r)
+            }
+            Op::Const { dst, k } | Op::BindDefault { slot: dst, k } => {
+                (*dst, *k) = (reg(*dst), konst(*k));
+            }
+            Op::NewArray { dst, len, k } => (*dst, *len, *k) = (reg(*dst), reg(*len), konst(*k)),
+            Op::New { dst, name: n, .. } => (*dst, *n) = (reg(*dst), name(*n)),
+            Op::LoadField {
+                dst, base, name: n, ..
+            }
+            | Op::StoreField {
+                base,
+                name: n,
+                src: dst,
+                ..
+            } => (*dst, *base, *n) = (reg(*dst), self.base(*base), name(*n)),
+            Op::LoadElem { dst, base, idx, .. }
+            | Op::StoreElem {
+                base,
+                idx,
+                src: dst,
+                ..
+            } => {
+                (*dst, *base, *idx) = (reg(*dst), self.base(*base), reg(*idx));
+            }
+            Op::Intrinsic { dst, base, .. } => (*dst, *base) = (reg(*dst), self.base(*base)),
+            Op::LoadElemField {
+                dst,
+                arr,
+                idx,
+                name: n,
+                ..
+            } => (*dst, *arr, *idx, *n) = (reg(*dst), reg(*arr), reg(*idx), name(*n)),
+            Op::Jump { to: t } => *t = to(*t),
+            Op::BranchTrue { cond, to: t }
+            | Op::BranchFalse { cond, to: t }
+            | Op::BranchB { cond, to: t, .. } => (*cond, *t) = (reg(*cond), to(*t)),
+            Op::BrF { l, r, to: t, .. } | Op::BrI { l, r, to: t, .. } => {
+                (*l, *r, *t) = (reg(*l), reg(*r), to(*t));
+            }
+            Op::ForeachBegin { dom, var, cur, end } => {
+                (*dom, *var, *cur, *end) = (reg(*dom), reg(*var), reg(*cur), to(*end));
+            }
+            Op::ForeachNext { var, cur, body } => {
+                (*var, *cur, *body) = (reg(*var), reg(*cur), to(*body));
+            }
+            Op::PipeBegin {
+                dom,
+                n,
+                var,
+                p,
+                end: t,
+            }
+            | Op::PipeNext {
+                dom,
+                n,
+                var,
+                p,
+                body: t,
+            } => (*dom, *n, *var, *p, *t) = (reg(*dom), reg(*n), reg(*var), reg(*p), to(*t)),
+            Op::CallStatic {
+                dst, name: n, argb, ..
+            } => (*dst, *n, *argb) = (reg(*dst), name(*n), reg(*argb)),
+            Op::CallMethod {
+                dst,
+                recv,
+                name: n,
+                argb,
+                ..
+            } => (*dst, *recv, *n, *argb) = (reg(*dst), reg(*recv), name(*n), reg(*argb)),
+            Op::Guard { recv, hit, .. } => (*recv, *hit) = (recv.map(reg), to(*hit)),
+            Op::CallBuiltin { dst, argb, .. } => (*dst, *argb) = (reg(*dst), reg(*argb)),
+            Op::RetVoid | Op::Halt | Op::FailEscape => {}
+        }
+        op
     }
 }
 
@@ -2365,7 +2904,7 @@ mod tests {
         assert!(code.ops.iter().any(|o| matches!(
             o,
             Op::LoadField {
-                base: Base::This(_),
+                base: Base::This(..),
                 repr: Repr::F,
                 ..
             }
@@ -2373,7 +2912,7 @@ mod tests {
         assert!(code.ops.iter().any(|o| matches!(
             o,
             Op::StoreField {
-                base: Base::This(_),
+                base: Base::This(..),
                 repr: Repr::F,
                 ..
             }
@@ -2419,17 +2958,84 @@ mod tests {
     }
 
     #[test]
+    fn leaf_calls_are_inlined_behind_guards() {
+        let big = "s += 1.5 * x; ".repeat(150);
+        let (prog, slice) = lower_main(&format!(
+            r#"class P {{
+                int a;
+                int get() {{ return a; }}
+                int fib(int k) {{ if (k < 2) {{ return k; }} return fib(k - 1) + fib(k - 2); }}
+                double big(double x) {{ double s = x; {big} return s; }}
+                int both() {{ return get() + fib(3); }}
+            }}
+            class A {{ void main() {{
+                P p = new P();
+                int x = p.get() + p.fib(4) + p.both();
+                double y = p.big(1.0);
+            }} }}"#
+        ));
+        let id = |m: &str| prog.method_id("P", m).unwrap();
+        let guards = |code: &CodeBlock| -> Vec<(Option<Reg>, u32)> {
+            code.ops
+                .iter()
+                .filter_map(|o| match o {
+                    Op::Guard { recv, mi, .. } => Some((*recv, *mi)),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Only the leaf: `fib` recurses, `big` is over the op budget and
+        // `both` calls; they stay calls.
+        let inlined = guards(&slice);
+        assert!(
+            matches!(inlined[..], [(Some(_), mi)] if mi == id("get")),
+            "{inlined:?}"
+        );
+        for m in ["fib", "big", "both"] {
+            assert!(
+                slice
+                    .ops
+                    .iter()
+                    .any(|o| matches!(o, Op::CallMethod { mi, .. } if *mi == id(m))),
+                "{m} is called"
+            );
+        }
+        // The guard falls through to the original call and jumps past it
+        // and the jump to the exit.
+        let at = slice
+            .ops
+            .iter()
+            .position(|o| matches!(o, Op::Guard { .. }))
+            .unwrap();
+        let (Op::Guard { hit, .. }, Op::CallMethod { mi, .. }, Op::Jump { to: end }) =
+            (slice.ops[at], slice.ops[at + 1], slice.ops[at + 2])
+        else {
+            panic!("{:?}", &slice.ops[at..at + 3]);
+        };
+        assert_eq!((hit as usize, mi), (at + 3, id("get")));
+        assert!(slice.ops[hit as usize..end as usize]
+            .iter()
+            .all(|o| !matches!(o, Op::CallMethod { .. } | Op::CallStatic { .. })));
+        // A method body inlines its receiver-less leaf call, with its own
+        // `this`, and is itself no leaf.
+        let both = &prog.methods[id("both") as usize].code;
+        assert_eq!(guards(both), [(None, id("get"))]);
+        assert!(guards(&prog.methods[id("fib") as usize].code).is_empty());
+    }
+
+    #[test]
     fn jumps_stay_in_bounds() {
         let (prog, slice) = lower_main(
             r#"extern int n;
                class A {
                 int fib(int k) { if (k < 2) { return k; } return fib(k - 1) + fib(k - 2); }
+                int one(int k) { for (int j = 0; j < k; j += 1) { if (j > 3) { return j; } } return k; }
                 void main() {
                     int acc = 0;
                     for (int i = 0; i < n; i += 1) {
                         if (i % 2 == 0) { continue; }
                         if (i > 40 || acc < 0 && !(i == 3)) { break; }
-                        acc += fib(i % 7);
+                        acc += fib(i % 7) + one(i);
                     }
                     while (acc > 100) { acc -= 3; }
                 } }"#,
@@ -2446,6 +3052,7 @@ mod tests {
                     | Op::ForeachBegin { end: to, .. }
                     | Op::PipeBegin { end: to, .. } => *to,
                     Op::ForeachNext { body, .. } | Op::PipeNext { body, .. } => *body,
+                    Op::Guard { hit, .. } => *hit,
                     _ => continue,
                 };
                 assert!(

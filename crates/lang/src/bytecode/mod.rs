@@ -42,9 +42,23 @@
 //!   fallbacks and object method calls resolve through a one-entry
 //!   per-op [`ShapeCache`] keyed by the object's [`Shape`] id: a hit is
 //!   one compare and one index, with no string hashed or allocated.
-//! * **Calls** run in pooled frames: arguments are converted at the call
-//!   site into the callee's typed parameter registers, the receiver is
-//!   borrowed rather than cloned, and a typed result comes back unboxed.
+//! * **`this` is a register.** Every frame keeps its receiver in a `Value`
+//!   register ([`CodeBlock::this`]); a field of `this` named by a bare
+//!   identifier is the operand [`Base::This`], which names that register
+//!   and the field.
+//! * **Leaf calls are inlined.** A method whose own lowering makes no
+//!   call, uses no slot fallback, runs no `PipelinedLoop` and has at most
+//!   256 ops is a leaf. Every resolved call of a leaf, in slices and in
+//!   method bodies, becomes an [`Op::Guard`], moves of the arguments into
+//!   the callee's parameter registers, and the callee's ops in a register
+//!   window above the caller's, its `this` renamed to the call's receiver
+//!   register (for a receiver-less call, to the caller's own). The guard
+//!   makes the test the call's typed path makes and ticks the fuel clock
+//!   once, as the call would; on a miss it falls through to the original
+//!   call op, so null receivers and dynamic dispatch keep their
+//!   diagnostics. Other calls run in pooled frames: arguments are
+//!   converted at the call site into the callee's typed parameter
+//!   registers, and a typed result comes back unboxed.
 //!
 //! Semantics are bit-for-bit those of `Interp::exec_stmts_with_vars`,
 //! including evaluation order, implicit int→double widening, wrapping
@@ -117,6 +131,8 @@ pub enum ConstVal {
     Null,
     /// Default for `RectDomain<1>`: the empty domain.
     Domain(i64, i64),
+    /// What an inlined `void` method leaves in its call's result register.
+    Void,
 }
 
 impl ConstVal {
@@ -127,6 +143,7 @@ impl ConstVal {
             ConstVal::Bool(v) => Value::Bool(v),
             ConstVal::Null => Value::Null,
             ConstVal::Domain(lo, hi) => Value::Domain(lo, hi),
+            ConstVal::Void => Value::Void,
         }
     }
 
@@ -303,14 +320,15 @@ impl Cmp {
 }
 
 /// Where an array, object or domain operand lives: a `Value` register, or
-/// the field of `this` named by a bare identifier in a method body, read
+/// the field of `this` named by a bare identifier in a method body —
+/// `This(recv, name)`, with the receiver in `Value` register `recv` — read
 /// through the op's shape cache with the interpreter's fallback to a
 /// global (and its "unknown variable" diagnostic at the name's span,
 /// [`CodeBlock::name_span`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Base {
     Reg(Reg),
-    This(u16),
+    This(Reg, u16),
 }
 
 /// Sentinel for "not resolved at lower time" in [`Op::CallStatic`] /
@@ -356,9 +374,11 @@ pub enum Op {
         src: Reg,
         mode: AssignOp,
     },
-    /// `regs[dst] = this`
+    /// `regs[dst] = regs[this]`, the frame's receiver; raises "`this`
+    /// outside an instance method" when there is none.
     LoadThis {
         dst: Reg,
+        this: Reg,
     },
     /// A field of an object into `dst` (file by `repr`).
     LoadField {
@@ -498,6 +518,17 @@ pub enum Op {
         mi: u32,
         argb: Reg,
         argc: u8,
+    },
+    /// An inlined call of method `mi`: ticks the fuel clock as the call
+    /// does, then jumps to the inlined body at `hit` when the call would
+    /// take its typed path — always for a receiver-less call (`recv ==
+    /// None`), else when `Value` register `recv` holds an object whose
+    /// class resolves to `mi` through this op's shape cache. A miss
+    /// neither ticks nor jumps: it falls through to the original call op.
+    Guard {
+        recv: Option<Reg>,
+        mi: u32,
+        hit: u32,
     },
     /// A builtin on boxed arguments (`print`, or operands of unproved tag).
     CallBuiltin {
@@ -802,6 +833,9 @@ pub struct CodeBlock {
     /// that has one (sorted by op index): the interpreter reports an
     /// unknown name there, not at the enclosing expression.
     pub name_spans: Vec<(u32, Span)>,
+    /// The `Value` register that holds the frame's receiver (`Void` when
+    /// it has none).
+    pub this: Reg,
     pub consts: Vec<ConstVal>,
     /// Identifier pool: field/method/class names referenced by ops.
     pub names: Vec<String>,

@@ -9,15 +9,17 @@
 //! path).
 //!
 //! A frame is three register files (`Frame`): boxed `Value`s, `f64`s and
-//! `i64`s. Typed ops read and write the unboxed files directly; a value is
-//! boxed only where it leaves typed code (write-back to `vars`, stores
-//! into arrays, fields and globals, generic calls, `print`).
+//! `i64`s, with the receiver in the `Value` register [`CodeBlock::this`].
+//! Typed ops read and write the unboxed files directly; a value is boxed
+//! only where it leaves typed code (write-back to `vars`, stores into
+//! arrays, fields and globals, generic calls, `print`).
 //!
 //! The fuel accounting differs by design: the interpreter ticks per AST
-//! node, the VM per loop back-edge and per call, so the two engines
-//! exhaust a given budget at different points but both stop every
-//! runaway loop or recursion. Plan execution never sets fuel; it is a
-//! safety valve for tests.
+//! node, the VM per loop back-edge and per call (an inlined call's
+//! [`Op::Guard`] ticks where the call would), so the two engines exhaust
+//! a given budget at different points but both stop every runaway loop
+//! or recursion. Plan execution never sets fuel; it is a safety valve for
+//! tests.
 
 use super::*;
 use crate::error::{interp_err, Diagnostic, LangResult};
@@ -84,7 +86,8 @@ impl Frame {
     }
 }
 
-/// A value read out of a container, in the file its op names.
+/// A value read out of a container on a cold path, in the file its op
+/// names (the typed ops' hot arms write their register directly).
 enum Out {
     F(f64),
     I(i64),
@@ -218,7 +221,8 @@ impl<'p> Vm<'p> {
                 fr.bound[s] = BOUND;
             }
         }
-        let flow = self.run(code, &mut fr, Some(&this))?;
+        fr.v[code.this as usize] = Value::Object(this);
+        let flow = self.run(code, &mut fr)?;
         // Write back every bound slot; `CACHED` slots are memoized
         // globals, not locals, and must not leak into the var map.
         for (s, nid) in code.slot_names.iter().enumerate() {
@@ -256,7 +260,8 @@ impl<'p> Vm<'p> {
                 format!("unknown method `{class}::{method}`"),
             )
         })?;
-        self.invoke_values(mi as usize, this.as_ref(), &args)
+        let this = this.map_or(Value::Void, Value::Object);
+        self.invoke_values(mi as usize, this, &args)
     }
 
     #[inline]
@@ -279,19 +284,21 @@ impl<'p> Vm<'p> {
         ))
     }
 
-    /// Run method `mi` in a recycled frame whose parameters `bind` fills;
-    /// its result is left in the return cells.
+    /// Run method `mi` on receiver `this` (`Void` for none) in a recycled
+    /// frame whose parameters `bind` fills; its result is left in the
+    /// return cells.
     fn invoke(
         &mut self,
         mi: usize,
-        this: Option<&Rc<RefCell<ObjectVal>>>,
+        this: Value,
         bind: impl FnOnce(&mut Frame) -> LangResult<()>,
     ) -> LangResult<()> {
         let prog = self.prog;
         let code = &prog.methods[mi].code;
         let mut fr = self.frames.pop().unwrap_or_default();
         fr.enter(code);
-        let flow = bind(&mut fr).and_then(|()| self.run(code, &mut fr, this));
+        fr.v[code.this as usize] = this;
+        let flow = bind(&mut fr).and_then(|()| self.run(code, &mut fr));
         self.frames.push(fr);
         match flow? {
             VmFlow::Ret => Ok(()),
@@ -310,7 +317,7 @@ impl<'p> Vm<'p> {
     fn call_typed(
         &mut self,
         mi: usize,
-        this: Option<&Rc<RefCell<ObjectVal>>>,
+        this: Value,
         v: &[Value],
         f: &[f64],
         ir: &[i64],
@@ -340,12 +347,7 @@ impl<'p> Vm<'p> {
     /// lowering could not resolve): each argument is coerced as the
     /// interpreter does and unboxed into its parameter; the result comes
     /// back boxed.
-    fn invoke_values(
-        &mut self,
-        mi: usize,
-        this: Option<&Rc<RefCell<ObjectVal>>>,
-        args: &[Value],
-    ) -> LangResult<Value> {
+    fn invoke_values(&mut self, mi: usize, this: Value, args: &[Value]) -> LangResult<Value> {
         self.arity(mi, args.len())?;
         let prog = self.prog;
         let m = &prog.methods[mi];
@@ -384,12 +386,7 @@ impl<'p> Vm<'p> {
         }
     }
 
-    fn run(
-        &mut self,
-        code: &CodeBlock,
-        fr: &mut Frame,
-        this: Option<&Rc<RefCell<ObjectVal>>>,
-    ) -> LangResult<VmFlow> {
+    fn run(&mut self, code: &CodeBlock, fr: &mut Frame) -> LangResult<VmFlow> {
         let prog = self.prog;
         let ops = &code.ops[..];
         let Frame { v, f, i, bound } = fr;
@@ -506,16 +503,25 @@ impl<'p> Vm<'p> {
                     idx,
                     repr,
                 } => {
-                    let k = ir[idx as usize];
-                    let out = match base {
-                        Base::Reg(b) => elem_of(&v[b as usize], k, repr),
-                        Base::This(name) => {
-                            this_field(code, pc, this, name, |x| elem_of(x, k, repr))
+                    let (k, d) = (ir[idx as usize], dst as usize);
+                    let hit = match (repr, base) {
+                        (Repr::V, _) => {
+                            let x = match base {
+                                Base::Reg(b) => elem_value(&v[b as usize], k),
+                                Base::This(t, name) => {
+                                    field_of(code, pc, &v[t as usize], name, |a| elem_value(a, k))
+                                }
+                            };
+                            x.map(|x| v[d] = x).is_some()
                         }
+                        (_, Base::Reg(b)) => elem_into(&v[b as usize], k, repr, f, ir, d),
+                        (_, Base::This(t, name)) => field_of(code, pc, &v[t as usize], name, |a| {
+                            elem_into(a, k, repr, f, ir, d).then_some(())
+                        })
+                        .is_some(),
                     };
-                    match out {
-                        Some(out) => out.store(v, f, ir, dst),
-                        None => self.load_elem(code, pc, (v, f, ir), this, dst, base, k, repr)?,
+                    if !hit {
+                        self.load_elem(code, pc, (v, f, ir), dst, base, k, repr)?;
                     }
                 }
                 Op::StoreElem {
@@ -533,12 +539,13 @@ impl<'p> Vm<'p> {
                     };
                     let done = match base {
                         Base::Reg(b) => store(&v[b as usize]),
-                        Base::This(name) => {
-                            this_field(code, pc, this, name, |b| store(b).then_some(())).is_some()
+                        Base::This(t, name) => {
+                            field_of(code, pc, &v[t as usize], name, |b| store(b).then_some(()))
+                                .is_some()
                         }
                     };
                     if !done {
-                        self.store_elem(code, pc, (v, f, ir), this, base, k, src, mode, repr)?;
+                        self.store_elem(code, pc, (v, f, ir), base, k, src, mode, repr)?;
                     }
                 }
                 Op::LoadField {
@@ -547,31 +554,21 @@ impl<'p> Vm<'p> {
                     name,
                     repr,
                 } => {
-                    let fname = || code.name(name);
-                    let out = match base {
-                        Base::This(_) => this.and_then(|t| {
-                            let t = t.borrow();
-                            let shape = t.shape();
-                            let i = code.caches.resolve(pc, shape, || shape.slot_of(fname()))?;
-                            Out::of(repr, t.slot(i)?)
-                        }),
-                        Base::Reg(b) => match &v[b as usize] {
-                            Value::Object(obj) => {
-                                let o = obj.borrow();
-                                let shape = o.shape();
-                                code.caches
-                                    .resolve(pc, shape, || shape.slot_of(fname()))
-                                    .and_then(|i| o.slot(i))
-                                    .and_then(|x| Out::of(repr, x))
-                            }
-                            _ => None,
-                        },
+                    // Both bases read the object in register `b`; they
+                    // differ only off the fast path.
+                    let (Base::Reg(b) | Base::This(b, _)) = base;
+                    let (x, d) = (&v[b as usize], dst as usize);
+                    let hit = match repr {
+                        Repr::V => field_of(code, pc, x, name, |x| Some(x.clone()))
+                            .map(|x| v[d] = x)
+                            .is_some(),
+                        _ => field_of(code, pc, x, name, |x| {
+                            scalar_into(repr, x, f, ir, d).then_some(())
+                        })
+                        .is_some(),
                     };
-                    match out {
-                        Some(out) => out.store(v, f, ir, dst),
-                        None => {
-                            self.load_field(code, pc, (v, f, ir), this, dst, base, name, repr)?
-                        }
+                    if !hit {
+                        self.load_field(code, pc, (v, f, ir), dst, base, name, repr)?;
                     }
                 }
                 Op::StoreField {
@@ -605,15 +602,13 @@ impl<'p> Vm<'p> {
                             _ => false,
                         }
                     };
-                    let done = match base {
-                        Base::This(_) => this.is_some_and(|t| store(&mut t.borrow_mut())),
-                        Base::Reg(b) => match &v[b as usize] {
-                            Value::Object(obj) => store(&mut obj.borrow_mut()),
-                            _ => false,
-                        },
+                    let (Base::Reg(b) | Base::This(b, _)) = base;
+                    let done = match &v[b as usize] {
+                        Value::Object(obj) => store(&mut obj.borrow_mut()),
+                        _ => false,
                     };
                     if !done {
-                        self.store_field(code, pc, (v, f, ir), this, base, name, src, mode, repr)?;
+                        self.store_field(code, pc, (v, f, ir), base, name, src, mode, repr)?;
                     }
                 }
                 Op::LoadElemField {
@@ -623,43 +618,32 @@ impl<'p> Vm<'p> {
                     name,
                     repr,
                 } => {
-                    let k = ir[idx as usize];
-                    let out = match &v[arr as usize] {
-                        Value::Array(a) => match &*a.borrow() {
-                            ArrayVal::Boxed(a) => match a.get(k as usize) {
-                                Some(Value::Object(obj)) => {
-                                    let o = obj.borrow();
-                                    let shape = o.shape();
-                                    code.caches
-                                        .resolve(pc, shape, || shape.slot_of(code.name(name)))
-                                        .and_then(|i| o.slot(i))
-                                        .and_then(|x| Out::of(repr, x))
-                                }
-                                _ => None,
-                            },
-                            _ => None,
-                        },
-                        _ => None,
+                    let (x, k, d) = (&v[arr as usize], ir[idx as usize], dst as usize);
+                    let hit = match repr {
+                        Repr::V => elem_field_of(code, pc, x, k, name, |y| Some(y.clone()))
+                            .map(|y| v[d] = y)
+                            .is_some(),
+                        _ => elem_field_of(code, pc, x, k, name, |y| {
+                            scalar_into(repr, y, f, ir, d).then_some(())
+                        })
+                        .is_some(),
                     };
-                    match out {
-                        Some(out) => out.store(v, f, ir, dst),
-                        None => {
-                            self.load_elem_field(code, pc, (v, f, ir), dst, arr, k, name, repr)?
-                        }
+                    if !hit {
+                        self.load_elem_field(code, pc, (v, f, ir), dst, arr, k, name, repr)?;
                     }
                 }
                 Op::Intrinsic { dst, base, fast } => {
                     let n = match base {
                         Base::Reg(b) => fast_intrinsic(&v[b as usize], fast),
-                        Base::This(name) => {
-                            this_field(code, pc, this, name, |x| fast_intrinsic(x, fast))
+                        Base::This(t, name) => {
+                            field_of(code, pc, &v[t as usize], name, |x| fast_intrinsic(x, fast))
                         }
                     };
                     ir[dst as usize] = match n {
                         Some(n) => n,
                         None => {
                             let span = code.spans[pc];
-                            self.with_base(code, pc, v, this, base, |b| intrinsic(b, fast, span))??
+                            self.with_base(code, pc, v, base, |b| intrinsic(b, fast, span))??
                         }
                     };
                 }
@@ -670,7 +654,7 @@ impl<'p> Vm<'p> {
                 Op::ReadSlot { dst, slot } => {
                     let s = slot as usize;
                     if bound[s] == UNBOUND {
-                        self.read_fallback(code, pc, (v, f, ir), this, dst, slot)?;
+                        self.read_fallback(code, pc, (v, f, ir), dst, slot)?;
                         if dst == slot && code.cacheable[s] {
                             // Provably-constant global: memoize so hot
                             // loops stop re-hashing the name.
@@ -716,13 +700,18 @@ impl<'p> Vm<'p> {
                         let rhs = boxed(v, f, ir, repr, src);
                         let name = code.name(code.slot_names[s]);
                         let skip_this = code.slot_kinds[s] == SlotKind::Global;
+                        let this = receiver(&v[code.this as usize]);
                         self.write_name(code, pc, name, skip_this, this, rhs, mode)?;
                     }
                 }
-                Op::LoadThis { dst } => {
-                    v[dst as usize] = this.cloned().map(Value::Object).ok_or_else(|| {
-                        interp_err(code.spans[pc], "`this` outside an instance method")
-                    })?;
+                Op::LoadThis { dst, this } => {
+                    if receiver(&v[this as usize]).is_none() {
+                        return Err(interp_err(
+                            code.spans[pc],
+                            "`this` outside an instance method",
+                        ));
+                    }
+                    v[dst as usize] = v[this as usize].clone();
                 }
                 Op::MoveV { dst, src } => v[dst as usize] = v[src as usize].clone(),
                 Op::CheckDomainPipe { src } => {
@@ -869,7 +858,7 @@ impl<'p> Vm<'p> {
                             format!("unknown method `{}::{}`", code.class, code.name(name)),
                         ));
                     }
-                    let m = mi as usize;
+                    let (m, this) = (mi as usize, v[code.this as usize].clone());
                     self.call_typed(m, this, v, f, ir, argb, argc, code.spans[pc])?;
                     self.take_ret(m, v, f, ir, dst);
                 }
@@ -881,25 +870,9 @@ impl<'p> Vm<'p> {
                     argb,
                     argc,
                 } => {
-                    // The receiver's class resolves, through the cache, to
-                    // the method whose signature placed the arguments.
-                    let typed = match &v[recv as usize] {
-                        Value::Object(obj) => {
-                            let o = obj.borrow();
-                            let actual = code.caches.resolve(pc, o.shape(), || {
-                                prog.method_id(o.class(), code.name(name))
-                                    .map(|m| m as usize)
-                            });
-                            actual == Some(mi as usize)
-                        }
-                        _ => false,
-                    };
-                    if typed {
-                        let Value::Object(obj) = &v[recv as usize] else {
-                            unreachable!("matched above")
-                        };
-                        let m = mi as usize;
-                        self.call_typed(m, Some(obj), v, f, ir, argb, argc, code.spans[pc])?;
+                    if resolves_to(prog, code, pc, &v[recv as usize], code.name(name), mi) {
+                        let (m, this) = (mi as usize, v[recv as usize].clone());
+                        self.call_typed(m, this, v, f, ir, argb, argc, code.spans[pc])?;
                         self.take_ret(m, v, f, ir, dst);
                     } else {
                         self.call_method_dynamic(
@@ -913,6 +886,17 @@ impl<'p> Vm<'p> {
                             argb,
                             argc,
                         )?;
+                    }
+                }
+                Op::Guard { recv, mi, hit } => {
+                    let typed = recv.is_none_or(|r| {
+                        let name = &prog.methods[mi as usize].name;
+                        resolves_to(prog, code, pc, &v[r as usize], name, mi)
+                    });
+                    if typed {
+                        self.tick(code.spans[pc])?;
+                        pc = hit as usize;
+                        continue;
                     }
                 }
                 Op::CallBuiltin {
@@ -978,14 +962,13 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         dst: Reg,
         base: Base,
         k: i64,
         repr: Repr,
     ) -> LangResult<()> {
         let span = code.spans[pc];
-        let out = self.with_base(code, pc, v, this, base, |b| {
+        let out = self.with_base(code, pc, v, base, |b| {
             let Value::Array(arr) = b else {
                 return Err(interp_err(span, "indexing non-array"));
             };
@@ -1008,7 +991,6 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         base: Base,
         k: i64,
         src: Reg,
@@ -1017,7 +999,7 @@ impl<'p> Vm<'p> {
     ) -> LangResult<()> {
         let span = code.spans[pc];
         let rhs = boxed(v, f, ir, repr, src);
-        self.with_base(code, pc, v, this, base, |b| {
+        self.with_base(code, pc, v, base, |b| {
             let Value::Array(arr) = b else {
                 return Err(interp_err(span, "index assignment on non-array"));
             };
@@ -1039,7 +1021,6 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         dst: Reg,
         base: Base,
         name: u16,
@@ -1062,13 +1043,13 @@ impl<'p> Vm<'p> {
                 Out::of(repr, x)
                     .ok_or_else(|| mismatch(span, format_args!("field `{fname}`"), repr, x))?
             }
-            Base::This(_) => self.with_name(
+            Base::This(t, _) => self.with_name(
                 code,
                 pc,
                 fname,
                 false,
                 || span,
-                this,
+                receiver(&v[t as usize]),
                 |x| {
                     Out::of(repr, x)
                         .ok_or_else(|| mismatch(span, format_args!("`{fname}`"), repr, x))
@@ -1090,7 +1071,6 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         base: Base,
         name: u16,
         src: Reg,
@@ -1115,7 +1095,10 @@ impl<'p> Vm<'p> {
                 *slot = combine(mode, slot, widen(slot, rhs), span)?;
                 Ok(())
             }
-            Base::This(_) => self.write_name(code, pc, fname, false, this, rhs, mode),
+            Base::This(t, _) => {
+                let this = receiver(&v[t as usize]);
+                self.write_name(code, pc, fname, false, this, rhs, mode)
+            }
         }
     }
 
@@ -1167,7 +1150,6 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         (v, f, ir): (&mut [Value], &mut [f64], &mut [i64]),
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         dst: Reg,
         slot: Reg,
     ) -> LangResult<()> {
@@ -1182,7 +1164,7 @@ impl<'p> Vm<'p> {
             name,
             skip_this,
             || span,
-            this,
+            receiver(&v[code.this as usize]),
             |x| Out::of(repr, x).ok_or_else(|| mismatch(span, format_args!("`{name}`"), repr, x)),
         )??;
         out.store(v, f, ir, dst);
@@ -1236,8 +1218,8 @@ impl<'p> Vm<'p> {
                         boxed(v, f, ir, repr, argb + p as Reg)
                     })
                     .collect();
-                let obj = Rc::clone(obj);
-                self.invoke_values(actual, Some(&obj), &args)?
+                let this = Value::Object(Rc::clone(obj));
+                self.invoke_values(actual, this, &args)?
             }
             Value::Domain(lo, hi) => match mname {
                 "lo" => Value::Int(*lo),
@@ -1312,19 +1294,18 @@ impl<'p> Vm<'p> {
         code: &CodeBlock,
         pc: usize,
         v: &[Value],
-        this: Option<&Rc<RefCell<ObjectVal>>>,
         base: Base,
         look: impl FnOnce(&Value) -> R,
     ) -> LangResult<R> {
         match base {
             Base::Reg(r) => Ok(look(&v[r as usize])),
-            Base::This(name) => self.with_name(
+            Base::This(t, name) => self.with_name(
                 code,
                 pc,
                 code.name(name),
                 false,
                 || code.name_span(pc),
-                this,
+                receiver(&v[t as usize]),
                 look,
             ),
         }
@@ -1415,37 +1396,119 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// The value in field `name` of `this`, through op `pc`'s shape cache,
-/// seen by `look`; `None` when there is no `this` or the field is absent.
+/// The object a `this` register holds, if any.
 #[inline]
-fn this_field<R>(
+fn receiver(x: &Value) -> Option<&Rc<RefCell<ObjectVal>>> {
+    match x {
+        Value::Object(o) => Some(o),
+        _ => None,
+    }
+}
+
+/// Does a call of `name` on `recv` take method `mi`'s typed path: is it an
+/// object whose class resolves to `mi` through op `pc`'s shape cache?
+#[inline]
+fn resolves_to(
+    prog: &ProgramCode,
     code: &CodeBlock,
     pc: usize,
-    this: Option<&Rc<RefCell<ObjectVal>>>,
+    recv: &Value,
+    name: &str,
+    mi: u32,
+) -> bool {
+    let Value::Object(obj) = recv else {
+        return false;
+    };
+    let o = obj.borrow();
+    let actual = code.caches.resolve(pc, o.shape(), || {
+        prog.method_id(o.class(), name).map(|m| m as usize)
+    });
+    actual == Some(mi as usize)
+}
+
+/// Field `name` of the object in `x`, through op `pc`'s shape cache, seen
+/// in place by `look`; `None` when `x` is no object or has no such field.
+#[inline]
+fn field_of<R>(
+    code: &CodeBlock,
+    pc: usize,
+    x: &Value,
     name: u16,
     look: impl FnOnce(&Value) -> Option<R>,
 ) -> Option<R> {
-    let t = this?.borrow();
-    let shape = t.shape();
+    let Value::Object(obj) = x else {
+        return None;
+    };
+    let o = obj.borrow();
+    let shape = o.shape();
     let i = code
         .caches
         .resolve(pc, shape, || shape.slot_of(code.name(name)))?;
-    look(t.slot(i)?)
+    look(o.slot(i)?)
 }
 
-/// Element `k` of array `x` as `repr` wants it, when in range and its tag
-/// agrees; a dense array's elements agree with their own repr.
+/// Field `name` of the object at element `k` of the array in `x` — an
+/// object array's element field — seen in place by `look`.
 #[inline]
-fn elem_of(x: &Value, k: i64, repr: Repr) -> Option<Out> {
+fn elem_field_of<R>(
+    code: &CodeBlock,
+    pc: usize,
+    x: &Value,
+    k: i64,
+    name: u16,
+    look: impl FnOnce(&Value) -> Option<R>,
+) -> Option<R> {
     let Value::Array(a) = x else {
         return None;
     };
+    match &*a.borrow() {
+        ArrayVal::Boxed(a) => field_of(code, pc, a.get(k as usize)?, name, look),
+        _ => None,
+    }
+}
+
+/// A typed read's fast path: scalar `x` into register `d` of `repr`'s
+/// file, when its tag agrees (strict: the value comes from outside typed
+/// code); `false` leaves the read to the cold path.
+#[inline(always)]
+fn scalar_into(repr: Repr, x: &Value, f: &mut [f64], ir: &mut [i64], d: usize) -> bool {
+    match (repr, x) {
+        (Repr::F, Value::Double(x)) => f[d] = *x,
+        (Repr::I, Value::Int(n)) => ir[d] = *n,
+        (Repr::B, Value::Bool(b)) => ir[d] = i64::from(*b),
+        _ => return false,
+    }
+    true
+}
+
+/// [`scalar_into`] of element `k` of array `x`, when in range; a dense
+/// array's elements agree with their own repr.
+#[inline(always)]
+fn elem_into(x: &Value, k: i64, repr: Repr, f: &mut [f64], ir: &mut [i64], d: usize) -> bool {
+    let Value::Array(a) = x else {
+        return false;
+    };
     let k = k as usize;
     match (&*a.borrow(), repr) {
-        (ArrayVal::F64(a), Repr::F) => a.get(k).map(|x| Out::F(*x)),
-        (ArrayVal::I64(a), Repr::I) => a.get(k).map(|x| Out::I(*x)),
-        (ArrayVal::Boxed(a), _) => a.get(k).and_then(|x| Out::of(repr, x)),
-        (a, Repr::V) => a.get(k).map(Out::V),
+        (ArrayVal::F64(a), Repr::F) => match a.get(k) {
+            Some(x) => f[d] = *x,
+            None => return false,
+        },
+        (ArrayVal::I64(a), Repr::I) => match a.get(k) {
+            Some(x) => ir[d] = *x,
+            None => return false,
+        },
+        (ArrayVal::Boxed(a), _) => return a.get(k).is_some_and(|x| scalar_into(repr, x, f, ir, d)),
+        _ => return false,
+    }
+    true
+}
+
+/// Element `k` of array `x`, boxed, when in range.
+#[inline]
+fn elem_value(x: &Value, k: i64) -> Option<Value> {
+    match x {
+        Value::Array(a) => a.borrow().get(k as usize),
         _ => None,
     }
 }
@@ -2234,6 +2297,83 @@ mod tests {
         let mut vars = HashMap::new();
         let err = vm.exec_slice(&slice, &mut vars).unwrap_err();
         assert!(err.message.contains("fuel"));
+    }
+
+    #[test]
+    fn inlined_calls_tick_and_run_out_of_fuel_like_calls() {
+        let src = r#"class Acc {
+                int n;
+                void add(int x) { for (int j = 0; j < 2; j += 1) { n += x; } }
+            }
+            class A { void main() {
+                Acc acc = new Acc();
+                RectDomain<1> d = [0 : 4];
+                foreach (i in d) { acc.add(i); print(acc.n); }
+            } }"#;
+        let tp = frontend(src).unwrap();
+        let (class, method) = tp.program.main().unwrap();
+        let prog = ProgramCode::lower(&tp);
+        let slice = prog.lower_slice(&tp, &class.name, &method.body.stmts);
+        assert!(
+            slice.ops.iter().any(|o| matches!(o, Op::Guard { .. })),
+            "`add` is inlined: {:?}",
+            slice.ops
+        );
+        let run = |fuel: Option<u64>| {
+            let mut vm = Vm::new(&prog, HostEnv::new());
+            vm.fuel = fuel;
+            let r = vm.exec_slice(&slice, &mut HashMap::new());
+            (r, vm.output, vm.steps)
+        };
+        // 4 foreach back-edges, 5 calls, and per call 2 back-edges of
+        // `add`'s loop.
+        let (r, out, steps) = run(None);
+        r.unwrap();
+        assert_eq!(steps, 4 + 5 + 5 * 2);
+        assert_eq!(out, ["0", "2", "6", "12", "20"]);
+        // Ticks 1-3 are the first call and its loop; 4 the foreach
+        // back-edge; 5 the second call; 6 its loop's first back-edge.
+        for (fuel, at) in [(3, "foreach"), (4, "acc.add(i)"), (5, "for (int j")] {
+            let (r, out, _) = run(Some(fuel));
+            let err = r.unwrap_err();
+            assert_eq!(err.message, "interpreter fuel exhausted");
+            assert!(
+                src[err.span.start..err.span.end].starts_with(at),
+                "fuel {fuel}: stopped at {:?}",
+                &src[err.span.start..err.span.end]
+            );
+            assert_eq!(out, ["0"], "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn a_guard_sends_a_receiver_of_another_class_to_its_own_method() {
+        // `ps` is declared `P[]` but the host binds a `Q` too: the call
+        // inlines `P.get`, and the `Q` must still run `Q.get`.
+        let src = r#"extern P[] ps;
+            class P { int a; int get() { return a; } }
+            class Q { int a; int get() { return a + 100; } }
+            class A { void main() {
+                RectDomain<1> d = [0 : 2];
+                foreach (i in d) { P p = ps[i]; print(p.get()); }
+            } }"#;
+        let obj = |class: &str, a: i64| {
+            Value::new_object(class, HashMap::from([("a".to_string(), Value::Int(a))]))
+        };
+        let ps = vec![obj("P", 1), obj("Q", 2), obj("P", 3)];
+        let host = HostEnv::new().bind("ps", Value::array(ArrayVal::Boxed(ps)));
+        let (_, out) = run_both(src, host);
+        assert_eq!(out, ["1", "102", "3"]);
+    }
+
+    #[test]
+    fn a_null_receiver_misses_the_guard_and_raises_the_calls_diagnostic() {
+        let d = err_both(
+            r#"class P { int a; int get() { return a; } }
+            class A { void main() { P p; print(p.get()); } }"#,
+            HostEnv::new(),
+        );
+        assert_eq!(d.message, "cannot call `get` on value `null`");
     }
 
     #[test]

@@ -30,20 +30,6 @@ pub struct TypedProgram {
     pub symbols: SymbolTable,
 }
 
-impl TypedProgram {
-    /// Infer the type of `expr` as seen from inside `class::method`.
-    /// Panics (debug) on expressions the checker would have rejected, so
-    /// callers must only pass expressions from the checked program.
-    pub fn expr_type(&self, class: &str, method: &str, expr: &Expr) -> Type {
-        let c = self.program.class(class).expect("unknown class");
-        let m = self.program.method(class, method).expect("unknown method");
-        let mut ck = Checker::new(&self.program);
-        ck.symbols = self.symbols.clone();
-        ck.infer_in_context(c, m, expr)
-            .expect("expr_type called on ill-typed expression")
-    }
-}
-
 /// Type-check a program.
 pub fn check(program: Program) -> Result<TypedProgram, Diagnostic> {
     let mut ck = Checker::new(&program);
@@ -736,28 +722,6 @@ impl<'p> Checker<'p> {
             _ => Err(type_err(span, format!("unknown builtin `{name}`"))),
         }
     }
-
-    /// Used by [`TypedProgram::expr_type`]: infer in a rebuilt context.
-    fn infer_in_context(
-        &mut self,
-        class: &ClassDecl,
-        method: &MethodDecl,
-        expr: &Expr,
-    ) -> Result<Type, Diagnostic> {
-        let scope = self
-            .symbols
-            .scope(&class.name, &method.name)
-            .cloned()
-            .unwrap_or_default();
-        let ctx = Ctx {
-            class,
-            method,
-            scope,
-            foreach_depth: 0,
-            loop_depth: 0,
-        };
-        self.infer(&ctx, expr)
-    }
 }
 
 /// Can `stmts` run to their end without returning? Java's rule, as far as
@@ -974,16 +938,6 @@ mod tests {
         "#;
         let err = check_src(src).unwrap_err();
         assert!(err.message.contains("argument"));
-    }
-
-    #[test]
-    fn expr_type_api_works() {
-        let src = r#"
-            class A { void f() { double x = 1.5; int i = 2; } }
-        "#;
-        let tp = check_src(src).unwrap();
-        let e = crate::parser::parse_expr("x + i").unwrap();
-        assert_eq!(tp.expr_type("A", "f", &e), Type::Double);
     }
 
     #[test]

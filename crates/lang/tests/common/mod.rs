@@ -648,7 +648,8 @@ impl ProgramGen {
     /// host-built or fresh object, and a loop over the host array.
     fn object_stmt(&mut self, out: &mut String) {
         let o = self.object();
-        match self.rng.gen_range(0, 7) {
+        match self.rng.gen_range(0, 9) {
+            7 | 8 => self.method_stmt(out),
             0 | 1 => {
                 let (f, rhs) = if self.rng.gen_bool(0.5) {
                     (["a", "c"][self.rng.gen_range(0, 2)], self.int_expr(1))
@@ -685,14 +686,58 @@ impl ProgramGen {
         }
     }
 
+    /// A statement that calls one of `P`'s methods for its result: leaves
+    /// the VM inlines (`int`, `double`, `boolean`, object and array
+    /// results, parameters of every repr, `this` returned and passed on,
+    /// a `return` inside a peeled loop), a method whose receiver-less
+    /// calls are inlined with its own `this`, a recursive method and one
+    /// over the inlining budget, which stay calls, a call on `ps[2]`,
+    /// whose missing `c` sends the inlined body to the global `c`, and a
+    /// call on a null receiver, which must raise the call's diagnostic.
+    fn method_stmt(&mut self, out: &mut String) {
+        let (o, q) = (self.object(), self.object());
+        let k = self.int_expr(1);
+        let x = self.double_expr(1);
+        let _ = match self.rng.gen_range(0, 11) {
+            0 => writeln!(out, "print({o}.first({k}));"),
+            1 => writeln!(out, "print({o}.pos());"),
+            2 => writeln!(out, "{o} = {q}.me();"),
+            3 => {
+                let w = self.fresh("w");
+                writeln!(out, "double[] {w} = {o}.pair();\nprint({w}[0] - {w}[1]);")
+            }
+            4 => {
+                let f = self.bool_expr(1);
+                writeln!(out, "print({o}.take({k}, {x}, {f}, {q}, {q}.pair()));")
+            }
+            5 => writeln!(out, "print({o}.pass({x}));"),
+            6 => {
+                let depth = self.rng.gen_range(0, 4);
+                writeln!(out, "print({o}.depth({depth}) + {o}.big({x}));")
+            }
+            7 => writeln!(out, "print(ps[2].weigh({o}, {x}));"),
+            8 => writeln!(out, "ps[2].bump({k});"),
+            9 => {
+                let i = self.host_index();
+                writeln!(out, "print({o}.me().geta() + ps[{i}].me().c);")
+            }
+            _ => {
+                let call = ["pn.geta()", "pn.mix(1.5)", "pn.pass(0.5)"][self.rng.gen_range(0, 3)];
+                writeln!(out, "print({call});")
+            }
+        };
+    }
+
     /// A program over objects of a class `P` with four fields, whose
     /// methods read, write and compound-assign them through `this` both
     /// implicitly and explicitly. `main` holds `P` locals bound to `new P()`
     /// and to elements of the host's `ps` ([`object_host`]), whose slot
-    /// orders differ from the declaration, so one op meets several shapes.
+    /// orders differ from the declaration, so one op meets several shapes,
+    /// and a null `pn`. [`ProgramGen::method_stmt`] calls the rest of `P`'s
+    /// methods; `big`'s body is over the inlining budget.
     #[allow(dead_code)] // not every test binary generates objects
     pub fn object_program(&mut self, budget: usize) -> String {
-        let mut body = String::new();
+        let mut body = String::from("P pn;\n");
         for (k, init) in ["new P()", "ps[0]", "ps[1]"].iter().enumerate() {
             let name = format!("o{k}");
             let _ = writeln!(body, "P {name} = {init};");
@@ -703,17 +748,34 @@ impl ProgramGen {
         format!(
             concat!(
                 "extern int n;\n",
+                "extern int c;\n",
                 "extern P[] ps;\n",
                 "class P {{\n",
                 "    int a; double b; int c; double d;\n",
                 "    int geta() {{ return a; }}\n",
                 "    void bump(int k) {{ a += k; c = c - k; this.b += toDouble(k); }}\n",
                 "    double mix(double x) {{ this.d = d * 0.5 + x; return b + d + toDouble(c); }}\n",
+                "    int first(int lim) {{\n",
+                "        for (int i = 0; i < 4; i += 1) {{ int t = a + i; if (t > lim) {{ return t; }} }}\n",
+                "        return c;\n",
+                "    }}\n",
+                "    boolean pos() {{ return b > d; }}\n",
+                "    P me() {{ return this; }}\n",
+                "    double[] pair() {{ double[] r = new double[2]; r[0] = b; r[1] = d; return r; }}\n",
+                "    double take(int i, double x, boolean f, P q, double[] w) {{\n",
+                "        if (f) {{ return x + toDouble(i) + q.b; }}\n",
+                "        return w[1] - x;\n",
+                "    }}\n",
+                "    double weigh(P q, double w) {{ return q.b * w + toDouble(c); }}\n",
+                "    double pass(double w) {{ return weigh(this, w) + toDouble(geta()); }}\n",
+                "    int depth(int k) {{ if (k <= 0) {{ return a; }} return depth(k - 1) + 1; }}\n",
+                "    double big(double x) {{ double s = x; {big} return s; }}\n",
                 "}}\n",
                 "class A {{ void main() {{\n",
                 "{body}",
                 "}} }}\n"
             ),
+            big = "s += d * 1.5; ".repeat(90),
             body = body
         )
     }
@@ -734,10 +796,11 @@ pub fn dense_host(n: i64) -> HostEnv {
         .bind("hk", Value::array(ArrayVal::I64(vec![3, -7, 11, 0])))
 }
 
-/// The host side of [`ProgramGen::object_program`]: `n` and three `P`
-/// objects, each built through its own shape in a field order that differs
-/// from `P`'s declaration; the third leaves `c` out. A fresh call builds
-/// fresh objects, so each engine can mutate its own.
+/// The host side of [`ProgramGen::object_program`]: `n`, the global `c`
+/// and three `P` objects, each built through its own shape in a field
+/// order that differs from `P`'s declaration; the third leaves `c` out
+/// (its methods reach the global). A fresh call builds fresh objects, so
+/// each engine can mutate its own.
 #[allow(dead_code)]
 pub fn object_host(n: i64) -> HostEnv {
     let obj = |names: &[&str], vals: &[f64]| {
@@ -761,5 +824,6 @@ pub fn object_host(n: i64) -> HostEnv {
     ];
     HostEnv::new()
         .bind("n", Value::Int(n))
+        .bind("c", Value::Int(-4))
         .bind("ps", Value::array(ArrayVal::Boxed(ps)))
 }

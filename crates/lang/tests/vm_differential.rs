@@ -8,7 +8,7 @@
 
 mod common;
 
-use cgp_lang::bytecode::{vm::Vm, ProgramCode};
+use cgp_lang::bytecode::{vm::Vm, Op, ProgramCode};
 use cgp_lang::interp::{HostEnv, Interp};
 use cgp_lang::{frontend, Value};
 use common::{dense_host, object_host, ProgramGen};
@@ -178,9 +178,10 @@ fn random_pipelined_programs_agree_across_packet_splits() {
 fn random_object_programs_agree() {
     // Objects of one class reach the same ops through different shapes:
     // `new P()` in declaration order, host-built `ps` elements in other
-    // orders, one of them without `c`. Both the clean runs and the
-    // missing-field diagnostics must match.
-    let (mut clean, mut missing) = (0, 0);
+    // orders, one of them without `c`. `P`'s leaf methods are inlined
+    // behind guards that a null `pn` misses. The clean runs, the
+    // missing-field diagnostics and the null calls' must all match.
+    let (mut clean, mut missing, mut null_calls) = (0, 0, 0);
     for seed in 0..150u64 {
         let mut g = ProgramGen::new(0x0B1E_0000 + seed);
         let src = g.object_program(8);
@@ -192,13 +193,62 @@ fn random_object_programs_agree() {
         match it.exec_stmts_with_vars(&c.name, &m.body.stmts, &mut HashMap::new()) {
             Ok(()) => clean += 1,
             Err(e) if e.message.starts_with("no field") => missing += 1,
+            Err(e) if e.message.ends_with("on value `null`") => null_calls += 1,
             Err(_) => {}
         }
     }
     assert!(
-        clean >= 20 && missing >= 5,
-        "generator drifted: {clean} clean runs, {missing} missing-field diagnostics of 150"
+        clean >= 20 && missing >= 5 && null_calls >= 3,
+        "generator drifted: {clean} clean runs, {missing} missing-field and \
+         {null_calls} null-receiver diagnostics of 150"
     );
+    // Which of `P`'s methods a call inlines: every leaf, and neither the
+    // recursive `depth` nor `big`, whose body is over the budget.
+    let tp = frontend(&ProgramGen::new(0).object_program(0)).expect("frontend");
+    let prog = ProgramCode::lower(&tp);
+    let pass = prog.method_id("P", "pass").expect("pass");
+    let inlined: Vec<&str> = prog.methods[pass as usize]
+        .code
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Guard { mi, .. } => Some(prog.methods[*mi as usize].name.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(inlined, ["weigh", "geta"]);
+    let leaf = |m: &str| {
+        let src = format!("class B {{ void main() {{ P p = new P(); p.{m}; }} }}");
+        let tp =
+            frontend(&format!("{}{src}", ProgramGen::new(0).object_program(0))).expect("frontend");
+        let prog = ProgramCode::lower(&tp);
+        let slice = prog.lower_slice(
+            &tp,
+            "B",
+            &tp.program.method("B", "main").unwrap().body.stmts,
+        );
+        let name = &m[..m.find('(').unwrap()];
+        let id = prog.method_id("P", name).expect("a P method");
+        slice
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::Guard { mi, .. } if *mi == id))
+    };
+    for (call, inlines) in [
+        ("first(1)", true),
+        ("pos()", true),
+        ("me()", true),
+        ("pair()", true),
+        ("take(1, 1.0, true, p, p.pair())", true),
+        ("weigh(p, 1.0)", true),
+        ("mix(1.0)", true),
+        ("bump(1)", true),
+        ("pass(1.0)", false),
+        ("depth(2)", false),
+        ("big(1.0)", false),
+    ] {
+        assert_eq!(leaf(call), inlines, "{call}");
+    }
 }
 
 #[test]
