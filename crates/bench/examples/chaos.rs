@@ -1,7 +1,7 @@
 //! Worked chaos example: run the same pipeline through the fault-tolerant
 //! runtime under three injected failure modes — a mid-stream panic, a
-//! failure that recovery's restart masks, and an induced stall caught by
-//! the watchdog.
+//! failure that a restart of the whole run masks, and an induced stall
+//! caught by the watchdog.
 //!
 //! ```sh
 //! cargo run --release -p cgp-bench --example chaos
@@ -12,12 +12,33 @@
 //! process, no leaked threads (the executor joins every copy).
 
 use cgp_core::datacutter::{
-    Buffer, ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Pipeline, RecoveryOptions,
-    RunOptions, StageSpec,
+    Buffer, ClosureFilter, ErrorKind, FaultPlan, Filter, FilterError, FilterIo, FilterResult,
+    Pipeline, RunOptions, StageSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Sums its input and publishes the sum in `finalize`, which a cancelled
+/// attempt never runs: a restarted run publishes one sum.
+struct Sum {
+    sum: u64,
+    total: Arc<AtomicU64>,
+}
+
+impl Filter for Sum {
+    fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
+        while let Some(b) = io.read() {
+            self.sum += b.u64_le("sum")?;
+        }
+        Ok(())
+    }
+
+    fn finalize(&mut self, _io: &mut FilterIo) -> FilterResult<()> {
+        self.total.fetch_add(self.sum, Ordering::Relaxed);
+        Ok(())
+    }
+}
 
 /// source → double → sum over `n` u64 packets.
 fn pipeline(n: u64, total: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
@@ -55,13 +76,10 @@ fn pipeline(n: u64, total: Arc<AtomicU64>, opts: RunOptions) -> Pipeline {
             "sum",
             1,
             Box::new(move |_| {
-                let total = Arc::clone(&total);
-                Box::new(ClosureFilter::new("sum", move |io: &mut FilterIo| {
-                    while let Some(b) = io.read() {
-                        total.fetch_add(b.u64_le("sum")?, Ordering::Relaxed);
-                    }
-                    Ok(())
-                }))
+                Box::new(Sum {
+                    sum: 0,
+                    total: Arc::clone(&total),
+                })
             }),
         ))
 }
@@ -82,8 +100,8 @@ fn main() {
     );
 
     // 2. Panic isolation: copy 1 of `double` panics at packet 100. The
-    //    panic is caught, its streams are closed/drained, and the run
-    //    returns a structured Panicked error naming double[1].
+    //    panic is caught, the run is cancelled, every copy joins, and the
+    //    run returns a structured Panicked error naming double[1].
     let total = Arc::new(AtomicU64::new(0));
     let opts = RunOptions {
         faults: FaultPlan::new().panic_at("double", 1, 100),
@@ -96,14 +114,15 @@ fn main() {
     assert_eq!(err.kind, ErrorKind::Panicked);
     println!("panic injection: {err}");
 
-    // 3. Failure + recovery: copy 0 of `double` fails at packet 100.
-    //    Recovery restarts the copy with a fresh filter instance and
-    //    replays the input it had not acknowledged, so the run completes
-    //    with the exact sum. Without recovery the same fault fails the run.
+    // 3. Failure + restart: copy 0 of `double` fails at packet 100. The
+    //    failed attempt is cancelled, publishing nothing, and the whole
+    //    run restarts from packet 0 with fresh filter instances; the
+    //    fault has fired, so the rerun completes with the exact sum.
+    //    Without a restart budget the same fault fails the run.
     let total = Arc::new(AtomicU64::new(0));
     let opts = RunOptions {
         faults: FaultPlan::new().fail_at("double", 0, 100),
-        recovery: RecoveryOptions::on(),
+        restart_budget: 2,
         ..Default::default()
     };
     let stats = pipeline(N, Arc::clone(&total), opts)

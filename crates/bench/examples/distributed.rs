@@ -3,8 +3,9 @@
 //! self-contained — `cgp <app> --role launcher` does the same thing with
 //! real processes) connected by loopback TCP,
 //! and show that the distributed result is identical to the in-process
-//! run — including when a fault is injected into the middle worker and
-//! masked by checkpointed recovery.
+//! run — including when a fault injected into the middle worker fails
+//! that worker, and the chain is restarted as a supervising launcher
+//! restarts it.
 //!
 //! ```sh
 //! cargo run --release -p cgp-bench --example distributed
@@ -17,8 +18,8 @@
 //! ```
 
 use cgp_core::datacutter::{
-    Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RecoveryOptions, RunOptions, StageSpec,
-    WorkerEndpoints, WorkerIngress,
+    Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RunOptions, StageSpec, WorkerEndpoints,
+    WorkerIngress,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,15 +28,10 @@ use std::sync::Arc;
 /// same pipeline (closures can't cross process boundaries, so each
 /// participant rebuilds the plan deterministically); the endpoints
 /// select which stage actually runs.
-fn pipeline(n: u64, faults: Option<FaultPlan>, total: Arc<AtomicU64>) -> Pipeline {
-    // A fault plan comes with the recovery that masks it.
+fn pipeline(n: u64, faults: FaultPlan, total: Arc<AtomicU64>) -> Pipeline {
     let opts = RunOptions {
         capacity: 8,
-        recovery: match faults {
-            Some(_) => RecoveryOptions::on(),
-            None => RecoveryOptions::default(),
-        },
-        faults: faults.unwrap_or_default(),
+        faults,
         ..Default::default()
     };
     Pipeline::new(opts)
@@ -79,7 +75,8 @@ fn pipeline(n: u64, faults: Option<FaultPlan>, total: Arc<AtomicU64>) -> Pipelin
         ))
 }
 
-fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
+/// The total, or every failed worker's error.
+fn run_distributed(n: u64, faults: FaultPlan) -> Result<u64, String> {
     // Bind the downstream listeners first (real launchers learn the
     // ephemeral ports from each worker's `CGP_LISTENING` announcement).
     // Each ingress serves the upstream stage's copies: 1, then 2.
@@ -91,26 +88,35 @@ fn run_distributed(n: u64, faults: Option<FaultPlan>) -> u64 {
     let total = Arc::new(AtomicU64::new(0));
     let mut listeners = [None, Some(l1), Some(l2)];
     std::thread::scope(|scope| {
-        for (stage, connect) in connects.into_iter().enumerate() {
-            let ingress = listeners[stage].take();
-            println!(
-                "  worker {stage}: connect {}",
-                connect.as_deref().unwrap_or("none")
-            );
-            let faults = faults.clone();
-            let total = Arc::clone(&total);
-            scope.spawn(move || {
-                pipeline(n, faults, total)
-                    .run_worker(WorkerEndpoints {
+        let workers: Vec<_> = connects
+            .into_iter()
+            .enumerate()
+            .map(|(stage, connect)| {
+                let ingress = listeners[stage].take();
+                println!(
+                    "  worker {stage}: connect {}",
+                    connect.as_deref().unwrap_or("none")
+                );
+                let pipeline = pipeline(n, faults.clone(), Arc::clone(&total));
+                scope.spawn(move || {
+                    pipeline.run_worker(WorkerEndpoints {
                         stage,
                         ingress,
                         connect,
                     })
-                    .expect("worker run");
-            });
+                })
+            })
+            .collect();
+        let errors: Vec<String> = workers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(stage, w)| Some(format!("worker {stage}: {}", w.join().unwrap().err()?)))
+            .collect();
+        match errors.is_empty() {
+            true => Ok(total.load(Ordering::Relaxed)),
+            false => Err(errors.join("; ")),
         }
-    });
-    total.load(Ordering::Relaxed)
+    })
 }
 
 fn main() {
@@ -118,7 +124,7 @@ fn main() {
     let expect = (0..n).map(|i| i * 2).sum::<u64>();
 
     let total = Arc::new(AtomicU64::new(0));
-    pipeline(n, None, Arc::clone(&total))
+    pipeline(n, FaultPlan::new(), Arc::clone(&total))
         .run()
         .expect("in-process run");
     println!(
@@ -128,12 +134,20 @@ fn main() {
     assert_eq!(total.load(Ordering::Relaxed), expect);
 
     println!("distributed run (3 workers over loopback TCP):");
-    let got = run_distributed(n, None);
+    let got = run_distributed(n, FaultPlan::new()).expect("distributed run");
     println!("  total = {got}  (identical to in-process)");
     assert_eq!(got, expect);
 
+    // A worker never restarts itself: the panic fails the middle worker
+    // by name. A supervising launcher then restarts the whole chain from
+    // packet 0 without the injected fault, which has fired.
     println!("distributed run with a panic injected into the middle worker:");
-    let got = run_distributed(n, Some(FaultPlan::new().panic_at("double", 0, 20)));
-    println!("  total = {got}  (recovery masked the fault; still identical)");
+    let err = run_distributed(n, FaultPlan::new().panic_at("double", 0, 20))
+        .expect_err("the panic fails its worker");
+    println!("  failed: {err}");
+    assert!(err.contains("double[0]"), "{err}");
+    println!("restart of the whole chain:");
+    let got = run_distributed(n, FaultPlan::new()).expect("restarted run");
+    println!("  total = {got}  (still identical)");
     assert_eq!(got, expect);
 }

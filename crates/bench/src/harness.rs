@@ -24,14 +24,14 @@
 //! - `--trace-out <path>` (or `CGP_TRACE`) — write a Chrome
 //!   `trace_event` JSON file of a local run: the seven compiler phases
 //!   and the runtime's per-filter-copy spans and per-packet events;
-//! - 13 run options, each answering its `CGP_*` variable (see
+//! - 12 run options, each answering its `CGP_*` variable (see
 //!   [`ExecOptions::from_lookup`]): `--faults`, `--deadline-ms`,
-//!   `--recover`, `--checkpoint-every`, `--role`, `--listen`,
-//!   `--connect`, `--transport`, `--status-every`, `--telemetry-log`,
-//!   `--heartbeat-ms`, `--max-worker-restarts` and `--autoscale`.
-//!   `--faults <spec>` injects deterministic faults (grammar at
-//!   [`cgp_core::datacutter::FaultPlan::parse`]); `--recover`
-//!   masks them with checkpointed restarts, and when a unit still
+//!   `--recover`, `--role`, `--listen`, `--connect`, `--transport`,
+//!   `--status-every`, `--telemetry-log`, `--heartbeat-ms`,
+//!   `--max-worker-restarts` and `--autoscale`. `--faults <spec>`
+//!   injects deterministic faults (grammar at
+//!   [`cgp_core::datacutter::FaultPlan::parse`]); `--recover` masks them
+//!   by restarting the whole run from packet 0, and when a unit still
 //!   exhausts its restart budget `cgp` replans the decomposition over the
 //!   surviving units with the cost model and re-runs (`[obs] failover:
 //!   ...`); `--status-every`/`--telemetry-log` turn on the telemetry
@@ -68,11 +68,10 @@ use std::time::Duration;
 /// The run-option flags `cgp` accepts, each with the `CGP_*` variable it
 /// answers for (see [`ExecOptions::from_lookup`]). `--recover` is bare
 /// and answers `CGP_RECOVER=1`; every other flag takes a value.
-const EXEC_FLAGS: [(&str, &str); 13] = [
+const EXEC_FLAGS: [(&str, &str); 12] = [
     ("--faults", "CGP_FAULTS"),
     ("--deadline-ms", "CGP_DEADLINE_MS"),
     ("--recover", "CGP_RECOVER"),
-    ("--checkpoint-every", "CGP_CHECKPOINT_EVERY"),
     ("--role", "CGP_ROLE"),
     ("--listen", "CGP_LISTEN"),
     ("--connect", "CGP_CONNECT"),
@@ -362,7 +361,7 @@ fn run_local(cli: &Cli) -> i32 {
         Err(e) if chaos && exec.recover => {
             // Restart budget exhausted on some unit: treat the unit's
             // host as dead, replan over the survivors with the cost
-            // model, and re-run from checkpoints.
+            // model, and re-run.
             println!("[obs] chaos run for {name} exhausted restarts: {e}");
             let Some(dead) = dead_unit_of(&e) else {
                 println!("[obs] failover: cannot identify a dead unit in `{e}`; giving up");
@@ -406,13 +405,7 @@ fn run_local(cli: &Cli) -> i32 {
             stats.dropped()
         );
         if exec.recover {
-            println!(
-                "[obs] recovery: {} restarts, {} replayed packets, {} checkpoints ({} bytes)",
-                stats.recoveries(),
-                stats.replayed_packets(),
-                stats.checkpoints(),
-                stats.checkpoint_bytes()
-            );
+            println!("[obs] recovery: {} restarts", stats.recoveries());
         }
     }
     if let Some(stage) = &stats.autoscale.escalation {
@@ -479,14 +472,6 @@ pub fn run_worker(
                 .iter()
                 .map(|(l, st)| format!("link {l}: {} frames, {} bytes", st.frames, st.bytes))
                 .collect();
-            if exec.recover && stats.recoveries() > 0 {
-                eprintln!(
-                    "[obs] worker {stage}/{m} for {name} recovered: {} restarts, \
-                     {} replayed packets",
-                    stats.recoveries(),
-                    stats.replayed_packets()
-                );
-            }
             eprintln!(
                 "[obs] worker {stage}/{m} for {name} finished, dropped {} packets ({})",
                 stats.dropped(),
@@ -602,8 +587,8 @@ fn run_launcher(cli: &Cli) -> i32 {
 
 /// Cost-model failover: drop pipeline unit `dead` from the environment,
 /// re-run the decomposition DP over the survivors, recompile, and re-run
-/// in-process. The fault plan stays armed — the recovery layer masks it
-/// on the new placement, so a completed re-run demonstrates end-to-end
+/// in-process. The fault plan stays armed — a restart masks it on the
+/// new placement, so a completed re-run demonstrates end-to-end
 /// self-healing. (`CGP_KILL` arms only in worker roles, so this run
 /// cannot shoot itself.) Returns the re-run's output lines on success.
 fn replan_run(
@@ -636,11 +621,9 @@ fn replan_run(
     match run_plan_threaded_stats(Arc::new(recompiled.plan), Arc::clone(&app.host), None, exec) {
         Ok((out, stats)) => {
             println!(
-                "[obs] failover run for {name} completed on {} units \
-                 ({} restarts, {} replayed packets)",
+                "[obs] failover run for {name} completed on {} units ({} restarts)",
                 plan.env.m(),
-                stats.recoveries(),
-                stats.replayed_packets()
+                stats.recoveries()
             );
             Some(out)
         }
@@ -979,7 +962,7 @@ mod tests {
             "500",
             "--trace-out",
             "/tmp/t.json",
-            "--checkpoint-every",
+            "--max-worker-restarts",
             "16",
         ]);
         let equals = argv(&[
@@ -989,7 +972,7 @@ mod tests {
             "--faults=panic@f2[0]#3",
             "--deadline-ms=500",
             "--trace-out=/tmp/t.json",
-            "--checkpoint-every=16",
+            "--max-worker-restarts=16",
         ]);
         let scanned = scan(&spaced, true).unwrap();
         assert_eq!(scanned, scan(&equals, true).unwrap());
@@ -1000,7 +983,7 @@ mod tests {
         assert!(cli.exec.recover);
         assert!(!cli.exec.faults.is_empty());
         assert_eq!(cli.exec.deadline, Some(Duration::from_millis(500)));
-        assert_eq!(cli.exec.checkpoint_every, Some(16));
+        assert_eq!(cli.exec.max_worker_restarts, Some(16));
     }
 
     /// A misspelled flag, a stray positional, a missing value or a
@@ -1052,13 +1035,13 @@ mod tests {
     fn flags_win_over_their_variables() {
         let env = |var: &str| match var {
             "CGP_DEADLINE_MS" => Some("100".to_string()),
-            "CGP_CHECKPOINT_EVERY" => Some("3".to_string()),
+            "CGP_MAX_WORKER_RESTARTS" => Some("3".to_string()),
             "CGP_TRANSPORT" => Some("shm".to_string()),
             _ => None,
         };
         let exec = resolve(&argv(&["--deadline-ms", "200"]), env).unwrap();
         assert_eq!(exec.deadline, Some(Duration::from_millis(200)), "flag wins");
-        assert_eq!(exec.checkpoint_every, Some(3), "env answers the rest");
+        assert_eq!(exec.max_worker_restarts, Some(3), "env answers the rest");
         assert_eq!(exec.transport, Some(Transport::Shm), "env answers the rest");
         let exec = resolve(&argv(&["--transport", "tcp"]), env).unwrap();
         assert_eq!(exec.transport, Some(Transport::Tcp), "flag wins");
@@ -1100,7 +1083,6 @@ mod tests {
         let cases = [
             ("--faults", "CGP_FAULTS", "nonsense"),
             ("--deadline-ms", "CGP_DEADLINE_MS", "abc"),
-            ("--checkpoint-every", "CGP_CHECKPOINT_EVERY", "0"),
             ("--role", "CGP_ROLE", "boss"),
             ("--transport", "CGP_TRANSPORT", "udp"),
             ("--status-every", STATUS_EVERY_ENV, "soon"),
@@ -1201,11 +1183,6 @@ mod tests {
             let n = count(rng, u32::MAX as u64) as u32;
             want.max_worker_restarts = Some(n);
             set.push(("CGP_MAX_WORKER_RESTARTS", n.to_string()));
-        }
-        if take(rng) {
-            let n = count(rng, u64::MAX - 1) + 1;
-            want.checkpoint_every = Some(n);
-            set.push(("CGP_CHECKPOINT_EVERY", n.to_string()));
         }
         if take(rng) {
             let (text, on) = boolean(rng);
@@ -1385,7 +1362,6 @@ mod tests {
                 "CGP_MAX_WORKER_RESTARTS",
                 &["lots", "4294967296", "18446744073709551616"],
             ),
-            ("CGP_CHECKPOINT_EVERY", &["0", "every"]),
             (
                 "CGP_AUTOSCALE",
                 &["max=0", "max=2.5", "max=1e30", "cooldown=-7", "nonsense"],

@@ -33,9 +33,17 @@
 //! to the dead stage's restart budget; exhaustion surfaces as
 //! [`LaunchError::BudgetExhausted`] so the caller can replan the
 //! decomposition over the surviving units instead.
+//!
+//! This is the in-process restart model ([`cgp_core::datacutter::exec`])
+//! with the launcher as its owner: a worker never restarts itself, so a
+//! failed copy fails its worker by name and the supervisor restarts the
+//! chain like any crash. A respawned chain runs without injected faults
+//! (`--faults`, `CGP_FAULTS`, `CGP_KILL`), so an injected fault fires
+//! once per run, as it does in-process.
 
 pub use cgp_core::datacutter::Transport;
 use cgp_core::datacutter::{remove_ring_files, shm_supported, SHM_PREFIX};
+use cgp_core::exec::RESTART_BUDGET;
 use cgp_obs::trace;
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
@@ -72,7 +80,7 @@ impl LaunchOptions {
             telemetry: None,
             transport,
             supervise: false,
-            max_worker_restarts: 2,
+            max_worker_restarts: RESTART_BUDGET,
         }
     }
 }
@@ -144,13 +152,20 @@ impl From<String> for LaunchError {
 /// samples to the launcher's aggregator instead of each clobbering the
 /// same file. Every other flag reaches the workers as given.
 pub fn strip_net_flags(args: &[String]) -> Vec<String> {
-    const STRIP: &[&str] = &["--role", "--listen", "--connect", "--telemetry-log"];
+    strip_flags(
+        args,
+        &["--role", "--listen", "--connect", "--telemetry-log"],
+    )
+}
+
+/// `args` without each flag in `strip` and its value, in either form.
+fn strip_flags(args: &[String], strip: &[&str]) -> Vec<String> {
     let mut out = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if STRIP.contains(&a.as_str()) {
+        if strip.contains(&a.as_str()) {
             let _ = it.next();
-        } else if STRIP
+        } else if strip
             .iter()
             .any(|f| a.starts_with(f) && a.as_bytes().get(f.len()) == Some(&b'='))
         {
@@ -173,9 +188,9 @@ struct Slot {
 /// Spawn one worker process per pipeline unit (`stages` of them) and
 /// collect the last stage's output lines. `passthrough` is forwarded to
 /// every worker verbatim (strip the net flags first — see
-/// [`strip_net_flags`]), so fault injection, recovery, heartbeat and
-/// checkpoint-cadence flags apply inside the workers exactly as they
-/// would in-process.
+/// [`strip_net_flags`]), so fault injection, recovery and heartbeat
+/// flags apply inside the workers exactly as they would in-process,
+/// except that a respawned chain runs without injected faults.
 ///
 /// Worker exits are the distributed run's error surface: a mid-pipeline
 /// failure is invisible in the last stage's output (its ingress just
@@ -278,11 +293,15 @@ pub fn launch_supervised(
                 restarts[k], opts.max_worker_restarts
             );
             trace::instant(
-                format!("restart the chain after stage {k} died"),
-                "supervision",
+                "restart",
+                "recovery",
                 trace::PID_RUNTIME,
                 0,
-                vec![],
+                vec![
+                    ("stage", format!("f{}", k + 1).into()),
+                    ("restart", u64::from(restarts[k]).into()),
+                    ("error", status.clone().into()),
+                ],
             );
             // Every stage recomputes from packet 0, so even stages that
             // already finished successfully must go.
@@ -371,8 +390,17 @@ fn spawn_worker(
     respawn: bool,
 ) -> Result<(Child, Option<String>, BufReader<ChildStdout>), String> {
     let mut cmd = Command::new(exe);
-    cmd.args(passthrough)
-        .env("CGP_ROLE", format!("worker:{stage}"))
+    if respawn {
+        // An injected fault fires once per run: the replacement chain
+        // must run clean, or the restart budget drains on the same
+        // deterministic fault.
+        cmd.args(strip_flags(passthrough, &["--faults"]))
+            .env_remove("CGP_FAULTS")
+            .env_remove("CGP_KILL");
+    } else {
+        cmd.args(passthrough);
+    }
+    cmd.env("CGP_ROLE", format!("worker:{stage}"))
         .env_remove("CGP_LISTEN")
         .env_remove("CGP_CONNECT")
         // The merged telemetry log is the launcher's to write.
@@ -385,11 +413,6 @@ fn spawn_worker(
         None => {
             cmd.env_remove("CGP_TELEMETRY");
         }
-    }
-    if respawn {
-        // An injected kill fires once: the replacement must survive, or
-        // the restart budget drains on the same deterministic crash.
-        cmd.env_remove("CGP_KILL");
     }
     if stage > 0 {
         // `shm:auto` tells the worker to create rings at a path of its

@@ -58,8 +58,8 @@ fn matching_and_injected_runs_exit_0() {
             &["knn", "--faults", "panic@f2[0]#1", "--deadline-ms", "60000"],
             &["[obs] chaos run for knn failed as injected"],
         ),
-        // A panic surfaces without --recover and is masked with it, with
-        // the recovery counters visible.
+        // A panic surfaces without --recover and is masked with it by a
+        // restart of the whole run, with the restart count visible.
         (
             &[
                 "zbuf",
@@ -81,14 +81,7 @@ fn matching_and_injected_runs_exit_0() {
             &["failed as injected"],
         ),
         (
-            &[
-                "zbuf",
-                "--faults",
-                "panic@f2[0]#3",
-                "--recover",
-                "--checkpoint-every",
-                "2",
-            ],
+            &["zbuf", "--faults", "panic@f2[0]#3", "--recover"],
             &["output matches the oracle", "recovery: 1 restarts"],
         ),
         // Dropped packets are intentional loss: both modes complete and
@@ -133,7 +126,8 @@ fn matching_and_injected_runs_exit_0() {
             &["zbuf", "--faults", "f2[0]@*:panic", "--recover"],
             &["replanned over"],
         ),
-        // Across workers, the middle worker reports its masked restart.
+        // Across workers, the panic fails the middle worker, and the
+        // launcher masks it with one restart of the whole chain.
         (
             &[
                 "zbuf",
@@ -142,10 +136,8 @@ fn matching_and_injected_runs_exit_0() {
                 "--faults",
                 "panic@f2[0]#3",
                 "--recover",
-                "--checkpoint-every",
-                "2",
             ],
-            &["matches the oracle", "recovered: 1 restarts"],
+            &["matches the oracle", "masked 1 worker crash(es)"],
         ),
     ];
     for (args, want) in rows {

@@ -114,14 +114,18 @@ struct Column {
     /// process per unit over that transport, supervised when the
     /// settings turn recovery on.
     transport: Option<Transport>,
-    /// `CGP_KILL`: the workers' first incarnation SIGKILLs itself there.
-    kill: Option<&'static str>,
+    /// `CGP_FAULTS` or `CGP_KILL`, passed through the environment to the
+    /// workers' first incarnation only: a respawned chain runs clean, so
+    /// a supervised cell is masked by exactly one whole-chain restart.
+    injected: Option<(&'static str, &'static str)>,
     /// A negative cell: the run must fail.
     fails: bool,
 }
 
 const PANIC: (&str, &str) = ("CGP_FAULTS", "panic@f2[0]#1");
-const RECOVER: [(&str, &str); 2] = [("CGP_RECOVER", "1"), ("CGP_CHECKPOINT_EVERY", "2")];
+const FAIL_F3: (&str, &str) = ("CGP_FAULTS", "fail@f3[0]#1");
+const KILL_F2: (&str, &str) = ("CGP_KILL", "f2[0]#1");
+const RECOVER: (&str, &str) = ("CGP_RECOVER", "1");
 const AUTOSCALE: [(&str, &str); 2] = [("CGP_AUTOSCALE", "max=3"), ("CGP_STATUS_EVERY", "20")];
 
 const fn col(
@@ -133,8 +137,22 @@ const fn col(
         id,
         settings,
         transport,
-        kill: None,
+        injected: None,
         fails: false,
+    }
+}
+
+/// A cross-process column whose workers' first incarnation gets
+/// `injected` through the environment.
+const fn injected(
+    id: &'static str,
+    settings: &'static [(&'static str, &'static str)],
+    transport: Option<Transport>,
+    injected: (&'static str, &'static str),
+) -> Column {
+    Column {
+        injected: Some(injected),
+        ..col(id, settings, transport)
     }
 }
 
@@ -145,62 +163,46 @@ const COLUMNS: [Column; 15] = [
     col("threads/autoscale", &AUTOSCALE, None),
     col(
         "threads/autoscale+panic",
-        &[AUTOSCALE[0], AUTOSCALE[1], PANIC, RECOVER[0], RECOVER[1]],
+        &[AUTOSCALE[0], AUTOSCALE[1], PANIC, RECOVER],
         None,
     ),
     col("tcp", &[], TCP),
     col("shm", &[], SHM),
-    col("tcp/panic", &[PANIC, RECOVER[0], RECOVER[1]], TCP),
-    col("shm/panic", &[PANIC, RECOVER[0], RECOVER[1]], SHM),
-    col(
-        "tcp/fail-f3",
-        &[("CGP_FAULTS", "fail@f3[0]#1"), RECOVER[0]],
+    injected("tcp/panic", &[RECOVER], TCP, PANIC),
+    injected("shm/panic", &[RECOVER], SHM, PANIC),
+    injected("tcp/fail-f3", &[RECOVER], TCP, FAIL_F3),
+    injected("tcp/kill-f2", &[RECOVER], TCP, KILL_F2),
+    injected("shm/kill-f2", &[RECOVER], SHM, KILL_F2),
+    injected(
+        "tcp/kill-f3",
+        &[RECOVER, ("CGP_HEARTBEAT_MS", "25")],
         TCP,
+        ("CGP_KILL", "f3[0]#1"),
     ),
-    Column {
-        kill: Some("f2[0]#1"),
-        ..col("tcp/kill-f2", &RECOVER, TCP)
-    },
-    Column {
-        kill: Some("f2[0]#1"),
-        ..col("shm/kill-f2", &RECOVER, SHM)
-    },
-    Column {
-        kill: Some("f3[0]#1"),
-        ..col(
-            "tcp/kill-f3",
-            &[RECOVER[0], RECOVER[1], ("CGP_HEARTBEAT_MS", "25")],
-            TCP,
-        )
-    },
     col("shm/autoscale", &AUTOSCALE, SHM),
-    col(
+    injected(
         "shm/autoscale+panic",
-        &[AUTOSCALE[0], AUTOSCALE[1], PANIC, RECOVER[0], RECOVER[1]],
+        &[AUTOSCALE[0], AUTOSCALE[1], RECOVER],
         SHM,
+        PANIC,
     ),
     Column {
         fails: true,
-        ..col("tcp/panic-unrecovered", &[PANIC], TCP)
+        ..injected("tcp/panic-unrecovered", &[], TCP, PANIC)
     },
     Column {
         fails: true,
-        ..col(
-            "tcp/fail-f3-unrecovered",
-            &[("CGP_FAULTS", "fail@f3[0]#1")],
-            TCP,
-        )
+        ..injected("tcp/fail-f3-unrecovered", &[], TCP, FAIL_F3)
     },
     Column {
-        kill: Some("f2[0]#1"),
         fails: true,
-        ..col("tcp/kill-f2-unsupervised", &[], TCP)
+        ..injected("tcp/kill-f2-unsupervised", &[], TCP, KILL_F2)
     },
 ];
 
 impl Column {
     /// The run options of this cell: the column's settings, then `env`
-    /// (a worker's role, endpoints and kill spec arrive there).
+    /// (a worker's role, endpoints and injected fault arrive there).
     fn exec(&self, env: impl Fn(&str) -> Option<String>) -> ExecOptions {
         ExecOptions::from_lookup(|var| match self.settings.iter().find(|(v, _)| *v == var) {
             Some((_, value)) => Some(value.to_string()),
@@ -256,7 +258,7 @@ fn run_cell(row: &Row, col: &Column) -> Result<(), String> {
             let oracle = row.app.oracle();
             if out != oracle {
                 Err(format!("{out:?} differs from the oracle {oracle:?}"))
-            } else if col.kill.is_some() && restarts != 1 {
+            } else if col.injected.is_some() && restarts != 1 {
                 Err(format!("{restarts} masked crashes, want 1"))
             } else {
                 Ok(())
@@ -287,8 +289,8 @@ fn matrix() -> i32 {
             for (var, _) in std::env::vars().filter(|(v, _)| v.starts_with("CGP_")) {
                 cmd.env_remove(var);
             }
-            if let Some(kill) = col.kill {
-                cmd.env("CGP_KILL", kill);
+            if let Some((var, spec)) = col.injected {
+                cmd.env(var, spec);
             }
             let out = cmd.output().expect("spawn a cell");
             if !out.status.success() {

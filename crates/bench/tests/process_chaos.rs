@@ -29,15 +29,7 @@ fn cgp_zbuf() -> Command {
 /// `transport`, with `extra` flags appended.
 fn run_chaos(kill_spec: &str, transport: &str, extra: &[&str]) -> Output {
     cgp_zbuf()
-        .args([
-            "--role",
-            "launcher",
-            "--recover",
-            "--checkpoint-every",
-            "2",
-            "--transport",
-            transport,
-        ])
+        .args(["--role", "launcher", "--recover", "--transport", transport])
         .args(extra)
         .env("CGP_KILL", kill_spec)
         .env_remove("CGP_FAULTS")

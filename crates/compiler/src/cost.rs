@@ -175,11 +175,6 @@ pub(crate) fn count_atom(np: &NormalizedPipeline, code: &AtomCode, env: &CostEnv
     }
 }
 
-/// Count operations for an arbitrary statement slice (prologue/epilogue).
-pub fn count_stmts(np: &NormalizedPipeline, stmts: &[Stmt], env: &CostEnv) -> OpCount {
-    Counter { np, env, depth: 0 }.stmts(stmts)
-}
-
 struct Counter<'a> {
     np: &'a NormalizedPipeline,
     env: &'a CostEnv,
@@ -1173,7 +1168,12 @@ mod tests {
         "#;
         let np = normalize(&frontend(src).unwrap()).unwrap();
         let env = CostEnv::for_packet(50).with_symbol("n", 100);
-        let total = count_stmts(&np, &np.body_stmts(), &env);
+        let total = Counter {
+            np: &np,
+            env: &env,
+            depth: 0,
+        }
+        .stmts(&np.body_stmts());
         // 50 iterations × 10 inner × ~8 flops (sqrt) ≥ 4000 flops.
         assert!(total.flops >= 4000.0, "flops = {}", total.flops);
     }

@@ -7,9 +7,8 @@
 //! dead unit's two adjacent links merge into one route (min bandwidth,
 //! summed latency, see [`PipelineEnv::without_unit`]), and the same DP
 //! that chose the original cut points chooses new ones for the shrunken
-//! pipeline. Work recovers from the last committed checkpoint under the
-//! replay protocol, so the replanned run completes with the same output
-//! as the fault-free run.
+//! pipeline. The replanned run recomputes from packet 0, so it completes
+//! with the same output as the fault-free run.
 
 use crate::cost::PipelineEnv;
 use crate::decompose::{decompose_dp, evaluate, Decomposition, Problem};
@@ -20,12 +19,6 @@ use crate::error::{CompileError, CompileResult};
 pub struct FailoverPlan {
     /// Index of the unit that died in the *original* environment.
     pub dead_unit: usize,
-    /// Original unit index → index in the surviving `env` (`None` for
-    /// every unit that has died so far). [`PipelineEnv::without_unit`]
-    /// renumbers survivors, so a later death reported against the
-    /// original numbering must be translated through this map — feeding
-    /// it to `replan` raw removes the wrong unit.
-    pub index_map: Vec<Option<usize>>,
     /// The surviving environment (one fewer unit, merged links).
     pub env: PipelineEnv,
     /// The new decomposition over the surviving units.
@@ -39,12 +32,6 @@ pub struct FailoverPlan {
 }
 
 impl FailoverPlan {
-    /// Where original unit `original` lives in the surviving `env`, or
-    /// `None` if it is one of the dead units this plan (chain) removed.
-    pub fn surviving_index(&self, original: usize) -> Option<usize> {
-        self.index_map.get(original).copied().flatten()
-    }
-
     /// Relative slowdown the failure costs per packet (1.0 = no change).
     pub fn slowdown(&self) -> f64 {
         if self.cost_before > 0.0 {
@@ -95,55 +82,13 @@ pub fn replan(
     let cost_before = evaluate(problem, env, &current.unit_of);
     let decomposition = decompose_dp(problem, &survivors);
     let cost_after = decomposition.cost;
-    let index_map = (0..env.m())
-        .map(|i| match i.cmp(&dead_unit) {
-            std::cmp::Ordering::Less => Some(i),
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Greater => Some(i - 1),
-        })
-        .collect();
     Ok(FailoverPlan {
         dead_unit,
-        index_map,
         env: survivors,
         decomposition,
         cost_before,
         cost_after,
     })
-}
-
-/// Replan around a *second* (or later) death, reported in the numbering
-/// of the environment `prior` replanned from. The dead index is
-/// translated through `prior`'s index map before removal, and the
-/// returned plan's map composes both removals, so it stays keyed by the
-/// same original numbering — repeated failovers can keep chaining.
-pub fn replan_after(
-    prior: &FailoverPlan,
-    problem: &Problem,
-    dead_unit: usize,
-) -> CompileResult<FailoverPlan> {
-    if dead_unit >= prior.index_map.len() {
-        return Err(CompileError::new(format!(
-            "cannot fail over around unit {dead_unit}: the original pipeline had only \
-             {} units",
-            prior.index_map.len()
-        )));
-    }
-    let Some(surviving) = prior.surviving_index(dead_unit) else {
-        return Err(CompileError::new(format!(
-            "cannot fail over around unit {dead_unit}: it already died and was \
-             replanned around"
-        )));
-    };
-    let mut plan = replan(problem, &prior.env, &prior.decomposition, surviving)?;
-    let inner = plan.index_map;
-    plan.index_map = prior
-        .index_map
-        .iter()
-        .map(|m| m.and_then(|j| inner.get(j).copied().flatten()))
-        .collect();
-    plan.dead_unit = dead_unit;
-    Ok(plan)
 }
 
 #[cfg(test)]
@@ -207,63 +152,6 @@ mod tests {
         let text = plan.render_text();
         assert!(text.contains("unit 2 died"), "{text}");
         assert!(text.contains("per-packet cost"), "{text}");
-    }
-
-    /// Regression: `without_unit` renumbers survivors, so a second death
-    /// reported in the *original* numbering must be translated through
-    /// the first plan's index map — replanning around the raw index
-    /// removes the wrong unit (or an endpoint that is not removable at
-    /// all).
-    #[test]
-    fn second_death_replans_around_the_right_unit() {
-        // Distinct powers make "which unit was removed" observable.
-        let env = PipelineEnv {
-            power: vec![1e7, 2e7, 3e7, 4e7, 5e7],
-            bandwidth: vec![1e6; 4],
-            latency: vec![1e-5; 4],
-        };
-        let mut tasks = vec![OpCount::zero()];
-        for ops in [500.0, 400.0, 300.0, 200.0, 100.0] {
-            tasks.push(OpCount {
-                flops: ops,
-                ..OpCount::zero()
-            });
-        }
-        let p = Problem::synthetic(tasks, vec![8192.0, 4096.0, 2048.0, 1024.0, 512.0, 0.0]);
-        let original = decompose_dp(&p, &env);
-
-        // Death 1: original unit 1 (power 2e7).
-        let plan1 = replan(&p, &env, &original, 1).unwrap();
-        assert_eq!(plan1.env.power, vec![1e7, 3e7, 4e7, 5e7]);
-        assert_eq!(plan1.surviving_index(0), Some(0));
-        assert_eq!(plan1.surviving_index(1), None, "the dead unit maps to None");
-        assert_eq!(plan1.surviving_index(3), Some(2));
-        assert_eq!(plan1.surviving_index(9), None, "out of range is None");
-
-        // Death 2, reported as original unit 3 (power 4e7). Its index in
-        // the surviving environment is 2 — feeding the raw 3 to `replan`
-        // would target original unit 4, an endpoint.
-        assert_ne!(plan1.surviving_index(3), Some(3));
-        let plan2 = replan_after(&plan1, &p, 3).unwrap();
-        assert_eq!(
-            plan2.env.power,
-            vec![1e7, 3e7, 5e7],
-            "original units 1 and 3 are gone, 0/2/4 survive"
-        );
-        assert_eq!(plan2.dead_unit, 3, "reported in original numbering");
-        // The composed map still speaks original numbering.
-        assert_eq!(plan2.surviving_index(0), Some(0));
-        assert_eq!(plan2.surviving_index(1), None);
-        assert_eq!(plan2.surviving_index(2), Some(1));
-        assert_eq!(plan2.surviving_index(3), None);
-        assert_eq!(plan2.surviving_index(4), Some(2));
-
-        // A unit that already died cannot die again…
-        let err = replan_after(&plan2, &p, 1).unwrap_err();
-        assert!(err.to_string().contains("already died"), "{err}");
-        // …and an out-of-range original index is named as such.
-        let err = replan_after(&plan2, &p, 7).unwrap_err();
-        assert!(err.to_string().contains("only 5 units"), "{err}");
     }
 
     #[test]

@@ -41,15 +41,10 @@ pub struct SegmentSets {
 /// Recursion cut-off for context-sensitive interprocedural analysis.
 const MAX_CALL_DEPTH: usize = 16;
 
-/// Analyze one atomic filter's code.
-pub fn analyze_atom(np: &NormalizedPipeline, code: &AtomCode) -> CompileResult<SegmentSets> {
-    analyze_atom_with(np, code, &NO_CONSTS)
-}
-
-/// Like [`analyze_atom`], folding known extern-scalar values (workload
-/// metadata such as image widths) into symbolic index expressions — this is
-/// what keeps 2-D indexing like `pixels[y*width + x]` rectilinear instead
-/// of degrading to whole-array.
+/// Analyze one atomic filter's code, folding known extern-scalar values
+/// (workload metadata such as image widths) into symbolic index
+/// expressions — this is what keeps 2-D indexing like
+/// `pixels[y*width + x]` rectilinear instead of degrading to whole-array.
 pub fn analyze_atom_with(
     np: &NormalizedPipeline,
     code: &AtomCode,
@@ -934,7 +929,7 @@ mod tests {
             .iter()
             .find(|a| matches!(&a.code, AtomCode::Foreach(_)))
             .expect("compute atom");
-        let sets = analyze_atom(&np, &compute.code).unwrap();
+        let sets = analyze_atom_with(&np, &compute.code, &NO_CONSTS).unwrap();
         let cons = fmt(&sets.cons);
         assert!(cons.contains("data[pkt.lo : pkt.hi]"), "cons = {cons}");
         // The expanded array is must-defined over the whole packet.
@@ -954,7 +949,7 @@ mod tests {
             .iter()
             .find(|a| matches!(&a.code, AtomCode::CondSelect { .. }))
             .expect("select atom");
-        let sets = analyze_atom(&np, &sel.code).unwrap();
+        let sets = analyze_atom_with(&np, &sel.code, &NO_CONSTS).unwrap();
         let cons = fmt(&sets.cons);
         assert!(cons.contains("v__x"), "cons = {cons}");
         assert!(sets.gen.is_empty());
@@ -969,7 +964,7 @@ mod tests {
             .iter()
             .find(|a| matches!(&a.code, AtomCode::CondBody { .. }))
             .expect("body atom");
-        let sets = analyze_atom(&np, &body.code).unwrap();
+        let sets = analyze_atom_with(&np, &body.code, &NO_CONSTS).unwrap();
         let cons = fmt(&sets.cons);
         assert!(cons.contains("v__x"), "cons = {cons}");
         // acc is consumed (and updated) — it's there in raw sets, and the

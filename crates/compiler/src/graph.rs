@@ -100,13 +100,15 @@ impl BoundaryGraph {
     }
 
     /// The single flow path (start → end) of this chain-shaped graph.
-    pub fn flow_path(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn flow_path(&self) -> Vec<usize> {
         (0..self.atoms.len()).collect()
     }
 
-    /// The graph is acyclic by construction; kept as an explicit check for
-    /// tests and future non-chain shapes.
-    pub fn is_acyclic(&self) -> bool {
+    /// The candidate boundary graph is acyclic (§4.1); by construction,
+    /// since it is a chain.
+    #[cfg(test)]
+    fn is_acyclic(&self) -> bool {
         true
     }
 }

@@ -208,22 +208,6 @@ impl Section {
         Some((hi - lo) / self.stride + 1)
     }
 
-    /// Symbolic element count assuming `hi >= lo` (used in volume models):
-    /// `(hi - lo)/stride + 1`; `None` when the difference is not affine.
-    pub fn symbolic_len(&self) -> Option<SymExpr> {
-        let diff = self.hi.sub(&self.lo);
-        if diff.opaque {
-            return None;
-        }
-        if self.stride == 1 {
-            Some(diff.add(&SymExpr::konst(1)))
-        } else {
-            // only exact when diff is const
-            let d = diff.is_const()?;
-            Some(SymExpr::konst(d / self.stride + 1))
-        }
-    }
-
     /// Does `self` provably cover `other` (every index of `other` lies in
     /// `self`)? Conservative: `false` when unprovable.
     pub fn covers(&self, other: &Section) -> bool {
@@ -476,7 +460,6 @@ mod tests {
             SymExpr::sym("lo").add(&SymExpr::konst(9)),
         );
         assert_eq!(s.len(&env_of(&[("lo", 5)])), Some(10));
-        assert_eq!(s.symbolic_len().unwrap().is_const(), Some(10));
         let inner = Section::dense(
             SymExpr::sym("lo").add(&SymExpr::konst(2)),
             SymExpr::sym("lo").add(&SymExpr::konst(7)),

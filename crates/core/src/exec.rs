@@ -31,9 +31,8 @@ use cgp_compiler::FilterPlan;
 use cgp_compiler::FilterStepper;
 pub use cgp_datacutter::WorkerIngress;
 use cgp_datacutter::{
-    AutoscaleConfig, Buffer, BufferPool, FaultPlan, Filter, FilterIo, FilterResult, NetTuning,
-    Pipeline, RecoveryOptions, RunOptions, RunStats, StageSpec, TelemetryConfig, Transport,
-    WorkerEndpoints,
+    AutoscaleConfig, Buffer, FaultPlan, Filter, FilterIo, FilterResult, NetTuning, Pipeline,
+    RunOptions, RunStats, StageSpec, TelemetryConfig, Transport, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
@@ -46,12 +45,15 @@ use std::time::Duration;
 const TAG_DATA: u8 = 0;
 const TAG_REDUCTION: u8 = 1;
 
-/// Stream batch of every run: packets moved per lock acquisition
-/// ([`RunOptions::batch`]) and packets per source flush. Chosen well
-/// below the queue capacity (32) so batching never starves a
-/// round-robin sibling, while amortizing most of the per-packet
-/// synchronization.
+/// Packets per source flush: one lock acquisition and one wakeup per
+/// batch, as many packets as a consumer drains per lock
+/// ([`RunOptions::batch`]).
 const BATCH: usize = 8;
+
+/// Per-stage restart budget when none is given
+/// ([`ExecOptions::max_worker_restarts`]), in-process and in a
+/// supervising launcher alike.
+pub const RESTART_BUDGET: u32 = 2;
 
 /// A deterministic host-environment builder, invoked once per filter copy
 /// whose unit reads an extern, on that copy's thread.
@@ -80,7 +82,7 @@ pub enum NetRole {
 
 /// Every run setting of a threaded plan run, as read from `cgp`'s flags
 /// and `CGP_*` variables ([`ExecOptions::from_lookup`]): fault injection,
-/// watchdogs, recovery, the distributed role and links,
+/// watchdogs, restarts, the distributed role and links,
 /// telemetry and elastic width. The runtime's share becomes one
 /// DataCutter [`RunOptions`] per run.
 #[derive(Clone, Debug, Default)]
@@ -91,22 +93,21 @@ pub struct ExecOptions {
     pub deadline: Option<Duration>,
     /// Cancel if no packet moves for this long.
     pub stall_timeout: Option<Duration>,
-    /// Enable the recovery layer: ack/replay delivery, checkpointed
-    /// reduction state, and supervised copy restarts — injected faults
-    /// are survived instead of surfaced (where the restart budget
-    /// allows). Off, a failed filter copy fails the run. A worker run
-    /// with recovery is also supervised by its launcher: a vanished
-    /// upstream producer leaves the ingress waiting for the launcher to
-    /// restart the chain, instead of failing the run.
+    /// Restart on failure: a failed in-process run reruns the whole
+    /// pipeline from packet 0, charging the stage that failed against
+    /// [`ExecOptions::max_worker_restarts`]. A worker never restarts
+    /// itself: its failed copy fails the worker by name, and its
+    /// supervising launcher restarts the whole chain; a vanished upstream
+    /// producer leaves the worker's ingress waiting for that teardown
+    /// instead of failing the run. Off, a failed filter copy fails the
+    /// run.
     pub recover: bool,
-    /// Checkpoint cadence in accepted packets for stateful stages
-    /// (`None` = the runtime default).
-    pub checkpoint_every: Option<u64>,
     /// Heartbeat cadence for distributed TCP links: idle links exchange
     /// `Heartbeat` frames this often and presume a peer dead after ~4
     /// missed beats. `None` disables the liveness protocol.
     pub heartbeat: Option<Duration>,
-    /// Per-stage process-restart budget for a supervising launcher.
+    /// Per-stage restart budget under [`ExecOptions::recover`], in-process
+    /// and in a supervising launcher alike (`None` = [`RESTART_BUDGET`]).
     pub max_worker_restarts: Option<u32>,
     /// How this process participates in the run (local / worker /
     /// launcher).
@@ -151,12 +152,11 @@ impl ExecOptions {
     /// - `CGP_FAULTS` — fault spec (see [`FaultPlan::parse`]);
     /// - `CGP_DEADLINE_MS` — run deadline in milliseconds;
     /// - `CGP_STALL_MS` — stall timeout in milliseconds;
-    /// - `CGP_RECOVER` — `1`/`true`/`on` enables the recovery layer;
-    /// - `CGP_CHECKPOINT_EVERY` — checkpoint cadence in packets;
+    /// - `CGP_RECOVER` — `1`/`true`/`on` restarts a failed run;
     /// - `CGP_HEARTBEAT_MS` — heartbeat cadence on distributed TCP links
     ///   (`0`/unset disables the liveness protocol);
-    /// - `CGP_MAX_WORKER_RESTARTS` — per-stage process-restart budget
-    ///   for a supervising launcher;
+    /// - `CGP_MAX_WORKER_RESTARTS` — per-stage restart budget, in-process
+    ///   and for a supervising launcher;
     /// - `CGP_KILL` — deterministic self-SIGKILL spec (`stage[copy]#pkt`),
     ///   honored only in worker roles;
     /// - `CGP_ROLE` — `local` (default), `launcher`, or `worker:<stage>`;
@@ -205,14 +205,6 @@ impl ExecOptions {
                 .parse()
                 .map_err(|e| CoreError::Config(format!("CGP_TRANSPORT: {e}")))?;
             opts.transport = Some(t);
-        }
-        if let Some(n) = ms("CGP_CHECKPOINT_EVERY")? {
-            if n == 0 {
-                return Err(CoreError::Config(
-                    "CGP_CHECKPOINT_EVERY: must be at least 1".into(),
-                ));
-            }
-            opts.checkpoint_every = Some(n);
         }
         opts.heartbeat = ms("CGP_HEARTBEAT_MS")?
             .filter(|&n| n > 0)
@@ -352,8 +344,8 @@ pub fn run_plan_worker_io(
 }
 
 /// Shared plan→pipeline construction for local and worker runs: the
-/// stage list (names `f1..fm`, factories, statefulness) and every
-/// fault-tolerance knob are identical in both modes, which is what makes
+/// stage list (names `f1..fm` and factories) and every fault-tolerance
+/// knob are identical in both modes, which is what makes
 /// a distributed run byte-identical to the in-process one.
 type BuiltPipeline = (Pipeline, Arc<Mutex<Vec<String>>>);
 
@@ -390,7 +382,7 @@ fn build_pipeline(
         let plan = Arc::clone(&plan);
         let hb = Arc::clone(&host_builder);
         let out = Arc::clone(&output);
-        let mut stage = StageSpec::new(
+        pipeline = pipeline.add_stage(StageSpec::new(
             format!("f{}", j + 1),
             width,
             Box::new(move |copy| {
@@ -403,18 +395,9 @@ fn build_pipeline(
                     m,
                     output: Arc::clone(&out),
                     lines: Vec::new(),
-                    pending_restore: None,
                 })
             }),
-        );
-        // Every non-source unit carries reduction state across packets:
-        // under recovery those stages checkpoint (and ack only at
-        // commits); the source regenerates its packets deterministically
-        // and needs no snapshot.
-        if j > 0 {
-            stage = stage.stateful();
-        }
-        pipeline = pipeline.add_stage(stage);
+        ));
     }
     Ok((pipeline, output))
 }
@@ -423,11 +406,6 @@ fn build_pipeline(
 /// takes. The telemetry sampler and the registry a telemetered run needs
 /// are built here, once per run.
 fn run_options(opts: &ExecOptions) -> Result<RunOptions, CoreError> {
-    let recovery = match (opts.recover, opts.checkpoint_every) {
-        (false, _) => RecoveryOptions::default(),
-        (true, None) => RecoveryOptions::on(),
-        (true, Some(k)) => RecoveryOptions::on().with_checkpoint_every(k),
-    };
     // An explicit zero cadence means "no in-flight sampling": alone it
     // leaves telemetry off entirely; combined with a log/aggregator it
     // keeps the final snapshot but skips the sampler loop. Autoscaling
@@ -465,20 +443,22 @@ fn run_options(opts: &ExecOptions) -> Result<RunOptions, CoreError> {
         metrics.get_or_insert_with(|| Arc::new(Mutex::new(MetricsRegistry::default())));
     }
     Ok(RunOptions {
-        capacity: 32,
-        batch: BATCH,
-        pool: Some(BufferPool::new()),
         faults: opts.faults.clone(),
         deadline: opts.deadline,
         stall_timeout: opts.stall_timeout,
         metrics,
-        recovery,
+        restart_budget: if opts.recover {
+            opts.max_worker_restarts.unwrap_or(RESTART_BUDGET)
+        } else {
+            0
+        },
         net_tuning: NetTuning {
             heartbeat: opts.heartbeat,
             supervised: opts.recover,
         },
         telemetry,
         autoscale: opts.autoscale.clone(),
+        ..RunOptions::default()
     })
 }
 
@@ -491,13 +471,8 @@ struct PlanFilter {
     m: usize,
     output: Arc<Mutex<Vec<String>>>,
     /// The final unit's epilogue lines, published to `output` by
-    /// `finalize`, which a doomed attempt never reaches.
+    /// `finalize`, which a failed or cancelled attempt never reaches.
     lines: Vec<String>,
-    /// Checkpoint bytes handed to `Filter::restore` before `process`
-    /// runs; decoded and merged into (or adopted by) the fresh unit once
-    /// the stepper exists (`Value` state is not `Send`, so the raw encoding
-    /// is carried across the restart instead).
-    pending_restore: Option<Vec<u8>>,
 }
 
 impl PlanFilter {
@@ -552,15 +527,6 @@ impl PlanFilter {
             io.write_batch(pending).map_err(CoreError::Runtime)?;
         } else {
             // Interior/terminal: consume tagged buffers until end-of-work.
-            if let Some(bytes) = self.pending_restore.take() {
-                // Restoring a checkpoint is the same operation as folding
-                // in a sibling copy's partial: merge each root into the
-                // fresh zero state, or adopt it.
-                let saved = decode_state(&bytes).map_err(CoreError::Codec)?;
-                stepper
-                    .merge_reduction(j, &saved)
-                    .map_err(CoreError::Compile)?;
-            }
             while let Some(buf) = io.read() {
                 let bytes = buf.as_slice();
                 let (tag, body) = bytes
@@ -589,10 +555,6 @@ impl PlanFilter {
                             .map_err(CoreError::Compile)?;
                     }
                     t => return Err(CoreError::Config(format!("unknown buffer tag {t}"))),
-                }
-                if io.checkpoint_due() {
-                    let snap = encode_state(&stepper.reduction_state(j));
-                    io.commit_checkpoint(&snap);
                 }
             }
         }
@@ -636,19 +598,6 @@ impl Filter for PlanFilter {
 
     fn name(&self) -> &str {
         "plan-filter"
-    }
-
-    fn restore(&mut self, snapshot: &[u8]) -> FilterResult<()> {
-        // Validate eagerly so a corrupt snapshot fails the restart loudly
-        // instead of poisoning the reduction mid-run.
-        decode_state(snapshot).map_err(|e| {
-            cgp_datacutter::FilterError::new(
-                format!("f{}[{}]", self.j + 1, self.copy),
-                format!("corrupt checkpoint: {e}"),
-            )
-        })?;
-        self.pending_restore = Some(snapshot.to_vec());
-        Ok(())
     }
 }
 
@@ -779,32 +728,28 @@ mod tests {
             faults: FaultPlan::new().panic_at("f2", 0, 3),
             deadline: Some(Duration::from_secs(30)),
             recover: true,
-            checkpoint_every: Some(2),
             ..Default::default()
         };
         let (out, stats) =
             run_plan_threaded_stats(Arc::new(c.plan), Arc::new(host), None, &exec).unwrap();
         assert_eq!(out, oracle(), "recovered run must be byte-identical");
         assert_eq!(stats.recoveries(), 1, "one restart for the one panic");
-        assert!(
-            stats.checkpoints() >= 1,
-            "10 packets with checkpoint_every=2 must commit checkpoints"
-        );
+        assert_eq!(stats.stages[1].recoveries, 1, "charged to f2");
     }
 
     #[test]
-    fn recovery_with_copies_restores_checkpointed_state() {
+    fn recovery_with_copies_recomputes_the_reduction_from_packet_zero() {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        // Panic late enough (packet 4 of ~5 seen by this copy) that the
-        // restart must restore a committed checkpoint rather than merely
-        // replaying from zero.
+        // Panic late (packet 4 of the ~5 this copy sees), after both f2
+        // copies have folded packets into their partial reductions: the
+        // restart discards every partial and recomputes from packet 0,
+        // so no packet is lost or counted twice.
         let exec = ExecOptions {
             faults: FaultPlan::new().panic_at("f2", 1, 4),
             deadline: Some(Duration::from_secs(30)),
             recover: true,
-            checkpoint_every: Some(2),
             ..Default::default()
         };
         let widths = [1usize, 2, 1];
@@ -813,7 +758,6 @@ mod tests {
                 .unwrap();
         assert_eq!(out, oracle(), "recovered run must be byte-identical");
         assert_eq!(stats.recoveries(), 1);
-        assert!(stats.checkpoint_bytes() > 0);
     }
 
     /// Autoscaling with a copy cap of `max`, other knobs at default.
@@ -902,19 +846,65 @@ mod tests {
     }
 
     #[test]
-    fn distributed_recovery_masks_a_fault_and_matches_oracle() {
+    fn under_recover_a_workers_failed_copy_fails_that_worker_by_name() {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
+        let plan = Arc::new(c.plan);
         let exec = ExecOptions {
             faults: FaultPlan::new().panic_at("f2", 0, 3),
             deadline: Some(Duration::from_secs(30)),
             recover: true,
-            checkpoint_every: Some(2),
             ..Default::default()
         };
-        let out = run_distributed(&c.plan, [1, 2, 1], exec, Transport::Tcp);
-        assert_eq!(out, oracle(), "recovered distributed run must match");
+        let mut transports = vec![Transport::Tcp];
+        if cgp_datacutter::shm_supported() {
+            transports.push(Transport::Shm);
+        }
+        for transport in transports {
+            // The middle worker alone, fed by a raw producer that sends
+            // f1's real packets: the worker never restarts itself, so the
+            // panic fails it, naming the copy, though recovery is on.
+            let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), 1).unwrap();
+            let (egress, downstream) = WorkerIngress::bind(transport.fresh_addr(), 1).unwrap();
+            let producer = {
+                let (plan, exec) = (Arc::clone(&plan), exec.clone());
+                std::thread::spawn(move || {
+                    run_plan_worker_io(plan, Arc::new(host), 0, None, Some(at), None, &exec)
+                })
+            };
+            let consumer = {
+                // Unsupervised, so the lost link fails it at once instead
+                // of waiting for a launcher's teardown.
+                let exec = ExecOptions {
+                    recover: false,
+                    ..exec.clone()
+                };
+                let plan = Arc::clone(&plan);
+                std::thread::spawn(move || {
+                    run_plan_worker_io(plan, Arc::new(host), 2, Some(egress), None, None, &exec)
+                })
+            };
+            let err = run_plan_worker_io(
+                Arc::clone(&plan),
+                Arc::new(host),
+                1,
+                Some(ingress),
+                Some(downstream),
+                None,
+                &exec,
+            )
+            .expect_err("the worker's failed copy fails the worker");
+            let CoreError::Runtime(fe) = &err else {
+                panic!("{transport:?}: expected a runtime error, got {err}");
+            };
+            assert_eq!(fe.kind, cgp_datacutter::ErrorKind::Panicked, "{fe}");
+            assert_eq!(fe.filter, "f2[0]", "{transport:?}: {fe}");
+            // Its neighbours end too: the producer completes or loses its
+            // link, and the consumer loses its producer.
+            let _ = producer.join().unwrap();
+            assert!(consumer.join().unwrap().is_err(), "{transport:?}");
+        }
     }
 
     #[test]
@@ -927,28 +917,6 @@ mod tests {
         let c = compile(SRC, &opts).unwrap();
         let out = run_distributed(&c.plan, [1, 2, 1], ExecOptions::default(), Transport::Shm);
         assert_eq!(out, oracle(), "shm-transport run must be byte-identical");
-    }
-
-    #[test]
-    fn distributed_shm_recovery_masks_a_fault_and_matches_oracle() {
-        if !cgp_datacutter::shm_supported() {
-            return;
-        }
-        let opts =
-            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
-        let c = compile(SRC, &opts).unwrap();
-        // The fault is injected inside the middle worker and masked by
-        // its local checkpointed restart; the shm links on either side
-        // must deliver byte-identical output regardless.
-        let exec = ExecOptions {
-            faults: FaultPlan::new().panic_at("f2", 0, 3),
-            deadline: Some(Duration::from_secs(30)),
-            recover: true,
-            checkpoint_every: Some(2),
-            ..Default::default()
-        };
-        let out = run_distributed(&c.plan, [1, 2, 1], exec, Transport::Shm);
-        assert_eq!(out, oracle(), "recovered shm run must match");
     }
 
     #[test]
@@ -1036,27 +1004,6 @@ mod tests {
         assert_eq!(out, oracle(), "autoscaled distributed run must match");
     }
 
-    #[test]
-    fn autoscaled_distributed_recovery_masks_a_fault_and_matches_oracle() {
-        let opts =
-            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
-        let c = compile(SRC, &opts).unwrap();
-        // A mid-run fault inside the elastic middle worker must be
-        // masked by its checkpointed restart without disturbing the
-        // width gates or the byte-identical output.
-        let exec = ExecOptions {
-            faults: FaultPlan::new().panic_at("f2", 0, 3),
-            deadline: Some(Duration::from_secs(30)),
-            recover: true,
-            checkpoint_every: Some(2),
-            autoscale: Some(cap(3)),
-            status_every: Some(Duration::from_millis(2)),
-            ..Default::default()
-        };
-        let out = run_distributed(&c.plan, [1, 1, 1], exec, Transport::Tcp);
-        assert_eq!(out, oracle(), "fault under autoscale must be masked");
-    }
-
     #[cfg(unix)]
     #[test]
     fn autoscaled_distributed_shm_run_matches_oracle() {
@@ -1102,7 +1049,7 @@ mod tests {
     #[test]
     fn vm_run_under_injected_fault_and_recovery_matches_oracle() {
         // The chaos case: a panic injected mid-stream, masked by the
-        // recovery layer, must stay byte-identical.
+        // whole-run restart, must stay byte-identical.
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
@@ -1110,7 +1057,6 @@ mod tests {
             faults: FaultPlan::new().panic_at("f2", 0, 3),
             deadline: Some(Duration::from_secs(30)),
             recover: true,
-            checkpoint_every: Some(2),
             ..Default::default()
         };
         let (out, stats) =

@@ -10,10 +10,9 @@
 //! [`Buffer::from_vec`] takes ownership of the allocation without copying
 //! (clones share it; sub-ranges adjust `start`/`end` only). A size-classed
 //! [`BufferPool`] recycles packet storage across the pipeline: allocate
-//! with [`BufferPool::alloc`], seal with [`BufferPool::seal`] (or mark an
-//! existing buffer with [`Buffer::into_pooled`]), and when the last clone
-//! of a pooled buffer drops, its allocation returns to the pool instead of
-//! the global allocator. Pool hit/miss counters feed `cgp-obs` metrics and
+//! with [`BufferPool::alloc`], seal with [`BufferPool::seal`], and when
+//! the last clone of a pooled buffer drops, its allocation returns to the
+//! pool instead of the global allocator. Pool hit/miss counters feed `cgp-obs` metrics and
 //! the executor's `StageStats`.
 
 use crate::error::{FilterError, FilterResult};
@@ -39,19 +38,12 @@ impl Drop for SharedVec {
     }
 }
 
-/// Backing storage: an owned (possibly pooled) heap allocation, or a
-/// pre-shared `Arc<[u8]>`. Clones share the allocation
-/// and sub-ranges adjust `start`/`end` only.
-#[derive(Clone)]
-enum Storage {
-    Owned(Arc<SharedVec>),
-    Shared(Arc<[u8]>),
-}
-
-/// An immutable, cheaply-clonable chunk of stream data.
+/// An immutable, cheaply-clonable chunk of stream data: an owned
+/// (possibly pooled) heap allocation. Clones share the allocation and
+/// sub-ranges adjust `start`/`end` only.
 #[derive(Clone)]
 pub struct Buffer {
-    storage: Storage,
+    storage: Arc<SharedVec>,
     start: usize,
     end: usize,
 }
@@ -61,20 +53,10 @@ impl Buffer {
     pub fn from_vec(v: Vec<u8>) -> Self {
         let end = v.len();
         Buffer {
-            storage: Storage::Owned(Arc::new(SharedVec {
+            storage: Arc::new(SharedVec {
                 bytes: v,
                 pool: None,
-            })),
-            start: 0,
-            end,
-        }
-    }
-
-    /// Wrap an already-shared slice without copying.
-    pub fn from_arc(s: Arc<[u8]>) -> Self {
-        let end = s.len();
-        Buffer {
-            storage: Storage::Shared(s),
+            }),
             start: 0,
             end,
         }
@@ -89,38 +71,7 @@ impl Buffer {
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        let whole: &[u8] = match &self.storage {
-            Storage::Owned(v) => &v.bytes,
-            Storage::Shared(a) => a,
-        };
-        &whole[self.start..self.end]
-    }
-
-    /// The payload as an `Arc<[u8]>` for cheap cross-thread handoff.
-    ///
-    /// Free when the buffer already wraps a full-range shared slice;
-    /// otherwise one copy, after which the result owns its allocation
-    /// independently of this buffer (and of any pool).
-    pub fn as_arc_slice(&self) -> Arc<[u8]> {
-        match &self.storage {
-            Storage::Shared(a) if self.start == 0 && self.end == a.len() => Arc::clone(a),
-            _ => Arc::from(self.as_slice()),
-        }
-    }
-
-    /// Mark this buffer's allocation for recycling into `pool` when the
-    /// last clone drops. Zero-copy when this is the only handle to an
-    /// owned allocation; otherwise (shared or already-cloned
-    /// storage) the buffer is returned unchanged.
-    pub fn into_pooled(mut self, pool: &BufferPool) -> Buffer {
-        if let Storage::Owned(arc) = &mut self.storage {
-            if let Some(sv) = Arc::get_mut(arc) {
-                if sv.pool.is_none() {
-                    sv.pool = Some(Arc::downgrade(&pool.shared));
-                }
-            }
-        }
-        self
+        &self.storage.bytes[self.start..self.end]
     }
 
     /// Decode this buffer as one little-endian `u64`.
@@ -137,28 +88,6 @@ impl Buffer {
                 format!("expected an 8-byte u64 packet, got {} bytes", self.len()),
             )
         })?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    /// Decode a little-endian `u64` at byte offset `at` (packets often
-    /// carry several fields). Structured error on out-of-range reads —
-    /// including an offset already past the end of an empty or truncated
-    /// packet; this path must never index-panic, since it decodes data
-    /// that crosses trust boundaries.
-    pub fn u64_le_at(&self, at: usize, who: &str) -> FilterResult<u64> {
-        let bytes = at
-            .checked_add(8)
-            .and_then(|end| self.as_slice().get(at..end))
-            .ok_or_else(|| {
-                FilterError::malformed(
-                    who,
-                    format!(
-                        "u64 field at offset {at} overruns a {}-byte packet",
-                        self.len()
-                    ),
-                )
-            })?;
-        let bytes: [u8; 8] = bytes.try_into().expect("checked 8-byte range");
         Ok(u64::from_le_bytes(bytes))
     }
 
@@ -332,10 +261,10 @@ impl BufferPool {
     pub fn seal(&self, v: Vec<u8>) -> Buffer {
         let end = v.len();
         Buffer {
-            storage: Storage::Owned(Arc::new(SharedVec {
+            storage: Arc::new(SharedVec {
                 bytes: v,
                 pool: Some(Arc::downgrade(&self.shared)),
-            })),
+            }),
             start: 0,
             end,
         }
@@ -389,48 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn u64_at_offset_and_overrun() {
-        let mut v = 7u64.to_le_bytes().to_vec();
-        v.extend_from_slice(&9u64.to_le_bytes());
-        let b = Buffer::from_vec(v);
-        assert_eq!(b.u64_le_at(0, "t").unwrap(), 7);
-        assert_eq!(b.u64_le_at(8, "t").unwrap(), 9);
-        let e = b.u64_le_at(9, "t").unwrap_err();
-        assert_eq!(e.kind, crate::error::ErrorKind::Malformed);
-        assert!(b.u64_le_at(usize::MAX, "t").is_err(), "offset overflow");
-    }
-
-    /// Regression: a zero-length packet (hostile or truncated input) must
-    /// yield `Malformed` from every offset — including offsets that are
-    /// themselves past the buffer end — never an index panic.
-    #[test]
-    fn u64_at_on_zero_length_packet_is_malformed_not_a_panic() {
-        let b = Buffer::from_vec(Vec::new());
-        assert_eq!(b.len(), 0);
-        for at in [0usize, 1, 8, 16, usize::MAX - 8, usize::MAX] {
-            let e = b.u64_le_at(at, "t").unwrap_err();
-            assert_eq!(e.kind, crate::error::ErrorKind::Malformed, "offset {at}");
-            assert!(e.message.contains("0-byte packet"), "offset {at}: {e}");
-        }
-        let e = b.u64_le("t").unwrap_err();
-        assert_eq!(e.kind, crate::error::ErrorKind::Malformed);
-    }
-
-    #[test]
-    fn as_arc_slice_round_trips_and_shares_when_possible() {
-        let b = Buffer::from_vec(vec![9, 8, 7]);
-        let a = b.as_arc_slice();
-        assert_eq!(&a[..], &[9, 8, 7]);
-        let shared = Buffer::from_arc(Arc::clone(&a));
-        // Full-range shared buffer: another as_arc_slice is free.
-        let a2 = shared.as_arc_slice();
-        assert_eq!(a2.as_ptr(), a.as_ptr());
-        // Sub-range must copy (independent allocation).
-        let sub = shared.slice(1..3).as_arc_slice();
-        assert_eq!(&sub[..], &[8, 7]);
-    }
-
-    #[test]
     fn pool_recycles_allocations() {
         let pool = BufferPool::new();
         let v = pool.alloc(100);
@@ -458,27 +345,6 @@ mod tests {
         assert_eq!(c.as_slice(), &[1, 2, 3]);
         drop(c);
         assert_eq!(pool.stats().recycled, 1);
-    }
-
-    #[test]
-    fn into_pooled_recycles_unique_owned_buffers() {
-        let pool = BufferPool::new();
-        let b = Buffer::from_vec(vec![5; 128]).into_pooled(&pool);
-        assert_eq!(b.as_slice()[0], 5);
-        drop(b);
-        assert_eq!(pool.stats().recycled, 1);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn into_pooled_on_shared_buffer_is_inert() {
-        let pool = BufferPool::new();
-        let b = Buffer::from_vec(vec![1, 2]);
-        let c = b.clone(); // no longer unique
-        let b = b.into_pooled(&pool);
-        drop(b);
-        drop(c);
-        assert_eq!(pool.stats().recycled, 0);
     }
 
     #[test]

@@ -112,8 +112,9 @@ impl CancelToken {
         wakers.push(Waker { channel_id, probe });
     }
 
-    /// Registered live wakers (racy; for tests).
-    pub fn registered(&self) -> usize {
+    /// Registered live wakers (racy): a channel's waker deregisters.
+    #[cfg(test)]
+    fn registered(&self) -> usize {
         plock(&self.shared.wakers).len()
     }
 }

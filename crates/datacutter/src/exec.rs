@@ -13,40 +13,49 @@
 //! - **Panic isolation** — a panic inside any filter phase is caught per
 //!   copy and converted into a structured
 //!   [`ErrorKind::Panicked`](crate::error::ErrorKind) error naming the
-//!   `stage[copy]`; the copy's streams are closed and drained so
-//!   neighbouring copies terminate instead of blocking forever, and other
-//!   copies' stats updates never see a poisoned lock. The error is
-//!   recorded before the streams close, so a downstream failure it
-//!   causes never outranks it as the run's error.
+//!   `stage[copy]`, and other copies' stats updates never see a poisoned
+//!   lock.
+//! - **Failure** — a copy that fails records its error before its output
+//!   closes, so a downstream failure it causes never outranks it as the
+//!   run's error. Without a restart budget it then drains its input, so
+//!   its neighbours finish and the run fails with its error.
 //! - **Fault injection** — a [`FaultPlan`] injects deterministic
 //!   fail/panic/delay/drop faults at stage × copy × packet index
 //!   ([`RunOptions::faults`]).
-//! - **Restart** — with recovery on ([`RunOptions::recovery`]), every
-//!   failure except a cancellation restarts the copy: a fresh filter
-//!   instance gets its committed checkpoint back and its unacknowledged
-//!   input replayed, up to [`RecoveryOptions::max_restarts`] times with
-//!   exponential backoff. Without recovery a failed copy fails the run.
+//! - **Restart** — with a restart budget ([`RunOptions::restart_budget`])
+//!   a failed run restarts whole: the first failure cancels the attempt,
+//!   so every blocked copy wakes and no copy of the cancelled attempt
+//!   runs `finalize` (it publishes nothing), and once every copy has
+//!   joined, every stage reruns from packet 0 on fresh streams with
+//!   fresh filter instances. The restart is charged to the stage that
+//!   failed; once that stage has used its budget, its failure is the
+//!   run's error. Fault injectors outlive the attempt, so a rule at
+//!   packet n fires once per run and an every-packet rule fails every
+//!   attempt. A worker ([`Pipeline::run_worker`]) never restarts itself:
+//!   a failed copy fails the worker, and its supervising launcher
+//!   restarts the whole chain the same way.
 //! - **Deadline & stall detection** — [`RunOptions::deadline`] /
 //!   [`RunOptions::stall_timeout`] arm a watchdog that cancels the
 //!   run's channels, wakes every blocked copy, and reports *where* the
 //!   pipeline was blocked (using the `blocked_send`/`blocked_recv`
-//!   instrumentation) instead of hanging. Cancellation is cooperative:
-//!   filters blocked in stream operations unwedge automatically;
-//!   long compute loops should poll [`FilterIo::cancelled`].
+//!   instrumentation) instead of hanging. The deadline spans every
+//!   attempt, and a stall is never restarted. Cancellation is
+//!   cooperative: filters blocked in stream operations unwedge
+//!   automatically; long compute loops should poll
+//!   [`FilterIo::cancelled`].
 //!
 //! Failures surface as counters on [`StageStats`] (`failures`, `panics`,
-//! `recoveries`, `dropped`), as `fault`-category trace events through
-//! `cgp_obs`, and optionally into a shared [`MetricsRegistry`]
-//! ([`RunOptions::metrics`]).
+//! `recoveries`, `dropped`), as `fault`-category trace events and one
+//! `restart` event per restart through `cgp_obs`, and optionally into a
+//! shared [`MetricsRegistry`] ([`RunOptions::metrics`]).
 
 use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
-use crate::fault::{FaultPlan, RunControl};
-use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
+use crate::fault::{FaultInjector, FaultPlan, RunControl};
+use crate::filter::{FilterFactory, FilterIo};
 use crate::link::{egress_pump, serve_ingress, NetLinkStats, NetTuning, WorkerIngress};
 use crate::net::TelemetryClient;
-use crate::recover::RecoveryOptions;
-use crate::stream::logical_stream;
+use crate::stream::{logical_stream, StreamReader, StreamWriter};
 use crate::telemetry::{
     build_sample, encode_telemetry_payload, now_us, CopyProbe, LinkProbe, StageProbe,
     TelemetryConfig,
@@ -122,12 +131,6 @@ pub struct StageSpec {
     pub name: String,
     pub width: usize,
     pub factory: FilterFactory,
-    /// Whether the filter accumulates cross-packet state (reduction
-    /// accumulators). Under recovery, stateful stages acknowledge inputs
-    /// only at checkpoint commits ([`FilterIo::commit_checkpoint`]) and
-    /// get their snapshot restored on restart; stateless stages
-    /// acknowledge as they read. Inert without recovery.
-    pub stateful: bool,
 }
 
 impl StageSpec {
@@ -137,21 +140,15 @@ impl StageSpec {
             name: name.into(),
             width,
             factory,
-            stateful: false,
         }
-    }
-
-    /// Mark this stage as holding cross-packet state (see
-    /// [`StageSpec::stateful`]).
-    pub fn stateful(mut self) -> Self {
-        self.stateful = true;
-        self
     }
 }
 
 /// Per-stage statistics from a run. The traffic, blocked and busy
 /// figures are read off the stage's probe when the run ends, so they are
-/// counted on every run; telemetry adds only the latency histogram.
+/// counted on every run; telemetry adds only the latency histogram. A
+/// restarted run reports its last attempt's figures, and its failure
+/// counters over every attempt.
 #[derive(Debug, Clone, Default)]
 pub struct StageStats {
     pub name: String,
@@ -175,27 +172,21 @@ pub struct StageStats {
     /// Total time this stage's copies spent blocked in receives
     /// (starved for upstream data), summed over copies.
     pub blocked_recv: Duration,
-    /// Failed unit-of-work attempts across this stage's copies
-    /// (including attempts whose copy later succeeded on a restart).
+    /// Copies of this stage that failed on their own, over every attempt
+    /// of the run (a copy a failure elsewhere cancelled does not count).
     pub failures: u64,
     /// Packets injected `drop` faults discarded across this stage's
-    /// copies: intentional loss, which recovery does not resurrect.
+    /// copies: intentional loss, which a restart does not resurrect.
     pub dropped: u64,
-    /// Attempts that ended in a caught panic.
+    /// Copies that ended in a caught panic, over every attempt.
     pub panics: u64,
     /// Packet-storage allocations served from the run's [`BufferPool`]
     /// (zero when the pipeline runs without a pool).
     pub pool_hits: u64,
     /// Packet-storage allocations that fell through to the heap.
     pub pool_misses: u64,
-    /// Copy restarts performed under recovery.
+    /// Restarts of the whole run charged to this stage.
     pub recoveries: u64,
-    /// Packets re-delivered from replay buffers after restarts.
-    pub replayed_packets: u64,
-    /// Checkpoint commits across this stage's copies.
-    pub checkpoints: u64,
-    /// Snapshot bytes written across this stage's checkpoint commits.
-    pub checkpoint_bytes: u64,
     /// Per-packet residence latency at this stage (upstream send →
     /// delivery here), µs. Populated only when telemetry is attached
     /// ([`RunOptions::telemetry`]); empty otherwise.
@@ -221,7 +212,7 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Failed attempts summed over stages (a successful run can still
+    /// Failed copies summed over stages (a successful run can still
     /// have non-zero failures if restarts recovered them).
     pub fn failures(&self) -> u64 {
         self.stages.iter().map(|s| s.failures).sum()
@@ -237,24 +228,9 @@ impl RunStats {
         self.stages.iter().map(|s| s.panics).sum()
     }
 
-    /// Recovery restarts summed over stages.
+    /// Restarts of the run, summed over the stages they were charged to.
     pub fn recoveries(&self) -> u64 {
         self.stages.iter().map(|s| s.recoveries).sum()
-    }
-
-    /// Replayed packets summed over stages.
-    pub fn replayed_packets(&self) -> u64 {
-        self.stages.iter().map(|s| s.replayed_packets).sum()
-    }
-
-    /// Checkpoint commits summed over stages.
-    pub fn checkpoints(&self) -> u64 {
-        self.stages.iter().map(|s| s.checkpoints).sum()
-    }
-
-    /// Snapshot bytes summed over stages.
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.checkpoint_bytes).sum()
     }
 }
 
@@ -275,10 +251,10 @@ pub struct WorkerEndpoints {
 
 /// How one pipeline run behaves: every setting apart from the stage list.
 ///
-/// [`RunOptions::default`] is a plain in-process run: 64-packet queues,
-/// per-packet synchronization, no pool, no faults, no watchdog,
-/// recovery off, default [`NetTuning`], no telemetry and fixed widths.
-/// Set fields with struct update syntax:
+/// [`RunOptions::default`] is the data plane every compiled plan runs:
+/// 32-packet queues, up to 8 packets moved per lock, a [`BufferPool`],
+/// no faults, no watchdog, no restarts, default [`NetTuning`], no
+/// telemetry and fixed widths. Set fields with struct update syntax:
 ///
 /// ```
 /// use cgp_datacutter::RunOptions;
@@ -289,7 +265,7 @@ pub struct WorkerEndpoints {
 ///     deadline: Some(Duration::from_secs(30)),
 ///     ..Default::default()
 /// };
-/// assert_eq!(opts.batch, 1);
+/// assert_eq!(opts.batch, 8);
 /// ```
 ///
 /// [`Pipeline::run`] checks the settings before any copy starts: a zero
@@ -301,8 +277,8 @@ pub struct RunOptions {
     pub capacity: usize,
     /// Max packets moved per lock acquisition on every stream (adaptive:
     /// a busy consumer drains up to `batch` queued packets after each
-    /// blocking receive, an idle one keeps per-packet latency). 1, the
-    /// default, is strict per-packet synchronization; 0 counts as 1.
+    /// blocking receive, an idle one keeps per-packet latency). 1 is
+    /// strict per-packet synchronization; 0 counts as 1.
     pub batch: usize,
     /// Recycle packet storage through a shared [`BufferPool`]: filters
     /// that build packets via [`FilterIo::alloc`]/[`FilterIo::seal`] get
@@ -312,25 +288,27 @@ pub struct RunOptions {
     /// Deterministic fault-injection plan (chaos testing); an empty plan
     /// injects nothing.
     pub faults: FaultPlan,
-    /// Hard wall-clock limit for the run. On expiry the watchdog cancels
-    /// every stream, blocked copies unwedge, and the run returns a
-    /// structured [`ErrorKind::Stalled`] error naming where copies were
-    /// blocked, instead of hanging.
+    /// Hard wall-clock limit for the run, over every attempt. On expiry
+    /// the watchdog cancels every stream, blocked copies unwedge, and the
+    /// run returns a structured [`ErrorKind::Stalled`] error naming where
+    /// copies were blocked, instead of hanging.
     pub deadline: Option<Duration>,
     /// Cancel the run if no packet moves anywhere in the pipeline for
     /// this long (should comfortably exceed the slowest per-packet
     /// compute time).
     pub stall_timeout: Option<Duration>,
-    /// Registry the run publishes its counters into at end of run:
-    /// per-stage failures, drops, panics, pool and recovery counts,
+    /// Registry each attempt publishes its counters into when it ends:
+    /// per-stage failures, drops, panics, restarts and pool counts,
     /// per-link network counters, per-stage rates (busy, blocked and
     /// buffer counts), and, with telemetry, latency histograms.
     pub metrics: Option<Arc<Mutex<MetricsRegistry>>>,
-    /// The recovery layer: ack/replay delivery on every stream,
-    /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
-    /// supervised copy restarts on any failure but a cancellation. Off,
-    /// a failed copy fails the run.
-    pub recovery: RecoveryOptions,
+    /// Whole-run restarts each stage may be charged before its failure
+    /// becomes the run's error (see the module docs). With a budget, the
+    /// first failure cancels the attempt; 0 fails the run on its first
+    /// failure, letting the other copies finish. A worker never restarts
+    /// itself, but a budget still cancels its attempt on a failure, so
+    /// no end-of-work crosses its links.
+    pub restart_budget: u32,
     /// Liveness of the distributed links: heartbeat cadence and silence
     /// deadline on TCP links, and supervised ingress, where a vanished
     /// producer leaves the link waiting for the launcher to tear the
@@ -340,12 +318,11 @@ pub struct RunOptions {
     /// counters run on every run; this adds the rest. Packets are stamped
     /// at ingest so [`StageStats::residence_us`] and [`RunStats::e2e_us`]
     /// report real p50/p95/p99 latencies, and a sampler thread snapshots
-    /// queue depth, per-copy busy/active time, latency percentiles,
-    /// replay-buffer occupancy, and net-link counters on the sampler's
-    /// cadence, without stopping the pipeline. When `ship_to` is set,
-    /// every sample (and the final registry snapshot) is also shipped to
-    /// the launcher as a `Telemetry` frame (see
-    /// [`crate::net::serve_telemetry`]).
+    /// queue depth, per-copy busy/active time, latency percentiles and
+    /// net-link counters on the sampler's cadence, without stopping the
+    /// pipeline. When `ship_to` is set, every sample (and the final
+    /// registry snapshot) is also shipped to the launcher as a
+    /// `Telemetry` frame (see [`crate::net::serve_telemetry`]).
     pub telemetry: Option<TelemetryConfig>,
     /// Elastic copy-width autoscaling; requires telemetry with a nonzero
     /// sampling cadence (the controller ticks on the sampler's clock).
@@ -362,14 +339,14 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            capacity: 64,
-            batch: 1,
-            pool: None,
+            capacity: 32,
+            batch: 8,
+            pool: Some(BufferPool::new()),
             faults: FaultPlan::default(),
             deadline: None,
             stall_timeout: None,
             metrics: None,
-            recovery: RecoveryOptions::default(),
+            restart_budget: 0,
             net_tuning: NetTuning::default(),
             telemetry: None,
             autoscale: None,
@@ -383,6 +360,13 @@ pub struct Pipeline {
     stages: Vec<StageSpec>,
     opts: RunOptions,
 }
+
+/// Fault injectors indexed `[stage][copy]`; they outlive every attempt.
+type Injectors = Vec<Vec<Option<FaultInjector>>>;
+
+/// What one attempt produced: its stats, and its root-cause error with
+/// the index of the stage that raised it.
+type Attempt = (RunStats, Option<(usize, FilterError)>);
 
 impl Pipeline {
     /// An empty pipeline that runs under `opts`.
@@ -398,7 +382,9 @@ impl Pipeline {
         self
     }
 
-    /// Run one unit of work through the whole pipeline in this process.
+    /// Run one unit of work through the whole pipeline in this process,
+    /// restarting the whole run on a failure while the failed stage's
+    /// [`RunOptions::restart_budget`] lasts.
     pub fn run(self) -> FilterResult<RunStats> {
         self.run_inner(None)
     }
@@ -412,15 +398,17 @@ impl Pipeline {
     /// — an ingress serve loop replays the upstream producers onto a
     /// local stream with the in-process round-robin routing, and one
     /// egress pump per copy relays its output to the downstream worker —
-    /// so batching, backpressure, cancellation, fault injection and
-    /// recovery behave exactly as under [`Pipeline::run`], and the
-    /// distributed run's results are byte-identical to the in-process
-    /// run's.
+    /// so batching, backpressure, cancellation and fault injection
+    /// behave exactly as under [`Pipeline::run`], and the distributed
+    /// run's results are byte-identical to the in-process run's. A
+    /// worker never restarts itself: a failed copy fails the worker,
+    /// naming its `stage[copy]`, and a supervising launcher restarts the
+    /// whole chain.
     pub fn run_worker(self, endpoints: WorkerEndpoints) -> FilterResult<RunStats> {
         self.run_inner(Some(endpoints))
     }
 
-    fn run_inner(self, worker: Option<WorkerEndpoints>) -> FilterResult<RunStats> {
+    fn run_inner(self, mut worker: Option<WorkerEndpoints>) -> FilterResult<RunStats> {
         let Pipeline { stages, opts } = self;
         if stages.is_empty() {
             return Err(FilterError::new("pipeline", "no stages"));
@@ -443,7 +431,6 @@ impl Pipeline {
                  (the width controller ticks on the sampler's clock)",
             ));
         }
-        let batch = opts.batch.max(1);
         let n = stages.len();
         if let Some(w) = &worker {
             if w.stage >= n {
@@ -477,12 +464,6 @@ impl Pipeline {
         }
         install_quiet_panic_hook();
         let t0 = Instant::now();
-        let control = RunControl::new();
-        let (active_stage, ingress, connect) = match worker {
-            Some(w) => (Some(w.stage), w.ingress, w.connect),
-            None => (None, None, None),
-        };
-
         // Elastic width: interior stages are provisioned at
         // max(spec width, max_width) transparent copies — threads,
         // queues, probes — with only the active prefix (initially the
@@ -499,766 +480,734 @@ impl Pipeline {
         let eff_width: Vec<usize> = (0..n)
             .map(|s| provisioned_width(opts.autoscale.as_ref(), s, n, stages[s].width))
             .collect();
-        let stage_widths: Vec<Option<Arc<StageWidth>>> = (0..n)
-            .map(|s| {
-                (opts.autoscale.is_some() && s > 0 && s < n - 1)
-                    .then(|| StageWidth::new(stages[s].width, eff_width[s]))
-            })
+        let mut injectors: Injectors = stages
+            .iter()
+            .zip(&eff_width)
+            .map(|(st, &w)| (0..w).map(|c| opts.faults.injector(&st.name, c)).collect())
             .collect();
-
-        // Build streams between consecutive stages. A worker process only
-        // materialises its own stage's boundary streams: the ingress link
-        // keeps the full upstream-width → local-width topology (writer
-        // `p` is driven by remote producer `p`, so round-robin routing is
-        // reproduced exactly), while each copy's egress is a private 1→1
-        // stream drained by a socket pump.
-        let mut writers_per_stage: Vec<Vec<Option<crate::stream::StreamWriter>>> =
-            (0..n).map(|_| Vec::new()).collect();
-        let mut readers_per_stage: Vec<Vec<Option<crate::stream::StreamReader>>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for s in 0..n {
-            readers_per_stage[s] = (0..eff_width[s]).map(|_| None).collect();
-            writers_per_stage[s] = (0..eff_width[s]).map(|_| None).collect();
-        }
-        let mut ingress_writers: Vec<crate::stream::StreamWriter> = Vec::new();
-        let mut egress_readers: Vec<crate::stream::StreamReader> = Vec::new();
-        match active_stage {
-            None => {
-                for s in 0..n.saturating_sub(1) {
-                    let (ws, rs) = logical_stream(
-                        eff_width[s],
-                        eff_width[s + 1],
-                        opts.capacity,
-                        Arc::clone(&control),
-                        opts.recovery.enabled,
-                    );
-                    for (i, w) in ws.into_iter().enumerate() {
-                        writers_per_stage[s][i] = Some(w);
-                    }
-                    for (i, r) in rs.into_iter().enumerate() {
-                        readers_per_stage[s + 1][i] = Some(r);
-                    }
-                }
+        let budget = if worker.is_some() {
+            0
+        } else {
+            opts.restart_budget
+        };
+        let mut charged = vec![0u32; n];
+        let (mut failures, mut panics) = (vec![0u64; n], vec![0u64; n]);
+        loop {
+            let (mut stats, error) = attempt(
+                &stages,
+                &opts,
+                worker.take(),
+                &eff_width,
+                &mut injectors,
+                t0,
+            );
+            for (s, st) in stats.stages.iter().enumerate() {
+                failures[s] += st.failures;
+                panics[s] += st.panics;
             }
-            Some(k) => {
-                if k > 0 {
-                    let (ws, rs) = logical_stream(
-                        eff_width[k - 1],
-                        eff_width[k],
-                        opts.capacity,
-                        Arc::clone(&control),
-                        opts.recovery.enabled,
-                    );
-                    ingress_writers = ws;
-                    for (i, r) in rs.into_iter().enumerate() {
-                        readers_per_stage[k][i] = Some(r);
-                    }
+            let Some((s, e)) = error else {
+                for (s, st) in stats.stages.iter_mut().enumerate() {
+                    (st.failures, st.panics) = (failures[s], panics[s]);
+                    st.recoveries = u64::from(charged[s]);
                 }
-                if k < n - 1 {
-                    for slot in writers_per_stage[k].iter_mut().take(eff_width[k]) {
-                        let (mut ws, mut rs) = logical_stream(
-                            1,
-                            1,
-                            opts.capacity,
-                            Arc::clone(&control),
-                            opts.recovery.enabled,
-                        );
-                        *slot = ws.pop();
-                        egress_readers.push(rs.pop().expect("1→1 stream"));
-                    }
-                }
+                return Ok(stats);
+            };
+            // A stall is the run's own limit, not a fault to recompute.
+            if matches!(e.kind, ErrorKind::Stalled | ErrorKind::Cancelled) || charged[s] >= budget {
+                return Err(e);
+            }
+            charged[s] += 1;
+            let name = &stages[s].name;
+            trace::instant(
+                "restart",
+                "recovery",
+                PID_RUNTIME,
+                0,
+                vec![
+                    ("stage", name.clone().into()),
+                    ("restart", u64::from(charged[s]).into()),
+                    ("error", e.to_string().into()),
+                ],
+            );
+            if let Some(registry) = &opts.metrics {
+                plock(registry).counter(&format!("stage.{name}.recoveries"), 1);
             }
         }
+    }
+}
 
-        // Attach the width gates to every writer feeding a scalable
-        // stage. In a worker process the gate for stage k sits on the
-        // ingress writers — this process holds the queues feeding its
-        // own stage — so each worker controls its own stage's active
-        // width without any cross-process coordination.
-        match active_stage {
-            None => {
-                for s in 0..n.saturating_sub(1) {
-                    if let Some(w) = &stage_widths[s + 1] {
-                        for writer in writers_per_stage[s].iter_mut().flatten() {
-                            writer.set_active_width(Arc::clone(w));
-                        }
-                    }
+/// Run every copy of `stages` once — all of them in this process, or
+/// only `worker`'s stage — on fresh streams, and join them. `t0` is when
+/// the run started: the deadline and the reported times span every
+/// attempt.
+fn attempt(
+    stages: &[StageSpec],
+    opts: &RunOptions,
+    worker: Option<WorkerEndpoints>,
+    eff_width: &[usize],
+    injectors: &mut Injectors,
+    t0: Instant,
+) -> Attempt {
+    let n = stages.len();
+    let batch = opts.batch.max(1);
+    let restarting = opts.restart_budget > 0;
+    let control = RunControl::new();
+    let (active_stage, ingress, connect) = match worker {
+        Some(w) => (Some(w.stage), w.ingress, w.connect),
+        None => (None, None, None),
+    };
+    let stage_widths: Vec<Option<Arc<StageWidth>>> = (0..n)
+        .map(|s| {
+            (opts.autoscale.is_some() && s > 0 && s < n - 1)
+                .then(|| StageWidth::new(stages[s].width, eff_width[s]))
+        })
+        .collect();
+
+    // Build streams between consecutive stages. A worker process only
+    // materialises its own stage's boundary streams: the ingress link
+    // keeps the full upstream-width → local-width topology (writer `p` is
+    // driven by remote producer `p`, so round-robin routing is reproduced
+    // exactly), while each copy's egress is a private 1→1 stream drained
+    // by a socket pump.
+    let mut writers_per_stage: Vec<Vec<Option<StreamWriter>>> = eff_width
+        .iter()
+        .map(|&w| (0..w).map(|_| None).collect())
+        .collect();
+    let mut readers_per_stage: Vec<Vec<Option<StreamReader>>> = eff_width
+        .iter()
+        .map(|&w| (0..w).map(|_| None).collect())
+        .collect();
+    let mut ingress_writers: Vec<StreamWriter> = Vec::new();
+    let mut egress_readers: Vec<StreamReader> = Vec::new();
+    let stream = |producers, consumers| {
+        logical_stream(producers, consumers, opts.capacity, Arc::clone(&control))
+    };
+    match active_stage {
+        None => {
+            for s in 0..n.saturating_sub(1) {
+                let (ws, rs) = stream(eff_width[s], eff_width[s + 1]);
+                for (i, w) in ws.into_iter().enumerate() {
+                    writers_per_stage[s][i] = Some(w);
+                }
+                for (i, r) in rs.into_iter().enumerate() {
+                    readers_per_stage[s + 1][i] = Some(r);
                 }
             }
-            Some(k) => {
-                if let Some(w) = &stage_widths[k] {
-                    for writer in &mut ingress_writers {
+        }
+        Some(k) => {
+            if k > 0 {
+                let (ws, rs) = stream(eff_width[k - 1], eff_width[k]);
+                ingress_writers = ws;
+                for (i, r) in rs.into_iter().enumerate() {
+                    readers_per_stage[k][i] = Some(r);
+                }
+            }
+            if k < n - 1 {
+                for slot in writers_per_stage[k].iter_mut() {
+                    let (mut ws, mut rs) = stream(1, 1);
+                    *slot = ws.pop();
+                    egress_readers.push(rs.pop().expect("1→1 stream"));
+                }
+            }
+        }
+    }
+    // Attach the width gates to every writer feeding a scalable
+    // stage. In a worker process the gate for stage k sits on the
+    // ingress writers — this process holds the queues feeding its
+    // own stage — so each worker controls its own stage's active
+    // width without any cross-process coordination.
+    match active_stage {
+        None => {
+            for s in 0..n.saturating_sub(1) {
+                if let Some(w) = &stage_widths[s + 1] {
+                    for writer in writers_per_stage[s].iter_mut().flatten() {
                         writer.set_active_width(Arc::clone(w));
                     }
                 }
             }
         }
-
-        // One probe per locally-run stage, attached to every stream
-        // endpoint the stage's copies touch: the run's counters, read
-        // mid-run by the telemetry sampler and once more at the end for
-        // the stage stats.
-        let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
-            .map(|s| {
-                active_stage
-                    .is_none_or(|k| k == s)
-                    .then(|| StageProbe::new(stages[s].name.clone(), eff_width[s], s == n - 1))
-            })
-            .collect();
-        // The width controller, ticked by the sampler thread on the
-        // telemetry cadence. Empty (and elided) when no scalable stage
-        // runs in this process.
-        let controller: Mutex<Option<WidthController>> = Mutex::new(
-            opts.autoscale
-                .as_ref()
-                .map(|cfg| {
-                    let mut ctl = WidthController::new(cfg.clone());
-                    for s in 0..n {
-                        if let (Some(w), Some(p)) = (&stage_widths[s], &probes[s]) {
-                            ctl.watch(Arc::clone(w), Arc::clone(p));
-                        }
-                    }
-                    ctl
-                })
-                .filter(|ctl| !ctl.is_empty()),
-        );
-        if opts.telemetry.is_some() {
-            // Packets arriving over TCP get a fresh residence stamp here:
-            // origin ticks don't cross process boundaries (the clocks are
-            // not comparable), so the ingress bridge re-stamps send time
-            // only.
-            for w in &mut ingress_writers {
-                w.enable_stamping();
+        Some(k) => {
+            if let Some(w) = &stage_widths[k] {
+                for writer in &mut ingress_writers {
+                    writer.set_active_width(Arc::clone(w));
+                }
             }
         }
-        // One probe per worker link: the ingress link's, and the egress
-        // link's, shared by every copy's pump.
-        let link_probes: Vec<(u32, Arc<LinkProbe>)> = active_stage
-            .into_iter()
-            .flat_map(|k| [(k > 0).then_some(k), (k < n - 1).then_some(k + 1)])
-            .flatten()
-            .map(|link| (link as u32, Arc::default()))
-            .collect();
-        let link_probe = |link: usize| {
-            link_probes
-                .iter()
-                .find(|(l, _)| *l as usize == link)
-                .map(|(_, p)| Arc::clone(p))
-                .expect("a probe per worker link")
-        };
+    }
 
-        // Start every copy. Trace tids number filter copies globally
-        // (stage by stage), one timeline row per copy.
-        let tid_base: Vec<u32> = eff_width
+    // One probe per locally-run stage, attached to every stream
+    // endpoint the stage's copies touch: the run's counters, read
+    // mid-run by the telemetry sampler and once more at the end for
+    // the stage stats.
+    let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
+        .map(|s| {
+            active_stage
+                .is_none_or(|k| k == s)
+                .then(|| StageProbe::new(stages[s].name.clone(), eff_width[s], s == n - 1))
+        })
+        .collect();
+    // The width controller, ticked by the sampler thread on the
+    // telemetry cadence. Empty (and elided) when no scalable stage
+    // runs in this process.
+    let controller: Mutex<Option<WidthController>> = Mutex::new(
+        opts.autoscale
+            .as_ref()
+            .map(|cfg| {
+                let mut ctl = WidthController::new(cfg.clone());
+                for s in 0..n {
+                    if let (Some(w), Some(p)) = (&stage_widths[s], &probes[s]) {
+                        ctl.watch(Arc::clone(w), Arc::clone(p));
+                    }
+                }
+                ctl
+            })
+            .filter(|ctl| !ctl.is_empty()),
+    );
+    if opts.telemetry.is_some() {
+        // Packets arriving over TCP get a fresh residence stamp here:
+        // origin ticks don't cross process boundaries (the clocks are
+        // not comparable), so the ingress bridge re-stamps send time
+        // only.
+        for w in &mut ingress_writers {
+            w.enable_stamping();
+        }
+    }
+    // One probe per worker link: the ingress link's, and the egress
+    // link's, shared by every copy's pump.
+    let link_probes: Vec<(u32, Arc<LinkProbe>)> = active_stage
+        .into_iter()
+        .flat_map(|k| [(k > 0).then_some(k), (k < n - 1).then_some(k + 1)])
+        .flatten()
+        .map(|link| (link as u32, Arc::default()))
+        .collect();
+    let link_probe = |link: usize| {
+        link_probes
             .iter()
-            .scan(0u32, |acc, w| {
-                let base = *acc;
-                *acc += *w as u32;
-                Some(base)
-            })
-            .collect();
-        if trace::enabled() {
-            trace::name_process(PID_RUNTIME, "datacutter");
-        }
-        let stats: Arc<Mutex<Vec<StageStats>>> = Arc::new(Mutex::new(
-            stages
-                .iter()
-                .enumerate()
-                .map(|(s, spec)| StageStats {
-                    name: spec.name.clone(),
-                    busy_per_copy: vec![Duration::ZERO; eff_width[s]],
-                    ..Default::default()
-                })
-                .collect(),
-        ));
-        let errors: Arc<Mutex<Vec<FilterError>>> = Arc::new(Mutex::new(Vec::new()));
-        // Copies that were blocked inside a stream op when the run was
-        // cancelled — the stall report names these.
-        let stalled_at: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let total_copies: usize = match active_stage {
-            None => eff_width.iter().sum(),
-            Some(k) => eff_width[k],
-        };
-        // Network bridge threads participate in the same completion
-        // count, so the watchdog covers a wedged socket too.
-        let net_threads = usize::from(ingress.is_some()) + egress_readers.len();
-        // (remaining threads, condvar) — workers count down, the watchdog
-        // waits with a timeout.
-        let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
-        let recovery = opts.recovery;
-        // Telemetry shipping connection, shared between the sampler loop
-        // and the final flush after the scope ends.
-        let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(None);
-        let worker_id: u32 = active_stage.map_or(0, |k| k as u32);
+            .find(|(l, _)| *l as usize == link)
+            .map(|(_, p)| Arc::clone(p))
+            .expect("a probe per worker link")
+    };
 
-        std::thread::scope(|scope| {
-            if opts.deadline.is_some() || opts.stall_timeout.is_some() {
-                let control = Arc::clone(&control);
-                let done = Arc::clone(&done);
-                let deadline = opts.deadline;
-                let stall_timeout = opts.stall_timeout;
-                scope.spawn(move || {
-                    watchdog(&control, &done, deadline, stall_timeout);
-                });
-            }
-            // Sampler: periodic in-flight snapshots from the probes. Not
-            // counted in `done` — it waits on the same condvar with its
-            // cadence as the timeout and exits once the count hits zero.
-            // A zero cadence disables in-flight sampling entirely (the
-            // final fin-stamped flush below still runs): spawning the
-            // loop with a zero timeout would busy-spin it.
-            if let Some(tcfg) = opts
-                .telemetry
-                .as_ref()
-                .filter(|t| t.sampler.every() > Duration::ZERO)
-            {
-                let sampler = Arc::clone(&tcfg.sampler);
-                let source = tcfg.source.clone();
-                let ship = tcfg.ship_to.clone();
-                let every = sampler.every();
-                let done = Arc::clone(&done);
-                let control = Arc::clone(&control);
-                let pool = opts.pool.clone();
-                let probes = &probes;
-                let link_probes = &link_probes;
-                let client_slot = &telemetry_client;
-                let controller_slot = &controller;
-                scope.spawn(move || {
-                    if let Some(addr) = &ship {
-                        // Telemetry is best-effort: a missing aggregator
-                        // never fails (or delays) the run beyond the
-                        // connect attempt.
-                        if let Ok(c) =
-                            TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control)))
-                        {
-                            *plock(client_slot) = Some(c);
+    // Start every copy. Trace tids number filter copies globally
+    // (stage by stage), one timeline row per copy.
+    let tid_base: Vec<u32> = eff_width
+        .iter()
+        .scan(0u32, |acc, w| {
+            let base = *acc;
+            *acc += *w as u32;
+            Some(base)
+        })
+        .collect();
+    if trace::enabled() {
+        trace::name_process(PID_RUNTIME, "datacutter");
+    }
+    let stats: Arc<Mutex<Vec<StageStats>>> = Arc::new(Mutex::new(
+        stages
+            .iter()
+            .enumerate()
+            .map(|(s, spec)| StageStats {
+                name: spec.name.clone(),
+                busy_per_copy: vec![Duration::ZERO; eff_width[s]],
+                ..Default::default()
+            })
+            .collect(),
+    ));
+    // Every copy and bridge error, with the index of its stage.
+    let errors: Arc<Mutex<Vec<(usize, FilterError)>>> = Arc::new(Mutex::new(Vec::new()));
+    // Copies that were blocked inside a stream op when the run was
+    // cancelled — the stall report names these.
+    let stalled_at: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let total_copies: usize = match active_stage {
+        None => eff_width.iter().sum(),
+        Some(k) => eff_width[k],
+    };
+    // Network bridge threads participate in the same completion
+    // count, so the watchdog covers a wedged socket too.
+    let net_threads = usize::from(ingress.is_some()) + egress_readers.len();
+    // (remaining threads, condvar) — workers count down, the watchdog
+    // waits with a timeout.
+    let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
+    // Telemetry shipping connection, shared between the sampler loop
+    // and the final flush after the scope ends.
+    let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(None);
+    let worker_id: u32 = active_stage.map_or(0, |k| k as u32);
+
+    std::thread::scope(|scope| {
+        if opts.deadline.is_some() || opts.stall_timeout.is_some() {
+            let control = Arc::clone(&control);
+            let done = Arc::clone(&done);
+            let (deadline, stall_timeout) = (opts.deadline, opts.stall_timeout);
+            scope.spawn(move || {
+                watchdog(&control, &done, t0, deadline, stall_timeout);
+            });
+        }
+        // Sampler: periodic in-flight snapshots from the probes. Not
+        // counted in `done` — it waits on the same condvar with its
+        // cadence as the timeout and exits once the count hits zero.
+        // A zero cadence disables in-flight sampling entirely (the
+        // final fin-stamped flush below still runs): spawning the
+        // loop with a zero timeout would busy-spin it.
+        if let Some(tcfg) = opts
+            .telemetry
+            .as_ref()
+            .filter(|t| t.sampler.every() > Duration::ZERO)
+        {
+            let sampler = Arc::clone(&tcfg.sampler);
+            let source = tcfg.source.clone();
+            let ship = tcfg.ship_to.clone();
+            let every = sampler.every();
+            let done = Arc::clone(&done);
+            let control = Arc::clone(&control);
+            let pool = opts.pool.clone();
+            let probes = &probes;
+            let link_probes = &link_probes;
+            let client_slot = &telemetry_client;
+            let controller_slot = &controller;
+            scope.spawn(move || {
+                if let Some(addr) = &ship {
+                    // Telemetry is best-effort: a missing aggregator
+                    // never fails (or delays) the run beyond the
+                    // connect attempt.
+                    if let Ok(c) =
+                        TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control)))
+                    {
+                        *plock(client_slot) = Some(c);
+                    }
+                }
+                let (remaining, cv) = &*done;
+                loop {
+                    {
+                        let left = plock(remaining);
+                        if *left == 0 {
+                            break;
+                        }
+                        let (g, _) = cv
+                            .wait_timeout(left, every)
+                            .unwrap_or_else(|e| e.into_inner());
+                        if *g == 0 {
+                            break;
                         }
                     }
-                    let (remaining, cv) = &*done;
-                    loop {
-                        {
-                            let left = plock(remaining);
-                            if *left == 0 {
-                                break;
-                            }
-                            let (g, _) = cv
-                                .wait_timeout(left, every)
-                                .unwrap_or_else(|e| e.into_inner());
-                            if *g == 0 {
-                                break;
-                            }
-                        }
-                        let now = now_us();
-                        let sample = build_sample(
-                            &source,
-                            t0.elapsed().as_micros() as u64,
-                            now,
-                            false,
-                            probes,
-                            pool.as_ref(),
-                            link_probes,
-                        );
-                        // Width decisions ride the sampling clock: one
-                        // controller tick per recorded sample, reading
-                        // the same probes at the same instant.
-                        if let Some(ctl) = plock(controller_slot).as_mut() {
-                            ctl.tick(now);
-                        }
-                        let stamped = sampler.record(sample);
-                        let mut slot = plock(client_slot);
-                        if let Some(client) = slot.as_mut() {
-                            let payload =
-                                encode_telemetry_payload(&source, false, Some(&stamped), None);
-                            if client.send(&payload).is_err() {
-                                *slot = None;
-                            }
-                        }
-                    }
-                });
-            }
-            // Ingress bridge: replay the upstream producers onto the local
-            // ingress stream (one bridge per producer copy).
-            if let Some(ingress) = ingress {
-                let link = active_stage.expect("ingress implies worker mode") as u32;
-                let writers = std::mem::take(&mut ingress_writers);
-                let control = Arc::clone(&control);
-                let errors = Arc::clone(&errors);
-                let done = Arc::clone(&done);
-                let probe = link_probe(link as usize);
-                let tuning = opts.net_tuning;
-                scope.spawn(move || {
-                    let ctl = Some(Arc::clone(&control));
-                    // On error the serve loop has already cancelled the
-                    // run and closed its local writers.
-                    if let Err(e) = serve_ingress(ingress, link, writers, ctl, probe, tuning) {
-                        plock(&errors).push(e);
-                    }
-                    countdown(&done);
-                });
-            }
-            // Egress bridges: one pump per copy drains the copy's private
-            // 1→1 stream into the downstream worker's ingress.
-            for (c, mut reader) in egress_readers.drain(..).enumerate() {
-                let k = active_stage.expect("egress readers imply worker mode");
-                let addr = connect.clone().expect("egress readers imply connect");
-                let control = Arc::clone(&control);
-                let errors = Arc::clone(&errors);
-                let done = Arc::clone(&done);
-                reader.set_batch(batch);
-                let probe = link_probe(k + 1);
-                let tuning = opts.net_tuning;
-                scope.spawn(move || {
-                    let pumped = egress_pump(
-                        reader,
-                        &addr,
-                        (k + 1) as u32,
-                        c as u32,
-                        Some(Arc::clone(&control)),
-                        probe,
-                        tuning,
+                    let now = now_us();
+                    let sample = build_sample(
+                        &source,
+                        t0.elapsed().as_micros() as u64,
+                        now,
+                        false,
+                        probes,
+                        pool.as_ref(),
+                        link_probes,
                     );
-                    if let Err(e) = pumped {
-                        // Wake the (possibly blocked) local producer.
-                        if e.kind != ErrorKind::Cancelled {
-                            control.cancel(format!("egress link {} failed: {e}", k + 1));
-                        }
-                        plock(&errors).push(e);
+                    // Width decisions ride the sampling clock: one
+                    // controller tick per recorded sample, reading
+                    // the same probes at the same instant.
+                    if let Some(ctl) = plock(controller_slot).as_mut() {
+                        ctl.tick(now);
                     }
-                    countdown(&done);
-                });
-            }
-            // The last stage's first copy runs on this thread, once every
-            // other copy is spawned, instead of this thread idling in the
-            // scope's join. Besides saving a spawn per run, this keeps that
-            // copy's allocations in this thread's allocator arena from run
-            // to run. A spawned thread takes over an arena an exited one
-            // left behind, and a light copy that takes over a heavy copy's
-            // arena leaves that memory idle while the heavy copy grows a
-            // new one, so the resident set would vary from run to run.
-            let caller_stage = active_stage.unwrap_or(n - 1);
-            let mut on_caller = None;
-            for (s, stage) in stages.iter().enumerate() {
-                if active_stage.is_some_and(|k| k != s) {
-                    continue;
+                    let stamped = sampler.record(sample);
+                    let mut slot = plock(client_slot);
+                    if let Some(client) = slot.as_mut() {
+                        let payload =
+                            encode_telemetry_payload(&source, false, Some(&stamped), None);
+                        if client.send(&payload).is_err() {
+                            *slot = None;
+                        }
+                    }
                 }
-                for c in 0..eff_width[s] {
-                    let tid = tid_base[s] + c as u32;
-                    let injector = opts.faults.injector(&stage.name, c);
-                    let mut io = FilterIo {
-                        input: readers_per_stage[s][c].take(),
-                        output: writers_per_stage[s][c].take(),
-                        copy_index: c,
-                        width: eff_width[s],
-                        injector,
-                        control: Arc::clone(&control),
-                        pool: opts.pool.clone(),
-                        pool_hits: 0,
-                        pool_misses: 0,
-                        dropped: 0,
-                        recovery: recovery.enabled.then_some(RecoveryCtx {
-                            snapshot: None,
-                            checkpoint_every: recovery.checkpoint_every,
-                            auto_ack: !stage.stateful,
-                            accepted: 0,
-                            accepted_total: 0,
-                            committed_out: 0,
-                            checkpoints: 0,
-                            checkpoint_bytes: 0,
-                            tid,
-                        }),
-                    };
-                    if let Some(r) = io.input.as_mut() {
-                        r.set_trace_tid(tid);
-                        r.set_batch(batch);
+            });
+        }
+        // Ingress bridge: replay the upstream producers onto the local
+        // ingress stream (one bridge per producer copy).
+        if let Some(ingress) = ingress {
+            let k = active_stage.expect("ingress implies worker mode");
+            let writers = std::mem::take(&mut ingress_writers);
+            let control = Arc::clone(&control);
+            let errors = Arc::clone(&errors);
+            let done = Arc::clone(&done);
+            let probe = link_probe(k);
+            let tuning = opts.net_tuning;
+            scope.spawn(move || {
+                let ctl = Some(Arc::clone(&control));
+                // On error the serve loop has already cancelled the
+                // run and closed its local writers.
+                if let Err(e) = serve_ingress(ingress, k as u32, writers, ctl, probe, tuning) {
+                    plock(&errors).push((k, e));
+                }
+                countdown(&done);
+            });
+        }
+        // Egress bridges: one pump per copy drains the copy's private
+        // 1→1 stream into the downstream worker's ingress.
+        for (c, mut reader) in egress_readers.drain(..).enumerate() {
+            let k = active_stage.expect("egress readers imply worker mode");
+            let addr = connect.clone().expect("egress readers imply connect");
+            let control = Arc::clone(&control);
+            let errors = Arc::clone(&errors);
+            let done = Arc::clone(&done);
+            reader.set_batch(batch);
+            let probe = link_probe(k + 1);
+            let tuning = opts.net_tuning;
+            scope.spawn(move || {
+                let pumped = egress_pump(
+                    reader,
+                    &addr,
+                    (k + 1) as u32,
+                    c as u32,
+                    Some(Arc::clone(&control)),
+                    probe,
+                    tuning,
+                );
+                if let Err(e) = pumped {
+                    let failed = e.kind != ErrorKind::Cancelled;
+                    let reason = format!("egress link {} failed: {e}", k + 1);
+                    plock(&errors).push((k, e));
+                    // Wake the (possibly blocked) local producer.
+                    if failed {
+                        control.cancel(reason);
                     }
-                    if let Some(w) = io.output.as_mut() {
-                        w.set_trace_tid(tid);
-                    }
-                    let probe = probes[s].clone().expect("a probe per local stage");
-                    if let Some(r) = io.input.as_mut() {
-                        r.attach_probe(Arc::clone(&probe), c);
-                    }
-                    if let Some(w) = io.output.as_mut() {
-                        w.attach_probe(Arc::clone(&probe), c);
-                        if opts.telemetry.is_some() {
-                            w.enable_stamping();
-                            if s == 0 {
-                                // The true source stamps fresh ingest
-                                // origins for end-to-end latency.
-                                w.mark_source();
-                            }
+                }
+                countdown(&done);
+            });
+        }
+        // The last stage's first copy runs on this thread, once every
+        // other copy is spawned, instead of this thread idling in the
+        // scope's join. Besides saving a spawn per run, this keeps that
+        // copy's allocations in this thread's allocator arena from run
+        // to run. A spawned thread takes over an arena an exited one
+        // left behind, and a light copy that takes over a heavy copy's
+        // arena leaves that memory idle while the heavy copy grows a
+        // new one, so the resident set would vary from run to run.
+        let caller_stage = active_stage.unwrap_or(n - 1);
+        let mut on_caller = None;
+        for ((s, stage), stage_injectors) in stages.iter().enumerate().zip(injectors.iter_mut()) {
+            if active_stage.is_some_and(|k| k != s) {
+                continue;
+            }
+            for (c, injector) in stage_injectors.iter_mut().enumerate() {
+                let tid = tid_base[s] + c as u32;
+                let mut io = FilterIo {
+                    input: readers_per_stage[s][c].take(),
+                    output: writers_per_stage[s][c].take(),
+                    copy_index: c,
+                    width: eff_width[s],
+                    injector: injector.take(),
+                    control: Arc::clone(&control),
+                    pool: opts.pool.clone(),
+                    pool_hits: 0,
+                    pool_misses: 0,
+                    dropped: 0,
+                };
+                if let Some(r) = io.input.as_mut() {
+                    r.set_trace_tid(tid);
+                    r.set_batch(batch);
+                }
+                if let Some(w) = io.output.as_mut() {
+                    w.set_trace_tid(tid);
+                }
+                let probe = probes[s].clone().expect("a probe per local stage");
+                if let Some(r) = io.input.as_mut() {
+                    r.attach_probe(Arc::clone(&probe), c);
+                }
+                if let Some(w) = io.output.as_mut() {
+                    w.attach_probe(Arc::clone(&probe), c);
+                    if opts.telemetry.is_some() {
+                        w.enable_stamping();
+                        if s == 0 {
+                            // The true source stamps fresh ingest
+                            // origins for end-to-end latency.
+                            w.mark_source();
                         }
                     }
-                    let stats = Arc::clone(&stats);
-                    let errors = Arc::clone(&errors);
-                    let stalled_at = Arc::clone(&stalled_at);
-                    let control = Arc::clone(&control);
-                    let done = Arc::clone(&done);
-                    let factory = &stage.factory;
-                    let stage_name = stage.name.clone();
-                    let copy = move || {
-                        let _quiet = QuietPanics::enter();
-                        let label = format!("{stage_name}[{c}]");
-                        if trace::enabled() {
-                            trace::name_thread(PID_RUNTIME, tid, label.clone());
-                        }
-                        let mut copy_span = trace::span(label.clone(), "filter", PID_RUNTIME, tid);
-                        let t = Instant::now();
-                        // Publish the start tick so mid-run snapshots (and
-                        // crashed copies) report real busy time.
-                        let cp = probe.copy(c);
-                        cp.mark_started(now_us());
-                        let mut failures_here = 0u64;
-                        let mut panics_here = 0u64;
-                        let mut recoveries_here = 0u64;
-                        let result = loop {
-                            // Fresh filter instance per attempt: a failed
-                            // attempt may have corrupted per-copy state.
-                            let mut filter = (factory)(c);
-                            let unit =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    {
-                                        let _s =
-                                            trace::span("init", "filter-phase", PID_RUNTIME, tid);
-                                        filter.init(&mut io)?;
-                                    }
-                                    // A restarted copy gets its committed
-                                    // snapshot back before processing the
-                                    // replayed input tail.
-                                    if recovery.enabled {
-                                        if let Some(snap) = io.latest_snapshot() {
-                                            let _s = trace::span(
-                                                "restore",
-                                                "recovery",
-                                                PID_RUNTIME,
-                                                tid,
-                                            );
-                                            filter.restore(snap)?;
-                                        }
-                                    }
-                                    let processed = {
-                                        let _s = trace::span(
-                                            "process",
-                                            "filter-phase",
-                                            PID_RUNTIME,
-                                            tid,
-                                        );
-                                        filter.process(&mut io)
-                                    };
-                                    // An input-side injected failure parks
-                                    // its error and fabricates end-of-work:
-                                    // the attempt is doomed whatever
-                                    // `process` made of the truncated
-                                    // input, so `finalize` must not run
-                                    // and publish its results.
-                                    if let Some(e) = io.take_injected_error() {
-                                        return Err(e);
-                                    }
-                                    processed?;
-                                    let _s =
-                                        trace::span("finalize", "filter-phase", PID_RUNTIME, tid);
-                                    filter.finalize(&mut io)
-                                }));
-                            let attempt_result: FilterResult<()> = match unit {
-                                Ok(r) => r,
-                                Err(payload) => {
-                                    panics_here += 1;
-                                    Err(FilterError::panicked(
-                                        label.clone(),
-                                        panic_message(payload),
-                                    ))
-                                }
-                            };
-                            // A failure parked by a phase that then
-                            // panicked, or by `finalize`, is still the
-                            // attempt's root cause; taking it after every
-                            // attempt also keeps it from failing the next.
-                            let attempt_result = match io.take_injected_error() {
-                                Some(e) => Err(e),
-                                None => attempt_result,
-                            };
-                            match attempt_result {
-                                Err(e) => {
-                                    failures_here += 1;
-                                    if trace::enabled() {
-                                        trace::instant(
-                                            "failure",
-                                            "fault",
-                                            PID_RUNTIME,
-                                            tid,
-                                            vec![("error", e.to_string().into())],
-                                        );
-                                    }
-                                    // Restart: a fresh instance, the
-                                    // committed checkpoint and the unacked
-                                    // input replayed, within the restart
-                                    // budget. Without recovery nothing
-                                    // brings back the state and input the
-                                    // failed attempt consumed, so its
-                                    // error is final.
-                                    if recovery.enabled
-                                        && e.kind != ErrorKind::Cancelled
-                                        && recoveries_here < recovery.max_restarts as u64
-                                        && !control.is_cancelled()
-                                    {
-                                        recoveries_here += 1;
-                                        if trace::enabled() {
-                                            trace::instant(
-                                                "recovery",
-                                                "recovery",
-                                                PID_RUNTIME,
-                                                tid,
-                                                vec![
-                                                    ("restart", recoveries_here.into()),
-                                                    ("error", e.to_string().into()),
-                                                ],
-                                            );
-                                        }
-                                        let _ = control.cancellable_sleep(
-                                            restart_backoff(recoveries_here),
-                                            &label,
-                                        );
-                                        io.begin_attempt();
-                                        continue;
-                                    }
-                                    break Err(e);
-                                }
-                                Ok(()) => {
-                                    // Completed unit of work: everything
-                                    // delivered was processed — release
-                                    // the replay buffers feeding this copy.
-                                    io.commit_final();
-                                    break Ok(());
-                                }
-                            }
-                        };
-                        // Close output so downstream sees end-of-work even
-                        // on error; drop the injector first so draining
-                        // cannot re-fire faults. Sample the was-blocked-
-                        // when-cancelled flags now — the drain below also
-                        // touches the (cancelled) channel and would set
-                        // them spuriously.
-                        io.injector = None;
-                        let recv_stalled = io
-                            .input
-                            .as_ref()
-                            .is_some_and(|r| r.cancelled_while_blocked());
-                        let send_stalled = io
-                            .output
-                            .as_ref()
-                            .is_some_and(|w| w.cancelled_while_blocked());
-                        // Record a failure before closing the output: a
-                        // downstream copy that fails because this stream
-                        // ended early must not outrank the root cause.
-                        let failed = result.is_err();
-                        if let Err(e) = result {
-                            plock(&errors).push(FilterError {
-                                filter: label.clone(),
-                                ..e
-                            });
-                        }
-                        if let Some(w) = io.output.as_mut() {
-                            w.close();
-                        }
-                        // Drain remaining input on error to unblock
-                        // upstream writers.
-                        if failed {
-                            while io.read().is_some() {}
-                        }
-                        if let Some(r) = io.input.as_mut() {
-                            r.flush_probe_locals();
-                        }
-                        cp.mark_finished(t.elapsed());
-                        if copy_span.is_recording() {
-                            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-                            copy_span.arg("buffers_in", load(&cp.buffers_in));
-                            copy_span.arg("buffers_out", load(&cp.buffers_out));
-                            let (recv, send) = (cp.blocked_recv(), cp.blocked_send());
-                            copy_span.arg("blocked_recv_us", recv.as_micros() as u64);
-                            copy_span.arg("blocked_send_us", send.as_micros() as u64);
-                        }
-                        if recv_stalled {
-                            plock(&stalled_at).push(format!(
-                                "{label} blocked in recv ({}ms starved)",
-                                cp.blocked_recv().as_millis()
-                            ));
-                        }
-                        if send_stalled {
-                            plock(&stalled_at).push(format!(
-                                "{label} blocked in send ({}ms backpressured)",
-                                cp.blocked_send().as_millis()
-                            ));
-                        }
+                }
+                let stats = Arc::clone(&stats);
+                let errors = Arc::clone(&errors);
+                let stalled_at = Arc::clone(&stalled_at);
+                let control = Arc::clone(&control);
+                let done = Arc::clone(&done);
+                let factory = &stage.factory;
+                let stage_name = stage.name.clone();
+                let copy = move || {
+                    let _quiet = QuietPanics::enter();
+                    let label = format!("{stage_name}[{c}]");
+                    if trace::enabled() {
+                        trace::name_thread(PID_RUNTIME, tid, label.clone());
+                    }
+                    let mut copy_span = trace::span(label.clone(), "filter", PID_RUNTIME, tid);
+                    let t = Instant::now();
+                    // Publish the start tick so mid-run snapshots (and
+                    // crashed copies) report real busy time.
+                    let cp = probe.copy(c);
+                    cp.mark_started(now_us());
+                    let mut filter = (factory)(c);
+                    let unit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         {
-                            let mut st = plock(&stats);
-                            let entry = &mut st[s];
-                            entry.failures += failures_here;
-                            entry.dropped += io.dropped;
-                            entry.panics += panics_here;
-                            entry.recoveries += recoveries_here;
-                            if let Some(r) = &io.input {
-                                entry.replayed_packets += r.recovery_stats().0;
-                            }
-                            if let Some(rc) = &io.recovery {
-                                entry.checkpoints += rc.checkpoints;
-                                entry.checkpoint_bytes += rc.checkpoint_bytes;
-                            }
-                            entry.pool_hits += io.pool_hits;
-                            entry.pool_misses += io.pool_misses;
+                            let _s = trace::span("init", "filter-phase", PID_RUNTIME, tid);
+                            filter.init(&mut io)?;
                         }
-                        drop(copy_span);
-                        countdown(&done);
-                    };
-                    if s == caller_stage && c == 0 {
-                        on_caller = Some(copy);
-                    } else {
-                        scope.spawn(copy);
+                        let processed = {
+                            let _s = trace::span("process", "filter-phase", PID_RUNTIME, tid);
+                            filter.process(&mut io)
+                        };
+                        // An input-side injected failure parks its error
+                        // and fabricates end-of-work: the attempt is
+                        // doomed whatever `process` made of the
+                        // truncated input.
+                        if let Some(e) = io.take_injected_error() {
+                            return Err(e);
+                        }
+                        processed?;
+                        // A failure elsewhere cut this copy's input
+                        // short: its results must not be published.
+                        if control.is_cancelled() {
+                            return Err(FilterError::cancelled(
+                                label.clone(),
+                                "run cancelled before finalize",
+                            ));
+                        }
+                        let _s = trace::span("finalize", "filter-phase", PID_RUNTIME, tid);
+                        filter.finalize(&mut io)
+                    }));
+                    let panicked = unit.is_err();
+                    let result = unit.unwrap_or_else(|payload| {
+                        Err(FilterError::panicked(label.clone(), panic_message(payload)))
+                    });
+                    // A failure parked by a phase that then panicked, or
+                    // by `finalize`, is still this copy's own. An error
+                    // raised once the run was cancelled is that
+                    // cancellation's consequence (a last unit's epilogue
+                    // over a cut-short stream, say), never the root cause.
+                    let cancelled = control.is_cancelled();
+                    let result = io.take_injected_error().map_or(result, Err).map_err(|e| {
+                        let kind = if cancelled {
+                            ErrorKind::Cancelled
+                        } else {
+                            e.kind
+                        };
+                        FilterError { kind, ..e }
+                    });
+                    // The next attempt counts packets on from here.
+                    *injector = io.injector.take();
+                    let recv_stalled = io
+                        .input
+                        .as_ref()
+                        .is_some_and(|r| r.cancelled_while_blocked());
+                    let send_stalled = io
+                        .output
+                        .as_ref()
+                        .is_some_and(|w| w.cancelled_while_blocked());
+                    // Record a failure before closing the output, so a
+                    // downstream failure it causes never outranks it. A
+                    // run that restarts on failure then cancels the
+                    // attempt: downstream must see the cancellation, not
+                    // an end-of-work it could finalize on. One that does
+                    // not lets its neighbours finish instead: the output
+                    // closes and the input drains.
+                    let failed = result
+                        .as_ref()
+                        .is_err_and(|e| e.kind != ErrorKind::Cancelled);
+                    let errored = result.is_err();
+                    if let Err(e) = result {
+                        let e = FilterError {
+                            filter: label.clone(),
+                            ..e
+                        };
+                        if failed && trace::enabled() {
+                            trace::instant(
+                                "failure",
+                                "fault",
+                                PID_RUNTIME,
+                                tid,
+                                vec![("error", e.to_string().into())],
+                            );
+                        }
+                        plock(&errors).push((s, e));
+                        if failed && restarting {
+                            control.cancel(format!("{label} failed"));
+                        }
                     }
-                }
-            }
-            if let Some(mut copy) = on_caller {
-                copy();
-            }
-        });
-
-        let mut stages = plock(&stats).clone();
-        let autoscale = plock(&controller)
-            .take()
-            .map(WidthController::into_report)
-            .unwrap_or_default();
-        let mut e2e_us = Histogram::default();
-        for (st, probe) in stages.iter_mut().zip(&probes) {
-            if let Some(p) = probe {
-                read_probe(st, p);
-                if let Some(h) = p.e2e() {
-                    e2e_us = h;
+                    if let Some(w) = io.output.as_mut() {
+                        w.close();
+                    }
+                    if errored {
+                        while io.read().is_some() {}
+                    }
+                    if let Some(r) = io.input.as_mut() {
+                        r.flush_probe_locals();
+                    }
+                    cp.mark_finished(t.elapsed());
+                    if copy_span.is_recording() {
+                        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                        copy_span.arg("buffers_in", load(&cp.buffers_in));
+                        copy_span.arg("buffers_out", load(&cp.buffers_out));
+                        let (recv, send) = (cp.blocked_recv(), cp.blocked_send());
+                        copy_span.arg("blocked_recv_us", recv.as_micros() as u64);
+                        copy_span.arg("blocked_send_us", send.as_micros() as u64);
+                    }
+                    if recv_stalled {
+                        plock(&stalled_at).push(format!(
+                            "{label} blocked in recv ({}ms starved)",
+                            cp.blocked_recv().as_millis()
+                        ));
+                    }
+                    if send_stalled {
+                        plock(&stalled_at).push(format!(
+                            "{label} blocked in send ({}ms backpressured)",
+                            cp.blocked_send().as_millis()
+                        ));
+                    }
+                    {
+                        let mut st = plock(&stats);
+                        let entry = &mut st[s];
+                        entry.failures += u64::from(failed);
+                        entry.dropped += io.dropped;
+                        entry.panics += u64::from(panicked);
+                        entry.pool_hits += io.pool_hits;
+                        entry.pool_misses += io.pool_misses;
+                    }
+                    drop(copy_span);
+                    countdown(&done);
+                };
+                if s == caller_stage && c == 0 {
+                    on_caller = Some(copy);
+                } else {
+                    scope.spawn(copy);
                 }
             }
         }
-        let net_links: Vec<(u32, NetLinkStats)> = link_probes
-            .iter()
-            .map(|(link, p)| (*link, p.stats()))
-            .collect();
-        if let Some(registry) = &opts.metrics {
-            let mut reg = plock(registry);
-            for (link, st) in &net_links {
-                reg.counter(&format!("net.link{link}.frames"), st.frames);
-                reg.counter(&format!("net.link{link}.bytes"), st.bytes);
-                if st.timeouts > 0 {
-                    reg.counter(&format!("net.link{link}.timeouts"), st.timeouts);
-                }
+        if let Some(mut copy) = on_caller {
+            copy();
+        }
+    });
+
+    let mut stages = plock(&stats).clone();
+    let autoscale = plock(&controller)
+        .take()
+        .map(WidthController::into_report)
+        .unwrap_or_default();
+    let mut e2e_us = Histogram::default();
+    for (st, probe) in stages.iter_mut().zip(&probes) {
+        if let Some(p) = probe {
+            read_probe(st, p);
+            if let Some(h) = p.e2e() {
+                e2e_us = h;
             }
-            for (st, probe) in stages.iter().zip(&probes) {
-                let name = &st.name;
-                let rare = [
-                    ("failures", st.failures),
-                    ("dropped", st.dropped),
-                    ("panics", st.panics),
-                    ("pool.hits", st.pool_hits),
-                    ("pool.misses", st.pool_misses),
-                    ("recoveries", st.recoveries),
-                    ("replayed", st.replayed_packets),
-                    ("checkpoints", st.checkpoints),
-                    ("checkpoint_bytes", st.checkpoint_bytes),
+        }
+    }
+    let net_links: Vec<(u32, NetLinkStats)> = link_probes
+        .iter()
+        .map(|(link, p)| (*link, p.stats()))
+        .collect();
+    if let Some(registry) = &opts.metrics {
+        let mut reg = plock(registry);
+        for (link, st) in &net_links {
+            reg.counter(&format!("net.link{link}.frames"), st.frames);
+            reg.counter(&format!("net.link{link}.bytes"), st.bytes);
+            if st.timeouts > 0 {
+                reg.counter(&format!("net.link{link}.timeouts"), st.timeouts);
+            }
+        }
+        for (st, probe) in stages.iter().zip(&probes) {
+            let name = &st.name;
+            let rare = [
+                ("failures", st.failures),
+                ("dropped", st.dropped),
+                ("panics", st.panics),
+                ("pool.hits", st.pool_hits),
+                ("pool.misses", st.pool_misses),
+            ];
+            for (key, v) in rare.into_iter().filter(|(_, v)| *v > 0) {
+                reg.counter(&format!("stage.{name}.{key}"), v);
+            }
+            // Measured per-stage rates for post-run cost-model
+            // calibration — pushed for every locally-run stage, so
+            // the launcher's merged registry has a complete picture.
+            if probe.is_some() {
+                let rates = [
+                    ("busy_us", st.busy.as_micros() as u64),
+                    ("blocked_send_us", st.blocked_send.as_micros() as u64),
+                    ("blocked_recv_us", st.blocked_recv.as_micros() as u64),
+                    ("buffers_in", st.buffers_in),
+                    ("buffers_out", st.buffers_out),
                 ];
-                for (key, v) in rare.into_iter().filter(|(_, v)| *v > 0) {
+                for (key, v) in rates {
                     reg.counter(&format!("stage.{name}.{key}"), v);
                 }
-                // Measured per-stage rates for post-run cost-model
-                // calibration — pushed for every locally-run stage, so
-                // the launcher's merged registry has a complete picture.
-                if probe.is_some() {
-                    let rates = [
-                        ("busy_us", st.busy.as_micros() as u64),
-                        ("blocked_send_us", st.blocked_send.as_micros() as u64),
-                        ("blocked_recv_us", st.blocked_recv.as_micros() as u64),
-                        ("buffers_in", st.buffers_in),
-                        ("buffers_out", st.buffers_out),
-                    ];
-                    for (key, v) in rates {
-                        reg.counter(&format!("stage.{name}.{key}"), v);
-                    }
-                    if st.residence_us.count > 0 {
-                        reg.merge_histogram(
-                            &format!("stage.{name}.residence_us"),
-                            &st.residence_us,
-                        );
-                    }
+                if st.residence_us.count > 0 {
+                    reg.merge_histogram(&format!("stage.{name}.residence_us"), &st.residence_us);
                 }
             }
-            if e2e_us.count > 0 {
-                reg.merge_histogram("pipeline.e2e_us", &e2e_us);
-            }
-            if autoscale.grows() > 0 {
-                reg.counter("autoscale.grows", autoscale.grows());
-            }
-            if autoscale.shrinks() > 0 {
-                reg.counter("autoscale.shrinks", autoscale.shrinks());
-            }
-            if autoscale.escalation.is_some() {
-                reg.counter("autoscale.escalations", 1);
-            }
         }
+        if e2e_us.count > 0 {
+            reg.merge_histogram("pipeline.e2e_us", &e2e_us);
+        }
+        if autoscale.grows() > 0 {
+            reg.counter("autoscale.grows", autoscale.grows());
+        }
+        if autoscale.shrinks() > 0 {
+            reg.counter("autoscale.shrinks", autoscale.shrinks());
+        }
+        if autoscale.escalation.is_some() {
+            reg.counter("autoscale.escalations", 1);
+        }
+    }
 
-        // Final telemetry flush: a fin-stamped sample plus the full
-        // registry snapshot, recorded locally and shipped to the launcher
-        // when configured — even when the run itself failed.
-        if let Some(tcfg) = &opts.telemetry {
-            let sample = build_sample(
-                &tcfg.source,
-                t0.elapsed().as_micros() as u64,
-                now_us(),
-                true,
-                &probes,
-                opts.pool.as_ref(),
-                &link_probes,
-            );
-            let stamped = tcfg.sampler.record(sample);
-            let mut client = plock(&telemetry_client).take();
-            if client.is_none() {
-                if let Some(addr) = &tcfg.ship_to {
-                    client =
-                        TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control))).ok();
-                }
-            }
-            if let Some(mut client) = client {
-                let payload = {
-                    let reg = opts.metrics.as_ref().map(|m| plock(m));
-                    encode_telemetry_payload(&tcfg.source, true, Some(&stamped), reg.as_deref())
-                };
-                let _ = client.send(&payload);
-                client.close();
+    // Final telemetry flush: a fin-stamped sample plus the full
+    // registry snapshot, recorded locally and shipped to the launcher
+    // when configured — even when the run itself failed.
+    if let Some(tcfg) = &opts.telemetry {
+        let sample = build_sample(
+            &tcfg.source,
+            t0.elapsed().as_micros() as u64,
+            now_us(),
+            true,
+            &probes,
+            opts.pool.as_ref(),
+            &link_probes,
+        );
+        let stamped = tcfg.sampler.record(sample);
+        let mut client = plock(&telemetry_client).take();
+        if client.is_none() {
+            if let Some(addr) = &tcfg.ship_to {
+                client = TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control))).ok();
             }
         }
+        if let Some(mut client) = client {
+            let payload = {
+                let reg = opts.metrics.as_ref().map(|m| plock(m));
+                encode_telemetry_payload(&tcfg.source, true, Some(&stamped), reg.as_deref())
+            };
+            let _ = client.send(&payload);
+            client.close();
+        }
+    }
 
-        let errors = std::mem::take(&mut *plock(&errors));
-        // A real failure outranks the cancellation noise it causes.
-        if let Some(e) = errors.iter().find(|e| e.kind != ErrorKind::Cancelled) {
-            return Err(e.clone());
-        }
-        if let Some(reason) = control.reason() {
+    let mut errors = std::mem::take(&mut *plock(&errors));
+    // A real failure outranks the cancellation noise it causes.
+    let error = match errors
+        .iter()
+        .position(|(_, e)| e.kind != ErrorKind::Cancelled)
+    {
+        Some(i) => Some(errors.swap_remove(i)),
+        None => control.reason().map(|reason| {
             let blocked = plock(&stalled_at);
             let detail = if blocked.is_empty() {
                 "no copy was blocked in a stream operation".to_string()
             } else {
                 blocked.join("; ")
             };
-            return Err(FilterError::stalled(
-                "pipeline",
-                format!("{reason}; {detail}"),
-            ));
-        }
-        if let Some(e) = errors.first() {
-            return Err(e.clone());
-        }
-        Ok(RunStats {
-            wall: t0.elapsed(),
-            stages,
-            net_links,
-            e2e_us,
-            autoscale,
-        })
+            let e = FilterError::stalled("pipeline", format!("{reason}; {detail}"));
+            (0, e)
+        }),
     }
+    .or_else(|| errors.into_iter().next());
+    let stats = RunStats {
+        wall: t0.elapsed(),
+        stages,
+        net_links,
+        e2e_us,
+        autoscale,
+    };
+    (stats, error)
 }
 
 /// Fill a locally run stage's traffic, blocked and busy figures from its
@@ -1282,13 +1231,6 @@ fn read_probe(st: &mut StageStats, probe: &StageProbe) {
     st.residence_us = probe.residence();
 }
 
-/// Backoff before restart `n` (1-based) of a failed copy: 10 ms, doubling,
-/// capped at 2 s.
-fn restart_backoff(n: u64) -> Duration {
-    let doublings = n.saturating_sub(1).min(20) as u32;
-    (Duration::from_millis(10) * (1 << doublings)).min(Duration::from_secs(2))
-}
-
 /// Decrement the shared completion count, waking the watchdog when the
 /// last thread finishes.
 fn countdown(done: &(Mutex<usize>, Condvar)) {
@@ -1301,15 +1243,16 @@ fn countdown(done: &(Mutex<usize>, Condvar)) {
 }
 
 /// Deadline/stall watchdog: waits for all copies to finish; on deadline
-/// expiry or lack of progress, cancels the run (waking every blocked
-/// stream operation) with a reason the final error reports.
+/// expiry (counted from `start`) or lack of progress, cancels the run
+/// (waking every blocked stream operation) with a reason the final error
+/// reports.
 fn watchdog(
     control: &RunControl,
     done: &(Mutex<usize>, Condvar),
+    start: Instant,
     deadline: Option<Duration>,
     stall_timeout: Option<Duration>,
 ) {
-    let start = Instant::now();
     let tick = Duration::from_millis(10);
     let (remaining, cv) = done;
     let mut last_progress = control.progress();
@@ -1695,10 +1638,9 @@ mod tests {
     #[test]
     fn recovery_survives_a_panic_in_a_stateless_stage_exactly_once() {
         let total = Arc::new(AtomicU64::new(0));
-        let total2 = Arc::clone(&total);
         let opts = RunOptions {
             faults: FaultPlan::new().panic_at("work", 0, 50),
-            recovery: crate::recover::RecoveryOptions::on(),
+            restart_budget: 2,
             ..Default::default()
         };
         let stats = Pipeline::new(opts)
@@ -1715,27 +1657,62 @@ mod tests {
                     }))
                 }),
             ))
-            .add_stage(StageSpec::new(
-                "sum",
-                1,
-                Box::new(move |_| {
-                    let total = Arc::clone(&total2);
-                    Box::new(ClosureFilter::new("sum", move |io: &mut FilterIo| {
-                        while let Some(b) = io.read() {
-                            total.fetch_add(b.u64_le("sum")?, Ordering::Relaxed);
-                        }
-                        Ok(())
-                    }))
-                }),
-            ))
+            .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
             .run()
             .unwrap();
-        // The panicked packet and everything unacked was replayed; dedup
-        // kept the totals exact.
+        // The whole run restarted from packet 0, and only the completed
+        // attempt published its sum.
         assert_eq!(total.load(Ordering::Relaxed), (0..200).sum::<u64>());
         assert_eq!(stats.panics(), 1);
         assert_eq!(stats.recoveries(), 1);
-        assert!(stats.replayed_packets() >= 1);
+        assert_eq!(
+            stats.stages[1].recoveries, 1,
+            "charged to the stage that failed"
+        );
+    }
+
+    #[test]
+    fn a_cancelled_attempt_never_runs_finalize() {
+        // The source fails after the sink has read some packets, so the
+        // sink's `process` sees its input end early; its `finalize` runs
+        // only in an attempt that completes: once when a restart masks
+        // a fault at packet 5, never when every attempt fails.
+        for (rule, completes) in [("source[0]@5:fail", true), ("source[0]@*:fail", false)] {
+            let finalized = Arc::new(AtomicU64::new(0));
+            let f2 = Arc::clone(&finalized);
+            struct Sink(Arc<AtomicU64>);
+            impl Filter for Sink {
+                fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
+                    while io.read().is_some() {}
+                    Ok(())
+                }
+                fn finalize(&mut self, _io: &mut FilterIo) -> FilterResult<()> {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }
+            }
+            let opts = RunOptions {
+                faults: FaultPlan::parse(rule).unwrap(),
+                restart_budget: 1,
+                capacity: 1,
+                batch: 1,
+                ..Default::default()
+            };
+            let run = Pipeline::new(opts)
+                .add_stage(StageSpec::new("source", 1, source(10)))
+                .add_stage(StageSpec::new(
+                    "sink",
+                    1,
+                    Box::new(move |_| Box::new(Sink(Arc::clone(&f2)))),
+                ))
+                .run();
+            assert_eq!(run.is_ok(), completes, "{rule}: {run:?}");
+            assert_eq!(
+                finalized.load(Ordering::Relaxed),
+                u64::from(completes),
+                "{rule}: only a completed attempt finalizes"
+            );
+        }
     }
 
     /// Pass-through filter that burns `us` of wall time per packet — a
@@ -1761,16 +1738,31 @@ mod tests {
         ))
     }
 
+    /// A sink that sums its input and publishes the sum in `finalize`,
+    /// so a restarted run counts each packet once.
     fn sum_sink(total: &Arc<AtomicU64>) -> FilterFactory {
-        let total = Arc::clone(total);
-        Box::new(move |_| {
-            let total = Arc::clone(&total);
-            Box::new(ClosureFilter::new("sum", move |io: &mut FilterIo| {
+        struct Sum {
+            sum: u64,
+            total: Arc<AtomicU64>,
+        }
+        impl Filter for Sum {
+            fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
                 while let Some(b) = io.read() {
-                    total.fetch_add(b.u64_le("sum")?, Ordering::Relaxed);
+                    self.sum += b.u64_le("sum")?;
                 }
                 Ok(())
-            }))
+            }
+            fn finalize(&mut self, _io: &mut FilterIo) -> FilterResult<()> {
+                self.total.fetch_add(self.sum, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+        let total = Arc::clone(total);
+        Box::new(move |_| {
+            Box::new(Sum {
+                sum: 0,
+                total: Arc::clone(&total),
+            })
         })
     }
 
@@ -1827,7 +1819,7 @@ mod tests {
         let total = Arc::new(AtomicU64::new(0));
         let opts = RunOptions {
             faults: FaultPlan::new().panic_at("work", 0, 50),
-            recovery: crate::recover::RecoveryOptions::on(),
+            restart_budget: 2,
             telemetry: Some(TelemetryConfig::new(sampler_ms(2), "local")),
             autoscale: Some(
                 AutoscaleConfig::parse("max=4,grow=2,cooldown=0")
@@ -1842,131 +1834,20 @@ mod tests {
             .add_stage(StageSpec::new("sum", 1, sum_sink(&total)))
             .run()
             .unwrap();
-        // A copy panic mid-scale is masked by the replay protocol and
-        // the total stays byte-exact — width decisions are routing-only.
+        // A copy panic mid-scale is masked by a restart of the whole run
+        // and the total stays exact — width decisions are routing-only.
         assert_eq!(total.load(Ordering::Relaxed), (0..300).sum::<u64>());
         assert_eq!(stats.panics(), 1);
         assert_eq!(stats.recoveries(), 1);
     }
 
     #[test]
-    fn recovery_restores_a_checkpointed_stateful_stage() {
-        struct CkptSum {
-            sum: u64,
-        }
-        impl Filter for CkptSum {
-            fn restore(&mut self, snapshot: &[u8]) -> FilterResult<()> {
-                let bytes: [u8; 8] = snapshot
-                    .try_into()
-                    .map_err(|_| FilterError::malformed("ckpt-sum", "bad snapshot"))?;
-                self.sum = u64::from_le_bytes(bytes);
-                Ok(())
-            }
-            fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
-                while let Some(b) = io.read() {
-                    self.sum += b.u64_le("ckpt-sum")?;
-                    if io.checkpoint_due() {
-                        io.commit_checkpoint(&self.sum.to_le_bytes());
-                    }
-                }
-                Ok(())
-            }
-            fn finalize(&mut self, io: &mut FilterIo) -> FilterResult<()> {
-                io.write(Buffer::from_vec(self.sum.to_le_bytes().to_vec()))
-            }
-            fn name(&self) -> &str {
-                "ckpt-sum"
-            }
-        }
-        let total = Arc::new(AtomicU64::new(0));
-        let total2 = Arc::clone(&total);
-        let opts = RunOptions {
-            faults: FaultPlan::new().panic_at("acc", 0, 150),
-            recovery: crate::recover::RecoveryOptions::on().with_checkpoint_every(16),
-            ..Default::default()
-        };
-        let stats = Pipeline::new(opts)
-            .add_stage(StageSpec::new("source", 1, source(200)))
-            .add_stage(
-                StageSpec::new("acc", 1, Box::new(|_| Box::new(CkptSum { sum: 0 }))).stateful(),
-            )
-            .add_stage(StageSpec::new(
-                "merge",
-                1,
-                Box::new(move |_| {
-                    let total = Arc::clone(&total2);
-                    Box::new(ClosureFilter::new("merge", move |io: &mut FilterIo| {
-                        while let Some(b) = io.read() {
-                            total.fetch_add(b.u64_le("merge")?, Ordering::Relaxed);
-                        }
-                        Ok(())
-                    }))
-                }),
-            ))
-            .run()
-            .unwrap();
-        // 150 packets accepted before the panic, far past several
-        // checkpoints: the restart restored state and replayed only the
-        // unacked tail, so the final sum is exact (no loss, no double
-        // counting).
-        assert_eq!(total.load(Ordering::Relaxed), (0..200).sum::<u64>());
-        assert_eq!(stats.recoveries(), 1);
-        assert!(stats.checkpoints() >= 9, "got {}", stats.checkpoints());
-        assert!(stats.checkpoint_bytes() >= 8 * stats.checkpoints());
-        // Replay is bounded by the ack cadence, not the run length.
-        assert!(
-            stats.replayed_packets() <= 16 + 64 + 1,
-            "replayed {} packets",
-            stats.replayed_packets()
-        );
-    }
-
-    #[test]
-    fn stateful_stage_without_restore_fails_the_restart_loudly() {
-        struct NoRestore {
-            sum: u64,
-        }
-        impl Filter for NoRestore {
-            fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
-                while let Some(b) = io.read() {
-                    self.sum += b.u64_le("no-restore")?;
-                    if io.checkpoint_due() {
-                        io.commit_checkpoint(&self.sum.to_le_bytes());
-                    }
-                }
-                Ok(())
-            }
-            fn name(&self) -> &str {
-                "no-restore"
-            }
-        }
-        let opts = RunOptions {
-            faults: FaultPlan::new().panic_at("acc", 0, 50),
-            recovery: crate::recover::RecoveryOptions::on()
-                .with_checkpoint_every(8)
-                .with_max_restarts(1),
-            ..Default::default()
-        };
-        let err = Pipeline::new(opts)
-            .add_stage(StageSpec::new("source", 1, source(100)))
-            .add_stage(
-                StageSpec::new("acc", 1, Box::new(|_| Box::new(NoRestore { sum: 0 }))).stateful(),
-            )
-            .run()
-            .unwrap_err();
-        assert!(
-            err.message.contains("no restore support"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
     fn restart_budget_exhaustion_surfaces_the_error() {
         let opts = RunOptions {
-            // Panic on every packet: restarts keep replaying into the
-            // same panic until the budget runs out.
+            // Panic on every packet: every restart runs into the same
+            // panic until the budget runs out.
             faults: FaultPlan::parse("work[0]@*:panic").unwrap(),
-            recovery: crate::recover::RecoveryOptions::on().with_max_restarts(2),
+            restart_budget: 2,
             ..Default::default()
         };
         let err = Pipeline::new(opts)
@@ -1990,11 +1871,33 @@ mod tests {
     }
 
     #[test]
-    fn restart_backoff_doubles_and_caps() {
-        assert_eq!(restart_backoff(1), Duration::from_millis(10));
-        assert_eq!(restart_backoff(2), Duration::from_millis(20));
-        assert_eq!(restart_backoff(3), Duration::from_millis(40));
-        assert_eq!(restart_backoff(20), Duration::from_secs(2), "capped");
+    fn the_deadline_spans_every_attempt_and_a_stall_is_not_restarted() {
+        // Each attempt fails after 100 ms, and the budget would allow ten
+        // restarts: the 250 ms deadline, counted from the run's start,
+        // cancels the third attempt, and the failure that attempt raises
+        // after the cancellation does not outrank the stall.
+        let opts = RunOptions {
+            deadline: Some(Duration::from_millis(250)),
+            restart_budget: 10,
+            ..Default::default()
+        };
+        let t = Instant::now();
+        let err = Pipeline::new(opts)
+            .add_stage(StageSpec::new(
+                "slow",
+                1,
+                Box::new(|_| {
+                    Box::new(ClosureFilter::new("slow", |_: &mut FilterIo| {
+                        std::thread::sleep(Duration::from_millis(100));
+                        Err(FilterError::new("slow", "fails after 100 ms"))
+                    }))
+                }),
+            ))
+            .run()
+            .expect_err("the deadline ends the run");
+        assert_eq!(err.kind, ErrorKind::Stalled, "{err}");
+        assert!(err.message.contains("250ms"), "{err}");
+        assert!(t.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -287,7 +287,7 @@ fn parse_rule_parts(
 /// `Drop`, or atexit handlers. Used by [`FaultAction::Kill`] so process
 /// chaos tests exercise the exact failure mode a crashed or OOM-killed
 /// worker presents to its peers (sockets reset mid-frame, shm rings left
-/// with the producer-closed flag unset, checkpoint tmp files orphaned).
+/// with the producer-closed flag unset).
 pub(crate) fn die_hard() -> ! {
     #[cfg(unix)]
     {
@@ -374,12 +374,6 @@ impl FaultInjector {
     /// Take the parked injected failure, if any.
     pub fn take_pending(&mut self) -> Option<FilterError> {
         self.pending.take()
-    }
-
-    /// Whether an injected failure is parked: the current attempt is
-    /// doomed and is running against a fabricated end-of-work.
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
     }
 
     /// The structured error an injected `Fail` action produces.

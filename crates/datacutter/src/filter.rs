@@ -11,35 +11,7 @@ use crate::buffer::{Buffer, BufferPool};
 use crate::error::{FilterError, FilterResult};
 use crate::fault::{FaultAction, FaultInjector, RunControl};
 use crate::stream::{StreamReader, StreamWriter};
-use cgp_obs::trace::{self, PID_RUNTIME};
 use std::sync::Arc;
-
-/// Per-copy recovery bookkeeping attached to a [`FilterIo`] when the
-/// pipeline runs with recovery enabled.
-pub(crate) struct RecoveryCtx {
-    /// The last committed state snapshot. The `FilterIo` outlives every
-    /// attempt of its copy, so a restarted attempt restores from here.
-    pub(crate) snapshot: Option<Vec<u8>>,
-    /// Checkpoint cadence (accepted packets) for stateful stages.
-    pub(crate) checkpoint_every: u64,
-    /// Stateless stages acknowledge inputs as they are consumed (a
-    /// packet is acked once the *next* read begins, i.e. after its
-    /// outputs were written); stateful stages acknowledge only at
-    /// checkpoint commits.
-    pub(crate) auto_ack: bool,
-    /// Inputs accepted since the last checkpoint commit.
-    pub(crate) accepted: u64,
-    /// Inputs accepted over the whole unit of work (trace metadata).
-    pub(crate) accepted_total: u64,
-    /// Output write index at the last ack boundary; restarts rewind the
-    /// writer here.
-    pub(crate) committed_out: u64,
-    /// Checkpoint commits / snapshot bytes by this copy.
-    pub(crate) checkpoints: u64,
-    pub(crate) checkpoint_bytes: u64,
-    /// Trace thread id of the owning filter copy.
-    pub(crate) tid: u32,
-}
 
 /// I/O endpoints handed to a filter copy for one unit of work.
 pub struct FilterIo {
@@ -70,9 +42,6 @@ pub struct FilterIo {
     /// Packets an injected `drop` fault discarded at this copy
     /// (aggregated into `StageStats::dropped` by the executor).
     pub(crate) dropped: u64,
-    /// Recovery bookkeeping (checkpoint cadence, ack policy), present
-    /// only when the pipeline runs with recovery enabled.
-    pub(crate) recovery: Option<RecoveryCtx>,
 }
 
 impl FilterIo {
@@ -111,27 +80,8 @@ impl FilterIo {
     /// (cancellably), injected failures park a structured error (the
     /// executor surfaces it) and signal end-of-work, injected panics
     /// panic — exercising the executor's panic isolation.
-    ///
-    /// Under recovery, a *stateless* stage acknowledges here: when read
-    /// N+1 begins, packet N has been fully processed and its outputs
-    /// written, so the delivered prefix is durable and the output index
-    /// is a committed boundary.
     pub fn read(&mut self) -> Option<crate::buffer::Buffer> {
-        if let Some(rc) = &mut self.recovery {
-            if rc.auto_ack {
-                if let Some(w) = &self.output {
-                    rc.committed_out = w.write_index();
-                }
-                if let Some(r) = &mut self.input {
-                    r.commit_acks();
-                }
-            }
-        }
         let buf = self.read_inner()?;
-        if let Some(rc) = &mut self.recovery {
-            rc.accepted += 1;
-            rc.accepted_total += 1;
-        }
         // Telemetry: propagate the packet's ingest-origin tick onto the
         // output side, so end-to-end latency survives the stage hop.
         // Origins are only non-zero when telemetry is on, so untelemetered
@@ -193,20 +143,6 @@ impl FilterIo {
     /// packet ahead of a fault is sent before the fault acts, so a fault
     /// fires at the same packet index however the writes are batched.
     pub fn write_batch(&mut self, bufs: impl IntoIterator<Item = Buffer>) -> FilterResult<()> {
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(FaultInjector::has_pending)
-        {
-            // An input-side injected failure is parked: this attempt is
-            // doomed and running against a fabricated end-of-work, so any
-            // output it produces past the failure point (e.g. an
-            // end-of-stream reduction) is an artifact of the truncated
-            // input. Swallow it — sending would burn sequence numbers
-            // that the restarted attempt regenerates with *different*
-            // content, desynchronizing replay suppression.
-            return Ok(());
-        }
         // A terminal filter has no output: its writes are results it keeps
         // itself, so there is nothing to send.
         let flush =
@@ -246,116 +182,12 @@ impl FilterIo {
         flush(&mut self.output)
     }
 
-    pub fn has_input(&self) -> bool {
-        self.input.is_some()
-    }
-
-    pub fn has_output(&self) -> bool {
-        self.output.is_some()
-    }
-
-    /// Whether the run has been cancelled (deadline/stall watchdog).
+    /// Whether the run has been cancelled (a failure elsewhere, or the
+    /// deadline/stall watchdog).
     /// Long-running compute loops should poll this and bail out so a
     /// cancelled run can join all threads promptly.
     pub fn cancelled(&self) -> bool {
         self.control.is_cancelled()
-    }
-
-    /// Whether a stateful filter should checkpoint now: recovery is on,
-    /// this stage acks at checkpoints, and `checkpoint_every` packets
-    /// were accepted since the last commit. Always `false` for stateless
-    /// stages and non-recovery runs, so filters can call it
-    /// unconditionally from their process loop.
-    pub fn checkpoint_due(&self) -> bool {
-        self.recovery
-            .as_ref()
-            .is_some_and(|rc| !rc.auto_ack && rc.accepted >= rc.checkpoint_every)
-    }
-
-    /// Commit a state snapshot: keep it as this copy's restore point,
-    /// then acknowledge the delivered input prefix (in that order — the
-    /// snapshot is what covers those packets) and record the current
-    /// output index as the restart boundary. A no-op without recovery,
-    /// so filters can call it unconditionally.
-    pub fn commit_checkpoint(&mut self, snapshot: &[u8]) {
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(FaultInjector::has_pending)
-        {
-            // Doomed attempt (see `write`): must not acknowledge input —
-            // the faulted packet was consumed from the stream but never
-            // delivered, and only a replay can deliver it.
-            return;
-        }
-        let out_index = self
-            .output
-            .as_ref()
-            .map_or(0, crate::stream::StreamWriter::write_index);
-        let Some(rc) = &mut self.recovery else {
-            return;
-        };
-        rc.snapshot = Some(snapshot.to_vec());
-        if let Some(r) = &mut self.input {
-            r.commit_acks();
-        }
-        rc.committed_out = out_index;
-        rc.accepted = 0;
-        rc.checkpoints += 1;
-        rc.checkpoint_bytes += snapshot.len() as u64;
-        if trace::enabled() {
-            trace::instant(
-                "checkpoint",
-                "recovery",
-                PID_RUNTIME,
-                rc.tid,
-                vec![
-                    ("bytes", (snapshot.len() as u64).into()),
-                    ("packets", rc.accepted_total.into()),
-                    ("out_index", out_index.into()),
-                ],
-            );
-        }
-    }
-
-    /// The latest committed snapshot for this copy, if any (the executor
-    /// feeds it to [`Filter::restore`] before a restarted attempt).
-    pub(crate) fn latest_snapshot(&self) -> Option<&[u8]> {
-        self.recovery.as_ref()?.snapshot.as_deref()
-    }
-
-    /// Reset the endpoints for a restarted unit-of-work attempt: rewind
-    /// the writer to the committed output boundary and pre-load the
-    /// unacknowledged input tail for replay.
-    pub(crate) fn begin_attempt(&mut self) {
-        let Some(rc) = &mut self.recovery else {
-            return;
-        };
-        rc.accepted = 0;
-        let committed_out = rc.committed_out;
-        if let Some(w) = &mut self.output {
-            w.rewind_for_replay(committed_out);
-        }
-        if let Some(r) = &mut self.input {
-            r.begin_attempt();
-        }
-    }
-
-    /// Final ack on a successfully completed unit of work: everything
-    /// delivered has been fully processed, so release the replay buffers
-    /// feeding this copy.
-    pub(crate) fn commit_final(&mut self) {
-        if self.recovery.is_some() {
-            if let Some(w) = &self.output {
-                let idx = w.write_index();
-                if let Some(rc) = &mut self.recovery {
-                    rc.committed_out = idx;
-                }
-            }
-            if let Some(r) = &mut self.input {
-                r.commit_acks();
-            }
-        }
     }
 
     /// Take the error an input-side injected failure parked (the read
@@ -376,26 +208,14 @@ pub trait Filter: Send {
         Ok(())
     }
 
-    /// Restore state from a checkpoint snapshot (recovery restarts only;
-    /// called between `init` and `process` on a fresh instance when a
-    /// committed snapshot exists for this copy). Stateful filters that
-    /// participate in checkpointing must override this; the default
-    /// refuses, which fails the restart rather than silently recomputing
-    /// from a wrong state.
-    fn restore(&mut self, snapshot: &[u8]) -> FilterResult<()> {
-        let _ = snapshot;
-        Err(FilterError::new(
-            self.name().to_string(),
-            "filter has a checkpoint but no restore support \
-             (mark the stage stateless or implement Filter::restore)",
-        ))
-    }
-
     /// Consume input buffers / produce output buffers until end-of-work.
     fn process(&mut self, io: &mut FilterIo) -> FilterResult<()>;
 
-    /// Called after `process` returns; may flush final state downstream
-    /// (the executor closes the output stream afterwards).
+    /// Called after `process` returns, unless the run was cancelled
+    /// meanwhile; may flush final state downstream (the executor closes
+    /// the output stream afterwards). A cancelled attempt never
+    /// finalizes, so a filter that publishes its results here publishes
+    /// nothing from an attempt that a restart recomputes.
     fn finalize(&mut self, io: &mut FilterIo) -> FilterResult<()> {
         let _ = io;
         Ok(())
@@ -408,8 +228,8 @@ pub trait Filter: Send {
 }
 
 /// Factory producing one filter instance per transparent copy. `Sync`
-/// because the executor re-invokes it from worker threads when restarting
-/// a failed unit of work with a fresh filter instance.
+/// because every copy's thread calls it, again on each restart of the
+/// run.
 pub type FilterFactory = Box<dyn Fn(usize) -> Box<dyn Filter> + Send + Sync>;
 
 /// Convenience: a filter from three closures (init/process/finalize are
@@ -462,14 +282,13 @@ mod tests {
             pool_hits: 0,
             pool_misses: 0,
             dropped: 0,
-            recovery: None,
         }
     }
 
     #[test]
     fn closure_filter_passes_through() {
-        let (ws, mut rs) = logical_stream(1, 1, 8, RunControl::new(), false);
-        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, RunControl::new(), false);
+        let (ws, mut rs) = logical_stream(1, 1, 8, RunControl::new());
+        let (mut ws2, mut rs2) = logical_stream(1, 1, 8, RunControl::new());
         let mut f = ClosureFilter::new("double", |io: &mut FilterIo| {
             while let Some(b) = io.read() {
                 let doubled: Vec<u8> = b.as_slice().iter().map(|x| x * 2).collect();
@@ -495,8 +314,6 @@ mod tests {
     fn terminal_filter_write_is_noop() {
         let mut io = io(None, None);
         assert!(io.write(Buffer::from_vec(vec![1])).is_ok());
-        assert!(!io.has_input());
-        assert!(!io.has_output());
         assert!(io.read().is_none());
     }
 }

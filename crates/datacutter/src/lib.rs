@@ -43,7 +43,6 @@ pub mod fault;
 pub mod filter;
 pub mod link;
 pub mod net;
-pub mod recover;
 pub mod shm;
 pub mod stream;
 pub mod telemetry;
@@ -60,7 +59,6 @@ pub use net::{
     connect_with_retry, decode_frame, encode_frame, is_heartbeat_timeout, serve_telemetry, Frame,
     TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC, NET_VERSION, TELEMETRY_LINK,
 };
-pub use recover::RecoveryOptions;
 pub use shm::{
     remove_ring_files, shm_dir, shm_supported, ShmIngress, ShmSender, DEFAULT_SHM_CAPACITY,
     SHM_PREFIX,

@@ -587,10 +587,6 @@ pub fn serve_ingress(
 /// Drain one local [`StreamReader`] (the 1→1 stream behind one producer
 /// copy) into the downstream worker at `addr`: a `shm:<base>` address
 /// attaches to that worker's ring, anything else is dialled over TCP.
-/// Each transmitted packet is acknowledged on the local stream — the
-/// carrier plays a stateless consumer, so the producer side's replay
-/// buffers stay bounded and a restarted filter copy replays only
-/// untransmitted packets.
 ///
 /// The link's [`LinkProbe`] (shared by every producer copy's pump on the
 /// link) counts transmitted packets; the returned stats are read off it
@@ -638,7 +634,6 @@ fn pump(
         )?;
         probe.count_frame(n as u64);
         seq += 1;
-        reader.commit_acks();
     }
     if control.as_ref().is_some_and(|c| c.is_cancelled()) {
         return Err(FilterError::cancelled(

@@ -5,8 +5,8 @@
 //! across a process boundary with length-prefixed frames, *without*
 //! re-implementing any stream semantics: both ends are bridged onto
 //! ordinary local streams by [`crate::link`], so batching, backpressure,
-//! cancellation, deadlines, fault injection, and ack/replay recovery all
-//! keep working unchanged. This module defines the frames, and the TCP
+//! cancellation, deadlines and fault injection all keep working
+//! unchanged. This module defines the frames, and the TCP
 //! carrier: a cancellable socket, the heartbeat sidecar, and the accept
 //! loop through which a producer's connection arrives. Same-host rings
 //! ([`crate::shm`]) carry the same frames.
@@ -66,12 +66,11 @@
 //!
 //! ## Recovery across the socket
 //!
-//! Within each process, filter-copy restarts use the local streams'
-//! ack/replay machinery exactly as in-process runs do. A connection is
-//! never resumed: each producer connects once, a second connection for
-//! it is malformed, and a producer that vanishes short of `End` is
-//! settled by [`crate::link`] (the link fails, or under supervision
-//! waits for the launcher to restart the whole chain from packet 0).
+//! A worker never restarts itself, and a connection is never resumed:
+//! each producer connects once, a second connection for it is malformed,
+//! and a producer that vanishes short of `End` is settled by
+//! [`crate::link`] (the link fails, or under supervision waits for the
+//! launcher to restart the whole chain from packet 0).
 //!
 //! [`ErrorKind::Malformed`]: crate::error::ErrorKind
 
@@ -976,7 +975,7 @@ mod tests {
 
     #[test]
     fn ingress_feeder_rejects_repeats_and_gaps() {
-        let (ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
+        let (ws, mut rs) = logical_stream(1, 1, 16, RunControl::new());
         let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap());
         for seq in 0..3 {
             feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap();

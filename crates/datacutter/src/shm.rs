@@ -1086,7 +1086,7 @@ mod tests {
         let packets_per_producer = 200usize;
         let mut pumps = Vec::new();
         for p in 0..producers {
-            let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new());
             let (w, r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
@@ -1108,7 +1108,7 @@ mod tests {
         }
 
         // Consumer side: a 2→1 local stream fed by the ingress.
-        let (ws, mut rs) = logical_stream(producers, 1, 16, RunControl::new(), false);
+        let (ws, mut rs) = logical_stream(producers, 1, 16, RunControl::new());
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
             let mut r = rs.remove(0);

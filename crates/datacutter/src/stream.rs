@@ -5,37 +5,6 @@
 //! (Section 2.2, "Transparent copies"): the runtime preserves the illusion
 //! of one logical point-to-point stream while distributing buffers among
 //! the copies round-robin, for load balancing.
-//!
-//! ## Ack/replay delivery (recovery)
-//!
-//! When a pipeline runs with recovery enabled
-//! ([`RunOptions::recovery`]), every data message carries the producer
-//! copy index and a producer-global sequence number. The endpoints then
-//! cooperate on an upstream-backup protocol:
-//!
-//! * **Producers** keep each sent packet in a per-(producer, consumer)
-//!   replay buffer until the consumer acknowledges it. Sends whose
-//!   sequence number is below the producer's high-water mark (a restarted
-//!   producer regenerating output it already sent) are suppressed — the
-//!   original is either still buffered or already processed.
-//! * **Consumers** acknowledge cumulatively by publishing a per-producer
-//!   watermark ("all sequence numbers below W are durable here") at
-//!   durability boundaries: every packet for stateless stages, checkpoint
-//!   commits for stateful ones. Acks ride on shared atomics rather than a
-//!   reverse channel — the in-process analogue of piggybacking them on
-//!   the channel protocol.
-//! * **On restart** a consumer resets its watermarks to the acknowledged
-//!   prefix and pre-loads every unacknowledged packet from the replay
-//!   buffers back into its delivery queue; sequence-based dedup (accept
-//!   only `seq >= watermark`) then discards the in-queue originals the
-//!   replay duplicated, so each packet is processed effectively exactly
-//!   once.
-//!
-//! Replay needs a deterministic packet→consumer mapping to requeue
-//! packets where the originals went; round-robin delivery provides it,
-//! since the target is a pure function of the sequence number.
-//!
-//! [`RunOptions::recovery`]: crate::exec::RunOptions::recovery
 
 use crate::buffer::Buffer;
 use crate::channel::{bounded_cancellable, Receiver, Sender};
@@ -46,7 +15,7 @@ use crate::width::StageWidth;
 use cgp_obs::metrics::Histogram;
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -55,26 +24,17 @@ use std::time::{Duration, Instant};
 /// toward the accumulated blocked duration.
 const STALL_EVENT_THRESHOLD: Duration = Duration::from_micros(100);
 
-/// Lock a mutex, tolerating poisoning (a replay buffer is plain data —
-/// a panicking peer thread cannot leave it logically corrupt).
+/// Lock a mutex, tolerating poisoning (a histogram is plain data — a
+/// panicking peer thread cannot leave it logically corrupt).
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Sent-but-unacknowledged `(seq, packet)` pairs for one
-/// producer→consumer pair, in sequence order.
-type UnackedQueue = Mutex<VecDeque<(u64, Buffer)>>;
-
 enum Msg {
-    /// One packet from producer copy `from`, the `seq`-th packet that
-    /// producer ever wrote on this logical stream. `from`/`seq` are only
-    /// meaningful under recovery; without it they are always 0 and
-    /// ignored.
+    /// One packet.
     Data {
-        from: u32,
-        seq: u64,
         /// Tick when the packet was sent, µs (0 = unstamped: telemetry
-        /// off, or a packet re-delivered from a replay buffer).
+        /// off).
         sent_us: u64,
         /// Ingest-origin tick propagated from the pipeline's source
         /// stage, µs (0 = unknown, e.g. across a process boundary where
@@ -84,57 +44,6 @@ enum Msg {
     },
     /// A producer copy finished its unit of work.
     End,
-}
-
-/// Ack/replay state shared by every endpoint of one logical stream
-/// (recovery runs only). Indexing is `[producer][consumer]`.
-pub(crate) struct ReplayShared {
-    /// `acked[p][c]`: every packet from producer `p` with `seq <` this
-    /// value is durable at consumer `c`. Written by the consumer at ack
-    /// boundaries, read by the producer (to prune) and by the consumer
-    /// itself on restart (to reset its watermark).
-    acked: Vec<Vec<AtomicU64>>,
-    /// `unacked[p][c]`: sent-but-unacknowledged `(seq, packet)` pairs in
-    /// sequence order. Bounded by the ack cadence: at most
-    /// `checkpoint_every + queue capacity` entries per pair.
-    unacked: Vec<Vec<UnackedQueue>>,
-    /// `order[c]`: the `(producer, seq)` consumption order at consumer `c`
-    /// since its last ack commit. With several producers, per-producer
-    /// sequence order alone does not pin down the interleaving the failed
-    /// attempt actually processed — and a restarted *stateful* consumer
-    /// must regenerate its downstream writes in the original order for
-    /// the writer's sequence-based suppression to line up. Survives the
-    /// consumer's restart precisely because it lives here, not in the
-    /// reader. Cleared on every ack commit (acked packets never replay).
-    order: Vec<Mutex<Vec<(u32, u64)>>>,
-}
-
-impl ReplayShared {
-    fn new(producers: usize, consumers: usize) -> Self {
-        ReplayShared {
-            acked: (0..producers)
-                .map(|_| (0..consumers).map(|_| AtomicU64::new(0)).collect())
-                .collect(),
-            unacked: (0..producers)
-                .map(|_| {
-                    (0..consumers)
-                        .map(|_| Mutex::new(VecDeque::new()))
-                        .collect()
-                })
-                .collect(),
-            order: (0..consumers).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Total sent-but-unacknowledged packets across every
-    /// producer→consumer pair (replay-buffer occupancy, for telemetry).
-    pub(crate) fn unacked_total(&self) -> u64 {
-        self.unacked
-            .iter()
-            .flatten()
-            .map(|q| plock(q).len() as u64)
-            .sum()
-    }
 }
 
 /// Reading end held by one consumer copy.
@@ -157,22 +66,6 @@ pub struct StreamReader {
     /// Set when a receive was aborted by run cancellation — the copy was
     /// blocked here when the watchdog fired.
     cancelled_while_blocked: bool,
-    /// Which consumer copy this reader belongs to (replay indexing).
-    consumer: usize,
-    /// Ack/replay state, present only under recovery.
-    replay: Option<Arc<ReplayShared>>,
-    /// Per-producer next-expected sequence number: packets with
-    /// `seq < watermark[p]` were already delivered (replay duplicates)
-    /// and are dropped. Reset from the acked prefix on restart.
-    watermark: Vec<u64>,
-    /// Packets re-delivered from replay buffers after restarts.
-    replayed: u64,
-    /// Duplicate packets discarded by the sequence watermark.
-    deduped: u64,
-    /// Accepted packets still to consume before appending to the shared
-    /// consumption-order log again — i.e. the length of the replayed
-    /// prefix, which is already logged from the failed attempt.
-    log_skip: usize,
     /// The consumer stage's probe and this reader's copy in it: where
     /// deliveries, bytes and starved time are counted.
     probe: Arc<StageProbe>,
@@ -237,28 +130,10 @@ impl StreamReader {
             }
             match self.pending.pop_front() {
                 Some(Msg::Data {
-                    from,
-                    seq,
                     sent_us,
                     origin_us,
                     buf,
                 }) => {
-                    if let Some(rep) = &self.replay {
-                        let wm = &mut self.watermark[from as usize];
-                        if seq < *wm {
-                            // Replay duplicate: the replayed copy of this
-                            // packet was already delivered.
-                            self.deduped += 1;
-                            continue;
-                        }
-                        *wm = seq + 1;
-                        if self.log_skip > 0 {
-                            // Replayed prefix: already in the order log.
-                            self.log_skip -= 1;
-                        } else {
-                            plock(&rep.order[self.consumer]).push((from, seq));
-                        }
-                    }
                     // Latency math (stamped packets only, i.e. telemetry
                     // on) reuses the tick taken when this packet's drain
                     // pulled it off the channel and records into
@@ -400,122 +275,6 @@ impl StreamReader {
         b
     }
 
-    /// Publish the delivered prefix as acknowledged: every producer's
-    /// watermark becomes the acked value and the replay buffers are
-    /// pruned. Call only at a durability boundary — once published, a
-    /// restart will NOT replay those packets.
-    pub(crate) fn commit_acks(&mut self) {
-        let Some(rep) = &self.replay else {
-            return;
-        };
-        for (p, wm) in self.watermark.iter().enumerate() {
-            let cell = &rep.acked[p][self.consumer];
-            if cell.load(Ordering::Acquire) < *wm {
-                // Prune before publishing: a producer reading the new ack
-                // value only skips its own pruning work, never resurrects
-                // an entry.
-                let mut un = plock(&rep.unacked[p][self.consumer]);
-                while un.front().is_some_and(|(s, _)| *s < *wm) {
-                    un.pop_front();
-                }
-                drop(un);
-                cell.store(*wm, Ordering::Release);
-            }
-        }
-        // Everything consumed so far is now acknowledged — it will never
-        // replay, so its consumption order no longer matters.
-        plock(&rep.order[self.consumer]).clear();
-        self.log_skip = 0;
-    }
-
-    /// Prepare this endpoint for a restarted unit-of-work attempt: reset
-    /// watermarks to the acknowledged prefix and pre-load every
-    /// unacknowledged packet ahead of whatever is already queued — first
-    /// the packets the failed attempt actually consumed, in its exact
-    /// consumption order (the shared order log), then the never-consumed
-    /// remainder in per-producer sequence order. Replaying the consumed
-    /// prefix in the original interleaving makes a deterministic filter
-    /// regenerate byte-identical downstream writes, which is what the
-    /// writer's sequence-based suppression relies on. In-queue originals
-    /// that the replay duplicates are later discarded by the watermark.
-    /// `End` markers drained into `pending` are kept — producers send
-    /// them only once.
-    pub(crate) fn begin_attempt(&mut self) {
-        let Some(rep) = self.replay.clone() else {
-            return;
-        };
-        // Locally drained data is a subset of the unacknowledged replay
-        // set (it was never acked), so dropping it loses nothing.
-        self.pending.retain(|m| matches!(m, Msg::End));
-        for (p, wm) in self.watermark.iter_mut().enumerate() {
-            *wm = rep.acked[p][self.consumer].load(Ordering::Acquire);
-        }
-        // The consumed-and-unacked prefix, in original consumption order.
-        let mut log = plock(&rep.order[self.consumer]);
-        let mut preload: Vec<Msg> = Vec::new();
-        let mut replay_high: Vec<Option<u64>> = vec![None; self.watermark.len()];
-        for &(from, seq) in log.iter() {
-            let p = from as usize;
-            if seq < self.watermark[p] {
-                continue; // defensively skip anything already acked
-            }
-            let un = plock(&rep.unacked[p][self.consumer]);
-            if let Some((_, buf)) = un.iter().find(|(s, _)| *s == seq) {
-                // Replayed packets carry no stamps: their original send
-                // time is long gone, and counting the failure stall as
-                // latency would poison the percentiles.
-                preload.push(Msg::Data {
-                    from,
-                    seq,
-                    sent_us: 0,
-                    origin_us: 0,
-                    buf: buf.clone(),
-                });
-                replay_high[p] = Some(replay_high[p].map_or(seq, |h| h.max(seq)));
-            }
-        }
-        // Re-seed the log with exactly the prefix being replayed, so the
-        // skip counter and the log stay in lockstep even if an entry was
-        // filtered out above.
-        *log = preload
-            .iter()
-            .map(|m| match m {
-                Msg::Data { from, seq, .. } => (*from, *seq),
-                Msg::End => unreachable!("preload holds only data"),
-            })
-            .collect();
-        self.log_skip = log.len();
-        drop(log);
-        // Sent-but-never-consumed packets follow; the failed attempt put
-        // no ordering constraint on them.
-        for (p, wm) in self.watermark.iter().enumerate() {
-            let floor = replay_high[p].map_or(*wm, |h| h + 1);
-            let un = plock(&rep.unacked[p][self.consumer]);
-            for (seq, buf) in un.iter() {
-                if *seq >= floor {
-                    preload.push(Msg::Data {
-                        from: p as u32,
-                        seq: *seq,
-                        sent_us: 0,
-                        origin_us: 0,
-                        buf: buf.clone(),
-                    });
-                }
-            }
-        }
-        self.replayed += preload.len() as u64;
-        for m in preload.into_iter().rev() {
-            self.pending.push_front(m);
-        }
-        self.cancelled_while_blocked = false;
-    }
-
-    /// Packets re-delivered from replay buffers / duplicates discarded by
-    /// the sequence watermark (both 0 without recovery).
-    pub(crate) fn recovery_stats(&self) -> (u64, u64) {
-        (self.replayed, self.deduped)
-    }
-
     /// Whether a blocking receive on this endpoint was aborted by run
     /// cancellation (the stall report uses this to name wedged copies).
     pub(crate) fn cancelled_while_blocked(&self) -> bool {
@@ -529,12 +288,8 @@ impl StreamReader {
     }
 
     /// Count this reader's deliveries as copy `copy` of `probe` (the
-    /// consumer stage's); also hands the stream's replay state to the
-    /// probe so the sampler can report replay-buffer occupancy.
+    /// consumer stage's).
     pub(crate) fn attach_probe(&mut self, probe: Arc<StageProbe>, copy: usize) {
-        if let Some(rep) = &self.replay {
-            *plock(&probe.replay) = Some(rep.clone());
-        }
         self.probe = probe;
         self.copy = copy;
     }
@@ -567,20 +322,6 @@ pub struct StreamWriter {
     /// Set when a send was aborted by run cancellation — the copy was
     /// blocked here (downstream backpressure) when the watchdog fired.
     cancelled_while_blocked: bool,
-    /// Which producer copy this writer belongs to (replay indexing).
-    from: usize,
-    /// Round-robin start offset (producer stagger); with recovery the
-    /// invariant `next == stagger + write_index` makes the packet→target
-    /// mapping a pure function of the sequence number, so a rewound
-    /// producer regenerates the identical routing.
-    stagger: usize,
-    /// Sequence number of the next packet to write.
-    write_index: u64,
-    /// One past the highest sequence number ever sent. NOT rewound on
-    /// restart: regenerated packets below it are suppressed.
-    sent_high: u64,
-    /// Ack/replay state, present only under recovery.
-    replay: Option<Arc<ReplayShared>>,
     /// The producer stage's probe and this writer's copy in it: where
     /// sends, bytes and backpressured time are counted.
     probe: Arc<StageProbe>,
@@ -618,8 +359,7 @@ impl StreamWriter {
     /// Send a run of buffers, amortizing lock acquisitions and condvar
     /// wakeups over the whole run instead of paying one per packet.
     /// Round-robin distribution is exact: each consumer copy receives its
-    /// packets in sequence order, and under recovery every packet passes
-    /// the sequence/replay bookkeeping.
+    /// packets in send order.
     pub fn write_batch(&mut self, bufs: impl IntoIterator<Item = Buffer>) -> FilterResult<()> {
         for buf in bufs {
             self.stage(buf)?;
@@ -627,37 +367,17 @@ impl StreamWriter {
         self.flush()
     }
 
-    /// Stage one packet for the next [`flush`](Self::flush): give it the
-    /// next sequence number and its round-robin target and, under
-    /// recovery, keep it in the replay buffer — or suppress it when a
-    /// rewound producer regenerates a packet it already sent (the
-    /// original is still buffered or already processed, so re-sending
-    /// would only create a duplicate for the watermark to discard).
+    /// Stage one packet for the next [`flush`](Self::flush), queued for
+    /// its round-robin target.
     pub(crate) fn stage(&mut self, buf: Buffer) -> FilterResult<()> {
         if self.closed {
             return Err(FilterError::new("stream", "write after close"));
         }
-        let seq = self.write_index;
-        self.write_index += 1;
         let target = self.next % self.fanout();
         self.next += 1;
-        if let Some(rep) = &self.replay {
-            if seq < self.sent_high {
-                return Ok(());
-            }
-            self.sent_high = seq + 1;
-            let acked = rep.acked[self.from][target].load(Ordering::Acquire);
-            let mut un = plock(&rep.unacked[self.from][target]);
-            while un.front().is_some_and(|(s, _)| *s < acked) {
-                un.pop_front();
-            }
-            un.push_back((seq, buf.clone()));
-        }
         self.staged_packets += 1;
         self.staged_bytes += buf.len() as u64;
         self.staged[target].push_back(Msg::Data {
-            from: self.from as u32,
-            seq,
             sent_us: 0,
             origin_us: 0,
             buf,
@@ -764,22 +484,6 @@ impl StreamWriter {
         result
     }
 
-    /// Sequence number of the next packet to write (recovery bookkeeping:
-    /// a checkpoint records this as its output boundary).
-    pub(crate) fn write_index(&self) -> u64 {
-        self.write_index
-    }
-
-    /// Rewind this endpoint to a committed output boundary before a
-    /// restarted attempt. Regenerated packets keep their original
-    /// sequence numbers and round-robin targets; those already sent
-    /// (`seq < sent_high`, which is never rewound) are suppressed.
-    pub(crate) fn rewind_for_replay(&mut self, out_index: u64) {
-        self.write_index = out_index;
-        self.next = self.stagger.wrapping_add(out_index as usize);
-        self.cancelled_while_blocked = false;
-    }
-
     /// Whether a blocking send on this endpoint was aborted by run
     /// cancellation (the stall report uses this to name wedged copies).
     pub(crate) fn cancelled_while_blocked(&self) -> bool {
@@ -851,11 +555,9 @@ impl Drop for StreamWriter {
 /// `capacity` bounds each underlying queue (buffers in flight), providing
 /// backpressure.
 ///
-/// - `control` is the run's control: channels are cancellable through
-///   its token, and every successful send/receive bumps its progress
-///   counter (for the stall detector).
-/// - `recovering` attaches ack/replay state, enabling the
-///   upstream-backup protocol described in the module docs.
+/// `control` is the run's control: channels are cancellable through its
+/// token, and every successful send/receive bumps its progress counter
+/// (for the stall detector).
 ///
 /// Each side counts into a probe of its own until the executor attaches
 /// the stage probes ([`StageProbe`]).
@@ -864,11 +566,9 @@ pub fn logical_stream(
     consumers: usize,
     capacity: usize,
     control: Arc<RunControl>,
-    recovering: bool,
 ) -> (Vec<StreamWriter>, Vec<StreamReader>) {
     assert!(producers > 0 && consumers > 0);
     assert!(capacity > 0);
-    let replay = recovering.then(|| Arc::new(ReplayShared::new(producers, consumers)));
     let producer_probe = StageProbe::new(String::new(), producers, false);
     let consumer_probe = StageProbe::new(String::new(), consumers, false);
     let reader = |rx: Receiver<Msg>, consumer: usize| StreamReader {
@@ -879,12 +579,6 @@ pub fn logical_stream(
         tid: 0,
         control: Arc::clone(&control),
         cancelled_while_blocked: false,
-        consumer,
-        replay: replay.clone(),
-        watermark: vec![0; producers],
-        replayed: 0,
-        deduped: 0,
-        log_skip: 0,
         probe: Arc::clone(&consumer_probe),
         copy: consumer,
         last_origin_us: 0,
@@ -896,23 +590,20 @@ pub fn logical_stream(
         drains: 0,
         last_flush_us: 0,
     };
-    let writer = |txs: Vec<Sender<Msg>>, from: usize, stagger: usize| StreamWriter {
+    let writer = |txs: Vec<Sender<Msg>>, copy: usize| StreamWriter {
         staged: (0..txs.len()).map(|_| VecDeque::new()).collect(),
         txs,
         staged_packets: 0,
         staged_bytes: 0,
-        next: stagger,
+        // Stagger start positions so multiple producers do not all hit
+        // consumer 0 first.
+        next: copy,
         closed: false,
         tid: 0,
         control: Arc::clone(&control),
         cancelled_while_blocked: false,
-        from,
-        stagger,
-        write_index: 0,
-        sent_high: 0,
-        replay: replay.clone(),
         probe: Arc::clone(&producer_probe),
-        copy: from,
+        copy,
         stamp: false,
         origin_us: 0,
         fresh_origin: false,
@@ -929,9 +620,7 @@ pub fn logical_stream(
         readers.push(reader(rx, c));
     }
     let writers = (0..producers)
-        // Stagger start positions so multiple producers do not all hit
-        // consumer 0 first.
-        .map(|p| writer(txs_per_consumer.clone(), p, p))
+        .map(|p| writer(txs_per_consumer.clone(), p))
         .collect();
     (writers, readers)
 }
@@ -966,7 +655,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivers_in_order() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new());
         for t in 0..5 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -980,7 +669,7 @@ mod tests {
 
     #[test]
     fn round_robin_distributes_evenly() {
-        let (mut ws, mut rs) = logical_stream(1, 3, 16, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(1, 3, 16, RunControl::new());
         for t in 0..9 {
             ws[0].write(buf(t)).unwrap();
         }
@@ -999,7 +688,7 @@ mod tests {
 
     #[test]
     fn multiple_producers_all_must_close() {
-        let (mut ws, mut rs) = logical_stream(2, 1, 16, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(2, 1, 16, RunControl::new());
         ws[0].write(buf(1)).unwrap();
         ws[1].write(buf(2)).unwrap();
         ws[0].close();
@@ -1014,21 +703,21 @@ mod tests {
 
     #[test]
     fn write_after_close_errors() {
-        let (mut ws, _rs) = logical_stream(1, 1, 4, RunControl::new(), false);
+        let (mut ws, _rs) = logical_stream(1, 1, 4, RunControl::new());
         ws[0].close();
         assert!(ws[0].write(buf(0)).is_err());
     }
 
     #[test]
     fn drop_closes_stream() {
-        let (ws, mut rs) = logical_stream(1, 1, 4, RunControl::new(), false);
+        let (ws, mut rs) = logical_stream(1, 1, 4, RunControl::new());
         drop(ws);
         assert!(rs[0].read().is_none());
     }
 
     #[test]
     fn staggered_start_balances_multi_producer_round_robin() {
-        let (mut ws, mut rs) = logical_stream(2, 2, 32, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(2, 2, 32, RunControl::new());
         // each producer writes 2 buffers
         ws[0].write(buf(0)).unwrap();
         ws[0].write(buf(1)).unwrap();
@@ -1047,7 +736,7 @@ mod tests {
 
     #[test]
     fn stats_track_buffers_and_bytes() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 4, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 4, RunControl::new());
         ws[0].write(Buffer::from_vec(vec![0; 10])).unwrap();
         ws[0].write(Buffer::from_vec(vec![0; 5])).unwrap();
         assert_eq!(sent(&ws[0]), (2, 15));
@@ -1056,133 +745,11 @@ mod tests {
         assert_eq!(received(&mut rs[0]), (2, 15));
     }
 
-    /// A recovering logical stream with no failures behaves exactly like
-    /// a plain one (same delivery, no replays, no dedups).
-    #[test]
-    fn recovering_stream_without_failures_is_transparent() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 16, RunControl::new(), true);
-        for t in 0..8 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        for (c, r) in rs.iter_mut().enumerate() {
-            let mut seen = Vec::new();
-            while let Some(b) = r.read() {
-                seen.push(b.as_slice()[0]);
-            }
-            assert_eq!(seen.len(), 4, "consumer {c}");
-            assert_eq!(r.recovery_stats(), (0, 0));
-        }
-    }
-
-    /// Consumer restart: unacked packets are replayed, the watermark
-    /// dedups the in-queue originals, every packet is delivered exactly
-    /// once overall.
-    #[test]
-    fn consumer_restart_replays_unacked_exactly_once() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
-        for t in 0..10 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        let r = &mut rs[0];
-        // Deliver 4 packets, ack after 2 (a mid-stream checkpoint).
-        let mut first = Vec::new();
-        for _ in 0..2 {
-            first.push(r.read().unwrap().as_slice()[0]);
-        }
-        r.commit_acks();
-        for _ in 0..2 {
-            first.push(r.read().unwrap().as_slice()[0]);
-        }
-        assert_eq!(first, vec![0, 1, 2, 3]);
-        // Crash + restart: packets 2..10 must come back (2 and 3 were
-        // delivered but never acked), with no duplicates.
-        r.begin_attempt();
-        let mut again = Vec::new();
-        while let Some(b) = r.read() {
-            again.push(b.as_slice()[0]);
-        }
-        assert_eq!(again, (2..10).collect::<Vec<u8>>());
-        let (replayed, _deduped) = r.recovery_stats();
-        assert_eq!(replayed, 8, "packets 2..10 were preloaded from replay");
-    }
-
-    /// Producer restart: rewinding to the committed boundary regenerates
-    /// suppressed sends for everything at or past `sent_high`, so the
-    /// consumer sees no duplicates and no losses.
-    #[test]
-    fn producer_rewind_suppresses_already_sent_packets() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
-        for t in 0..6 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        // Producer crashes having committed nothing: rewind to 0 and
-        // regenerate all 6 packets, then 4 more new ones.
-        ws[0].rewind_for_replay(0);
-        for t in 0..10 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        let mut seen = Vec::new();
-        while let Some(b) = rs[0].read() {
-            seen.push(b.as_slice()[0]);
-        }
-        assert_eq!(seen, (0..10).collect::<Vec<u8>>());
-        // Only 10 distinct packets ever hit the wire.
-        assert_eq!(sent(&ws[0]).0, 10);
-    }
-
-    /// Round-robin targets survive a rewind: regenerated packets land on
-    /// the same consumers as the originals would have.
-    #[test]
-    fn rewound_round_robin_keeps_target_mapping() {
-        let (mut ws, mut rs) = logical_stream(1, 2, 64, RunControl::new(), true);
-        for t in 0..4 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].rewind_for_replay(0);
-        for t in 0..8 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        for (c, r) in rs.iter_mut().enumerate() {
-            let mut seen = Vec::new();
-            while let Some(b) = r.read() {
-                seen.push(b.as_slice()[0]);
-            }
-            assert_eq!(seen.len(), 4, "consumer {c}");
-            for v in seen {
-                assert_eq!(v as usize % 2, c, "round robin target after rewind");
-            }
-        }
-    }
-
-    /// Acks bound the replay buffer: after a full ack, a restart replays
-    /// nothing.
-    #[test]
-    fn acked_packets_are_never_replayed() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
-        for t in 0..5 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        let r = &mut rs[0];
-        for _ in 0..5 {
-            r.read().unwrap();
-        }
-        r.commit_acks();
-        r.begin_attempt();
-        assert!(r.read().is_none());
-        assert_eq!(r.recovery_stats().0, 0, "nothing left to replay");
-    }
-
     /// With a probe attached, delivery records residence + end-to-end
-    /// latency and the in-flight gauges move; replayed packets are
-    /// excluded from the latency percentiles.
+    /// latency and the in-flight gauges move.
     #[test]
     fn probes_record_latency_and_gauges() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
+        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new());
         let probe = StageProbe::new("sink".into(), 1, true);
         ws[0].attach_probe(probe.clone(), 0);
         ws[0].enable_stamping();
@@ -1204,24 +771,13 @@ mod tests {
         assert_eq!(s.buffers_in, 4);
         assert_eq!(s.buffers_out, 4);
         assert_eq!(s.busy_us_per_copy, vec![0], "copy never marked started");
-        assert_eq!(s.replay_occupancy, 4, "nothing acked yet");
-        // Restart: the 4 unacked packets replay with zero stamps — the
-        // latency histograms must not move.
-        rs[0].begin_attempt();
-        for _ in 0..4 {
-            rs[0].read().unwrap();
-        }
-        rs[0].flush_probe_locals();
-        assert_eq!(probe.residence().count, 4, "replays excluded");
-        assert_eq!(probe.e2e().unwrap().count, 4, "replays excluded");
-        assert_eq!(probe.sample(now_us()).buffers_in, 8);
     }
 
     /// Stamping without a probe (ingress bridges) sets `sent_us` but no
     /// origin, so downstream residence works while e2e stays silent.
     #[test]
     fn ingress_stamping_feeds_residence_only() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new(), false);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new());
         ws[0].enable_stamping();
         let probe = StageProbe::new("f2".into(), 1, true);
         rs[0].attach_probe(probe.clone(), 0);
@@ -1232,36 +788,5 @@ mod tests {
         assert_eq!(probe.residence().count, 1);
         assert_eq!(probe.e2e().unwrap().count, 0, "no origin crossed");
         assert_eq!(rs[0].last_origin_us(), 0);
-    }
-
-    /// The published ack watermark is monotone: a consumer whose local
-    /// watermark somehow regresses (e.g. a reconnecting remote consumer
-    /// re-offering an older cumulative ack) must not pull the shared
-    /// acked prefix backwards — that would resurrect replay of packets
-    /// the producer already pruned.
-    #[test]
-    fn committed_ack_watermark_never_regresses() {
-        let (mut ws, mut rs) = logical_stream(1, 1, 64, RunControl::new(), true);
-        for t in 0..5 {
-            ws[0].write(buf(t)).unwrap();
-        }
-        ws[0].close();
-        let r = &mut rs[0];
-        for _ in 0..5 {
-            r.read().unwrap();
-        }
-        r.commit_acks();
-        let rep = r.replay.as_ref().unwrap();
-        assert_eq!(rep.acked[0][0].load(Ordering::Acquire), 5);
-        // Force the local watermark below the published prefix and
-        // commit again: the shared cell must keep the high-water mark.
-        r.watermark[0] = 3;
-        r.commit_acks();
-        let rep = r.replay.as_ref().unwrap();
-        assert_eq!(
-            rep.acked[0][0].load(Ordering::Acquire),
-            5,
-            "ack watermark regressed"
-        );
     }
 }

@@ -31,7 +31,6 @@
 
 use crate::error::{FilterError, FilterResult};
 use crate::link::NetLinkStats;
-use crate::stream::ReplayShared;
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
 use cgp_obs::telemetry::{StageSample, TelemetrySample, TelemetrySampler};
 use cgp_obs::{trace, Json};
@@ -129,9 +128,6 @@ pub struct StageProbe {
     /// End-to-end latency (ingest origin → delivery), µs; `Some` only on
     /// the pipeline's final stage.
     pub(crate) e2e_us: Option<Mutex<Histogram>>,
-    /// Replay state feeding this stage's input (recovery runs only), for
-    /// occupancy sampling.
-    pub(crate) replay: Mutex<Option<Arc<ReplayShared>>>,
 }
 
 impl StageProbe {
@@ -141,7 +137,6 @@ impl StageProbe {
             copies: (0..width).map(|_| CopyProbe::default()).collect(),
             residence_us: Mutex::new(Histogram::default()),
             e2e_us: last.then(|| Mutex::new(Histogram::default())),
-            replay: Mutex::new(None),
         })
     }
 
@@ -157,9 +152,6 @@ impl StageProbe {
             .map(|c| c.queue_depth.load(Ordering::Relaxed))
             .sum();
         let residence = plock(&self.residence_us).clone();
-        let replay_occupancy = plock(&self.replay)
-            .as_ref()
-            .map_or(0, |r| r.unacked_total());
         StageSample {
             stage: self.name.clone(),
             queue_depth,
@@ -185,7 +177,6 @@ impl StageProbe {
                 .iter()
                 .map(|c| c.buffers_out.load(Ordering::Relaxed))
                 .sum(),
-            replay_occupancy,
             residence_p50_us: residence.percentile(0.5),
             residence_p95_us: residence.percentile(0.95),
             residence_p99_us: residence.percentile(0.99),

@@ -20,9 +20,6 @@
 //!   busy — not starved by its upstream and not backpressured by its
 //!   downstream), and grows that stage's active prefix by one copy —
 //!   the new copy joins the round-robin for packets not yet routed.
-//!   Under recovery this is replay-safe: targets are recorded per packet
-//!   when first sent, and a rewound producer only recomputes targets for
-//!   packets that were *never* sent.
 //! - Shrinking retires the highest active copy after a drain barrier:
 //!   only when the stage's input queues are empty **and** the retirement
 //!   candidate spent the last tick starved (nothing queued, nothing in
@@ -40,8 +37,8 @@
 //!
 //! Every decision is about *routing*, never about data: output is
 //! byte-identical to a fixed-width run because reduction merges are
-//! associative/commutative and the replay protocol already tolerates
-//! any packet→copy assignment.
+//! associative/commutative, so any packet→copy assignment gives the same
+//! result.
 
 use crate::error::{FilterError, FilterResult};
 use crate::telemetry::StageProbe;

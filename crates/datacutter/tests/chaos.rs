@@ -4,7 +4,7 @@
 
 use cgp_datacutter::{
     Buffer, ClosureFilter, ErrorKind, FaultAction, FaultPlan, FaultRule, FilterError, FilterIo,
-    Pipeline, RecoveryOptions, RunOptions, StageSpec, Trigger,
+    Pipeline, RunOptions, StageSpec, Trigger,
 };
 use cgp_obs::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,13 +126,13 @@ fn error_after_n_packets_terminates_and_counts() {
 
 #[test]
 fn a_failed_source_restarts_under_recovery() {
-    // The source fails on its very first packet. Recovery restarts it:
-    // the fresh instance regenerates its packets and the pipeline
-    // completes with the full data set.
+    // The source fails on its very first packet, before the sink has
+    // seen any. The run restarts: a fresh source regenerates its packets
+    // and the pipeline completes with the full data set.
     let count = Arc::new(AtomicU64::new(0));
     let opts = RunOptions {
         faults: FaultPlan::new().fail_at("source", 0, 0),
-        recovery: RecoveryOptions::on(),
+        restart_budget: 2,
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
     };
@@ -156,7 +156,7 @@ fn retries_exhausted_surfaces_the_error() {
             trigger: Trigger::Every,
             action: FaultAction::Fail,
         }),
-        recovery: RecoveryOptions::on().with_max_restarts(2),
+        restart_budget: 2,
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
     };

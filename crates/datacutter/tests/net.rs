@@ -6,8 +6,8 @@
 use cgp_datacutter::shm::ring_path;
 use cgp_datacutter::{
     decode_frame, egress_pump, encode_frame, logical_stream, serve_ingress, shm_supported, Buffer,
-    ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, Frame, NetLinkStats, NetTuning,
-    Pipeline, RecoveryOptions, RunControl, RunOptions, ShmSender, StageSpec, StreamWriter,
+    ClosureFilter, ErrorKind, FaultPlan, FilterError, FilterIo, FilterResult, Frame, NetLinkStats,
+    NetTuning, Pipeline, RunControl, RunOptions, RunStats, ShmSender, StageSpec, StreamWriter,
     Transport, WorkerEndpoints, WorkerIngress, SHM_PREFIX,
 };
 use cgp_obs::SmallRng;
@@ -148,9 +148,14 @@ fn worker_pipeline(n: u64, width: usize, total: Arc<AtomicU64>, opts: RunOptions
         ))
 }
 
-/// Run the three-stage pipeline as three workers over `carrier` and
-/// return the sum.
-fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>, carrier: Transport) -> u64 {
+/// Run the three-stage pipeline as three workers over `carrier`, each
+/// under `opts`, and return the sum and every worker's result.
+fn run_three_workers(
+    n: u64,
+    width: usize,
+    opts: RunOptions,
+    carrier: Transport,
+) -> (u64, Vec<FilterResult<RunStats>>) {
     // Each ingress serves the upstream stage's copies: the source's 1,
     // then the doublers' `width`.
     let (i1, a1) = WorkerIngress::bind(carrier.fresh_addr(), 1).unwrap();
@@ -158,33 +163,24 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>, carrier: T
     let total = Arc::new(AtomicU64::new(0));
     let mut ingresses = [None, Some(i1), Some(i2)];
     let connects = [Some(a1), Some(a2), None];
-    std::thread::scope(|scope| {
-        for stage in 0..3 {
-            let ingress = ingresses[stage].take();
-            let connect = connects[stage].clone();
-            let total = Arc::clone(&total);
-            let faults = faults.clone();
-            scope.spawn(move || {
-                // A fault plan comes with the recovery that masks it.
-                let opts = RunOptions {
-                    recovery: match faults {
-                        Some(_) => RecoveryOptions::on(),
-                        None => RecoveryOptions::default(),
-                    },
-                    faults: faults.unwrap_or_default(),
-                    ..Default::default()
-                };
-                worker_pipeline(n, width, total, opts)
-                    .run_worker(WorkerEndpoints {
+    let runs = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..3)
+            .map(|stage| {
+                let ingress = ingresses[stage].take();
+                let connect = connects[stage].clone();
+                let pipeline = worker_pipeline(n, width, Arc::clone(&total), opts.clone());
+                scope.spawn(move || {
+                    pipeline.run_worker(WorkerEndpoints {
                         stage,
                         ingress,
                         connect,
                     })
-                    .unwrap_or_else(|e| panic!("{carrier:?} worker {stage}: {e}"));
-            });
-        }
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
-    total.load(Ordering::Relaxed)
+    (total.load(Ordering::Relaxed), runs)
 }
 
 #[test]
@@ -196,25 +192,32 @@ fn three_workers_match_in_process_for_all_widths() {
             .unwrap();
         let expect = total.load(Ordering::Relaxed);
         for carrier in carriers() {
-            let got = run_three_workers(100, width, None, carrier);
+            let (got, runs) = run_three_workers(100, width, RunOptions::default(), carrier);
+            for (stage, run) in runs.into_iter().enumerate() {
+                run.unwrap_or_else(|e| panic!("{carrier:?} worker {stage}: {e}"));
+            }
             assert_eq!(got, expect, "{carrier:?} width={width}");
         }
     }
 }
 
 #[test]
-fn chaos_fault_at_exact_packet_index_through_the_socket_is_recovered() {
-    let expect: u64 = (0..200u64).map(|i| i * 2).sum();
-    // Panic in the middle worker at packet 20: the restart replays the
-    // unacked ingress tail, the egress pump dedups nothing (its acks are
-    // per transmitted packet), and the result is exact.
+fn chaos_fault_at_exact_packet_index_through_the_socket_fails_the_worker_by_name() {
+    // Panic in the middle worker at packet 20. A worker never restarts
+    // itself, whatever its budget: the copy fails its worker by name, and
+    // restarting the chain is its launcher's job.
     for carrier in carriers() {
-        let plan = FaultPlan::new().panic_at("double", 0, 20);
-        assert_eq!(
-            run_three_workers(200, 2, Some(plan), carrier),
-            expect,
-            "{carrier:?}"
-        );
+        let opts = RunOptions {
+            faults: FaultPlan::new().panic_at("double", 0, 20),
+            restart_budget: 2,
+            deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        };
+        let (_, runs) = run_three_workers(200, 2, opts, carrier);
+        let err = runs[1].as_ref().expect_err("the faulted worker fails");
+        assert_eq!(err.kind, ErrorKind::Panicked, "{carrier:?}: {err}");
+        assert_eq!(err.filter, "double[0]", "{carrier:?}: {err}");
+        assert!(err.message.contains("packet 20"), "{carrier:?}: {err}");
     }
 }
 
@@ -224,8 +227,7 @@ fn chaos_fault_at_exact_packet_index_through_the_socket_is_recovered() {
 fn ingress_preserves_fifo_per_producer() {
     for carrier in carriers() {
         let producers = 3u32;
-        let (writers, readers) =
-            logical_stream(producers as usize, 1, 64, RunControl::new(), false);
+        let (writers, readers) = logical_stream(producers as usize, 1, 64, RunControl::new());
         let (addr, serving) = serve(carrier, 7, writers, None, NetTuning::default());
         let senders: Vec<_> = (0..producers)
             .map(|p| {
@@ -275,7 +277,7 @@ fn ingress_preserves_fifo_per_producer() {
 fn backpressure_bounds_the_producer_through_the_socket() {
     for carrier in carriers() {
         // Consumer side: capacity 2, a gate holding the reader shut.
-        let (writers, readers) = logical_stream(1, 1, 2, RunControl::new(), false);
+        let (writers, readers) = logical_stream(1, 1, 2, RunControl::new());
         let gate = Arc::new(AtomicBool::new(false));
         let (addr, serving) = serve(carrier, 1, writers, None, NetTuning::default());
         let gate2 = Arc::clone(&gate);
@@ -294,7 +296,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         });
         // Producer side: 16 × 4 MiB — far beyond what the capacity-2
         // stream plus kernel socket buffers or a 4 MiB ring can absorb.
-        let (mut pw, pr) = logical_stream(1, 1, 4, RunControl::new(), false);
+        let (mut pw, pr) = logical_stream(1, 1, 4, RunControl::new());
         let done_sending = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done_sending);
         let producer = std::thread::spawn(move || {
@@ -343,7 +345,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
 fn disconnect_mid_frame_fails_the_link_loudly() {
     for carrier in carriers() {
         let control = RunControl::new();
-        let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+        let (writers, readers) = logical_stream(1, 1, 16, RunControl::new());
         let tuning = NetTuning::default();
         let (addr, serving) = serve(carrier, 1, writers, Some(Arc::clone(&control)), tuning);
         let drain = std::thread::spawn(move || {
@@ -378,7 +380,7 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
 /// one-producer ingress and return how the link ended. The producer
 /// then vanishes.
 fn link_after(carrier: Transport, frames: &[Vec<u8>]) -> Result<NetLinkStats, FilterError> {
-    let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+    let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new());
     let (addr, serving) = serve(carrier, 4, writers, None, NetTuning::default());
     let drain = std::thread::spawn(move || while readers[0].read().is_some() {});
     let mut s = RawProducer::open(&addr, 0);
@@ -471,7 +473,7 @@ fn vanishing_producers() -> [(&'static str, Vec<Vec<u8>>, &'static str); 2] {
 fn a_vanished_producer_fails_an_unsupervised_link() {
     for carrier in carriers() {
         for (when, frames, what) in vanishing_producers() {
-            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new());
             let control = RunControl::new();
             let ctl = Some(Arc::clone(&control));
             let (addr, serving) = serve(carrier, 6, writers, ctl, NetTuning::default());
@@ -502,7 +504,7 @@ fn a_vanished_producer_leaves_a_supervised_link_waiting_for_cancellation() {
     };
     for carrier in carriers() {
         for (when, frames, _) in vanishing_producers() {
-            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new());
             let control = RunControl::new();
             let (addr, serving) = serve(carrier, 6, writers, Some(Arc::clone(&control)), tuning);
             let drain = std::thread::spawn(move || {
@@ -540,7 +542,7 @@ fn a_vanished_producer_leaves_a_supervised_link_waiting_for_cancellation() {
 #[test]
 fn a_second_connection_for_a_producer_is_malformed() {
     for carrier in carriers() {
-        let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+        let (writers, mut readers) = logical_stream(1, 1, 16, RunControl::new());
         // The link's failure cancels the run, which releases the first
         // producer's connection too.
         let ctl = Some(RunControl::new());
@@ -586,7 +588,7 @@ fn handshake_rejects_wrong_link_and_producer() {
             (hello(5, 7), "producer out of range"),
             (b"XXXX-garbage-that-is-not-a-frame".to_vec(), "bad tag"),
         ] {
-            let (writers, readers) = logical_stream(1, 1, 16, RunControl::new(), false);
+            let (writers, readers) = logical_stream(1, 1, 16, RunControl::new());
             let (addr, serving) = serve(carrier, 5, writers, None, NetTuning::default());
             let mut s = RawProducer::open(&addr, 0);
             s.send(&hello_bytes);
@@ -635,12 +637,17 @@ fn assert_threads_return_to(before: usize) {
 #[test]
 fn distributed_runs_leak_no_threads() {
     for carrier in carriers() {
-        let _ = run_three_workers(50, 2, None, carrier); // warm-up
+        let clean = RunOptions::default;
+        let _ = run_three_workers(50, 2, clean(), carrier); // warm-up
         let before = thread_count();
         for _ in 0..2 {
-            let _ = run_three_workers(50, 2, None, carrier);
-            let panic = FaultPlan::new().panic_at("double", 0, 10);
-            let _ = run_three_workers(50, 2, Some(panic), carrier);
+            let _ = run_three_workers(50, 2, clean(), carrier);
+            let panic = RunOptions {
+                faults: FaultPlan::new().panic_at("double", 0, 10),
+                deadline: Some(Duration::from_secs(30)),
+                ..clean()
+            };
+            let _ = run_three_workers(50, 2, panic, carrier);
         }
         assert_threads_return_to(before);
     }

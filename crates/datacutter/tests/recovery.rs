@@ -1,18 +1,18 @@
-//! Recovery suite: under panic / failure / delay injection with
-//! recovery enabled, a pipeline must *complete* with effectively-exactly-
-//! once results — the sink sees every packet exactly once and every
-//! stateful stage's reduction equals the fault-free value — and must leak
-//! no threads doing it.
+//! Recovery suite: under seeded panic / failure / delay plans with a
+//! restart budget, a pipeline restarts the whole run and must *complete*
+//! with exactly the fault-free result — the sink, which publishes its
+//! tally only in `finalize`, sees every packet once and every stateful
+//! stage's reduction equals the fault-free value — with one restart per
+//! fired failure rule, and must leak no threads doing it.
 //!
 //! Drop faults are deliberately excluded from the exactness properties:
-//! `DropPacket` models intentional loss at the injection point, which
-//! recovery does not (and must not) resurrect.
+//! `DropPacket` models intentional loss at the injection point, which a
+//! restart does not (and must not) resurrect.
 
 use cgp_datacutter::{
     Buffer, ClosureFilter, FaultAction, FaultPlan, FaultRule, Filter, FilterIo, FilterResult,
-    Pipeline, RecoveryOptions, RunOptions, StageSpec, Trigger,
+    Pipeline, RunOptions, RunStats, StageSpec, Trigger,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -38,9 +38,8 @@ fn source(n: u64, batch: usize) -> cgp_datacutter::FilterFactory {
 }
 
 /// A stateful stage: forwards every data packet unchanged, `batch` per
-/// `write_batch`, while keeping a running sum (its reduction state),
-/// checkpointing via the runtime's protocol and emitting the final sum as
-/// a marker packet at end-of-work.
+/// `write_batch`, while keeping a running sum (its reduction state), and
+/// emits the final sum as a marker packet at end-of-work.
 struct StatefulSum {
     stage_id: u64,
     sum: u64,
@@ -56,13 +55,8 @@ impl Filter for StatefulSum {
                 self.sum = self.sum.wrapping_add(b.u64_le("stateful-sum")?);
             }
             pending.push(b);
-            // A checkpoint covers the inputs read so far, so their
-            // outputs must be written before it commits.
-            if pending.len() == self.batch || io.checkpoint_due() {
+            if pending.len() == self.batch {
                 io.write_batch(std::mem::take(&mut pending))?;
-            }
-            if io.checkpoint_due() {
-                io.commit_checkpoint(&self.sum.to_le_bytes());
             }
         }
         let mut m = Vec::with_capacity(24);
@@ -71,14 +65,6 @@ impl Filter for StatefulSum {
         m.extend_from_slice(&self.sum.to_le_bytes());
         pending.push(Buffer::from_vec(m));
         io.write_batch(pending)
-    }
-
-    fn restore(&mut self, snapshot: &[u8]) -> FilterResult<()> {
-        self.sum =
-            u64::from_le_bytes(snapshot.try_into().map_err(|_| {
-                cgp_datacutter::FilterError::malformed("stateful-sum", "bad snapshot")
-            })?);
-        Ok(())
     }
 
     fn name(&self) -> &str {
@@ -96,97 +82,106 @@ fn stateful(stage_id: u64, batch: usize) -> cgp_datacutter::FilterFactory {
     })
 }
 
-/// Sink tallies: packets seen, their sum, and each stage's marker sums.
-#[derive(Default)]
+/// What the sink saw: packets, their sum, and each stage's marker sums
+/// (sorted).
+#[derive(Debug, Default, Clone, PartialEq)]
 struct Tally {
-    count: AtomicU64,
-    sum: AtomicU64,
-    markers: Mutex<Vec<(u64, u64)>>,
+    count: u64,
+    sum: u64,
+    markers: Vec<(u64, u64)>,
 }
 
-fn sink(tally: Arc<Tally>) -> cgp_datacutter::FilterFactory {
-    Box::new(move |_| {
-        let tally = Arc::clone(&tally);
-        Box::new(ClosureFilter::new("sink", move |io: &mut FilterIo| {
-            while let Some(b) = io.read() {
-                if b.len() == 24 {
-                    let s = b.as_slice();
-                    let stage = u64::from_le_bytes(s[8..16].try_into().unwrap());
-                    let sum = u64::from_le_bytes(s[16..24].try_into().unwrap());
-                    tally.markers.lock().unwrap().push((stage, sum));
-                } else {
-                    tally.count.fetch_add(1, Ordering::Relaxed);
-                    tally.sum.fetch_add(b.u64_le("sink")?, Ordering::Relaxed);
-                }
+/// A sink that tallies its input and publishes the tally in `finalize`:
+/// an attempt that is cancelled publishes nothing.
+struct Sink {
+    tally: Tally,
+    published: Arc<Mutex<Vec<Tally>>>,
+}
+
+impl Filter for Sink {
+    fn process(&mut self, io: &mut FilterIo) -> FilterResult<()> {
+        while let Some(b) = io.read() {
+            if b.len() == 24 {
+                let s = b.as_slice();
+                let stage = u64::from_le_bytes(s[8..16].try_into().unwrap());
+                let sum = u64::from_le_bytes(s[16..24].try_into().unwrap());
+                self.tally.markers.push((stage, sum));
+            } else {
+                self.tally.count += 1;
+                self.tally.sum += b.u64_le("sink")?;
             }
-            Ok(())
-        }))
-    })
+        }
+        Ok(())
+    }
+
+    fn finalize(&mut self, _io: &mut FilterIo) -> FilterResult<()> {
+        let mut tally = std::mem::take(&mut self.tally);
+        tally.markers.sort_unstable();
+        self.published.lock().unwrap().push(tally);
+        Ok(())
+    }
 }
 
-/// source → stateful mid1 (width 2) → stateful mid2 → counting sink,
-/// the first three writing `batch` packets per `write_batch`. `opts`
-/// adds the faults under test.
-fn recovering_pipeline(
-    tally: Arc<Tally>,
-    checkpoint_every: u64,
-    batch: usize,
-    opts: RunOptions,
-) -> Pipeline {
+/// Run source → stateful mid1 (width 2) → stateful mid2 → sink, the
+/// first three writing `batch` packets per `write_batch`, under `faults`
+/// with `budget` restarts per stage. Returns the run's stats and every
+/// tally the sink published.
+fn run(faults: FaultPlan, budget: u32, batch: usize) -> (FilterResult<RunStats>, Vec<Tally>) {
+    let published = Arc::new(Mutex::new(Vec::new()));
+    let sink_published = Arc::clone(&published);
     let opts = RunOptions {
         capacity: 8,
         deadline: Some(Duration::from_secs(60)),
-        recovery: RecoveryOptions::on()
-            .with_checkpoint_every(checkpoint_every)
-            .with_max_restarts(8),
-        ..opts
+        faults,
+        restart_budget: budget,
+        ..Default::default()
     };
-    Pipeline::new(opts)
+    let stats = Pipeline::new(opts)
         .add_stage(StageSpec::new("source", 1, source(N, batch)))
-        .add_stage(StageSpec::new("mid1", 2, stateful(1, batch)).stateful())
-        .add_stage(StageSpec::new("mid2", 1, stateful(2, batch)).stateful())
-        .add_stage(StageSpec::new("sink", 1, sink(tally)))
+        .add_stage(StageSpec::new("mid1", 2, stateful(1, batch)))
+        .add_stage(StageSpec::new("mid2", 1, stateful(2, batch)))
+        .add_stage(StageSpec::new(
+            "sink",
+            1,
+            Box::new(move |_| {
+                Box::new(Sink {
+                    tally: Tally::default(),
+                    published: Arc::clone(&sink_published),
+                })
+            }),
+        ))
+        .run();
+    let published = published.lock().unwrap().clone();
+    (stats, published)
 }
 
-fn expected_sum() -> u64 {
-    (0..N).sum()
+/// The fault-free tally: every packet once, and each stateful copy's
+/// reduction.
+fn clean_tally() -> Tally {
+    let (stats, published) = run(FaultPlan::new(), 0, 1);
+    stats.expect("clean run");
+    let [tally] = &published[..] else {
+        panic!("one published tally, got {published:?}");
+    };
+    assert_eq!((tally.count, tally.sum), (N, (0..N).sum()));
+    let total = |stage| -> u64 {
+        let sums = tally.markers.iter().filter(|(s, _)| *s == stage);
+        sums.map(|(_, v)| v).sum()
+    };
+    assert_eq!((total(1), total(2)), ((0..N).sum(), (0..N).sum()));
+    tally.clone()
 }
 
-/// Assert the exactly-once properties: every packet reached the sink once,
-/// and every stateful stage's reduction matches the fault-free value.
-fn assert_exact(tally: &Tally, ctx: &str) {
-    assert_eq!(
-        tally.count.load(Ordering::Relaxed),
-        N,
-        "{ctx}: sink must see every packet exactly once"
-    );
-    assert_eq!(
-        tally.sum.load(Ordering::Relaxed),
-        expected_sum(),
-        "{ctx}: no duplicated or lost packet values"
-    );
-    let markers = tally.markers.lock().unwrap();
-    for stage in [1u64, 2] {
-        let total: u64 = markers
-            .iter()
-            .filter(|(s, _)| *s == stage)
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(
-            total,
-            expected_sum(),
-            "{ctx}: stage {stage} reduction must match the fault-free run"
-        );
-    }
-    let stage1 = markers.iter().filter(|(s, _)| *s == 1).count();
-    let stage2 = markers.iter().filter(|(s, _)| *s == 2).count();
-    assert_eq!((stage1, stage2), (2, 1), "{ctx}: one marker per copy");
-}
-
-/// Deterministic per-seed pseudo-random fault plans over the recoverable
-/// actions (panic, fail, delay) at random stages/copies/packets. Rules on
-/// the source fire as it writes, so they can land mid-batch.
-fn random_plan(seed: u64) -> FaultPlan {
+/// A deterministic per-seed pseudo-random plan over the recoverable
+/// actions (panic, fail, delay) at random packets, one rule per site and
+/// packet, and how many of its rules fail. Delays land on random
+/// stages and copies; the failing rules share one random copy, so they
+/// fire one attempt apart (two copies failing in one attempt would be
+/// masked by one restart). Every rule fires: each copy handles well over
+/// 120 packets per attempt, and its packet count runs on across
+/// attempts, so each rule fires exactly once per run. Rules on the
+/// source fire as it writes, so they can land mid-batch.
+fn random_plan(seed: u64) -> (FaultPlan, u32) {
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = || {
         x = x
@@ -194,101 +189,93 @@ fn random_plan(seed: u64) -> FaultPlan {
             .wrapping_add(1442695040888963407);
         x >> 33
     };
-    let mut plan = FaultPlan::new();
-    for _ in 0..(1 + next() % 3) {
+    let site = |next: &mut dyn FnMut() -> u64| {
         let (stage, copies) = match next() % 3 {
             0 => ("source", 1),
             1 => ("mid1", 2),
             _ => ("mid2", 1),
         };
-        let copy = (next() % copies) as usize;
+        (stage, (next() % copies) as usize)
+    };
+    let failing_site = site(&mut next);
+    let (mut plan, mut failing, mut used) = (FaultPlan::new(), 0, Vec::new());
+    for _ in 0..(1 + next() % 3) {
         let packet = next() % 120;
+        let (action, (stage, copy)) = match next() % 3 {
+            0 => (FaultAction::Panic, failing_site),
+            1 => (FaultAction::Fail, failing_site),
+            _ => (
+                FaultAction::Delay(Duration::from_millis(2)),
+                site(&mut next),
+            ),
+        };
+        if used.contains(&(stage, copy, packet)) {
+            continue;
+        }
+        used.push((stage, copy, packet));
+        failing +=
+            u32::from((stage, copy) == failing_site && !matches!(action, FaultAction::Delay(_)));
         plan = plan.rule(FaultRule {
             stage: Some(stage.into()),
             copy: Some(copy),
             trigger: Trigger::Packet(packet),
-            action: match next() % 3 {
-                0 => FaultAction::Panic,
-                1 => FaultAction::Fail,
-                _ => FaultAction::Delay(Duration::from_millis(2)),
-            },
+            action,
         });
     }
-    plan
+    (plan, failing)
 }
 
 #[test]
 fn recovery_is_exactly_once_under_random_fault_plans() {
+    let clean = clean_tally();
     for seed in 0..10u64 {
-        let tally = Arc::new(Tally::default());
-        let plan = random_plan(seed);
+        let (plan, failing) = random_plan(seed);
         // Batch sizes 1..=16 across the seeds.
         let batch = 1 + (seed * 5 % 16) as usize;
-        let opts = RunOptions {
-            faults: plan.clone(),
-            ..Default::default()
-        };
-        let stats = recovering_pipeline(Arc::clone(&tally), 16, batch, opts)
-            .run()
-            .unwrap_or_else(|e| {
-                panic!("seed {seed}, batch {batch}: recovery must complete ({plan:?}): {e}")
-            });
-        assert_exact(&tally, &format!("seed {seed}, batch {batch}"));
-        // Replays stay bounded per restart by checkpoint spacing +
-        // channel capacity + the batch each of (at most two) producers
-        // holds in flight: a batch enters the replay buffer as it starts
-        // to send.
-        assert!(
-            stats.replayed_packets() <= stats.recoveries() * (16 + 8 + 2 * batch as u64),
-            "seed {seed}, batch {batch}: replay bounded: {} replayed over {} restarts",
-            stats.replayed_packets(),
-            stats.recoveries()
+        let ctx = format!("seed {seed}, batch {batch}, {plan:?}");
+        // A budget as large as the plan's failure rules never runs out.
+        let (stats, published) = run(plan, failing, batch);
+        let stats = stats.unwrap_or_else(|e| panic!("{ctx}: the restarts must complete: {e}"));
+        assert_eq!(
+            published,
+            std::slice::from_ref(&clean),
+            "{ctx}: one fault-free tally"
         );
+        assert_eq!(
+            stats.recoveries(),
+            u64::from(failing),
+            "{ctx}: one restart per fired failure rule"
+        );
+        assert_eq!(stats.failures(), stats.recoveries(), "{ctx}");
     }
 }
 
 #[test]
 fn fault_free_recovery_run_is_exact_with_zero_overhead_counters() {
-    let tally = Arc::new(Tally::default());
-    let stats = recovering_pipeline(Arc::clone(&tally), 16, 1, RunOptions::default())
-        .run()
-        .expect("clean run");
-    assert_exact(&tally, "fault-free");
+    let clean = clean_tally();
+    let (stats, published) = run(FaultPlan::new(), 2, 1);
+    let stats = stats.expect("clean run");
+    assert_eq!(published, [clean]);
     assert_eq!(stats.recoveries(), 0);
-    assert_eq!(stats.replayed_packets(), 0);
-    assert!(stats.checkpoints() > 0, "stateful stages still checkpoint");
+    assert_eq!(stats.failures(), 0);
 }
 
 #[test]
 fn recovered_run_matches_fault_free_run_byte_for_byte() {
-    let clean = Arc::new(Tally::default());
-    recovering_pipeline(Arc::clone(&clean), 16, 1, RunOptions::default())
-        .run()
-        .expect("clean run");
-    let chaotic = Arc::new(Tally::default());
-    let opts = RunOptions {
-        faults: FaultPlan::new()
-            .panic_at("mid1", 0, 40)
-            .panic_at("mid2", 0, 90),
-        ..Default::default()
-    };
-    let stats = recovering_pipeline(Arc::clone(&chaotic), 16, 1, opts)
-        .run()
-        .expect("recovery completes");
-    assert!(stats.recoveries() >= 2);
+    let clean = clean_tally();
+    let faults = FaultPlan::new()
+        .panic_at("mid1", 0, 40)
+        .panic_at("mid2", 0, 90);
+    let (stats, published) = run(faults, 2, 1);
+    let stats = stats.expect("the restarts complete");
+    assert_eq!(stats.recoveries(), 2);
+    assert_eq!(stats.panics(), 2);
     assert_eq!(
-        clean.count.load(Ordering::Relaxed),
-        chaotic.count.load(Ordering::Relaxed)
+        (stats.stages[1].recoveries, stats.stages[2].recoveries),
+        (1, 1),
+        "each restart is charged to the stage that failed"
     );
-    assert_eq!(
-        clean.sum.load(Ordering::Relaxed),
-        chaotic.sum.load(Ordering::Relaxed)
-    );
-    let mut a = clean.markers.lock().unwrap().clone();
-    let mut b = chaotic.markers.lock().unwrap().clone();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "per-stage reductions identical to the clean run");
+    assert_eq!(published, [clean], "per-stage reductions identical");
 }
 
 /// Current thread count of this process (Linux; leak checks gated on it).
@@ -305,18 +292,14 @@ fn thread_count() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn recovery_chaos_leaks_no_threads() {
-    // Warm up, then hammer the restart path: every recovery attempt must
-    // join its replaced worker threads.
-    let tally = Arc::new(Tally::default());
-    let _ = recovering_pipeline(Arc::clone(&tally), 16, 1, RunOptions::default()).run();
+    // Warm up, then hammer the restart path: every attempt must join all
+    // of its copy threads before the next one starts.
+    let _ = run(FaultPlan::new(), 0, 1);
     let before = thread_count();
     for seed in 0..3u64 {
-        let tally = Arc::new(Tally::default());
-        let opts = RunOptions {
-            faults: random_plan(seed),
-            ..Default::default()
-        };
-        let _ = recovering_pipeline(Arc::clone(&tally), 8, 1, opts).run();
+        let (plan, failing) = random_plan(seed);
+        let (stats, _) = run(plan, failing, 1);
+        stats.expect("the restarts complete");
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

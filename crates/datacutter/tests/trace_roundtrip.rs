@@ -1,14 +1,15 @@
 //! Chrome-trace round-trip: run a real 3-stage pipeline with the
 //! [`cgp_obs::ChromeTraceSink`] installed, parse the emitted JSON back with
 //! the obs crate's own parser, and check the trace structure — per-filter
-//! spans for every stage, per-packet events with byte counts, and valid
-//! `trace_event` fields throughout.
+//! spans for every stage, per-packet events with byte counts, valid
+//! `trace_event` fields throughout, and one `restart` event naming the
+//! charged stage when a panic restarts the run.
 //!
 //! Global-sink note: this file holds a single `#[test]` because the trace
 //! sink is process-global; integration-test files run as separate
 //! processes, so other suites are unaffected.
 
-use cgp_datacutter::{Buffer, ClosureFilter, FilterIo, Pipeline, RunOptions, StageSpec};
+use cgp_datacutter::{Buffer, ClosureFilter, FaultPlan, FilterIo, Pipeline, RunOptions, StageSpec};
 use cgp_obs::json::Json;
 use cgp_obs::trace;
 use cgp_obs::{ChromeTraceSink, TraceSink};
@@ -31,10 +32,10 @@ impl Write for SharedBuf {
 const PACKETS: usize = 12;
 const PAYLOAD: usize = 256;
 
-fn three_stage_pipeline() -> Pipeline {
+fn three_stage_pipeline(opts: RunOptions) -> Pipeline {
     let opts = RunOptions {
         capacity: 4,
-        ..Default::default()
+        ..opts
     };
     Pipeline::new(opts)
         .add_stage(StageSpec::new(
@@ -74,35 +75,45 @@ fn three_stage_pipeline() -> Pipeline {
                     while let Some(_b) = io.read() {
                         n += 1;
                     }
-                    assert_eq!(n, PACKETS);
+                    // A failure elsewhere cancels the attempt early.
+                    assert!(io.cancelled() || n == PACKETS, "{n} packets");
                     Ok(())
                 }))
             }),
         ))
 }
 
-#[test]
-fn chrome_trace_round_trips_through_a_three_stage_pipeline() {
+/// Run `pipeline` with a Chrome trace sink installed; return its stats
+/// and the parsed trace events.
+fn traced(pipeline: Pipeline) -> (cgp_datacutter::RunStats, Vec<Json>) {
     let buf = SharedBuf::default();
     let sink: Arc<dyn TraceSink> = Arc::new(ChromeTraceSink::new(Box::new(buf.clone())));
     trace::install_sink(sink);
-
-    let stats = three_stage_pipeline().run().expect("pipeline runs");
+    let stats = pipeline.run().expect("pipeline runs");
     trace::clear_sink();
+    // Parse the emitted JSON back with the obs parser.
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let json = Json::parse(&text).expect("trace is valid JSON");
+    let events = json
+        .as_arr()
+        .expect("Chrome trace is a JSON array")
+        .to_vec();
+    (stats, events)
+}
+
+#[test]
+fn chrome_trace_round_trips_through_a_three_stage_pipeline() {
+    let (stats, events) = traced(three_stage_pipeline(RunOptions::default()));
 
     // The run itself behaved: 3 stages, all packets through.
     assert_eq!(stats.stages.len(), 3);
     assert_eq!(stats.stages[0].buffers_out, PACKETS as u64);
     assert_eq!(stats.stages[2].buffers_in, PACKETS as u64);
 
-    // Parse the emitted JSON back with the obs parser.
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let json = Json::parse(&text).expect("trace is valid JSON");
-    let events = json.as_arr().expect("Chrome trace is a JSON array");
     assert!(!events.is_empty());
 
     // Every event carries the mandatory trace_event fields.
-    for e in events {
+    for e in &events {
         assert!(e.get("name").and_then(|v| v.as_str()).is_some());
         assert!(e.get("ph").and_then(|v| v.as_str()).is_some());
         assert!(e.get("ts").and_then(|v| v.as_f64()).is_some());
@@ -161,4 +172,24 @@ fn chrome_trace_round_trips_through_a_three_stage_pipeline() {
     tids.sort_unstable();
     tids.dedup();
     assert_eq!(tids.len(), 4);
+
+    // A panic in transform[1] restarts the whole run once, and the one
+    // `restart` event names the stage it was charged to.
+    let opts = RunOptions {
+        faults: FaultPlan::new().panic_at("transform", 1, 2),
+        restart_budget: 2,
+        ..Default::default()
+    };
+    let (stats, events) = traced(three_stage_pipeline(opts));
+    assert_eq!(stats.recoveries(), 1);
+    let restarts: Vec<&Json> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some("restart"))
+        .collect();
+    assert_eq!(restarts.len(), 1, "one restart event");
+    let stage = restarts[0]
+        .get("args")
+        .and_then(|a| a.get("stage"))
+        .and_then(|s| s.as_str());
+    assert_eq!(stage, Some("transform"), "{:?}", restarts[0]);
 }

@@ -6,9 +6,8 @@
 //! *during-the-run* counterpart. A [`TelemetrySampler`] receives one
 //! [`TelemetrySample`] per sampling tick (every `CGP_STATUS_EVERY` ms),
 //! each bundling per-stage in-flight gauges ([`StageSample`]: queue
-//! depth, incremental busy time per copy, blocked time, replay-buffer
-//! occupancy) plus run-wide counters and latency percentiles, and fans
-//! it out to:
+//! depth, incremental busy time per copy, blocked time) plus run-wide
+//! counters and latency percentiles, and fans it out to:
 //!
 //! - a JSONL log (`CGP_TELEMETRY_LOG`), one sample per line, written
 //!   atomically per line so it can be tailed while the run is live;
@@ -54,9 +53,6 @@ pub struct StageSample {
     pub blocked_recv_us: u64,
     pub buffers_in: u64,
     pub buffers_out: u64,
-    /// Sent-but-unacknowledged packets buffered for replay into this
-    /// stage (recovery runs only).
-    pub replay_occupancy: u64,
     /// Per-stage residence latency (send → delivery), interpolated
     /// percentiles in µs; 0 when no packet has been stamped yet.
     pub residence_p50_us: u64,
@@ -115,7 +111,6 @@ impl StageSample {
         o.set("blocked_recv_us", Json::Num(self.blocked_recv_us as f64));
         o.set("buffers_in", Json::Num(self.buffers_in as f64));
         o.set("buffers_out", Json::Num(self.buffers_out as f64));
-        o.set("replay_occupancy", Json::Num(self.replay_occupancy as f64));
         o.set("residence_p50_us", Json::Num(self.residence_p50_us as f64));
         o.set("residence_p95_us", Json::Num(self.residence_p95_us as f64));
         o.set("residence_p99_us", Json::Num(self.residence_p99_us as f64));
@@ -143,7 +138,6 @@ impl StageSample {
             blocked_recv_us: num("blocked_recv_us")?,
             buffers_in: num("buffers_in")?,
             buffers_out: num("buffers_out")?,
-            replay_occupancy: num("replay_occupancy")?,
             residence_p50_us: num("residence_p50_us")?,
             residence_p95_us: num("residence_p95_us")?,
             residence_p99_us: num("residence_p99_us")?,
@@ -339,7 +333,6 @@ mod tests {
                 blocked_recv_us: 175,
                 buffers_in: 42,
                 buffers_out: 40,
-                replay_occupancy: 3,
                 residence_p50_us: 80,
                 residence_p95_us: 200,
                 residence_p99_us: 420,
