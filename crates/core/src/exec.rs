@@ -770,13 +770,14 @@ mod tests {
 
     /// Host one worker per pipeline unit (on threads — the process
     /// boundary is exercised by the bench launcher; the carriers and
-    /// topology are identical) and compare to the interpreter oracle.
-    fn run_distributed(
+    /// topology are identical), stage `s` with `execs[s]`, and return
+    /// every worker's result.
+    fn host_workers(
         plan: &FilterPlan,
         widths: [usize; 3],
-        exec: ExecOptions,
+        execs: [ExecOptions; 3],
         transport: Transport,
-    ) -> Vec<String> {
+    ) -> Vec<Result<(Vec<String>, RunStats), CoreError>> {
         let plan = Arc::new(plan.clone());
         // Every downstream ingress exists before any producer connects,
         // mirroring the launcher's bind-then-announce order. Producers per
@@ -784,17 +785,19 @@ mod tests {
         // provisions interior stages at the cap).
         let (mut ingresses, mut connects) = ([None, None, None], [None, None, None]);
         for s in 1..3 {
-            let producers = provisioned_width(exec.autoscale.as_ref(), s - 1, 3, widths[s - 1]);
+            let autoscale = execs[s - 1].autoscale.as_ref();
+            let producers = provisioned_width(autoscale, s - 1, 3, widths[s - 1]);
             let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), producers).unwrap();
             ingresses[s] = Some(ingress);
             connects[s - 1] = Some(at);
         }
-        let handles: Vec<_> = (0..3)
-            .map(|s| {
+        let handles: Vec<_> = execs
+            .into_iter()
+            .enumerate()
+            .map(|(s, exec)| {
                 let plan = Arc::clone(&plan);
                 let ingress = ingresses[s].take();
                 let connect = connects[s].clone();
-                let exec = exec.clone();
                 std::thread::spawn(move || {
                     run_plan_worker_io(
                         plan,
@@ -808,9 +811,20 @@ mod tests {
                 })
             })
             .collect();
-        let results: Vec<_> = handles
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// Run the chain of workers to completion and return its output.
+    fn run_distributed(
+        plan: &FilterPlan,
+        widths: [usize; 3],
+        exec: ExecOptions,
+        transport: Transport,
+    ) -> Vec<String> {
+        let execs = [exec.clone(), exec.clone(), exec];
+        let results: Vec<_> = host_workers(plan, widths, execs, transport)
             .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
+            .map(Result::unwrap)
             .collect();
         // Only the last stage's worker produces output; interior workers
         // report network traffic on their links.
@@ -845,66 +859,60 @@ mod tests {
         assert_eq!(out, oracle(), "distributed run must be byte-identical");
     }
 
+    /// Mask a worker's fault the way the supervising launcher does under
+    /// `--recover`: the worker never restarts itself, so the injected
+    /// fault fails it, naming the copy; the chain is torn down, and a
+    /// fresh chain on fresh links, respawned without the injected faults,
+    /// reruns from packet 0. Threads cannot be killed as worker processes
+    /// are, so the first chain's last worker runs unsupervised: its lost
+    /// link fails it at once instead of waiting for a launcher's teardown.
+    fn run_distributed_restarting(
+        plan: &FilterPlan,
+        widths: [usize; 3],
+        exec: ExecOptions,
+        transport: Transport,
+    ) -> Vec<String> {
+        let unsupervised = ExecOptions {
+            recover: false,
+            ..exec.clone()
+        };
+        let first = host_workers(
+            plan,
+            widths,
+            [exec.clone(), exec.clone(), unsupervised],
+            transport,
+        );
+        let err = first[1]
+            .as_ref()
+            .expect_err("the injected fault fails its worker");
+        let CoreError::Runtime(fe) = err else {
+            panic!("{transport:?}: expected a runtime error, got {err}");
+        };
+        assert_eq!(fe.kind, cgp_datacutter::ErrorKind::Panicked, "{fe}");
+        assert_eq!(fe.filter, "f2[0]", "{transport:?}: {fe}");
+        // The producer completes or loses its link; the last worker loses
+        // its producer and publishes nothing.
+        assert!(first[2].is_err(), "{transport:?}: {:?}", first[2]);
+        let respawn = ExecOptions {
+            faults: FaultPlan::new(),
+            ..exec
+        };
+        run_distributed(plan, widths, respawn, transport)
+    }
+
     #[test]
-    fn under_recover_a_workers_failed_copy_fails_that_worker_by_name() {
+    fn distributed_recovery_masks_a_fault_and_matches_oracle() {
         let opts =
             CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
         let c = compile(SRC, &opts).unwrap();
-        let plan = Arc::new(c.plan);
         let exec = ExecOptions {
             faults: FaultPlan::new().panic_at("f2", 0, 3),
             deadline: Some(Duration::from_secs(30)),
             recover: true,
             ..Default::default()
         };
-        let mut transports = vec![Transport::Tcp];
-        if cgp_datacutter::shm_supported() {
-            transports.push(Transport::Shm);
-        }
-        for transport in transports {
-            // The middle worker alone, fed by a raw producer that sends
-            // f1's real packets: the worker never restarts itself, so the
-            // panic fails it, naming the copy, though recovery is on.
-            let (ingress, at) = WorkerIngress::bind(transport.fresh_addr(), 1).unwrap();
-            let (egress, downstream) = WorkerIngress::bind(transport.fresh_addr(), 1).unwrap();
-            let producer = {
-                let (plan, exec) = (Arc::clone(&plan), exec.clone());
-                std::thread::spawn(move || {
-                    run_plan_worker_io(plan, Arc::new(host), 0, None, Some(at), None, &exec)
-                })
-            };
-            let consumer = {
-                // Unsupervised, so the lost link fails it at once instead
-                // of waiting for a launcher's teardown.
-                let exec = ExecOptions {
-                    recover: false,
-                    ..exec.clone()
-                };
-                let plan = Arc::clone(&plan);
-                std::thread::spawn(move || {
-                    run_plan_worker_io(plan, Arc::new(host), 2, Some(egress), None, None, &exec)
-                })
-            };
-            let err = run_plan_worker_io(
-                Arc::clone(&plan),
-                Arc::new(host),
-                1,
-                Some(ingress),
-                Some(downstream),
-                None,
-                &exec,
-            )
-            .expect_err("the worker's failed copy fails the worker");
-            let CoreError::Runtime(fe) = &err else {
-                panic!("{transport:?}: expected a runtime error, got {err}");
-            };
-            assert_eq!(fe.kind, cgp_datacutter::ErrorKind::Panicked, "{fe}");
-            assert_eq!(fe.filter, "f2[0]", "{transport:?}: {fe}");
-            // Its neighbours end too: the producer completes or loses its
-            // link, and the consumer loses its producer.
-            let _ = producer.join().unwrap();
-            assert!(consumer.join().unwrap().is_err(), "{transport:?}");
-        }
+        let out = run_distributed_restarting(&c.plan, [1, 2, 1], exec, Transport::Tcp);
+        assert_eq!(out, oracle(), "restarted distributed run must match");
     }
 
     #[test]
@@ -917,6 +925,27 @@ mod tests {
         let c = compile(SRC, &opts).unwrap();
         let out = run_distributed(&c.plan, [1, 2, 1], ExecOptions::default(), Transport::Shm);
         assert_eq!(out, oracle(), "shm-transport run must be byte-identical");
+    }
+
+    #[test]
+    fn distributed_shm_recovery_masks_a_fault_and_matches_oracle() {
+        if !cgp_datacutter::shm_supported() {
+            return;
+        }
+        let opts =
+            CompileOptions::new(PipelineEnv::uniform(3, 1e7, 1e6, 1e-5), 20).with_symbol("n", 200);
+        let c = compile(SRC, &opts).unwrap();
+        // The failed chain's rings are dropped with its workers; the
+        // restarted chain binds fresh ones and must deliver byte-identical
+        // output regardless.
+        let exec = ExecOptions {
+            faults: FaultPlan::new().panic_at("f2", 0, 3),
+            deadline: Some(Duration::from_secs(30)),
+            recover: true,
+            ..Default::default()
+        };
+        let out = run_distributed_restarting(&c.plan, [1, 2, 1], exec, Transport::Shm);
+        assert_eq!(out, oracle(), "restarted shm run must match");
     }
 
     #[test]

@@ -487,8 +487,11 @@ fn next_connect_delay(delay: Duration) -> Duration {
 }
 
 /// Connect to `addr` with bounded retry and backoff (the peer worker may
-/// not have bound its listener yet). Cancellable; emits a `net.connect`
-/// trace span covering the whole attempt sequence.
+/// not have bound its listener yet). Cancellable between attempts: a
+/// cancelled producer still connects to a listening peer, so its close
+/// reaches the consumer instead of leaving it waiting for a producer
+/// that never comes. Emits a `net.connect` trace span covering the whole
+/// attempt sequence.
 pub fn connect_with_retry(
     addr: &str,
     control: Option<&Arc<RunControl>>,
@@ -499,12 +502,6 @@ pub fn connect_with_retry(
     let mut delay = Duration::from_millis(10);
     let mut attempts = 0u32;
     loop {
-        if control.is_some_and(|c| c.is_cancelled()) {
-            return Err(FilterError::cancelled(
-                who.to_string(),
-                "run cancelled while connecting",
-            ));
-        }
         attempts += 1;
         match TcpStream::connect(addr) {
             Ok(s) => {
@@ -524,6 +521,12 @@ pub fn connect_with_retry(
                     return Err(FilterError::new(
                         who.to_string(),
                         format!("connect to {addr} failed (not retryable): {e}"),
+                    ));
+                }
+                if control.is_some_and(|c| c.is_cancelled()) {
+                    return Err(FilterError::cancelled(
+                        who.to_string(),
+                        "run cancelled while connecting",
                     ));
                 }
                 if start.elapsed() >= CONNECT_BUDGET {

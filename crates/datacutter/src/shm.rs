@@ -467,20 +467,23 @@ fn create_ring(path: &Path, capacity: usize, who: &str) -> FilterResult<Map> {
 
 /// Open and validate an existing ring file. Producer side; retries
 /// until the consumer's atomic rename lands (bounded by
-/// [`ATTACH_BUDGET`]).
+/// [`ATTACH_BUDGET`]). Cancellation is noticed only when about to wait:
+/// a cancelled producer still attaches to a ring that exists, so its
+/// close reaches the consumer instead of leaving it waiting for a
+/// producer that never comes.
 fn attach_ring(path: &Path, control: Option<&Arc<RunControl>>, who: &str) -> FilterResult<Map> {
     let err = |m: String| FilterError::new(who.to_string(), m);
     let start = Instant::now();
     let file = loop {
-        if control.is_some_and(|c| c.is_cancelled()) {
-            return Err(FilterError::cancelled(
-                who.to_string(),
-                "run cancelled while attaching to shm ring",
-            ));
-        }
         match OpenOptions::new().read(true).write(true).open(path) {
             Ok(f) => break f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if control.is_some_and(|c| c.is_cancelled()) {
+                    return Err(FilterError::cancelled(
+                        who.to_string(),
+                        "run cancelled while attaching to shm ring",
+                    ));
+                }
                 if start.elapsed() >= ATTACH_BUDGET {
                     return Err(err(format!(
                         "shm ring {} did not appear within {ATTACH_BUDGET:?}",
