@@ -34,9 +34,9 @@
 //!   by restarting the whole run from packet 0, and when a unit still
 //!   exhausts its restart budget `cgp` replans the decomposition over the
 //!   surviving units with the cost model and re-runs (`[obs] failover:
-//!   ...`); `--status-every`/`--telemetry-log` turn on the telemetry
-//!   plane and the cost-model calibration report; `--autoscale` widens
-//!   stages online.
+//!   ...`); `--status-every`, `--telemetry-log` and `--autoscale` turn
+//!   on telemetry and the calibration report (the rule is
+//!   [`ExecOptions::telemetry_sink`]); `--autoscale` widens stages online.
 //!
 //! Every flag but the bare `--explain` and `--recover` takes a value, as
 //! `--flag value` or `--flag=value`. An unknown argument, a missing value,
@@ -50,20 +50,18 @@ use cgp_compiler::decompose::decompose_dp;
 use cgp_compiler::failover::replan;
 use cgp_core::apps::dialect::{demo_apps, DemoApp};
 use cgp_core::datacutter::width::provisioned_width;
-use cgp_core::datacutter::{decode_telemetry_payload, RunControl, Transport};
+use cgp_core::datacutter::Transport;
 use cgp_core::{
     compile, run_plan_threaded_stats, run_plan_worker_io, CompileOptions, Compiled, CoreError,
     ExecOptions, FilterPlan, HostBuilder, NetRole, WorkerIngress,
 };
 use cgp_obs::metrics::MetricsRegistry;
-use cgp_obs::telemetry::{TelemetrySample, TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
+use cgp_obs::telemetry::{TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
 use cgp_obs::trace::{self, TraceEvent};
 use cgp_obs::{ChromeTraceSink, Json, TraceSink};
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// The run-option flags `cgp` accepts, each with the `CGP_*` variable it
 /// answers for (see [`ExecOptions::from_lookup`]). `--recover` is bare
@@ -350,7 +348,9 @@ fn run_local(cli: &Cli) -> i32 {
     let chaos = !exec.faults.is_empty() || exec.deadline.is_some();
     let oracle = app.oracle();
     let mut run_exec = exec.clone();
-    let registry = (exec.sampling_enabled() || exec.telemetry_log.is_some()).then(|| {
+    // A run with telemetry reports its calibration. This sink only says
+    // whether: the run builds its own, and fails on a bad log path.
+    let registry = exec.telemetry_sink().ok().flatten().map(|_| {
         let reg = Arc::new(Mutex::new(MetricsRegistry::default()));
         run_exec.metrics = Some(Arc::clone(&reg));
         reg
@@ -503,24 +503,25 @@ fn run_launcher(cli: &Cli) -> i32 {
     let m = compiled.plan.m;
     let expected = app.oracle();
     let passthrough = crate::launcher::strip_net_flags(&cli.args);
-    let telemetry = exec.sampling_enabled() || exec.telemetry_log.is_some();
-    let aggregator = telemetry.then(|| TelemetryAggregator::start(exec));
+    let sink = match exec.telemetry_sink() {
+        Ok(sink) => sink.map(Arc::new),
+        Err(e) => {
+            eprintln!("[obs] launcher: {e}");
+            return 1;
+        }
+    };
     let transport = Transport::select(exec.transport);
     eprintln!("[obs] launcher: data plane is {transport:?}");
     // Supervision rides on the recovery switch: with `--recover` the
     // launcher masks worker crashes with whole-chain restarts; without it
     // a dead worker fails the run.
     let mut lopts = crate::launcher::LaunchOptions::new(transport);
-    lopts.telemetry = aggregator.as_ref().map(|a| a.addr.clone());
+    lopts.telemetry = sink.clone();
     lopts.supervise = exec.recover;
     if let Some(n) = exec.max_worker_restarts {
         lopts.max_worker_restarts = n;
     }
-    let launched = crate::launcher::launch_supervised(m, &passthrough, &lopts);
-    if let Some(agg) = aggregator {
-        agg.finish(name, &compiled);
-    }
-    let got = match launched {
+    let got = match crate::launcher::launch_supervised(m, &passthrough, &lopts) {
         Ok(report) => {
             if report.restart_events > 0 {
                 eprintln!(
@@ -529,6 +530,9 @@ fn run_launcher(cli: &Cli) -> i32 {
                     report.restart_events,
                     report.total_restarts()
                 );
+            }
+            if let Some(sink) = &sink {
+                report_telemetry(name, &compiled, sink, &report.snapshots);
             }
             report.lines
         }
@@ -654,278 +658,43 @@ fn verdict(out: &[String], oracle: &[String]) -> &'static str {
     }
 }
 
-/// Pre-restart cumulative busy time the aggregator carries for each
-/// source: source → stage name → `busy_us_per_copy` at the moment the
-/// source's connection died without a `fin`.
-type BusyCarry = BTreeMap<String, BTreeMap<String, Vec<u64>>>;
-
-/// Launcher-side telemetry aggregator: a TCP listener workers ship
-/// `Telemetry` frames to, fanned into one JSONL log, one merged live
-/// status line, and one cross-process registry for calibration.
-struct TelemetryAggregator {
-    /// Address workers connect to (bound before any worker is spawned —
-    /// workers connect with a single attempt).
-    addr: String,
-    control: Arc<RunControl>,
-    sampler: Arc<TelemetrySampler>,
-    registries: Arc<Mutex<BTreeMap<String, MetricsRegistry>>>,
-    /// Latest in-flight sample per live worker (entries retired on `fin`
-    /// or disconnect, so a dead worker never lingers in the status line).
-    latest: Arc<Mutex<BTreeMap<String, TelemetrySample>>>,
-    /// `busy_us_per_copy` carried across a worker restart: a respawned
-    /// process restarts its probes from zero, so without this fold the
-    /// merged view's busy time would jump backwards mid-run.
-    carry: Arc<Mutex<BusyCarry>>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl TelemetryAggregator {
-    fn start(exec: &ExecOptions) -> TelemetryAggregator {
-        let every = exec
-            .status_every
-            .filter(|d| *d > Duration::ZERO)
-            .unwrap_or(Duration::from_millis(500));
-        let mut sampler = TelemetrySampler::new(every);
-        if let Some(path) = &exec.telemetry_log {
-            sampler = sampler.with_log_path(path).unwrap_or_else(|e| {
-                eprintln!("[obs] cannot create telemetry log {path}: {e}");
-                std::process::exit(1);
-            });
-        }
-        let sampler = Arc::new(sampler);
-        let registries: Arc<Mutex<BTreeMap<String, MetricsRegistry>>> = Arc::default();
-        let latest: Arc<Mutex<BTreeMap<String, TelemetrySample>>> = Arc::default();
-        let carry: Arc<Mutex<BusyCarry>> = Arc::default();
-        // Worker connection id → source name, and the sources whose final
-        // (`fin`) update arrived. A disconnect without a fin is a dead
-        // worker: its stale sample must leave the status line, and its
-        // partial registry snapshot must not pollute the merged
-        // calibration (a restarted replacement re-reports from scratch).
-        // A whole-chain restart respawns finished workers too: a source
-        // that reports again after its fin is live again.
-        let sources: Arc<Mutex<BTreeMap<u32, String>>> = Arc::default();
-        let finished: Arc<Mutex<std::collections::BTreeSet<String>>> = Arc::default();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
-            eprintln!("[obs] cannot bind telemetry aggregator: {e}");
-            std::process::exit(1);
-        });
-        let addr = listener.local_addr().expect("bound listener").to_string();
-        let control = RunControl::new();
-        let show_status = exec.sampling_enabled();
-        let handle = {
-            let control = Arc::clone(&control);
-            let sampler = Arc::clone(&sampler);
-            let registries = Arc::clone(&registries);
-            let latest = Arc::clone(&latest);
-            let carry = Arc::clone(&carry);
-            let sources = Arc::clone(&sources);
-            let finished = Arc::clone(&finished);
-            std::thread::spawn(move || {
-                let on_update = {
-                    let latest = Arc::clone(&latest);
-                    let registries = Arc::clone(&registries);
-                    let carry = Arc::clone(&carry);
-                    let sources = Arc::clone(&sources);
-                    let finished = Arc::clone(&finished);
-                    move |worker: u32, payload: Vec<u8>| {
-                        let Ok(mut update) = decode_telemetry_payload(&payload) else {
-                            return;
-                        };
-                        sources
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(worker, update.source.clone());
-                        if !update.fin {
-                            finished
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .remove(&update.source);
-                        }
-                        // Fold any carried pre-restart busy time into the
-                        // incoming sample before it is logged or shown:
-                        // the restarted process's probes start from zero,
-                        // but the *source* has been busy since the run
-                        // began, and the merged view must stay monotone.
-                        if let Some(sample) = update.sample.as_mut() {
-                            let carry = carry.lock().unwrap_or_else(|e| e.into_inner());
-                            if let Some(per_stage) = carry.get(&update.source) {
-                                for st in &mut sample.stages {
-                                    let Some(prev) = per_stage.get(&st.stage) else {
-                                        continue;
-                                    };
-                                    if prev.len() > st.busy_us_per_copy.len() {
-                                        st.busy_us_per_copy.resize(prev.len(), 0);
-                                    }
-                                    for (b, p) in st.busy_us_per_copy.iter_mut().zip(prev) {
-                                        *b += *p;
-                                    }
-                                }
-                            }
-                        }
-                        if update.fin {
-                            // The source finished for real — nothing left
-                            // to carry into a future incarnation.
-                            carry
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .remove(&update.source);
-                            finished
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(update.source.clone());
-                            // The run is over — no in-flight state left
-                            // to show for this worker.
-                            latest
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .remove(&update.source);
-                        }
-                        if let Some(sample) = update.sample {
-                            sampler.log_json(&sample.to_json());
-                            if !update.fin {
-                                let mut latest = latest.lock().unwrap_or_else(|e| e.into_inner());
-                                latest.insert(update.source.clone(), sample);
-                                if show_status {
-                                    // One merged line for the whole
-                                    // distributed pipeline: latest sample
-                                    // per live worker, in stage order
-                                    // (sources sort as worker:<k>).
-                                    let line: Vec<String> =
-                                        latest.values().map(|s| s.render_status_line()).collect();
-                                    eprintln!("{}", line.join("  "));
-                                }
-                            }
-                        }
-                        if let Some(reg) = update.registry {
-                            // Registry snapshots are cumulative: keep the
-                            // latest per source, never sum successive ones.
-                            registries
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(update.source, reg);
-                        }
-                    }
-                };
-                let on_disconnect = move |worker: u32| {
-                    let Some(source) = sources
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .get(&worker)
-                        .cloned()
-                    else {
-                        return;
-                    };
-                    let last = latest
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&source);
-                    if !finished
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .contains(&source)
-                    {
-                        // A disconnect without a fin is a crash: the last
-                        // sample we saw (already carry-folded) becomes
-                        // the carry for the restarted replacement, so the
-                        // source's cumulative busy time survives any
-                        // number of restarts (replace, never add — the
-                        // folded sample already includes earlier carry).
-                        if let Some(sample) = last {
-                            let mut carry = carry.lock().unwrap_or_else(|e| e.into_inner());
-                            let per_stage = carry.entry(source.clone()).or_default();
-                            for st in &sample.stages {
-                                per_stage.insert(st.stage.clone(), st.busy_us_per_copy.clone());
-                            }
-                        }
-                        let dropped = registries
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .remove(&source)
-                            .is_some();
-                        eprintln!(
-                            "[obs] telemetry: {source} disconnected before finishing{}",
-                            if dropped {
-                                "; dropped its partial snapshot"
-                            } else {
-                                ""
-                            }
-                        );
-                    }
-                };
-                let _ = cgp_core::datacutter::serve_telemetry(
-                    listener,
-                    control,
-                    on_update,
-                    on_disconnect,
-                );
-            })
-        };
-        TelemetryAggregator {
-            addr,
-            control,
-            sampler,
-            registries,
-            latest,
-            carry,
-            handle,
-        }
+/// Merge the workers' final registry snapshots, append the merged
+/// registry and its calibration to the telemetry log, and print the
+/// calibration report.
+fn report_telemetry(
+    name: &str,
+    compiled: &Compiled,
+    sink: &TelemetrySampler,
+    snapshots: &BTreeMap<String, MetricsRegistry>,
+) {
+    if snapshots.is_empty() {
+        eprintln!("[obs] telemetry: no worker snapshots received for {name}");
+        return;
     }
-
-    /// Stop serving (the workers have exited), merge the per-worker
-    /// registry snapshots, append the merged registry + calibration to
-    /// the telemetry log, and print the calibration report.
-    fn finish(self, name: &str, compiled: &Compiled) {
-        self.control.cancel("distributed run complete");
-        let _ = self.handle.join();
-        let stale = self.latest.lock().unwrap_or_else(|e| e.into_inner());
-        if !stale.is_empty() {
-            let names: Vec<&str> = stale.keys().map(String::as_str).collect();
-            eprintln!(
-                "[obs] telemetry: worker(s) still marked live at shutdown: {}",
-                names.join(", ")
-            );
-        }
-        drop(stale);
-        let carried = self.carry.lock().unwrap_or_else(|e| e.into_inner());
-        if !carried.is_empty() {
-            // Sources that died and were restarted mid-run: their busy
-            // time was folded forward, so the log's view stayed monotone.
-            eprintln!(
-                "[obs] telemetry: carried busy time across restart(s) of: {}",
-                carried.keys().cloned().collect::<Vec<_>>().join(", ")
-            );
-        }
-        drop(carried);
-        let registries = self.registries.lock().unwrap_or_else(|e| e.into_inner());
-        if registries.is_empty() {
-            eprintln!("[obs] telemetry: no worker snapshots received for {name}");
-            return;
-        }
-        let mut merged = MetricsRegistry::default();
-        for reg in registries.values() {
-            merged.merge(reg);
-        }
-        let mut line = Json::obj();
-        line.set("source", Json::Str("launcher".to_string()));
-        line.set(
-            "workers",
-            Json::Arr(registries.keys().map(|k| Json::Str(k.clone())).collect()),
-        );
-        line.set("merged_registry", merged.to_wire_json());
-        match CalibrationReport::from_run(&compiled.report, &merged) {
-            Some(cal) => {
-                line.set("calibration", cal.to_json());
-                println!("--- {name}: cost-model calibration (distributed) ---");
-                print!("{}", cal.render_text());
-            }
-            None => eprintln!("[obs] telemetry: merged registry for {name} is not calibratable"),
-        }
-        self.sampler.log_json(&line);
-        println!(
-            "[obs] telemetry: merged {} worker snapshot(s) for {name}",
-            registries.len()
-        );
+    let mut merged = MetricsRegistry::default();
+    for reg in snapshots.values() {
+        merged.merge(reg);
     }
+    let mut line = Json::obj();
+    line.set("source", Json::Str("launcher".to_string()));
+    line.set(
+        "workers",
+        Json::Arr(snapshots.keys().map(|k| Json::Str(k.clone())).collect()),
+    );
+    line.set("merged_registry", merged.to_wire_json());
+    match CalibrationReport::from_run(&compiled.report, &merged) {
+        Some(cal) => {
+            line.set("calibration", cal.to_json());
+            println!("--- {name}: cost-model calibration (distributed) ---");
+            print!("{}", cal.render_text());
+        }
+        None => eprintln!("[obs] telemetry: merged registry for {name} is not calibratable"),
+    }
+    sink.log_json(&line);
+    println!(
+        "[obs] telemetry: merged {} worker snapshot(s) for {name}",
+        snapshots.len()
+    );
 }
 
 #[cfg(test)]
@@ -933,6 +702,7 @@ mod tests {
     use super::*;
     use cgp_core::datacutter::{AutoscaleConfig, FaultPlan};
     use cgp_obs::SmallRng;
+    use std::time::Duration;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -1399,99 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_retires_dead_and_finished_workers() {
-        use cgp_core::datacutter::{encode_telemetry_payload, TelemetryClient};
-
-        let exec = ExecOptions::default();
-        let agg = TelemetryAggregator::start(&exec);
-
-        let sample = |source: &str| TelemetrySample {
-            source: source.to_string(),
-            ..Default::default()
-        };
-        let mut reg = MetricsRegistry::default();
-        reg.counter("packets", 7);
-
-        // Worker 0 finishes cleanly: in-flight sample, then a fin update
-        // carrying its final registry snapshot.
-        let mut w0 = TelemetryClient::connect(&agg.addr, 0, None).unwrap();
-        w0.send(&encode_telemetry_payload(
-            "worker:0",
-            false,
-            Some(&sample("worker:0")),
-            None,
-        ))
-        .unwrap();
-        w0.send(&encode_telemetry_payload(
-            "worker:0",
-            true,
-            Some(&sample("worker:0")),
-            Some(&reg),
-        ))
-        .unwrap();
-        w0.close();
-
-        // Worker 1 dies mid-run: a sample and a partial snapshot, then
-        // the connection drops with no fin.
-        let mut w1 = TelemetryClient::connect(&agg.addr, 1, None).unwrap();
-        w1.send(&encode_telemetry_payload(
-            "worker:1",
-            false,
-            Some(&sample("worker:1")),
-            Some(&reg),
-        ))
-        .unwrap();
-        drop(w1);
-
-        // Worker 2 finishes, then a whole-chain restart respawns it: once
-        // it reports again it is live, so its death without a fin retires
-        // it like any crash.
-        let mut w2 = TelemetryClient::connect(&agg.addr, 2, None).unwrap();
-        w2.send(&encode_telemetry_payload(
-            "worker:2",
-            true,
-            None,
-            Some(&reg),
-        ))
-        .unwrap();
-        w2.close();
-        for _ in 0..400 {
-            if agg.registries.lock().unwrap().contains_key("worker:2") {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let mut w2 = TelemetryClient::connect(&agg.addr, 2, None).unwrap();
-        let sample2 = encode_telemetry_payload("worker:2", false, Some(&sample("worker:2")), None);
-        w2.send(&sample2).unwrap();
-        drop(w2);
-
-        // Every connection ended; the serve loop reads each to its end
-        // once the launcher cancels it.
-        agg.control.cancel("workers exited");
-        let _ = agg.handle.join();
-        let latest = agg.latest.lock().unwrap();
-        assert!(
-            latest.is_empty(),
-            "no dead or finished worker may linger in the status line: {:?}",
-            latest.keys().collect::<Vec<_>>()
-        );
-        let registries = agg.registries.lock().unwrap();
-        assert!(
-            registries.contains_key("worker:0"),
-            "the finished worker's final snapshot is kept"
-        );
-        assert!(
-            !registries.contains_key("worker:1"),
-            "the dead worker's partial snapshot must not pollute the merge"
-        );
-        assert!(
-            !registries.contains_key("worker:2"),
-            "a respawned worker that died before finishing leaves no snapshot"
-        );
-    }
-
-    #[test]
     fn parse_common_opts_autoscale_space_and_equals_forms_agree() {
         let spaced = argv(&["--autoscale", "max=4,grow=2"]);
         let equals = argv(&["--autoscale=max=4,grow=2"]);
@@ -1499,78 +1176,6 @@ mod tests {
         let exec = resolve(&spaced, no_env).unwrap();
         let cfg = exec.autoscale.expect("autoscale on");
         assert_eq!((cfg.max_width, cfg.grow_backlog), (4, 2.0));
-    }
-
-    #[test]
-    fn aggregator_carries_busy_time_across_a_worker_restart() {
-        use cgp_core::datacutter::{encode_telemetry_payload, TelemetryClient};
-        use cgp_obs::telemetry::StageSample;
-
-        let exec = ExecOptions::default();
-        let agg = TelemetryAggregator::start(&exec);
-        let sample = |busy: u64| TelemetrySample {
-            source: "worker:1".to_string(),
-            stages: vec![StageSample {
-                stage: "f2".to_string(),
-                busy_us_per_copy: vec![busy],
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-
-        // First incarnation reports 5000 µs of busy time, then crashes
-        // (connection drops with no fin).
-        let mut w = TelemetryClient::connect(&agg.addr, 1, None).unwrap();
-        w.send(&encode_telemetry_payload(
-            "worker:1",
-            false,
-            Some(&sample(5000)),
-            None,
-        ))
-        .unwrap();
-        drop(w);
-        for _ in 0..400 {
-            if !agg.carry.lock().unwrap().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            agg.carry.lock().unwrap()["worker:1"]["f2"],
-            vec![5000],
-            "the crashed worker's last busy reading becomes the carry"
-        );
-
-        // The respawned replacement restarts its probes from zero: 100 µs
-        // of fresh busy time must read as 5100 in the merged view, not
-        // as a backwards jump to 100.
-        let mut w = TelemetryClient::connect(&agg.addr, 1, None).unwrap();
-        w.send(&encode_telemetry_payload(
-            "worker:1",
-            false,
-            Some(&sample(100)),
-            None,
-        ))
-        .unwrap();
-        let mut merged = None;
-        for _ in 0..400 {
-            if let Some(s) = agg.latest.lock().unwrap().get("worker:1") {
-                merged = Some(s.stages[0].busy_us_per_copy.clone());
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            merged,
-            Some(vec![5100]),
-            "pre-restart busy time must be carried forward across the restart"
-        );
-        drop(w);
-        agg.control.cancel("workers exited");
-        let _ = agg.handle.join();
-        // A second crash replaces the carry with the folded reading —
-        // 5100, never 5000 + 5100.
-        assert_eq!(agg.carry.lock().unwrap()["worker:1"]["f2"], vec![5100]);
     }
 
     #[test]

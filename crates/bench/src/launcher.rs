@@ -40,14 +40,30 @@
 //! chain like any crash. A respawned chain runs without injected faults
 //! (`--faults`, `CGP_FAULTS`, `CGP_KILL`), so an injected fault fires
 //! once per run, as it does in-process.
+//!
+//! # Telemetry (`LaunchOptions::telemetry`)
+//!
+//! Each chain gets its own aggregator, bound before the chain is spawned
+//! and passed to its workers as `CGP_TELEMETRY`; a restart drops it with
+//! the chain, so nothing carries across a restart. The launch reports the
+//! last chain's final snapshots, as an in-process restart reports its
+//! last attempt's figures.
 
 pub use cgp_core::datacutter::Transport;
-use cgp_core::datacutter::{remove_ring_files, shm_supported, SHM_PREFIX};
+use cgp_core::datacutter::{
+    decode_telemetry_payload, remove_ring_files, serve_telemetry, shm_supported, RunControl,
+    SHM_PREFIX,
+};
 use cgp_core::exec::RESTART_BUDGET;
+use cgp_obs::metrics::MetricsRegistry;
+use cgp_obs::telemetry::{TelemetrySample, TelemetrySampler};
 use cgp_obs::trace;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
+use std::net::TcpListener;
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Marker line a worker prints (and flushes) on stdout once its ingress
@@ -62,8 +78,11 @@ pub const LISTENING_MARKER: &str = "CGP_LISTENING";
 /// environment.
 #[derive(Debug, Clone)]
 pub struct LaunchOptions {
-    /// Launcher-side telemetry aggregator address (`CGP_TELEMETRY`).
-    pub telemetry: Option<String>,
+    /// Where the workers' telemetry goes: the sink's log gets every
+    /// sample, and the merged status line prints when the sink shows one
+    /// ([`TelemetrySampler::shows_status_line`]). `None` binds no
+    /// aggregator and starts no thread for one.
+    pub telemetry: Option<Arc<TelemetrySampler>>,
     /// Data plane between co-located workers.
     pub transport: Transport,
     /// Monitor worker exits and mask crashes with whole-chain restarts.
@@ -98,6 +117,10 @@ pub struct LaunchReport {
     pub restarts: Vec<u32>,
     /// Total crash events masked by a whole-chain restart.
     pub restart_events: u32,
+    /// Each worker's final registry snapshot, by source (`worker:<k>`),
+    /// from the last chain only; empty without
+    /// [`LaunchOptions::telemetry`].
+    pub snapshots: BTreeMap<String, MetricsRegistry>,
 }
 
 impl LaunchReport {
@@ -198,11 +221,8 @@ struct Slot {
 /// unsuccessful exit fails the launch; with it, crashes are masked by
 /// whole-chain restarts until the dead stage's restart budget runs out.
 ///
-/// When [`LaunchOptions::telemetry`] names the launcher's aggregator
-/// address, every worker ships periodic samples and its final metrics
-/// snapshot there (`CGP_TELEMETRY`); the caller must have bound that
-/// listener *before* this call, since workers connect with a single
-/// attempt.
+/// With [`LaunchOptions::telemetry`], every chain ships its samples and
+/// final snapshots to an aggregator of its own (see the module docs).
 pub fn launch_supervised(
     stages: usize,
     passthrough: &[String],
@@ -227,7 +247,11 @@ pub fn launch_supervised(
     let mut restarts = vec![0u32; stages];
     let mut events = 0u32;
 
-    if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, false) {
+    // Declared after `slots`, so an early return drops the aggregator
+    // only once `shutdown` has ended every worker's connection to it.
+    let mut telemetry = ChainTelemetry::bind(opts)?;
+    let addr = telemetry.as_ref().map(|t| t.addr.as_str());
+    if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, addr, false) {
         shutdown(&mut slots);
         return Err(e.into());
     }
@@ -304,9 +328,14 @@ pub fn launch_supervised(
                 ],
             );
             // Every stage recomputes from packet 0, so even stages that
-            // already finished successfully must go.
+            // already finished successfully must go, and their telemetry
+            // with them.
             shutdown(&mut slots);
-            if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, true) {
+            drop(telemetry.take());
+            telemetry = ChainTelemetry::bind(opts)?;
+            let addr = telemetry.as_ref().map(|t| t.addr.as_str());
+            if let Err(e) = spawn_chain(&exe, passthrough, opts, &collector, &mut slots, addr, true)
+            {
                 shutdown(&mut slots);
                 return Err(LaunchError::Failed(e));
             }
@@ -329,7 +358,107 @@ pub fn launch_supervised(
         lines,
         restarts,
         restart_events: events,
+        snapshots: telemetry.map(ChainTelemetry::finish).unwrap_or_default(),
     })
+}
+
+/// What one chain's workers have reported so far.
+#[derive(Default)]
+struct ChainState {
+    /// Each connected worker's latest live sample: the status line.
+    live: BTreeMap<u32, TelemetrySample>,
+    /// Each worker's registry from its final update, by source.
+    snapshots: BTreeMap<String, MetricsRegistry>,
+}
+
+/// One chain's telemetry aggregator: a loopback listener and the thread
+/// serving it. Each sample goes to the sink's log as it arrives, and the
+/// live ones make up one merged status line; a sample leaves that line
+/// when its worker's connection ends. Dropping the aggregator stops the
+/// thread, which reads each connection to its end, so it must outlive
+/// the chain's workers.
+struct ChainTelemetry {
+    /// Where the chain's workers connect (`CGP_TELEMETRY`).
+    addr: String,
+    control: Arc<RunControl>,
+    state: Arc<Mutex<ChainState>>,
+    serving: Option<JoinHandle<()>>,
+}
+
+impl ChainTelemetry {
+    /// A fresh aggregator for the next chain, when the launch has a sink.
+    fn bind(opts: &LaunchOptions) -> Result<Option<ChainTelemetry>, String> {
+        let Some(sink) = opts.telemetry.clone() else {
+            return Ok(None);
+        };
+        let bind_failed = |e| format!("cannot bind a telemetry aggregator: {e}");
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(bind_failed)?;
+        let addr = listener.local_addr().map_err(bind_failed)?.to_string();
+        let control = RunControl::new();
+        let state: Arc<Mutex<ChainState>> = Arc::default();
+        let on_update = {
+            let state = Arc::clone(&state);
+            move |worker: u32, payload: Vec<u8>| {
+                let Ok((sample, registry)) = decode_telemetry_payload(&payload) else {
+                    return;
+                };
+                sink.log_json(&sample.to_json());
+                let mut st = lock(&state);
+                if sample.fin {
+                    st.live.remove(&worker);
+                    if let Some(registry) = registry {
+                        st.snapshots.insert(sample.source, registry);
+                    }
+                    return;
+                }
+                st.live.insert(worker, sample);
+                if sink.shows_status_line() {
+                    let line = st.live.values().map(TelemetrySample::render_status_line);
+                    eprintln!("{}", line.collect::<Vec<_>>().join("  "));
+                }
+            }
+        };
+        let on_disconnect = {
+            let state = Arc::clone(&state);
+            move |worker: u32| {
+                lock(&state).live.remove(&worker);
+            }
+        };
+        let serving = {
+            let control = Arc::clone(&control);
+            std::thread::spawn(move || {
+                let _ = serve_telemetry(listener, control, on_update, on_disconnect);
+            })
+        };
+        Ok(Some(ChainTelemetry {
+            addr,
+            control,
+            state,
+            serving: Some(serving),
+        }))
+    }
+
+    /// Stop serving once every worker of the chain has exited, and take
+    /// their final snapshots.
+    fn finish(self) -> BTreeMap<String, MetricsRegistry> {
+        let state = Arc::clone(&self.state);
+        drop(self);
+        let snapshots = std::mem::take(&mut lock(&state).snapshots);
+        snapshots
+    }
+}
+
+impl Drop for ChainTelemetry {
+    fn drop(&mut self) {
+        self.control.cancel("chain exited");
+        if let Some(serving) = self.serving.take() {
+            let _ = serving.join();
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Reclaim the shm ingress rings of reaped workers. A dead consumer
@@ -358,12 +487,20 @@ fn spawn_chain(
     opts: &LaunchOptions,
     collector: &OutputCollector,
     slots: &mut [Option<Slot>],
+    telemetry: Option<&str>,
     respawn: bool,
 ) -> Result<(), String> {
     let mut connect = None;
     for stage in (0..slots.len()).rev() {
-        let (child, addr, reader) =
-            spawn_worker(exe, passthrough, stage, opts, connect.as_deref(), respawn)?;
+        let (child, addr, reader) = spawn_worker(
+            exe,
+            passthrough,
+            stage,
+            opts,
+            connect.as_deref(),
+            telemetry,
+            respawn,
+        )?;
         if stage == slots.len() - 1 {
             collector.attach(reader);
         }
@@ -387,6 +524,7 @@ fn spawn_worker(
     stage: usize,
     opts: &LaunchOptions,
     connect: Option<&str>,
+    telemetry: Option<&str>,
     respawn: bool,
 ) -> Result<(Child, Option<String>, BufReader<ChildStdout>), String> {
     let mut cmd = Command::new(exe);
@@ -406,7 +544,7 @@ fn spawn_worker(
         // The merged telemetry log is the launcher's to write.
         .env_remove("CGP_TELEMETRY_LOG")
         .stdout(Stdio::piped());
-    match &opts.telemetry {
+    match telemetry {
         Some(addr) => {
             cmd.env("CGP_TELEMETRY", addr);
         }
@@ -629,6 +767,8 @@ fn terminate(_pid: u32) {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgp_core::datacutter::{encode_telemetry_payload, TelemetryClient};
+    use cgp_obs::telemetry::StageSample;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -751,6 +891,95 @@ mod tests {
             Ok(lines) => assert_eq!(lines, vec!["new".to_string()]),
             Err(msg) => assert!(msg.contains("diverged"), "{msg}"),
         }
+    }
+
+    /// A chain's aggregator feeding `sink`.
+    fn aggregator(sink: &Arc<TelemetrySampler>) -> ChainTelemetry {
+        let opts = LaunchOptions {
+            telemetry: Some(Arc::clone(sink)),
+            ..LaunchOptions::new(Transport::Tcp)
+        };
+        ChainTelemetry::bind(&opts).unwrap().unwrap()
+    }
+
+    /// A fake worker: connect to `chain` as `worker` and ship a sample of
+    /// each `(busy_us, fin, n)`, with a registry counting `chain = n`
+    /// when it has an `n`.
+    fn connect(
+        chain: &ChainTelemetry,
+        worker: u32,
+        updates: &[(u64, bool, Option<u64>)],
+    ) -> TelemetryClient {
+        let mut client = TelemetryClient::connect(&chain.addr, worker, None).unwrap();
+        for &(busy_us, fin, n) in updates {
+            let mut sample = TelemetrySample::default();
+            (sample.source, sample.fin) = (format!("worker:{worker}"), fin);
+            sample.stages = vec![StageSample::default()];
+            sample.stages[0].busy_us_per_copy = vec![busy_us];
+            let mut reg = MetricsRegistry::default();
+            reg.counter("chain", n.unwrap_or_default());
+            let payload = encode_telemetry_payload(&sample, n.map(|_| &reg));
+            client.send(&payload).unwrap();
+        }
+        client
+    }
+
+    /// A worker's live sample leaves the status line when its connection
+    /// ends, whether it finished or died, and only a final update's
+    /// registry is kept.
+    #[test]
+    fn aggregator_retires_dead_and_finished_workers() {
+        let chain = aggregator(&Arc::new(TelemetrySampler::new(Duration::from_millis(50))));
+        connect(&chain, 0, &[(10, false, None), (20, true, Some(1))]).close();
+        // Worker 1 dies after a live sample that, against the protocol,
+        // carries a registry.
+        let dead = connect(&chain, 1, &[(30, false, Some(1))]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !lock(&chain.state).live.contains_key(&1) {
+            assert!(Instant::now() < deadline, "worker 1's sample never arrived");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(dead);
+        let state = Arc::clone(&chain.state);
+        let snapshots = chain.finish();
+        assert!(lock(&state).live.is_empty(), "no worker lingers");
+        assert_eq!(snapshots.keys().collect::<Vec<_>>(), ["worker:0"]);
+    }
+
+    /// Nothing carries across a restart. The first chain's worker 1
+    /// reports 5,000 µs of busy time and dies; the restarted chain's
+    /// worker 1 reports 100 µs, and the log reads 100 for it, not 5,100.
+    /// Only the second chain's snapshots are returned.
+    #[test]
+    fn a_restarted_chain_reports_only_its_own_telemetry() {
+        let log = std::env::temp_dir().join(format!("cgp-chains-{}.jsonl", std::process::id()));
+        let sink = TelemetrySampler::new(Duration::from_millis(50));
+        let sink = Arc::new(sink.with_log_path(log.to_str().unwrap()).unwrap());
+        let first = aggregator(&sink);
+        connect(&first, 0, &[(10, true, Some(1))]).close();
+        drop(connect(&first, 1, &[(5000, false, None)]));
+        // The supervisor tears the chain down, and its aggregator with it.
+        drop(first);
+        let second = aggregator(&sink);
+        for w in 0..3 {
+            let busy = if w == 1 { 100 } else { 10 };
+            connect(&second, w, &[(busy, false, None), (busy, true, Some(2))]).close();
+        }
+        let snapshots = second.finish();
+        let text = std::fs::read_to_string(&log).unwrap();
+        let _ = std::fs::remove_file(&log);
+        let chains: Vec<(&str, u64)> = snapshots
+            .iter()
+            .map(|(w, reg)| (w.as_str(), reg.get_counter("chain")))
+            .collect();
+        assert_eq!(chains, [("worker:0", 2), ("worker:1", 2), ("worker:2", 2)]);
+        let worker1: Vec<u64> = text
+            .lines()
+            .map(|l| TelemetrySample::from_json(&cgp_obs::Json::parse(l).unwrap()).unwrap())
+            .filter(|s| s.source == "worker:1")
+            .map(|s| s.stages[0].busy_us_per_copy[0])
+            .collect();
+        assert_eq!(worker1, [5000, 100, 100], "log:\n{text}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn unreadable_command_lines_exit_2_naming_the_argument() {
 /// appear in stdout or stderr.
 #[test]
 fn matching_and_injected_runs_exit_0() {
-    let rows: [(&[&str], &[&str]); 13] = [
+    let rows: [(&[&str], &[&str]); 16] = [
         (
             &["zbuf"],
             &["[obs] run for zbuf completed; output matches the oracle"],
@@ -126,6 +126,24 @@ fn matching_and_injected_runs_exit_0() {
             &["zbuf", "--faults", "f2[0]@*:panic", "--recover"],
             &["replanned over"],
         ),
+        // Sampling or autoscaling turns telemetry on, and a run with
+        // telemetry reports its calibration; a delay injected at f2 makes
+        // f2 the measured bottleneck.
+        (
+            &["zbuf", "--status-every", "5"],
+            &["cost-model calibration"],
+        ),
+        (&["zbuf", "--autoscale", "on"], &["cost-model calibration"]),
+        (
+            &[
+                "zbuf",
+                "--status-every",
+                "50",
+                "--faults",
+                "f2[*]@*:delay:5",
+            ],
+            &["output matches the oracle", "measured bottleneck: f2"],
+        ),
         // Across workers, the panic fails the middle worker, and the
         // launcher masks it with one restart of the whole chain.
         (
@@ -155,5 +173,41 @@ fn matching_and_injected_runs_exit_0() {
         for pat in want {
             assert!(text.contains(pat), "{args:?}: want `{pat}` in:\n{text}");
         }
+    }
+}
+
+/// A launcher with telemetry merges its workers' samples into one log:
+/// samples from every worker, then one line with the merged registry and
+/// the calibration. The output still matches the oracle.
+#[test]
+fn launcher_telemetry_log_holds_every_worker_and_the_merge() {
+    let log = std::env::temp_dir().join(format!("cgp-cli-telemetry-{}.jsonl", std::process::id()));
+    let log_arg = log.display().to_string();
+    let out = cgp(&[
+        "zbuf",
+        "--role",
+        "launcher",
+        "--status-every",
+        "50",
+        "--telemetry-log",
+        &log_arg,
+    ]);
+    let text = std::fs::read_to_string(&log).unwrap_or_default();
+    let _ = std::fs::remove_file(&log);
+    let printed = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.status.success(), "exited {}:\n{printed}", out.status);
+    assert!(printed.contains("matches the oracle"), "{printed}");
+    for want in [
+        r#""source":"worker:0""#,
+        r#""source":"worker:1""#,
+        r#""source":"worker:2""#,
+        r#""merged_registry""#,
+        r#""calibration""#,
+    ] {
+        assert!(text.contains(want), "want `{want}` in the log:\n{text}");
     }
 }

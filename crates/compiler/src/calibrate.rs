@@ -212,8 +212,9 @@ impl CalibrationReport {
         Self::from_parts(&report.stage_times, reg)
     }
 
-    /// [`CalibrationReport::from_run`] against raw stage times (the
-    /// launcher keeps `StageTimes` without the full report).
+    /// [`CalibrationReport::from_run`] against raw stage times, so the
+    /// unit tests can calibrate synthetic registries without compiling a
+    /// program.
     pub(crate) fn from_parts(
         times: &StageTimes,
         reg: &MetricsRegistry,

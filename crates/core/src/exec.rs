@@ -119,9 +119,8 @@ pub struct ExecOptions {
     /// Address of the downstream worker's listener.
     pub connect: Option<String>,
     /// Sample in-flight telemetry (queue depths, busy fractions, latency
-    /// percentiles) at this cadence. Telemetry is enabled whenever this,
-    /// [`ExecOptions::telemetry_log`], or [`ExecOptions::telemetry_addr`]
-    /// is set; the cadence defaults to 500 ms if only the latter are.
+    /// percentiles) at this cadence; whether a run has telemetry at all
+    /// is [`ExecOptions::telemetry_sink`]'s rule.
     pub status_every: Option<Duration>,
     /// Append each telemetry sample as a JSON line to this path.
     pub telemetry_log: Option<String>,
@@ -139,8 +138,7 @@ pub struct ExecOptions {
     pub transport: Option<Transport>,
     /// Elastic copy-width autoscaling (`CGP_AUTOSCALE`, parsed by
     /// [`AutoscaleConfig::parse`]; `None` is fixed width). Requires
-    /// telemetry with a nonzero cadence; enabling it here turns telemetry
-    /// on with the default cadence if nothing else did.
+    /// telemetry with a nonzero cadence, so it turns telemetry on.
     pub autoscale: Option<AutoscaleConfig>,
 }
 
@@ -249,11 +247,30 @@ impl ExecOptions {
         Ok(opts)
     }
 
-    /// Whether in-flight telemetry sampling is on: a cadence was set and
-    /// it is non-zero (`--status-every 0` / `CGP_STATUS_EVERY=0` is the
-    /// explicit off switch — it must never become a zero-interval spin).
-    pub fn sampling_enabled(&self) -> bool {
-        self.status_every.is_some_and(|d| d > Duration::ZERO)
+    /// The run's telemetry sink, or `None` when the run has no telemetry:
+    /// the one rule for whether it has. A run has telemetry when it
+    /// samples (a nonzero [`ExecOptions::status_every`]; 0 is the
+    /// explicit off switch, never a zero-interval spin), writes a log,
+    /// ships to a launcher or autoscales (the width controller ticks on
+    /// the sampler's clock). The sink samples every `status_every` (500
+    /// ms when unset; 0 records only the final sample, with no sampler
+    /// thread), prints a status line when it samples and no launcher
+    /// merges the line instead, and creates [`ExecOptions::telemetry_log`].
+    pub fn telemetry_sink(&self) -> Result<Option<TelemetrySampler>, CoreError> {
+        let sampling = self.status_every.is_some_and(|d| d > Duration::ZERO);
+        let logs_or_ships = self.telemetry_log.is_some() || self.telemetry_addr.is_some();
+        if !(sampling || logs_or_ships || self.autoscale.is_some()) {
+            return Ok(None);
+        }
+        let every = self.status_every.unwrap_or(Duration::from_millis(500));
+        let sink = TelemetrySampler::new(every)
+            .with_status_line(sampling && self.telemetry_addr.is_none());
+        let Some(path) = &self.telemetry_log else {
+            return Ok(Some(sink));
+        };
+        let sink = sink.with_log_path(path);
+        sink.map(Some)
+            .map_err(|e| CoreError::Config(format!("telemetry log `{path}`: {e}")))
     }
 
     /// Parse a role spec: `local`, `launcher`, or `worker:<stage>`
@@ -403,45 +420,25 @@ fn build_pipeline(
 }
 
 /// The runtime's share of `opts`, as the one [`RunOptions`] value a run
-/// takes. The telemetry sampler and the registry a telemetered run needs
+/// takes. The telemetry sink and the registry a telemetered run needs
 /// are built here, once per run.
 fn run_options(opts: &ExecOptions) -> Result<RunOptions, CoreError> {
-    // An explicit zero cadence means "no in-flight sampling": alone it
-    // leaves telemetry off entirely; combined with a log/aggregator it
-    // keeps the final snapshot but skips the sampler loop. Autoscaling
-    // rides the sampler clock, so enabling it turns telemetry on too.
-    let sampling = opts.sampling_enabled();
-    let mut telemetry = None;
-    let mut metrics = opts.metrics.clone();
-    if sampling
-        || opts.telemetry_log.is_some()
-        || opts.telemetry_addr.is_some()
-        || opts.autoscale.is_some()
-    {
-        let every = opts.status_every.unwrap_or(Duration::from_millis(500));
-        // Status lines go to stderr (worker stdout is protocol-reserved);
-        // suppress them when a launcher aggregates the merged line.
-        let mut sampler = TelemetrySampler::new(every)
-            .with_status_line(sampling && opts.telemetry_addr.is_none());
-        if let Some(path) = &opts.telemetry_log {
-            sampler = sampler
-                .with_log_path(path)
-                .map_err(|e| CoreError::Config(format!("telemetry log `{path}`: {e}")))?;
-        }
+    let telemetry = opts.telemetry_sink()?.map(|sink| {
         let source = match opts.role {
             NetRole::Worker(k) => format!("worker:{k}"),
             _ => "local".to_string(),
         };
-        let mut cfg = TelemetryConfig::new(Arc::new(sampler), source);
-        if let Some(addr) = &opts.telemetry_addr {
-            cfg = cfg.ship_to(addr.clone());
-        }
-        telemetry = Some(cfg);
-        // The final telemetry frame ships a registry snapshot (the
-        // launcher merges them for calibration), so a telemetered run
-        // needs one even when the caller won't read it.
-        metrics.get_or_insert_with(|| Arc::new(Mutex::new(MetricsRegistry::default())));
-    }
+        let mut cfg = TelemetryConfig::new(Arc::new(sink), source);
+        cfg.ship_to = opts.telemetry_addr.clone();
+        cfg
+    });
+    // The final telemetry frame ships a registry snapshot (the launcher
+    // merges them for calibration), so a telemetered run needs one even
+    // when the caller won't read it.
+    let metrics = opts
+        .metrics
+        .clone()
+        .or_else(|| telemetry.as_ref().map(|_| Arc::default()));
     Ok(RunOptions {
         faults: opts.faults.clone(),
         deadline: opts.deadline,
@@ -1266,26 +1263,49 @@ mod tests {
         assert!(ExecOptions::parse_role("supervisor").is_err());
     }
 
+    /// One rule decides whether a run has telemetry: sampling (a nonzero
+    /// cadence), a log, a launcher address or autoscaling turns it on.
+    /// The sink's status line prints only when it samples and no launcher
+    /// merges the line.
     #[test]
-    fn status_every_zero_disables_sampling() {
-        // Table: cadence → whether the in-flight sampler may run.
-        let cases: &[(Option<Duration>, bool)] = &[
-            (None, false),
-            (Some(Duration::ZERO), false),
-            (Some(Duration::from_millis(1)), true),
-            (Some(Duration::from_millis(500)), true),
+    fn telemetry_sink_follows_one_rule() {
+        let log = std::env::temp_dir().join(format!("cgp-sink-{}.jsonl", std::process::id()));
+        let ms = |n| Some(Duration::from_millis(n));
+        // (status_every, log, launcher address, autoscale) → the sink's
+        // (cadence in ms, status line), or no telemetry.
+        let cases = [
+            ((None, false, false, false), None),
+            ((ms(0), false, false, false), None),
+            ((ms(1), false, false, false), Some((1, true))),
+            ((ms(500), false, false, false), Some((500, true))),
+            // A zero cadence with a log attaches telemetry without a
+            // sampler thread.
+            ((ms(0), true, false, false), Some((0, false))),
+            ((None, true, false, false), Some((500, false))),
+            ((ms(5), false, true, false), Some((5, false))),
+            ((None, false, true, false), Some((500, false))),
+            ((None, false, false, true), Some((500, false))),
+            ((ms(50), true, false, true), Some((50, true))),
         ];
-        for &(status_every, want) in cases {
+        for ((status_every, logs, ships, scales), want) in cases {
             let opts = ExecOptions {
                 status_every,
+                telemetry_log: logs.then(|| log.display().to_string()),
+                telemetry_addr: ships.then(|| "127.0.0.1:9".to_string()),
+                autoscale: scales.then(AutoscaleConfig::default),
                 ..Default::default()
             };
-            assert_eq!(
-                opts.sampling_enabled(),
-                want,
-                "status_every={status_every:?}"
-            );
+            let sink = opts.telemetry_sink().unwrap();
+            let got = sink.map(|s| (s.every().as_millis() as u64, s.shows_status_line()));
+            assert_eq!(got, want, "{opts:?}");
         }
+        let _ = std::fs::remove_file(&log);
+        let unwritable = ExecOptions {
+            telemetry_log: Some("/nonexistent-dir/t.jsonl".to_string()),
+            ..Default::default()
+        };
+        let err = unwritable.telemetry_sink().unwrap_err().to_string();
+        assert!(err.contains("telemetry log `/nonexistent-dir/"), "{err}");
     }
 
     #[test]

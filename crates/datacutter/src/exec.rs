@@ -727,10 +727,42 @@ fn attempt(
     // (remaining threads, condvar) — workers count down, the watchdog
     // waits with a timeout.
     let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
-    // Telemetry shipping connection, shared between the sampler loop
-    // and the final flush after the scope ends.
-    let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(None);
-    let worker_id: u32 = active_stage.map_or(0, |k| k as u32);
+    // The attempt's one telemetry connection. Telemetry is best-effort:
+    // a missing aggregator never fails (or delays) the run beyond this
+    // connect attempt.
+    let telemetry_client: Mutex<Option<TelemetryClient>> = Mutex::new(
+        opts.telemetry
+            .as_ref()
+            .and_then(|t| t.ship_to.as_deref())
+            .and_then(|addr| {
+                let worker = active_stage.map_or(0, |k| k as u32);
+                TelemetryClient::connect(addr, worker, Some(Arc::clone(&control))).ok()
+            }),
+    );
+    // Record one sample read off the probes at `now` and ship it: live
+    // ones while the copies run, then the final one with the registry
+    // snapshot, which closes the connection. A failed send drops it.
+    let record = |tcfg: &TelemetryConfig, now: u64, fin: bool| {
+        let sample = build_sample(
+            &tcfg.source,
+            t0.elapsed().as_micros() as u64,
+            now,
+            fin,
+            &probes,
+            opts.pool.as_ref(),
+            &link_probes,
+        );
+        let sample = tcfg.sampler.record(sample);
+        let mut slot = plock(&telemetry_client);
+        let Some(client) = slot.as_mut() else {
+            return;
+        };
+        let reg = opts.metrics.as_ref().filter(|_| fin).map(|m| plock(m));
+        let sent = client.send(&encode_telemetry_payload(&sample, reg.as_deref()));
+        if let Some(client) = slot.take_if(|_| fin || sent.is_err()) {
+            client.close();
+        }
+    };
 
     std::thread::scope(|scope| {
         if opts.deadline.is_some() || opts.stall_timeout.is_some() {
@@ -752,28 +784,11 @@ fn attempt(
             .as_ref()
             .filter(|t| t.sampler.every() > Duration::ZERO)
         {
-            let sampler = Arc::clone(&tcfg.sampler);
-            let source = tcfg.source.clone();
-            let ship = tcfg.ship_to.clone();
-            let every = sampler.every();
+            let every = tcfg.sampler.every();
             let done = Arc::clone(&done);
-            let control = Arc::clone(&control);
-            let pool = opts.pool.clone();
-            let probes = &probes;
-            let link_probes = &link_probes;
-            let client_slot = &telemetry_client;
+            let record = &record;
             let controller_slot = &controller;
             scope.spawn(move || {
-                if let Some(addr) = &ship {
-                    // Telemetry is best-effort: a missing aggregator
-                    // never fails (or delays) the run beyond the
-                    // connect attempt.
-                    if let Ok(c) =
-                        TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control)))
-                    {
-                        *plock(client_slot) = Some(c);
-                    }
-                }
                 let (remaining, cv) = &*done;
                 loop {
                     {
@@ -789,29 +804,12 @@ fn attempt(
                         }
                     }
                     let now = now_us();
-                    let sample = build_sample(
-                        &source,
-                        t0.elapsed().as_micros() as u64,
-                        now,
-                        false,
-                        probes,
-                        pool.as_ref(),
-                        link_probes,
-                    );
+                    record(tcfg, now, false);
                     // Width decisions ride the sampling clock: one
                     // controller tick per recorded sample, reading
                     // the same probes at the same instant.
                     if let Some(ctl) = plock(controller_slot).as_mut() {
                         ctl.tick(now);
-                    }
-                    let stamped = sampler.record(sample);
-                    let mut slot = plock(client_slot);
-                    if let Some(client) = slot.as_mut() {
-                        let payload =
-                            encode_telemetry_payload(&source, false, Some(&stamped), None);
-                        if client.send(&payload).is_err() {
-                            *slot = None;
-                        }
                     }
                 }
             });
@@ -849,7 +847,7 @@ fn attempt(
             let tuning = opts.net_tuning;
             scope.spawn(move || {
                 let pumped = egress_pump(
-                    reader,
+                    &mut reader,
                     &addr,
                     (k + 1) as u32,
                     c as u32,
@@ -858,14 +856,22 @@ fn attempt(
                     tuning,
                 );
                 if let Err(e) = pumped {
+                    let e = FilterError {
+                        filter: format!("egress link {}", k + 1),
+                        message: format!("{}: {}", e.filter, e.message),
+                        ..e
+                    };
                     let failed = e.kind != ErrorKind::Cancelled;
-                    let reason = format!("egress link {} failed: {e}", k + 1);
+                    let reason = e.to_string();
                     plock(&errors).push((k, e));
                     // Wake the (possibly blocked) local producer.
                     if failed {
                         control.cancel(reason);
                     }
                 }
+                // Only now may the copy's next send see its reader gone
+                // (`consumer hung up`): the link's error comes first.
+                drop(reader);
                 countdown(&done);
             });
         }
@@ -1151,34 +1157,10 @@ fn attempt(
         }
     }
 
-    // Final telemetry flush: a fin-stamped sample plus the full
-    // registry snapshot, recorded locally and shipped to the launcher
-    // when configured — even when the run itself failed.
+    // The final sample, with the registry snapshot, is recorded and
+    // shipped even when the run itself failed.
     if let Some(tcfg) = &opts.telemetry {
-        let sample = build_sample(
-            &tcfg.source,
-            t0.elapsed().as_micros() as u64,
-            now_us(),
-            true,
-            &probes,
-            opts.pool.as_ref(),
-            &link_probes,
-        );
-        let stamped = tcfg.sampler.record(sample);
-        let mut client = plock(&telemetry_client).take();
-        if client.is_none() {
-            if let Some(addr) = &tcfg.ship_to {
-                client = TelemetryClient::connect(addr, worker_id, Some(Arc::clone(&control))).ok();
-            }
-        }
-        if let Some(mut client) = client {
-            let payload = {
-                let reg = opts.metrics.as_ref().map(|m| plock(m));
-                encode_telemetry_payload(&tcfg.source, true, Some(&stamped), reg.as_deref())
-            };
-            let _ = client.send(&payload);
-            client.close();
-        }
+        record(tcfg, now_us(), true);
     }
 
     let mut errors = std::mem::take(&mut *plock(&errors));

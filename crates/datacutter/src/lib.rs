@@ -66,6 +66,6 @@ pub use shm::{
 pub use stream::{logical_stream, StreamReader, StreamWriter};
 pub use telemetry::{
     decode_telemetry_payload, encode_telemetry_payload, CopyProbe, LinkProbe, StageProbe,
-    TelemetryConfig, TelemetryUpdate,
+    TelemetryConfig,
 };
 pub use width::{AutoscaleConfig, AutoscaleEvent, AutoscaleReport, StageWidth, WidthController};

@@ -592,9 +592,11 @@ pub fn serve_ingress(
 /// link) counts transmitted packets; the returned stats are read off it
 /// when this pump finishes. With heartbeats configured in `tuning`, a
 /// TCP connection beats whenever the producer stage is idle, so the
-/// consumer's deadline tells "slow" from "dead".
+/// consumer's deadline tells "slow" from "dead". The caller keeps
+/// `reader`: after a failed pump the producer copy's stream stays open
+/// until the caller has recorded the failure and cancelled the run.
 pub fn egress_pump(
-    reader: StreamReader,
+    reader: &mut StreamReader,
     addr: &str,
     link: u32,
     producer: u32,
@@ -619,7 +621,7 @@ pub fn egress_pump(
 /// out: packet `seq` of this producer goes out as data frame `seq`.
 fn pump(
     mut tx: impl FrameSink,
-    mut reader: StreamReader,
+    reader: &mut StreamReader,
     producer: u32,
     control: Option<Arc<RunControl>>,
     probe: &LinkProbe,

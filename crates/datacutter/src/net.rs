@@ -715,8 +715,8 @@ pub struct TelemetryClient {
 }
 
 impl TelemetryClient {
-    /// Connect (single attempt — the launcher binds its aggregator
-    /// before spawning workers, and a retry budget here would stall a
+    /// Connect (single attempt — the launcher binds a chain's aggregator
+    /// before it spawns the chain, and a retry budget here would stall a
     /// worker whose launcher died; telemetry is best-effort) and say
     /// `Hello` as `worker`.
     pub fn connect(
@@ -755,15 +755,15 @@ impl TelemetryClient {
 }
 
 /// Serve the launcher side of the telemetry plane: accept worker
-/// connections on `listener` and hand every decoded payload to
+/// connections on `listener` and hand every payload to
 /// `on_update(worker, payload)`, until `control` is cancelled. The
-/// launcher cancels once its worker processes have exited, however many
-/// incarnations of each it spawned; connections already waiting to be
-/// accepted are still served, and a served connection is read to its end.
+/// launcher serves one chain of workers per listener and cancels once
+/// they have exited; connections already waiting to be accepted are
+/// still served, and a served connection is read to its end.
 ///
 /// `on_disconnect(worker)` fires when a worker's connection ends (cleanly
 /// or not), after its last update was delivered. Aggregators use it to
-/// retire the worker's live state — without it, a crashed worker's final
+/// retire the worker's live state — without it, a crashed worker's last
 /// sample haunts every merged status line.
 ///
 /// Telemetry is best-effort: per-connection decode errors end that

@@ -1090,7 +1090,7 @@ mod tests {
         let mut pumps = Vec::new();
         for p in 0..producers {
             let (mut ws, mut rs) = logical_stream(1, 1, 16, RunControl::new());
-            let (w, r) = (ws.remove(0), rs.remove(0));
+            let (w, mut r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
                 let feeder = std::thread::spawn(move || {
@@ -1104,7 +1104,8 @@ mod tests {
                 let addr = format!("{SHM_PREFIX}{base}");
                 let tuning = NetTuning::default();
                 let stats =
-                    egress_pump(r, &addr, 7, p as u32, None, Default::default(), tuning).unwrap();
+                    egress_pump(&mut r, &addr, 7, p as u32, None, Default::default(), tuning)
+                        .unwrap();
                 feeder.join().unwrap();
                 stats
             }));

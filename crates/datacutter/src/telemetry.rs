@@ -294,73 +294,37 @@ impl TelemetryConfig {
             ship_to: None,
         }
     }
-
-    pub fn ship_to(mut self, addr: impl Into<String>) -> Self {
-        self.ship_to = Some(addr.into());
-        self
-    }
 }
 
-/// Decoded payload of one `Telemetry` frame: a periodic sample, a final
-/// registry snapshot, or both.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryUpdate {
-    pub source: String,
-    /// Last update this source will send (its run finished).
-    pub fin: bool,
-    pub sample: Option<TelemetrySample>,
-    pub registry: Option<MetricsRegistry>,
-}
-
-/// Encode a telemetry update as the JSON payload of a `Telemetry` frame.
+/// Encode a worker's telemetry update as the JSON payload of a
+/// `Telemetry` frame: the sample, plus the worker's registry snapshot on
+/// its final (`fin`) update.
 pub fn encode_telemetry_payload(
-    source: &str,
-    fin: bool,
-    sample: Option<&TelemetrySample>,
+    sample: &TelemetrySample,
     registry: Option<&MetricsRegistry>,
 ) -> Vec<u8> {
-    let mut o = Json::obj();
-    o.set("source", Json::Str(source.to_string()));
-    o.set("fin", Json::Bool(fin));
-    if let Some(s) = sample {
-        o.set("sample", s.to_json());
-    }
+    let mut o = sample.to_json();
     if let Some(r) = registry {
         o.set("registry", r.to_wire_json());
     }
     o.to_string().into_bytes()
 }
 
-/// Decode a `Telemetry` frame payload; structured errors on malformed
-/// input (the launcher treats them like any other hardened-decode
-/// failure).
-pub fn decode_telemetry_payload(bytes: &[u8]) -> FilterResult<TelemetryUpdate> {
-    let bad = |what: &str| FilterError::new("telemetry", format!("malformed payload: {what}"));
+/// Decode a `Telemetry` frame payload into its sample and registry;
+/// structured errors on malformed input (the launcher treats them like
+/// any other hardened-decode failure).
+pub fn decode_telemetry_payload(
+    bytes: &[u8],
+) -> FilterResult<(TelemetrySample, Option<MetricsRegistry>)> {
+    let bad = |what: &str| FilterError::malformed("telemetry", format!("payload: {what}"));
     let text = std::str::from_utf8(bytes).map_err(|_| bad("not utf-8"))?;
     let j = Json::parse(text).map_err(|e| bad(&e.to_string()))?;
-    let source = j
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing source"))?
-        .to_string();
-    let fin = j
-        .get("fin")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| bad("missing fin"))?;
-    let sample = match j.get("sample") {
-        Some(s) => Some(TelemetrySample::from_json(s).ok_or_else(|| bad("bad sample"))?),
-        None => None,
-    };
+    let sample = TelemetrySample::from_json(&j).ok_or_else(|| bad("bad sample"))?;
     let registry = match j.get("registry") {
         Some(r) => Some(MetricsRegistry::from_wire_json(r).ok_or_else(|| bad("bad registry"))?),
         None => None,
     };
-    Ok(TelemetryUpdate {
-        source,
-        fin,
-        sample,
-        registry,
-    })
+    Ok((sample, registry))
 }
 
 fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -474,35 +438,42 @@ mod tests {
             source: "worker:0".into(),
             seq: 4,
             elapsed_us: 10,
-            fin: false,
+            fin: true,
             stages: Vec::new(),
             counters: vec![("pool.hits".into(), 1)],
             ..Default::default()
         };
-        let bytes = encode_telemetry_payload("worker:0", true, Some(&sample), Some(&reg));
-        let update = decode_telemetry_payload(&bytes).unwrap();
-        assert_eq!(update.source, "worker:0");
-        assert!(update.fin);
-        assert_eq!(update.sample.unwrap(), sample);
-        let back = update.registry.unwrap();
-        assert_eq!(back.get_counter("net.link1.frames"), 3);
+        let bytes = encode_telemetry_payload(&sample, Some(&reg));
+        let (back, registry) = decode_telemetry_payload(&bytes).unwrap();
+        assert_eq!(back, sample);
+        let registry = registry.unwrap();
+        assert_eq!(registry.get_counter("net.link1.frames"), 3);
         assert_eq!(
-            back.get_histogram("stage.f1.residence_us"),
+            registry.get_histogram("stage.f1.residence_us"),
             reg.get_histogram("stage.f1.residence_us")
         );
+        let (_, none) = decode_telemetry_payload(&encode_telemetry_payload(&sample, None)).unwrap();
+        assert!(none.is_none());
     }
 
     #[test]
     fn telemetry_payload_rejects_malformed() {
+        let sample = TelemetrySample::default().to_json().to_string();
+        let bad_registry = format!("{},\"registry\":{{}}}}", &sample[..sample.len() - 1]);
+        let deep = "[".repeat(100_000);
+        for bad in [
+            "\u{fffd}",
+            "{}",
+            "{\"source\":\"x\"}",
+            "3",
+            &bad_registry,
+            &deep,
+        ] {
+            let err = decode_telemetry_payload(bad.as_bytes()).unwrap_err();
+            assert_eq!(err.kind, crate::error::ErrorKind::Malformed, "{bad}: {err}");
+        }
         assert!(decode_telemetry_payload(b"\xff\xfe").is_err());
-        assert!(decode_telemetry_payload(b"{}").is_err());
-        assert!(decode_telemetry_payload(b"{\"source\":\"x\"}").is_err());
-        assert!(
-            decode_telemetry_payload(b"{\"source\":\"x\",\"fin\":false,\"sample\":3}").is_err()
-        );
-        assert!(decode_telemetry_payload(
-            b"{\"source\":\"x\",\"fin\":false,\"registry\":{\"counters\":1}}"
-        )
-        .is_err());
+        let err = decode_telemetry_payload(deep.as_bytes()).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 }

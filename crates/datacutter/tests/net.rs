@@ -221,6 +221,42 @@ fn chaos_fault_at_exact_packet_index_through_the_socket_fails_the_worker_by_name
     }
 }
 
+/// A worker whose downstream link breaks mid-stream fails naming that
+/// egress link: the producer copy's stream keeps its reader until the
+/// link's error is recorded and the run cancelled, so the copy sees the
+/// cancellation, never `consumer hung up`.
+#[test]
+fn a_broken_egress_link_fails_the_worker_by_the_links_name() {
+    for carrier in carriers() {
+        for _ in 0..20 {
+            // The downstream ingress takes ten packets, then its run is
+            // cancelled, which closes its end of the link.
+            let control = RunControl::new();
+            let (writers, mut readers) = logical_stream(1, 1, 16, Arc::clone(&control));
+            let tuning = NetTuning::default();
+            let (addr, serving) = serve(carrier, 1, writers, Some(Arc::clone(&control)), tuning);
+            let breaker = std::thread::spawn(move || {
+                for _ in 0..10 {
+                    readers[0].read().expect("a packet before the break");
+                }
+                control.cancel("downstream worker died");
+            });
+            let err = worker_pipeline(u64::MAX, 1, Arc::default(), RunOptions::default())
+                .run_worker(WorkerEndpoints {
+                    stage: 0,
+                    ingress: None,
+                    connect: Some(addr),
+                })
+                .expect_err("the source cannot finish with its link broken");
+            breaker.join().unwrap();
+            let _ = serving.join().unwrap();
+            assert_ne!(err.kind, ErrorKind::Cancelled, "{carrier:?}: {err}");
+            assert_eq!(err.filter, "egress link 1", "{carrier:?}: {err}");
+            assert!(!err.to_string().contains("hung up"), "{carrier:?}: {err}");
+        }
+    }
+}
+
 /// Per-producer FIFO: each producer's packets arrive in send order even
 /// with several producers interleaving on separate connections.
 #[test]
@@ -307,9 +343,9 @@ fn backpressure_bounds_the_producer_through_the_socket() {
             done2.store(true, Ordering::Release);
         });
         let pump = std::thread::spawn(move || {
-            let reader = pr.into_iter().next().unwrap();
+            let mut reader = pr.into_iter().next().unwrap();
             egress_pump(
-                reader,
+                &mut reader,
                 &addr,
                 1,
                 0,

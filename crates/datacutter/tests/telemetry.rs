@@ -3,10 +3,11 @@
 
 use cgp_datacutter::{
     decode_frame, decode_telemetry_payload, encode_frame, encode_telemetry_payload,
-    serve_telemetry, Buffer, ClosureFilter, FilterIo, Frame, Pipeline, RunControl, RunOptions,
-    StageSpec, TelemetryClient, TelemetryConfig, WorkerEndpoints, WorkerIngress,
+    serve_telemetry, Buffer, ClosureFilter, ErrorKind, FilterIo, Frame, Pipeline, RunControl,
+    RunOptions, StageSpec, TelemetryClient, TelemetryConfig, WorkerEndpoints, WorkerIngress,
 };
-use cgp_obs::{MetricsRegistry, TelemetrySampler};
+use cgp_obs::telemetry::{StageSample, TelemetrySample};
+use cgp_obs::{MetricsRegistry, SmallRng, TelemetrySampler};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -234,16 +235,20 @@ fn wire_merge_equals_in_process_registry() {
     // Wire path: payload → Telemetry frame → raw bytes → decode → merge.
     let mut merged = MetricsRegistry::new();
     for (source, reg) in [("worker:1", &worker1), ("worker:2", &worker2)] {
-        let payload = encode_telemetry_payload(source, true, None, Some(reg));
+        let sample = TelemetrySample {
+            source: source.to_string(),
+            fin: true,
+            ..Default::default()
+        };
+        let payload = encode_telemetry_payload(&sample, Some(reg));
         let bytes = encode_frame(&Frame::Telemetry { payload });
         let Ok((Frame::Telemetry { payload }, used)) = decode_frame(&bytes) else {
             panic!("telemetry frame must decode");
         };
         assert_eq!(used, bytes.len());
-        let update = decode_telemetry_payload(&payload).unwrap();
-        assert_eq!(update.source, source);
-        assert!(update.fin);
-        merged.merge(&update.registry.unwrap());
+        let (back, registry) = decode_telemetry_payload(&payload).unwrap();
+        assert_eq!(back, sample);
+        merged.merge(&registry.unwrap());
     }
 
     assert_eq!(
@@ -292,8 +297,10 @@ fn three_workers_ship_telemetry_to_the_launcher() {
             lt,
             ctl,
             move |_, payload| {
-                if let Ok(up) = decode_telemetry_payload(&payload) {
-                    u2.lock().unwrap().push((up.source, up.fin, up.registry));
+                if let Ok((sample, registry)) = decode_telemetry_payload(&payload) {
+                    u2.lock()
+                        .unwrap()
+                        .push((sample.source, sample.fin, registry));
                 }
             },
             |_| {},
@@ -311,9 +318,10 @@ fn three_workers_ship_telemetry_to_the_launcher() {
                 let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
                 let opts = RunOptions {
                     metrics: Some(registry),
-                    telemetry: Some(
-                        TelemetryConfig::new(sampler, format!("worker:{stage}")).ship_to(at),
-                    ),
+                    telemetry: Some(TelemetryConfig {
+                        ship_to: Some(at),
+                        ..TelemetryConfig::new(sampler, format!("worker:{stage}"))
+                    }),
                     ..Default::default()
                 };
                 pipeline(100, 2, total, opts)
@@ -405,7 +413,10 @@ fn dead_aggregator_never_fails_the_run() {
     let sampler = Arc::new(TelemetrySampler::new(Duration::from_millis(5)));
     // Ship to a port with nothing listening: connects fail, run succeeds.
     let opts = RunOptions {
-        telemetry: Some(TelemetryConfig::new(sampler, "local").ship_to("127.0.0.1:1")),
+        telemetry: Some(TelemetryConfig {
+            ship_to: Some("127.0.0.1:1".to_string()),
+            ..TelemetryConfig::new(sampler, "local")
+        }),
         ..Default::default()
     };
     pipeline(50, 1, Arc::clone(&total), opts).run().unwrap();
@@ -413,4 +424,156 @@ fn dead_aggregator_never_fails_the_run() {
         total.load(Ordering::Relaxed),
         (0..50u64).map(|i| i * 2).sum()
     );
+}
+
+/// A random sample: up to three stages of up to three copies, a few
+/// counters, and edge values (0, `u64::MAX`) among the random ones.
+fn random_sample(rng: &mut SmallRng) -> TelemetrySample {
+    let num = |rng: &mut SmallRng| match rng.gen_range(0, 4) {
+        0 => 0,
+        1 => u64::MAX,
+        // Whole numbers up to 2^53 survive the f64 of a JSON number.
+        _ => rng.gen_range_u64(1 << 53),
+    };
+    let name = |rng: &mut SmallRng, prefix: &str| format!("{prefix}{}", rng.gen_range(0, 100));
+    let stages = (0..rng.gen_range(0, 4))
+        .map(|_| {
+            let copies = rng.gen_range(0, 4);
+            StageSample {
+                stage: name(rng, "f"),
+                queue_depth: num(rng),
+                busy_us_per_copy: (0..copies).map(|_| num(rng)).collect(),
+                active_frac_per_copy: (0..copies).map(|_| rng.gen_f64()).collect(),
+                blocked_send_us: num(rng),
+                blocked_recv_us: num(rng),
+                buffers_in: num(rng),
+                buffers_out: num(rng),
+                residence_p50_us: num(rng),
+                residence_p95_us: num(rng),
+                residence_p99_us: num(rng),
+            }
+        })
+        .collect();
+    TelemetrySample {
+        source: format!("worker:{}", rng.gen_range(0, 8)),
+        seq: num(rng),
+        elapsed_us: num(rng),
+        fin: rng.gen_bool(0.5),
+        stages,
+        counters: (0..rng.gen_range(0, 4))
+            .map(|_| (name(rng, "net.link"), num(rng)))
+            .collect(),
+        e2e_count: num(rng),
+        e2e_p50_us: num(rng),
+        e2e_p95_us: num(rng),
+        e2e_p99_us: num(rng),
+    }
+}
+
+/// A random registry of counters and histograms, or none.
+fn random_registry(rng: &mut SmallRng) -> Option<MetricsRegistry> {
+    if rng.gen_bool(0.4) {
+        return None;
+    }
+    let mut reg = MetricsRegistry::new();
+    for _ in 0..rng.gen_range(0, 4) {
+        let v = rng.gen_range_u64(1 << 40);
+        reg.counter(&format!("stage.f{}.busy_us", rng.gen_range(1, 4)), v);
+    }
+    for _ in 0..rng.gen_range(0, 3) {
+        let name = format!("stage.f{}.residence_us", rng.gen_range(1, 4));
+        for _ in 0..rng.gen_range(1, 20) {
+            let bits = rng.gen_range(0, 40);
+            let v = rng.gen_range_u64(1 << bits);
+            reg.observe(&name, v);
+        }
+    }
+    Some(reg)
+}
+
+fn random_payload(rng: &mut SmallRng) -> (TelemetrySample, Option<MetricsRegistry>, Vec<u8>) {
+    let sample = random_sample(rng);
+    let registry = random_registry(rng);
+    let bytes = encode_telemetry_payload(&sample, registry.as_ref());
+    (sample, registry, bytes)
+}
+
+/// Registries have no `==`: compare their lossless wire form.
+fn wire(registry: &Option<MetricsRegistry>) -> Option<String> {
+    registry.as_ref().map(|r| r.to_wire_json().to_string())
+}
+
+/// Whatever decodes is a fixed point: encoding it again and decoding
+/// that gives the same sample and registry. Never a panic.
+fn assert_fixed_point(bytes: &[u8]) {
+    if let Ok((sample, registry)) = decode_telemetry_payload(bytes) {
+        let again = encode_telemetry_payload(&sample, registry.as_ref());
+        let (back, back_registry) = decode_telemetry_payload(&again)
+            .unwrap_or_else(|e| panic!("re-encoded payload fails: {e}: {again:02x?}"));
+        assert_eq!(back, sample, "from {bytes:02x?}");
+        assert_eq!(wire(&back_registry), wire(&registry), "from {bytes:02x?}");
+    }
+}
+
+/// (a) Every generated payload round-trips: the sample exactly, the
+/// registry through its wire form.
+#[test]
+fn generated_telemetry_payloads_roundtrip() {
+    let mut rng = SmallRng::seed_from_u64(0x7E1E);
+    for case in 0..500 {
+        let (sample, registry, bytes) = random_payload(&mut rng);
+        let (back, back_registry) =
+            decode_telemetry_payload(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back, sample, "case {case}");
+        assert_eq!(wire(&back_registry), wire(&registry), "case {case}");
+    }
+}
+
+/// (b) Every strict prefix of a generated payload fails as malformed.
+#[test]
+fn generated_telemetry_payload_prefixes_fail() {
+    let mut rng = SmallRng::seed_from_u64(0x7E1F);
+    for case in 0..60 {
+        let (_, _, bytes) = random_payload(&mut rng);
+        for cut in 0..bytes.len() {
+            let err = decode_telemetry_payload(&bytes[..cut]).expect_err("strict prefix decoded");
+            assert_eq!(err.kind, ErrorKind::Malformed, "case {case} cut {cut}");
+        }
+    }
+}
+
+/// (c) Random bytes, single-byte mutations of valid payloads and deeply
+/// nested documents never panic the decoder, and whatever decodes is a
+/// fixed point.
+#[test]
+fn random_and_mutated_telemetry_payloads_decode_to_a_fixed_point_or_fail() {
+    let mut rng = SmallRng::seed_from_u64(0x7E20);
+    // JSON's own characters, so random strings get past the first byte.
+    let alphabet = b"{}[]\":,0123456789.e-aflnrstu \xff";
+    for _ in 0..2000 {
+        let len = rng.gen_range(0, 64);
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| alphabet[rng.gen_range(0, alphabet.len())])
+            .collect();
+        assert_fixed_point(&bytes);
+    }
+    for _ in 0..5000 {
+        let (_, _, mut bytes) = random_payload(&mut rng);
+        let i = rng.gen_range(0, bytes.len());
+        bytes[i] = match rng.gen_bool(0.5) {
+            true => alphabet[rng.gen_range(0, alphabet.len())],
+            false => rng.next_u64() as u8,
+        };
+        assert_fixed_point(&bytes);
+    }
+    // Deep nesting, open or closed around a valid payload, is no sample.
+    for depth in [10, 127, 128, 129, 1000, 100_000] {
+        let (_, _, bytes) = random_payload(&mut rng);
+        let payload = String::from_utf8(bytes).unwrap();
+        let wrapped = format!("{}{payload}{}", "[".repeat(depth), "]".repeat(depth));
+        for doc in ["[".repeat(depth), "{\"registry\":".repeat(depth), wrapped] {
+            let err = decode_telemetry_payload(doc.as_bytes()).expect_err("no sample");
+            assert_eq!(err.kind, ErrorKind::Malformed, "depth {depth}");
+        }
+    }
 }

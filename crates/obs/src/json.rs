@@ -102,11 +102,14 @@ impl Json {
         }
     }
 
-    /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Parse a complete JSON document (trailing whitespace allowed). A
+    /// document nested deeper than 128 arrays and objects, or a number
+    /// too large for an `f64`, is an error.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -159,6 +162,12 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: far
+/// above what the repo writes (a telemetry payload nests about six
+/// levels), and shallow enough that parsing a hostile document cannot
+/// overflow a thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -177,6 +186,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,8 +232,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -343,9 +365,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf-8"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -393,6 +417,41 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    /// Nesting is capped: a document at the cap parses, one level more is
+    /// a named error, and 100,000 open brackets fail on a spawned thread
+    /// (2 MiB of stack) instead of overflowing it.
+    #[test]
+    fn nesting_deeper_than_the_cap_is_a_named_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_DEPTH} levels")
+        );
+        assert_eq!(err.pos, MAX_DEPTH);
+        for open in ["[", "{\"a\":"] {
+            let doc = open.repeat(100_000);
+            let deep = std::thread::spawn(move || Json::parse(&doc).map_err(|e| e.message))
+                .join()
+                .expect("no stack overflow");
+            assert_eq!(deep, Err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected() {
+        assert_eq!(
+            Json::parse("1e999").unwrap_err().message,
+            "number out of range"
+        );
+        assert_eq!(
+            Json::parse("[-1e400]").unwrap_err().message,
+            "number out of range"
+        );
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl Histogram {
             }
             h.buckets[i] = kv[1].as_f64()? as u64;
         }
-        if h.buckets.iter().sum::<u64>() != h.count {
+        if h.buckets.iter().try_fold(0u64, |a, &n| a.checked_add(n)) != Some(h.count) {
             return None;
         }
         Some(h)
@@ -315,7 +315,10 @@ impl MetricsRegistry {
             return None;
         };
         for (name, v) in counters {
-            reg.counter(name, v.as_f64()? as u64);
+            // A repeated name adds up, as `counter` does, but a sum past
+            // u64::MAX is malformed rather than an overflow.
+            let c = reg.counters.entry(name.clone()).or_default();
+            c.value = c.value.checked_add(v.as_f64()? as u64)?;
         }
         let Json::Obj(histograms) = j.get("histograms")? else {
             return None;
@@ -514,6 +517,18 @@ mod tests {
         let bad = Json::parse("{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[99,1]]}")
             .unwrap();
         assert!(Histogram::from_wire_json(&bad).is_none());
+        // Bucket counts, or a repeated counter, summing past u64::MAX.
+        let huge = "18446744073709551615";
+        let bad = Json::parse(&format!(
+            "{{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[1,{huge}],[2,2]]}}"
+        ))
+        .unwrap();
+        assert!(Histogram::from_wire_json(&bad).is_none());
+        let bad = Json::parse(&format!(
+            "{{\"counters\":{{\"c\":{huge},\"c\":{huge}}},\"histograms\":{{}}}}"
+        ))
+        .unwrap();
+        assert!(MetricsRegistry::from_wire_json(&bad).is_none());
     }
 
     #[test]

@@ -29,8 +29,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Sampling cadence in milliseconds; unset/0 disables the telemetry
-/// plane entirely (no probes, no stamping, no sampler thread).
+/// Sampling cadence in milliseconds. A nonzero cadence turns telemetry
+/// on and starts a sampler thread; 0 starts none, so alone it leaves
+/// telemetry off, and with a log, a launcher address or autoscaling the
+/// run still stamps packets and records its final sample. The probes
+/// count on every run either way.
 pub const STATUS_EVERY_ENV: &str = "CGP_STATUS_EVERY";
 /// JSONL sink for samples (and, on a launcher, merged registries).
 pub const TELEMETRY_LOG_ENV: &str = "CGP_TELEMETRY_LOG";
@@ -240,6 +243,7 @@ impl TelemetrySample {
 /// and retains the latest sample for pollers. All methods take `&self`
 /// (internally synchronized) so a sampler can be shared across the
 /// executor's scope threads.
+#[derive(Debug)]
 pub struct TelemetrySampler {
     every: Duration,
     log: Option<Mutex<File>>,
@@ -274,6 +278,12 @@ impl TelemetrySampler {
     /// Sampling cadence the probing loop should use.
     pub fn every(&self) -> Duration {
         self.every
+    }
+
+    /// Whether samples print as a status line on stderr (a launcher
+    /// prints one merged line for its workers instead).
+    pub fn shows_status_line(&self) -> bool {
+        self.status
     }
 
     /// Record one sample: stamp its sequence number, fan out, and return
